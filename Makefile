@@ -1,16 +1,5 @@
 # Convenience targets; everything here is plain `go` — no extra tooling.
 
-# Benchmarks committed with a PR. `make bench` reruns the headline
-# benchmarks (simulation throughput, flow round-trip, Table 1 end-to-end,
-# plus the health plane's observe and frame-encode hot paths, the fault
-# plane's shape tick and the placement decision, all of which must stay
-# allocation-free) with allocation counts and refreshes the JSON snapshot
-# via cmd/benchjson. The health, fault-shape and placement benchmarks live
-# in ./internal/health, ./internal/faults and ./internal/placement, hence
-# the extra packages on the command line.
-BENCH_OUT ?= BENCH_pr10.json
-BENCH_PATTERN = ^(BenchmarkFlowRoundTrip|BenchmarkNetsimEventRate|BenchmarkTable1|BenchmarkHealthObserve|BenchmarkTelemetryFrame|BenchmarkFaultShapeTick|BenchmarkPlacementDecision)$$
-
 .PHONY: all build test race bench
 
 all: build test
@@ -24,9 +13,6 @@ test:
 race:
 	go test -race ./...
 
+# One workload of the repo benchmark (BENCHMARK.json, bench/README.md).
 bench:
-	go test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -count 1 \
-		. ./internal/health ./internal/faults ./internal/placement \
-		| tee /dev/stderr \
-		| go run ./cmd/benchjson -o $(BENCH_OUT)
-	@echo "wrote $(BENCH_OUT)"
+	bash bench/run.sh --workload failover_sweep --seed 1 --seconds 12 --trace 0

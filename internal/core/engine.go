@@ -230,26 +230,14 @@ func NewEngine(cfg Config, deps Deps) (*Engine, error) {
 // and tests use it to timestamp reallocation).
 func (e *Engine) SetEventHook(h func(Event)) { e.hook = h }
 
-// SetViewHook registers a typed observer that runs once per view the engine
+// AddViewHook registers a typed observer that runs once per view the engine
 // installs, after the view is recorded but before any STATE_MSG exchange.
-// Unlike the stringly-typed event hook it receives the full membership list,
-// which is what protocol checkers need to compare installation order across
-// engines. The handler receives a private copy; nil (the default) costs
+// Unlike the stringly-typed event hook it receives the full membership list
+// (a private copy), which is what protocol checkers need to compare
+// installation order across engines. h is chained after any previously
+// registered view hook, so independent observers (invariant monitor, flight
+// recorder) coexist; with none registered (the default) the engine pays
 // nothing. Call before Start.
-func (e *Engine) SetViewHook(h func(View)) { e.viewHook = h }
-
-// SetOwnershipHook registers a typed observer for address-group ownership
-// transitions: it runs after every successful acquire (owned=true) and
-// release (owned=false) with the ID of the view the engine held at that
-// moment (empty when detached). Nil (the default) costs nothing. Call
-// before Start.
-func (e *Engine) SetOwnershipHook(h func(group string, owned bool, viewID string)) {
-	e.ownHook = h
-}
-
-// AddViewHook chains h after any previously registered view hook, so
-// independent observers (invariant monitor, flight recorder) can coexist
-// without clobbering each other. Call before Start.
 func (e *Engine) AddViewHook(h func(View)) {
 	if h == nil {
 		return
@@ -261,8 +249,11 @@ func (e *Engine) AddViewHook(h func(View)) {
 	e.viewHook = h
 }
 
-// AddOwnershipHook chains h after any previously registered ownership hook.
-// Call before Start.
+// AddOwnershipHook registers a typed observer for address-group ownership
+// transitions: it runs after every successful acquire (owned=true) and
+// release (owned=false) with the ID of the view the engine held at that
+// moment (empty when detached). h is chained after any previously registered
+// ownership hook. Call before Start.
 func (e *Engine) AddOwnershipHook(h func(group string, owned bool, viewID string)) {
 	if h == nil {
 		return

@@ -40,7 +40,9 @@ type Clock interface {
 	AfterFunc(d time.Duration, f func()) Timer
 }
 
-// Handler consumes an inbound datagram.
+// Handler consumes an inbound datagram. A handler must not retain payload
+// past its return: the buffer is recycled into the next datagram as soon as
+// the handler is done with it.
 type Handler func(from Addr, payload []byte)
 
 // PacketConn is an unreliable datagram endpoint on a LAN.

@@ -941,11 +941,15 @@ func AvailabilityJSON(row AvailabilityRow) []JSONRow {
 		}
 	}
 	agg.PerTrial = trialRows(row.Samples)
+	trialMetrics := make(map[int64]runner.Metrics, len(row.Samples))
+	for _, s := range row.Samples {
+		trialMetrics[s.Seed] = s.Metrics
+	}
 	out := []JSONRow{agg}
 	for _, r := range row.Results {
 		jr := jsonRow("availability", fmt.Sprintf("%s/seed=%d", row.Point, r.Seed), "interruption",
 			Stat{N: 1, Mean: r.Interruption, Min: r.Interruption, Median: r.Interruption,
-				P50: r.Interruption, P99: r.Interruption, Max: r.Interruption}, 0, runner.Metrics{})
+				P50: r.Interruption, P99: r.Interruption, Max: r.Interruption}, 0, trialMetrics[r.Seed])
 		jr.Trials = 1
 		jr.Extra = map[string]float64{
 			"issued":           float64(r.Stats.Issued),

@@ -207,6 +207,12 @@ func TestAvailabilitySweepAndJSON(t *testing.T) {
 		if r.Extra["before_requests"] == 0 || r.Extra["before_requests"] != r.Extra["before_ok"] {
 			t.Errorf("%s: fault-free window not clean: %+v", r.Point, r.Extra)
 		}
+		if r.Metrics.FramesSent == 0 || r.Metrics.TokenRotations == 0 || r.Metrics.Acquires == 0 {
+			t.Errorf("%s: per-trial metrics not filled from the trial's sample: %+v", r.Point, r.Metrics)
+		}
+	}
+	if sum := rows[1].Metrics.FramesSent + rows[2].Metrics.FramesSent; sum != rows[0].Metrics.FramesSent {
+		t.Errorf("per-trial frames_sent sum to %d, aggregate says %d", sum, rows[0].Metrics.FramesSent)
 	}
 	var b bytes.Buffer
 	if err := WriteNDJSON(&b, rows); err != nil {

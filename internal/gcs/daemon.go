@@ -306,10 +306,6 @@ func (d *Daemon) Stop() {
 // installation.
 func (d *Daemon) SetMembershipHandler(cb MembershipHandler) { d.onMembership = cb }
 
-// SetDeliveryHandler registers cb to run at every Agreed delivery. A nil
-// handler (the default) costs nothing on the delivery path.
-func (d *Daemon) SetDeliveryHandler(cb DeliveryHandler) { d.onDelivery = cb }
-
 // AddMembershipHandler chains cb after any previously registered membership
 // handler, letting independent observers coexist. Call before Start.
 func (d *Daemon) AddMembershipHandler(cb MembershipHandler) {
@@ -323,8 +319,9 @@ func (d *Daemon) AddMembershipHandler(cb MembershipHandler) {
 	d.onMembership = cb
 }
 
-// AddDeliveryHandler chains cb after any previously registered delivery
-// handler. Call before Start.
+// AddDeliveryHandler registers cb to run at every Agreed delivery, chained
+// after any previously registered delivery handler; with none registered (the
+// default) the delivery path pays nothing. Call before Start.
 func (d *Daemon) AddDeliveryHandler(cb DeliveryHandler) {
 	if cb == nil {
 		return

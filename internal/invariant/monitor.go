@@ -4,10 +4,10 @@
 // two gray-failure oracles (bounded ownership ping-pong under flap, bounded
 // false-detection rate on lossy-but-alive links) and the placement-plane
 // churn oracle (bounded VIP relocations per reconfiguration) packaged as a
-// Monitor that
-// attaches to any set of nodes through the existing nil-safe observation
-// hooks (core.SetViewHook, core.SetOwnershipHook, gcs.SetDeliveryHandler). The checker consumes it in Strict mode, where
-// state is unbounded and findings are byte-identical to the original
+// Monitor that attaches to any set of nodes through the existing nil-safe,
+// chainable observation hooks (core.Engine.AddViewHook and AddOwnershipHook,
+// gcs.Daemon.AddDeliveryHandler). The checker consumes it in Strict mode,
+// where state is unbounded and findings are byte-identical to the original
 // internal/check oracles; every other consumer — wackload traffic sweeps,
 // wacksim experiments, a live wackamole daemon — arms it in online mode,
 // where per-node and per-ring state is pre-sized and bounded so the hot

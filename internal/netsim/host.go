@@ -11,7 +11,6 @@ import (
 	"wackamole/internal/arp"
 	"wackamole/internal/env"
 	"wackamole/internal/obs"
-	"wackamole/internal/sim"
 )
 
 // Errors reported by host networking operations.
@@ -35,7 +34,9 @@ const (
 	defaultTTL       = 64
 )
 
-// UDPHandler consumes a datagram delivered to a bound socket.
+// UDPHandler consumes a datagram delivered to a bound socket. A handler must
+// not retain payload past its return: the buffer is recycled into the next
+// datagram as soon as the handler is done with it.
 type UDPHandler func(src, dst netip.AddrPort, payload []byte)
 
 // Host is a simulated machine: a set of interfaces, a routing table, UDP
@@ -439,24 +440,66 @@ func (s *Socket) Close() {
 	s.closed.Store(true)
 }
 
-// SendUDP transmits a datagram. The source address may be invalid, in which
-// case the egress interface's primary address is used. Destinations equal to
-// a local address are delivered locally (loopback); subnet broadcast
+// SendUDP transmits a copy of payload as one datagram; the caller may reuse
+// its slice as soon as the call returns. The source address may be invalid,
+// in which case the egress interface's primary address is used. Destinations
+// equal to a local address are delivered locally (loopback); subnet broadcast
 // destinations fan out on the segment and also loop back to local sockets.
 func (h *Host) SendUDP(src, dst netip.AddrPort, payload []byte) error {
+	return h.sendUDP(src, dst, payload, false)
+}
+
+// Network returns the network this host belongs to. Traffic generators use
+// it to reach the payload-buffer pool that pairs with SendUDPOwned.
+func (h *Host) Network() *Network { return h.net }
+
+// SendUDPOwned is SendUDP without the copy: the caller hands payload,
+// typically obtained from Network.GetBuf, over to the network and must not
+// touch it after a successful call. On error the caller retains ownership.
+func (h *Host) SendUDPOwned(src, dst netip.AddrPort, payload []byte) error {
+	return h.sendUDP(src, dst, payload, true)
+}
+
+// sendUDP is the one outbound datagram path: route, build the packet, egress.
+// Whether the packet is pooled depends only on the destination. A remote
+// unicast datagram has exactly one consumer, so its record and payload buffer
+// come from the network's pools and return there at the terminal consumption
+// point. Loop-back and broadcast datagrams are shared between receivers and
+// left to the garbage collector.
+func (h *Host) sendUDP(src, dst netip.AddrPort, payload []byte, handedOver bool) error {
 	if !h.alive {
 		return ErrHostDown
 	}
-	p := &ipPacket{
-		src:     src.Addr(),
-		dst:     dst.Addr(),
-		ttl:     defaultTTL,
-		srcPort: src.Port(),
-		dstPort: dst.Port(),
-		payload: append([]byte(nil), payload...),
+	local := h.hasLocalAddr(dst.Addr())
+	var nic *NIC
+	var nexthop netip.Addr
+	if !local {
+		var ok bool
+		if nic, nexthop, ok = h.lookupRoute(dst.Addr()); !ok {
+			// Maybe a broadcast to a directly attached subnet.
+			if nic = h.broadcastNIC(dst.Addr()); nic == nil {
+				return fmt.Errorf("%w: %v from %s", ErrNoRoute, dst.Addr(), h.name)
+			}
+			nexthop = dst.Addr()
+		}
 	}
-	// Local delivery.
-	if h.hasLocalAddr(p.dst) {
+	pooled := !local && !h.isBroadcastFor(nic, dst.Addr())
+	if !handedOver {
+		var buf []byte // shared datagrams get an exact-size copy
+		if pooled {
+			buf = h.net.GetBuf(0)
+		}
+		payload = append(buf, payload...)
+	}
+	var p *ipPacket
+	if pooled {
+		p = h.net.getPacket()
+	} else {
+		p = new(ipPacket)
+	}
+	*p = ipPacket{src: src.Addr(), dst: dst.Addr(), ttl: defaultTTL,
+		srcPort: src.Port(), dstPort: dst.Port(), payload: payload, owned: pooled}
+	if local {
 		if !p.src.IsValid() {
 			p.src = p.dst
 		}
@@ -467,65 +510,16 @@ func (h *Host) SendUDP(src, dst netip.AddrPort, payload []byte) error {
 		})
 		return nil
 	}
-	nic, nexthop, ok := h.lookupRoute(p.dst)
-	if !ok {
-		// Maybe a broadcast to a directly attached subnet.
-		if bnic := h.broadcastNIC(p.dst); bnic != nil {
-			nic, nexthop, ok = bnic, p.dst, true
-		}
-	}
-	if !ok {
-		return fmt.Errorf("%w: %v from %s", ErrNoRoute, p.dst, h.name)
-	}
-	if !p.src.IsValid() {
-		p.src = nic.primary
-		if p.srcPort == 0 {
-			p.srcPort = src.Port()
-		}
-	}
-	return h.egress(nic, nexthop, p)
-}
-
-// Network returns the network this host belongs to. Traffic generators use
-// it to reach the payload-buffer pool that pairs with SendUDPOwned.
-func (h *Host) Network() *Network { return h.net }
-
-// SendUDPOwned transmits a datagram whose payload buffer the caller hands
-// over to the network, typically one obtained from Network.GetBuf. Unlike
-// SendUDP no defensive copy is made; the buffer and the packet record are
-// recycled after the receiving socket's handler returns. Two contracts
-// follow: the caller must not touch payload after a successful call, and
-// receiving handlers must not retain the payload slice past their return.
-// Only unicast destinations take the owned fast path — broadcast and local
-// loopback destinations fall back to SendUDP's copy-free-of-pools
-// semantics. On error the caller retains ownership of payload.
-func (h *Host) SendUDPOwned(src, dst netip.AddrPort, payload []byte) error {
-	if !h.alive {
-		return ErrHostDown
-	}
-	if h.hasLocalAddr(dst.Addr()) {
-		return h.SendUDP(src, dst, payload)
-	}
-	nic, nexthop, ok := h.lookupRoute(dst.Addr())
-	if !ok || h.isBroadcastFor(nic, dst.Addr()) {
-		// Unroutable (possibly a limited broadcast) or subnet broadcast:
-		// both are off the fast path.
-		return h.SendUDP(src, dst, payload)
-	}
-	p := h.net.getPacket()
-	p.src = src.Addr()
-	p.dst = dst.Addr()
-	p.ttl = defaultTTL
-	p.srcPort = src.Port()
-	p.dstPort = dst.Port()
-	p.payload = payload
-	p.owned = true
 	if !p.src.IsValid() {
 		p.src = nic.primary
 	}
 	if err := h.egress(nic, nexthop, p); err != nil {
-		p.payload = nil // caller keeps the buffer on error
-		h.net.putPacket(p)
+		if pooled {
+			if handedOver {
+				p.payload = nil // caller keeps the buffer on error
+			}
+			h.net.putPacket(p)
+		}
 		return err
 	}
 	return nil
@@ -552,9 +546,10 @@ func (h *Host) egress(nic *NIC, nexthop netip.Addr, p *ipPacket) error {
 		return fmt.Errorf("%w: %s/%s", ErrNICDown, h.name, nic.name)
 	}
 	if h.isBroadcastFor(nic, p.dst) {
-		// Broadcast fans out to many receivers; an owned packet would be
-		// recycled once per receiver, so release ownership first (the one
-		// extra garbage-collected packet is irrelevant off the fast path).
+		// Only a router forwarding a directed broadcast arrives here with an
+		// owned packet. Broadcast fans out to many receivers and an owned
+		// packet would be recycled once per receiver, so release it to the
+		// garbage collector.
 		p.owned = false
 		nic.seg.transmit(nic, frame{src: nic.mac, dst: BroadcastMAC, kind: frameIPv4, pkt: p})
 		// Local sockets also hear subnet broadcasts.
@@ -786,12 +781,8 @@ func (h *Host) deliverUDP(p *ipPacket) {
 		s.handler(src, dst, p.payload)
 	}
 	// Terminal consumption point for owned packets: whether or not a
-	// handler ran, the datagram's life ends here. Handlers must not retain
-	// the payload past their return — SendUDPOwned documents the contract.
+	// handler ran, the datagram's life ends here (the UDPHandler contract).
 	if p.owned {
 		h.net.putPacket(p)
 	}
 }
-
-// Ensure sim.Timer satisfies env.Timer (compile-time interface check).
-var _ env.Timer = (*sim.Timer)(nil)

@@ -71,12 +71,12 @@ type ipPacket struct {
 	dstPort uint16
 	payload []byte
 	// owned marks a packet whose struct and payload buffer came from the
-	// network's pools (the SendUDPOwned fast path). Owned packets have
-	// exactly one consumer — they are only ever unicast — and are recycled
-	// at their terminal consumption point (after the socket handler
-	// returns, or on a drop decision in the forwarding path). Packets lost
-	// to link faults simply fall to the garbage collector; the pools
-	// replenish themselves, so leaks under fault injection are harmless.
+	// network's pools, as every remote unicast datagram's do. Owned packets
+	// have exactly one consumer and are recycled at their terminal
+	// consumption point (after the socket handler returns, or on a drop
+	// decision in the forwarding path). Packets lost to link faults simply
+	// fall to the garbage collector; the pools replenish themselves, so
+	// leaks under fault injection are harmless.
 	owned bool
 }
 
@@ -115,6 +115,9 @@ type Network struct {
 	freePackets []*ipPacket
 	freeBufs    [][]byte
 	freeJobs    []*deliveryJob
+	// poison, flipped only by tests, makes PutBuf overwrite every buffer it
+	// is handed, so a handler that retained its payload reads garbage.
+	poison bool
 }
 
 // maxPooledBuf caps the payload buffers the network keeps; anything larger
@@ -125,7 +128,8 @@ const maxPooledBuf = 64 << 10
 // GetBuf returns a payload buffer of length n from the network's pool,
 // allocating if the pool is dry. The buffer's contents are unspecified.
 // Callers hand the buffer to SendUDPOwned, which assumes ownership; the
-// network returns it to the pool after final delivery.
+// network returns it to the pool after final delivery. GetBuf(0) is a
+// pooled buffer to append into.
 func (n *Network) GetBuf(size int) []byte {
 	if l := len(n.freeBufs); l > 0 {
 		b := n.freeBufs[l-1]
@@ -144,13 +148,19 @@ func (n *Network) GetBuf(size int) []byte {
 // PutBuf returns a buffer to the pool. Only buffers no longer referenced
 // anywhere else may be returned.
 func (n *Network) PutBuf(b []byte) {
+	if n.poison {
+		b = b[:cap(b)]
+		for i := range b {
+			b[i] = 0xDB
+		}
+	}
 	if cap(b) == 0 || cap(b) > maxPooledBuf {
 		return
 	}
 	n.freeBufs = append(n.freeBufs, b[:0])
 }
 
-// getPacket draws a zeroed pooled packet marked owned.
+// getPacket draws a zeroed packet record from the pool.
 func (n *Network) getPacket() *ipPacket {
 	if l := len(n.freePackets); l > 0 {
 		p := n.freePackets[l-1]

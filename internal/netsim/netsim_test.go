@@ -41,7 +41,7 @@ func TestUnicastUDPWithARP(t *testing.T) {
 	var got []byte
 	var gotSrc netip.AddrPort
 	if _, err := b.BindUDP(netip.Addr{}, 9000, func(src, dst netip.AddrPort, payload []byte) {
-		got = payload
+		got = append([]byte(nil), payload...)
 		gotSrc = src
 	}); err != nil {
 		t.Fatal(err)
@@ -64,6 +64,60 @@ func TestUnicastUDPWithARP(t *testing.T) {
 	}
 	if _, ok := b.NICs()[0].ARPEntry(addr("10.0.0.1")); !ok {
 		t.Error("responder did not learn the requester's entry")
+	}
+
+	// SendUDP copies: the caller may scribble on its slice as soon as the
+	// call returns, whatever the destination. SendUDPOwned differs only in
+	// taking the slice over instead, and reaches the same three kinds of
+	// destination. The unicast rows also show the other half of the contract
+	// — what a handler keeps past its return is recycled under it (poisoned
+	// here, reused by the next datagram in a real run).
+	for _, tc := range []struct {
+		name     string
+		from, to int // host index sending, host index receiving
+		dst      string
+		handOver bool
+		recycled bool
+	}{
+		{name: "unicast", from: 0, to: 1, dst: "10.0.0.2", recycled: true},
+		{name: "broadcast", from: 0, to: 1, dst: "10.0.0.255"},
+		{name: "broadcast-own-copy", from: 0, to: 0, dst: "10.0.0.255"},
+		{name: "loopback", from: 0, to: 0, dst: "10.0.0.1"},
+		{name: "owned-unicast", from: 0, to: 1, dst: "10.0.0.2", handOver: true, recycled: true},
+		{name: "owned-broadcast", from: 0, to: 1, dst: "10.0.0.255", handOver: true},
+		{name: "owned-loopback", from: 0, to: 0, dst: "10.0.0.1", handOver: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, nw, _, hosts := lan(t, 2, 2)
+			nw.PoisonFreedBuffers()
+			var copied, kept []byte
+			if _, err := hosts[tc.to].BindUDP(netip.Addr{}, 9000, func(_, _ netip.AddrPort, payload []byte) {
+				copied, kept = append([]byte(nil), payload...), payload
+			}); err != nil {
+				t.Fatal(err)
+			}
+			dst := netip.AddrPortFrom(addr(tc.dst), 9000)
+			if tc.handOver {
+				buf := nw.GetBuf(len("original"))
+				copy(buf, "original")
+				if err := hosts[tc.from].SendUDPOwned(netip.AddrPort{}, dst, buf); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				buf := []byte("original")
+				if err := hosts[tc.from].SendUDP(netip.AddrPort{}, dst, buf); err != nil {
+					t.Fatal(err)
+				}
+				copy(buf, "SCRIBBLE")
+			}
+			s.Run()
+			if string(copied) != "original" {
+				t.Fatalf("receiver saw %q, want the bytes as they were at the call", copied)
+			}
+			if tc.recycled && string(kept) == "original" {
+				t.Fatal("payload kept past the handler's return was not recycled")
+			}
+		})
 	}
 }
 
@@ -245,7 +299,7 @@ func TestRouterForwardsBetweenSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := client.BindUDP(netip.Addr{}, 8001, func(_, _ netip.AddrPort, payload []byte) {
-		reply = payload
+		reply = append([]byte(nil), payload...)
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"expvar"
 	"fmt"
 	"io"
@@ -19,11 +18,10 @@ import (
 // are read-only snapshots assembled per request; the stats they read are
 // atomic snapshots, so serving them never blocks the protocol.
 //
-// /metrics speaks two dialects. Without a registry it keeps the original
-// expvar-style flat JSON object of counters. With a registry installed it
-// serves Prometheus text exposition format 0.0.4, rendering the legacy
-// counters as counter families followed by the registry's typed families —
-// one scrape returns both generations of instrumentation.
+// /metrics serves Prometheus text exposition format 0.0.4: the legacy
+// counter map rendered as typed families, followed by the registry's typed
+// families when a registry is installed — one scrape returns both
+// generations of instrumentation.
 
 // MetricsFunc assembles the current counter values; keys should be
 // snake_case and stable across releases.
@@ -38,9 +36,9 @@ type Handler struct {
 	profiling bool
 }
 
-// NewHandler builds the observability handler; metrics may be nil (serves
-// an empty object), tracer may be nil (serves an empty event stream) and
-// registry may be nil (/metrics stays in the legacy JSON dialect).
+// NewHandler builds the observability handler; metrics may be nil (no
+// counter families), tracer may be nil (serves an empty event stream) and
+// registry may be nil (/metrics carries the counter map alone).
 func NewHandler(metricsFn MetricsFunc, tracer *Tracer, registry *metrics.Registry) *Handler {
 	return &Handler{metrics: metricsFn, tracer: tracer, registry: registry}
 }
@@ -89,28 +87,6 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// sortedCounters snapshots the legacy counter map with stable key order.
-func (h *Handler) sortedCounters() (map[string]uint64, []string) {
-	vals := map[string]uint64{}
-	if h.metrics != nil {
-		vals = h.metrics()
-	}
-	keys := make([]string, 0, len(vals))
-	for k := range vals {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return vals, keys
-}
-
-func (h *Handler) serveMetrics(w http.ResponseWriter) {
-	if h.registry.Enabled() {
-		h.servePrometheus(w)
-		return
-	}
-	h.serveLegacyJSON(w)
-}
-
 // levelSuffixes mark legacy keys that report a level rather than a monotone
 // count; they are typed gauge so scrapers don't compute rates over them.
 var levelSuffixes = []string{"_buffered", "_depth", "_inflight", "_pending", "_queued"}
@@ -124,13 +100,8 @@ func legacyType(key string) string {
 	return "counter"
 }
 
-// servePrometheus writes the legacy counters as counter families followed by
-// the registry's families, all in text exposition format 0.0.4. A legacy key
-// that collides with a registry family name (or a histogram's derived
-// _bucket/_sum/_count sample names) is skipped — emitting both would yield
-// duplicate TYPE/sample lines, which strict parsers reject; the registry's
-// typed family is the better-specified of the two.
-func (h *Handler) servePrometheus(w http.ResponseWriter) {
+// serveMetrics writes the /metrics body; see WriteMetricsProm.
+func (h *Handler) serveMetrics(w http.ResponseWriter) {
 	w.Header().Set("Content-Type", metrics.ContentType)
 	// Errors mean the connection died mid-write; nothing recoverable.
 	_ = WriteMetricsProm(w, h.metrics, h.registry)
@@ -178,28 +149,6 @@ func WriteMetricsProm(w io.Writer, metricsFn MetricsFunc, registry *metrics.Regi
 	return metrics.WritePrometheus(w, snap)
 }
 
-// serveLegacyJSON writes the counters as one sorted, indented JSON object,
-// expvar-style.
-func (h *Handler) serveLegacyJSON(w http.ResponseWriter) {
-	vals, keys := h.sortedCounters()
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	// Hand-rolled so the keys stay sorted (json.Marshal of a map sorts too,
-	// but an ordered write keeps the value formatting integral).
-	w.Write([]byte("{\n"))
-	for i, k := range keys {
-		b, _ := json.Marshal(k)
-		w.Write(b)
-		w.Write([]byte(": "))
-		v, _ := json.Marshal(vals[k])
-		w.Write(v)
-		if i < len(keys)-1 {
-			w.Write([]byte(","))
-		}
-		w.Write([]byte("\n"))
-	}
-	w.Write([]byte("}\n"))
-}
-
 // serveEvents streams the ring snapshot as NDJSON, oldest first.
 func (h *Handler) serveEvents(w http.ResponseWriter) {
 	w.Header().Set("Content-Type", "application/x-ndjson; charset=utf-8")
@@ -214,7 +163,7 @@ type Server struct {
 
 // Serve starts serving the observability endpoints on addr (e.g.
 // "127.0.0.1:4804"); it returns once the listener is bound. registry may be
-// nil, keeping /metrics in the legacy JSON dialect.
+// nil, in which case /metrics carries the counter map alone.
 func Serve(addr string, metricsFn MetricsFunc, tracer *Tracer, registry *metrics.Registry) (*Server, error) {
 	return ServeHandler(addr, NewHandler(metricsFn, tracer, registry))
 }

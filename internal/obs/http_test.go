@@ -12,24 +12,19 @@ import (
 	"wackamole/internal/metrics"
 )
 
-func TestHandlerServesMetricsSorted(t *testing.T) {
+// TestHandlerNilRegistry pins /metrics without a registry: the counter map
+// alone, as sorted typed families in the exposition format.
+func TestHandlerNilRegistry(t *testing.T) {
 	h := NewHandler(func() map[string]uint64 {
-		return map[string]uint64{"zeta": 3, "alpha": 1, "mid": 2}
+		return map[string]uint64{"zeta": 3, "alpha": 1, "mid_depth": 2}
 	}, nil, nil)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-	body := rec.Body.String()
-	var got map[string]uint64
-	if err := json.Unmarshal([]byte(body), &got); err != nil {
-		t.Fatalf("metrics is not valid JSON: %v\n%s", err, body)
+	want := "# TYPE alpha counter\nalpha 1\n# TYPE mid_depth gauge\nmid_depth 2\n# TYPE zeta counter\nzeta 3\n"
+	if body := rec.Body.String(); body != want {
+		t.Fatalf("metrics =\n%s\nwant\n%s", body, want)
 	}
-	if got["alpha"] != 1 || got["mid"] != 2 || got["zeta"] != 3 {
-		t.Fatalf("metrics = %v", got)
-	}
-	if strings.Index(body, "alpha") > strings.Index(body, "zeta") {
-		t.Fatalf("keys not sorted:\n%s", body)
-	}
-	if ct := rec.Header().Get("Content-Type"); !strings.Contains(ct, "application/json") {
+	if ct := rec.Header().Get("Content-Type"); ct != metrics.ContentType {
 		t.Fatalf("content type = %q", ct)
 	}
 }
@@ -38,8 +33,8 @@ func TestHandlerNilCollaborators(t *testing.T) {
 	h := NewHandler(nil, nil, nil)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-	if strings.TrimSpace(rec.Body.String()) != "{\n}" && strings.TrimSpace(rec.Body.String()) != "{}" {
-		t.Fatalf("empty metrics = %q", rec.Body.String())
+	if rec.Code != http.StatusOK || rec.Body.Len() != 0 {
+		t.Fatalf("empty metrics: code %d, body %q", rec.Code, rec.Body.String())
 	}
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/events", nil))
@@ -138,12 +133,8 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	var metrics map[string]uint64
-	if err := json.Unmarshal(body, &metrics); err != nil {
-		t.Fatalf("metrics: %v\n%s", err, body)
-	}
-	if metrics["obs_events_emitted"] != 2 {
-		t.Fatalf("metrics = %v", metrics)
+	if !strings.Contains(string(body), "\nobs_events_emitted 2\n") {
+		t.Fatalf("metrics = %s", body)
 	}
 
 	resp, err = client.Get("http://" + srv.Addr() + "/debug/events")

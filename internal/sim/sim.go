@@ -24,17 +24,16 @@ var Epoch = time.Date(2003, time.June, 22, 0, 0, 0, 0, time.UTC)
 // interaction must happen from the goroutine driving Run/Step, which is also
 // the goroutine on which scheduled callbacks execute.
 type Sim struct {
-	now    time.Time
-	queue  eventQueue
-	seq    uint64
-	rng    *rand.Rand
-	fired  uint64
-	inStep bool
-	// free recycles detached events (those scheduled with Post, which hand
-	// out no Timer and so cannot be referenced after firing). Pooling keeps
-	// the per-frame scheduling cost of busy traffic simulations
-	// allocation-free in steady state.
-	free []*event
+	now   time.Time
+	queue eventQueue
+	seq   uint64
+	rng   *rand.Rand
+	fired uint64
+	// free recycles records scheduled with Post: nobody holds a handle to
+	// those, so they cannot be referenced after firing. Pooling keeps the
+	// per-frame scheduling cost of busy traffic simulations allocation-free
+	// in steady state.
+	free []*Timer
 }
 
 // New returns a simulator positioned at Epoch whose random source is seeded
@@ -63,77 +62,71 @@ func (s *Sim) Fired() uint64 { return s.fired }
 // including cancelled timers that have not been collected.
 func (s *Sim) Pending() int { return s.queue.Len() }
 
-// Timer is a handle to a scheduled event.
+// Timer is a scheduled event: the record in the simulator's queue is itself
+// the handle At and After return.
 type Timer struct {
-	ev *event
+	at        time.Time
+	seq       uint64
+	fn        func()
+	run       Runnable // set instead of fn by Post
+	cancelled bool
+	done      bool
 }
 
 // Stop cancels the timer. It reports whether the call prevented the event
 // from firing.
 func (t *Timer) Stop() bool {
-	if t == nil || t.ev == nil || t.ev.cancelled || t.ev.done {
+	if t == nil || t.cancelled || t.done {
 		return false
 	}
-	t.ev.cancelled = true
+	t.cancelled = true
 	return true
+}
+
+// Runnable is a pre-allocated scheduled callback. Implementations are
+// typically pooled structs carrying their own context, which is what lets
+// high-rate traffic paths schedule without allocating a closure per event.
+type Runnable interface{ Run() }
+
+// schedule is the one way onto the queue: At, After and Post all end here.
+// Deadlines in the past are clamped to now, and events fire in (deadline,
+// scheduling order). Exactly one of fn and r is set. A record carrying a
+// Runnable has no handle outstanding, so it is drawn from — and, after it
+// fires, returned to — the free list; a record carrying fn is the caller's
+// handle and is never reused.
+func (s *Sim) schedule(at time.Time, fn func(), r Runnable) *Timer {
+	if fn == nil && r == nil {
+		panic("sim: nil callback scheduled")
+	}
+	if at.Before(s.now) {
+		at = s.now
+	}
+	var t *Timer
+	if n := len(s.free); r != nil && n > 0 {
+		t = s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
+	} else {
+		t = &Timer{}
+	}
+	*t = Timer{at: at, seq: s.seq, fn: fn, run: r}
+	s.seq++
+	heap.Push(&s.queue, t)
+	return t
 }
 
 // At schedules fn to run at instant t. Instants in the past run as soon as
 // control returns to the event loop, at the current virtual time.
-func (s *Sim) At(t time.Time, fn func()) *Timer {
-	if fn == nil {
-		panic("sim: At called with nil callback")
-	}
-	if t.Before(s.now) {
-		t = s.now
-	}
-	ev := &event{at: t, seq: s.seq, fn: fn}
-	s.seq++
-	heap.Push(&s.queue, ev)
-	return &Timer{ev: ev}
-}
+func (s *Sim) At(t time.Time, fn func()) *Timer { return s.schedule(t, fn, nil) }
 
 // After schedules fn to run d from the current virtual time. Negative
 // durations are treated as zero.
-func (s *Sim) After(d time.Duration, fn func()) *Timer {
-	return s.At(s.now.Add(d), fn)
-}
+func (s *Sim) After(d time.Duration, fn func()) *Timer { return s.schedule(s.now.Add(d), fn, nil) }
 
-// Runnable is a pre-allocated scheduled callback for the Post fast path.
-// Implementations are typically pooled structs carrying their own context,
-// which is what lets high-rate traffic paths schedule without allocating a
-// closure per event.
-type Runnable interface{ Run() }
-
-// Post schedules r to run d from the current virtual time. Unlike After it
-// returns no Timer — the event cannot be cancelled — which allows the
-// simulator to recycle the event record after it fires. Ordering relative
-// to After-scheduled events follows the same (deadline, insertion sequence)
-// rule.
-func (s *Sim) Post(d time.Duration, r Runnable) {
-	if r == nil {
-		panic("sim: Post called with nil Runnable")
-	}
-	at := s.now.Add(d)
-	if at.Before(s.now) {
-		at = s.now
-	}
-	var ev *event
-	if n := len(s.free); n > 0 {
-		ev = s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-	} else {
-		ev = &event{}
-	}
-	ev.at = at
-	ev.seq = s.seq
-	ev.run = r
-	ev.cancelled = false
-	ev.done = false
-	s.seq++
-	heap.Push(&s.queue, ev)
-}
+// Post schedules r to run d from the current virtual time. It returns no
+// handle — the event cannot be cancelled — which is what lets the simulator
+// recycle the record after it fires.
+func (s *Sim) Post(d time.Duration, r Runnable) { s.schedule(s.now.Add(d), nil, r) }
 
 // AfterFunc adapts After to the env.Clock interface, so a bare simulator can
 // serve as the clock for protocol code that is not tied to a simulated host.
@@ -147,27 +140,25 @@ var _ env.Clock = (*Sim)(nil)
 // deadline. It reports whether an event was executed.
 func (s *Sim) Step() bool {
 	for s.queue.Len() > 0 {
-		ev := heap.Pop(&s.queue).(*event)
-		if ev.cancelled {
+		t := heap.Pop(&s.queue).(*Timer)
+		if t.cancelled {
 			continue
 		}
-		if ev.at.Before(s.now) {
-			panic(fmt.Sprintf("sim: event scheduled at %v before now %v", ev.at, s.now))
+		if t.at.Before(s.now) {
+			panic(fmt.Sprintf("sim: event scheduled at %v before now %v", t.at, s.now))
 		}
-		s.now = ev.at
-		ev.done = true
+		s.now = t.at
+		t.done = true
 		s.fired++
-		if ev.run != nil {
-			// Detached event: recycle the record before running so nested
-			// Posts can reuse it immediately.
-			r := ev.run
-			ev.run = nil
-			ev.fn = nil
-			s.free = append(s.free, ev)
+		if r := t.run; r != nil {
+			// No handle outstanding: recycle the record before running so
+			// nested Posts can reuse it immediately.
+			t.run = nil
+			s.free = append(s.free, t)
 			r.Run()
-			return true
+		} else {
+			t.fn()
 		}
-		ev.fn()
 		return true
 	}
 	return false
@@ -199,18 +190,9 @@ func (s *Sim) RunFor(d time.Duration) {
 	s.RunUntil(s.now.Add(d))
 }
 
-type event struct {
-	at        time.Time
-	seq       uint64
-	fn        func()
-	run       Runnable // set instead of fn for detached (Post) events
-	cancelled bool
-	done      bool
-}
-
 // eventQueue is a min-heap ordered by (deadline, insertion sequence) so that
 // ties break deterministically in FIFO order.
-type eventQueue []*event
+type eventQueue []*Timer
 
 func (q eventQueue) Len() int { return len(q) }
 
@@ -223,7 +205,7 @@ func (q eventQueue) Less(i, j int) bool {
 
 func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
 
-func (q *eventQueue) Push(x any) { *q = append(*q, x.(*event)) }
+func (q *eventQueue) Push(x any) { *q = append(*q, x.(*Timer)) }
 
 func (q *eventQueue) Pop() any {
 	old := *q
@@ -234,7 +216,7 @@ func (q *eventQueue) Pop() any {
 	return ev
 }
 
-func (q *eventQueue) peekLive() *event {
+func (q *eventQueue) peekLive() *Timer {
 	for q.Len() > 0 {
 		ev := (*q)[0]
 		if !ev.cancelled {

@@ -194,6 +194,63 @@ func TestStopInsideEarlierEvent(t *testing.T) {
 	}
 }
 
+type runFunc func()
+
+func (f runFunc) Run() { f() }
+
+// TestAfterAndPostShareOneOrder pins that the three entry points are one
+// queue discipline: at equal deadlines events fire in scheduling order,
+// whichever entry point scheduled them.
+func TestAfterAndPostShareOneOrder(t *testing.T) {
+	s := New(1)
+	var got []int
+	note := func(i int) func() { return func() { got = append(got, i) } }
+	s.After(time.Second, note(0))
+	s.Post(time.Second, runFunc(note(1)))
+	s.At(Epoch.Add(time.Second), note(2))
+	s.Post(time.Second, runFunc(note(3)))
+	s.After(time.Second, note(4))
+	s.Run()
+	for i := 0; i < 5; i++ {
+		if len(got) != 5 || got[i] != i {
+			t.Fatalf("fire order = %v, want scheduling order 0..4", got)
+		}
+	}
+}
+
+// TestTimerHandleIsNeverRecycled pins the one asymmetry between the entry
+// points: a record Post scheduled is reused, a record handed out as a
+// *Timer never is — so a stale handle stays inert for good.
+func TestTimerHandleIsNeverRecycled(t *testing.T) {
+	s := New(1)
+	tm := s.After(time.Second, func() {})
+	s.Run()
+	if tm.Stop() || tm.Stop() {
+		t.Fatal("Stop() = true after fire, want false both times")
+	}
+	fired := 0
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 4; i++ {
+			s.Post(time.Second, runFunc(func() { fired++ }))
+		}
+		for _, queued := range s.queue {
+			if queued == tm {
+				t.Fatal("Post reused a record that After handed out as a *Timer")
+			}
+		}
+		if tm.Stop() {
+			t.Fatal("stale handle cancelled something")
+		}
+		s.Run()
+	}
+	if fired != 12 {
+		t.Fatalf("fired %d posted events, want 12", fired)
+	}
+	if len(s.free) != 4 {
+		t.Fatalf("free list holds %d records after three rounds of four, want 4 reused", len(s.free))
+	}
+}
+
 func BenchmarkScheduleAndFire(b *testing.B) {
 	s := New(1)
 	b.ReportAllocs()
