@@ -1,6 +1,6 @@
 # Convenience targets; everything here is plain `go` — no extra tooling.
 
-.PHONY: all build test race bench
+.PHONY: all build test check race bench
 
 all: build test
 
@@ -9,6 +9,11 @@ build:
 
 test:
 	go test ./...
+
+# Tier-1 plus the nested benchmark module, which `go build ./...` and
+# `go test ./...` at the root never compile.
+check:
+	go build ./... && go test ./... && (cd bench && go vet . && go test .)
 
 race:
 	go test -race ./...

@@ -1,18 +1,17 @@
 package wackamole_test
 
-// Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation (plus the §5.2 router claim, §7 baselines and the §3.4/§5.1
-// ablations). Each iteration runs one independently seeded simulation trial;
-// the custom metric "sec/failover" (or the metric named in the benchmark) is
-// the simulated quantity the paper reports, while ns/op measures how fast
-// the simulator reproduces it.
+// Benchmark harness: one benchmark per grid point of every table and figure
+// of the paper's evaluation (plus the §5.2 router claim, §7 baselines and the
+// §3.4/§5.1 ablations). Each iteration runs one independently seeded
+// simulation trial; the custom metric "sim-sec/trial" is the simulated
+// quantity the experiment reports (counts are encoded as whole seconds, as
+// in the tables), while ns/op measures how fast the simulator reproduces it.
 //
 //	go test -bench=. -benchmem
 //
 // cmd/wacksim renders the same experiments as markdown tables.
 
 import (
-	"fmt"
 	"net/netip"
 	"testing"
 	"time"
@@ -20,9 +19,7 @@ import (
 	"wackamole/internal/experiment"
 	"wackamole/internal/experiment/runner"
 	"wackamole/internal/flow"
-	"wackamole/internal/gcs"
 	"wackamole/internal/netsim"
-	"wackamole/internal/rip"
 	"wackamole/internal/sim"
 )
 
@@ -41,140 +38,16 @@ func reportTrials(b *testing.B, unit string, trial runner.Trial) {
 	b.ReportMetric(total.Seconds()/float64(b.N), unit)
 }
 
-// BenchmarkTable1 measures the membership-notification time that each
-// Table 1 timeout configuration induces (paper: 10–12s default, 2–2.4s
-// tuned).
-func BenchmarkTable1(b *testing.B) {
-	for _, nc := range experiment.NamedConfigs() {
-		nc := nc
-		b.Run(string(nc.Name), func(b *testing.B) {
-			reportTrials(b, "sec/notification", func(seed int64) (runner.Sample, error) {
-				return experiment.Table1Trial(seed, 5, nc.Cfg)
-			})
-		})
-	}
-}
-
-// BenchmarkFigure5 measures the client-visible availability interruption
-// for every cluster size and configuration of the paper's Figure 5.
-func BenchmarkFigure5(b *testing.B) {
-	for _, nc := range experiment.NamedConfigs() {
-		for _, n := range experiment.Figure5Sizes {
-			nc, n := nc, n
-			b.Run(fmt.Sprintf("%s/servers=%d", nc.Name, n), func(b *testing.B) {
-				reportTrials(b, "sec/failover", func(seed int64) (runner.Sample, error) {
-					return experiment.Figure5Trial(seed, n, nc.Cfg)
-				})
-			})
-		}
-	}
-}
-
-// BenchmarkGracefulLeave measures the voluntary-departure interruption of
-// §6 (paper: typically ~10ms, bounded by 250ms).
-func BenchmarkGracefulLeave(b *testing.B) {
-	reportTrials(b, "sec/leave", func(seed int64) (runner.Sample, error) {
-		return experiment.GracefulTrial(seed, 4, gcs.TunedConfig())
-	})
-}
-
-// BenchmarkRouterFailover contrasts the two §5.2 virtual-router setups
-// (paper: the naive setup waits ≈30s for routing reconvergence).
-func BenchmarkRouterFailover(b *testing.B) {
-	ripCfg := rip.Config{AdvertisePeriod: rip.DefaultAdvertisePeriod}
-	for _, mode := range []experiment.RouterMode{experiment.RouterModeNaive, experiment.RouterModeAdvertiseAll} {
-		mode := mode
-		b.Run(string(mode), func(b *testing.B) {
-			reportTrials(b, "sec/failover", func(seed int64) (runner.Sample, error) {
-				return experiment.RouterTrial(seed, mode, gcs.TunedConfig(), ripCfg)
-			})
-		})
-	}
-}
-
-// BenchmarkBaselines measures the §7 related-work systems with the same
-// client-probe methodology as Figure 5.
-func BenchmarkBaselines(b *testing.B) {
-	b.Run("vrrp", func(b *testing.B) {
-		reportTrials(b, "sec/failover", experiment.VRRPTrial)
-	})
-	b.Run("hsrp", func(b *testing.B) {
-		reportTrials(b, "sec/failover", experiment.HSRPTrial)
-	})
-	b.Run("fake", func(b *testing.B) {
-		reportTrials(b, "sec/failover", experiment.FakeTrial)
-	})
-}
-
-// BenchmarkLoadSensitivity counts false failure detections per fault-free
-// minute under scheduling jitter (the §6 "run the daemons with real-time
-// priority" remark).
-func BenchmarkLoadSensitivity(b *testing.B) {
-	for _, jitter := range []time.Duration{0, 300 * time.Millisecond, 600 * time.Millisecond} {
-		jitter := jitter
-		b.Run(jitter.String(), func(b *testing.B) {
-			total := uint64(0)
-			for i := 0; i < b.N; i++ {
-				s, err := experiment.LoadTrial(int64(3000+i), jitter, 60*time.Second)
-				if err != nil {
-					b.Fatal(err)
-				}
-				total += s.Metrics.ViewChanges
+// BenchmarkExperiment runs every grid point of every registered experiment
+// as BenchmarkExperiment/<name>/<point> — the same registry `wacksim
+// -experiment all` iterates, so an experiment added there is benchmarked
+// here without another list to update.
+func BenchmarkExperiment(b *testing.B) {
+	for _, e := range experiment.Experiments {
+		b.Run(e.Name, func(b *testing.B) {
+			for _, p := range e.Points(experiment.Grid{}) {
+				b.Run(p.Label, func(b *testing.B) { reportTrials(b, "sim-sec/trial", p.Run) })
 			}
-			b.ReportMetric(float64(total)/float64(b.N), "false-reconfigs/min")
-		})
-	}
-}
-
-// BenchmarkAblationARPSpoof quantifies §5.1's gratuitous-ARP notification:
-// without it, fail-over waits for the router's ARP cache to expire.
-func BenchmarkAblationARPSpoof(b *testing.B) {
-	const ttl = 30 * time.Second
-	for _, spoof := range []bool{true, false} {
-		spoof := spoof
-		name := "on"
-		if !spoof {
-			name = "off"
-		}
-		b.Run(name, func(b *testing.B) {
-			reportTrials(b, "sec/failover", func(seed int64) (runner.Sample, error) {
-				return experiment.ARPSpoofTrial(seed, spoof, ttl)
-			})
-		})
-	}
-}
-
-// BenchmarkAblationConflictRelease quantifies §3.4's eager conflict
-// resolution against releasing at the end of GATHER (metric: address·time
-// of duplicate coverage across a partition merge).
-func BenchmarkAblationConflictRelease(b *testing.B) {
-	for _, lazy := range []bool{false, true} {
-		lazy := lazy
-		name := "eager"
-		if lazy {
-			name = "lazy"
-		}
-		b.Run(name, func(b *testing.B) {
-			reportTrials(b, "addr-sec/merge", func(seed int64) (runner.Sample, error) {
-				return experiment.ConflictReleaseTrial(seed, lazy)
-			})
-		})
-	}
-}
-
-// BenchmarkAblationBalance quantifies the §3.4 re-balancing procedure
-// (metric: allocation skew in addresses after fail/restore churn).
-func BenchmarkAblationBalance(b *testing.B) {
-	for _, disabled := range []bool{false, true} {
-		disabled := disabled
-		name := "on"
-		if disabled {
-			name = "off"
-		}
-		b.Run(name, func(b *testing.B) {
-			reportTrials(b, "skew-addrs", func(seed int64) (runner.Sample, error) {
-				return experiment.BalanceChurnTrial(seed, disabled)
-			})
 		})
 	}
 }
@@ -330,22 +203,5 @@ func TestFlowSendPathZeroAlloc(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(200, step); avg > 0 {
 		t.Errorf("flow round trip allocates %.2f objects/op in steady state, want 0", avg)
-	}
-}
-
-// BenchmarkAblationMaturity quantifies the §3.4 maturity bootstrap
-// (metric: address movements during a staggered cluster boot).
-func BenchmarkAblationMaturity(b *testing.B) {
-	for _, bootstrap := range []bool{true, false} {
-		bootstrap := bootstrap
-		name := "on"
-		if !bootstrap {
-			name = "off"
-		}
-		b.Run(name, func(b *testing.B) {
-			reportTrials(b, "moves/boot", func(seed int64) (runner.Sample, error) {
-				return experiment.MaturityBootTrial(seed, bootstrap)
-			})
-		})
 	}
 }

@@ -148,18 +148,12 @@ func run(args []string, out io.Writer) int {
 		InvariantArtifacts: *invariantDir,
 		Metrics:            reg,
 		Telemetry:          *telemetryPath != "",
+		Trace:              *tracePath != "",
 	}
 	opts := []experiment.Option{experiment.Parallel(*parallel)}
-	if *tracePath != "" {
-		opts = append(opts, experiment.WithTrace())
-	}
 	if *progress {
 		opts = append(opts, experiment.WithSink(runner.SinkFunc(func(p runner.Progress) {
-			status := "ok"
-			if p.Err != nil {
-				status = "error: " + p.Err.Error()
-			}
-			fmt.Fprintf(os.Stderr, "wackload: [%d/%d] %s seed=%d %s\n", p.Done, p.Total, p.Point, p.Seed, status)
+			fmt.Fprintf(os.Stderr, "wackload: %v\n", p)
 		})))
 	}
 
@@ -169,13 +163,15 @@ func run(args []string, out io.Writer) int {
 		return 1
 	}
 
+	results := experiment.AvailabilityResults(row)
+
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "wackload: %v\n", err)
 			return 1
 		}
-		if err := experiment.WriteAvailabilityTrace(f, row); err != nil {
+		if err := experiment.WriteTrace(f, []experiment.Row{row}); err != nil {
 			f.Close()
 			fmt.Fprintf(os.Stderr, "wackload: %v\n", err)
 			return 1
@@ -186,7 +182,7 @@ func run(args []string, out io.Writer) int {
 		}
 	}
 	if *telemetryPath != "" {
-		frames, err := writeTelemetry(*telemetryPath, row)
+		frames, err := writeTelemetry(*telemetryPath, results)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "wackload: %v\n", err)
 			return 1
@@ -213,15 +209,15 @@ func run(args []string, out io.Writer) int {
 	// Invariant verdict: report every violating trial and exit nonzero, so
 	// large-scale runs double as model-checking runs (CI gates on this).
 	violated := 0
-	for _, r := range row.Results {
-		if r != nil && r.Violation != nil {
+	for _, r := range results {
+		if r.Violation != nil {
 			violated++
 			fmt.Fprintf(os.Stderr, "wackload: invariant violation (seed %d): %v\n", r.Seed, r.Violation)
 		}
 	}
 
 	if *jsonOut {
-		if err := experiment.WriteNDJSON(out, experiment.AvailabilityJSON(row)); err != nil {
+		if err := experiment.WriteNDJSON(out, experiment.AvailabilityRows(row)); err != nil {
 			fmt.Fprintf(os.Stderr, "wackload: %v\n", err)
 			return 1
 		}
@@ -246,7 +242,7 @@ func run(args []string, out io.Writer) int {
 // writeTelemetry dumps every trial's captured health frames as NDJSON, one
 // seed-annotated frame per line — the offline counterpart of pointing
 // `wackmon -subscribe` at a live cluster.
-func writeTelemetry(path string, row experiment.AvailabilityRow) (int, error) {
+func writeTelemetry(path string, results []*experiment.AvailabilityResult) (int, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return 0, err
@@ -254,10 +250,7 @@ func writeTelemetry(path string, row experiment.AvailabilityRow) (int, error) {
 	w := bufio.NewWriter(f)
 	enc := json.NewEncoder(w)
 	frames := 0
-	for _, r := range row.Results {
-		if r == nil {
-			continue
-		}
+	for _, r := range results {
 		for i := range r.Frames {
 			if err := enc.Encode(struct {
 				Seed int64 `json:"seed"`

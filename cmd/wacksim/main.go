@@ -4,11 +4,12 @@
 //	wacksim -experiment all -trials 10 -parallel 8
 //
 // Experiments: table1, figure5, graceful, router, baselines, load,
-// ablations, all. Output is markdown, suitable for pasting into
-// EXPERIMENTS.md; -format csv switches figure5 to CSV and -json emits one
-// JSON object per result row (NDJSON) instead of tables. Trials are
-// independent simulations, so -parallel N spreads them over N workers
-// without changing any number in the output.
+// ablations, all (the registry experiment.Experiments). Output is markdown,
+// suitable for pasting into EXPERIMENTS.md; -json emits one JSON object per
+// result row (NDJSON) instead, and -format csv, -trace, -invariants and
+// -sizes apply to the experiments whose descriptor honours them (a usage
+// error when none selected does). Trials are independent simulations, so
+// -parallel N spreads them over N workers without changing any number.
 package main
 
 import (
@@ -16,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -29,7 +31,7 @@ func main() {
 
 func run(args []string, out io.Writer) int {
 	fs := flag.NewFlagSet("wacksim", flag.ContinueOnError)
-	exp := fs.String("experiment", "all", "experiment to run: table1|figure5|graceful|router|baselines|load|ablations|all")
+	exp := fs.String("experiment", "all", "experiments to run, comma-separated, or all (an unknown name lists the registered ones)")
 	trials := fs.Int("trials", 10, "seeded trials per data point")
 	format := fs.String("format", "markdown", "figure5 output format: markdown|csv")
 	seed := fs.Int64("seed", 1, "base seed")
@@ -50,9 +52,8 @@ func run(args []string, out io.Writer) int {
 		fmt.Fprintln(os.Stderr, "wacksim: -format must be markdown or csv")
 		return 2
 	}
-	sizes := experiment.Figure5Sizes
+	var sizes []int
 	if *sizesFlag != "" {
-		sizes = nil
 		for _, s := range strings.Split(*sizesFlag, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(s))
 			if err != nil || n <= 0 {
@@ -72,120 +73,73 @@ func run(args []string, out io.Writer) int {
 	}
 	if *progress {
 		opts = append(opts, experiment.WithSink(runner.SinkFunc(func(p runner.Progress) {
-			status := "ok"
-			if p.Err != nil {
-				status = "error: " + p.Err.Error()
-			}
-			fmt.Fprintf(os.Stderr, "wacksim: [%d/%d] %s seed=%d %s\n", p.Done, p.Total, p.Point, p.Seed, status)
+			fmt.Fprintf(os.Stderr, "wacksim: %v\n", p)
 		})))
 	}
 
-	emit := func(title, table string, rows []experiment.JSONRow) error {
-		if *jsonOut {
-			return experiment.WriteNDJSON(out, rows)
+	selected := experiment.Experiments
+	if *exp != "all" {
+		selected = nil
+		for _, name := range strings.Split(*exp, ",") {
+			e, err := experiment.Lookup(strings.TrimSpace(name))
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "wacksim: %v, or all\n", err)
+				return 2
+			}
+			selected = append(selected, e)
 		}
-		fmt.Fprintln(out, title)
-		fmt.Fprintln(out)
-		fmt.Fprint(out, table)
-		return nil
 	}
-
-	runners := map[string]func() error{
-		"table1": func() error {
-			rows, err := experiment.Table1(*seed, *trials, opts...)
-			if err != nil {
-				return err
-			}
-			return emit("## Table 1 — Spread timeout tuning and induced notification time",
-				experiment.RenderTable1(rows), experiment.Table1JSON(rows))
-		},
-		"figure5": func() error {
-			rows, err := experiment.Figure5Over(*seed, *trials, sizes, opts...)
-			if err != nil {
-				return err
-			}
-			if *tracePath != "" {
-				f, err := os.Create(*tracePath)
-				if err != nil {
-					return err
-				}
-				if err := experiment.WriteFigure5Trace(f, rows); err != nil {
-					f.Close()
-					return err
-				}
-				if err := f.Close(); err != nil {
-					return err
-				}
-			}
-			if *jsonOut {
-				return experiment.WriteNDJSON(out, experiment.Figure5JSON(rows))
-			}
-			if *format == "csv" {
-				fmt.Fprint(out, experiment.RenderFigure5CSV(rows))
-				return nil
-			}
-			return emit("## Figure 5 — Average availability interruption vs cluster size",
-				experiment.RenderFigure5(rows), nil)
-		},
-		"graceful": func() error {
-			rows, err := experiment.Graceful(*seed, *trials, []int{2, 4, 8, 12}, opts...)
-			if err != nil {
-				return err
-			}
-			return emit("## §6 — Availability interruption on voluntary (graceful) departure",
-				experiment.RenderGraceful(rows), experiment.GracefulJSON(rows))
-		},
-		"router": func() error {
-			rows, err := experiment.RouterComparison(*seed, *trials, opts...)
-			if err != nil {
-				return err
-			}
-			return emit("## §5.2 — Virtual-router fail-over: naive vs advertise-all dynamic routing",
-				experiment.RenderRouterComparison(rows), experiment.RouterJSON(rows))
-		},
-		"baselines": func() error {
-			rows, err := experiment.Baselines(*seed, *trials, opts...)
-			if err != nil {
-				return err
-			}
-			return emit("## §7 — Fail-over time against the related-work baselines",
-				experiment.RenderBaselines(rows), experiment.BaselinesJSON(rows))
-		},
-		"load": func() error {
-			rows, err := experiment.LoadSensitivity(*seed, *trials, opts...)
-			if err != nil {
-				return err
-			}
-			return emit("## §6 — Load sensitivity: false failure detections vs scheduling delay",
-				experiment.RenderLoadSensitivity(rows), experiment.LoadJSON(rows))
-		},
-		"ablations": func() error {
-			rows, err := experiment.Ablations(*seed, *trials, opts...)
-			if err != nil {
-				return err
-			}
-			return emit("## Ablations — §3.4/§5.1 design choices",
-				experiment.RenderAblations(rows), experiment.AblationsJSON(rows))
-		},
-	}
-	order := []string{"table1", "figure5", "graceful", "router", "baselines", "load", "ablations"}
-
-	selected := strings.Split(*exp, ",")
-	if *exp == "all" {
-		selected = order
-	}
-	for _, name := range selected {
-		run, ok := runners[strings.TrimSpace(name)]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "wacksim: unknown experiment %q (want %s or all)\n", name, strings.Join(order, "|"))
+	// A flag that no selected experiment honours would be silently dropped.
+	for _, f := range []struct {
+		name     string
+		given    bool
+		honoured func(experiment.Experiment) bool
+	}{
+		{"-trace", *tracePath != "", func(e experiment.Experiment) bool { return e.Trace }},
+		{"-invariants", *invariants, func(e experiment.Experiment) bool { return e.Invariants }},
+		{"-sizes", *sizesFlag != "", func(e experiment.Experiment) bool { return e.Sizes }},
+		{"-format csv", *format == "csv", func(e experiment.Experiment) bool { return e.CSV != nil }},
+	} {
+		if f.given && !slices.ContainsFunc(selected, f.honoured) {
+			fmt.Fprintf(os.Stderr, "wacksim: %s is not honoured by -experiment %s\n", f.name, *exp)
 			return 2
 		}
-		if err := run(); err != nil {
-			fmt.Fprintf(os.Stderr, "wacksim: %s: %v\n", name, err)
+	}
+
+	var trace *os.File
+	if *tracePath != "" {
+		var err error
+		if trace, err = os.Create(*tracePath); err != nil {
+			fmt.Fprintf(os.Stderr, "wacksim: %v\n", err)
 			return 1
 		}
-		if !*jsonOut {
-			fmt.Fprintln(out)
+		defer trace.Close()
+	}
+	for _, e := range selected {
+		rows, err := experiment.Sweep(e, experiment.Grid{Seed: *seed, Trials: *trials, Sizes: sizes}, opts...)
+		if err == nil && trace != nil {
+			err = experiment.WriteTrace(trace, rows)
+		}
+		if err == nil && *jsonOut {
+			err = experiment.WriteNDJSON(out, rows)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "wacksim: %s: %v\n", e.Name, err)
+			return 1
+		}
+		if *jsonOut {
+			continue
+		}
+		if *format == "csv" && e.CSV != nil {
+			fmt.Fprintln(out, e.CSV(rows))
+		} else {
+			fmt.Fprintf(out, "%s\n\n%s\n", e.Title, e.Render(rows))
+		}
+	}
+	if trace != nil {
+		if err := trace.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "wacksim: %v\n", err)
+			return 1
 		}
 	}
 	return 0

@@ -57,10 +57,38 @@ func TestRunRejectsBadTrials(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadFlags: besides unknown flags, a flag that none of the
+// selected experiments honours is a usage error rather than a silent no-op;
+// one honouring experiment in the selection is enough.
 func TestRunRejectsBadFlags(t *testing.T) {
-	var out strings.Builder
-	if code := run([]string{"-bogus"}, &out); code != 2 {
-		t.Fatalf("exit code = %d, want 2", code)
+	trace := filepath.Join(t.TempDir(), "t.ndjson")
+	for _, args := range [][]string{
+		{"-bogus"},
+		{"-experiment", "table1", "-trace", trace},
+		{"-experiment", "graceful,table1", "-trace", trace},
+		{"-experiment", "table1", "-invariants"},
+		{"-experiment", "graceful", "-sizes", "2"},
+		{"-experiment", "graceful", "-format", "csv"},
+	} {
+		var out strings.Builder
+		if code := run(args, &out); code != 2 {
+			t.Errorf("run(%v) = %d, want usage error 2", args, code)
+		}
+		if out.Len() != 0 {
+			t.Errorf("run(%v) wrote output before rejecting the flag:\n%s", args, out.String())
+		}
+	}
+	if _, err := os.Stat(trace); err == nil {
+		t.Error("a rejected -trace still created the trace file")
+	}
+	for _, args := range [][]string{
+		{"-experiment", "table1,graceful", "-invariants", "-trials", "1"},
+		{"-experiment", "all", "-invariants", "-trials", "1"},
+	} {
+		var out strings.Builder
+		if code := run(args, &out); code != 0 {
+			t.Errorf("run(%v) = %d, want 0 (one selected experiment honours the flag)", args, code)
+		}
 	}
 }
 

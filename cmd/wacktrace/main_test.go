@@ -15,13 +15,17 @@ import (
 // its NDJSON stream — the exact bytes `wacksim -trace` would have written.
 func figure5Trace(t *testing.T) []byte {
 	t.Helper()
-	rows, err := experiment.Figure5Over(700, 2, []int{3}, experiment.WithTrace())
+	figure5, err := experiment.Lookup("figure5")
 	if err != nil {
-		t.Fatalf("Figure5Over: %v", err)
+		t.Fatal(err)
+	}
+	rows, err := experiment.Sweep(figure5, experiment.Grid{Seed: 700, Trials: 2, Sizes: []int{3}}, experiment.WithTrace())
+	if err != nil {
+		t.Fatalf("Sweep: %v", err)
 	}
 	var buf bytes.Buffer
-	if err := experiment.WriteFigure5Trace(&buf, rows); err != nil {
-		t.Fatalf("WriteFigure5Trace: %v", err)
+	if err := experiment.WriteTrace(&buf, rows); err != nil {
+		t.Fatalf("WriteTrace: %v", err)
 	}
 	return buf.Bytes()
 }

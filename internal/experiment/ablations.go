@@ -11,16 +11,6 @@ import (
 	"wackamole/internal/netsim"
 )
 
-// AblationRow is one line of the design-choice ablation report.
-type AblationRow struct {
-	Experiment string
-	Variant    string
-	Metric     string
-	Stat       Stat
-	Metrics    runner.Metrics
-	Errors     int
-}
-
 // ARPSpoofTrial measures the fail-over interruption with and without the
 // §5.1 gratuitous-ARP notification. Without it, the router keeps forwarding
 // to the failed server's MAC until its ARP cache entry expires (ttl).
@@ -160,79 +150,52 @@ func MaturityBootTrial(seed int64, bootstrap bool) (runner.Sample, error) {
 	return runner.Sample{Value: time.Duration(releases) * time.Second, Metrics: clusterMetrics(c)}, nil
 }
 
-// ablationSteps enumerates every design-choice experiment in presentation
-// order.
-func ablationSteps() []struct {
-	experiment, variant, metric string
-	f                           runner.Trial
-} {
-	const ttl = 30 * time.Second
-	return []struct {
-		experiment, variant, metric string
-		f                           runner.Trial
-	}{
-		{"arp-spoofing (§5.1)", "spoof on", "client interruption",
-			func(s int64) (runner.Sample, error) { return ARPSpoofTrial(s, true, ttl) }},
-		{"arp-spoofing (§5.1)", "spoof off (30s ARP TTL)", "client interruption",
-			func(s int64) (runner.Sample, error) { return ARPSpoofTrial(s, false, ttl) }},
-		{"conflict release (§3.4)", "eager", "duplicate coverage (addr·time)",
-			func(s int64) (runner.Sample, error) { return ConflictReleaseTrial(s, false) }},
-		{"conflict release (§3.4)", "lazy (end of GATHER)", "duplicate coverage (addr·time)",
-			func(s int64) (runner.Sample, error) { return ConflictReleaseTrial(s, true) }},
-		{"re-balancing (§3.4)", "enabled", "allocation skew (addresses)",
-			func(s int64) (runner.Sample, error) { return BalanceChurnTrial(s, false) }},
-		{"re-balancing (§3.4)", "disabled", "allocation skew (addresses)",
-			func(s int64) (runner.Sample, error) { return BalanceChurnTrial(s, true) }},
-		{"maturity bootstrap (§3.4)", "enabled", "boot-time address movements",
-			func(s int64) (runner.Sample, error) { return MaturityBootTrial(s, true) }},
-		{"maturity bootstrap (§3.4)", "disabled", "boot-time address movements",
-			func(s int64) (runner.Sample, error) { return MaturityBootTrial(s, false) }},
-	}
-}
-
-// Ablations runs every design-choice experiment.
-func Ablations(baseSeed int64, trials int, opts ...Option) ([]AblationRow, error) {
-	steps := ablationSteps()
-	var points []runner.Point
-	for _, st := range steps {
-		points = append(points, runner.Point{
-			Label: fmt.Sprintf("ablations/%s/%s", st.experiment, st.variant),
-			Seeds: Seeds(baseSeed, trials),
-			Run:   st.f,
-		})
-	}
-	var rows []AblationRow
-	for i, res := range runSweep(points, opts) {
-		stat, metrics, errs, err := collectPoint(res)
-		if err != nil {
-			return nil, err
+// ablations runs every design-choice experiment in presentation order.
+// Each point's unit is the quantity its trial measures; metrics that are
+// counts are encoded as whole seconds by their trials and rendered as plain
+// numbers.
+var ablations = Experiment{
+	Name:  "ablations",
+	Title: "## Ablations — §3.4/§5.1 design choices",
+	Points: func(g Grid) []Point {
+		const ttl = 30 * time.Second
+		var points []Point
+		for _, st := range []struct {
+			experiment, variant, metric string
+			f                           runner.Trial
+		}{
+			{"arp-spoofing (§5.1)", "spoof on", "client interruption",
+				func(s int64) (runner.Sample, error) { return ARPSpoofTrial(s, true, ttl) }},
+			{"arp-spoofing (§5.1)", "spoof off (30s ARP TTL)", "client interruption",
+				func(s int64) (runner.Sample, error) { return ARPSpoofTrial(s, false, ttl) }},
+			{"conflict release (§3.4)", "eager", "duplicate coverage (addr·time)",
+				func(s int64) (runner.Sample, error) { return ConflictReleaseTrial(s, false) }},
+			{"conflict release (§3.4)", "lazy (end of GATHER)", "duplicate coverage (addr·time)",
+				func(s int64) (runner.Sample, error) { return ConflictReleaseTrial(s, true) }},
+			{"re-balancing (§3.4)", "enabled", "allocation skew (addresses)",
+				func(s int64) (runner.Sample, error) { return BalanceChurnTrial(s, false) }},
+			{"re-balancing (§3.4)", "disabled", "allocation skew (addresses)",
+				func(s int64) (runner.Sample, error) { return BalanceChurnTrial(s, true) }},
+			{"maturity bootstrap (§3.4)", "enabled", "boot-time address movements",
+				func(s int64) (runner.Sample, error) { return MaturityBootTrial(s, true) }},
+			{"maturity bootstrap (§3.4)", "disabled", "boot-time address movements",
+				func(s int64) (runner.Sample, error) { return MaturityBootTrial(s, false) }},
+		} {
+			points = append(points, Point{
+				Label: st.experiment + "/" + st.variant,
+				Cols:  []string{st.experiment, st.variant, st.metric},
+				Unit:  st.metric,
+				Run:   st.f,
+			})
 		}
-		rows = append(rows, AblationRow{
-			Experiment: steps[i].experiment,
-			Variant:    steps[i].variant,
-			Metric:     steps[i].metric,
-			Stat:       stat,
-			Metrics:    metrics,
-			Errors:     errs,
-		})
-	}
-	return rows, nil
-}
-
-// RenderAblations formats the ablation report. Metrics that are counts are
-// encoded as whole seconds by their trials; render them as plain numbers.
-func RenderAblations(rows []AblationRow) string {
-	header := []string{"experiment", "variant", "metric", "mean", "min", "max"}
-	var cells [][]string
-	for _, r := range rows {
-		format := Seconds
-		if r.Metric == "allocation skew (addresses)" || r.Metric == "boot-time address movements" {
-			format = func(d time.Duration) string { return fmt.Sprintf("%.1f", d.Seconds()) }
-		}
-		cells = append(cells, []string{
-			r.Experiment, r.Variant, r.Metric,
-			format(r.Stat.Mean), format(r.Stat.Min), format(r.Stat.Max),
-		})
-	}
-	return Table(header, cells)
+		return points
+	},
+	Render: rowTable([]string{"experiment", "variant", "metric", "mean", "min", "max"},
+		func(r Row) []string {
+			format := Seconds
+			if r.Unit == "allocation skew (addresses)" || r.Unit == "boot-time address movements" {
+				format = func(d time.Duration) string { return fmt.Sprintf("%.1f", d.Seconds()) }
+			}
+			return []string{format(r.Stat.Mean), format(r.Stat.Min), format(r.Stat.Max)}
+		}),
 }

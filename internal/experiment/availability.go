@@ -2,10 +2,8 @@ package experiment
 
 import (
 	"fmt"
-	"io"
 	"net/netip"
 	"sort"
-	"sync"
 	"time"
 
 	"wackamole"
@@ -17,6 +15,7 @@ import (
 	"wackamole/internal/invariant"
 	"wackamole/internal/load"
 	"wackamole/internal/metrics"
+	"wackamole/internal/netsim"
 	"wackamole/internal/obs"
 	"wackamole/internal/placement"
 	"wackamole/internal/rip"
@@ -75,16 +74,6 @@ func ParseFaultKind(s string) (FaultKind, error) {
 	default:
 		return "", fmt.Errorf("experiment: unknown fault %q (want nic, crash, graceful, flap, graylink, slownode or rolling)", s)
 	}
-}
-
-// Gray reports whether the fault is an ongoing gray shape rather than an
-// instantaneous injection.
-func (f FaultKind) Gray() bool {
-	switch f {
-	case FaultFlap, FaultGrayLink, FaultSlowNode:
-		return true
-	}
-	return false
 }
 
 // defaultShapeSpec is the fault program a gray FaultKind applies when
@@ -352,29 +341,15 @@ func AvailabilityTrial(seed int64, cfg AvailabilityConfig) (runner.Sample, *Avai
 }
 
 func availabilityWebTrial(seed int64, cfg AvailabilityConfig) (runner.Sample, *AvailabilityResult, error) {
-	var tr *obs.Tracer
-	var traceReg *metrics.Registry
-	var mods []func(*wackamole.ClusterOptions)
-	if cfg.Trace {
-		tr = obs.New(0, nil)
-		traceReg = metrics.New()
-		mods = append(mods, func(o *wackamole.ClusterOptions) {
-			o.Tracer = tr
-			o.Metrics = traceReg
-		})
-	}
-	mon := availabilityMonitor(seed, cfg, tr)
-	if mon != nil {
-		mods = append(mods, func(o *wackamole.ClusterOptions) { o.Invariants = mon })
-	}
-	mods = append(mods, func(o *wackamole.ClusterOptions) {
+	p := armPlanes(cfg.Trace, cfg.Invariants, availabilityMonitor(seed, cfg))
+	mods := []func(*wackamole.ClusterOptions){p.cluster, func(o *wackamole.ClusterOptions) {
 		o.Placement = cfg.Placement
 		if cfg.Fault == FaultRolling {
 			// A rejoined node is only handed load at the next balance; a
 			// one-second timeout keeps re-admission inside RollingGap.
 			o.BalanceTimeout = time.Second
 		}
-	})
+	}}
 	if cfg.Fault == FaultRolling && cfg.Servers < 2 {
 		return runner.Sample{}, nil, fmt.Errorf("experiment: the rolling fault needs at least 2 servers")
 	}
@@ -390,7 +365,7 @@ func availabilityWebTrial(seed int64, cfg AvailabilityConfig) (runner.Sample, *A
 	// captured variables are race-free within the trial.
 	var simNow func() time.Time
 	victimID := ""
-	var faultTime, firstDetect time.Time
+	var firstDetect time.Time
 	detectVia := ""
 	falseSuspects := 0
 	mods = append(mods, func(o *wackamole.ClusterOptions) {
@@ -412,27 +387,12 @@ func availabilityWebTrial(seed int64, cfg AvailabilityConfig) (runner.Sample, *A
 		return runner.Sample{}, nil, err
 	}
 	simNow = wc.Sim.Now
-	if mon != nil {
-		epoch := wc.Sim.Now()
-		mon.SetNow(func() time.Duration { return wc.Sim.Now().Sub(epoch) })
+	p.setClock(wc.Sim)
+	hosts := make([]*netsim.Host, len(wc.Servers))
+	for i, srv := range wc.Servers {
+		hosts[i] = srv.Host
 	}
-	for _, srv := range wc.Servers {
-		if _, err := flow.NewServer(srv.Host, FlowPort, flow.ServerConfig{
-			Metrics: cfg.Metrics, Tracer: tr,
-		}); err != nil {
-			return runner.Sample{}, nil, err
-		}
-	}
-	engine, err := load.New(wc.ClientHost, load.Config{
-		Clients:   cfg.Clients,
-		Mode:      cfg.Mode,
-		RPS:       cfg.RPS,
-		ThinkTime: cfg.ThinkTime,
-		Target:    netip.AddrPortFrom(wc.Target, FlowPort),
-		LocalPort: LoadClientPort,
-		Metrics:   cfg.Metrics,
-		Tracer:    tr,
-	})
+	engine, err := newTraffic(cfg, p.tr, wc.ClientHost, wc.Target, hosts...)
 	if err != nil {
 		return runner.Sample{}, nil, err
 	}
@@ -448,7 +408,6 @@ func availabilityWebTrial(seed int64, cfg AvailabilityConfig) (runner.Sample, *A
 	wc.RunFor(cfg.PreFault)
 
 	faultAt := wc.Sim.Now()
-	faultTime = faultAt
 	movesBase := clusterVIPMoves(wc)
 	var phases []RollingPhase
 	if cfg.Fault == FaultRolling {
@@ -457,12 +416,12 @@ func availabilityWebTrial(seed int64, cfg AvailabilityConfig) (runner.Sample, *A
 		// with the configured policy's own guarantee for one membership
 		// change. Under least-loaded that bound is the per-view ceiling;
 		// under minimal it has teeth: ⌈V/(N−1)⌉.
-		if mon != nil {
+		if p.mon != nil {
 			placer, perr := placement.New(cfg.Placement)
 			if perr != nil {
 				return runner.Sample{}, nil, perr
 			}
-			mon.ArmChurn(placer.MoveBound(len(wc.Groups), cfg.Servers-1))
+			p.mon.ArmChurn(placer.MoveBound(len(wc.Groups), cfg.Servers-1))
 		}
 		if phases, err = runRollingSchedule(wc, cfg); err != nil {
 			return runner.Sample{}, nil, err
@@ -505,22 +464,38 @@ func availabilityWebTrial(seed int64, cfg AvailabilityConfig) (runner.Sample, *A
 		res.Phases = phases
 	}
 	if !firstDetect.IsZero() {
-		res.DetectionLatency = firstDetect.Sub(faultTime)
+		res.DetectionLatency = firstDetect.Sub(faultAt)
 		res.DetectionVia = detectVia
 	}
 	res.FalseSuspicions = falseSuspects
 	engine.Stop()
 	res.Frames = wc.TelemetryFrames
 	sample := runner.Sample{Value: res.Interruption, Metrics: clusterMetrics(wc.Cluster)}
-	attachTrace(&sample, tr, traceReg, res, wc.Target.String())
-	if mon != nil {
-		// The measured window is closed; the extra settled-state probing
-		// (and its possible one-second retry) is monitoring-only.
-		mon.CheckOrder()
-		mon.CheckSettled(wc.Cluster.InvariantView(), wc.RunFor)
-		res.Violation = mon.Violation()
-	}
+	p.attach(&sample, res.Stats.GapStart, res.Stats.GapEnd, wc.Target.String())
+	// The measured window is closed; the settled-state probing (and its
+	// possible one-second retry) is monitoring-only.
+	res.Violation = p.verify(wc.Cluster, 0)
 	return sample, res, nil
+}
+
+// newTraffic puts the flow service on every serving host and builds the
+// client population that will drive target from the client host.
+func newTraffic(cfg AvailabilityConfig, tr *obs.Tracer, client *netsim.Host, target netip.Addr, servers ...*netsim.Host) (*load.Engine, error) {
+	for _, h := range servers {
+		if _, err := flow.NewServer(h, FlowPort, flow.ServerConfig{Metrics: cfg.Metrics, Tracer: tr}); err != nil {
+			return nil, err
+		}
+	}
+	return load.New(client, load.Config{
+		Clients:   cfg.Clients,
+		Mode:      cfg.Mode,
+		RPS:       cfg.RPS,
+		ThinkTime: cfg.ThinkTime,
+		Target:    netip.AddrPortFrom(target, FlowPort),
+		LocalPort: LoadClientPort,
+		Metrics:   cfg.Metrics,
+		Tracer:    tr,
+	})
 }
 
 // clusterVIPMoves sums every server engine's placement-move counter; the
@@ -597,12 +572,12 @@ func phaseWindow(completions []load.Completion, from, to time.Time) (gap time.Du
 	return gap, total, ok
 }
 
-// availabilityMonitor builds the per-trial online monitor (nil when
+// availabilityMonitor configures the per-trial online monitor (zero when
 // monitoring is off), annotated with enough metadata to re-run the trial
 // that trips it.
-func availabilityMonitor(seed int64, cfg AvailabilityConfig, tr *obs.Tracer) *invariant.Monitor {
+func availabilityMonitor(seed int64, cfg AvailabilityConfig) invariant.Config {
 	if !cfg.Invariants {
-		return nil
+		return invariant.Config{}
 	}
 	nodes := cfg.Servers
 	if cfg.Topology == TopologyRouter {
@@ -618,14 +593,13 @@ func availabilityMonitor(seed int64, cfg AvailabilityConfig, tr *obs.Tracer) *in
 	if cfg.Placement != "" {
 		meta["placement"] = cfg.Placement
 	}
-	return invariant.New(invariant.Config{
+	return invariant.Config{
 		Nodes:       nodes,
 		Metrics:     cfg.Metrics,
-		Tracer:      tr,
 		ArtifactDir: cfg.InvariantArtifacts,
 		Name:        fmt.Sprintf("wackload-seed%d", seed),
 		Meta:        meta,
-	})
+	}
 }
 
 func availabilityRouterTrial(seed int64, cfg AvailabilityConfig) (runner.Sample, *AvailabilityResult, error) {
@@ -633,39 +607,17 @@ func availabilityRouterTrial(seed int64, cfg AvailabilityConfig) (runner.Sample,
 		return runner.Sample{}, nil, fmt.Errorf("experiment: the router topology supports only nic and crash faults, not %q", cfg.Fault)
 	}
 	ripCfg := rip.Config{AdvertisePeriod: rip.DefaultAdvertisePeriod}
-	var tr *obs.Tracer
-	if cfg.Trace {
-		tr = obs.New(0, nil)
-	}
-	mon := availabilityMonitor(seed, cfg, tr)
+	p := armPlanes(cfg.Trace, cfg.Invariants, availabilityMonitor(seed, cfg))
 	sc, err := newVirtualRouterScenario(seed, RouterModeAdvertiseAll, cfg.GCS, ripCfg,
-		func(i int, n *wackamole.Node) { mon.Attach(i, n) })
+		func(i int, n *wackamole.Node) { p.mon.Attach(i, n) })
 	if err != nil {
 		return runner.Sample{}, nil, err
 	}
-	if mon != nil {
-		epoch := sc.sim.Now()
-		mon.SetNow(func() time.Duration { return sc.sim.Now().Sub(epoch) })
+	p.setClock(sc.sim)
+	if p.tr != nil {
+		sc.net.SetEventTracer(p.tr)
 	}
-	if cfg.Trace {
-		tr.SetNow(sc.sim.Now)
-		sc.net.SetEventTracer(tr)
-	}
-	if _, err := flow.NewServer(sc.server, FlowPort, flow.ServerConfig{
-		Metrics: cfg.Metrics, Tracer: tr,
-	}); err != nil {
-		return runner.Sample{}, nil, err
-	}
-	engine, err := load.New(sc.clientHost, load.Config{
-		Clients:   cfg.Clients,
-		Mode:      cfg.Mode,
-		RPS:       cfg.RPS,
-		ThinkTime: cfg.ThinkTime,
-		Target:    netip.AddrPortFrom(netip.MustParseAddr("10.1.0.10"), FlowPort),
-		LocalPort: LoadClientPort,
-		Metrics:   cfg.Metrics,
-		Tracer:    tr,
-	})
+	engine, err := newTraffic(cfg, p.tr, sc.clientHost, netip.MustParseAddr("10.1.0.10"), sc.server)
 	if err != nil {
 		return runner.Sample{}, nil, err
 	}
@@ -699,34 +651,12 @@ func availabilityRouterTrial(seed int64, cfg AvailabilityConfig) (runner.Sample,
 	res := summarizeTrial(seed, engine, faultAt)
 	engine.Stop()
 	sample := runner.Sample{Value: res.Interruption, Metrics: sc.metrics()}
-	attachTrace(&sample, tr, nil, res, extVIP.String())
-	if mon != nil {
-		// The router topology has no wackamole.Cluster to probe at rest;
-		// the online oracles (view order, delivery order, foreign claim)
-		// still watched the whole trial.
-		mon.CheckOrder()
-		res.Violation = mon.Violation()
-	}
+	p.attach(&sample, res.Stats.GapStart, res.Stats.GapEnd, extVIP.String())
+	// The router topology has no wackamole.Cluster to probe at rest; the
+	// online oracles (view order, delivery order, foreign claim) still
+	// watched the whole trial.
+	res.Violation = p.verify(nil, 0)
 	return sample, res, nil
-}
-
-// attachTrace fills the sample's trace and latency fields from a traced
-// trial; a nil tracer leaves the sample untouched.
-func attachTrace(sample *runner.Sample, tr *obs.Tracer, reg *metrics.Registry, res *AvailabilityResult, target string) {
-	if tr == nil {
-		return
-	}
-	events := tr.Snapshot()
-	sample.Trace = &obs.TrialTrace{
-		Events:   events,
-		Phases:   obs.FailoverBreakdown(events, res.Stats.GapStart, res.Stats.GapEnd, target),
-		GapStart: res.Stats.GapStart,
-		GapEnd:   res.Stats.GapEnd,
-		Target:   target,
-	}
-	if reg != nil {
-		sample.Latency = reg.Snapshot()
-	}
 }
 
 // summarizeTrial reduces the engine's measured window into the rich
@@ -812,67 +742,56 @@ func windowOf(completions []load.Completion, from, to time.Time) LatencyWindow {
 	return w
 }
 
-// AvailabilityRow is the aggregate of one availability sweep point.
-type AvailabilityRow struct {
-	Point   string
-	Stat    Stat
-	Metrics runner.Metrics
-	Errors  int
-	// Samples holds the point's successful trials in seed order (with event
-	// traces when the sweep ran traced).
-	Samples []runner.Sample
-	// Results holds the rich per-trial outcomes, aligned with Samples.
-	Results []*AvailabilityResult
-}
-
 // Availability measures the request-level availability of one configuration
-// over `trials` seeded runs on the shared parallel trial runner.
-func Availability(baseSeed int64, trials int, cfg AvailabilityConfig, opts ...Option) (AvailabilityRow, error) {
+// over `trials` seeded runs: the configuration is the experiment's single
+// grid point, and each sample carries its rich per-trial outcome (see
+// AvailabilityResults).
+func Availability(baseSeed int64, trials int, cfg AvailabilityConfig, opts ...Option) (Row, error) {
 	cfg = cfg.withDefaults()
-	sweep := resolveOptions(opts)
-	if sweep.trace {
-		cfg.Trace = true
-	}
-	if sweep.invariants {
-		cfg.Invariants = true
-	}
-	var (
-		mu      sync.Mutex
-		bySeeds = map[int64]*AvailabilityResult{}
-	)
-	point := runner.Point{
-		Label: "availability/" + cfg.Label(),
-		Seeds: Seeds(baseSeed, trials),
-		Run: func(seed int64) (runner.Sample, error) {
-			sample, res, err := AvailabilityTrial(seed, cfg)
-			if err != nil {
-				return runner.Sample{}, err
-			}
-			mu.Lock()
-			bySeeds[seed] = res
-			mu.Unlock()
-			return sample, nil
+	e := Experiment{
+		Name: "availability", Unit: "interruption", Trace: true, Invariants: true,
+		Points: func(g Grid) []Point {
+			cfg.Trace = cfg.Trace || g.trace
+			cfg.Invariants = cfg.Invariants || g.invariants
+			return []Point{{
+				Label: cfg.Label(),
+				Run: func(seed int64) (runner.Sample, error) {
+					sample, res, err := AvailabilityTrial(seed, cfg)
+					sample.Detail = res
+					return sample, err
+				},
+				Extra: availabilityExtra,
+			}}
 		},
 	}
-	res := runner.Run([]runner.Point{point}, sweep.Options)[0]
-	stat, m, errs, err := collectPoint(res)
+	rows, err := Sweep(e, Grid{Seed: baseSeed, Trials: trials}, opts...)
 	if err != nil {
-		return AvailabilityRow{}, err
+		return Row{}, err
 	}
-	row := AvailabilityRow{Point: point.Label, Stat: stat, Metrics: m, Errors: errs, Samples: res.Samples}
-	for _, s := range res.Samples {
-		row.Results = append(row.Results, bySeeds[s.Seed])
+	// The availability point has always been published under its full
+	// runner label, experiment prefix included.
+	rows[0].Point = e.Name + "/" + rows[0].Point
+	return rows[0], nil
+}
+
+// AvailabilityResults returns the rich per-trial outcomes of an availability
+// row, aligned with its Samples (seed order).
+func AvailabilityResults(row Row) []*AvailabilityResult {
+	out := make([]*AvailabilityResult, len(row.Samples))
+	for i, s := range row.Samples {
+		out[i] = s.Detail.(*AvailabilityResult)
 	}
-	return row, nil
+	return out
 }
 
 // RenderAvailability formats the per-trial outcomes plus the aggregate.
-func RenderAvailability(row AvailabilityRow) string {
+func RenderAvailability(row Row) string {
+	results := AvailabilityResults(row)
 	header := []string{"seed", "interruption", "ok", "reset", "timeout", "stale",
 		"conns lost", "goodput pre", "goodput post", "recovery", "p99 before", "p99 after",
 		"detect", "false susp"}
 	var cells [][]string
-	for _, r := range row.Results {
+	for _, r := range results {
 		detect := "—"
 		if r.DetectionLatency > 0 {
 			detect = fmt.Sprintf("%s (%s)", Seconds(r.DetectionLatency), r.DetectionVia)
@@ -894,16 +813,9 @@ func RenderAvailability(row AvailabilityRow) string {
 	out := fmt.Sprintf("point: %s (trials %d, errors %d, mean interruption %s)\n\n%s",
 		row.Point, row.Stat.N, row.Errors, Seconds(row.Stat.Mean), Table(header, cells))
 	// Rolling trials append the per-phase disruption breakdown.
-	rolling := false
-	for _, r := range row.Results {
-		if len(r.Phases) > 0 {
-			rolling = true
-			break
-		}
-	}
-	if rolling {
+	if len(results) > 0 && len(results[0].Phases) > 0 {
 		out += "\nrolling phases (max ok-gap per restarted server):\n"
-		for _, r := range row.Results {
+		for _, r := range results {
 			var total time.Duration
 			line := fmt.Sprintf("  seed %d:", r.Seed)
 			for _, ph := range r.Phases {
@@ -916,42 +828,39 @@ func RenderAvailability(row AvailabilityRow) string {
 	return out
 }
 
-// AvailabilityJSON converts the row into NDJSON records: one aggregate row
-// followed by one row per trial carrying its full per-class and latency
-// detail in Extra.
-func AvailabilityJSON(row AvailabilityRow) []JSONRow {
-	agg := jsonRow("availability", row.Point, "interruption", row.Stat, row.Errors, row.Metrics)
-	agg.Extra = map[string]float64{}
-	for _, r := range row.Results {
+// availabilityExtra computes the aggregate row's scalars: per-class request
+// totals and the trial means of the per-trial detail.
+func availabilityExtra(row Row) map[string]float64 {
+	results := AvailabilityResults(row)
+	extra := map[string]float64{}
+	for _, r := range results {
 		for c := load.Class(0); c < load.NumClasses; c++ {
-			agg.Extra[c.String()] += float64(r.Stats.Requests[c])
+			extra[c.String()] += float64(r.Stats.Requests[c])
 		}
-		agg.Extra["conns_lost"] += float64(r.Stats.ConnsLost)
-		agg.Extra["vip_moves"] += float64(r.Moves)
-		agg.Extra["recovery"] += r.Recovery / float64(len(row.Results))
-		agg.Extra["detect_latency_s"] += r.DetectionLatency.Seconds() / float64(len(row.Results))
-		agg.Extra["false_suspicions"] += float64(r.FalseSuspicions)
+		extra["conns_lost"] += float64(r.Stats.ConnsLost)
+		extra["vip_moves"] += float64(r.Moves)
+		extra["recovery"] += r.Recovery / float64(len(results))
+		extra["detect_latency_s"] += r.DetectionLatency.Seconds() / float64(len(results))
+		extra["false_suspicions"] += float64(r.FalseSuspicions)
 		// Rolling schedules: the aggregate reports the max ok-gap of every
 		// phase (mean across trials) plus the cumulative disruption — the
 		// sum of per-phase gaps, the number the placement policies compete
 		// on.
 		for i, ph := range r.Phases {
-			agg.Extra[fmt.Sprintf("phase%d_max_gap_s", i)] += ph.MaxOKGap.Seconds() / float64(len(row.Results))
-			agg.Extra["disruption_total_s"] += ph.MaxOKGap.Seconds() / float64(len(row.Results))
+			extra[fmt.Sprintf("phase%d_max_gap_s", i)] += ph.MaxOKGap.Seconds() / float64(len(results))
+			extra["disruption_total_s"] += ph.MaxOKGap.Seconds() / float64(len(results))
 		}
 	}
-	agg.PerTrial = trialRows(row.Samples)
-	trialMetrics := make(map[int64]runner.Metrics, len(row.Samples))
-	for _, s := range row.Samples {
-		trialMetrics[s.Seed] = s.Metrics
-	}
-	out := []JSONRow{agg}
-	for _, r := range row.Results {
-		jr := jsonRow("availability", fmt.Sprintf("%s/seed=%d", row.Point, r.Seed), "interruption",
-			Stat{N: 1, Mean: r.Interruption, Min: r.Interruption, Median: r.Interruption,
-				P50: r.Interruption, P99: r.Interruption, Max: r.Interruption}, 0, trialMetrics[r.Seed])
-		jr.Trials = 1
-		jr.Extra = map[string]float64{
+	return extra
+}
+
+// AvailabilityRows expands the row into the experiment's NDJSON records: the
+// aggregate row followed by one row per trial carrying its full per-class
+// and latency detail in Extra.
+func AvailabilityRows(row Row) []Row {
+	out := []Row{row}
+	for i, r := range AvailabilityResults(row) {
+		extra := map[string]float64{
 			"issued":           float64(r.Stats.Issued),
 			"conns_lost":       float64(r.Stats.ConnsLost),
 			"dials_ok":         float64(r.Stats.DialsOK),
@@ -962,42 +871,35 @@ func AvailabilityJSON(row AvailabilityRow) []JSONRow {
 			"recovery":         r.Recovery,
 			"detect_latency_s": r.DetectionLatency.Seconds(),
 			"false_suspicions": float64(r.FalseSuspicions),
-			"before_p50_s":     r.Before.P50.Seconds(),
-			"before_p99_s":     r.Before.P99.Seconds(),
-			"before_max_s":     r.Before.Max.Seconds(),
-			"during_p50_s":     r.During.P50.Seconds(),
-			"during_p99_s":     r.During.P99.Seconds(),
-			"during_max_s":     r.During.Max.Seconds(),
-			"after_p50_s":      r.After.P50.Seconds(),
-			"after_p99_s":      r.After.P99.Seconds(),
-			"after_max_s":      r.After.Max.Seconds(),
-			"before_requests":  float64(r.Before.Completions),
-			"before_ok":        float64(r.Before.OK),
-			"during_requests":  float64(r.During.Completions),
-			"during_ok":        float64(r.During.OK),
-			"after_requests":   float64(r.After.Completions),
-			"after_ok":         float64(r.After.OK),
+		}
+		for name, w := range map[string]LatencyWindow{"before": r.Before, "during": r.During, "after": r.After} {
+			extra[name+"_p50_s"] = w.P50.Seconds()
+			extra[name+"_p99_s"] = w.P99.Seconds()
+			extra[name+"_max_s"] = w.Max.Seconds()
+			extra[name+"_requests"] = float64(w.Completions)
+			extra[name+"_ok"] = float64(w.OK)
 		}
 		for c := load.Class(0); c < load.NumClasses; c++ {
-			jr.Extra[c.String()] = float64(r.Stats.Requests[c])
+			extra[c.String()] = float64(r.Stats.Requests[c])
 		}
 		if len(r.Phases) > 0 {
-			jr.Extra["rolling_phases"] = float64(len(r.Phases))
+			extra["rolling_phases"] = float64(len(r.Phases))
 			var total float64
-			for i, ph := range r.Phases {
-				jr.Extra[fmt.Sprintf("phase%d_max_gap_s", i)] = ph.MaxOKGap.Seconds()
-				jr.Extra[fmt.Sprintf("phase%d_ok", i)] = float64(ph.OK)
+			for j, ph := range r.Phases {
+				extra[fmt.Sprintf("phase%d_max_gap_s", j)] = ph.MaxOKGap.Seconds()
+				extra[fmt.Sprintf("phase%d_ok", j)] = float64(ph.OK)
 				total += ph.MaxOKGap.Seconds()
 			}
-			jr.Extra["disruption_total_s"] = total
+			extra["disruption_total_s"] = total
 		}
-		out = append(out, jr)
+		out = append(out, Row{
+			Experiment: row.Experiment,
+			Point:      fmt.Sprintf("%s/seed=%d", row.Point, r.Seed),
+			Unit:       row.Unit,
+			Stat:       Summarize([]time.Duration{r.Interruption}),
+			Metrics:    row.Samples[i].Metrics,
+			Extra:      extra,
+		})
 	}
 	return out
-}
-
-// WriteAvailabilityTrace writes the traced trials of an availability sweep
-// as the same NDJSON stream wacksim -trace produces.
-func WriteAvailabilityTrace(w io.Writer, row AvailabilityRow) error {
-	return writeTrialTraces(w, "availability", row.Point, row.Samples)
 }

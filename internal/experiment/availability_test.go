@@ -155,7 +155,7 @@ func TestAvailabilityRollingJSONCarriesPhases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := AvailabilityJSON(row)
+	rows := AvailabilityRows(row)
 	if len(rows) != 2 {
 		t.Fatalf("JSON rows = %d, want aggregate + trial", len(rows))
 	}
@@ -193,10 +193,10 @@ func TestAvailabilitySweepAndJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rowData.Stat.N != 2 || len(rowData.Results) != 2 {
-		t.Fatalf("stat N = %d, results = %d, want 2 trials", rowData.Stat.N, len(rowData.Results))
+	if rowData.Stat.N != 2 || len(AvailabilityResults(rowData)) != 2 {
+		t.Fatalf("stat N = %d, results = %d, want 2 trials", rowData.Stat.N, len(AvailabilityResults(rowData)))
 	}
-	rows := AvailabilityJSON(rowData)
+	rows := AvailabilityRows(rowData)
 	if len(rows) != 3 {
 		t.Fatalf("JSON rows = %d, want 1 aggregate + 2 per-trial", len(rows))
 	}
@@ -250,7 +250,7 @@ func TestAvailabilityTraced(t *testing.T) {
 		t.Error("no flow-source events in the trace")
 	}
 	var b bytes.Buffer
-	if err := WriteAvailabilityTrace(&b, row); err != nil {
+	if err := WriteTrace(&b, []Row{row}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), `"record":"trial"`) || !strings.Contains(b.String(), `"flow-`) {

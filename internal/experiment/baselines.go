@@ -15,15 +15,6 @@ import (
 	"wackamole/internal/vrrp"
 )
 
-// BaselineRow is one line of the §7 baseline fail-over comparison.
-type BaselineRow struct {
-	System  string
-	Detail  string
-	Stat    Stat
-	Metrics runner.Metrics
-	Errors  int
-}
-
 // pairTopology is a two-server fail-over pair behind a router with an
 // external probing client — the smallest instance of the Figure 3 layout,
 // used to measure every baseline with the same §6 methodology.
@@ -170,61 +161,35 @@ func FakeTrial(seed int64) (runner.Sample, error) {
 	return p.measureFailover(30 * time.Second)
 }
 
-// baselineSystems enumerates the §7 comparison in presentation order.
-func baselineSystems() []struct {
-	name   string
-	detail string
-	run    runner.Trial
-} {
-	return []struct {
-		name   string
-		detail string
-		run    runner.Trial
-	}{
-		{"wackamole (tuned)", "Table 1 tuned timeouts", func(s int64) (runner.Sample, error) {
-			return Figure5Trial(s, 2, gcs.TunedConfig())
-		}},
-		{"wackamole (default)", "Table 1 default timeouts", func(s int64) (runner.Sample, error) {
-			return Figure5Trial(s, 2, gcs.DefaultConfig())
-		}},
-		{"vrrp", "RFC 2338 defaults: 1s adverts, 3×+skew master-down", VRRPTrial},
-		{"hsrp", "hello 3s, hold 10s (§7)", HSRPTrial},
-		{"fake", "1s service probes, 3-miss threshold", FakeTrial},
-	}
-}
-
-// Baselines runs the fail-over comparison: Wackamole under both Table 1
+// baselines runs the §7 fail-over comparison: Wackamole under both Table 1
 // configurations against VRRP, HSRP and Fake, all measured identically.
-func Baselines(baseSeed int64, trials int, opts ...Option) ([]BaselineRow, error) {
-	systems := baselineSystems()
-	var points []runner.Point
-	for _, sys := range systems {
-		points = append(points, runner.Point{
-			Label: fmt.Sprintf("baselines/%s", sys.name),
-			Seeds: Seeds(baseSeed, trials),
-			Run:   sys.run,
-		})
-	}
-	var rows []BaselineRow
-	for i, res := range runSweep(points, opts) {
-		stat, metrics, errs, err := collectPoint(res)
-		if err != nil {
-			return nil, err
+var baselines = Experiment{
+	Name:  "baselines",
+	Title: "## §7 — Fail-over time against the related-work baselines",
+	Unit:  "failover",
+	Points: func(g Grid) []Point {
+		var points []Point
+		for _, sys := range []struct {
+			name, detail string
+			run          runner.Trial
+		}{
+			{"wackamole (tuned)", "Table 1 tuned timeouts", func(s int64) (runner.Sample, error) {
+				return Figure5Trial(s, 2, gcs.TunedConfig())
+			}},
+			{"wackamole (default)", "Table 1 default timeouts", func(s int64) (runner.Sample, error) {
+				return Figure5Trial(s, 2, gcs.DefaultConfig())
+			}},
+			{"vrrp", "RFC 2338 defaults: 1s adverts, 3×+skew master-down", VRRPTrial},
+			{"hsrp", "hello 3s, hold 10s (§7)", HSRPTrial},
+			{"fake", "1s service probes, 3-miss threshold", FakeTrial},
+		} {
+			points = append(points, Point{
+				Label: sys.name,
+				Cols:  []string{sys.name, sys.detail},
+				Run:   sys.run,
+			})
 		}
-		rows = append(rows, BaselineRow{System: systems[i].name, Detail: systems[i].detail, Stat: stat, Metrics: metrics, Errors: errs})
-	}
-	return rows, nil
-}
-
-// RenderBaselines formats the comparison.
-func RenderBaselines(rows []BaselineRow) string {
-	header := []string{"system", "configuration", "trials", "mean fail-over", "min", "max"}
-	var cells [][]string
-	for _, r := range rows {
-		cells = append(cells, []string{
-			r.System, r.Detail, fmt.Sprintf("%d", r.Stat.N),
-			Seconds(r.Stat.Mean), Seconds(r.Stat.Min), Seconds(r.Stat.Max),
-		})
-	}
-	return Table(header, cells)
+		return points
+	},
+	Render: rowTable([]string{"system", "configuration", "trials", "mean fail-over", "min", "max"}, meanMinMax),
 }

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -106,20 +105,9 @@ func TestTable1TrialBands(t *testing.T) {
 	}
 }
 
-func TestRenderingProducesTables(t *testing.T) {
-	rows, err := Graceful(1, 2, []int{2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := RenderGraceful(rows)
-	if !strings.Contains(out, "cluster size") || !strings.Contains(out, "|") {
-		t.Fatalf("unexpected table output:\n%s", out)
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	s := Summarize([]time.Duration{time.Second, 3 * time.Second, 2 * time.Second})
-	if s.N != 3 || s.Mean != 2*time.Second || s.Min != time.Second || s.Max != 3*time.Second || s.Median != 2*time.Second {
+	if s.N != 3 || s.Mean != 2*time.Second || s.Min != time.Second || s.Max != 3*time.Second {
 		t.Fatalf("Summarize = %+v", s)
 	}
 	if s.StdDev != time.Second {

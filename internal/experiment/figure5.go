@@ -2,15 +2,13 @@ package experiment
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
-	"wackamole"
 	"wackamole/internal/experiment/runner"
 	"wackamole/internal/gcs"
 	"wackamole/internal/invariant"
-	"wackamole/internal/metrics"
-	"wackamole/internal/obs"
 )
 
 // ConfigName labels the two Spread configurations of Table 1.
@@ -48,62 +46,27 @@ func Figure5Trial(seed int64, n int, cfg gcs.Config) (runner.Sample, error) {
 	return figure5Trial(seed, n, cfg, false, false)
 }
 
-// armMonitor builds an online invariant monitor attached to a web
-// cluster's servers via the cluster-option hook, stamping violations with
-// virtual time once the cluster exists.
-func armMonitor(n int, mods *[]func(*wackamole.ClusterOptions)) *invariant.Monitor {
-	mon := invariant.New(invariant.Config{Nodes: n})
-	*mods = append(*mods, func(o *wackamole.ClusterOptions) { o.Invariants = mon })
-	return mon
-}
-
-// settleAndVerify runs the cluster to a resting state and applies the
-// settled-state oracles plus the batch order sweep. Call after the
-// measured value is extracted: the extra simulated time is
-// monitoring-only and cannot perturb the sample.
-func settleAndVerify(mon *invariant.Monitor, wc *WebCluster, cfg gcs.Config) error {
-	if mon == nil {
-		return nil
-	}
-	wc.RunFor(4*(cfg.FaultDetectTimeout+cfg.DiscoveryTimeout) + 2*time.Second)
-	mon.CheckOrder()
-	mon.CheckSettled(wc.Cluster.InvariantView(), wc.RunFor)
-	if v := mon.Violation(); v != nil {
+// settleAndVerify runs a monitored probe trial's cluster to a resting state
+// and turns a violation of any oracle into the trial's error.
+func settleAndVerify(p *planes, wc *WebCluster, cfg gcs.Config) error {
+	if v := p.verify(wc.Cluster, 4*(cfg.FaultDetectTimeout+cfg.DiscoveryTimeout)+2*time.Second); v != nil {
 		return fmt.Errorf("experiment: invariant violation: %v", v)
 	}
 	return nil
 }
 
-// figure5Trial is Figure5Trial with optional event tracing: when trace is
-// set the whole cluster (network, daemons, engines) records structured
-// events under virtual time, and the sample carries the stream plus its
-// fail-over phase breakdown. The tracer only observes — it draws no
-// randomness and schedules no simulator events — so the measured value is
-// bit-identical with tracing on or off.
+// figure5Trial is Figure5Trial with the optional observation planes: when
+// trace is set the whole cluster (network, daemons, engines) records
+// structured events under virtual time, and the sample carries the stream
+// plus its fail-over phase breakdown; when invariants is set a violation of
+// any oracle fails the trial.
 func figure5Trial(seed int64, n int, cfg gcs.Config, trace, invariants bool) (runner.Sample, error) {
-	var tr *obs.Tracer
-	var reg *metrics.Registry
-	var mods []func(*wackamole.ClusterOptions)
-	if trace {
-		tr = obs.New(0, nil)
-		reg = metrics.New()
-		mods = append(mods, func(o *wackamole.ClusterOptions) {
-			o.Tracer = tr
-			o.Metrics = reg
-		})
-	}
-	var mon *invariant.Monitor
-	if invariants {
-		mon = armMonitor(n, &mods)
-	}
-	wc, err := NewWebCluster(seed, n, cfg, mods...)
+	p := armPlanes(trace, invariants, invariant.Config{Nodes: n})
+	wc, err := NewWebCluster(seed, n, cfg, p.cluster)
 	if err != nil {
 		return runner.Sample{}, err
 	}
-	if mon != nil {
-		epoch := wc.Sim.Now()
-		mon.SetNow(func() time.Duration { return wc.Sim.Now().Sub(epoch) })
-	}
+	p.setClock(wc.Sim)
 	wc.WarmUp(cfg)
 	victim, holders := wc.Owner(wc.Target)
 	if holders != 1 {
@@ -119,113 +82,64 @@ func figure5Trial(seed int64, n int, cfg gcs.Config, trace, invariants bool) (ru
 		return runner.Sample{}, fmt.Errorf("experiment: service resumed on the failed server %q", gap.To)
 	}
 	sample := runner.Sample{Value: gap.Duration(), Metrics: clusterMetrics(wc.Cluster)}
-	if err := settleAndVerify(mon, wc, cfg); err != nil {
+	if err := settleAndVerify(p, wc, cfg); err != nil {
 		return runner.Sample{}, err
 	}
-	if trace {
-		events := tr.Snapshot()
-		sample.Trace = &obs.TrialTrace{
-			Events:   events,
-			Phases:   obs.FailoverBreakdown(events, gap.Start, gap.End, wc.Target.String()),
-			GapStart: gap.Start,
-			GapEnd:   gap.End,
-			Target:   wc.Target.String(),
-		}
-		sample.Latency = reg.Snapshot()
-	}
+	p.attach(&sample, gap.Start, gap.End, wc.Target.String())
 	return sample, nil
 }
 
-// Figure5Row is one point of Figure 5.
-type Figure5Row struct {
-	Config  ConfigName
-	Size    int
-	Stat    Stat
-	Metrics runner.Metrics
-	Errors  int
-	// Samples holds the point's successful trials in seed order; when the
-	// sweep ran with WithTrace each carries its event stream and phase
-	// breakdown.
-	Samples []runner.Sample
-}
-
-// Figure5 sweeps cluster size × configuration with `trials` seeded runs per
-// point, reproducing the paper's Figure 5 ("Average Availability
-// Interruption with Varying Cluster Size").
-func Figure5(baseSeed int64, trials int, opts ...Option) ([]Figure5Row, error) {
-	return Figure5Over(baseSeed, trials, Figure5Sizes, opts...)
-}
-
-// Figure5Over is Figure5 restricted to the given cluster sizes (CI uses a
-// single-point run to produce a small sample trace artifact).
-func Figure5Over(baseSeed int64, trials int, sizes []int, opts ...Option) ([]Figure5Row, error) {
-	cfg := resolveOptions(opts)
-	type key struct {
-		cfg  ConfigName
-		size int
-	}
-	var keys []key
-	var points []runner.Point
-	for _, nc := range NamedConfigs() {
-		for _, n := range sizes {
-			nc, n := nc, n
-			keys = append(keys, key{nc.Name, n})
-			points = append(points, runner.Point{
-				Label: fmt.Sprintf("figure5/%s/n=%d", nc.Name, n),
-				Seeds: Seeds(baseSeed+int64(n), trials),
-				Run: func(seed int64) (runner.Sample, error) {
-					return figure5Trial(seed, n, nc.Cfg, cfg.trace, cfg.invariants)
-				},
-			})
+// figure5 sweeps cluster size × configuration, reproducing the paper's
+// Figure 5 ("Average Availability Interruption with Varying Cluster Size").
+// Grid.Sizes restricts it to the given cluster sizes (CI uses a single-point
+// run to produce a small sample trace artifact).
+var figure5 = Experiment{
+	Name:  "figure5",
+	Title: "## Figure 5 — Average availability interruption vs cluster size",
+	Unit:  "interruption",
+	Trace: true, Invariants: true, Sizes: true,
+	Points: func(g Grid) []Point {
+		sizes := g.Sizes
+		if sizes == nil {
+			sizes = Figure5Sizes
 		}
-	}
-	var rows []Figure5Row
-	for i, res := range runner.Run(points, cfg.Options) {
-		stat, metrics, errs, err := collectPoint(res)
-		if err != nil {
-			return nil, err
+		var points []Point
+		for _, nc := range NamedConfigs() {
+			for _, n := range sizes {
+				points = append(points, Point{
+					Label:      fmt.Sprintf("%s/n=%d", nc.Name, n),
+					Cols:       []string{string(nc.Name), strconv.Itoa(n)},
+					SeedOffset: int64(n),
+					Run: func(seed int64) (runner.Sample, error) {
+						return figure5Trial(seed, n, nc.Cfg, g.trace, g.invariants)
+					},
+				})
+			}
 		}
-		rows = append(rows, Figure5Row{Config: keys[i].cfg, Size: keys[i].size,
-			Stat: stat, Metrics: metrics, Errors: errs, Samples: res.Samples})
-	}
-	return rows, nil
-}
-
-// RenderFigure5 formats the rows as the two series of the paper's figure.
-func RenderFigure5(rows []Figure5Row) string {
-	header := []string{"config", "cluster size", "trials", "mean interruption", "min", "p50", "p99", "max", "stddev"}
-	var cells [][]string
-	for _, r := range rows {
-		cells = append(cells, []string{
-			string(r.Config), fmt.Sprintf("%d", r.Size), fmt.Sprintf("%d", r.Stat.N),
-			Seconds(r.Stat.Mean), Seconds(r.Stat.Min), Seconds(r.Stat.P50), Seconds(r.Stat.P99),
-			Seconds(r.Stat.Max), Seconds(r.Stat.StdDev),
-		})
-	}
-	return Table(header, cells)
-}
-
-// RenderFigure5CSV formats the rows as two plottable series (the exact
-// shape of the paper's figure: x = cluster size, y = mean interruption in
-// seconds, one series per configuration).
-func RenderFigure5CSV(rows []Figure5Row) string {
-	var b strings.Builder
-	b.WriteString("config,cluster_size,trials,mean_s,min_s,p50_s,p99_s,max_s,stddev_s\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%s,%d,%d,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f\n",
-			r.Config, r.Size, r.Stat.N,
-			r.Stat.Mean.Seconds(), r.Stat.Min.Seconds(), r.Stat.P50.Seconds(), r.Stat.P99.Seconds(),
-			r.Stat.Max.Seconds(), r.Stat.StdDev.Seconds())
-	}
-	return b.String()
-}
-
-// GracefulRow reports the voluntary-departure measurement of §6.
-type GracefulRow struct {
-	Size    int
-	Stat    Stat
-	Metrics runner.Metrics
-	Errors  int
+		return points
+	},
+	// The two series of the paper's figure.
+	Render: rowTable(
+		[]string{"config", "cluster size", "trials", "mean interruption", "min", "p50", "p99", "max", "stddev"},
+		func(r Row) []string {
+			return []string{strconv.Itoa(r.Stat.N),
+				Seconds(r.Stat.Mean), Seconds(r.Stat.Min), Seconds(r.Stat.P50), Seconds(r.Stat.P99),
+				Seconds(r.Stat.Max), Seconds(r.Stat.StdDev)}
+		}),
+	// Two plottable series (the exact shape of the paper's figure: x =
+	// cluster size, y = mean interruption in seconds, one series per
+	// configuration).
+	CSV: func(rows []Row) string {
+		var b strings.Builder
+		b.WriteString("config,cluster_size,trials,mean_s,min_s,p50_s,p99_s,max_s,stddev_s\n")
+		for _, r := range rows {
+			fmt.Fprintf(&b, "%s,%s,%d,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f\n",
+				r.Cols[0], r.Cols[1], r.Stat.N,
+				r.Stat.Mean.Seconds(), r.Stat.Min.Seconds(), r.Stat.P50.Seconds(), r.Stat.P99.Seconds(),
+				r.Stat.Max.Seconds(), r.Stat.StdDev.Seconds())
+		}
+		return b.String()
+	},
 }
 
 // GracefulTrial measures the availability interruption when the server
@@ -237,19 +151,12 @@ func GracefulTrial(seed int64, n int, cfg gcs.Config) (runner.Sample, error) {
 }
 
 func gracefulTrial(seed int64, n int, cfg gcs.Config, invariants bool) (runner.Sample, error) {
-	var mods []func(*wackamole.ClusterOptions)
-	var mon *invariant.Monitor
-	if invariants {
-		mon = armMonitor(n, &mods)
-	}
-	wc, err := NewWebCluster(seed, n, cfg, mods...)
+	p := armPlanes(false, invariants, invariant.Config{Nodes: n})
+	wc, err := NewWebCluster(seed, n, cfg, p.cluster)
 	if err != nil {
 		return runner.Sample{}, err
 	}
-	if mon != nil {
-		epoch := wc.Sim.Now()
-		mon.SetNow(func() time.Duration { return wc.Sim.Now().Sub(epoch) })
-	}
+	p.setClock(wc.Sim)
 	wc.WarmUp(cfg)
 	victim, holders := wc.Owner(wc.Target)
 	if holders != 1 {
@@ -265,52 +172,38 @@ func gracefulTrial(seed int64, n int, cfg gcs.Config, invariants bool) (runner.S
 	// The interruption may be too short to register as a gap; the largest
 	// inter-response spacing bounds it either way.
 	sample := runner.Sample{Value: wc.Client.MaxGap(), Metrics: clusterMetrics(wc.Cluster)}
-	if err := settleAndVerify(mon, wc, cfg); err != nil {
+	if err := settleAndVerify(p, wc, cfg); err != nil {
 		return runner.Sample{}, err
 	}
 	return sample, nil
 }
 
-// Graceful sweeps the graceful-leave measurement over cluster sizes.
-// Individual failing trials are tolerated and counted per point, exactly
-// like Figure5; only a point with no surviving trial aborts the sweep.
-func Graceful(baseSeed int64, trials int, sizes []int, opts ...Option) ([]GracefulRow, error) {
-	cfg := gcs.TunedConfig()
-	sc := resolveOptions(opts)
-	var points []runner.Point
-	for _, n := range sizes {
-		n := n
-		points = append(points, runner.Point{
-			Label: fmt.Sprintf("graceful/n=%d", n),
-			Seeds: Seeds(baseSeed+int64(n)*13, trials),
-			Run: func(seed int64) (runner.Sample, error) {
-				return gracefulTrial(seed, n, cfg, sc.invariants)
-			},
-		})
-	}
-	var rows []GracefulRow
-	for i, res := range runner.Run(points, sc.Options) {
-		stat, metrics, errs, err := collectPoint(res)
-		if err != nil {
-			return nil, err
+// graceful sweeps the §6 voluntary-departure measurement over cluster
+// sizes, under the tuned configuration.
+var graceful = Experiment{
+	Name:       "graceful",
+	Title:      "## §6 — Availability interruption on voluntary (graceful) departure",
+	Unit:       "interruption",
+	Invariants: true,
+	Points: func(g Grid) []Point {
+		cfg := gcs.TunedConfig()
+		var points []Point
+		for _, n := range []int{2, 4, 8, 12} {
+			points = append(points, Point{
+				Label:      fmt.Sprintf("n=%d", n),
+				Cols:       []string{strconv.Itoa(n)},
+				SeedOffset: int64(n) * 13,
+				Run: func(seed int64) (runner.Sample, error) {
+					return gracefulTrial(seed, n, cfg, g.invariants)
+				},
+			})
 		}
-		rows = append(rows, GracefulRow{Size: sizes[i], Stat: stat, Metrics: metrics, Errors: errs})
-	}
-	return rows, nil
-}
-
-// RenderGraceful formats the graceful-leave results.
-func RenderGraceful(rows []GracefulRow) string {
-	header := []string{"cluster size", "trials", "mean interruption", "min", "max", "errors"}
-	var cells [][]string
-	for _, r := range rows {
-		cells = append(cells, []string{
-			fmt.Sprintf("%d", r.Size), fmt.Sprintf("%d", r.Stat.N),
-			fmt.Sprintf("%.1fms", float64(r.Stat.Mean.Microseconds())/1000),
-			fmt.Sprintf("%.1fms", float64(r.Stat.Min.Microseconds())/1000),
-			fmt.Sprintf("%.1fms", float64(r.Stat.Max.Microseconds())/1000),
-			fmt.Sprintf("%d", r.Errors),
-		})
-	}
-	return Table(header, cells)
+		return points
+	},
+	Render: rowTable(
+		[]string{"cluster size", "trials", "mean interruption", "min", "max", "errors"},
+		func(r Row) []string {
+			ms := func(d time.Duration) string { return fmt.Sprintf("%.1fms", float64(d.Microseconds())/1000) }
+			return []string{strconv.Itoa(r.Stat.N), ms(r.Stat.Mean), ms(r.Stat.Min), ms(r.Stat.Max), strconv.Itoa(r.Errors)}
+		}),
 }

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 
 	"wackamole/internal/experiment/runner"
@@ -10,13 +9,13 @@ import (
 	"wackamole/internal/obs"
 )
 
-// json.go renders every sweep's rows as machine-readable records (one JSON
-// object per line, the shape benchmark-archival tooling ingests), so the
-// evaluation can be diffed, plotted and regression-tracked without parsing
-// markdown. cmd/wacksim's -json flag is the front end.
+// json.go renders rows as machine-readable records (one JSON object per
+// line, the shape benchmark-archival tooling ingests), so the evaluation can
+// be diffed, plotted and regression-tracked without parsing markdown. The
+// -json flag of cmd/wacksim and cmd/wackload is the front end.
 
-// JSONRow is one machine-readable result row.
-type JSONRow struct {
+// rowJSON is the wire form of a Row.
+type rowJSON struct {
 	Experiment string `json:"experiment"`
 	Point      string `json:"point"`
 	// Unit names the measured quantity (what the *_s statistics are).
@@ -38,25 +37,25 @@ type JSONRow struct {
 	Metrics runner.Metrics `json:"metrics"`
 	// PerTrial holds per-trial rows — present only when the sweep ran with
 	// tracing, which is what makes per-trial phase breakdowns available.
-	PerTrial []TrialJSON `json:"per_trial,omitempty"`
+	PerTrial []trialJSON `json:"per_trial,omitempty"`
 }
 
-// TrialJSON is one traced trial within a point: its seed, measured value
+// trialJSON is one traced trial within a point: its seed, measured value
 // and fail-over phase breakdown. The phases partition the measured
 // interruption, so they sum to value_s.
-type TrialJSON struct {
+type trialJSON struct {
 	Seed     int64         `json:"seed"`
 	ValueSec float64       `json:"value_s"`
 	Phases   obs.Breakdown `json:"phases"`
 	Events   int           `json:"events"`
 	// Latency summarizes the trial's protocol latency histograms (present
 	// only when the trial carried a metrics registry).
-	Latency *LatencyJSON `json:"latency,omitempty"`
+	Latency *latencyJSON `json:"latency,omitempty"`
 }
 
-// LatencyJSON is the per-trial protocol latency summary, quantiles estimated
+// latencyJSON is the per-trial protocol latency summary, quantiles estimated
 // from the trial's cluster-wide (all nodes merged) latency histograms.
-type LatencyJSON struct {
+type latencyJSON struct {
 	TokenRotationP50Sec float64 `json:"token_rotation_p50_s"`
 	TokenRotationP99Sec float64 `json:"token_rotation_p99_s"`
 	TokenRotationObs    uint64  `json:"token_rotation_obs"`
@@ -68,7 +67,7 @@ type LatencyJSON struct {
 
 // latencyRow summarizes a trial's registry snapshot; nil when the snapshot
 // is empty (untraced trial).
-func latencyRow(snap metrics.Snapshot) *LatencyJSON {
+func latencyRow(snap metrics.Snapshot) *latencyJSON {
 	if len(snap.Families) == 0 {
 		return nil
 	}
@@ -76,7 +75,7 @@ func latencyRow(snap metrics.Snapshot) *LatencyJSON {
 	del := snap.MergedHistogram("gcs_delivery_seconds")
 	inst := snap.MergedHistogram("gcs_membership_install_seconds")
 	sync := snap.MergedHistogram("core_state_sync_seconds")
-	return &LatencyJSON{
+	return &latencyJSON{
 		TokenRotationP50Sec: rot.Quantile(0.50),
 		TokenRotationP99Sec: rot.Quantile(0.99),
 		TokenRotationObs:    rot.Count(),
@@ -88,13 +87,13 @@ func latencyRow(snap metrics.Snapshot) *LatencyJSON {
 }
 
 // trialRows extracts the per-trial rows of a point's traced samples.
-func trialRows(samples []runner.Sample) []TrialJSON {
-	var out []TrialJSON
+func trialRows(samples []runner.Sample) []trialJSON {
+	var out []trialJSON
 	for _, s := range samples {
 		if s.Trace == nil {
 			continue
 		}
-		out = append(out, TrialJSON{
+		out = append(out, trialJSON{
 			Seed:     s.Seed,
 			ValueSec: s.Value.Seconds(),
 			Phases:   s.Trace.Phases,
@@ -105,108 +104,32 @@ func trialRows(samples []runner.Sample) []TrialJSON {
 	return out
 }
 
-// jsonRow fills the common fields from a Stat.
-func jsonRow(experiment, point, unit string, st Stat, errs int, m runner.Metrics) JSONRow {
-	return JSONRow{
-		Experiment: experiment,
-		Point:      point,
-		Unit:       unit,
-		Trials:     st.N,
-		Errors:     errs,
-		MeanSec:    st.Mean.Seconds(),
-		MinSec:     st.Min.Seconds(),
-		P50Sec:     st.P50.Seconds(),
-		P99Sec:     st.P99.Seconds(),
-		MaxSec:     st.Max.Seconds(),
-		StdDevSec:  st.StdDev.Seconds(),
-		Metrics:    m,
+// wire converts the row into its NDJSON form. Rows of a traced sweep
+// additionally carry one entry per trial with its phase breakdown.
+func (r Row) wire() rowJSON {
+	return rowJSON{
+		Experiment: r.Experiment,
+		Point:      r.Point,
+		Unit:       r.Unit,
+		Trials:     r.Stat.N,
+		Errors:     r.Errors,
+		MeanSec:    r.Stat.Mean.Seconds(),
+		MinSec:     r.Stat.Min.Seconds(),
+		P50Sec:     r.Stat.P50.Seconds(),
+		P99Sec:     r.Stat.P99.Seconds(),
+		MaxSec:     r.Stat.Max.Seconds(),
+		StdDevSec:  r.Stat.StdDev.Seconds(),
+		Extra:      r.Extra,
+		Metrics:    r.Metrics,
+		PerTrial:   trialRows(r.Samples),
 	}
-}
-
-// Figure5JSON converts Figure 5 rows. Rows from a traced sweep additionally
-// carry one entry per trial with its phase breakdown.
-func Figure5JSON(rows []Figure5Row) []JSONRow {
-	var out []JSONRow
-	for _, r := range rows {
-		row := jsonRow("figure5", fmt.Sprintf("%s/n=%d", r.Config, r.Size),
-			"interruption", r.Stat, r.Errors, r.Metrics)
-		row.PerTrial = trialRows(r.Samples)
-		out = append(out, row)
-	}
-	return out
-}
-
-// Table1JSON converts Table 1 rows.
-func Table1JSON(rows []Table1Row) []JSONRow {
-	var out []JSONRow
-	for _, r := range rows {
-		row := jsonRow("table1", string(r.Config), "notification", r.Measured, r.Errors, r.Metrics)
-		row.Extra = map[string]float64{
-			"fault_detect_s":  r.FaultDetect.Seconds(),
-			"heartbeat_s":     r.Heartbeat.Seconds(),
-			"discovery_s":     r.Discovery.Seconds(),
-			"predicted_min_s": r.PredictedMin.Seconds(),
-			"predicted_max_s": r.PredictedMax.Seconds(),
-		}
-		out = append(out, row)
-	}
-	return out
-}
-
-// GracefulJSON converts graceful-leave rows.
-func GracefulJSON(rows []GracefulRow) []JSONRow {
-	var out []JSONRow
-	for _, r := range rows {
-		out = append(out, jsonRow("graceful", fmt.Sprintf("n=%d", r.Size),
-			"interruption", r.Stat, r.Errors, r.Metrics))
-	}
-	return out
-}
-
-// RouterJSON converts §5.2 comparison rows.
-func RouterJSON(rows []RouterRow) []JSONRow {
-	var out []JSONRow
-	for _, r := range rows {
-		out = append(out, jsonRow("router", string(r.Mode), "interruption", r.Stat, r.Errors, r.Metrics))
-	}
-	return out
-}
-
-// BaselinesJSON converts §7 baseline rows.
-func BaselinesJSON(rows []BaselineRow) []JSONRow {
-	var out []JSONRow
-	for _, r := range rows {
-		out = append(out, jsonRow("baselines", r.System, "failover", r.Stat, r.Errors, r.Metrics))
-	}
-	return out
-}
-
-// LoadJSON converts load-sensitivity rows.
-func LoadJSON(rows []LoadRow) []JSONRow {
-	var out []JSONRow
-	for _, r := range rows {
-		row := jsonRow("load", fmt.Sprintf("jitter=%v", r.Jitter), "max_client_gap", r.MaxGap, r.Errors, r.Metrics)
-		row.Extra = map[string]float64{"false_reconfigs_per_min": r.FalseReconfigs}
-		out = append(out, row)
-	}
-	return out
-}
-
-// AblationsJSON converts ablation rows.
-func AblationsJSON(rows []AblationRow) []JSONRow {
-	var out []JSONRow
-	for _, r := range rows {
-		out = append(out, jsonRow("ablations", fmt.Sprintf("%s/%s", r.Experiment, r.Variant),
-			r.Metric, r.Stat, r.Errors, r.Metrics))
-	}
-	return out
 }
 
 // WriteNDJSON writes one JSON object per row (newline-delimited JSON).
-func WriteNDJSON(w io.Writer, rows []JSONRow) error {
+func WriteNDJSON(w io.Writer, rows []Row) error {
 	enc := json.NewEncoder(w)
 	for _, r := range rows {
-		if err := enc.Encode(r); err != nil {
+		if err := enc.Encode(r.wire()); err != nil {
 			return err
 		}
 	}

@@ -12,17 +12,20 @@ import (
 // cycle: what a downstream consumer parses is exactly what was written.
 func TestFigure5JSONLatencySchemaRoundTrip(t *testing.T) {
 	rows := tracedFigure5(t, 2, 1)
-	jsonRows := Figure5JSON(rows)
+	var jsonRows []rowJSON
+	for _, r := range rows {
+		jsonRows = append(jsonRows, r.wire())
+	}
 
 	var buf bytes.Buffer
-	if err := WriteNDJSON(&buf, jsonRows); err != nil {
+	if err := WriteNDJSON(&buf, rows); err != nil {
 		t.Fatal(err)
 	}
 
 	dec := json.NewDecoder(&buf)
-	var decoded []JSONRow
+	var decoded []rowJSON
 	for dec.More() {
-		var r JSONRow
+		var r rowJSON
 		if err := dec.Decode(&r); err != nil {
 			t.Fatal(err)
 		}
@@ -62,12 +65,12 @@ func TestFigure5JSONLatencySchemaRoundTrip(t *testing.T) {
 	}
 
 	// Untraced sweeps omit the latency summary entirely (no "latency" key).
-	plain, err := Figure5Over(300, 1, []int{2})
+	plain, err := Sweep(figure5, Grid{Seed: 300, Trials: 1, Sizes: []int{2}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf.Reset()
-	if err := WriteNDJSON(&buf, Figure5JSON(plain)); err != nil {
+	if err := WriteNDJSON(&buf, plain); err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Contains(buf.Bytes(), []byte(`"latency"`)) {
@@ -79,7 +82,7 @@ func TestFigure5JSONLatencySchemaRoundTrip(t *testing.T) {
 }
 
 // perTrialLatency finds the written latency summary for a seed.
-func (r JSONRow) perTrialLatency(seed int64) *LatencyJSON {
+func (r rowJSON) perTrialLatency(seed int64) *latencyJSON {
 	for _, tr := range r.PerTrial {
 		if tr.Seed == seed {
 			return tr.Latency

@@ -14,24 +14,6 @@ import (
 // healthy daemons start missing each other's heartbeats and the cluster
 // reconfigures without any actual fault.
 
-// LoadRow reports one scheduling-jitter level.
-type LoadRow struct {
-	// Jitter is the per-host scheduling delay bound (0 models daemons
-	// running at real-time priority).
-	Jitter time.Duration
-	// FalseReconfigs is the mean number of daemon reconfigurations beyond
-	// the boot-time one, over a fault-free observation window.
-	FalseReconfigs float64
-	// MaxGap is the largest client-visible inter-response gap observed
-	// (service hiccups caused purely by the false positives).
-	MaxGap Stat
-	// Metrics sums the protocol activity within the observation window
-	// (boot-time activity excluded); its ViewChanges are the false
-	// reconfigurations.
-	Metrics runner.Metrics
-	Errors  int
-}
-
 // LoadTrial runs a fault-free web cluster whose servers suffer scheduling
 // jitter over the window. The sample's value is the largest client-visible
 // gap; its metrics are the in-window activity delta, whose ViewChanges
@@ -59,56 +41,36 @@ func LoadTrial(seed int64, jitter time.Duration, window time.Duration) (runner.S
 	}, nil
 }
 
-// LoadSensitivity sweeps the jitter bound. The heartbeat interval (400ms
+// loadSensitivity sweeps the per-host scheduling delay bound (0 models
+// daemons running at real-time priority). The heartbeat interval (400ms
 // tuned) is the natural scale: false positives appear as the jitter
-// approaches the fault-detection margin (T − H = 600ms).
-func LoadSensitivity(baseSeed int64, trials int, opts ...Option) ([]LoadRow, error) {
-	jitters := []time.Duration{
-		0,
-		100 * time.Millisecond,
-		300 * time.Millisecond,
-		600 * time.Millisecond,
-	}
-	const window = 60 * time.Second
-	var points []runner.Point
-	for _, j := range jitters {
-		j := j
-		points = append(points, runner.Point{
-			Label: fmt.Sprintf("load/jitter=%v", j),
-			Seeds: Seeds(baseSeed, trials),
-			Run: func(seed int64) (runner.Sample, error) {
-				return LoadTrial(seed, j, window)
-			},
-		})
-	}
-	var rows []LoadRow
-	for i, res := range runSweep(points, opts) {
-		stat, metrics, errs, err := collectPoint(res)
-		if err != nil {
-			return nil, err
+// approaches the fault-detection margin (T − H = 600ms). The statistics are
+// the largest client-visible inter-response gap (service hiccups caused
+// purely by the false positives); Metrics covers the observation window
+// only, so its ViewChanges are the false reconfigurations, and Extra reports
+// their mean per fault-free minute.
+var loadSensitivity = Experiment{
+	Name:  "load",
+	Title: "## §6 — Load sensitivity: false failure detections vs scheduling delay",
+	Unit:  "max_client_gap",
+	Points: func(g Grid) []Point {
+		const window = 60 * time.Second
+		var points []Point
+		for _, j := range []time.Duration{0, 100 * time.Millisecond, 300 * time.Millisecond, 600 * time.Millisecond} {
+			points = append(points, Point{
+				Label: fmt.Sprintf("jitter=%v", j),
+				Cols:  []string{j.String()},
+				Run:   func(seed int64) (runner.Sample, error) { return LoadTrial(seed, j, window) },
+				Extra: func(r Row) map[string]float64 {
+					return map[string]float64{"false_reconfigs_per_min": float64(r.Metrics.ViewChanges) / float64(r.Stat.N)}
+				},
+			})
 		}
-		rows = append(rows, LoadRow{
-			Jitter:         jitters[i],
-			FalseReconfigs: float64(metrics.ViewChanges) / float64(stat.N),
-			MaxGap:         stat,
-			Metrics:        metrics,
-			Errors:         errs,
-		})
-	}
-	return rows, nil
-}
-
-// RenderLoadSensitivity formats the sweep.
-func RenderLoadSensitivity(rows []LoadRow) string {
-	header := []string{"scheduling jitter", "false reconfigurations / min", "max client gap (mean)", "max client gap (max)"}
-	var cells [][]string
-	for _, r := range rows {
-		cells = append(cells, []string{
-			r.Jitter.String(),
-			fmt.Sprintf("%.1f", r.FalseReconfigs),
-			Seconds(r.MaxGap.Mean),
-			Seconds(r.MaxGap.Max),
-		})
-	}
-	return Table(header, cells)
+		return points
+	},
+	Render: rowTable(
+		[]string{"scheduling jitter", "false reconfigurations / min", "max client gap (mean)", "max client gap (max)"},
+		func(r Row) []string {
+			return []string{fmt.Sprintf("%.1f", r.Extra["false_reconfigs_per_min"]), Seconds(r.Stat.Mean), Seconds(r.Stat.Max)}
+		}),
 }

@@ -205,51 +205,26 @@ func RouterTrial(seed int64, mode RouterMode, cfg gcs.Config, ripCfg rip.Config)
 	return runner.Sample{}, fmt.Errorf("experiment: router fail-over never completed within %v", maxWait)
 }
 
-// RouterRow is one line of the §5.2 comparison.
-type RouterRow struct {
-	Mode    RouterMode
-	Stat    Stat
-	Metrics runner.Metrics
-	Errors  int
-}
-
-// RouterComparison contrasts the naive setup against advertise-all, with
-// tuned Wackamole timeouts and 30s RIP advertisements.
-func RouterComparison(baseSeed int64, trials int, opts ...Option) ([]RouterRow, error) {
-	cfg := gcs.TunedConfig()
-	ripCfg := rip.Config{AdvertisePeriod: rip.DefaultAdvertisePeriod}
-	modes := []RouterMode{RouterModeNaive, RouterModeAdvertiseAll}
-	var points []runner.Point
-	for _, mode := range modes {
-		mode := mode
-		points = append(points, runner.Point{
-			Label: fmt.Sprintf("router/%s", mode),
-			Seeds: Seeds(baseSeed, trials),
-			Run: func(seed int64) (runner.Sample, error) {
-				return RouterTrial(seed, mode, cfg, ripCfg)
-			},
-		})
-	}
-	var rows []RouterRow
-	for i, res := range runSweep(points, opts) {
-		stat, metrics, errs, err := collectPoint(res)
-		if err != nil {
-			return nil, err
+// routerComparison contrasts the two §5.2 setups — naive against
+// advertise-all — with tuned Wackamole timeouts and 30s RIP advertisements.
+var routerComparison = Experiment{
+	Name:  "router",
+	Title: "## §5.2 — Virtual-router fail-over: naive vs advertise-all dynamic routing",
+	Unit:  "interruption",
+	Points: func(g Grid) []Point {
+		cfg := gcs.TunedConfig()
+		ripCfg := rip.Config{AdvertisePeriod: rip.DefaultAdvertisePeriod}
+		var points []Point
+		for _, mode := range []RouterMode{RouterModeNaive, RouterModeAdvertiseAll} {
+			points = append(points, Point{
+				Label: string(mode),
+				Cols:  []string{string(mode)},
+				Run: func(seed int64) (runner.Sample, error) {
+					return RouterTrial(seed, mode, cfg, ripCfg)
+				},
+			})
 		}
-		rows = append(rows, RouterRow{Mode: modes[i], Stat: stat, Metrics: metrics, Errors: errs})
-	}
-	return rows, nil
-}
-
-// RenderRouterComparison formats the §5.2 results.
-func RenderRouterComparison(rows []RouterRow) string {
-	header := []string{"setup", "trials", "mean interruption", "min", "max"}
-	var cells [][]string
-	for _, r := range rows {
-		cells = append(cells, []string{
-			string(r.Mode), fmt.Sprintf("%d", r.Stat.N),
-			Seconds(r.Stat.Mean), Seconds(r.Stat.Min), Seconds(r.Stat.Max),
-		})
-	}
-	return Table(header, cells)
+		return points
+	},
+	Render: rowTable([]string{"setup", "trials", "mean interruption", "min", "max"}, meanMinMax),
 }

@@ -76,6 +76,9 @@ type Sample struct {
 	// the sweep requested tracing; zero otherwise. Snapshots of disjoint
 	// trials merge associatively, so aggregation order never matters.
 	Latency metrics.Snapshot
+	// Detail carries an experiment-specific rich per-trial outcome beside
+	// the measured value; the runner never inspects it.
+	Detail any
 }
 
 // Trial runs one isolated, seeded simulation and returns its measurement.
@@ -132,6 +135,16 @@ type Progress struct {
 	Err   error
 	// Done of Total trials across the whole sweep have completed.
 	Done, Total int
+}
+
+// String renders the progress line the command-line tools print:
+// "[done/total] point seed=N ok" (or "error: …").
+func (p Progress) String() string {
+	status := "ok"
+	if p.Err != nil {
+		status = "error: " + p.Err.Error()
+	}
+	return fmt.Sprintf("[%d/%d] %s seed=%d %s", p.Done, p.Total, p.Point, p.Seed, status)
 }
 
 // Sink observes per-trial completion. The runner serializes calls, so

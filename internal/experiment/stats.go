@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -14,7 +15,6 @@ import (
 type Stat struct {
 	N              int
 	Mean, Min, Max time.Duration
-	Median         time.Duration
 	P50, P99       time.Duration
 	StdDev         time.Duration
 }
@@ -46,7 +46,6 @@ func Summarize(ds []time.Duration) Stat {
 		Mean:   mean,
 		Min:    sorted[0],
 		Max:    sorted[len(sorted)-1],
-		Median: sorted[len(sorted)/2],
 		P50:    metrics.Percentile(sorted, 50),
 		P99:    metrics.Percentile(sorted, 99),
 		StdDev: std,
@@ -88,6 +87,23 @@ func Table(header []string, rows [][]string) string {
 		writeRow(r)
 	}
 	return b.String()
+}
+
+// rowTable builds a renderer emitting one table line per row: the point's
+// identifying cells followed by the statistics stats picks.
+func rowTable(header []string, stats func(Row) []string) func([]Row) string {
+	return func(rows []Row) string {
+		lines := make([][]string, len(rows))
+		for i, r := range rows {
+			lines[i] = append(append([]string(nil), r.Cols...), stats(r)...)
+		}
+		return Table(header, lines)
+	}
+}
+
+// meanMinMax is the statistics half of the three-number comparison tables.
+func meanMinMax(r Row) []string {
+	return []string{strconv.Itoa(r.Stat.N), Seconds(r.Stat.Mean), Seconds(r.Stat.Min), Seconds(r.Stat.Max)}
 }
 
 // Seeds returns n deterministic seeds derived from base.

@@ -1,8 +1,9 @@
 package experiment
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -12,147 +13,217 @@ import (
 	"wackamole/internal/rip"
 )
 
-// These tests exercise every sweep and renderer end to end with one trial
-// per point; the shape assertions (paper agreement) live with the per-trial
-// tests, and cmd/wacksim provides the full-trial runs.
-
-func TestFigure5SweepAndRender(t *testing.T) {
-	rows, err := Figure5(200, 1)
+// sweepOutputs runs the experiment and returns its rows with both of their
+// renderings: the markdown table and the NDJSON stream.
+func sweepOutputs(t *testing.T, e Experiment, g Grid, opts ...Option) ([]Row, string, string) {
+	t.Helper()
+	rows, err := Sweep(e, g, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2*len(Figure5Sizes) {
-		t.Fatalf("%d rows, want %d", len(rows), 2*len(Figure5Sizes))
+	var b bytes.Buffer
+	if err := WriteNDJSON(&b, rows); err != nil {
+		t.Fatal(err)
 	}
-	for _, r := range rows {
-		switch r.Config {
-		case ConfigDefault:
-			if r.Stat.Mean < 9*time.Second || r.Stat.Mean > 13*time.Second {
-				t.Fatalf("default n=%d mean %v out of band", r.Size, r.Stat.Mean)
-			}
-		case ConfigTuned:
-			if r.Stat.Mean < 1900*time.Millisecond || r.Stat.Mean > 2800*time.Millisecond {
-				t.Fatalf("tuned n=%d mean %v out of band", r.Size, r.Stat.Mean)
-			}
-		}
-		if r.Metrics.MembershipsInstalled == 0 || r.Metrics.FramesSent == 0 {
-			t.Fatalf("row %s/n=%d missing metrics: %+v", r.Config, r.Size, r.Metrics)
-		}
-	}
-	out := RenderFigure5(rows)
-	if !strings.Contains(out, "cluster size") || strings.Count(out, "\n") < len(rows) {
-		t.Fatalf("render:\n%s", out)
-	}
-	if !strings.Contains(out, "p50") || !strings.Contains(out, "p99") {
-		t.Fatalf("render missing percentiles:\n%s", out)
-	}
+	return rows, e.Render(rows), b.String()
 }
 
-func TestTable1SweepAndRender(t *testing.T) {
-	rows, err := Table1(300, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("%d rows, want 2", len(rows))
-	}
+// meanOf finds the row whose point label starts with prefix.
+func meanOf(t *testing.T, rows []Row, prefix string) time.Duration {
+	t.Helper()
 	for _, r := range rows {
-		slack := 200 * time.Millisecond
-		if r.Measured.Mean < r.PredictedMin-slack || r.Measured.Mean > r.PredictedMax+slack {
-			t.Fatalf("%s measured %v outside predicted [%v, %v]",
-				r.Config, r.Measured.Mean, r.PredictedMin, r.PredictedMax)
+		if strings.HasPrefix(r.Point, prefix) {
+			return r.Stat.Mean
 		}
 	}
-	out := RenderTable1(rows)
-	for _, want := range []string{"Fault-detection", "heartbeat", "Discovery", "Predicted", "Measured", "p50", "p99"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("render missing %q:\n%s", want, out)
-		}
-	}
+	t.Fatalf("row %s missing", prefix)
+	return 0
 }
 
-func TestBaselineSweepAndRender(t *testing.T) {
-	rows, err := Baselines(400, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 5 {
-		t.Fatalf("%d rows, want 5", len(rows))
-	}
-	byName := map[string]time.Duration{}
-	for _, r := range rows {
-		byName[r.System] = r.Stat.Mean
-	}
-	// Ordering claims from the paper's §7 discussion.
-	if byName["wackamole (tuned)"] >= byName["hsrp"] {
-		t.Fatalf("tuned wackamole (%v) not faster than hsrp (%v)", byName["wackamole (tuned)"], byName["hsrp"])
-	}
-	if byName["vrrp"] >= byName["hsrp"] {
-		t.Fatalf("vrrp (%v) not faster than hsrp (%v)", byName["vrrp"], byName["hsrp"])
-	}
-	out := RenderBaselines(rows)
-	if !strings.Contains(out, "vrrp") || !strings.Contains(out, "fake") {
-		t.Fatalf("render:\n%s", out)
-	}
-}
-
-func TestRouterComparisonAndRender(t *testing.T) {
-	rows, err := RouterComparison(500, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("%d rows, want 2", len(rows))
-	}
-	var naive, all time.Duration
-	for _, r := range rows {
-		if r.Mode == RouterModeNaive {
-			naive = r.Stat.Mean
-		} else {
-			all = r.Stat.Mean
-		}
-	}
-	if all > 3*time.Second {
-		t.Fatalf("advertise-all mean %v, want ≈ fail-over time", all)
-	}
-	if naive <= all {
-		t.Fatalf("naive (%v) not slower than advertise-all (%v)", naive, all)
-	}
-	out := RenderRouterComparison(rows)
-	if !strings.Contains(out, "naive") || !strings.Contains(out, "advertise-all") {
-		t.Fatalf("render:\n%s", out)
-	}
-}
-
-func TestAblationSweepAndRender(t *testing.T) {
-	rows, err := Ablations(600, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 8 {
-		t.Fatalf("%d rows, want 8", len(rows))
-	}
-	get := func(experiment, variant string) time.Duration {
+// experimentChecks holds, per registered experiment, the grid size and the
+// experiment-specific shape assertions (paper agreement) applied to a
+// two-trial sweep; what every experiment has in common is asserted by
+// TestExperiments itself.
+var experimentChecks = map[string]struct {
+	seed  int64
+	rows  int
+	check func(t *testing.T, rows []Row, table string)
+}{
+	"table1": {300, 2, func(t *testing.T, rows []Row, table string) {
 		for _, r := range rows {
-			if r.Experiment == experiment && strings.HasPrefix(r.Variant, variant) {
-				return r.Stat.Mean
+			slack := 0.2
+			if m := r.Stat.Mean.Seconds(); m < r.Extra["predicted_min_s"]-slack || m > r.Extra["predicted_max_s"]+slack {
+				t.Fatalf("%s measured %v outside predicted [%vs, %vs]",
+					r.Point, r.Stat.Mean, r.Extra["predicted_min_s"], r.Extra["predicted_max_s"])
 			}
 		}
-		t.Fatalf("row %s/%s missing", experiment, variant)
-		return 0
-	}
-	if get("arp-spoofing (§5.1)", "spoof on") >= get("arp-spoofing (§5.1)", "spoof off") {
-		t.Fatal("spoofing did not help")
-	}
-	if get("re-balancing (§3.4)", "enabled") >= get("re-balancing (§3.4)", "disabled") {
-		t.Fatal("balancing did not reduce skew")
-	}
-	if get("maturity bootstrap (§3.4)", "enabled") >= get("maturity bootstrap (§3.4)", "disabled") {
-		t.Fatal("maturity bootstrap did not reduce churn")
-	}
-	out := RenderAblations(rows)
-	if !strings.Contains(out, "duplicate coverage") {
-		t.Fatalf("render:\n%s", out)
+		for _, want := range []string{"Fault-detection", "heartbeat", "Discovery", "Predicted", "Measured", "p50", "p99"} {
+			if !strings.Contains(table, want) {
+				t.Fatalf("render missing %q:\n%s", want, table)
+			}
+		}
+	}},
+	"figure5": {200, 2 * len(Figure5Sizes), func(t *testing.T, rows []Row, table string) {
+		for _, r := range rows {
+			switch ConfigName(r.Cols[0]) {
+			case ConfigDefault:
+				if r.Stat.Mean < 9*time.Second || r.Stat.Mean > 13*time.Second {
+					t.Fatalf("%s mean %v out of band", r.Point, r.Stat.Mean)
+				}
+			case ConfigTuned:
+				if r.Stat.Mean < 1900*time.Millisecond || r.Stat.Mean > 2800*time.Millisecond {
+					t.Fatalf("%s mean %v out of band", r.Point, r.Stat.Mean)
+				}
+			default:
+				t.Fatalf("row %s: unknown configuration %q", r.Point, r.Cols[0])
+			}
+			if r.Metrics.MembershipsInstalled == 0 {
+				t.Fatalf("row %s missing metrics: %+v", r.Point, r.Metrics)
+			}
+		}
+		if !strings.Contains(table, "cluster size") || strings.Count(table, "\n") < len(rows) {
+			t.Fatalf("render:\n%s", table)
+		}
+		if !strings.Contains(table, "p50") || !strings.Contains(table, "p99") {
+			t.Fatalf("render missing percentiles:\n%s", table)
+		}
+	}},
+	"graceful": {77, 4, func(t *testing.T, rows []Row, table string) {
+		if !strings.Contains(table, "cluster size") || !strings.Contains(table, "|") {
+			t.Fatalf("unexpected table output:\n%s", table)
+		}
+	}},
+	"router": {500, 2, func(t *testing.T, rows []Row, table string) {
+		naive, all := meanOf(t, rows, string(RouterModeNaive)), meanOf(t, rows, string(RouterModeAdvertiseAll))
+		if all > 3*time.Second {
+			t.Fatalf("advertise-all mean %v, want ≈ fail-over time", all)
+		}
+		if naive <= all {
+			t.Fatalf("naive (%v) not slower than advertise-all (%v)", naive, all)
+		}
+		if !strings.Contains(table, "naive") || !strings.Contains(table, "advertise-all") {
+			t.Fatalf("render:\n%s", table)
+		}
+	}},
+	"baselines": {400, 5, func(t *testing.T, rows []Row, table string) {
+		// Ordering claims from the paper's §7 discussion.
+		tuned, vrrp, hsrp := meanOf(t, rows, "wackamole (tuned)"), meanOf(t, rows, "vrrp"), meanOf(t, rows, "hsrp")
+		if tuned >= hsrp {
+			t.Fatalf("tuned wackamole (%v) not faster than hsrp (%v)", tuned, hsrp)
+		}
+		if vrrp >= hsrp {
+			t.Fatalf("vrrp (%v) not faster than hsrp (%v)", vrrp, hsrp)
+		}
+		if !strings.Contains(table, "vrrp") || !strings.Contains(table, "fake") {
+			t.Fatalf("render:\n%s", table)
+		}
+	}},
+	"load": {11, 4, func(t *testing.T, rows []Row, table string) {
+		if quiet := rows[0]; quiet.Extra["false_reconfigs_per_min"] != 0 {
+			t.Fatalf("unloaded cluster reports %v false reconfigurations per minute", quiet.Extra["false_reconfigs_per_min"])
+		}
+		if loaded := rows[len(rows)-1]; loaded.Extra["false_reconfigs_per_min"] == 0 {
+			t.Fatal("heavy jitter produced no false reconfigurations")
+		}
+		if !strings.Contains(table, "scheduling jitter") {
+			t.Fatalf("render:\n%s", table)
+		}
+	}},
+	"ablations": {600, 8, func(t *testing.T, rows []Row, table string) {
+		if meanOf(t, rows, "arp-spoofing (§5.1)/spoof on") >= meanOf(t, rows, "arp-spoofing (§5.1)/spoof off") {
+			t.Fatal("spoofing did not help")
+		}
+		if meanOf(t, rows, "re-balancing (§3.4)/enabled") >= meanOf(t, rows, "re-balancing (§3.4)/disabled") {
+			t.Fatal("balancing did not reduce skew")
+		}
+		if meanOf(t, rows, "maturity bootstrap (§3.4)/enabled") >= meanOf(t, rows, "maturity bootstrap (§3.4)/disabled") {
+			t.Fatal("maturity bootstrap did not reduce churn")
+		}
+		if !strings.Contains(table, "duplicate coverage") {
+			t.Fatalf("render:\n%s", table)
+		}
+	}},
+}
+
+// TestExperiments exercises every registered experiment end to end through
+// the one pipeline, two trials per point: the grid has the expected size,
+// every NDJSON row parses and carries the common schema, the worker count
+// changes neither the table nor the NDJSON by a byte, and the per-point
+// failure policy holds (a partial failure is counted, an all-failed point is
+// fatal). cmd/wacksim provides the full-trial runs.
+func TestExperiments(t *testing.T) {
+	for _, e := range Experiments {
+		t.Run(e.Name, func(t *testing.T) {
+			want, ok := experimentChecks[e.Name]
+			if !ok {
+				t.Fatalf("registered experiment %q has no entry in experimentChecks", e.Name)
+			}
+			g := Grid{Seed: want.seed, Trials: 2}
+			rows, table, ndjson := sweepOutputs(t, e, g, Parallel(1))
+			if len(rows) != want.rows {
+				t.Fatalf("%d rows, want %d", len(rows), want.rows)
+			}
+			if _, ptable, pndjson := sweepOutputs(t, e, g, Parallel(4)); ptable != table || pndjson != ndjson {
+				t.Fatalf("parallel sweep diverged from serial:\n%s%s---\n%s%s", table, ndjson, ptable, pndjson)
+			}
+
+			lines := strings.Split(strings.TrimSpace(ndjson), "\n")
+			if len(lines) != len(rows) {
+				t.Fatalf("%d NDJSON lines for %d rows", len(lines), len(rows))
+			}
+			for _, line := range lines {
+				var rec struct {
+					Experiment, Point, Unit string
+					Trials                  int
+					Metrics                 map[string]uint64
+				}
+				if err := json.Unmarshal([]byte(line), &rec); err != nil {
+					t.Fatalf("invalid NDJSON line %q: %v", line, err)
+				}
+				if rec.Experiment != e.Name || rec.Point == "" || rec.Unit == "" || rec.Trials != 2 {
+					t.Fatalf("incomplete row: %s", line)
+				}
+				if rec.Metrics["frames_sent"] == 0 {
+					t.Fatalf("row carries no protocol activity: %s", line)
+				}
+			}
+			want.check(t, rows, table)
+
+			// The failure policy, on the experiment's own grid with the
+			// trials stubbed out: each point's first seed (or every seed)
+			// fails.
+			stubbed := func(failAll bool) Experiment {
+				s := e
+				s.Points = func(g Grid) []Point {
+					points := e.Points(g)
+					for i := range points {
+						first := g.Seed + points[i].SeedOffset
+						points[i].Run = func(seed int64) (runner.Sample, error) {
+							if failAll || seed == first {
+								return runner.Sample{}, fmt.Errorf("induced failure")
+							}
+							return runner.Sample{Value: time.Second}, nil
+						}
+					}
+					return points
+				}
+				return s
+			}
+			partial, err := Sweep(stubbed(false), g)
+			if err != nil {
+				t.Fatalf("partial failures aborted the sweep: %v", err)
+			}
+			for _, r := range partial {
+				if r.Stat.N != 1 || r.Errors != 1 {
+					t.Fatalf("%s: stat.N = %d, errors = %d, want 1 and 1", r.Point, r.Stat.N, r.Errors)
+				}
+			}
+			if _, err := Sweep(stubbed(true), g); err == nil {
+				t.Fatal("an all-failed point must abort the sweep")
+			} else if !strings.Contains(err.Error(), "all 2 trials failed") {
+				t.Fatalf("unexpected error: %v", err)
+			}
+		})
 	}
 }
 
@@ -192,59 +263,6 @@ func TestLoadSensitivityShape(t *testing.T) {
 	}
 }
 
-// TestGracefulParallelMatchesSerial pins the acceptance criterion that the
-// worker count never changes a sweep's rows: for the same seeds, a serial
-// and a heavily parallel run are identical.
-func TestGracefulParallelMatchesSerial(t *testing.T) {
-	serial, err := Graceful(77, 2, []int{2, 3}, Parallel(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := Graceful(77, 2, []int{2, 3}, Parallel(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("parallel sweep diverged from serial:\n%+v\n---\n%+v", serial, parallel)
-	}
-}
-
-// TestSweepToleratesPartialPointFailures is the regression test for the
-// old Graceful behaviour of aborting the whole sweep on a single trial
-// error: with the shared runner, a point keeps its row (with the error
-// counted) as long as one trial survives, and only an all-failed point is
-// fatal.
-func TestSweepToleratesPartialPointFailures(t *testing.T) {
-	flaky := runner.Point{
-		Label: "flaky",
-		Seeds: []int64{1, 2, 3, 4},
-		Run: func(seed int64) (runner.Sample, error) {
-			if seed%2 == 0 {
-				return runner.Sample{}, fmt.Errorf("induced failure")
-			}
-			return runner.Sample{Value: time.Duration(seed) * time.Second}, nil
-		},
-	}
-	res := runSweep([]runner.Point{flaky}, nil)
-	stat, _, errs, err := collectPoint(res[0])
-	if err != nil {
-		t.Fatalf("partial failures aborted the sweep: %v", err)
-	}
-	if stat.N != 2 || errs != 2 {
-		t.Fatalf("stat.N = %d, errors = %d, want 2 and 2", stat.N, errs)
-	}
-
-	dead := flaky
-	dead.Label = "dead"
-	dead.Run = func(int64) (runner.Sample, error) { return runner.Sample{}, fmt.Errorf("always fails") }
-	res = runSweep([]runner.Point{dead}, nil)
-	if _, _, _, err := collectPoint(res[0]); err == nil {
-		t.Fatal("an all-failed point must abort the sweep")
-	} else if !strings.Contains(err.Error(), "all 4 trials failed") {
-		t.Fatalf("unexpected error: %v", err)
-	}
-}
-
 // TestProgressSinkObservesSweep verifies the pluggable sink sees every
 // trial of a real sweep.
 func TestProgressSinkObservesSweep(t *testing.T) {
@@ -254,13 +272,13 @@ func TestProgressSinkObservesSweep(t *testing.T) {
 		events++
 		last = p
 	})
-	if _, err := Graceful(91, 2, []int{2}, WithSink(sink), Parallel(2)); err != nil {
+	if _, err := Sweep(graceful, Grid{Seed: 91, Trials: 2}, WithSink(sink), Parallel(2)); err != nil {
 		t.Fatal(err)
 	}
-	if events != 2 {
-		t.Fatalf("sink saw %d events, want 2", events)
+	if events != 8 {
+		t.Fatalf("sink saw %d events, want 8 (4 sizes × 2 trials)", events)
 	}
-	if last.Done != 2 || last.Total != 2 || !strings.HasPrefix(last.Point, "graceful/") {
+	if last.Done != 8 || last.Total != 8 || !strings.HasPrefix(last.Point, "graceful/") {
 		t.Fatalf("last progress event = %+v", last)
 	}
 }

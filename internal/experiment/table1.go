@@ -2,32 +2,13 @@ package experiment
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"wackamole"
 	"wackamole/internal/experiment/runner"
 	"wackamole/internal/gcs"
 )
-
-// Table1Row reports one configuration of the paper's Table 1 together with
-// the measured membership-notification time it induces: the delay between a
-// fault and the surviving daemons installing the new configuration. The
-// paper predicts [T−H, T] + D: 10–12s for the defaults, 2–2.4s tuned.
-type Table1Row struct {
-	Config ConfigName
-	// The three configured timeouts (the columns of Table 1).
-	FaultDetect time.Duration
-	Heartbeat   time.Duration
-	Discovery   time.Duration
-	// Predicted notification bounds.
-	PredictedMin time.Duration
-	PredictedMax time.Duration
-	// Measured notification delay over the trials.
-	Measured Stat
-	// Metrics sums the protocol activity of the successful trials.
-	Metrics runner.Metrics
-	Errors  int
-}
 
 // Table1Trial measures one membership-notification delay: disconnect a
 // member at a seed-derived phase of the heartbeat cycle and time a
@@ -65,67 +46,63 @@ func Table1Trial(seed int64, n int, cfg gcs.Config) (runner.Sample, error) {
 	return runner.Sample{Value: installedAt - faultAt, Metrics: clusterMetrics(c)}, nil
 }
 
-// Table1 reproduces the paper's Table 1, augmenting the configured timeout
-// values with the measured notification-time distribution each induces.
-func Table1(baseSeed int64, trials int, opts ...Option) ([]Table1Row, error) {
-	const n = 5
-	configs := NamedConfigs()
-	var points []runner.Point
-	for _, nc := range configs {
-		nc := nc
-		points = append(points, runner.Point{
-			Label: fmt.Sprintf("table1/%s", nc.Name),
-			Seeds: Seeds(baseSeed, trials),
-			Run: func(seed int64) (runner.Sample, error) {
-				return Table1Trial(seed, n, nc.Cfg)
-			},
-		})
-	}
-	var rows []Table1Row
-	for i, res := range runSweep(points, opts) {
-		stat, metrics, errs, err := collectPoint(res)
-		if err != nil {
-			return nil, err
+// table1 reproduces the paper's Table 1, augmenting the configured timeout
+// values with the measured membership-notification time each induces: the
+// delay between a fault and the surviving daemons installing the new
+// configuration. The paper predicts [T−H, T] + D: 10–12s for the defaults,
+// 2–2.4s tuned. Each row's Extra carries the three configured timeouts (the
+// columns of Table 1) and the predicted notification bounds.
+var table1 = Experiment{
+	Name:  "table1",
+	Title: "## Table 1 — Spread timeout tuning and induced notification time",
+	Unit:  "notification",
+	Points: func(g Grid) []Point {
+		const n = 5
+		var points []Point
+		for _, nc := range NamedConfigs() {
+			cfg := nc.Cfg
+			extra := map[string]float64{
+				"fault_detect_s":  cfg.FaultDetectTimeout.Seconds(),
+				"heartbeat_s":     cfg.HeartbeatInterval.Seconds(),
+				"discovery_s":     cfg.DiscoveryTimeout.Seconds(),
+				"predicted_min_s": (cfg.FaultDetectTimeout - cfg.HeartbeatInterval + cfg.DiscoveryTimeout).Seconds(),
+				"predicted_max_s": (cfg.FaultDetectTimeout + cfg.DiscoveryTimeout).Seconds(),
+			}
+			points = append(points, Point{
+				Label: string(nc.Name),
+				Run:   func(seed int64) (runner.Sample, error) { return Table1Trial(seed, n, cfg) },
+				Extra: func(Row) map[string]float64 { return extra },
+			})
 		}
-		nc := configs[i]
-		rows = append(rows, Table1Row{
-			Config:       nc.Name,
-			FaultDetect:  nc.Cfg.FaultDetectTimeout,
-			Heartbeat:    nc.Cfg.HeartbeatInterval,
-			Discovery:    nc.Cfg.DiscoveryTimeout,
-			PredictedMin: nc.Cfg.FaultDetectTimeout - nc.Cfg.HeartbeatInterval + nc.Cfg.DiscoveryTimeout,
-			PredictedMax: nc.Cfg.FaultDetectTimeout + nc.Cfg.DiscoveryTimeout,
-			Measured:     stat,
-			Metrics:      metrics,
-			Errors:       errs,
-		})
-	}
-	return rows, nil
-}
-
-// RenderTable1 formats the rows, mirroring the layout of the paper's
-// Table 1 with the measured column appended.
-func RenderTable1(rows []Table1Row) string {
-	header := []string{"parameter / measurement", "Default Spread", "Tuned Spread"}
-	var cells [][]string
-	row := func(label string, f func(Table1Row) string) {
-		line := []string{label}
-		for _, r := range rows {
-			line = append(line, f(r))
+		return points
+	},
+	// Mirrors the layout of the paper's Table 1 — one column per
+	// configuration — with the measured lines appended.
+	Render: func(rows []Row) string {
+		header := []string{"parameter / measurement", "Default Spread", "Tuned Spread"}
+		var cells [][]string
+		line := func(label string, f func(Row) string) {
+			cs := []string{label}
+			for _, r := range rows {
+				cs = append(cs, f(r))
+			}
+			cells = append(cells, cs)
 		}
-		cells = append(cells, line)
-	}
-	row("Fault-detection timeout (s)", func(r Table1Row) string { return fmt.Sprintf("%g", r.FaultDetect.Seconds()) })
-	row("Distributed heartbeat timeout (s)", func(r Table1Row) string { return fmt.Sprintf("%g", r.Heartbeat.Seconds()) })
-	row("Discovery timeout (s)", func(r Table1Row) string { return fmt.Sprintf("%g", r.Discovery.Seconds()) })
-	row("Predicted notification range (s)", func(r Table1Row) string {
-		return fmt.Sprintf("%g – %g", r.PredictedMin.Seconds(), r.PredictedMax.Seconds())
-	})
-	row("Measured notification mean", func(r Table1Row) string { return Seconds(r.Measured.Mean) })
-	row("Measured notification min", func(r Table1Row) string { return Seconds(r.Measured.Min) })
-	row("Measured notification p50", func(r Table1Row) string { return Seconds(r.Measured.P50) })
-	row("Measured notification p99", func(r Table1Row) string { return Seconds(r.Measured.P99) })
-	row("Measured notification max", func(r Table1Row) string { return Seconds(r.Measured.Max) })
-	row("Trials", func(r Table1Row) string { return fmt.Sprintf("%d", r.Measured.N) })
-	return Table(header, cells)
+		timeout := func(label, key string) {
+			line(label, func(r Row) string { return fmt.Sprintf("%g", r.Extra[key]) })
+		}
+		timeout("Fault-detection timeout (s)", "fault_detect_s")
+		timeout("Distributed heartbeat timeout (s)", "heartbeat_s")
+		timeout("Discovery timeout (s)", "discovery_s")
+		line("Predicted notification range (s)", func(r Row) string {
+			return fmt.Sprintf("%g – %g", r.Extra["predicted_min_s"], r.Extra["predicted_max_s"])
+		})
+		line("Measured notification mean", func(r Row) string { return Seconds(r.Stat.Mean) })
+		line("Measured notification min", func(r Row) string { return Seconds(r.Stat.Min) })
+		line("Measured notification p50", func(r Row) string { return Seconds(r.Stat.P50) })
+		line("Measured notification p99", func(r Row) string { return Seconds(r.Stat.P99) })
+		line("Measured notification max", func(r Row) string { return Seconds(r.Stat.Max) })
+		line("Trials", func(r Row) string { return strconv.Itoa(r.Stat.N) })
+		return Table(header, cells)
+	},
 }

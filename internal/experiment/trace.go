@@ -2,17 +2,16 @@ package experiment
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"time"
 
-	"wackamole/internal/experiment/runner"
 	"wackamole/internal/obs"
 )
 
-// trace.go writes the -trace output of cmd/wacksim: an NDJSON stream
-// interleaving one "trial" summary record per traced trial with the trial's
-// "event" records, in deterministic (point, seed, event-sequence) order.
+// trace.go writes the -trace output of cmd/wacksim and cmd/wackload: an
+// NDJSON stream interleaving one "trial" summary record per traced trial
+// with the trial's "event" records, in deterministic (point, seed,
+// event-sequence) order.
 // The stream is self-describing — every line names its record type, point
 // and seed — so it can be split, grepped and joined without side tables.
 
@@ -47,55 +46,45 @@ type traceEventRecord struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-// WriteFigure5Trace writes the traced trials of a Figure 5 sweep as NDJSON.
-// Rows from an untraced sweep produce no output.
-func WriteFigure5Trace(w io.Writer, rows []Figure5Row) error {
-	for _, r := range rows {
-		point := fmt.Sprintf("%s/n=%d", r.Config, r.Size)
-		if err := writeTrialTraces(w, "figure5", point, r.Samples); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeTrialTraces writes one point's traced samples as the interleaved
+// WriteTrace writes the traced trials of a sweep's rows as the interleaved
 // trial/event NDJSON stream. Untraced samples produce no output.
-func writeTrialTraces(w io.Writer, experiment, point string, samples []runner.Sample) error {
+func WriteTrace(w io.Writer, rows []Row) error {
 	enc := json.NewEncoder(w)
-	for _, s := range samples {
-		if s.Trace == nil {
-			continue
-		}
-		if err := enc.Encode(traceTrialRecord{
-			Record:     "trial",
-			Experiment: experiment,
-			Point:      point,
-			Seed:       s.Seed,
-			ValueSec:   s.Value.Seconds(),
-			Phases:     s.Trace.Phases,
-			Events:     len(s.Trace.Events),
-			GapStart:   s.Trace.GapStart.Format(time.RFC3339Nano),
-			GapEnd:     s.Trace.GapEnd.Format(time.RFC3339Nano),
-			Target:     s.Trace.Target,
-		}); err != nil {
-			return err
-		}
-		for _, e := range s.Trace.Events {
-			if err := enc.Encode(traceEventRecord{
-				Record: "event",
-				Point:  point,
-				Seed:   s.Seed,
-				Seq:    e.Seq,
-				At:     e.At.Format(time.RFC3339Nano),
-				Source: e.Source.String(),
-				Kind:   e.Kind.String(),
-				Node:   e.Node,
-				Group:  e.Group,
-				Addr:   e.Addr,
-				Detail: e.Detail,
+	for _, r := range rows {
+		for _, s := range r.Samples {
+			if s.Trace == nil {
+				continue
+			}
+			if err := enc.Encode(traceTrialRecord{
+				Record:     "trial",
+				Experiment: r.Experiment,
+				Point:      r.Point,
+				Seed:       s.Seed,
+				ValueSec:   s.Value.Seconds(),
+				Phases:     s.Trace.Phases,
+				Events:     len(s.Trace.Events),
+				GapStart:   s.Trace.GapStart.Format(time.RFC3339Nano),
+				GapEnd:     s.Trace.GapEnd.Format(time.RFC3339Nano),
+				Target:     s.Trace.Target,
 			}); err != nil {
 				return err
+			}
+			for _, e := range s.Trace.Events {
+				if err := enc.Encode(traceEventRecord{
+					Record: "event",
+					Point:  r.Point,
+					Seed:   s.Seed,
+					Seq:    e.Seq,
+					At:     e.At.Format(time.RFC3339Nano),
+					Source: e.Source.String(),
+					Kind:   e.Kind.String(),
+					Node:   e.Node,
+					Group:  e.Group,
+					Addr:   e.Addr,
+					Detail: e.Detail,
+				}); err != nil {
+					return err
+				}
 			}
 		}
 	}

@@ -12,9 +12,9 @@ import (
 
 // tracedFigure5 runs a small traced sweep: one cluster size, both
 // configurations, `trials` seeds each.
-func tracedFigure5(t *testing.T, trials, workers int) []Figure5Row {
+func tracedFigure5(t *testing.T, trials, workers int) []Row {
 	t.Helper()
-	rows, err := Figure5Over(300, trials, []int{4}, Parallel(workers), WithTrace())
+	rows, err := Sweep(figure5, Grid{Seed: 300, Trials: trials, Sizes: []int{4}}, Parallel(workers), WithTrace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,33 +28,33 @@ func TestTracedTrialPhasesPartitionTheInterruption(t *testing.T) {
 	rows := tracedFigure5(t, 2, 1)
 	for _, r := range rows {
 		if len(r.Samples) != 2 {
-			t.Fatalf("%s/n=%d: samples = %d, want 2", r.Config, r.Size, len(r.Samples))
+			t.Fatalf("%s: samples = %d, want 2", r.Point, len(r.Samples))
 		}
 		for _, s := range r.Samples {
 			if s.Trace == nil {
-				t.Fatalf("%s/n=%d seed %d: traced sweep lost its trace", r.Config, r.Size, s.Seed)
+				t.Fatalf("%s seed %d: traced sweep lost its trace", r.Point, s.Seed)
 			}
 			if len(s.Trace.Events) == 0 {
-				t.Fatalf("%s/n=%d seed %d: no events captured", r.Config, r.Size, s.Seed)
+				t.Fatalf("%s seed %d: no events captured", r.Point, s.Seed)
 			}
 			// The phase boundaries are clamped into the measured gap, so the
 			// four phases partition the interruption exactly.
 			if got := s.Trace.Phases.Total(); got != s.Value {
-				t.Fatalf("%s/n=%d seed %d: phases sum to %v, interruption is %v",
-					r.Config, r.Size, s.Seed, got, s.Value)
+				t.Fatalf("%s seed %d: phases sum to %v, interruption is %v",
+					r.Point, s.Seed, got, s.Value)
 			}
 			// A real fail-over spends measurable time in detection and
 			// membership (the Table-1 timeouts dominate the interruption).
 			if s.Trace.Phases.Detection <= 0 || s.Trace.Phases.Membership <= 0 {
-				t.Fatalf("%s/n=%d seed %d: degenerate breakdown %+v",
-					r.Config, r.Size, s.Seed, s.Trace.Phases)
+				t.Fatalf("%s seed %d: degenerate breakdown %+v",
+					r.Point, s.Seed, s.Trace.Phases)
 			}
 		}
 	}
 }
 
 func TestTracingDoesNotPerturbTheMeasurement(t *testing.T) {
-	plain, err := Figure5Over(300, 2, []int{4})
+	plain, err := Sweep(figure5, Grid{Seed: 300, Trials: 2, Sizes: []int{4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,10 +72,10 @@ func TestTracedSweepParallelMatchesSerial(t *testing.T) {
 	parallel := tracedFigure5(t, 3, 8)
 
 	var serialJSON, parallelJSON bytes.Buffer
-	if err := WriteNDJSON(&serialJSON, Figure5JSON(serial)); err != nil {
+	if err := WriteNDJSON(&serialJSON, serial); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteNDJSON(&parallelJSON, Figure5JSON(parallel)); err != nil {
+	if err := WriteNDJSON(&parallelJSON, parallel); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(serialJSON.Bytes(), parallelJSON.Bytes()) {
@@ -84,10 +84,10 @@ func TestTracedSweepParallelMatchesSerial(t *testing.T) {
 	}
 
 	var serialTrace, parallelTrace bytes.Buffer
-	if err := WriteFigure5Trace(&serialTrace, serial); err != nil {
+	if err := WriteTrace(&serialTrace, serial); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFigure5Trace(&parallelTrace, parallel); err != nil {
+	if err := WriteTrace(&parallelTrace, parallel); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(serialTrace.Bytes(), parallelTrace.Bytes()) {
@@ -95,10 +95,10 @@ func TestTracedSweepParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestWriteFigure5TraceShape(t *testing.T) {
+func TestWriteTraceShape(t *testing.T) {
 	rows := tracedFigure5(t, 1, 1)
 	var buf bytes.Buffer
-	if err := WriteFigure5Trace(&buf, rows); err != nil {
+	if err := WriteTrace(&buf, rows); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -145,12 +145,12 @@ func TestWriteFigure5TraceShape(t *testing.T) {
 		t.Fatal("no event records")
 	}
 	// Untraced rows write nothing.
-	plain, err := Figure5Over(300, 1, []int{2})
+	plain, err := Sweep(figure5, Grid{Seed: 300, Trials: 1, Sizes: []int{2}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf.Reset()
-	if err := WriteFigure5Trace(&buf, plain); err != nil {
+	if err := WriteTrace(&buf, plain); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() != 0 {
@@ -171,7 +171,7 @@ func TestTraceCapturesTheFailoverNarrative(t *testing.T) {
 			obs.KindAcquire, obs.KindAnnounce, obs.KindARPSpoof, obs.KindTokenPass,
 		} {
 			if kinds[want] == 0 {
-				t.Errorf("%s/n=%d: no %v event in the trace (kinds: %v)", r.Config, r.Size, want, kinds)
+				t.Errorf("%s: no %v event in the trace (kinds: %v)", r.Point, want, kinds)
 			}
 		}
 		// The ownership timeline must show the probed address changing hands.
@@ -183,7 +183,7 @@ func TestTraceCapturesTheFailoverNarrative(t *testing.T) {
 			}
 		}
 		if target == "" {
-			t.Errorf("%s/n=%d: no address changed hands in the timeline", r.Config, r.Size)
+			t.Errorf("%s: no address changed hands in the timeline", r.Point)
 		}
 	}
 }

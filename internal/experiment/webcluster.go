@@ -31,7 +31,6 @@ type WebCluster struct {
 	*wackamole.Cluster
 	ClientHost *netsim.Host
 	Client     *probe.Client
-	Probes     []*probe.Server
 	// Target is the probed virtual address.
 	Target netip.Addr
 }
@@ -55,11 +54,9 @@ func NewWebCluster(seed int64, servers int, cfg gcs.Config, mods ...func(*wackam
 	}
 	wc := &WebCluster{Cluster: cluster, Target: wackamole.VIPAddr(0)}
 	for _, srv := range cluster.Servers {
-		ps, err := probe.NewServer(srv.Host, ServicePort)
-		if err != nil {
+		if _, err := probe.NewServer(srv.Host, ServicePort); err != nil {
 			return nil, err
 		}
-		wc.Probes = append(wc.Probes, ps)
 	}
 	wc.ClientHost = cluster.Net.NewHost("client")
 	cnic := wc.ClientHost.AttachNIC(cluster.External, "eth0",
