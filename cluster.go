@@ -265,15 +265,11 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 		if opts.WrapBackend != nil {
 			backend = opts.WrapBackend(i, backend)
 		}
-		node, err := NewNode(ep.Env(opts.Logger), cfg, backend, notifier)
+		e := ep.Env(opts.Logger)
+		e.Tracer, e.Metrics = opts.Tracer, opts.Metrics
+		node, err := NewNode(e, cfg, backend, notifier)
 		if err != nil {
 			return nil, fmt.Errorf("wackamole: server %d: %w", i, err)
-		}
-		if opts.Tracer != nil {
-			node.SetTracer(opts.Tracer)
-		}
-		if opts.Metrics != nil {
-			node.SetMetrics(opts.Metrics)
 		}
 		if opts.Invariants != nil {
 			opts.Invariants.Attach(i, node)

@@ -60,6 +60,35 @@ func (a *announceLogger) Withdraw(netip.Addr) {}
 
 var _ arp.Notifier = (*announceLogger)(nil)
 
+// registerActivityCounters adds the protocol's own activity counts to r as
+// views of the atomics behind Daemon.Stats, Engine.Stats and the tracer,
+// which stay the single place those counts live (a nil r registers nothing).
+func registerActivityCounters(r *metrics.Registry, node *wackamole.Node) {
+	d, e, t := node.Daemon(), node.Engine(), node.Tracer()
+	r.CounterFunc("gcs_memberships_installed", "daemon-level configuration installs",
+		func() uint64 { return d.Stats().MembershipsInstalled })
+	r.CounterFunc("gcs_reconfigurations", "entries into the discovery (gather) state",
+		func() uint64 { return d.Stats().Reconfigurations })
+	r.CounterFunc("gcs_tokens_forwarded", "token passes to the ring successor",
+		func() uint64 { return d.Stats().TokensForwarded })
+	r.CounterFunc("gcs_data_sent", "first transmissions of totally ordered messages",
+		func() uint64 { return d.Stats().DataSent })
+	r.CounterFunc("gcs_data_retransmitted", "retransmissions served for token requests",
+		func() uint64 { return d.Stats().DataRetransmitted })
+	r.CounterFunc("gcs_data_delivered", "messages handed to the group layer in order",
+		func() uint64 { return d.Stats().DataDelivered })
+	r.CounterFunc("gcs_recovery_flushes", "old-ring messages delivered during Virtual Synchrony recovery",
+		func() uint64 { return d.Stats().RecoveryFlushes })
+	r.CounterFunc("core_acquires", "virtual addresses acquired",
+		func() uint64 { return e.Stats().Acquires })
+	r.CounterFunc("core_releases", "virtual addresses released",
+		func() uint64 { return e.Stats().Releases })
+	r.CounterFunc("core_announces", "ownership-change notifications requested",
+		func() uint64 { return e.Stats().Announces })
+	r.CounterFunc("obs_events_emitted", "trace events emitted, including those since overwritten", t.Emitted)
+	r.CounterFunc("obs_events_dropped", "trace events the ring has overwritten", t.Dropped)
+}
+
 // run starts the daemon and blocks until stop delivers; notices is the
 // diagnostic stream (stderr in production, a buffer in tests).
 func run(args []string, stop <-chan os.Signal, notices io.Writer) int {
@@ -88,6 +117,19 @@ func run(args []string, stop <-chan os.Signal, notices io.Writer) int {
 		return 1
 	}
 	e := env.Env{Clock: clock, Conn: conn, Log: log}
+	if cfg.Metrics != "" || cfg.FlightDir != "" || len(cfg.Telemetry) > 0 {
+		// Wall-clock tracing feeds /debug/events; it rides on the Env so the
+		// bootstrap discovery is captured too. The registry is the /metrics
+		// surface. The HLC makes this daemon's trace causally mergeable with
+		// its peers' (cmd/wackrec): wire messages carry the clock, events
+		// carry stamps, and observed clock skew lands on the obs_hlc_skew_ns
+		// gauge.
+		e.Tracer = obs.New(4096, nil)
+		e.Metrics = metrics.New()
+		e.HLC = obs.NewHLCClock(nil, cfg.Bind)
+		e.HLC.SetMetrics(e.Metrics)
+	}
+	tracer, registry := e.Tracer, e.Metrics
 
 	device := cfg.Device
 	if device == "" {
@@ -103,22 +145,7 @@ func run(args []string, stop <-chan os.Signal, notices io.Writer) int {
 		loop.Close()
 		return 1
 	}
-	var tracer *obs.Tracer
-	var registry *metrics.Registry
-	if cfg.Metrics != "" || cfg.FlightDir != "" || len(cfg.Telemetry) > 0 {
-		// Wall-clock tracing feeds /debug/events; installed before Start so
-		// the bootstrap discovery is captured too. The registry upgrades
-		// /metrics to Prometheus text format with latency histograms. The
-		// HLC makes this daemon's trace causally mergeable with its peers'
-		// (cmd/wackrec): wire messages carry the clock, events carry stamps,
-		// and observed clock skew lands on the obs_hlc_skew_ns gauge.
-		tracer = obs.New(4096, nil)
-		node.SetTracer(tracer)
-		registry = metrics.New()
-		node.SetMetrics(registry)
-		hlc := obs.NewHLCClock(nil, cfg.Bind)
-		hlc.SetMetrics(registry)
-		node.SetHLC(hlc)
+	if registry != nil {
 		// The live health plane rides on the same instruments: the
 		// observe-only phi-accrual monitor shadows the fixed T/H detectors
 		// (health_phi, health_interarrival_ns, phi-suspect trace events)
@@ -129,23 +156,7 @@ func run(args []string, stop <-chan os.Signal, notices io.Writer) int {
 			Tracer:  tracer,
 		}))
 	}
-	legacyCounters := func() map[string]uint64 {
-		ds, es := node.Daemon().Stats(), node.Engine().Stats()
-		return map[string]uint64{
-			"gcs_memberships_installed": ds.MembershipsInstalled,
-			"gcs_reconfigurations":      ds.Reconfigurations,
-			"gcs_tokens_forwarded":      ds.TokensForwarded,
-			"gcs_data_sent":             ds.DataSent,
-			"gcs_data_retransmitted":    ds.DataRetransmitted,
-			"gcs_data_delivered":        ds.DataDelivered,
-			"gcs_recovery_flushes":      ds.RecoveryFlushes,
-			"core_acquires":             es.Acquires,
-			"core_releases":             es.Releases,
-			"core_announces":            es.Announces,
-			"obs_events_emitted":        tracer.Emitted(),
-			"obs_events_dropped":        tracer.Dropped(),
-		}
-	}
+	registerActivityCounters(registry, node)
 	var recorder *obs.FlightRecorder
 	if cfg.FlightDir != "" {
 		// The black box: a bounded in-memory record of recent protocol life,
@@ -159,7 +170,6 @@ func run(args []string, stop <-chan os.Signal, notices io.Writer) int {
 			Dir:                   cfg.FlightDir,
 			Node:                  cfg.Bind,
 			Tracer:                tracer,
-			Metrics:               legacyCounters,
 			Registry:              registry,
 			Config:                string(raw),
 			InterruptionThreshold: cfg.FlightThreshold,
@@ -168,7 +178,7 @@ func run(args []string, stop <-chan os.Signal, notices io.Writer) int {
 				fmt.Fprintf(notices, "wackamole: "+format+"\n", args...)
 			},
 		})
-		node.Daemon().AddMembershipHandler(func(ring gcs.RingID, members []gcs.DaemonID) {
+		node.Daemon().SetMembershipHandler(func(ring gcs.RingID, members []gcs.DaemonID) {
 			ms := make([]string, len(members))
 			for i, m := range members {
 				ms[i] = string(m)
@@ -221,9 +231,9 @@ func run(args []string, stop <-chan os.Signal, notices io.Writer) int {
 
 	var obsSrv *obs.Server
 	if cfg.Metrics != "" {
-		// Stats() snapshots are atomic, so the handler reads them directly
-		// without posting to the loop.
-		h := obs.NewHandler(legacyCounters, tracer, registry)
+		// Every instrument is an atomic, so the handler snapshots the registry
+		// directly without posting to the loop.
+		h := obs.NewHandler(tracer, registry)
 		if cfg.Pprof {
 			h.EnableProfiling()
 		}

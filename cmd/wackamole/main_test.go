@@ -10,8 +10,73 @@ import (
 	"testing"
 	"time"
 
+	"wackamole"
 	"wackamole/internal/ctl"
+	"wackamole/internal/metrics"
+	"wackamole/internal/obs"
 )
+
+// activityCounters are the twelve series registerActivityCounters adds.
+var activityCounters = []string{
+	"gcs_memberships_installed", "gcs_reconfigurations", "gcs_tokens_forwarded",
+	"gcs_data_sent", "gcs_data_retransmitted", "gcs_data_delivered", "gcs_recovery_flushes",
+	"core_acquires", "core_releases", "core_announces",
+	"obs_events_emitted", "obs_events_dropped",
+}
+
+// TestActivityCountersMirrorStats pins the registry views of the protocol's
+// activity counts against the place the counts live: on a settled simulated
+// server, every series reads exactly what Stats() and the tracer report, and
+// keeps doing so as they move.
+func TestActivityCountersMirrorStats(t *testing.T) {
+	tracer := obs.New(64, nil) // small ring: obs_events_dropped must move
+	c, err := wackamole.NewCluster(wackamole.ClusterOptions{Seed: 5, Servers: 2, VIPs: 4, Tracer: tracer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := c.Servers[0].Node
+	reg := metrics.New()
+	registerActivityCounters(reg, node)
+	check := func() {
+		t.Helper()
+		ds, es := node.Daemon().Stats(), node.Engine().Stats()
+		want := map[string]uint64{
+			"gcs_memberships_installed": ds.MembershipsInstalled,
+			"gcs_reconfigurations":      ds.Reconfigurations,
+			"gcs_tokens_forwarded":      ds.TokensForwarded,
+			"gcs_data_sent":             ds.DataSent,
+			"gcs_data_retransmitted":    ds.DataRetransmitted,
+			"gcs_data_delivered":        ds.DataDelivered,
+			"gcs_recovery_flushes":      ds.RecoveryFlushes,
+			"core_acquires":             es.Acquires,
+			"core_releases":             es.Releases,
+			"core_announces":            es.Announces,
+			"obs_events_emitted":        tracer.Emitted(),
+			"obs_events_dropped":        tracer.Dropped(),
+		}
+		snap := reg.Snapshot()
+		if len(snap.Families) != len(activityCounters) {
+			t.Fatalf("%d families, want %d", len(snap.Families), len(activityCounters))
+		}
+		for _, name := range activityCounters {
+			f := snap.Family(name)
+			if f == nil || f.Kind != metrics.KindCounter || f.Help == "" || len(f.Series) != 1 {
+				t.Fatalf("family %s = %+v, want one documented counter series", name, f)
+			}
+			if got := uint64(f.Series[0].Value); got != want[name] {
+				t.Fatalf("%s = %d, Stats reports %d", name, got, want[name])
+			}
+		}
+	}
+	c.Settle()
+	check()
+	if node.Daemon().Stats().TokensForwarded == 0 || tracer.Dropped() == 0 {
+		t.Fatal("vacuous: the settled server forwarded no token or dropped no event")
+	}
+	c.FailServer(1)
+	c.Settle()
+	check()
+}
 
 func TestRunRejectsBadFlags(t *testing.T) {
 	if code := run([]string{"-bogus"}, nil, os.Stderr); code != 2 {
@@ -161,6 +226,27 @@ func TestDaemonInvariantsOnMetrics(t *testing.T) {
 		if !strings.Contains(body, family) {
 			t.Fatalf("family %s missing from /metrics:\n%s", family, body)
 		}
+	}
+	// One surface: every family, the protocol activity counters included,
+	// is announced by exactly one TYPE line.
+	types := map[string]int{}
+	for _, line := range strings.Split(body, "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			types[f[2]]++
+		}
+	}
+	for name, n := range types {
+		if n != 1 {
+			t.Fatalf("family %s has %d TYPE lines, want 1:\n%s", name, n, body)
+		}
+	}
+	for _, name := range activityCounters {
+		if types[name] != 1 || !strings.Contains(body, "# TYPE "+name+" counter\n"+name+" ") {
+			t.Fatalf("activity counter %s missing from /metrics:\n%s", name, body)
+		}
+	}
+	if !strings.Contains(body, "\ngcs_memberships_installed 1\n") {
+		t.Fatalf("singleton's one membership install not on /metrics:\n%s", body)
 	}
 
 	close(stop)

@@ -95,18 +95,17 @@ func run(args []string, stop <-chan os.Signal, out io.Writer) int {
 	nodeCfg.Engine.MatureTimeout = 10 * 365 * 24 * time.Hour
 	nodeCfg.Engine.DisableBalance = true
 
+	// The observer keeps its own latency registry: token rotation and
+	// delivery as seen from the monitor's seat on the ring.
+	registry := metrics.New()
 	node, err := wackamole.NewNode(
-		env.Env{Clock: clock, Conn: conn, Log: env.NopLogger{}},
+		env.Env{Clock: clock, Conn: conn, Log: env.NopLogger{}, Metrics: registry},
 		nodeCfg, &ipmgr.FakeBackend{}, nil)
 	if err != nil {
 		fmt.Fprintf(out, "wackmon: %v\n", err)
 		loop.Close()
 		return 1
 	}
-	// The observer keeps its own latency registry: token rotation and
-	// delivery as seen from the monitor's seat on the ring.
-	registry := metrics.New()
-	node.SetMetrics(registry)
 	startErr := make(chan error, 1)
 	loop.Post(func() { startErr <- node.Start() })
 	if err := <-startErr; err != nil {

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -33,14 +32,6 @@ import (
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-// phaseNames order the Breakdown components as the paper's §5 presents them,
-// matching cmd/wacktrace.
-var phaseNames = []string{"detection", "membership", "state-sync", "arp-takeover"}
-
-func phasesOf(b obs.Breakdown) []time.Duration {
-	return []time.Duration{b.Detection, b.Membership, b.StateSync, b.ARPTakeover}
 }
 
 func run(args []string, out, errW io.Writer) int {
@@ -119,7 +110,7 @@ func run(args []string, out, errW io.Writer) int {
 		fmt.Fprintln(out)
 		fmt.Fprintln(out, "## Ownership timelines")
 		fmt.Fprintln(out)
-		fmt.Fprint(out, renderTimelines(merged.Events))
+		fmt.Fprint(out, obs.RenderOwnershipTimeline(merged.Events))
 	}
 	if *jsonOut != "" {
 		w := out
@@ -197,41 +188,14 @@ func renderFailovers(failovers []forensics.Failover) string {
 		if f.Detector != "" || f.Acquirer != "" {
 			fmt.Fprintf(&b, "  detector=%s acquirer=%s\n", f.Detector, f.Acquirer)
 		}
-		for j, d := range phasesOf(f.Phases) {
+		for j, d := range f.Phases.Phases() {
 			pct := 0.0
 			if f.Gap > 0 {
 				pct = float64(d) / float64(f.Gap) * 100
 			}
-			fmt.Fprintf(&b, "  %-13s %10v  %5.1f%%\n", phaseNames[j], d, pct)
+			fmt.Fprintf(&b, "  %-13s %10v  %5.1f%%\n", obs.PhaseNames[j], d, pct)
 		}
 		fmt.Fprintf(&b, "  %-13s %10v\n", "total", f.Phases.Total())
-	}
-	return b.String()
-}
-
-// renderTimelines prints each address's ownership spans across all nodes,
-// relative to the first merged event.
-func renderTimelines(events []obs.Event) string {
-	if len(events) == 0 {
-		return ""
-	}
-	t0 := events[0].At
-	tl := obs.OwnershipTimeline(events)
-	addrs := make([]string, 0, len(tl))
-	for a := range tl {
-		addrs = append(addrs, a)
-	}
-	sort.Strings(addrs)
-	var b strings.Builder
-	for _, a := range addrs {
-		fmt.Fprintf(&b, "  %s\n", a)
-		for _, span := range tl[a] {
-			end := "…"
-			if !span.To.IsZero() {
-				end = fmt.Sprintf("+%.3fs", span.To.Sub(t0).Seconds())
-			}
-			fmt.Fprintf(&b, "    %-28s +%.3fs → %s\n", span.Owner, span.From.Sub(t0).Seconds(), end)
-		}
 	}
 	return b.String()
 }

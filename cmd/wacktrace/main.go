@@ -63,13 +63,6 @@ type trialRecord struct {
 	Target   string        `json:"target"`
 }
 
-// phaseNames order the Breakdown components as the paper's §5 presents them.
-var phaseNames = []string{"detection", "membership", "state-sync", "arp-takeover"}
-
-func phasesOf(b obs.Breakdown) []time.Duration {
-	return []time.Duration{b.Detection, b.Membership, b.StateSync, b.ARPTakeover}
-}
-
 func run(args []string, stdin io.Reader, out, errW io.Writer) int {
 	fs := flag.NewFlagSet("wacktrace", flag.ContinueOnError)
 	fs.SetOutput(errW)
@@ -253,17 +246,17 @@ func phaseTable(trials []*trial, points []string) string {
 	header := []string{"point", "phase", "trials", "mean", "p50", "p90", "p99", "max"}
 	var rows [][]string
 	for _, p := range points {
-		byPhase := make([][]time.Duration, len(phaseNames)+1)
+		byPhase := make([][]time.Duration, len(obs.PhaseNames)+1)
 		for _, t := range trials {
 			if t.point != p {
 				continue
 			}
-			for i, d := range phasesOf(t.recomputed) {
+			for i, d := range t.recomputed.Phases() {
 				byPhase[i] = append(byPhase[i], d)
 			}
-			byPhase[len(phaseNames)] = append(byPhase[len(phaseNames)], t.recomputed.Total())
+			byPhase[len(obs.PhaseNames)] = append(byPhase[len(obs.PhaseNames)], t.recomputed.Total())
 		}
-		for i, name := range append(append([]string{}, phaseNames...), "total") {
+		for i, name := range append(append([]string{}, obs.PhaseNames...), "total") {
 			ds := byPhase[i]
 			sort.Slice(ds, func(a, b int) bool { return ds[a] < ds[b] })
 			var sum time.Duration
@@ -324,32 +317,13 @@ func distribution(trials []*trial, points []string) string {
 	return b.String()
 }
 
-// renderTimelines folds each trial's acquire/release events into per-address
-// ownership spans, printed relative to the trial's first event.
+// renderTimelines prints each trial's per-address ownership spans under a
+// header naming the trial.
 func renderTimelines(trials []*trial) string {
 	var b strings.Builder
 	for _, t := range trials {
 		fmt.Fprintf(&b, "%s seed=%d\n", t.point, t.seed)
-		if len(t.events) == 0 {
-			continue
-		}
-		t0 := t.events[0].At
-		tl := obs.OwnershipTimeline(t.events)
-		addrs := make([]string, 0, len(tl))
-		for a := range tl {
-			addrs = append(addrs, a)
-		}
-		sort.Strings(addrs)
-		for _, a := range addrs {
-			fmt.Fprintf(&b, "  %s\n", a)
-			for _, span := range tl[a] {
-				end := "…"
-				if !span.To.IsZero() {
-					end = fmt.Sprintf("+%.3fs", span.To.Sub(t0).Seconds())
-				}
-				fmt.Fprintf(&b, "    %-28s +%.3fs → %s\n", span.Owner, span.From.Sub(t0).Seconds(), end)
-			}
-		}
+		b.WriteString(obs.RenderOwnershipTimeline(t.events))
 	}
 	return b.String()
 }
@@ -359,11 +333,11 @@ func renderTimelines(trials []*trial) string {
 // compatible tooling.
 func writeFolded(w io.Writer, trials []*trial) {
 	for _, t := range trials {
-		for i, d := range phasesOf(t.recomputed) {
+		for i, d := range t.recomputed.Phases() {
 			if d <= 0 {
 				continue
 			}
-			fmt.Fprintf(w, "%s;seed=%d;%s %d\n", t.point, t.seed, phaseNames[i], d.Microseconds())
+			fmt.Fprintf(w, "%s;seed=%d;%s %d\n", t.point, t.seed, obs.PhaseNames[i], d.Microseconds())
 		}
 	}
 }
@@ -380,11 +354,11 @@ func checkConsistency(trials []*trial, tol time.Duration) []string {
 				t.point, t.seed, total, reportedGap, diff))
 			continue
 		}
-		rep := phasesOf(t.reported)
-		for i, d := range phasesOf(t.recomputed) {
+		rep := t.reported.Phases()
+		for i, d := range t.recomputed.Phases() {
 			if diff := (d - rep[i]).Abs(); diff > tol {
 				bad = append(bad, fmt.Sprintf("%s seed=%d: %s recomputed %v vs recorded %v (Δ %v)",
-					t.point, t.seed, phaseNames[i], d, rep[i], diff))
+					t.point, t.seed, obs.PhaseNames[i], d, rep[i], diff))
 				break
 			}
 		}

@@ -75,6 +75,12 @@ func TestForensicsLiveCluster(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The production wiring from cmd/wackamole: tracer, registry and HLC
+		// (piggybacked on the wire by the daemon) ride on the Env; the flight
+		// recorder is fed by the membership stream.
+		tracer, registry := obs.New(4096, nil), metrics.New()
+		e.Tracer, e.Metrics, e.HLC = tracer, registry, obs.NewHLCClock(nil, addr)
+		e.HLC.SetMetrics(registry)
 		node, err := wackamole.NewNode(e, wackamole.Config{
 			GCS: gcs.Config{
 				FaultDetectTimeout: 800 * time.Millisecond,
@@ -87,20 +93,10 @@ func TestForensicsLiveCluster(t *testing.T) {
 			cleanup()
 			t.Fatal(err)
 		}
-		// The production wiring from cmd/wackamole: tracer, registry, HLC
-		// (piggybacked on the wire by the daemon), flight recorder fed by the
-		// membership stream.
-		tracer := obs.New(4096, nil)
-		node.SetTracer(tracer)
-		registry := metrics.New()
-		node.SetMetrics(registry)
-		hlc := obs.NewHLCClock(nil, addr)
-		hlc.SetMetrics(registry)
-		node.SetHLC(hlc)
 		recorder := obs.NewFlightRecorder(obs.FlightConfig{
 			Dir: flightDir, Node: addr, Tracer: tracer, Registry: registry,
 		})
-		node.Daemon().AddMembershipHandler(func(ring gcs.RingID, members []gcs.DaemonID) {
+		node.Daemon().SetMembershipHandler(func(ring gcs.RingID, members []gcs.DaemonID) {
 			ms := make([]string, len(members))
 			for j, m := range members {
 				ms[j] = string(m)

@@ -104,6 +104,12 @@ func TestHealthLiveCluster(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Production wiring from cmd/wackamole, health monitor included.
+		// The tracer ring is sized so post-kill token traffic cannot evict
+		// the phi-suspect events before the test snapshots them.
+		tracer, registry := obs.New(1<<16, nil), metrics.New()
+		e.Tracer, e.Metrics, e.HLC = tracer, registry, obs.NewHLCClock(nil, addr)
+		e.HLC.SetMetrics(registry)
 		node, err := wackamole.NewNode(e, wackamole.Config{
 			GCS: gcs.Config{
 				FaultDetectTimeout: 800 * time.Millisecond,
@@ -116,16 +122,6 @@ func TestHealthLiveCluster(t *testing.T) {
 			cleanup()
 			t.Fatal(err)
 		}
-		// Production wiring from cmd/wackamole, health monitor included.
-		// The tracer ring is sized so post-kill token traffic cannot evict
-		// the phi-suspect events before the test snapshots them.
-		tracer := obs.New(1<<16, nil)
-		node.SetTracer(tracer)
-		registry := metrics.New()
-		node.SetMetrics(registry)
-		hlc := obs.NewHLCClock(nil, addr)
-		hlc.SetMetrics(registry)
-		node.SetHLC(hlc)
 		node.SetHealth(health.NewMonitor(health.Options{
 			Node: addr, Metrics: registry, Tracer: tracer,
 		}))

@@ -92,20 +92,8 @@ func (o Options) withDefaults() Options {
 // to four cascaded reconfiguration rounds (merges can restart discovery),
 // then the session reconnect interval and reallocation slack.
 func SettleBound(cfg gcs.Config) time.Duration {
-	form := cfg.FormTimeout
-	if form <= 0 {
-		form = cfg.DiscoveryTimeout / 2
-	}
-	rec := cfg.RecoveryTimeout
-	if rec <= 0 {
-		rec = cfg.DiscoveryTimeout / 2
-	}
-	tokenLoss := cfg.TokenLossTimeout
-	if tokenLoss <= 0 {
-		tokenLoss = cfg.FaultDetectTimeout
-	}
-	round := cfg.DiscoveryTimeout + form + rec
-	return tokenLoss + cfg.FaultDetectTimeout + 4*round + 2*time.Second + 3*time.Second
+	round := cfg.DiscoveryTimeout + cfg.FormTimeout() + cfg.RecoveryTimeout()
+	return cfg.TokenLossTimeout() + cfg.FaultDetectTimeout + 4*round + 2*time.Second + 3*time.Second
 }
 
 // Report is the outcome of one checked run.

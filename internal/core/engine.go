@@ -37,6 +37,11 @@ type Deps struct {
 	Clock env.Clock
 	// Log receives diagnostics. Nil means discard.
 	Log env.Logger
+	// Tracer records the engine's structured events. Nil means no tracing.
+	Tracer *obs.Tracer
+	// Metrics holds the state-sync and announce-lag histograms and the
+	// placement counters. Nil means no measurement.
+	Metrics *metrics.Registry
 }
 
 // Engine is one server's instance of the Wackamole state-synchronization
@@ -90,13 +95,11 @@ type Engine struct {
 	balanceTimer env.Timer
 	matureTimer  env.Timer
 
-	hook     func(Event)
-	viewHook func(View)
-	ownHook  func(group string, owned bool, viewID string)
-	tracer   *obs.Tracer
-	stats    engineCounters
+	viewHooks []func(View)
+	ownHooks  []func(group string, owned bool, viewID string)
+	stats     engineCounters
 
-	// Latency instruments (nil when no registry is installed; a nil
+	// Latency instruments (nil when Deps carries no registry; a nil
 	// histogram's Observe is a zero-allocation no-op). gatherStart is
 	// observation state for the current GATHER episode.
 	mStateSync   *metrics.Histogram
@@ -154,27 +157,9 @@ func (e *Engine) Stats() Stats {
 // policy. Safe from any goroutine (the policy is fixed at construction).
 func (e *Engine) PlacementName() string { return e.placer.Name() }
 
-// SetTracer installs a structured event tracer (nil disables tracing).
-// Call before Start.
-func (e *Engine) SetTracer(t *obs.Tracer) { e.tracer = t }
-
-// SetMetrics installs a latency-metrics registry (nil disables measurement).
-// Call before Start.
-func (e *Engine) SetMetrics(r *metrics.Registry) {
-	node := metrics.L("node", string(e.deps.Self))
-	e.mStateSync = r.Histogram("core_state_sync_seconds",
-		"duration of the GATHER state-synchronization round, from view delivery to entering RUN", node)
-	e.mAnnounceLag = r.Histogram("core_announce_lag_seconds",
-		"lag from view delivery to the ownership announcement of each address acquired in that round", node)
-	e.mMoves = r.Counter("placement_moves_total",
-		"VIP groups whose table owner changed from one member to another (reconfiguration churn)", node)
-	e.mSkew = r.Gauge("placement_skew",
-		"spread between the most and least loaded eligible members of the current view", node)
-}
-
 // trace emits a core-layer event tagged with this member's identity.
 func (e *Engine) trace(k obs.Kind, group, addr, detail string) {
-	e.tracer.Emit(obs.Event{Source: obs.SourceCore, Kind: k,
+	e.deps.Tracer.Emit(obs.Event{Source: obs.SourceCore, Kind: k,
 		Node: string(e.deps.Self), Group: group, Addr: addr, Detail: detail})
 }
 
@@ -212,6 +197,15 @@ func NewEngine(cfg Config, deps Deps) (*Engine, error) {
 	for _, g := range cfg.Groups {
 		e.groupsByName[g.Name] = g
 	}
+	node := metrics.L("node", string(deps.Self))
+	e.mStateSync = deps.Metrics.Histogram("core_state_sync_seconds",
+		"duration of the GATHER state-synchronization round, from view delivery to entering RUN", node)
+	e.mAnnounceLag = deps.Metrics.Histogram("core_announce_lag_seconds",
+		"lag from view delivery to the ownership announcement of each address acquired in that round", node)
+	e.mMoves = deps.Metrics.Counter("placement_moves_total",
+		"VIP groups whose table owner changed from one member to another (reconfiguration churn)", node)
+	e.mSkew = deps.Metrics.Gauge("placement_skew",
+		"spread between the most and least loaded eligible members of the current view", node)
 	// The placement closures are built once: policies read the replicated
 	// state through them on every planning call without allocating.
 	e.ownerFn = func(g string) string { return string(e.table[g]) }
@@ -226,43 +220,21 @@ func NewEngine(cfg Config, deps Deps) (*Engine, error) {
 	return e, nil
 }
 
-// SetEventHook registers an observer for engine transitions (experiments
-// and tests use it to timestamp reallocation).
-func (e *Engine) SetEventHook(h func(Event)) { e.hook = h }
-
 // AddViewHook registers a typed observer that runs once per view the engine
-// installs, after the view is recorded but before any STATE_MSG exchange.
-// Unlike the stringly-typed event hook it receives the full membership list
-// (a private copy), which is what protocol checkers need to compare
-// installation order across engines. h is chained after any previously
-// registered view hook, so independent observers (invariant monitor, flight
-// recorder) coexist; with none registered (the default) the engine pays
-// nothing. Call before Start.
-func (e *Engine) AddViewHook(h func(View)) {
-	if h == nil {
-		return
-	}
-	if prev := e.viewHook; prev != nil {
-		e.viewHook = func(v View) { prev(v); h(v) }
-		return
-	}
-	e.viewHook = h
-}
+// installs, after the view is recorded but before any STATE_MSG exchange. It
+// receives the full membership list (a private copy), which is what protocol
+// checkers need to compare installation order across engines. Hooks run in
+// registration order, so independent observers coexist; with none registered
+// (the default) the engine pays nothing. Call before Start.
+func (e *Engine) AddViewHook(h func(View)) { e.viewHooks = append(e.viewHooks, h) }
 
 // AddOwnershipHook registers a typed observer for address-group ownership
 // transitions: it runs after every successful acquire (owned=true) and
 // release (owned=false) with the ID of the view the engine held at that
-// moment (empty when detached). h is chained after any previously registered
-// ownership hook. Call before Start.
+// moment (empty when detached). Hooks run in registration order. Call before
+// Start.
 func (e *Engine) AddOwnershipHook(h func(group string, owned bool, viewID string)) {
-	if h == nil {
-		return
-	}
-	if prev := e.ownHook; prev != nil {
-		e.ownHook = func(g string, owned bool, viewID string) { prev(g, owned, viewID); h(g, owned, viewID) }
-		return
-	}
-	e.ownHook = h
+	e.ownHooks = append(e.ownHooks, h)
 }
 
 // SetNotifier replaces the ownership-change notifier. Applications that
@@ -273,12 +245,6 @@ func (e *Engine) SetNotifier(n arp.Notifier) {
 		n = arp.NopNotifier{}
 	}
 	e.deps.Notify = n
-}
-
-func (e *Engine) emit(k EventKind, group, detail string) {
-	if e.hook != nil {
-		e.hook(Event{Kind: k, Group: group, Detail: detail})
-	}
 }
 
 // Start arms the maturity bootstrap (§3.4): a fresh server manages no
@@ -337,10 +303,10 @@ func (e *Engine) OnView(v View) {
 	}
 	e.view = View{ID: v.ID, Members: append([]MemberID(nil), v.Members...)}
 	e.gatherStart = e.deps.Clock.Now()
-	if e.viewHook != nil {
-		e.viewHook(View{ID: v.ID, Members: append([]MemberID(nil), v.Members...)})
+	for _, h := range e.viewHooks {
+		h(View{ID: v.ID, Members: append([]MemberID(nil), v.Members...)})
 	}
-	if e.tracer.Enabled() {
+	if e.deps.Tracer.Enabled() {
 		e.trace(obs.KindViewChange, v.ID, "", fmt.Sprintf("members=%d", len(v.Members)))
 	}
 	e.setState(StateGather)
@@ -365,7 +331,6 @@ func (e *Engine) castState() {
 	msg := stateMsg{ViewID: e.view.ID, Mature: e.mature, Owned: owned, Prefer: e.cfg.Prefer}
 	if err := e.deps.Cast(msg.encode()); err != nil {
 		e.deps.Log.Logf("wackamole %s: cast state: %v", e.deps.Self, err)
-		e.emit(EventError, "", fmt.Sprintf("cast state: %v", err))
 	}
 }
 
@@ -399,7 +364,7 @@ func (e *Engine) onState(from MemberID, m stateMsg) {
 	e.trace(obs.KindStateRecv, m.ViewID, "", string(from))
 	if m.Mature && !e.mature {
 		// Contact with a mature server matures this one (§3.4).
-		e.becomeMature("state message from " + string(from))
+		e.becomeMature()
 	}
 	for _, g := range m.Owned {
 		if _, known := e.groupsByName[g]; !known {
@@ -429,7 +394,6 @@ func (e *Engine) onState(from MemberID, m stateMsg) {
 			msg := balanceMsg{ViewID: e.view.ID, Alloc: e.computeReallocation()}
 			if err := e.deps.Cast(msg.encodeAs(kindAlloc)); err != nil {
 				e.deps.Log.Logf("wackamole %s: cast alloc: %v", e.deps.Self, err)
-				e.emit(EventError, "", fmt.Sprintf("cast alloc: %v", err))
 			}
 		}
 		return
@@ -468,7 +432,7 @@ func (e *Engine) onAlloc(from MemberID, m balanceMsg) {
 		}
 	}
 	e.updateSkew()
-	if e.tracer.Enabled() {
+	if e.deps.Tracer.Enabled() {
 		e.trace(obs.KindBalanceApply, e.view.ID, "", "alloc:"+string(from))
 	}
 	e.setState(StateRun)
@@ -495,7 +459,6 @@ func (e *Engine) claim(g string, from MemberID) {
 	}
 	e.table[g] = winner
 	e.noteOwner(g, winner)
-	e.emit(EventConflictDrop, g, fmt.Sprintf("%s yields to %s", loser, winner))
 	if loser == e.deps.Self && e.owned[g] {
 		if e.cfg.LazyConflictRelease {
 			e.pendingDrops = append(e.pendingDrops, g)
@@ -572,7 +535,6 @@ func (e *Engine) onBalance(from MemberID, m balanceMsg) {
 	}
 	e.updateSkew()
 	e.trace(obs.KindBalanceApply, e.view.ID, "", string(from))
-	e.emit(EventBalanceApplied, "", string(from))
 	e.armBalance()
 }
 
@@ -588,7 +550,7 @@ func (e *Engine) onMature(from MemberID, m matureMsg) {
 		e.matureOf[member] = true
 	}
 	if !e.mature {
-		e.becomeMature("mature announcement from " + string(from))
+		e.becomeMature()
 	}
 	if !already {
 		e.reallocateUncoveredInRun()
@@ -632,18 +594,17 @@ func (e *Engine) ResetMaturity() {
 	e.matureTimer = e.deps.Clock.AfterFunc(e.cfg.matureTimeout(), e.onMatureTimeout)
 }
 
-func (e *Engine) becomeMature(why string) {
+func (e *Engine) becomeMature() {
 	e.mature = true
 	stopTimer(e.matureTimer)
 	e.matureTimer = nil
-	e.emit(EventMatured, "", why)
 }
 
 func (e *Engine) onMatureTimeout() {
 	if e.mature {
 		return
 	}
-	e.becomeMature("maturity timeout")
+	e.becomeMature()
 	if e.state == StateRun && !e.matureOf[e.deps.Self] {
 		e.castMature()
 	}
@@ -693,7 +654,6 @@ func (e *Engine) setState(s State) {
 		}
 		e.trace(obs.KindRunEnter, e.view.ID, "", "")
 	}
-	e.emit(EventStateChange, "", s.String())
 }
 
 func (e *Engine) acquireGroup(g, why string) {
@@ -701,7 +661,6 @@ func (e *Engine) acquireGroup(g, why string) {
 	for _, a := range grp.Addrs {
 		if err := e.deps.IPs.Acquire(a); err != nil {
 			e.deps.Log.Logf("wackamole %s: acquire %v (%s): %v", e.deps.Self, a, g, err)
-			e.emit(EventError, g, fmt.Sprintf("acquire %v: %v", a, err))
 			continue
 		}
 		e.stats.acquires.Add(1)
@@ -711,17 +670,16 @@ func (e *Engine) acquireGroup(g, why string) {
 			// the client-visible takeover lag since the view change.
 			e.mAnnounceLag.ObserveDuration(e.deps.Clock.Now().Sub(e.gatherStart))
 		}
-		if e.tracer.Enabled() {
+		if e.deps.Tracer.Enabled() {
 			e.trace(obs.KindAcquire, g, a.String(), why)
 			e.trace(obs.KindAnnounce, g, a.String(), "")
 		}
 		e.deps.Notify.Announce(a)
 	}
 	e.owned[g] = true
-	if e.ownHook != nil {
-		e.ownHook(g, true, e.view.ID)
+	for _, h := range e.ownHooks {
+		h(g, true, e.view.ID)
 	}
-	e.emit(EventAcquire, g, why)
 }
 
 func (e *Engine) releaseGroup(g, why string) {
@@ -729,20 +687,18 @@ func (e *Engine) releaseGroup(g, why string) {
 	for _, a := range grp.Addrs {
 		if err := e.deps.IPs.Release(a); err != nil {
 			e.deps.Log.Logf("wackamole %s: release %v (%s): %v", e.deps.Self, a, g, err)
-			e.emit(EventError, g, fmt.Sprintf("release %v: %v", a, err))
 			continue
 		}
 		e.stats.releases.Add(1)
-		if e.tracer.Enabled() {
+		if e.deps.Tracer.Enabled() {
 			e.trace(obs.KindRelease, g, a.String(), why)
 		}
 		e.deps.Notify.Withdraw(a)
 	}
 	delete(e.owned, g)
-	if e.ownHook != nil {
-		e.ownHook(g, false, e.view.ID)
+	for _, h := range e.ownHooks {
+		h(g, false, e.view.ID)
 	}
-	e.emit(EventRelease, g, why)
 }
 
 // representative returns the member that executes the re-balancing
@@ -789,7 +745,7 @@ func (e *Engine) runBalance() {
 		e.armBalance()
 		return
 	}
-	if e.tracer.Enabled() {
+	if e.deps.Tracer.Enabled() {
 		e.trace(obs.KindBalanceCast, e.view.ID, "", fmt.Sprintf("moves=%d", len(alloc)))
 	}
 	msg := balanceMsg{ViewID: e.view.ID, Alloc: alloc}

@@ -10,10 +10,11 @@ import (
 	"wackamole/internal/arp"
 	"wackamole/internal/core"
 	"wackamole/internal/ipmgr"
+	"wackamole/internal/obs"
 	"wackamole/internal/sim"
 )
 
-func TestStateAndEventStrings(t *testing.T) {
+func TestStateStrings(t *testing.T) {
 	for want, s := range map[string]core.State{
 		"detached": core.StateDetached, "gather": core.StateGather, "run": core.StateRun,
 	} {
@@ -23,21 +24,6 @@ func TestStateAndEventStrings(t *testing.T) {
 	}
 	if core.State(99).String() == "" {
 		t.Fatal("unknown state empty")
-	}
-	kinds := []core.EventKind{
-		core.EventStateChange, core.EventAcquire, core.EventRelease,
-		core.EventConflictDrop, core.EventBalanceApplied, core.EventMatured, core.EventError,
-	}
-	seen := map[string]bool{}
-	for _, k := range kinds {
-		s := k.String()
-		if s == "" || seen[s] {
-			t.Fatalf("EventKind %d string %q duplicated or empty", k, s)
-		}
-		seen[s] = true
-	}
-	if core.EventKind(99).String() == "" {
-		t.Fatal("unknown event kind empty")
 	}
 }
 
@@ -71,7 +57,7 @@ func (r recorder) Withdraw(netip.Addr)   {}
 
 var _ arp.Notifier = recorder{}
 
-func TestReleaseFailureSurfacesAsEvent(t *testing.T) {
+func TestReleaseFailureIsLogged(t *testing.T) {
 	h := newHarness(t, 2, matureConfig(2))
 	a := h.members[0]
 	h.backends[a].FailRelease = func(netip.Addr) error { return errors.New("stuck address") }
@@ -79,14 +65,40 @@ func TestReleaseFailureSurfacesAsEvent(t *testing.T) {
 	h.pump()
 	// Force a release via disconnect.
 	h.engines[a].OnDisconnect()
-	foundErr := false
-	for _, ev := range h.events[a] {
-		if ev.Kind == core.EventError {
-			foundErr = true
-		}
+	if !h.logs[a].contains("release", "stuck address") {
+		t.Fatalf("release failure not logged: %q", h.logs[a].lines)
 	}
-	if !foundErr {
-		t.Fatal("release failure produced no error event")
+}
+
+// TestOwnershipHooksChainInRegistrationOrder pins the Add semantics two
+// production observers rely on when they share an engine (the router's
+// routing-participation switch and the invariant monitor): both hooks see
+// every transition, first-registered first.
+func TestOwnershipHooksChainInRegistrationOrder(t *testing.T) {
+	h := newHarness(t, 1, matureConfig(2))
+	id := h.members[0]
+	var calls []string
+	for _, name := range []string{"first", "second"} {
+		name := name
+		h.engines[id].AddOwnershipHook(func(g string, owned bool, viewID string) {
+			calls = append(calls, fmt.Sprintf("%s %s %v %s", name, g, owned, viewID))
+		})
+	}
+	h.setPartition(h.all())
+	h.pump()
+	h.engines[id].OnDisconnect()
+	want := []string{
+		"first vip00 true v1.0", "second vip00 true v1.0",
+		"first vip01 true v1.0", "second vip01 true v1.0",
+		"first vip00 false v1.0", "second vip00 false v1.0",
+		"first vip01 false v1.0", "second vip01 false v1.0",
+	}
+	if fmt.Sprint(calls) != fmt.Sprint(want) {
+		t.Fatalf("hook calls =\n%q\nwant\n%q", calls, want)
+	}
+	// The harness's own hook, registered before both, saw the same stream.
+	if len(h.owns[id]) != 4 {
+		t.Fatalf("harness hook saw %d transitions, want 4", len(h.owns[id]))
 	}
 }
 
@@ -121,15 +133,7 @@ func TestBalanceTimerNoCastWhenAlreadyBalanced(t *testing.T) {
 		t.Fatalf("balanced cluster cast %d messages on the balance timer", len(h.queue))
 	}
 	// And the timer re-armed: skew it later and verify balancing happens.
-	balances := 0
-	for _, id := range h.members {
-		id := id
-		h.engines[id].SetEventHook(func(ev core.Event) {
-			if ev.Kind == core.EventBalanceApplied {
-				balances++
-			}
-		})
-	}
+	before := h.traced(obs.KindBalanceApply)
 	// Isolate both: each covers everything; the merge hands all conflicted
 	// groups to the later member, leaving a 0/4 skew for the balancer.
 	h.setPartition([]core.MemberID{h.members[0]}, []core.MemberID{h.members[1]})
@@ -141,7 +145,7 @@ func TestBalanceTimerNoCastWhenAlreadyBalanced(t *testing.T) {
 		t.Fatalf("setup: expected full skew, got %v", counts)
 	}
 	h.runFor(4 * time.Second)
-	if balances == 0 {
+	if h.traced(obs.KindBalanceApply) == before {
 		t.Fatal("skewed cluster never rebalanced after a re-armed timer")
 	}
 }
@@ -159,29 +163,23 @@ func TestMatureTimeoutDefaultApplied(t *testing.T) {
 	h.checkComponent(h.all(), true)
 }
 
-func TestCastFailureEmitsErrorEvent(t *testing.T) {
+func TestCastFailureIsLogged(t *testing.T) {
 	clock := sim.New(1)
-	var events []core.Event
+	log := &captureLog{}
 	e, err := core.NewEngine(matureConfig(2), core.Deps{
 		Self:  "m00",
 		Cast:  func([]byte) error { return errors.New("network unplugged") },
 		IPs:   ipmgr.New(&ipmgr.FakeBackend{}),
 		Clock: clock,
+		Log:   log,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetEventHook(func(ev core.Event) { events = append(events, ev) })
 	e.Start()
 	e.OnView(core.View{ID: "v1", Members: []core.MemberID{"m00"}})
-	foundErr := false
-	for _, ev := range events {
-		if ev.Kind == core.EventError {
-			foundErr = true
-		}
-	}
-	if !foundErr {
-		t.Fatal("cast failure produced no error event")
+	if !log.contains("cast state", "network unplugged") {
+		t.Fatalf("cast failure not logged: %q", log.lines)
 	}
 }
 

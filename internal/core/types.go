@@ -210,46 +210,3 @@ type Status struct {
 	// Owned lists the groups whose addresses this node has acquired.
 	Owned []string
 }
-
-// EventKind classifies engine events for observers.
-type EventKind uint8
-
-// Event kinds.
-const (
-	EventStateChange EventKind = iota + 1
-	EventAcquire
-	EventRelease
-	EventConflictDrop
-	EventBalanceApplied
-	EventMatured
-	EventError
-)
-
-// String names the event kind.
-func (k EventKind) String() string {
-	switch k {
-	case EventStateChange:
-		return "state-change"
-	case EventAcquire:
-		return "acquire"
-	case EventRelease:
-		return "release"
-	case EventConflictDrop:
-		return "conflict-drop"
-	case EventBalanceApplied:
-		return "balance-applied"
-	case EventMatured:
-		return "matured"
-	case EventError:
-		return "error"
-	default:
-		return fmt.Sprintf("event(%d)", uint8(k))
-	}
-}
-
-// Event describes one observable engine transition.
-type Event struct {
-	Kind   EventKind
-	Group  string // group involved, if any
-	Detail string
-}

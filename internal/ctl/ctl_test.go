@@ -19,10 +19,17 @@ import (
 // messages inline and the token loops back over unicast.
 func liveNode(t *testing.T, mods ...func(*gcs.Config)) (*wackamole.Node, *realtime.Loop) {
 	t.Helper()
+	return liveNodeMeasured(t, nil, mods...)
+}
+
+// liveNodeMeasured is liveNode with a latency registry on the node's Env.
+func liveNodeMeasured(t *testing.T, reg *metrics.Registry, mods ...func(*gcs.Config)) (*wackamole.Node, *realtime.Loop) {
+	t.Helper()
 	e, loop, cleanup, err := realtime.NewEnv("127.0.0.1:0", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.Metrics = reg
 	gcsCfg := gcs.TunedConfig()
 	// Shrink discovery so the singleton forms fast in wall-clock time.
 	gcsCfg.DiscoveryTimeout = 300 * time.Millisecond
@@ -201,10 +208,7 @@ func TestFormatStatusReportsDetector(t *testing.T) {
 }
 
 func TestFormatStatusLatencySummary(t *testing.T) {
-	node, loop := liveNode(t)
-	wired := make(chan struct{})
-	loop.Post(func() { node.SetMetrics(metrics.New()); close(wired) })
-	<-wired
+	node, _ := liveNodeMeasured(t, metrics.New())
 
 	// Wait for the singleton's token to rotate a few times so the rotation
 	// histogram has observations.

@@ -18,6 +18,9 @@ import (
 	"io"
 	"sync"
 	"time"
+
+	"wackamole/internal/metrics"
+	"wackamole/internal/obs"
 )
 
 // Addr identifies a protocol endpoint, formatted as "ip:port". The zero
@@ -66,11 +69,19 @@ type Logger interface {
 	Logf(format string, args ...any)
 }
 
-// Env bundles the runtime facilities handed to a protocol instance.
+// Env bundles the runtime facilities handed to a protocol instance and the
+// instruments it reports to. Everything built on an Env resolves Tracer,
+// Metrics and HLC here, at construction; each is nil-safe, and nil (the zero
+// value) leaves that instrument off at no cost.
 type Env struct {
-	Clock Clock
-	Conn  PacketConn
-	Log   Logger
+	Clock   Clock
+	Conn    PacketConn
+	Log     Logger
+	Tracer  *obs.Tracer
+	Metrics *metrics.Registry
+	// HLC stamps outbound wire messages and traced events and merges inbound
+	// stamps, making traces from different nodes causally mergeable.
+	HLC *obs.HLCClock
 }
 
 // NopLogger discards all output.

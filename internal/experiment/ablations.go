@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"wackamole"
-	"wackamole/internal/core"
 	"wackamole/internal/experiment/runner"
 	"wackamole/internal/gcs"
 	"wackamole/internal/netsim"
@@ -134,8 +133,8 @@ func MaturityBootTrial(seed int64, bootstrap bool) (runner.Sample, error) {
 	}
 	releases := 0
 	for _, srv := range c.Servers {
-		srv.Node.Engine().SetEventHook(func(ev core.Event) {
-			if ev.Kind == core.EventRelease {
+		srv.Node.Engine().AddOwnershipHook(func(_ string, owned bool, _ string) {
+			if !owned {
 				releases++
 			}
 		})

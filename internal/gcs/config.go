@@ -69,23 +69,6 @@ type Config struct {
 	// (Table 1: "Discovery timeout").
 	DiscoveryTimeout time.Duration
 
-	// FormTimeout bounds the wait for the coordinator's FORM message after
-	// discovery closes. Zero means DiscoveryTimeout/2.
-	FormTimeout time.Duration
-	// RecoveryTimeout bounds the Virtual Synchrony flush after a new
-	// membership forms. Zero means DiscoveryTimeout/2.
-	RecoveryTimeout time.Duration
-	// TokenInterval paces token forwarding, bounding the ring's rotation
-	// rate. Zero means 1ms.
-	TokenInterval time.Duration
-	// TokenLossTimeout is how long the ring may show no token or data
-	// activity before the daemon reconfigures. Zero means
-	// FaultDetectTimeout.
-	TokenLossTimeout time.Duration
-	// Window is the maximum number of messages a daemon may introduce per
-	// token visit. Zero means 64.
-	Window int
-
 	// Detector selects how ring-member faults are detected: DetectorFixed
 	// (the zero value, the paper's T timeout) or DetectorPhi (adaptive
 	// phi-accrual suspicion with the T timeout retained as a floor).
@@ -121,23 +104,31 @@ func TunedConfig() Config {
 	}
 }
 
-// withDefaults fills the derived fields.
+// The remaining protocol timings are not knobs: they derive from the Table-1
+// timeouts, here and nowhere else (the checker's settle bound reads the same
+// accessors).
+const (
+	// tokenInterval paces token forwarding, bounding the ring's rotation rate.
+	tokenInterval = time.Millisecond
+	// window is the maximum number of messages a daemon may introduce per
+	// token visit.
+	window = 64
+)
+
+// FormTimeout bounds the wait for the coordinator's FORM message after
+// discovery closes.
+func (c Config) FormTimeout() time.Duration { return c.DiscoveryTimeout / 2 }
+
+// RecoveryTimeout bounds the Virtual Synchrony flush after a new membership
+// forms.
+func (c Config) RecoveryTimeout() time.Duration { return c.DiscoveryTimeout / 2 }
+
+// TokenLossTimeout is how long the ring may show no token or data activity
+// before the daemon reconfigures.
+func (c Config) TokenLossTimeout() time.Duration { return c.FaultDetectTimeout }
+
+// withDefaults fills the zero-valued optional fields.
 func (c Config) withDefaults() Config {
-	if c.FormTimeout <= 0 {
-		c.FormTimeout = c.DiscoveryTimeout / 2
-	}
-	if c.RecoveryTimeout <= 0 {
-		c.RecoveryTimeout = c.DiscoveryTimeout / 2
-	}
-	if c.TokenInterval <= 0 {
-		c.TokenInterval = time.Millisecond
-	}
-	if c.TokenLossTimeout <= 0 {
-		c.TokenLossTimeout = c.FaultDetectTimeout
-	}
-	if c.Window <= 0 {
-		c.Window = 64
-	}
 	if c.PhiCheckInterval <= 0 {
 		c.PhiCheckInterval = c.HeartbeatInterval / 2
 	}

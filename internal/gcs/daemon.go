@@ -106,15 +106,13 @@ type Daemon struct {
 
 	groups       *groupLayer
 	onMembership MembershipHandler
-	onDelivery   DeliveryHandler
+	onDelivery   []DeliveryHandler
 	onDetection  DetectionHook
-	tracer       *obs.Tracer
-	hlc          *obs.HLCClock
 	health       *health.Monitor
 	stats        daemonCounters
 
-	// Latency instruments (nil when no registry is installed; observing on a
-	// nil histogram is a zero-allocation no-op, so the uninstrumented run is
+	// Latency instruments (nil when the Env carries no registry; observing on
+	// a nil histogram is a zero-allocation no-op, so the uninstrumented run is
 	// unchanged). The time.Time fields below are observation state only —
 	// they never schedule events or draw randomness.
 	mTokenRotation *metrics.Histogram
@@ -227,7 +225,10 @@ type recovery struct {
 }
 
 // NewDaemon creates a daemon on e. Its identity is the endpoint's stationary
-// address. Call Start to begin operation.
+// address. The instruments come from e too: events go to e.Tracer, the
+// latency histograms land in e.Metrics, and e.HLC stamps every outbound
+// message at transmit time and merges every inbound stamp, so traces on
+// different daemons become causally comparable. Call Start to begin operation.
 func NewDaemon(e env.Env, cfg Config) (*Daemon, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -242,6 +243,15 @@ func NewDaemon(e env.Env, cfg Config) (*Daemon, error) {
 		faultTimers: map[DaemonID]env.Timer{},
 	}
 	d.groups = newGroupLayer(d)
+	node := metrics.L("node", string(d.id))
+	d.mTokenRotation = e.Metrics.Histogram("gcs_token_rotation_seconds",
+		"time between successive token arrivals at this daemon", node)
+	d.mDelivery = e.Metrics.Histogram("gcs_delivery_seconds",
+		"agreed-delivery latency from multicast send to in-order delivery, measured at the origin", node)
+	d.mInstall = e.Metrics.Histogram("gcs_membership_install_seconds",
+		"duration of one reconfiguration, from entering discovery to installing the new membership", node)
+	d.mRetransmits = e.Metrics.Histogram("gcs_retransmits_per_reconfig",
+		"retransmissions this daemon served between consecutive membership installations", node)
 	return d, nil
 }
 
@@ -303,35 +313,14 @@ func (d *Daemon) Stop() {
 }
 
 // SetMembershipHandler registers cb to run at every daemon-level membership
-// installation.
+// installation. A process has one membership consumer (the Table 1 probe, the
+// flight recorder), so registering replaces. Call before Start.
 func (d *Daemon) SetMembershipHandler(cb MembershipHandler) { d.onMembership = cb }
 
-// AddMembershipHandler chains cb after any previously registered membership
-// handler, letting independent observers coexist. Call before Start.
-func (d *Daemon) AddMembershipHandler(cb MembershipHandler) {
-	if cb == nil {
-		return
-	}
-	if prev := d.onMembership; prev != nil {
-		d.onMembership = func(ring RingID, members []DaemonID) { prev(ring, members); cb(ring, members) }
-		return
-	}
-	d.onMembership = cb
-}
-
-// AddDeliveryHandler registers cb to run at every Agreed delivery, chained
-// after any previously registered delivery handler; with none registered (the
-// default) the delivery path pays nothing. Call before Start.
-func (d *Daemon) AddDeliveryHandler(cb DeliveryHandler) {
-	if cb == nil {
-		return
-	}
-	if prev := d.onDelivery; prev != nil {
-		d.onDelivery = func(r RingID, seq uint64, origin DaemonID) { prev(r, seq, origin); cb(r, seq, origin) }
-		return
-	}
-	d.onDelivery = cb
-}
+// AddDeliveryHandler registers cb to run at every Agreed delivery, after any
+// previously registered delivery handler; with none registered (the default)
+// the delivery path pays nothing. Call before Start.
+func (d *Daemon) AddDeliveryHandler(cb DeliveryHandler) { d.onDelivery = append(d.onDelivery, cb) }
 
 // State returns the daemon's protocol state name (for tests and tooling).
 func (d *Daemon) State() string { return d.state.String() }
@@ -349,16 +338,6 @@ func (d *Daemon) Stats() Stats {
 		RecoveryFlushes:      d.stats.recoveryFlushes.Load(),
 	}
 }
-
-// SetTracer installs a structured event tracer (nil disables tracing).
-// Call before Start.
-func (d *Daemon) SetTracer(t *obs.Tracer) { d.tracer = t }
-
-// SetHLC installs a hybrid-logical-clock (nil disables causal stamping).
-// Every outbound message is stamped with the clock at transmit time and
-// every inbound stamp is merged back, so traces on different daemons become
-// causally comparable. Call before Start.
-func (d *Daemon) SetHLC(c *obs.HLCClock) { d.hlc = c }
 
 // DetectionHook observes every failure declaration this daemon makes
 // against a ring member, before the reconfiguration it triggers: peer is
@@ -396,25 +375,16 @@ func (d *Daemon) FaultDetectTimeout() time.Duration { return d.cfg.FaultDetectTi
 // observe-only; under DetectorPhi it is the authoritative suspicion source
 // driving detection (with the fixed timeout as a floor). Call before
 // Start.
+//
+// This is the one component installed after construction rather than read
+// from the Env: the monitor is not an instrument the daemon reports to but a
+// detector it calls into and tunes from its own Config, and package env
+// cannot import package health (health's telemetry already imports env).
 func (d *Daemon) SetHealth(m *health.Monitor) {
 	// The monitor must not model the peer faster than the cadence it is
 	// guaranteed: heartbeats. Token passes still sharpen recency.
 	m.SetMinMean(d.cfg.HeartbeatInterval)
 	d.health = m
-}
-
-// SetMetrics installs a latency-metrics registry (nil disables measurement;
-// every instrument then degrades to a no-op). Call before Start.
-func (d *Daemon) SetMetrics(r *metrics.Registry) {
-	node := metrics.L("node", string(d.id))
-	d.mTokenRotation = r.Histogram("gcs_token_rotation_seconds",
-		"time between successive token arrivals at this daemon", node)
-	d.mDelivery = r.Histogram("gcs_delivery_seconds",
-		"agreed-delivery latency from multicast send to in-order delivery, measured at the origin", node)
-	d.mInstall = r.Histogram("gcs_membership_install_seconds",
-		"duration of one reconfiguration, from entering discovery to installing the new membership", node)
-	d.mRetransmits = r.Histogram("gcs_retransmits_per_reconfig",
-		"retransmissions this daemon served between consecutive membership installations", node)
 }
 
 // Ring returns the installed ring id and ordered members; ok is false before
@@ -461,8 +431,8 @@ func (d *Daemon) cancelProtocolTimers() {
 }
 
 func (d *Daemon) broadcast(payload []byte) {
-	if d.hlc != nil {
-		stampHeader(payload, d.hlc.Now())
+	if d.env.HLC != nil {
+		stampHeader(payload, d.env.HLC.Now())
 	}
 	if err := d.env.Conn.Broadcast(payload); err != nil {
 		d.env.Log.Logf("gcs %s: broadcast: %v", d.id, err)
@@ -470,8 +440,8 @@ func (d *Daemon) broadcast(payload []byte) {
 }
 
 func (d *Daemon) sendTo(id DaemonID, payload []byte) {
-	if d.hlc != nil {
-		stampHeader(payload, d.hlc.Now())
+	if d.env.HLC != nil {
+		stampHeader(payload, d.env.HLC.Now())
 	}
 	if err := d.env.Conn.SendTo(addrOf(id), payload); err != nil {
 		d.env.Log.Logf("gcs %s: send to %s: %v", d.id, id, err)
@@ -490,8 +460,8 @@ func (d *Daemon) onPacket(from env.Addr, payload []byte) {
 		d.env.Log.Logf("gcs %s: drop packet from %s: %v", d.id, from, err)
 		return
 	}
-	if d.hlc != nil {
-		d.hlc.Observe(headerHLC(payload))
+	if d.env.HLC != nil {
+		d.env.HLC.Observe(headerHLC(payload))
 	}
 	switch t {
 	case mtAlive:
@@ -573,15 +543,22 @@ func (d *Daemon) armFaultTimer(m DaemonID) {
 			return
 		}
 		d.env.Log.Logf("gcs %s: member %s silent beyond fault-detection timeout", d.id, m)
-		// Health first: if shadow phi crosses only now, its suspect event
-		// must HLC-order before the heartbeat-miss it is measured against.
-		d.health.Detected(string(m), d.env.Clock.Now())
-		d.tracer.Emit(obs.Event{Source: obs.SourceGCS, Kind: obs.KindHeartbeatMiss, Node: string(d.id), Detail: string(m)})
-		if d.onDetection != nil {
-			d.onDetection(string(m), "fixed")
-		}
-		d.enterGather("fault:"+string(m), 0)
+		d.declareFault(m, "fixed")
 	})
+}
+
+// declareFault declares ring member m dead on behalf of detector ("fixed" or
+// "phi") and starts the reconfiguration. The order is load-bearing: health
+// first, so that when the monitor's phi crosses only now its phi-suspect
+// event HLC-orders before the heartbeat-miss it is measured against; then the
+// trace event, the detection hook, and the gather they explain.
+func (d *Daemon) declareFault(m DaemonID, detector string) {
+	d.health.Detected(string(m), d.env.Clock.Now())
+	d.env.Tracer.Emit(obs.Event{Source: obs.SourceGCS, Kind: obs.KindHeartbeatMiss, Node: string(d.id), Detail: string(m)})
+	if d.onDetection != nil {
+		d.onDetection(string(m), detector)
+	}
+	d.enterGather("fault:"+string(m), 0)
 }
 
 // startPhiDetector arms the adaptive detection scan: every PhiCheckInterval
@@ -607,15 +584,7 @@ func (d *Daemon) startPhiDetector() {
 			}
 			if phi := d.health.Phi(string(m), now); phi >= threshold {
 				d.env.Log.Logf("gcs %s: member %s phi %.2f crossed threshold %.2f", d.id, m, phi, threshold)
-				// Mark the suspicion (emitting the phi-suspect trace event)
-				// before the heartbeat-miss event, mirroring the fixed path.
-				d.health.Detected(string(m), now)
-				d.tracer.Emit(obs.Event{Source: obs.SourceGCS, Kind: obs.KindHeartbeatMiss,
-					Node: string(d.id), Detail: string(m)})
-				if d.onDetection != nil {
-					d.onDetection(string(m), "phi")
-				}
-				d.enterGather("fault:"+string(m), 0)
+				d.declareFault(m, "phi")
 				return // no longer operational; the scan dies with the state
 			}
 		}
@@ -664,7 +633,7 @@ func (d *Daemon) enterGather(reason string, minRound uint64) {
 		// before the next install extend the same measurement.
 		d.reconfigStart = d.env.Clock.Now()
 	}
-	d.tracer.Emit(obs.Event{Source: obs.SourceGCS, Kind: obs.KindGatherEnter, Node: string(d.id), Detail: reason})
+	d.env.Tracer.Emit(obs.Event{Source: obs.SourceGCS, Kind: obs.KindGatherEnter, Node: string(d.id), Detail: reason})
 	d.state = stGather
 	if minRound > d.round {
 		d.round = minRound
@@ -773,15 +742,15 @@ func (d *Daemon) closeGather() {
 			Members: members,
 		}
 		d.env.Log.Logf("gcs %s: forming ring %s with %d members", d.id, form.Ring, len(members))
-		if d.tracer.Enabled() {
-			d.tracer.Emit(obs.Event{Source: obs.SourceGCS, Kind: obs.KindFormRing, Node: string(d.id),
+		if d.env.Tracer.Enabled() {
+			d.env.Tracer.Emit(obs.Event{Source: obs.SourceGCS, Kind: obs.KindFormRing, Node: string(d.id),
 				Group: form.Ring.String(), Detail: fmt.Sprintf("members=%d", len(members))})
 		}
 		d.broadcast(form.encode())
 		d.onForm(form)
 		return
 	}
-	d.formDeadline = d.env.Clock.AfterFunc(d.cfg.FormTimeout, func() {
+	d.formDeadline = d.env.Clock.AfterFunc(d.cfg.FormTimeout(), func() {
 		if d.closed || d.state != stCommitWait {
 			return
 		}
@@ -847,8 +816,8 @@ func (d *Daemon) enterRecovery(form formMsg) {
 		stopTimer(d.rec.retry)
 	}
 	d.state = stRecover
-	if d.tracer.Enabled() {
-		d.tracer.Emit(obs.Event{Source: obs.SourceGCS, Kind: obs.KindRecoverEnter, Node: string(d.id), Group: form.Ring.String()})
+	if d.env.Tracer.Enabled() {
+		d.env.Tracer.Emit(obs.Event{Source: obs.SourceGCS, Kind: obs.KindRecoverEnter, Node: string(d.id), Group: form.Ring.String()})
 	}
 	rec := &recovery{
 		form:   form,
@@ -857,7 +826,7 @@ func (d *Daemon) enterRecovery(form formMsg) {
 		sent:   map[uint64]bool{},
 	}
 	d.rec = rec
-	rec.timer = d.env.Clock.AfterFunc(d.cfg.RecoveryTimeout, func() {
+	rec.timer = d.env.Clock.AfterFunc(d.cfg.RecoveryTimeout(), func() {
 		if d.closed || d.state != stRecover {
 			return
 		}
@@ -887,9 +856,9 @@ func (d *Daemon) enterRecovery(form formMsg) {
 		if rec.selfDone {
 			d.broadcast(recoverDoneMsg{Ring: form.Ring, Sender: d.id}.encode())
 		}
-		rec.retry = d.env.Clock.AfterFunc(d.cfg.RecoveryTimeout/4, resend)
+		rec.retry = d.env.Clock.AfterFunc(d.cfg.RecoveryTimeout()/4, resend)
 	}
-	rec.retry = d.env.Clock.AfterFunc(d.cfg.RecoveryTimeout/4, resend)
+	rec.retry = d.env.Clock.AfterFunc(d.cfg.RecoveryTimeout()/4, resend)
 	d.broadcast(rec.mine.encode())
 	d.onRecoverState(rec.mine)
 	replay := d.earlyRec
@@ -1059,8 +1028,8 @@ func (d *Daemon) flushOldRing() bool {
 		if msg, ok := d.old.store[s]; ok {
 			d.old.deliveredSeq = s
 			d.stats.recoveryFlushes.Add(1)
-			if d.onDelivery != nil {
-				d.onDelivery(msg.Ring, msg.Seq, msg.Origin)
+			for _, cb := range d.onDelivery {
+				cb(msg.Ring, msg.Seq, msg.Origin)
 			}
 			d.groups.deliverData(msg)
 		}
@@ -1109,8 +1078,8 @@ func (d *Daemon) install(form formMsg) {
 		}
 		d.health.SetPeers(form.Ring.Epoch, peers, d.lastRingActivity)
 	}
-	if d.tracer.Enabled() {
-		d.tracer.Emit(obs.Event{Source: obs.SourceGCS, Kind: obs.KindInstall, Node: string(d.id),
+	if d.env.Tracer.Enabled() {
+		d.env.Tracer.Emit(obs.Event{Source: obs.SourceGCS, Kind: obs.KindInstall, Node: string(d.id),
 			Group: form.Ring.String(), Detail: fmt.Sprintf("members=%d", len(form.Members))})
 	}
 
@@ -1132,13 +1101,13 @@ func (d *Daemon) install(form formMsg) {
 // ---- Operational ring: token and data ------------------------------------
 
 func (d *Daemon) startTokenWatchdog() {
-	interval := d.cfg.TokenLossTimeout / 2
+	interval := d.cfg.TokenLossTimeout() / 2
 	var tick func()
 	tick = func() {
 		if d.closed || d.state != stOperational {
 			return
 		}
-		if d.env.Clock.Now().Sub(d.lastRingActivity) > d.cfg.TokenLossTimeout {
+		if d.env.Clock.Now().Sub(d.lastRingActivity) > d.cfg.TokenLossTimeout() {
 			d.env.Log.Logf("gcs %s: token lost on ring %s", d.id, d.ring.id)
 			d.enterGather("token-loss", 0)
 			return
@@ -1203,7 +1172,7 @@ func (d *Daemon) onToken(tok tokenMsg) {
 	}
 
 	// Introduce queued messages, up to the window.
-	for n := 0; n < d.cfg.Window && len(d.sendQueue) > 0; n++ {
+	for n := 0; n < window && len(d.sendQueue) > 0; n++ {
 		msg := d.sendQueue[0]
 		d.sendQueue = d.sendQueue[1:]
 		tok.Seq++
@@ -1224,12 +1193,12 @@ func (d *Daemon) onToken(tok tokenMsg) {
 	ringID := d.ring.id
 	fwd := tok
 	stopTimer(d.pendingToken)
-	d.pendingToken = d.env.Clock.AfterFunc(d.cfg.TokenInterval, func() {
+	d.pendingToken = d.env.Clock.AfterFunc(tokenInterval, func() {
 		if d.closed || d.state != stOperational || d.ring.id != ringID {
 			return
 		}
 		d.stats.tokensForwarded.Add(1)
-		d.tracer.Emit(obs.Event{Source: obs.SourceGCS, Kind: obs.KindTokenPass, Node: string(d.id), Detail: string(succ)})
+		d.env.Tracer.Emit(obs.Event{Source: obs.SourceGCS, Kind: obs.KindTokenPass, Node: string(d.id), Detail: string(succ)})
 		d.sendTo(succ, fwd.encode())
 	})
 }
@@ -1270,8 +1239,8 @@ func (d *Daemon) tryDeliver() {
 			// Only the origin's own copy carries a send timestamp.
 			d.mDelivery.ObserveDuration(d.env.Clock.Now().Sub(msg.sentAt))
 		}
-		if d.onDelivery != nil {
-			d.onDelivery(msg.Ring, msg.Seq, msg.Origin)
+		for _, cb := range d.onDelivery {
+			cb(msg.Ring, msg.Seq, msg.Origin)
 		}
 		d.groups.deliverData(msg)
 	}

@@ -364,6 +364,7 @@ type family struct {
 type series struct {
 	labels []Label
 	ctr    *Counter
+	ctrFn  func() uint64 // set by CounterFunc; read in place of ctr
 	gauge  *Gauge
 	hist   *Histogram
 }
@@ -421,6 +422,20 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 		return nil
 	}
 	return r.lookup(name, help, KindCounter, labels).ctr
+}
+
+// CounterFunc registers the counter (name, labels) as a view of a count kept
+// elsewhere: every Snapshot reads it from fn, so the owner's own counter
+// stays the single place the number lives. fn runs under the registry lock
+// and must be safe to call from any goroutine.
+func (r *Registry) CounterFunc(name, help string, fn func() uint64, labels ...Label) {
+	if r == nil {
+		return
+	}
+	s := r.lookup(name, help, KindCounter, labels)
+	r.mu.Lock()
+	s.ctrFn = fn
+	r.mu.Unlock()
 }
 
 // Gauge returns the gauge (name, labels), creating it on first use.
@@ -490,7 +505,11 @@ func (r *Registry) Snapshot() Snapshot {
 			ss := SeriesSnapshot{Labels: append([]Label(nil), s.labels...)}
 			switch f.kind {
 			case KindCounter:
-				ss.Value = float64(s.ctr.Value())
+				if s.ctrFn != nil {
+					ss.Value = float64(s.ctrFn())
+				} else {
+					ss.Value = float64(s.ctr.Value())
+				}
 			case KindGauge:
 				ss.Value = float64(s.gauge.Value())
 			case KindHistogram:

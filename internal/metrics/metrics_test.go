@@ -36,6 +36,31 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 }
 
+// TestCounterFuncReadsAtSnapshotTime pins the func-backed counter: the
+// registry keeps no copy of the count, every Snapshot reads the owner's.
+func TestCounterFuncReadsAtSnapshotTime(t *testing.T) {
+	r := New()
+	n := uint64(3)
+	r.CounterFunc("installs", "membership installs", func() uint64 { return n })
+	value := func() float64 {
+		f := r.Snapshot().Family("installs")
+		if f == nil || f.Kind != KindCounter || len(f.Series) != 1 {
+			t.Fatalf("family = %+v", f)
+		}
+		return f.Series[0].Value
+	}
+	if v := value(); v != 3 {
+		t.Fatalf("value = %v, want 3", v)
+	}
+	n = 9
+	if v := value(); v != 9 {
+		t.Fatalf("value after the owner moved = %v, want 9", v)
+	}
+	var disabled *Registry
+	disabled.CounterFunc("installs", "", func() uint64 { t.Fatal("read through a nil registry"); return 0 })
+	disabled.Snapshot()
+}
+
 func TestKindMismatchPanics(t *testing.T) {
 	r := New()
 	r.Counter("x_total", "")

@@ -740,7 +740,9 @@ func (h *Host) receiveIP(nic *NIC, fr frame) {
 }
 
 func (h *Host) forward(p *ipPacket) {
-	h.net.emitTrace(TraceEvent{Kind: TraceForward, Host: h.name, SrcIP: p.src, DstIP: p.dst})
+	if h.net.trace != nil {
+		h.net.emitTrace(TraceEvent{Kind: TraceForward, Host: h.name, SrcIP: p.src, DstIP: p.dst})
+	}
 	if p.ttl <= 1 {
 		h.net.log.Logf("netsim: %s: TTL expired for %v -> %v", h.name, p.src, p.dst)
 		if p.owned {

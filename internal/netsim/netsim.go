@@ -323,7 +323,7 @@ func (s *Segment) transmit(src *NIC, fr frame) {
 		s.mFrameLatency = s.net.metrics.Histogram("netsim_frame_latency_seconds",
 			"one-way frame latency drawn for each scheduled delivery, including receiver jitter", seg)
 	}
-	s.net.emitTrace(traceOf(s, fr, TraceSend, src.host.name))
+	s.trace(&fr, TraceSend, src.host.name)
 	// Transmit-side impairment: the frame dies at the sending NIC, before
 	// any receiver sees it. Gated on the knob so un-impaired runs draw the
 	// same RNG sequence as ever.
@@ -332,7 +332,7 @@ func (s *Segment) transmit(src *NIC, fr frame) {
 		s.net.log.Logf("netsim: %s impaired tx drop %s -> %s", s.name, fr.src, fr.dst)
 		s.net.tracer.Emit(obs.Event{Source: obs.SourceNet, Kind: obs.KindFrameDrop,
 			Node: src.host.name, Group: s.name, Detail: "tx-impair"})
-		s.net.emitTrace(traceOf(s, fr, TraceDrop, src.host.name))
+		s.trace(&fr, TraceDrop, src.host.name)
 		return
 	}
 	for _, nic := range s.nics {
@@ -350,7 +350,7 @@ func (s *Segment) transmit(src *NIC, fr frame) {
 			s.net.log.Logf("netsim: %s dropped frame %s -> %s", s.name, fr.src, fr.dst)
 			s.net.tracer.Emit(obs.Event{Source: obs.SourceNet, Kind: obs.KindFrameDrop,
 				Node: nic.host.name, Group: s.name})
-			s.net.emitTrace(traceOf(s, fr, TraceDrop, nic.host.name))
+			s.trace(&fr, TraceDrop, nic.host.name)
 			continue
 		}
 		// Receive-side impairment, drawn after the segment's own loss so the
@@ -360,7 +360,7 @@ func (s *Segment) transmit(src *NIC, fr frame) {
 			s.net.log.Logf("netsim: %s impaired rx drop %s -> %s", s.name, fr.src, fr.dst)
 			s.net.tracer.Emit(obs.Event{Source: obs.SourceNet, Kind: obs.KindFrameDrop,
 				Node: nic.host.name, Group: s.name, Detail: "rx-impair"})
-			s.net.emitTrace(traceOf(s, fr, TraceDrop, nic.host.name))
+			s.trace(&fr, TraceDrop, nic.host.name)
 			continue
 		}
 		// Draw the latency exactly as before instrumentation existed (one
@@ -403,7 +403,7 @@ func (j *deliveryJob) Run() {
 
 	seg.mQueueDepth.Dec()
 	if nic.up && nic.host.alive {
-		seg.net.emitTrace(traceOf(seg, fr, TraceDeliver, nic.host.name))
+		seg.trace(&fr, TraceDeliver, nic.host.name)
 		nic.host.receiveFrame(nic, fr)
 	} else if fr.kind == frameIPv4 && fr.pkt != nil && fr.pkt.owned {
 		// The receiver vanished between transmit and delivery; reclaim the

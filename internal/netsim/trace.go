@@ -67,16 +67,20 @@ func (e TraceEvent) String() string {
 func (n *Network) SetPacketTrace(hook func(TraceEvent)) { n.trace = hook }
 
 func (n *Network) emitTrace(ev TraceEvent) {
-	if n.trace != nil {
-		ev.At = n.sim.Now()
-		n.trace(ev)
-	}
+	ev.At = n.sim.Now()
+	n.trace(ev)
 }
 
-func traceOf(seg *Segment, fr frame, kind TraceKind, host string) TraceEvent {
+// trace reports one frame event to the packet-trace hook. The guard comes
+// first: the event is built for every send, delivery and drop, so with no
+// hook installed (every run but two tests) none of it may be paid for.
+func (s *Segment) trace(fr *frame, kind TraceKind, host string) {
+	if s.net.trace == nil {
+		return
+	}
 	ev := TraceEvent{
 		Kind:    kind,
-		Segment: seg.name,
+		Segment: s.name,
 		Host:    host,
 		Src:     fr.src,
 		Dst:     fr.dst,
@@ -86,5 +90,5 @@ func traceOf(seg *Segment, fr frame, kind TraceKind, host string) TraceEvent {
 		ev.SrcIP = fr.pkt.src
 		ev.DstIP = fr.pkt.dst
 	}
-	return ev
+	s.net.emitTrace(ev)
 }

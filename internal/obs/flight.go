@@ -50,9 +50,8 @@ type FlightConfig struct {
 	// Tracer supplies the trace tail and the HLC clock state; nil yields
 	// bundles with an empty trace.
 	Tracer *Tracer
-	// Metrics supplies the legacy counter map; Registry the typed families.
-	// Both may be nil.
-	Metrics  MetricsFunc
+	// Registry supplies the metrics surface; nil yields an empty
+	// metrics.prom.
 	Registry *metrics.Registry
 	// Config is the effective configuration text written verbatim into the
 	// bundle.
@@ -267,7 +266,7 @@ func (f *FlightRecorder) Dump(reason string) (string, error) {
 	})
 	if err == nil {
 		err = write(BundleMetrics, func(fh *os.File) error {
-			return WriteMetricsProm(fh, f.cfg.Metrics, f.cfg.Registry)
+			return metrics.WritePrometheus(fh, f.cfg.Registry.Snapshot())
 		})
 	}
 	if err == nil {

@@ -33,8 +33,8 @@ func TestFlightDumpBundleContents(t *testing.T) {
 
 	reg := metrics.New()
 	reg.Counter("test_total", "test counter").Add(7)
+	reg.CounterFunc("viewed_total", "count kept elsewhere", func() uint64 { return 3 })
 	f := newTestRecorder(t, tr, FlightConfig{
-		Metrics:  func() map[string]uint64 { return map[string]uint64{"legacy_total": 3} },
 		Registry: reg,
 		Config:   "bind 127.0.0.1:4803\n",
 	})
@@ -87,12 +87,12 @@ func TestFlightDumpBundleContents(t *testing.T) {
 		t.Fatalf("trace contents: %+v", evs)
 	}
 
-	// Metrics file carries both generations.
+	// The metrics file is the registry: plain and func-backed series alike.
 	mb, err := os.ReadFile(filepath.Join(dir, BundleMetrics))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := string(mb); !contains(s, "legacy_total 3") || !contains(s, "test_total 7") {
+	if s := string(mb); !contains(s, "viewed_total 3") || !contains(s, "test_total 7") {
 		t.Fatalf("metrics.prom contents:\n%s", s)
 	}
 

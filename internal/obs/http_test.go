@@ -12,29 +12,17 @@ import (
 	"wackamole/internal/metrics"
 )
 
-// TestHandlerNilRegistry pins /metrics without a registry: the counter map
-// alone, as sorted typed families in the exposition format.
-func TestHandlerNilRegistry(t *testing.T) {
-	h := NewHandler(func() map[string]uint64 {
-		return map[string]uint64{"zeta": 3, "alpha": 1, "mid_depth": 2}
-	}, nil, nil)
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-	want := "# TYPE alpha counter\nalpha 1\n# TYPE mid_depth gauge\nmid_depth 2\n# TYPE zeta counter\nzeta 3\n"
-	if body := rec.Body.String(); body != want {
-		t.Fatalf("metrics =\n%s\nwant\n%s", body, want)
-	}
-	if ct := rec.Header().Get("Content-Type"); ct != metrics.ContentType {
-		t.Fatalf("content type = %q", ct)
-	}
-}
-
+// TestHandlerNilCollaborators pins the degenerate handler: a nil registry
+// serves an empty 200 /metrics, a nil tracer an empty event stream.
 func TestHandlerNilCollaborators(t *testing.T) {
-	h := NewHandler(nil, nil, nil)
+	h := NewHandler(nil, nil)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	if rec.Code != http.StatusOK || rec.Body.Len() != 0 {
 		t.Fatalf("empty metrics: code %d, body %q", rec.Code, rec.Body.String())
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != metrics.ContentType {
+		t.Fatalf("content type = %q", ct)
 	}
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/events", nil))
@@ -48,69 +36,54 @@ func TestHandlerNilCollaborators(t *testing.T) {
 	}
 }
 
-// TestHandlerPrometheusDialect pins the upgraded /metrics: with a registry
-// installed the endpoint serves text exposition format 0.0.4 carrying both
-// the legacy counters (as counter families) and the registry's histograms.
-func TestHandlerPrometheusDialect(t *testing.T) {
+// TestHandlerMetricsIsTheRegistry pins /metrics: text exposition format
+// 0.0.4 carrying exactly the registry's families — func-backed counters read
+// at scrape time next to ordinary instruments — each under one TYPE line.
+func TestHandlerMetricsIsTheRegistry(t *testing.T) {
 	r := metrics.New()
+	forwarded := uint64(41)
+	r.CounterFunc("gcs_tokens_forwarded", "token passes", func() uint64 { return forwarded })
 	r.Histogram("gcs_token_rotation_seconds", "", metrics.L("node", "d1")).Observe(0.002)
-	h := NewHandler(func() map[string]uint64 {
-		return map[string]uint64{"gcs_tokens_forwarded": 41}
-	}, nil, r)
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-	if ct := rec.Header().Get("Content-Type"); ct != metrics.ContentType {
-		t.Fatalf("content type = %q", ct)
+	r.Histogram("gcs_token_rotation_seconds", "", metrics.L("node", "d2")).Observe(0.004)
+	r.Gauge("obs_hlc_skew_ns", "").Set(5)
+	h := NewHandler(nil, r)
+	scrape := func() string {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		if ct := rec.Header().Get("Content-Type"); ct != metrics.ContentType {
+			t.Fatalf("content type = %q", ct)
+		}
+		return rec.Body.String()
 	}
-	body := rec.Body.String()
+	body := scrape()
 	for _, want := range []string{
-		"# TYPE gcs_tokens_forwarded counter",
-		"gcs_tokens_forwarded 41",
-		"# TYPE gcs_token_rotation_seconds histogram",
+		"# HELP gcs_tokens_forwarded token passes\n# TYPE gcs_tokens_forwarded counter\ngcs_tokens_forwarded 41\n",
+		"# TYPE gcs_token_rotation_seconds histogram\n",
 		`gcs_token_rotation_seconds_count{node="d1"} 1`,
 		`le="+Inf"`,
+		"# TYPE obs_hlc_skew_ns gauge\nobs_hlc_skew_ns 5\n",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, body)
 		}
 	}
-}
-
-// TestPrometheusLegacyCollisionsAndGauges pins two exposition rules: a
-// legacy key that collides with a registry family name (or a histogram's
-// derived _bucket/_sum/_count names) is dropped so no duplicate TYPE or
-// sample lines reach a strict parser, and level-like legacy keys are typed
-// gauge rather than counter.
-func TestPrometheusLegacyCollisionsAndGauges(t *testing.T) {
-	r := metrics.New()
-	r.Counter("gcs_tokens_forwarded", "").Add(9)
-	r.Histogram("gcs_token_rotation_seconds", "").Observe(0.002)
-	h := NewHandler(func() map[string]uint64 {
-		return map[string]uint64{
-			"gcs_tokens_forwarded":             41, // collides with registry counter
-			"gcs_token_rotation_seconds_count": 7,  // collides with histogram sample
-			"obs_events_buffered":              3,  // a level, not a count
-			"gcs_data_sent":                    5,  // plain counter survives
+	types := map[string]int{}
+	for _, line := range strings.Split(body, "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			types[f[2]]++
 		}
-	}, nil, r)
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-	body := rec.Body.String()
-
-	if n := strings.Count(body, "# TYPE gcs_tokens_forwarded "); n != 1 {
-		t.Fatalf("gcs_tokens_forwarded TYPE lines = %d, want 1:\n%s", n, body)
 	}
-	if !strings.Contains(body, "gcs_tokens_forwarded 9") || strings.Contains(body, "gcs_tokens_forwarded 41") {
-		t.Fatalf("collision resolved toward legacy value:\n%s", body)
+	if len(types) != 3 {
+		t.Fatalf("families = %v, want the registry's three", types)
 	}
-	if strings.Contains(body, "# TYPE gcs_token_rotation_seconds_count") {
-		t.Fatalf("legacy key shadowed a histogram sample name:\n%s", body)
+	for name, n := range types {
+		if n != 1 {
+			t.Fatalf("family %s has %d TYPE lines, want 1:\n%s", name, n, body)
+		}
 	}
-	if !strings.Contains(body, "# TYPE obs_events_buffered gauge") {
-		t.Fatalf("level-like legacy key not typed gauge:\n%s", body)
-	}
-	if !strings.Contains(body, "# TYPE gcs_data_sent counter") || !strings.Contains(body, "gcs_data_sent 5") {
-		t.Fatalf("plain legacy counter missing:\n%s", body)
+	forwarded = 42
+	if body = scrape(); !strings.Contains(body, "gcs_tokens_forwarded 42\n") {
+		t.Fatalf("func-backed counter not re-read at scrape time:\n%s", body)
 	}
 }
 
@@ -118,9 +91,9 @@ func TestServerEndToEnd(t *testing.T) {
 	tr := New(16, fixedNow())
 	tr.Emit(Event{Source: SourceGCS, Kind: KindInstall, Node: "d1"})
 	tr.Emit(Event{Source: SourceCore, Kind: KindAcquire, Node: "d1/wackd", Addr: "10.0.0.100"})
-	srv, err := Serve("127.0.0.1:0", func() map[string]uint64 {
-		return map[string]uint64{"obs_events_emitted": tr.Emitted()}
-	}, tr, nil)
+	reg := metrics.New()
+	reg.CounterFunc("obs_events_emitted", "", tr.Emitted)
+	srv, err := ServeHandler("127.0.0.1:0", NewHandler(tr, reg))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"sort"
 	"strings"
 	"time"
@@ -37,6 +38,15 @@ type Breakdown struct {
 // Total sums the phases; by construction it equals the measured gap.
 func (b Breakdown) Total() time.Duration {
 	return b.Detection + b.Membership + b.StateSync + b.ARPTakeover
+}
+
+// PhaseNames order the Breakdown components as the paper's §5 presents them;
+// Phases returns the durations in the same order.
+var PhaseNames = []string{"detection", "membership", "state-sync", "arp-takeover"}
+
+// Phases lists the components in PhaseNames order.
+func (b Breakdown) Phases() []time.Duration {
+	return []time.Duration{b.Detection, b.Membership, b.StateSync, b.ARPTakeover}
 }
 
 // breakdownJSON is the wire shape of a Breakdown: phases in seconds,
@@ -184,6 +194,33 @@ func OwnershipTimeline(events []Event) map[string][]OwnershipSpan {
 		sort.SliceStable(spans, func(i, j int) bool { return spans[i].From.Before(spans[j].From) })
 	}
 	return out
+}
+
+// RenderOwnershipTimeline prints each address's ownership spans, addresses
+// sorted, times relative to the first event ("" for no events).
+func RenderOwnershipTimeline(events []Event) string {
+	if len(events) == 0 {
+		return ""
+	}
+	t0 := events[0].At
+	tl := OwnershipTimeline(events)
+	addrs := make([]string, 0, len(tl))
+	for a := range tl {
+		addrs = append(addrs, a)
+	}
+	sort.Strings(addrs)
+	var b strings.Builder
+	for _, a := range addrs {
+		fmt.Fprintf(&b, "  %s\n", a)
+		for _, span := range tl[a] {
+			end := "…"
+			if !span.To.IsZero() {
+				end = fmt.Sprintf("+%.3fs", span.To.Sub(t0).Seconds())
+			}
+			fmt.Fprintf(&b, "    %-28s +%.3fs → %s\n", span.Owner, span.From.Sub(t0).Seconds(), end)
+		}
+	}
+	return b.String()
 }
 
 // TrialTrace bundles one simulated trial's captured events with its

@@ -124,11 +124,10 @@ func New(opts Options) (*PhysicalRouter, error) {
 	}
 
 	if opts.Participation == ParticipateWhenActive {
-		node.Engine().SetEventHook(func(ev core.Event) {
-			switch ev.Kind {
-			case core.EventAcquire:
+		node.Engine().AddOwnershipHook(func(_ string, owned bool, _ string) {
+			if owned {
 				ripProc.Start()
-			case core.EventRelease:
+			} else {
 				ripProc.Stop()
 			}
 		})

@@ -4,12 +4,19 @@ package wackamole_test
 // reconnect loop, and configuration defaults.
 
 import (
+	"fmt"
+	"net/netip"
 	"testing"
 	"time"
 
 	"wackamole"
 	"wackamole/internal/core"
 	"wackamole/internal/gcs"
+	"wackamole/internal/ipmgr"
+	"wackamole/internal/metrics"
+	"wackamole/internal/netsim"
+	"wackamole/internal/obs"
+	"wackamole/internal/sim"
 )
 
 func TestNewClusterRejectsBadConfigs(t *testing.T) {
@@ -130,5 +137,96 @@ func TestConfigDefaults(t *testing.T) {
 	// The default group name is used when none is configured.
 	if got := c.Servers[0].Node.Member(); got == "" {
 		t.Fatal("empty member")
+	}
+}
+
+// TestNodeInstrumentsComeFromEnv pins construction-time wiring: a Node built
+// on an Env carrying a tracer, a registry and an HLC traces, measures and
+// stamps from its first event with no setter called. Two hand-built nodes
+// share a tracer and a registry; the first one's HLC runs an hour ahead, so
+// the only way the second can have seen that skew is off a stamped wire
+// header.
+func TestNodeInstrumentsComeFromEnv(t *testing.T) {
+	s := sim.New(41)
+	nw := netsim.New(s)
+	seg := nw.NewSegment("lan", netsim.DefaultSegmentConfig())
+	tracer, registry := obs.New(0, s.Now), metrics.New()
+	ahead := func() time.Time { return s.Now().Add(time.Hour) }
+	clocks := []*obs.HLCClock{obs.NewHLCClock(ahead, "a"), obs.NewHLCClock(s.Now, "b")}
+	group := core.VIPGroup{Name: "vip00", Addrs: []netip.Addr{wackamole.VIPAddr(0)}}
+	var nodes []*wackamole.Node
+	for i, hlc := range clocks {
+		host := nw.NewHost(fmt.Sprintf("server%02d", i))
+		nic := host.AttachNIC(seg, "eth0", netip.PrefixFrom(wackamole.ServerAddr(i), 24))
+		ep, err := host.OpenEndpoint(nic, wackamole.DefaultPort)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := ep.Env(nil)
+		e.Tracer, e.Metrics, e.HLC = tracer, registry, hlc
+		node, err := wackamole.NewNode(e, wackamole.Config{
+			GCS:    gcs.TunedConfig(),
+			Engine: core.Config{Groups: []core.VIPGroup{group}, StartMature: true},
+		}, &ipmgr.NICBackend{NIC: nic}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if node.Tracer() != tracer || node.Metrics() != registry || node.HLC() != hlc {
+			t.Fatal("node accessors do not return the Env's instruments")
+		}
+		if err := node.Start(); err != nil {
+			t.Fatal(err)
+		}
+		nodes = append(nodes, node)
+	}
+	s.RunFor(5 * time.Second)
+
+	stamped := map[obs.Source]int{}
+	for _, ev := range tracer.Snapshot() {
+		if ev.HLC.IsZero() {
+			t.Fatalf("event without an HLC stamp: %v", ev)
+		}
+		stamped[ev.Source]++
+	}
+	if stamped[obs.SourceGCS] == 0 || stamped[obs.SourceCore] == 0 {
+		t.Fatalf("stamped events by source = %v, want daemon and engine events", stamped)
+	}
+	snap := registry.Snapshot()
+	for _, name := range []string{"gcs_token_rotation_seconds", "core_state_sync_seconds"} {
+		if snap.MergedHistogram(name).Count() == 0 {
+			t.Fatalf("%s has no observations", name)
+		}
+	}
+	if skew := clocks[1].MaxSkew(); skew < 59*time.Minute {
+		t.Fatalf("second node saw max skew %v: the first node's wire headers carry no stamp", skew)
+	}
+	if nodes[0].Status().State != core.StateRun || nodes[1].Status().State != core.StateRun {
+		t.Fatal("nodes did not reach RUN")
+	}
+}
+
+// TestTokenPassAllocationsWithAndWithoutInstruments pins what the instruments
+// cost on the protocol's hottest path, one token pass of a settled singleton
+// ring: nothing when the Env carries none (the pass costs only the protocol's
+// own allocations, bounded here so an instrument that started allocating when
+// absent would show), and nothing more when it carries a tracer and a
+// registry (ring-buffer emit and histogram observe are allocation-free).
+func TestTokenPassAllocationsWithAndWithoutInstruments(t *testing.T) {
+	tokenPass := func(opts wackamole.ClusterOptions) float64 {
+		opts.Seed, opts.Servers, opts.VIPs = 42, 1, 1
+		c := newCluster(t, opts)
+		c.Settle()
+		// One tokenInterval of simulated time is one pass; heartbeats (every
+		// 400 passes) vanish in AllocsPerRun's integer average.
+		return testing.AllocsPerRun(2000, func() { c.RunFor(time.Millisecond) })
+	}
+	bare := tokenPass(wackamole.ClusterOptions{})
+	const protocolOwn = 9 // token encode, forward timer and closure, frame, delivery
+	if bare > protocolOwn {
+		t.Fatalf("token pass on a bare Env allocates %.0f, want <= %d", bare, protocolOwn)
+	}
+	armed := tokenPass(wackamole.ClusterOptions{Tracer: obs.New(0, nil), Metrics: metrics.New()})
+	if armed != bare {
+		t.Fatalf("token pass allocates %.0f with tracer and registry, %.0f without", armed, bare)
 	}
 }

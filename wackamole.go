@@ -83,58 +83,27 @@ type Node struct {
 	sess    *gcs.Session
 	engine  *core.Engine
 	ips     *ipmgr.Manager
-	tracer  *obs.Tracer
-	metrics *metrics.Registry
-	hlc     *obs.HLCClock
 	health  *health.Monitor
 	pub     *health.Publisher
 	started bool
 	stopped bool
 }
 
-// SetTracer installs a structured event tracer on the node's daemon and
-// engine (nil disables tracing). Call before Start.
-func (n *Node) SetTracer(t *obs.Tracer) {
-	n.tracer = t
-	n.daemon.SetTracer(t)
-	n.engine.SetTracer(t)
-}
+// Tracer returns the tracer the node was built with; nil (a valid, disabled
+// tracer) when its Env carried none.
+func (n *Node) Tracer() *obs.Tracer { return n.env.Tracer }
 
-// Tracer returns the node's installed tracer; nil (a valid, disabled
-// tracer) when none was set.
-func (n *Node) Tracer() *obs.Tracer { return n.tracer }
+// Metrics returns the registry the node was built with; nil (a valid,
+// disabled registry) when its Env carried none.
+func (n *Node) Metrics() *metrics.Registry { return n.env.Metrics }
 
-// SetMetrics installs a latency-metrics registry on the node's daemon and
-// engine (nil disables measurement, exactly like a nil tracer). Call before
-// Start.
-func (n *Node) SetMetrics(r *metrics.Registry) {
-	n.metrics = r
-	n.daemon.SetMetrics(r)
-	n.engine.SetMetrics(r)
-}
+// HLC returns the clock the node was built with; nil (a valid, disabled
+// clock) when its Env carried none.
+func (n *Node) HLC() *obs.HLCClock { return n.env.HLC }
 
-// Metrics returns the node's installed registry; nil (a valid, disabled
-// registry) when none was set.
-func (n *Node) Metrics() *metrics.Registry { return n.metrics }
-
-// SetHLC installs a hybrid-logical-clock: the daemon stamps every outbound
-// wire message with it and merges inbound stamps, and the node's tracer (if
-// any) stamps every emitted event, so traces from different nodes can be
-// merged into one causally consistent timeline (cmd/wackrec). Call before
-// Start, after SetTracer. Nil disables stamping.
-func (n *Node) SetHLC(c *obs.HLCClock) {
-	n.hlc = c
-	n.daemon.SetHLC(c)
-	n.tracer.SetHLC(c)
-}
-
-// HLC returns the node's installed clock; nil (a valid, disabled clock)
-// when none was set.
-func (n *Node) HLC() *obs.HLCClock { return n.hlc }
-
-// SetHealth installs an observe-only detection-quality monitor on the
-// node's daemon (nil disables it). Call before Start, after SetTracer and
-// SetMetrics so the monitor can be built from the same instruments.
+// SetHealth installs a detection-quality monitor on the node's daemon (nil
+// disables it); see gcs.Daemon.SetHealth for why this one component is
+// installed rather than carried by the Env. Call before Start.
 func (n *Node) SetHealth(m *health.Monitor) {
 	n.health = m
 	n.daemon.SetHealth(m)
@@ -152,8 +121,8 @@ func (n *Node) TelemetryFrame(now time.Time) health.Frame {
 	ds := n.daemon.Stats()
 	f := health.Frame{
 		Node:       string(n.daemon.ID()),
-		HLC:        n.hlc.Now(),
-		SkewNS:     int64(n.hlc.MaxSkew()),
+		HLC:        n.env.HLC.Now(),
+		SkewNS:     int64(n.env.HLC.MaxSkew()),
 		View:       st.ViewID,
 		State:      st.State.String(),
 		Mature:     st.Mature,
@@ -199,7 +168,7 @@ func (n *Node) StartTelemetry(interval time.Duration, subscribers []string) *hea
 			return n.env.Conn.SendTo(env.Addr(to), payload)
 		},
 		Frame:   n.TelemetryFrame,
-		Metrics: n.metrics,
+		Metrics: n.env.Metrics,
 	})
 	n.pub = p
 	p.Start()
@@ -213,9 +182,17 @@ func (n *Node) Telemetry() *health.Publisher { return n.pub }
 // address manipulation; notify announces ownership changes (nil disables
 // notification — only sensible in unit tests, since without ARP updates
 // routers keep forwarding to the failed server until their caches expire).
+//
+// The node's instruments are the ones e carries: the daemon and the engine
+// trace to e.Tracer and measure into e.Metrics, and with e.HLC set the daemon
+// stamps every wire message and the tracer every event, so traces from
+// different nodes merge into one causally consistent timeline (cmd/wackrec).
 func NewNode(e env.Env, cfg Config, backend ipmgr.Backend, notify arp.Notifier) (*Node, error) {
 	if e.Log == nil {
 		e.Log = env.NopLogger{}
+	}
+	if e.HLC != nil {
+		e.Tracer.SetHLC(e.HLC)
 	}
 	daemon, err := gcs.NewDaemon(e, cfg.GCS)
 	if err != nil {
@@ -231,10 +208,12 @@ func NewNode(e env.Env, cfg Config, backend ipmgr.Backend, notify arp.Notifier) 
 			}
 			return n.sess.Multicast(n.cfg.group(), payload)
 		},
-		IPs:    n.ips,
-		Notify: notify,
-		Clock:  e.Clock,
-		Log:    e.Log,
+		IPs:     n.ips,
+		Notify:  notify,
+		Clock:   e.Clock,
+		Log:     e.Log,
+		Tracer:  e.Tracer,
+		Metrics: e.Metrics,
 	})
 	if err != nil {
 		return nil, err
