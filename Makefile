@@ -1,6 +1,6 @@
 # Convenience targets; everything here is plain `go` — no extra tooling.
 
-.PHONY: all build test check race bench
+.PHONY: all build test check race bench identity
 
 all: build test
 
@@ -21,3 +21,10 @@ race:
 # One workload of the repo benchmark (BENCHMARK.json, bench/README.md).
 bench:
 	bash bench/run.sh --workload failover_sweep --seed 1 --seconds 12 --trace 0
+
+# Output identity against another revision: every wacksim, wackload and
+# wackcheck stream of the fixed recipe in scripts/identity.sh, byte for byte.
+#   make identity BASE=<rev>
+identity:
+	@test -n "$(BASE)" || { echo "usage: make identity BASE=<rev>" >&2; exit 2; }
+	bash scripts/identity.sh $(BASE)

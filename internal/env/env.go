@@ -16,6 +16,7 @@ package env
 import (
 	"fmt"
 	"io"
+	"net/netip"
 	"sync"
 	"time"
 
@@ -23,23 +24,30 @@ import (
 	"wackamole/internal/obs"
 )
 
-// Addr identifies a protocol endpoint, formatted as "ip:port". The zero
-// value is not a valid address.
-type Addr string
+// Addr identifies a protocol endpoint: a comparable ip:port value that
+// endpoints hand through without formatting or parsing. The zero value is
+// not a valid address.
+type Addr = netip.AddrPort
 
-// Timer is a handle to a scheduled callback.
+// Timer is a handle to a callback its owner can arm any number of times.
 type Timer interface {
-	// Stop cancels the timer, reporting whether it prevented the callback
+	// Stop disarms the timer, reporting whether it prevented the callback
 	// from running.
 	Stop() bool
+	// Reset arms the timer to run its callback once, d from now, whether it
+	// was unarmed, armed (the earlier deadline is dropped) or has fired.
+	Reset(d time.Duration)
 }
 
 // Clock supplies time to protocol code.
 type Clock interface {
 	// Now returns the current instant (virtual or wall time).
 	Now() time.Time
-	// AfterFunc schedules f to run once after d, serialized with all other
-	// callbacks of the same Env.
+	// NewTimer returns an unarmed timer that runs f, serialized with all
+	// other callbacks of the same Env, each time a Reset deadline passes.
+	// Code that fires repeatedly owns one timer and re-arms it.
+	NewTimer(f func()) Timer
+	// AfterFunc is NewTimer(f) followed by Reset(d), for one-shot callers.
 	AfterFunc(d time.Duration, f func()) Timer
 }
 
@@ -48,7 +56,10 @@ type Clock interface {
 // the handler is done with it.
 type Handler func(from Addr, payload []byte)
 
-// PacketConn is an unreliable datagram endpoint on a LAN.
+// PacketConn is an unreliable datagram endpoint on a LAN. SendTo and Broadcast
+// do not retain payload past their return — the send-side mirror of the
+// Handler rule — so a sender may encode every datagram into one scratch
+// buffer and overwrite it as soon as the call comes back.
 type PacketConn interface {
 	// LocalAddr returns this endpoint's stationary address.
 	LocalAddr() Addr

@@ -12,11 +12,15 @@ type fixedClock struct {
 
 func (c *fixedClock) Now() time.Time { return c.now }
 
+func (c *fixedClock) NewTimer(func()) Timer { return nopTimer{} }
+
 func (c *fixedClock) AfterFunc(time.Duration, func()) Timer { return nopTimer{} }
 
 type nopTimer struct{}
 
 func (nopTimer) Stop() bool { return false }
+
+func (nopTimer) Reset(time.Duration) {}
 
 func TestNopLoggerDiscards(t *testing.T) {
 	NopLogger{}.Logf("anything %d", 42) // must not panic

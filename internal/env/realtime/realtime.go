@@ -11,6 +11,7 @@ package realtime
 import (
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 
@@ -70,15 +71,70 @@ func NewClock(loop *Loop) *Clock { return &Clock{loop: loop} }
 // Now implements env.Clock.
 func (c *Clock) Now() time.Time { return time.Now() }
 
+// NewTimer implements env.Clock.
+func (c *Clock) NewTimer(f func()) env.Timer { return &timer{loop: c.loop, f: f} }
+
 // AfterFunc implements env.Clock.
 func (c *Clock) AfterFunc(d time.Duration, f func()) env.Timer {
-	t := time.AfterFunc(d, func() { c.loop.Post(f) })
-	return timerWrapper{t}
+	t := c.NewTimer(f)
+	t.Reset(d)
+	return t
 }
 
-type timerWrapper struct{ t *time.Timer }
+// timer posts its callback onto the loop when the wall deadline passes. The
+// deadline passes on a runtime goroutine while Stop and Reset run on the
+// loop, so a firing can already be queued behind the callback that cancels
+// it; every arming therefore gets a generation, and the loop drops a firing
+// whose generation is no longer the armed one. Without that a heartbeat
+// handled a moment after the fault-detection deadline would still be
+// followed by the fault declaration it had just cancelled.
+type timer struct {
+	loop *Loop
+	f    func()
 
-func (w timerWrapper) Stop() bool { return w.t.Stop() }
+	mu    sync.Mutex
+	wall  *time.Timer
+	gen   uint64
+	armed bool
+}
+
+// Reset implements env.Timer.
+func (t *timer) Reset(d time.Duration) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.wall != nil {
+		t.wall.Stop()
+	}
+	t.gen++
+	t.armed = true
+	gen := t.gen
+	t.wall = time.AfterFunc(d, func() { t.loop.Post(func() { t.fire(gen) }) })
+}
+
+// Stop implements env.Timer.
+func (t *timer) Stop() bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.wall != nil {
+		t.wall.Stop()
+	}
+	was := t.armed
+	t.armed = false
+	return was
+}
+
+// fire runs on the loop.
+func (t *timer) fire(gen uint64) {
+	t.mu.Lock()
+	live := t.armed && t.gen == gen
+	if live {
+		t.armed = false
+	}
+	t.mu.Unlock()
+	if live {
+		t.f()
+	}
+}
 
 var _ env.Clock = (*Clock)(nil)
 
@@ -89,7 +145,7 @@ type Conn struct {
 	udp   *net.UDPConn
 	loop  *Loop
 	local env.Addr
-	peers []env.Addr
+	peers []env.Addr // resolved once, in Listen
 
 	mu      sync.Mutex
 	handler env.Handler
@@ -111,27 +167,37 @@ func Listen(loop *Loop, listen string, peers []string) (*Conn, error) {
 	c := &Conn{
 		udp:    udp,
 		loop:   loop,
-		local:  env.Addr(udp.LocalAddr().String()),
+		local:  unmap(udp.LocalAddr().(*net.UDPAddr).AddrPort()),
 		rdDone: make(chan struct{}),
 	}
 	for _, p := range peers {
-		c.peers = append(c.peers, env.Addr(p))
+		pa, err := net.ResolveUDPAddr("udp", p)
+		if err != nil {
+			udp.Close()
+			return nil, fmt.Errorf("realtime: resolve peer %q: %w", p, err)
+		}
+		c.peers = append(c.peers, unmap(pa.AddrPort()))
 	}
 	go c.readLoop()
 	return c, nil
 }
 
+// unmap turns a v4-mapped address, as a dual-stack socket reports its IPv4
+// peers, into the plain IPv4 form, so an endpoint has one spelling (and one
+// daemon identity) whichever socket family saw it.
+func unmap(a netip.AddrPort) netip.AddrPort { return netip.AddrPortFrom(a.Addr().Unmap(), a.Port()) }
+
 func (c *Conn) readLoop() {
 	defer close(c.rdDone)
 	buf := make([]byte, 64*1024)
 	for {
-		n, from, err := c.udp.ReadFromUDP(buf)
+		n, from, err := c.udp.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return // socket closed
 		}
 		payload := make([]byte, n)
 		copy(payload, buf[:n])
-		src := env.Addr(from.String())
+		src := unmap(from)
 		c.loop.Post(func() {
 			c.mu.Lock()
 			h := c.handler
@@ -147,13 +213,10 @@ func (c *Conn) readLoop() {
 // LocalAddr implements env.PacketConn.
 func (c *Conn) LocalAddr() env.Addr { return c.local }
 
-// SendTo implements env.PacketConn.
+// SendTo implements env.PacketConn; the datagram is written before it
+// returns.
 func (c *Conn) SendTo(to env.Addr, payload []byte) error {
-	dst, err := net.ResolveUDPAddr("udp", string(to))
-	if err != nil {
-		return fmt.Errorf("realtime: resolve %q: %w", to, err)
-	}
-	if _, err := c.udp.WriteToUDP(payload, dst); err != nil {
+	if _, err := c.udp.WriteToUDPAddrPort(payload, to); err != nil {
 		return fmt.Errorf("realtime: send to %s: %w", to, err)
 	}
 	return nil

@@ -2,6 +2,7 @@ package realtime
 
 import (
 	"fmt"
+	"net/netip"
 	"sync"
 	"testing"
 	"time"
@@ -73,6 +74,87 @@ func TestClockTimerStop(t *testing.T) {
 	}
 }
 
+// TestTimerCancelledAfterDeadlineDoesNotFire holds the loop busy past a
+// timer's wall deadline, so its firing is already queued when the callback in
+// front of it re-arms (or stops) the timer — a heartbeat handled a moment
+// after the fault-detection deadline. The queued firing is stale and must be
+// dropped; only the new arming counts.
+func TestTimerCancelledAfterDeadlineDoesNotFire(t *testing.T) {
+	for name, cancel := range map[string]func(env.Timer){
+		"Reset": func(tm env.Timer) { tm.Reset(time.Hour) },
+		"Stop": func(tm env.Timer) {
+			if !tm.Stop() {
+				t.Error("Stop = false for a timer whose callback has not run")
+			}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			loop := NewLoop()
+			defer loop.Close()
+			fired := make(chan struct{}, 1)
+			tm := NewClock(loop).NewTimer(func() { fired <- struct{}{} })
+			busy, release := make(chan struct{}), make(chan struct{})
+			loop.Post(func() {
+				close(busy)
+				<-release
+				cancel(tm)
+			})
+			<-busy
+			tm.Reset(time.Millisecond)
+			for deadline := time.Now().Add(2 * time.Second); len(loop.ch) == 0; {
+				if time.Now().After(deadline) {
+					t.Fatal("the expired timer never queued its firing")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			close(release)
+			drained := make(chan struct{})
+			loop.Post(func() { close(drained) })
+			<-drained
+			select {
+			case <-fired:
+				t.Fatalf("callback ran after %s cancelled it", name)
+			default:
+			}
+			tm.Stop()
+		})
+	}
+}
+
+// TestV4MappedSourcesAreUnmapped pins that a dual-stack socket reports an
+// IPv4 peer in its IPv4 spelling, so daemon identities stay "a.b.c.d:port".
+func TestV4MappedSourcesAreUnmapped(t *testing.T) {
+	if got := unmap(netip.MustParseAddrPort("[::ffff:10.0.0.1]:4803")); got.String() != "10.0.0.1:4803" {
+		t.Fatalf("unmap = %v", got)
+	}
+	loop := NewLoop()
+	defer loop.Close()
+	dual, err := Listen(loop, "[::]:0", nil)
+	if err != nil {
+		t.Skipf("no dual-stack socket here: %v", err)
+	}
+	defer dual.Close()
+	v4, err := Listen(loop, "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v4.Close()
+	from := make(chan env.Addr, 1)
+	dual.SetHandler(func(src env.Addr, _ []byte) { from <- src })
+	to := netip.AddrPortFrom(netip.MustParseAddr("127.0.0.1"), dual.LocalAddr().Port())
+	if err := v4.SendTo(to, []byte("hi")); err != nil {
+		t.Skipf("the dual-stack socket is not reachable over IPv4: %v", err)
+	}
+	select {
+	case src := <-from:
+		if src != v4.LocalAddr() {
+			t.Fatalf("source = %v, want %v", src, v4.LocalAddr())
+		}
+	case <-time.After(2 * time.Second):
+		t.Skip("the dual-stack socket received nothing over IPv4")
+	}
+}
+
 func TestUDPUnicastAndBroadcast(t *testing.T) {
 	const n = 3
 	loops := make([]*Loop, n)
@@ -86,13 +168,9 @@ func TestUDPUnicastAndBroadcast(t *testing.T) {
 		}
 		conns[i] = c
 	}
-	var peers []string
 	for _, c := range conns {
-		peers = append(peers, string(c.LocalAddr()))
-	}
-	for _, c := range conns {
-		for _, p := range peers {
-			c.peers = append(c.peers, env.Addr(p))
+		for _, p := range conns {
+			c.peers = append(c.peers, p.LocalAddr())
 		}
 	}
 	defer func() {

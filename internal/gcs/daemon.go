@@ -81,11 +81,23 @@ type Daemon struct {
 	lastTokenSeq     uint64
 	lastRingActivity time.Time
 
+	// w is the scratch encoder every outbound datagram is written into, and
+	// ids interns the daemon IDs inbound datagrams name. Both are this
+	// daemon's alone: trials run concurrently.
+	w   wire.Writer
+	ids idTable
+
+	// The protocol timers are created once, in NewDaemon (a fault timer, when
+	// its member first joins a ring), and re-armed with Reset for the life of
+	// the daemon, so the failure-free path schedules without allocating.
 	heartbeatTimer env.Timer
 	faultTimers    map[DaemonID]env.Timer
 	tokenWatchdog  env.Timer
-	pendingToken   env.Timer
 	phiScanTimer   env.Timer
+	// pendingToken forwards fwd to the ring successor one tokenInterval after
+	// the token arrived.
+	pendingToken env.Timer
+	fwd          tokenMsg
 
 	// Ring state captured when leaving the operational state, used by the
 	// Virtual Synchrony flush during recovery.
@@ -186,6 +198,10 @@ type ringInfo struct {
 	id      RingID
 	members []DaemonID // sorted
 	selfIdx int
+	// succ is the member the token is forwarded to, with its transport
+	// address parsed once, at install, rather than once per pass.
+	succ     DaemonID
+	succAddr env.Addr
 }
 
 func (r ringInfo) contains(id DaemonID) bool {
@@ -239,9 +255,17 @@ func NewDaemon(e env.Env, cfg Config) (*Daemon, error) {
 	d := &Daemon{
 		env:         e,
 		cfg:         cfg.withDefaults(),
-		id:          DaemonID(e.Conn.LocalAddr()),
+		id:          DaemonID(e.Conn.LocalAddr().String()),
+		ids:         idTable{},
 		faultTimers: map[DaemonID]env.Timer{},
 	}
+	d.heartbeatTimer = e.Clock.NewTimer(d.heartbeat)
+	d.tokenWatchdog = e.Clock.NewTimer(d.checkTokenLoss)
+	d.phiScanTimer = e.Clock.NewTimer(d.phiScan)
+	d.pendingToken = e.Clock.NewTimer(d.forwardToken)
+	d.gatherDeadline = e.Clock.NewTimer(d.closeGather)
+	d.joinTicker = e.Clock.NewTimer(d.repeatJoin)
+	d.formDeadline = e.Clock.NewTimer(d.formTimeout)
 	d.groups = newGroupLayer(d)
 	node := metrics.L("node", string(d.id))
 	d.mTokenRotation = e.Metrics.Histogram("gcs_token_rotation_seconds",
@@ -282,7 +306,7 @@ func (d *Daemon) Leave() {
 		return
 	}
 	if d.state == stOperational && len(d.ring.members) > 1 {
-		d.broadcast(leaveMsg{Ring: d.ring.id, Sender: d.id}.encode())
+		d.broadcast(leaveMsg{Ring: d.ring.id, Sender: d.id}.encode(&d.w))
 	}
 	d.Stop()
 }
@@ -398,34 +422,20 @@ func (d *Daemon) Ring() (RingID, []DaemonID, bool) {
 	return d.ring.id, members, true
 }
 
-func stopTimer(t env.Timer) {
-	if t != nil {
+func (d *Daemon) cancelProtocolTimers() {
+	d.heartbeatTimer.Stop()
+	for _, t := range d.faultTimers {
 		t.Stop()
 	}
-}
-
-func (d *Daemon) cancelProtocolTimers() {
-	stopTimer(d.heartbeatTimer)
-	d.heartbeatTimer = nil
-	for id, t := range d.faultTimers {
-		stopTimer(t)
-		delete(d.faultTimers, id)
-	}
-	stopTimer(d.tokenWatchdog)
-	d.tokenWatchdog = nil
-	stopTimer(d.pendingToken)
-	d.pendingToken = nil
-	stopTimer(d.phiScanTimer)
-	d.phiScanTimer = nil
-	stopTimer(d.gatherDeadline)
-	d.gatherDeadline = nil
-	stopTimer(d.joinTicker)
-	d.joinTicker = nil
-	stopTimer(d.formDeadline)
-	d.formDeadline = nil
+	d.tokenWatchdog.Stop()
+	d.pendingToken.Stop()
+	d.phiScanTimer.Stop()
+	d.gatherDeadline.Stop()
+	d.joinTicker.Stop()
+	d.formDeadline.Stop()
 	if d.rec != nil {
-		stopTimer(d.rec.timer)
-		stopTimer(d.rec.retry)
+		d.rec.timer.Stop()
+		d.rec.retry.Stop()
 		d.rec = nil
 	}
 }
@@ -439,11 +449,11 @@ func (d *Daemon) broadcast(payload []byte) {
 	}
 }
 
-func (d *Daemon) sendTo(id DaemonID, payload []byte) {
+func (d *Daemon) sendTo(id DaemonID, to env.Addr, payload []byte) {
 	if d.env.HLC != nil {
 		stampHeader(payload, d.env.HLC.Now())
 	}
-	if err := d.env.Conn.SendTo(addrOf(id), payload); err != nil {
+	if err := d.env.Conn.SendTo(to, payload); err != nil {
 		d.env.Log.Logf("gcs %s: send to %s: %v", d.id, id, err)
 	}
 }
@@ -465,47 +475,47 @@ func (d *Daemon) onPacket(from env.Addr, payload []byte) {
 	}
 	switch t {
 	case mtAlive:
-		m, err := decodeAlive(r)
+		m, err := d.ids.decodeAlive(r)
 		if err == nil {
 			d.onAlive(m)
 		}
 	case mtJoin:
-		m, err := decodeJoin(r)
+		m, err := d.ids.decodeJoin(r)
 		if err == nil {
 			d.onJoin(m)
 		}
 	case mtForm:
-		m, err := decodeForm(r)
+		m, err := d.ids.decodeForm(r)
 		if err == nil {
 			d.onForm(m)
 		}
 	case mtToken:
-		m, err := decodeToken(r)
+		m, err := d.ids.decodeToken(r)
 		if err == nil {
 			d.onToken(m)
 		}
 	case mtData:
-		m, err := decodeData(r)
+		m, err := d.ids.decodeData(r)
 		if err == nil {
 			d.onData(&m)
 		}
 	case mtRecoverState:
-		m, err := decodeRecoverState(r)
+		m, err := d.ids.decodeRecoverState(r)
 		if err == nil {
 			d.onRecoverState(m)
 		}
 	case mtRecoverData:
-		m, err := decodeRecoverData(r)
+		m, err := d.ids.decodeRecoverData(r)
 		if err == nil {
 			d.onRecoverData(m)
 		}
 	case mtRecoverDone:
-		m, err := decodeRecoverDone(r)
+		m, err := d.ids.decodeRecoverDone(r)
 		if err == nil {
 			d.onRecoverDone(m)
 		}
 	case mtLeave:
-		m, err := decodeLeave(r)
+		m, err := d.ids.decodeLeave(r)
 		if err == nil {
 			d.onLeave(m)
 		}
@@ -516,35 +526,47 @@ func (d *Daemon) onPacket(from env.Addr, payload []byte) {
 
 // ---- Heartbeats and fault detection -------------------------------------
 
-func (d *Daemon) startHeartbeats() {
-	var tick func()
-	tick = func() {
-		if d.closed || d.state != stOperational {
-			return
-		}
-		d.broadcast(aliveMsg{Ring: d.ring.id, Sender: d.id}.encode())
-		d.heartbeatTimer = d.env.Clock.AfterFunc(d.cfg.HeartbeatInterval, tick)
+// heartbeat tells the ring this daemon is alive and re-arms itself.
+func (d *Daemon) heartbeat() {
+	if d.closed || d.state != stOperational {
+		return
 	}
+	d.broadcast(aliveMsg{Ring: d.ring.id, Sender: d.id}.encode(&d.w))
+	d.heartbeatTimer.Reset(d.cfg.HeartbeatInterval)
+}
+
+func (d *Daemon) startHeartbeats() {
 	// First heartbeat goes out immediately so peers arm their detectors
 	// from installation time.
-	tick()
+	d.heartbeat()
 	for _, m := range d.ring.members {
 		if m == d.id {
 			continue
 		}
 		d.armFaultTimer(m)
 	}
+	// Timers of daemons that left the membership were stopped on the way
+	// here; dropping them keeps the map the size of the ring.
+	for m := range d.faultTimers {
+		if !d.ring.contains(m) {
+			delete(d.faultTimers, m)
+		}
+	}
 }
 
 func (d *Daemon) armFaultTimer(m DaemonID) {
-	stopTimer(d.faultTimers[m])
-	d.faultTimers[m] = d.env.Clock.AfterFunc(d.cfg.FaultDetectTimeout, func() {
-		if d.closed || d.state != stOperational {
-			return
-		}
-		d.env.Log.Logf("gcs %s: member %s silent beyond fault-detection timeout", d.id, m)
-		d.declareFault(m, "fixed")
-	})
+	t := d.faultTimers[m]
+	if t == nil {
+		t = d.env.Clock.NewTimer(func() {
+			if d.closed || d.state != stOperational {
+				return
+			}
+			d.env.Log.Logf("gcs %s: member %s silent beyond fault-detection timeout", d.id, m)
+			d.declareFault(m, "fixed")
+		})
+		d.faultTimers[m] = t
+	}
+	t.Reset(d.cfg.FaultDetectTimeout)
 }
 
 // declareFault declares ring member m dead on behalf of detector ("fixed" or
@@ -568,29 +590,28 @@ func (d *Daemon) declareFault(m DaemonID, detector string) {
 // stay armed underneath as the floor, so a peer whose phi never crosses
 // (an under-sampled window at boot, say) is still detected at T.
 func (d *Daemon) startPhiDetector() {
-	if d.cfg.Detector != DetectorPhi || d.health == nil {
+	if d.cfg.Detector == DetectorPhi && d.health != nil {
+		d.phiScanTimer.Reset(d.cfg.PhiCheckInterval)
+	}
+}
+
+func (d *Daemon) phiScan() {
+	if d.closed || d.state != stOperational {
 		return
 	}
 	threshold := d.PhiThreshold()
-	var tick func()
-	tick = func() {
-		if d.closed || d.state != stOperational {
-			return
+	now := d.env.Clock.Now()
+	for _, m := range d.ring.members {
+		if m == d.id {
+			continue
 		}
-		now := d.env.Clock.Now()
-		for _, m := range d.ring.members {
-			if m == d.id {
-				continue
-			}
-			if phi := d.health.Phi(string(m), now); phi >= threshold {
-				d.env.Log.Logf("gcs %s: member %s phi %.2f crossed threshold %.2f", d.id, m, phi, threshold)
-				d.declareFault(m, "phi")
-				return // no longer operational; the scan dies with the state
-			}
+		if phi := d.health.Phi(string(m), now); phi >= threshold {
+			d.env.Log.Logf("gcs %s: member %s phi %.2f crossed threshold %.2f", d.id, m, phi, threshold)
+			d.declareFault(m, "phi")
+			return // no longer operational; the scan dies with the state
 		}
-		d.phiScanTimer = d.env.Clock.AfterFunc(d.cfg.PhiCheckInterval, tick)
 	}
-	d.phiScanTimer = d.env.Clock.AfterFunc(d.cfg.PhiCheckInterval, tick)
+	d.phiScanTimer.Reset(d.cfg.PhiCheckInterval)
 }
 
 func (d *Daemon) onAlive(m aliveMsg) {
@@ -643,31 +664,30 @@ func (d *Daemon) enterGather(reason string, minRound uint64) {
 	d.gathered = map[DaemonID]bool{d.id: true}
 	d.env.Log.Logf("gcs %s: gather round %d (%s)", d.id, d.round, reason)
 	d.sendJoin()
-	var tick func()
-	tick = func() {
-		if d.closed || d.state != stGather {
-			return
-		}
-		d.sendJoin()
-		d.joinTicker = d.env.Clock.AfterFunc(d.cfg.joinInterval(), tick)
+	d.joinTicker.Reset(d.cfg.joinInterval())
+	d.gatherDeadline.Reset(d.cfg.DiscoveryTimeout)
+}
+
+// repeatJoin re-announces this daemon for as long as discovery lasts.
+func (d *Daemon) repeatJoin() {
+	if d.closed || d.state != stGather {
+		return
 	}
-	d.joinTicker = d.env.Clock.AfterFunc(d.cfg.joinInterval(), tick)
-	d.resetGatherDeadline()
+	d.sendJoin()
+	d.joinTicker.Reset(d.cfg.joinInterval())
 }
 
-func (d *Daemon) resetGatherDeadline() {
-	stopTimer(d.gatherDeadline)
-	d.gatherDeadline = d.env.Clock.AfterFunc(d.cfg.DiscoveryTimeout, d.closeGather)
-}
-
-func (d *Daemon) sendJoin() {
+// currentJoin is this daemon's JOIN: its round and everyone it has heard.
+func (d *Daemon) currentJoin() joinMsg {
 	seen := make([]DaemonID, 0, len(d.gathered))
 	for id := range d.gathered {
 		seen = append(seen, id)
 	}
 	sortIDs(seen)
-	d.broadcast(joinMsg{Sender: d.id, Round: d.round, Seen: seen}.encode())
+	return joinMsg{Sender: d.id, Round: d.round, Seen: seen}
 }
+
+func (d *Daemon) sendJoin() { d.broadcast(d.currentJoin().encode(&d.w)) }
 
 func (d *Daemon) mergeGathered(m joinMsg) {
 	d.gathered[m.Sender] = true
@@ -689,18 +709,13 @@ func (d *Daemon) onJoin(m joinMsg) {
 		case m.Round > d.round:
 			d.round = m.Round
 			d.mergeGathered(m)
-			d.resetGatherDeadline()
+			d.gatherDeadline.Reset(d.cfg.DiscoveryTimeout)
 		case m.Round == d.round:
 			d.mergeGathered(m)
 		default:
 			// Help a laggard catch up with the current round.
 			if m.Sender != d.id {
-				seen := make([]DaemonID, 0, len(d.gathered))
-				for id := range d.gathered {
-					seen = append(seen, id)
-				}
-				sortIDs(seen)
-				d.sendTo(m.Sender, joinMsg{Sender: d.id, Round: d.round, Seen: seen}.encode())
+				d.sendTo(m.Sender, addrOf(m.Sender), d.currentJoin().encode(&d.w))
 			}
 		}
 	case stCommitWait:
@@ -726,8 +741,7 @@ func (d *Daemon) closeGather() {
 	if d.closed || d.state != stGather {
 		return
 	}
-	stopTimer(d.joinTicker)
-	d.joinTicker = nil
+	d.joinTicker.Stop()
 	members := make([]DaemonID, 0, len(d.gathered))
 	for id := range d.gathered {
 		members = append(members, id)
@@ -746,17 +760,19 @@ func (d *Daemon) closeGather() {
 			d.env.Tracer.Emit(obs.Event{Source: obs.SourceGCS, Kind: obs.KindFormRing, Node: string(d.id),
 				Group: form.Ring.String(), Detail: fmt.Sprintf("members=%d", len(members))})
 		}
-		d.broadcast(form.encode())
+		d.broadcast(form.encode(&d.w))
 		d.onForm(form)
 		return
 	}
-	d.formDeadline = d.env.Clock.AfterFunc(d.cfg.FormTimeout(), func() {
-		if d.closed || d.state != stCommitWait {
-			return
-		}
-		d.env.Log.Logf("gcs %s: no FORM from coordinator, re-gathering", d.id)
-		d.enterGather("form-timeout", 0)
-	})
+	d.formDeadline.Reset(d.cfg.FormTimeout())
+}
+
+func (d *Daemon) formTimeout() {
+	if d.closed || d.state != stCommitWait {
+		return
+	}
+	d.env.Log.Logf("gcs %s: no FORM from coordinator, re-gathering", d.id)
+	d.enterGather("form-timeout", 0)
 }
 
 func (d *Daemon) onForm(m formMsg) {
@@ -799,12 +815,9 @@ func (d *Daemon) onForm(m formMsg) {
 	if m.Ring.Epoch > d.maxEpoch {
 		d.maxEpoch = m.Ring.Epoch
 	}
-	stopTimer(d.gatherDeadline)
-	d.gatherDeadline = nil
-	stopTimer(d.joinTicker)
-	d.joinTicker = nil
-	stopTimer(d.formDeadline)
-	d.formDeadline = nil
+	d.gatherDeadline.Stop()
+	d.joinTicker.Stop()
+	d.formDeadline.Stop()
 	d.enterRecovery(m)
 }
 
@@ -812,8 +825,8 @@ func (d *Daemon) onForm(m formMsg) {
 
 func (d *Daemon) enterRecovery(form formMsg) {
 	if d.rec != nil {
-		stopTimer(d.rec.timer)
-		stopTimer(d.rec.retry)
+		d.rec.timer.Stop()
+		d.rec.retry.Stop()
 	}
 	d.state = stRecover
 	if d.env.Tracer.Enabled() {
@@ -844,22 +857,21 @@ func (d *Daemon) enterRecovery(form formMsg) {
 	// periodic resends make the exchange robust to reordering and loss
 	// without changing its outcome (receivers are idempotent and the state
 	// snapshot is immutable).
-	var resend func()
-	resend = func() {
+	rec.retry = d.env.Clock.NewTimer(func() {
 		if d.closed || d.state != stRecover || d.rec != rec {
 			return
 		}
 		if form.Members[0] == d.id {
-			d.broadcast(form.encode())
+			d.broadcast(form.encode(&d.w))
 		}
-		d.broadcast(rec.mine.encode())
+		d.broadcast(rec.mine.encode(&d.w))
 		if rec.selfDone {
-			d.broadcast(recoverDoneMsg{Ring: form.Ring, Sender: d.id}.encode())
+			d.broadcast(recoverDoneMsg{Ring: form.Ring, Sender: d.id}.encode(&d.w))
 		}
-		rec.retry = d.env.Clock.AfterFunc(d.cfg.RecoveryTimeout()/4, resend)
-	}
-	rec.retry = d.env.Clock.AfterFunc(d.cfg.RecoveryTimeout()/4, resend)
-	d.broadcast(rec.mine.encode())
+		rec.retry.Reset(d.cfg.RecoveryTimeout() / 4)
+	})
+	rec.retry.Reset(d.cfg.RecoveryTimeout() / 4)
+	d.broadcast(rec.mine.encode(&d.w))
 	d.onRecoverState(rec.mine)
 	replay := d.earlyRec
 	d.earlyRec = nil
@@ -938,7 +950,7 @@ func (d *Daemon) checkRecovery() {
 		}
 		rec.selfDone = true
 		done := recoverDoneMsg{Ring: rec.form.Ring, Sender: d.id}
-		d.broadcast(done.encode())
+		d.broadcast(done.encode(&d.w))
 		d.onRecoverDone(done)
 		// onRecoverDone re-enters checkRecovery; avoid double work.
 		return
@@ -1015,7 +1027,7 @@ func (d *Daemon) flushOldRing() bool {
 		}
 		if anyLacks && firstHolder == d.id && !rec.sent[s] {
 			rec.sent[s] = true
-			d.broadcast(recoverDataMsg{Ring: rec.form.Ring, OldRing: d.old.ring.id, Msg: *d.old.store[s]}.encode())
+			d.broadcast(recoverDataMsg{Ring: rec.form.Ring, OldRing: d.old.ring.id, Msg: *d.old.store[s]}.encode(&d.w))
 		}
 	}
 	if !complete {
@@ -1038,8 +1050,8 @@ func (d *Daemon) flushOldRing() bool {
 }
 
 func (d *Daemon) install(form formMsg) {
-	stopTimer(d.rec.timer)
-	stopTimer(d.rec.retry)
+	d.rec.timer.Stop()
+	d.rec.retry.Stop()
 	d.rec = nil
 	d.earlyRec = nil
 	selfIdx := 0
@@ -1049,6 +1061,8 @@ func (d *Daemon) install(form formMsg) {
 		}
 	}
 	d.ring = ringInfo{id: form.Ring, members: form.Members, selfIdx: selfIdx}
+	d.ring.succ = d.ring.successor(d.id)
+	d.ring.succAddr = addrOf(d.ring.succ)
 	d.installedRound = form.Round
 	d.round = form.Round
 	d.store = map[uint64]*dataMsg{}
@@ -1100,21 +1114,18 @@ func (d *Daemon) install(form formMsg) {
 
 // ---- Operational ring: token and data ------------------------------------
 
-func (d *Daemon) startTokenWatchdog() {
-	interval := d.cfg.TokenLossTimeout() / 2
-	var tick func()
-	tick = func() {
-		if d.closed || d.state != stOperational {
-			return
-		}
-		if d.env.Clock.Now().Sub(d.lastRingActivity) > d.cfg.TokenLossTimeout() {
-			d.env.Log.Logf("gcs %s: token lost on ring %s", d.id, d.ring.id)
-			d.enterGather("token-loss", 0)
-			return
-		}
-		d.tokenWatchdog = d.env.Clock.AfterFunc(interval, tick)
+func (d *Daemon) startTokenWatchdog() { d.tokenWatchdog.Reset(d.cfg.TokenLossTimeout() / 2) }
+
+func (d *Daemon) checkTokenLoss() {
+	if d.closed || d.state != stOperational {
+		return
 	}
-	d.tokenWatchdog = d.env.Clock.AfterFunc(interval, tick)
+	if d.env.Clock.Now().Sub(d.lastRingActivity) > d.cfg.TokenLossTimeout() {
+		d.env.Log.Logf("gcs %s: token lost on ring %s", d.id, d.ring.id)
+		d.enterGather("token-loss", 0)
+		return
+	}
+	d.startTokenWatchdog()
 }
 
 // sendData queues a group-layer message for total ordering. The message is
@@ -1159,7 +1170,7 @@ func (d *Daemon) onToken(tok tokenMsg) {
 		if msg, ok := d.store[s]; ok {
 			d.stats.dataRetransmitted.Add(1)
 			d.retransEpisode++
-			d.broadcast(msg.encode())
+			d.broadcast(msg.encode(&d.w))
 		} else {
 			rtr = append(rtr, s)
 		}
@@ -1183,24 +1194,25 @@ func (d *Daemon) onToken(tok tokenMsg) {
 			d.highSeq = msg.Seq
 		}
 		d.stats.dataSent.Add(1)
-		d.broadcast(msg.encode())
+		d.broadcast(msg.encode(&d.w))
 	}
 	d.tryDeliver()
 
 	tok.Rtr = rtr
 	tok.TokenSeq++
-	succ := d.ring.successor(d.id)
-	ringID := d.ring.id
-	fwd := tok
-	stopTimer(d.pendingToken)
-	d.pendingToken = d.env.Clock.AfterFunc(tokenInterval, func() {
-		if d.closed || d.state != stOperational || d.ring.id != ringID {
-			return
-		}
-		d.stats.tokensForwarded.Add(1)
-		d.env.Tracer.Emit(obs.Event{Source: obs.SourceGCS, Kind: obs.KindTokenPass, Node: string(d.id), Detail: string(succ)})
-		d.sendTo(succ, fwd.encode())
-	})
+	d.fwd = tok
+	d.pendingToken.Reset(tokenInterval)
+}
+
+// forwardToken passes d.fwd to the ring successor, unless the ring it was
+// held for is gone.
+func (d *Daemon) forwardToken() {
+	if d.closed || d.state != stOperational || d.ring.id != d.fwd.Ring {
+		return
+	}
+	d.stats.tokensForwarded.Add(1)
+	d.env.Tracer.Emit(obs.Event{Source: obs.SourceGCS, Kind: obs.KindTokenPass, Node: string(d.id), Detail: string(d.ring.succ)})
+	d.sendTo(d.ring.succ, d.ring.succAddr, d.fwd.encode(&d.w))
 }
 
 func (d *Daemon) onData(m *dataMsg) {

@@ -3,7 +3,8 @@ package gcs
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"net/netip"
+	"slices"
 	"time"
 
 	"wackamole/internal/env"
@@ -146,7 +147,11 @@ type recoverDoneMsg struct {
 	Sender DaemonID
 }
 
+// writeHeader starts a new message in w, discarding whatever it held: every
+// datagram a daemon sends is encoded into its one scratch writer, which is
+// safe because env.PacketConn does not retain payloads past the send call.
 func writeHeader(w *wire.Writer, t msgType) {
+	w.Reset()
 	w.U8(protoMagicA)
 	w.U8(protoMagicB)
 	w.U8(protoVer)
@@ -199,55 +204,84 @@ func writeRing(w *wire.Writer, r RingID) {
 	w.U64(r.Epoch)
 }
 
-func readRing(r *wire.Reader) RingID {
-	return RingID{Coord: DaemonID(r.String()), Epoch: r.U64()}
+// maxInterned bounds an idTable. A cluster has tens of daemons; the bound only
+// has to stop hostile traffic from growing the table without limit.
+const maxInterned = 1024
+
+// idTable interns the daemon IDs named by inbound datagrams, so that decoding
+// a message from a known daemon allocates no string per ID field. Each daemon
+// owns one (trials run concurrently; the table is never shared).
+type idTable map[string]DaemonID
+
+// read decodes one length-prefixed daemon ID.
+func (t idTable) read(r *wire.Reader) DaemonID {
+	b := r.View16()
+	if len(b) == 0 {
+		return ""
+	}
+	if id, ok := t[string(b)]; ok { // no allocation: the compiler elides the conversion
+		return id
+	}
+	id := DaemonID(b)
+	if len(t) >= maxInterned {
+		// Full of IDs that are mostly noise: start over. The daemons that
+		// matter come back with their next heartbeat, at one string each.
+		clear(t)
+	}
+	t[string(id)] = id
+	return id
+}
+
+func (t idTable) readRing(r *wire.Reader) RingID {
+	return RingID{Coord: t.read(r), Epoch: r.U64()}
 }
 
 func writeIDList(w *wire.Writer, ids []DaemonID) {
-	ss := make([]string, len(ids))
-	for i, id := range ids {
-		ss[i] = string(id)
+	if len(ids) > wire.MaxStringLen {
+		panic(fmt.Sprintf("gcs: id list of %d entries exceeds %d", len(ids), wire.MaxStringLen))
 	}
-	w.StringList(ss)
+	w.U16(uint16(len(ids)))
+	for _, id := range ids {
+		w.String(string(id))
+	}
 }
 
-func readIDList(r *wire.Reader) []DaemonID {
-	ss := r.StringList()
-	ids := make([]DaemonID, len(ss))
-	for i, s := range ss {
-		ids[i] = DaemonID(s)
+func (t idTable) readIDList(r *wire.Reader) []DaemonID {
+	n := int(r.U16())
+	// Every entry takes at least its two-byte prefix, so a hostile count
+	// cannot reserve more than the datagram could ever fill.
+	ids := make([]DaemonID, 0, min(n, r.Remaining()/2))
+	for i := 0; i < n && r.Err() == nil; i++ {
+		ids = append(ids, t.read(r))
 	}
 	return ids
 }
 
-func (m aliveMsg) encode() []byte {
-	w := wire.NewWriter(64)
+func (m aliveMsg) encode(w *wire.Writer) []byte {
 	writeHeader(w, mtAlive)
 	writeRing(w, m.Ring)
 	w.String(string(m.Sender))
 	return w.Bytes()
 }
 
-func decodeAlive(r *wire.Reader) (aliveMsg, error) {
-	m := aliveMsg{Ring: readRing(r), Sender: DaemonID(r.String())}
+func (t idTable) decodeAlive(r *wire.Reader) (aliveMsg, error) {
+	m := aliveMsg{Ring: t.readRing(r), Sender: t.read(r)}
 	return m, r.Done()
 }
 
-func (m leaveMsg) encode() []byte {
-	w := wire.NewWriter(64)
+func (m leaveMsg) encode(w *wire.Writer) []byte {
 	writeHeader(w, mtLeave)
 	writeRing(w, m.Ring)
 	w.String(string(m.Sender))
 	return w.Bytes()
 }
 
-func decodeLeave(r *wire.Reader) (leaveMsg, error) {
-	m := leaveMsg{Ring: readRing(r), Sender: DaemonID(r.String())}
+func (t idTable) decodeLeave(r *wire.Reader) (leaveMsg, error) {
+	m := leaveMsg{Ring: t.readRing(r), Sender: t.read(r)}
 	return m, r.Done()
 }
 
-func (m joinMsg) encode() []byte {
-	w := wire.NewWriter(128)
+func (m joinMsg) encode(w *wire.Writer) []byte {
 	writeHeader(w, mtJoin)
 	w.String(string(m.Sender))
 	w.U64(m.Round)
@@ -255,13 +289,12 @@ func (m joinMsg) encode() []byte {
 	return w.Bytes()
 }
 
-func decodeJoin(r *wire.Reader) (joinMsg, error) {
-	m := joinMsg{Sender: DaemonID(r.String()), Round: r.U64(), Seen: readIDList(r)}
+func (t idTable) decodeJoin(r *wire.Reader) (joinMsg, error) {
+	m := joinMsg{Sender: t.read(r), Round: r.U64(), Seen: t.readIDList(r)}
 	return m, r.Done()
 }
 
-func (m formMsg) encode() []byte {
-	w := wire.NewWriter(128)
+func (m formMsg) encode(w *wire.Writer) []byte {
 	writeHeader(w, mtForm)
 	w.U64(m.Round)
 	writeRing(w, m.Ring)
@@ -269,13 +302,12 @@ func (m formMsg) encode() []byte {
 	return w.Bytes()
 }
 
-func decodeForm(r *wire.Reader) (formMsg, error) {
-	m := formMsg{Round: r.U64(), Ring: readRing(r), Members: readIDList(r)}
+func (t idTable) decodeForm(r *wire.Reader) (formMsg, error) {
+	m := formMsg{Round: r.U64(), Ring: t.readRing(r), Members: t.readIDList(r)}
 	return m, r.Done()
 }
 
-func (m tokenMsg) encode() []byte {
-	w := wire.NewWriter(128)
+func (m tokenMsg) encode(w *wire.Writer) []byte {
 	writeHeader(w, mtToken)
 	writeRing(w, m.Ring)
 	w.U64(m.TokenSeq)
@@ -284,13 +316,12 @@ func (m tokenMsg) encode() []byte {
 	return w.Bytes()
 }
 
-func decodeToken(r *wire.Reader) (tokenMsg, error) {
-	m := tokenMsg{Ring: readRing(r), TokenSeq: r.U64(), Seq: r.U64(), Rtr: r.U64List()}
+func (t idTable) decodeToken(r *wire.Reader) (tokenMsg, error) {
+	m := tokenMsg{Ring: t.readRing(r), TokenSeq: r.U64(), Seq: r.U64(), Rtr: r.U64List()}
 	return m, r.Done()
 }
 
-func (m dataMsg) encode() []byte {
-	w := wire.NewWriter(128 + len(m.Payload))
+func (m dataMsg) encode(w *wire.Writer) []byte {
 	writeHeader(w, mtData)
 	m.encodeBody(w)
 	return w.Bytes()
@@ -304,23 +335,22 @@ func (m dataMsg) encodeBody(w *wire.Writer) {
 	w.Bytes16(m.Payload)
 }
 
-func decodeDataBody(r *wire.Reader) dataMsg {
+func (t idTable) decodeDataBody(r *wire.Reader) dataMsg {
 	return dataMsg{
-		Ring:    readRing(r),
+		Ring:    t.readRing(r),
 		Seq:     r.U64(),
-		Origin:  DaemonID(r.String()),
+		Origin:  t.read(r),
 		Kind:    dataKind(r.U8()),
 		Payload: r.Bytes16(),
 	}
 }
 
-func decodeData(r *wire.Reader) (dataMsg, error) {
-	m := decodeDataBody(r)
+func (t idTable) decodeData(r *wire.Reader) (dataMsg, error) {
+	m := t.decodeDataBody(r)
 	return m, r.Done()
 }
 
-func (m recoverStateMsg) encode() []byte {
-	w := wire.NewWriter(128)
+func (m recoverStateMsg) encode(w *wire.Writer) []byte {
 	writeHeader(w, mtRecoverState)
 	writeRing(w, m.Ring)
 	w.String(string(m.Sender))
@@ -330,19 +360,18 @@ func (m recoverStateMsg) encode() []byte {
 	return w.Bytes()
 }
 
-func decodeRecoverState(r *wire.Reader) (recoverStateMsg, error) {
+func (t idTable) decodeRecoverState(r *wire.Reader) (recoverStateMsg, error) {
 	m := recoverStateMsg{
-		Ring:    readRing(r),
-		Sender:  DaemonID(r.String()),
-		OldRing: readRing(r),
+		Ring:    t.readRing(r),
+		Sender:  t.read(r),
+		OldRing: t.readRing(r),
 		OldHigh: r.U64(),
 		Missing: r.U64List(),
 	}
 	return m, r.Done()
 }
 
-func (m recoverDataMsg) encode() []byte {
-	w := wire.NewWriter(160 + len(m.Msg.Payload))
+func (m recoverDataMsg) encode(w *wire.Writer) []byte {
 	writeHeader(w, mtRecoverData)
 	writeRing(w, m.Ring)
 	writeRing(w, m.OldRing)
@@ -350,28 +379,25 @@ func (m recoverDataMsg) encode() []byte {
 	return w.Bytes()
 }
 
-func decodeRecoverData(r *wire.Reader) (recoverDataMsg, error) {
-	m := recoverDataMsg{Ring: readRing(r), OldRing: readRing(r), Msg: decodeDataBody(r)}
+func (t idTable) decodeRecoverData(r *wire.Reader) (recoverDataMsg, error) {
+	m := recoverDataMsg{Ring: t.readRing(r), OldRing: t.readRing(r), Msg: t.decodeDataBody(r)}
 	return m, r.Done()
 }
 
-func (m recoverDoneMsg) encode() []byte {
-	w := wire.NewWriter(64)
+func (m recoverDoneMsg) encode(w *wire.Writer) []byte {
 	writeHeader(w, mtRecoverDone)
 	writeRing(w, m.Ring)
 	w.String(string(m.Sender))
 	return w.Bytes()
 }
 
-func decodeRecoverDone(r *wire.Reader) (recoverDoneMsg, error) {
-	m := recoverDoneMsg{Ring: readRing(r), Sender: DaemonID(r.String())}
+func (t idTable) decodeRecoverDone(r *wire.Reader) (recoverDoneMsg, error) {
+	m := recoverDoneMsg{Ring: t.readRing(r), Sender: t.read(r)}
 	return m, r.Done()
 }
 
 // sortIDs sorts daemon identifiers into the canonical membership order.
-func sortIDs(ids []DaemonID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-}
+func sortIDs(ids []DaemonID) { slices.Sort(ids) }
 
 // idsEqual reports whether two sorted id lists are identical.
 func idsEqual(a, b []DaemonID) bool {
@@ -386,5 +412,10 @@ func idsEqual(a, b []DaemonID) bool {
 	return true
 }
 
-// addrOf converts a daemon id back to a transport address.
-func addrOf(id DaemonID) env.Addr { return env.Addr(id) }
+// addrOf converts a daemon id back to a transport address; an id that is not
+// one (only a hostile FORM can name such a member) yields the invalid address,
+// which no endpoint can send to.
+func addrOf(id DaemonID) env.Addr {
+	a, _ := netip.ParseAddrPort(string(id))
+	return a
+}

@@ -10,12 +10,12 @@ import (
 
 func TestAliveRoundTrip(t *testing.T) {
 	in := aliveMsg{Ring: RingID{Coord: "10.0.0.1:4803", Epoch: 7}, Sender: "10.0.0.2:4803"}
-	r := wire.NewReader(in.encode())
+	r := wire.NewReader(in.encode(new(wire.Writer)))
 	typ, err := readHeader(r)
 	if err != nil || typ != mtAlive {
 		t.Fatalf("header: %v %v", typ, err)
 	}
-	out, err := decodeAlive(r)
+	out, err := idTable{}.decodeAlive(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,12 +26,12 @@ func TestAliveRoundTrip(t *testing.T) {
 
 func TestJoinRoundTrip(t *testing.T) {
 	in := joinMsg{Sender: "a:1", Round: 42, Seen: []DaemonID{"a:1", "b:1", "c:1"}}
-	r := wire.NewReader(in.encode())
+	r := wire.NewReader(in.encode(new(wire.Writer)))
 	typ, err := readHeader(r)
 	if err != nil || typ != mtJoin {
 		t.Fatalf("header: %v %v", typ, err)
 	}
-	out, err := decodeJoin(r)
+	out, err := idTable{}.decodeJoin(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,11 +42,11 @@ func TestJoinRoundTrip(t *testing.T) {
 
 func TestFormRoundTrip(t *testing.T) {
 	in := formMsg{Round: 3, Ring: RingID{Coord: "a:1", Epoch: 9}, Members: []DaemonID{"a:1", "b:1"}}
-	r := wire.NewReader(in.encode())
+	r := wire.NewReader(in.encode(new(wire.Writer)))
 	if typ, err := readHeader(r); err != nil || typ != mtForm {
 		t.Fatalf("header: %v %v", typ, err)
 	}
-	out, err := decodeForm(r)
+	out, err := idTable{}.decodeForm(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +57,11 @@ func TestFormRoundTrip(t *testing.T) {
 
 func TestTokenRoundTrip(t *testing.T) {
 	in := tokenMsg{Ring: RingID{Coord: "a:1", Epoch: 2}, TokenSeq: 100, Seq: 55, Rtr: []uint64{3, 9, 12}}
-	r := wire.NewReader(in.encode())
+	r := wire.NewReader(in.encode(new(wire.Writer)))
 	if typ, err := readHeader(r); err != nil || typ != mtToken {
 		t.Fatalf("header: %v %v", typ, err)
 	}
-	out, err := decodeToken(r)
+	out, err := idTable{}.decodeToken(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +78,11 @@ func TestDataRoundTrip(t *testing.T) {
 		Kind:    dkGroupCast,
 		Payload: []byte("hello wackamole"),
 	}
-	r := wire.NewReader(in.encode())
+	r := wire.NewReader(in.encode(new(wire.Writer)))
 	if typ, err := readHeader(r); err != nil || typ != mtData {
 		t.Fatalf("header: %v %v", typ, err)
 	}
-	out, err := decodeData(r)
+	out, err := idTable{}.decodeData(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +99,11 @@ func TestRecoveryMessagesRoundTrip(t *testing.T) {
 		OldHigh: 77,
 		Missing: []uint64{5, 6},
 	}
-	r := wire.NewReader(st.encode())
+	r := wire.NewReader(st.encode(new(wire.Writer)))
 	if typ, err := readHeader(r); err != nil || typ != mtRecoverState {
 		t.Fatalf("header: %v %v", typ, err)
 	}
-	stOut, err := decodeRecoverState(r)
+	stOut, err := idTable{}.decodeRecoverState(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +116,11 @@ func TestRecoveryMessagesRoundTrip(t *testing.T) {
 		OldRing: RingID{Coord: "a:1", Epoch: 4},
 		Msg:     dataMsg{Ring: RingID{Coord: "a:1", Epoch: 4}, Seq: 6, Origin: "c:1", Kind: dkGroupJoin, Payload: []byte("x")},
 	}
-	r = wire.NewReader(rd.encode())
+	r = wire.NewReader(rd.encode(new(wire.Writer)))
 	if typ, err := readHeader(r); err != nil || typ != mtRecoverData {
 		t.Fatalf("header: %v %v", typ, err)
 	}
-	rdOut, err := decodeRecoverData(r)
+	rdOut, err := idTable{}.decodeRecoverData(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,11 +129,11 @@ func TestRecoveryMessagesRoundTrip(t *testing.T) {
 	}
 
 	dn := recoverDoneMsg{Ring: RingID{Coord: "a:1", Epoch: 5}, Sender: "b:1"}
-	r = wire.NewReader(dn.encode())
+	r = wire.NewReader(dn.encode(new(wire.Writer)))
 	if typ, err := readHeader(r); err != nil || typ != mtRecoverDone {
 		t.Fatalf("header: %v %v", typ, err)
 	}
-	dnOut, err := decodeRecoverDone(r)
+	dnOut, err := idTable{}.decodeRecoverDone(r)
 	if err != nil || dnOut != dn {
 		t.Fatalf("round trip %+v err=%v", dnOut, err)
 	}
@@ -248,21 +248,21 @@ func TestDecodersNeverPanic(t *testing.T) {
 		}
 		switch typ {
 		case mtAlive:
-			_, _ = decodeAlive(r)
+			_, _ = idTable{}.decodeAlive(r)
 		case mtJoin:
-			_, _ = decodeJoin(r)
+			_, _ = idTable{}.decodeJoin(r)
 		case mtForm:
-			_, _ = decodeForm(r)
+			_, _ = idTable{}.decodeForm(r)
 		case mtToken:
-			_, _ = decodeToken(r)
+			_, _ = idTable{}.decodeToken(r)
 		case mtData:
-			_, _ = decodeData(r)
+			_, _ = idTable{}.decodeData(r)
 		case mtRecoverState:
-			_, _ = decodeRecoverState(r)
+			_, _ = idTable{}.decodeRecoverState(r)
 		case mtRecoverData:
-			_, _ = decodeRecoverData(r)
+			_, _ = idTable{}.decodeRecoverData(r)
 		case mtRecoverDone:
-			_, _ = decodeRecoverDone(r)
+			_, _ = idTable{}.decodeRecoverDone(r)
 		}
 		return true
 	}

@@ -168,7 +168,7 @@ func TestTokenLossWatchdogRegathers(t *testing.T) {
 	// notice. lastTokenSeq resets at the next install.
 	for _, dd := range daemons {
 		dd.lastTokenSeq += 1 << 40
-		stopTimer(dd.pendingToken)
+		dd.pendingToken.Stop()
 	}
 	s.RunFor(10 * time.Second)
 	if d.stats.membershipsInstalled.Load() <= installsBefore {

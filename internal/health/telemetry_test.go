@@ -142,15 +142,21 @@ type fakeClock struct {
 }
 
 type fakeTimer struct {
+	c       *fakeClock
 	at      time.Time
 	f       func()
 	stopped bool
 }
 
 func (c *fakeClock) Now() time.Time { return c.now }
-func (c *fakeClock) AfterFunc(d time.Duration, f func()) env.Timer {
-	t := &fakeTimer{at: c.now.Add(d), f: f}
+func (c *fakeClock) NewTimer(f func()) env.Timer {
+	t := &fakeTimer{c: c, f: f, stopped: true}
 	c.timers = append(c.timers, t)
+	return t
+}
+func (c *fakeClock) AfterFunc(d time.Duration, f func()) env.Timer {
+	t := c.NewTimer(f)
+	t.Reset(d)
 	return t
 }
 func (t *fakeTimer) Stop() bool {
@@ -158,6 +164,7 @@ func (t *fakeTimer) Stop() bool {
 	t.stopped = true
 	return !was
 }
+func (t *fakeTimer) Reset(d time.Duration) { t.at, t.stopped = t.c.now.Add(d), false }
 
 // advance runs all timers due at or before the new instant.
 func (c *fakeClock) advance(d time.Duration) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"wackamole/internal/env"
 	"wackamole/internal/flow"
 	"wackamole/internal/gcs"
 	"wackamole/internal/netsim"
@@ -32,6 +33,99 @@ func poisonedLAN(t *testing.T, seed int64, n int) (*sim.Sim, []*netsim.Host) {
 	return s, hosts
 }
 
+// scribbler is the send-side counterpart of the poisoned pool: it overwrites
+// the sender's buffer the moment SendTo or Broadcast returns, which the
+// env.PacketConn contract allows. A network that kept the slice instead of
+// copying it would deliver garbage.
+type scribbler struct{ env.PacketConn }
+
+func scribble(b []byte) {
+	for i := range b {
+		b[i] = 0xDB
+	}
+}
+
+func (c scribbler) SendTo(to env.Addr, payload []byte) error {
+	defer scribble(payload)
+	return c.PacketConn.SendTo(to, payload)
+}
+
+func (c scribbler) Broadcast(payload []byte) error {
+	defer scribble(payload)
+	return c.PacketConn.Broadcast(payload)
+}
+
+// TestSendDoesNotRetainPayload covers every way a datagram leaves an
+// endpoint — unicast, loop-back, broadcast and the broadcaster's own copy —
+// with the sender reusing its buffer immediately.
+func TestSendDoesNotRetainPayload(t *testing.T) {
+	s, hosts := poisonedLAN(t, 40, 3)
+	got := make([][]string, len(hosts))
+	conns := make([]env.PacketConn, len(hosts))
+	for i, h := range hosts {
+		i := i
+		ep, err := h.OpenEndpoint(h.NICs()[0], 4803)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ep.SetHandler(func(_ env.Addr, payload []byte) { got[i] = append(got[i], string(payload)) })
+		conns[i] = scribbler{ep}
+	}
+	buf := make([]byte, 0, 16)
+	send := func(msg string, send func(payload []byte) error) {
+		t.Helper()
+		buf = append(buf[:0], msg...)
+		if err := send(buf); err != nil {
+			t.Fatal(err)
+		}
+		if string(buf) == msg {
+			t.Fatal("the scribbler left the buffer intact; the test proves nothing")
+		}
+	}
+	send("unicast", func(p []byte) error { return conns[0].SendTo(conns[1].LocalAddr(), p) })
+	send("loop-back", func(p []byte) error { return conns[0].SendTo(conns[0].LocalAddr(), p) })
+	send("broadcast", conns[0].Broadcast)
+	s.Run()
+	// The unicast waits for ARP, so it lands after the broadcast.
+	want := [][]string{{"loop-back", "broadcast"}, {"broadcast", "unicast"}, {"broadcast"}}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("delivered %q, want %q", got, want)
+	}
+}
+
+// TestEndpointPingPongDoesNotAllocate pins the adapter between the simulated
+// host and env.PacketConn: addresses pass through as values, so a settled
+// unicast exchange allocates nothing in either direction.
+func TestEndpointPingPongDoesNotAllocate(t *testing.T) {
+	s, hosts := poisonedLAN(t, 44, 2)
+	var eps [2]*netsim.Endpoint
+	for i, h := range hosts {
+		ep, err := h.OpenEndpoint(h.NICs()[0], 4803)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eps[i] = ep
+	}
+	pongs := 0
+	eps[0].SetHandler(func(env.Addr, []byte) { pongs++ })
+	eps[1].SetHandler(func(from env.Addr, p []byte) {
+		if err := eps[1].SendTo(from, p); err != nil {
+			t.Error(err)
+		}
+	})
+	to, payload := eps[1].LocalAddr(), make([]byte, 64)
+	pingPong := func() {
+		if err := eps[0].SendTo(to, payload); err != nil {
+			t.Error(err)
+		}
+		s.Run()
+	}
+	pingPong() // resolves ARP both ways and fills the pools
+	if avg := testing.AllocsPerRun(200, pingPong); avg != 0 || pongs != 202 {
+		t.Fatalf("ping-pong allocates %.1f (%d pongs of 202), want 0", avg, pongs)
+	}
+}
+
 func TestNoRetainGCSRingDeliversAgreed(t *testing.T) {
 	s, hosts := poisonedLAN(t, 41, 3)
 	got := make([][]string, len(hosts))
@@ -43,7 +137,10 @@ func TestNoRetainGCSRingDeliversAgreed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if daemons[i], err = gcs.NewDaemon(ep.Env(nil), gcs.TunedConfig()); err != nil {
+		// The scribbler poisons the daemon's scratch encoder between sends.
+		e := ep.Env(nil)
+		e.Conn = scribbler{e.Conn}
+		if daemons[i], err = gcs.NewDaemon(e, gcs.TunedConfig()); err != nil {
 			t.Fatal(err)
 		}
 		daemons[i].Start()

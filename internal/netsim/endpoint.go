@@ -3,7 +3,6 @@ package netsim
 import (
 	"fmt"
 	"net/netip"
-	"sync/atomic"
 
 	"wackamole/internal/env"
 )
@@ -19,20 +18,15 @@ type Endpoint struct {
 	port    uint16
 	sock    *Socket
 	handler env.Handler
-	// closed is atomic so that tear-down from outside the simulation
-	// goroutine cannot race a concurrent frame delivery into a
-	// closed-endpoint handler invocation.
-	closed atomic.Bool
 }
 
 // OpenEndpoint binds (nic.Primary(), port) and returns the packet endpoint.
 func (h *Host) OpenEndpoint(nic *NIC, port uint16) (*Endpoint, error) {
 	ep := &Endpoint{host: h, nic: nic, port: port}
-	sock, err := h.BindUDP(netip.Addr{}, port, func(src, dst netip.AddrPort, payload []byte) {
-		if ep.closed.Load() || ep.handler == nil {
-			return
+	sock, err := h.BindUDP(netip.Addr{}, port, func(src, _ netip.AddrPort, payload []byte) {
+		if ep.handler != nil {
+			ep.handler(src, payload)
 		}
-		ep.handler(env.Addr(src.String()), payload)
 	})
 	if err != nil {
 		return nil, err
@@ -42,29 +36,19 @@ func (h *Host) OpenEndpoint(nic *NIC, port uint16) (*Endpoint, error) {
 }
 
 // LocalAddr implements env.PacketConn.
-func (e *Endpoint) LocalAddr() env.Addr {
-	return env.Addr(netip.AddrPortFrom(e.nic.primary, e.port).String())
-}
+func (e *Endpoint) LocalAddr() env.Addr { return netip.AddrPortFrom(e.nic.primary, e.port) }
 
 // SendTo implements env.PacketConn.
 func (e *Endpoint) SendTo(to env.Addr, payload []byte) error {
-	if e.closed.Load() {
+	if e.sock.closed.Load() {
 		return fmt.Errorf("netsim: endpoint %s closed", e.LocalAddr())
 	}
-	dst, err := netip.ParseAddrPort(string(to))
-	if err != nil {
-		return fmt.Errorf("netsim: bad address %q: %w", to, err)
-	}
-	return e.host.SendUDP(netip.AddrPortFrom(e.nic.primary, e.port), dst, payload)
+	return e.host.SendUDP(e.LocalAddr(), to, payload)
 }
 
 // Broadcast implements env.PacketConn.
 func (e *Endpoint) Broadcast(payload []byte) error {
-	if e.closed.Load() {
-		return fmt.Errorf("netsim: endpoint %s closed", e.LocalAddr())
-	}
-	dst := netip.AddrPortFrom(e.nic.Broadcast(), e.port)
-	return e.host.SendUDP(netip.AddrPortFrom(e.nic.primary, e.port), dst, payload)
+	return e.SendTo(netip.AddrPortFrom(e.nic.Broadcast(), e.port), payload)
 }
 
 // SetHandler implements env.PacketConn.
@@ -74,7 +58,6 @@ func (e *Endpoint) SetHandler(h env.Handler) { e.handler = h }
 // frame delivered concurrently observes the flag and is dropped without
 // invoking the handler.
 func (e *Endpoint) Close() error {
-	e.closed.Store(true)
 	e.sock.Close()
 	return nil
 }

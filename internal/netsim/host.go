@@ -11,6 +11,7 @@ import (
 	"wackamole/internal/arp"
 	"wackamole/internal/env"
 	"wackamole/internal/obs"
+	"wackamole/internal/sim"
 )
 
 // Errors reported by host networking operations.
@@ -150,14 +151,39 @@ func (h *Host) Restart() {
 // Now returns the current virtual time.
 func (h *Host) Now() time.Time { return h.net.sim.Now() }
 
-// AfterFunc schedules f on the simulator, gated on the host being alive at
-// fire time. It satisfies env.Clock together with Now.
+// hostTimer is a host's env.Timer: the simulator record, the host whose
+// liveness gates the callback at fire time, and the callback, in one
+// allocation that every later Reset reuses.
+type hostTimer struct {
+	sim.Timer
+	h *Host
+	f func()
+}
+
+// Run fires the timer unless the host is down.
+func (t *hostTimer) Run() {
+	if t.h.alive {
+		t.f()
+	}
+}
+
+// Reset arms the timer d plus one processing-jitter draw from now.
+func (t *hostTimer) Reset(d time.Duration) { t.Timer.Reset(d + t.h.jitter()) }
+
+// NewTimer returns an unarmed timer on the simulator whose callback is gated
+// on the host being alive at fire time. With Now and AfterFunc it makes the
+// host an env.Clock.
+func (h *Host) NewTimer(f func()) env.Timer {
+	t := &hostTimer{h: h, f: f}
+	h.net.sim.Init(&t.Timer, t)
+	return t
+}
+
+// AfterFunc implements env.Clock.
 func (h *Host) AfterFunc(d time.Duration, f func()) env.Timer {
-	return h.net.sim.After(d+h.jitter(), func() {
-		if h.alive {
-			f()
-		}
-	})
+	t := h.NewTimer(f)
+	t.Reset(d)
+	return t
 }
 
 var _ env.Clock = (*Host)(nil)
@@ -578,8 +604,7 @@ func (h *Host) arpResolve(nic *NIC, ip netip.Addr, p *ipPacket) {
 	pend = &arpPending{packets: []*ipPacket{p}}
 	nic.pending[ip] = pend
 	h.sendARPRequest(nic, ip)
-	var retry func()
-	retry = func() {
+	pend.timer = h.NewTimer(func() {
 		cur, still := nic.pending[ip]
 		if !still || cur != pend {
 			return
@@ -591,9 +616,9 @@ func (h *Host) arpResolve(nic *NIC, ip netip.Addr, p *ipPacket) {
 		}
 		pend.retries++
 		h.sendARPRequest(nic, ip)
-		pend.timer = h.AfterFunc(arpRetryInterval, retry)
-	}
-	pend.timer = h.AfterFunc(arpRetryInterval, retry)
+		pend.timer.Reset(arpRetryInterval)
+	})
+	pend.timer.Reset(arpRetryInterval)
 }
 
 func (h *Host) sendARPRequest(nic *NIC, ip netip.Addr) {
@@ -713,9 +738,7 @@ func (h *Host) flushPending(nic *NIC, ip netip.Addr, mac MAC) {
 		return
 	}
 	delete(nic.pending, ip)
-	if pend.timer != nil {
-		pend.timer.Stop()
-	}
+	pend.timer.Stop()
 	for _, p := range pend.packets {
 		if nic.up {
 			nic.seg.transmit(nic, frame{src: nic.mac, dst: mac, kind: frameIPv4, pkt: p})

@@ -488,14 +488,15 @@ func TestEndpointRoundTrip(t *testing.T) {
 			inbox[i] = append(inbox[i], rcv{from, string(payload)})
 		})
 	}
-	if got := eps[0].LocalAddr(); got != "10.0.0.1:4803" {
-		t.Fatalf("LocalAddr = %q", got)
+	first := netip.MustParseAddrPort("10.0.0.1:4803")
+	if got := eps[0].LocalAddr(); got != first {
+		t.Fatalf("LocalAddr = %v", got)
 	}
 	if err := eps[0].SendTo(eps[1].LocalAddr(), []byte("uni")); err != nil {
 		t.Fatal(err)
 	}
 	s.Run()
-	if len(inbox[1]) != 1 || inbox[1][0].data != "uni" || inbox[1][0].from != "10.0.0.1:4803" {
+	if len(inbox[1]) != 1 || inbox[1][0].data != "uni" || inbox[1][0].from != first {
 		t.Fatalf("unicast inbox = %v", inbox[1])
 	}
 	if err := eps[2].Broadcast([]byte("bc")); err != nil {

@@ -7,7 +7,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -24,8 +23,8 @@ var Epoch = time.Date(2003, time.June, 22, 0, 0, 0, 0, time.UTC)
 // interaction must happen from the goroutine driving Run/Step, which is also
 // the goroutine on which scheduled callbacks execute.
 type Sim struct {
-	now   time.Time
-	queue eventQueue
+	now   int64    // nanoseconds since Epoch
+	queue []*Timer // min-heap on (at, seq): ties break FIFO, deterministically
 	seq   uint64
 	rng   *rand.Rand
 	fired uint64
@@ -39,18 +38,15 @@ type Sim struct {
 // New returns a simulator positioned at Epoch whose random source is seeded
 // with seed.
 func New(seed int64) *Sim {
-	return &Sim{
-		now: Epoch,
-		rng: rand.New(rand.NewSource(seed)),
-	}
+	return &Sim{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
-func (s *Sim) Now() time.Time { return s.now }
+func (s *Sim) Now() time.Time { return Epoch.Add(time.Duration(s.now)) }
 
 // Elapsed returns how much virtual time has passed since the simulation
 // started.
-func (s *Sim) Elapsed() time.Duration { return s.now.Sub(Epoch) }
+func (s *Sim) Elapsed() time.Duration { return time.Duration(s.now) }
 
 // Rand returns the simulator's seeded random source.
 func (s *Sim) Rand() *rand.Rand { return s.rng }
@@ -58,110 +54,137 @@ func (s *Sim) Rand() *rand.Rand { return s.rng }
 // Fired reports how many events have executed so far.
 func (s *Sim) Fired() uint64 { return s.fired }
 
-// Pending reports how many events are scheduled but not yet executed,
-// including cancelled timers that have not been collected.
-func (s *Sim) Pending() int { return s.queue.Len() }
+// Pending reports how many events are scheduled but not yet executed. A
+// stopped timer leaves the queue at once, so it is not counted.
+func (s *Sim) Pending() int { return len(s.queue) }
 
 // Timer is a scheduled event: the record in the simulator's queue is itself
-// the handle At and After return.
+// the handle, and its owner may arm it any number of times with Reset.
 type Timer struct {
-	at        time.Time
-	seq       uint64
-	fn        func()
-	run       Runnable // set instead of fn by Post
-	cancelled bool
-	done      bool
+	s      *Sim
+	at     int64 // deadline, nanoseconds since Epoch
+	seq    uint64
+	fn     func()
+	run    Runnable // set instead of fn by Post and Init
+	idx    int      // position in s.queue, -1 while not queued
+	pooled bool     // scheduled by Post: no handle outstanding
 }
 
-// Stop cancels the timer. It reports whether the call prevented the event
-// from firing.
+// Stop cancels the timer, taking it off the queue. It reports whether the
+// call prevented the event from firing.
 func (t *Timer) Stop() bool {
-	if t == nil || t.cancelled || t.done {
+	if t == nil || t.s == nil || t.idx < 0 {
 		return false
 	}
-	t.cancelled = true
+	t.s.remove(t.idx)
 	return true
 }
+
+// Reset arms the timer to fire d from the current virtual time, dropping any
+// deadline it was armed with. Negative durations are treated as zero.
+func (t *Timer) Reset(d time.Duration) { t.s.schedule(t, t.s.now+int64(d)) }
 
 // Runnable is a pre-allocated scheduled callback. Implementations are
 // typically pooled structs carrying their own context, which is what lets
 // high-rate traffic paths schedule without allocating a closure per event.
 type Runnable interface{ Run() }
 
-// schedule is the one way onto the queue: At, After and Post all end here.
-// Deadlines in the past are clamped to now, and events fire in (deadline,
-// scheduling order). Exactly one of fn and r is set. A record carrying a
-// Runnable has no handle outstanding, so it is drawn from — and, after it
-// fires, returned to — the free list; a record carrying fn is the caller's
-// handle and is never reused.
-func (s *Sim) schedule(at time.Time, fn func(), r Runnable) *Timer {
-	if fn == nil && r == nil {
+// schedule is the one way onto the queue: At, After, Post and Reset all end
+// here. Deadlines in the past are clamped to now, and events fire in
+// (deadline, scheduling order); every call, including one that moves a record
+// already queued, takes the next place in scheduling order.
+func (s *Sim) schedule(t *Timer, at int64) {
+	t.at, t.seq = max(at, s.now), s.seq
+	s.seq++
+	if t.idx < 0 {
+		t.idx = len(s.queue)
+		s.queue = append(s.queue, t)
+	}
+	s.fix(t.idx)
+}
+
+// newTimer returns an unarmed record running fn. It is the caller's handle
+// and is never reused.
+func (s *Sim) newTimer(fn func()) *Timer {
+	if fn == nil {
 		panic("sim: nil callback scheduled")
 	}
-	if at.Before(s.now) {
-		at = s.now
+	return &Timer{s: s, fn: fn, idx: -1}
+}
+
+// Init is newTimer for a record embedded in the struct that carries the
+// callback's context: r runs at each firing, and arming allocates nothing.
+func (s *Sim) Init(t *Timer, r Runnable) { *t = Timer{s: s, run: r, idx: -1} }
+
+// At schedules fn to run at instant t. Instants in the past run as soon as
+// control returns to the event loop, at the current virtual time.
+func (s *Sim) At(t time.Time, fn func()) *Timer {
+	tm := s.newTimer(fn)
+	s.schedule(tm, int64(t.Sub(Epoch)))
+	return tm
+}
+
+// After schedules fn to run d from the current virtual time. Negative
+// durations are treated as zero.
+func (s *Sim) After(d time.Duration, fn func()) *Timer {
+	tm := s.newTimer(fn)
+	tm.Reset(d)
+	return tm
+}
+
+// Post schedules r to run d from the current virtual time. It returns no
+// handle — the event cannot be cancelled — which is what lets the simulator
+// draw the record from, and after it fires return it to, the free list.
+func (s *Sim) Post(d time.Duration, r Runnable) {
+	if r == nil {
+		panic("sim: nil callback scheduled")
 	}
 	var t *Timer
-	if n := len(s.free); r != nil && n > 0 {
-		t = s.free[n-1]
-		s.free[n-1] = nil
+	if n := len(s.free); n > 0 {
+		t, s.free[n-1] = s.free[n-1], nil
 		s.free = s.free[:n-1]
 	} else {
 		t = &Timer{}
 	}
-	*t = Timer{at: at, seq: s.seq, fn: fn, run: r}
-	s.seq++
-	heap.Push(&s.queue, t)
-	return t
+	*t = Timer{s: s, run: r, idx: -1, pooled: true}
+	t.Reset(d)
 }
 
-// At schedules fn to run at instant t. Instants in the past run as soon as
-// control returns to the event loop, at the current virtual time.
-func (s *Sim) At(t time.Time, fn func()) *Timer { return s.schedule(t, fn, nil) }
+// NewTimer and AfterFunc make a bare simulator an env.Clock, for protocol
+// code that is not tied to a simulated host.
+func (s *Sim) NewTimer(fn func()) env.Timer { return s.newTimer(fn) }
 
-// After schedules fn to run d from the current virtual time. Negative
-// durations are treated as zero.
-func (s *Sim) After(d time.Duration, fn func()) *Timer { return s.schedule(s.now.Add(d), fn, nil) }
-
-// Post schedules r to run d from the current virtual time. It returns no
-// handle — the event cannot be cancelled — which is what lets the simulator
-// recycle the record after it fires.
-func (s *Sim) Post(d time.Duration, r Runnable) { s.schedule(s.now.Add(d), nil, r) }
-
-// AfterFunc adapts After to the env.Clock interface, so a bare simulator can
-// serve as the clock for protocol code that is not tied to a simulated host.
-func (s *Sim) AfterFunc(d time.Duration, fn func()) env.Timer {
-	return s.After(d, fn)
-}
+// AfterFunc is After behind the env.Clock interface.
+func (s *Sim) AfterFunc(d time.Duration, fn func()) env.Timer { return s.After(d, fn) }
 
 var _ env.Clock = (*Sim)(nil)
 
 // Step executes the next pending event, advancing virtual time to its
 // deadline. It reports whether an event was executed.
 func (s *Sim) Step() bool {
-	for s.queue.Len() > 0 {
-		t := heap.Pop(&s.queue).(*Timer)
-		if t.cancelled {
-			continue
-		}
-		if t.at.Before(s.now) {
-			panic(fmt.Sprintf("sim: event scheduled at %v before now %v", t.at, s.now))
-		}
-		s.now = t.at
-		t.done = true
-		s.fired++
-		if r := t.run; r != nil {
-			// No handle outstanding: recycle the record before running so
-			// nested Posts can reuse it immediately.
-			t.run = nil
-			s.free = append(s.free, t)
-			r.Run()
-		} else {
-			t.fn()
-		}
-		return true
+	if len(s.queue) == 0 {
+		return false
 	}
-	return false
+	t := s.queue[0]
+	s.remove(0)
+	if t.at < s.now {
+		panic(fmt.Sprintf("sim: event scheduled at %v before now %v", Epoch.Add(time.Duration(t.at)), s.Now()))
+	}
+	s.now = t.at
+	s.fired++
+	fn, r := t.fn, t.run
+	if t.pooled {
+		// No handle outstanding: recycle the record before running so
+		// nested Posts can reuse it immediately.
+		t.run = nil
+		s.free = append(s.free, t)
+	}
+	if r != nil {
+		r.Run()
+	} else {
+		fn()
+	}
+	return true
 }
 
 // Run executes events until the queue is empty.
@@ -173,56 +196,59 @@ func (s *Sim) Run() {
 // RunUntil executes events with deadlines at or before t, then advances the
 // clock to exactly t. Events scheduled beyond t remain pending.
 func (s *Sim) RunUntil(t time.Time) {
-	for {
-		ev := s.queue.peekLive()
-		if ev == nil || ev.at.After(t) {
-			break
-		}
+	limit := int64(t.Sub(Epoch))
+	for len(s.queue) > 0 && s.queue[0].at <= limit {
 		s.Step()
 	}
-	if t.After(s.now) {
-		s.now = t
-	}
+	s.now = max(s.now, limit)
 }
 
 // RunFor executes events for d of virtual time from the current instant.
-func (s *Sim) RunFor(d time.Duration) {
-	s.RunUntil(s.now.Add(d))
+func (s *Sim) RunFor(d time.Duration) { s.RunUntil(s.Now().Add(d)) }
+
+// The queue is a binary min-heap on (at, seq) in which every record knows its
+// index, which is what lets Stop and Reset work in place.
+
+func (s *Sim) before(i, j int) bool {
+	a, b := s.queue[i], s.queue[j]
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
 }
 
-// eventQueue is a min-heap ordered by (deadline, insertion sequence) so that
-// ties break deterministically in FIFO order.
-type eventQueue []*Timer
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if !q[i].at.Equal(q[j].at) {
-		return q[i].at.Before(q[j].at)
-	}
-	return q[i].seq < q[j].seq
+func (s *Sim) swap(i, j int) {
+	q := s.queue
+	q[i], q[j] = q[j], q[i]
+	q[i].idx, q[j].idx = i, j
 }
 
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-
-func (q *eventQueue) Push(x any) { *q = append(*q, x.(*Timer)) }
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
-}
-
-func (q *eventQueue) peekLive() *Timer {
-	for q.Len() > 0 {
-		ev := (*q)[0]
-		if !ev.cancelled {
-			return ev
+// fix restores heap order around the record at i after its key changed.
+func (s *Sim) fix(i int) {
+	start := i
+	for c := 2*i + 1; c < len(s.queue); c = 2*i + 1 {
+		if c+1 < len(s.queue) && s.before(c+1, c) {
+			c++
 		}
-		heap.Pop(q)
+		if !s.before(c, i) {
+			break
+		}
+		s.swap(i, c)
+		i = c
 	}
-	return nil
+	if i != start {
+		return // moved down, so it cannot also belong further up
+	}
+	for p := (i - 1) / 2; i > 0 && s.before(i, p); i, p = p, (p-1)/2 {
+		s.swap(i, p)
+	}
+}
+
+// remove takes the record at i off the queue.
+func (s *Sim) remove(i int) {
+	n := len(s.queue) - 1
+	s.swap(i, n)
+	s.queue[n].idx = -1
+	s.queue[n] = nil
+	s.queue = s.queue[:n]
+	if i < n {
+		s.fix(i)
+	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -248,6 +249,156 @@ func TestTimerHandleIsNeverRecycled(t *testing.T) {
 	}
 	if len(s.free) != 4 {
 		t.Fatalf("free list holds %d records after three rounds of four, want 4 reused", len(s.free))
+	}
+}
+
+// TestPendingExcludesStoppedTimers pins that Stop takes the record off the
+// queue at once: a cancelled timer is not pending and never surfaces.
+func TestPendingExcludesStoppedTimers(t *testing.T) {
+	s := New(1)
+	a := s.After(time.Second, func() {})
+	s.After(2*time.Second, func() {})
+	if s.Pending() != 2 {
+		t.Fatalf("Pending = %d, want 2", s.Pending())
+	}
+	a.Stop()
+	if s.Pending() != 1 {
+		t.Fatalf("Pending = %d after Stop, want 1", s.Pending())
+	}
+	a.Reset(time.Second)
+	a.Reset(3 * time.Second) // moving an armed timer adds nothing
+	if s.Pending() != 2 {
+		t.Fatalf("Pending = %d after re-arming, want 2", s.Pending())
+	}
+	s.Run()
+	if s.Fired() != 2 || s.Pending() != 0 {
+		t.Fatalf("Fired = %d, Pending = %d after Run, want 2 and 0", s.Fired(), s.Pending())
+	}
+}
+
+// TestResetDoesNotAllocate pins the owned-timer contract: re-arming a timer
+// costs no allocation whether it is armed, has fired or was stopped.
+func TestResetDoesNotAllocate(t *testing.T) {
+	s := New(1)
+	for i := 0; i < 64; i++ { // a standing population, so the sift has work
+		s.After(time.Hour+time.Duration(i)*time.Second, func() {})
+	}
+	fired := 0
+	tm := s.NewTimer(func() { fired++ })
+	for name, step := range map[string]func(){
+		"armed":   func() { tm.Reset(time.Millisecond); tm.Reset(2 * time.Millisecond) },
+		"fired":   func() { tm.Reset(time.Millisecond); s.Step() },
+		"stopped": func() { tm.Reset(time.Millisecond); tm.Stop() },
+	} {
+		if avg := testing.AllocsPerRun(200, step); avg != 0 {
+			t.Errorf("Reset of an %s timer allocates %.1f, want 0", name, avg)
+		}
+	}
+	if fired == 0 {
+		t.Fatal("the re-armed timer never fired")
+	}
+}
+
+// TestTimerOrderMatchesReferenceModel drives random interleavings of NewTimer,
+// Reset, Stop, After, Post and Step against the specification the heap
+// implements: a list of armed (deadline, scheduling order) pairs, of which the
+// smallest fires next. Fire order, Fired, Pending and every Stop result must
+// agree.
+func TestTimerOrderMatchesReferenceModel(t *testing.T) {
+	type armed struct {
+		at  time.Duration
+		seq int
+		id  int
+	}
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := New(seed)
+		var (
+			model  []armed // the reference: everything currently armed
+			seq    int     // scheduling order, one per arming call
+			got    []int   // ids in the order the simulator fired them
+			want   []int   // ids in the order the model says
+			timers []*Timer
+			fired  uint64
+		)
+		arm := func(id int, d time.Duration) {
+			for i, a := range model {
+				if a.id == id {
+					model = append(model[:i], model[i+1:]...)
+					break
+				}
+			}
+			model = append(model, armed{at: s.Elapsed() + d, seq: seq, id: id})
+			seq++
+		}
+		newID := 0
+		note := func(id int) func() { return func() { got = append(got, id) } }
+		for op := 0; op < 400; op++ {
+			d := time.Duration(rng.Intn(5)) * time.Millisecond // small range: many ties
+			switch k := rng.Intn(10); {
+			case k < 2: // After
+				timers = append(timers, s.After(d, note(newID)))
+				arm(newID, d)
+				newID++
+			case k < 3: // Post
+				s.Post(d, runFunc(note(newID)))
+				arm(newID, d)
+				newID++
+				timers = append(timers, nil) // keeps ids and indexes aligned
+			case k < 4: // NewTimer, unarmed
+				timers = append(timers, s.NewTimer(note(newID)).(*Timer))
+				newID++
+			case k < 6 && len(timers) > 0: // Reset
+				id := rng.Intn(len(timers))
+				if timers[id] != nil {
+					timers[id].Reset(d)
+					arm(id, d)
+				}
+			case k < 8 && len(timers) > 0: // Stop
+				id := rng.Intn(len(timers))
+				wasArmed := false
+				for i, a := range model {
+					if a.id == id && timers[id] != nil {
+						model = append(model[:i], model[i+1:]...)
+						wasArmed = true
+						break
+					}
+				}
+				if stopped := timers[id].Stop(); stopped != wasArmed {
+					t.Fatalf("seed %d op %d: Stop(%d) = %v, model says %v", seed, op, id, stopped, wasArmed)
+				}
+			default: // Step
+				sort.Slice(model, func(i, j int) bool {
+					if model[i].at != model[j].at {
+						return model[i].at < model[j].at
+					}
+					return model[i].seq < model[j].seq
+				})
+				if stepped := s.Step(); stepped != (len(model) > 0) {
+					t.Fatalf("seed %d op %d: Step = %v with %d armed in the model", seed, op, stepped, len(model))
+				}
+				if len(model) > 0 {
+					if s.Elapsed() != model[0].at {
+						t.Fatalf("seed %d op %d: fired at %v, model says %v", seed, op, s.Elapsed(), model[0].at)
+					}
+					want = append(want, model[0].id)
+					model = model[1:]
+					fired++
+				}
+			}
+			if s.Pending() != len(model) || s.Fired() != fired {
+				t.Fatalf("seed %d op %d: Pending = %d, Fired = %d; model has %d armed, %d fired",
+					seed, op, s.Pending(), s.Fired(), len(model), fired)
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: fired %d events, model %d", seed, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: fire order diverges at %d: got %v, want %v", seed, i, got, want)
+			}
+		}
 	}
 }
 

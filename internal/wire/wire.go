@@ -35,6 +35,9 @@ func NewWriter(sizeHint int) *Writer {
 	return &Writer{buf: make([]byte, 0, sizeHint)}
 }
 
+// Reset empties the Writer, keeping its storage for the next message.
+func (w *Writer) Reset() { w.buf = w.buf[:0] }
+
 // Bytes returns the encoded buffer. The slice aliases the Writer's internal
 // storage; callers must not retain it across further writes.
 func (w *Writer) Bytes() []byte { return w.buf }
@@ -66,26 +69,31 @@ func (w *Writer) Bool(v bool) {
 // Duration appends a duration as nanoseconds.
 func (w *Writer) Duration(d time.Duration) { w.U64(uint64(d)) }
 
-// Bytes16 appends a 16-bit length prefix followed by b. Inputs longer than
-// MaxStringLen panic: message fields in this codebase are small by
-// construction, so an oversized field is a programming error.
-func (w *Writer) Bytes16(b []byte) {
-	if len(b) > MaxStringLen {
-		panic(fmt.Sprintf("wire: Bytes16 field of %d bytes exceeds %d", len(b), MaxStringLen))
+// prefix16 appends n as a 16-bit length or count. Values beyond MaxStringLen
+// panic: message fields in this codebase are small by construction, so an
+// oversized one is a programming error.
+func (w *Writer) prefix16(n int) {
+	if n > MaxStringLen {
+		panic(fmt.Sprintf("wire: field of %d bytes or entries exceeds %d", n, MaxStringLen))
 	}
-	w.U16(uint16(len(b)))
+	w.U16(uint16(n))
+}
+
+// Bytes16 appends a 16-bit length prefix followed by b.
+func (w *Writer) Bytes16(b []byte) {
+	w.prefix16(len(b))
 	w.buf = append(w.buf, b...)
 }
 
 // String appends a 16-bit length-prefixed string.
-func (w *Writer) String(s string) { w.Bytes16([]byte(s)) }
+func (w *Writer) String(s string) {
+	w.prefix16(len(s))
+	w.buf = append(w.buf, s...)
+}
 
 // StringList appends a 16-bit count followed by each string.
 func (w *Writer) StringList(ss []string) {
-	if len(ss) > MaxStringLen {
-		panic(fmt.Sprintf("wire: list of %d entries exceeds %d", len(ss), MaxStringLen))
-	}
-	w.U16(uint16(len(ss)))
+	w.prefix16(len(ss))
 	for _, s := range ss {
 		w.String(s)
 	}
@@ -93,10 +101,7 @@ func (w *Writer) StringList(ss []string) {
 
 // U64List appends a 16-bit count followed by each value.
 func (w *Writer) U64List(vs []uint64) {
-	if len(vs) > MaxStringLen {
-		panic(fmt.Sprintf("wire: list of %d entries exceeds %d", len(vs), MaxStringLen))
-	}
-	w.U16(uint16(len(vs)))
+	w.prefix16(len(vs))
 	for _, v := range vs {
 		w.U64(v)
 	}
@@ -184,27 +189,22 @@ func (r *Reader) Bool() bool { return r.U8() != 0 }
 // Duration reads a nanosecond-encoded duration.
 func (r *Reader) Duration() time.Duration { return time.Duration(r.U64()) }
 
+// View16 reads a 16-bit length-prefixed byte field without copying it: the
+// result aliases the Reader's buffer and is valid only as long as that is.
+// It is nil after an error.
+func (r *Reader) View16() []byte { return r.take(int(r.U16())) }
+
 // Bytes16 reads a 16-bit length-prefixed byte field. The result is a copy.
 func (r *Reader) Bytes16() []byte {
-	n := int(r.U16())
-	b := r.take(n)
+	b := r.View16()
 	if b == nil {
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out
+	return append(make([]byte, 0, len(b)), b...)
 }
 
 // String reads a 16-bit length-prefixed string.
-func (r *Reader) String() string {
-	n := int(r.U16())
-	b := r.take(n)
-	if b == nil {
-		return ""
-	}
-	return string(b)
-}
+func (r *Reader) String() string { return string(r.View16()) }
 
 // StringList reads a 16-bit count-prefixed string list.
 func (r *Reader) StringList() []string {

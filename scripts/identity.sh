@@ -1,0 +1,63 @@
+#!/usr/bin/env bash
+# Output identity against another revision: builds wacksim, wackload and
+# wackcheck at BASE and at the working tree, runs the same commands with both,
+# and compares stdout, stderr, exit code and trace files byte for byte.
+#
+#   bash scripts/identity.sh <base-rev>        (or: make identity BASE=<rev>)
+#
+# A change that only touches speed must pass; one that moves a simulated
+# result must say which stream moved and why. BASE is exported with
+# `git archive`, so nothing is left behind in .git.
+set -euo pipefail
+base=${1:?usage: identity.sh <base-rev>}
+cd "$(dirname "$0")/.."
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
+mkdir -p "$tmp/src" "$tmp/base" "$tmp/head"
+git archive "$base" | tar -x -C "$tmp/src"
+(cd "$tmp/src" && go build -o "$tmp/base/" ./cmd/wacksim ./cmd/wackload ./cmd/wackcheck)
+go build -o "$tmp/head/" ./cmd/wacksim ./cmd/wackload ./cmd/wackcheck
+
+fail=0
+# run <name> <tool> <args...>: run the tool from both builds; a literal TRACE
+# in the arguments is replaced by a per-side trace file that is compared too.
+run() {
+	local name=$1 tool=$2 side
+	shift 2
+	for side in base head; do
+		local args=("${@//TRACE/$tmp/$side-$name.trace}") code=0
+		"$tmp/$side/$tool" "${args[@]}" >"$tmp/$side-$name.out" 2>"$tmp/$side-$name.err" || code=$?
+		echo "$code" >"$tmp/$side-$name.code"
+	done
+	same "$name"
+}
+# same <name> [other]: compare every stream of two recorded runs.
+same() {
+	local name=$1 a=base-$1 b=head-${2:-$1} ext
+	for ext in out err code trace; do
+		[ -e "$tmp/$a.$ext" ] || continue
+		if ! cmp -s "$tmp/$a.$ext" "$tmp/$b.$ext"; then
+			echo "identity: DIFFERENT $name ($a.$ext vs $b.$ext)"
+			fail=1
+		fi
+	done
+	echo "identity: checked $name ${2:+vs $2}"
+}
+
+run tables wacksim -experiment all -trials 3 -seed 7
+run rows wacksim -experiment all -trials 3 -seed 7 -json
+run figure5-p1 wacksim -experiment figure5 -sizes 2,4 -trials 2 -seed 7 -json -trace TRACE -parallel 1
+run figure5-p4 wacksim -experiment figure5 -sizes 2,4 -trials 2 -seed 7 -json -trace TRACE -parallel 4
+same figure5-p1 figure5-p4
+run load-nic wackload -trials 2 -clients 100 -fault nic
+run load-rolling wackload -trials 2 -clients 100 -fault rolling
+run load-flap-phi wackload -trials 2 -clients 100 -fault flap -detector phi -invariants
+run check wackcheck -seeds 8 -steps 16
+run check-gray-phi wackcheck -seeds 8 -steps 16 -gray -detector phi
+
+if [ "$fail" -ne 0 ]; then
+	echo "identity: output differs from $base" >&2
+	exit 1
+fi
+echo "identity: every stream identical to $base"

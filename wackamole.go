@@ -17,6 +17,8 @@ package wackamole
 
 import (
 	"fmt"
+	"net"
+	"net/netip"
 	"time"
 
 	"wackamole/internal/arp"
@@ -159,13 +161,22 @@ func max64(a, b int64) int64 {
 // node's loop, after Start; returns the publisher (nil when subscribers is
 // empty).
 func (n *Node) StartTelemetry(interval time.Duration, subscribers []string) *health.Publisher {
+	// Resolved once; a subscriber that does not resolve keeps the invalid
+	// address, and every frame to it counts as dropped.
+	addrs := make(map[string]env.Addr, len(subscribers))
+	for _, sub := range subscribers {
+		if ua, err := net.ResolveUDPAddr("udp", sub); err == nil {
+			ap := ua.AddrPort()
+			addrs[sub] = netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
+		}
+	}
 	p := health.NewPublisher(health.PublisherOptions{
 		Node:        string(n.daemon.ID()),
 		Interval:    interval,
 		Subscribers: subscribers,
 		Clock:       n.env.Clock,
 		Send: func(to string, payload []byte) error {
-			return n.env.Conn.SendTo(env.Addr(to), payload)
+			return n.env.Conn.SendTo(addrs[to], payload)
 		},
 		Frame:   n.TelemetryFrame,
 		Metrics: n.env.Metrics,
