@@ -104,6 +104,7 @@ func New(host *netsim.Host, daemon *gcs.Daemon, cfg Config) (*Sharer, error) {
 		return nil, fmt.Errorf("arpshare: %w", err)
 	}
 	s := &Sharer{host: host, cfg: cfg, sess: sess, known: map[netip.Addr]knownEntry{}}
+	s.timer = host.NewTimer(s.tick)
 	sess.SetMessageHandler(func(from gcs.GroupMember, _ string, payload []byte) {
 		if from.Daemon == daemon.ID() {
 			return // our own announcement
@@ -122,16 +123,17 @@ func (s *Sharer) Start() {
 		return
 	}
 	s.running = true
-	var tick func()
-	tick = func() {
-		if !s.running {
-			return
-		}
-		s.announce()
-		s.collect()
-		s.timer = s.host.AfterFunc(s.cfg.interval(), tick)
+	s.tick()
+}
+
+// tick is one sharing round; it re-arms the sharer's timer.
+func (s *Sharer) tick() {
+	if !s.running {
+		return
 	}
-	tick()
+	s.announce()
+	s.collect()
+	s.timer.Reset(s.cfg.interval())
 }
 
 // Stop halts sharing; the session leaves the group.
@@ -140,9 +142,7 @@ func (s *Sharer) Stop() {
 		return
 	}
 	s.running = false
-	if s.timer != nil {
-		s.timer.Stop()
-	}
+	s.timer.Stop()
 	if err := s.sess.Disconnect(); err != nil {
 		_ = err // already severed
 	}

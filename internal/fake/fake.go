@@ -81,6 +81,7 @@ func New(host *netsim.Host, nic *netsim.NIC, cfg Config) (*Monitor, error) {
 		return nil, fmt.Errorf("fake: %w", err)
 	}
 	m.sock = sock
+	m.timer = host.NewTimer(m.tick)
 	return m, nil
 }
 
@@ -90,35 +91,34 @@ func (m *Monitor) Start() {
 		return
 	}
 	m.running = true
-	var tick func()
-	tick = func() {
-		if !m.running || m.tookOver {
+	m.answered = false
+	m.probe()
+	m.timer.Reset(m.cfg.interval())
+}
+
+// tick judges the last probe and sends the next, re-arming the monitor's timer.
+func (m *Monitor) tick() {
+	if !m.running || m.tookOver {
+		return
+	}
+	if m.answered {
+		m.misses = 0
+	} else {
+		m.misses++
+		if m.misses >= m.cfg.threshold() {
+			m.takeover()
 			return
 		}
-		if m.answered {
-			m.misses = 0
-		} else {
-			m.misses++
-			if m.misses >= m.cfg.threshold() {
-				m.takeover()
-				return
-			}
-		}
-		m.answered = false
-		m.probe()
-		m.timer = m.host.AfterFunc(m.cfg.interval(), tick)
 	}
 	m.answered = false
 	m.probe()
-	m.timer = m.host.AfterFunc(m.cfg.interval(), tick)
+	m.timer.Reset(m.cfg.interval())
 }
 
 // Stop halts probing.
 func (m *Monitor) Stop() {
 	m.running = false
-	if m.timer != nil {
-		m.timer.Stop()
-	}
+	m.timer.Stop()
 	m.sock.Close()
 }
 

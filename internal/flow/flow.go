@@ -137,6 +137,26 @@ func RegisterServerMetrics(r *metrics.Registry) ServerMetrics {
 	}
 }
 
+// tracer emits the flow events of one Client or Server. It remembers the last
+// peer address it formatted: a fault makes thousands of connections
+// retransmit to, and be reset by, the same address.
+type tracer struct {
+	t    *obs.Tracer
+	node string
+	peer netip.Addr
+	addr string
+}
+
+func (tr *tracer) emit(kind obs.Kind, peer netip.Addr, detail string) {
+	if !tr.t.Enabled() {
+		return
+	}
+	if peer != tr.peer {
+		tr.peer, tr.addr = peer, peer.String()
+	}
+	tr.t.Emit(obs.Event{Source: obs.SourceFlow, Kind: kind, Node: tr.node, Addr: tr.addr, Detail: detail})
+}
+
 // ---------------------------------------------------------------------------
 // Server
 
@@ -173,6 +193,7 @@ type Server struct {
 	cfg   ServerConfig
 	conns map[serverKey]*serverConn
 	m     ServerMetrics
+	tr    tracer
 	name  []byte
 }
 
@@ -184,6 +205,7 @@ func NewServer(h *netsim.Host, port uint16, cfg ServerConfig) (*Server, error) {
 		cfg:   cfg,
 		conns: make(map[serverKey]*serverConn),
 		m:     RegisterServerMetrics(cfg.Metrics),
+		tr:    tracer{t: cfg.Tracer, node: h.Name()},
 		name:  []byte(h.Name()),
 	}
 	sock, err := h.BindUDP(netip.Addr{}, port, s.receive)
@@ -218,10 +240,7 @@ func (s *Server) receive(src, dst netip.AddrPort, payload []byte) {
 		if !known {
 			s.conns[key] = &serverConn{}
 			s.m.Accepts.Inc()
-			if s.cfg.Tracer.Enabled() {
-				s.cfg.Tracer.Emit(obs.Event{Source: obs.SourceFlow, Kind: obs.KindFlowOpen,
-					Node: s.host.Name(), Addr: src.Addr().String(), Detail: "accept"})
-			}
+			s.tr.emit(obs.KindFlowOpen, src.Addr(), "accept")
 		}
 		// SYN|ACK — repeated for a retransmitted SYN, which also covers the
 		// case of our SYN|ACK having been lost.
@@ -234,18 +253,12 @@ func (s *Server) receive(src, dst netip.AddrPort, payload []byte) {
 		// The paper's takeover semantics: no state for this flow here, so
 		// the sender must abort it.
 		s.m.RSTsSent.Inc()
-		if s.cfg.Tracer.Enabled() {
-			s.cfg.Tracer.Emit(obs.Event{Source: obs.SourceFlow, Kind: obs.KindFlowReset,
-				Node: s.host.Name(), Addr: src.Addr().String(), Detail: "unknown-conn"})
-		}
+		s.tr.emit(obs.KindFlowReset, src.Addr(), "unknown-conn")
 		s.reply(src, dst, flagRST, h.id, 0, h.seq, nil)
 
 	case h.flags&flagFIN != 0:
 		delete(s.conns, key)
-		if s.cfg.Tracer.Enabled() {
-			s.cfg.Tracer.Emit(obs.Event{Source: obs.SourceFlow, Kind: obs.KindFlowClose,
-				Node: s.host.Name(), Addr: src.Addr().String()})
-		}
+		s.tr.emit(obs.KindFlowClose, src.Addr(), "")
 
 	case h.flags&flagDATA != 0:
 		conn.established = true
@@ -322,6 +335,7 @@ type Client struct {
 	conns  map[uint32]*Conn
 	nextID uint32
 	m      ClientMetrics
+	tr     tracer
 	closed bool
 
 	freeConns    []*Conn
@@ -337,6 +351,7 @@ func NewClient(h *netsim.Host, localPort uint16, cfg ClientConfig) (*Client, err
 		cfg:   cfg,
 		conns: make(map[uint32]*Conn),
 		m:     RegisterClientMetrics(cfg.Metrics),
+		tr:    tracer{t: cfg.Tracer, node: h.Name()},
 	}
 	c.wheel = netsim.NewTimerWheel(h, cfg.WheelTick, 256)
 	sock, err := h.BindUDP(netip.Addr{}, localPort, c.receive)
@@ -579,10 +594,7 @@ func (p *pending) onRTO() {
 	}
 	p.retries++
 	c.m.Retransmits.Inc()
-	if c.cfg.Tracer.Enabled() {
-		c.cfg.Tracer.Emit(obs.Event{Source: obs.SourceFlow, Kind: obs.KindFlowRetransmit,
-			Node: c.host.Name(), Addr: conn.peer.Addr().String()})
-	}
+	c.tr.emit(obs.KindFlowRetransmit, conn.peer.Addr(), "")
 	p.transmit()
 	p.timer = c.wheel.Schedule(c.cfg.RTO, p.rtoFn)
 }
@@ -616,10 +628,7 @@ func (conn *Conn) Close() {
 		if err := c.host.SendUDPOwned(c.localAddr(), conn.peer, buf); err != nil {
 			nw.PutBuf(buf)
 		}
-		if c.cfg.Tracer.Enabled() {
-			c.cfg.Tracer.Emit(obs.Event{Source: obs.SourceFlow, Kind: obs.KindFlowClose,
-				Node: c.host.Name(), Addr: conn.peer.Addr().String()})
-		}
+		c.tr.emit(obs.KindFlowClose, conn.peer.Addr(), "")
 	}
 	conn.fail(ErrClosed)
 }
@@ -679,10 +688,7 @@ func (c *Client) receive(src, dst netip.AddrPort, payload []byte) {
 	switch {
 	case h.flags&flagRST != 0:
 		c.m.ConnsReset.Inc()
-		if c.cfg.Tracer.Enabled() {
-			c.cfg.Tracer.Emit(obs.Event{Source: obs.SourceFlow, Kind: obs.KindFlowReset,
-				Node: c.host.Name(), Addr: conn.peer.Addr().String(), Detail: "rst-received"})
-		}
+		c.tr.emit(obs.KindFlowReset, conn.peer.Addr(), "rst-received")
 		conn.fail(ErrReset)
 
 	case h.flags&flagSYN != 0 && h.flags&flagACK != 0:
@@ -702,10 +708,7 @@ func (c *Client) receive(src, dst netip.AddrPort, payload []byte) {
 			nw.PutBuf(buf)
 		}
 		c.m.ConnsOpened.Inc()
-		if c.cfg.Tracer.Enabled() {
-			c.cfg.Tracer.Emit(obs.Event{Source: obs.SourceFlow, Kind: obs.KindFlowOpen,
-				Node: c.host.Name(), Addr: conn.peer.Addr().String(), Detail: "established"})
-		}
+		c.tr.emit(obs.KindFlowOpen, conn.peer.Addr(), "established")
 		cb := conn.dialCb
 		conn.dialCb = nil
 		cb(conn, nil)

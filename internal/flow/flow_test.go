@@ -8,6 +8,7 @@ import (
 
 	"wackamole/internal/metrics"
 	"wackamole/internal/netsim"
+	"wackamole/internal/obs"
 	"wackamole/internal/sim"
 )
 
@@ -352,5 +353,52 @@ func TestSteadyStateReusesPools(t *testing.T) {
 	}
 	if len(c.freePendings) != 1 {
 		t.Errorf("pending pool holds %d records, want exactly 1 recycled record", len(c.freePendings))
+	}
+}
+
+// TestTracedRetransmissionNamesThePeer covers the traced fault path: a request
+// retransmitting into a dead interface emits one event per retransmission
+// naming the peer, at no allocation once the peer's address has been
+// formatted; and two peers alternating, which defeats the last-address memo,
+// still each get their own name.
+func TestTracedRetransmissionNamesThePeer(t *testing.T) {
+	r := newRig(t, 11)
+	other := netip.MustParseAddr("10.0.0.3")
+	if err := r.server.NICs()[0].AddAddr(other); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewServer(r.server, 8090, ServerConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.New(0, r.s.Now)
+	c, err := NewClient(r.client, 9100, ClientConfig{Tracer: tr, RTO: 10 * time.Millisecond, MaxRetries: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := dial(t, r, c)
+	r.target = netip.AddrPortFrom(other, 8090)
+	second := dial(t, r, c)
+
+	r.server.NICs()[0].SetUp(false)
+	first.Request([]byte("x"), func([]byte, time.Duration, error) {})
+	r.s.RunFor(5 * time.Second) // address formatted, pools warm, every wheel slot has been used
+	if avg := testing.AllocsPerRun(20, func() { r.s.RunFor(time.Second) }); avg != 0 {
+		t.Errorf("a second of traced retransmission allocates %.2f, want 0", avg)
+	}
+	second.Request([]byte("x"), func([]byte, time.Duration, error) {})
+	r.s.RunFor(time.Second)
+	byPeer := map[string]int{}
+	for _, ev := range tr.Snapshot() {
+		if ev.Kind == obs.KindFlowRetransmit {
+			if ev.Node != "client" {
+				t.Fatalf("retransmit event from node %q, want client", ev.Node)
+			}
+			byPeer[ev.Addr]++
+		}
+	}
+	// An RTO is 10 ms plus up to one 1.25 ms wheel tick: 27 s for the first
+	// connection, 1 s for the second.
+	if len(byPeer) != 2 || byPeer["10.0.0.2"] < 2400 || byPeer["10.0.0.3"] < 85 || byPeer["10.0.0.3"] > 100 {
+		t.Fatalf("retransmit events by peer = %v, want ≈2500 for 10.0.0.2 and ≈95 for 10.0.0.3", byPeer)
 	}
 }

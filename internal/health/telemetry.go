@@ -302,7 +302,8 @@ func (p *Publisher) Start() {
 	if p == nil || p.timer != nil || p.stopped {
 		return
 	}
-	p.timer = p.o.Clock.AfterFunc(p.o.Interval, p.tick)
+	p.timer = p.o.Clock.NewTimer(p.tick)
+	p.timer.Reset(p.o.Interval)
 }
 
 // Stop cancels publishing; no frames are sent after it returns (on the
@@ -356,5 +357,5 @@ func (p *Publisher) tick() {
 			p.cPub.Inc()
 		}
 	}
-	p.timer = p.o.Clock.AfterFunc(p.o.Interval, p.tick)
+	p.timer.Reset(p.o.Interval)
 }

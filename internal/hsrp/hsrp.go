@@ -110,6 +110,8 @@ func New(host *netsim.Host, nic *netsim.NIC, cfg Config) (*Router, error) {
 		return nil, fmt.Errorf("hsrp: %w", err)
 	}
 	r.sock = sock
+	r.helloT = host.NewTimer(r.hello)
+	r.activeT = host.NewTimer(r.activeTimeout)
 	return r, nil
 }
 
@@ -120,46 +122,36 @@ func (r *Router) Start() {
 		return
 	}
 	r.running = true
-	r.startHellos()
+	r.hello()
 	r.armActiveTimer()
 }
 
 // Stop silences the router.
 func (r *Router) Stop() {
 	r.running = false
-	stop(r.helloT)
-	stop(r.activeT)
+	r.helloT.Stop()
+	r.activeT.Stop()
 	r.sock.Close()
 }
 
 // Role returns the router's current role.
 func (r *Router) Role() Role { return r.role }
 
-func stop(t env.Timer) {
-	if t != nil {
-		t.Stop()
+// hello sends one hello and re-arms the hello timer.
+func (r *Router) hello() {
+	if !r.running {
+		return
 	}
+	r.sendHello()
+	r.helloT.Reset(r.cfg.hello())
 }
 
-func (r *Router) startHellos() {
-	var tick func()
-	tick = func() {
-		if !r.running {
-			return
-		}
-		r.sendHello()
-		r.helloT = r.host.AfterFunc(r.cfg.hello(), tick)
-	}
-	tick()
-}
+func (r *Router) armActiveTimer() { r.activeT.Reset(r.cfg.hold()) }
 
-func (r *Router) armActiveTimer() {
-	stop(r.activeT)
-	r.activeT = r.host.AfterFunc(r.cfg.hold(), func() {
-		if r.running && r.role != RoleActive {
-			r.onActiveDown()
-		}
-	})
+func (r *Router) activeTimeout() {
+	if r.running && r.role != RoleActive {
+		r.onActiveDown()
+	}
 }
 
 // onActiveDown fires when no active-router hellos arrived for the hold
@@ -196,7 +188,7 @@ func (r *Router) bestCandidate() bool {
 
 func (r *Router) becomeActive() {
 	r.role = RoleActive
-	stop(r.activeT)
+	r.activeT.Stop()
 	if !r.nic.HasAddr(r.cfg.VIP) {
 		if err := r.nic.AddAddr(r.cfg.VIP); err != nil {
 			_ = err // only duplicates fail, excluded by HasAddr

@@ -39,6 +39,7 @@ import (
 	"net/netip"
 	"time"
 
+	"wackamole/internal/env"
 	"wackamole/internal/flow"
 	"wackamole/internal/metrics"
 	"wackamole/internal/netsim"
@@ -268,7 +269,8 @@ type Engine struct {
 	m    Metrics
 
 	clients []*clientState
-	rr      int // round-robin cursor (open loop)
+	rr      int       // round-robin cursor (open loop)
+	arrive  env.Timer // open loop: the next Poisson arrival
 	payload []byte
 	running bool
 
@@ -278,10 +280,13 @@ type Engine struct {
 	completions []Completion
 	buckets     []Bucket
 	byServer    map[string]uint64
+	// lastServer is the most recent responder's name: responses come in long
+	// runs from one server, so the byServer key is built only when it changes.
+	lastServer string
 }
 
-// clientState is one simulated client. Its callbacks are allocated once at
-// construction so the steady-state request cycle creates no closures.
+// clientState is one simulated client. Its callbacks and timers are allocated
+// once at construction so the steady-state request cycle creates none.
 type clientState struct {
 	e       *Engine
 	conn    *flow.Conn
@@ -291,8 +296,16 @@ type clientState struct {
 	onDial  func(*flow.Conn, error)
 	onResp  func([]byte, time.Duration, error)
 	onAbort func(error)
-	thinkFn func() // closed loop: next request after think time
-	redial  func() // closed loop: reconnect after backoff
+
+	// Closed loop. A client is dialing, has its one request in flight, is
+	// thinking (think armed) or is backing off (redial armed; the staggered
+	// first dial is one too), so each timer has at most one deadline
+	// outstanding and no Reset replaces one still wanted. flow sends an RST
+	// only in answer to a segment and a thinking client has none in flight;
+	// were one to land then, whichever timer fires second finds the dial
+	// under way, and the client keeps a single request loop.
+	think  env.Timer // next request after think time
+	redial env.Timer // first dial, reconnect after a reset or failed dial
 }
 
 // New builds an engine on h. The flow client binds cfg.LocalPort
@@ -323,14 +336,19 @@ func New(h *netsim.Host, cfg Config) (*Engine, error) {
 		payload:  make([]byte, cfg.PayloadSize),
 		byServer: map[string]uint64{},
 	}
+	if cfg.Mode == Open {
+		e.arrive = h.NewTimer(e.arrival)
+	}
 	e.clients = make([]*clientState, cfg.Clients)
 	for i := range e.clients {
 		cs := &clientState{e: e}
 		cs.onDial = cs.handleDial
 		cs.onResp = cs.handleResp
 		cs.onAbort = cs.handleAbort
-		cs.thinkFn = cs.nextRequest
-		cs.redial = cs.doRedial
+		if cfg.Mode == Closed {
+			cs.think = h.NewTimer(cs.nextRequest)
+			cs.redial = h.NewTimer(cs.doRedial)
+		}
 		e.clients[i] = cs
 	}
 	e.ResetStats()
@@ -350,29 +368,31 @@ func (e *Engine) Start() {
 		// Stagger initial dials across one think time so the population
 		// desynchronizes instead of phase-locking.
 		for _, cs := range e.clients {
-			cs := cs
-			delay := time.Duration(e.rng.Int63n(int64(e.cfg.ThinkTime)))
-			e.host.AfterFunc(delay, func() {
-				if e.running {
-					cs.dial()
-				}
-			})
+			cs.redial.Reset(time.Duration(e.rng.Int63n(int64(e.cfg.ThinkTime))))
 		}
 	}
 }
 
-// Stop ceases issuing traffic and closes every connection. In-flight
-// requests complete against closed state and are not counted.
+// Stop ceases issuing traffic, disarms every generator timer and closes every
+// connection. In-flight requests complete against closed state and are not
+// counted.
 func (e *Engine) Stop() {
 	if !e.running {
 		return
 	}
 	e.running = false
 	e.fc.Close()
+	if e.arrive != nil {
+		e.arrive.Stop()
+	}
 	for _, cs := range e.clients {
 		cs.conn = nil
 		cs.dialing = false
 		cs.queued = 0
+		if cs.think != nil {
+			cs.think.Stop()
+			cs.redial.Stop()
+		}
 	}
 }
 
@@ -429,8 +449,7 @@ func (e *Engine) scheduleArrival() {
 	if !e.running {
 		return
 	}
-	gap := time.Duration(e.rng.ExpFloat64() * float64(time.Second) / e.cfg.RPS)
-	e.host.AfterFunc(gap, e.arrival)
+	e.arrive.Reset(time.Duration(e.rng.ExpFloat64() * float64(time.Second) / e.cfg.RPS))
 }
 
 func (e *Engine) arrival() {
@@ -475,7 +494,7 @@ func (cs *clientState) handleDial(conn *flow.Conn, err error) {
 			e.record(class, 0)
 		}
 		if e.cfg.Mode == Closed {
-			e.host.AfterFunc(e.cfg.RedialBackoff, cs.redial)
+			cs.redial.Reset(e.cfg.RedialBackoff)
 		}
 		return
 	}
@@ -510,9 +529,12 @@ func (cs *clientState) handleResp(resp []byte, rtt time.Duration, err error) {
 		} else {
 			e.record(ClassStale, rtt)
 		}
-		e.byServer[string(resp)]++
+		if string(resp) != e.lastServer {
+			e.lastServer = string(resp)
+		}
+		e.byServer[e.lastServer]++
 		if e.cfg.Mode == Closed {
-			e.host.AfterFunc(e.cfg.ThinkTime, cs.thinkFn)
+			cs.think.Reset(e.cfg.ThinkTime)
 		}
 	case errors.Is(err, flow.ErrTimedOut):
 		e.record(ClassTimeout, 0)
@@ -520,7 +542,7 @@ func (cs *clientState) handleResp(resp []byte, rtt time.Duration, err error) {
 		// keeps using it (the next request may be reset at takeover, which
 		// is the behaviour under measurement).
 		if e.cfg.Mode == Closed {
-			e.host.AfterFunc(e.cfg.ThinkTime, cs.thinkFn)
+			cs.think.Reset(e.cfg.ThinkTime)
 		}
 	case errors.Is(err, flow.ErrReset):
 		e.record(ClassReset, 0)
@@ -539,7 +561,7 @@ func (cs *clientState) handleAbort(error) {
 	}
 	e.stats.ConnsLost++
 	if e.cfg.Mode == Closed {
-		e.host.AfterFunc(e.cfg.RedialBackoff, cs.redial)
+		cs.redial.Reset(e.cfg.RedialBackoff)
 	}
 }
 

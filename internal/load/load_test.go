@@ -143,6 +143,11 @@ func TestTakeoverResetsAndRecovery(t *testing.T) {
 	if st.LastOKAt.Sub(st.GapEnd) <= 0 {
 		t.Error("no ok completions after the reset gap — clients did not recover")
 	}
+	// One think and one redial timer per client: a closed-loop client never
+	// has two requests out, through the reset storm included.
+	if open := int64(st.Issued) - int64(st.Total()); open > 200 {
+		t.Errorf("%d requests in flight for 200 closed-loop clients", open)
+	}
 	// Goodput recovery: the last full bucket should be all-ok again.
 	buckets := e.Buckets()
 	if len(buckets) < 3 {
@@ -240,5 +245,59 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	t2, b2 := run()
 	if t1 != t2 || b1 != b2 {
 		t.Fatalf("same seed diverged: totals %d/%d, buckets %d/%d", t1, t2, b1, b2)
+	}
+}
+
+// TestStopDisarmsGenerators: a stopped engine leaves nothing of its own on the
+// simulator's queue — not the next arrival, not a staggered first dial, not a
+// think-time continuation — where it used to leave each armed to fire into a
+// stopped engine.
+func TestStopDisarmsGenerators(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		run  time.Duration
+	}{
+		{"open loop", Config{Clients: 20, Mode: Open, RPS: 200}, 3 * time.Second},
+		{"closed loop, staggered start", Config{Clients: 20, Mode: Closed}, 0},
+		{"closed loop, thinking", Config{Clients: 20, Mode: Closed, ThinkTime: 500 * time.Millisecond}, 3 * time.Second},
+	} {
+		r := newRig(t, 7)
+		tc.cfg.Target = r.target
+		e, err := New(r.client, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Start()
+		r.s.RunFor(tc.run)
+		// What the engine has armed: the one arrival timer, or one timer per
+		// client that is not waiting for a response.
+		armed := 1
+		if st := e.Stats(); tc.cfg.Mode == Closed {
+			armed = tc.cfg.Clients - int(st.Issued-st.Total())
+		}
+		before := r.s.Pending()
+		e.Stop()
+		if got := before - r.s.Pending(); got != armed {
+			t.Errorf("%s: Stop took %d events off the queue, want the engine's %d", tc.name, got, armed)
+		}
+	}
+}
+
+// TestOpenLoopWindowDoesNotAllocate pins the traffic plane end to end: with
+// connections established and pools warm, an open-loop window — arrival timer,
+// request, segment, response, classification — allocates nothing.
+func TestOpenLoopWindowDoesNotAllocate(t *testing.T) {
+	r := newRig(t, 3)
+	e, err := New(r.client, Config{Clients: 100, Mode: Open, RPS: 2000, Target: r.target})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Start()
+	r.s.RunFor(12 * time.Second) // every client connected; the completion log has grown past what follows
+	e.ResetStats()
+	avg := testing.AllocsPerRun(100, func() { r.s.RunFor(100 * time.Millisecond) })
+	if st := e.Stats(); avg != 0 || st.Requests[ClassOK] < 18000 || st.Requests[ClassOK] != st.Total() {
+		t.Fatalf("a 100 ms window at 2000 rps allocates %.2f (%d ok of %d in 10.1 s), want 0", avg, st.Requests[ClassOK], st.Total())
 	}
 }

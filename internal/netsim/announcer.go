@@ -24,13 +24,15 @@ func (a *ARPAnnouncer) Announce(vip netip.Addr) {
 	}
 	for _, nic := range a.Host.NICs() {
 		if nic.Prefix().Contains(vip) {
-			if err := a.Host.SendGratuitousARP(nic, vip); err != nil {
+			if err := a.Host.SendGratuitousARP(nic, vip); err != nil && a.Host.net.logging() {
 				a.Host.net.log.Logf("netsim: %s: gratuitous ARP for %v: %v", a.Host.Name(), vip, err)
 			}
 			return
 		}
 	}
-	a.Host.net.log.Logf("netsim: %s: no interface on %v's subnet to announce from", a.Host.Name(), vip)
+	if a.Host.net.logging() {
+		a.Host.net.log.Logf("netsim: %s: no interface on %v's subnet to announce from", a.Host.Name(), vip)
+	}
 }
 
 // Withdraw implements arp.Notifier. Nothing to do: the next owner's

@@ -3,6 +3,7 @@ package netsim_test
 import (
 	"fmt"
 	"net/netip"
+	"sort"
 	"testing"
 	"time"
 
@@ -90,6 +91,76 @@ func TestSendDoesNotRetainPayload(t *testing.T) {
 	want := [][]string{{"loop-back", "broadcast"}, {"broadcast", "unicast"}, {"broadcast"}}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("delivered %q, want %q", got, want)
+	}
+}
+
+// TestSharedDatagramOutlivesEveryConsumer covers the datagrams that have more
+// than one consumer: a broadcast (three receivers and the sender's own
+// socket) and a directed broadcast a router forwards onto the far LAN (two
+// receivers and the router's own socket). Every handler must read the bytes
+// that were sent, and the buffer — which each handler keeps a reference to
+// here, against the contract, purely to watch it — must stay intact until the
+// last of them has returned and be poisoned once the queue has drained.
+func TestSharedDatagramOutlivesEveryConsumer(t *testing.T) {
+	const msg = "shared until the last consumer"
+	s := sim.New(45)
+	nw := netsim.New(s)
+	nw.PoisonFreedBuffers()
+	left := nw.NewSegment("left", netsim.DefaultSegmentConfig())
+	right := nw.NewSegment("right", netsim.DefaultSegmentConfig())
+	router := nw.NewHost("router")
+	router.EnableForwarding()
+	router.AttachNIC(left, "eth0", netip.MustParsePrefix("10.0.0.254/24"))
+	router.AttachNIC(right, "eth1", netip.MustParsePrefix("10.0.1.254/24"))
+	hosts := []*netsim.Host{router}
+	for _, a := range []string{"10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.1.1", "10.0.1.2"} {
+		h := nw.NewHost(a)
+		ip := netip.MustParseAddr(a)
+		seg, gw := left, "10.0.0.254"
+		if ip.As4()[2] == 1 {
+			seg, gw = right, "10.0.1.254"
+		}
+		h.SetDefaultGateway(h.AttachNIC(seg, "eth0", netip.PrefixFrom(ip, 24)), netip.MustParseAddr(gw))
+		hosts = append(hosts, h)
+	}
+	var heard []string
+	var kept [][]byte
+	for _, h := range hosts {
+		h := h
+		if _, err := h.BindUDP(netip.Addr{}, 4803, func(_, _ netip.AddrPort, payload []byte) {
+			kept = append(kept, payload)
+			for _, k := range kept {
+				if string(k) != msg {
+					t.Errorf("%s: read %q while consumers remain, want %q", h.Name(), k, msg)
+				}
+			}
+			heard = append(heard, h.Name())
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sender := hosts[1] // 10.0.0.1
+	for _, tc := range []struct{ dst, want string }{
+		{"10.0.0.255", "[10.0.0.1 10.0.0.2 10.0.0.3 router]"},
+		{"10.0.1.255", "[10.0.1.1 10.0.1.2 router]"},
+	} {
+		heard, kept = nil, nil
+		if err := sender.SendUDP(netip.AddrPort{}, netip.AddrPortFrom(netip.MustParseAddr(tc.dst), 4803), []byte(msg)); err != nil {
+			t.Fatal(err)
+		}
+		s.Run()
+		sort.Strings(heard)
+		if fmt.Sprint(heard) != tc.want {
+			t.Errorf("to %s: heard by %v, want %s", tc.dst, heard, tc.want)
+		}
+		for _, k := range kept {
+			if string(k) == msg {
+				t.Errorf("to %s: the buffer was not recycled after its last consumer", tc.dst)
+			}
+		}
+		if n := nw.PacketsOutstanding(); n != 0 {
+			t.Errorf("to %s: %d packet records not back in the pool", tc.dst, n)
+		}
 	}
 }
 

@@ -4,3 +4,7 @@ package netsim
 // moment it is recycled. Tests turn it on to prove that no handler retains
 // payload past its return.
 func (n *Network) PoisonFreedBuffers() { n.poison = true }
+
+// PacketsOutstanding reports how many packet records the network has created
+// and not yet got back: zero whenever no datagram is in flight or queued.
+func (n *Network) PacketsOutstanding() int { return n.packets.made - len(n.packets.free) }

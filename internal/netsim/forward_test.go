@@ -61,6 +61,9 @@ func TestRoutingLoopTerminatesViaTTL(t *testing.T) {
 	if s.Pending() != 0 {
 		t.Fatalf("%d events still pending after the loop should have died", s.Pending())
 	}
+	if n := nw.PacketsOutstanding(); n != 0 {
+		t.Fatalf("%d packet records not recycled at TTL expiry", n)
+	}
 }
 
 func TestForwardWithoutRouteIsLogged(t *testing.T) {
@@ -88,6 +91,9 @@ func TestForwardWithoutRouteIsLogged(t *testing.T) {
 	s.RunFor(2 * time.Second)
 	if !sink.contains("no route") {
 		t.Fatalf("router silently dropped an unroutable packet; log=%v", sink.lines)
+	}
+	if n := nw.PacketsOutstanding(); n != 0 {
+		t.Fatalf("%d packet records not recycled at the drop", n)
 	}
 }
 
@@ -146,6 +152,9 @@ func TestARPResolutionGivesUpAfterRetries(t *testing.T) {
 	}
 	if s.Pending() != 0 {
 		t.Fatal("retry timers leaked")
+	}
+	if n := nw.PacketsOutstanding(); n != 0 {
+		t.Fatalf("%d packet records not recycled when the resolution gave up", n)
 	}
 }
 
@@ -341,7 +350,7 @@ func TestAccessors(t *testing.T) {
 	if len(nic.ARPEntries()) != 0 {
 		t.Fatal("FlushARP left entries")
 	}
-	// Nil logger resets to the no-op logger.
+	// A nil logger turns diagnostics off again.
 	nw.SetLogger(nil)
 	// Trace kind strings.
 	for _, k := range []TraceKind{TraceSend, TraceDeliver, TraceDrop, TraceForward, TraceKind(99)} {

@@ -134,9 +134,24 @@ func (h *Host) SetIgnoreBroadcastGratuitousARP(v bool) { h.ignoreBroadcastGratui
 func (h *Host) EnableForwarding() { h.forwarding = true }
 
 // Crash stops the host: interfaces go silent, timers stop firing, sockets
-// deliver nothing. State is retained for a later Restart.
+// deliver nothing. Configuration is retained for a later Restart; ARP
+// resolutions in progress are soft state and die with the machine, so that a
+// restarted host asks again instead of queueing behind a request whose retry
+// timer fired, gated off, while it was down.
 func (h *Host) Crash() {
 	h.alive = false
+	for _, nic := range h.nics {
+		// In address order, so the pools see the records and buffers come
+		// back in the same order on every run of a seed.
+		ips := make([]netip.Addr, 0, len(nic.pending))
+		for ip := range nic.pending {
+			ips = append(ips, ip)
+		}
+		sort.Slice(ips, func(i, j int) bool { return ips[i].Less(ips[j]) })
+		for _, ip := range ips {
+			h.dropPending(nic, ip)
+		}
+	}
 	h.net.tracer.Emit(obs.Event{Source: obs.SourceNet, Kind: obs.KindFault, Node: h.name, Detail: "crash"})
 }
 
@@ -487,11 +502,10 @@ func (h *Host) SendUDPOwned(src, dst netip.AddrPort, payload []byte) error {
 }
 
 // sendUDP is the one outbound datagram path: route, build the packet, egress.
-// Whether the packet is pooled depends only on the destination. A remote
-// unicast datagram has exactly one consumer, so its record and payload buffer
-// come from the network's pools and return there at the terminal consumption
-// point. Loop-back and broadcast datagrams are shared between receivers and
-// left to the garbage collector.
+// Record and payload buffer always come from the network's pools. The sender
+// holds the packet's first reference until the send returns, so a datagram
+// that no consumer was scheduled for — interface down, peer dead, partitioned
+// or lost to a loss draw — is recycled on the way out.
 func (h *Host) sendUDP(src, dst netip.AddrPort, payload []byte, handedOver bool) error {
 	if !h.alive {
 		return ErrHostDown
@@ -509,46 +523,58 @@ func (h *Host) sendUDP(src, dst netip.AddrPort, payload []byte, handedOver bool)
 			nexthop = dst.Addr()
 		}
 	}
-	pooled := !local && !h.isBroadcastFor(nic, dst.Addr())
 	if !handedOver {
-		var buf []byte // shared datagrams get an exact-size copy
-		if pooled {
-			buf = h.net.GetBuf(0)
-		}
-		payload = append(buf, payload...)
+		payload = append(h.net.GetBuf(0), payload...)
 	}
-	var p *ipPacket
-	if pooled {
-		p = h.net.getPacket()
-	} else {
-		p = new(ipPacket)
-	}
+	p := h.net.packets.get()
 	*p = ipPacket{src: src.Addr(), dst: dst.Addr(), ttl: defaultTTL,
-		srcPort: src.Port(), dstPort: dst.Port(), payload: payload, owned: pooled}
+		srcPort: src.Port(), dstPort: dst.Port(), payload: payload, refs: 1}
+	var err error
 	if local {
 		if !p.src.IsValid() {
 			p.src = p.dst
 		}
-		h.net.sim.After(10*time.Microsecond, func() {
-			if h.alive {
-				h.deliverUDP(p)
-			}
-		})
-		return nil
-	}
-	if !p.src.IsValid() {
-		p.src = nic.primary
-	}
-	if err := h.egress(nic, nexthop, p); err != nil {
-		if pooled {
-			if handedOver {
-				p.payload = nil // caller keeps the buffer on error
-			}
-			h.net.putPacket(p)
+		h.deliverLocal(nil, p)
+	} else {
+		if !p.src.IsValid() {
+			p.src = nic.primary
 		}
-		return err
+		if err = h.egress(nic, nexthop, p); err != nil && handedOver {
+			p.payload = nil // caller keeps the buffer on error
+		}
 	}
-	return nil
+	h.net.release(p)
+	return err
+}
+
+// localDelivery is the pooled event that hands a datagram to the sending
+// host's own sockets: a loop-back send, or (nic set) the sender's copy of a
+// subnet broadcast, which it hears only if the interface is still up.
+type localDelivery struct {
+	h   *Host
+	nic *NIC
+	p   *ipPacket
+}
+
+// Run delivers the datagram, recycling the event first as deliveryJob does.
+func (j *localDelivery) Run() {
+	h, nic, p := j.h, j.nic, j.p
+	*j = localDelivery{}
+	h.net.locals.put(j)
+	if h.alive && (nic == nil || nic.up) {
+		h.deliverUDP(p)
+	} else {
+		h.net.release(p)
+	}
+}
+
+// deliverLocal schedules p for the host's own sockets, taking the event's
+// reference to it.
+func (h *Host) deliverLocal(nic *NIC, p *ipPacket) {
+	j := h.net.locals.get()
+	j.h, j.nic, j.p = h, nic, p
+	p.refs++
+	h.net.sim.Post(10*time.Microsecond, j)
 }
 
 // broadcastNIC returns the NIC whose subnet broadcast (or the limited
@@ -566,24 +592,17 @@ func (h *Host) isBroadcastFor(nic *NIC, dst netip.Addr) bool {
 	return dst == nic.Broadcast() || dst == netip.AddrFrom4([4]byte{255, 255, 255, 255})
 }
 
-// egress pushes p out of nic towards nexthop, resolving ARP as needed.
+// egress pushes p out of nic towards nexthop, resolving ARP as needed. The
+// caller holds a reference to p across the call; whatever egress schedules or
+// queues takes its own.
 func (h *Host) egress(nic *NIC, nexthop netip.Addr, p *ipPacket) error {
 	if !nic.up {
 		return fmt.Errorf("%w: %s/%s", ErrNICDown, h.name, nic.name)
 	}
 	if h.isBroadcastFor(nic, p.dst) {
-		// Only a router forwarding a directed broadcast arrives here with an
-		// owned packet. Broadcast fans out to many receivers and an owned
-		// packet would be recycled once per receiver, so release it to the
-		// garbage collector.
-		p.owned = false
 		nic.seg.transmit(nic, frame{src: nic.mac, dst: BroadcastMAC, kind: frameIPv4, pkt: p})
 		// Local sockets also hear subnet broadcasts.
-		h.net.sim.After(10*time.Microsecond, func() {
-			if h.alive && nic.up {
-				h.deliverUDP(p)
-			}
-		})
+		h.deliverLocal(nic, p)
 		return nil
 	}
 	if mac, ok := nic.ARPEntry(nexthop); ok {
@@ -596,6 +615,7 @@ func (h *Host) egress(nic *NIC, nexthop netip.Addr, p *ipPacket) error {
 
 // arpResolve queues p and issues an ARP request for ip, with bounded retry.
 func (h *Host) arpResolve(nic *NIC, ip netip.Addr, p *ipPacket) {
+	p.refs++ // the queue slot's
 	pend, ok := nic.pending[ip]
 	if ok {
 		pend.packets = append(pend.packets, p)
@@ -610,8 +630,10 @@ func (h *Host) arpResolve(nic *NIC, ip netip.Addr, p *ipPacket) {
 			return
 		}
 		if pend.retries >= arpMaxRetries {
-			delete(nic.pending, ip)
-			h.net.log.Logf("netsim: %s: ARP for %v timed out, dropping %d packets", h.name, ip, len(pend.packets))
+			if h.net.logging() {
+				h.net.log.Logf("netsim: %s: ARP for %v timed out, dropping %d packets", h.name, ip, len(pend.packets))
+			}
+			h.dropPending(nic, ip)
 			return
 		}
 		pend.retries++
@@ -619,6 +641,17 @@ func (h *Host) arpResolve(nic *NIC, ip netip.Addr, p *ipPacket) {
 		pend.timer.Reset(arpRetryInterval)
 	})
 	pend.timer.Reset(arpRetryInterval)
+}
+
+// dropPending ends the resolution of ip on nic: the retry timer stops and
+// every queued datagram loses its queue slot.
+func (h *Host) dropPending(nic *NIC, ip netip.Addr) {
+	pend := nic.pending[ip]
+	delete(nic.pending, ip)
+	pend.timer.Stop()
+	for _, p := range pend.packets {
+		h.net.release(p)
+	}
 }
 
 func (h *Host) sendARPRequest(nic *NIC, ip netip.Addr) {
@@ -633,7 +666,9 @@ func (h *Host) sendARPRequest(nic *NIC, ip netip.Addr) {
 	}
 	payload, err := req.Encode()
 	if err != nil {
-		h.net.log.Logf("netsim: %s: encode ARP request: %v", h.name, err)
+		if h.net.logging() {
+			h.net.log.Logf("netsim: %s: encode ARP request: %v", h.name, err)
+		}
 		return
 	}
 	nic.seg.transmit(nic, frame{src: nic.mac, dst: BroadcastMAC, kind: frameARP, arp: payload})
@@ -694,7 +729,9 @@ func (h *Host) receiveFrame(nic *NIC, fr frame) {
 func (h *Host) receiveARP(nic *NIC, fr frame) {
 	p, err := arp.Decode(fr.arp)
 	if err != nil {
-		h.net.log.Logf("netsim: %s: drop ARP frame: %v", h.name, err)
+		if h.net.logging() {
+			h.net.log.Logf("netsim: %s: drop ARP frame: %v", h.name, err)
+		}
 		return
 	}
 	senderMAC := MACFromBytes(p.SenderMAC)
@@ -725,7 +762,9 @@ func (h *Host) receiveARP(nic *NIC, fr frame) {
 		}
 		payload, err := rep.Encode()
 		if err != nil {
-			h.net.log.Logf("netsim: %s: encode ARP reply: %v", h.name, err)
+			if h.net.logging() {
+				h.net.log.Logf("netsim: %s: encode ARP reply: %v", h.name, err)
+			}
 			return
 		}
 		nic.seg.transmit(nic, frame{src: nic.mac, dst: senderMAC, kind: frameARP, arp: payload})
@@ -737,28 +776,26 @@ func (h *Host) flushPending(nic *NIC, ip netip.Addr, mac MAC) {
 	if !ok {
 		return
 	}
-	delete(nic.pending, ip)
-	pend.timer.Stop()
-	for _, p := range pend.packets {
-		if nic.up {
+	if nic.up {
+		for _, p := range pend.packets {
 			nic.seg.transmit(nic, frame{src: nic.mac, dst: mac, kind: frameIPv4, pkt: p})
 		}
 	}
+	h.dropPending(nic, ip)
 }
 
+// receiveIP is where a delivered frame's reference to its packet ends: each
+// branch below consumes it.
 func (h *Host) receiveIP(nic *NIC, fr frame) {
 	p := fr.pkt
-	if nic.addrs[p.dst] || h.isBroadcastFor(nic, p.dst) {
+	switch {
+	case nic.addrs[p.dst] || h.isBroadcastFor(nic, p.dst):
 		h.deliverUDP(p)
-		return
-	}
-	if h.forwarding {
+	case h.forwarding:
 		h.forward(p)
-		return
-	}
-	// Not for us and not forwarding: drop silently, as a real stack would.
-	if p.owned {
-		h.net.putPacket(p)
+	default:
+		// Not for us and not forwarding: drop silently, as a real stack would.
+		h.net.release(p)
 	}
 }
 
@@ -767,35 +804,34 @@ func (h *Host) forward(p *ipPacket) {
 		h.net.emitTrace(TraceEvent{Kind: TraceForward, Host: h.name, SrcIP: p.src, DstIP: p.dst})
 	}
 	if p.ttl <= 1 {
-		h.net.log.Logf("netsim: %s: TTL expired for %v -> %v", h.name, p.src, p.dst)
-		if p.owned {
-			h.net.putPacket(p)
+		if h.net.logging() {
+			h.net.log.Logf("netsim: %s: TTL expired for %v -> %v", h.name, p.src, p.dst)
 		}
+		h.net.release(p)
 		return
 	}
 	nic, nexthop, ok := h.lookupRoute(p.dst)
 	if !ok {
-		h.net.log.Logf("netsim: %s: no route for %v", h.name, p.dst)
-		if p.owned {
-			h.net.putPacket(p)
+		if h.net.logging() {
+			h.net.log.Logf("netsim: %s: no route for %v", h.name, p.dst)
 		}
+		h.net.release(p)
 		return
 	}
-	out := p
-	if !p.owned {
-		// A broadcast frame shares its packet between receivers, so the
-		// hop count must not be decremented in place. Owned packets are
-		// unicast with a single consumer and forward without copying.
-		cp := *p
-		out = &cp
+	if p.refs > 1 {
+		// Other receivers of a broadcast frame still hold this record, so
+		// the hop count must not be decremented in place: forward a copy.
+		cp := h.net.packets.get()
+		*cp = *p
+		cp.payload, cp.refs = append(h.net.GetBuf(0), p.payload...), 1
+		h.net.release(p)
+		p = cp
 	}
-	out.ttl--
-	if err := h.egress(nic, nexthop, out); err != nil {
+	p.ttl--
+	if err := h.egress(nic, nexthop, p); err != nil && h.net.logging() {
 		h.net.log.Logf("netsim: %s: forward %v -> %v: %v", h.name, p.src, p.dst, err)
-		if out.owned {
-			h.net.putPacket(out)
-		}
 	}
+	h.net.release(p)
 }
 
 func (h *Host) deliverUDP(p *ipPacket) {
@@ -805,9 +841,7 @@ func (h *Host) deliverUDP(p *ipPacket) {
 		dst := netip.AddrPortFrom(p.dst, p.dstPort)
 		s.handler(src, dst, p.payload)
 	}
-	// Terminal consumption point for owned packets: whether or not a
-	// handler ran, the datagram's life ends here (the UDPHandler contract).
-	if p.owned {
-		h.net.putPacket(p)
-	}
+	// Whether or not a handler ran, this consumer is done with the datagram
+	// (the UDPHandler contract).
+	h.net.release(p)
 }

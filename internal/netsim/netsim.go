@@ -70,14 +70,17 @@ type ipPacket struct {
 	srcPort uint16
 	dstPort uint16
 	payload []byte
-	// owned marks a packet whose struct and payload buffer came from the
-	// network's pools, as every remote unicast datagram's do. Owned packets
-	// have exactly one consumer and are recycled at their terminal
-	// consumption point (after the socket handler returns, or on a drop
-	// decision in the forwarding path). Packets lost to link faults simply
-	// fall to the garbage collector; the pools replenish themselves, so
-	// leaks under fault injection are harmless.
-	owned bool
+	// refs counts the holders of the record and its payload buffer, both of
+	// which come from the network's pools. The sender holds one reference
+	// for the length of the send. Every scheduled consumer — one deliveryJob
+	// per receiving NIC, the sender's localDelivery, a slot in an ARP-pending
+	// queue — takes its own and drops it at its terminal point: the socket
+	// handler returned, a drop decision, a receiver that vanished in flight,
+	// a hop forwarded on (the router keeps the frame's reference across its
+	// own egress), a resolution that ended. Whoever drops the last one
+	// recycles both, so a datagram nobody will ever hear goes back to the
+	// pool the moment its send returns.
+	refs int
 }
 
 // SegmentConfig holds per-broadcast-domain link characteristics.
@@ -109,16 +112,38 @@ type Network struct {
 	metrics  *metrics.Registry
 	counters Counters
 
-	// Freelists for the zero-allocation traffic fast path. The simulation
-	// loop is single-goroutine, so plain slices suffice — no locking, no
-	// sync.Pool churn.
-	freePackets []*ipPacket
-	freeBufs    [][]byte
-	freeJobs    []*deliveryJob
+	// Freelists for the zero-allocation traffic fast path.
+	packets  freeList[ipPacket]
+	jobs     freeList[deliveryJob]
+	locals   freeList[localDelivery]
+	freeBufs [][]byte
 	// poison, flipped only by tests, makes PutBuf overwrite every buffer it
 	// is handed, so a handler that retained its payload reads garbage.
 	poison bool
 }
+
+// freeList recycles records of one type. The simulation loop is
+// single-goroutine, so a plain slice suffices — no locking, no sync.Pool
+// churn. made counts the records the list had to allocate: with everything
+// released, made == len(free).
+type freeList[T any] struct {
+	free []*T
+	made int
+}
+
+func (f *freeList[T]) get() *T {
+	l := len(f.free)
+	if l == 0 {
+		f.made++
+		return new(T)
+	}
+	x := f.free[l-1]
+	f.free[l-1] = nil
+	f.free = f.free[:l-1]
+	return x
+}
+
+func (f *freeList[T]) put(x *T) { f.free = append(f.free, x) }
 
 // maxPooledBuf caps the payload buffers the network keeps; anything larger
 // is left to the garbage collector so a single jumbo payload cannot pin
@@ -160,22 +185,18 @@ func (n *Network) PutBuf(b []byte) {
 	n.freeBufs = append(n.freeBufs, b[:0])
 }
 
-// getPacket draws a zeroed packet record from the pool.
-func (n *Network) getPacket() *ipPacket {
-	if l := len(n.freePackets); l > 0 {
-		p := n.freePackets[l-1]
-		n.freePackets[l-1] = nil
-		n.freePackets = n.freePackets[:l-1]
-		return p
+// release drops one reference to p; the last one out recycles the record and
+// its payload buffer.
+func (n *Network) release(p *ipPacket) {
+	if p.refs <= 0 {
+		panic("netsim: datagram released more often than it was held")
 	}
-	return &ipPacket{}
-}
-
-// putPacket recycles an owned packet and its payload buffer.
-func (n *Network) putPacket(p *ipPacket) {
+	if p.refs--; p.refs > 0 {
+		return
+	}
 	n.PutBuf(p.payload)
 	*p = ipPacket{}
-	n.freePackets = append(n.freePackets, p)
+	n.packets.put(p)
 }
 
 // SetMetrics installs a latency-metrics registry; segments then record
@@ -208,16 +229,17 @@ func (n *Network) Counters() Counters { return n.counters }
 
 // New returns an empty network on s.
 func New(s *sim.Sim) *Network {
-	return &Network{sim: s, nextMAC: 0x0A0000000001, log: env.NopLogger{}}
+	return &Network{sim: s, nextMAC: 0x0A0000000001}
 }
 
-// SetLogger routes network-level diagnostics (drops, unroutable packets) to l.
-func (n *Network) SetLogger(l env.Logger) {
-	if l == nil {
-		l = env.NopLogger{}
-	}
-	n.log = l
-}
+// SetLogger routes network-level diagnostics (drops, unroutable packets) to l
+// (nil disables).
+func (n *Network) SetLogger(l env.Logger) { n.log = l }
+
+// logging reports whether diagnostics go anywhere. Every Logf in this package
+// sits behind it: a variadic call boxes its arguments at the call site even
+// for a logger that discards them, and these are the paths a fault makes hot.
+func (n *Network) logging() bool { return n.log != nil }
 
 // Sim returns the simulator driving this network.
 func (n *Network) Sim() *sim.Sim { return n.sim }
@@ -313,6 +335,8 @@ func (s *Segment) latency() time.Duration {
 }
 
 // transmit schedules delivery of fr from src to all matching reachable NICs.
+// Each delivery takes its own reference to the frame's packet; the caller
+// holds one across the call and may find itself the only holder afterwards.
 func (s *Segment) transmit(src *NIC, fr frame) {
 	s.net.counters.FramesSent++
 	if !s.instrumented && s.net.metrics.Enabled() {
@@ -328,11 +352,7 @@ func (s *Segment) transmit(src *NIC, fr frame) {
 	// any receiver sees it. Gated on the knob so un-impaired runs draw the
 	// same RNG sequence as ever.
 	if src.txLoss > 0 && s.net.sim.Rand().Float64() < src.txLoss {
-		s.net.counters.FramesDropped++
-		s.net.log.Logf("netsim: %s impaired tx drop %s -> %s", s.name, fr.src, fr.dst)
-		s.net.tracer.Emit(obs.Event{Source: obs.SourceNet, Kind: obs.KindFrameDrop,
-			Node: src.host.name, Group: s.name, Detail: "tx-impair"})
-		s.trace(&fr, TraceDrop, src.host.name)
+		s.drop(&fr, src.host.name, "impaired tx drop", "tx-impair")
 		return
 	}
 	for _, nic := range s.nics {
@@ -346,21 +366,13 @@ func (s *Segment) transmit(src *NIC, fr frame) {
 			continue
 		}
 		if s.cfg.LossRate > 0 && s.net.sim.Rand().Float64() < s.cfg.LossRate {
-			s.net.counters.FramesDropped++
-			s.net.log.Logf("netsim: %s dropped frame %s -> %s", s.name, fr.src, fr.dst)
-			s.net.tracer.Emit(obs.Event{Source: obs.SourceNet, Kind: obs.KindFrameDrop,
-				Node: nic.host.name, Group: s.name})
-			s.trace(&fr, TraceDrop, nic.host.name)
+			s.drop(&fr, nic.host.name, "dropped frame", "")
 			continue
 		}
 		// Receive-side impairment, drawn after the segment's own loss so the
 		// base draw order is preserved.
 		if nic.rxLoss > 0 && s.net.sim.Rand().Float64() < nic.rxLoss {
-			s.net.counters.FramesDropped++
-			s.net.log.Logf("netsim: %s impaired rx drop %s -> %s", s.name, fr.src, fr.dst)
-			s.net.tracer.Emit(obs.Event{Source: obs.SourceNet, Kind: obs.KindFrameDrop,
-				Node: nic.host.name, Group: s.name, Detail: "rx-impair"})
-			s.trace(&fr, TraceDrop, nic.host.name)
+			s.drop(&fr, nic.host.name, "impaired rx drop", "rx-impair")
 			continue
 		}
 		// Draw the latency exactly as before instrumentation existed (one
@@ -372,17 +384,24 @@ func (s *Segment) transmit(src *NIC, fr frame) {
 		}
 		s.mFrameLatency.ObserveDuration(delay)
 		s.mQueueDepth.Inc()
-		var j *deliveryJob
-		if l := len(s.net.freeJobs); l > 0 {
-			j = s.net.freeJobs[l-1]
-			s.net.freeJobs[l-1] = nil
-			s.net.freeJobs = s.net.freeJobs[:l-1]
-		} else {
-			j = &deliveryJob{}
-		}
+		j := s.net.jobs.get()
 		j.seg, j.nic, j.fr = s, nic, fr
+		if fr.pkt != nil {
+			fr.pkt.refs++
+		}
 		s.net.sim.Post(delay, j)
 	}
+}
+
+// drop accounts for one explicit loss draw against fr at host.
+func (s *Segment) drop(fr *frame, host, what, detail string) {
+	s.net.counters.FramesDropped++
+	if s.net.logging() {
+		s.net.log.Logf("netsim: %s %s %s -> %s", s.name, what, fr.src, fr.dst)
+	}
+	s.net.tracer.Emit(obs.Event{Source: obs.SourceNet, Kind: obs.KindFrameDrop,
+		Node: host, Group: s.name, Detail: detail})
+	s.trace(fr, TraceDrop, host)
 }
 
 // deliveryJob is the pooled, pre-allocated form of the frame-delivery
@@ -398,16 +417,16 @@ type deliveryJob struct {
 // so that sends performed inside the receive path can reuse it immediately.
 func (j *deliveryJob) Run() {
 	seg, nic, fr := j.seg, j.nic, j.fr
-	j.seg, j.nic, j.fr = nil, nil, frame{}
-	seg.net.freeJobs = append(seg.net.freeJobs, j)
+	*j = deliveryJob{}
+	seg.net.jobs.put(j)
 
 	seg.mQueueDepth.Dec()
 	if nic.up && nic.host.alive {
 		seg.trace(&fr, TraceDeliver, nic.host.name)
 		nic.host.receiveFrame(nic, fr)
-	} else if fr.kind == frameIPv4 && fr.pkt != nil && fr.pkt.owned {
-		// The receiver vanished between transmit and delivery; reclaim the
-		// owned packet here since no consumption point will see it.
-		seg.net.putPacket(fr.pkt)
+	} else if fr.pkt != nil {
+		// The receiver vanished between transmit and delivery, so no
+		// consumption point will see the packet.
+		seg.net.release(fr.pkt)
 	}
 }

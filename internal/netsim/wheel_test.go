@@ -162,8 +162,8 @@ func TestSendUDPOwnedRoundTrip(t *testing.T) {
 		t.Fatalf("got %v, want [msg-0 msg-1 msg-2]", got)
 	}
 	// After the third round trip both pools should have their records back.
-	if len(nw.freePackets) == 0 {
-		t.Error("packet pool empty after deliveries; owned packets not recycled")
+	if n := nw.PacketsOutstanding(); n != 0 {
+		t.Errorf("%d packet records not back in the pool after deliveries", n)
 	}
 	if len(nw.freeBufs) == 0 {
 		t.Error("buffer pool empty after deliveries; payload buffers not recycled")
@@ -204,8 +204,8 @@ func TestSendUDPOwnedThroughRouter(t *testing.T) {
 	if got != "via-rtr" {
 		t.Fatalf("payload = %q, want via-rtr", got)
 	}
-	if len(nw.freePackets) == 0 {
-		t.Error("owned packet not recycled after forwarding hop")
+	if n := nw.PacketsOutstanding(); n != 0 {
+		t.Errorf("%d packet records not recycled after forwarding hop", n)
 	}
 }
 

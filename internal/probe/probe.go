@@ -30,10 +30,11 @@ type Server struct {
 // answers on whatever virtual addresses the host currently holds.
 func NewServer(h *netsim.Host, port uint16) (*Server, error) {
 	var srv Server
+	name := []byte(h.Name())
 	sock, err := h.BindUDP(netip.Addr{}, port, func(src, dst netip.AddrPort, _ []byte) {
 		// Reply from the address the request was sent to (the virtual
 		// address), so the client's view is of the service, not the host.
-		if err := h.SendUDP(dst, src, []byte(h.Name())); err != nil {
+		if err := h.SendUDP(dst, src, name); err != nil {
 			// The interface may be mid-failure; nothing to do.
 			_ = err
 		}
@@ -131,17 +132,24 @@ func NewClient(h *netsim.Host, cfg ClientConfig) (*Client, error) {
 			"probe requests the client host failed to transmit", metrics.L("node", h.Name())),
 	}
 	sock, err := h.BindUDP(netip.Addr{}, cfg.LocalPort, func(_, _ netip.AddrPort, payload []byte) {
-		c.onResponse(string(payload))
+		c.onResponse(payload)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("probe: client on %s: %w", h.Name(), err)
 	}
 	c.sock = sock
 	c.localPort = cfg.LocalPort
+	c.timer = h.NewTimer(c.tick)
 	return c, nil
 }
 
-func (c *Client) onResponse(from string) {
+func (c *Client) onResponse(payload []byte) {
+	// Responses come in long runs from one server: build the name only when
+	// it changes.
+	from := c.lastFrom
+	if string(payload) != from {
+		from = string(payload)
+	}
 	now := c.host.Now()
 	if c.awaiting {
 		c.awaiting = false
@@ -169,33 +177,35 @@ func (c *Client) Start() {
 		return
 	}
 	c.running = true
-	var tick func()
-	tick = func() {
-		if !c.running {
-			return
-		}
-		src := netip.AddrPortFrom(netip.Addr{}, c.localPort)
-		c.lastSentAt = c.host.Now()
-		c.awaiting = true
-		if err := c.host.SendUDP(src, c.target, []byte("q")); err != nil {
-			// Host-side failures (no route, interface down) occur during
-			// fault experiments; count them and keep probing. A probe that
-			// was never sent cannot be answered, so the RTT observation for
-			// this round is cancelled rather than left pending.
-			c.awaiting = false
-			c.mSendErrors.Inc()
-		}
-		c.timer = c.host.AfterFunc(c.interval, tick)
+	c.tick()
+}
+
+// query is the request body; the server ignores it.
+var query = []byte("q")
+
+// tick sends one probe and re-arms the client's timer for the next.
+func (c *Client) tick() {
+	if !c.running {
+		return
 	}
-	tick()
+	src := netip.AddrPortFrom(netip.Addr{}, c.localPort)
+	c.lastSentAt = c.host.Now()
+	c.awaiting = true
+	if err := c.host.SendUDP(src, c.target, query); err != nil {
+		// Host-side failures (no route, interface down) occur during
+		// fault experiments; count them and keep probing. A probe that
+		// was never sent cannot be answered, so the RTT observation for
+		// this round is cancelled rather than left pending.
+		c.awaiting = false
+		c.mSendErrors.Inc()
+	}
+	c.timer.Reset(c.interval)
 }
 
 // Stop halts the probe loop; recorded statistics remain readable.
 func (c *Client) Stop() {
 	c.running = false
-	if c.timer != nil {
-		c.timer.Stop()
-	}
+	c.timer.Stop()
 }
 
 // Responses returns the total number of responses received.

@@ -276,3 +276,37 @@ func TestFirstProbeLostGapCorrect(t *testing.T) {
 		t.Fatalf("gap = %v, want ≈300ms (not inflated by the lost first probes)", d)
 	}
 }
+
+// TestProbeLoopDoesNotAllocate pins the measurement workload itself: a tick
+// re-arms the client's own timer, request and response ride pooled datagrams,
+// and the responder's name is built only when it changes — so neither an
+// answered probe nor one sent into a dead interface allocates, with or
+// without the RTT histogram.
+func TestProbeLoopDoesNotAllocate(t *testing.T) {
+	for _, reg := range []*metrics.Registry{nil, metrics.New()} {
+		s, _, server, client := setup(t)
+		if _, err := NewServer(server, 8080); err != nil {
+			t.Fatal(err)
+		}
+		c, err := NewClient(client, ClientConfig{
+			Target:    netip.AddrPortFrom(netip.MustParseAddr("10.0.0.10"), 8080),
+			LocalPort: 9001,
+			Metrics:   reg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Start()
+		s.RunFor(100 * time.Millisecond) // resolves ARP both ways and fills the pools
+		tick := func() { s.RunFor(DefaultInterval) }
+		before := c.Responses()
+		if avg := testing.AllocsPerRun(200, tick); avg != 0 || c.Responses() != before+201 {
+			t.Errorf("an answered probe allocates %.2f (%d responses of 201), want 0", avg, c.Responses()-before)
+		}
+		server.NICs()[0].SetUp(false)
+		before = c.Responses()
+		if avg := testing.AllocsPerRun(200, tick); avg != 0 || c.Responses() != before {
+			t.Errorf("a probe into a dead NIC allocates %.2f (%d responses), want 0", avg, c.Responses()-before)
+		}
+	}
+}

@@ -83,6 +83,7 @@ func New(host *netsim.Host, cfg Config) (*Process, error) {
 		return nil, fmt.Errorf("rip: %w", err)
 	}
 	p.sock = sock
+	p.timer = host.NewTimer(p.tick)
 	return p, nil
 }
 
@@ -94,16 +95,17 @@ func (p *Process) Start() {
 		return
 	}
 	p.running = true
-	var tick func()
-	tick = func() {
-		if !p.running {
-			return
-		}
-		p.expireRoutes()
-		p.advertise()
-		p.timer = p.host.AfterFunc(p.cfg.period(), tick)
+	p.tick()
+}
+
+// tick is one advertisement period; it re-arms the process's timer.
+func (p *Process) tick() {
+	if !p.running {
+		return
 	}
-	tick()
+	p.expireRoutes()
+	p.advertise()
+	p.timer.Reset(p.cfg.period())
 }
 
 // Stop halts the process, uninstalling every learned route.
@@ -112,9 +114,7 @@ func (p *Process) Stop() {
 		return
 	}
 	p.running = false
-	if p.timer != nil {
-		p.timer.Stop()
-	}
+	p.timer.Stop()
 	p.sock.Close()
 	for prefix, r := range p.learned {
 		p.host.RemoveRoute(prefix, r.nexthop)

@@ -110,6 +110,8 @@ func New(host *netsim.Host, nic *netsim.NIC, cfg Config) (*Router, error) {
 		return nil, fmt.Errorf("vrrp: %w", err)
 	}
 	r.sock = sock
+	r.advertTimer = host.NewTimer(r.advertise)
+	r.downTimer = host.NewTimer(r.masterDown)
 	return r, nil
 }
 
@@ -127,38 +129,31 @@ func (r *Router) Start() {
 // experiments down the interface instead).
 func (r *Router) Stop() {
 	r.running = false
-	stop(r.advertTimer)
-	stop(r.downTimer)
+	r.advertTimer.Stop()
+	r.downTimer.Stop()
 	r.sock.Close()
 }
 
 // State returns the protocol state.
 func (r *Router) State() State { return r.state }
 
-func stop(t env.Timer) {
-	if t != nil {
-		t.Stop()
-	}
-}
-
 func (r *Router) toBackup() {
 	r.state = StateBackup
-	stop(r.advertTimer)
+	r.advertTimer.Stop()
 	r.armDownTimer()
 }
 
-func (r *Router) armDownTimer() {
-	stop(r.downTimer)
-	r.downTimer = r.host.AfterFunc(r.cfg.MasterDownInterval(), func() {
-		if r.running && r.state == StateBackup {
-			r.toMaster()
-		}
-	})
+func (r *Router) armDownTimer() { r.downTimer.Reset(r.cfg.MasterDownInterval()) }
+
+func (r *Router) masterDown() {
+	if r.running && r.state == StateBackup {
+		r.toMaster()
+	}
 }
 
 func (r *Router) toMaster() {
 	r.state = StateMaster
-	stop(r.downTimer)
+	r.downTimer.Stop()
 	if !r.nic.HasAddr(r.cfg.VIP) {
 		if err := r.nic.AddAddr(r.cfg.VIP); err != nil {
 			_ = err // AddAddr fails only on duplicates, which HasAddr excludes
@@ -168,15 +163,16 @@ func (r *Router) toMaster() {
 		_ = err // interface down; the next election will recover
 	}
 	r.sendAdvert()
-	var tick func()
-	tick = func() {
-		if !r.running || r.state != StateMaster {
-			return
-		}
-		r.sendAdvert()
-		r.advertTimer = r.host.AfterFunc(r.cfg.advertInterval(), tick)
+	r.advertTimer.Reset(r.cfg.advertInterval())
+}
+
+// advertise is the master's periodic advertisement; it re-arms its own timer.
+func (r *Router) advertise() {
+	if !r.running || r.state != StateMaster {
+		return
 	}
-	r.advertTimer = r.host.AfterFunc(r.cfg.advertInterval(), tick)
+	r.sendAdvert()
+	r.advertTimer.Reset(r.cfg.advertInterval())
 }
 
 func (r *Router) stepDown() {

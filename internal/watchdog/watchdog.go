@@ -84,6 +84,7 @@ func New(clock env.Clock, cfg Config) (*Watchdog, error) {
 	w := &Watchdog{clock: clock, cfg: cfg}
 	w.mCheck = cfg.Metrics.Histogram("watchdog_check_seconds",
 		"wall time spent in one health check invocation", metrics.L("node", cfg.Node))
+	w.timer = clock.NewTimer(w.tick)
 	return w, nil
 }
 
@@ -93,40 +94,39 @@ func (w *Watchdog) Start() {
 		return
 	}
 	w.armed = true
-	var tick func()
-	tick = func() {
-		if !w.armed || w.fired {
+	w.timer.Reset(w.cfg.interval())
+}
+
+// tick runs one check and re-arms the watchdog's timer unless it fired.
+func (w *Watchdog) tick() {
+	if !w.armed || w.fired {
+		return
+	}
+	checkStart := w.clock.Now()
+	healthy := w.cfg.Check()
+	w.mCheck.ObserveDuration(w.clock.Now().Sub(checkStart))
+	if healthy {
+		w.misses = 0
+	} else {
+		w.misses++
+		if w.cfg.Tracer.Enabled() {
+			w.cfg.Tracer.Emit(obs.Event{Source: obs.SourceWatchdog, Kind: obs.KindWatchdogMiss,
+				Node: w.cfg.Node, Detail: fmt.Sprintf("miss %d/%d", w.misses, w.cfg.threshold())})
+		}
+		if w.misses >= w.cfg.threshold() {
+			w.fired = true
+			w.cfg.Tracer.Emit(obs.Event{Source: obs.SourceWatchdog, Kind: obs.KindWatchdogFire, Node: w.cfg.Node})
+			w.cfg.Action()
 			return
 		}
-		checkStart := w.clock.Now()
-		healthy := w.cfg.Check()
-		w.mCheck.ObserveDuration(w.clock.Now().Sub(checkStart))
-		if healthy {
-			w.misses = 0
-		} else {
-			w.misses++
-			if w.cfg.Tracer.Enabled() {
-				w.cfg.Tracer.Emit(obs.Event{Source: obs.SourceWatchdog, Kind: obs.KindWatchdogMiss,
-					Node: w.cfg.Node, Detail: fmt.Sprintf("miss %d/%d", w.misses, w.cfg.threshold())})
-			}
-			if w.misses >= w.cfg.threshold() {
-				w.fired = true
-				w.cfg.Tracer.Emit(obs.Event{Source: obs.SourceWatchdog, Kind: obs.KindWatchdogFire, Node: w.cfg.Node})
-				w.cfg.Action()
-				return
-			}
-		}
-		w.timer = w.clock.AfterFunc(w.cfg.interval(), tick)
 	}
-	w.timer = w.clock.AfterFunc(w.cfg.interval(), tick)
+	w.timer.Reset(w.cfg.interval())
 }
 
 // Stop halts checking without firing.
 func (w *Watchdog) Stop() {
 	w.armed = false
-	if w.timer != nil {
-		w.timer.Stop()
-	}
+	w.timer.Stop()
 }
 
 // Fired reports whether the action has run.

@@ -51,8 +51,15 @@ run figure5-p1 wacksim -experiment figure5 -sizes 2,4 -trials 2 -seed 7 -json -t
 run figure5-p4 wacksim -experiment figure5 -sizes 2,4 -trials 2 -seed 7 -json -trace TRACE -parallel 4
 same figure5-p1 figure5-p4
 run load-nic wackload -trials 2 -clients 100 -fault nic
+run load-crash wackload -trials 2 -clients 100 -fault crash
 run load-rolling wackload -trials 2 -clients 100 -fault rolling
 run load-flap-phi wackload -trials 2 -clients 100 -fault flap -detector phi -invariants
+# Open-loop arrivals with the flow trace events, the registry as it is written
+# (-parallel 1: trials share one registry and float sums depend on who adds
+# first) and the forwarding path.
+run load-open-trace wackload -mode open -rps 2000 -clients 100 -trials 2 -fault nic -invariants -json -trace TRACE
+run load-open-crash-prom wackload -mode open -rps 2000 -clients 100 -trials 2 -fault crash -parallel 1 -prom -
+run load-router wackload -topology router -trials 2 -clients 100 -fault nic
 run check wackcheck -seeds 8 -steps 16
 run check-gray-phi wackcheck -seeds 8 -steps 16 -gray -detector phi
 
