@@ -10,10 +10,10 @@ build:
 test:
 	go test ./...
 
-# Tier-1 plus the nested benchmark module, which `go build ./...` and
-# `go test ./...` at the root never compile.
+# Tier-1, the format gate, and the nested benchmark module, which
+# `go build ./...` and `go test ./...` at the root never compile.
 check:
-	go build ./... && go test ./... && (cd bench && go vet . && go test .)
+	go build ./... && go test ./... && test -z "$$(gofmt -l .)" && (cd bench && go vet . && go test .)
 
 race:
 	go test -race ./...

@@ -39,9 +39,9 @@ type OptionsDoc struct {
 	// absent means fixed, so artifacts from before the field existed
 	// replay unchanged. Detection timing shifts the whole schedule, so a
 	// phi artifact replayed under fixed would not reproduce.
-	Detector        string  `json:"detector,omitempty"`
-	PhiThreshold    float64 `json:"phi_threshold,omitempty"`
-	PhiCheckNS      int64   `json:"phi_check_ns,omitempty"`
+	Detector     string  `json:"detector,omitempty"`
+	PhiThreshold float64 `json:"phi_threshold,omitempty"`
+	PhiCheckNS   int64   `json:"phi_check_ns,omitempty"`
 }
 
 // NewArtifact packages a report and the options that produced it. The

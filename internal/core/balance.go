@@ -7,7 +7,11 @@ package core
 // order, the current table) and applying the returned plan. The default
 // policy reproduces the historical least-loaded rule byte for byte.
 
-import "wackamole/internal/placement"
+import (
+	"slices"
+
+	"wackamole/internal/placement"
+)
 
 // placementInput assembles the policy's view of the replicated state. The
 // member scratch slice and the owner/prefers closures are reused across
@@ -88,29 +92,24 @@ func (e *Engine) noteOwner(g string, owner MemberID) {
 // updateSkew refreshes the placement_skew gauge: the spread between the
 // most and least loaded eligible members under the current table.
 func (e *Engine) updateSkew() {
-	min, max := -1, 0
-	members := 0
+	// One pass over the table, counting into a slot per eligible member. The
+	// arrays keep the slices of any cluster the paper considers on the stack.
+	var idBuf [16]MemberID
+	var countBuf [16]int
+	ids, counts := idBuf[:0], countBuf[:0]
 	for _, m := range e.view.Members {
-		if !e.matureOf[m] {
-			continue
+		if e.matureOf[m] {
+			ids, counts = append(ids, m), append(counts, 0)
 		}
-		members++
-		n := 0
-		for _, owner := range e.table {
-			if owner == m {
-				n++
-			}
-		}
-		if min < 0 || n < min {
-			min = n
-		}
-		if n > max {
-			max = n
+	}
+	for _, owner := range e.table {
+		if i := slices.Index(ids, owner); i >= 0 {
+			counts[i]++
 		}
 	}
 	skew := 0
-	if members > 1 {
-		skew = max - min
+	if len(counts) > 1 {
+		skew = slices.Max(counts) - slices.Min(counts)
 	}
 	e.stats.skew.Store(int64(skew))
 	e.mSkew.Set(int64(skew))

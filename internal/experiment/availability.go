@@ -3,7 +3,7 @@ package experiment
 import (
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 	"time"
 
 	"wackamole"
@@ -686,9 +686,10 @@ func summarizeTrial(seed int64, engine *load.Engine, faultAt time.Time) *Availab
 	for k, v := range engine.ByServer() {
 		res.ByServer[k] = v
 	}
-	res.Before = windowOf(engine.Completions(), engine.Epoch(), faultAt)
-	res.During = windowOf(engine.Completions(), faultAt, recoveredAt)
-	res.After = windowOf(engine.Completions(), recoveredAt, end.Add(time.Nanosecond))
+	var rtts []time.Duration // sorting scratch, shared by the four windows
+	res.Before, rtts = windowOf(engine.Completions(), engine.Epoch(), faultAt, rtts)
+	res.During, rtts = windowOf(engine.Completions(), faultAt, recoveredAt, rtts)
+	res.After, rtts = windowOf(engine.Completions(), recoveredAt, end.Add(time.Nanosecond), rtts)
 
 	// Goodput: ok completions per second in the fault-free window, and in
 	// an equally wide window ending at the last completion.
@@ -702,7 +703,7 @@ func summarizeTrial(seed int64, engine *load.Engine, faultAt time.Time) *Availab
 	}
 	var post LatencyWindow
 	if postW := end.Sub(postStart); postW > 0 {
-		post = windowOf(engine.Completions(), postStart, end.Add(time.Nanosecond))
+		post, _ = windowOf(engine.Completions(), postStart, end.Add(time.Nanosecond), rtts)
 		res.GoodputPost = float64(post.OK) / postW.Seconds()
 	}
 	if res.Before.Completions > 0 && post.Completions > 0 {
@@ -715,10 +716,11 @@ func summarizeTrial(seed int64, engine *load.Engine, faultAt time.Time) *Availab
 	return res
 }
 
-// windowOf summarizes the completions with from <= At < to.
-func windowOf(completions []load.Completion, from, to time.Time) LatencyWindow {
+// windowOf summarizes the completions with from <= At < to. It sorts the
+// window's round-trip times in rtts, which it overwrites and hands back grown.
+func windowOf(completions []load.Completion, from, to time.Time, rtts []time.Duration) (LatencyWindow, []time.Duration) {
 	var w LatencyWindow
-	var rtts []time.Duration
+	rtts = rtts[:0]
 	for _, c := range completions {
 		if c.At.Before(from) || !c.At.Before(to) {
 			continue
@@ -735,11 +737,11 @@ func windowOf(completions []load.Completion, from, to time.Time) LatencyWindow {
 		}
 	}
 	if len(rtts) > 0 {
-		sort.Slice(rtts, func(i, j int) bool { return rtts[i] < rtts[j] })
+		slices.Sort(rtts)
 		w.P50 = metrics.Percentile(rtts, 50)
 		w.P99 = metrics.Percentile(rtts, 99)
 	}
-	return w
+	return w, rtts
 }
 
 // Availability measures the request-level availability of one configuration

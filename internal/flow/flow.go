@@ -174,9 +174,13 @@ type ServerConfig struct {
 	Tracer *obs.Tracer
 }
 
+// serverKey identifies a connection by the client's IPv4 address and port and
+// its connection id. The fields are ordered so the ten bytes are contiguous:
+// the map hashes them in one run.
 type serverKey struct {
-	peer netip.AddrPort
+	ip   [4]byte
 	id   uint32
+	port uint16
 }
 
 type serverConn struct {
@@ -232,7 +236,10 @@ func (s *Server) receive(src, dst netip.AddrPort, payload []byte) {
 	if !ok {
 		return
 	}
-	key := serverKey{peer: src, id: h.id}
+	if !src.Addr().Is4() {
+		return // the network delivers nothing else
+	}
+	key := serverKey{ip: src.Addr().As4(), id: h.id, port: src.Port()}
 	conn, known := s.conns[key]
 
 	switch {
@@ -423,7 +430,7 @@ type pending struct {
 	seq     uint32
 	master  []byte // encoded segment retained for retransmission (pooled buffer)
 	cb      func(resp []byte, rtt time.Duration, err error)
-	sentAt  time.Time
+	sentAt  time.Duration // first transmission, in virtual time elapsed
 	retries int
 	timer   *netsim.WheelTimer
 	rtoFn   func()
@@ -517,6 +524,10 @@ func (c *Client) localAddr() netip.AddrPort {
 	return netip.AddrPortFrom(netip.Addr{}, c.port)
 }
 
+// elapsed is the virtual clock as a plain count: a round-trip time is a
+// difference, so the request path builds no time.Time.
+func (c *Client) elapsed() time.Duration { return c.host.Network().Sim().Elapsed() }
+
 // onDialRTO is the persistent SYN retransmission handler.
 func (conn *Conn) onDialRTO() {
 	conn.dialTimer = nil
@@ -553,7 +564,7 @@ func (conn *Conn) Request(payload []byte, cb func(resp []byte, rtt time.Duration
 	p := c.getPending(conn)
 	p.seq = conn.seq
 	p.cb = cb
-	p.sentAt = c.host.Now()
+	p.sentAt = c.elapsed()
 	nw := c.host.Network()
 	p.master = nw.GetBuf(headerLen + len(payload))
 	putHeader(p.master, flagDATA, conn.id, p.seq, 0)
@@ -723,7 +734,7 @@ func (c *Client) receive(src, dst netip.AddrPort, payload []byte) {
 			p.timer.Stop()
 			p.timer = nil
 		}
-		rtt := c.host.Now().Sub(p.sentAt)
+		rtt := c.elapsed() - p.sentAt
 		cb := p.cb
 		c.putPending(p)
 		cb(payload[headerLen:], rtt, nil)

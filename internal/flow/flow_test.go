@@ -402,3 +402,73 @@ func TestTracedRetransmissionNamesThePeer(t *testing.T) {
 		t.Fatalf("retransmit events by peer = %v, want ≈2500 for 10.0.0.2 and ≈95 for 10.0.0.3", byPeer)
 	}
 }
+
+// TestServerIgnoresPeersOutsideTheModel: the network delivers IPv4 only, and a
+// segment claiming to come from anything else must be dropped where the
+// connection key is built, not panic there.
+func TestServerIgnoresPeersOutsideTheModel(t *testing.T) {
+	r := newRig(t, 1)
+	srv, err := NewServer(r.server, 8090, ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	syn := make([]byte, headerLen)
+	putHeader(syn, flagSYN, 1, 0, 0)
+	for _, peer := range []netip.Addr{{}, netip.MustParseAddr("2001:db8::1"), netip.MustParseAddr("::ffff:10.0.0.1")} {
+		srv.receive(netip.AddrPortFrom(peer, 9100), r.target, syn)
+	}
+	r.s.Run()
+	if srv.Conns() != 0 {
+		t.Fatalf("server tracks %d connections from peers that are not IPv4", srv.Conns())
+	}
+}
+
+// BenchmarkRoutedRoundTrip is one request and its response between a client
+// and a server on different segments, so each direction is two frames and a
+// forwarding decision: client → router → server → router → client.
+func BenchmarkRoutedRoundTrip(b *testing.B) {
+	s := sim.New(1)
+	nw := netsim.New(s)
+	outside := nw.NewSegment("outside", netsim.DefaultSegmentConfig())
+	inside := nw.NewSegment("inside", netsim.DefaultSegmentConfig())
+	router := nw.NewHost("router")
+	router.AttachNIC(outside, "eth0", netip.MustParsePrefix("192.168.1.1/24"))
+	router.AttachNIC(inside, "eth1", netip.MustParsePrefix("10.0.0.1/24"))
+	router.EnableForwarding()
+	ch := nw.NewHost("client")
+	ch.SetDefaultGateway(ch.AttachNIC(outside, "eth0", netip.MustParsePrefix("192.168.1.2/24")), netip.MustParseAddr("192.168.1.1"))
+	sh := nw.NewHost("server")
+	sh.SetDefaultGateway(sh.AttachNIC(inside, "eth0", netip.MustParsePrefix("10.0.0.2/24")), netip.MustParseAddr("10.0.0.1"))
+	if _, err := NewServer(sh, 8090, ServerConfig{}); err != nil {
+		b.Fatal(err)
+	}
+	c, err := NewClient(ch, 9100, ClientConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var conn *Conn
+	c.Dial(netip.AddrPortFrom(netip.MustParseAddr("10.0.0.2"), 8090), func(cn *Conn, err error) {
+		if err != nil {
+			b.Fatal(err)
+		}
+		conn = cn
+	})
+	s.RunFor(time.Second)
+	done := 0
+	onResp := func(_ []byte, _ time.Duration, err error) {
+		if err != nil {
+			b.Fatal(err)
+		}
+		done++
+	}
+	payload := make([]byte, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		conn.Request(payload, onResp)
+		s.RunFor(2 * time.Millisecond) // four frames of at most 300µs each
+	}
+	if done != b.N {
+		b.Fatalf("%d of %d requests answered", done, b.N)
+	}
+}

@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"time"
 
 	"wackamole/internal/env"
@@ -614,6 +615,12 @@ func (e *Engine) record(class Class, rtt time.Duration) {
 		}
 		e.lastOKAt = now
 		e.stats.LastOKAt = now
+	}
+	if len(e.completions) == cap(e.completions) {
+		// The log runs to hundreds of thousands of entries and append grows a
+		// slice that large by a quarter, copying it some four times over on
+		// the way; doubling copies it once.
+		e.completions = slices.Grow(e.completions, max(len(e.completions), 64))
 	}
 	e.completions = append(e.completions, Completion{At: now, RTT: rtt, Class: class})
 	idx := int(now.Sub(e.epoch) / e.cfg.BucketWidth)

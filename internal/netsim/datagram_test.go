@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -225,7 +226,7 @@ func runDatagramProgram(seed int64) (failure string) {
 			nic.SetUp(!nic.up)
 		case k < 15:
 			seg := segs[rng.Intn(len(segs))]
-			if len(seg.partition) > 0 {
+			if slices.ContainsFunc(seg.nics, func(nic *NIC) bool { return nic.group != 0 }) {
 				seg.Heal()
 				break
 			}

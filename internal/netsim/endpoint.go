@@ -36,7 +36,7 @@ func (h *Host) OpenEndpoint(nic *NIC, port uint16) (*Endpoint, error) {
 }
 
 // LocalAddr implements env.PacketConn.
-func (e *Endpoint) LocalAddr() env.Addr { return netip.AddrPortFrom(e.nic.primary, e.port) }
+func (e *Endpoint) LocalAddr() env.Addr { return netip.AddrPortFrom(e.nic.Primary(), e.port) }
 
 // SendTo implements env.PacketConn.
 func (e *Endpoint) SendTo(to env.Addr, payload []byte) error {

@@ -1,5 +1,13 @@
 package netsim
 
+import "net/netip"
+
+// seedARP plants a fresh cache entry on nic, as if it had heard mac announce ip.
+func seedARP(nic *NIC, ip netip.Addr, mac MAC) {
+	a, _ := toIP4(ip)
+	nic.learn(a, mac)
+}
+
 // PoisonFreedBuffers makes the network overwrite every payload buffer the
 // moment it is recycled. Tests turn it on to prove that no handler retains
 // payload past its return.

@@ -89,7 +89,7 @@ func TestForwardWithoutRouteIsLogged(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.RunFor(2 * time.Second)
-	if !sink.contains("no route") {
+	if !sink.contains("no route for 203.0.113.9") {
 		t.Fatalf("router silently dropped an unroutable packet; log=%v", sink.lines)
 	}
 	if n := nw.PacketsOutstanding(); n != 0 {
@@ -184,7 +184,7 @@ func TestSendThroughDownNICFails(t *testing.T) {
 	a := hosts[0]
 	a.NICs()[0].SetUp(false)
 	// Cached-entry path: force an entry so egress reaches the NIC check.
-	a.NICs()[0].arp[addr("10.0.0.2")] = arpEntry{mac: 1, expires: a.Now().Add(time.Hour)}
+	seedARP(a.NICs()[0], addr("10.0.0.2"), 1)
 	err := a.SendUDP(netip.AddrPort{}, netip.AddrPortFrom(addr("10.0.0.255"), 7000), []byte("x"))
 	if err == nil {
 		t.Fatal("broadcast through a downed NIC succeeded")
@@ -276,8 +276,8 @@ func TestARPAnnouncerPicksNICBySubnet(t *testing.T) {
 	nb := obsB.AttachNIC(segB, "eth0", mustPrefix(t, "192.168.1.50/24"))
 	vipA := addr("10.0.0.100")
 	vipB := addr("192.168.1.100")
-	na.arp[vipA] = arpEntry{mac: 0xDEAD, expires: s.Now().Add(time.Hour)}
-	nb.arp[vipB] = arpEntry{mac: 0xBEEF, expires: s.Now().Add(time.Hour)}
+	seedARP(na, vipA, 0xDEAD)
+	seedARP(nb, vipB, 0xBEEF)
 
 	ann := &ARPAnnouncer{Host: r}
 	ann.Announce(vipA)
@@ -304,7 +304,7 @@ func TestARPAnnouncerDisabledAndOffSubnet(t *testing.T) {
 	on := obs.AttachNIC(seg, "eth0", mustPrefix(t, "10.0.0.50/24"))
 	h.AttachNIC(seg, "eth0", mustPrefix(t, "10.0.0.2/24"))
 	vip := addr("10.0.0.100")
-	on.arp[vip] = arpEntry{mac: 0xDEAD, expires: s.Now().Add(time.Hour)}
+	seedARP(on, vip, 0xDEAD)
 
 	disabled := &ARPAnnouncer{Host: h, Disabled: true}
 	disabled.Announce(vip)

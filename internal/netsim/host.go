@@ -3,8 +3,9 @@ package netsim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net/netip"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -49,7 +50,7 @@ type Host struct {
 	alive      bool
 	forwarding bool
 	routes     []route
-	sockets    map[uint16]*Socket
+	sockets    map[uint32]*Socket // by port; a word key takes the runtime's fast map path
 	arpTTL     time.Duration
 	// procJitter models a loaded machine: every timer firing and inbound
 	// frame is delayed by a uniform draw from [0, procJitter]. The paper's
@@ -70,16 +71,25 @@ type Host struct {
 	ignoreBroadcastGratuitousARP bool
 }
 
+// route sends what it matches out of nic.
 type route struct {
-	prefix netip.Prefix
-	nic    *NIC
-	gw     netip.Addr // invalid ⇒ on-link
+	routeKey
+	nic *NIC
+}
+
+// routeKey is a route's identity. It matches dst when dst&mask == net; a
+// longer prefix is a larger mask.
+type routeKey struct {
+	net, mask ip4
+	gw        ip4
+	onLink    bool // no gateway: the next hop is the destination itself
 }
 
 // Socket is a bound UDP endpoint on a host.
 type Socket struct {
 	host    *Host
-	addr    netip.Addr // invalid ⇒ wildcard
+	addr    ip4
+	anyAddr bool // wildcard bind: addr is unused
 	port    uint16
 	handler UDPHandler
 	// closed is atomic so that Close may race with a frame delivery running
@@ -95,7 +105,7 @@ func (n *Network) NewHost(name string) *Host {
 		net:     n,
 		name:    name,
 		alive:   true,
-		sockets: map[uint16]*Socket{},
+		sockets: map[uint32]*Socket{},
 		arpTTL:  defaultARPTTL,
 	}
 	n.hosts = append(n.hosts, h)
@@ -143,11 +153,11 @@ func (h *Host) Crash() {
 	for _, nic := range h.nics {
 		// In address order, so the pools see the records and buffers come
 		// back in the same order on every run of a seed.
-		ips := make([]netip.Addr, 0, len(nic.pending))
+		ips := make([]ip4, 0, len(nic.pending))
 		for ip := range nic.pending {
 			ips = append(ips, ip)
 		}
-		sort.Slice(ips, func(i, j int) bool { return ips[i].Less(ips[j]) })
+		slices.Sort(ips)
 		for _, ip := range ips {
 			h.dropPending(nic, ip)
 		}
@@ -183,7 +193,17 @@ func (t *hostTimer) Run() {
 }
 
 // Reset arms the timer d plus one processing-jitter draw from now.
-func (t *hostTimer) Reset(d time.Duration) { t.Timer.Reset(d + t.h.jitter()) }
+func (t *hostTimer) Reset(d time.Duration) {
+	t.Timer.Reset(time.Duration(addSat(int64(d), int64(t.h.jitter()))))
+}
+
+// addSat is a+b, saturating where adding a positive b would wrap.
+func addSat(a, b int64) int64 {
+	if sum := a + b; b <= 0 || sum > a {
+		return sum
+	}
+	return math.MaxInt64
+}
 
 // NewTimer returns an unarmed timer on the simulator whose callback is gated
 // on the host being alive at fire time. With Now and AfterFunc it makes the
@@ -213,11 +233,13 @@ type NIC struct {
 	name    string
 	mac     MAC
 	up      bool
+	group   int // partition group on seg; frames pass between equal groups
 	prefix  netip.Prefix
-	primary netip.Addr
-	addrs   map[netip.Addr]bool
-	arp     map[netip.Addr]arpEntry
-	pending map[netip.Addr]*arpPending
+	primary ip4
+	bcast   ip4 // subnet broadcast address
+	addrs   map[ip4]bool
+	arp     map[ip4]arpEntry
+	pending map[ip4]*arpPending
 	// Directional gray-failure impairments (armed by internal/faults).
 	// txLoss/txDelay apply to frames this interface transmits, rxLoss/rxDelay
 	// to frames it would receive — modelling asymmetric reachability, where a
@@ -233,7 +255,7 @@ type NIC struct {
 
 type arpEntry struct {
 	mac     MAC
-	expires time.Time
+	expires int64 // last valid instant, nanoseconds of Sim.Elapsed
 }
 
 type arpPending struct {
@@ -245,7 +267,8 @@ type arpPending struct {
 // AttachNIC connects the host to seg with primary address addr (which also
 // defines the subnet). The NIC comes up immediately.
 func (h *Host) AttachNIC(seg *Segment, name string, addr netip.Prefix) *NIC {
-	if !addr.Addr().Is4() {
+	primary, ok := toIP4(addr.Addr())
+	if !ok || !addr.IsValid() {
 		panic(fmt.Sprintf("netsim: %s: only IPv4 is modelled, got %v", h.name, addr))
 	}
 	mac := h.net.nextMAC
@@ -257,17 +280,21 @@ func (h *Host) AttachNIC(seg *Segment, name string, addr netip.Prefix) *NIC {
 		mac:     mac,
 		up:      true,
 		prefix:  addr.Masked(),
-		primary: addr.Addr(),
-		addrs:   map[netip.Addr]bool{addr.Addr(): true},
-		arp:     map[netip.Addr]arpEntry{},
-		pending: map[netip.Addr]*arpPending{},
+		primary: primary,
+		bcast:   primary | ^maskOf(addr.Bits()),
+		addrs:   map[ip4]bool{primary: true},
+		arp:     map[ip4]arpEntry{},
+		pending: map[ip4]*arpPending{},
 	}
 	h.nics = append(h.nics, nic)
 	seg.nics = append(seg.nics, nic)
 	// Connected route for the subnet.
-	h.routes = append(h.routes, route{prefix: nic.prefix, nic: nic})
+	h.AddRoute(nic.prefix, nic, netip.Addr{})
 	return nic
 }
+
+// maskOf is the netmask of a prefix length.
+func maskOf(bits int) ip4 { return ^ip4(0xFFFFFFFF >> bits) }
 
 // Name returns the interface label.
 func (nic *NIC) Name() string { return nic.name }
@@ -276,7 +303,7 @@ func (nic *NIC) Name() string { return nic.name }
 func (nic *NIC) MAC() MAC { return nic.mac }
 
 // Primary returns the stationary address.
-func (nic *NIC) Primary() netip.Addr { return nic.primary }
+func (nic *NIC) Primary() netip.Addr { return nic.primary.addr() }
 
 // Prefix returns the interface's subnet.
 func (nic *NIC) Prefix() netip.Prefix { return nic.prefix }
@@ -331,67 +358,86 @@ func (nic *NIC) Impaired() bool {
 
 // AddAddr configures an additional (virtual) address on the interface.
 func (nic *NIC) AddAddr(a netip.Addr) error {
-	if nic.addrs[a] {
+	ip, ok := toIP4(a)
+	if !ok {
+		return fmt.Errorf("netsim: only IPv4 is modelled, cannot add %v to %s/%s", a, nic.host.name, nic.name)
+	}
+	if nic.addrs[ip] {
 		return fmt.Errorf("%w: %v on %s/%s", ErrAddrInUse, a, nic.host.name, nic.name)
 	}
-	nic.addrs[a] = true
+	nic.addrs[ip] = true
 	return nil
 }
 
 // RemoveAddr drops an address from the interface. The primary address cannot
 // be removed.
 func (nic *NIC) RemoveAddr(a netip.Addr) error {
-	if a == nic.primary {
+	ip, ok := toIP4(a)
+	if ok && ip == nic.primary {
 		return fmt.Errorf("netsim: cannot remove primary address %v from %s/%s", a, nic.host.name, nic.name)
 	}
-	if !nic.addrs[a] {
+	if !ok || !nic.addrs[ip] {
 		return fmt.Errorf("%w: %v on %s/%s", ErrAddrMissing, a, nic.host.name, nic.name)
 	}
-	delete(nic.addrs, a)
+	delete(nic.addrs, ip)
 	return nil
 }
 
 // HasAddr reports whether the interface currently answers for a.
-func (nic *NIC) HasAddr(a netip.Addr) bool { return nic.addrs[a] }
+func (nic *NIC) HasAddr(a netip.Addr) bool {
+	ip, ok := toIP4(a)
+	return ok && nic.addrs[ip]
+}
 
 // Addrs returns all configured addresses, sorted.
 func (nic *NIC) Addrs() []netip.Addr {
 	out := make([]netip.Addr, 0, len(nic.addrs))
-	for a := range nic.addrs {
-		out = append(out, a)
+	for ip := range nic.addrs {
+		out = append(out, ip.addr())
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	slices.SortFunc(out, netip.Addr.Compare)
 	return out
 }
 
 // Broadcast returns the subnet broadcast address for the NIC.
-func (nic *NIC) Broadcast() netip.Addr {
-	bits := nic.prefix.Bits()
-	a4 := nic.prefix.Addr().As4()
-	var mask uint32 = 0xFFFFFFFF >> bits
-	v := uint32(a4[0])<<24 | uint32(a4[1])<<16 | uint32(a4[2])<<8 | uint32(a4[3])
-	v |= mask
-	return netip.AddrFrom4([4]byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)})
-}
+func (nic *NIC) Broadcast() netip.Addr { return nic.bcast.addr() }
+
+// isBroadcast reports whether a datagram to dst is a broadcast on the NIC's
+// subnet: its directed broadcast address or the limited one.
+func (nic *NIC) isBroadcast(dst ip4) bool { return dst == nic.bcast || dst == limitedBroadcast }
 
 // ARPEntry reports the cached binding for ip, if present and fresh.
 func (nic *NIC) ARPEntry(ip netip.Addr) (MAC, bool) {
+	a, ok := toIP4(ip)
+	if !ok {
+		return 0, false
+	}
+	return nic.resolved(a)
+}
+
+func (nic *NIC) resolved(ip ip4) (MAC, bool) {
 	e, ok := nic.arp[ip]
-	if !ok || nic.host.net.sim.Now().After(e.expires) {
+	if !ok || int64(nic.host.net.sim.Elapsed()) > e.expires {
 		return 0, false
 	}
 	return e.mac, true
+}
+
+// learn caches the binding for the host's ARP TTL from now.
+func (nic *NIC) learn(ip ip4, mac MAC) {
+	now := int64(nic.host.net.sim.Elapsed())
+	nic.arp[ip] = arpEntry{mac: mac, expires: addSat(now, int64(nic.host.arpTTL))}
 }
 
 // ARPEntries returns a copy of the interface's fresh cache entries. The
 // ARP-cache-sharing mechanism of the paper's router application (§5.2)
 // reads these, standing in for /proc/net/arp.
 func (nic *NIC) ARPEntries() map[netip.Addr]MAC {
-	now := nic.host.net.sim.Now()
+	now := int64(nic.host.net.sim.Elapsed())
 	out := make(map[netip.Addr]MAC, len(nic.arp))
 	for ip, e := range nic.arp {
-		if !now.After(e.expires) {
-			out[ip] = e.mac
+		if now <= e.expires {
+			out[ip.addr()] = e.mac
 		}
 	}
 	return out
@@ -399,21 +445,39 @@ func (nic *NIC) ARPEntries() map[netip.Addr]MAC {
 
 // FlushARP clears the interface's ARP cache.
 func (nic *NIC) FlushARP() {
-	nic.arp = map[netip.Addr]arpEntry{}
+	nic.arp = map[ip4]arpEntry{}
+}
+
+// routeKeyOf is the identity of the route to prefix via gw (invalid ⇒
+// on-link); ok is false when either is something other than IPv4.
+func routeKeyOf(prefix netip.Prefix, gw netip.Addr) (k routeKey, ok bool) {
+	net, ok := toIP4(prefix.Masked().Addr())
+	if !ok {
+		return routeKey{}, false
+	}
+	k = routeKey{net: net, mask: maskOf(prefix.Bits()), onLink: !gw.IsValid()}
+	if !k.onLink {
+		k.gw, ok = toIP4(gw)
+	}
+	return k, ok
 }
 
 // AddRoute installs a static route. A valid gw makes it a gateway route;
-// an invalid gw means on-link.
+// an invalid gw means on-link. Like AttachNIC it panics on anything but IPv4.
 func (h *Host) AddRoute(prefix netip.Prefix, nic *NIC, gw netip.Addr) {
-	h.routes = append(h.routes, route{prefix: prefix.Masked(), nic: nic, gw: gw})
+	k, ok := routeKeyOf(prefix, gw)
+	if !ok {
+		panic(fmt.Sprintf("netsim: %s: only IPv4 is modelled, got route %v via %v", h.name, prefix, gw))
+	}
+	h.routes = append(h.routes, route{routeKey: k, nic: nic})
 }
 
 // RemoveRoute deletes the first route exactly matching prefix and gateway.
 // It reports whether a route was removed.
 func (h *Host) RemoveRoute(prefix netip.Prefix, gw netip.Addr) bool {
-	prefix = prefix.Masked()
+	k, ok := routeKeyOf(prefix, gw)
 	for i, r := range h.routes {
-		if r.prefix == prefix && r.gw == gw {
+		if ok && r.routeKey == k {
 			h.routes = append(h.routes[:i], h.routes[i+1:]...)
 			return true
 		}
@@ -426,26 +490,25 @@ func (h *Host) SetDefaultGateway(nic *NIC, gw netip.Addr) {
 	h.AddRoute(netip.PrefixFrom(netip.AddrFrom4([4]byte{}), 0), nic, gw)
 }
 
-// lookupRoute performs longest-prefix match.
-func (h *Host) lookupRoute(dst netip.Addr) (nic *NIC, nexthop netip.Addr, ok bool) {
-	best := -1
-	for _, r := range h.routes {
-		if r.prefix.Contains(dst) && r.prefix.Bits() > best {
-			best = r.prefix.Bits()
-			nic = r.nic
-			if r.gw.IsValid() {
-				nexthop = r.gw
-			} else {
+// lookupRoute performs longest-prefix match; among equals the first installed
+// wins.
+func (h *Host) lookupRoute(dst ip4) (nic *NIC, nexthop ip4, ok bool) {
+	best := int64(-1)
+	for i := range h.routes {
+		r := &h.routes[i]
+		if dst&r.mask == r.net && int64(r.mask) > best {
+			best = int64(r.mask)
+			nic, nexthop, ok = r.nic, r.gw, true
+			if r.onLink {
 				nexthop = dst
 			}
-			ok = true
 		}
 	}
 	return nic, nexthop, ok
 }
 
 // hasLocalAddr reports whether any interface answers for a.
-func (h *Host) hasLocalAddr(a netip.Addr) bool {
+func (h *Host) hasLocalAddr(a ip4) bool {
 	for _, nic := range h.nics {
 		if nic.addrs[a] {
 			return true
@@ -465,11 +528,15 @@ func (h *Host) NICs() []*NIC {
 // binds the wildcard. One socket per port is supported, matching what the
 // simulated workloads need.
 func (h *Host) BindUDP(addr netip.Addr, port uint16, fn UDPHandler) (*Socket, error) {
-	if s, ok := h.sockets[port]; ok && !s.closed.Load() {
+	ip, ok := toIP4(addr)
+	if !ok && addr.IsValid() {
+		return nil, fmt.Errorf("netsim: only IPv4 is modelled, cannot bind %v on %s", addr, h.name)
+	}
+	if s, ok := h.sockets[uint32(port)]; ok && !s.closed.Load() {
 		return nil, fmt.Errorf("%w: %s port %d", ErrPortInUse, h.name, port)
 	}
-	s := &Socket{host: h, addr: addr, port: port, handler: fn}
-	h.sockets[port] = s
+	s := &Socket{host: h, addr: ip, anyAddr: !ok, port: port, handler: fn}
+	h.sockets[uint32(port)] = s
 	return s, nil
 }
 
@@ -510,33 +577,40 @@ func (h *Host) sendUDP(src, dst netip.AddrPort, payload []byte, handedOver bool)
 	if !h.alive {
 		return ErrHostDown
 	}
-	local := h.hasLocalAddr(dst.Addr())
+	to, ok := toIP4(dst.Addr())
+	if !ok {
+		return fmt.Errorf("%w: %v from %s", ErrNoRoute, dst.Addr(), h.name)
+	}
+	from, bound := toIP4(src.Addr())
+	if !bound && src.Addr().IsValid() {
+		return fmt.Errorf("netsim: only IPv4 is modelled, cannot send from %v on %s", src.Addr(), h.name)
+	}
+	local := h.hasLocalAddr(to)
 	var nic *NIC
-	var nexthop netip.Addr
+	var nexthop ip4
 	if !local {
-		var ok bool
-		if nic, nexthop, ok = h.lookupRoute(dst.Addr()); !ok {
+		if nic, nexthop, ok = h.lookupRoute(to); !ok {
 			// Maybe a broadcast to a directly attached subnet.
-			if nic = h.broadcastNIC(dst.Addr()); nic == nil {
+			if nic = h.broadcastNIC(to); nic == nil {
 				return fmt.Errorf("%w: %v from %s", ErrNoRoute, dst.Addr(), h.name)
 			}
-			nexthop = dst.Addr()
+			nexthop = to
 		}
 	}
 	if !handedOver {
 		payload = append(h.net.GetBuf(0), payload...)
 	}
 	p := h.net.packets.get()
-	*p = ipPacket{src: src.Addr(), dst: dst.Addr(), ttl: defaultTTL,
+	*p = ipPacket{src: from, dst: to, ttl: defaultTTL,
 		srcPort: src.Port(), dstPort: dst.Port(), payload: payload, refs: 1}
 	var err error
 	if local {
-		if !p.src.IsValid() {
+		if !bound {
 			p.src = p.dst
 		}
 		h.deliverLocal(nil, p)
 	} else {
-		if !p.src.IsValid() {
+		if !bound {
 			p.src = nic.primary
 		}
 		if err = h.egress(nic, nexthop, p); err != nil && handedOver {
@@ -579,33 +653,29 @@ func (h *Host) deliverLocal(nic *NIC, p *ipPacket) {
 
 // broadcastNIC returns the NIC whose subnet broadcast (or the limited
 // broadcast address) matches dst.
-func (h *Host) broadcastNIC(dst netip.Addr) *NIC {
+func (h *Host) broadcastNIC(dst ip4) *NIC {
 	for _, nic := range h.nics {
-		if dst == nic.Broadcast() || dst == netip.AddrFrom4([4]byte{255, 255, 255, 255}) {
+		if nic.isBroadcast(dst) {
 			return nic
 		}
 	}
 	return nil
 }
 
-func (h *Host) isBroadcastFor(nic *NIC, dst netip.Addr) bool {
-	return dst == nic.Broadcast() || dst == netip.AddrFrom4([4]byte{255, 255, 255, 255})
-}
-
 // egress pushes p out of nic towards nexthop, resolving ARP as needed. The
 // caller holds a reference to p across the call; whatever egress schedules or
 // queues takes its own.
-func (h *Host) egress(nic *NIC, nexthop netip.Addr, p *ipPacket) error {
+func (h *Host) egress(nic *NIC, nexthop ip4, p *ipPacket) error {
 	if !nic.up {
 		return fmt.Errorf("%w: %s/%s", ErrNICDown, h.name, nic.name)
 	}
-	if h.isBroadcastFor(nic, p.dst) {
+	if nic.isBroadcast(p.dst) {
 		nic.seg.transmit(nic, frame{src: nic.mac, dst: BroadcastMAC, kind: frameIPv4, pkt: p})
 		// Local sockets also hear subnet broadcasts.
 		h.deliverLocal(nic, p)
 		return nil
 	}
-	if mac, ok := nic.ARPEntry(nexthop); ok {
+	if mac, ok := nic.resolved(nexthop); ok {
 		nic.seg.transmit(nic, frame{src: nic.mac, dst: mac, kind: frameIPv4, pkt: p})
 		return nil
 	}
@@ -614,7 +684,7 @@ func (h *Host) egress(nic *NIC, nexthop netip.Addr, p *ipPacket) error {
 }
 
 // arpResolve queues p and issues an ARP request for ip, with bounded retry.
-func (h *Host) arpResolve(nic *NIC, ip netip.Addr, p *ipPacket) {
+func (h *Host) arpResolve(nic *NIC, ip ip4, p *ipPacket) {
 	p.refs++ // the queue slot's
 	pend, ok := nic.pending[ip]
 	if ok {
@@ -645,7 +715,7 @@ func (h *Host) arpResolve(nic *NIC, ip netip.Addr, p *ipPacket) {
 
 // dropPending ends the resolution of ip on nic: the retry timer stops and
 // every queued datagram loses its queue slot.
-func (h *Host) dropPending(nic *NIC, ip netip.Addr) {
+func (h *Host) dropPending(nic *NIC, ip ip4) {
 	pend := nic.pending[ip]
 	delete(nic.pending, ip)
 	pend.timer.Stop()
@@ -654,15 +724,15 @@ func (h *Host) dropPending(nic *NIC, ip netip.Addr) {
 	}
 }
 
-func (h *Host) sendARPRequest(nic *NIC, ip netip.Addr) {
+func (h *Host) sendARPRequest(nic *NIC, ip ip4) {
 	if !nic.up {
 		return
 	}
 	req := arp.Packet{
 		Op:        arp.OpRequest,
 		SenderMAC: nic.mac.Bytes(),
-		SenderIP:  nic.primary,
-		TargetIP:  ip,
+		SenderIP:  nic.primary.addr(),
+		TargetIP:  ip.addr(),
 	}
 	payload, err := req.Encode()
 	if err != nil {
@@ -735,21 +805,23 @@ func (h *Host) receiveARP(nic *NIC, fr frame) {
 		return
 	}
 	senderMAC := MACFromBytes(p.SenderMAC)
-	now := h.net.sim.Now()
-	targetIsUs := nic.addrs[p.TargetIP]
+	// Decode yields IPv4 addresses only, so neither conversion can fail.
+	sender, _ := toIP4(p.SenderIP)
+	target, _ := toIP4(p.TargetIP)
+	targetIsUs := nic.addrs[target]
 
-	_, known := nic.arp[p.SenderIP]
+	_, known := nic.arp[sender]
 	// Standard cache maintenance: update an existing entry on any ARP
 	// traffic from the sender; create a new entry when we are the target,
 	// when the packet answers an outstanding resolution, or when the host
 	// opts into unsolicited learning.
-	_, awaited := nic.pending[p.SenderIP]
+	_, awaited := nic.pending[sender]
 	discard := h.ignoreBroadcastGratuitousARP && p.IsGratuitous() && fr.dst == BroadcastMAC && !awaited
 	if !discard && (known || targetIsUs || awaited || h.acceptUnsolicitedARP) {
-		nic.arp[p.SenderIP] = arpEntry{mac: senderMAC, expires: now.Add(h.arpTTL)}
+		nic.learn(sender, senderMAC)
 	}
 	if awaited {
-		h.flushPending(nic, p.SenderIP, senderMAC)
+		h.flushPending(nic, sender, senderMAC)
 	}
 
 	if p.Op == arp.OpRequest && targetIsUs {
@@ -771,7 +843,7 @@ func (h *Host) receiveARP(nic *NIC, fr frame) {
 	}
 }
 
-func (h *Host) flushPending(nic *NIC, ip netip.Addr, mac MAC) {
+func (h *Host) flushPending(nic *NIC, ip ip4, mac MAC) {
 	pend, ok := nic.pending[ip]
 	if !ok {
 		return
@@ -789,7 +861,7 @@ func (h *Host) flushPending(nic *NIC, ip netip.Addr, mac MAC) {
 func (h *Host) receiveIP(nic *NIC, fr frame) {
 	p := fr.pkt
 	switch {
-	case nic.addrs[p.dst] || h.isBroadcastFor(nic, p.dst):
+	case nic.addrs[p.dst] || nic.isBroadcast(p.dst):
 		h.deliverUDP(p)
 	case h.forwarding:
 		h.forward(p)
@@ -801,7 +873,7 @@ func (h *Host) receiveIP(nic *NIC, fr frame) {
 
 func (h *Host) forward(p *ipPacket) {
 	if h.net.trace != nil {
-		h.net.emitTrace(TraceEvent{Kind: TraceForward, Host: h.name, SrcIP: p.src, DstIP: p.dst})
+		h.net.emitTrace(TraceEvent{Kind: TraceForward, Host: h.name, SrcIP: p.src.addr(), DstIP: p.dst.addr()})
 	}
 	if p.ttl <= 1 {
 		if h.net.logging() {
@@ -835,10 +907,9 @@ func (h *Host) forward(p *ipPacket) {
 }
 
 func (h *Host) deliverUDP(p *ipPacket) {
-	if s, ok := h.sockets[p.dstPort]; ok && !s.closed.Load() &&
-		(!s.addr.IsValid() || s.addr == p.dst) {
-		src := netip.AddrPortFrom(p.src, p.srcPort)
-		dst := netip.AddrPortFrom(p.dst, p.dstPort)
+	if s, ok := h.sockets[uint32(p.dstPort)]; ok && !s.closed.Load() && (s.anyAddr || s.addr == p.dst) {
+		src := netip.AddrPortFrom(p.src.addr(), p.srcPort)
+		dst := netip.AddrPortFrom(p.dst.addr(), p.dstPort)
 		s.handler(src, dst, p.payload)
 	}
 	// Whether or not a handler ran, this consumer is done with the datagram

@@ -12,6 +12,7 @@
 package netsim
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 	"time"
@@ -45,6 +46,32 @@ func MACFromBytes(b [6]byte) MAC {
 		uint64(b[3])<<16 | uint64(b[4])<<8 | uint64(b[5]))
 }
 
+// ip4 is an IPv4 address as a big-endian word, the only form in which the
+// package holds one: address sets, ARP caches, routes and datagram headers are
+// all keyed and compared by it. netip.Addr is the type of the exported API,
+// converted once on the way in and once on the way out to a socket handler.
+type ip4 uint32
+
+// limitedBroadcast is 255.255.255.255.
+const limitedBroadcast ip4 = 0xFFFFFFFF
+
+// toIP4 converts a, reporting false for anything that is not plain IPv4 — the
+// zero Addr, IPv6, IPv4-mapped IPv6 — none of which the simulator models.
+func toIP4(a netip.Addr) (ip4, bool) {
+	if !a.Is4() {
+		return 0, false
+	}
+	b := a.As4()
+	return ip4(binary.BigEndian.Uint32(b[:])), true
+}
+
+func (a ip4) addr() netip.Addr {
+	return netip.AddrFrom4([4]byte{byte(a >> 24), byte(a >> 16), byte(a >> 8), byte(a)})
+}
+
+// String formats the address as netip.Addr does, for the package's log lines.
+func (a ip4) String() string { return a.addr().String() }
+
 type frameKind uint8
 
 const (
@@ -64,8 +91,8 @@ type frame struct {
 // ipPacket is a simulated IPv4+UDP datagram. Only UDP is modelled; that is
 // all the paper's protocols and measurement workload use.
 type ipPacket struct {
-	src     netip.Addr
-	dst     netip.Addr
+	src     ip4
+	dst     ip4
 	ttl     uint8
 	srcPort uint16
 	dstPort uint16
@@ -256,18 +283,17 @@ func (n *Network) NewSegment(name string, cfg SegmentConfig) *Segment {
 	if cfg.LatencyMax < cfg.LatencyMin {
 		cfg.LatencyMax = cfg.LatencyMin
 	}
-	return &Segment{net: n, name: name, cfg: cfg, partition: map[*NIC]int{}}
+	return &Segment{net: n, name: name, cfg: cfg}
 }
 
 // Segment is an Ethernet broadcast domain (one switch). Partitioning a
 // segment models a switch failure splitting it into isolated port groups, as
 // footnote 1 of the paper describes.
 type Segment struct {
-	net       *Network
-	name      string
-	cfg       SegmentConfig
-	nics      []*NIC
-	partition map[*NIC]int
+	net  *Network
+	name string
+	cfg  SegmentConfig
+	nics []*NIC
 
 	// Instruments are created lazily on the first transmit because the
 	// registry may be installed after segment construction; nil instruments
@@ -306,24 +332,28 @@ func (s *Segment) Partition(groups ...[]*Host) {
 	if len(assigned) != len(s.nics) {
 		panic(fmt.Sprintf("netsim: partition of %s covers %d of %d NICs", s.name, len(assigned), len(s.nics)))
 	}
-	s.partition = assigned
+	for _, nic := range s.nics {
+		nic.group = assigned[nic]
+	}
 }
 
 // Heal removes any partition, restoring full connectivity.
 func (s *Segment) Heal() {
-	s.partition = map[*NIC]int{}
+	for _, nic := range s.nics {
+		nic.group = 0
+	}
 }
 
 // PartitionGroup returns the partition group nic currently belongs to (0 for
-// every NIC when the segment is whole). Two NICs on the segment can exchange
+// every NIC when the segment is whole, for one attached after the split, and
+// for one that is not on this segment). Two NICs on the segment can exchange
 // frames iff their groups are equal; checkers use this to reason about
 // reachable network components without re-deriving the partition.
 func (s *Segment) PartitionGroup(nic *NIC) int {
-	return s.partition[nic]
-}
-
-func (s *Segment) reachable(a, b *NIC) bool {
-	return s.partition[a] == s.partition[b]
+	if nic == nil || nic.seg != s {
+		return 0
+	}
+	return nic.group
 }
 
 func (s *Segment) latency() time.Duration {
@@ -356,13 +386,13 @@ func (s *Segment) transmit(src *NIC, fr frame) {
 		return
 	}
 	for _, nic := range s.nics {
-		if nic == src || !nic.up || !nic.host.alive {
-			continue
-		}
-		if !s.reachable(src, nic) {
-			continue
-		}
+		// The filters draw nothing and change nothing, so their order is free:
+		// the address compare goes first because it alone rejects all but one
+		// NIC for a unicast frame. Every draw stays behind all of them.
 		if fr.dst != BroadcastMAC && fr.dst != nic.mac {
+			continue
+		}
+		if nic == src || !nic.up || !nic.host.alive || nic.group != src.group {
 			continue
 		}
 		if s.cfg.LossRate > 0 && s.net.sim.Rand().Float64() < s.cfg.LossRate {

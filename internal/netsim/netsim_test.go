@@ -9,7 +9,7 @@ import (
 	"wackamole/internal/sim"
 )
 
-func mustPrefix(t *testing.T, s string) netip.Prefix {
+func mustPrefix(t testing.TB, s string) netip.Prefix {
 	t.Helper()
 	p, err := netip.ParsePrefix(s)
 	if err != nil {
@@ -21,7 +21,7 @@ func mustPrefix(t *testing.T, s string) netip.Prefix {
 func addr(s string) netip.Addr { return netip.MustParseAddr(s) }
 
 // lan builds a single-segment network with n hosts 10.0.0.1..n/24.
-func lan(t *testing.T, seed int64, n int) (*sim.Sim, *Network, *Segment, []*Host) {
+func lan(t testing.TB, seed int64, n int) (*sim.Sim, *Network, *Segment, []*Host) {
 	t.Helper()
 	s := sim.New(seed)
 	nw := New(s)
@@ -550,7 +550,7 @@ func TestLatencyWithinConfiguredBounds(t *testing.T) {
 	b := nw.NewHost("b")
 	bn := b.AttachNIC(seg, "eth0", mustPrefix(t, "10.0.0.2/24"))
 	// Pre-seed ARP to isolate the data frame latency.
-	an.arp[addr("10.0.0.2")] = arpEntry{mac: bn.mac, expires: s.Now().Add(time.Hour)}
+	seedARP(an, addr("10.0.0.2"), bn.mac)
 	var when time.Duration
 	if _, err := b.BindUDP(netip.Addr{}, 7000, func(_, _ netip.AddrPort, _ []byte) {
 		when = s.Elapsed()
@@ -588,5 +588,33 @@ func TestMACFormatting(t *testing.T) {
 	}
 	if BroadcastMAC.String() != "ff:ff:ff:ff:ff:ff" {
 		t.Fatalf("broadcast MAC = %q", BroadcastMAC.String())
+	}
+}
+
+// BenchmarkUnicastFrame is one datagram from SendUDP to the socket handler
+// across a 12-NIC segment, the ring's size in the largest workload: the send,
+// the walk over the segment's NICs, one scheduled delivery and the receive.
+func BenchmarkUnicastFrame(b *testing.B) {
+	s, _, _, hosts := lan(b, 1, 12)
+	heard := 0
+	if _, err := hosts[1].BindUDP(netip.Addr{}, 9000, func(_, _ netip.AddrPort, _ []byte) { heard++ }); err != nil {
+		b.Fatal(err)
+	}
+	dst := netip.AddrPortFrom(addr("10.0.0.2"), 9000)
+	payload := make([]byte, 64)
+	send := func() {
+		if err := hosts[0].SendUDP(netip.AddrPort{}, dst, payload); err != nil {
+			b.Fatal(err)
+		}
+		s.Run()
+	}
+	send() // resolves ARP and fills the pools
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		send()
+	}
+	if heard != b.N+1 {
+		b.Fatalf("handler ran %d times for %d sends", heard, b.N+1)
 	}
 }

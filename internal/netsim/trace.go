@@ -87,8 +87,8 @@ func (s *Segment) trace(fr *frame, kind TraceKind, host string) {
 		ARP:     fr.kind == frameARP,
 	}
 	if fr.pkt != nil {
-		ev.SrcIP = fr.pkt.src
-		ev.DstIP = fr.pkt.dst
+		ev.SrcIP = fr.pkt.src.addr()
+		ev.DstIP = fr.pkt.dst.addr()
 	}
 	s.net.emitTrace(ev)
 }

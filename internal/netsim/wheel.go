@@ -1,10 +1,6 @@
 package netsim
 
-import (
-	"time"
-
-	"wackamole/internal/sim"
-)
+import "time"
 
 // TimerWheel is a deterministic timing wheel for high-volume, coarse
 // timeouts — per-connection retransmission timers, chiefly. A busy workload
@@ -70,12 +66,11 @@ func NewTimerWheel(h *Host, tick time.Duration, slots int) *TimerWheel {
 	return &TimerWheel{host: h, tick: tick, slots: make([][]*WheelTimer, slots)}
 }
 
-// tickOf converts an absolute virtual time to a tick index, rounding up so
-// deadlines never fire early.
-func (w *TimerWheel) tickOf(t time.Time) int64 {
-	d := t.Sub(sim.Epoch)
-	n := int64(d / w.tick)
-	if d%w.tick != 0 {
+// tickOf converts an instant, as virtual time elapsed since the simulation
+// began, to a tick index, rounding up so deadlines never fire early.
+func (w *TimerWheel) tickOf(at time.Duration) int64 {
+	n := int64(at / w.tick)
+	if at%w.tick != 0 {
 		n++
 	}
 	return n
@@ -88,17 +83,17 @@ func (w *TimerWheel) Schedule(d time.Duration, fn func()) *WheelTimer {
 	if fn == nil {
 		panic("netsim: Schedule called with nil callback")
 	}
-	now := w.host.net.sim.Now()
-	deadline := w.tickOf(now.Add(d))
+	now := w.host.net.sim.Elapsed()
+	deadline := w.tickOf(time.Duration(addSat(int64(now), int64(d))))
 	if !w.armed {
 		// Align the next sweep to the first tick boundary strictly after
 		// now, then keep ticking from there.
 		w.curTick = w.tickOf(now)
-		if boundary := sim.Epoch.Add(time.Duration(w.curTick) * w.tick); !boundary.After(now) {
+		if time.Duration(w.curTick)*w.tick <= now {
 			w.curTick++
 		}
 		w.armed = true
-		w.host.net.sim.Post(sim.Epoch.Add(time.Duration(w.curTick)*w.tick).Sub(now), w)
+		w.host.net.sim.Post(time.Duration(w.curTick)*w.tick-now, w)
 	}
 	if deadline < w.curTick {
 		deadline = w.curTick

@@ -1,8 +1,9 @@
 package sim
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -235,7 +236,7 @@ func TestTimerHandleIsNeverRecycled(t *testing.T) {
 			s.Post(time.Second, runFunc(func() { fired++ }))
 		}
 		for _, queued := range s.queue {
-			if queued == tm {
+			if queued.t == tm {
 				t.Fatal("Post reused a record that After handed out as a *Timer")
 			}
 		}
@@ -303,110 +304,196 @@ func TestResetDoesNotAllocate(t *testing.T) {
 // Reset, Stop, After, Post and Step against the specification the heap
 // implements: a list of armed (deadline, scheduling order) pairs, of which the
 // smallest fires next. Fire order, Fired, Pending and every Stop result must
-// agree.
+// agree, and after every operation the queue must be a well-formed heap: each
+// record's idx is its slot, each slot carries the key the model holds for its
+// record (the slot is the key's only home), and no slot sorts before its
+// parent. The deep variant starts from a standing population wide enough to
+// fill every level and every child position of the d-ary layout, so Reset and
+// Stop in place and the pop are exercised at all of them.
 func TestTimerOrderMatchesReferenceModel(t *testing.T) {
 	type armed struct {
 		at  time.Duration
-		seq int
+		seq uint64
 		id  int
 	}
-	for seed := int64(1); seed <= 40; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		s := New(seed)
-		var (
-			model  []armed // the reference: everything currently armed
-			seq    int     // scheduling order, one per arming call
-			got    []int   // ids in the order the simulator fired them
-			want   []int   // ids in the order the model says
-			timers []*Timer
-			fired  uint64
-		)
-		arm := func(id int, d time.Duration) {
-			for i, a := range model {
-				if a.id == id {
-					model = append(model[:i], model[i+1:]...)
-					break
+	for _, tc := range []struct {
+		name            string
+		seeds           int64
+		standing, ops   int
+		deadlineRangeMs int // small against the population: many ties
+	}{
+		{name: "shallow", seeds: 40, ops: 400, deadlineRangeMs: 5},
+		{name: "deep", seeds: 4, standing: 2500, ops: 3000, deadlineRangeMs: 400},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for seed := int64(1); seed <= tc.seeds; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				s := New(seed)
+				var (
+					model  []armed // the reference: everything currently armed
+					seq    uint64  // scheduling order, one per arming call
+					got    []int   // ids in the order the simulator fired them
+					want   []int   // ids in the order the model says
+					timers []*Timer
+					fired  uint64
+				)
+				arm := func(id int, d time.Duration) {
+					for i, a := range model {
+						if a.id == id {
+							model = append(model[:i], model[i+1:]...)
+							break
+						}
+					}
+					model = append(model, armed{at: s.Elapsed() + d, seq: seq, id: id})
+					seq++
 				}
-			}
-			model = append(model, armed{at: s.Elapsed() + d, seq: seq, id: id})
-			seq++
-		}
-		newID := 0
-		note := func(id int) func() { return func() { got = append(got, id) } }
-		for op := 0; op < 400; op++ {
-			d := time.Duration(rng.Intn(5)) * time.Millisecond // small range: many ties
-			switch k := rng.Intn(10); {
-			case k < 2: // After
-				timers = append(timers, s.After(d, note(newID)))
-				arm(newID, d)
-				newID++
-			case k < 3: // Post
-				s.Post(d, runFunc(note(newID)))
-				arm(newID, d)
-				newID++
-				timers = append(timers, nil) // keeps ids and indexes aligned
-			case k < 4: // NewTimer, unarmed
-				timers = append(timers, s.NewTimer(note(newID)).(*Timer))
-				newID++
-			case k < 6 && len(timers) > 0: // Reset
-				id := rng.Intn(len(timers))
-				if timers[id] != nil {
-					timers[id].Reset(d)
-					arm(id, d)
-				}
-			case k < 8 && len(timers) > 0: // Stop
-				id := rng.Intn(len(timers))
-				wasArmed := false
-				for i, a := range model {
-					if a.id == id && timers[id] != nil {
-						model = append(model[:i], model[i+1:]...)
-						wasArmed = true
-						break
+				bySeq := map[uint64]armed{}
+				checkHeap := func(op int) {
+					t.Helper()
+					clear(bySeq)
+					for _, a := range model {
+						bySeq[a.seq] = a
+					}
+					for i := range s.queue {
+						e := &s.queue[i]
+						a, ok := bySeq[e.seq]
+						switch {
+						case e.t.idx != i:
+							t.Fatalf("seed %d op %d: record in slot %d has idx %d", seed, op, i, e.t.idx)
+						case !ok || time.Duration(e.at) != a.at:
+							t.Fatalf("seed %d op %d: slot %d carries key (%d, %d), model has %+v", seed, op, i, e.at, e.seq, a)
+						case timers[a.id] != nil && timers[a.id] != e.t:
+							t.Fatalf("seed %d op %d: slot %d carries timer %d's key but another record", seed, op, i, a.id)
+						case i > 0 && e.before(&s.queue[(i-1)/arity]):
+							t.Fatalf("seed %d op %d: slot %d sorts before its parent", seed, op, i)
+						}
 					}
 				}
-				if stopped := timers[id].Stop(); stopped != wasArmed {
-					t.Fatalf("seed %d op %d: Stop(%d) = %v, model says %v", seed, op, id, stopped, wasArmed)
+				newID := 0
+				note := func(id int) func() { return func() { got = append(got, id) } }
+				delay := func() time.Duration { return time.Duration(rng.Intn(tc.deadlineRangeMs)) * time.Millisecond }
+				for ; newID < tc.standing; newID++ {
+					d := delay()
+					timers = append(timers, s.After(d, note(newID)))
+					arm(newID, d)
 				}
-			default: // Step
-				sort.Slice(model, func(i, j int) bool {
-					if model[i].at != model[j].at {
-						return model[i].at < model[j].at
+				for op := 0; op < tc.ops; op++ {
+					d := delay()
+					switch k := rng.Intn(10); {
+					case k < 2: // After
+						timers = append(timers, s.After(d, note(newID)))
+						arm(newID, d)
+						newID++
+					case k < 3: // Post
+						s.Post(d, runFunc(note(newID)))
+						arm(newID, d)
+						newID++
+						timers = append(timers, nil) // keeps ids and indexes aligned
+					case k < 4: // NewTimer, unarmed
+						timers = append(timers, s.NewTimer(note(newID)).(*Timer))
+						newID++
+					case k < 6 && len(timers) > 0: // Reset
+						id := rng.Intn(len(timers))
+						if timers[id] != nil {
+							timers[id].Reset(d)
+							arm(id, d)
+						}
+					case k < 8 && len(timers) > 0: // Stop
+						id := rng.Intn(len(timers))
+						wasArmed := false
+						for i, a := range model {
+							if a.id == id && timers[id] != nil {
+								model = append(model[:i], model[i+1:]...)
+								wasArmed = true
+								break
+							}
+						}
+						if stopped := timers[id].Stop(); stopped != wasArmed {
+							t.Fatalf("seed %d op %d: Stop(%d) = %v, model says %v", seed, op, id, stopped, wasArmed)
+						}
+					default: // Step
+						first := 0
+						for i, a := range model {
+							if a.at < model[first].at || a.at == model[first].at && a.seq < model[first].seq {
+								first = i
+							}
+						}
+						if stepped := s.Step(); stepped != (len(model) > 0) {
+							t.Fatalf("seed %d op %d: Step = %v with %d armed in the model", seed, op, stepped, len(model))
+						}
+						if len(model) > 0 {
+							if s.Elapsed() != model[first].at {
+								t.Fatalf("seed %d op %d: fired at %v, model says %v", seed, op, s.Elapsed(), model[first].at)
+							}
+							want = append(want, model[first].id)
+							model = append(model[:first], model[first+1:]...)
+							fired++
+						}
 					}
-					return model[i].seq < model[j].seq
-				})
-				if stepped := s.Step(); stepped != (len(model) > 0) {
-					t.Fatalf("seed %d op %d: Step = %v with %d armed in the model", seed, op, stepped, len(model))
-				}
-				if len(model) > 0 {
-					if s.Elapsed() != model[0].at {
-						t.Fatalf("seed %d op %d: fired at %v, model says %v", seed, op, s.Elapsed(), model[0].at)
+					if s.Pending() != len(model) || s.Fired() != fired {
+						t.Fatalf("seed %d op %d: Pending = %d, Fired = %d; model has %d armed, %d fired",
+							seed, op, s.Pending(), s.Fired(), len(model), fired)
 					}
-					want = append(want, model[0].id)
-					model = model[1:]
-					fired++
+					checkHeap(op)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("seed %d: fired %d events, model %d", seed, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("seed %d: fire order diverges at %d: got %v, want %v", seed, i, got[i], want[i])
+					}
 				}
 			}
-			if s.Pending() != len(model) || s.Fired() != fired {
-				t.Fatalf("seed %d op %d: Pending = %d, Fired = %d; model has %d armed, %d fired",
-					seed, op, s.Pending(), s.Fired(), len(model), fired)
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: fired %d events, model %d", seed, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: fire order diverges at %d: got %v, want %v", seed, i, got, want)
-			}
-		}
+		})
 	}
 }
 
-func BenchmarkScheduleAndFire(b *testing.B) {
+// TestTimerArmedForeverStaysPending pins the far end of the deadline range: a
+// delay the clock can never reach saturates instead of wrapping into the past.
+func TestTimerArmedForeverStaysPending(t *testing.T) {
 	s := New(1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.After(time.Microsecond, func() {})
-		s.Step()
+	s.RunFor(time.Second) // now > 0, so now+MaxInt64 would wrap
+	forever := s.After(math.MaxInt64, func() { t.Error("a timer armed forever fired") })
+	ordinary := false
+	s.After(time.Hour, func() { ordinary = true })
+	s.RunFor(2 * time.Hour)
+	if !ordinary {
+		t.Fatal("a timer armed after the forever one did not fire")
+	}
+	if s.Pending() != 1 {
+		t.Fatalf("Pending = %d, want the forever timer alone", s.Pending())
+	}
+	if !forever.Stop() {
+		t.Fatal("Stop() = false on the forever timer, want it still pending")
+	}
+}
+
+// BenchmarkScheduleAndFire is one Post and one Step over a standing
+// population of pending timers: 64 is the depth of a busy traffic trial, 4 096
+// a heap deeper than any workload builds. Delays are spread over the
+// population's range, so new events land at every depth.
+func BenchmarkScheduleAndFire(b *testing.B) {
+	for _, pending := range []int{64, 4096} {
+		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
+			s := New(1)
+			var r Runnable = runFunc(func() {})
+			x := uint64(88172645463325252) // xorshift64: cheap against the heap work
+			delay := func() time.Duration {
+				x ^= x << 13
+				x ^= x >> 7
+				x ^= x << 17
+				return time.Duration(x%uint64(pending)) * time.Microsecond
+			}
+			for i := 0; i < pending; i++ {
+				s.Post(delay(), r)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Post(delay(), r)
+				s.Step()
+			}
+		})
 	}
 }
