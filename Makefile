@@ -1,6 +1,6 @@
 # Convenience targets; everything here is plain `go` — no extra tooling.
 
-.PHONY: all build test check race bench identity
+.PHONY: all build test check race bench benchsmoke identity
 
 all: build test
 
@@ -10,10 +10,16 @@ build:
 test:
 	go test ./...
 
-# Tier-1, the format gate, and the nested benchmark module, which
-# `go build ./...` and `go test ./...` at the root never compile.
+# Tier-1, the format gate, one iteration of every in-tree benchmark, and the
+# nested benchmark module, which `go build ./...` and `go test ./...` at the
+# root never compile.
 check:
-	go build ./... && go test ./... && test -z "$$(gofmt -l .)" && (cd bench && go vet . && go test .)
+	go build ./... && go test ./... && test -z "$$(gofmt -l .)" && $(MAKE) benchsmoke && (cd bench && go vet . && go test .)
+
+# `go test ./...` compiles benchmarks but never runs them: one iteration each
+# keeps a benchmark whose harness rotted from going unnoticed (~3 s).
+benchsmoke:
+	go test -run '^$$' -bench . -benchtime 1x ./internal/core ./internal/gcs ./internal/placement .
 
 race:
 	go test -race ./...

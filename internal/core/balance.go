@@ -7,19 +7,19 @@ package core
 // order, the current table) and applying the returned plan. The default
 // policy reproduces the historical least-loaded rule byte for byte.
 
-import (
-	"slices"
+import "wackamole/internal/placement"
 
-	"wackamole/internal/placement"
-)
-
-// placementInput assembles the policy's view of the replicated state. The
-// member scratch slice and the owner/prefers closures are reused across
-// calls, so planning itself stays allocation-free.
-func (e *Engine) placementInput(eligible []MemberID) placement.Input {
+// placementInput assembles the policy's view of the replicated state: the
+// members that may own addresses in this view — those whose STATE_MSG
+// declared maturity, identical at every member — in view order. The member
+// scratch slice and the owner/prefers closures are reused across calls, so
+// planning itself stays allocation-free.
+func (e *Engine) placementInput() placement.Input {
 	e.memberScratch = e.memberScratch[:0]
-	for _, m := range eligible {
-		e.memberScratch = append(e.memberScratch, string(m))
+	for pos, m := range e.view.Members {
+		if e.matureOf[pos] {
+			e.memberScratch = append(e.memberScratch, string(m))
+		}
 	}
 	return placement.Input{
 		Groups:  e.sortedNames,
@@ -32,85 +32,91 @@ func (e *Engine) placementInput(eligible []MemberID) placement.Input {
 // balancedAllocation computes the representative's target allocation. It
 // reports changed=false when the current table already satisfies it.
 func (e *Engine) balancedAllocation() ([]allocPair, bool) {
-	eligible := e.eligibleMembers()
-	if len(eligible) == 0 {
+	in := e.placementInput()
+	if len(in.Members) == 0 {
 		return nil, false
 	}
-	e.planScratch = e.placer.Balance(e.placementInput(eligible), e.planScratch[:0])
-	pairs := make([]allocPair, 0, len(e.planScratch))
+	e.planScratch = e.placer.Balance(in, e.planScratch[:0])
 	changed := false
 	for _, d := range e.planScratch {
-		owner := MemberID(d.Owner)
-		pairs = append(pairs, allocPair{Group: d.Group, Owner: owner})
-		if owner != e.table[d.Group] {
+		if d.Owner != e.ownerFn(d.Group) {
 			changed = true
 		}
 	}
-	return pairs, changed
+	return planPairs(e.planScratch), changed
 }
 
-// computeReallocation returns the full post-gather allocation: current
-// owners keep their groups, holes are filled by the placement policy among
-// the eligible members.
+// computeReallocation returns the full post-gather allocation for the
+// representative's ALLOC message: current owners keep their groups, holes are
+// filled by the placement policy among the eligible members.
 func (e *Engine) computeReallocation() []allocPair {
-	e.planScratch = e.placer.Fill(e.placementInput(e.eligibleMembers()), e.planScratch[:0])
-	alloc := make([]allocPair, 0, len(e.planScratch))
-	for _, d := range e.planScratch {
-		alloc = append(alloc, allocPair{Group: d.Group, Owner: MemberID(d.Owner)})
+	e.planScratch = e.placer.Fill(e.placementInput(), e.planScratch[:0])
+	return planPairs(e.planScratch)
+}
+
+// planPairs copies a plan into the pair list a BALANCE or ALLOC message
+// carries.
+func planPairs(plan []placement.Decision) []allocPair {
+	pairs := make([]allocPair, 0, len(plan))
+	for _, d := range plan {
+		pairs = append(pairs, allocPair{Group: d.Group, Owner: MemberID(d.Owner)})
 	}
-	return alloc
+	return pairs
 }
 
 // AllocationCounts summarizes how many groups each member of the current
 // view owns according to the table; experiments use it to quantify skew.
 func (e *Engine) AllocationCounts() map[MemberID]int {
 	out := map[MemberID]int{}
-	for _, owner := range e.table {
-		if owner != "" {
-			out[owner]++
+	for _, pos := range e.table {
+		if pos >= 0 {
+			out[e.view.Members[pos]]++
 		}
 	}
 	return out
 }
 
-// noteOwner records that the replicated table now assigns g to owner and
-// counts a placement move when that differs from the last recorded owner.
-// Every member observes the same table transitions (the inputs are
-// replicated), so the per-node placement_moves_total counters agree.
-func (e *Engine) noteOwner(g string, owner MemberID) {
-	if owner == "" {
+// setOwner records that the replicated table now assigns group gi to the
+// member at view position pos (-1: nobody) and counts a placement move when
+// that member differs from the last recorded owner. Every member observes the
+// same table transitions (the inputs are replicated), so the per-node
+// placement_moves_total counters agree.
+func (e *Engine) setOwner(gi, pos int) {
+	e.table[gi] = pos
+	if pos < 0 {
 		return
 	}
-	prev, seen := e.lastOwner[g]
-	if seen && prev != owner {
+	owner := e.view.Members[pos]
+	if prev := e.lastOwner[gi]; prev != "" && prev != owner {
 		e.stats.moves.Add(1)
 		e.mMoves.Inc()
 	}
-	e.lastOwner[g] = owner
+	e.lastOwner[gi] = owner
 }
 
 // updateSkew refreshes the placement_skew gauge: the spread between the
 // most and least loaded eligible members under the current table.
 func (e *Engine) updateSkew() {
-	// One pass over the table, counting into a slot per eligible member. The
-	// arrays keep the slices of any cluster the paper considers on the stack.
-	var idBuf [16]MemberID
-	var countBuf [16]int
-	ids, counts := idBuf[:0], countBuf[:0]
-	for _, m := range e.view.Members {
-		if e.matureOf[m] {
-			ids, counts = append(ids, m), append(counts, 0)
+	e.loads = sized(e.loads, len(e.view.Members))
+	for _, pos := range e.table {
+		if pos >= 0 {
+			e.loads[pos]++
 		}
 	}
-	for _, owner := range e.table {
-		if i := slices.Index(ids, owner); i >= 0 {
-			counts[i]++
+	lo, hi, eligible := 0, 0, 0
+	for pos, n := range e.loads {
+		if !e.matureOf[pos] {
+			continue
 		}
+		if eligible == 0 || n < lo {
+			lo = n
+		}
+		if eligible == 0 || n > hi {
+			hi = n
+		}
+		eligible++
 	}
-	skew := 0
-	if len(counts) > 1 {
-		skew = slices.Max(counts) - slices.Min(counts)
-	}
-	e.stats.skew.Store(int64(skew))
-	e.mSkew.Set(int64(skew))
+	// With fewer than two eligible members there is no spread: hi == lo.
+	e.stats.skew.Store(int64(hi - lo))
+	e.mSkew.Set(int64(hi - lo))
 }

@@ -12,13 +12,22 @@ import (
 	"wackamole/internal/core"
 )
 
+// The three view-round benchmarks build their harness — engines, address
+// managers, a tracer with its 32 768-slot ring — once, outside the timer, and
+// settle it; an iteration is then what the name says and nothing else.
+
 func BenchmarkGatherMergeAndReallocate(b *testing.B) {
 	for _, vips := range []int{10, 100} {
 		vips := vips
 		b.Run(fmt.Sprintf("vips=%d", vips), func(b *testing.B) {
+			h := newHarness(b, 5, matureConfig(vips))
+			h.setPartition(h.all())
+			h.pump()
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				h := newHarness(b, 5, matureConfig(vips))
+				// One view round: five STATE_MSGs merged at five engines,
+				// then the reallocation.
 				h.setPartition(h.all())
 				h.pump()
 			}
@@ -27,12 +36,31 @@ func BenchmarkGatherMergeAndReallocate(b *testing.B) {
 }
 
 func BenchmarkMergeWithConflicts(b *testing.B) {
+	h := newHarness(b, 6, matureConfig(60))
+	h.setPartition(h.all())
+	h.pump()
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h := newHarness(b, 6, matureConfig(60))
+		// Each half covers all 60 groups, so the merge resolves 60 conflicts.
+		h.setPartition(h.members[:3], h.members[3:])
+		h.pump()
 		h.setPartition(h.all())
 		h.pump()
-		h.setPartition(h.members[:3], h.members[3:])
+	}
+}
+
+// BenchmarkFailAndMergeRound is the membership_churn shape without gcs under
+// it: twelve engines and a hundred groups lose one member, reallocate its
+// share, and take it back still holding what it had.
+func BenchmarkFailAndMergeRound(b *testing.B) {
+	h := newHarness(b, 12, matureConfig(100))
+	h.setPartition(h.all())
+	h.pump()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.setPartition(h.members[:11])
 		h.pump()
 		h.setPartition(h.all())
 		h.pump()

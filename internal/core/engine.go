@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -55,20 +55,36 @@ type Engine struct {
 	state  State
 	mature bool
 	view   View
+	// selfPos is this member's position in view.Members; -1 while detached.
+	selfPos int
 
-	// table is current_table: the replicated allocation. Identical at every
-	// member of the view once GATHER completes (Lemma 1 of the paper).
-	table map[string]MemberID
-	// owned is the ground truth of what this node has actually acquired,
-	// keyed by group name. It is what STATE_MSGs advertise: after a
-	// cascading view change the collected table is discarded and the
-	// resent STATE_MSG reflects exactly this set (Algorithm 2, lines 7–9).
-	owned map[string]bool
+	// Inside the engine a VIP group is its index in the canonical name order
+	// and a member is its position in the current view; names are the type of
+	// the API, the wire and the trace and stop there (DESIGN §5 rule 4).
+	// groups and sortedNames are indexed by group; groupIndex is the one
+	// string lookup left, made once per name as it comes off the wire or out
+	// of a placement plan.
+	groups      []VIPGroup
+	sortedNames []string
+	groupIndex  map[string]int
 
-	// Per-view gather bookkeeping.
-	stateFrom map[MemberID]bool
-	matureOf  map[MemberID]bool
-	prefsOf   map[MemberID][]string
+	// table is current_table: the replicated allocation, by group index, as
+	// the owner's position in the current view (-1: uncovered). Identical at
+	// every member of the view once GATHER completes (Lemma 1 of the paper).
+	// An entry means something only in the view it was written in, so OnView
+	// and OnDisconnect clear the table with the view.
+	table []int
+	// owned is the ground truth of what this node has actually acquired, by
+	// group index. It is what STATE_MSGs advertise: after a cascading view
+	// change the collected table is discarded and the resent STATE_MSG
+	// reflects exactly this set (Algorithm 2, lines 7–9).
+	owned []bool
+
+	// Per-view gather bookkeeping, by view position, cleared in place at
+	// OnView.
+	stateFrom []bool
+	matureOf  []bool
+	prefsOf   [][]string
 	// gatherComplete is set once every member's STATE_MSG arrived; in the
 	// representative-decisions variant the engine then waits in GATHER for
 	// the representative's ALLOC message.
@@ -76,21 +92,22 @@ type Engine struct {
 	// pendingDrops holds conflict losses awaiting release when
 	// LazyConflictRelease is set (ablation of the §3.4 eager-release
 	// optimization).
-	pendingDrops []string
-
-	groupsByName map[string]VIPGroup
-	sortedNames  []string
+	pendingDrops []int
 
 	// Placement plane: the policy that plans allocations, its reusable
-	// scratch, and the per-group last-recorded owner that attributes
-	// placement moves (persistent across views, unlike the table, which is
-	// rebuilt every GATHER).
+	// scratch, and the last recorded owner of each group, by group index,
+	// that attributes placement moves. lastOwner outlives views — unlike the
+	// table, which is rebuilt every GATHER — so it holds names ("" before the
+	// first assignment), not positions.
 	placer        placement.Policy
 	planScratch   []placement.Decision
 	memberScratch []string
 	ownerFn       func(group string) string
 	prefersFn     func(member, group string) bool
-	lastOwner     map[string]MemberID
+	lastOwner     []MemberID
+	// ownedScratch and loads are castState's and updateSkew's working lists.
+	ownedScratch []string
+	loads        []int
 
 	balanceTimer env.Timer
 	matureTimer  env.Timer
@@ -182,20 +199,27 @@ func NewEngine(cfg Config, deps Deps) (*Engine, error) {
 	if placer == nil {
 		placer = placement.NewLeastLoaded()
 	}
+	names := cfg.sortedGroupNames()
 	e := &Engine{
-		cfg:          cfg,
-		deps:         deps,
-		state:        StateDetached,
-		mature:       cfg.StartMature,
-		table:        map[string]MemberID{},
-		owned:        map[string]bool{},
-		groupsByName: map[string]VIPGroup{},
-		sortedNames:  cfg.sortedGroupNames(),
-		placer:       placer,
-		lastOwner:    map[string]MemberID{},
+		cfg:         cfg,
+		deps:        deps,
+		state:       StateDetached,
+		mature:      cfg.StartMature,
+		selfPos:     -1,
+		groups:      make([]VIPGroup, len(names)),
+		sortedNames: names,
+		groupIndex:  make(map[string]int, len(names)),
+		table:       make([]int, len(names)),
+		owned:       make([]bool, len(names)),
+		placer:      placer,
+		lastOwner:   make([]MemberID, len(names)),
+	}
+	e.clearTable()
+	for gi, name := range names {
+		e.groupIndex[name] = gi
 	}
 	for _, g := range cfg.Groups {
-		e.groupsByName[g.Name] = g
+		e.groups[e.groupIndex[g.Name]] = g
 	}
 	node := metrics.L("node", string(deps.Self))
 	e.mStateSync = deps.Metrics.Histogram("core_state_sync_seconds",
@@ -208,16 +232,43 @@ func NewEngine(cfg Config, deps Deps) (*Engine, error) {
 		"spread between the most and least loaded eligible members of the current view", node)
 	// The placement closures are built once: policies read the replicated
 	// state through them on every planning call without allocating.
-	e.ownerFn = func(g string) string { return string(e.table[g]) }
-	e.prefersFn = func(member, g string) bool {
-		for _, p := range e.prefsOf[MemberID(member)] {
-			if p == g {
-				return true
-			}
+	e.ownerFn = func(g string) string {
+		gi, known := e.groupIndex[g]
+		if !known {
+			return ""
 		}
-		return false
+		return string(e.ownerOf(gi))
+	}
+	e.prefersFn = func(member, g string) bool {
+		pos := e.view.indexOf(MemberID(member))
+		return pos >= 0 && slices.Contains(e.prefsOf[pos], g)
 	}
 	return e, nil
+}
+
+// ownerOf names the table owner of group gi; "" when uncovered.
+func (e *Engine) ownerOf(gi int) MemberID {
+	if pos := e.table[gi]; pos >= 0 {
+		return e.view.Members[pos]
+	}
+	return ""
+}
+
+// sized returns s with length n and every element zero, reusing its storage.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// clearTable marks every group uncovered.
+func (e *Engine) clearTable() {
+	for gi := range e.table {
+		e.table[gi] = -1
+	}
 }
 
 // AddViewHook registers a typed observer that runs once per view the engine
@@ -281,13 +332,12 @@ func (e *Engine) Snapshot() Status {
 		Table:  make(map[string]MemberID, len(e.table)),
 	}
 	st.Members = append(st.Members, e.view.Members...)
-	for _, name := range e.sortedNames {
-		st.Table[name] = e.table[name]
+	for gi, name := range e.sortedNames {
+		st.Table[name] = e.ownerOf(gi)
+		if e.owned[gi] {
+			st.Owned = append(st.Owned, name)
+		}
 	}
-	for name := range e.owned {
-		st.Owned = append(st.Owned, name)
-	}
-	sort.Strings(st.Owned)
 	return st
 }
 
@@ -296,12 +346,21 @@ func (e *Engine) Snapshot() Status {
 // its own coverage (the owned set), clears the collected table, multicasts
 // its STATE_MSG tagged with the new view, and enters GATHER.
 func (e *Engine) OnView(v View) {
-	if v.indexOf(e.deps.Self) < 0 {
+	self := v.indexOf(e.deps.Self)
+	if self < 0 {
 		// A view that excludes us carries no obligations; it can only be a
 		// stale delivery racing our own departure.
 		return
 	}
-	e.view = View{ID: v.ID, Members: append([]MemberID(nil), v.Members...)}
+	// Nothing outside the engine holds view.Members (hooks and Snapshot get
+	// copies), so the list is overwritten in place — and everything indexed
+	// by its positions goes with it, before a hook can look.
+	e.view = View{ID: v.ID, Members: append(e.view.Members[:0], v.Members...)}
+	e.selfPos = self
+	e.clearTable()
+	e.stateFrom = sized(e.stateFrom, len(v.Members))
+	e.matureOf = sized(e.matureOf, len(v.Members))
+	e.prefsOf = sized(e.prefsOf, len(v.Members))
 	e.gatherStart = e.deps.Clock.Now()
 	for _, h := range e.viewHooks {
 		h(View{ID: v.ID, Members: append([]MemberID(nil), v.Members...)})
@@ -310,11 +369,7 @@ func (e *Engine) OnView(v View) {
 		e.trace(obs.KindViewChange, v.ID, "", fmt.Sprintf("members=%d", len(v.Members)))
 	}
 	e.setState(StateGather)
-	e.table = map[string]MemberID{}
-	e.stateFrom = map[MemberID]bool{}
-	e.matureOf = map[MemberID]bool{}
-	e.prefsOf = map[MemberID][]string{}
-	e.pendingDrops = nil
+	e.pendingDrops = e.pendingDrops[:0]
 	e.gatherComplete = false
 	stopTimer(e.balanceTimer)
 	e.balanceTimer = nil
@@ -322,13 +377,14 @@ func (e *Engine) OnView(v View) {
 }
 
 func (e *Engine) castState() {
-	owned := make([]string, 0, len(e.owned))
-	for g := range e.owned {
-		owned = append(owned, g)
+	e.ownedScratch = e.ownedScratch[:0]
+	for gi, name := range e.sortedNames {
+		if e.owned[gi] {
+			e.ownedScratch = append(e.ownedScratch, name)
+		}
 	}
-	sort.Strings(owned)
 	e.trace(obs.KindStateCast, e.view.ID, "", "")
-	msg := stateMsg{ViewID: e.view.ID, Mature: e.mature, Owned: owned, Prefer: e.cfg.Prefer}
+	msg := stateMsg{ViewID: e.view.ID, Mature: e.mature, Owned: e.ownedScratch, Prefer: e.cfg.Prefer}
 	if err := e.deps.Cast(msg.encode()); err != nil {
 		e.deps.Log.Logf("wackamole %s: cast state: %v", e.deps.Self, err)
 	}
@@ -353,39 +409,51 @@ func (e *Engine) OnMessage(from MemberID, payload []byte) {
 	}
 }
 
-// onState implements Algorithm 2 lines 1–6.
-func (e *Engine) onState(from MemberID, m stateMsg) {
-	if e.state != StateGather || m.ViewID != e.view.ID || e.view.indexOf(from) < 0 {
+// onState implements Algorithm 2 lines 1–6. m aliases the delivered payload:
+// names are resolved to group indexes as they are walked and none is kept.
+func (e *Engine) onState(from MemberID, m stateView) {
+	pos := e.view.indexOf(from)
+	if e.state != StateGather || string(m.viewID) != e.view.ID || pos < 0 {
 		return // only STATE_MSGs generated in the current view are considered
 	}
-	e.stateFrom[from] = true
-	e.matureOf[from] = m.Mature
-	e.prefsOf[from] = m.Prefer
-	e.trace(obs.KindStateRecv, m.ViewID, "", string(from))
-	if m.Mature && !e.mature {
+	e.stateFrom[pos] = true
+	e.matureOf[pos] = m.mature
+	// A preference for a group nobody configured can never be consulted, so
+	// only known names are kept — as the engine's own copies of them.
+	e.prefsOf[pos] = e.prefsOf[pos][:0]
+	for list := m.prefer; len(list) > 0; {
+		var name []byte
+		name, list = nextName(list)
+		if gi, known := e.groupIndex[string(name)]; known {
+			e.prefsOf[pos] = append(e.prefsOf[pos], e.sortedNames[gi])
+		}
+	}
+	e.trace(obs.KindStateRecv, e.view.ID, "", string(from))
+	if m.mature && !e.mature {
 		// Contact with a mature server matures this one (§3.4).
 		e.becomeMature()
 	}
-	for _, g := range m.Owned {
-		if _, known := e.groupsByName[g]; !known {
-			e.deps.Log.Logf("wackamole %s: %s claims unknown group %q", e.deps.Self, from, g)
+	for list := m.owned; len(list) > 0; {
+		var name []byte
+		name, list = nextName(list)
+		gi, known := e.groupIndex[string(name)]
+		if !known {
+			e.deps.Log.Logf("wackamole %s: %s claims unknown group %q", e.deps.Self, from, string(name))
 			continue
 		}
-		e.claim(g, from)
+		e.claim(gi, pos)
 	}
-	for _, member := range e.view.Members {
-		if !e.stateFrom[member] {
-			return
-		}
+	if slices.Contains(e.stateFrom, false) {
+		return
 	}
 	e.gatherComplete = true
 	if e.cfg.LazyConflictRelease {
-		for _, g := range e.pendingDrops {
-			if e.owned[g] && e.table[g] != e.deps.Self {
-				e.releaseGroup(g, "conflict (lazy)")
+		for _, gi := range e.pendingDrops {
+			if e.owned[gi] && e.table[gi] != e.selfPos {
+				e.releaseGroup(gi, "conflict (lazy)")
 			}
 		}
-		e.pendingDrops = nil
+		e.pendingDrops = e.pendingDrops[:0]
 	}
 	if e.cfg.RepresentativeDecisions {
 		// §4.2 variant: the representative decides; everyone (including the
@@ -416,20 +484,12 @@ func (e *Engine) onAlloc(from MemberID, m balanceMsg) {
 		return
 	}
 	for _, p := range m.Alloc {
-		if _, known := e.groupsByName[p.Group]; !known {
+		gi, known := e.groupIndex[p.Group]
+		pos := e.view.indexOf(p.Owner)
+		if !known || p.Owner != "" && pos < 0 {
 			continue
 		}
-		if p.Owner != "" && e.view.indexOf(p.Owner) < 0 {
-			continue
-		}
-		e.table[p.Group] = p.Owner
-		e.noteOwner(p.Group, p.Owner)
-		switch {
-		case p.Owner == e.deps.Self && !e.owned[p.Group]:
-			e.acquireGroup(p.Group, "alloc")
-		case p.Owner != e.deps.Self && e.owned[p.Group]:
-			e.releaseGroup(p.Group, "alloc")
-		}
+		e.assign(gi, pos, "alloc")
 	}
 	e.updateSkew()
 	if e.deps.Tracer.Enabled() {
@@ -437,36 +497,44 @@ func (e *Engine) onAlloc(from MemberID, m balanceMsg) {
 	}
 	e.setState(StateRun)
 	e.armBalance()
-	if e.mature && !e.matureOf[e.deps.Self] {
+	if e.mature && !e.matureOf[e.selfPos] {
 		e.castMature()
 	}
 }
 
-// claim records that from covers g, resolving conflicts deterministically:
-// of two claimants, the one earlier in the ordered membership list releases
-// (§3.3). Every member applies the same rule to the same message sequence,
-// so the tables stay identical.
-func (e *Engine) claim(g string, from MemberID) {
-	cur := e.table[g]
-	if cur == "" || cur == from {
-		e.table[g] = from
-		e.noteOwner(g, from)
+// assign applies one pair of an imposed allocation (ALLOC, BALANCE): the
+// table takes the new owner (pos, -1 for none) and this member acquires or
+// releases to match.
+func (e *Engine) assign(gi, pos int, why string) {
+	e.setOwner(gi, pos)
+	switch {
+	case pos == e.selfPos && !e.owned[gi]:
+		e.acquireGroup(gi, why)
+	case pos != e.selfPos && e.owned[gi]:
+		e.releaseGroup(gi, why)
+	}
+}
+
+// claim records that the member at view position from covers group gi,
+// resolving conflicts deterministically: of two claimants, the one earlier in
+// the ordered membership list releases (§3.3). Every member applies the same
+// rule to the same message sequence, so the tables stay identical.
+func (e *Engine) claim(gi, from int) {
+	cur := e.table[gi]
+	if cur < 0 || cur == from {
+		e.setOwner(gi, from)
 		return
 	}
-	winner, loser := from, cur
-	if e.view.indexOf(from) < e.view.indexOf(cur) {
-		winner, loser = cur, from
-	}
-	e.table[g] = winner
-	e.noteOwner(g, winner)
-	if loser == e.deps.Self && e.owned[g] {
+	winner, loser := max(from, cur), min(from, cur)
+	e.setOwner(gi, winner)
+	if loser == e.selfPos && e.owned[gi] {
 		if e.cfg.LazyConflictRelease {
-			e.pendingDrops = append(e.pendingDrops, g)
+			e.pendingDrops = append(e.pendingDrops, gi)
 			return
 		}
 		// Eager release: restore network-level consistency as soon as the
 		// conflict is discovered (§3.4).
-		e.releaseGroup(g, "conflict")
+		e.releaseGroup(gi, "conflict")
 	}
 }
 
@@ -475,14 +543,7 @@ func (e *Engine) claim(g string, from MemberID) {
 // acquires the groups assigned to itself, guaranteeing complete coverage
 // (Lemma 2 of the paper).
 func (e *Engine) reallocateIPs() {
-	for _, p := range e.computeReallocation() {
-		e.table[p.Group] = p.Owner
-		e.noteOwner(p.Group, p.Owner)
-		if p.Owner == e.deps.Self && !e.owned[p.Group] {
-			e.acquireGroup(p.Group, "reallocate")
-		}
-	}
-	e.updateSkew()
+	e.fillHoles(e.placementInput(), "reallocate")
 	e.setState(StateRun)
 	e.armBalance()
 	// A server that matured during GATHER could not advertise it in its
@@ -490,21 +551,29 @@ func (e *Engine) reallocateIPs() {
 	// the component start covering addresses; with eligible members it is
 	// the admit path — the announcement makes this server eligible so the
 	// next balance can hand it load (runtime join, rolling restart).
-	if e.mature && !e.matureOf[e.deps.Self] {
+	if e.mature && !e.matureOf[e.selfPos] {
 		e.castMature()
 	}
 }
 
-// eligibleMembers lists the members that may own addresses in this view:
-// those whose STATE_MSG declared maturity (identical at every member).
-func (e *Engine) eligibleMembers() []MemberID {
-	var out []MemberID
-	for _, m := range e.view.Members {
-		if e.matureOf[m] {
-			out = append(out, m)
+// fillHoles has the placement policy complete the table and acquires what
+// that newly gives this member; current owners keep their groups under Fill,
+// so there is nothing to release. An owner outside the view — no shipped
+// policy names one — has no position and reads as uncovered.
+func (e *Engine) fillHoles(in placement.Input, why string) {
+	e.planScratch = e.placer.Fill(in, e.planScratch[:0])
+	for _, d := range e.planScratch {
+		gi, known := e.groupIndex[d.Group]
+		if !known {
+			continue
+		}
+		pos := e.view.indexOf(MemberID(d.Owner))
+		e.setOwner(gi, pos)
+		if pos == e.selfPos && !e.owned[gi] {
+			e.acquireGroup(gi, why)
 		}
 	}
-	return out
+	e.updateSkew()
 }
 
 // onBalance implements Change_IPs() (Algorithm 1 lines 5–6); BALANCE_MSGs
@@ -518,20 +587,12 @@ func (e *Engine) onBalance(from MemberID, m balanceMsg) {
 		return
 	}
 	for _, p := range m.Alloc {
-		if _, known := e.groupsByName[p.Group]; !known {
+		gi, known := e.groupIndex[p.Group]
+		pos := e.view.indexOf(p.Owner)
+		if !known || pos < 0 {
 			continue
 		}
-		if e.view.indexOf(p.Owner) < 0 {
-			continue
-		}
-		e.table[p.Group] = p.Owner
-		e.noteOwner(p.Group, p.Owner)
-		switch {
-		case p.Owner == e.deps.Self && !e.owned[p.Group]:
-			e.acquireGroup(p.Group, "balance")
-		case p.Owner != e.deps.Self && e.owned[p.Group]:
-			e.releaseGroup(p.Group, "balance")
-		}
+		e.assign(gi, pos, "balance")
 	}
 	e.updateSkew()
 	e.trace(obs.KindBalanceApply, e.view.ID, "", string(from))
@@ -545,9 +606,9 @@ func (e *Engine) onMature(from MemberID, m matureMsg) {
 	if e.state != StateRun || m.ViewID != e.view.ID || e.view.indexOf(from) < 0 {
 		return
 	}
-	already := len(e.eligibleMembers()) > 0
-	for _, member := range e.view.Members {
-		e.matureOf[member] = true
+	already := slices.Contains(e.matureOf, true)
+	for pos := range e.matureOf {
+		e.matureOf[pos] = true
 	}
 	if !e.mature {
 		e.becomeMature()
@@ -561,20 +622,11 @@ func (e *Engine) onMature(from MemberID, m matureMsg) {
 // (after a MATURE announcement). The allocation decision is identical at
 // every member because it runs on the same delivered message.
 func (e *Engine) reallocateUncoveredInRun() {
-	eligible := e.eligibleMembers()
-	if len(eligible) == 0 {
+	in := e.placementInput()
+	if len(in.Members) == 0 {
 		return
 	}
-	e.planScratch = e.placer.Fill(e.placementInput(eligible), e.planScratch[:0])
-	for _, d := range e.planScratch {
-		owner := MemberID(d.Owner)
-		e.table[d.Group] = owner
-		e.noteOwner(d.Group, owner)
-		if owner == e.deps.Self && !e.owned[d.Group] {
-			e.acquireGroup(d.Group, "mature")
-		}
-	}
-	e.updateSkew()
+	e.fillHoles(in, "mature")
 	e.armBalance()
 }
 
@@ -605,7 +657,7 @@ func (e *Engine) onMatureTimeout() {
 		return
 	}
 	e.becomeMature()
-	if e.state == StateRun && !e.matureOf[e.deps.Self] {
+	if e.state == StateRun && !e.matureOf[e.selfPos] {
 		e.castMature()
 	}
 	// If a GATHER is in flight the announcement happens when it completes
@@ -622,24 +674,17 @@ func (e *Engine) castMature() {
 // group-communication connection drops all of its virtual interfaces,
 // because it can no longer ensure correctness.
 func (e *Engine) OnDisconnect() {
-	for _, g := range e.ownedSorted() {
-		e.releaseGroup(g, "disconnected")
+	for gi, held := range e.owned {
+		if held {
+			e.releaseGroup(gi, "disconnected")
+		}
 	}
-	e.table = map[string]MemberID{}
-	e.stateFrom = nil
-	e.view = View{}
+	e.clearTable()
+	e.view = View{Members: e.view.Members[:0]}
+	e.selfPos = -1
 	stopTimer(e.balanceTimer)
 	e.balanceTimer = nil
 	e.setState(StateDetached)
-}
-
-func (e *Engine) ownedSorted() []string {
-	out := make([]string, 0, len(e.owned))
-	for g := range e.owned {
-		out = append(out, g)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func (e *Engine) setState(s State) {
@@ -656,9 +701,9 @@ func (e *Engine) setState(s State) {
 	}
 }
 
-func (e *Engine) acquireGroup(g, why string) {
-	grp := e.groupsByName[g]
-	for _, a := range grp.Addrs {
+func (e *Engine) acquireGroup(gi int, why string) {
+	g := e.sortedNames[gi]
+	for _, a := range e.groups[gi].Addrs {
 		if err := e.deps.IPs.Acquire(a); err != nil {
 			e.deps.Log.Logf("wackamole %s: acquire %v (%s): %v", e.deps.Self, a, g, err)
 			continue
@@ -676,15 +721,15 @@ func (e *Engine) acquireGroup(g, why string) {
 		}
 		e.deps.Notify.Announce(a)
 	}
-	e.owned[g] = true
+	e.owned[gi] = true
 	for _, h := range e.ownHooks {
 		h(g, true, e.view.ID)
 	}
 }
 
-func (e *Engine) releaseGroup(g, why string) {
-	grp := e.groupsByName[g]
-	for _, a := range grp.Addrs {
+func (e *Engine) releaseGroup(gi int, why string) {
+	g := e.sortedNames[gi]
+	for _, a := range e.groups[gi].Addrs {
 		if err := e.deps.IPs.Release(a); err != nil {
 			e.deps.Log.Logf("wackamole %s: release %v (%s): %v", e.deps.Self, a, g, err)
 			continue
@@ -695,7 +740,7 @@ func (e *Engine) releaseGroup(g, why string) {
 		}
 		e.deps.Notify.Withdraw(a)
 	}
-	delete(e.owned, g)
+	e.owned[gi] = false
 	for _, h := range e.ownHooks {
 		h(g, false, e.view.ID)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"wackamole/internal/wire"
@@ -54,8 +55,10 @@ const (
 	coreVer   uint8 = 1
 )
 
+// encode sizes the buffer exactly: the payload is handed to Deps.Cast, which
+// owns it from then on, so it is the one allocation a cast makes.
 func (m stateMsg) encode() []byte {
-	w := wire.NewWriter(128)
+	w := wire.NewWriter(3 + 2 + len(m.ViewID) + 1 + listSize(m.Owned) + listSize(m.Prefer))
 	w.U8(coreMagic)
 	w.U8(coreVer)
 	w.U8(uint8(kindState))
@@ -64,6 +67,16 @@ func (m stateMsg) encode() []byte {
 	w.StringList(m.Owned)
 	w.StringList(m.Prefer)
 	return w.Bytes()
+}
+
+// listSize is the encoded size of a string list: a count, and a length prefix
+// per entry.
+func listSize(ss []string) int {
+	n := 2
+	for _, s := range ss {
+		n += 2 + len(s)
+	}
+	return n
 }
 
 func (m balanceMsg) encode() []byte { return m.encodeAs(kindBalance) }
@@ -93,14 +106,49 @@ func (m matureMsg) encode() []byte {
 	return w.Bytes()
 }
 
+// stateView is a STATE_MSG validated in place: every field aliases the
+// payload, which the group layer only lends for the duration of the delivery,
+// so nothing here may outlive OnMessage. The two lists are walked with
+// nextName; no string is built for a name.
+type stateView struct {
+	viewID []byte
+	mature bool
+	owned  []byte // the entries of the Owned list, still encoded
+	prefer []byte
+}
+
+// nextName splits the first name off a list a stateView carries. The list was
+// validated whole when the message was decoded, so this cannot run short.
+func nextName(list []byte) (name, rest []byte) {
+	n := 2 + int(binary.BigEndian.Uint16(list))
+	return list[2:n], list[n:]
+}
+
+// viewNames reads a count-prefixed string list without building it: the
+// result is the run of (length, bytes) entries as it sits in the buffer,
+// empty after an error.
+func viewNames(r *wire.Reader, b []byte) []byte {
+	n := r.Count16(2)
+	start := len(b) - r.Remaining()
+	for i := 0; i < n && r.Err() == nil; i++ {
+		r.View16()
+	}
+	if r.Err() != nil {
+		return nil
+	}
+	return b[start : len(b)-r.Remaining()]
+}
+
 // decoded is the union of the message variants.
 type decoded struct {
 	kind    kind
-	state   stateMsg
+	state   stateView
 	balance balanceMsg
 	mature  matureMsg
 }
 
+// decode accepts a message whole or not at all: a truncated or over-long one
+// is an error before any of it is applied.
 func decode(b []byte) (decoded, error) {
 	r := wire.NewReader(b)
 	if r.U8() != coreMagic {
@@ -112,12 +160,13 @@ func decode(b []byte) (decoded, error) {
 	k := kind(r.U8())
 	switch k {
 	case kindState:
-		m := stateMsg{ViewID: r.String(), Mature: r.Bool(), Owned: r.StringList(), Prefer: r.StringList()}
+		m := stateView{viewID: r.View16(), mature: r.Bool(), owned: viewNames(r, b), prefer: viewNames(r, b)}
 		return decoded{kind: k, state: m}, r.Done()
 	case kindBalance, kindAlloc:
 		m := balanceMsg{ViewID: r.String()}
-		n := int(r.U16())
-		for i := 0; i < n; i++ {
+		n := r.Count16(4) // two length prefixes per pair
+		m.Alloc = make([]allocPair, 0, n)
+		for i := 0; i < n && r.Err() == nil; i++ {
 			m.Alloc = append(m.Alloc, allocPair{Group: r.String(), Owner: MemberID(r.String())})
 		}
 		return decoded{kind: k, balance: m}, r.Done()

@@ -1,7 +1,11 @@
 package gcs
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -50,9 +54,85 @@ func TestHeartbeatReceiveDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestGroupCastDeliveryDoesNotCopy pins what a group cast costs the daemon
+// that receives it on a settled ring: the stored record and its payload —
+// kept for retransmission — and nothing more; the hand-over to the session
+// decodes in place and lends the handler the stored bytes.
+func TestGroupCastDeliveryDoesNotCopy(t *testing.T) {
+	s, daemons, _ := wbCluster(t, 7, 3, TunedConfig())
+	d, peer := daemons[0], daemons[1].id
+	sess, err := d.Connect("wackd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	delivered, body := 0, []byte("state of the world")
+	sess.SetMessageHandler(func(from GroupMember, group string, payload []byte) {
+		if from.Daemon == peer && from.Client == "wackd" && group == "wackamole" && bytes.Equal(payload, body) {
+			delivered++
+		}
+	})
+	if err := sess.Join("wackamole"); err != nil {
+		t.Fatal(err)
+	}
+	s.RunFor(5 * time.Second)
+	if d.state != stOperational || !sess.Joined("wackamole") {
+		t.Fatalf("state %v, joined %v: the ring did not settle", d.state, sess.Joined("wackamole"))
+	}
+
+	// The casts arrive as datagrams from a ring member, one sequence number
+	// after the other; they are encoded ahead so that only their reception is
+	// measured.
+	const runs = 500
+	cast := encodeGroupCast("wackd", "wackamole", body)
+	packets := make([][]byte, runs+1) // AllocsPerRun calls once more, to warm up
+	for i := range packets {
+		m := dataMsg{Ring: d.ring.id, Seq: d.highSeq + 1 + uint64(i), Origin: peer, Kind: dkGroupCast, Payload: cast}
+		packets[i] = bytes.Clone(m.encode(new(wire.Writer)))
+	}
+	next := 0
+	if avg := testing.AllocsPerRun(runs, func() {
+		d.onPacket(addrOf(peer), packets[next])
+		next++
+	}); avg > 2 {
+		t.Fatalf("receiving a group cast allocates %.0f, want the record and its payload", avg)
+	}
+	if delivered != runs+1 {
+		t.Fatalf("%d of %d casts reached the handler intact", delivered, runs+1)
+	}
+	stored := d.store[d.highSeq]
+	if avg := testing.AllocsPerRun(runs, func() { d.groups.deliverCast(stored) }); avg != 0 {
+		t.Fatalf("handing a stored cast to its session allocates %.0f, want 0", avg)
+	}
+	// A cast this daemon already holds — its own looping back, a
+	// retransmission — is dropped before anything is copied.
+	if avg := testing.AllocsPerRun(runs, func() { d.onPacket(addrOf(peer), packets[0]) }); avg != 0 {
+		t.Fatalf("receiving a duplicate allocates %.0f, want 0", avg)
+	}
+}
+
+// TestJoinDuringGatherDoesNotAllocate hands a gathering daemon the JOIN it
+// sees most often: a peer in the same round that has heard of the same
+// daemons. The Seen list decodes into the daemon's one scratch list.
+func TestJoinDuringGatherDoesNotAllocate(t *testing.T) {
+	s, daemons, _ := wbCluster(t, 8, 3, TunedConfig())
+	s.RunFor(5 * time.Second)
+	d, peer := daemons[0], daemons[1].id
+	d.enterGather("test", 0)
+	seen := []DaemonID{daemons[0].id, daemons[1].id, daemons[2].id}
+	join := bytes.Clone(joinMsg{Sender: peer, Round: d.round, Seen: seen}.encode(new(wire.Writer)))
+	if avg := testing.AllocsPerRun(1000, func() { d.onPacket(addrOf(peer), join) }); avg != 0 {
+		t.Fatalf("a JOIN received during gather allocates %.0f, want 0", avg)
+	}
+	if d.state != stGather || !idsEqual(d.gathered, seen) {
+		t.Fatalf("state %v, gathered %v, want gather with %v", d.state, d.gathered, seen)
+	}
+}
+
 // TestInternTableIsBounded floods a daemon with datagrams naming 20 000
-// distinct daemons. The table never outgrows its cap, the ring is unharmed,
-// and ring members resolve — and intern again — as before.
+// distinct daemons, and its group layer with casts naming 20 000 distinct
+// clients and groups. Neither table outgrows its cap, the ring is unharmed,
+// ring members resolve — and intern again — as before, and a cast still
+// crosses the ring.
 func TestInternTableIsBounded(t *testing.T) {
 	s, daemons, _ := wbCluster(t, 5, 3, TunedConfig())
 	s.RunFor(5 * time.Second)
@@ -77,6 +157,156 @@ func TestInternTableIsBounded(t *testing.T) {
 	if avg := testing.AllocsPerRun(100, func() { d.onPacket(addrOf(peer), hb) }); avg != 0 {
 		t.Fatalf("a heartbeat receive allocates %.0f after the flood, want 0", avg)
 	}
+
+	for i := 0; i < 10000; i++ {
+		cast := encodeGroupCast(fmt.Sprintf("client-%d", i), fmt.Sprintf("group-%d", i), nil)
+		d.groups.deliverCast(&dataMsg{Origin: peer, Kind: dkGroupCast, Payload: cast})
+		if len(d.groups.names) > maxInterned {
+			t.Fatalf("name table holds %d entries after %d casts, cap is %d", len(d.groups.names), i+1, maxInterned)
+		}
+	}
+	// A name no Connect or Join admits is decoded but not kept.
+	long := strings.Repeat("n", MaxNameLen+1)
+	before := len(d.groups.names)
+	if c, g, _, err := d.groups.names.decodeGroupCast(encodeGroupCast(long, "g", nil)); err != nil || c != long || g != "g" {
+		t.Fatalf("over-long client name decodes to %d bytes, %q, %v", len(c), g, err)
+	}
+	if grew := len(d.groups.names) - before; grew != 1 {
+		t.Fatalf("the name table grew by %d entries, want 1: the group, not the over-long client", grew)
+	}
+	var got []string
+	for i, dd := range daemons {
+		sess, err := dd.Connect("w")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			sess.SetMessageHandler(func(from GroupMember, group string, payload []byte) {
+				got = append(got, from.String()+" "+group+" "+string(payload))
+			})
+		}
+		if err := sess.Join("g"); err != nil {
+			t.Fatal(err)
+		}
+		if i == 1 {
+			s.RunFor(time.Second)
+			if err := sess.Multicast("g", []byte("after the flood")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	s.RunFor(3 * time.Second)
+	if want := string(peer) + "/w g after the flood"; len(got) != 1 || got[0] != want {
+		t.Fatalf("after the flood the handler saw %q, want one %q", got, want)
+	}
+}
+
+// TestOverLongNamesAreRejected: a client or group name over MaxNameLen is an
+// error wherever it enters the daemon. Before the bound, a pair of names that
+// outgrew the headroom MaxPayload leaves made the data message's 16-bit
+// length prefix panic when the token arrived.
+func TestOverLongNamesAreRejected(t *testing.T) {
+	_, daemons, _ := wbCluster(t, 9, 1, TunedConfig())
+	d := daemons[0]
+	long := strings.Repeat("x", MaxNameLen+1)
+	if _, err := d.Connect(long); !errors.Is(err, ErrNameTooLong) {
+		t.Fatalf("Connect with a %d-byte name: %v, want ErrNameTooLong", len(long), err)
+	}
+	sess, err := d.Connect(long[1:])
+	if err != nil {
+		t.Fatalf("Connect with a %d-byte name: %v", MaxNameLen, err)
+	}
+	for op, err := range map[string]error{
+		"Join":      sess.Join(long),
+		"Leave":     sess.Leave(long),
+		"Multicast": sess.Multicast(long, nil),
+	} {
+		if !errors.Is(err, ErrNameTooLong) {
+			t.Errorf("%s with a %d-byte group: %v, want ErrNameTooLong", op, len(long), err)
+		}
+	}
+	if len(d.sendQueue) != 0 {
+		t.Fatalf("%d rejected operations were queued", len(d.sendQueue))
+	}
+}
+
+// TestLargestAdmittedMessageCrossesTheRing sends what the bounds add up to —
+// the longest client name, the longest group name, a MaxPayload body — from
+// one daemon to another.
+func TestLargestAdmittedMessageCrossesTheRing(t *testing.T) {
+	s, daemons, _ := wbCluster(t, 10, 2, TunedConfig())
+	client, group := strings.Repeat("c", MaxNameLen), strings.Repeat("g", MaxNameLen)
+	body := bytes.Repeat([]byte{0xA5}, MaxPayload)
+	var sessions []*Session
+	got := 0
+	for _, d := range daemons {
+		sess, err := d.Connect(client)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess.SetMessageHandler(func(from GroupMember, g string, payload []byte) {
+			if from == sessions[0].Member() && g == group && bytes.Equal(payload, body) {
+				got++
+			}
+		})
+		if err := sess.Join(group); err != nil {
+			t.Fatal(err)
+		}
+		sessions = append(sessions, sess)
+	}
+	s.RunFor(5 * time.Second)
+	if err := sessions[0].Multicast(group, body); err != nil {
+		t.Fatal(err)
+	}
+	s.RunFor(3 * time.Second)
+	if got != 2 {
+		t.Fatalf("the largest admitted message reached %d of 2 members intact", got)
+	}
+}
+
+// TestForgedListCountsAreRejectedCheaply is the count bomb for the two list
+// decoders of this package: a JOIN and a groups-state a few bytes long whose
+// counts say 65 535.
+func TestForgedListCountsAreRejectedCheaply(t *testing.T) {
+	join := joinMsg{Sender: "10.0.0.1:4803", Round: 1}.encode(new(wire.Writer))
+	join[len(join)-2], join[len(join)-1] = 0xff, 0xff
+	for name, reject := range map[string]func() error{
+		"JOIN": func() error {
+			_, err := idTable{}.decodeJoin(readBody(t, join), nil)
+			return err
+		},
+		"groups-state": func() error {
+			_, err := idTable{}.decodeGroupsState([]byte{0xff, 0xff}, nil)
+			return err
+		},
+		"groups-state inner list": func() error {
+			_, err := idTable{}.decodeGroupsState([]byte{0, 1, 0, 1, 'w', 0xff, 0xff}, nil)
+			return err
+		},
+	} {
+		var err error
+		if n := allocatedBy(func() { err = reject() }); n > 4<<10 {
+			t.Errorf("%s: rejecting a forged count allocated %d bytes", name, n)
+		}
+		if err == nil {
+			t.Errorf("%s: forged count accepted", name)
+		}
+	}
+}
+
+// allocatedBy reports the bytes f allocates: the least of five runs, because
+// TotalAlloc is the whole process's and the runtime's own goroutines only
+// ever add to it.
+func allocatedBy(f func()) uint64 {
+	least := ^uint64(0)
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }
 
 // readBody returns a reader positioned after payload's header.

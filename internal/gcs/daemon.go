@@ -2,6 +2,7 @@ package gcs
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -81,11 +82,13 @@ type Daemon struct {
 	lastTokenSeq     uint64
 	lastRingActivity time.Time
 
-	// w is the scratch encoder every outbound datagram is written into, and
-	// ids interns the daemon IDs inbound datagrams name. Both are this
-	// daemon's alone: trials run concurrently.
-	w   wire.Writer
-	ids idTable
+	// w is the scratch encoder every outbound datagram is written into, ids
+	// interns the daemon IDs inbound datagrams name, and seen is the list
+	// every inbound JOIN decodes into. All are this daemon's alone: trials
+	// run concurrently.
+	w    wire.Writer
+	ids  idTable
+	seen []DaemonID
 
 	// The protocol timers are created once, in NewDaemon (a fault timer, when
 	// its member first joins a ring), and re-armed with Reset for the life of
@@ -103,13 +106,22 @@ type Daemon struct {
 	// Virtual Synchrony flush during recovery.
 	old oldRing
 
-	// Gather state.
-	gathered       map[DaemonID]bool
+	// Gather state. gathered is the set of daemons discovered so far, kept
+	// sorted: it is this daemon's JOIN as it stands and, when discovery
+	// closes, the membership it proposes.
+	gathered       []DaemonID
 	gatherDeadline env.Timer
 	joinTicker     env.Timer
 	formDeadline   env.Timer
 
-	rec *recovery
+	// rec is nil outside recovery and points at recState inside it: one
+	// record, its per-member lists and its two timers serve every
+	// reconfiguration of the daemon's life.
+	rec              *recovery
+	recState         recovery
+	recoveryDeadline env.Timer
+	recoveryRetry    env.Timer
+	cohort           []int // flushOldRing's working list
 	// earlyRec buffers recovery messages that race ahead of their FORM:
 	// the coordinator broadcasts FORM and its RECOVER_STATE in the same
 	// instant, and per-receiver latency can reorder them. Replayed on
@@ -229,15 +241,26 @@ type oldRing struct {
 	deliveredSeq uint64
 }
 
+// recovery is the state of one Virtual Synchrony flush. A member is its
+// position in form.Members here: states, have and done are indexed by it.
 type recovery struct {
 	form     formMsg
 	mine     recoverStateMsg // snapshot broadcast at recovery entry
-	states   map[DaemonID]recoverStateMsg
-	done     map[DaemonID]bool
+	states   []recoverStateMsg
+	have     []bool // states[i] has arrived
+	done     []bool
 	selfDone bool
 	sent     map[uint64]bool // old-ring seqs already rebroadcast by us
-	timer    env.Timer
-	retry    env.Timer
+}
+
+// sized returns s with length n and every element zero, reusing its storage.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // NewDaemon creates a daemon on e. Its identity is the endpoint's stationary
@@ -266,6 +289,8 @@ func NewDaemon(e env.Env, cfg Config) (*Daemon, error) {
 	d.gatherDeadline = e.Clock.NewTimer(d.closeGather)
 	d.joinTicker = e.Clock.NewTimer(d.repeatJoin)
 	d.formDeadline = e.Clock.NewTimer(d.formTimeout)
+	d.recoveryDeadline = e.Clock.NewTimer(d.recoveryTimeout)
+	d.recoveryRetry = e.Clock.NewTimer(d.resendRecovery)
 	d.groups = newGroupLayer(d)
 	node := metrics.L("node", string(d.id))
 	d.mTokenRotation = e.Metrics.Histogram("gcs_token_rotation_seconds",
@@ -433,11 +458,9 @@ func (d *Daemon) cancelProtocolTimers() {
 	d.gatherDeadline.Stop()
 	d.joinTicker.Stop()
 	d.formDeadline.Stop()
-	if d.rec != nil {
-		d.rec.timer.Stop()
-		d.rec.retry.Stop()
-		d.rec = nil
-	}
+	d.recoveryDeadline.Stop()
+	d.recoveryRetry.Stop()
+	d.rec = nil
 }
 
 func (d *Daemon) broadcast(payload []byte) {
@@ -480,7 +503,8 @@ func (d *Daemon) onPacket(from env.Addr, payload []byte) {
 			d.onAlive(m)
 		}
 	case mtJoin:
-		m, err := d.ids.decodeJoin(r)
+		m, err := d.ids.decodeJoin(r, d.seen)
+		d.seen = m.Seen
 		if err == nil {
 			d.onJoin(m)
 		}
@@ -661,7 +685,7 @@ func (d *Daemon) enterGather(reason string, minRound uint64) {
 	} else {
 		d.round++
 	}
-	d.gathered = map[DaemonID]bool{d.id: true}
+	d.gathered = append(d.gathered[:0], d.id)
 	d.env.Log.Logf("gcs %s: gather round %d (%s)", d.id, d.round, reason)
 	d.sendJoin()
 	d.joinTicker.Reset(d.cfg.joinInterval())
@@ -679,20 +703,22 @@ func (d *Daemon) repeatJoin() {
 
 // currentJoin is this daemon's JOIN: its round and everyone it has heard.
 func (d *Daemon) currentJoin() joinMsg {
-	seen := make([]DaemonID, 0, len(d.gathered))
-	for id := range d.gathered {
-		seen = append(seen, id)
-	}
-	sortIDs(seen)
-	return joinMsg{Sender: d.id, Round: d.round, Seen: seen}
+	return joinMsg{Sender: d.id, Round: d.round, Seen: d.gathered}
 }
 
 func (d *Daemon) sendJoin() { d.broadcast(d.currentJoin().encode(&d.w)) }
 
 func (d *Daemon) mergeGathered(m joinMsg) {
-	d.gathered[m.Sender] = true
+	d.gather(m.Sender)
 	for _, id := range m.Seen {
-		d.gathered[id] = true
+		d.gather(id)
+	}
+}
+
+// gather adds id to the discovered set.
+func (d *Daemon) gather(id DaemonID) {
+	if i, found := slices.BinarySearch(d.gathered, id); !found {
+		d.gathered = slices.Insert(d.gathered, i, id)
 	}
 }
 
@@ -723,7 +749,7 @@ func (d *Daemon) onJoin(m joinMsg) {
 		case m.Round > d.round:
 			d.enterGather("join:"+string(m.Sender), m.Round)
 			d.mergeGathered(m)
-		case m.Round == d.round && !d.gathered[m.Sender]:
+		case m.Round == d.round && !slices.Contains(d.gathered, m.Sender):
 			// A reachable daemon we missed during discovery: re-gather so
 			// the configuration converges in one attempt instead of two.
 			d.enterGather("late-join:"+string(m.Sender), 0)
@@ -742,11 +768,8 @@ func (d *Daemon) closeGather() {
 		return
 	}
 	d.joinTicker.Stop()
-	members := make([]DaemonID, 0, len(d.gathered))
-	for id := range d.gathered {
-		members = append(members, id)
-	}
-	sortIDs(members)
+	// The proposal outlives the gather set: it becomes the ring's member list.
+	members := slices.Clone(d.gathered)
 	d.state = stCommitWait
 	if members[0] == d.id {
 		d.maxEpoch++
@@ -824,28 +847,21 @@ func (d *Daemon) onForm(m formMsg) {
 // ---- Recovery (Virtual Synchrony flush) ----------------------------------
 
 func (d *Daemon) enterRecovery(form formMsg) {
-	if d.rec != nil {
-		d.rec.timer.Stop()
-		d.rec.retry.Stop()
-	}
 	d.state = stRecover
 	if d.env.Tracer.Enabled() {
 		d.env.Tracer.Emit(obs.Event{Source: obs.SourceGCS, Kind: obs.KindRecoverEnter, Node: string(d.id), Group: form.Ring.String()})
 	}
-	rec := &recovery{
+	rec, n := &d.recState, len(form.Members)
+	clear(rec.sent)
+	*rec = recovery{
 		form:   form,
-		states: map[DaemonID]recoverStateMsg{},
-		done:   map[DaemonID]bool{},
-		sent:   map[uint64]bool{},
+		states: sized(rec.states, n),
+		have:   sized(rec.have, n),
+		done:   sized(rec.done, n),
+		sent:   rec.sent,
 	}
 	d.rec = rec
-	rec.timer = d.env.Clock.AfterFunc(d.cfg.RecoveryTimeout(), func() {
-		if d.closed || d.state != stRecover {
-			return
-		}
-		d.env.Log.Logf("gcs %s: recovery for ring %s stalled, re-gathering", d.id, form.Ring)
-		d.enterGather("recovery-timeout", 0)
-	})
+	d.recoveryDeadline.Reset(d.cfg.RecoveryTimeout())
 	rec.mine = recoverStateMsg{
 		Ring:    form.Ring,
 		Sender:  d.id,
@@ -853,34 +869,47 @@ func (d *Daemon) enterRecovery(form formMsg) {
 		OldHigh: d.old.highSeq,
 		Missing: d.oldMissing(),
 	}
-	// Recovery messages race with the FORM broadcast and with each other;
-	// periodic resends make the exchange robust to reordering and loss
-	// without changing its outcome (receivers are idempotent and the state
-	// snapshot is immutable).
-	rec.retry = d.env.Clock.NewTimer(func() {
-		if d.closed || d.state != stRecover || d.rec != rec {
-			return
-		}
-		if form.Members[0] == d.id {
-			d.broadcast(form.encode(&d.w))
-		}
-		d.broadcast(rec.mine.encode(&d.w))
-		if rec.selfDone {
-			d.broadcast(recoverDoneMsg{Ring: form.Ring, Sender: d.id}.encode(&d.w))
-		}
-		rec.retry.Reset(d.cfg.RecoveryTimeout() / 4)
-	})
-	rec.retry.Reset(d.cfg.RecoveryTimeout() / 4)
+	d.recoveryRetry.Reset(d.cfg.RecoveryTimeout() / 4)
 	d.broadcast(rec.mine.encode(&d.w))
 	d.onRecoverState(rec.mine)
 	replay := d.earlyRec
 	d.earlyRec = nil
 	for _, f := range replay {
-		if d.rec != rec {
-			return // a replayed message changed our state; stop
+		if d.rec == nil {
+			return // a replayed message ended the recovery; stop
 		}
 		f(d)
 	}
+}
+
+// recoveryTimeout gives up on a recovery that did not complete in time. The
+// deadline is disarmed whenever a recovery ends, so it can only fire for the
+// one in progress.
+func (d *Daemon) recoveryTimeout() {
+	if d.closed || d.state != stRecover {
+		return
+	}
+	d.env.Log.Logf("gcs %s: recovery for ring %s stalled, re-gathering", d.id, d.rec.form.Ring)
+	d.enterGather("recovery-timeout", 0)
+}
+
+// resendRecovery repeats this daemon's side of the exchange. Recovery
+// messages race with the FORM broadcast and with each other; periodic resends
+// make the exchange robust to reordering and loss without changing its
+// outcome (receivers are idempotent and the state snapshot is immutable).
+func (d *Daemon) resendRecovery() {
+	if d.closed || d.state != stRecover {
+		return
+	}
+	rec := d.rec
+	if rec.form.Members[0] == d.id {
+		d.broadcast(rec.form.encode(&d.w))
+	}
+	d.broadcast(rec.mine.encode(&d.w))
+	if rec.selfDone {
+		d.broadcast(recoverDoneMsg{Ring: rec.form.Ring, Sender: d.id}.encode(&d.w))
+	}
+	d.recoveryRetry.Reset(d.cfg.RecoveryTimeout() / 4)
 }
 
 // oldMissing lists the old-ring sequence numbers this daemon never received.
@@ -904,7 +933,9 @@ func (d *Daemon) onRecoverState(m recoverStateMsg) {
 		}
 		return
 	}
-	d.rec.states[m.Sender] = m
+	if i := slices.Index(d.rec.form.Members, m.Sender); i >= 0 {
+		d.rec.states[i], d.rec.have[i] = m, true
+	}
 	d.checkRecovery()
 }
 
@@ -932,7 +963,9 @@ func (d *Daemon) onRecoverDone(m recoverDoneMsg) {
 		}
 		return
 	}
-	d.rec.done[m.Sender] = true
+	if i := slices.Index(d.rec.form.Members, m.Sender); i >= 0 {
+		d.rec.done[i] = true
+	}
 	d.checkRecovery()
 }
 
@@ -941,7 +974,7 @@ func (d *Daemon) checkRecovery() {
 	if rec == nil {
 		return
 	}
-	if len(rec.states) < len(rec.form.Members) {
+	if slices.Contains(rec.have, false) {
 		return
 	}
 	if !rec.selfDone {
@@ -955,10 +988,8 @@ func (d *Daemon) checkRecovery() {
 		// onRecoverDone re-enters checkRecovery; avoid double work.
 		return
 	}
-	for _, m := range rec.form.Members {
-		if !rec.done[m] {
-			return
-		}
+	if slices.Contains(rec.done, false) {
+		return
 	}
 	d.install(rec.form)
 }
@@ -973,42 +1004,33 @@ func (d *Daemon) flushOldRing() bool {
 	if d.old.ring.id.IsZero() {
 		return true // fresh daemon: nothing to flush
 	}
-	// The cohort: new-ring members that came from the same old ring.
-	var cohort []DaemonID
+	// The cohort: new-ring members that came from the same old ring, as
+	// positions in the new membership, in its order.
+	cohort := d.cohort[:0]
 	target := uint64(0)
-	for _, m := range rec.form.Members {
-		st, ok := rec.states[m]
-		if !ok || st.OldRing != d.old.ring.id {
+	for i := range rec.states {
+		st := &rec.states[i]
+		if !rec.have[i] || st.OldRing != d.old.ring.id {
 			continue
 		}
-		cohort = append(cohort, m)
-		if st.OldHigh > target {
-			target = st.OldHigh
-		}
+		cohort = append(cohort, i)
+		target = max(target, st.OldHigh)
 	}
-	sortIDs(cohort)
-	lacks := func(m DaemonID, s uint64) bool {
-		st := rec.states[m]
-		if s > st.OldHigh {
-			return true
-		}
-		for _, ms := range st.Missing {
-			if ms == s {
-				return true
-			}
-		}
-		return false
+	d.cohort = cohort
+	lacks := func(i int, s uint64) bool {
+		st := &rec.states[i]
+		return s > st.OldHigh || slices.Contains(st.Missing, s)
 	}
 	complete := true
 	for s := uint64(1); s <= target; s++ {
 		_, have := d.old.store[s]
 		available := have
-		var firstHolder DaemonID
+		firstHolder := -1
 		anyLacks := false
-		for _, m := range cohort {
-			if !lacks(m, s) {
-				if firstHolder == "" {
-					firstHolder = m
+		for _, i := range cohort {
+			if !lacks(i, s) {
+				if firstHolder < 0 {
+					firstHolder = i
 				}
 				available = true
 			} else {
@@ -1025,7 +1047,10 @@ func (d *Daemon) flushOldRing() bool {
 			complete = false
 			continue
 		}
-		if anyLacks && firstHolder == d.id && !rec.sent[s] {
+		if anyLacks && firstHolder >= 0 && rec.form.Members[firstHolder] == d.id && !rec.sent[s] {
+			if rec.sent == nil {
+				rec.sent = map[uint64]bool{}
+			}
 			rec.sent[s] = true
 			d.broadcast(recoverDataMsg{Ring: rec.form.Ring, OldRing: d.old.ring.id, Msg: *d.old.store[s]}.encode(&d.w))
 		}
@@ -1050,8 +1075,8 @@ func (d *Daemon) flushOldRing() bool {
 }
 
 func (d *Daemon) install(form formMsg) {
-	d.rec.timer.Stop()
-	d.rec.retry.Stop()
+	d.recoveryDeadline.Stop()
+	d.recoveryRetry.Stop()
 	d.rec = nil
 	d.earlyRec = nil
 	selfIdx := 0
@@ -1065,7 +1090,12 @@ func (d *Daemon) install(form formMsg) {
 	d.ring.succAddr = addrOf(d.ring.succ)
 	d.installedRound = form.Round
 	d.round = form.Round
-	d.store = map[uint64]*dataMsg{}
+	// The old ring's store — the one map since the last install, captured as
+	// d.old.store on the way out of it — is emptied and serves the new ring.
+	if d.store == nil {
+		d.store = map[uint64]*dataMsg{}
+	}
+	clear(d.store)
 	d.highSeq = 0
 	d.deliveredSeq = 0
 	d.lastTokenSeq = 0
@@ -1215,11 +1245,15 @@ func (d *Daemon) forwardToken() {
 	d.sendTo(d.ring.succ, d.ring.succAddr, d.fwd.encode(&d.w))
 }
 
+// onData takes one data message off the wire. m aliases the datagram: a
+// message this daemon already holds — its own broadcast looping back, a
+// retransmission somebody else asked for — costs nothing, and one it lacks is
+// copied into the store.
 func (d *Daemon) onData(m *dataMsg) {
 	if d.state == stOperational && m.Ring == d.ring.id {
 		d.lastRingActivity = d.env.Clock.Now()
 		if _, ok := d.store[m.Seq]; !ok {
-			d.store[m.Seq] = m
+			d.store[m.Seq] = m.stored()
 			if m.Seq > d.highSeq {
 				d.highSeq = m.Seq
 			}
@@ -1231,10 +1265,17 @@ func (d *Daemon) onData(m *dataMsg) {
 	// recovery input.
 	if d.rec != nil && !d.old.ring.id.IsZero() && m.Ring == d.old.ring.id {
 		if _, ok := d.old.store[m.Seq]; !ok {
-			d.old.store[m.Seq] = m
+			d.old.store[m.Seq] = m.stored()
 		}
 		d.checkRecovery()
 	}
+}
+
+// stored returns a copy of m that owns its payload.
+func (m *dataMsg) stored() *dataMsg {
+	c := *m
+	c.Payload = slices.Clone(m.Payload)
+	return &c
 }
 
 // tryDeliver hands contiguous messages to the group layer in sequence

@@ -43,7 +43,7 @@ func FuzzPacketDecode(f *testing.F) {
 		case mtLeave:
 			_, _ = ids.decodeLeave(r)
 		case mtJoin:
-			_, _ = ids.decodeJoin(r)
+			_, _ = ids.decodeJoin(r, nil)
 		case mtForm:
 			_, _ = ids.decodeForm(r)
 		case mtToken:
@@ -60,14 +60,21 @@ func FuzzPacketDecode(f *testing.F) {
 	})
 }
 
-// FuzzGroupPayloads covers the group-layer payload codecs.
+// FuzzGroupPayloads covers the group-layer payload codecs and the name table
+// they intern into, which keeps to its cap like the ID table.
 func FuzzGroupPayloads(f *testing.F) {
 	f.Add(encodeGroupsState([]stateEntry{{client: "w", groups: []string{"g"}}}))
 	f.Add(encodeGroupOp("w", "g"))
 	f.Add(encodeGroupCast("w", "g", []byte("body")))
+	ids := idTable{}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = decodeGroupsState(data)
-		_, _, _ = decodeGroupOp(data)
-		_, _, _, _ = decodeGroupCast(data)
+		defer func() {
+			if len(ids) > maxInterned {
+				t.Fatalf("name table holds %d entries, cap is %d", len(ids), maxInterned)
+			}
+		}()
+		_, _ = ids.decodeGroupsState(data, nil)
+		_, _, _ = ids.decodeGroupOp(data)
+		_, _, _, _ = ids.decodeGroupCast(data)
 	})
 }

@@ -2,6 +2,7 @@ package gcs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"wackamole/internal/wire"
@@ -84,28 +85,42 @@ type groupLayer struct {
 	d        *Daemon
 	sessions map[string]*Session
 	groups   map[string][]GroupMember
+	// names interns the client and group names of inbound payloads, under
+	// the same rule as the daemon's ID table.
+	names idTable
 
-	synced        bool
-	contributions map[DaemonID][]stateEntry
+	synced bool
+	// contributions holds each ring member's groups-state, by ring position,
+	// and contributed marks the positions heard from on this ring. The lists
+	// keep their storage from one ring to the next; decoding is the spare one
+	// a groups-state is decoded into before it takes its sender's place.
+	contributions [][]membership
+	contributed   []bool
+	decoding      []membership
 	pendingOps    []*dataMsg
 	pendingCasts  []*dataMsg
 	lastViewID    ViewID
 }
 
+// stateEntry is one client of a groups-state as it is encoded: the client and
+// the groups it has joined.
 type stateEntry struct {
 	client string
 	groups []string
 }
+
+// membership is one (client, group) pair of a decoded groups-state.
+type membership struct{ client, group string }
 
 func newGroupLayer(d *Daemon) *groupLayer {
 	return &groupLayer{
 		d:        d,
 		sessions: map[string]*Session{},
 		groups:   map[string][]GroupMember{},
+		names:    idTable{},
 		// A daemon with no installed ring is trivially synced with itself;
 		// real synchronization state arrives with the first installation.
-		synced:        false,
-		contributions: map[DaemonID][]stateEntry{},
+		synced: false,
 	}
 }
 
@@ -114,7 +129,10 @@ func newGroupLayer(d *Daemon) *groupLayer {
 // the first totally ordered messages on the new ring.
 func (g *groupLayer) onInstall() {
 	g.synced = false
-	g.contributions = map[DaemonID][]stateEntry{}
+	for len(g.contributions) < len(g.d.ring.members) {
+		g.contributions = append(g.contributions, nil)
+	}
+	g.contributed = sized(g.contributed, len(g.d.ring.members))
 	// Ops buffered during a synchronization that never completed (the ring
 	// died first) must not be replayed on the new ring: a daemon joining
 	// from outside the dead ring never received them, so replaying them at
@@ -128,7 +146,7 @@ func (g *groupLayer) onInstall() {
 		if m.Origin != g.d.id {
 			continue
 		}
-		client, grp, err := decodeGroupOp(m.Payload)
+		client, grp, err := g.names.decodeGroupOp(m.Payload)
 		if err != nil {
 			continue
 		}
@@ -196,16 +214,18 @@ func (g *groupLayer) onGroupsState(m *dataMsg) {
 		// ring; the new installation superseded it.
 		return
 	}
-	entries, err := decodeGroupsState(m.Payload)
+	var err error
+	g.decoding, err = g.names.decodeGroupsState(m.Payload, g.decoding)
 	if err != nil {
 		g.d.env.Log.Logf("gcs %s: bad groups-state from %s: %v", g.d.id, m.Origin, err)
 		return
 	}
-	g.contributions[m.Origin] = entries
-	for _, member := range g.d.ring.members {
-		if _, ok := g.contributions[member]; !ok {
-			return
-		}
+	if i := slices.Index(g.d.ring.members, m.Origin); i >= 0 {
+		g.contributions[i], g.decoding = g.decoding, g.contributions[i]
+		g.contributed[i] = true
+	}
+	if slices.Contains(g.contributed, false) {
+		return
 	}
 	g.completeSync(m)
 }
@@ -215,14 +235,11 @@ func (g *groupLayer) onGroupsState(m *dataMsg) {
 // completed, then emits views and flushes buffered casts.
 func (g *groupLayer) completeSync(last *dataMsg) {
 	g.groups = map[string][]GroupMember{}
-	members := make([]DaemonID, len(g.d.ring.members))
-	copy(members, g.d.ring.members)
-	sortIDs(members)
-	for _, daemon := range members {
-		for _, e := range g.contributions[daemon] {
-			for _, grp := range e.groups {
-				g.insertMember(grp, GroupMember{Daemon: daemon, Client: e.client})
-			}
+	// insertMember keeps every list sorted, so the order the contributions
+	// are merged in does not show.
+	for i, daemon := range g.d.ring.members {
+		for _, e := range g.contributions[i] {
+			g.insertMember(e.group, GroupMember{Daemon: daemon, Client: e.client})
 		}
 	}
 	g.synced = true
@@ -259,7 +276,7 @@ func (g *groupLayer) completeSync(last *dataMsg) {
 // applyMembershipOp updates the replicated map for one join/leave and, when
 // emit is set, delivers the resulting view. It returns the affected group.
 func (g *groupLayer) applyMembershipOp(m *dataMsg, emit bool) string {
-	client, grp, err := decodeGroupOp(m.Payload)
+	client, grp, err := g.names.decodeGroupOp(m.Payload)
 	if err != nil {
 		g.d.env.Log.Logf("gcs %s: bad group op from %s: %v", g.d.id, m.Origin, err)
 		return ""
@@ -344,8 +361,12 @@ func (g *groupLayer) emitView(grp string, reason ViewReason) {
 	}
 }
 
+// deliverCast hands one cast to the local members of its group. The body
+// aliases the stored message — which retransmission and the Virtual Synchrony
+// flush still need — so handlers get it under the rule env.Handler states for
+// datagrams: neither kept nor modified past their return.
 func (g *groupLayer) deliverCast(m *dataMsg) {
-	client, grp, body, err := decodeGroupCast(m.Payload)
+	client, grp, body, err := g.names.decodeGroupCast(m.Payload)
 	if err != nil {
 		g.d.env.Log.Logf("gcs %s: bad group cast from %s: %v", g.d.id, m.Origin, err)
 		return
@@ -359,7 +380,7 @@ func (g *groupLayer) deliverCast(m *dataMsg) {
 		if !ok || s.closed || s.msgH == nil {
 			continue
 		}
-		s.msgH(from, grp, append([]byte(nil), body...))
+		s.msgH(from, grp, body)
 	}
 }
 
@@ -375,14 +396,19 @@ func encodeGroupsState(entries []stateEntry) []byte {
 	return w.Bytes()
 }
 
-func decodeGroupsState(b []byte) ([]stateEntry, error) {
+// decodeGroupsState decodes a groups-state into dst[:0] as the memberships it
+// declares; a client that has joined nothing declares none.
+func (t idTable) decodeGroupsState(b []byte, dst []membership) ([]membership, error) {
 	r := wire.NewReader(b)
-	n := int(r.U16())
-	entries := make([]stateEntry, 0, n)
-	for i := 0; i < n; i++ {
-		entries = append(entries, stateEntry{client: r.String(), groups: r.StringList()})
+	dst = dst[:0]
+	// An entry is at least a name prefix and a list count, a group a prefix.
+	for n := r.Count16(4); n > 0 && r.Err() == nil; n-- {
+		client := t.readName(r)
+		for k := r.Count16(2); k > 0 && r.Err() == nil; k-- {
+			dst = append(dst, membership{client: client, group: t.readName(r)})
+		}
 	}
-	return entries, r.Done()
+	return dst, r.Done()
 }
 
 func encodeGroupOp(client, group string) []byte {
@@ -392,10 +418,10 @@ func encodeGroupOp(client, group string) []byte {
 	return w.Bytes()
 }
 
-func decodeGroupOp(b []byte) (client, group string, err error) {
+func (t idTable) decodeGroupOp(b []byte) (client, group string, err error) {
 	r := wire.NewReader(b)
-	client = r.String()
-	group = r.String()
+	client = t.readName(r)
+	group = t.readName(r)
 	return client, group, r.Done()
 }
 
@@ -407,10 +433,11 @@ func encodeGroupCast(client, group string, body []byte) []byte {
 	return w.Bytes()
 }
 
-func decodeGroupCast(b []byte) (client, group string, body []byte, err error) {
+// decodeGroupCast decodes in place: body aliases b.
+func (t idTable) decodeGroupCast(b []byte) (client, group string, body []byte, err error) {
 	r := wire.NewReader(b)
-	client = r.String()
-	group = r.String()
-	body = r.Bytes16()
+	client = t.readName(r)
+	group = t.readName(r)
+	body = r.View16()
 	return client, group, body, r.Done()
 }

@@ -210,12 +210,15 @@ const maxInterned = 1024
 
 // idTable interns the daemon IDs named by inbound datagrams, so that decoding
 // a message from a known daemon allocates no string per ID field. Each daemon
-// owns one (trials run concurrently; the table is never shared).
+// owns one (trials run concurrently; the table is never shared), and its
+// group layer a second one for the client and group names in the payloads.
 type idTable map[string]DaemonID
 
 // read decodes one length-prefixed daemon ID.
-func (t idTable) read(r *wire.Reader) DaemonID {
-	b := r.View16()
+func (t idTable) read(r *wire.Reader) DaemonID { return t.intern(r.View16()) }
+
+// intern returns the table's copy of the ID spelled b, adding it if need be.
+func (t idTable) intern(b []byte) DaemonID {
 	if len(b) == 0 {
 		return ""
 	}
@@ -236,6 +239,17 @@ func (t idTable) readRing(r *wire.Reader) RingID {
 	return RingID{Coord: t.read(r), Epoch: r.U64()}
 }
 
+// readName decodes one length-prefixed client or group name. A name longer
+// than any Connect or Join admits can only come from a daemon that is not one
+// of ours; it is decoded but not kept, which bounds a table entry.
+func (t idTable) readName(r *wire.Reader) string {
+	b := r.View16()
+	if len(b) > MaxNameLen {
+		return string(b)
+	}
+	return string(t.intern(b))
+}
+
 func writeIDList(w *wire.Writer, ids []DaemonID) {
 	if len(ids) > wire.MaxStringLen {
 		panic(fmt.Sprintf("gcs: id list of %d entries exceeds %d", len(ids), wire.MaxStringLen))
@@ -246,15 +260,18 @@ func writeIDList(w *wire.Writer, ids []DaemonID) {
 	}
 }
 
-func (t idTable) readIDList(r *wire.Reader) []DaemonID {
-	n := int(r.U16())
-	// Every entry takes at least its two-byte prefix, so a hostile count
-	// cannot reserve more than the datagram could ever fill.
-	ids := make([]DaemonID, 0, min(n, r.Remaining()/2))
-	for i := 0; i < n && r.Err() == nil; i++ {
-		ids = append(ids, t.read(r))
+// readIDList decodes a count-prefixed ID list into dst[:0], or into a list of
+// its own when dst is nil.
+func (t idTable) readIDList(r *wire.Reader, dst []DaemonID) []DaemonID {
+	n := r.Count16(2)
+	if dst == nil {
+		dst = make([]DaemonID, 0, n)
 	}
-	return ids
+	dst = dst[:0]
+	for i := 0; i < n && r.Err() == nil; i++ {
+		dst = append(dst, t.read(r))
+	}
+	return dst
 }
 
 func (m aliveMsg) encode(w *wire.Writer) []byte {
@@ -289,8 +306,11 @@ func (m joinMsg) encode(w *wire.Writer) []byte {
 	return w.Bytes()
 }
 
-func (t idTable) decodeJoin(r *wire.Reader) (joinMsg, error) {
-	m := joinMsg{Sender: t.read(r), Round: r.U64(), Seen: t.readIDList(r)}
+// decodeJoin decodes the Seen list into seen[:0]: a JOIN is merged into the
+// gather set before the next datagram is looked at, so every JOIN a daemon
+// receives can share one list.
+func (t idTable) decodeJoin(r *wire.Reader, seen []DaemonID) (joinMsg, error) {
+	m := joinMsg{Sender: t.read(r), Round: r.U64(), Seen: t.readIDList(r, seen)}
 	return m, r.Done()
 }
 
@@ -303,7 +323,8 @@ func (m formMsg) encode(w *wire.Writer) []byte {
 }
 
 func (t idTable) decodeForm(r *wire.Reader) (formMsg, error) {
-	m := formMsg{Round: r.U64(), Ring: t.readRing(r), Members: t.readIDList(r)}
+	// Members becomes the installed ring's member list: its own allocation.
+	m := formMsg{Round: r.U64(), Ring: t.readRing(r), Members: t.readIDList(r, nil)}
 	return m, r.Done()
 }
 
@@ -335,13 +356,15 @@ func (m dataMsg) encodeBody(w *wire.Writer) {
 	w.Bytes16(m.Payload)
 }
 
+// decodeDataBody decodes in place: Payload aliases the datagram, so whoever
+// keeps the message past the packet handler copies it first.
 func (t idTable) decodeDataBody(r *wire.Reader) dataMsg {
 	return dataMsg{
 		Ring:    t.readRing(r),
 		Seq:     r.U64(),
 		Origin:  t.read(r),
 		Kind:    dataKind(r.U8()),
-		Payload: r.Bytes16(),
+		Payload: r.View16(),
 	}
 }
 
@@ -379,8 +402,11 @@ func (m recoverDataMsg) encode(w *wire.Writer) []byte {
 	return w.Bytes()
 }
 
+// decodeRecoverData returns a message that owns its payload: a retransmission
+// is either stored or stashed until its FORM arrives.
 func (t idTable) decodeRecoverData(r *wire.Reader) (recoverDataMsg, error) {
 	m := recoverDataMsg{Ring: t.readRing(r), OldRing: t.readRing(r), Msg: t.decodeDataBody(r)}
+	m.Msg.Payload = slices.Clone(m.Msg.Payload)
 	return m, r.Done()
 }
 

@@ -2,6 +2,7 @@ package gcs
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -31,7 +32,7 @@ func TestJoinRoundTrip(t *testing.T) {
 	if err != nil || typ != mtJoin {
 		t.Fatalf("header: %v %v", typ, err)
 	}
-	out, err := idTable{}.decodeJoin(r)
+	out, err := idTable{}.decodeJoin(r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,20 +154,21 @@ func TestHeaderRejections(t *testing.T) {
 
 func TestGroupPayloadCodecs(t *testing.T) {
 	entries := []stateEntry{{client: "w", groups: []string{"a", "b"}}, {client: "x", groups: nil}}
-	out, err := decodeGroupsState(encodeGroupsState(entries))
+	names := idTable{}
+	out, err := names.decodeGroupsState(encodeGroupsState(entries), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 2 || out[0].client != "w" || len(out[0].groups) != 2 || out[1].client != "x" {
-		t.Fatalf("groups state round trip: %+v", out)
+	if want := []membership{{"w", "a"}, {"w", "b"}}; !slices.Equal(out, want) {
+		t.Fatalf("groups state round trip: %+v, want %+v", out, want)
 	}
 
-	c, g, err := decodeGroupOp(encodeGroupOp("client", "group"))
+	c, g, err := names.decodeGroupOp(encodeGroupOp("client", "group"))
 	if err != nil || c != "client" || g != "group" {
 		t.Fatalf("group op round trip: %q %q %v", c, g, err)
 	}
 
-	c, g, body, err := decodeGroupCast(encodeGroupCast("client", "group", []byte("payload")))
+	c, g, body, err := names.decodeGroupCast(encodeGroupCast("client", "group", []byte("payload")))
 	if err != nil || c != "client" || g != "group" || string(body) != "payload" {
 		t.Fatalf("group cast round trip: %q %q %q %v", c, g, body, err)
 	}
@@ -250,7 +252,7 @@ func TestDecodersNeverPanic(t *testing.T) {
 		case mtAlive:
 			_, _ = idTable{}.decodeAlive(r)
 		case mtJoin:
-			_, _ = idTable{}.decodeJoin(r)
+			_, _ = idTable{}.decodeJoin(r, nil)
 		case mtForm:
 			_, _ = idTable{}.decodeForm(r)
 		case mtToken:

@@ -18,6 +18,22 @@ var (
 // payloads with 16 bits, minus headroom for the envelope).
 const MaxPayload = 60 * 1024
 
+// MaxNameLen bounds a client or a group name. The headroom MaxPayload leaves
+// is what the two names of a cast's envelope have to fit in; unbounded, a long
+// enough pair would overflow the 16-bit prefix of the data message around it.
+const MaxNameLen = 255
+
+// ErrNameTooLong is returned wherever a client or group name enters the
+// daemon — Connect, Join, Leave, Multicast — for a name over MaxNameLen.
+var ErrNameTooLong = errors.New("gcs: name exceeds the length limit")
+
+func checkNameLen(what, name string) error {
+	if len(name) > MaxNameLen {
+		return fmt.Errorf("%w: %s name of %d bytes", ErrNameTooLong, what, len(name))
+	}
+	return nil
+}
+
 // Session is a client connection to a local daemon, the analogue of a Spread
 // client connection (§4.2 of the paper). Wackamole runs as one such client.
 //
@@ -44,6 +60,9 @@ func (d *Daemon) Connect(name string) (*Session, error) {
 	if name == "" {
 		return nil, fmt.Errorf("gcs: empty client name")
 	}
+	if err := checkNameLen("client", name); err != nil {
+		return nil, err
+	}
 	if _, ok := d.groups.sessions[name]; ok {
 		return nil, fmt.Errorf("%w: %q on %s", ErrNameInUse, name, d.id)
 	}
@@ -60,7 +79,10 @@ func (s *Session) Member() GroupMember {
 // SetViewHandler registers the group membership callback.
 func (s *Session) SetViewHandler(h func(View)) { s.viewH = h }
 
-// SetMessageHandler registers the Agreed-delivery message callback.
+// SetMessageHandler registers the Agreed-delivery message callback. A message
+// handler must not retain or modify payload past its return: it is lent, not
+// given — the bytes are the daemon's stored copy of the message, which
+// retransmission and the Virtual Synchrony flush may still send.
 func (s *Session) SetMessageHandler(h func(from GroupMember, group string, payload []byte)) {
 	s.msgH = h
 }
@@ -83,6 +105,9 @@ func (s *Session) Join(group string) error {
 	if group == "" {
 		return fmt.Errorf("gcs: empty group name")
 	}
+	if err := checkNameLen("group", group); err != nil {
+		return err
+	}
 	s.d.sendData(dkGroupJoin, encodeGroupOp(s.name, group))
 	return nil
 }
@@ -91,6 +116,9 @@ func (s *Session) Join(group string) error {
 func (s *Session) Leave(group string) error {
 	if s.closed {
 		return ErrSessionClosed
+	}
+	if err := checkNameLen("group", group); err != nil {
+		return err
 	}
 	s.d.sendData(dkGroupLeave, encodeGroupOp(s.name, group))
 	return nil
@@ -105,6 +133,9 @@ func (s *Session) Leave(group string) error {
 func (s *Session) Multicast(group string, payload []byte) error {
 	if s.closed {
 		return ErrSessionClosed
+	}
+	if err := checkNameLen("group", group); err != nil {
+		return err
 	}
 	if len(payload) > MaxPayload {
 		return fmt.Errorf("%w: %d bytes", ErrPayloadTooBig, len(payload))

@@ -206,14 +206,29 @@ func (r *Reader) Bytes16() []byte {
 // String reads a 16-bit length-prefixed string.
 func (r *Reader) String() string { return string(r.View16()) }
 
+// Count16 reads the 16-bit count in front of a list whose entries take at
+// least minEntry bytes each. A count the rest of the buffer could not hold is
+// ErrTruncated — and reads as 0 — here, before the caller reserves or loops
+// over anything: a datagram is the sender's to forge, count included.
+func (r *Reader) Count16(minEntry int) int {
+	n := int(r.U16())
+	if r.err == nil && n*minEntry > r.Remaining() {
+		r.err = ErrTruncated
+	}
+	if r.err != nil {
+		return 0
+	}
+	return n
+}
+
 // StringList reads a 16-bit count-prefixed string list.
 func (r *Reader) StringList() []string {
-	n := int(r.U16())
+	n := r.Count16(2)
 	if r.err != nil {
 		return nil
 	}
 	out := make([]string, 0, n)
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && r.err == nil; i++ {
 		out = append(out, r.String())
 	}
 	if r.err != nil {
@@ -224,16 +239,13 @@ func (r *Reader) StringList() []string {
 
 // U64List reads a 16-bit count-prefixed list of 64-bit values.
 func (r *Reader) U64List() []uint64 {
-	n := int(r.U16())
+	n := r.Count16(8)
 	if r.err != nil {
 		return nil
 	}
 	out := make([]uint64, 0, n)
 	for i := 0; i < n; i++ {
 		out = append(out, r.U64())
-	}
-	if r.err != nil {
-		return nil
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -221,5 +222,59 @@ func TestQuickReaderNeverPanics(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(17))}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// allocatedBy reports the bytes f allocates. The count-bomb tests here and
+// beside the core and gcs decoders share its shape: a list count is the
+// sender's to forge, and rejecting it has to cost less than believing it. It
+// is the least of five runs, because TotalAlloc is the whole process's and the
+// runtime's own goroutines only ever add to it.
+func allocatedBy(f func()) uint64 {
+	least := ^uint64(0)
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// TestListCountIsCheckedAgainstTheBuffer hands both list readers a two-byte
+// buffer claiming 65 535 entries. Reserving for the count would cost 1 MiB
+// and 512 KiB; the count is checked against the bytes left first.
+func TestListCountIsCheckedAgainstTheBuffer(t *testing.T) {
+	bomb := []byte{0xff, 0xff}
+	for name, read := range map[string]func(*Reader){
+		"StringList": func(r *Reader) { _ = r.StringList() },
+		"U64List":    func(r *Reader) { _ = r.U64List() },
+	} {
+		var err error
+		if n := allocatedBy(func() {
+			r := NewReader(bomb)
+			read(r)
+			err = r.Done()
+		}); n > 4<<10 {
+			t.Errorf("%s: rejecting a forged count allocated %d bytes", name, n)
+		}
+		if !errors.Is(err, ErrTruncated) {
+			t.Errorf("%s: forged count gives %v, want ErrTruncated", name, err)
+		}
+	}
+	// A count the buffer can hold still reads, and stops at the first error.
+	w := NewWriter(0)
+	w.StringList([]string{"a", "bc"})
+	if got := NewReader(w.Bytes()).StringList(); len(got) != 2 || got[1] != "bc" {
+		t.Fatalf("StringList = %q", got)
+	}
+	r := NewReader([]byte{0, 2, 0, 1, 'a', 0, 9})
+	if got := r.StringList(); got != nil || !errors.Is(r.Err(), ErrTruncated) {
+		t.Fatalf("truncated second entry reads %q, %v", got, r.Err())
+	}
+	r = NewReader([]byte{0, 3, 0, 0})
+	if n := r.Count16(2); n != 0 || !errors.Is(r.Err(), ErrTruncated) {
+		t.Fatalf("Count16 of 3 two-byte entries over 2 bytes = %d, %v", n, r.Err())
 	}
 }

@@ -53,6 +53,7 @@ same figure5-p1 figure5-p4
 run load-nic wackload -trials 2 -clients 100 -fault nic
 run load-crash wackload -trials 2 -clients 100 -fault crash
 run load-rolling wackload -trials 2 -clients 100 -fault rolling
+run load-rolling-minimal wackload -trials 2 -clients 100 -fault rolling -placement minimal
 run load-flap-phi wackload -trials 2 -clients 100 -fault flap -detector phi -invariants
 # Open-loop arrivals with the flow trace events, the registry as it is written
 # (-parallel 1: trials share one registry and float sums depend on who adds
@@ -62,6 +63,8 @@ run load-open-crash-prom wackload -mode open -rps 2000 -clients 100 -trials 2 -f
 run load-router wackload -topology router -trials 2 -clients 100 -fault nic
 run check wackcheck -seeds 8 -steps 16
 run check-gray-phi wackcheck -seeds 8 -steps 16 -gray -detector phi
+# The §4.2 variant: the only recipe line in which an ALLOC message is cast.
+run check-representative wackcheck -seeds 8 -steps 16 -representative
 
 if [ "$fail" -ne 0 ]; then
 	echo "identity: output differs from $base" >&2

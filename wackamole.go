@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
+	"slices"
 	"time"
 
 	"wackamole/internal/arp"
@@ -89,6 +90,22 @@ type Node struct {
 	pub     *health.Publisher
 	started bool
 	stopped bool
+
+	// members is the current view as the group layer names it and memberIDs
+	// the same list as the engine does, position for position: the seam
+	// between the two formats a member once per view it first appears in, not
+	// once per message.
+	members   []gcs.GroupMember
+	memberIDs []core.MemberID
+}
+
+// memberID names m the way the engine knows it: the string built when m
+// entered the view, or a fresh one for anybody else.
+func (n *Node) memberID(m gcs.GroupMember) core.MemberID {
+	if i := slices.Index(n.members, m); i >= 0 {
+		return n.memberIDs[i]
+	}
+	return core.MemberID(m.String())
 }
 
 // Tracer returns the tracer the node was built with; nil (a valid, disabled
@@ -257,17 +274,18 @@ func (n *Node) connect() error {
 		if v.Group != group {
 			return
 		}
-		view := core.View{ID: v.ID.String()}
-		for _, m := range v.Members {
-			view.Members = append(view.Members, core.MemberID(m.String()))
+		ids := make([]core.MemberID, len(v.Members))
+		for i, m := range v.Members {
+			ids[i] = n.memberID(m) // members that stay keep their string
 		}
-		n.engine.OnView(view)
+		n.members, n.memberIDs = v.Members, ids
+		n.engine.OnView(core.View{ID: v.ID.String(), Members: ids})
 	})
 	sess.SetMessageHandler(func(from gcs.GroupMember, g string, payload []byte) {
 		if g != group {
 			return
 		}
-		n.engine.OnMessage(core.MemberID(from.String()), payload)
+		n.engine.OnMessage(n.memberID(from), payload)
 	})
 	sess.SetDisconnectHandler(func() {
 		// §4.2: a Wackamole daemon disconnected from its group
