@@ -686,7 +686,9 @@ func summarizeTrial(seed int64, engine *load.Engine, faultAt time.Time) *Availab
 	for k, v := range engine.ByServer() {
 		res.ByServer[k] = v
 	}
-	var rtts []time.Duration // sorting scratch, shared by the four windows
+	// Sorting scratch, shared by the four windows: none holds more round
+	// trips than there are completions.
+	rtts := make([]time.Duration, 0, len(engine.Completions()))
 	res.Before, rtts = windowOf(engine.Completions(), engine.Epoch(), faultAt, rtts)
 	res.During, rtts = windowOf(engine.Completions(), faultAt, recoveredAt, rtts)
 	res.After, rtts = windowOf(engine.Completions(), recoveredAt, end.Add(time.Nanosecond), rtts)

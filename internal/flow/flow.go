@@ -26,11 +26,15 @@
 // re-execute the handler. The measurement workloads only read responses, so
 // re-execution is benign; a production protocol would deduplicate.
 //
-// The send path is allocation-free in steady state: segment buffers come
-// from the network's payload pool (SendUDPOwned), pending-request records
-// and their RTO closures are pooled per client, and wheel timers are pooled
-// by netsim. Callbacks therefore run on the simulation goroutine and must
-// not retain payload slices past their return.
+// The send path is allocation-free in steady state: transmitted segments
+// come from the network's payload pool (SendUDPOwned), and a request in
+// flight is one pooled record — it embeds its retransmission timer, which is
+// its own entry on the wheel, keeps its encoded segment from one use to the
+// next, and is linked to its connection, and later to the client's free
+// list, through a pointer of its own. A fault that parks thousands of
+// requests at once therefore costs a record and a segment each and nothing
+// when the records are used again. Callbacks run on the simulation
+// goroutine and must not retain payload slices past their return.
 package flow
 
 import (
@@ -345,8 +349,9 @@ type Client struct {
 	tr     tracer
 	closed bool
 
-	freeConns    []*Conn
-	freePendings []*pending
+	// Free records, most recently released first, linked through next.
+	freeConns    *Conn
+	freePendings *pending
 }
 
 // NewClient binds a flow client to localPort on h.
@@ -402,11 +407,10 @@ type Conn struct {
 	state  connState
 	seq    uint32
 
-	// Dial state.
+	// Dial state. dialTimer is the SYN retransmission timeout.
 	dialCb      func(*Conn, error)
 	dialRetries int
-	dialTimer   *netsim.WheelTimer
-	dialRTO     func() // persistent closure, allocated once per pooled Conn
+	dialTimer   netsim.WheelTimer
 
 	// onAbort, if set, fires once when the peer resets the connection,
 	// after every outstanding request callback. Holders of a *Conn MUST
@@ -414,7 +418,10 @@ type Conn struct {
 	// reused by a later Dial.
 	onAbort func(err error)
 
-	pendings []*pending
+	// Requests in flight, oldest first, linked through pending.next.
+	first, last *pending
+
+	next *Conn // the client's free list
 }
 
 // SetAbortHandler installs fn to run when the connection is torn down by
@@ -422,18 +429,18 @@ type Conn struct {
 // closes (Conn.Close, Client.Close) do not trigger it.
 func (conn *Conn) SetAbortHandler(fn func(err error)) { conn.onAbort = fn }
 
-// pending is one in-flight request. Records are pooled per client; rtoFn is
-// a persistent closure bound once so that arming a retransmission timer
-// allocates nothing.
+// pending is one in-flight request. Records are pooled per client; timer is
+// the retransmission timeout, armed only while the request is in flight, and
+// the record is its sim.Runnable.
 type pending struct {
+	timer   netsim.WheelTimer
 	conn    *Conn
+	next    *pending // the connection's in-flight list, or the client's free list
 	seq     uint32
-	master  []byte // encoded segment retained for retransmission (pooled buffer)
+	master  []byte // encoded segment retained for retransmission; the buffer stays with the record
 	cb      func(resp []byte, rtt time.Duration, err error)
 	sentAt  time.Duration // first transmission, in virtual time elapsed
 	retries int
-	timer   *netsim.WheelTimer
-	rtoFn   func()
 }
 
 // Peer returns the address the connection was dialed to.
@@ -443,49 +450,39 @@ func (conn *Conn) Peer() netip.AddrPort { return conn.peer }
 // connection is still usable.
 func (conn *Conn) Established() bool { return conn.state == stateEstablished }
 
-// InFlight reports how many requests await a response.
-func (conn *Conn) InFlight() int { return len(conn.pendings) }
-
 func (c *Client) getConn() *Conn {
-	if l := len(c.freeConns); l > 0 {
-		conn := c.freeConns[l-1]
-		c.freeConns[l-1] = nil
-		c.freeConns = c.freeConns[:l-1]
-		return conn
+	conn := c.freeConns
+	if conn == nil {
+		conn = &Conn{client: c}
+		c.wheel.Init(&conn.dialTimer, (*synRetry)(conn))
+	} else {
+		c.freeConns, conn.next = conn.next, nil
 	}
-	conn := &Conn{client: c}
-	conn.dialRTO = conn.onDialRTO
 	return conn
 }
 
+// putConn and putPending take a record whose timer is not armed — it fired
+// or was stopped — so the timer can be carried over as a value.
 func (c *Client) putConn(conn *Conn) {
-	id, pendings := conn.id, conn.pendings
-	*conn = Conn{client: c, dialRTO: conn.dialRTO, pendings: pendings[:0]}
-	delete(c.conns, id)
-	c.freeConns = append(c.freeConns, conn)
+	delete(c.conns, conn.id)
+	*conn = Conn{client: c, dialTimer: conn.dialTimer, next: c.freeConns}
+	c.freeConns = conn
 }
 
-func (c *Client) getPending(conn *Conn) *pending {
-	var p *pending
-	if l := len(c.freePendings); l > 0 {
-		p = c.freePendings[l-1]
-		c.freePendings[l-1] = nil
-		c.freePendings = c.freePendings[:l-1]
-	} else {
+func (c *Client) getPending() *pending {
+	p := c.freePendings
+	if p == nil {
 		p = &pending{}
-		p.rtoFn = p.onRTO
+		c.wheel.Init(&p.timer, p)
+	} else {
+		c.freePendings, p.next = p.next, nil
 	}
-	p.conn = conn
 	return p
 }
 
 func (c *Client) putPending(p *pending) {
-	if p.master != nil {
-		c.host.Network().PutBuf(p.master)
-	}
-	rtoFn := p.rtoFn
-	*p = pending{rtoFn: rtoFn}
-	c.freePendings = append(c.freePendings, p)
+	*p = pending{timer: p.timer, master: p.master[:0], next: c.freePendings}
+	c.freePendings = p
 }
 
 // Dial opens a connection to target. cb fires exactly once: with the
@@ -507,7 +504,7 @@ func (c *Client) Dial(target netip.AddrPort, cb func(*Conn, error)) {
 	conn.dialCb = cb
 	c.conns[conn.id] = conn
 	conn.sendSYN()
-	conn.dialTimer = c.wheel.Schedule(c.cfg.RTO, conn.dialRTO)
+	conn.dialTimer.Reset(c.cfg.RTO)
 }
 
 func (conn *Conn) sendSYN() {
@@ -528,12 +525,14 @@ func (c *Client) localAddr() netip.AddrPort {
 // difference, so the request path builds no time.Time.
 func (c *Client) elapsed() time.Duration { return c.host.Network().Sim().Elapsed() }
 
-// onDialRTO is the persistent SYN retransmission handler.
-func (conn *Conn) onDialRTO() {
-	conn.dialTimer = nil
-	if conn.state != stateDialing {
-		return
-	}
+// synRetry is a Conn as its dial timer's sim.Runnable, which keeps Run out
+// of the exported type's method set.
+type synRetry Conn
+
+// Run is the SYN retransmission handler: the timer is stopped when the dial
+// ends, so a firing finds the Conn dialing.
+func (r *synRetry) Run() {
+	conn := (*Conn)(r)
 	c := conn.client
 	if conn.dialRetries >= c.cfg.MaxRetries {
 		c.m.Timeouts.Inc()
@@ -545,7 +544,7 @@ func (conn *Conn) onDialRTO() {
 	conn.dialRetries++
 	c.m.Retransmits.Inc()
 	conn.sendSYN()
-	conn.dialTimer = c.wheel.Schedule(c.cfg.RTO, conn.dialRTO)
+	conn.dialTimer.Reset(c.cfg.RTO)
 }
 
 // Request sends payload and fires cb exactly once with the response (and
@@ -561,17 +560,26 @@ func (conn *Conn) Request(payload []byte, cb func(resp []byte, rtt time.Duration
 		return
 	}
 	conn.seq++
-	p := c.getPending(conn)
+	p := c.getPending()
+	p.conn = conn
 	p.seq = conn.seq
 	p.cb = cb
 	p.sentAt = c.elapsed()
-	nw := c.host.Network()
-	p.master = nw.GetBuf(headerLen + len(payload))
+	if n := headerLen + len(payload); cap(p.master) < n {
+		p.master = make([]byte, n)
+	} else {
+		p.master = p.master[:n]
+	}
 	putHeader(p.master, flagDATA, conn.id, p.seq, 0)
 	copy(p.master[headerLen:], payload)
-	conn.pendings = append(conn.pendings, p)
+	if conn.last == nil {
+		conn.first = p
+	} else {
+		conn.last.next = p
+	}
+	conn.last = p
 	p.transmit()
-	p.timer = c.wheel.Schedule(c.cfg.RTO, p.rtoFn)
+	p.timer.Reset(c.cfg.RTO)
 }
 
 // transmit copies the master segment into a fresh pooled buffer and sends
@@ -587,16 +595,14 @@ func (p *pending) transmit() {
 	}
 }
 
-// onRTO is the persistent retransmission handler for one pooled pending.
-func (p *pending) onRTO() {
-	p.timer = nil
+// Run is the retransmission handler, timer's sim.Runnable hook: the timer is
+// stopped when the request completes or its connection fails, so a firing
+// finds the request in flight on an established connection.
+func (p *pending) Run() {
 	conn := p.conn
-	if conn == nil || conn.state != stateEstablished {
-		return
-	}
 	c := conn.client
 	if p.retries >= c.cfg.MaxRetries {
-		conn.removePending(p)
+		conn.take(p.seq)
 		c.m.Timeouts.Inc()
 		cb := p.cb
 		c.putPending(p)
@@ -607,21 +613,29 @@ func (p *pending) onRTO() {
 	c.m.Retransmits.Inc()
 	c.tr.emit(obs.KindFlowRetransmit, conn.peer.Addr(), "")
 	p.transmit()
-	p.timer = c.wheel.Schedule(c.cfg.RTO, p.rtoFn)
+	p.timer.Reset(c.cfg.RTO)
 }
 
-// removePending unlinks p from its connection (order is not preserved; the
-// slice is small and unordered).
-func (conn *Conn) removePending(p *pending) {
-	for i, q := range conn.pendings {
-		if q == p {
-			last := len(conn.pendings) - 1
-			conn.pendings[i] = conn.pendings[last]
-			conn.pendings[last] = nil
-			conn.pendings = conn.pendings[:last]
-			return
+// take unlinks the in-flight request numbered seq and returns it, nil if
+// there is none. The list is short and stays in order of issue.
+func (conn *Conn) take(seq uint32) *pending {
+	var prev *pending
+	for p := conn.first; p != nil; prev, p = p, p.next {
+		if p.seq != seq {
+			continue
 		}
+		if prev == nil {
+			conn.first = p.next
+		} else {
+			prev.next = p.next
+		}
+		if conn.last == p {
+			conn.last = prev
+		}
+		p.next = nil
+		return p
 	}
+	return nil
 }
 
 // Close closes the connection gracefully: a FIN tells the server to drop
@@ -645,7 +659,8 @@ func (conn *Conn) Close() {
 }
 
 // fail tears the connection down, completing the dial callback or every
-// outstanding request with err, and returns the record to the pool.
+// outstanding request with err, oldest request first, and returns the record
+// to the pool.
 func (conn *Conn) fail(err error) {
 	if conn.state == stateClosed {
 		return
@@ -653,32 +668,25 @@ func (conn *Conn) fail(err error) {
 	c := conn.client
 	prev := conn.state
 	conn.state = stateClosed
-	if conn.dialTimer != nil {
-		conn.dialTimer.Stop()
-		conn.dialTimer = nil
-	}
+	conn.dialTimer.Stop()
 	var dialCb func(*Conn, error)
 	if prev == stateDialing {
 		dialCb = conn.dialCb
 	}
-	// Detach pendings and the abort hook before running callbacks: a
+	// Detach the requests and the abort hook before running callbacks: a
 	// callback may issue new traffic, and putConn recycles the record.
-	pendings := conn.pendings
-	conn.pendings = nil
+	p := conn.first
 	onAbort := conn.onAbort
 	c.putConn(conn)
 	if dialCb != nil {
 		dialCb(nil, err)
 	}
-	for i, p := range pendings {
-		pendings[i] = nil
-		if p.timer != nil {
-			p.timer.Stop()
-			p.timer = nil
-		}
-		cb := p.cb
+	for p != nil {
+		next, cb := p.next, p.cb
+		p.timer.Stop()
 		c.putPending(p)
 		cb(nil, 0, err)
+		p = next
 	}
 	if onAbort != nil && !errors.Is(err, ErrClosed) {
 		onAbort(err)
@@ -707,10 +715,7 @@ func (c *Client) receive(src, dst netip.AddrPort, payload []byte) {
 			return // duplicate SYN|ACK
 		}
 		conn.state = stateEstablished
-		if conn.dialTimer != nil {
-			conn.dialTimer.Stop()
-			conn.dialTimer = nil
-		}
+		conn.dialTimer.Stop()
 		// Complete the handshake so the server stops re-acking.
 		nw := c.host.Network()
 		buf := nw.GetBuf(headerLen)
@@ -725,29 +730,16 @@ func (c *Client) receive(src, dst netip.AddrPort, payload []byte) {
 		cb(conn, nil)
 
 	case h.flags&flagDATA != 0 && h.flags&flagACK != 0:
-		p := conn.findPending(h.ack)
+		p := conn.take(h.ack)
 		if p == nil {
 			return // duplicate response
 		}
-		conn.removePending(p)
-		if p.timer != nil {
-			p.timer.Stop()
-			p.timer = nil
-		}
+		p.timer.Stop()
 		rtt := c.elapsed() - p.sentAt
 		cb := p.cb
 		c.putPending(p)
 		cb(payload[headerLen:], rtt, nil)
 	}
-}
-
-func (conn *Conn) findPending(seq uint32) *pending {
-	for _, p := range conn.pendings {
-		if p.seq == seq {
-			return p
-		}
-	}
-	return nil
 }
 
 // String renders errors usefully in test output.

@@ -3,6 +3,7 @@ package flow
 import (
 	"errors"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -35,6 +36,15 @@ func newRig(t *testing.T, seed int64) *rig {
 		s: s, nw: nw, client: ch, server: sh,
 		target: netip.AddrPortFrom(netip.MustParseAddr("10.0.0.2"), 8090),
 	}
+}
+
+// inFlight counts the requests of conn that await a response.
+func inFlight(conn *Conn) int {
+	n := 0
+	for p := conn.first; p != nil; p = p.next {
+		n++
+	}
+	return n
 }
 
 // dial establishes a connection or fails the test.
@@ -85,8 +95,8 @@ func TestRoundTrip(t *testing.T) {
 	if srv.Conns() != 1 {
 		t.Fatalf("server tracks %d conns, want 1", srv.Conns())
 	}
-	if conn.InFlight() != 0 {
-		t.Fatalf("in-flight = %d after completion, want 0", conn.InFlight())
+	if inFlight(conn) != 0 {
+		t.Fatalf("in-flight = %d after completion, want 0", inFlight(conn))
 	}
 }
 
@@ -113,8 +123,8 @@ func TestCustomHandlerAndPipelining(t *testing.T) {
 			got[string(b)] = true
 		})
 	}
-	if conn.InFlight() != 3 {
-		t.Fatalf("in-flight = %d, want 3 pipelined", conn.InFlight())
+	if inFlight(conn) != 3 {
+		t.Fatalf("in-flight = %d, want 3 pipelined", inFlight(conn))
 	}
 	r.s.RunFor(time.Second)
 	for _, want := range []string{"a!", "b!", "c!"} {
@@ -186,8 +196,8 @@ func TestRequestTimesOutAfterBudget(t *testing.T) {
 	if !errors.Is(gotErr, ErrTimedOut) {
 		t.Fatalf("err = %v, want ErrTimedOut", gotErr)
 	}
-	if conn.InFlight() != 0 {
-		t.Fatalf("in-flight = %d after timeout, want 0", conn.InFlight())
+	if inFlight(conn) != 0 {
+		t.Fatalf("in-flight = %d after timeout, want 0", inFlight(conn))
 	}
 	if v := RegisterClientMetrics(reg).Timeouts.Value(); v != 1 {
 		t.Errorf("timeouts counter = %d, want 1", v)
@@ -351,8 +361,146 @@ func TestSteadyStateReusesPools(t *testing.T) {
 			t.Fatalf("request %d incomplete", i)
 		}
 	}
-	if len(c.freePendings) != 1 {
-		t.Errorf("pending pool holds %d records, want exactly 1 recycled record", len(c.freePendings))
+	if c.freePendings == nil || c.freePendings.next != nil {
+		t.Error("pending pool does not hold exactly 1 recycled record")
+	}
+}
+
+// TestParkedRequestsCostARecordAndASegment: a fault parks every request issued
+// into it until the peer answers again or the retry budget runs out. Each costs
+// its record (which is also its wheel entry) and its encoded segment, nothing
+// per request beside them, and nothing at all once the records have been used
+// before.
+func TestParkedRequestsCostARecordAndASegment(t *testing.T) {
+	r := newRig(t, 12)
+	if _, err := NewServer(r.server, 8090, ServerConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewClient(r.client, 9100, ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conns := make([]*Conn, 16)
+	for i := range conns {
+		conns[i] = dial(t, r, c)
+	}
+	const n = 1000
+	done := 0
+	payload := make([]byte, 64)
+	onResp := func(_ []byte, _ time.Duration, err error) {
+		if err != nil {
+			t.Fatalf("request: %v", err)
+		}
+		done++
+	}
+	burst := func() {
+		for i := 0; i < n; i++ {
+			conns[i%len(conns)].Request(payload, onResp)
+		}
+	}
+	nic := r.server.NICs()[0]
+	nic.SetUp(false)
+	if avg := testing.AllocsPerRun(1, burst); avg > 2*n+8 {
+		t.Errorf("parking %d requests on a dead peer allocates %.0f, want a record and a segment each (%d)", n, avg, 2*n)
+	}
+	if got := c.wheel.Active(); got != 2*n { // AllocsPerRun runs the burst twice
+		t.Fatalf("%d retransmission timeouts armed, want %d", got, 2*n)
+	}
+	nic.SetUp(true)
+	r.s.RunFor(time.Second)
+	if done != 2*n || c.wheel.Active() != 0 {
+		t.Fatalf("%d of %d parked requests answered after recovery, %d timeouts still armed", done, 2*n, c.wheel.Active())
+	}
+	if avg := testing.AllocsPerRun(3, func() {
+		burst()
+		r.s.RunFor(time.Second)
+	}); avg != 0 {
+		t.Errorf("a burst of %d requests after recovery allocates %.0f, want 0", n, avg)
+	}
+}
+
+// TestFailCompletesOldestFirst: requests complete out of order — responses,
+// here for the second and the newest of five — and whatever is still in flight
+// when the connection goes is failed in the order it was issued.
+func TestFailCompletesOldestFirst(t *testing.T) {
+	r := newRig(t, 13)
+	if _, err := NewServer(r.server, 8090, ServerConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewClient(r.client, 9100, ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := dial(t, r, c)
+	r.server.NICs()[0].SetUp(false)
+
+	var order []int
+	var errs []error
+	request := func(i int) {
+		conn.Request([]byte("x"), func(_ []byte, _ time.Duration, err error) {
+			order = append(order, i)
+			errs = append(errs, err)
+		})
+	}
+	for i := 1; i <= 5; i++ {
+		request(i) // sequence number i
+	}
+	answer := func(seq uint32) {
+		seg := make([]byte, headerLen)
+		putHeader(seg, flagDATA|flagACK, conn.id, seq, seq)
+		c.receive(r.target, netip.AddrPortFrom(netip.MustParseAddr("10.0.0.1"), 9100), seg)
+	}
+	answer(2)
+	answer(5)
+	answer(2) // a duplicate finds nothing
+	request(6)
+	if got := inFlight(conn); got != 4 {
+		t.Fatalf("in-flight = %d, want 4", got)
+	}
+	conn.Close()
+	if want := []int{2, 5, 1, 3, 4, 6}; !slices.Equal(order, want) {
+		t.Fatalf("completion order = %v, want %v", order, want)
+	}
+	for i, err := range errs {
+		if wantErr := i >= 2; (err != nil) != wantErr || wantErr && !errors.Is(err, ErrClosed) {
+			t.Errorf("completion %d (request %d): err = %v", i, order[i], err)
+		}
+	}
+	if c.wheel.Active() != 0 {
+		t.Errorf("%d timeouts armed after the connection closed, want 0", c.wheel.Active())
+	}
+}
+
+// TestCrashedHostTimeoutDoesNotDangle: a crashed host's sweep drops the
+// timeouts that come due, and a parked request whose timeout went that way
+// must not be able to cancel anybody else's when its connection is closed
+// later. With pooled wheel entries it could: the dropped entry was reused by
+// the next request, and closing the first connection stopped it.
+func TestCrashedHostTimeoutDoesNotDangle(t *testing.T) {
+	r := newRig(t, 14)
+	if _, err := NewServer(r.server, 8090, ServerConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewClient(r.client, 9100, ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := dial(t, r, c), dial(t, r, c)
+	r.server.NICs()[0].SetUp(false)
+
+	var errA, errB error
+	a.Request([]byte("x"), func(_ []byte, _ time.Duration, err error) { errA = err })
+	r.client.Crash()
+	r.s.RunFor(time.Second)
+	r.client.Restart()
+	b.Request([]byte("y"), func(_ []byte, _ time.Duration, err error) { errB = err })
+	a.Close()
+	if !errors.Is(errA, ErrClosed) {
+		t.Fatalf("request on the closed connection: err = %v, want ErrClosed", errA)
+	}
+	r.s.RunFor(10 * time.Second)
+	if !errors.Is(errB, ErrTimedOut) {
+		t.Fatalf("request on the other connection: err = %v, want ErrTimedOut after its own retransmissions", errB)
 	}
 }
 
@@ -381,7 +529,7 @@ func TestTracedRetransmissionNamesThePeer(t *testing.T) {
 
 	r.server.NICs()[0].SetUp(false)
 	first.Request([]byte("x"), func([]byte, time.Duration, error) {})
-	r.s.RunFor(5 * time.Second) // address formatted, pools warm, every wheel slot has been used
+	r.s.RunFor(5 * time.Second) // address formatted, pools warm
 	if avg := testing.AllocsPerRun(20, func() { r.s.RunFor(time.Second) }); avg != 0 {
 		t.Errorf("a second of traced retransmission allocates %.2f, want 0", avg)
 	}

@@ -269,7 +269,7 @@ type Engine struct {
 	rng  *rand.Rand
 	m    Metrics
 
-	clients []*clientState
+	clients []clientState
 	rr      int       // round-robin cursor (open loop)
 	arrive  env.Timer // open loop: the next Poisson arrival
 	payload []byte
@@ -340,9 +340,10 @@ func New(h *netsim.Host, cfg Config) (*Engine, error) {
 	if cfg.Mode == Open {
 		e.arrive = h.NewTimer(e.arrival)
 	}
-	e.clients = make([]*clientState, cfg.Clients)
+	e.clients = make([]clientState, cfg.Clients)
 	for i := range e.clients {
-		cs := &clientState{e: e}
+		cs := &e.clients[i]
+		cs.e = e
 		cs.onDial = cs.handleDial
 		cs.onResp = cs.handleResp
 		cs.onAbort = cs.handleAbort
@@ -350,7 +351,6 @@ func New(h *netsim.Host, cfg Config) (*Engine, error) {
 			cs.think = h.NewTimer(cs.nextRequest)
 			cs.redial = h.NewTimer(cs.doRedial)
 		}
-		e.clients[i] = cs
 	}
 	e.ResetStats()
 	return e, nil
@@ -368,8 +368,8 @@ func (e *Engine) Start() {
 	case Closed:
 		// Stagger initial dials across one think time so the population
 		// desynchronizes instead of phase-locking.
-		for _, cs := range e.clients {
-			cs.redial.Reset(time.Duration(e.rng.Int63n(int64(e.cfg.ThinkTime))))
+		for i := range e.clients {
+			e.clients[i].redial.Reset(time.Duration(e.rng.Int63n(int64(e.cfg.ThinkTime))))
 		}
 	}
 }
@@ -386,7 +386,8 @@ func (e *Engine) Stop() {
 	if e.arrive != nil {
 		e.arrive.Stop()
 	}
-	for _, cs := range e.clients {
+	for i := range e.clients {
+		cs := &e.clients[i]
 		cs.conn = nil
 		cs.dialing = false
 		cs.queued = 0
@@ -457,7 +458,7 @@ func (e *Engine) arrival() {
 	if !e.running {
 		return
 	}
-	cs := e.clients[e.rr]
+	cs := &e.clients[e.rr]
 	e.rr++
 	if e.rr == len(e.clients) {
 		e.rr = 0

@@ -1,55 +1,52 @@
 package netsim
 
-import "time"
+import (
+	"time"
+
+	"wackamole/internal/sim"
+)
 
 // TimerWheel is a deterministic timing wheel for high-volume, coarse
 // timeouts — per-connection retransmission timers, chiefly. A busy workload
 // arms and cancels one timer per in-flight request; scheduling each of
-// those individually on the simulator's heap would allocate a Timer and an
-// event per request and bloat the event queue. The wheel instead keeps one
-// simulator event per tick while it has work, and pools its per-timeout
-// entries, so steady-state arm/cancel cycles allocate nothing.
+// those individually on the simulator's heap would bloat the event queue.
+// The wheel instead keeps one simulator event per tick while it has work,
+// and a timeout is a record its owner embeds and re-arms (WheelTimer), so
+// arming, cancelling and firing allocate nothing and cost a few pointer
+// writes each.
 //
 // Deadlines are rounded UP to the next tick boundary (tick coalescing): a
 // timeout never fires early, and fires at most one tick late. Within a
 // tick, timers fire in arming order, preserving determinism.
 //
 // The wheel is bound to a host: ticks stop firing callbacks while the host
-// is down (the pending entries are discarded, matching how a crashed
-// machine loses its soft state).
+// is down (the timeouts that come due are dropped unfired, matching how a
+// crashed machine loses its soft state).
 type TimerWheel struct {
-	host  *Host
-	tick  time.Duration
-	slots [][]*WheelTimer
-	free  []*WheelTimer
-	// spare is the sweep's scratch slice: Run swaps it in for the slot
-	// being swept so that callbacks which Schedule mid-sweep append to a
-	// live slice instead of one about to be overwritten. The old backing
-	// array becomes the next spare, so capacity circulates instead of
-	// being reallocated each sweep.
-	spare []*WheelTimer
+	host *Host
+	tick time.Duration
+	// slots holds one list head per slot: a timeout due at tick k is on the
+	// circular list of slot k % len(slots), in arming order.
+	slots []WheelTimer
+	// next is the sweep's place in the slot it is walking. Stop moves it
+	// along, so a callback may stop or re-arm any timeout of the wheel, the
+	// one the sweep would visit next included.
+	next *WheelTimer
 
-	armed   bool
-	active  int   // entries currently residing in slots (including stopped ones not yet swept)
-	curTick int64 // absolute tick index the next Run will sweep
+	armed   bool  // a tick is on the simulator's queue, or running
+	active  int   // armed timeouts
+	curTick int64 // absolute tick index of the next sweep to begin
 }
 
-// WheelTimer is one scheduled timeout. Handles are pooled: a handle is
-// valid only until its callback fires or Stop is called, after which it
-// must not be touched — the wheel will reuse it for a later Schedule.
+// WheelTimer is one timeout: the record on its slot's list is itself the
+// handle, embedded in the struct that carries the callback's context and
+// armed any number of times with Reset. The zero value is never armed and
+// may be Stopped; Init makes it usable.
 type WheelTimer struct {
-	fn       func()
-	deadline int64 // absolute tick index
-	stopped  bool
-}
-
-// Stop cancels the timeout. It must only be called on a handle whose
-// callback has not yet fired (callers clear their reference when the
-// callback runs, which makes the discipline local and mechanical).
-func (t *WheelTimer) Stop() {
-	if !t.stopped {
-		t.stopped = true
-	}
+	next, prev *WheelTimer // nil while not armed
+	w          *TimerWheel
+	run        sim.Runnable
+	deadline   int64 // absolute tick index
 }
 
 // NewTimerWheel creates a wheel on h with the given tick and slot count.
@@ -60,10 +57,12 @@ func NewTimerWheel(h *Host, tick time.Duration, slots int) *TimerWheel {
 	if tick <= 0 {
 		panic("netsim: timer wheel tick must be positive")
 	}
-	if slots < 2 {
-		slots = 2
+	w := &TimerWheel{host: h, tick: tick, slots: make([]WheelTimer, max(slots, 2))}
+	for i := range w.slots {
+		head := &w.slots[i]
+		head.next, head.prev = head, head
 	}
-	return &TimerWheel{host: h, tick: tick, slots: make([][]*WheelTimer, slots)}
+	return w
 }
 
 // tickOf converts an instant, as virtual time elapsed since the simulation
@@ -76,91 +75,93 @@ func (w *TimerWheel) tickOf(at time.Duration) int64 {
 	return n
 }
 
-// Schedule arms fn to fire no earlier than d from now (rounded up to the
-// wheel's tick). The returned handle may be Stopped until the callback
-// fires; after firing it is invalid.
+// Init makes t, which must not be armed, a timeout of w that runs r each
+// time it fires.
+func (w *TimerWheel) Init(t *WheelTimer, r sim.Runnable) { *t = WheelTimer{w: w, run: r} }
+
+// Schedule arms fn to fire once, no earlier than d from now: Init and Reset
+// over a fresh record, for callers with no struct to embed one in.
 func (w *TimerWheel) Schedule(d time.Duration, fn func()) *WheelTimer {
 	if fn == nil {
 		panic("netsim: Schedule called with nil callback")
 	}
-	now := w.host.net.sim.Elapsed()
-	deadline := w.tickOf(time.Duration(addSat(int64(now), int64(d))))
-	if !w.armed {
-		// Align the next sweep to the first tick boundary strictly after
-		// now, then keep ticking from there.
-		w.curTick = w.tickOf(now)
-		if time.Duration(w.curTick)*w.tick <= now {
-			w.curTick++
-		}
-		w.armed = true
-		w.host.net.sim.Post(time.Duration(w.curTick)*w.tick-now, w)
-	}
-	if deadline < w.curTick {
-		deadline = w.curTick
-	}
-	var t *WheelTimer
-	if l := len(w.free); l > 0 {
-		t = w.free[l-1]
-		w.free[l-1] = nil
-		w.free = w.free[:l-1]
-	} else {
-		t = &WheelTimer{}
-	}
-	t.fn = fn
-	t.deadline = deadline
-	t.stopped = false
-	slot := int(deadline % int64(len(w.slots)))
-	w.slots[slot] = append(w.slots[slot], t)
-	w.active++
+	t := new(WheelTimer)
+	w.Init(t, runFunc(fn))
+	t.Reset(d)
 	return t
 }
 
-// Active reports how many scheduled timeouts are currently pending.
+type runFunc func()
+
+func (f runFunc) Run() { f() }
+
+// Reset arms t to fire no earlier than d from now (rounded up to the wheel's
+// tick), dropping any deadline it was armed with, and puts it behind every
+// timeout already armed for the same tick.
+func (t *WheelTimer) Reset(d time.Duration) {
+	w := t.w
+	t.Stop()
+	now := w.host.net.sim.Elapsed()
+	if !w.armed {
+		// Sweep next at the first tick boundary strictly after now, then
+		// keep ticking from there: the grid is absolute, whenever the wheel
+		// wakes up.
+		w.curTick = int64(now/w.tick) + 1
+		w.armed = true
+		w.host.net.sim.Post(time.Duration(w.curTick)*w.tick-now, w)
+	}
+	// Not before the next sweep to begin — from a callback that is the tick
+	// after the one being swept, so a zero delay is one tick, not the
+	// revolution its own slot would keep it.
+	t.deadline = max(w.tickOf(time.Duration(addSat(int64(now), int64(d)))), w.curTick)
+	head := &w.slots[t.deadline%int64(len(w.slots))]
+	t.prev, t.next = head.prev, head
+	t.prev.next, head.prev = t, t
+	w.active++
+}
+
+// Stop cancels the timeout, unlinking it at once, and reports whether the
+// call prevented it from firing: false for a timeout that has fired, was
+// dropped on a dead host, was stopped already or was never armed.
+func (t *WheelTimer) Stop() bool {
+	if t.next == nil {
+		return false
+	}
+	if t.w.next == t {
+		t.w.next = t.next
+	}
+	t.prev.next, t.next.prev = t.next, t.prev
+	t.next, t.prev = nil, nil
+	t.w.active--
+	return true
+}
+
+// Active reports how many timeouts are armed.
 func (w *TimerWheel) Active() int { return w.active }
 
-// Run sweeps the current slot, firing due entries, and re-arms the wheel
-// for the next tick while any entry remains. It is the sim.Runnable hook;
-// callers never invoke it directly.
+// Run sweeps the current slot, firing due entries, and posts the next tick
+// while any timeout remains armed. It is the sim.Runnable hook; callers
+// never invoke it directly.
 func (w *TimerWheel) Run() {
-	slot := int(w.curTick % int64(len(w.slots)))
-	entries := w.slots[slot]
-	// Swap in the scratch slice before firing anything: callbacks may
-	// Schedule new timers into this very slot, and those must land in the
-	// slice that survives the sweep.
-	w.slots[slot] = w.spare[:0]
-	for _, t := range entries {
-		switch {
-		case t.stopped:
-			w.active--
-			w.recycle(t)
-		case t.deadline > w.curTick:
-			// Later revolution; carry over.
-			w.slots[slot] = append(w.slots[slot], t)
-		case !w.host.alive:
-			// A dead host's soft timers die with it.
-			w.active--
-			w.recycle(t)
-		default:
-			fn := t.fn
-			w.active--
-			w.recycle(t)
-			fn()
+	tick := w.curTick
+	w.curTick++
+	head := &w.slots[tick%int64(len(w.slots))]
+	// A timeout armed from a callback goes to the tail of its slot with a
+	// later deadline, so should the walk reach it, it stays.
+	for t := head.next; t != head; t = w.next {
+		w.next = t.next
+		if t.deadline > tick {
+			continue // a later revolution
+		}
+		t.Stop()
+		if w.host.alive { // a dead host's soft timers die with it
+			t.run.Run()
 		}
 	}
-	for i := range entries {
-		entries[i] = nil
-	}
-	w.spare = entries[:0]
-	w.curTick++
+	w.next = nil
 	if w.active > 0 {
 		w.host.net.sim.Post(w.tick, w)
 	} else {
 		w.armed = false
 	}
-}
-
-func (w *TimerWheel) recycle(t *WheelTimer) {
-	t.fn = nil
-	t.stopped = false
-	w.free = append(w.free, t)
 }

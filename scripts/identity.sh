@@ -61,6 +61,10 @@ run load-flap-phi wackload -trials 2 -clients 100 -fault flap -detector phi -inv
 run load-open-trace wackload -mode open -rps 2000 -clients 100 -trials 2 -fault nic -invariants -json -trace TRACE
 run load-open-crash-prom wackload -mode open -rps 2000 -clients 100 -trials 2 -fault crash -parallel 1 -prom -
 run load-router wackload -topology router -trials 2 -clients 100 -fault nic
+# Requests that exhaust their retries: the detection timeout outlasts the
+# retransmission budget, so parked requests end in timeouts, not resets.
+run load-open-timeouts wackload -mode open -rps 2000 -clients 100 -trials 2 -fault nic -detect-timeout 3s -json
+run load-closed-timeouts wackload -mode closed -clients 100 -trials 2 -fault crash -detect-timeout 3s -think 100ms
 run check wackcheck -seeds 8 -steps 16
 run check-gray-phi wackcheck -seeds 8 -steps 16 -gray -detector phi
 # The §4.2 variant: the only recipe line in which an ALLOC message is cast.

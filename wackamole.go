@@ -97,6 +97,18 @@ type Node struct {
 	// once per message.
 	members   []gcs.GroupMember
 	memberIDs []core.MemberID
+
+	// telemetry is made by TelemetryFrame's first call: a node that
+	// publishes nothing carries a nil pointer.
+	telemetry *telemetryScratch
+}
+
+// telemetryScratch is what TelemetryFrame keeps from one tick to the next:
+// the engine summary and the frame, whose member, owned-group and peer lists
+// each tick overwrites.
+type telemetryScratch struct {
+	status core.Status
+	frame  health.Frame
 }
 
 // memberID names m the way the engine knows it: the string built when m
@@ -133,12 +145,17 @@ func (n *Node) SetHealth(m *health.Monitor) {
 func (n *Node) Health() *health.Monitor { return n.health }
 
 // TelemetryFrame assembles one health frame from the node's current state:
-// engine snapshot, daemon counters, the health monitor's suspicion vector
-// and the HLC. Call from the node's loop.
+// engine summary, daemon counters, the health monitor's suspicion vector
+// and the HLC. Call from the node's loop. The frame's lists are the node's
+// own and hold until the next call; the publisher has encoded them by then.
 func (n *Node) TelemetryFrame(now time.Time) health.Frame {
-	st := n.engine.Snapshot()
+	if n.telemetry == nil {
+		n.telemetry = new(telemetryScratch)
+	}
+	st, f := &n.telemetry.status, &n.telemetry.frame
+	n.engine.Summary(st)
 	ds := n.daemon.Stats()
-	f := health.Frame{
+	*f = health.Frame{
 		Node:       string(n.daemon.ID()),
 		HLC:        n.env.HLC.Now(),
 		SkewNS:     int64(n.env.HLC.MaxSkew()),
@@ -150,6 +167,8 @@ func (n *Node) TelemetryFrame(now time.Time) health.Frame {
 		Installs:   ds.MembershipsInstalled,
 		Reconfigs:  ds.Reconfigurations,
 		Delivered:  ds.DataDelivered,
+		Members:    f.Members[:0],
+		Peers:      f.Peers[:0],
 	}
 	for _, m := range st.Members {
 		f.Members = append(f.Members, string(m))
@@ -163,7 +182,7 @@ func (n *Node) TelemetryFrame(now time.Time) health.Frame {
 			Suspected:   ph.Suspected,
 		})
 	}
-	return f
+	return *f
 }
 
 func max64(a, b int64) int64 {
