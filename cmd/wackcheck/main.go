@@ -13,9 +13,11 @@
 // ping-pong and bounded false suspicion of reachable peers. Violations are delta-debugged to minimal
 // schedules (-shrink) and written as replayable artifacts;
 // `wackcheck -replay <file>` re-executes an artifact and verifies the
-// identical outcome. Sweeps run in parallel on the shared trial runner;
-// exit status is 0 when every oracle held, 1 on violations or harness
-// errors, 2 on usage errors.
+// identical outcome. The oracles keep bounded state; when a bound forgot
+// entries the summary reports how many ("dropped"), and a verdict is exact
+// only while that count is absent. Sweeps run in parallel on the shared
+// trial runner; exit status is 0 when every oracle held, 1 on violations or
+// harness errors, 2 on usage errors.
 package main
 
 import (
@@ -101,16 +103,18 @@ func run(args []string, out io.Writer) int {
 	var (
 		mu       sync.Mutex
 		findings []finding
+		dropped  uint64
 	)
 	trial := func(s int64) (runner.Sample, error) {
 		rep, err := check.Run(check.Generate(s, gen), opts)
 		if err != nil {
 			return runner.Sample{}, err
 		}
+		mu.Lock()
+		defer mu.Unlock()
+		dropped += rep.Dropped
 		if rep.Violation != nil {
-			mu.Lock()
 			findings = append(findings, finding{seed: s, rep: rep})
-			mu.Unlock()
 			return runner.Sample{Value: rep.Elapsed}, fmt.Errorf("%v", rep.Violation)
 		}
 		return runner.Sample{Value: rep.Elapsed}, nil
@@ -191,6 +195,9 @@ func run(args []string, out io.Writer) int {
 		if len(harnessErrs) > 0 {
 			summary["errors"] = harnessErrs
 		}
+		if dropped > 0 {
+			summary["dropped"] = dropped
+		}
 		enc := json.NewEncoder(out)
 		if err := enc.Encode(summary); err != nil {
 			fmt.Fprintf(os.Stderr, "wackcheck: %v\n", err)
@@ -199,6 +206,9 @@ func run(args []string, out io.Writer) int {
 	} else {
 		fmt.Fprintf(out, "wackcheck: %d seeds × %d steps (%d servers, %d vips): %d violations\n",
 			*seeds, *steps, *servers, *vips, len(findings))
+		if dropped > 0 {
+			fmt.Fprintf(out, "  dropped %d (monitor entries forgotten by its bounds; verdicts are not exact)\n", dropped)
+		}
 		counters := counterValues(reg)
 		for _, name := range []string{"check_schedules_total", "check_steps_total",
 			"check_violations_total", "check_shrink_iterations_total"} {

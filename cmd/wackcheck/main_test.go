@@ -37,6 +37,35 @@ func TestCleanSweepJSON(t *testing.T) {
 	if summary.Counters["check_steps_total"] != 12 {
 		t.Fatalf("step counter wrong: %+v", summary.Counters)
 	}
+	if strings.Contains(buf.String(), `"dropped"`) {
+		t.Fatalf("short sweep reports forgotten monitor entries: %s", buf.String())
+	}
+}
+
+// A schedule long enough to outgrow the monitor's bounds (generated seed 11
+// at 96 steps forgets 11 entries) must say so in both output forms.
+func TestDroppedReported(t *testing.T) {
+	args := []string{"-seed", "11", "-seeds", "1", "-steps", "96"}
+	var text bytes.Buffer
+	if code := run(args, &text); code != 0 {
+		t.Fatalf("sweep exited %d: %s", code, text.String())
+	}
+	if !strings.Contains(text.String(), "dropped 11 ") {
+		t.Fatalf("text output lacks the dropped count:\n%s", text.String())
+	}
+	var js bytes.Buffer
+	if code := run(append(args, "-json"), &js); code != 0 {
+		t.Fatalf("sweep exited %d: %s", code, js.String())
+	}
+	var summary struct {
+		Dropped uint64 `json:"dropped"`
+	}
+	if err := json.Unmarshal(js.Bytes(), &summary); err != nil {
+		t.Fatalf("bad JSON summary: %v\n%s", err, js.String())
+	}
+	if summary.Dropped != 11 {
+		t.Fatalf("JSON dropped = %d, want 11: %s", summary.Dropped, js.String())
+	}
 }
 
 func TestMutationSweepShrinksWritesAndReplays(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -26,7 +27,7 @@ func TestRunJSONAndProm(t *testing.T) {
 	prom := filepath.Join(t.TempDir(), "metrics.prom")
 	var out bytes.Buffer
 	code := run([]string{"-clients", "50", "-think", "200ms", "-trials", "2",
-		"-pre", "2s", "-json", "-prom", prom}, &out)
+		"-pre", "2s", "-json", "-invariants", "-prom", prom}, &out)
 	if code != 0 {
 		t.Fatalf("exit %d, output:\n%s", code, out.String())
 	}
@@ -58,6 +59,20 @@ func TestRunJSONAndProm(t *testing.T) {
 	}
 	if !strings.Contains(string(text), "load_requests_total") {
 		t.Error("prom output missing load_requests_total counter family")
+	}
+	// The armed monitors observed the run and found nothing: the load run
+	// doubles as a model-checking run.
+	var deliveries float64
+	for _, line := range strings.Split(string(text), "\n") {
+		if v, ok := strings.CutPrefix(line, "invariant_delivery_events_total "); ok {
+			deliveries, _ = strconv.ParseFloat(v, 64)
+		}
+	}
+	if deliveries <= 0 {
+		t.Error("prom output shows no invariant_delivery_events_total: the monitors observed nothing")
+	}
+	if !strings.Contains(string(text), "\ninvariant_violations_total 0\n") {
+		t.Error("prom output lacks invariant_violations_total 0")
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"wackamole/internal/gcs"
+	"wackamole/internal/invariant"
 	"wackamole/internal/obs"
 )
 
@@ -16,10 +17,10 @@ import (
 // the structured event trace travels separately as NDJSON (see WriteTrace)
 // because it is bulky and line-oriented.
 type Artifact struct {
-	Schedule         Schedule   `json:"schedule"`
-	Options          OptionsDoc `json:"options"`
-	Violation        *Violation `json:"violation,omitempty"`
-	ShrinkIterations int        `json:"shrink_iterations,omitempty"`
+	Schedule         Schedule             `json:"schedule"`
+	Options          OptionsDoc           `json:"options"`
+	Violation        *invariant.Violation `json:"violation,omitempty"`
+	ShrinkIterations int                  `json:"shrink_iterations,omitempty"`
 }
 
 // OptionsDoc is the serialized form of the Options fields that affect

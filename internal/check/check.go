@@ -48,23 +48,6 @@ type Options struct {
 	Metrics *metrics.Registry
 	// Mutation injects a deliberate defect (checker self-tests only).
 	Mutation Mutation
-
-	// PingPongBound and PingPongWindow arm the ping-pong oracle (bounded
-	// ownership re-claims per VIP group per window). Zero: computed from
-	// the schedule's shape events, disarmed when the schedule has none.
-	PingPongBound  int
-	PingPongWindow time.Duration
-	// FalseSuspectBound arms the false-suspicion oracle (bounded false
-	// detections of live, reachable peers). Zero: computed from the
-	// schedule's shape events, disarmed when the schedule has none.
-	FalseSuspectBound int
-	// ChurnBound arms the churn oracle (bounded VIP relocations per view).
-	// Zero: armed at the schedule's per-view ceiling, s.VIPs — under the
-	// default least-loaded policy a single reconfiguration may legitimately
-	// reshuffle everything, so the ceiling guards the relocation accounting
-	// rather than the policy; harnesses running the minimal policy pass the
-	// policy's MoveBound for a bound with teeth.
-	ChurnBound int
 }
 
 func (o Options) withDefaults() Options {
@@ -100,7 +83,7 @@ func SettleBound(cfg gcs.Config) time.Duration {
 type Report struct {
 	Schedule Schedule
 	// Violation is nil when every oracle held.
-	Violation *Violation
+	Violation *invariant.Violation
 	// StepsExecuted counts schedule events actually applied (the run stops
 	// at the first violation).
 	StepsExecuted int
@@ -111,6 +94,9 @@ type Report struct {
 	// exercised something.
 	Installs   int
 	Deliveries uint64
+	// Dropped counts the entries the invariant monitor's bounds forgot
+	// (invariant.Monitor.Dropped); the verdict is exact when it is 0.
+	Dropped uint64
 	// Trace holds the structured event stream when Options.Trace was set.
 	Trace []obs.Event
 }
@@ -160,14 +146,16 @@ func Run(s Schedule, opts Options) (*Report, error) {
 	var c *wackamole.Cluster
 	var start time.Time
 	ppBound, ppWindow, fsBound := grayBounds(s, opts)
-	// The checker's monitor runs in Strict mode (full unbounded histories,
-	// batch order sweeps) with no metrics registry or tracer of its own:
-	// wackcheck's counter report flattens every registry family and its
-	// trace artifacts must stay workload-only, so the monitor's own
-	// instrumentation is for the online consumers.
+	// The checker runs the same bounded monitor as every other consumer and
+	// reports what its bounds forgot in Report.Dropped. It gets no metrics
+	// registry or tracer of its own: wackcheck's counter report flattens
+	// every registry family and its trace artifacts must stay
+	// workload-only. The churn oracle is armed at the schedule's per-view
+	// ceiling, s.VIPs: under the default least-loaded policy one
+	// reconfiguration may legitimately reshuffle everything, so the ceiling
+	// guards the relocation accounting rather than the policy.
 	o := invariant.New(invariant.Config{
-		Nodes:  s.Servers,
-		Strict: true,
+		Nodes: s.Servers,
 		Now: func() time.Duration {
 			if c == nil {
 				return 0
@@ -177,7 +165,7 @@ func Run(s Schedule, opts Options) (*Report, error) {
 		PingPongBound:     ppBound,
 		PingPongWindow:    ppWindow,
 		FalseSuspectBound: fsBound,
-		ChurnBound:        churnBound(s, opts),
+		ChurnBound:        s.VIPs,
 	})
 
 	gray := &grayState{
@@ -237,6 +225,7 @@ func Run(s Schedule, opts Options) (*Report, error) {
 			Elapsed:    c.Sim.Now().Sub(start),
 			Installs:   o.Installs(),
 			Deliveries: o.Deliveries(),
+			Dropped:    o.Dropped(),
 		}
 		if tracer != nil {
 			rep.Trace = tracer.Snapshot()
@@ -248,7 +237,6 @@ func Run(s Schedule, opts Options) (*Report, error) {
 	}
 
 	c.Settle()
-	o.CheckOrder()
 	if o.Violation() != nil {
 		return report(), nil
 	}
@@ -265,7 +253,6 @@ func Run(s Schedule, opts Options) (*Report, error) {
 		executed++
 		steps.Inc()
 		o.SetStep(executed)
-		o.CheckOrder()
 		if o.Violation() != nil {
 			break
 		}
@@ -282,7 +269,6 @@ func Run(s Schedule, opts Options) (*Report, error) {
 	if o.Violation() == nil {
 		o.SetStep(executed)
 		c.RunFor(opts.SettleBound)
-		o.CheckOrder()
 	}
 	if o.Violation() == nil {
 		o.CheckSettled(c.InvariantView(), c.RunFor)
@@ -290,9 +276,8 @@ func Run(s Schedule, opts Options) (*Report, error) {
 	if o.Violation() == nil {
 		before := o.Installs()
 		c.RunFor(opts.StabilityWindow)
-		o.CheckOrder()
 		if o.Violation() == nil && o.Installs() != before {
-			o.Fail(OracleConvergence,
+			o.Fail(invariant.OracleConvergence,
 				"membership still changing after the settle bound: %d further view installations during the %v stability window",
 				o.Installs()-before, opts.StabilityWindow)
 		}
@@ -338,22 +323,12 @@ func judgeFalseSuspicion(c *wackamole.Cluster, gray *grayState, observer, peer i
 	return c.Segment.PartitionGroup(po.NIC) == c.Segment.PartitionGroup(pp.NIC)
 }
 
-// churnBound derives the churn-oracle arming: an explicit Options value
-// wins; otherwise the schedule's per-view ceiling (every VIP group counts
-// at most once per view).
-func churnBound(s Schedule, opts Options) int {
-	if opts.ChurnBound > 0 {
-		return opts.ChurnBound
-	}
-	return s.VIPs
-}
-
-// grayBounds derives the gray-oracle arming from the schedule: explicit
-// Options values win; otherwise bounds are computed from the shape events
-// (flap cadence for ping-pong, cumulative impaired time for false
-// suspicion) and both oracles stay disarmed for shape-free schedules.
+// grayBounds derives the gray-oracle arming from the schedule and the
+// serialized options alone, so an artifact replays under the bounds it was
+// found with: they are computed from the shape events (flap cadence for
+// ping-pong, cumulative impaired time for false suspicion), and both
+// oracles stay disarmed for shape-free schedules.
 func grayBounds(s Schedule, opts Options) (ppBound int, ppWindow time.Duration, fsBound int) {
-	ppBound, ppWindow, fsBound = opts.PingPongBound, opts.PingPongWindow, opts.FalseSuspectBound
 	var minFlap, grayDur, lastAt time.Duration
 	started := map[int]time.Duration{}
 	anyShape := false
@@ -392,26 +367,20 @@ func grayBounds(s Schedule, opts Options) (ppBound int, ppWindow time.Duration, 
 	for _, t := range started {
 		grayDur += lastAt + opts.SettleBound - t
 	}
-	if ppWindow <= 0 {
-		ppWindow = 10 * time.Second
+	ppWindow = 10 * time.Second
+	// Per window, a correct cluster re-claims a group at most ~twice per
+	// flap cycle (loss and reclamation) plus up to two transitions per
+	// non-shape event; real ping-pong livelock oscillates per token rotation
+	// and blows through any such bound.
+	cycles := 0
+	if minFlap > 0 {
+		cycles = int(ppWindow/minFlap) + 1
 	}
-	if ppBound <= 0 {
-		// Per window, a correct cluster re-claims a group at most ~twice
-		// per flap cycle (loss and reclamation) plus up to two transitions
-		// per non-shape event; real ping-pong livelock oscillates per token
-		// rotation and blows through any such bound.
-		cycles := 0
-		if minFlap > 0 {
-			cycles = int(ppWindow/minFlap) + 1
-		}
-		ppBound = 8 + 2*len(s.Events) + 4*cycles
-	}
-	if fsBound <= 0 {
-		// A lossy-but-alive or stalled member can legitimately be suspected
-		// about once per fault-detection timeout of impaired time; allow a
-		// 3x margin before calling the detector defective.
-		fsBound = 3 + 3*(int(grayDur/opts.GCS.FaultDetectTimeout)+1)
-	}
+	ppBound = 8 + 2*len(s.Events) + 4*cycles
+	// A lossy-but-alive or stalled member can legitimately be suspected
+	// about once per fault-detection timeout of impaired time; allow a 3x
+	// margin before calling the detector defective.
+	fsBound = 3 + 3*(int(grayDur/opts.GCS.FaultDetectTimeout)+1)
 	return
 }
 

@@ -139,7 +139,7 @@ func TestMutationCaughtShrunkAndReplayed(t *testing.T) {
 	if rep.Violation == nil {
 		t.Fatalf("broken release rule went undetected")
 	}
-	if rep.Violation.Oracle != OracleExactlyOnce && rep.Violation.Oracle != OracleForeignClaim {
+	if rep.Violation.Oracle != invariant.OracleExactlyOnce && rep.Violation.Oracle != invariant.OracleForeignClaim {
 		t.Fatalf("unexpected oracle %s: %v", rep.Violation.Oracle, rep.Violation)
 	}
 
@@ -182,50 +182,83 @@ func TestMutationCaughtShrunkAndReplayed(t *testing.T) {
 	}
 }
 
-// strictMonitor builds the checker-mode oracle state machine the way Run
-// does, for driving its event methods directly.
-func strictMonitor(nodes int) *invariant.Monitor {
+// The checker's monitor is bounded: at CI's schedule lengths nothing may be
+// forgotten, so those verdicts are exact, while a long schedule outgrows the
+// bounds and must say so in Report.Dropped rather than forget silently.
+func TestMonitorBoundsAtScheduleLength(t *testing.T) {
+	gen := GenConfig{Servers: 5, VIPs: 10, Steps: 24, Leaves: true}
+	schedules := []Schedule{}
+	for seed := int64(1); seed <= 4; seed++ {
+		schedules = append(schedules, Generate(seed, gen))
+	}
+	gray := gen
+	gray.Steps, gray.Gray = 16, true
+	schedules = append(schedules, Generate(1, gray))
+	for _, s := range schedules {
+		rep, err := Run(s, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Violation != nil || rep.Dropped != 0 {
+			t.Fatalf("seed %d, %d steps: violation %v, %d entries dropped; want a clean, exact verdict",
+				s.Seed, len(s.Events), rep.Violation, rep.Dropped)
+		}
+	}
+
+	gen.Steps = 96
+	rep, err := Run(Generate(11, gen), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Violation != nil || rep.Dropped == 0 {
+		t.Fatalf("seed 11, 96 steps: violation %v, %d entries dropped; want clean with a positive count",
+			rep.Violation, rep.Dropped)
+	}
+}
+
+// checkerMonitor builds the oracle state machine the way Run does, for
+// driving its event methods directly.
+func checkerMonitor(nodes int) *invariant.Monitor {
 	return invariant.New(invariant.Config{
-		Nodes: nodes, Strict: true, Now: func() time.Duration { return 0 },
+		Nodes: nodes, Now: func() time.Duration { return 0 },
 	})
 }
 
 // TestOracleViewOrderDetectsDivergence feeds the oracle state machine two
 // engines that disagree on a view's membership.
 func TestOracleViewOrderDetectsDivergence(t *testing.T) {
-	o := strictMonitor(2)
+	o := checkerMonitor(2)
 	o.OnView(0, core.View{ID: "v1", Members: []core.MemberID{"a", "b"}})
 	o.OnView(1, core.View{ID: "v1", Members: []core.MemberID{"a"}})
-	if v := o.Violation(); v == nil || v.Oracle != OracleViewOrder {
+	if v := o.Violation(); v == nil || v.Oracle != invariant.OracleViewOrder {
 		t.Fatalf("diverging member lists not caught: %v", v)
 	}
 }
 
 func TestOracleViewOrderDetectsReordering(t *testing.T) {
-	o := strictMonitor(2)
+	o := checkerMonitor(2)
 	o.OnView(0, core.View{ID: "v1", Members: []core.MemberID{"a"}})
 	o.OnView(0, core.View{ID: "v2", Members: []core.MemberID{"a", "b"}})
 	o.OnView(1, core.View{ID: "v2", Members: []core.MemberID{"a", "b"}})
 	o.OnView(1, core.View{ID: "v1", Members: []core.MemberID{"a"}})
-	o.CheckOrder()
-	if v := o.Violation(); v == nil || v.Oracle != OracleViewOrder {
+	if v := o.Violation(); v == nil || v.Oracle != invariant.OracleViewOrder {
 		t.Fatalf("opposite install orders not caught: %v", v)
 	}
 }
 
 func TestOracleDeliveryOrderDetectsConflicts(t *testing.T) {
 	ring := gcs.RingID{Coord: "d0", Epoch: 1}
-	o := strictMonitor(2)
+	o := checkerMonitor(2)
 	o.OnDelivery(0, ring, 1, "d0")
 	o.OnDelivery(1, ring, 1, "d1")
-	if v := o.Violation(); v == nil || v.Oracle != OracleDeliveryOrder {
+	if v := o.Violation(); v == nil || v.Oracle != invariant.OracleDeliveryOrder {
 		t.Fatalf("conflicting origins not caught: %v", v)
 	}
 
-	o = strictMonitor(1)
+	o = checkerMonitor(1)
 	o.OnDelivery(0, ring, 2, "d0")
 	o.OnDelivery(0, ring, 1, "d0")
-	if v := o.Violation(); v == nil || v.Oracle != OracleDeliveryOrder {
+	if v := o.Violation(); v == nil || v.Oracle != invariant.OracleDeliveryOrder {
 		t.Fatalf("out-of-order delivery not caught: %v", v)
 	}
 }

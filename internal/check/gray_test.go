@@ -177,19 +177,12 @@ func TestGrayBoundsDerivation(t *testing.T) {
 		t.Fatalf("gray schedule left oracles disarmed: pp=%d window=%v fs=%d", pp, window, fs)
 	}
 
-	// Shape-free schedules keep both oracles disarmed unless Options set
-	// explicit bounds.
+	// Shape-free schedules keep both oracles disarmed.
 	plain := Schedule{Seed: 1, Servers: 3, VIPs: 4, Events: []Event{
 		{At: time.Second, Op: OpFail, Server: 0},
 	}}
 	pp, _, fs = grayBounds(plain, opts)
 	if pp != 0 || fs != 0 {
 		t.Fatalf("shape-free schedule armed gray oracles: pp=%d fs=%d", pp, fs)
-	}
-	explicit := opts
-	explicit.PingPongBound, explicit.FalseSuspectBound = 5, 7
-	pp, _, fs = grayBounds(plain, explicit)
-	if pp != 5 || fs != 7 {
-		t.Fatalf("explicit bounds not honored: pp=%d fs=%d", pp, fs)
 	}
 }

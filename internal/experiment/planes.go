@@ -62,20 +62,18 @@ func (p *planes) setClock(s *sim.Sim) {
 	}
 }
 
-// verify applies the monitor's batch order sweep and, given a cluster, runs
-// it for settle to a resting state and probes the settled-state oracles; it
-// returns the first violation the monitor saw. Call after the measured
-// value is extracted: the extra simulated time is monitoring-only and
-// cannot perturb the sample.
+// verify, given a cluster, runs it for settle to a resting state and probes
+// the settled-state oracles; it returns the first violation the monitor
+// saw. Call after the measured value is extracted: the extra simulated time
+// is monitoring-only and cannot perturb the sample.
 func (p *planes) verify(c *wackamole.Cluster, settle time.Duration) *invariant.Violation {
 	if p.mon == nil {
 		return nil
 	}
-	if c != nil && settle > 0 {
-		c.RunFor(settle)
-	}
-	p.mon.CheckOrder()
 	if c != nil {
+		if settle > 0 {
+			c.RunFor(settle)
+		}
 		p.mon.CheckSettled(c.InvariantView(), c.RunFor)
 	}
 	return p.mon.Violation()

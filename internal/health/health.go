@@ -158,14 +158,6 @@ func NewMonitor(o Options) *Monitor {
 	return m
 }
 
-// Node returns the observer identity the monitor was built with.
-func (m *Monitor) Node() string {
-	if m == nil {
-		return ""
-	}
-	return m.node
-}
-
 // Threshold returns the phi suspicion threshold.
 func (m *Monitor) Threshold() float64 {
 	if m == nil {
@@ -490,14 +482,6 @@ func histBucket(ns uint64) int {
 		b = HistBuckets - 1
 	}
 	return b
-}
-
-// HistBucketLow returns the lower bound of log2 bucket i in nanoseconds.
-func HistBucketLow(i int) time.Duration {
-	if i <= 0 {
-		return 0
-	}
-	return time.Duration(uint64(1) << (i - 1))
 }
 
 // PhiMilli converts a phi value to the clamped milli-phi fixed-point used on

@@ -265,7 +265,8 @@ func TestInterarrivalHistogram(t *testing.T) {
 	if total != 10 {
 		t.Fatalf("histogram total = %d, want 10", total)
 	}
-	if lo := HistBucketLow(want); lo > 100*time.Millisecond || lo < 50*time.Millisecond {
+	// Log2 bucket i > 0 holds gaps in [2^(i-1), 2^i) ns.
+	if lo := time.Duration(uint64(1) << (want - 1)); lo > 100*time.Millisecond || lo < 50*time.Millisecond {
 		t.Fatalf("bucket %d lower bound %v does not cover 100ms", want, lo)
 	}
 }

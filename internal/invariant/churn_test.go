@@ -9,7 +9,7 @@ import (
 // bound, both nodes in view v1, and node 0 owning g1..gN under v1 (first
 // acquisitions are free — there is no previous owner to move from).
 func churnMonitor(bound int, groups ...string) *Monitor {
-	m := onlineMonitor(2, Config{Shards: groups, ChurnBound: bound})
+	m := testMonitor(2, Config{ChurnBound: bound})
 	m.OnView(0, view("v1", "a", "b"))
 	m.OnView(1, view("v1", "a", "b"))
 	for _, g := range groups {
@@ -21,6 +21,17 @@ func churnMonitor(bound int, groups ...string) *Monitor {
 func installView(m *Monitor, id string) {
 	m.OnView(0, view(id, "a", "b"))
 	m.OnView(1, view(id, "a", "b"))
+}
+
+// viewMoves reports how many relocations the churn oracle has counted for
+// viewID (0 if the view fell out of the window or never moved anything).
+func viewMoves(m *Monitor, viewID string) int {
+	for _, cv := range m.churnViews {
+		if cv.id == viewID {
+			return cv.moves
+		}
+	}
+	return 0
 }
 
 func TestChurnOracleTrips(t *testing.T) {
@@ -37,8 +48,8 @@ func TestChurnOracleTrips(t *testing.T) {
 	if v := m.Violation(); v != nil {
 		t.Fatalf("2 relocations with bound 2 tripped: %v", v)
 	}
-	if got := m.ViewMoves("v2"); got != 2 {
-		t.Fatalf("ViewMoves(v2) = %d, want 2", got)
+	if got := viewMoves(m, "v2"); got != 2 {
+		t.Fatalf("viewMoves(v2) = %d, want 2", got)
 	}
 
 	m.OnOwnership(0, "g3", false, "v2")
@@ -83,8 +94,8 @@ func TestChurnOracleDedupsWithinView(t *testing.T) {
 	if v := m.Violation(); v != nil {
 		t.Fatalf("re-claims of one shard within one view tripped churn: %v", v)
 	}
-	if got := m.ViewMoves("v2"); got != 1 {
-		t.Fatalf("ViewMoves(v2) = %d, want 1", got)
+	if got := viewMoves(m, "v2"); got != 1 {
+		t.Fatalf("viewMoves(v2) = %d, want 1", got)
 	}
 }
 
@@ -99,8 +110,8 @@ func TestChurnOracleDisarmedByDefault(t *testing.T) {
 		t.Fatalf("disarmed churn oracle tripped: %v", v)
 	}
 	// Disarmed still counts, so late armers can inspect history.
-	if got := m.ViewMoves("v2"); got != 3 {
-		t.Fatalf("ViewMoves(v2) = %d while disarmed, want 3", got)
+	if got := viewMoves(m, "v2"); got != 3 {
+		t.Fatalf("viewMoves(v2) = %d while disarmed, want 3", got)
 	}
 }
 
@@ -113,8 +124,8 @@ func TestArmChurnMidRun(t *testing.T) {
 	m.OnOwnership(1, "g1", true, "v2")
 
 	m.ArmChurn(1)
-	if got := m.ViewMoves("v2"); got != 0 {
-		t.Fatalf("ViewMoves(v2) = %d after arming, want 0", got)
+	if got := viewMoves(m, "v2"); got != 0 {
+		t.Fatalf("viewMoves(v2) = %d after arming, want 0", got)
 	}
 	// One relocation in the same view: within bound, because arming wiped
 	// the view's tally.

@@ -14,8 +14,7 @@ func claimRelease(m *Monitor, group string) {
 }
 
 func pingPongMonitor(bound int, window time.Duration, now *time.Duration) *Monitor {
-	m := onlineMonitor(2, Config{
-		Shards:         []string{"web1"},
+	m := testMonitor(2, Config{
 		PingPongBound:  bound,
 		PingPongWindow: window,
 		Now:            func() time.Duration { return *now },
@@ -68,9 +67,8 @@ func TestPingPongOracleRespectsWindow(t *testing.T) {
 
 func TestPingPongOracleDisarmedByDefault(t *testing.T) {
 	var now time.Duration
-	m := onlineMonitor(2, Config{
-		Shards: []string{"web1"},
-		Now:    func() time.Duration { return *(&now) },
+	m := testMonitor(2, Config{
+		Now: func() time.Duration { return *(&now) },
 	})
 	m.OnView(0, view("v1", "a", "b"))
 	for k := 0; k < 50; k++ {
@@ -95,7 +93,7 @@ func TestPingPongOraclePerShard(t *testing.T) {
 }
 
 func TestFalseSuspectOracle(t *testing.T) {
-	m := onlineMonitor(3, Config{FalseSuspectBound: 2})
+	m := testMonitor(3, Config{FalseSuspectBound: 2})
 	m.OnFalseSuspicion(0, "10.0.0.11:4803")
 	m.OnFalseSuspicion(1, "10.0.0.11:4803")
 	if v := m.Violation(); v != nil {
@@ -109,27 +107,24 @@ func TestFalseSuspectOracle(t *testing.T) {
 	if v.Oracle != OracleFalseSuspect {
 		t.Fatalf("oracle = %q, want %q", v.Oracle, OracleFalseSuspect)
 	}
-	if got := m.FalseSuspicions(); got != 3 {
-		t.Fatalf("FalseSuspicions() = %d, want 3", got)
+	if got := m.falseSuspects; got != 3 {
+		t.Fatalf("falseSuspects = %d, want 3", got)
 	}
 }
 
 func TestFalseSuspectOracleDisarmedByDefault(t *testing.T) {
-	m := onlineMonitor(2, Config{})
+	m := testMonitor(2, Config{})
 	for k := 0; k < 10; k++ {
 		m.OnFalseSuspicion(0, "peer")
 	}
 	if v := m.Violation(); v != nil {
 		t.Fatalf("disarmed false-suspect oracle tripped: %v", v)
 	}
-	if got := m.FalseSuspicions(); got != 0 {
+	if got := m.falseSuspects; got != 0 {
 		t.Fatalf("disarmed monitor counted %d false suspicions, want 0", got)
 	}
 	var nilMon *Monitor
 	nilMon.OnFalseSuspicion(0, "peer") // nil-safe like every hook
-	if got := nilMon.FalseSuspicions(); got != 0 {
-		t.Fatalf("nil monitor FalseSuspicions() = %d", got)
-	}
 }
 
 // The armed ping-pong path must stay allocation-free in steady state — the

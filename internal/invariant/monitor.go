@@ -6,14 +6,14 @@
 // churn oracle (bounded VIP relocations per reconfiguration) packaged as a
 // Monitor that attaches to any set of nodes through the existing nil-safe,
 // chainable observation hooks (core.Engine.AddViewHook and AddOwnershipHook,
-// gcs.Daemon.AddDeliveryHandler). The checker consumes it in Strict mode,
-// where state is unbounded and findings are byte-identical to the original
-// internal/check oracles; every other consumer — wackload traffic sweeps,
-// wacksim experiments, a live wackamole daemon — arms it in online mode,
-// where per-node and per-ring state is pre-sized and bounded so the hot
-// path (one callback per Agreed delivery) allocates nothing, the way the
-// Derecho runtime-checking work runs its predicates continuously in
-// production-shaped deployments rather than only under a checker.
+// gcs.Daemon.AddDeliveryHandler). Every consumer — the model checker,
+// wackload traffic sweeps, wacksim experiments, a live wackamole daemon —
+// runs the same monitor: per-node and per-ring state is pre-sized and
+// bounded so the hot path (one callback per Agreed delivery) allocates
+// nothing, and every entry a bound forgets is counted by Dropped, so a
+// verdict reached while Dropped reads 0 is exact. This is the way the
+// Derecho runtime-checking work runs one predicate set continuously, under
+// a checker and in production-shaped deployments alike.
 //
 // A Monitor is safe for concurrent hook callbacks: under the deterministic
 // simulator everything runs on one goroutine, but the realtime environment
@@ -32,25 +32,27 @@ import (
 	"wackamole/internal/obs"
 )
 
-// Defaults for the online mode's bounded state.
+// Bounds on the monitor's state. Every entry a bound makes the monitor
+// forget is counted in Dropped.
 const (
-	// DefaultWindow is the per-ring cross-node origin-agreement window: how
+	// originWindow is the per-ring cross-node origin-agreement window: how
 	// many recent (ring, seq) slots are retained for the delivery-order
 	// oracle. Deliveries more than a window behind the newest one on their
-	// ring fall out of the comparison (they can no longer conflict in a
-	// live system — every attached daemon has long moved past them).
-	DefaultWindow = 1024
-	// DefaultHistory is the per-node view-installation history retained for
+	// ring fall out of the comparison (in a live system every attached
+	// daemon has long moved past them).
+	originWindow = 1024
+	// viewHistory is the per-node view-installation history retained for
 	// the cross-node view-order oracle.
-	DefaultHistory = 64
-	// DefaultMaxRings bounds how many rings keep an origin window; the
-	// least recently delivering ring is evicted first. Rings are created by
+	viewHistory = 64
+	// maxRings bounds how many rings keep an origin window; the least
+	// recently delivering ring is evicted first. Rings are created by
 	// membership changes, so the bound is generous for any real run.
-	DefaultMaxRings = 128
-	// DefaultMaxViews bounds the view-identity table (view ID → member
-	// list) in online mode; the oldest pinned view is forgotten first.
-	DefaultMaxViews = 1024
-	// maxShards bounds dynamically registered per-VIP-group shard state.
+	maxRings = 128
+	// maxViews bounds the view-identity table (view ID → member list); the
+	// oldest pinned view is forgotten first.
+	maxViews = 1024
+	// maxShards bounds per-VIP-group ownership state; ownership events for
+	// groups beyond it go untracked.
 	maxShards = 1024
 )
 
@@ -66,24 +68,6 @@ type Node interface {
 type Config struct {
 	// Nodes is the number of attachable node slots (required, >= 1).
 	Nodes int
-	// Strict selects the model checker's unbounded mode: full view
-	// histories, an unbounded origin table, and the batch CheckOrder sweep.
-	// Findings in strict mode are byte-identical to the PR-4 oracles. The
-	// default (online) mode bounds every structure (Window, History,
-	// MaxRings, MaxViews) and checks view order incrementally on each
-	// install, so steady-state events allocate nothing.
-	Strict bool
-	// Window, History, MaxRings and MaxViews size the online mode's
-	// bounded state; zero means the Default* constants.
-	Window   int
-	History  int
-	MaxRings int
-	MaxViews int
-	// Shards pre-registers per-VIP-group ownership state (one shard per
-	// group name). Groups observed at runtime but not listed here are
-	// registered on first sight, so listing is an allocation warm-up, not a
-	// requirement.
-	Shards []string
 	// Now stamps violations with an offset from the start of the run:
 	// virtual time under the simulator, wall time since New otherwise
 	// (nil). SetNow may replace it after construction.
@@ -132,18 +116,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Window <= 0 {
-		c.Window = DefaultWindow
-	}
-	if c.History <= 0 {
-		c.History = DefaultHistory
-	}
-	if c.MaxRings <= 0 {
-		c.MaxRings = DefaultMaxRings
-	}
-	if c.MaxViews <= 0 {
-		c.MaxViews = DefaultMaxViews
-	}
 	if c.Name == "" {
 		c.Name = "invariant"
 	}
@@ -151,11 +123,6 @@ func (c Config) withDefaults() Config {
 		c.PingPongWindow = 10 * time.Second
 	}
 	return c
-}
-
-type delivKey struct {
-	ring gcs.RingID
-	seq  uint64
 }
 
 // churnViewWindow is how many recent views keep a relocation count; views
@@ -175,7 +142,7 @@ type originSlot struct {
 	set    bool
 }
 
-// ringState is the online mode's bounded per-ring origin window.
+// ringState is one ring's bounded origin window.
 type ringState struct {
 	window []originSlot
 	touch  uint64 // monotone recency stamp for eviction
@@ -195,26 +162,23 @@ type Monitor struct {
 	installs    uint64
 	delivers    uint64
 
-	// viewMembers pins the member list first seen for each view ID; in
-	// online mode viewEvict bounds it to MaxViews entries.
+	// viewMembers pins the member list first seen for each view ID;
+	// viewEvict bounds it to maxViews entries.
 	viewMembers  map[string][]core.MemberID
 	viewEvict    []string
 	viewEvictPos int
 
-	// Strict mode: full per-node installation history and unbounded
-	// (ring, seq) → origin table, exactly the PR-4 oracle state.
-	installsAll [][]core.View
-	origins     map[delivKey]gcs.DaemonID
-
-	// Online mode: bounded per-node view-history rings and per-ring origin
-	// windows.
+	// Bounded per-node view-history rings and per-ring origin windows.
 	hist      [][]string
 	histStart []int
 	histLen   []int
 	rings     map[gcs.RingID]*ringState
 	ringTick  uint64
 
-	// lastSeq is each daemon's last delivered seq per ring (both modes).
+	// dropped counts entries the bounds above (and maxShards) forgot.
+	dropped uint64
+
+	// lastSeq is each daemon's last delivered seq per ring.
 	lastSeq []map[gcs.RingID]uint64
 
 	// Shard-aware ownership state: one claim bitmap per VIP group, so
@@ -270,32 +234,22 @@ func New(cfg Config) *Monitor {
 		selfs:       make([]core.MemberID, cfg.Nodes),
 		currentView: make([]core.View, cfg.Nodes),
 		viewMembers: make(map[string][]core.MemberID),
+		viewEvict:   make([]string, 0, maxViews),
+		hist:        make([][]string, cfg.Nodes),
+		histStart:   make([]int, cfg.Nodes),
+		histLen:     make([]int, cfg.Nodes),
+		rings:       make(map[gcs.RingID]*ringState, maxRings),
 		lastSeq:     make([]map[gcs.RingID]uint64, cfg.Nodes),
 		shardIdx:    make(map[string]int),
+		churnBound:  cfg.ChurnBound,
 	}
-	for i := range m.lastSeq {
+	for i := range m.hist {
+		m.hist[i] = make([]string, viewHistory)
 		m.lastSeq[i] = map[gcs.RingID]uint64{}
 	}
-	m.churnBound = cfg.ChurnBound
 	if m.now == nil {
 		start := time.Now()
 		m.now = func() time.Duration { return time.Since(start) }
-	}
-	if cfg.Strict {
-		m.installsAll = make([][]core.View, cfg.Nodes)
-		m.origins = map[delivKey]gcs.DaemonID{}
-	} else {
-		m.viewEvict = make([]string, 0, cfg.MaxViews)
-		m.hist = make([][]string, cfg.Nodes)
-		for i := range m.hist {
-			m.hist[i] = make([]string, cfg.History)
-		}
-		m.histStart = make([]int, cfg.Nodes)
-		m.histLen = make([]int, cfg.Nodes)
-		m.rings = make(map[gcs.RingID]*ringState, cfg.MaxRings)
-	}
-	for _, name := range cfg.Shards {
-		m.registerShardLocked(name)
 	}
 	// Counters are resolved once here so the per-event path is a single
 	// nil-safe atomic add.
@@ -347,17 +301,6 @@ func (m *Monitor) Attach(i int, n Node) {
 	})
 }
 
-// SetSelf records node slot i's member identity without attaching hooks;
-// tests driving the event methods directly use it in place of Attach.
-func (m *Monitor) SetSelf(i int, self core.MemberID) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	m.selfs[i] = self
-	m.mu.Unlock()
-}
-
 // SetStep tags subsequent violations with the schedule step the checker is
 // executing; meaningless (and left at zero) outside the checker.
 func (m *Monitor) SetStep(step int) {
@@ -398,6 +341,20 @@ func (m *Monitor) Deliveries() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.delivers
+}
+
+// Dropped counts the entries the monitor's bounds have forgotten: view-table
+// evictions, view-history overwrites, ring evictions, deliveries that arrive
+// behind their ring's origin window, and ownership events for VIP groups
+// beyond the shard bound. A verdict is exact while it reads 0; past that, a
+// conflict involving a forgotten entry can go unseen.
+func (m *Monitor) Dropped() uint64 {
+	if m == nil {
+		return 0
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.dropped
 }
 
 // Fail records a violation found outside the hook streams (the settled
@@ -453,9 +410,10 @@ func (m *Monitor) report(v *Violation) {
 	}
 }
 
-// OnView is the engine view hook for node slot i: the identity half of the
-// view-order oracle — the same view ID must always carry the same member
-// list — plus history upkeep for the cross-node half.
+// OnView is the engine view hook for node slot i, and the whole view-order
+// oracle: the same view ID must always carry the same member list, and node
+// i must have installed its views in the same relative order as every other
+// node installed their common ones.
 func (m *Monitor) OnView(i int, v core.View) {
 	if m == nil {
 		return
@@ -469,26 +427,18 @@ func (m *Monitor) OnView(i int, v core.View) {
 				"view %s installed with diverging member lists: %v vs %v (server %d)",
 				v.ID, prev, v.Members, i)
 		}
-	} else if m.cfg.Strict {
-		m.viewMembers[v.ID] = append([]core.MemberID(nil), v.Members...)
 	} else {
 		// The hook contract hands each node a fresh member-list copy, so
 		// pinning the slice directly allocates nothing here.
 		m.rememberViewLocked(v.ID, v.Members)
 	}
-	if m.cfg.Strict {
-		m.installsAll[i] = append(m.installsAll[i], v)
-		m.currentView[i] = v
-	} else {
-		// Engines install each view once; a re-observation of the current
-		// view is idempotent for ordering purposes and skips the history.
-		if v.ID != m.currentView[i].ID {
-			m.histAppendLocked(i, v.ID)
-			m.currentView[i] = v
-			m.orderCheckNodeLocked(i)
-		} else {
-			m.currentView[i] = v
-		}
+	// Engines install each view once; a re-observation of the current view
+	// is idempotent for ordering purposes and skips the history.
+	fresh := v.ID != m.currentView[i].ID
+	m.currentView[i] = v
+	if fresh {
+		m.histAppendLocked(i, v.ID)
+		m.orderCheckNodeLocked(i)
 	}
 	viol := m.takeNewViolationLocked()
 	m.mu.Unlock()
@@ -511,38 +461,26 @@ func (m *Monitor) OnDelivery(i int, ring gcs.RingID, seq uint64, origin gcs.Daem
 			"server %d delivered ring %s seq %d after seq %d", i, ring, seq, last)
 	}
 	m.lastSeq[i][ring] = seq
-	if m.cfg.Strict {
-		key := delivKey{ring: ring, seq: seq}
-		if prev, ok := m.origins[key]; ok {
-			if prev != origin {
-				m.failLocked(OracleDeliveryOrder,
-					"ring %s seq %d delivered from origin %s at server %d but %s elsewhere",
-					ring, seq, origin, i, prev)
-			}
-		} else {
-			m.origins[key] = origin
+	rs := m.rings[ring]
+	if rs == nil {
+		rs = m.addRingLocked(ring)
+	}
+	m.ringTick++
+	rs.touch = m.ringTick
+	slot := &rs.window[seq%originWindow]
+	switch {
+	case slot.set && slot.seq == seq:
+		if slot.origin != origin {
+			m.failLocked(OracleDeliveryOrder,
+				"ring %s seq %d delivered from origin %s at server %d but %s elsewhere",
+				ring, seq, origin, i, slot.origin)
 		}
-	} else {
-		rs := m.rings[ring]
-		if rs == nil {
-			rs = m.addRingLocked(ring)
-		}
-		m.ringTick++
-		rs.touch = m.ringTick
-		slot := &rs.window[seq%uint64(len(rs.window))]
-		switch {
-		case slot.set && slot.seq == seq:
-			if slot.origin != origin {
-				m.failLocked(OracleDeliveryOrder,
-					"ring %s seq %d delivered from origin %s at server %d but %s elsewhere",
-					ring, seq, origin, i, slot.origin)
-			}
-		case !slot.set || seq > slot.seq:
-			slot.seq, slot.origin, slot.set = seq, origin, true
-		default:
-			// seq fell behind the window: every attached daemon has moved
-			// past it, so it can no longer conflict.
-		}
+	case !slot.set || seq > slot.seq:
+		slot.seq, slot.origin, slot.set = seq, origin, true
+	default:
+		// seq fell behind the window: its slot now holds a newer seq, so
+		// there is nothing left to compare it against.
+		m.dropped++
 	}
 	viol := m.takeNewViolationLocked()
 	m.mu.Unlock()
@@ -588,57 +526,6 @@ func (m *Monitor) OnOwnership(i int, group string, owned bool, viewID string) {
 	m.report(viol)
 }
 
-// CheckOrder validates the cross-node half of the view-order oracle: any
-// two engines must have installed their common views in the same relative
-// order. In strict mode this is the checker's O(nodes² × installs) batch
-// sweep over the full histories; online mode re-sweeps the bounded
-// histories (each install already checked incrementally, so this is a
-// consistency backstop for explicit callers).
-func (m *Monitor) CheckOrder() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	if m.violation == nil {
-		if m.cfg.Strict {
-			m.checkOrderStrictLocked()
-		} else {
-			for i := 0; i < m.cfg.Nodes && m.violation == nil; i++ {
-				m.orderCheckNodeLocked(i)
-			}
-		}
-	}
-	viol := m.takeNewViolationLocked()
-	m.mu.Unlock()
-	m.report(viol)
-}
-
-func (m *Monitor) checkOrderStrictLocked() {
-	for a := 0; a < m.cfg.Nodes; a++ {
-		pos := make(map[string]int, len(m.installsAll[a]))
-		for idx, v := range m.installsAll[a] {
-			pos[v.ID] = idx
-		}
-		for b := a + 1; b < m.cfg.Nodes; b++ {
-			lastPos := -1
-			var lastID string
-			for _, v := range m.installsAll[b] {
-				p, ok := pos[v.ID]
-				if !ok {
-					continue
-				}
-				if p <= lastPos {
-					m.failLocked(OracleViewOrder,
-						"servers %d and %d installed views %s and %s in opposite orders",
-						a, b, lastID, v.ID)
-					return
-				}
-				lastPos, lastID = p, v.ID
-			}
-		}
-	}
-}
-
 // orderCheckNodeLocked runs the pairwise order check between node i and
 // every other node over the bounded histories, allocation-free.
 func (m *Monitor) orderCheckNodeLocked(i int) {
@@ -658,8 +545,7 @@ func (m *Monitor) orderCheckNodeLocked(i int) {
 
 // pairOrderLocked checks one node pair: walk b's retained history and
 // demand that the positions (in a's history) of their common views are
-// strictly increasing — the same predicate as the strict batch sweep,
-// restricted to the bounded windows.
+// strictly increasing.
 func (m *Monitor) pairOrderLocked(a, b int) {
 	lastPos := -1
 	var lastID string
@@ -698,11 +584,12 @@ func (m *Monitor) histAppendLocked(i int, id string) {
 	} else {
 		h[m.histStart[i]] = id
 		m.histStart[i] = (m.histStart[i] + 1) % len(h)
+		m.dropped++
 	}
 }
 
 // rememberViewLocked pins a view's member list, evicting the oldest pinned
-// view once MaxViews are retained (online mode only).
+// view once maxViews are retained.
 func (m *Monitor) rememberViewLocked(id string, members []core.MemberID) {
 	if len(m.viewEvict) < cap(m.viewEvict) {
 		m.viewEvict = append(m.viewEvict, id)
@@ -710,14 +597,15 @@ func (m *Monitor) rememberViewLocked(id string, members []core.MemberID) {
 		delete(m.viewMembers, m.viewEvict[m.viewEvictPos])
 		m.viewEvict[m.viewEvictPos] = id
 		m.viewEvictPos = (m.viewEvictPos + 1) % len(m.viewEvict)
+		m.dropped++
 	}
 	m.viewMembers[id] = members
 }
 
 // addRingLocked creates a ring's origin window, evicting the least
-// recently delivering ring beyond MaxRings.
+// recently delivering ring beyond maxRings.
 func (m *Monitor) addRingLocked(ring gcs.RingID) *ringState {
-	if len(m.rings) >= m.cfg.MaxRings {
+	if len(m.rings) >= maxRings {
 		var oldest gcs.RingID
 		var oldestTouch uint64
 		first := true
@@ -727,17 +615,16 @@ func (m *Monitor) addRingLocked(ring gcs.RingID) *ringState {
 			}
 		}
 		delete(m.rings, oldest)
+		m.dropped++
 	}
-	rs := &ringState{window: make([]originSlot, m.cfg.Window)}
+	rs := &ringState{window: make([]originSlot, originWindow)}
 	m.rings[ring] = rs
 	return rs
 }
 
-// registerShardLocked allocates claim state for one VIP group.
+// registerShardLocked allocates claim state for a VIP group seen for the
+// first time.
 func (m *Monitor) registerShardLocked(name string) int {
-	if idx, ok := m.shardIdx[name]; ok {
-		return idx
-	}
 	idx := len(m.shardNames)
 	m.shardIdx[name] = idx
 	m.shardNames = append(m.shardNames, name)
@@ -761,6 +648,7 @@ func (m *Monitor) trackShardLocked(i int, group string, owned bool) {
 	idx, ok := m.shardIdx[group]
 	if !ok {
 		if len(m.shardNames) >= maxShards {
+			m.dropped++
 			return
 		}
 		idx = m.registerShardLocked(group)
@@ -877,22 +765,6 @@ func (m *Monitor) bumpChurnViewLocked(viewID string) int {
 	return 1
 }
 
-// ViewMoves reports how many relocations the churn oracle has counted for
-// viewID (0 if the view fell out of the window or never moved anything).
-func (m *Monitor) ViewMoves(viewID string) int {
-	if m == nil {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for k := range m.churnViews {
-		if m.churnViews[k].id == viewID {
-			return m.churnViews[k].moves
-		}
-	}
-	return 0
-}
-
 // OnFalseSuspicion records that node slot i declared peer failed while
 // ground truth — judged by the caller, which knows whether the peer's host
 // was alive, its interface up and both sides in the same partition — says
@@ -916,31 +788,6 @@ func (m *Monitor) OnFalseSuspicion(i int, peer string) {
 	viol := m.takeNewViolationLocked()
 	m.mu.Unlock()
 	m.report(viol)
-}
-
-// FalseSuspicions reports how many false detections have been recorded via
-// OnFalseSuspicion (0 when the oracle is disarmed).
-func (m *Monitor) FalseSuspicions() int {
-	if m == nil {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.falseSuspects
-}
-
-// ShardOwners reports how many attached nodes currently claim group (0 if
-// the group has produced no ownership event yet).
-func (m *Monitor) ShardOwners(group string) int {
-	if m == nil {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if idx, ok := m.shardIdx[group]; ok {
-		return m.shardCount[idx]
-	}
-	return 0
 }
 
 // takeNewViolationLocked hands the violation to the caller exactly once

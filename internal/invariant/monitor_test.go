@@ -2,6 +2,7 @@ package invariant
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,14 +15,16 @@ import (
 	"wackamole/internal/obs"
 )
 
-func onlineMonitor(nodes int, cfg Config) *Monitor {
+// testMonitor builds a monitor whose node slots are members "a", "b", ...
+// without attaching hooks, for driving the event methods directly.
+func testMonitor(nodes int, cfg Config) *Monitor {
 	cfg.Nodes = nodes
 	if cfg.Now == nil {
 		cfg.Now = func() time.Duration { return 0 }
 	}
 	m := New(cfg)
 	for i := 0; i < nodes; i++ {
-		m.SetSelf(i, core.MemberID(string(rune('a'+i))))
+		m.selfs[i] = core.MemberID(string(rune('a' + i)))
 	}
 	return m
 }
@@ -36,12 +39,12 @@ func view(id string, members ...core.MemberID) core.View {
 // times. This is the PR's allocation pin.
 func TestOnlineHotPathAllocationFree(t *testing.T) {
 	reg := metrics.New()
-	m := onlineMonitor(2, Config{Metrics: reg, Shards: []string{"web1"}})
+	m := testMonitor(2, Config{Metrics: reg})
 	v1 := view("v1", "a", "b")
 	ring := gcs.RingID{Coord: "10.0.0.1:4803", Epoch: 1}
 
 	// Warm-up: first sight of the view, the ring and the shard allocates
-	// (window, pinned member list, lastSeq entries); afterwards it must not.
+	// (window, lastSeq entry, shard claim state); afterwards it must not.
 	m.OnView(0, v1)
 	m.OnView(1, v1)
 	var seq uint64
@@ -80,7 +83,7 @@ func TestOnlineHotPathAllocationFree(t *testing.T) {
 }
 
 func TestOnlineDeliveryRegression(t *testing.T) {
-	m := onlineMonitor(1, Config{})
+	m := testMonitor(1, Config{})
 	ring := gcs.RingID{Coord: "c", Epoch: 1}
 	m.OnDelivery(0, ring, 5, "c")
 	m.OnDelivery(0, ring, 5, "c")
@@ -94,7 +97,7 @@ func TestOnlineDeliveryRegression(t *testing.T) {
 }
 
 func TestOnlineOriginConflict(t *testing.T) {
-	m := onlineMonitor(2, Config{})
+	m := testMonitor(2, Config{})
 	ring := gcs.RingID{Coord: "c", Epoch: 1}
 	m.OnDelivery(0, ring, 7, "x")
 	m.OnDelivery(1, ring, 7, "y")
@@ -104,14 +107,17 @@ func TestOnlineOriginConflict(t *testing.T) {
 	}
 }
 
-// A seq that has already fallen out of the window cannot conflict anymore;
-// the bounded monitor must stay silent rather than compare against a
-// recycled slot.
+// A seq that has already fallen out of the window can no longer be
+// compared: the monitor must stay silent rather than compare against a
+// recycled slot, and count the delivery as dropped.
 func TestOnlineWindowForgetsOldSeqs(t *testing.T) {
-	m := onlineMonitor(2, Config{Window: 8})
+	m := testMonitor(2, Config{})
 	ring := gcs.RingID{Coord: "c", Epoch: 1}
-	for seq := uint64(1); seq <= 20; seq++ {
+	for seq := uint64(1); seq <= originWindow+12; seq++ {
 		m.OnDelivery(0, ring, seq, "x")
+	}
+	if got := m.Dropped(); got != 0 {
+		t.Fatalf("Dropped() = %d after in-order deliveries, want 0", got)
 	}
 	// Node 1 trails far behind the window with a different origin: stale,
 	// not a conflict.
@@ -119,10 +125,13 @@ func TestOnlineWindowForgetsOldSeqs(t *testing.T) {
 	if v := m.Violation(); v != nil {
 		t.Fatalf("stale delivery outside the window tripped: %v", v)
 	}
+	if got := m.Dropped(); got != 1 {
+		t.Fatalf("Dropped() = %d after one stale delivery, want 1", got)
+	}
 }
 
 func TestOnlineViewOrderIncremental(t *testing.T) {
-	m := onlineMonitor(2, Config{})
+	m := testMonitor(2, Config{})
 	m.OnView(0, view("v1", "a"))
 	m.OnView(0, view("v2", "a", "b"))
 	m.OnView(1, view("v2", "a", "b"))
@@ -136,8 +145,75 @@ func TestOnlineViewOrderIncremental(t *testing.T) {
 	}
 }
 
+// Each bound forgets its oldest entry one step past capacity and counts
+// exactly one drop for it, without tripping an oracle.
+func TestDroppedCountsEachBound(t *testing.T) {
+	viewNodes := maxViews / viewHistory
+	cases := []struct {
+		name  string
+		nodes int
+		fill  func(m *Monitor) // up to the bound: nothing forgotten yet
+		over  func(m *Monitor) // one entry past it
+	}{
+		{"view table", viewNodes + 1,
+			func(m *Monitor) {
+				// Spread over nodes so that no view history wraps.
+				for n := 0; n < viewNodes; n++ {
+					for k := 0; k < viewHistory; k++ {
+						m.OnView(n, view(fmt.Sprintf("v%d.%d", n, k), "a"))
+					}
+				}
+			},
+			func(m *Monitor) { m.OnView(viewNodes, view("last", "a")) }},
+		{"view history", 1,
+			func(m *Monitor) {
+				for k := 0; k < viewHistory; k++ {
+					m.OnView(0, view(fmt.Sprintf("v%d", k), "a"))
+				}
+			},
+			func(m *Monitor) { m.OnView(0, view("last", "a")) }},
+		{"ring", 1,
+			func(m *Monitor) {
+				for e := uint64(1); e <= maxRings; e++ {
+					m.OnDelivery(0, gcs.RingID{Coord: "c", Epoch: e}, 1, "c")
+				}
+			},
+			func(m *Monitor) { m.OnDelivery(0, gcs.RingID{Coord: "c", Epoch: maxRings + 1}, 1, "c") }},
+		{"origin window", 2,
+			func(m *Monitor) {
+				for seq := uint64(1); seq <= originWindow+1; seq++ {
+					m.OnDelivery(0, gcs.RingID{Coord: "c", Epoch: 1}, seq, "c")
+				}
+			},
+			func(m *Monitor) { m.OnDelivery(1, gcs.RingID{Coord: "c", Epoch: 1}, 1, "c") }},
+		{"shard", 1,
+			func(m *Monitor) {
+				for g := 0; g < maxShards; g++ {
+					m.OnOwnership(0, fmt.Sprintf("g%d", g), false, "")
+				}
+			},
+			func(m *Monitor) { m.OnOwnership(0, "last", false, "") }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := testMonitor(tc.nodes, Config{})
+			tc.fill(m)
+			if got := m.Dropped(); got != 0 {
+				t.Fatalf("Dropped() = %d at the bound, want 0", got)
+			}
+			tc.over(m)
+			if got := m.Dropped(); got != 1 {
+				t.Fatalf("Dropped() = %d one past the bound, want 1", got)
+			}
+			if v := m.Violation(); v != nil {
+				t.Fatalf("forgetting tripped an oracle: %v", v)
+			}
+		})
+	}
+}
+
 func TestOnlineViewIdentity(t *testing.T) {
-	m := onlineMonitor(2, Config{})
+	m := testMonitor(2, Config{})
 	m.OnView(0, view("v1", "a", "b"))
 	m.OnView(1, view("v1", "a"))
 	v := m.Violation()
@@ -148,7 +224,7 @@ func TestOnlineViewIdentity(t *testing.T) {
 
 func TestOnlineForeignClaim(t *testing.T) {
 	t.Run("stale view", func(t *testing.T) {
-		m := onlineMonitor(1, Config{})
+		m := testMonitor(1, Config{})
 		m.OnView(0, view("v2", "a"))
 		m.OnOwnership(0, "web1", true, "v1")
 		v := m.Violation()
@@ -157,8 +233,8 @@ func TestOnlineForeignClaim(t *testing.T) {
 		}
 	})
 	t.Run("not a member", func(t *testing.T) {
-		m := onlineMonitor(1, Config{})
-		m.SetSelf(0, "z")
+		m := testMonitor(1, Config{})
+		m.selfs[0] = "z"
 		m.OnView(0, view("v1", "a", "b"))
 		m.OnOwnership(0, "web1", true, "v1")
 		v := m.Violation()
@@ -170,20 +246,26 @@ func TestOnlineForeignClaim(t *testing.T) {
 
 func TestShardTracking(t *testing.T) {
 	reg := metrics.New()
-	m := onlineMonitor(3, Config{Metrics: reg, Shards: []string{"web1", "web2"}})
+	m := testMonitor(3, Config{Metrics: reg})
 	gauge := reg.Gauge("invariant_shard_multi_owner", "")
+	owners := func(group string) int {
+		if idx, ok := m.shardIdx[group]; ok {
+			return m.shardCount[idx]
+		}
+		return 0
+	}
 	m.OnView(0, view("v1", "a", "b", "c"))
 	m.OnView(1, view("v1", "a", "b", "c"))
 	m.OnOwnership(0, "web1", true, "v1")
-	if got := m.ShardOwners("web1"); got != 1 {
-		t.Fatalf("ShardOwners(web1) = %d, want 1", got)
+	if got := owners("web1"); got != 1 {
+		t.Fatalf("owners(web1) = %d, want 1", got)
 	}
 	if gauge.Value() != 0 {
 		t.Fatalf("multi-owner gauge = %d, want 0", gauge.Value())
 	}
 	m.OnOwnership(1, "web1", true, "v1")
-	if got := m.ShardOwners("web1"); got != 2 {
-		t.Fatalf("ShardOwners(web1) = %d, want 2", got)
+	if got := owners("web1"); got != 2 {
+		t.Fatalf("owners(web1) = %d, want 2", got)
 	}
 	if gauge.Value() != 1 {
 		t.Fatalf("multi-owner gauge = %d, want 1", gauge.Value())
@@ -192,14 +274,14 @@ func TestShardTracking(t *testing.T) {
 	if gauge.Value() != 0 {
 		t.Fatalf("multi-owner gauge after release = %d, want 0", gauge.Value())
 	}
-	if got := m.ShardOwners("web3"); got != 0 {
-		t.Fatalf("ShardOwners(unseen) = %d, want 0", got)
+	if got := owners("web3"); got != 0 {
+		t.Fatalf("owners(unseen) = %d, want 0", got)
 	}
 }
 
 func TestFirstViolationWins(t *testing.T) {
 	var calls []string
-	m := onlineMonitor(1, Config{OnViolation: func(v *Violation) { calls = append(calls, v.Detail) }})
+	m := testMonitor(1, Config{OnViolation: func(v *Violation) { calls = append(calls, v.Detail) }})
 	m.Fail(OracleConvergence, "first")
 	m.Fail(OracleExactlyOnce, "second")
 	ring := gcs.RingID{Coord: "c", Epoch: 1}
@@ -216,7 +298,7 @@ func TestFirstViolationWins(t *testing.T) {
 func TestArtifactDump(t *testing.T) {
 	dir := t.TempDir()
 	tracer := obs.New(64, nil)
-	m := onlineMonitor(1, Config{
+	m := testMonitor(1, Config{
 		Tracer:      tracer,
 		ArtifactDir: dir,
 		Name:        "unit",
@@ -275,12 +357,10 @@ func TestNilMonitor(t *testing.T) {
 	m.OnView(0, view("v1", "a"))
 	m.OnDelivery(0, gcs.RingID{Coord: "c", Epoch: 1}, 1, "c")
 	m.OnOwnership(0, "web1", true, "v1")
-	m.CheckOrder()
 	m.SetStep(3)
 	m.SetNow(func() time.Duration { return 0 })
-	m.SetSelf(0, "a")
 	m.Fail(OracleConvergence, "x")
-	if m.Violation() != nil || m.Installs() != 0 || m.Deliveries() != 0 || m.ShardOwners("g") != 0 {
+	if m.Violation() != nil || m.Installs() != 0 || m.Deliveries() != 0 || m.Dropped() != 0 {
 		t.Fatal("nil monitor reported state")
 	}
 }

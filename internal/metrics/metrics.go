@@ -306,21 +306,6 @@ func (s HistSnapshot) QuantileCount(q float64) uint64 {
 	return uint64(math.Ceil(v))
 }
 
-// MaxBound returns the upper boundary of the highest non-empty bucket — a
-// deterministic upper bound on the largest observation (0 when empty).
-func (s HistSnapshot) MaxBound() float64 {
-	for i := NumBuckets; i >= 0; i-- {
-		if s.Counts[i] == 0 {
-			continue
-		}
-		if i >= NumBuckets {
-			return math.Inf(1)
-		}
-		return bucketBoundaries[i]
-	}
-	return 0
-}
-
 // Percentile returns the nearest-rank q-th percentile (q in [0,100]) of an
 // ascending-sorted sample. This is the one exact-sample quantile
 // implementation in the repository: the experiment layer's Stat and every
@@ -546,77 +531,6 @@ func (s Snapshot) MergedHistogram(name string) HistSnapshot {
 		if ser.Hist != nil {
 			out.Merge(*ser.Hist)
 		}
-	}
-	return out
-}
-
-// Merge folds other into s: same-name families merge series-wise (counters
-// and gauges sum, histograms merge buckets), new families and series append
-// in sorted position. Merging snapshots of disjoint trials in any order
-// yields identical results, which is what lets the parallel trial runner
-// aggregate without coordination.
-func (s Snapshot) Merge(other Snapshot) Snapshot {
-	// byName maps family name to index in out.Families — indexes, not
-	// pointers, because copyFam keeps appending and a reallocation would
-	// leave pointers aimed at the stale backing array.
-	byName := map[string]int{}
-	var out Snapshot
-	copyFam := func(f FamilySnapshot) {
-		nf := FamilySnapshot{Name: f.Name, Help: f.Help, Kind: f.Kind}
-		for _, ser := range f.Series {
-			ns := SeriesSnapshot{Labels: append([]Label(nil), ser.Labels...), Value: ser.Value}
-			if ser.Hist != nil {
-				h := *ser.Hist
-				ns.Hist = &h
-			}
-			nf.Series = append(nf.Series, ns)
-		}
-		out.Families = append(out.Families, nf)
-		byName[nf.Name] = len(out.Families) - 1
-	}
-	for _, f := range s.Families {
-		copyFam(f)
-	}
-	for _, f := range other.Families {
-		idx, ok := byName[f.Name]
-		if !ok {
-			copyFam(f)
-			continue
-		}
-		dst := &out.Families[idx]
-		for _, ser := range f.Series {
-			key := seriesKey(ser.Labels)
-			merged := false
-			for i := range dst.Series {
-				if seriesKey(dst.Series[i].Labels) != key {
-					continue
-				}
-				dst.Series[i].Value += ser.Value
-				if ser.Hist != nil {
-					if dst.Series[i].Hist == nil {
-						dst.Series[i].Hist = &HistSnapshot{}
-					}
-					dst.Series[i].Hist.Merge(*ser.Hist)
-				}
-				merged = true
-				break
-			}
-			if !merged {
-				ns := SeriesSnapshot{Labels: append([]Label(nil), ser.Labels...), Value: ser.Value}
-				if ser.Hist != nil {
-					h := *ser.Hist
-					ns.Hist = &h
-				}
-				dst.Series = append(dst.Series, ns)
-			}
-		}
-	}
-	sort.Slice(out.Families, func(i, j int) bool { return out.Families[i].Name < out.Families[j].Name })
-	for i := range out.Families {
-		f := &out.Families[i]
-		sort.Slice(f.Series, func(a, b int) bool {
-			return seriesKey(f.Series[a].Labels) < seriesKey(f.Series[b].Labels)
-		})
 	}
 	return out
 }

@@ -177,16 +177,6 @@ func (f *FlightRecorder) lastReconfigGap(at time.Time) (time.Duration, bool) {
 	return 0, false
 }
 
-// Views returns a copy of the recorded membership history.
-func (f *FlightRecorder) Views() []ViewRecord {
-	if f == nil {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]ViewRecord(nil), f.views...)
-}
-
 // sanitizeNode makes a daemon identity ("127.0.0.1:4803") filesystem-safe.
 func sanitizeNode(node string) string {
 	return strings.Map(func(r rune) rune {

@@ -83,14 +83,6 @@ func NewHLCClock(now func() time.Time, node string) *HLCClock {
 	return &HLCClock{now: now, node: node}
 }
 
-// Node returns the identity the clock was built with.
-func (c *HLCClock) Node() string {
-	if c == nil {
-		return ""
-	}
-	return c.node
-}
-
 // SetMetrics registers the obs_hlc_skew_ns gauge (signed: positive means
 // the remote clock ran ahead of ours at the last merge) on r. Nil r
 // disables the gauge.

@@ -212,7 +212,7 @@ func TestHLCNilSafe(t *testing.T) {
 	if !c.Now().IsZero() || !c.Observe(HLC{Wall: 1}).IsZero() || !c.Last().IsZero() {
 		t.Fatal("nil clock must issue zero timestamps")
 	}
-	if c.MaxSkew() != 0 || c.Node() != "" {
+	if c.MaxSkew() != 0 {
 		t.Fatal("nil clock accessors must return zeros")
 	}
 	c.SetMetrics(nil) // must not panic

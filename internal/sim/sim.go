@@ -88,7 +88,7 @@ func (t *Timer) Reset(d time.Duration) { t.s.schedule(t, d) }
 // high-rate traffic paths schedule without allocating a closure per event.
 type Runnable interface{ Run() }
 
-// schedule is the one way onto the queue: At, After, Post and Reset all end
+// schedule is the one way onto the queue: After, Post and Reset all end
 // here. Deadlines in the past are clamped to now, one too far out for the
 // clock to reach saturates instead of wrapping, and events fire in (deadline,
 // scheduling order); every call, including one that moves a record already
@@ -120,14 +120,6 @@ func (s *Sim) newTimer(fn func()) *Timer {
 // Init is newTimer for a record embedded in the struct that carries the
 // callback's context: r runs at each firing, and arming allocates nothing.
 func (s *Sim) Init(t *Timer, r Runnable) { *t = Timer{s: s, run: r, idx: -1} }
-
-// At schedules fn to run at instant t. Instants in the past run as soon as
-// control returns to the event loop, at the current virtual time.
-func (s *Sim) At(t time.Time, fn func()) *Timer {
-	tm := s.newTimer(fn)
-	tm.Reset(t.Sub(s.Now()))
-	return tm
-}
 
 // After schedules fn to run d from the current virtual time. Negative
 // durations are treated as zero.

@@ -118,7 +118,7 @@ func TestPastDeadlineClampsToNow(t *testing.T) {
 	s := New(1)
 	s.RunUntil(Epoch.Add(time.Minute))
 	fired := time.Time{}
-	s.At(Epoch, func() { fired = s.Now() })
+	s.After(Epoch.Sub(s.Now()), func() { fired = s.Now() })
 	s.Run()
 	if !fired.Equal(Epoch.Add(time.Minute)) {
 		t.Fatalf("past event fired at %v, want clamped to now", fired)
@@ -209,7 +209,7 @@ func TestAfterAndPostShareOneOrder(t *testing.T) {
 	note := func(i int) func() { return func() { got = append(got, i) } }
 	s.After(time.Second, note(0))
 	s.Post(time.Second, runFunc(note(1)))
-	s.At(Epoch.Add(time.Second), note(2))
+	s.After(time.Second, note(2))
 	s.Post(time.Second, runFunc(note(3)))
 	s.After(time.Second, note(4))
 	s.Run()

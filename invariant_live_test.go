@@ -61,7 +61,6 @@ func TestInvariantMonitorLiveCluster(t *testing.T) {
 	reg := metrics.New()
 	mon := invariant.New(invariant.Config{
 		Nodes:   len(peers),
-		Shards:  []string{"web1", "web2", "web3"},
 		Metrics: reg,
 		Tracer:  obs.New(1024, nil),
 		Name:    "live-test",
@@ -207,7 +206,6 @@ func TestInvariantMonitorLiveCluster(t *testing.T) {
 	stopProber(0)
 	stopProber(1)
 	probers.Wait()
-	mon.CheckOrder()
 	if v := mon.Violation(); v != nil {
 		t.Fatalf("invariant violation on live cluster: %v", v)
 	}
