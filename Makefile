@@ -1,6 +1,6 @@
 # Convenience targets; everything here is plain `go` — no extra tooling.
 
-.PHONY: all build test check race bench benchsmoke identity
+.PHONY: all build test check race bench benchsmoke identity census
 
 all: build test
 
@@ -36,3 +36,8 @@ bench:
 identity:
 	@test -n "$(BASE)" || { echo "usage: make identity BASE=<rev>" >&2; exit 2; }
 	bash scripts/identity.sh $(BASE)
+
+# Exported internal/* names no program calls and Config/Options fields no
+# program writes (cmd/census; `go run ./cmd/census -v` lists them).
+census:
+	go run ./cmd/census

@@ -63,8 +63,6 @@ type ClusterOptions struct {
 	// Segment overrides the LAN characteristics; zero value means
 	// netsim.DefaultSegmentConfig().
 	Segment netsim.SegmentConfig
-	// Logger receives protocol diagnostics from every node (nil: discard).
-	Logger env.Logger
 	// Tracer records structured protocol events from the network and every
 	// node, stamped with virtual time (nil: tracing disabled).
 	Tracer *obs.Tracer
@@ -94,9 +92,6 @@ type ClusterOptions struct {
 	// frames at this period to a collector host on the cluster LAN
 	// (TelemetryAddr). Frames accumulate in Cluster.TelemetryFrames.
 	TelemetryInterval time.Duration
-	// OnTelemetry, if set, receives every collected health frame as it
-	// arrives (on the simulation loop), in addition to the accumulation.
-	OnTelemetry func(f health.Frame)
 }
 
 // Server is one simulated cluster member.
@@ -174,9 +169,6 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 
 	s := sim.New(opts.Seed)
 	nw := netsim.New(s)
-	if opts.Logger != nil {
-		nw.SetLogger(opts.Logger)
-	}
 	if opts.Tracer != nil {
 		opts.Tracer.SetNow(s.Now)
 		nw.SetEventTracer(opts.Tracer)
@@ -216,16 +208,13 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 		if err != nil {
 			return nil, fmt.Errorf("wackamole: telemetry collector: %w", err)
 		}
-		cenv := cep.Env(opts.Logger)
+		cenv := cep.Env(nil)
 		cenv.Conn.SetHandler(func(from env.Addr, payload []byte) {
 			f, err := health.DecodeFrame(payload)
 			if err != nil {
 				return
 			}
 			c.TelemetryFrames = append(c.TelemetryFrames, f)
-			if opts.OnTelemetry != nil {
-				opts.OnTelemetry(f)
-			}
 		})
 		telemetrySubs = []string{fmt.Sprintf("%s:%d", TelemetryCollectorAddr, TelemetryPort)}
 	}
@@ -265,7 +254,7 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 		if opts.WrapBackend != nil {
 			backend = opts.WrapBackend(i, backend)
 		}
-		e := ep.Env(opts.Logger)
+		e := ep.Env(nil)
 		e.Tracer, e.Metrics = opts.Tracer, opts.Metrics
 		node, err := NewNode(e, cfg, backend, notifier)
 		if err != nil {
@@ -287,11 +276,10 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 		interval, subs := opts.TelemetryInterval, telemetrySubs
 		if opts.StartStagger > 0 && i > 0 {
 			node := node
-			log := opts.Logger
 			s.After(time.Duration(i)*opts.StartStagger, func() {
-				if err := node.Start(); err != nil && log != nil {
-					log.Logf("wackamole: staggered start of server %d: %v", i, err)
-				}
+				// NewCluster has returned by now, so there is no caller to
+				// report to: a server that fails to start never joins.
+				_ = node.Start()
 				if interval > 0 {
 					node.StartTelemetry(interval, subs)
 				}

@@ -10,7 +10,7 @@
 //
 // The paper leaves "garbage collection techniques to make the ARP spoof
 // notification more accurately targeted" as future work; this
-// implementation includes one: shared entries expire after HoldTime unless
+// implementation includes one: shared entries expire after holdTime unless
 // re-announced, bounding the notification set on large LANs.
 package arpshare
 
@@ -27,36 +27,24 @@ import (
 	"wackamole/internal/wire"
 )
 
-// DefaultGroup is the process group the sharers exchange caches on,
-// distinct from the main Wackamole group so the two wire protocols never
-// mix.
-const DefaultGroup = "wackamole-arp"
+// group is the process group the sharers exchange caches on, distinct from
+// the main Wackamole group so the two wire protocols never mix.
+const group = "wackamole-arp"
 
-// Defaults.
-const (
-	DefaultInterval = 10 * time.Second
-	DefaultHoldTime = 60 * time.Second
-)
+// DefaultInterval separates cache announcements.
+const DefaultInterval = 10 * time.Second
+
+// holdTime is how long an entry not re-announced lives before it is
+// garbage-collected.
+const holdTime = 60 * time.Second
 
 // ClientName is the sharer's client name on the local daemon.
 const ClientName = "arpshare"
 
 // Config parameterizes a Sharer.
 type Config struct {
-	// Group overrides the sharing group name.
-	Group string
-	// Interval between cache announcements; zero means 10s.
+	// Interval between cache announcements; zero means DefaultInterval.
 	Interval time.Duration
-	// HoldTime after which an entry not re-announced is garbage-collected;
-	// zero means 60s.
-	HoldTime time.Duration
-}
-
-func (c Config) group() string {
-	if c.Group == "" {
-		return DefaultGroup
-	}
-	return c.Group
 }
 
 func (c Config) interval() time.Duration {
@@ -64,13 +52,6 @@ func (c Config) interval() time.Duration {
 		return DefaultInterval
 	}
 	return c.Interval
-}
-
-func (c Config) holdTime() time.Duration {
-	if c.HoldTime <= 0 {
-		return DefaultHoldTime
-	}
-	return c.HoldTime
 }
 
 // Entry is one known <IP, MAC> binding on the LAN.
@@ -111,7 +92,7 @@ func New(host *netsim.Host, daemon *gcs.Daemon, cfg Config) (*Sharer, error) {
 		}
 		s.onShare(payload)
 	})
-	if err := sess.Join(cfg.group()); err != nil {
+	if err := sess.Join(group); err != nil {
 		return nil, fmt.Errorf("arpshare: %w", err)
 	}
 	return s, nil
@@ -159,7 +140,7 @@ func (s *Sharer) announce() {
 		entries = append(entries, Entry{IP: nic.Primary(), MAC: nic.MAC()})
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].IP.Less(entries[j].IP) })
-	if err := s.sess.Multicast(s.cfg.group(), encodeShare(entries)); err != nil {
+	if err := s.sess.Multicast(group, encodeShare(entries)); err != nil {
 		_ = err // session severed; Stop will follow
 	}
 }
@@ -179,7 +160,7 @@ func (s *Sharer) onShare(payload []byte) {
 // collect garbage-collects entries that have not been re-announced within
 // the hold time.
 func (s *Sharer) collect() {
-	cutoff := s.host.Now().Add(-s.cfg.holdTime())
+	cutoff := s.host.Now().Add(-holdTime)
 	for ip, e := range s.known {
 		if e.lastSeen.Before(cutoff) {
 			delete(s.known, ip)

@@ -39,7 +39,7 @@ func buildRig(t *testing.T, seed int64) *rig {
 			t.Fatal(err)
 		}
 		d.Start()
-		sh, err := New(h, d, Config{Interval: 2 * time.Second, HoldTime: 10 * time.Second})
+		sh, err := New(h, d, Config{Interval: 2 * time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,15 +135,26 @@ func TestGarbageCollectionExpiresStaleEntries(t *testing.T) {
 	if len(r.sharers[1].Known()) == 0 {
 		t.Fatal("nothing learned")
 	}
-	// Silence fr1; with a 10s hold time its contributions must expire from
-	// fr2's set. fr1's own stationary address keeps being announced by its
-	// own cache entries on fr2's side only via fr1, so it expires too.
-	r.hosts[0].Crash()
-	r.sim.RunFor(30 * time.Second)
-	for _, e := range r.sharers[1].Known() {
-		if e.IP == netip.MustParseAddr("10.0.0.50") {
-			t.Fatalf("stale shared entry survived garbage collection: %v", r.sharers[1].Known())
+	// Silence fr1: its contributions must expire from fr2's set once the
+	// hold time has passed, and not before. fr1's own stationary address
+	// keeps being announced by its own cache entries on fr2's side only via
+	// fr1, so it expires too.
+	picky := func() bool {
+		for _, e := range r.sharers[1].Known() {
+			if e.IP == netip.MustParseAddr("10.0.0.50") {
+				return true
+			}
 		}
+		return false
+	}
+	r.hosts[0].Crash()
+	r.sim.RunFor(holdTime - 5*time.Second)
+	if !picky() {
+		t.Fatalf("shared entry expired before the hold time: %v", r.sharers[1].Known())
+	}
+	r.sim.RunFor(10 * time.Second)
+	if picky() {
+		t.Fatalf("stale shared entry survived garbage collection: %v", r.sharers[1].Known())
 	}
 }
 

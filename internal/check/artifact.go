@@ -39,10 +39,11 @@ type OptionsDoc struct {
 	// Detector names the failure-detection regime ("fixed" or "phi");
 	// absent means fixed, so artifacts from before the field existed
 	// replay unchanged. Detection timing shifts the whole schedule, so a
-	// phi artifact replayed under fixed would not reproduce.
-	Detector     string  `json:"detector,omitempty"`
-	PhiThreshold float64 `json:"phi_threshold,omitempty"`
-	PhiCheckNS   int64   `json:"phi_check_ns,omitempty"`
+	// phi artifact replayed under fixed would not reproduce. The phi
+	// detector's threshold and scan period are constants; older artifacts
+	// that record them as phi_threshold and phi_check_ns still load, the
+	// decoder skipping both.
+	Detector string `json:"detector,omitempty"`
 }
 
 // NewArtifact packages a report and the options that produced it. The
@@ -65,8 +66,6 @@ func NewArtifact(rep *Report, opts Options, shrinkIterations int) Artifact {
 	}
 	if opts.GCS.Detector != gcs.DetectorFixed {
 		doc.Detector = opts.GCS.Detector.String()
-		doc.PhiThreshold = opts.GCS.PhiThreshold
-		doc.PhiCheckNS = opts.GCS.PhiCheckInterval.Nanoseconds()
 	}
 	return Artifact{
 		Schedule:         rep.Schedule,
@@ -94,8 +93,6 @@ func (a Artifact) RunOptions() (Options, error) {
 			HeartbeatInterval:  time.Duration(a.Options.HeartbeatNS),
 			DiscoveryTimeout:   time.Duration(a.Options.DiscoveryNS),
 			Detector:           det,
-			PhiThreshold:       a.Options.PhiThreshold,
-			PhiCheckInterval:   time.Duration(a.Options.PhiCheckNS),
 		},
 		BalanceTimeout:          time.Duration(a.Options.BalanceNS),
 		SettleBound:             time.Duration(a.Options.SettleNS),

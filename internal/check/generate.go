@@ -13,11 +13,6 @@ type GenConfig struct {
 	VIPs    int
 	// Steps is the number of fault events to generate (default 12).
 	Steps int
-	// MinGap and MaxGap bound the spacing between consecutive events
-	// (defaults 500ms and 5s). Gaps shorter than the fault-detection
-	// timeout deliberately overlap reconfigurations.
-	MinGap time.Duration
-	MaxGap time.Duration
 	// Leaves enables graceful-departure events (at most one per schedule,
 	// and only while more than two servers remain in service).
 	Leaves bool
@@ -40,14 +35,16 @@ func (g GenConfig) withDefaults() GenConfig {
 	if g.Steps <= 0 {
 		g.Steps = 12
 	}
-	if g.MinGap <= 0 {
-		g.MinGap = 500 * time.Millisecond
-	}
-	if g.MaxGap <= g.MinGap {
-		g.MaxGap = g.MinGap + 5*time.Second
-	}
 	return g
 }
+
+// minGap and maxGap bound the spacing between consecutive events: 500ms
+// and 5.5s. Gaps shorter than the fault-detection timeout deliberately
+// overlap reconfigurations.
+const (
+	minGap = 500 * time.Millisecond
+	maxGap = minGap + 5*time.Second
+)
 
 // Generate derives a valid-by-construction fault program from seed alone:
 // the same (seed, config) pair always yields the same schedule, and the
@@ -79,7 +76,7 @@ func Generate(seed int64, cfg GenConfig) Schedule {
 	for step := 0; step < cfg.Steps; step++ {
 		// Millisecond-round offsets keep serialized schedules readable
 		// without costing any generality.
-		gap := cfg.MinGap + time.Duration(rng.Int63n(int64(cfg.MaxGap-cfg.MinGap)))
+		gap := minGap + time.Duration(rng.Int63n(int64(maxGap-minGap)))
 		at += gap.Truncate(time.Millisecond)
 		ev := Event{At: at}
 		// Draw until an applicable operation comes up; every state admits
@@ -160,7 +157,7 @@ func Generate(seed int64, cfg GenConfig) Schedule {
 	// (Run stops leftover bindings anyway — this keeps the invariant visible
 	// in the serialized schedule itself, shrunk variants included.)
 	for _, i := range sortedKeys(shaped) {
-		gap := cfg.MinGap + time.Duration(rng.Int63n(int64(cfg.MaxGap-cfg.MinGap)))
+		gap := minGap + time.Duration(rng.Int63n(int64(maxGap-minGap)))
 		at += gap.Truncate(time.Millisecond)
 		s.Events = append(s.Events, Event{At: at, Op: OpClear, Server: i})
 	}

@@ -138,12 +138,6 @@ func TestArtifactRoundTripsDetector(t *testing.T) {
 	if got.GCS.Detector != gcs.DetectorPhi {
 		t.Fatalf("detector lost in artifact round trip: %v", got.GCS.Detector)
 	}
-	if got.GCS.PhiThreshold != opts.GCS.PhiThreshold ||
-		got.GCS.PhiCheckInterval != opts.GCS.PhiCheckInterval {
-		t.Fatalf("phi tuning lost: threshold %v/%v interval %v/%v",
-			got.GCS.PhiThreshold, opts.GCS.PhiThreshold,
-			got.GCS.PhiCheckInterval, opts.GCS.PhiCheckInterval)
-	}
 
 	// Fixed-detector artifacts omit the field entirely, so artifacts
 	// written before it existed keep replaying bit-identically.
@@ -153,6 +147,61 @@ func TestArtifactRoundTripsDetector(t *testing.T) {
 	}
 	if strings.Contains(buf.String(), "detector") {
 		t.Fatalf("fixed-detector artifact mentions the detector field:\n%s", buf.String())
+	}
+}
+
+// Artifacts written while the phi detector's threshold and scan period were
+// fields record them as phi_threshold and phi_check_ns. They must still load
+// and replay to the verdict they recorded.
+func TestLegacyPhiArtifactReplays(t *testing.T) {
+	s := Schedule{
+		Seed: 42, Servers: 3, VIPs: 6,
+		Events: []Event{
+			{At: 2 * time.Second, Op: OpFail, Server: 1},
+			{At: 9 * time.Second, Op: OpRestore, Server: 1},
+		},
+	}
+	cfg := gcs.TunedConfig()
+	cfg.Detector = gcs.DetectorPhi
+	opts := Options{GCS: cfg, Mutation: KeepOnRelease(1)}
+	rep, err := Run(s, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Violation == nil {
+		t.Fatal("setup: the mutated run found no violation")
+	}
+	var buf bytes.Buffer
+	if err := WriteArtifact(&buf, NewArtifact(rep, opts, 0)); err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	doc["options"]["phi_threshold"] = 8.0
+	doc["options"]["phi_check_ns"] = (cfg.HeartbeatInterval / 2).Nanoseconds()
+	legacy, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := ReadArtifact(bytes.NewReader(legacy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := art.RunOptions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.GCS.Detector != gcs.DetectorPhi {
+		t.Fatalf("legacy artifact lost its detector: %v", got.GCS.Detector)
+	}
+	replayed, match, err := Replay(art)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !match {
+		t.Fatalf("legacy artifact replays to %v, recorded %v", replayed.Violation, art.Violation)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"wackamole"
 	"wackamole/internal/env/realtime"
 	"wackamole/internal/gcs"
+	"wackamole/internal/health"
 	"wackamole/internal/invariant"
 	"wackamole/internal/obs"
 )
@@ -158,7 +159,7 @@ func FormatStatus(node *wackamole.Node) string {
 	d := node.Daemon()
 	if d.Detector() == gcs.DetectorPhi {
 		fmt.Fprintf(&b, "detect:  phi (threshold %.1f, floor T=%s)\n",
-			d.PhiThreshold(), d.FaultDetectTimeout())
+			health.Threshold, d.FaultDetectTimeout())
 	} else {
 		fmt.Fprintf(&b, "detect:  fixed (T=%s)\n", d.FaultDetectTimeout())
 	}
@@ -208,10 +209,9 @@ func FormatStatus(node *wackamole.Node) string {
 	if h := node.Health(); h != nil {
 		// Margin is how much suspicion headroom each peer has before the
 		// detector fires: threshold − phi, clamped at zero once suspected.
-		thr := d.PhiThreshold()
 		parts := []string{}
 		for _, ph := range h.Snapshot(time.Now()) {
-			margin := thr - ph.Phi
+			margin := health.Threshold - ph.Phi
 			if margin < 0 {
 				margin = 0
 			}

@@ -8,6 +8,7 @@ import (
 
 	"wackamole/internal/load"
 	"wackamole/internal/metrics"
+	"wackamole/internal/placement"
 )
 
 // quickAvailability keeps unit-test trials small and fast.
@@ -143,6 +144,47 @@ func TestAvailabilityTrialRolling(t *testing.T) {
 				t.Errorf("recovery = %v after the full rolling schedule, want ≥ 0.99", res.Recovery)
 			}
 		})
+	}
+}
+
+// TestRollingChurnVersusGoodput is the placement policies' contest on a
+// rolling restart: 5 servers, 200 open-loop clients at 800 rps, 3 trials
+// each. Both policies must recover and measure some disruption, and minimal
+// placement must lower the cumulative disruption without moving more VIPs.
+func TestRollingChurnVersusGoodput(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two three-trial rolling sweeps")
+	}
+	extra := map[string]map[string]float64{}
+	for _, pol := range []string{placement.NameLeastLoaded, placement.NameMinimal} {
+		row, err := Availability(1, 3, AvailabilityConfig{
+			Servers:    5,
+			Clients:    200,
+			Mode:       load.Open,
+			RPS:        800,
+			Fault:      FaultRolling,
+			Placement:  pol,
+			Invariants: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		extra[pol] = row.Extra
+		if rec := row.Extra["recovery"]; rec < 0.99 {
+			t.Errorf("%s: recovery %v < 0.99", pol, rec)
+		}
+		if row.Extra["disruption_total_s"] <= 0 {
+			t.Errorf("%s: no disruption measured", pol)
+		}
+	}
+	ll, mi := extra[placement.NameLeastLoaded], extra[placement.NameMinimal]
+	t.Logf("disruption: least-loaded=%.4fs minimal=%.4fs; vip moves: least-loaded=%.0f minimal=%.0f",
+		ll["disruption_total_s"], mi["disruption_total_s"], ll["vip_moves"], mi["vip_moves"])
+	if mi["disruption_total_s"] >= ll["disruption_total_s"] {
+		t.Error("minimal placement did not lower cumulative disruption")
+	}
+	if mi["vip_moves"] > ll["vip_moves"] {
+		t.Error("minimal placement moved more VIPs than least-loaded")
 	}
 }
 

@@ -16,12 +16,13 @@ import (
 	"wackamole/internal/netsim"
 )
 
-// DefaultProbeInterval between service probes.
-const DefaultProbeInterval = time.Second
-
-// DefaultFailThreshold is how many consecutive missed probes declare the
-// main server dead.
-const DefaultFailThreshold = 3
+const (
+	// probeInterval separates service probes.
+	probeInterval = time.Second
+	// failThreshold is how many consecutive missed probes declare the main
+	// server dead.
+	failThreshold = 3
+)
 
 // Config parameterizes a Monitor.
 type Config struct {
@@ -32,24 +33,6 @@ type Config struct {
 	VIP netip.Addr
 	// LocalPort for probe traffic.
 	LocalPort uint16
-	// ProbeInterval between probes; zero means 1s.
-	ProbeInterval time.Duration
-	// FailThreshold of consecutive missed probes; zero means 3.
-	FailThreshold int
-}
-
-func (c Config) interval() time.Duration {
-	if c.ProbeInterval <= 0 {
-		return DefaultProbeInterval
-	}
-	return c.ProbeInterval
-}
-
-func (c Config) threshold() int {
-	if c.FailThreshold <= 0 {
-		return DefaultFailThreshold
-	}
-	return c.FailThreshold
 }
 
 // Monitor runs on the backup server, probing the main service and taking
@@ -93,7 +76,7 @@ func (m *Monitor) Start() {
 	m.running = true
 	m.answered = false
 	m.probe()
-	m.timer.Reset(m.cfg.interval())
+	m.timer.Reset(probeInterval)
 }
 
 // tick judges the last probe and sends the next, re-arming the monitor's timer.
@@ -105,14 +88,14 @@ func (m *Monitor) tick() {
 		m.misses = 0
 	} else {
 		m.misses++
-		if m.misses >= m.cfg.threshold() {
+		if m.misses >= failThreshold {
 			m.takeover()
 			return
 		}
 	}
 	m.answered = false
 	m.probe()
-	m.timer.Reset(m.cfg.interval())
+	m.timer.Reset(probeInterval)
 }
 
 // Stop halts probing.

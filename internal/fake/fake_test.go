@@ -65,10 +65,10 @@ func TestTakeoverAfterThresholdMisses(t *testing.T) {
 		t.Fatal("monitor never took over")
 	}
 	took := s.Elapsed() - faultAt
-	// Threshold misses at the probe interval, plus up to one interval of
-	// phase: [threshold, threshold+2] seconds at the defaults.
-	if took < 2*time.Second || took > 5*time.Second {
-		t.Fatalf("takeover after %v, want ≈3-4s at defaults", took)
+	// failThreshold misses at the probe interval, less up to one interval
+	// of phase, plus up to two of slack.
+	if took < (failThreshold-1)*probeInterval || took > (failThreshold+2)*probeInterval {
+		t.Fatalf("takeover after %v, want ≈%v", took, failThreshold*probeInterval)
 	}
 	if !backupNIC.HasAddr(netip.MustParseAddr("10.0.0.100")) {
 		t.Fatal("backup does not hold the VIP after takeover")

@@ -304,34 +304,24 @@ func (s *Server) reply(src, dst netip.AddrPort, flags byte, id, seq, ack uint32,
 // ---------------------------------------------------------------------------
 // Client
 
+const (
+	// rto is the fixed retransmission timeout. Deadlines ride the netsim
+	// timing wheel and are rounded up to its tick.
+	rto = 250 * time.Millisecond
+	// maxRetries bounds retransmissions per segment: up to ten
+	// transmissions ≈ 2.5s of persistence — long enough to span a tuned
+	// failover and collect the takeover server's RST.
+	maxRetries = 9
+	// wheelTick is the RTO wheel granularity.
+	wheelTick = rto / 8
+)
+
 // ClientConfig parameterizes a flow client.
 type ClientConfig struct {
-	// RTO is the fixed retransmission timeout (default 250ms). Deadlines
-	// ride the netsim timing wheel and are rounded up to its tick.
-	RTO time.Duration
-	// MaxRetries bounds retransmissions per segment (default 9, i.e. up to
-	// ten transmissions ≈ 2.5s of persistence — long enough to span a
-	// tuned failover and collect the takeover server's RST).
-	MaxRetries int
-	// WheelTick is the RTO wheel granularity (default RTO/8).
-	WheelTick time.Duration
 	// Metrics receives the client counter families (nil disables).
 	Metrics *metrics.Registry
 	// Tracer receives flow events (nil disables).
 	Tracer *obs.Tracer
-}
-
-func (c ClientConfig) withDefaults() ClientConfig {
-	if c.RTO <= 0 {
-		c.RTO = 250 * time.Millisecond
-	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 9
-	}
-	if c.WheelTick <= 0 {
-		c.WheelTick = c.RTO / 8
-	}
-	return c
 }
 
 // Client multiplexes many flow connections over one local UDP port,
@@ -341,7 +331,6 @@ type Client struct {
 	host   *netsim.Host
 	port   uint16
 	sock   *netsim.Socket
-	cfg    ClientConfig
 	wheel  *netsim.TimerWheel
 	conns  map[uint32]*Conn
 	nextID uint32
@@ -356,16 +345,14 @@ type Client struct {
 
 // NewClient binds a flow client to localPort on h.
 func NewClient(h *netsim.Host, localPort uint16, cfg ClientConfig) (*Client, error) {
-	cfg = cfg.withDefaults()
 	c := &Client{
 		host:  h,
 		port:  localPort,
-		cfg:   cfg,
 		conns: make(map[uint32]*Conn),
 		m:     RegisterClientMetrics(cfg.Metrics),
 		tr:    tracer{t: cfg.Tracer, node: h.Name()},
 	}
-	c.wheel = netsim.NewTimerWheel(h, cfg.WheelTick, 256)
+	c.wheel = netsim.NewTimerWheel(h, wheelTick, 256)
 	sock, err := h.BindUDP(netip.Addr{}, localPort, c.receive)
 	if err != nil {
 		return nil, err
@@ -504,7 +491,7 @@ func (c *Client) Dial(target netip.AddrPort, cb func(*Conn, error)) {
 	conn.dialCb = cb
 	c.conns[conn.id] = conn
 	conn.sendSYN()
-	conn.dialTimer.Reset(c.cfg.RTO)
+	conn.dialTimer.Reset(rto)
 }
 
 func (conn *Conn) sendSYN() {
@@ -534,7 +521,7 @@ type synRetry Conn
 func (r *synRetry) Run() {
 	conn := (*Conn)(r)
 	c := conn.client
-	if conn.dialRetries >= c.cfg.MaxRetries {
+	if conn.dialRetries >= maxRetries {
 		c.m.Timeouts.Inc()
 		cb := conn.dialCb
 		c.putConn(conn)
@@ -544,7 +531,7 @@ func (r *synRetry) Run() {
 	conn.dialRetries++
 	c.m.Retransmits.Inc()
 	conn.sendSYN()
-	conn.dialTimer.Reset(c.cfg.RTO)
+	conn.dialTimer.Reset(rto)
 }
 
 // Request sends payload and fires cb exactly once with the response (and
@@ -579,7 +566,7 @@ func (conn *Conn) Request(payload []byte, cb func(resp []byte, rtt time.Duration
 	}
 	conn.last = p
 	p.transmit()
-	p.timer.Reset(c.cfg.RTO)
+	p.timer.Reset(rto)
 }
 
 // transmit copies the master segment into a fresh pooled buffer and sends
@@ -601,7 +588,7 @@ func (p *pending) transmit() {
 func (p *pending) Run() {
 	conn := p.conn
 	c := conn.client
-	if p.retries >= c.cfg.MaxRetries {
+	if p.retries >= maxRetries {
 		conn.take(p.seq)
 		c.m.Timeouts.Inc()
 		cb := p.cb
@@ -613,7 +600,7 @@ func (p *pending) Run() {
 	c.m.Retransmits.Inc()
 	c.tr.emit(obs.KindFlowRetransmit, conn.peer.Addr(), "")
 	p.transmit()
-	p.timer.Reset(c.cfg.RTO)
+	p.timer.Reset(rto)
 }
 
 // take unlinks the in-flight request numbered seq and returns it, nil if

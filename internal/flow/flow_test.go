@@ -180,9 +180,7 @@ func TestRequestTimesOutAfterBudget(t *testing.T) {
 	if _, err := NewServer(r.server, 8090, ServerConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewClient(r.client, 9100, ClientConfig{
-		RTO: 100 * time.Millisecond, MaxRetries: 3, Metrics: reg,
-	})
+	c, err := NewClient(r.client, 9100, ClientConfig{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,6 +199,9 @@ func TestRequestTimesOutAfterBudget(t *testing.T) {
 	}
 	if v := RegisterClientMetrics(reg).Timeouts.Value(); v != 1 {
 		t.Errorf("timeouts counter = %d, want 1", v)
+	}
+	if v := RegisterClientMetrics(reg).Retransmits.Value(); v != maxRetries {
+		t.Errorf("retransmits counter = %d, want the budget %d", v, maxRetries)
 	}
 }
 
@@ -284,7 +285,8 @@ func TestCloseSendsFIN(t *testing.T) {
 
 func TestDialTimesOutWithNoServer(t *testing.T) {
 	r := newRig(t, 7)
-	c, err := NewClient(r.client, 9100, ClientConfig{RTO: 100 * time.Millisecond, MaxRetries: 2})
+	reg := metrics.New()
+	c, err := NewClient(r.client, 9100, ClientConfig{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,6 +298,9 @@ func TestDialTimesOutWithNoServer(t *testing.T) {
 	}
 	if c.Conns() != 0 {
 		t.Fatalf("client conns = %d after dial timeout, want 0", c.Conns())
+	}
+	if v := RegisterClientMetrics(reg).Retransmits.Value(); v != maxRetries {
+		t.Errorf("SYN retransmits = %d, want the budget %d", v, maxRetries)
 	}
 }
 
@@ -519,7 +524,7 @@ func TestTracedRetransmissionNamesThePeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := obs.New(0, r.s.Now)
-	c, err := NewClient(r.client, 9100, ClientConfig{Tracer: tr, RTO: 10 * time.Millisecond, MaxRetries: 1 << 20})
+	c, err := NewClient(r.client, 9100, ClientConfig{Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,13 +532,25 @@ func TestTracedRetransmissionNamesThePeer(t *testing.T) {
 	r.target = netip.AddrPortFrom(other, 8090)
 	second := dial(t, r, c)
 
+	// A request that exhausts its budget is issued again, so each
+	// connection keeps retransmitting for as long as the test runs.
+	payload := []byte("x")
+	again := func(conn *Conn) func([]byte, time.Duration, error) {
+		var cb func([]byte, time.Duration, error)
+		cb = func(_ []byte, _ time.Duration, err error) {
+			if errors.Is(err, ErrTimedOut) {
+				conn.Request(payload, cb)
+			}
+		}
+		return cb
+	}
 	r.server.NICs()[0].SetUp(false)
-	first.Request([]byte("x"), func([]byte, time.Duration, error) {})
+	first.Request(payload, again(first))
 	r.s.RunFor(5 * time.Second) // address formatted, pools warm
 	if avg := testing.AllocsPerRun(20, func() { r.s.RunFor(time.Second) }); avg != 0 {
 		t.Errorf("a second of traced retransmission allocates %.2f, want 0", avg)
 	}
-	second.Request([]byte("x"), func([]byte, time.Duration, error) {})
+	second.Request(payload, again(second))
 	r.s.RunFor(time.Second)
 	byPeer := map[string]int{}
 	for _, ev := range tr.Snapshot() {
@@ -544,10 +561,11 @@ func TestTracedRetransmissionNamesThePeer(t *testing.T) {
 			byPeer[ev.Addr]++
 		}
 	}
-	// An RTO is 10 ms plus up to one 1.25 ms wheel tick: 27 s for the first
-	// connection, 1 s for the second.
-	if len(byPeer) != 2 || byPeer["10.0.0.2"] < 2400 || byPeer["10.0.0.3"] < 85 || byPeer["10.0.0.3"] > 100 {
-		t.Fatalf("retransmit events by peer = %v, want ≈2500 for 10.0.0.2 and ≈95 for 10.0.0.3", byPeer)
+	// An RTO is 250 ms plus up to one 31.25 ms wheel tick, and a request
+	// retransmits maxRetries times in maxRetries+1 RTOs: 27 s of the first
+	// connection, 1 s of the second.
+	if len(byPeer) != 2 || byPeer["10.0.0.2"] < 85 || byPeer["10.0.0.2"] > 98 || byPeer["10.0.0.3"] < 3 || byPeer["10.0.0.3"] > 4 {
+		t.Fatalf("retransmit events by peer = %v, want 85–98 for 10.0.0.2 and 3–4 for 10.0.0.3", byPeer)
 	}
 }
 

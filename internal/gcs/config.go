@@ -26,7 +26,7 @@ const (
 	DetectorFixed Detector = iota
 	// DetectorPhi drives detection from phi-accrual suspicion
 	// (internal/health): a member is declared dead as soon as its phi
-	// crosses the configured threshold. The fixed T timeout stays armed as
+	// crosses health.Threshold. The fixed T timeout stays armed as
 	// a fallback floor, so phi detection can fire earlier than T but never
 	// later.
 	DetectorPhi
@@ -73,14 +73,6 @@ type Config struct {
 	// (the zero value, the paper's T timeout) or DetectorPhi (adaptive
 	// phi-accrual suspicion with the T timeout retained as a floor).
 	Detector Detector
-	// PhiThreshold is the suspicion level at which the phi detector declares
-	// a member faulty. Zero means health.DefaultThreshold. Ignored under
-	// DetectorFixed.
-	PhiThreshold float64
-	// PhiCheckInterval is how often the phi detector re-evaluates per-peer
-	// suspicion. Zero means HeartbeatInterval/2. Ignored under
-	// DetectorFixed.
-	PhiCheckInterval time.Duration
 }
 
 // DefaultConfig returns the "Default Spread" column of the paper's Table 1:
@@ -123,17 +115,13 @@ func (c Config) FormTimeout() time.Duration { return c.DiscoveryTimeout / 2 }
 // forms.
 func (c Config) RecoveryTimeout() time.Duration { return c.DiscoveryTimeout / 2 }
 
+// phiCheckInterval is how often the phi detector re-evaluates per-peer
+// suspicion.
+func (c Config) phiCheckInterval() time.Duration { return c.HeartbeatInterval / 2 }
+
 // TokenLossTimeout is how long the ring may show no token or data activity
 // before the daemon reconfigures.
 func (c Config) TokenLossTimeout() time.Duration { return c.FaultDetectTimeout }
-
-// withDefaults fills the zero-valued optional fields.
-func (c Config) withDefaults() Config {
-	if c.PhiCheckInterval <= 0 {
-		c.PhiCheckInterval = c.HeartbeatInterval / 2
-	}
-	return c
-}
 
 // Validate reports configurations that cannot work.
 func (c Config) Validate() error {
@@ -147,9 +135,6 @@ func (c Config) Validate() error {
 	}
 	if c.Detector > DetectorPhi {
 		return fmt.Errorf("gcs: unknown detector %d", c.Detector)
-	}
-	if c.PhiThreshold < 0 {
-		return fmt.Errorf("gcs: phi threshold must be non-negative, got %v", c.PhiThreshold)
 	}
 	return nil
 }

@@ -277,7 +277,7 @@ func NewDaemon(e env.Env, cfg Config) (*Daemon, error) {
 	}
 	d := &Daemon{
 		env:         e,
-		cfg:         cfg.withDefaults(),
+		cfg:         cfg,
 		id:          DaemonID(e.Conn.LocalAddr().String()),
 		ids:         idTable{},
 		faultTimers: map[DaemonID]env.Timer{},
@@ -313,10 +313,7 @@ func (d *Daemon) Start() {
 		// The phi detector needs a suspicion source. When no instrumented
 		// monitor was installed (no telemetry, no metrics), self-provision a
 		// plain one so `detector phi` works in every deployment shape.
-		d.SetHealth(health.NewMonitor(health.Options{
-			Node:      string(d.id),
-			Threshold: d.cfg.PhiThreshold,
-		}))
+		d.SetHealth(health.NewMonitor(health.Options{Node: string(d.id)}))
 	}
 	d.env.Conn.SetHandler(d.onPacket)
 	d.enterGather("boot", 0)
@@ -401,16 +398,6 @@ func (d *Daemon) SetDetectionHook(fn DetectionHook) { d.onDetection = fn }
 
 // Detector returns the active detection regime.
 func (d *Daemon) Detector() Detector { return d.cfg.Detector }
-
-// PhiThreshold returns the phi level at which the phi detector fires: the
-// configured threshold, or the health monitor's (default) threshold when
-// none was configured.
-func (d *Daemon) PhiThreshold() float64 {
-	if d.cfg.PhiThreshold > 0 {
-		return d.cfg.PhiThreshold
-	}
-	return d.health.Threshold()
-}
 
 // FaultDetectTimeout returns the fixed detection timeout T — the sole
 // detection mechanism under DetectorFixed, the fallback floor under
@@ -607,7 +594,7 @@ func (d *Daemon) declareFault(m DaemonID, detector string) {
 	d.enterGather("fault:"+string(m), 0)
 }
 
-// startPhiDetector arms the adaptive detection scan: every PhiCheckInterval
+// startPhiDetector arms the adaptive detection scan: every phiCheckInterval
 // it evaluates phi against each ring member and declares the first one
 // whose suspicion crosses the threshold, entering the same reconfiguration
 // path as the fixed timeout — just earlier. The per-member fixed timers
@@ -615,7 +602,7 @@ func (d *Daemon) declareFault(m DaemonID, detector string) {
 // (an under-sampled window at boot, say) is still detected at T.
 func (d *Daemon) startPhiDetector() {
 	if d.cfg.Detector == DetectorPhi && d.health != nil {
-		d.phiScanTimer.Reset(d.cfg.PhiCheckInterval)
+		d.phiScanTimer.Reset(d.cfg.phiCheckInterval())
 	}
 }
 
@@ -623,19 +610,18 @@ func (d *Daemon) phiScan() {
 	if d.closed || d.state != stOperational {
 		return
 	}
-	threshold := d.PhiThreshold()
 	now := d.env.Clock.Now()
 	for _, m := range d.ring.members {
 		if m == d.id {
 			continue
 		}
-		if phi := d.health.Phi(string(m), now); phi >= threshold {
-			d.env.Log.Logf("gcs %s: member %s phi %.2f crossed threshold %.2f", d.id, m, phi, threshold)
+		if phi := d.health.Phi(string(m), now); phi >= health.Threshold {
+			d.env.Log.Logf("gcs %s: member %s phi %.2f crossed threshold %.2f", d.id, m, phi, health.Threshold)
 			d.declareFault(m, "phi")
 			return // no longer operational; the scan dies with the state
 		}
 	}
-	d.phiScanTimer.Reset(d.cfg.PhiCheckInterval)
+	d.phiScanTimer.Reset(d.cfg.phiCheckInterval())
 }
 
 func (d *Daemon) onAlive(m aliveMsg) {

@@ -25,12 +25,20 @@ import (
 	"wackamole/internal/obs"
 )
 
-// Defaults for Options fields left zero.
+// Threshold is the phi level at which a peer becomes suspected, and at
+// which gcs's phi detector declares it faulty.
+const Threshold = 8.0
+
 const (
-	DefaultWindow     = 64
-	DefaultThreshold  = 8.0
-	DefaultMinSamples = 3
-	DefaultMinStdDev  = 10 * time.Millisecond
+	// window is the number of recent inter-arrival samples kept per peer.
+	window = 64
+	// minSamples is the number of inter-arrival samples required before phi
+	// is computed at all.
+	minSamples = 3
+	// minStdDev floors the estimator's standard deviation so that perfectly
+	// regular arrivals (the simulator's) don't make phi explode on the first
+	// microsecond of jitter.
+	minStdDev = 10 * time.Millisecond
 
 	// maxPhi caps the suspicion level once the tail probability underflows
 	// float64 (erfc ≈ 0); it also bounds the milli-phi gauge.
@@ -46,19 +54,6 @@ const (
 type Options struct {
 	// Node names the observer in metrics labels and trace events.
 	Node string
-	// Window is the number of recent inter-arrival samples kept per peer
-	// (default DefaultWindow).
-	Window int
-	// Threshold is the phi level at which a peer becomes suspected
-	// (default DefaultThreshold). Observe-only: nothing is evicted.
-	Threshold float64
-	// MinStdDev floors the estimator's standard deviation so that perfectly
-	// regular arrivals (the simulator's) don't make phi explode on the first
-	// microsecond of jitter (default DefaultMinStdDev).
-	MinStdDev time.Duration
-	// MinSamples is the number of inter-arrival samples required before phi
-	// is computed at all (default DefaultMinSamples).
-	MinSamples int
 	// Metrics receives the health_* families; nil disables metric export.
 	Metrics *metrics.Registry
 	// Tracer receives phi-suspect/clear events; nil disables tracing.
@@ -69,7 +64,7 @@ type Options struct {
 type PeerHealth struct {
 	// Peer is the observed daemon's identity ("ip:port").
 	Peer string
-	// Phi is the current suspicion level (0 when under MinSamples).
+	// Phi is the current suspicion level (0 when under minSamples).
 	Phi float64
 	// LastHeard is the age of the most recent signal from the peer (zero if
 	// never heard).
@@ -106,11 +101,7 @@ type peerState struct {
 type Monitor struct {
 	mu         sync.Mutex
 	node       string
-	window     int
-	threshold  float64
-	minStdNs   float64
 	minMeanNs  float64
-	minSamples int
 	tracer     *obs.Tracer
 	reg        *metrics.Registry
 	generation uint64
@@ -124,27 +115,11 @@ type Monitor struct {
 
 // NewMonitor returns a Monitor with no peers; call SetPeers to populate it.
 func NewMonitor(o Options) *Monitor {
-	if o.Window <= 0 {
-		o.Window = DefaultWindow
-	}
-	if o.Threshold <= 0 {
-		o.Threshold = DefaultThreshold
-	}
-	if o.MinStdDev <= 0 {
-		o.MinStdDev = DefaultMinStdDev
-	}
-	if o.MinSamples <= 0 {
-		o.MinSamples = DefaultMinSamples
-	}
 	m := &Monitor{
-		node:       o.Node,
-		window:     o.Window,
-		threshold:  o.Threshold,
-		minStdNs:   float64(o.MinStdDev.Nanoseconds()),
-		minSamples: o.MinSamples,
-		tracer:     o.Tracer,
-		reg:        o.Metrics,
-		peers:      make(map[string]*peerState),
+		node:   o.Node,
+		tracer: o.Tracer,
+		reg:    o.Metrics,
+		peers:  make(map[string]*peerState),
 	}
 	m.cObserve = o.Metrics.Counter("health_observations_total",
 		"peer signals (heartbeats, tokens) observed by the health monitor",
@@ -156,14 +131,6 @@ func NewMonitor(o Options) *Monitor {
 		"T-timeout detections that fired before shadow phi crossed its threshold",
 		metrics.L("node", o.Node))
 	return m
-}
-
-// Threshold returns the phi suspicion threshold.
-func (m *Monitor) Threshold() float64 {
-	if m == nil {
-		return DefaultThreshold
-	}
-	return m.threshold
 }
 
 // SetMinMean floors the modeled mean inter-arrival time. A daemon observes
@@ -212,7 +179,7 @@ func (m *Monitor) SetPeers(generation uint64, peers []string, now time.Time) {
 		ps := old[p]
 		if ps == nil {
 			ps = &peerState{
-				samples: make([]int64, m.window),
+				samples: make([]int64, window),
 				gPhi: m.reg.Gauge("health_phi",
 					"observe-only phi-accrual suspicion level, in milli-phi",
 					metrics.L("node", m.node), metrics.L("peer", p)),
@@ -321,7 +288,7 @@ func (m *Monitor) Snapshot(now time.Time) []PeerHealth {
 		ps := m.peers[name]
 		phi := m.phiLocked(ps, now)
 		ps.gPhi.Set(int64(phi * 1000))
-		if phi >= m.threshold && !ps.suspected {
+		if phi >= Threshold && !ps.suspected {
 			ps.suspected = true
 			ps.suspectedAt = now
 			ps.cSuspect.Inc()
@@ -364,7 +331,7 @@ func (m *Monitor) Detected(peer string, now time.Time) {
 		m.mu.Unlock()
 		return
 	}
-	if ps.n < m.minSamples && !ps.suspected {
+	if ps.n < minSamples && !ps.suspected {
 		// Under-sampled window: phi is undefined here, so the shadow
 		// detector abstains — a miss counted against a detector that never
 		// had data (transient boot-time rings) would be noise.
@@ -373,7 +340,7 @@ func (m *Monitor) Detected(peer string, now time.Time) {
 	}
 	crossedNow := false
 	if !ps.suspected {
-		if phi := m.phiLocked(ps, now); phi >= m.threshold {
+		if phi := m.phiLocked(ps, now); phi >= Threshold {
 			ps.suspected = true
 			ps.suspectedAt = now
 			ps.cSuspect.Inc()
@@ -425,12 +392,12 @@ func (m *Monitor) meanLocked(ps *peerState) float64 {
 // inter-arrival distribution, with two production guards (the Akka/Cassandra
 // refinements of the original paper): the mean is inflated by 50% as an
 // acceptable-pause allowance, and the standard deviation is floored at
-// max(mean/4, MinStdDev) so regular traffic doesn't hair-trigger. With the
-// tuned Table 1 heartbeat of 200ms this crosses the default threshold 8
+// max(mean/4, minStdDev) so regular traffic doesn't hair-trigger. With the
+// tuned Table 1 heartbeat of 200ms this crosses the threshold 8
 // around 580ms of silence — ahead of the 800ms T timeout — while a single
 // lost heartbeat stays near phi ≈ 1.6.
 func (m *Monitor) phiLocked(ps *peerState, now time.Time) float64 {
-	if ps.n < m.minSamples || ps.lastHeard.IsZero() {
+	if ps.n < minSamples || ps.lastHeard.IsZero() {
 		return 0
 	}
 	elapsed := float64(now.Sub(ps.lastHeard))
@@ -457,8 +424,8 @@ func (m *Monitor) phiLocked(ps *peerState, now time.Time) float64 {
 	if floor := mean / 4; std < floor {
 		std = floor
 	}
-	if std < m.minStdNs {
-		std = m.minStdNs
+	if std < float64(minStdDev) {
+		std = float64(minStdDev)
 	}
 	z := (elapsed - mean*1.5) / (std * math.Sqrt2)
 	p := 0.5 * math.Erfc(z)

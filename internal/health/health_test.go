@@ -61,9 +61,12 @@ func TestPhiBands(t *testing.T) {
 
 func TestPhiNeedsMinSamples(t *testing.T) {
 	m := NewMonitor(Options{Node: "a"})
-	last := feed(m, "b", 100*time.Millisecond, 2)
+	last := feed(m, "b", 100*time.Millisecond, minSamples-1)
 	if phi := m.Phi("b", last.Add(time.Hour)); phi != 0 {
-		t.Fatalf("phi with %d samples = %v, want 0", 2, phi)
+		t.Fatalf("phi with %d samples = %v, want 0", minSamples-1, phi)
+	}
+	if phi := m.Phi("b", feed(m, "b", 100*time.Millisecond, minSamples).Add(time.Hour)); phi == 0 {
+		t.Fatalf("phi with %d samples = 0, want it computed", minSamples)
 	}
 	if phi := m.Phi("nope", t0); phi != 0 {
 		t.Fatalf("phi for unknown peer = %v, want 0", phi)
@@ -110,7 +113,7 @@ func TestJitteredArrivals(t *testing.T) {
 func TestMinMeanFloor(t *testing.T) {
 	fast := NewMonitor(Options{Node: "a"})
 	last := feed(fast, "b", time.Millisecond, 30)
-	if phi := fast.Phi("b", last.Add(100*time.Millisecond)); phi < DefaultThreshold {
+	if phi := fast.Phi("b", last.Add(100*time.Millisecond)); phi < Threshold {
 		t.Fatalf("setup: unfloored token-dominated phi = %.2f, want >= threshold", phi)
 	}
 
@@ -120,7 +123,7 @@ func TestMinMeanFloor(t *testing.T) {
 	if phi := floored.Phi("b", last.Add(100*time.Millisecond)); phi >= 1 {
 		t.Fatalf("floored phi after a 100ms token stall = %.2f, want < 1", phi)
 	}
-	if phi := floored.Phi("b", last.Add(time.Second)); phi < DefaultThreshold {
+	if phi := floored.Phi("b", last.Add(time.Second)); phi < Threshold {
 		t.Fatalf("floored phi after 1s of true silence = %.2f, want >= threshold", phi)
 	}
 

@@ -1,7 +1,7 @@
 // Package hsrp implements a simplified Hot Standby Router Protocol, the
 // Cisco baseline the paper discusses (§7): one active router and one
 // standby exchange hello messages; the standby takes over when the active
-// timer expires without hellos from the active router. Defaults follow the
+// timer expires without hellos from the active router. Timers follow the
 // paper's description: hellos every 3 seconds, timeouts of 10 seconds.
 package hsrp
 
@@ -19,11 +19,11 @@ import (
 // Port carries hello messages in the simulation (real HSRP uses UDP 1985).
 const Port = 1985
 
-// Defaults from the paper: "By default, hello messages are sent every 3
+// Timers from the paper: "By default, hello messages are sent every 3
 // seconds and the Active and Standby timeouts are set to 10 seconds."
 const (
-	DefaultHello = 3 * time.Second
-	DefaultHold  = 10 * time.Second
+	helloInterval = 3 * time.Second
+	holdTime      = 10 * time.Second
 )
 
 // Role is the router's current role.
@@ -59,23 +59,6 @@ type Config struct {
 	Priority uint8
 	// VIP is the standby group's virtual address.
 	VIP netip.Addr
-	// Hello and Hold override the defaults when positive.
-	Hello time.Duration
-	Hold  time.Duration
-}
-
-func (c Config) hello() time.Duration {
-	if c.Hello <= 0 {
-		return DefaultHello
-	}
-	return c.Hello
-}
-
-func (c Config) hold() time.Duration {
-	if c.Hold <= 0 {
-		return DefaultHold
-	}
-	return c.Hold
 }
 
 // Router is one HSRP instance.
@@ -143,10 +126,10 @@ func (r *Router) hello() {
 		return
 	}
 	r.sendHello()
-	r.helloT.Reset(r.cfg.hello())
+	r.helloT.Reset(helloInterval)
 }
 
-func (r *Router) armActiveTimer() { r.activeT.Reset(r.cfg.hold()) }
+func (r *Router) armActiveTimer() { r.activeT.Reset(holdTime) }
 
 func (r *Router) activeTimeout() {
 	if r.running && r.role != RoleActive {

@@ -20,8 +20,8 @@
 //
 // Every request terminates in exactly one class:
 //
-//	ok       response arrived within RequestTimeout
-//	stale    response arrived, but later than RequestTimeout (the flow
+//	ok       response arrived within requestTimeout (1s)
+//	stale    response arrived, but later than requestTimeout (the flow
 //	         layer's retries outlived the user's patience)
 //	reset    the connection was RST — the paper's lost-connection case
 //	timeout  the flow layer's retry budget expired with no answer at all
@@ -130,21 +130,6 @@ type Config struct {
 	Target netip.AddrPort
 	// LocalPort is the shared client-side UDP port (default 9100).
 	LocalPort uint16
-	// RequestTimeout is the classification deadline separating ok from
-	// stale (default 1s). It does not abort the request — the flow layer's
-	// retry budget governs that — it is the user's patience.
-	RequestTimeout time.Duration
-	// RTO and MaxRetries tune the underlying flow client (zero = flow
-	// defaults).
-	RTO        time.Duration
-	MaxRetries int
-	// PayloadSize is the request body size in bytes (default 64).
-	PayloadSize int
-	// BucketWidth is the timeline resolution (default 100ms).
-	BucketWidth time.Duration
-	// RedialBackoff delays a closed-loop client's reconnect after a reset
-	// (default 100ms — an aggressive browser retry).
-	RedialBackoff time.Duration
 	// Metrics receives the load and flow instrument families (nil
 	// disables).
 	Metrics *metrics.Registry
@@ -165,20 +150,22 @@ func (c Config) withDefaults() Config {
 	if c.LocalPort == 0 {
 		c.LocalPort = 9100
 	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = time.Second
-	}
-	if c.PayloadSize <= 0 {
-		c.PayloadSize = 64
-	}
-	if c.BucketWidth <= 0 {
-		c.BucketWidth = 100 * time.Millisecond
-	}
-	if c.RedialBackoff <= 0 {
-		c.RedialBackoff = 100 * time.Millisecond
-	}
 	return c
 }
+
+const (
+	// requestTimeout is the classification deadline separating ok from
+	// stale. It does not abort the request — the flow layer's retry budget
+	// governs that — it is the user's patience.
+	requestTimeout = time.Second
+	// payloadSize is the request body size in bytes.
+	payloadSize = 64
+	// bucketWidth is the timeline resolution.
+	bucketWidth = 100 * time.Millisecond
+	// redialBackoff delays a closed-loop client's reconnect after a reset:
+	// an aggressive browser retry.
+	redialBackoff = 100 * time.Millisecond
+)
 
 // Metrics bundles the engine's registry instruments.
 type Metrics struct {
@@ -211,7 +198,7 @@ type Completion struct {
 }
 
 // Bucket is one timeline cell: per-class completion counts in one
-// BucketWidth-wide interval starting at Start.
+// bucketWidth-wide (100ms) interval starting at Start.
 type Bucket struct {
 	Start  time.Time
 	Counts [NumClasses]uint64
@@ -320,10 +307,8 @@ func New(h *netsim.Host, cfg Config) (*Engine, error) {
 		return nil, errors.New("load: config requires a target address")
 	}
 	fc, err := flow.NewClient(h, cfg.LocalPort, flow.ClientConfig{
-		RTO:        cfg.RTO,
-		MaxRetries: cfg.MaxRetries,
-		Metrics:    cfg.Metrics,
-		Tracer:     cfg.Tracer,
+		Metrics: cfg.Metrics,
+		Tracer:  cfg.Tracer,
 	})
 	if err != nil {
 		return nil, err
@@ -334,7 +319,7 @@ func New(h *netsim.Host, cfg Config) (*Engine, error) {
 		fc:       fc,
 		rng:      h.Network().Sim().Rand(),
 		m:        Register(cfg.Metrics),
-		payload:  make([]byte, cfg.PayloadSize),
+		payload:  make([]byte, payloadSize),
 		byServer: map[string]uint64{},
 	}
 	if cfg.Mode == Open {
@@ -436,7 +421,7 @@ func (e *Engine) Completions() []Completion { return e.completions }
 
 // Buckets returns the per-class timeline since the last ResetStats (live
 // slice, same caveat as Completions). Bucket i covers
-// [epoch+i*BucketWidth, epoch+(i+1)*BucketWidth).
+// [epoch+i*bucketWidth, epoch+(i+1)*bucketWidth).
 func (e *Engine) Buckets() []Bucket { return e.buckets }
 
 // ByServer returns response counts keyed by responding server identity
@@ -496,7 +481,7 @@ func (cs *clientState) handleDial(conn *flow.Conn, err error) {
 			e.record(class, 0)
 		}
 		if e.cfg.Mode == Closed {
-			cs.redial.Reset(e.cfg.RedialBackoff)
+			cs.redial.Reset(redialBackoff)
 		}
 		return
 	}
@@ -526,7 +511,7 @@ func (cs *clientState) handleResp(resp []byte, rtt time.Duration, err error) {
 	}
 	switch {
 	case err == nil:
-		if rtt <= e.cfg.RequestTimeout {
+		if rtt <= requestTimeout {
 			e.record(ClassOK, rtt)
 		} else {
 			e.record(ClassStale, rtt)
@@ -563,7 +548,7 @@ func (cs *clientState) handleAbort(error) {
 	}
 	e.stats.ConnsLost++
 	if e.cfg.Mode == Closed {
-		cs.redial.Reset(e.cfg.RedialBackoff)
+		cs.redial.Reset(redialBackoff)
 	}
 }
 
@@ -624,10 +609,10 @@ func (e *Engine) record(class Class, rtt time.Duration) {
 		e.completions = slices.Grow(e.completions, max(len(e.completions), 64))
 	}
 	e.completions = append(e.completions, Completion{At: now, RTT: rtt, Class: class})
-	idx := int(now.Sub(e.epoch) / e.cfg.BucketWidth)
+	idx := int(now.Sub(e.epoch) / bucketWidth)
 	for len(e.buckets) <= idx {
 		e.buckets = append(e.buckets, Bucket{
-			Start: e.epoch.Add(time.Duration(len(e.buckets)) * e.cfg.BucketWidth),
+			Start: e.epoch.Add(time.Duration(len(e.buckets)) * bucketWidth),
 		})
 	}
 	e.buckets[idx].Counts[class]++

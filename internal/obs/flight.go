@@ -56,8 +56,6 @@ type FlightConfig struct {
 	// Config is the effective configuration text written verbatim into the
 	// bundle.
 	Config string
-	// MaxViews bounds the in-memory membership history (default 128).
-	MaxViews int
 	// InterruptionThreshold arms the automatic trigger: when a recorded
 	// membership install lands more than this long after the discovery that
 	// produced it (per the trace), the recorder dumps on its own. Zero
@@ -65,14 +63,19 @@ type FlightConfig struct {
 	InterruptionThreshold time.Duration
 	// Profile includes a heap profile in each bundle.
 	Profile bool
-	// MaxBundles bounds how many of this node's bundles are kept on disk;
-	// older ones are pruned after each dump (default 16).
-	MaxBundles int
 	// Now is the wall-clock source (default time.Now); tests pin it.
 	Now func() time.Time
 	// Log receives dump diagnostics; nil discards them.
 	Log func(format string, args ...any)
 }
+
+const (
+	// maxViews bounds the in-memory membership history.
+	maxViews = 128
+	// maxBundles bounds how many of this node's bundles are kept on disk;
+	// older ones are pruned after each dump.
+	maxBundles = 16
+)
 
 // ViewRecord is one entry of the recorded membership history.
 type ViewRecord struct {
@@ -115,12 +118,6 @@ type FlightRecorder struct {
 
 // NewFlightRecorder builds a recorder; cfg.Dir and cfg.Node are required.
 func NewFlightRecorder(cfg FlightConfig) *FlightRecorder {
-	if cfg.MaxViews <= 0 {
-		cfg.MaxViews = 128
-	}
-	if cfg.MaxBundles <= 0 {
-		cfg.MaxBundles = 16
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
@@ -148,8 +145,8 @@ func (f *FlightRecorder) RecordView(ring string, members []string) {
 		rec.HLCWall, rec.HLCLogical = ts.Wall, ts.Logical
 	}
 	f.views = append(f.views, rec)
-	if len(f.views) > f.cfg.MaxViews {
-		f.views = f.views[len(f.views)-f.cfg.MaxViews:]
+	if len(f.views) > maxViews {
+		f.views = f.views[len(f.views)-maxViews:]
 	}
 	threshold := f.cfg.InterruptionThreshold
 	f.mu.Unlock()
@@ -300,7 +297,7 @@ func (f *FlightRecorder) Dump(reason string) (string, error) {
 	return final, nil
 }
 
-// pruneLocked deletes this node's oldest bundles beyond MaxBundles.
+// pruneLocked deletes this node's oldest bundles beyond maxBundles.
 func (f *FlightRecorder) pruneLocked() {
 	prefix := sanitizeNode(f.cfg.Node) + "-"
 	entries, err := os.ReadDir(f.cfg.Dir)
@@ -313,11 +310,11 @@ func (f *FlightRecorder) pruneLocked() {
 			mine = append(mine, e.Name())
 		}
 	}
-	if len(mine) <= f.cfg.MaxBundles {
+	if len(mine) <= maxBundles {
 		return
 	}
 	sort.Strings(mine) // zero-padded seq: lexicographic == chronological
-	for _, name := range mine[:len(mine)-f.cfg.MaxBundles] {
+	for _, name := range mine[:len(mine)-maxBundles] {
 		os.RemoveAll(filepath.Join(f.cfg.Dir, name))
 	}
 }

@@ -113,7 +113,7 @@ func TestFlightDumpBundleContents(t *testing.T) {
 func TestFlightConcurrentWritersAndDumps(t *testing.T) {
 	tr := New(256, nil)
 	tr.SetHLC(NewHLCClock(nil, "n1"))
-	f := newTestRecorder(t, tr, FlightConfig{Node: "n1", MaxViews: 8, MaxBundles: 64})
+	f := newTestRecorder(t, tr, FlightConfig{Node: "n1"})
 
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -151,15 +151,15 @@ func TestFlightConcurrentWritersAndDumps(t *testing.T) {
 			t.Fatalf("bundle %s incomplete: %v", dir, err)
 		}
 	}
-	if got := len(f.views); got != 8 {
-		t.Fatalf("view history not bounded: %d entries, want 8", got)
+	if got := len(f.views); got != maxViews {
+		t.Fatalf("view history not bounded: %d entries, want %d", got, maxViews)
 	}
 }
 
 func TestFlightPruneKeepsNewest(t *testing.T) {
 	dir := t.TempDir()
-	f := newTestRecorder(t, nil, FlightConfig{Dir: dir, Node: "n1", MaxBundles: 2})
-	for i := 0; i < 5; i++ {
+	f := newTestRecorder(t, nil, FlightConfig{Dir: dir, Node: "n1"})
+	for i := 0; i < maxBundles+3; i++ {
 		if _, err := f.Dump("prune-test"); err != nil {
 			t.Fatal(err)
 		}
@@ -172,8 +172,8 @@ func TestFlightPruneKeepsNewest(t *testing.T) {
 	for _, e := range entries {
 		names = append(names, e.Name())
 	}
-	if len(names) != 2 || names[0] != "n1-0004" || names[1] != "n1-0005" {
-		t.Fatalf("prune kept %v, want newest two", names)
+	if len(names) != maxBundles || names[0] != "n1-0004" || names[maxBundles-1] != fmt.Sprintf("n1-%04d", maxBundles+3) {
+		t.Fatalf("prune kept %v, want the newest %d", names, maxBundles)
 	}
 }
 

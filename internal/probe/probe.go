@@ -13,13 +13,17 @@ import (
 	"time"
 
 	"wackamole/internal/env"
-	"wackamole/internal/metrics"
 	"wackamole/internal/netsim"
 )
 
-// DefaultInterval is the paper's probe period: "we used a 10ms interval
-// between requests", their practical minimum.
-const DefaultInterval = 10 * time.Millisecond
+const (
+	// interval is the paper's probe period: "we used a 10ms interval
+	// between requests", their practical minimum.
+	interval = 10 * time.Millisecond
+	// gapThreshold: consecutive responses farther apart than this are
+	// recorded as a Gap.
+	gapThreshold = 5 * interval
+)
 
 // Server answers UDP requests with the host's name.
 type Server struct {
@@ -63,12 +67,8 @@ func (g Gap) Duration() time.Duration { return g.End.Sub(g.Start) }
 
 // Client polls a virtual address and records responses and gaps.
 type Client struct {
-	host     *netsim.Host
-	target   netip.AddrPort
-	interval time.Duration
-	// gapThreshold: consecutive responses farther apart than this are
-	// recorded as a Gap.
-	gapThreshold time.Duration
+	host   *netsim.Host
+	target netip.AddrPort
 
 	sock      *netsim.Socket
 	localPort uint16
@@ -82,18 +82,6 @@ type Client struct {
 	lastFrom  string
 	maxGap    time.Duration
 	gaps      []Gap
-
-	// RTT observation state: each response is measured against the most
-	// recent request; a nil histogram makes this a no-op.
-	mRTT       *metrics.Histogram
-	lastSentAt time.Time
-	awaiting   bool
-
-	// mSendErrors counts probes the host refused to send (interface down,
-	// no route, host dead). In-network losses are invisible here; a growing
-	// counter means the *client side* of the measurement path is broken —
-	// which would otherwise masquerade as a service interruption.
-	mSendErrors *metrics.Counter
 }
 
 // ClientConfig parameterizes a Client.
@@ -102,34 +90,14 @@ type ClientConfig struct {
 	Target netip.AddrPort
 	// LocalPort is the client's UDP port.
 	LocalPort uint16
-	// Interval between requests; zero means DefaultInterval (10ms).
-	Interval time.Duration
-	// GapThreshold above which an inter-response gap counts as an
-	// interruption; zero means 5×Interval.
-	GapThreshold time.Duration
-	// Metrics, when set, records request→response round-trip times in the
-	// probe_rtt_seconds histogram labeled with the client host's name.
-	Metrics *metrics.Registry
 }
 
 // NewClient builds a probing client on h. Call Start to begin probing.
 func NewClient(h *netsim.Host, cfg ClientConfig) (*Client, error) {
-	if cfg.Interval <= 0 {
-		cfg.Interval = DefaultInterval
-	}
-	if cfg.GapThreshold <= 0 {
-		cfg.GapThreshold = 5 * cfg.Interval
-	}
 	c := &Client{
-		host:         h,
-		target:       cfg.Target,
-		interval:     cfg.Interval,
-		gapThreshold: cfg.GapThreshold,
-		byServer:     map[string]int{},
-		mRTT: cfg.Metrics.Histogram("probe_rtt_seconds",
-			"round-trip time from probe request to response", metrics.L("node", h.Name())),
-		mSendErrors: cfg.Metrics.Counter("probe_send_errors_total",
-			"probe requests the client host failed to transmit", metrics.L("node", h.Name())),
+		host:     h,
+		target:   cfg.Target,
+		byServer: map[string]int{},
 	}
 	sock, err := h.BindUDP(netip.Addr{}, cfg.LocalPort, func(_, _ netip.AddrPort, payload []byte) {
 		c.onResponse(payload)
@@ -151,16 +119,12 @@ func (c *Client) onResponse(payload []byte) {
 		from = string(payload)
 	}
 	now := c.host.Now()
-	if c.awaiting {
-		c.awaiting = false
-		c.mRTT.ObserveDuration(now.Sub(c.lastSentAt))
-	}
 	if c.havePrev {
 		gap := now.Sub(c.lastAt)
 		if gap > c.maxGap {
 			c.maxGap = gap
 		}
-		if gap > c.gapThreshold {
+		if gap > gapThreshold {
 			c.gaps = append(c.gaps, Gap{Start: c.lastAt, End: now, From: c.lastFrom, To: from})
 		}
 	}
@@ -189,17 +153,11 @@ func (c *Client) tick() {
 		return
 	}
 	src := netip.AddrPortFrom(netip.Addr{}, c.localPort)
-	c.lastSentAt = c.host.Now()
-	c.awaiting = true
-	if err := c.host.SendUDP(src, c.target, query); err != nil {
-		// Host-side failures (no route, interface down) occur during
-		// fault experiments; count them and keep probing. A probe that
-		// was never sent cannot be answered, so the RTT observation for
-		// this round is cancelled rather than left pending.
-		c.awaiting = false
-		c.mSendErrors.Inc()
-	}
-	c.timer.Reset(c.interval)
+	// Host-side failures (no route, interface down) occur during fault
+	// experiments: a probe that was never sent is never answered, and the
+	// gap it leaves is measured like any other.
+	_ = c.host.SendUDP(src, c.target, query)
+	c.timer.Reset(interval)
 }
 
 // Stop halts the probe loop; recorded statistics remain readable.

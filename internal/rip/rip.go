@@ -29,18 +29,18 @@ const Port = 520
 // Infinity is the unreachable metric.
 const Infinity = 16
 
-// Defaults per classic RIP.
+// Timers per classic RIP.
 const (
+	// DefaultAdvertisePeriod separates periodic updates.
 	DefaultAdvertisePeriod = 30 * time.Second
-	DefaultRouteTimeout    = 180 * time.Second
+	// routeTimeout is how long a learned route lives without a refresh.
+	routeTimeout = 180 * time.Second
 )
 
 // Config parameterizes a Process.
 type Config struct {
 	// AdvertisePeriod between periodic updates; zero means 30s.
 	AdvertisePeriod time.Duration
-	// RouteTimeout after which a learned route expires; zero means 180s.
-	RouteTimeout time.Duration
 }
 
 func (c Config) period() time.Duration {
@@ -48,13 +48,6 @@ func (c Config) period() time.Duration {
 		return DefaultAdvertisePeriod
 	}
 	return c.AdvertisePeriod
-}
-
-func (c Config) timeout() time.Duration {
-	if c.RouteTimeout <= 0 {
-		return DefaultRouteTimeout
-	}
-	return c.RouteTimeout
 }
 
 // Process is one router's RIP instance.
@@ -242,7 +235,7 @@ func (p *Process) onUpdate(srcAP, _ netip.AddrPort, payload []byte) {
 			if ok {
 				p.host.RemoveRoute(prefix, cur.nexthop)
 			}
-			p.learned[prefix] = &route{metric: metric, nexthop: src, learnedOn: in, expires: now.Add(p.cfg.timeout())}
+			p.learned[prefix] = &route{metric: metric, nexthop: src, learnedOn: in, expires: now.Add(routeTimeout)}
 			p.host.AddRoute(prefix, in, src)
 		}
 	}

@@ -139,7 +139,7 @@ func TestStopUninstallsRoutes(t *testing.T) {
 }
 
 func TestRouteExpiry(t *testing.T) {
-	cfg := Config{AdvertisePeriod: 2 * time.Second, RouteTimeout: 5 * time.Second}
+	cfg := Config{AdvertisePeriod: 2 * time.Second}
 	s, pu, pr, _ := twoRouterNet(t, 5, cfg)
 	pu.Start()
 	pr.Start()
@@ -148,6 +148,10 @@ func TestRouteExpiry(t *testing.T) {
 		t.Fatal("route not learned")
 	}
 	pu.Stop()
+	s.RunFor(routeTimeout - 5*time.Second)
+	if !pr.HasRoute(netip.MustParsePrefix("203.0.113.0/24")) {
+		t.Fatal("route expired before its timeout")
+	}
 	s.RunFor(10 * time.Second)
 	if pr.HasRoute(netip.MustParsePrefix("203.0.113.0/24")) {
 		t.Fatal("route survived past its timeout after the advertiser stopped")

@@ -23,8 +23,9 @@ import (
 // the simulator models UDP only).
 const Port = 112
 
-// DefaultAdvertInterval is the RFC 2338 default of one second.
-const DefaultAdvertInterval = time.Second
+// advertInterval separates master advertisements: the RFC 2338 default of
+// one second.
+const advertInterval = time.Second
 
 // State is the protocol state.
 type State uint8
@@ -58,17 +59,8 @@ type Config struct {
 	Priority uint8
 	// VIP is the virtual router's address.
 	VIP netip.Addr
-	// AdvertInterval between master advertisements; zero means 1s.
-	AdvertInterval time.Duration
 	// Preempt lets a higher-priority router take over from a live master.
 	Preempt bool
-}
-
-func (c Config) advertInterval() time.Duration {
-	if c.AdvertInterval <= 0 {
-		return DefaultAdvertInterval
-	}
-	return c.AdvertInterval
 }
 
 // SkewTime is (256 − priority) / 256 seconds, per RFC 2338.
@@ -78,7 +70,7 @@ func (c Config) SkewTime() time.Duration {
 
 // MasterDownInterval is 3×advertisement interval + skew, per RFC 2338.
 func (c Config) MasterDownInterval() time.Duration {
-	return 3*c.advertInterval() + c.SkewTime()
+	return 3*advertInterval + c.SkewTime()
 }
 
 // Router is one VRRP instance on a host interface.
@@ -163,7 +155,7 @@ func (r *Router) toMaster() {
 		_ = err // interface down; the next election will recover
 	}
 	r.sendAdvert()
-	r.advertTimer.Reset(r.cfg.advertInterval())
+	r.advertTimer.Reset(advertInterval)
 }
 
 // advertise is the master's periodic advertisement; it re-arms its own timer.
@@ -172,7 +164,7 @@ func (r *Router) advertise() {
 		return
 	}
 	r.sendAdvert()
-	r.advertTimer.Reset(r.cfg.advertInterval())
+	r.advertTimer.Reset(advertInterval)
 }
 
 func (r *Router) stepDown() {

@@ -58,7 +58,7 @@ func TestBackupTakesOverWithinMasterDownInterval(t *testing.T) {
 		s.RunFor(100 * time.Millisecond)
 	}
 	took := s.Elapsed() - faultAt
-	cfg := Config{Priority: 100, AdvertInterval: DefaultAdvertInterval}
+	cfg := Config{Priority: 100}
 	if took > cfg.MasterDownInterval()+200*time.Millisecond {
 		t.Fatalf("takeover took %v, want within master-down %v", took, cfg.MasterDownInterval())
 	}

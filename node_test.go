@@ -43,9 +43,6 @@ func TestReconnectAfterRepeatedSevers(t *testing.T) {
 	c := newCluster(t, wackamole.ClusterOptions{
 		Seed: 31, Servers: 2, VIPs: 4,
 		BalanceTimeout: 4 * time.Second,
-		ConfigureNode: func(_ int, cfg *wackamole.Config) {
-			cfg.ReconnectInterval = 500 * time.Millisecond
-		},
 	})
 	c.Settle()
 	victim := c.Servers[0].Node

@@ -42,9 +42,9 @@ const DefaultPort = 4803
 // local group-communication daemon.
 const ClientName = "wackd"
 
-// defaultReconnectInterval paces reconnection attempts after the engine
-// loses its daemon connection (§4.2 of the paper).
-const defaultReconnectInterval = time.Second
+// reconnectInterval paces reconnection attempts after the engine loses its
+// daemon connection (§4.2 of the paper).
+const reconnectInterval = time.Second
 
 // Config configures one Node.
 type Config struct {
@@ -56,9 +56,6 @@ type Config struct {
 	// Engine holds the Wackamole algorithm configuration: the virtual
 	// address groups, preferences, and balance/maturity behaviour.
 	Engine core.Config
-	// ReconnectInterval paces reconnection attempts after losing the
-	// daemon connection. Zero means one second.
-	ReconnectInterval time.Duration
 }
 
 func (c Config) group() string {
@@ -66,13 +63,6 @@ func (c Config) group() string {
 		return DefaultGroup
 	}
 	return c.Group
-}
-
-func (c Config) reconnectInterval() time.Duration {
-	if c.ReconnectInterval <= 0 {
-		return defaultReconnectInterval
-	}
-	return c.ReconnectInterval
 }
 
 // Node is one Wackamole instance: a group-communication daemon, the
@@ -318,7 +308,7 @@ func (n *Node) connect() error {
 }
 
 func (n *Node) scheduleReconnect() {
-	n.env.Clock.AfterFunc(n.cfg.reconnectInterval(), func() {
+	n.env.Clock.AfterFunc(reconnectInterval, func() {
 		if n.stopped || n.sess != nil {
 			return
 		}
