@@ -71,7 +71,10 @@ type PacketConn interface {
 	// SetHandler installs the inbound datagram callback. It must be called
 	// before any datagram can be delivered and at most once.
 	SetHandler(h Handler)
-	// Close releases the endpoint; no callbacks run after Close returns.
+	// Close releases the endpoint. It may be called from any goroutine. A
+	// delivery that begins after Close returns never reaches the handler;
+	// Close does not wait for one already under way, which may still run the
+	// handler.
 	Close() error
 }
 

@@ -3,7 +3,7 @@ package experiment
 import (
 	"fmt"
 	"net/netip"
-	"slices"
+	"sort"
 	"time"
 
 	"wackamole"
@@ -553,10 +553,7 @@ func finalizePhases(phases []RollingPhase, engine *load.Engine) {
 // reports its full width — plus the phase's completion counts.
 func phaseWindow(completions []load.Completion, from, to time.Time) (gap time.Duration, total, ok uint64) {
 	prev := from
-	for _, c := range completions {
-		if c.At.Before(from) || !c.At.Before(to) {
-			continue
-		}
+	for _, c := range within(completions, from, to) {
 		total++
 		if c.Class == load.ClassOK {
 			ok++
@@ -686,12 +683,12 @@ func summarizeTrial(seed int64, engine *load.Engine, faultAt time.Time) *Availab
 	for k, v := range engine.ByServer() {
 		res.ByServer[k] = v
 	}
-	// Sorting scratch, shared by the four windows: none holds more round
+	// Selection scratch, shared by the three windows: none holds more round
 	// trips than there are completions.
 	rtts := make([]time.Duration, 0, len(engine.Completions()))
-	res.Before, rtts = windowOf(engine.Completions(), engine.Epoch(), faultAt, rtts)
-	res.During, rtts = windowOf(engine.Completions(), faultAt, recoveredAt, rtts)
-	res.After, rtts = windowOf(engine.Completions(), recoveredAt, end.Add(time.Nanosecond), rtts)
+	res.Before, rtts = windowOf(within(engine.Completions(), engine.Epoch(), faultAt), rtts)
+	res.During, rtts = windowOf(within(engine.Completions(), faultAt, recoveredAt), rtts)
+	res.After, _ = windowOf(within(engine.Completions(), recoveredAt, end.Add(time.Nanosecond)), rtts)
 
 	// Goodput: ok completions per second in the fault-free window, and in
 	// an equally wide window ending at the last completion.
@@ -703,14 +700,16 @@ func summarizeTrial(seed int64, engine *load.Engine, faultAt time.Time) *Availab
 	if postStart.Before(recoveredAt) {
 		postStart = recoveredAt
 	}
-	var post LatencyWindow
+	var post []load.Completion
+	var postOK uint64
 	if postW := end.Sub(postStart); postW > 0 {
-		post, _ = windowOf(engine.Completions(), postStart, end.Add(time.Nanosecond), rtts)
-		res.GoodputPost = float64(post.OK) / postW.Seconds()
+		post = within(engine.Completions(), postStart, end.Add(time.Nanosecond))
+		postOK = countOK(post)
+		res.GoodputPost = float64(postOK) / postW.Seconds()
 	}
-	if res.Before.Completions > 0 && post.Completions > 0 {
+	if res.Before.Completions > 0 && len(post) > 0 {
 		preFrac := float64(res.Before.OK) / float64(res.Before.Completions)
-		postFrac := float64(post.OK) / float64(post.Completions)
+		postFrac := float64(postOK) / float64(len(post))
 		if preFrac > 0 {
 			res.Recovery = postFrac / preFrac
 		}
@@ -718,16 +717,31 @@ func summarizeTrial(seed int64, engine *load.Engine, faultAt time.Time) *Availab
 	return res
 }
 
-// windowOf summarizes the completions with from <= At < to. It sorts the
-// window's round-trip times in rtts, which it overwrites and hands back grown.
-func windowOf(completions []load.Completion, from, to time.Time, rtts []time.Duration) (LatencyWindow, []time.Duration) {
-	var w LatencyWindow
+// within returns the run of completions with from <= At < to. The log is in
+// completion order, so At never decreases along it and the run's two ends
+// are binary searches.
+func within(completions []load.Completion, from, to time.Time) []load.Completion {
+	lo := sort.Search(len(completions), func(i int) bool { return !completions[i].At.Before(from) })
+	n := sort.Search(len(completions)-lo, func(i int) bool { return !completions[lo+i].At.Before(to) })
+	return completions[lo : lo+n]
+}
+
+// countOK counts the ok completions in cs.
+func countOK(cs []load.Completion) (ok uint64) {
+	for _, c := range cs {
+		if c.Class == load.ClassOK {
+			ok++
+		}
+	}
+	return ok
+}
+
+// windowOf summarizes one window's completions. It selects the window's
+// round-trip quantiles in rtts, which it overwrites and hands back grown.
+func windowOf(completions []load.Completion, rtts []time.Duration) (LatencyWindow, []time.Duration) {
+	w := LatencyWindow{Completions: uint64(len(completions))}
 	rtts = rtts[:0]
 	for _, c := range completions {
-		if c.At.Before(from) || !c.At.Before(to) {
-			continue
-		}
-		w.Completions++
 		if c.Class == load.ClassOK {
 			w.OK++
 		}
@@ -739,9 +753,8 @@ func windowOf(completions []load.Completion, from, to time.Time, rtts []time.Dur
 		}
 	}
 	if len(rtts) > 0 {
-		slices.Sort(rtts)
-		w.P50 = metrics.Percentile(rtts, 50)
-		w.P99 = metrics.Percentile(rtts, 99)
+		w.P50 = metrics.Select(rtts, 50)
+		w.P99 = metrics.Select(rtts, 99)
 	}
 	return w, rtts
 }

@@ -315,14 +315,53 @@ func Percentile(sorted []time.Duration, q float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0
 	}
-	rank := int(math.Ceil(q / 100 * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
+	return sorted[rank(len(sorted), q)]
+}
+
+// rank is the 0-based index of the nearest-rank q-th percentile of n > 0
+// sorted samples.
+func rank(n int, q float64) int {
+	return min(max(int(math.Ceil(q/100*float64(n))), 1), n) - 1
+}
+
+// Select returns what Percentile returns for xs once sorted, without sorting
+// it: it reorders xs only until the element of that rank is in place, which
+// takes expected linear time.
+func Select(xs []time.Duration, q float64) time.Duration {
+	if len(xs) == 0 {
+		return 0
 	}
-	if rank > len(sorted) {
-		rank = len(sorted)
+	k := rank(len(xs), q)
+	lo, hi := 0, len(xs)-1
+	for lo < hi {
+		// Hoare partition around the median of three: afterwards xs[lo..j]
+		// are ≤ p, xs[i..hi] are ≥ p, and anything between equals p.
+		a, b, c := xs[lo], xs[lo+(hi-lo)/2], xs[hi]
+		p := max(min(a, b), min(max(a, b), c))
+		i, j := lo, hi
+		for i <= j {
+			for xs[i] < p {
+				i++
+			}
+			for xs[j] > p {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return xs[k]
+		}
 	}
-	return sorted[rank-1]
+	return xs[k]
 }
 
 // seriesKey identifies one labelled series within a family.

@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -293,6 +295,42 @@ func TestPercentileNearestRank(t *testing.T) {
 	}
 	if Percentile(nil, 50) != 0 {
 		t.Fatal("empty percentile != 0")
+	}
+}
+
+// TestSelectMatchesPercentile pins Select to Percentile on a sorted copy, over
+// sizes from one upward, value ranges from all-equal to all-distinct, sorted
+// and reversed inputs, and every quantile the repository reads.
+func TestSelectMatchesPercentile(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(200)
+		xs := make([]time.Duration, n)
+		spread := 1 + rng.Intn(2*n)
+		for i := range xs {
+			xs[i] = time.Duration(rng.Intn(spread))
+		}
+		switch trial % 4 {
+		case 1:
+			slices.Sort(xs)
+		case 2:
+			slices.Sort(xs)
+			slices.Reverse(xs)
+		}
+		sorted := slices.Clone(xs)
+		slices.Sort(sorted)
+		for _, q := range []float64{0, 1, 50, 90, 99, 100} {
+			want := Percentile(sorted, q)
+			if got := Select(xs, q); got != want {
+				t.Fatalf("trial %d (n %d): Select(%v) = %v, Percentile = %v", trial, n, q, got, want)
+			}
+		}
+		if slices.Sort(xs); !slices.Equal(xs, sorted) {
+			t.Fatalf("trial %d: Select changed the multiset it reordered", trial)
+		}
+	}
+	if Select(nil, 50) != 0 {
+		t.Fatal("empty selection != 0")
 	}
 }
 

@@ -54,9 +54,10 @@ func (e *Endpoint) Broadcast(payload []byte) error {
 // SetHandler implements env.PacketConn.
 func (e *Endpoint) SetHandler(h env.Handler) { e.handler = h }
 
-// Close implements env.PacketConn. It is safe to call from any goroutine; a
-// frame delivered concurrently observes the flag and is dropped without
-// invoking the handler.
+// Close implements env.PacketConn. It is safe to call from any goroutine,
+// and it only sets the socket's flag: a delivery that reads the flag after
+// Close returns drops the datagram, while one that read it before may still
+// run the handler. Making Close wait would put a lock on every frame.
 func (e *Endpoint) Close() error {
 	e.sock.Close()
 	return nil

@@ -93,9 +93,10 @@ type Socket struct {
 	port    uint16
 	handler UDPHandler
 	// closed is atomic so that Close may race with a frame delivery running
-	// on the simulation goroutine: tear-down code sometimes runs off-loop,
-	// and a delivery that observes the flag must simply drop the datagram
-	// rather than invoke the handler of a dead socket.
+	// on the simulation goroutine: tear-down code sometimes runs off-loop.
+	// A delivery that observes the flag drops the datagram rather than invoke
+	// the handler of a dead socket; one that read it just before Close still
+	// runs.
 	closed atomic.Bool
 }
 

@@ -6,11 +6,9 @@ import (
 	"math/rand"
 	"net/netip"
 	"slices"
-	"sync"
 	"testing"
 	"time"
 
-	"wackamole/internal/env"
 	"wackamole/internal/sim"
 )
 
@@ -644,80 +642,5 @@ func TestSendUDPOwnedThroughRouter(t *testing.T) {
 	}
 	if n := nw.PacketsOutstanding(); n != 0 {
 		t.Errorf("%d packet records not recycled after forwarding hop", n)
-	}
-}
-
-// TestEndpointCloseVsDeliver drives a frame delivery concurrently with
-// Close from another goroutine: the handler must never run after Close wins
-// the race, and nothing may panic under -race.
-func TestEndpointCloseVsDeliver(t *testing.T) {
-	for trial := 0; trial < 50; trial++ {
-		s, _, _, hosts := lan(t, int64(trial+1), 2)
-		a, b := hosts[0], hosts[1]
-		bNIC := b.NICs()[0]
-
-		ep, err := b.OpenEndpoint(bNIC, 9000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		closed := make(chan struct{})
-		ep.SetHandler(func(from env.Addr, payload []byte) {
-			select {
-			case <-closed:
-				t.Error("handler invoked after Close completed")
-			default:
-			}
-		})
-
-		if err := a.SendUDP(netip.AddrPort{}, netip.AddrPortFrom(addr("10.0.0.2"), 9000), []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-		// Race Close (foreign goroutine) against the delivery running on
-		// the simulation goroutine.
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ep.Close()
-			close(closed)
-		}()
-		s.Run()
-		wg.Wait()
-
-		// After Close has fully completed no later delivery may reach the
-		// handler at all.
-		if err := a.SendUDP(netip.AddrPort{}, netip.AddrPortFrom(addr("10.0.0.2"), 9000), []byte("y")); err != nil {
-			t.Fatal(err)
-		}
-		s.Run()
-	}
-}
-
-// TestBindAfterCloseReclaimsPort covers the port-reuse path now that Close
-// no longer deletes from the socket map.
-func TestBindAfterCloseReclaimsPort(t *testing.T) {
-	s, _, _, hosts := lan(t, 1, 2)
-	a, b := hosts[0], hosts[1]
-
-	first, err := b.BindUDP(netip.Addr{}, 9000, func(_, _ netip.AddrPort, _ []byte) {
-		t.Error("closed socket's handler invoked")
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	first.Close()
-
-	var got string
-	if _, err := b.BindUDP(netip.Addr{}, 9000, func(_, _ netip.AddrPort, payload []byte) {
-		got = string(payload)
-	}); err != nil {
-		t.Fatalf("rebinding closed port: %v", err)
-	}
-	if err := a.SendUDP(netip.AddrPort{}, netip.AddrPortFrom(addr("10.0.0.2"), 9000), []byte("fresh")); err != nil {
-		t.Fatal(err)
-	}
-	s.Run()
-	if got != "fresh" {
-		t.Fatalf("payload = %q, want fresh", got)
 	}
 }

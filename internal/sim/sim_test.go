@@ -200,6 +200,24 @@ type runFunc func()
 
 func (f runFunc) Run() { f() }
 
+// queued returns every record on either tier: the heap's in slot order, then
+// the calendar's bucket by bucket.
+func queued(s *Sim) []*Timer {
+	var out []*Timer
+	for _, e := range s.queue {
+		out = append(out, e.t)
+	}
+	for _, h := range s.cal.bucket {
+		for r := h; r != nil; r = r.next {
+			out = append(out, r)
+			if r.next == h {
+				break
+			}
+		}
+	}
+	return out
+}
+
 // TestAfterAndPostShareOneOrder pins that the three entry points are one
 // queue discipline: at equal deadlines events fire in scheduling order,
 // whichever entry point scheduled them.
@@ -235,8 +253,8 @@ func TestTimerHandleIsNeverRecycled(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			s.Post(time.Second, runFunc(func() { fired++ }))
 		}
-		for _, queued := range s.queue {
-			if queued.t == tm {
+		for _, queued := range queued(s) {
+			if queued == tm {
 				t.Fatal("Post reused a record that After handed out as a *Timer")
 			}
 		}
@@ -300,16 +318,35 @@ func TestResetDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// noted is a posted event that knows its id, so a check can name the record
+// the free list handed out.
+type noted struct {
+	id  int
+	got *[]int
+}
+
+func (n *noted) Run() { *n.got = append(*n.got, n.id) }
+
 // TestTimerOrderMatchesReferenceModel drives random interleavings of NewTimer,
-// Reset, Stop, After, Post and Step against the specification the heap
-// implements: a list of armed (deadline, scheduling order) pairs, of which the
-// smallest fires next. Fire order, Fired, Pending and every Stop result must
-// agree, and after every operation the queue must be a well-formed heap: each
-// record's idx is its slot, each slot carries the key the model holds for its
-// record (the slot is the key's only home), and no slot sorts before its
-// parent. The deep variant starts from a standing population wide enough to
-// fill every level and every child position of the d-ary layout, so Reset and
-// Stop in place and the pop are exercised at all of them.
+// Reset, Stop, After, Post, Step and RunUntil against the specification the
+// two tiers implement: a list of armed (deadline, scheduling order) pairs, of
+// which the smallest fires next. Fire order, the clock, Fired, Pending and
+// every Stop result must agree. Delays mix zero, ties inside one calendar
+// bucket, the calendar's horizon edge and one nanosecond either side, the
+// test's own range, seconds and saturation at math.MaxInt64, so Reset moves
+// records between the tiers both ways and ties cross them. After every
+// operation both tiers must be well formed:
+//   - the heap: each record's idx is its slot, each slot carries the key the
+//     model holds for its record (the slot is the key's only home), and no
+//     slot sorts before its parent;
+//   - the calendar: each record sits in the bucket its deadline names, inside
+//     the horizon, with the deadline the model holds; each list is linked both
+//     ways and in (at, seq) order; a bitmap bit is set exactly where a bucket
+//     is non-empty; and the count is the number of records.
+//
+// The deep variant starts from a standing population wide enough to fill
+// every level and every child position of the d-ary layout, so Reset and Stop
+// in place and the pop are exercised at all of them.
 func TestTimerOrderMatchesReferenceModel(t *testing.T) {
 	type armed struct {
 		at  time.Duration
@@ -326,6 +363,7 @@ func TestTimerOrderMatchesReferenceModel(t *testing.T) {
 		{name: "deep", seeds: 4, standing: 2500, ops: 3000, deadlineRangeMs: 400},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			var toHeap, toCalendar int // Resets that moved a record between the tiers
 			for seed := int64(1); seed <= tc.seeds; seed++ {
 				rng := rand.New(rand.NewSource(seed))
 				s := New(seed)
@@ -337,6 +375,13 @@ func TestTimerOrderMatchesReferenceModel(t *testing.T) {
 					timers []*Timer
 					fired  uint64
 				)
+				deadline := func(d time.Duration) time.Duration {
+					at := s.Elapsed() + d
+					if at < s.Elapsed() {
+						return math.MaxInt64
+					}
+					return at
+				}
 				arm := func(id int, d time.Duration) {
 					for i, a := range model {
 						if a.id == id {
@@ -344,21 +389,50 @@ func TestTimerOrderMatchesReferenceModel(t *testing.T) {
 							break
 						}
 					}
-					model = append(model, armed{at: s.Elapsed() + d, seq: seq, id: id})
+					model = append(model, armed{at: deadline(d), seq: seq, id: id})
 					seq++
 				}
+				// pop fires the model's first armed event if it is due by limit.
+				pop := func(limit time.Duration) (armed, bool) {
+					if len(model) == 0 {
+						return armed{}, false
+					}
+					first := 0
+					for i, a := range model {
+						if a.at < model[first].at || a.at == model[first].at && a.seq < model[first].seq {
+							first = i
+						}
+					}
+					a := model[first]
+					if a.at > limit {
+						return armed{}, false
+					}
+					want = append(want, a.id)
+					model = append(model[:first], model[first+1:]...)
+					fired++
+					return a, true
+				}
 				bySeq := map[uint64]armed{}
-				checkHeap := func(op int) {
+				byID := map[int]armed{}
+				handles := map[*Timer]int{}
+				idOf := func(r *Timer) int {
+					if n, ok := r.run.(*noted); ok {
+						return n.id
+					}
+					return handles[r]
+				}
+				check := func(op int) {
 					t.Helper()
 					clear(bySeq)
+					clear(byID)
 					for _, a := range model {
-						bySeq[a.seq] = a
+						bySeq[a.seq], byID[a.id] = a, a
 					}
 					for i := range s.queue {
 						e := &s.queue[i]
 						a, ok := bySeq[e.seq]
 						switch {
-						case e.t.idx != i:
+						case int(e.t.idx) != i:
 							t.Fatalf("seed %d op %d: record in slot %d has idx %d", seed, op, i, e.t.idx)
 						case !ok || time.Duration(e.at) != a.at:
 							t.Fatalf("seed %d op %d: slot %d carries key (%d, %d), model has %+v", seed, op, i, e.at, e.seq, a)
@@ -368,35 +442,98 @@ func TestTimerOrderMatchesReferenceModel(t *testing.T) {
 							t.Fatalf("seed %d op %d: slot %d sorts before its parent", seed, op, i)
 						}
 					}
+					n := 0
+					for b, h := range s.cal.bucket {
+						if set := s.cal.words[b/64]>>(b%64)&1 == 1; set != (h != nil) {
+							t.Fatalf("seed %d op %d: bucket %d has bit %v, list head %p", seed, op, b, set, h)
+						}
+						var prev armed
+						for r := h; r != nil; r = r.next {
+							a, ok := byID[idOf(r)]
+							switch {
+							case r.idx != onCalendar || r.next.prev != r:
+								t.Fatalf("seed %d op %d: bucket %d holds a record with idx %d, linked %v", seed, op, b, r.idx, r.next.prev == r)
+							case !ok || time.Duration(r.at) != a.at:
+								t.Fatalf("seed %d op %d: bucket %d holds deadline %d, model has %+v", seed, op, b, r.at, a)
+							case int(r.at>>calShift)%calBuckets != b:
+								t.Fatalf("seed %d op %d: deadline %d sits in bucket %d", seed, op, r.at, b)
+							case r.at < s.now || r.at>>calShift >= s.now>>calShift+calBuckets:
+								t.Fatalf("seed %d op %d: deadline %d is outside the horizon of now %d", seed, op, r.at, s.now)
+							case r != h && (a.at < prev.at || a.at == prev.at && a.seq < prev.seq):
+								t.Fatalf("seed %d op %d: bucket %d lists %+v after %+v", seed, op, b, a, prev)
+							}
+							prev = a
+							n++
+							if r.next == h {
+								break
+							}
+						}
+					}
+					for w, bits := range s.cal.words {
+						if set := s.cal.used>>w&1 == 1; set != (bits != 0) {
+							t.Fatalf("seed %d op %d: summary bit %d is %v over word %#x", seed, op, w, set, bits)
+						}
+					}
+					if n != s.cal.n {
+						t.Fatalf("seed %d op %d: calendar counts %d, lists hold %d", seed, op, s.cal.n, n)
+					}
 				}
 				newID := 0
 				note := func(id int) func() { return func() { got = append(got, id) } }
-				delay := func() time.Duration { return time.Duration(rng.Intn(tc.deadlineRangeMs)) * time.Millisecond }
+				after := func(id int, d time.Duration) *Timer {
+					tm := s.After(d, note(id))
+					handles[tm] = id
+					arm(id, d)
+					return tm
+				}
+				delay := func() time.Duration {
+					switch k := rng.Intn(32); {
+					case k == 0:
+						return 0
+					case k == 1 && s.now < 1<<40: // rare: it parks a record at the end of time
+						return math.MaxInt64
+					case k < 4:
+						return time.Duration(rng.Int63n(3 * int64(time.Second)))
+					case k < 8 && s.now < 1<<40: // the horizon's edge and one nanosecond either side
+						edge := (s.now>>calShift + calBuckets) << calShift
+						return time.Duration(edge - s.now + rng.Int63n(3) - 1)
+					case k < 14: // a few deadlines inside one or two buckets: ties
+						return time.Duration(rng.Intn(4)) * time.Microsecond
+					default:
+						return time.Duration(rng.Intn(tc.deadlineRangeMs)) * time.Millisecond
+					}
+				}
 				for ; newID < tc.standing; newID++ {
-					d := delay()
-					timers = append(timers, s.After(d, note(newID)))
-					arm(newID, d)
+					timers = append(timers, after(newID, delay()))
 				}
 				for op := 0; op < tc.ops; op++ {
 					d := delay()
-					switch k := rng.Intn(10); {
+					switch k := rng.Intn(11); {
 					case k < 2: // After
-						timers = append(timers, s.After(d, note(newID)))
-						arm(newID, d)
+						timers = append(timers, after(newID, d))
 						newID++
 					case k < 3: // Post
-						s.Post(d, runFunc(note(newID)))
+						s.Post(d, &noted{id: newID, got: &got})
 						arm(newID, d)
 						newID++
 						timers = append(timers, nil) // keeps ids and indexes aligned
 					case k < 4: // NewTimer, unarmed
-						timers = append(timers, s.NewTimer(note(newID)).(*Timer))
+						tm := s.NewTimer(note(newID)).(*Timer)
+						handles[tm] = newID
+						timers = append(timers, tm)
 						newID++
 					case k < 6 && len(timers) > 0: // Reset
 						id := rng.Intn(len(timers))
-						if timers[id] != nil {
-							timers[id].Reset(d)
+						if tm := timers[id]; tm != nil {
+							from := tm.idx
+							tm.Reset(d)
 							arm(id, d)
+							switch {
+							case from >= 0 && tm.idx == onCalendar:
+								toCalendar++
+							case from == onCalendar && tm.idx >= 0:
+								toHeap++
+							}
 						}
 					case k < 8 && len(timers) > 0: // Stop
 						id := rng.Intn(len(timers))
@@ -411,30 +548,29 @@ func TestTimerOrderMatchesReferenceModel(t *testing.T) {
 						if stopped := timers[id].Stop(); stopped != wasArmed {
 							t.Fatalf("seed %d op %d: Stop(%d) = %v, model says %v", seed, op, id, stopped, wasArmed)
 						}
+					case k < 9 && s.now < 1<<40: // RunUntil a limit that falls inside a bucket
+						limit := s.Elapsed() + time.Duration(rng.Int63n(3<<calShift))
+						s.RunUntil(Epoch.Add(limit))
+						for _, ok := pop(limit); ok; _, ok = pop(limit) {
+						}
+						if s.Elapsed() != limit {
+							t.Fatalf("seed %d op %d: RunUntil(%v) left the clock at %v", seed, op, limit, s.Elapsed())
+						}
 					default: // Step
-						first := 0
-						for i, a := range model {
-							if a.at < model[first].at || a.at == model[first].at && a.seq < model[first].seq {
-								first = i
-							}
-						}
-						if stepped := s.Step(); stepped != (len(model) > 0) {
-							t.Fatalf("seed %d op %d: Step = %v with %d armed in the model", seed, op, stepped, len(model))
-						}
-						if len(model) > 0 {
-							if s.Elapsed() != model[first].at {
-								t.Fatalf("seed %d op %d: fired at %v, model says %v", seed, op, s.Elapsed(), model[first].at)
-							}
-							want = append(want, model[first].id)
-							model = append(model[:first], model[first+1:]...)
-							fired++
+						stepped := s.Step()
+						a, ok := pop(math.MaxInt64)
+						switch {
+						case stepped != ok:
+							t.Fatalf("seed %d op %d: Step = %v, model fired %v", seed, op, stepped, ok)
+						case ok && s.Elapsed() != a.at:
+							t.Fatalf("seed %d op %d: fired at %v, model says %v", seed, op, s.Elapsed(), a.at)
 						}
 					}
 					if s.Pending() != len(model) || s.Fired() != fired {
 						t.Fatalf("seed %d op %d: Pending = %d, Fired = %d; model has %d armed, %d fired",
 							seed, op, s.Pending(), s.Fired(), len(model), fired)
 					}
-					checkHeap(op)
+					check(op)
 				}
 				if len(got) != len(want) {
 					t.Fatalf("seed %d: fired %d events, model %d", seed, len(got), len(want))
@@ -444,6 +580,9 @@ func TestTimerOrderMatchesReferenceModel(t *testing.T) {
 						t.Fatalf("seed %d: fire order diverges at %d: got %v, want %v", seed, i, got[i], want[i])
 					}
 				}
+			}
+			if toHeap == 0 || toCalendar == 0 {
+				t.Fatalf("Reset moved %d records calendar → heap and %d heap → calendar, want both", toHeap, toCalendar)
 			}
 		})
 	}
@@ -469,22 +608,38 @@ func TestTimerArmedForeverStaysPending(t *testing.T) {
 	}
 }
 
-// BenchmarkScheduleAndFire is one Post and one Step over a standing
-// population of pending timers: 64 is the depth of a busy traffic trial, 4 096
-// a heap deeper than any workload builds. Delays are spread over the
-// population's range, so new events land at every depth.
+// BenchmarkScheduleAndFire is one Post and one Step, timed per event, in the
+// shapes the workloads build:
+//   - pending=N: a standing population of N with delays spread over N µs, so
+//     new events land at every depth. 64 is a busy traffic trial's depth;
+//     4 096 is past loaded_failover_observed's peak of about 2 800.
+//   - burst: 2 800 Posts at one instant with 100–300 µs delays, then all of
+//     them fire: loaded_failover_observed's retransmit burst after a fault.
+//   - mix: a standing 160 (the ring workloads' peak) of frames landing in
+//     100–300 µs, 1 ms token holds and 0.4–1 s fault timers.
 func BenchmarkScheduleAndFire(b *testing.B) {
-	for _, pending := range []int{64, 4096} {
-		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
+	x := uint64(88172645463325252) // xorshift64: cheap against the queue work
+	rnd := func(n uint64) uint64 {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return x % n
+	}
+	frame := func() time.Duration { return time.Duration(100_000 + rnd(200_001)) }
+	mix := func() time.Duration {
+		switch k := rnd(100); {
+		case k < 80:
+			return frame()
+		case k < 95:
+			return time.Millisecond
+		default:
+			return time.Duration(400_000_000 + rnd(600_000_001))
+		}
+	}
+	var r Runnable = runFunc(func() {})
+	steady := func(pending int, delay func() time.Duration) func(*testing.B) {
+		return func(b *testing.B) {
 			s := New(1)
-			var r Runnable = runFunc(func() {})
-			x := uint64(88172645463325252) // xorshift64: cheap against the heap work
-			delay := func() time.Duration {
-				x ^= x << 13
-				x ^= x >> 7
-				x ^= x << 17
-				return time.Duration(x%uint64(pending)) * time.Microsecond
-			}
 			for i := 0; i < pending; i++ {
 				s.Post(delay(), r)
 			}
@@ -494,6 +649,28 @@ func BenchmarkScheduleAndFire(b *testing.B) {
 				s.Post(delay(), r)
 				s.Step()
 			}
-		})
+		}
 	}
+	for _, pending := range []int{64, 4096} {
+		spread := func() time.Duration { return time.Duration(rnd(uint64(pending))) * time.Microsecond }
+		b.Run(fmt.Sprintf("pending=%d", pending), steady(pending, spread))
+	}
+	b.Run("burst", func(b *testing.B) {
+		const burst = 2800
+		s := New(1)
+		fire := func(n int) {
+			for j := 0; j < n; j++ {
+				s.Post(frame(), r)
+			}
+			for s.Step() {
+			}
+		}
+		fire(burst) // fills the free list, as the workload's first burst does
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i += burst {
+			fire(min(burst, b.N-i))
+		}
+	})
+	b.Run("mix", steady(160, mix))
 }

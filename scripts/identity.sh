@@ -59,6 +59,9 @@ run load-flap-phi wackload -trials 2 -clients 100 -fault flap -detector phi -inv
 # (-parallel 1: trials share one registry and float sums depend on who adds
 # first) and the forwarding path.
 run load-open-trace wackload -mode open -rps 2000 -clients 100 -trials 2 -fault nic -invariants -json -trace TRACE
+# The loaded shape: after the fault thousands of retransmissions fall due
+# within a few hundred microseconds, so the event queue runs thousands deep.
+run load-open-loaded wackload -mode open -rps 10000 -clients 1000 -trials 1 -fault nic -invariants -json -trace TRACE
 run load-open-crash-prom wackload -mode open -rps 2000 -clients 100 -trials 2 -fault crash -parallel 1 -prom -
 run load-router wackload -topology router -trials 2 -clients 100 -fault nic
 # Requests that exhaust their retries: the detection timeout outlasts the
