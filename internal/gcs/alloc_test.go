@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"wackamole/internal/wire"
 )
@@ -83,7 +84,7 @@ func TestGroupCastDeliveryDoesNotCopy(t *testing.T) {
 	// after the other; they are encoded ahead so that only their reception is
 	// measured.
 	const runs = 500
-	cast := encodeGroupCast("wackd", "wackamole", body)
+	cast := appendGroupCast(nil, "wackd", "wackamole", body)
 	packets := make([][]byte, runs+1) // AllocsPerRun calls once more, to warm up
 	for i := range packets {
 		m := dataMsg{Ring: d.ring.id, Seq: d.highSeq + 1 + uint64(i), Origin: peer, Kind: dkGroupCast, Payload: cast}
@@ -108,6 +109,82 @@ func TestGroupCastDeliveryDoesNotCopy(t *testing.T) {
 	if avg := testing.AllocsPerRun(runs, func() { d.onPacket(addrOf(peer), packets[0]) }); avg != 0 {
 		t.Fatalf("receiving a duplicate allocates %.0f, want 0", avg)
 	}
+}
+
+// TestReconfigurationReusesStoredRecords pins the free list: once a daemon
+// has installed a ring, the messages a membership change stores and sends —
+// groups-state, group ops — go into records and payload buffers it already
+// holds. After one warm-up cycle, a fail → install → restore → install cycle
+// on a 5-daemon ring leaves every daemon holding the very records it held
+// before, each with the buffer it had: no record and no payload was allocated
+// for any message the cycle stored.
+func TestReconfigurationReusesStoredRecords(t *testing.T) {
+	s, daemons, hosts := wbCluster(t, 12, 5, TunedConfig())
+	for _, d := range daemons {
+		sess, err := d.Connect("w")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.Join("wack"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.RunFor(5 * time.Second)
+	nic := hosts[4].NICs()[0]
+	cycle := func() {
+		nic.SetUp(false)
+		s.RunFor(5 * time.Second)
+		for _, d := range daemons[:4] {
+			if d.state != stOperational || len(d.ring.members) != 4 {
+				t.Fatalf("%s: state %v with %d members, want the ring of 4", d.id, d.state, len(d.ring.members))
+			}
+		}
+		nic.SetUp(true)
+		s.RunFor(5 * time.Second)
+		for _, d := range daemons {
+			if d.state != stOperational || len(d.ring.members) != 5 {
+				t.Fatalf("%s: state %v with %d members, want the ring of 5", d.id, d.state, len(d.ring.members))
+			}
+		}
+	}
+	cycle() // the free lists fill
+	held := make([]map[*dataMsg]*byte, len(daemons))
+	stored := make([]uint64, len(daemons))
+	for i, d := range daemons {
+		held[i], stored[i] = records(d), d.Stats().DataDelivered
+	}
+	cycle()
+	for i, d := range daemons {
+		if n := d.Stats().DataDelivered - stored[i]; n < 5 {
+			t.Fatalf("%s stored %d messages over the cycle, want at least a groups-state per member", d.id, n)
+		}
+		for m, buf := range records(d) {
+			was, ok := held[i][m]
+			if !ok {
+				t.Fatalf("%s holds a record it did not have before the cycle", d.id)
+			}
+			if buf != was {
+				t.Fatalf("%s: a record's payload buffer was replaced during the cycle", d.id)
+			}
+		}
+	}
+}
+
+// records maps every stored-message record d holds — in the store, on the
+// send queue, on the free list — to its payload buffer's storage.
+func records(d *Daemon) map[*dataMsg]*byte {
+	out := map[*dataMsg]*byte{}
+	add := func(m *dataMsg) { out[m] = unsafe.SliceData(m.Payload[:cap(m.Payload)]) }
+	for _, m := range d.store {
+		add(m)
+	}
+	for _, m := range d.sendQueue {
+		add(m)
+	}
+	for _, m := range d.free {
+		add(m)
+	}
+	return out
 }
 
 // TestJoinDuringGatherDoesNotAllocate hands a gathering daemon the JOIN it
@@ -159,7 +236,7 @@ func TestInternTableIsBounded(t *testing.T) {
 	}
 
 	for i := 0; i < 10000; i++ {
-		cast := encodeGroupCast(fmt.Sprintf("client-%d", i), fmt.Sprintf("group-%d", i), nil)
+		cast := appendGroupCast(nil, fmt.Sprintf("client-%d", i), fmt.Sprintf("group-%d", i), nil)
 		d.groups.deliverCast(&dataMsg{Origin: peer, Kind: dkGroupCast, Payload: cast})
 		if len(d.groups.names) > maxInterned {
 			t.Fatalf("name table holds %d entries after %d casts, cap is %d", len(d.groups.names), i+1, maxInterned)
@@ -168,7 +245,7 @@ func TestInternTableIsBounded(t *testing.T) {
 	// A name no Connect or Join admits is decoded but not kept.
 	long := strings.Repeat("n", MaxNameLen+1)
 	before := len(d.groups.names)
-	if c, g, _, err := d.groups.names.decodeGroupCast(encodeGroupCast(long, "g", nil)); err != nil || c != long || g != "g" {
+	if c, g, _, err := d.groups.names.decodeGroupCast(appendGroupCast(nil, long, "g", nil)); err != nil || c != long || g != "g" {
 		t.Fatalf("over-long client name decodes to %d bytes, %q, %v", len(c), g, err)
 	}
 	if grew := len(d.groups.names) - before; grew != 1 {

@@ -78,6 +78,62 @@ func BenchmarkFaultRecovery(b *testing.B) {
 	}
 }
 
+// BenchmarkReconfiguration is one membership change and its undoing on a
+// long-lived 12-daemon ring with a client on every daemon: each iteration
+// fails a NIC and runs until every daemon has installed the ring without it
+// (the failed one its ring of one), then restores it and runs until all
+// twelve share a ring again. BenchmarkFaultRecovery builds a cluster per
+// iteration; here the cluster is built once, so construction does not hide
+// what a membership change costs.
+func BenchmarkReconfiguration(b *testing.B) {
+	const n = 12
+	c := newClusterB(b, 1, n, gcs.TunedConfig())
+	size := make([]int, n) // members of each daemon's latest install
+	for i, d := range c.daemons {
+		d.SetMembershipHandler(func(_ gcs.RingID, members []gcs.DaemonID) { size[i] = len(members) })
+		sess, err := d.Connect("w")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := sess.Join("wack"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	runUntil := func(done func() bool) {
+		for !done() {
+			if !c.sim.Step() {
+				b.Fatal("the simulation ran dry")
+			}
+		}
+	}
+	victim := c.hosts[n-1].NICs()[0]
+	split := func() bool {
+		for _, m := range size[:n-1] {
+			if m != n-1 {
+				return false
+			}
+		}
+		return size[n-1] == 1
+	}
+	merged := func() bool {
+		for _, m := range size {
+			if m != n {
+				return false
+			}
+		}
+		return true
+	}
+	runUntil(merged)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		victim.SetUp(false)
+		runUntil(split)
+		victim.SetUp(true)
+		runUntil(merged)
+	}
+}
+
 // newClusterB adapts the test-cluster builder for benchmarks.
 func newClusterB(b *testing.B, seed int64, n int, cfg gcs.Config) *cluster {
 	b.Helper()

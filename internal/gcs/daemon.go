@@ -1,6 +1,7 @@
 package gcs
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync/atomic"
@@ -65,6 +66,11 @@ type Daemon struct {
 	env env.Env
 	cfg Config
 	id  DaemonID
+	// logging records whether NewDaemon was given a logger. Every Logf in
+	// this package sits behind it: a variadic call boxes its arguments at the
+	// call site even for a logger that discards them, and a reconfiguration
+	// logs at every step.
+	logging bool
 
 	state  daemonState
 	closed bool
@@ -81,6 +87,14 @@ type Daemon struct {
 	sendQueue        []*dataMsg
 	lastTokenSeq     uint64
 	lastRingActivity time.Time
+
+	// free holds stored-message records, each keeping its payload buffer:
+	// every message the daemon stores or sends takes one, and install hands
+	// back the retiring ring's (DESIGN §5 (2)). It is this daemon's alone.
+	// poison makes install overwrite every record it hands back; tests turn
+	// it on.
+	free   []*dataMsg
+	poison bool
 
 	// w is the scratch encoder every outbound datagram is written into, ids
 	// interns the daemon IDs inbound datagrams name, and seen is the list
@@ -272,13 +286,18 @@ func NewDaemon(e env.Env, cfg Config) (*Daemon, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if e.Log == nil {
+	// A NopLogger counts as none: a simulated endpoint hands one out when it
+	// was given no logger.
+	_, discards := e.Log.(env.NopLogger)
+	logging := e.Log != nil && !discards
+	if !logging {
 		e.Log = env.NopLogger{}
 	}
 	d := &Daemon{
 		env:         e,
 		cfg:         cfg,
 		id:          DaemonID(e.Conn.LocalAddr().String()),
+		logging:     logging,
 		ids:         idTable{},
 		faultTimers: map[DaemonID]env.Timer{},
 	}
@@ -341,7 +360,9 @@ func (d *Daemon) onLeave(m leaveMsg) {
 	if m.Ring != d.ring.id || !d.ring.contains(m.Sender) {
 		return
 	}
-	d.env.Log.Logf("gcs %s: member %s left gracefully", d.id, m.Sender)
+	if d.logging {
+		d.env.Log.Logf("gcs %s: member %s left gracefully", d.id, m.Sender)
+	}
 	d.enterGather("leave:"+string(m.Sender), 0)
 }
 
@@ -353,7 +374,7 @@ func (d *Daemon) Stop() {
 	d.closed = true
 	d.cancelProtocolTimers()
 	d.groups.stopAll()
-	if err := d.env.Conn.Close(); err != nil {
+	if err := d.env.Conn.Close(); err != nil && d.logging {
 		d.env.Log.Logf("gcs %s: close endpoint: %v", d.id, err)
 	}
 }
@@ -454,7 +475,7 @@ func (d *Daemon) broadcast(payload []byte) {
 	if d.env.HLC != nil {
 		stampHeader(payload, d.env.HLC.Now())
 	}
-	if err := d.env.Conn.Broadcast(payload); err != nil {
+	if err := d.env.Conn.Broadcast(payload); err != nil && d.logging {
 		d.env.Log.Logf("gcs %s: broadcast: %v", d.id, err)
 	}
 }
@@ -463,7 +484,7 @@ func (d *Daemon) sendTo(id DaemonID, to env.Addr, payload []byte) {
 	if d.env.HLC != nil {
 		stampHeader(payload, d.env.HLC.Now())
 	}
-	if err := d.env.Conn.SendTo(to, payload); err != nil {
+	if err := d.env.Conn.SendTo(to, payload); err != nil && d.logging {
 		d.env.Log.Logf("gcs %s: send to %s: %v", d.id, id, err)
 	}
 }
@@ -477,7 +498,9 @@ func (d *Daemon) onPacket(from env.Addr, payload []byte) {
 	r := wire.NewReader(payload)
 	t, err := readHeader(r)
 	if err != nil {
-		d.env.Log.Logf("gcs %s: drop packet from %s: %v", d.id, from, err)
+		if d.logging {
+			d.env.Log.Logf("gcs %s: drop packet from %s: %v", d.id, from, err)
+		}
 		return
 	}
 	if d.env.HLC != nil {
@@ -531,7 +554,9 @@ func (d *Daemon) onPacket(from env.Addr, payload []byte) {
 			d.onLeave(m)
 		}
 	default:
-		d.env.Log.Logf("gcs %s: drop packet from %s: unknown type %d", d.id, from, t)
+		if d.logging {
+			d.env.Log.Logf("gcs %s: drop packet from %s: unknown type %d", d.id, from, t)
+		}
 	}
 }
 
@@ -572,7 +597,9 @@ func (d *Daemon) armFaultTimer(m DaemonID) {
 			if d.closed || d.state != stOperational {
 				return
 			}
-			d.env.Log.Logf("gcs %s: member %s silent beyond fault-detection timeout", d.id, m)
+			if d.logging {
+				d.env.Log.Logf("gcs %s: member %s silent beyond fault-detection timeout", d.id, m)
+			}
 			d.declareFault(m, "fixed")
 		})
 		d.faultTimers[m] = t
@@ -616,7 +643,9 @@ func (d *Daemon) phiScan() {
 			continue
 		}
 		if phi := d.health.Phi(string(m), now); phi >= health.Threshold {
-			d.env.Log.Logf("gcs %s: member %s phi %.2f crossed threshold %.2f", d.id, m, phi, health.Threshold)
+			if d.logging {
+				d.env.Log.Logf("gcs %s: member %s phi %.2f crossed threshold %.2f", d.id, m, phi, health.Threshold)
+			}
 			d.declareFault(m, "phi")
 			return // no longer operational; the scan dies with the state
 		}
@@ -636,7 +665,9 @@ func (d *Daemon) onAlive(m aliveMsg) {
 	if !d.ring.contains(m.Sender) {
 		// A daemon outside our membership is alive: a merge (or a booted
 		// daemon) requires full reconfiguration.
-		d.env.Log.Logf("gcs %s: foreign daemon %s detected, reconfiguring", d.id, m.Sender)
+		if d.logging {
+			d.env.Log.Logf("gcs %s: foreign daemon %s detected, reconfiguring", d.id, m.Sender)
+		}
 		d.enterGather("foreign:"+string(m.Sender), 0)
 	}
 }
@@ -672,7 +703,9 @@ func (d *Daemon) enterGather(reason string, minRound uint64) {
 		d.round++
 	}
 	d.gathered = append(d.gathered[:0], d.id)
-	d.env.Log.Logf("gcs %s: gather round %d (%s)", d.id, d.round, reason)
+	if d.logging {
+		d.env.Log.Logf("gcs %s: gather round %d (%s)", d.id, d.round, reason)
+	}
 	d.sendJoin()
 	d.joinTicker.Reset(d.cfg.joinInterval())
 	d.gatherDeadline.Reset(d.cfg.DiscoveryTimeout)
@@ -764,7 +797,9 @@ func (d *Daemon) closeGather() {
 			Ring:    RingID{Coord: d.id, Epoch: d.maxEpoch},
 			Members: members,
 		}
-		d.env.Log.Logf("gcs %s: forming ring %s with %d members", d.id, form.Ring, len(members))
+		if d.logging {
+			d.env.Log.Logf("gcs %s: forming ring %s with %d members", d.id, form.Ring, len(members))
+		}
 		if d.env.Tracer.Enabled() {
 			d.env.Tracer.Emit(obs.Event{Source: obs.SourceGCS, Kind: obs.KindFormRing, Node: string(d.id),
 				Group: form.Ring.String(), Detail: fmt.Sprintf("members=%d", len(members))})
@@ -780,7 +815,9 @@ func (d *Daemon) formTimeout() {
 	if d.closed || d.state != stCommitWait {
 		return
 	}
-	d.env.Log.Logf("gcs %s: no FORM from coordinator, re-gathering", d.id)
+	if d.logging {
+		d.env.Log.Logf("gcs %s: no FORM from coordinator, re-gathering", d.id)
+	}
 	d.enterGather("form-timeout", 0)
 }
 
@@ -875,7 +912,9 @@ func (d *Daemon) recoveryTimeout() {
 	if d.closed || d.state != stRecover {
 		return
 	}
-	d.env.Log.Logf("gcs %s: recovery for ring %s stalled, re-gathering", d.id, d.rec.form.Ring)
+	if d.logging {
+		d.env.Log.Logf("gcs %s: recovery for ring %s stalled, re-gathering", d.id, d.rec.form.Ring)
+	}
 	d.enterGather("recovery-timeout", 0)
 }
 
@@ -928,6 +967,8 @@ func (d *Daemon) onRecoverState(m recoverStateMsg) {
 func (d *Daemon) onRecoverData(m recoverDataMsg) {
 	if d.rec == nil || m.Ring != d.rec.form.Ring {
 		if d.state == stGather || d.state == stCommitWait {
+			// The stash outlives the datagram the payload aliases.
+			m.Msg.Payload = slices.Clone(m.Msg.Payload)
 			d.stashEarly(func(d *Daemon) { d.onRecoverData(m) })
 		}
 		return
@@ -936,8 +977,7 @@ func (d *Daemon) onRecoverData(m recoverDataMsg) {
 		return
 	}
 	if _, ok := d.old.store[m.Msg.Seq]; !ok {
-		msg := m.Msg
-		d.old.store[msg.Seq] = &msg
+		d.old.store[m.Msg.Seq] = d.stored(&m.Msg)
 	}
 	d.checkRecovery()
 }
@@ -1065,6 +1105,10 @@ func (d *Daemon) install(form formMsg) {
 	d.recoveryRetry.Stop()
 	d.rec = nil
 	d.earlyRec = nil
+	// The group layer lets go of the retiring ring's records before they are
+	// handed back, and they are handed back before the store forgets them.
+	d.groups.retirePending()
+	d.recycle()
 	selfIdx := 0
 	for i, m := range form.Members {
 		if m == d.id {
@@ -1098,7 +1142,9 @@ func (d *Daemon) install(form formMsg) {
 	// Token rotation restarts with the new ring; the first arrival on it
 	// must not be measured against the previous ring's last token.
 	d.lastTokenAt = time.Time{}
-	d.env.Log.Logf("gcs %s: installed ring %s members=%v", d.id, form.Ring, form.Members)
+	if d.logging {
+		d.env.Log.Logf("gcs %s: installed ring %s members=%v", d.id, form.Ring, form.Members)
+	}
 	if d.health != nil {
 		peers := make([]string, 0, len(form.Members)-1)
 		for _, m := range form.Members {
@@ -1137,19 +1183,25 @@ func (d *Daemon) checkTokenLoss() {
 		return
 	}
 	if d.env.Clock.Now().Sub(d.lastRingActivity) > d.cfg.TokenLossTimeout() {
-		d.env.Log.Logf("gcs %s: token lost on ring %s", d.id, d.ring.id)
+		if d.logging {
+			d.env.Log.Logf("gcs %s: token lost on ring %s", d.id, d.ring.id)
+		}
 		d.enterGather("token-loss", 0)
 		return
 	}
 	d.startTokenWatchdog()
 }
 
-// sendData queues a group-layer message for total ordering. The message is
-// assigned a sequence number when the token next visits this daemon; queued
-// messages survive membership changes and are sent in whatever ring is
-// operational when the token arrives.
-func (d *Daemon) sendData(kind dataKind, payload []byte) {
-	d.sendQueue = append(d.sendQueue, &dataMsg{Origin: d.id, Kind: kind, Payload: payload, sentAt: d.env.Clock.Now()})
+// sendData queues a group-layer message of kind for total ordering and
+// returns its record, whose emptied payload buffer the caller encodes the
+// message into. The message is assigned a sequence number when the token next
+// visits this daemon; queued messages survive membership changes and are sent
+// in whatever ring is operational when the token arrives.
+func (d *Daemon) sendData(kind dataKind) *dataMsg {
+	m := d.record()
+	*m = dataMsg{Origin: d.id, Kind: kind, Payload: m.Payload[:0], sentAt: d.env.Clock.Now()}
+	d.sendQueue = append(d.sendQueue, m)
+	return m
 }
 
 const maxRtrPerToken = 128
@@ -1198,10 +1250,10 @@ func (d *Daemon) onToken(tok tokenMsg) {
 		}
 	}
 
-	// Introduce queued messages, up to the window.
-	for n := 0; n < window && len(d.sendQueue) > 0; n++ {
-		msg := d.sendQueue[0]
-		d.sendQueue = d.sendQueue[1:]
+	// Introduce queued messages, up to the window. What stays queued moves
+	// to the front, so the queue keeps its storage from one visit to the next.
+	sent := min(window, len(d.sendQueue))
+	for _, msg := range d.sendQueue[:sent] {
 		tok.Seq++
 		msg.Ring = d.ring.id
 		msg.Seq = tok.Seq
@@ -1212,6 +1264,9 @@ func (d *Daemon) onToken(tok tokenMsg) {
 		d.stats.dataSent.Add(1)
 		d.broadcast(msg.encode(&d.w))
 	}
+	kept := copy(d.sendQueue, d.sendQueue[sent:])
+	clear(d.sendQueue[kept:])
+	d.sendQueue = d.sendQueue[:kept]
 	d.tryDeliver()
 
 	tok.Rtr = rtr
@@ -1239,7 +1294,7 @@ func (d *Daemon) onData(m *dataMsg) {
 	if d.state == stOperational && m.Ring == d.ring.id {
 		d.lastRingActivity = d.env.Clock.Now()
 		if _, ok := d.store[m.Seq]; !ok {
-			d.store[m.Seq] = m.stored()
+			d.store[m.Seq] = d.stored(m)
 			if m.Seq > d.highSeq {
 				d.highSeq = m.Seq
 			}
@@ -1251,17 +1306,71 @@ func (d *Daemon) onData(m *dataMsg) {
 	// recovery input.
 	if d.rec != nil && !d.old.ring.id.IsZero() && m.Ring == d.old.ring.id {
 		if _, ok := d.old.store[m.Seq]; !ok {
-			d.old.store[m.Seq] = m.stored()
+			d.old.store[m.Seq] = d.stored(m)
 		}
 		d.checkRecovery()
 	}
 }
 
-// stored returns a copy of m that owns its payload.
-func (m *dataMsg) stored() *dataMsg {
-	c := *m
-	c.Payload = slices.Clone(m.Payload)
-	return &c
+// stored returns a record from the free list holding a copy of m, payload
+// included.
+func (d *Daemon) stored(m *dataMsg) *dataMsg {
+	c := d.record()
+	payload := append(c.Payload[:0], m.Payload...)
+	*c = *m
+	c.Payload = payload
+	return c
+}
+
+// maxFree bounds the free list: a ring that stored an unusual burst leaves no
+// more than this many records behind for the rings after it.
+const maxFree = 256
+
+// record takes a record off the free list, or makes one when it is empty.
+func (d *Daemon) record() *dataMsg {
+	n := len(d.free)
+	if n == 0 {
+		return new(dataMsg)
+	}
+	m := d.free[n-1]
+	d.free[n-1] = nil
+	d.free = d.free[:n-1]
+	return m
+}
+
+// recycle hands every record in the store — the retiring ring's, which
+// nothing else holds by now — back to the free list in sequence order: the
+// next ring's first message takes the old ring's first record, so which buffer
+// serves which message, and so what grows, is a function of the seed. The
+// records are sorted where they land, on the list's tail, so an install that
+// finds the list's storage warm allocates nothing to recycle.
+func (d *Daemon) recycle() {
+	n := len(d.free)
+	for _, m := range d.store {
+		d.free = append(d.free, m)
+	}
+	// Descending: the list is taken from its end.
+	slices.SortFunc(d.free[n:], func(a, b *dataMsg) int { return cmp.Compare(b.Seq, a.Seq) })
+	if d.poison {
+		for _, m := range d.free[n:] {
+			poisonRecord(m)
+		}
+	}
+	if over := len(d.free) - maxFree; over > 0 {
+		copy(d.free, d.free[over:])
+		clear(d.free[maxFree:])
+		d.free = d.free[:maxFree]
+	}
+}
+
+// poisonRecord overwrites a record and its whole buffer, so that whoever still
+// reads it after it was handed back reads nonsense.
+func poisonRecord(m *dataMsg) {
+	p := m.Payload[:cap(m.Payload)]
+	for i := range p {
+		p[i] = 0xDB
+	}
+	*m = dataMsg{Ring: RingID{Coord: "poisoned", Epoch: ^uint64(0)}, Seq: ^uint64(0), Origin: "poisoned", Kind: 0xDB, Payload: p}
 }
 
 // tryDeliver hands contiguous messages to the group layer in sequence

@@ -1,0 +1,7 @@
+package gcs
+
+// PoisonFreedRecords makes the daemon overwrite every stored-message record,
+// and its whole payload buffer, the moment install hands it back to the free
+// list. Tests turn it on to prove that nothing reads a retired ring's
+// messages.
+func (d *Daemon) PoisonFreedRecords() { d.poison = true }

@@ -63,9 +63,9 @@ func FuzzPacketDecode(f *testing.F) {
 // FuzzGroupPayloads covers the group-layer payload codecs and the name table
 // they intern into, which keeps to its cap like the ID table.
 func FuzzGroupPayloads(f *testing.F) {
-	f.Add(encodeGroupsState([]stateEntry{{client: "w", groups: []string{"g"}}}))
-	f.Add(encodeGroupOp("w", "g"))
-	f.Add(encodeGroupCast("w", "g", []byte("body")))
+	f.Add(appendGroupsState(nil, []stateEntry{{client: "w", groups: []string{"g"}}}))
+	f.Add(appendGroupOp(nil, "w", "g"))
+	f.Add(appendGroupCast(nil, "w", "g", []byte("body")))
 	ids := idTable{}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		defer func() {

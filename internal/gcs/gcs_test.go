@@ -52,6 +52,14 @@ func (c *cluster) addDaemon(cfg gcs.Config, i int) *gcs.Daemon {
 	return d
 }
 
+// poisonFreedRecords turns on every daemon's free-list poisoning: a record
+// read after the install that retired it reads as garbage.
+func (c *cluster) poisonFreedRecords() {
+	for _, d := range c.daemons {
+		d.PoisonFreedRecords()
+	}
+}
+
 // sameRing asserts that all live daemons in idx share one installed ring
 // with exactly the expected member count.
 func (c *cluster) sameRing(idx []int, wantMembers int) {

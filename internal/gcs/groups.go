@@ -124,24 +124,19 @@ func newGroupLayer(d *Daemon) *groupLayer {
 	}
 }
 
-// onInstall runs after every daemon membership installation: group state
-// must be resynchronized by exchanging each daemon's local client list as
-// the first totally ordered messages on the new ring.
-func (g *groupLayer) onInstall() {
-	g.synced = false
-	for len(g.contributions) < len(g.d.ring.members) {
-		g.contributions = append(g.contributions, nil)
-	}
-	g.contributed = sized(g.contributed, len(g.d.ring.members))
-	// Ops buffered during a synchronization that never completed (the ring
-	// died first) must not be replayed on the new ring: a daemon joining
-	// from outside the dead ring never received them, so replaying them at
-	// the old cohort alone diverges the replicated map. Instead, fold the
-	// membership effect of our OWN clients' buffered ops into the session
-	// bookkeeping so the state transfer below carries it to every member —
-	// including the outsiders — and discard the buffers. Buffered casts are
-	// dropped for the same reason: delivering them only where they were
-	// buffered would break delivery agreement across the new membership.
+// retirePending runs at every daemon membership installation, before the
+// retiring ring's records go back to the daemon's free list: the pending lists
+// are the group layer's only hold on them. Ops buffered during a
+// synchronization that never completed (the ring died first) must not be
+// replayed on the new ring: a daemon joining from outside the dead ring never
+// received them, so replaying them at the old cohort alone diverges the
+// replicated map. Instead, fold the membership effect of our OWN clients'
+// buffered ops into the session bookkeeping so the state transfer onInstall
+// sends carries it to every member — including the outsiders — and discard
+// the buffers. Buffered casts are dropped for the same reason: delivering them
+// only where they were buffered would break delivery agreement across the new
+// membership.
+func (g *groupLayer) retirePending() {
 	for _, m := range g.pendingOps {
 		if m.Origin != g.d.id {
 			continue
@@ -160,6 +155,17 @@ func (g *groupLayer) onInstall() {
 	}
 	g.pendingOps = nil
 	g.pendingCasts = nil
+}
+
+// onInstall runs after every daemon membership installation: group state
+// must be resynchronized by exchanging each daemon's local client list as
+// the first totally ordered messages on the new ring.
+func (g *groupLayer) onInstall() {
+	g.synced = false
+	for len(g.contributions) < len(g.d.ring.members) {
+		g.contributions = append(g.contributions, nil)
+	}
+	g.contributed = sized(g.contributed, len(g.d.ring.members))
 	var entries []stateEntry
 	names := make([]string, 0, len(g.sessions))
 	for name := range g.sessions {
@@ -175,7 +181,8 @@ func (g *groupLayer) onInstall() {
 		sort.Strings(gs)
 		entries = append(entries, stateEntry{client: name, groups: gs})
 	}
-	g.d.sendData(dkGroupsState, encodeGroupsState(entries))
+	m := g.d.sendData(dkGroupsState)
+	m.Payload = appendGroupsState(m.Payload, entries)
 }
 
 // stopAll severs every session when the daemon shuts down.
@@ -204,7 +211,9 @@ func (g *groupLayer) deliverData(m *dataMsg) {
 		}
 		g.deliverCast(m)
 	default:
-		g.d.env.Log.Logf("gcs %s: drop data with unknown kind %d", g.d.id, m.Kind)
+		if g.d.logging {
+			g.d.env.Log.Logf("gcs %s: drop data with unknown kind %d", g.d.id, m.Kind)
+		}
 	}
 }
 
@@ -217,7 +226,9 @@ func (g *groupLayer) onGroupsState(m *dataMsg) {
 	var err error
 	g.decoding, err = g.names.decodeGroupsState(m.Payload, g.decoding)
 	if err != nil {
-		g.d.env.Log.Logf("gcs %s: bad groups-state from %s: %v", g.d.id, m.Origin, err)
+		if g.d.logging {
+			g.d.env.Log.Logf("gcs %s: bad groups-state from %s: %v", g.d.id, m.Origin, err)
+		}
 		return
 	}
 	if i := slices.Index(g.d.ring.members, m.Origin); i >= 0 {
@@ -278,7 +289,9 @@ func (g *groupLayer) completeSync(last *dataMsg) {
 func (g *groupLayer) applyMembershipOp(m *dataMsg, emit bool) string {
 	client, grp, err := g.names.decodeGroupOp(m.Payload)
 	if err != nil {
-		g.d.env.Log.Logf("gcs %s: bad group op from %s: %v", g.d.id, m.Origin, err)
+		if g.d.logging {
+			g.d.env.Log.Logf("gcs %s: bad group op from %s: %v", g.d.id, m.Origin, err)
+		}
 		return ""
 	}
 	member := GroupMember{Daemon: m.Origin, Client: client}
@@ -368,7 +381,9 @@ func (g *groupLayer) emitView(grp string, reason ViewReason) {
 func (g *groupLayer) deliverCast(m *dataMsg) {
 	client, grp, body, err := g.names.decodeGroupCast(m.Payload)
 	if err != nil {
-		g.d.env.Log.Logf("gcs %s: bad group cast from %s: %v", g.d.id, m.Origin, err)
+		if g.d.logging {
+			g.d.env.Log.Logf("gcs %s: bad group cast from %s: %v", g.d.id, m.Origin, err)
+		}
 		return
 	}
 	from := GroupMember{Daemon: m.Origin, Client: client}
@@ -386,8 +401,16 @@ func (g *groupLayer) deliverCast(m *dataMsg) {
 
 // ---- payload encodings ----------------------------------------------------
 
-func encodeGroupsState(entries []stateEntry) []byte {
-	w := wire.NewWriter(64)
+// appendGroupsState appends the encoding of entries to b.
+func appendGroupsState(b []byte, entries []stateEntry) []byte {
+	n := 2
+	for _, e := range entries {
+		n += 2 + len(e.client) + 2
+		for _, g := range e.groups {
+			n += 2 + len(g)
+		}
+	}
+	w := wire.Into(slices.Grow(b, n))
 	w.U16(uint16(len(entries)))
 	for _, e := range entries {
 		w.String(e.client)
@@ -411,8 +434,9 @@ func (t idTable) decodeGroupsState(b []byte, dst []membership) ([]membership, er
 	return dst, r.Done()
 }
 
-func encodeGroupOp(client, group string) []byte {
-	w := wire.NewWriter(64)
+// appendGroupOp appends the encoding of a join or leave to b.
+func appendGroupOp(b []byte, client, group string) []byte {
+	w := wire.Into(slices.Grow(b, 2+len(client)+2+len(group)))
 	w.String(client)
 	w.String(group)
 	return w.Bytes()
@@ -425,8 +449,9 @@ func (t idTable) decodeGroupOp(b []byte) (client, group string, err error) {
 	return client, group, r.Done()
 }
 
-func encodeGroupCast(client, group string, body []byte) []byte {
-	w := wire.NewWriter(64 + len(body))
+// appendGroupCast appends the encoding of a cast to b.
+func appendGroupCast(b []byte, client, group string, body []byte) []byte {
+	w := wire.Into(slices.Grow(b, 2+len(client)+2+len(group)+2+len(body)))
 	w.String(client)
 	w.String(group)
 	w.Bytes16(body)

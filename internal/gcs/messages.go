@@ -402,11 +402,11 @@ func (m recoverDataMsg) encode(w *wire.Writer) []byte {
 	return w.Bytes()
 }
 
-// decodeRecoverData returns a message that owns its payload: a retransmission
-// is either stored or stashed until its FORM arrives.
+// decodeRecoverData decodes in place: Msg.Payload aliases the datagram. A
+// retransmission is either copied into a stored record or, stashed until its
+// FORM arrives, cloned first.
 func (t idTable) decodeRecoverData(r *wire.Reader) (recoverDataMsg, error) {
 	m := recoverDataMsg{Ring: t.readRing(r), OldRing: t.readRing(r), Msg: t.decodeDataBody(r)}
-	m.Msg.Payload = slices.Clone(m.Msg.Payload)
 	return m, r.Done()
 }
 

@@ -155,7 +155,7 @@ func TestHeaderRejections(t *testing.T) {
 func TestGroupPayloadCodecs(t *testing.T) {
 	entries := []stateEntry{{client: "w", groups: []string{"a", "b"}}, {client: "x", groups: nil}}
 	names := idTable{}
-	out, err := names.decodeGroupsState(encodeGroupsState(entries), nil)
+	out, err := names.decodeGroupsState(appendGroupsState(nil, entries), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,12 +163,12 @@ func TestGroupPayloadCodecs(t *testing.T) {
 		t.Fatalf("groups state round trip: %+v, want %+v", out, want)
 	}
 
-	c, g, err := names.decodeGroupOp(encodeGroupOp("client", "group"))
+	c, g, err := names.decodeGroupOp(appendGroupOp(nil, "client", "group"))
 	if err != nil || c != "client" || g != "group" {
 		t.Fatalf("group op round trip: %q %q %v", c, g, err)
 	}
 
-	c, g, body, err := names.decodeGroupCast(encodeGroupCast("client", "group", []byte("payload")))
+	c, g, body, err := names.decodeGroupCast(appendGroupCast(nil, "client", "group", []byte("payload")))
 	if err != nil || c != "client" || g != "group" || string(body) != "payload" {
 		t.Fatalf("group cast round trip: %q %q %q %v", c, g, body, err)
 	}

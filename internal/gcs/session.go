@@ -108,7 +108,7 @@ func (s *Session) Join(group string) error {
 	if err := checkNameLen("group", group); err != nil {
 		return err
 	}
-	s.d.sendData(dkGroupJoin, encodeGroupOp(s.name, group))
+	s.sendOp(dkGroupJoin, group)
 	return nil
 }
 
@@ -120,7 +120,7 @@ func (s *Session) Leave(group string) error {
 	if err := checkNameLen("group", group); err != nil {
 		return err
 	}
-	s.d.sendData(dkGroupLeave, encodeGroupOp(s.name, group))
+	s.sendOp(dkGroupLeave, group)
 	return nil
 }
 
@@ -143,8 +143,15 @@ func (s *Session) Multicast(group string, payload []byte) error {
 	if len(s.d.sendQueue) >= maxSendQueue {
 		return ErrBackpressure
 	}
-	s.d.sendData(dkGroupCast, encodeGroupCast(s.name, group, payload))
+	m := s.d.sendData(dkGroupCast)
+	m.Payload = appendGroupCast(m.Payload, s.name, group, payload)
 	return nil
+}
+
+// sendOp queues this client's join or leave of group.
+func (s *Session) sendOp(kind dataKind, group string) {
+	m := s.d.sendData(kind)
+	m.Payload = appendGroupOp(m.Payload, s.name, group)
 }
 
 // Joined reports whether the session's membership in group is currently
@@ -157,7 +164,7 @@ func (s *Session) Disconnect() error {
 		return ErrSessionClosed
 	}
 	for group := range s.joined {
-		s.d.sendData(dkGroupLeave, encodeGroupOp(s.name, group))
+		s.sendOp(dkGroupLeave, group)
 	}
 	s.closed = true
 	delete(s.d.groups.sessions, s.name)
@@ -172,7 +179,7 @@ func (s *Session) Sever() {
 		return
 	}
 	for group := range s.joined {
-		s.d.sendData(dkGroupLeave, encodeGroupOp(s.name, group))
+		s.sendOp(dkGroupLeave, group)
 	}
 	delete(s.d.groups.sessions, s.name)
 	s.disconnected()

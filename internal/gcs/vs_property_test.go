@@ -21,6 +21,7 @@ func TestVirtualSynchronyUnderRandomChurn(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			const n = 5
 			c := newCluster(t, 200+seed, n, gcs.TunedConfig())
+			c.poisonFreedRecords()
 			recs := make([]*clientRec, n)
 			for i := range recs {
 				recs[i] = c.connectClient(i, "w", "wack")
@@ -223,6 +224,7 @@ func assertRelativeOrderConsistent(t *testing.T, a, b []string) {
 func TestNoDuplicateDeliveries(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		c := newCluster(t, 300+seed, 3, gcs.TunedConfig())
+		c.poisonFreedRecords()
 		recs := make([]*clientRec, 3)
 		for i := range recs {
 			recs[i] = c.connectClient(i, "w", "wack")

@@ -128,6 +128,33 @@ func TestEarlyRecBufferBounded(t *testing.T) {
 	}
 }
 
+// TestStashedRecoveryDataOwnsItsPayload: a retransmission decoded in place
+// aliases its datagram, which the network recycles once the handler returns.
+// One that arrives before its FORM is stashed, so it must keep a copy of its
+// own; replayed after the datagram was overwritten, it stores what was sent.
+func TestStashedRecoveryDataOwnsItsPayload(t *testing.T) {
+	s, daemons, _ := wbCluster(t, 8, 2, TunedConfig())
+	s.RunFor(5 * time.Second)
+	d := daemons[0]
+	d.enterGather("test", 0)
+	next := RingID{Coord: d.id, Epoch: d.maxEpoch + 1}
+	old, seq := d.ring.id, d.highSeq+1
+	datagram := []byte("state")
+	d.onRecoverData(recoverDataMsg{Ring: next, OldRing: old, Msg: dataMsg{Ring: old, Seq: seq, Payload: datagram}})
+	if len(d.earlyRec) != 1 {
+		t.Fatalf("%d stashed, want the retransmission", len(d.earlyRec))
+	}
+	copy(datagram, "XXXXX")
+	// The FORM has arrived; the other member's state has not, so recovery
+	// waits once the stashed retransmission is stored.
+	d.old = oldRing{ring: ringInfo{id: old}, store: d.store}
+	d.rec = &recovery{form: formMsg{Ring: next, Members: d.ring.members}, have: make([]bool, len(d.ring.members))}
+	d.earlyRec[0](d)
+	if m, ok := d.old.store[seq]; !ok || string(m.Payload) != "state" {
+		t.Fatalf("stored retransmission %v, want payload %q", m, "state")
+	}
+}
+
 func TestAliveFromUnknownDaemonTriggersGather(t *testing.T) {
 	s, daemons, _ := wbCluster(t, 6, 2, TunedConfig())
 	s.RunFor(5 * time.Second)
@@ -320,27 +347,33 @@ func TestGarbageGroupsStateLogged(t *testing.T) {
 // the replicated map (two daemons then emit the same view ID with
 // different member lists). The install instead folds our OWN clients'
 // buffered ops into the session bookkeeping, letting the state transfer
-// carry their effect to every member, and discards the buffers.
+// carry their effect to every member, and discards the buffers. It reads
+// them before it hands the dead ring's records back to the free list, which
+// is poisoned here: folded after, the own join would read as garbage.
 func TestInstallFoldsInterruptedPendingOps(t *testing.T) {
 	s, daemons, _ := wbCluster(t, 3, 2, TunedConfig())
 	s.RunFor(5 * time.Second)
 	d := daemons[0]
+	d.PoisonFreedRecords()
 	sess, err := d.Connect("c")
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := d.groups
 	// Simulate a sync interrupted by ring death: unsynced, with a join from
-	// our own client and one from a peer buffered under the dead ring.
+	// our own client, one from a peer and a cast stored and buffered under
+	// the ring about to die.
 	g.synced = false
-	dead := RingID{Coord: d.id, Epoch: d.ring.id.Epoch + 1}
-	g.pendingOps = append(g.pendingOps,
-		&dataMsg{Ring: dead, Seq: 7, Origin: d.id, Kind: dkGroupJoin,
-			Payload: encodeGroupOp("c", "web1")},
-		&dataMsg{Ring: dead, Seq: 8, Origin: daemons[1].id, Kind: dkGroupJoin,
-			Payload: encodeGroupOp("other", "web1")})
-	g.pendingCasts = append(g.pendingCasts, &dataMsg{Ring: dead, Kind: dkGroupCast})
-	g.onInstall()
+	dead := d.ring.id
+	for _, m := range []*dataMsg{
+		{Ring: dead, Seq: 1001, Origin: d.id, Kind: dkGroupJoin, Payload: appendGroupOp(nil, "c", "web1")},
+		{Ring: dead, Seq: 1002, Origin: daemons[1].id, Kind: dkGroupJoin, Payload: appendGroupOp(nil, "other", "web1")},
+		{Ring: dead, Seq: 1003, Origin: daemons[1].id, Kind: dkGroupCast},
+	} {
+		d.store[m.Seq] = m
+		g.deliverData(m)
+	}
+	d.install(formMsg{Round: d.round + 1, Ring: RingID{Coord: d.id, Epoch: d.maxEpoch + 1}, Members: d.ring.members})
 	if len(g.pendingOps) != 0 || len(g.pendingCasts) != 0 {
 		t.Fatalf("buffers survived the install: ops=%d casts=%d",
 			len(g.pendingOps), len(g.pendingCasts))

@@ -22,7 +22,7 @@ func (a *ARPAnnouncer) Announce(vip netip.Addr) {
 	if a.Disabled {
 		return
 	}
-	for _, nic := range a.Host.NICs() {
+	for _, nic := range a.Host.nics {
 		if nic.Prefix().Contains(vip) {
 			if err := a.Host.SendGratuitousARP(nic, vip); err != nil && a.Host.net.logging() {
 				a.Host.net.log.Logf("netsim: %s: gratuitous ARP for %v: %v", a.Host.Name(), vip, err)

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/netip"
@@ -149,6 +150,34 @@ func TestRouterDropDoesNotAllocate(t *testing.T) {
 	if n := nw.PacketsOutstanding(); n != 0 {
 		t.Errorf("%d packet records not back in the pool", n)
 	}
+}
+
+// TestSendThroughDownNICDoesNotAllocate: a host whose own interface is down
+// keeps trying — a failed server announces the addresses its one-node
+// component takes — and every attempt returns the same ErrNICDown, formatted
+// once when the interface was attached.
+func TestSendThroughDownNICDoesNotAllocate(t *testing.T) {
+	s, _, _, hosts := lan(t, 5, 2)
+	a := hosts[0]
+	nic := a.nics[0]
+	nic.SetUp(false)
+	want := "netsim: interface is down: " + a.Name() + "/" + nic.Name()
+	payload := make([]byte, 64)
+	for name, send := range map[string]func() error{
+		"datagram": func() error {
+			return a.SendUDP(netip.AddrPort{}, netip.AddrPortFrom(addr("10.0.0.2"), 9000), payload)
+		},
+		"gratuitous ARP": func() error { return a.SendGratuitousARP(nic, addr("10.0.0.100")) },
+	} {
+		err := send()
+		if !errors.Is(err, ErrNICDown) || err.Error() != want {
+			t.Fatalf("%s: %v, want ErrNICDown reading %q", name, err, want)
+		}
+		if avg := testing.AllocsPerRun(100, func() { _ = send() }); avg != 0 {
+			t.Errorf("%s through a down NIC allocates %.2f, want 0", name, avg)
+		}
+	}
+	s.Run()
 }
 
 // runDatagramProgram drives one seeded program of sends and faults over a

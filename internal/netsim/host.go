@@ -241,6 +241,9 @@ type NIC struct {
 	addrs   map[ip4]bool
 	arp     map[ip4]arpEntry
 	pending map[ip4]*arpPending
+	// downErr is what a send through the interface returns while it is down,
+	// formatted once.
+	downErr error
 	// Directional gray-failure impairments (armed by internal/faults).
 	// txLoss/txDelay apply to frames this interface transmits, rxLoss/rxDelay
 	// to frames it would receive — modelling asymmetric reachability, where a
@@ -286,6 +289,7 @@ func (h *Host) AttachNIC(seg *Segment, name string, addr netip.Prefix) *NIC {
 		addrs:   map[ip4]bool{primary: true},
 		arp:     map[ip4]arpEntry{},
 		pending: map[ip4]*arpPending{},
+		downErr: fmt.Errorf("%w: %s/%s", ErrNICDown, h.name, name),
 	}
 	h.nics = append(h.nics, nic)
 	seg.nics = append(seg.nics, nic)
@@ -668,7 +672,7 @@ func (h *Host) broadcastNIC(dst ip4) *NIC {
 // queues takes its own.
 func (h *Host) egress(nic *NIC, nexthop ip4, p *ipPacket) error {
 	if !nic.up {
-		return fmt.Errorf("%w: %s/%s", ErrNICDown, h.name, nic.name)
+		return nic.downErr
 	}
 	if nic.isBroadcast(p.dst) {
 		nic.seg.transmit(nic, frame{src: nic.mac, dst: BroadcastMAC, kind: frameIPv4, pkt: p})
@@ -761,7 +765,7 @@ func (h *Host) SendSpoofedARP(nic *NIC, ip netip.Addr, dst MAC) error {
 		return ErrHostDown
 	}
 	if !nic.up {
-		return fmt.Errorf("%w: %s/%s", ErrNICDown, h.name, nic.name)
+		return nic.downErr
 	}
 	rep := arp.Packet{
 		Op:        arp.OpReply,

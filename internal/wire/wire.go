@@ -35,6 +35,10 @@ func NewWriter(sizeHint int) *Writer {
 	return &Writer{buf: make([]byte, 0, sizeHint)}
 }
 
+// Into returns a Writer that appends to b, so an encoding can land in storage
+// the caller already owns; Bytes returns b extended.
+func Into(b []byte) Writer { return Writer{buf: b} }
+
 // Reset empties the Writer, keeping its storage for the next message.
 func (w *Writer) Reset() { w.buf = w.buf[:0] }
 

@@ -137,6 +137,20 @@ func TestBytes16CopyDoesNotAlias(t *testing.T) {
 	}
 }
 
+func TestIntoAppendsInPlace(t *testing.T) {
+	storage := make([]byte, 1, 16)
+	storage[0] = 7
+	w := Into(storage)
+	w.String("ab")
+	got := w.Bytes()
+	if string(got) != "\x07\x00\x02ab" {
+		t.Fatalf("Into wrote % x, want 07 00 02 61 62", got)
+	}
+	if &got[0] != &storage[0] {
+		t.Fatal("Into did not write into the caller's storage")
+	}
+}
+
 func TestOversizedFieldPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
