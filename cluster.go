@@ -123,7 +123,9 @@ var ClusterSubnet = netip.MustParsePrefix("10.0.0.0/24")
 // ExternalSubnet is the simulated client-side network behind the router.
 var ExternalSubnet = netip.MustParsePrefix("192.168.1.0/24")
 
-// ServerAddr returns server i's stationary address (10.0.0.10+i).
+// ServerAddr returns server i's stationary address (10.0.0.10+i). The
+// servers' range ends below the virtual addresses', which caps a cluster at
+// 90 servers.
 func ServerAddr(i int) netip.Addr {
 	return netip.AddrFrom4([4]byte{10, 0, 0, byte(10 + i)})
 }
@@ -156,8 +158,11 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 	if opts.VIPs <= 0 {
 		return nil, fmt.Errorf("wackamole: cluster needs at least one virtual address")
 	}
-	if opts.Servers > 200 || opts.VIPs > 100 {
-		return nil, fmt.Errorf("wackamole: cluster exceeds the simulated /24 address plan")
+	if opts.VIPs > 100 {
+		return nil, fmt.Errorf("wackamole: %d virtual addresses exceed the simulated /24 address plan (at most 100)", opts.VIPs)
+	}
+	if opts.Servers > 90 {
+		return nil, fmt.Errorf("wackamole: %d servers overlap the virtual addresses: server addresses run from %v and virtual addresses from %v, so at most 90 servers fit", opts.Servers, ServerAddr(0), VIPAddr(0))
 	}
 	if opts.GCS == (gcs.Config{}) {
 		opts.GCS = gcs.TunedConfig()

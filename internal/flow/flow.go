@@ -12,8 +12,9 @@
 //   - each request is a DATA segment carrying a per-connection sequence
 //     number; the server replies with DATA|ACK echoing that sequence;
 //   - unacknowledged segments are retransmitted on a fixed RTO with a
-//     bounded retry budget (timers ride the netsim timing wheel, so
-//     thousands of in-flight requests cost one simulator event per tick);
+//     bounded retry budget (each client keeps its timeouts on one list in
+//     deadline order behind one simulator timer, so thousands of in-flight
+//     requests cost one simulator event per instant that one comes due);
 //   - any non-SYN segment for an unknown connection draws an RST. This is
 //     the load-bearing rule: after a takeover the new owner of a virtual
 //     address has none of the failed server's connection state, so every
@@ -28,10 +29,10 @@
 //
 // The send path is allocation-free in steady state: transmitted segments
 // come from the network's payload pool (SendUDPOwned), and a request in
-// flight is one pooled record — it embeds its retransmission timer, which is
-// its own entry on the wheel, keeps its encoded segment from one use to the
-// next, and is linked to its connection, and later to the client's free
-// list, through a pointer of its own. A fault that parks thousands of
+// flight is one pooled record — it embeds its retransmission timeout, which
+// is its own entry on the client's list, keeps its encoded segment from one
+// use to the next, and is linked to its connection, and later to the
+// client's free list, through a pointer of its own. A fault that parks thousands of
 // requests at once therefore costs a record and a segment each and nothing
 // when the records are used again. Callbacks run on the simulation
 // goroutine and must not retain payload slices past their return.
@@ -47,6 +48,7 @@ import (
 	"wackamole/internal/metrics"
 	"wackamole/internal/netsim"
 	"wackamole/internal/obs"
+	"wackamole/internal/sim"
 )
 
 // Wire format: 13-byte header, then the payload.
@@ -305,15 +307,17 @@ func (s *Server) reply(src, dst netip.AddrPort, flags byte, id, seq, ack uint32,
 // Client
 
 const (
-	// rto is the fixed retransmission timeout. Deadlines ride the netsim
-	// timing wheel and are rounded up to its tick.
+	// rto is the fixed retransmission timeout. Deadlines are rounded up to
+	// rtoGrid.
 	rto = 250 * time.Millisecond
 	// maxRetries bounds retransmissions per segment: up to ten
 	// transmissions ≈ 2.5s of persistence — long enough to span a tuned
 	// failover and collect the takeover server's RST.
 	maxRetries = 9
-	// wheelTick is the RTO wheel granularity.
-	wheelTick = rto / 8
+	// rtoGrid is the granularity of retransmission deadlines. Every
+	// simulated stream was recorded with retransmissions on this grid, and
+	// dropping it would move them all.
+	rtoGrid = rto / 8
 )
 
 // ClientConfig parameterizes a flow client.
@@ -329,14 +333,20 @@ type ClientConfig struct {
 // browser on its host; per-connection state is pooled.
 type Client struct {
 	host   *netsim.Host
+	sim    *sim.Sim
 	port   uint16
 	sock   *netsim.Socket
-	wheel  *netsim.TimerWheel
 	conns  map[uint32]*Conn
 	nextID uint32
 	m      ClientMetrics
 	tr     tracer
 	closed bool
+
+	// timeouts is the sentinel of the armed timeouts' list, earliest first,
+	// and expiry is armed, while ticking, no later than the first of them.
+	timeouts timeout
+	expiry   sim.Timer
+	ticking  bool
 
 	// Free records, most recently released first, linked through next.
 	freeConns    *Conn
@@ -347,12 +357,14 @@ type Client struct {
 func NewClient(h *netsim.Host, localPort uint16, cfg ClientConfig) (*Client, error) {
 	c := &Client{
 		host:  h,
+		sim:   h.Network().Sim(),
 		port:  localPort,
 		conns: make(map[uint32]*Conn),
 		m:     RegisterClientMetrics(cfg.Metrics),
 		tr:    tracer{t: cfg.Tracer, node: h.Name()},
 	}
-	c.wheel = netsim.NewTimerWheel(h, wheelTick, 256)
+	c.timeouts.next, c.timeouts.prev = &c.timeouts, &c.timeouts
+	c.sim.Init(&c.expiry, (*expiry)(c))
 	sock, err := h.BindUDP(netip.Addr{}, localPort, c.receive)
 	if err != nil {
 		return nil, err
@@ -397,7 +409,7 @@ type Conn struct {
 	// Dial state. dialTimer is the SYN retransmission timeout.
 	dialCb      func(*Conn, error)
 	dialRetries int
-	dialTimer   netsim.WheelTimer
+	dialTimer   timeout
 
 	// onAbort, if set, fires once when the peer resets the connection,
 	// after every outstanding request callback. Holders of a *Conn MUST
@@ -420,7 +432,7 @@ func (conn *Conn) SetAbortHandler(fn func(err error)) { conn.onAbort = fn }
 // the retransmission timeout, armed only while the request is in flight, and
 // the record is its sim.Runnable.
 type pending struct {
-	timer   netsim.WheelTimer
+	timer   timeout
 	conn    *Conn
 	next    *pending // the connection's in-flight list, or the client's free list
 	seq     uint32
@@ -441,7 +453,7 @@ func (c *Client) getConn() *Conn {
 	conn := c.freeConns
 	if conn == nil {
 		conn = &Conn{client: c}
-		c.wheel.Init(&conn.dialTimer, (*synRetry)(conn))
+		conn.dialTimer.run = (*synRetry)(conn)
 	} else {
 		c.freeConns, conn.next = conn.next, nil
 	}
@@ -460,7 +472,7 @@ func (c *Client) getPending() *pending {
 	p := c.freePendings
 	if p == nil {
 		p = &pending{}
-		c.wheel.Init(&p.timer, p)
+		p.timer.run = p
 	} else {
 		c.freePendings, p.next = p.next, nil
 	}
@@ -491,7 +503,7 @@ func (c *Client) Dial(target netip.AddrPort, cb func(*Conn, error)) {
 	conn.dialCb = cb
 	c.conns[conn.id] = conn
 	conn.sendSYN()
-	conn.dialTimer.Reset(rto)
+	c.arm(&conn.dialTimer)
 }
 
 func (conn *Conn) sendSYN() {
@@ -510,7 +522,71 @@ func (c *Client) localAddr() netip.AddrPort {
 
 // elapsed is the virtual clock as a plain count: a round-trip time is a
 // difference, so the request path builds no time.Time.
-func (c *Client) elapsed() time.Duration { return c.host.Network().Sim().Elapsed() }
+func (c *Client) elapsed() time.Duration { return c.sim.Elapsed() }
+
+// timeout is one retransmission deadline, embedded in the record whose run it
+// fires: a request (pending) or a dialing connection (synRetry). While armed
+// it is on its client's list, which holds the armed timeouts in arming order.
+//
+// That is deadline order, and it is why one list and one simulator timer are
+// enough: every timeout is armed for the same rto from the instant it is
+// armed, rounded up to the same grid, and virtual time never goes back, so a
+// timeout armed later is never due earlier. Arming appends, stopping unlinks,
+// and expiry only ever has to look at the head.
+type timeout struct {
+	next, prev *timeout // nil while not armed
+	due        time.Duration
+	run        sim.Runnable
+}
+
+// arm puts t, which is not armed, at the tail of the list, due rto from now
+// rounded up to the grid.
+func (c *Client) arm(t *timeout) {
+	now := c.elapsed()
+	t.due = (now + rto + rtoGrid - 1) / rtoGrid * rtoGrid
+	head := &c.timeouts
+	t.prev, t.next = head.prev, head
+	t.prev.next, head.prev = t, t
+	if !c.ticking {
+		c.ticking = true
+		c.expiry.Reset(t.due - now)
+	}
+}
+
+// stop disarms t. Stopping leaves expiry where it is: armed for an earlier
+// deadline, it finds nothing due and moves on to the new head.
+func (t *timeout) stop() {
+	if t.next == nil {
+		return
+	}
+	t.prev.next, t.next.prev = t.next, t.prev
+	t.next, t.prev = nil, nil
+}
+
+// expiry is a Client as its expiry timer's sim.Runnable.
+type expiry Client
+
+// Run runs every timeout that is due, in list order, and re-arms the timer
+// for the new head. A run may arm a timeout (it is due later than now) or
+// stop any other, the next one this pass would reach included, so the pass
+// reads the head afresh each time. A dead host drops what is due unrun, as
+// a crashed machine loses its soft timers.
+func (e *expiry) Run() {
+	c := (*Client)(e)
+	now := c.elapsed()
+	head := &c.timeouts
+	for t := head.next; t != head && t.due <= now; t = head.next {
+		t.stop()
+		if c.host.Alive() {
+			t.run.Run()
+		}
+	}
+	if t := head.next; t != head {
+		c.expiry.Reset(t.due - now)
+	} else {
+		c.ticking = false
+	}
+}
 
 // synRetry is a Conn as its dial timer's sim.Runnable, which keeps Run out
 // of the exported type's method set.
@@ -531,7 +607,7 @@ func (r *synRetry) Run() {
 	conn.dialRetries++
 	c.m.Retransmits.Inc()
 	conn.sendSYN()
-	conn.dialTimer.Reset(rto)
+	c.arm(&conn.dialTimer)
 }
 
 // Request sends payload and fires cb exactly once with the response (and
@@ -566,7 +642,7 @@ func (conn *Conn) Request(payload []byte, cb func(resp []byte, rtt time.Duration
 	}
 	conn.last = p
 	p.transmit()
-	p.timer.Reset(rto)
+	c.arm(&p.timer)
 }
 
 // transmit copies the master segment into a fresh pooled buffer and sends
@@ -600,7 +676,7 @@ func (p *pending) Run() {
 	c.m.Retransmits.Inc()
 	c.tr.emit(obs.KindFlowRetransmit, conn.peer.Addr(), "")
 	p.transmit()
-	p.timer.Reset(rto)
+	c.arm(&p.timer)
 }
 
 // take unlinks the in-flight request numbered seq and returns it, nil if
@@ -655,7 +731,7 @@ func (conn *Conn) fail(err error) {
 	c := conn.client
 	prev := conn.state
 	conn.state = stateClosed
-	conn.dialTimer.Stop()
+	conn.dialTimer.stop()
 	var dialCb func(*Conn, error)
 	if prev == stateDialing {
 		dialCb = conn.dialCb
@@ -670,7 +746,7 @@ func (conn *Conn) fail(err error) {
 	}
 	for p != nil {
 		next, cb := p.next, p.cb
-		p.timer.Stop()
+		p.timer.stop()
 		c.putPending(p)
 		cb(nil, 0, err)
 		p = next
@@ -702,7 +778,7 @@ func (c *Client) receive(src, dst netip.AddrPort, payload []byte) {
 			return // duplicate SYN|ACK
 		}
 		conn.state = stateEstablished
-		conn.dialTimer.Stop()
+		conn.dialTimer.stop()
 		// Complete the handshake so the server stops re-acking.
 		nw := c.host.Network()
 		buf := nw.GetBuf(headerLen)
@@ -721,7 +797,7 @@ func (c *Client) receive(src, dst netip.AddrPort, payload []byte) {
 		if p == nil {
 			return // duplicate response
 		}
-		p.timer.Stop()
+		p.timer.stop()
 		rtt := c.elapsed() - p.sentAt
 		cb := p.cb
 		c.putPending(p)

@@ -23,7 +23,7 @@ type rig struct {
 	target netip.AddrPort
 }
 
-func newRig(t *testing.T, seed int64) *rig {
+func newRig(t testing.TB, seed int64) *rig {
 	t.Helper()
 	s := sim.New(seed)
 	nw := netsim.New(s)
@@ -42,6 +42,15 @@ func newRig(t *testing.T, seed int64) *rig {
 func inFlight(conn *Conn) int {
 	n := 0
 	for p := conn.first; p != nil; p = p.next {
+		n++
+	}
+	return n
+}
+
+// armed counts the client's armed retransmission timeouts.
+func armed(c *Client) int {
+	n := 0
+	for t := c.timeouts.next; t != &c.timeouts; t = t.next {
 		n++
 	}
 	return n
@@ -373,9 +382,10 @@ func TestSteadyStateReusesPools(t *testing.T) {
 
 // TestParkedRequestsCostARecordAndASegment: a fault parks every request issued
 // into it until the peer answers again or the retry budget runs out. Each costs
-// its record (which is also its wheel entry) and its encoded segment, nothing
-// per request beside them, and nothing at all once the records have been used
-// before.
+// its record (which is also its timeout on the client's list) and its encoded
+// segment, nothing per request beside them, and nothing at all once the
+// records have been used before; and all of them hold one event on the
+// simulator's queue.
 func TestParkedRequestsCostARecordAndASegment(t *testing.T) {
 	r := newRig(t, 12)
 	if _, err := NewServer(r.server, 8090, ServerConfig{}); err != nil {
@@ -408,13 +418,17 @@ func TestParkedRequestsCostARecordAndASegment(t *testing.T) {
 	if avg := testing.AllocsPerRun(1, burst); avg > 2*n+8 {
 		t.Errorf("parking %d requests on a dead peer allocates %.0f, want a record and a segment each (%d)", n, avg, 2*n)
 	}
-	if got := c.wheel.Active(); got != 2*n { // AllocsPerRun runs the burst twice
+	if got := armed(c); got != 2*n { // AllocsPerRun runs the burst twice
 		t.Fatalf("%d retransmission timeouts armed, want %d", got, 2*n)
+	}
+	r.s.RunFor(10 * time.Millisecond) // every frame has reached the dead interface
+	if got := r.s.Pending(); got != 1 {
+		t.Fatalf("%d parked requests hold %d events on the simulator's queue, want 1", 2*n, got)
 	}
 	nic.SetUp(true)
 	r.s.RunFor(time.Second)
-	if done != 2*n || c.wheel.Active() != 0 {
-		t.Fatalf("%d of %d parked requests answered after recovery, %d timeouts still armed", done, 2*n, c.wheel.Active())
+	if done != 2*n || armed(c) != 0 {
+		t.Fatalf("%d of %d parked requests answered after recovery, %d timeouts still armed", done, 2*n, armed(c))
 	}
 	if avg := testing.AllocsPerRun(3, func() {
 		burst()
@@ -471,16 +485,16 @@ func TestFailCompletesOldestFirst(t *testing.T) {
 			t.Errorf("completion %d (request %d): err = %v", i, order[i], err)
 		}
 	}
-	if c.wheel.Active() != 0 {
-		t.Errorf("%d timeouts armed after the connection closed, want 0", c.wheel.Active())
+	if armed(c) != 0 {
+		t.Errorf("%d timeouts armed after the connection closed, want 0", armed(c))
 	}
 }
 
-// TestCrashedHostTimeoutDoesNotDangle: a crashed host's sweep drops the
-// timeouts that come due, and a parked request whose timeout went that way
-// must not be able to cancel anybody else's when its connection is closed
-// later. With pooled wheel entries it could: the dropped entry was reused by
-// the next request, and closing the first connection stopped it.
+// TestCrashedHostTimeoutDoesNotDangle: a crashed host drops the timeouts that
+// come due, and a parked request whose timeout went that way must not be able
+// to cancel anybody else's when its connection is closed later. With pooled
+// timeout entries it could: the dropped entry was reused by the next request,
+// and closing the first connection stopped it.
 func TestCrashedHostTimeoutDoesNotDangle(t *testing.T) {
 	r := newRig(t, 14)
 	if _, err := NewServer(r.server, 8090, ServerConfig{}); err != nil {
@@ -561,7 +575,7 @@ func TestTracedRetransmissionNamesThePeer(t *testing.T) {
 			byPeer[ev.Addr]++
 		}
 	}
-	// An RTO is 250 ms plus up to one 31.25 ms wheel tick, and a request
+	// An RTO is 250 ms plus up to one 31.25 ms grid step, and a request
 	// retransmits maxRetries times in maxRetries+1 RTOs: 27 s of the first
 	// connection, 1 s of the second.
 	if len(byPeer) != 2 || byPeer["10.0.0.2"] < 85 || byPeer["10.0.0.2"] > 98 || byPeer["10.0.0.3"] < 3 || byPeer["10.0.0.3"] > 4 {

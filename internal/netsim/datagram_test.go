@@ -305,3 +305,75 @@ func TestDatagramCountIsSafe(t *testing.T) {
 		}
 	}
 }
+
+// TestSendUDPOwnedRoundTrip exercises the pooled fast path end to end,
+// including reuse of the same packet and buffer records across sends.
+func TestSendUDPOwnedRoundTrip(t *testing.T) {
+	s, nw, _, hosts := lan(t, 1, 2)
+	a, b := hosts[0], hosts[1]
+	var got []string
+	if _, err := b.BindUDP(netip.Addr{}, 9000, func(src, dst netip.AddrPort, payload []byte) {
+		got = append(got, string(payload)) // copies before the buffer is recycled
+	}); err != nil {
+		t.Fatal(err)
+	}
+	dst := netip.AddrPortFrom(addr("10.0.0.2"), 9000)
+	for i := 0; i < 3; i++ {
+		buf := nw.GetBuf(5)
+		copy(buf, "msg-")
+		buf[4] = byte('0' + i)
+		if err := a.SendUDPOwned(netip.AddrPort{}, dst, buf); err != nil {
+			t.Fatal(err)
+		}
+		s.Run()
+	}
+	if len(got) != 3 || got[0] != "msg-0" || got[2] != "msg-2" {
+		t.Fatalf("got %v, want [msg-0 msg-1 msg-2]", got)
+	}
+	// After the third round trip both pools should have their records back.
+	if n := nw.PacketsOutstanding(); n != 0 {
+		t.Errorf("%d packet records not back in the pool after deliveries", n)
+	}
+	if len(nw.freeBufs) == 0 {
+		t.Error("buffer pool empty after deliveries; payload buffers not recycled")
+	}
+}
+
+func TestSendUDPOwnedThroughRouter(t *testing.T) {
+	s := sim.New(1)
+	nw := New(s)
+	left := nw.NewSegment("left", DefaultSegmentConfig())
+	right := nw.NewSegment("right", DefaultSegmentConfig())
+
+	r := nw.NewHost("router")
+	r.EnableForwarding()
+	rl := r.AttachNIC(left, "eth0", netip.MustParsePrefix("10.0.0.1/24"))
+	_ = rl
+	r.AttachNIC(right, "eth1", netip.MustParsePrefix("10.0.1.1/24"))
+
+	a := nw.NewHost("a")
+	an := a.AttachNIC(left, "eth0", netip.MustParsePrefix("10.0.0.2/24"))
+	a.SetDefaultGateway(an, addr("10.0.0.1"))
+	b := nw.NewHost("b")
+	bn := b.AttachNIC(right, "eth0", netip.MustParsePrefix("10.0.1.2/24"))
+	b.SetDefaultGateway(bn, addr("10.0.1.1"))
+
+	var got string
+	if _, err := b.BindUDP(netip.Addr{}, 9000, func(_, _ netip.AddrPort, payload []byte) {
+		got = string(payload)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	buf := nw.GetBuf(7)
+	copy(buf, "via-rtr")
+	if err := a.SendUDPOwned(netip.AddrPort{}, netip.AddrPortFrom(addr("10.0.1.2"), 9000), buf); err != nil {
+		t.Fatal(err)
+	}
+	s.Run()
+	if got != "via-rtr" {
+		t.Fatalf("payload = %q, want via-rtr", got)
+	}
+	if n := nw.PacketsOutstanding(); n != 0 {
+		t.Errorf("%d packet records not recycled after forwarding hop", n)
+	}
+}

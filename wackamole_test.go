@@ -2,6 +2,8 @@ package wackamole_test
 
 import (
 	"fmt"
+	"net/netip"
+	"strings"
 	"testing"
 	"time"
 
@@ -228,10 +230,36 @@ func TestClusterOptionValidation(t *testing.T) {
 		{Servers: 0, VIPs: 5},
 		{Servers: 3, VIPs: 0},
 		{Servers: 500, VIPs: 5},
+		{Servers: 3, VIPs: 101},
 	}
 	for i, opts := range cases {
 		if _, err := wackamole.NewCluster(opts); err == nil {
 			t.Fatalf("case %d: invalid options accepted", i)
+		}
+	}
+	if _, err := wackamole.NewCluster(wackamole.ClusterOptions{Servers: 91, VIPs: 1}); err == nil || !strings.Contains(err.Error(), "overlap") {
+		t.Errorf("91 servers: err = %v, want the overlap with the virtual addresses named", err)
+	}
+
+	// The largest plan accepted: every host and virtual address distinct, and
+	// no server holding a virtual address before the cluster has formed.
+	c := newCluster(t, wackamole.ClusterOptions{Servers: 90, VIPs: 100, WithRouter: true, TelemetryInterval: time.Second})
+	seen := map[netip.Addr]string{}
+	add := func(a netip.Addr, who string) {
+		if prev, dup := seen[a]; dup {
+			t.Errorf("%v is both %s and %s", a, prev, who)
+		}
+		seen[a] = who
+	}
+	add(wackamole.RouterInsideAddr, "the router")
+	add(wackamole.TelemetryCollectorAddr, "the telemetry collector")
+	for i, srv := range c.Servers {
+		add(srv.NIC.Primary(), fmt.Sprintf("server %d", i))
+	}
+	for j, vip := range c.VIPs() {
+		add(vip, fmt.Sprintf("virtual address %d", j))
+		if _, holders := c.Owner(vip); holders != 0 {
+			t.Errorf("virtual address %v held by %d servers before the cluster formed", vip, holders)
 		}
 	}
 }
