@@ -405,6 +405,11 @@ func availabilityWebTrial(seed int64, cfg AvailabilityConfig) (runner.Sample, *A
 	wc.RunFor(cfg.Warmup)
 	wc.RunFor(time.Duration(wc.Sim.Rand().Int63n(int64(cfg.GCS.HeartbeatInterval))))
 	engine.ResetStats()
+	window := cfg.PreFault + cfg.PostFault
+	if cfg.Fault == FaultRolling {
+		window += 2 * cfg.RollingGap * time.Duration(cfg.Servers)
+	}
+	engine.Reserve(window)
 	wc.RunFor(cfg.PreFault)
 
 	faultAt := wc.Sim.Now()
@@ -628,6 +633,7 @@ func availabilityRouterTrial(seed int64, cfg AvailabilityConfig) (runner.Sample,
 	sc.sim.RunFor(cfg.Warmup)
 	sc.sim.RunFor(time.Duration(sc.sim.Rand().Int63n(int64(cfg.GCS.HeartbeatInterval))))
 	engine.ResetStats()
+	engine.Reserve(cfg.PreFault + cfg.PostFault)
 	sc.sim.RunFor(cfg.PreFault)
 
 	active, err := sc.activeRouter()
@@ -683,12 +689,15 @@ func summarizeTrial(seed int64, engine *load.Engine, faultAt time.Time) *Availab
 	for k, v := range engine.ByServer() {
 		res.ByServer[k] = v
 	}
+	before := within(engine.Completions(), engine.Epoch(), faultAt)
+	during := within(engine.Completions(), faultAt, recoveredAt)
+	after := within(engine.Completions(), recoveredAt, end.Add(time.Nanosecond))
 	// Selection scratch, shared by the three windows: none holds more round
-	// trips than there are completions.
-	rtts := make([]time.Duration, 0, len(engine.Completions()))
-	res.Before, rtts = windowOf(within(engine.Completions(), engine.Epoch(), faultAt), rtts)
-	res.During, rtts = windowOf(within(engine.Completions(), faultAt, recoveredAt), rtts)
-	res.After, _ = windowOf(within(engine.Completions(), recoveredAt, end.Add(time.Nanosecond)), rtts)
+	// trips than the largest window has completions.
+	rtts := make([]time.Duration, 0, max(len(before), len(during), len(after)))
+	res.Before, rtts = windowOf(before, rtts)
+	res.During, rtts = windowOf(during, rtts)
+	res.After, _ = windowOf(after, rtts)
 
 	// Goodput: ok completions per second in the fault-free window, and in
 	// an equally wide window ending at the last completion.

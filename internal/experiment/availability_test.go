@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"wackamole/internal/gcs"
 	"wackamole/internal/load"
 	"wackamole/internal/metrics"
 	"wackamole/internal/placement"
@@ -297,5 +298,60 @@ func TestAvailabilityTraced(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), `"record":"trial"`) || !strings.Contains(b.String(), `"flow-`) {
 		t.Error("trace NDJSON missing trial record or flow events")
+	}
+}
+
+// observedAvailability is the paper's §6 NIC fault under open-loop load with
+// every observer plane on, at the given client population and rate.
+func observedAvailability(clients int, rps float64) AvailabilityConfig {
+	return AvailabilityConfig{
+		Servers: 4, Clients: clients, Mode: load.Open, RPS: rps,
+		Fault: FaultNIC, GCS: gcs.TunedConfig(),
+		Warmup: time.Second, PreFault: 2 * time.Second,
+		Invariants: true, Trace: true, Telemetry: true, Metrics: metrics.New(),
+	}
+}
+
+// TestTrialTraceCountsEvictedEvents: a trial's trace says how many of its
+// events the ring evicted. Under the loaded shape (1 000 clients at
+// 10 000 rps) flow retransmissions overflow the ring, and the kept events
+// plus the evicted ones are every event emitted; a light trial keeps all.
+func TestTrialTraceCountsEvictedEvents(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		cfg     AvailabilityConfig
+		evicted bool
+	}{
+		{"loaded", observedAvailability(1000, 10000), true},
+		{"light", func() AvailabilityConfig { c := quickAvailability(); c.Trace = true; return c }(), false},
+	} {
+		sample, _, err := AvailabilityTrial(1, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tt := sample.Trace
+		if tt == nil || len(tt.Events) == 0 {
+			t.Fatalf("%s: traced trial carries no events", tc.name)
+		}
+		// Seq counts every emitted event, evicted ones too, so the newest
+		// kept event's is how many the tracer had emitted at the snapshot.
+		if emitted := tt.Events[len(tt.Events)-1].Seq; uint64(len(tt.Events))+tt.Dropped != emitted {
+			t.Fatalf("%s: %d kept + %d dropped, want the %d emitted", tc.name, len(tt.Events), tt.Dropped, emitted)
+		}
+		if (tt.Dropped > 0) != tc.evicted {
+			t.Fatalf("%s: Dropped = %d, want evictions %v", tc.name, tt.Dropped, tc.evicted)
+		}
+	}
+}
+
+// BenchmarkAvailabilityTrialObserved is one observed availability trial:
+// open loop at 2 000 rps from 200 clients, a NIC fault, every observer plane
+// on. Its B/op is what observing a loaded trial costs in memory.
+func BenchmarkAvailabilityTrialObserved(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := AvailabilityTrial(int64(i+1), observedAvailability(200, 2000)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -79,9 +79,10 @@ func (p *planes) verify(c *wackamole.Cluster, settle time.Duration) *invariant.V
 	return p.mon.Violation()
 }
 
-// attach fills a traced trial's sample with its event stream, the
-// fail-over phase breakdown of the measured gap and the latency snapshot
-// (empty without a registry).
+// attach fills a traced trial's sample with its event stream, how many
+// events the ring evicted, the fail-over phase breakdown of the measured gap
+// and the latency snapshot (empty without a registry). The events are the
+// tracer's read-only snapshot, kept as handed over rather than copied.
 func (p *planes) attach(sample *runner.Sample, gapStart, gapEnd time.Time, target string) {
 	if p.tr == nil {
 		return
@@ -89,6 +90,7 @@ func (p *planes) attach(sample *runner.Sample, gapStart, gapEnd time.Time, targe
 	events := p.tr.Snapshot()
 	sample.Trace = &obs.TrialTrace{
 		Events:   events,
+		Dropped:  p.tr.Dropped(),
 		Phases:   obs.FailoverBreakdown(events, gapStart, gapEnd, target),
 		GapStart: gapStart,
 		GapEnd:   gapEnd,

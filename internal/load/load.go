@@ -35,6 +35,7 @@ package load
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/netip"
 	"slices"
@@ -398,6 +399,20 @@ func (e *Engine) ResetStats() {
 	}
 }
 
+// Reserve sizes the completion log for a measured window of length window,
+// so an open-loop engine that runs that long after ResetStats never grows
+// the log. Arrivals in the window are Poisson with mean λ = RPS × window; the
+// log gets room for λ + 6√λ of them, plus one per client for requests still
+// queued or in flight when the window opened. A closed-loop engine's rate
+// follows its response times, so it keeps growing its log as it fills.
+func (e *Engine) Reserve(window time.Duration) {
+	if e.cfg.Mode != Open || window <= 0 {
+		return
+	}
+	lambda := e.cfg.RPS * window.Seconds()
+	e.completions = slices.Grow(e.completions, int(lambda+6*math.Sqrt(lambda))+e.cfg.Clients)
+}
+
 // Stats returns the snapshot since the last ResetStats. The terminal gap —
 // from the last ok completion to now — is folded into MaxOKGap so a
 // fault window with no recovery is visible.
@@ -603,9 +618,10 @@ func (e *Engine) record(class Class, rtt time.Duration) {
 		e.stats.LastOKAt = now
 	}
 	if len(e.completions) == cap(e.completions) {
-		// The log runs to hundreds of thousands of entries and append grows a
-		// slice that large by a quarter, copying it some four times over on
-		// the way; doubling copies it once.
+		// A log Reserve sized never gets here within its window. Any other
+		// runs to hundreds of thousands of entries, and append grows a slice
+		// that large by a quarter, copying it some four times over on the
+		// way; doubling copies it once.
 		e.completions = slices.Grow(e.completions, max(len(e.completions), 64))
 	}
 	e.completions = append(e.completions, Completion{At: now, RTT: rtt, Class: class})

@@ -301,3 +301,42 @@ func TestOpenLoopWindowDoesNotAllocate(t *testing.T) {
 		t.Fatalf("a 100 ms window at 2000 rps allocates %.2f (%d ok of %d in 10.1 s), want 0", avg, st.Requests[ClassOK], st.Total())
 	}
 }
+
+// TestReserveSizesTheLogOnce: after Reserve(w), an open-loop engine that runs
+// for w fills the log it reserved without reallocating it; in closed loop
+// Reserve leaves the log alone.
+func TestReserveSizesTheLogOnce(t *testing.T) {
+	const window = 5 * time.Second
+	for seed := int64(1); seed <= 4; seed++ {
+		r := newRig(t, seed)
+		e, err := New(r.client, Config{Clients: 100, Mode: Open, RPS: 2000, Target: r.target})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Start()
+		r.s.RunFor(time.Second)
+		e.ResetStats()
+		e.Reserve(window)
+		reserved := cap(e.Completions())
+		if reserved < 10000 {
+			t.Fatalf("seed %d: Reserve(%v) at 2000 rps left room for %d completions, want ≥ 10000", seed, window, reserved)
+		}
+		r.s.RunFor(window)
+		if got := cap(e.Completions()); got != reserved || len(e.Completions()) < 9000 {
+			t.Fatalf("seed %d: %d completions grew the reserved log from cap %d to %d", seed, len(e.Completions()), reserved, got)
+		}
+	}
+
+	r := newRig(t, 1)
+	e, err := New(r.client, Config{Clients: 20, Mode: Closed, ThinkTime: 100 * time.Millisecond, Target: r.target})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Start()
+	r.s.RunFor(time.Second)
+	e.ResetStats()
+	before := cap(e.Completions())
+	if e.Reserve(window); cap(e.Completions()) != before {
+		t.Fatalf("closed-loop Reserve changed the log's cap from %d to %d", before, cap(e.Completions()))
+	}
+}

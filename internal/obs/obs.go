@@ -17,6 +17,7 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -237,8 +238,12 @@ func (e Event) String() string {
 		e.Seq, e.At.Format("15:04:05.000000"), e.Source, e.Kind, e.Node, e.Group, e.Addr, e.Detail)
 }
 
-// DefaultCapacity holds several seconds of a busy cluster's events (token
-// passes dominate at roughly one per TokenInterval).
+// DefaultCapacity holds several seconds of an idle cluster's events, where
+// token passes dominate at roughly one per TokenInterval. Under client load
+// flow's retransmissions dominate instead: the paper's NIC fault under
+// 10 000 rps emits ≈ 120 000 events (≈ 86 000 flow-retransmit, 24 500
+// token-pass, 4 000 flow-open, 3 700 flow-reset), and the ring keeps the
+// newest 27–28 % of them: the §5 phase markers can be among those evicted.
 const DefaultCapacity = 1 << 15
 
 // Tracer is a bounded ring buffer of events, safe for concurrent emission
@@ -254,6 +259,9 @@ type Tracer struct {
 	start   int // index of the oldest live event
 	n       int // live events in buf
 	emitted uint64
+	// frozen is how many leading slots of buf a Snapshot handed out: they
+	// are read-only, so an Emit that would write one clones buf first.
+	frozen int
 }
 
 // New returns a tracer holding the last capacity events (<=0 means
@@ -321,28 +329,54 @@ func (t *Tracer) Emit(ev Event) {
 	if t.hlc != nil && ev.HLC.IsZero() {
 		ev.HLC = t.hlc.Now()
 	}
+	i := t.start // a full ring overwrites its oldest event
 	if t.n < len(t.buf) {
-		t.buf[(t.start+t.n)%len(t.buf)] = ev
+		i = (t.start + t.n) % len(t.buf)
+	}
+	if i < t.frozen {
+		// A snapshot owns this slot. While one is out start is 0 (Snapshot
+		// rotated the ring to begin there, and only writing into a full
+		// ring advances start), so the live events are buf[:n].
+		fresh := make([]Event, len(t.buf))
+		copy(fresh, t.buf[:t.n])
+		t.buf, t.frozen = fresh, 0
+	}
+	t.buf[i] = ev
+	if t.n < len(t.buf) {
 		t.n++
 	} else {
-		t.buf[t.start] = ev
 		t.start = (t.start + 1) % len(t.buf)
 	}
 	t.mu.Unlock()
 }
 
-// Snapshot returns the buffered events, oldest first.
+// Snapshot returns the buffered events, oldest first. The result is
+// read-only: when at least half the ring is live it is the ring itself,
+// rotated in place and handed over, and the tracer clones the ring before it
+// next writes a slot the snapshot holds. A sparser ring is copied instead,
+// so a snapshot kept long never pins a mostly empty ring. Either way later
+// Emits and Resets leave a returned snapshot unchanged.
 func (t *Tracer) Snapshot() []Event {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Event, t.n)
-	for i := 0; i < t.n; i++ {
-		out[i] = t.buf[(t.start+i)%len(t.buf)]
+	if 2*t.n < len(t.buf) {
+		// A sparse ring never wrapped, so start is 0.
+		out := make([]Event, t.n)
+		copy(out, t.buf)
+		return out
 	}
-	return out
+	if t.start != 0 {
+		// Rotate the wrapped ring left by start: three reversals, no copy.
+		slices.Reverse(t.buf[:t.start])
+		slices.Reverse(t.buf[t.start:])
+		slices.Reverse(t.buf)
+		t.start = 0
+	}
+	t.frozen = max(t.frozen, t.n)
+	return t.buf[:t.n:t.n]
 }
 
 // Len reports how many events are currently buffered.
@@ -376,7 +410,8 @@ func (t *Tracer) Dropped() uint64 {
 	return t.emitted - uint64(t.n)
 }
 
-// Reset discards all buffered events and counters.
+// Reset discards all buffered events and counters. A snapshot taken before
+// keeps its events: the next Emit writes into a fresh ring.
 func (t *Tracer) Reset() {
 	if t == nil {
 		return

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -204,5 +206,169 @@ func TestEnumStringsAreDistinct(t *testing.T) {
 	}
 	if Source(99).String() == SourceGCS.String() {
 		t.Fatal("out-of-range source collides with a named one")
+	}
+}
+
+// seqs lists the sequence numbers of evs.
+func seqs(evs []Event) []uint64 {
+	out := make([]uint64, len(evs))
+	for i, e := range evs {
+		out[i] = e.Seq
+	}
+	return out
+}
+
+// span returns the sequence numbers from..to inclusive.
+func span(from, to uint64) []uint64 {
+	var out []uint64
+	for s := from; s <= to; s++ {
+		out = append(out, s)
+	}
+	return out
+}
+
+func TestSnapshotIsUnchangedByLaterWrappingEmits(t *testing.T) {
+	const capacity = 8
+	for _, before := range []int{capacity, capacity + 3, 3*capacity - 1} {
+		tr := New(capacity, fixedNow())
+		for i := 0; i < before; i++ {
+			tr.Emit(Event{Kind: KindTokenPass})
+		}
+		snap := tr.Snapshot()
+		want := span(uint64(before-capacity+1), uint64(before))
+		if got := seqs(snap); !slices.Equal(got, want) {
+			t.Fatalf("%d emitted: snapshot seqs %v, want %v (oldest first)", before, got, want)
+		}
+		// Wrap the ring twice more: every slot the snapshot holds is written.
+		for i := 0; i < 2*capacity+1; i++ {
+			tr.Emit(Event{Kind: KindFault})
+		}
+		if got := seqs(snap); !slices.Equal(got, want) {
+			t.Fatalf("%d emitted: snapshot changed to %v by later Emits, want %v", before, got, want)
+		}
+		for _, e := range snap {
+			if e.Kind != KindTokenPass {
+				t.Fatalf("%d emitted: snapshot slot overwritten by %v", before, e.Kind)
+			}
+		}
+		total := uint64(before + 2*capacity + 1)
+		if got := seqs(tr.Snapshot()); !slices.Equal(got, span(total-capacity+1, total)) {
+			t.Fatalf("%d emitted: later snapshot seqs %v, want the newest %d", before, got, capacity)
+		}
+	}
+}
+
+// TestSnapshotMatchesCopyingModel drives a tracer and a copying reference
+// model through the same random Emit/Snapshot/Reset sequence: every snapshot
+// equals the model's when it is taken and still does at the end, after the
+// Emits and Resets that followed it, and Len, Emitted and Dropped agree
+// throughout.
+func TestSnapshotMatchesCopyingModel(t *testing.T) {
+	const capacity = 6
+	rng := rand.New(rand.NewSource(1))
+	tr := New(capacity, fixedNow())
+	var model []uint64 // live seqs, oldest first
+	var emitted uint64
+	type taken struct {
+		snap []Event
+		want []uint64
+	}
+	var snaps []taken
+	for step := 0; step < 2000; step++ {
+		switch r := rng.Intn(10); {
+		case r < 7:
+			tr.Emit(Event{Kind: KindTokenPass})
+			emitted++
+			model = append(model, emitted)
+			if len(model) > capacity {
+				model = model[1:]
+			}
+		case r < 9:
+			s := taken{tr.Snapshot(), slices.Clone(model)}
+			if got := seqs(s.snap); !slices.Equal(got, s.want) {
+				t.Fatalf("step %d: snapshot %v, want %v", step, got, s.want)
+			}
+			snaps = append(snaps, s)
+		default:
+			tr.Reset()
+			model, emitted = nil, 0
+		}
+		if tr.Len() != len(model) || tr.Emitted() != emitted || tr.Dropped() != emitted-uint64(len(model)) {
+			t.Fatalf("step %d: Len/Emitted/Dropped = %d/%d/%d, want %d/%d/%d", step,
+				tr.Len(), tr.Emitted(), tr.Dropped(), len(model), emitted, emitted-uint64(len(model)))
+		}
+	}
+	for i, s := range snaps {
+		if got := seqs(s.snap); !slices.Equal(got, s.want) {
+			t.Fatalf("snapshot %d changed: %v, want %v", i, got, s.want)
+		}
+	}
+}
+
+func TestSnapshotOfFullRingAllocatesNothing(t *testing.T) {
+	tr := New(1024, fixedNow())
+	for i := 0; i < 1500; i++ {
+		tr.Emit(Event{Kind: KindTokenPass})
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = tr.Snapshot() }); allocs != 0 {
+		t.Fatalf("Snapshot of a full ring allocates %v per call, want 0", allocs)
+	}
+}
+
+func TestSparseSnapshotIsCopied(t *testing.T) {
+	const capacity = 1024
+	tr := New(capacity, fixedNow())
+	for _, n := range []int{0, 1, capacity/2 - 1} {
+		tr.Reset()
+		for i := 0; i < n; i++ {
+			tr.Emit(Event{Kind: KindTokenPass})
+		}
+		snap := tr.Snapshot()
+		if len(snap) != n || cap(snap) > 2*len(snap) {
+			t.Fatalf("%d live of %d: snapshot len %d cap %d, want a copy of at most twice its length",
+				n, capacity, len(snap), cap(snap))
+		}
+		if n > 0 && &snap[0] == &tr.buf[0] {
+			t.Fatalf("%d live of %d: snapshot shares the ring, want a copy", n, capacity)
+		}
+	}
+}
+
+// TestConcurrentSnapshotReadersAndWrappingEmit reads every snapshot while
+// emitters keep wrapping a small ring; -race checks that no snapshot slot is
+// written after it is handed out.
+func TestConcurrentSnapshotReadersAndWrappingEmit(t *testing.T) {
+	const goroutines, perG, capacity = 4, 2000, 64
+	tr := New(capacity, nil)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				tr.Emit(Event{Kind: KindTokenPass})
+			}
+		}()
+	}
+	errs := make(chan error, 2)
+	for r := 0; r < 2; r++ {
+		go func() {
+			for i := 0; i < 200; i++ {
+				snap := tr.Snapshot()
+				for j := 1; j < len(snap); j++ {
+					if snap[j].Seq != snap[j-1].Seq+1 {
+						errs <- fmt.Errorf("snapshot not consecutive at %d: %d then %d", j, snap[j-1].Seq, snap[j].Seq)
+						return
+					}
+				}
+			}
+			errs <- nil
+		}()
+	}
+	wg.Wait()
+	for r := 0; r < 2; r++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
 	}
 }

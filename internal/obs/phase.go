@@ -228,7 +228,10 @@ func RenderOwnershipTimeline(events []Event) string {
 // trial's Sample when tracing is requested.
 type TrialTrace struct {
 	Events []Event
-	Phases Breakdown
+	// Dropped counts the trial's events the ring evicted before Events was
+	// taken: Events holds the newest len(Events) of len(Events)+Dropped.
+	Dropped uint64
+	Phases  Breakdown
 	// GapStart and GapEnd bound the measured interruption and Target names
 	// the probed address; offline analyzers (cmd/wacktrace) re-derive Phases
 	// from these and cross-check against the reported value.
