@@ -52,7 +52,7 @@ func TestChaosMonkeyConvergesToExactlyOnce(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			runChecked(t, seed,
 				check.GenConfig{Servers: 5, VIPs: 10, Steps: 12, Leaves: true},
-				check.Options{BalanceTimeout: 10 * time.Second})
+				check.Options{})
 		})
 	}
 }

@@ -191,14 +191,14 @@ func run(args []string, stop <-chan os.Signal, notices io.Writer) int {
 		// The always-on monitors watch this daemon's own hook streams. With
 		// a metrics endpoint configured, violations surface as
 		// invariant_violations_total on /metrics and an invariant-violation
-		// event on /debug/events; either way the daemon logs them.
+		// event on /debug/events; either way the daemon logs them. With
+		// flight_dir set, the bundle a violation dumps is the daemon's one
+		// post-mortem record of it.
 		mon := invariant.New(invariant.Config{
-			Nodes:       1,
-			Metrics:     registry,
-			Tracer:      tracer,
-			ArtifactDir: cfg.InvariantArtifacts,
-			Name:        "wackamole-" + cfg.Bind,
-			Meta:        map[string]string{"bind": cfg.Bind, "group": cfg.Group},
+			Nodes:   1,
+			Metrics: registry,
+			Tracer:  tracer,
+			Name:    "wackamole-" + cfg.Bind,
 			// Per-view relocation ceiling: a single-node monitor sees only
 			// its own acquisitions, so this is the accounting backstop, not
 			// a policy assertion.

@@ -179,7 +179,6 @@ func TestDaemonInvariantsOnMetrics(t *testing.T) {
 		"heartbeat 100ms",
 		"discovery 300ms",
 		"invariants true",
-		"invariant_artifacts " + dir,
 		"vip web1 10.0.0.100",
 		"dry_run true",
 	}, "\n") + "\n"

@@ -76,7 +76,6 @@ func run(args []string, out io.Writer) int {
 	post := fs.Duration("post", 0, "post-fault run time (0 = fail-over bound + window)")
 	jsonOut := fs.Bool("json", false, "emit NDJSON result rows instead of a table")
 	invariants := fs.Bool("invariants", false, "arm the always-on protocol-invariant monitors on every trial (violations exit nonzero)")
-	invariantDir := fs.String("invariant-artifacts", "", "directory for replayable violation artifacts (implies -invariants)")
 	tracePath := fs.String("trace", "", "capture per-trial structured event streams into this NDJSON file")
 	telemetryPath := fs.String("telemetry", "", "arm the live health plane and write every captured telemetry frame into this NDJSON file (web topology)")
 	promPath := fs.String("prom", "", "write the shared metrics registry in Prometheus exposition format (- for stdout)")
@@ -130,25 +129,24 @@ func run(args []string, out io.Writer) int {
 	}
 	reg := metrics.New()
 	cfg := experiment.AvailabilityConfig{
-		Topology:           topo,
-		Servers:            *servers,
-		Clients:            *clients,
-		Mode:               m,
-		RPS:                *rps,
-		ThinkTime:          *think,
-		Fault:              fk,
-		Shape:              *shape,
-		GrayWindow:         *grayWindow,
-		Placement:          *placementName,
-		RollingGap:         *rollingGap,
-		GCS:                gcfg,
-		PreFault:           *pre,
-		PostFault:          *post,
-		Invariants:         *invariants || *invariantDir != "",
-		InvariantArtifacts: *invariantDir,
-		Metrics:            reg,
-		Telemetry:          *telemetryPath != "",
-		Trace:              *tracePath != "",
+		Topology:   topo,
+		Servers:    *servers,
+		Clients:    *clients,
+		Mode:       m,
+		RPS:        *rps,
+		ThinkTime:  *think,
+		Fault:      fk,
+		Shape:      *shape,
+		GrayWindow: *grayWindow,
+		Placement:  *placementName,
+		RollingGap: *rollingGap,
+		GCS:        gcfg,
+		PreFault:   *pre,
+		PostFault:  *post,
+		Invariants: *invariants,
+		Metrics:    reg,
+		Telemetry:  *telemetryPath != "",
+		Trace:      *tracePath != "",
 	}
 	opts := []experiment.Option{experiment.Parallel(*parallel)}
 	if *progress {
@@ -208,11 +206,13 @@ func run(args []string, out io.Writer) int {
 
 	// Invariant verdict: report every violating trial and exit nonzero, so
 	// large-scale runs double as model-checking runs (CI gates on this).
+	// Each line names the seed and the point: rerunning this command with
+	// that -seed and -trials 1 (plus -trace) re-creates the trial.
 	violated := 0
 	for _, r := range results {
 		if r.Violation != nil {
 			violated++
-			fmt.Fprintf(os.Stderr, "wackload: invariant violation (seed %d): %v\n", r.Seed, r.Violation)
+			fmt.Fprintf(os.Stderr, "wackload: invariant violation (seed %d, point %s): %v\n", r.Seed, cfg.Label(), r.Violation)
 		}
 	}
 

@@ -25,15 +25,14 @@ type Artifact struct {
 
 // OptionsDoc is the serialized form of the Options fields that affect
 // execution. Durations travel as integer nanoseconds so reconstruction is
-// exact.
+// exact. The run's timing bounds derive from the gcs timeouts; older
+// artifacts that record them as balance_ns, settle_ns, stability_ns and
+// jitter_window_ns (always the derived values) still load, the decoder
+// skipping all four.
 type OptionsDoc struct {
 	FaultDetectNS  int64  `json:"fault_detect_ns"`
 	HeartbeatNS    int64  `json:"heartbeat_ns"`
 	DiscoveryNS    int64  `json:"discovery_ns"`
-	BalanceNS      int64  `json:"balance_ns"`
-	SettleNS       int64  `json:"settle_ns"`
-	StabilityNS    int64  `json:"stability_ns"`
-	JitterWindowNS int64  `json:"jitter_window_ns"`
 	Representative bool   `json:"representative,omitempty"`
 	Mutation       string `json:"mutation,omitempty"`
 	// Detector names the failure-detection regime ("fixed" or "phi");
@@ -55,10 +54,6 @@ func NewArtifact(rep *Report, opts Options, shrinkIterations int) Artifact {
 		FaultDetectNS:  opts.GCS.FaultDetectTimeout.Nanoseconds(),
 		HeartbeatNS:    opts.GCS.HeartbeatInterval.Nanoseconds(),
 		DiscoveryNS:    opts.GCS.DiscoveryTimeout.Nanoseconds(),
-		BalanceNS:      opts.BalanceTimeout.Nanoseconds(),
-		SettleNS:       opts.SettleBound.Nanoseconds(),
-		StabilityNS:    opts.StabilityWindow.Nanoseconds(),
-		JitterWindowNS: opts.JitterWindow.Nanoseconds(),
 		Representative: opts.RepresentativeDecisions,
 	}
 	if opts.Mutation != nil {
@@ -94,10 +89,6 @@ func (a Artifact) RunOptions() (Options, error) {
 			DiscoveryTimeout:   time.Duration(a.Options.DiscoveryNS),
 			Detector:           det,
 		},
-		BalanceTimeout:          time.Duration(a.Options.BalanceNS),
-		SettleBound:             time.Duration(a.Options.SettleNS),
-		StabilityWindow:         time.Duration(a.Options.StabilityNS),
-		JitterWindow:            time.Duration(a.Options.JitterWindowNS),
 		RepresentativeDecisions: a.Options.Representative,
 		Mutation:                mut,
 	}.withDefaults(), nil

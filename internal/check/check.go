@@ -15,31 +15,13 @@ import (
 )
 
 // Options parameterize one checked run. The zero value is usable: tuned
-// timeouts, computed settle/stability bounds, no trace, no metrics, no
-// mutation.
+// timeouts, no trace, no metrics, no mutation. The run's timing bounds are
+// not options: Run derives its settle and stability bounds from GCS.
 type Options struct {
 	// GCS sets the group-communication timeouts (zero: gcs.TunedConfig).
 	GCS gcs.Config
-	// BalanceTimeout forwards to the engine (zero: 5s, short enough that
-	// balancing completes well inside the settle bound).
-	BalanceTimeout time.Duration
 	// RepresentativeDecisions enables the §4.2 variant.
 	RepresentativeDecisions bool
-	// SettleBound is how long after the last schedule event the oracles
-	// wait before demanding Property 1 and 2. Zero computes a bound from
-	// the gcs timeouts: token-loss detection plus four full
-	// reconfiguration rounds (discovery, form, recovery) plus session
-	// reconnect and slack — generous, but a function of the
-	// configuration, not a magic constant.
-	SettleBound time.Duration
-	// StabilityWindow is the extra quiet period after the settle check in
-	// which no further view installation may occur (zero: computed).
-	StabilityWindow time.Duration
-	// JitterWindow bounds how long an OpJitter scheduling-delay window
-	// stays open (zero: 2s). The delay magnitude is half the detection
-	// margin, so skewed probes can time out spuriously but the system
-	// must always re-converge.
-	JitterWindow time.Duration
 	// Trace captures the structured event stream into the report (and
 	// thence into artifacts).
 	Trace bool
@@ -50,21 +32,20 @@ type Options struct {
 	Mutation Mutation
 }
 
+const (
+	// balanceTimeout is the engine's balance timeout in checked runs, short
+	// enough that balancing completes well inside the settle bound.
+	balanceTimeout = 5 * time.Second
+	// jitterWindow bounds how long an OpJitter scheduling-delay window stays
+	// open. The delay magnitude is half the detection margin, so skewed
+	// probes can time out spuriously but the system must always
+	// re-converge.
+	jitterWindow = 2 * time.Second
+)
+
 func (o Options) withDefaults() Options {
 	if o.GCS == (gcs.Config{}) {
 		o.GCS = gcs.TunedConfig()
-	}
-	if o.BalanceTimeout <= 0 {
-		o.BalanceTimeout = 5 * time.Second
-	}
-	if o.SettleBound <= 0 {
-		o.SettleBound = SettleBound(o.GCS)
-	}
-	if o.StabilityWindow <= 0 {
-		o.StabilityWindow = o.GCS.FaultDetectTimeout + o.GCS.DiscoveryTimeout + 2*time.Second
-	}
-	if o.JitterWindow <= 0 {
-		o.JitterWindow = 2 * time.Second
 	}
 	return o
 }
@@ -73,7 +54,8 @@ func (o Options) withDefaults() Options {
 // the last fault: how long a correct cluster can possibly need to detect
 // the change and re-form. Token-loss and fault detection run first, then up
 // to four cascaded reconfiguration rounds (merges can restart discovery),
-// then the session reconnect interval and reallocation slack.
+// then the session reconnect interval and reallocation slack — generous,
+// but a function of the configuration, not a magic constant.
 func SettleBound(cfg gcs.Config) time.Duration {
 	round := cfg.DiscoveryTimeout + cfg.FormTimeout() + cfg.RecoveryTimeout()
 	return cfg.TokenLossTimeout() + cfg.FaultDetectTimeout + 4*round + 2*time.Second + 3*time.Second
@@ -180,7 +162,7 @@ func Run(s Schedule, opts Options) (*Report, error) {
 		Servers:                 s.Servers,
 		VIPs:                    s.VIPs,
 		GCS:                     opts.GCS,
-		BalanceTimeout:          opts.BalanceTimeout,
+		BalanceTimeout:          balanceTimeout,
 		RepresentativeDecisions: opts.RepresentativeDecisions,
 		Tracer:                  tracer,
 		Invariants:              o,
@@ -249,7 +231,7 @@ func Run(s Schedule, opts Options) (*Report, error) {
 		if o.Violation() != nil {
 			break
 		}
-		apply(c, ev, jitterMax, opts.JitterWindow, gray)
+		apply(c, ev, jitterMax, gray)
 		executed++
 		steps.Inc()
 		o.SetStep(executed)
@@ -268,18 +250,20 @@ func Run(s Schedule, opts Options) (*Report, error) {
 
 	if o.Violation() == nil {
 		o.SetStep(executed)
-		c.RunFor(opts.SettleBound)
+		c.RunFor(SettleBound(opts.GCS))
 	}
 	if o.Violation() == nil {
 		o.CheckSettled(c.InvariantView(), c.RunFor)
 	}
 	if o.Violation() == nil {
-		before := o.Installs()
-		c.RunFor(opts.StabilityWindow)
+		// The stability window: a quiet period after the settle check in
+		// which no further view installation may occur.
+		before, quiet := o.Installs(), opts.GCS.FaultDetectTimeout+opts.GCS.DiscoveryTimeout+2*time.Second
+		c.RunFor(quiet)
 		if o.Violation() == nil && o.Installs() != before {
 			o.Fail(invariant.OracleConvergence,
 				"membership still changing after the settle bound: %d further view installations during the %v stability window",
-				o.Installs()-before, opts.StabilityWindow)
+				o.Installs()-before, quiet)
 		}
 		if o.Violation() == nil {
 			o.CheckSettled(c.InvariantView(), c.RunFor)
@@ -365,7 +349,7 @@ func grayBounds(s Schedule, opts Options) (ppBound int, ppWindow time.Duration, 
 	// Programs never cleared stay live until Run stops them at the settle
 	// boundary.
 	for _, t := range started {
-		grayDur += lastAt + opts.SettleBound - t
+		grayDur += lastAt + SettleBound(opts.GCS) - t
 	}
 	ppWindow = 10 * time.Second
 	// Per window, a correct cluster re-claims a group at most ~twice per
@@ -387,7 +371,7 @@ func grayBounds(s Schedule, opts Options) (ppBound int, ppWindow time.Duration, 
 // apply executes one schedule event against the cluster. Inapplicable
 // events (restoring an up interface, severing an already-detached session)
 // degrade to deterministic no-ops so shrunk schedules stay runnable.
-func apply(c *wackamole.Cluster, ev Event, jitterMax, jitterWindow time.Duration, gray *grayState) {
+func apply(c *wackamole.Cluster, ev Event, jitterMax time.Duration, gray *grayState) {
 	switch ev.Op {
 	case OpFail:
 		c.FailServer(ev.Server)

@@ -151,8 +151,10 @@ func TestArtifactRoundTripsDetector(t *testing.T) {
 }
 
 // Artifacts written while the phi detector's threshold and scan period were
-// fields record them as phi_threshold and phi_check_ns. They must still load
-// and replay to the verdict they recorded.
+// fields record them as phi_threshold and phi_check_ns, and those written
+// while the run's timing bounds were options record balance_ns, settle_ns,
+// stability_ns and jitter_window_ns. They must still load and replay to the
+// verdict they recorded.
 func TestLegacyPhiArtifactReplays(t *testing.T) {
 	s := Schedule{
 		Seed: 42, Servers: 3, VIPs: 6,
@@ -181,6 +183,11 @@ func TestLegacyPhiArtifactReplays(t *testing.T) {
 	}
 	doc["options"]["phi_threshold"] = 8.0
 	doc["options"]["phi_check_ns"] = (cfg.HeartbeatInterval / 2).Nanoseconds()
+	// The retired timing fields, at the values every writer recorded.
+	doc["options"]["balance_ns"] = (5 * time.Second).Nanoseconds()
+	doc["options"]["settle_ns"] = SettleBound(cfg).Nanoseconds()
+	doc["options"]["stability_ns"] = (cfg.FaultDetectTimeout + cfg.DiscoveryTimeout + 2*time.Second).Nanoseconds()
+	doc["options"]["jitter_window_ns"] = (2 * time.Second).Nanoseconds()
 	legacy, err := json.Marshal(doc)
 	if err != nil {
 		t.Fatal(err)

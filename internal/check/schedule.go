@@ -62,7 +62,7 @@ const (
 	OpLeave
 	// OpJitter opens a bounded window of scheduling delay on server A's
 	// host, modelling the clock skew that makes probe/heartbeat timeouts
-	// fire spuriously. The window closes by itself after JitterWindow.
+	// fire spuriously. The window closes by itself after jitterWindow (2s).
 	OpJitter
 	// OpShape applies an internal/faults gray-failure program (Event.Shape,
 	// spec syntax) to server A's interface: flapping links, lossy-but-alive

@@ -25,7 +25,6 @@
 //	device eth0
 //	dry_run true
 //	invariants true           # arm the always-on protocol-invariant monitors
-//	invariant_artifacts /var/lib/wackamole/violations
 //	pprof true                # expose /debug/pprof + /debug/vars on the metrics listener
 //	flight_dir /var/lib/wackamole/flight   # arm the black-box flight recorder
 //	flight_threshold 2s       # auto-dump when a failover runs longer than this
@@ -75,9 +74,6 @@ type File struct {
 	// ownership streams, with violations counted on /metrics
 	// (invariant_violations_total) and visible on /debug/events.
 	Invariants bool
-	// InvariantArtifacts is the directory a violation's replayable artifact
-	// (and trace tail) is written into; empty disables artifact dumps.
-	InvariantArtifacts string
 	// Pprof enables the /debug/pprof/* and /debug/vars endpoints on the
 	// metrics listener. Off by default: profiles expose process memory and
 	// perturb protocol timing, so only enable on an access-controlled
@@ -184,10 +180,6 @@ func Parse(r io.Reader) (*File, error) {
 				if err != nil {
 					err = fail("invariants: %v", err)
 				}
-			}
-		case "invariant_artifacts":
-			if err = need(1); err == nil {
-				f.InvariantArtifacts = args[0]
 			}
 		case "pprof":
 			if err = need(1); err == nil {

@@ -81,6 +81,7 @@ func TestParseErrors(t *testing.T) {
 		cfg  string
 	}{
 		{"unknown directive", "bogus 1\n"},
+		{"retired invariant_artifacts", "bind a:1\npeers a:1\ninvariant_artifacts /x\nvip v 10.0.0.1\n"},
 		{"missing bind", "peers a:1\nvip v 10.0.0.1\n"},
 		{"missing peers", "bind a:1\nvip v 10.0.0.1\n"},
 		{"missing vips", "bind a:1\npeers a:1\n"},

@@ -163,13 +163,8 @@ type AvailabilityConfig struct {
 	// delivery and ownership streams, and the settled-state properties are
 	// probed after the measured window closes. Monitoring is
 	// observation-only — a violation is recorded on the trial's
-	// AvailabilityResult (and its artifact written) without perturbing the
-	// measured sample.
+	// AvailabilityResult without perturbing the measured sample.
 	Invariants bool
-	// InvariantArtifacts is the directory a violating trial's replay
-	// artifact (and trace tail, when tracing) is written into ("" disables
-	// artifact dumps).
-	InvariantArtifacts string
 	// Metrics receives the flow and load instrument families from every
 	// trial (shared across trials; the registry serializes access). Nil
 	// disables. With Invariants set it also receives the invariant_*
@@ -575,8 +570,7 @@ func phaseWindow(completions []load.Completion, from, to time.Time) (gap time.Du
 }
 
 // availabilityMonitor configures the per-trial online monitor (zero when
-// monitoring is off), annotated with enough metadata to re-run the trial
-// that trips it.
+// monitoring is off).
 func availabilityMonitor(seed int64, cfg AvailabilityConfig) invariant.Config {
 	if !cfg.Invariants {
 		return invariant.Config{}
@@ -585,22 +579,10 @@ func availabilityMonitor(seed int64, cfg AvailabilityConfig) invariant.Config {
 	if cfg.Topology == TopologyRouter {
 		nodes = 2
 	}
-	meta := map[string]string{
-		"experiment": "availability",
-		"point":      cfg.Label(),
-		"seed":       fmt.Sprintf("%d", seed),
-		"servers":    fmt.Sprintf("%d", nodes),
-		"fault":      string(cfg.Fault),
-	}
-	if cfg.Placement != "" {
-		meta["placement"] = cfg.Placement
-	}
 	return invariant.Config{
-		Nodes:       nodes,
-		Metrics:     cfg.Metrics,
-		ArtifactDir: cfg.InvariantArtifacts,
-		Name:        fmt.Sprintf("wackload-seed%d", seed),
-		Meta:        meta,
+		Nodes:   nodes,
+		Metrics: cfg.Metrics,
+		Name:    fmt.Sprintf("wackload-seed%d", seed),
 	}
 }
 

@@ -75,20 +75,12 @@ type Config struct {
 	// Metrics receives the invariant_* counter families (nil disables).
 	Metrics *metrics.Registry
 	// Tracer receives one invariant-violation event per detected violation
-	// and supplies the trace tail dumped next to a violation artifact (nil
-	// disables both).
+	// (nil disables it).
 	Tracer *obs.Tracer
-	// ArtifactDir, when set, receives a replayable JSON artifact (plus the
-	// trace tail as NDJSON) on the first violation.
-	ArtifactDir string
-	// Name stems artifact file names and tags trace events; empty means
-	// "invariant".
+	// Name tags trace events; empty means "invariant".
 	Name string
-	// Meta annotates the violation artifact with enough context to re-run
-	// the workload that tripped it (seed, topology, fault, ...).
-	Meta map[string]string
 	// OnViolation, if set, runs once with the first violation (after the
-	// counters, trace event and artifact are recorded).
+	// counters and trace event are recorded).
 	OnViolation func(*Violation)
 
 	// PingPongBound arms the ping-pong oracle: a violation trips when any
@@ -217,9 +209,6 @@ type Monitor struct {
 	viewsC, delivC, ownC, violC *metrics.Counter
 	oracleC                     map[string]*metrics.Counter
 	multiG                      *metrics.Gauge
-
-	artifactPath, tracePath string
-	artifactErr             error
 }
 
 // New builds a Monitor for cfg.Nodes attachable nodes.
@@ -386,7 +375,7 @@ func (m *Monitor) failLocked(oracle, format string, args ...any) *Violation {
 }
 
 // report performs the first-violation side effects outside the monitor
-// lock: counter, trace event, artifact dump, callback.
+// lock: counter, trace event, callback.
 func (m *Monitor) report(v *Violation) {
 	if v == nil {
 		return
@@ -401,9 +390,6 @@ func (m *Monitor) report(v *Violation) {
 			Group:  v.Oracle,
 			Detail: v.Detail,
 		})
-	}
-	if m.cfg.ArtifactDir != "" {
-		m.dumpArtifact(v)
 	}
 	if m.cfg.OnViolation != nil {
 		m.cfg.OnViolation(v)

@@ -295,58 +295,50 @@ func TestFirstViolationWins(t *testing.T) {
 	}
 }
 
-func TestArtifactDump(t *testing.T) {
-	dir := t.TempDir()
+// A violation is recorded once, in the planes a flight bundle spills: the
+// invariant-violation trace event carries the oracle and detail, and the
+// registry carries the violation and the activity counts.
+func TestViolationInFlightBundle(t *testing.T) {
 	tracer := obs.New(64, nil)
-	m := testMonitor(1, Config{
-		Tracer:      tracer,
-		ArtifactDir: dir,
-		Name:        "unit",
-		Meta:        map[string]string{"seed": "7"},
-	})
+	reg := metrics.New()
+	m := testMonitor(1, Config{Tracer: tracer, Metrics: reg, Name: "unit"})
 	m.OnView(0, view("v1", "a"))
 	m.Fail(OracleExactlyOnce, "deliberate")
-	artifact, trace, err := m.ArtifactPaths()
-	if err != nil {
-		t.Fatalf("artifact dump: %v", err)
-	}
-	if artifact != filepath.Join(dir, "unit-violation.json") {
-		t.Fatalf("artifact path = %q", artifact)
-	}
-	raw, err := os.ReadFile(artifact)
+	dir, err := obs.NewFlightRecorder(obs.FlightConfig{
+		Dir:      t.TempDir(),
+		Node:     "unit",
+		Tracer:   tracer,
+		Registry: reg,
+	}).Dump("invariant:" + OracleExactlyOnce)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got MonitorArtifact
-	if err := json.Unmarshal(raw, &got); err != nil {
-		t.Fatalf("artifact not valid JSON: %v", err)
-	}
-	if got.Name != "unit" || got.Meta["seed"] != "7" || !got.Violation.Equal(m.Violation()) {
-		t.Fatalf("artifact round-trip mismatch: %+v", got)
-	}
-	if got.Installs != 1 {
-		t.Fatalf("artifact installs = %d, want 1", got.Installs)
-	}
-	if _, err := os.Stat(trace); err != nil {
-		t.Fatalf("trace tail missing: %v", err)
-	}
-	// The trace tail must include the invariant-violation event itself.
-	tail, err := os.ReadFile(trace)
+	tail, err := os.ReadFile(filepath.Join(dir, obs.BundleTrace))
 	if err != nil {
-		t.Fatalf("trace tail unreadable: %v", err)
+		t.Fatal(err)
 	}
 	found := false
 	for _, line := range strings.Split(strings.TrimSpace(string(tail)), "\n") {
 		var e obs.Event
 		if err := json.Unmarshal([]byte(line), &e); err != nil {
-			t.Fatalf("trace tail line %q: %v", line, err)
+			t.Fatalf("trace line %q: %v", line, err)
 		}
-		if e.Kind == obs.KindInvariantViolation && e.Group == OracleExactlyOnce {
+		if e.Kind == obs.KindInvariantViolation && e.Node == "unit" &&
+			e.Group == OracleExactlyOnce && e.Detail == "deliberate" {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatal("trace tail lacks the invariant-violation event")
+		t.Fatalf("bundle trace lacks the invariant-violation event:\n%s", tail)
+	}
+	prom, err := os.ReadFile(filepath.Join(dir, obs.BundleMetrics))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"invariant_violations_total 1", "invariant_view_events_total 1"} {
+		if !strings.Contains(string(prom), want) {
+			t.Fatalf("bundle metrics lack %q:\n%s", want, prom)
+		}
 	}
 }
 

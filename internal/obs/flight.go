@@ -5,9 +5,9 @@ package obs
 // there is no simulator to re-run, so each daemon keeps enough recent
 // evidence in memory — the trace ring, the metrics surface, a bounded
 // membership history, the effective config — to explain itself after the
-// fact. On a trigger (invariant trip, interruption above threshold, watchdog
-// fire, SIGQUIT, `wackactl dump`) the recorder spills all of it atomically
-// into one bundle directory that cmd/wackrec can merge with the other nodes'
+// fact. On a trigger (invariant trip, interruption above threshold,
+// SIGQUIT, `wackactl dump`) the recorder spills all of it atomically into
+// one bundle directory that cmd/wackrec can merge with the other nodes'
 // bundles into a causally ordered cluster timeline.
 
 import (

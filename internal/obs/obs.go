@@ -33,8 +33,6 @@ const (
 	SourceCore
 	// SourceNet: the simulated network (internal/netsim).
 	SourceNet
-	// SourceWatchdog: the application health watchdog (internal/watchdog).
-	SourceWatchdog
 	// SourceFlow: the connection-oriented traffic layer (internal/flow).
 	SourceFlow
 	// SourceInvariant: the always-on protocol-invariant monitor
@@ -53,8 +51,6 @@ func (s Source) String() string {
 		return "core"
 	case SourceNet:
 		return "net"
-	case SourceWatchdog:
-		return "watchdog"
 	case SourceFlow:
 		return "flow"
 	case SourceInvariant:
@@ -115,11 +111,6 @@ const (
 	KindFault
 	// KindRestore: an injected repair (interface up, host restart).
 	KindRestore
-
-	// KindWatchdogMiss: a health check failed.
-	KindWatchdogMiss
-	// KindWatchdogFire: the watchdog threshold was reached and its action ran.
-	KindWatchdogFire
 
 	// KindFlowOpen: a connection completed its three-way handshake.
 	KindFlowOpen
@@ -183,10 +174,6 @@ func (k Kind) String() string {
 		return "fault"
 	case KindRestore:
 		return "restore"
-	case KindWatchdogMiss:
-		return "watchdog-miss"
-	case KindWatchdogFire:
-		return "watchdog-fire"
 	case KindFlowOpen:
 		return "flow-open"
 	case KindFlowReset:

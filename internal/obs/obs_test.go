@@ -194,7 +194,7 @@ func TestUnmarshalUnknownEnumsDecodeToZero(t *testing.T) {
 
 func TestEnumStringsAreDistinct(t *testing.T) {
 	seen := map[string]Kind{}
-	for k := KindHeartbeatMiss; k <= KindWatchdogFire; k++ {
+	for k := KindHeartbeatMiss; k <= KindPhiClear; k++ {
 		s := k.String()
 		if strings.HasPrefix(s, "kind(") {
 			t.Fatalf("kind %d has no name", k)

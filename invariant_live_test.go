@@ -2,14 +2,13 @@ package wackamole_test
 
 // Always-on invariants over a live (non-simulated) cluster: three real
 // daemons on loopback UDP, each on its own event-loop goroutine, share one
-// online invariant.Monitor while watchdogs tick, status probes hammer the
-// nodes and a member is killed abruptly. Run under -race this pins the
+// online invariant.Monitor while status probes hammer the nodes, a member is
+// killed abruptly and another leaves service. Run under -race this pins the
 // monitor's claim to be the one piece of state concurrent nodes may share.
 
 import (
 	"net/netip"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,14 +20,12 @@ import (
 	"wackamole/internal/ipmgr"
 	"wackamole/internal/metrics"
 	"wackamole/internal/obs"
-	"wackamole/internal/watchdog"
 )
 
 type liveDaemon struct {
 	node    *wackamole.Node
 	loop    *realtime.Loop
 	cleanup func()
-	healthy atomic.Bool
 }
 
 func (d *liveDaemon) status() core.Status {
@@ -92,25 +89,10 @@ func TestInvariantMonitorLiveCluster(t *testing.T) {
 			t.Fatal(err)
 		}
 		d := &liveDaemon{node: node, loop: loop, cleanup: cleanup}
-		d.healthy.Store(true)
 		// Attach before Start so the monitor sees every event from boot on.
 		mon.Attach(i, node)
-		dog, err := watchdog.New(e.Clock, watchdog.Config{
-			Check:     d.healthy.Load,
-			Action:    func() { _ = node.LeaveService() },
-			Interval:  100 * time.Millisecond,
-			Threshold: 2,
-			Node:      addr,
-		})
-		if err != nil {
-			cleanup()
-			t.Fatal(err)
-		}
 		startErr := make(chan error, 1)
-		loop.Post(func() {
-			dog.Start()
-			startErr <- node.Start()
-		})
+		loop.Post(func() { startErr <- node.Start() })
 		if err := <-startErr; err != nil {
 			cleanup()
 			t.Fatal(err)
@@ -119,7 +101,7 @@ func TestInvariantMonitorLiveCluster(t *testing.T) {
 	}
 
 	// Status probes from extra goroutines for the whole run, so -race sees
-	// monitor hooks, watchdog timers and probes interleave. Each daemon gets
+	// monitor hooks and probes interleave. Each daemon gets
 	// its own stop channel: a probe posted to a closed loop would never run,
 	// so a daemon's prober must stop before that daemon shuts down.
 	probeStops := make([]chan struct{}, len(daemons))
@@ -196,10 +178,14 @@ func TestInvariantMonitorLiveCluster(t *testing.T) {
 		return covered(daemons[:2]...)
 	})
 
-	// Application death: daemon 0's service check starts failing, the
-	// watchdog fires LeaveService, and daemon 1 ends up covering everything.
-	daemons[0].healthy.Store(false)
-	waitFor("watchdog-driven departure", 15*time.Second, func() bool {
+	// Application death: daemon 0 is marked unhealthy and leaves service
+	// on its own loop, and daemon 1 ends up covering everything.
+	left := make(chan error, 1)
+	daemons[0].loop.Post(func() { left <- daemons[0].node.LeaveService() })
+	if err := <-left; err != nil {
+		t.Fatalf("leave service: %v", err)
+	}
+	waitFor("graceful departure", 15*time.Second, func() bool {
 		return daemons[0].status().State == core.StateDetached && covered(daemons[1])
 	})
 
