@@ -10,11 +10,11 @@ build:
 test:
 	go test ./...
 
-# Tier-1, the format gate, one iteration of every in-tree benchmark, and the
-# nested benchmark module, which `go build ./...` and `go test ./...` at the
-# root never compile.
+# Tier-1, vet and the format gate, one iteration of every in-tree benchmark,
+# and the nested benchmark module, which `go build ./...` and `go test ./...`
+# at the root never compile.
 check:
-	go build ./... && go test ./... && test -z "$$(gofmt -l .)" && $(MAKE) benchsmoke && (cd bench && go vet . && go test .)
+	go build ./... && go vet ./... && go test ./... && test -z "$$(gofmt -l .)" && $(MAKE) benchsmoke && (cd bench && go vet . && go test .)
 
 # `go test ./...` compiles benchmarks but never runs them: one iteration each
 # keeps a benchmark whose harness rotted from going unnoticed. `./...`, not a

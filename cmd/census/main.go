@@ -31,6 +31,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -68,8 +69,16 @@ var knownByName = map[string]bool{
 }
 
 func main() {
-	verbose := flag.Bool("v", false, "list every name counted")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, out, errOut io.Writer) int {
+	flags := flag.NewFlagSet("census", flag.ContinueOnError)
+	flags.SetOutput(errOut)
+	verbose := flags.Bool("v", false, "list every name counted")
+	if err := flags.Parse(args); err != nil {
+		return 2
+	}
 
 	l := &loader{
 		fset: token.NewFileSet(),
@@ -78,30 +87,31 @@ func main() {
 	}
 	l.std = importer.ForCompiler(l.fset, "source", nil)
 	if err := l.discover(); err != nil {
-		fmt.Fprintln(os.Stderr, "census:", err)
-		os.Exit(1)
+		fmt.Fprintln(errOut, "census:", err)
+		return 1
 	}
 	for p := range l.dirs {
 		if _, err := l.load(p); err != nil {
-			fmt.Fprintln(os.Stderr, "census:", err)
-			os.Exit(1)
+			fmt.Fprintln(errOut, "census:", err)
+			return 1
 		}
 	}
 
 	names := l.unreferencedNames()
 	fields := l.unwrittenFields()
-	fmt.Printf("exported internal/* names with no non-test caller outside their package: %d\n", len(names))
-	fmt.Printf("exported Config/Options fields with no non-test writer outside their package: %d\n", len(fields))
+	fmt.Fprintf(out, "exported internal/* names with no non-test caller outside their package: %d\n", len(names))
+	fmt.Fprintf(out, "exported Config/Options fields with no non-test writer outside their package: %d\n", len(fields))
 	if *verbose {
-		fmt.Println("\nnames:")
+		fmt.Fprintln(out, "\nnames:")
 		for _, n := range names {
-			fmt.Println("  " + n)
+			fmt.Fprintln(out, "  "+n)
 		}
-		fmt.Println("\nfields:")
+		fmt.Fprintln(out, "\nfields:")
 		for _, f := range fields {
-			fmt.Println("  " + f)
+			fmt.Fprintln(out, "  "+f)
 		}
 	}
+	return 0
 }
 
 // discover maps every package of the two modules to its import path,

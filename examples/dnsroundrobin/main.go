@@ -47,7 +47,7 @@ func run() error {
 		return err
 	}
 	for _, srv := range cluster.Servers {
-		if _, err := probe.NewServer(srv.Host, servicePort); err != nil {
+		if err := probe.NewServer(srv.Host, servicePort); err != nil {
 			return err
 		}
 	}

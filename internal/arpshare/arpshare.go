@@ -109,24 +109,9 @@ func (s *Sharer) Start() {
 
 // tick is one sharing round; it re-arms the sharer's timer.
 func (s *Sharer) tick() {
-	if !s.running {
-		return
-	}
 	s.announce()
 	s.collect()
 	s.timer.Reset(s.cfg.interval())
-}
-
-// Stop halts sharing; the session leaves the group.
-func (s *Sharer) Stop() {
-	if !s.running {
-		return
-	}
-	s.running = false
-	s.timer.Stop()
-	if err := s.sess.Disconnect(); err != nil {
-		_ = err // already severed
-	}
 }
 
 // announce multicasts this host's fresh ARP entries.

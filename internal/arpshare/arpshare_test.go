@@ -158,16 +158,6 @@ func TestGarbageCollectionExpiresStaleEntries(t *testing.T) {
 	}
 }
 
-func TestStopLeavesGroup(t *testing.T) {
-	r := buildRig(t, 4)
-	r.sim.RunFor(5 * time.Second)
-	r.sharers[0].Stop()
-	r.sim.RunFor(5 * time.Second)
-	// The remaining sharer keeps operating alone.
-	r.sharers[1].announce()
-	r.sim.RunFor(time.Second)
-}
-
 func TestShareCodecRoundTrip(t *testing.T) {
 	in := []Entry{
 		{IP: netip.MustParseAddr("10.0.0.1"), MAC: netsim.MAC(0x0A0000000001)},

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -226,4 +227,41 @@ func TestExampleConfigParses(t *testing.T) {
 	if f.GCS.FaultDetectTimeout != time.Second {
 		t.Fatalf("example config not tuned: %+v", f.GCS)
 	}
+}
+
+// FuzzParse feeds arbitrary files to Parse, seeded with the example in the
+// package documentation and wackamole.conf.example. Parse must never panic,
+// and a file it accepts must give a node configuration that both protocol
+// layers accept.
+func FuzzParse(f *testing.F) {
+	src, err := os.ReadFile("config.go")
+	if err != nil {
+		f.Fatal(err)
+	}
+	var doc strings.Builder
+	for _, line := range strings.Split(string(src), "\n") {
+		if example, ok := strings.CutPrefix(line, "//\t"); ok {
+			doc.WriteString(example + "\n")
+		}
+	}
+	f.Add(doc.String())
+	example, err := os.ReadFile("../../wackamole.conf.example")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(string(example))
+	f.Add(sample)
+	f.Fuzz(func(t *testing.T, in string) {
+		file, err := Parse(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		nc := file.NodeConfig()
+		if err := nc.GCS.Validate(); err != nil {
+			t.Fatalf("accepted file yields an invalid gcs.Config: %v\n%s", err, in)
+		}
+		if err := nc.Engine.Validate(); err != nil {
+			t.Fatalf("accepted file yields an invalid core.Config: %v\n%s", err, in)
+		}
+	})
 }

@@ -64,18 +64,6 @@ func planPairs(plan []placement.Decision) []allocPair {
 	return pairs
 }
 
-// AllocationCounts summarizes how many groups each member of the current
-// view owns according to the table; experiments use it to quantify skew.
-func (e *Engine) AllocationCounts() map[MemberID]int {
-	out := map[MemberID]int{}
-	for _, pos := range e.table {
-		if pos >= 0 {
-			out[e.view.Members[pos]]++
-		}
-	}
-	return out
-}
-
 // setOwner records that the replicated table now assigns group gi to the
 // member at view position pos (-1: nobody) and counts a placement move when
 // that member differs from the last recorded owner. Every member observes the

@@ -79,7 +79,6 @@ func BenchmarkBalanceDecision(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = h.engines[a].AllocationCounts()
 		if err := h.engines[a].TriggerBalance(); err != nil {
 			b.Fatal(err)
 		}

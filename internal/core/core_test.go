@@ -28,7 +28,6 @@ type harness struct {
 	members  []core.MemberID
 	engines  map[core.MemberID]*core.Engine
 	backends map[core.MemberID]*ipmgr.FakeBackend
-	mgrs     map[core.MemberID]*ipmgr.Manager
 	owns     map[core.MemberID][]ownEvent
 	logs     map[core.MemberID]*captureLog
 	tracer   *obs.Tracer
@@ -117,7 +116,6 @@ func newHarnessCfg(t testing.TB, n int, cfgFor func(i int) core.Config) *harness
 		sim:      sim.New(1),
 		engines:  map[core.MemberID]*core.Engine{},
 		backends: map[core.MemberID]*ipmgr.FakeBackend{},
-		mgrs:     map[core.MemberID]*ipmgr.Manager{},
 		owns:     map[core.MemberID][]ownEvent{},
 		logs:     map[core.MemberID]*captureLog{},
 		comp:     map[core.MemberID]int{},
@@ -146,10 +144,20 @@ func newHarnessCfg(t testing.TB, n int, cfgFor func(i int) core.Config) *harness
 		e.Start()
 		h.engines[id] = e
 		h.backends[id] = be
-		h.mgrs[id] = mgr
 		h.comp[id] = 0
 	}
 	return h
+}
+
+// ownerCounts counts the groups each member owns in e's replicated table.
+func ownerCounts(e *core.Engine) map[core.MemberID]int {
+	counts := map[core.MemberID]int{}
+	for _, owner := range e.Snapshot().Table {
+		if owner != "" {
+			counts[owner]++
+		}
+	}
+	return counts
 }
 
 // clock adapts sim.Sim to env.Clock via the engines' Deps — sim.Sim already
@@ -267,7 +275,7 @@ func TestInitialViewCoversAllGroupsExactlyOnce(t *testing.T) {
 	h.pump()
 	h.checkComponent(h.all(), true)
 	// Allocation is balanced by the deterministic least-loaded rule.
-	counts := h.engines[h.members[0]].AllocationCounts()
+	counts := ownerCounts(h.engines[h.members[0]])
 	for _, id := range h.members {
 		if counts[id] < 3 || counts[id] > 4 {
 			t.Fatalf("initial allocation skewed: %v", counts)
@@ -464,13 +472,13 @@ func TestBalanceEvensOutSkew(t *testing.T) {
 	h.pump()
 	h.setPartition([]core.MemberID{a, b})
 	h.pump()
-	counts := h.engines[a].AllocationCounts()
+	counts := ownerCounts(h.engines[a])
 	if counts[a] != 10 || counts[b] != 0 {
 		t.Fatalf("pre-balance allocation = %v, want all on a", counts)
 	}
 	h.runFor(6 * time.Second)
 	h.checkComponent(h.all(), true)
-	counts = h.engines[a].AllocationCounts()
+	counts = ownerCounts(h.engines[a])
 	if counts[a] != 5 || counts[b] != 5 {
 		t.Fatalf("post-balance allocation = %v, want 5/5", counts)
 	}
@@ -497,7 +505,6 @@ func TestBalanceHonoursPreferences(t *testing.T) {
 	}
 	e.Start()
 	h.engines[b] = e
-	h.mgrs[b] = mgr
 
 	a := h.members[0]
 	h.setPartition([]core.MemberID{a})
@@ -510,7 +517,7 @@ func TestBalanceHonoursPreferences(t *testing.T) {
 	if st.Table["vip00"] != b || st.Table["vip01"] != b {
 		t.Fatalf("preferences not honoured: %v", st.Table)
 	}
-	counts := h.engines[a].AllocationCounts()
+	counts := ownerCounts(h.engines[a])
 	if counts[a] != 2 || counts[b] != 2 {
 		t.Fatalf("post-balance allocation = %v, want 2/2", counts)
 	}
@@ -527,7 +534,7 @@ func TestBalanceDisabledLeavesSkew(t *testing.T) {
 	h.setPartition([]core.MemberID{a, b})
 	h.pump()
 	h.runFor(30 * time.Second)
-	counts := h.engines[a].AllocationCounts()
+	counts := ownerCounts(h.engines[a])
 	if counts[a] != 10 {
 		t.Fatalf("allocation moved despite balancing disabled: %v", counts)
 	}
@@ -623,7 +630,6 @@ func TestImmatureJoinerDoesNotDisturbMatureCluster(t *testing.T) {
 		}
 		e.Start()
 		h.engines[id] = e
-		h.mgrs[id] = mgr
 	}
 	h.setPartition([]core.MemberID{a, b})
 	h.pump()
@@ -656,8 +662,19 @@ func TestOnDisconnectDropsEverything(t *testing.T) {
 	if len(st.Owned) != 0 {
 		t.Fatal("addresses survive disconnection")
 	}
-	if len(h.mgrs[h.members[0]].Held()) != 0 {
-		t.Fatal("manager still holds addresses after disconnect")
+	// The backend released every address it acquired.
+	held := map[string]int{}
+	for _, op := range h.backends[h.members[0]].Ops {
+		if verb, a, _ := strings.Cut(op, " "); verb == "acquire" {
+			held[a]++
+		} else {
+			held[a]--
+		}
+	}
+	for a, n := range held {
+		if n != 0 {
+			t.Fatalf("backend still holds %s after disconnect (%v)", a, h.backends[h.members[0]].Ops)
+		}
 	}
 	// Reattaching via a fresh view works.
 	h.setPartition(h.all())

@@ -320,9 +320,6 @@ func stopTimer(t env.Timer) {
 	}
 }
 
-// Self returns this engine's member identity.
-func (e *Engine) Self() MemberID { return e.deps.Self }
-
 // Snapshot returns a copy of the engine's observable state.
 func (e *Engine) Snapshot() Status {
 	st := Status{Table: make(map[string]MemberID, len(e.table))}

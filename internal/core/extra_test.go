@@ -27,13 +27,9 @@ func TestStateStrings(t *testing.T) {
 	}
 }
 
-func TestEngineSelfAndStop(t *testing.T) {
+func TestEngineStopBeforeAnyView(t *testing.T) {
 	h := newHarness(t, 1, matureConfig(2))
-	e := h.engines[h.members[0]]
-	if e.Self() != h.members[0] {
-		t.Fatalf("Self = %q", e.Self())
-	}
-	e.Stop() // must be safe before any view
+	h.engines[h.members[0]].Stop() // must be safe before any view
 }
 
 func TestSetNotifierReceivesAnnouncements(t *testing.T) {
@@ -140,7 +136,7 @@ func TestBalanceTimerNoCastWhenAlreadyBalanced(t *testing.T) {
 	h.pump()
 	h.setPartition(h.all())
 	h.pump()
-	counts := h.engines[h.members[0]].AllocationCounts()
+	counts := ownerCounts(h.engines[h.members[0]])
 	if counts[h.members[1]] != 4 {
 		t.Fatalf("setup: expected full skew, got %v", counts)
 	}
@@ -180,24 +176,6 @@ func TestCastFailureIsLogged(t *testing.T) {
 	e.OnView(core.View{ID: "v1", Members: []core.MemberID{"m00"}})
 	if !log.contains("cast state", "network unplugged") {
 		t.Fatalf("cast failure not logged: %q", log.lines)
-	}
-}
-
-func TestAllocationCountsIgnoresUncovered(t *testing.T) {
-	h := newHarness(t, 2, matureConfig(4))
-	h.setPartition(h.all())
-	// Before any STATE delivery the table is empty.
-	if n := len(h.engines[h.members[0]].AllocationCounts()); n != 0 {
-		t.Fatalf("empty table yields counts %d", n)
-	}
-	h.pump()
-	counts := h.engines[h.members[0]].AllocationCounts()
-	sum := 0
-	for _, n := range counts {
-		sum += n
-	}
-	if sum != 4 {
-		t.Fatalf("counts sum to %d, want 4 (%v)", sum, counts)
 	}
 }
 
@@ -241,7 +219,7 @@ func TestQuickBalancedAllocationInvariants(t *testing.T) {
 		h.pump()
 		h.runFor(3 * time.Second)
 		h.checkComponent(h.all(), true)
-		counts := h.engines[h.members[0]].AllocationCounts()
+		counts := ownerCounts(h.engines[h.members[0]])
 		minC, maxC := 9, 0
 		for _, id := range h.members {
 			n := counts[id]

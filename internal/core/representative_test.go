@@ -168,7 +168,7 @@ func TestRepresentativeModeBalanceStillWorks(t *testing.T) {
 	h.setPartition([]core.MemberID{a, b})
 	h.pump()
 	h.runFor(6 * time.Second)
-	counts := h.engines[a].AllocationCounts()
+	counts := ownerCounts(h.engines[a])
 	if counts[a] != 5 || counts[b] != 5 {
 		t.Fatalf("post-balance allocation = %v, want 5/5", counts)
 	}

@@ -217,17 +217,17 @@ func TestAvailabilityRollingJSONCarriesPhases(t *testing.T) {
 
 func TestAvailabilityDeterministic(t *testing.T) {
 	cfg := quickAvailability()
-	run := func() (time.Duration, uint64, uint64) {
+	run := func() (time.Duration, [load.NumClasses]uint64) {
 		_, res, err := AvailabilityTrial(7, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Interruption, res.Stats.Total(), res.Stats.Requests[load.ClassReset]
+		return res.Interruption, res.Stats.Requests
 	}
-	i1, t1, r1 := run()
-	i2, t2, r2 := run()
-	if i1 != i2 || t1 != t2 || r1 != r2 {
-		t.Fatalf("same seed diverged: interruption %v/%v, total %d/%d, resets %d/%d", i1, i2, t1, t2, r1, r2)
+	i1, r1 := run()
+	i2, r2 := run()
+	if i1 != i2 || r1 != r2 {
+		t.Fatalf("same seed diverged: interruption %v/%v, completions by class %v/%v", i1, i2, r1, r2)
 	}
 }
 

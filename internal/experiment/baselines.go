@@ -49,7 +49,7 @@ func newPairTopology(seed int64) (*pairTopology, error) {
 	p.backupNIC = p.backup.AttachNIC(lan, "eth0", netip.MustParsePrefix("10.0.0.11/24"))
 	p.backup.SetDefaultGateway(p.backupNIC, netip.MustParseAddr("10.0.0.1"))
 	for _, h := range []*netsim.Host{p.main, p.backup} {
-		if _, err := probe.NewServer(h, ServicePort); err != nil {
+		if err := probe.NewServer(h, ServicePort); err != nil {
 			return nil, err
 		}
 	}

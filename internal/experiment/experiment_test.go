@@ -77,7 +77,7 @@ func TestFaultPhaseSpreadsDetectionTime(t *testing.T) {
 }
 
 func TestGracefulTrialIsMilliseconds(t *testing.T) {
-	s, err := GracefulTrial(3, 3, gcs.TunedConfig())
+	s, err := gracefulTrial(3, 3, gcs.TunedConfig(), false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -142,14 +142,6 @@ var figure5 = Experiment{
 	},
 }
 
-// GracefulTrial measures the availability interruption when the server
-// covering the probed address leaves voluntarily (administrative
-// departure): the client-visible gap, bounded below by the 10ms probe
-// interval.
-func GracefulTrial(seed int64, n int, cfg gcs.Config) (runner.Sample, error) {
-	return gracefulTrial(seed, n, cfg, false)
-}
-
 func gracefulTrial(seed int64, n int, cfg gcs.Config, invariants bool) (runner.Sample, error) {
 	p := armPlanes(false, invariants, invariant.Config{Nodes: n})
 	wc, err := NewWebCluster(seed, n, cfg, p.cluster)

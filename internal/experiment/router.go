@@ -34,10 +34,9 @@ const (
 
 // Figure-4-style address plan.
 var (
-	clientNetPrefix = netip.MustParsePrefix("203.0.113.0/24")
-	extVIP          = netip.MustParseAddr("198.51.100.1")
-	webVIP          = netip.MustParseAddr("10.1.0.1")
-	webNetPrefix    = netip.MustParsePrefix("10.1.0.0/24")
+	extVIP       = netip.MustParseAddr("198.51.100.1")
+	webVIP       = netip.MustParseAddr("10.1.0.1")
+	webNetPrefix = netip.MustParsePrefix("10.1.0.0/24")
 )
 
 // virtualRouterScenario is the Figure 4 topology: two physical routers
@@ -131,7 +130,7 @@ func newVirtualRouterScenario(seed int64, mode RouterMode, cfg gcs.Config, ripCf
 	server := nw.NewHost("webserver")
 	srvNIC := server.AttachNIC(webNet, "eth0", netip.MustParsePrefix("10.1.0.10/24"))
 	server.SetDefaultGateway(srvNIC, webVIP)
-	if _, err := probe.NewServer(server, ServicePort); err != nil {
+	if err := probe.NewServer(server, ServicePort); err != nil {
 		return nil, err
 	}
 	sc.server = server

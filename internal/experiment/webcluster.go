@@ -54,7 +54,7 @@ func NewWebCluster(seed int64, servers int, cfg gcs.Config, mods ...func(*wackam
 	}
 	wc := &WebCluster{Cluster: cluster, Target: wackamole.VIPAddr(0)}
 	for _, srv := range cluster.Servers {
-		if _, err := probe.NewServer(srv.Host, ServicePort); err != nil {
+		if err := probe.NewServer(srv.Host, ServicePort); err != nil {
 			return nil, err
 		}
 	}

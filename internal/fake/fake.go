@@ -42,7 +42,6 @@ type Monitor struct {
 	nic  *netsim.NIC
 	cfg  Config
 
-	sock      *netsim.Socket
 	timer     env.Timer
 	running   bool
 	misses    int
@@ -57,13 +56,11 @@ func New(host *netsim.Host, nic *netsim.NIC, cfg Config) (*Monitor, error) {
 		return nil, fmt.Errorf("fake: target and vip are required")
 	}
 	m := &Monitor{host: host, nic: nic, cfg: cfg}
-	sock, err := host.BindUDP(netip.Addr{}, cfg.LocalPort, func(_, _ netip.AddrPort, _ []byte) {
+	if _, err := host.BindUDP(netip.Addr{}, cfg.LocalPort, func(_, _ netip.AddrPort, _ []byte) {
 		m.answered = true
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, fmt.Errorf("fake: %w", err)
 	}
-	m.sock = sock
 	m.timer = host.NewTimer(m.tick)
 	return m, nil
 }
@@ -81,7 +78,7 @@ func (m *Monitor) Start() {
 
 // tick judges the last probe and sends the next, re-arming the monitor's timer.
 func (m *Monitor) tick() {
-	if !m.running || m.tookOver {
+	if m.tookOver {
 		return
 	}
 	if m.answered {
@@ -97,16 +94,6 @@ func (m *Monitor) tick() {
 	m.probe()
 	m.timer.Reset(probeInterval)
 }
-
-// Stop halts probing.
-func (m *Monitor) Stop() {
-	m.running = false
-	m.timer.Stop()
-	m.sock.Close()
-}
-
-// TookOver reports whether the monitor has taken the address over.
-func (m *Monitor) TookOver() bool { return m.tookOver }
 
 func (m *Monitor) probe() {
 	src := netip.AddrPortFrom(netip.Addr{}, m.cfg.LocalPort)

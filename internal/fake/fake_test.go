@@ -24,7 +24,7 @@ func setup(t *testing.T, seed int64) (*sim.Sim, *netsim.NIC, *netsim.NIC, *Monit
 	if err := mainNIC.AddAddr(vip); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := probe.NewServer(main, servicePort); err != nil {
+	if err := probe.NewServer(main, servicePort); err != nil {
 		t.Fatal(err)
 	}
 
@@ -45,7 +45,7 @@ func setup(t *testing.T, seed int64) (*sim.Sim, *netsim.NIC, *netsim.NIC, *Monit
 func TestNoTakeoverWhileServiceHealthy(t *testing.T) {
 	s, _, backupNIC, mon := setup(t, 1)
 	s.RunFor(30 * time.Second)
-	if mon.TookOver() {
+	if mon.tookOver {
 		t.Fatal("took over a healthy service")
 	}
 	if backupNIC.HasAddr(netip.MustParseAddr("10.0.0.100")) {
@@ -58,10 +58,10 @@ func TestTakeoverAfterThresholdMisses(t *testing.T) {
 	s.RunFor(5 * time.Second)
 	mainNIC.SetUp(false)
 	faultAt := s.Elapsed()
-	for !mon.TookOver() && s.Elapsed()-faultAt < 30*time.Second {
+	for !mon.tookOver && s.Elapsed()-faultAt < 30*time.Second {
 		s.RunFor(100 * time.Millisecond)
 	}
-	if !mon.TookOver() {
+	if !mon.tookOver {
 		t.Fatal("monitor never took over")
 	}
 	took := s.Elapsed() - faultAt
@@ -95,7 +95,7 @@ func TestTransientMissesDoNotTrigger(t *testing.T) {
 	s.RunFor(1200 * time.Millisecond)
 	mainNIC.SetUp(true)
 	s.RunFor(20 * time.Second)
-	if mon.TookOver() {
+	if mon.tookOver {
 		t.Fatal("single transient miss triggered takeover")
 	}
 }

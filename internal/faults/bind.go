@@ -62,9 +62,6 @@ func ApplyProgram(s *sim.Sim, nic *netsim.NIC, spec string) (*Binding, error) {
 	return Apply(s, nic, shapes)
 }
 
-// Shapes returns the program the binding was armed with.
-func (b *Binding) Shapes() []Shape { return b.shapes }
-
 // HasFlap reports whether the program contains a flap shape — detections of
 // a flapping peer are genuine (the interface really was down), which is why
 // false-suspicion oracles exclude flapped targets.

@@ -46,9 +46,6 @@ var kindNames = map[Kind]string{
 	SlowNode: "slownode",
 }
 
-// Kinds lists every shape kind in spec-name form, for generators and CLIs.
-var Kinds = []string{"flap", "graylink", "slownode"}
-
 // String returns the spec-syntax name of the kind.
 func (k Kind) String() string {
 	if n, ok := kindNames[k]; ok {
@@ -172,13 +169,4 @@ func (s Shape) String() string {
 
 func formatFloat(f float64) string {
 	return strconv.FormatFloat(f, 'g', -1, 64)
-}
-
-// FormatProgram renders a program (a list of shapes) in "a+b" spec syntax.
-func FormatProgram(shapes []Shape) string {
-	parts := make([]string, len(shapes))
-	for i, s := range shapes {
-		parts[i] = s.String()
-	}
-	return strings.Join(parts, "+")
 }

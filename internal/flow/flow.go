@@ -198,8 +198,6 @@ type serverConn struct {
 // the wildcard address, as the paper's service daemons do).
 type Server struct {
 	host  *netsim.Host
-	port  uint16
-	sock  *netsim.Socket
 	cfg   ServerConfig
 	conns map[serverKey]*serverConn
 	m     ServerMetrics
@@ -211,31 +209,17 @@ type Server struct {
 func NewServer(h *netsim.Host, port uint16, cfg ServerConfig) (*Server, error) {
 	s := &Server{
 		host:  h,
-		port:  port,
 		cfg:   cfg,
 		conns: make(map[serverKey]*serverConn),
 		m:     RegisterServerMetrics(cfg.Metrics),
 		tr:    tracer{t: cfg.Tracer, node: h.Name()},
 		name:  []byte(h.Name()),
 	}
-	sock, err := h.BindUDP(netip.Addr{}, port, s.receive)
-	if err != nil {
+	if _, err := h.BindUDP(netip.Addr{}, port, s.receive); err != nil {
 		return nil, err
 	}
-	s.sock = sock
 	return s, nil
 }
-
-// Close unbinds the server. Connection state is discarded, so late segments
-// from old clients are simply dropped (the port answers nothing at all — a
-// takeover scenario instead has a *different* server answering with RSTs).
-func (s *Server) Close() {
-	s.sock.Close()
-	s.conns = make(map[serverKey]*serverConn)
-}
-
-// Conns reports how many connections the server currently tracks.
-func (s *Server) Conns() int { return len(s.conns) }
 
 func (s *Server) receive(src, dst netip.AddrPort, payload []byte) {
 	h, ok := parseHeader(payload)
@@ -386,9 +370,6 @@ func (c *Client) Close() {
 	c.sock.Close()
 }
 
-// Conns reports how many connections the client currently tracks.
-func (c *Client) Conns() int { return len(c.conns) }
-
 // connState is a Conn's lifecycle position.
 type connState uint8
 
@@ -441,9 +422,6 @@ type pending struct {
 	sentAt  time.Duration // first transmission, in virtual time elapsed
 	retries int
 }
-
-// Peer returns the address the connection was dialed to.
-func (conn *Conn) Peer() netip.AddrPort { return conn.peer }
 
 // Established reports whether the handshake has completed and the
 // connection is still usable.

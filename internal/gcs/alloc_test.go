@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -76,8 +77,8 @@ func TestGroupCastDeliveryDoesNotCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.RunFor(5 * time.Second)
-	if d.state != stOperational || !sess.Joined("wackamole") {
-		t.Fatalf("state %v, joined %v: the ring did not settle", d.state, sess.Joined("wackamole"))
+	if d.state != stOperational || !sess.joined["wackamole"] {
+		t.Fatalf("state %v, joined %v: the ring did not settle", d.state, sess.joined["wackamole"])
 	}
 
 	// The casts arrive as datagrams from a ring member, one sequence number
@@ -200,7 +201,7 @@ func TestJoinDuringGatherDoesNotAllocate(t *testing.T) {
 	if avg := testing.AllocsPerRun(1000, func() { d.onPacket(addrOf(peer), join) }); avg != 0 {
 		t.Fatalf("a JOIN received during gather allocates %.0f, want 0", avg)
 	}
-	if d.state != stGather || !idsEqual(d.gathered, seen) {
+	if d.state != stGather || !slices.Equal(d.gathered, seen) {
 		t.Fatalf("state %v, gathered %v, want gather with %v", d.state, d.gathered, seen)
 	}
 }
@@ -295,7 +296,6 @@ func TestOverLongNamesAreRejected(t *testing.T) {
 	}
 	for op, err := range map[string]error{
 		"Join":      sess.Join(long),
-		"Leave":     sess.Leave(long),
 		"Multicast": sess.Multicast(long, nil),
 	} {
 		if !errors.Is(err, ErrNameTooLong) {
@@ -322,7 +322,7 @@ func TestLargestAdmittedMessageCrossesTheRing(t *testing.T) {
 			t.Fatal(err)
 		}
 		sess.SetMessageHandler(func(from GroupMember, g string, payload []byte) {
-			if from == sessions[0].Member() && g == group && bytes.Equal(payload, body) {
+			if from == (GroupMember{Daemon: daemons[0].id, Client: client}) && g == group && bytes.Equal(payload, body) {
 				got++
 			}
 		})

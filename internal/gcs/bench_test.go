@@ -57,7 +57,7 @@ func BenchmarkMembershipFormation(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				c := newClusterB(b, int64(i+1), n, gcs.TunedConfig())
 				c.sim.RunFor(5 * time.Second)
-				if c.daemons[0].State() != "operational" {
+				if _, members, ok := c.daemons[0].Ring(); !ok || len(members) != n || !c.daemons[0].Operational() {
 					b.Fatal("cluster never formed")
 				}
 			}

@@ -389,9 +389,6 @@ func (d *Daemon) SetMembershipHandler(cb MembershipHandler) { d.onMembership = c
 // the delivery path pays nothing. Call before Start.
 func (d *Daemon) AddDeliveryHandler(cb DeliveryHandler) { d.onDelivery = append(d.onDelivery, cb) }
 
-// State returns the daemon's protocol state name (for tests and tooling).
-func (d *Daemon) State() string { return d.state.String() }
-
 // Stats returns a snapshot of the daemon's activity counters. Unlike the
 // rest of the daemon's methods it is safe to call from any goroutine.
 func (d *Daemon) Stats() Stats {

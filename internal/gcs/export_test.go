@@ -5,3 +5,7 @@ package gcs
 // list. Tests turn it on to prove that nothing reads a retired ring's
 // messages.
 func (d *Daemon) PoisonFreedRecords() { d.poison = true }
+
+// Operational reports whether the daemon sits on an installed ring with its
+// token circulating, rather than reconfiguring behind its last ring.
+func (d *Daemon) Operational() bool { return d.state == stOperational }

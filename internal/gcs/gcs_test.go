@@ -60,18 +60,18 @@ func (c *cluster) poisonFreedRecords() {
 	}
 }
 
-// sameRing asserts that all live daemons in idx share one installed ring
-// with exactly the expected member count.
+// sameRing asserts that all live daemons in idx are operational on one
+// installed ring with exactly the expected member count.
 func (c *cluster) sameRing(idx []int, wantMembers int) {
 	c.t.Helper()
 	var ref gcs.RingID
 	for k, i := range idx {
 		id, members, ok := c.daemons[i].Ring()
 		if !ok {
-			c.t.Fatalf("daemon %d has no installed ring (state=%s)", i, c.daemons[i].State())
+			c.t.Fatalf("daemon %d has no installed ring", i)
 		}
-		if c.daemons[i].State() != "operational" {
-			c.t.Fatalf("daemon %d state = %s, want operational", i, c.daemons[i].State())
+		if !c.daemons[i].Operational() {
+			c.t.Fatalf("daemon %d is reconfiguring, want operational", i)
 		}
 		if len(members) != wantMembers {
 			c.t.Fatalf("daemon %d sees %d members (%v), want %d", i, len(members), members, wantMembers)

@@ -67,16 +67,6 @@ type View struct {
 	Members []GroupMember
 }
 
-// Contains reports whether m is in the view.
-func (v View) Contains(m GroupMember) bool {
-	for _, x := range v.Members {
-		if x == m {
-			return true
-		}
-	}
-	return false
-}
-
 // groupLayer maintains the replicated group-membership state above the
 // totally ordered daemon stream. Because every daemon feeds it the same
 // messages in the same order, its state and the views it emits are identical

@@ -7,6 +7,7 @@ package gcs_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -32,7 +33,7 @@ func TestJoinRacingDaemonReconfiguration(t *testing.T) {
 			t.Fatalf("%s sees %d members after the racing join: %v", name, len(v.Members), v.Members)
 		}
 	}
-	if !late.sess.Joined("wack") {
+	if v := late.lastView(t); !slices.Contains(v.Members, gcs.GroupMember{Daemon: c.daemons[2].ID(), Client: "w"}) {
 		t.Fatal("racing join never became effective")
 	}
 }
@@ -46,12 +47,12 @@ func TestLeaveRacingDaemonReconfiguration(t *testing.T) {
 	c.sim.RunFor(5 * time.Second)
 	// Kill a daemon and gracefully leave from another in the same breath.
 	c.hosts[2].NICs()[0].SetUp(false)
-	if err := recs[1].sess.Leave("wack"); err != nil {
+	if err := recs[1].sess.Disconnect(); err != nil {
 		t.Fatal(err)
 	}
 	c.sim.RunFor(10 * time.Second)
 	v := recs[0].lastView(t)
-	if len(v.Members) != 1 || v.Members[0] != recs[0].sess.Member() {
+	if len(v.Members) != 1 || v.Members[0] != (gcs.GroupMember{Daemon: c.daemons[0].ID(), Client: "w"}) {
 		t.Fatalf("survivor's view = %v, want itself only", v.Members)
 	}
 }

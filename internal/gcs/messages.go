@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net/netip"
-	"slices"
 	"time"
 
 	"wackamole/internal/env"
@@ -37,9 +36,6 @@ type ViewID struct {
 	Ring RingID
 	Seq  uint64
 }
-
-// IsZero reports whether the view id is unset.
-func (v ViewID) IsZero() bool { return v.Ring.IsZero() && v.Seq == 0 }
 
 // String formats the view id.
 func (v ViewID) String() string { return fmt.Sprintf("%s:%d", v.Ring, v.Seq) }
@@ -420,22 +416,6 @@ func (m recoverDoneMsg) encode(w *wire.Writer) []byte {
 func (t idTable) decodeRecoverDone(r *wire.Reader) (recoverDoneMsg, error) {
 	m := recoverDoneMsg{Ring: t.readRing(r), Sender: t.read(r)}
 	return m, r.Done()
-}
-
-// sortIDs sorts daemon identifiers into the canonical membership order.
-func sortIDs(ids []DaemonID) { slices.Sort(ids) }
-
-// idsEqual reports whether two sorted id lists are identical.
-func idsEqual(a, b []DaemonID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // addrOf converts a daemon id back to a transport address; an id that is not

@@ -71,11 +71,6 @@ func (d *Daemon) Connect(name string) (*Session, error) {
 	return s, nil
 }
 
-// Member returns this session's cluster-wide identity.
-func (s *Session) Member() GroupMember {
-	return GroupMember{Daemon: s.d.id, Client: s.name}
-}
-
 // SetViewHandler registers the group membership callback.
 func (s *Session) SetViewHandler(h func(View)) { s.viewH = h }
 
@@ -112,18 +107,6 @@ func (s *Session) Join(group string) error {
 	return nil
 }
 
-// Leave requests departure from group.
-func (s *Session) Leave(group string) error {
-	if s.closed {
-		return ErrSessionClosed
-	}
-	if err := checkNameLen("group", group); err != nil {
-		return err
-	}
-	s.sendOp(dkGroupLeave, group)
-	return nil
-}
-
 // Multicast sends payload to every member of group with Agreed (totally
 // ordered) delivery, including this client if it is a member. Oversized
 // payloads and a full daemon send queue are rejected rather than silently
@@ -153,10 +136,6 @@ func (s *Session) sendOp(kind dataKind, group string) {
 	m := s.d.sendData(kind)
 	m.Payload = appendGroupOp(m.Payload, s.name, group)
 }
-
-// Joined reports whether the session's membership in group is currently
-// effective (the join has been delivered).
-func (s *Session) Joined(group string) bool { return s.joined[group] }
 
 // Disconnect leaves all groups gracefully and detaches from the daemon.
 func (s *Session) Disconnect() error {

@@ -236,7 +236,7 @@ func TestDoubleStopIsSafe(t *testing.T) {
 	_, daemons, _ := wbCluster(t, 10, 1, TunedConfig())
 	daemons[0].Stop()
 	daemons[0].Stop() // idempotent
-	if daemons[0].State() == "" {
+	if daemons[0].state.String() == "" {
 		t.Fatal("state string empty after stop")
 	}
 }
@@ -378,7 +378,7 @@ func TestInstallFoldsInterruptedPendingOps(t *testing.T) {
 		t.Fatalf("buffers survived the install: ops=%d casts=%d",
 			len(g.pendingOps), len(g.pendingCasts))
 	}
-	if !sess.Joined("web1") {
+	if !sess.joined["web1"] {
 		t.Fatal("own client's buffered join was not folded into session bookkeeping")
 	}
 	if g.groups["web1"] != nil {

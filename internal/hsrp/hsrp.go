@@ -68,7 +68,6 @@ type Router struct {
 	cfg  Config
 
 	role    Role
-	sock    *netsim.Socket
 	peers   map[netip.Addr]peerInfo
 	helloT  env.Timer
 	activeT env.Timer
@@ -86,13 +85,11 @@ func New(host *netsim.Host, nic *netsim.NIC, cfg Config) (*Router, error) {
 		return nil, fmt.Errorf("hsrp: missing virtual address")
 	}
 	r := &Router{host: host, nic: nic, cfg: cfg, role: RoleListen, peers: map[netip.Addr]peerInfo{}}
-	sock, err := host.BindUDP(netip.Addr{}, Port, func(src, _ netip.AddrPort, payload []byte) {
+	if _, err := host.BindUDP(netip.Addr{}, Port, func(src, _ netip.AddrPort, payload []byte) {
 		r.onHello(src.Addr(), payload)
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, fmt.Errorf("hsrp: %w", err)
 	}
-	r.sock = sock
 	r.helloT = host.NewTimer(r.hello)
 	r.activeT = host.NewTimer(r.activeTimeout)
 	return r, nil
@@ -109,22 +106,11 @@ func (r *Router) Start() {
 	r.armActiveTimer()
 }
 
-// Stop silences the router.
-func (r *Router) Stop() {
-	r.running = false
-	r.helloT.Stop()
-	r.activeT.Stop()
-	r.sock.Close()
-}
-
 // Role returns the router's current role.
 func (r *Router) Role() Role { return r.role }
 
 // hello sends one hello and re-arms the hello timer.
 func (r *Router) hello() {
-	if !r.running {
-		return
-	}
 	r.sendHello()
 	r.helloT.Reset(helloInterval)
 }
@@ -132,7 +118,7 @@ func (r *Router) hello() {
 func (r *Router) armActiveTimer() { r.activeT.Reset(holdTime) }
 
 func (r *Router) activeTimeout() {
-	if r.running && r.role != RoleActive {
+	if r.role != RoleActive {
 		r.onActiveDown()
 	}
 }

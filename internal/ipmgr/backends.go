@@ -5,7 +5,6 @@ import (
 	"net/netip"
 	"os/exec"
 	"strings"
-	"sync"
 
 	"wackamole/internal/netsim"
 )
@@ -61,31 +60,24 @@ var _ Backend = (*HostBackend)(nil)
 
 // ExecBackend manipulates real interfaces by shelling out to iproute2, the
 // moral equivalent of the paper's per-OS ifconfig code. With DryRun set it
-// only records the commands it would run, which is the default posture of
-// cmd/wackamole so that experimenting cannot damage a machine's networking.
+// runs nothing, which is the default posture of cmd/wackamole so that
+// experimenting cannot damage a machine's networking.
 type ExecBackend struct {
 	// Device is the interface to alias, e.g. "eth0".
 	Device string
 	// PrefixBits is the netmask applied to acquired addresses (default 32).
 	PrefixBits int
-	// DryRun suppresses execution and records commands in Commands.
+	// DryRun suppresses execution.
 	DryRun bool
-
-	mu       sync.Mutex
-	commands []string
 }
 
 func (b *ExecBackend) run(args ...string) error {
-	cmd := strings.Join(args, " ")
-	b.mu.Lock()
-	b.commands = append(b.commands, cmd)
-	b.mu.Unlock()
 	if b.DryRun {
 		return nil
 	}
 	out, err := exec.Command(args[0], args[1:]...).CombinedOutput()
 	if err != nil {
-		return fmt.Errorf("ipmgr: %q: %v (%s)", cmd, err, strings.TrimSpace(string(out)))
+		return fmt.Errorf("ipmgr: %q: %v (%s)", strings.Join(args, " "), err, strings.TrimSpace(string(out)))
 	}
 	return nil
 }
@@ -105,15 +97,6 @@ func (b *ExecBackend) Acquire(a netip.Addr) error {
 // Release implements Backend.
 func (b *ExecBackend) Release(a netip.Addr) error {
 	return b.run("ip", "addr", "del", fmt.Sprintf("%s/%d", a, b.bits()), "dev", b.Device)
-}
-
-// Commands returns the commands issued (or recorded under DryRun) so far.
-func (b *ExecBackend) Commands() []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]string, len(b.commands))
-	copy(out, b.commands)
-	return out
 }
 
 var _ Backend = (*ExecBackend)(nil)

@@ -10,7 +10,6 @@ package ipmgr
 import (
 	"fmt"
 	"net/netip"
-	"sort"
 
 	"wackamole/internal/env"
 )
@@ -58,33 +57,6 @@ func (m *Manager) Release(a netip.Addr) error {
 	}
 	delete(m.held, a)
 	return nil
-}
-
-// ReleaseAll drops every held address, returning the first error while
-// still attempting the rest. Wackamole calls this when it loses its
-// group-communication connection (§4.2): a daemon that cannot ensure
-// correctness must stop answering for any virtual address.
-func (m *Manager) ReleaseAll() error {
-	var first error
-	for _, a := range m.Held() {
-		if err := m.Release(a); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// Holds reports whether a is currently held.
-func (m *Manager) Holds(a netip.Addr) bool { return m.held[a] }
-
-// Held returns the held addresses, sorted.
-func (m *Manager) Held() []netip.Addr {
-	out := make([]netip.Addr, 0, len(m.held))
-	for a := range m.held {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
 }
 
 // LoggingBackend wraps another backend, logging every operation. Useful for

@@ -26,8 +26,8 @@ func TestManagerIdempotency(t *testing.T) {
 	if len(be.Ops) != 1 {
 		t.Fatalf("backend saw %d ops, want 1: %v", len(be.Ops), be.Ops)
 	}
-	if !m.Holds(a) {
-		t.Fatal("Holds = false after acquire")
+	if !m.held[a] {
+		t.Fatal("not held after acquire")
 	}
 	if err := m.Release(a); err != nil {
 		t.Fatal(err)
@@ -38,21 +38,8 @@ func TestManagerIdempotency(t *testing.T) {
 	if len(be.Ops) != 2 {
 		t.Fatalf("backend saw %d ops, want 2: %v", len(be.Ops), be.Ops)
 	}
-	if m.Holds(a) {
-		t.Fatal("Holds = true after release")
-	}
-}
-
-func TestManagerHeldSorted(t *testing.T) {
-	m := New(&FakeBackend{})
-	for _, s := range []string{"10.0.1.9", "10.0.1.1", "10.0.1.5"} {
-		if err := m.Acquire(addr(s)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	held := m.Held()
-	if len(held) != 3 || held[0] != addr("10.0.1.1") || held[2] != addr("10.0.1.9") {
-		t.Fatalf("Held() = %v, want sorted", held)
+	if m.held[a] {
+		t.Fatal("still held after release")
 	}
 }
 
@@ -63,35 +50,8 @@ func TestManagerAcquireFailureNotHeld(t *testing.T) {
 	if err := m.Acquire(addr("10.0.1.1")); !errors.Is(err, injected) {
 		t.Fatalf("err = %v, want injected", err)
 	}
-	if m.Holds(addr("10.0.1.1")) {
+	if m.held[addr("10.0.1.1")] {
 		t.Fatal("failed acquire left the address held")
-	}
-}
-
-func TestReleaseAllContinuesPastErrors(t *testing.T) {
-	bad := addr("10.0.1.2")
-	injected := errors.New("stuck")
-	be := &FakeBackend{FailRelease: func(a netip.Addr) error {
-		if a == bad {
-			return injected
-		}
-		return nil
-	}}
-	m := New(be)
-	for _, s := range []string{"10.0.1.1", "10.0.1.2", "10.0.1.3"} {
-		if err := m.Acquire(addr(s)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	err := m.ReleaseAll()
-	if !errors.Is(err, injected) {
-		t.Fatalf("ReleaseAll err = %v, want injected", err)
-	}
-	if m.Holds(addr("10.0.1.1")) || m.Holds(addr("10.0.1.3")) {
-		t.Fatal("ReleaseAll did not release the healthy addresses")
-	}
-	if !m.Holds(bad) {
-		t.Fatal("failed release should leave the address held")
 	}
 }
 
@@ -117,34 +77,21 @@ func TestNICBackend(t *testing.T) {
 	}
 }
 
-func TestExecBackendDryRunRecordsCommands(t *testing.T) {
-	be := &ExecBackend{Device: "eth0", DryRun: true}
-	m := New(be)
+func TestExecBackendDryRun(t *testing.T) {
+	m := New(&ExecBackend{Device: "eth0", DryRun: true})
 	if err := m.Acquire(addr("192.0.2.10")); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Release(addr("192.0.2.10")); err != nil {
 		t.Fatal(err)
 	}
-	cmds := be.Commands()
-	if len(cmds) != 2 {
-		t.Fatalf("recorded %d commands, want 2: %v", len(cmds), cmds)
-	}
-	if cmds[0] != "ip addr add 192.0.2.10/32 dev eth0" {
-		t.Fatalf("add command = %q", cmds[0])
-	}
-	if cmds[1] != "ip addr del 192.0.2.10/32 dev eth0" {
-		t.Fatalf("del command = %q", cmds[1])
-	}
 }
 
 func TestExecBackendPrefixBits(t *testing.T) {
-	be := &ExecBackend{Device: "bond0", PrefixBits: 24, DryRun: true}
-	if err := be.Acquire(addr("192.0.2.10")); err != nil {
-		t.Fatal(err)
-	}
-	if got := be.Commands()[0]; !strings.Contains(got, "192.0.2.10/24") {
-		t.Fatalf("command = %q, want /24", got)
+	for bits, want := range map[int]int{0: 32, 24: 24, 32: 32, 33: 32} {
+		if got := (&ExecBackend{PrefixBits: bits}).bits(); got != want {
+			t.Fatalf("PrefixBits %d applies /%d, want /%d", bits, got, want)
+		}
 	}
 }
 

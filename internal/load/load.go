@@ -230,24 +230,6 @@ type Stats struct {
 	GapEnd   time.Time
 }
 
-// Total returns the number of completed requests.
-func (s Stats) Total() uint64 {
-	var t uint64
-	for _, n := range s.Requests {
-		t += n
-	}
-	return t
-}
-
-// ErrorFraction returns the fraction of completed requests that were not ok.
-func (s Stats) ErrorFraction() float64 {
-	total := s.Total()
-	if total == 0 {
-		return 0
-	}
-	return float64(total-s.Requests[ClassOK]) / float64(total)
-}
-
 // Engine drives the workload. All methods must be called on the simulation
 // goroutine.
 type Engine struct {

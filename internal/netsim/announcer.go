@@ -24,14 +24,11 @@ func (a *ARPAnnouncer) Announce(vip netip.Addr) {
 	}
 	for _, nic := range a.Host.nics {
 		if nic.Prefix().Contains(vip) {
-			if err := a.Host.SendGratuitousARP(nic, vip); err != nil && a.Host.net.logging() {
-				a.Host.net.log.Logf("netsim: %s: gratuitous ARP for %v: %v", a.Host.Name(), vip, err)
-			}
+			// A host or interface that is down cannot announce; the next
+			// owner's announcement will.
+			_ = a.Host.SendGratuitousARP(nic, vip)
 			return
 		}
-	}
-	if a.Host.net.logging() {
-		a.Host.net.log.Logf("netsim: %s: no interface on %v's subnet to announce from", a.Host.Name(), vip)
 	}
 }
 

@@ -245,7 +245,7 @@ func TestNoRetainGCSRingDeliversAgreed(t *testing.T) {
 
 func TestNoRetainProbeExchange(t *testing.T) {
 	s, hosts := poisonedLAN(t, 42, 2)
-	if _, err := probe.NewServer(hosts[1], 8000); err != nil {
+	if err := probe.NewServer(hosts[1], 8000); err != nil {
 		t.Fatal(err)
 	}
 	c, err := probe.NewClient(hosts[0], probe.ClientConfig{
@@ -257,7 +257,6 @@ func TestNoRetainProbeExchange(t *testing.T) {
 	}
 	c.Start()
 	s.RunFor(time.Second)
-	c.Stop()
 	if c.Responses() < 50 {
 		t.Fatalf("responses = %d in 1s at the default 10ms interval", c.Responses())
 	}

@@ -25,12 +25,6 @@ func TestCrashDropsARPResolutions(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	var arpRequests int
-	nw.SetPacketTrace(func(ev TraceEvent) {
-		if ev.Kind == TraceSend && ev.ARP && ev.Dst == BroadcastMAC {
-			arpRequests++
-		}
-	})
 	dst := netip.AddrPortFrom(addr("10.0.0.2"), 9000)
 	b.NICs()[0].SetUp(false) // the request goes unanswered
 	if err := a.SendUDP(netip.AddrPort{}, dst, []byte("lost")); err != nil {
@@ -46,13 +40,14 @@ func TestCrashDropsARPResolutions(t *testing.T) {
 	}
 	b.NICs()[0].SetUp(true)
 	a.Restart()
-	before := arpRequests
+	before := nw.Counters().FramesSent
 	if err := a.SendUDP(netip.AddrPort{}, dst, []byte("after restart")); err != nil {
 		t.Fatal(err)
 	}
 	s.Run()
-	if arpRequests != before+1 {
-		t.Fatalf("%d ARP requests after the restart, want a fresh one", arpRequests-before)
+	// A fresh ARP request, its reply and the datagram.
+	if n := nw.Counters().FramesSent - before; n != 3 {
+		t.Fatalf("%d frames after the restart, want a fresh resolution and the datagram (3)", n)
 	}
 	if fmt.Sprint(got) != "[after restart]" {
 		t.Fatalf("delivered %q, want only the datagram sent after the restart", got)
@@ -161,7 +156,7 @@ func TestSendThroughDownNICDoesNotAllocate(t *testing.T) {
 	a := hosts[0]
 	nic := a.nics[0]
 	nic.SetUp(false)
-	want := "netsim: interface is down: " + a.Name() + "/" + nic.Name()
+	want := "netsim: interface is down: " + a.Name() + "/" + nic.name
 	payload := make([]byte, 64)
 	for name, send := range map[string]func() error{
 		"datagram": func() error {
@@ -275,7 +270,7 @@ func runDatagramProgram(seed int64) (failure string) {
 			socks[i].Close()
 			socks[i], _ = h.BindUDP(netip.Addr{}, port, handler)
 		case k < 18:
-			h.nics[rng.Intn(len(h.nics))].FlushARP()
+			clear(h.nics[rng.Intn(len(h.nics))].arp)
 		case k < 19:
 			h.nics[0].SetTxImpairment(rng.Float64()/2, time.Duration(rng.Intn(300))*time.Microsecond)
 			h.nics[0].SetRxImpairment(rng.Float64()/2, 0)

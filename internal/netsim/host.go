@@ -58,11 +58,6 @@ type Host struct {
 	// real-time priority to avoid false-positive failure detections; this
 	// knob reproduces the effect of not doing so.
 	procJitter time.Duration
-	// acceptUnsolicitedARP controls whether ARP replies create new cache
-	// entries (in addition to updating existing ones). Hosts that must learn
-	// bindings they never asked for — cluster peers receiving spoofed
-	// announcements — enable it.
-	acceptUnsolicitedARP bool
 	// ignoreBroadcastGratuitousARP models devices that discard gratuitous
 	// announcements arriving as broadcast frames but honour unicast ARP
 	// replies addressed to them — the reason the paper's router application
@@ -109,7 +104,6 @@ func (n *Network) NewHost(name string) *Host {
 		sockets: map[uint32]*Socket{},
 		arpTTL:  defaultARPTTL,
 	}
-	n.hosts = append(n.hosts, h)
 	return h
 }
 
@@ -133,9 +127,6 @@ func (h *Host) jitter() time.Duration {
 	}
 	return time.Duration(h.net.sim.Rand().Int63n(int64(h.procJitter)))
 }
-
-// SetAcceptUnsolicitedARP controls whether replies may create cache entries.
-func (h *Host) SetAcceptUnsolicitedARP(v bool) { h.acceptUnsolicitedARP = v }
 
 // SetIgnoreBroadcastGratuitousARP makes the host discard broadcast-frame
 // gratuitous announcements (unicast ARP replies still update its cache).
@@ -301,9 +292,6 @@ func (h *Host) AttachNIC(seg *Segment, name string, addr netip.Prefix) *NIC {
 // maskOf is the netmask of a prefix length.
 func maskOf(bits int) ip4 { return ^ip4(0xFFFFFFFF >> bits) }
 
-// Name returns the interface label.
-func (nic *NIC) Name() string { return nic.name }
-
 // MAC returns the interface's hardware address.
 func (nic *NIC) MAC() MAC { return nic.mac }
 
@@ -312,9 +300,6 @@ func (nic *NIC) Primary() netip.Addr { return nic.primary.addr() }
 
 // Prefix returns the interface's subnet.
 func (nic *NIC) Prefix() netip.Prefix { return nic.prefix }
-
-// Segment returns the broadcast domain the NIC is attached to.
-func (nic *NIC) Segment() *Segment { return nic.seg }
 
 // Host returns the owning host.
 func (nic *NIC) Host() *Host { return nic.host }
@@ -356,11 +341,6 @@ func (nic *NIC) ClearImpairments() {
 	nic.txLoss, nic.rxLoss, nic.txDelay, nic.rxDelay = 0, 0, 0, 0
 }
 
-// Impaired reports whether any directional impairment is active.
-func (nic *NIC) Impaired() bool {
-	return nic.txLoss > 0 || nic.rxLoss > 0 || nic.txDelay > 0 || nic.rxDelay > 0
-}
-
 // AddAddr configures an additional (virtual) address on the interface.
 func (nic *NIC) AddAddr(a netip.Addr) error {
 	ip, ok := toIP4(a)
@@ -392,16 +372,6 @@ func (nic *NIC) RemoveAddr(a netip.Addr) error {
 func (nic *NIC) HasAddr(a netip.Addr) bool {
 	ip, ok := toIP4(a)
 	return ok && nic.addrs[ip]
-}
-
-// Addrs returns all configured addresses, sorted.
-func (nic *NIC) Addrs() []netip.Addr {
-	out := make([]netip.Addr, 0, len(nic.addrs))
-	for ip := range nic.addrs {
-		out = append(out, ip.addr())
-	}
-	slices.SortFunc(out, netip.Addr.Compare)
-	return out
 }
 
 // Broadcast returns the subnet broadcast address for the NIC.
@@ -446,11 +416,6 @@ func (nic *NIC) ARPEntries() map[netip.Addr]MAC {
 		}
 	}
 	return out
-}
-
-// FlushARP clears the interface's ARP cache.
-func (nic *NIC) FlushARP() {
-	nic.arp = map[ip4]arpEntry{}
 }
 
 // routeKeyOf is the identity of the route to prefix via gw (invalid ⇒
@@ -705,9 +670,6 @@ func (h *Host) arpResolve(nic *NIC, ip ip4, p *ipPacket) {
 			return
 		}
 		if pend.retries >= arpMaxRetries {
-			if h.net.logging() {
-				h.net.log.Logf("netsim: %s: ARP for %v timed out, dropping %d packets", h.name, ip, len(pend.packets))
-			}
 			h.dropPending(nic, ip)
 			return
 		}
@@ -741,9 +703,6 @@ func (h *Host) sendARPRequest(nic *NIC, ip ip4) {
 	}
 	payload, err := req.Encode()
 	if err != nil {
-		if h.net.logging() {
-			h.net.log.Logf("netsim: %s: encode ARP request: %v", h.name, err)
-		}
 		return
 	}
 	nic.seg.transmit(nic, frame{src: nic.mac, dst: BroadcastMAC, kind: frameARP, arp: payload})
@@ -804,9 +763,6 @@ func (h *Host) receiveFrame(nic *NIC, fr frame) {
 func (h *Host) receiveARP(nic *NIC, fr frame) {
 	p, err := arp.Decode(fr.arp)
 	if err != nil {
-		if h.net.logging() {
-			h.net.log.Logf("netsim: %s: drop ARP frame: %v", h.name, err)
-		}
 		return
 	}
 	senderMAC := MACFromBytes(p.SenderMAC)
@@ -817,12 +773,11 @@ func (h *Host) receiveARP(nic *NIC, fr frame) {
 
 	_, known := nic.arp[sender]
 	// Standard cache maintenance: update an existing entry on any ARP
-	// traffic from the sender; create a new entry when we are the target,
-	// when the packet answers an outstanding resolution, or when the host
-	// opts into unsolicited learning.
+	// traffic from the sender; create a new entry when we are the target or
+	// when the packet answers an outstanding resolution.
 	_, awaited := nic.pending[sender]
 	discard := h.ignoreBroadcastGratuitousARP && p.IsGratuitous() && fr.dst == BroadcastMAC && !awaited
-	if !discard && (known || targetIsUs || awaited || h.acceptUnsolicitedARP) {
+	if !discard && (known || targetIsUs || awaited) {
 		nic.learn(sender, senderMAC)
 	}
 	if awaited {
@@ -839,9 +794,6 @@ func (h *Host) receiveARP(nic *NIC, fr frame) {
 		}
 		payload, err := rep.Encode()
 		if err != nil {
-			if h.net.logging() {
-				h.net.log.Logf("netsim: %s: encode ARP reply: %v", h.name, err)
-			}
 			return
 		}
 		nic.seg.transmit(nic, frame{src: nic.mac, dst: senderMAC, kind: frameARP, arp: payload})
@@ -877,21 +829,12 @@ func (h *Host) receiveIP(nic *NIC, fr frame) {
 }
 
 func (h *Host) forward(p *ipPacket) {
-	if h.net.trace != nil {
-		h.net.emitTrace(TraceEvent{Kind: TraceForward, Host: h.name, SrcIP: p.src.addr(), DstIP: p.dst.addr()})
-	}
 	if p.ttl <= 1 {
-		if h.net.logging() {
-			h.net.log.Logf("netsim: %s: TTL expired for %v -> %v", h.name, p.src, p.dst)
-		}
 		h.net.release(p)
 		return
 	}
 	nic, nexthop, ok := h.lookupRoute(p.dst)
 	if !ok {
-		if h.net.logging() {
-			h.net.log.Logf("netsim: %s: no route for %v", h.name, p.dst)
-		}
 		h.net.release(p)
 		return
 	}
@@ -905,9 +848,8 @@ func (h *Host) forward(p *ipPacket) {
 		p = cp
 	}
 	p.ttl--
-	if err := h.egress(nic, nexthop, p); err != nil && h.net.logging() {
-		h.net.log.Logf("netsim: %s: forward %v -> %v: %v", h.name, p.src, p.dst, err)
-	}
+	// A down egress interface drops the hop, as a real router would.
+	_ = h.egress(nic, nexthop, p)
 	h.net.release(p)
 }
 

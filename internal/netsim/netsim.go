@@ -17,7 +17,6 @@ import (
 	"net/netip"
 	"time"
 
-	"wackamole/internal/env"
 	"wackamole/internal/metrics"
 	"wackamole/internal/obs"
 	"wackamole/internal/sim"
@@ -68,9 +67,6 @@ func toIP4(a netip.Addr) (ip4, bool) {
 func (a ip4) addr() netip.Addr {
 	return netip.AddrFrom4([4]byte{byte(a >> 24), byte(a >> 16), byte(a >> 8), byte(a)})
 }
-
-// String formats the address as netip.Addr does, for the package's log lines.
-func (a ip4) String() string { return a.addr().String() }
 
 type frameKind uint8
 
@@ -132,9 +128,6 @@ func DefaultSegmentConfig() SegmentConfig {
 type Network struct {
 	sim      *sim.Sim
 	nextMAC  MAC
-	hosts    []*Host
-	log      env.Logger
-	trace    func(TraceEvent)
 	tracer   *obs.Tracer
 	metrics  *metrics.Registry
 	counters Counters
@@ -231,9 +224,8 @@ func (n *Network) release(p *ipPacket) {
 func (n *Network) SetMetrics(r *metrics.Registry) { n.metrics = r }
 
 // SetEventTracer installs a structured event tracer recording ARP spoofs,
-// frame drops and injected faults (nil disables). This is distinct from
-// SetPacketTrace, which observes every frame; the event tracer captures
-// only protocol-relevant occurrences.
+// frame drops and injected faults (nil disables). It sees no frame that is
+// sent or delivered, only the protocol-relevant occurrences.
 func (n *Network) SetEventTracer(t *obs.Tracer) { n.tracer = t }
 
 // Counters aggregates network-wide traffic totals since construction. The
@@ -259,24 +251,8 @@ func New(s *sim.Sim) *Network {
 	return &Network{sim: s, nextMAC: 0x0A0000000001}
 }
 
-// SetLogger routes network-level diagnostics (drops, unroutable packets) to l
-// (nil disables).
-func (n *Network) SetLogger(l env.Logger) { n.log = l }
-
-// logging reports whether diagnostics go anywhere. Every Logf in this package
-// sits behind it: a variadic call boxes its arguments at the call site even
-// for a logger that discards them, and these are the paths a fault makes hot.
-func (n *Network) logging() bool { return n.log != nil }
-
 // Sim returns the simulator driving this network.
 func (n *Network) Sim() *sim.Sim { return n.sim }
-
-// Hosts returns all hosts created on the network, in creation order.
-func (n *Network) Hosts() []*Host {
-	out := make([]*Host, len(n.hosts))
-	copy(out, n.hosts)
-	return out
-}
 
 // NewSegment creates a broadcast domain with the given link characteristics.
 func (n *Network) NewSegment(name string, cfg SegmentConfig) *Segment {
@@ -302,9 +278,6 @@ type Segment struct {
 	mFrameLatency *metrics.Histogram
 	instrumented  bool
 }
-
-// Name returns the segment's label.
-func (s *Segment) Name() string { return s.name }
 
 // Partition splits the segment so that only hosts within the same group can
 // exchange frames. Every host with a NIC on this segment must appear in
@@ -377,12 +350,11 @@ func (s *Segment) transmit(src *NIC, fr frame) {
 		s.mFrameLatency = s.net.metrics.Histogram("netsim_frame_latency_seconds",
 			"one-way frame latency drawn for each scheduled delivery, including receiver jitter", seg)
 	}
-	s.trace(&fr, TraceSend, src.host.name)
 	// Transmit-side impairment: the frame dies at the sending NIC, before
 	// any receiver sees it. Gated on the knob so un-impaired runs draw the
 	// same RNG sequence as ever.
 	if src.txLoss > 0 && s.net.sim.Rand().Float64() < src.txLoss {
-		s.drop(&fr, src.host.name, "impaired tx drop", "tx-impair")
+		s.drop(src.host.name, "tx-impair")
 		return
 	}
 	for _, nic := range s.nics {
@@ -396,13 +368,13 @@ func (s *Segment) transmit(src *NIC, fr frame) {
 			continue
 		}
 		if s.cfg.LossRate > 0 && s.net.sim.Rand().Float64() < s.cfg.LossRate {
-			s.drop(&fr, nic.host.name, "dropped frame", "")
+			s.drop(nic.host.name, "")
 			continue
 		}
 		// Receive-side impairment, drawn after the segment's own loss so the
 		// base draw order is preserved.
 		if nic.rxLoss > 0 && s.net.sim.Rand().Float64() < nic.rxLoss {
-			s.drop(&fr, nic.host.name, "impaired rx drop", "rx-impair")
+			s.drop(nic.host.name, "rx-impair")
 			continue
 		}
 		// Draw the latency exactly as before instrumentation existed (one
@@ -423,15 +395,11 @@ func (s *Segment) transmit(src *NIC, fr frame) {
 	}
 }
 
-// drop accounts for one explicit loss draw against fr at host.
-func (s *Segment) drop(fr *frame, host, what, detail string) {
+// drop accounts for one explicit loss draw against a frame bound for host.
+func (s *Segment) drop(host, detail string) {
 	s.net.counters.FramesDropped++
-	if s.net.logging() {
-		s.net.log.Logf("netsim: %s %s %s -> %s", s.name, what, fr.src, fr.dst)
-	}
 	s.net.tracer.Emit(obs.Event{Source: obs.SourceNet, Kind: obs.KindFrameDrop,
 		Node: host, Group: s.name, Detail: detail})
-	s.trace(fr, TraceDrop, host)
 }
 
 // deliveryJob is the pooled, pre-allocated form of the frame-delivery
@@ -452,7 +420,6 @@ func (j *deliveryJob) Run() {
 
 	seg.mQueueDepth.Dec()
 	if nic.up && nic.host.alive {
-		seg.trace(&fr, TraceDeliver, nic.host.name)
 		nic.host.receiveFrame(nic, fr)
 	} else if fr.pkt != nil {
 		// The receiver vanished between transmit and delivery, so no

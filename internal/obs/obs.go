@@ -342,7 +342,7 @@ func (t *Tracer) Emit(ev Event) {
 // rotated in place and handed over, and the tracer clones the ring before it
 // next writes a slot the snapshot holds. A sparser ring is copied instead,
 // so a snapshot kept long never pins a mostly empty ring. Either way later
-// Emits and Resets leave a returned snapshot unchanged.
+// Emits leave a returned snapshot unchanged.
 func (t *Tracer) Snapshot() []Event {
 	if t == nil {
 		return nil
@@ -362,7 +362,7 @@ func (t *Tracer) Snapshot() []Event {
 		slices.Reverse(t.buf)
 		t.start = 0
 	}
-	t.frozen = max(t.frozen, t.n)
+	t.frozen = t.n
 	return t.buf[:t.n:t.n]
 }
 
@@ -395,15 +395,4 @@ func (t *Tracer) Dropped() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.emitted - uint64(t.n)
-}
-
-// Reset discards all buffered events and counters. A snapshot taken before
-// keeps its events: the next Emit writes into a fresh ring.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.start, t.n, t.emitted = 0, 0, 0
-	t.mu.Unlock()
 }

@@ -65,10 +65,6 @@ func TestRingWraparoundKeepsNewestInOrder(t *testing.T) {
 			t.Fatalf("snapshot[%d].Seq = %d, want %d (oldest-first after wrap)", i, e.Seq, wantSeq)
 		}
 	}
-	tr.Reset()
-	if tr.Len() != 0 || tr.Emitted() != 0 || len(tr.Snapshot()) != 0 {
-		t.Fatalf("Reset left state: len=%d emitted=%d", tr.Len(), tr.Emitted())
-	}
 }
 
 func TestNilTracerIsDisabledNoop(t *testing.T) {
@@ -77,7 +73,6 @@ func TestNilTracerIsDisabledNoop(t *testing.T) {
 		t.Fatal("nil tracer reports enabled")
 	}
 	tr.SetNow(time.Now) // must not panic
-	tr.Reset()
 	tr.Emit(Event{Kind: KindFault})
 	if tr.Snapshot() != nil || tr.Len() != 0 || tr.Emitted() != 0 || tr.Dropped() != 0 {
 		t.Fatal("nil tracer recorded something")
@@ -259,10 +254,9 @@ func TestSnapshotIsUnchangedByLaterWrappingEmits(t *testing.T) {
 }
 
 // TestSnapshotMatchesCopyingModel drives a tracer and a copying reference
-// model through the same random Emit/Snapshot/Reset sequence: every snapshot
+// model through the same random Emit/Snapshot sequence: every snapshot
 // equals the model's when it is taken and still does at the end, after the
-// Emits and Resets that followed it, and Len, Emitted and Dropped agree
-// throughout.
+// Emits that followed it, and Len, Emitted and Dropped agree throughout.
 func TestSnapshotMatchesCopyingModel(t *testing.T) {
 	const capacity = 6
 	rng := rand.New(rand.NewSource(1))
@@ -283,15 +277,12 @@ func TestSnapshotMatchesCopyingModel(t *testing.T) {
 			if len(model) > capacity {
 				model = model[1:]
 			}
-		case r < 9:
+		default:
 			s := taken{tr.Snapshot(), slices.Clone(model)}
 			if got := seqs(s.snap); !slices.Equal(got, s.want) {
 				t.Fatalf("step %d: snapshot %v, want %v", step, got, s.want)
 			}
 			snaps = append(snaps, s)
-		default:
-			tr.Reset()
-			model, emitted = nil, 0
 		}
 		if tr.Len() != len(model) || tr.Emitted() != emitted || tr.Dropped() != emitted-uint64(len(model)) {
 			t.Fatalf("step %d: Len/Emitted/Dropped = %d/%d/%d, want %d/%d/%d", step,
@@ -317,9 +308,8 @@ func TestSnapshotOfFullRingAllocatesNothing(t *testing.T) {
 
 func TestSparseSnapshotIsCopied(t *testing.T) {
 	const capacity = 1024
-	tr := New(capacity, fixedNow())
 	for _, n := range []int{0, 1, capacity/2 - 1} {
-		tr.Reset()
+		tr := New(capacity, fixedNow())
 		for i := 0; i < n; i++ {
 			tr.Emit(Event{Kind: KindTokenPass})
 		}

@@ -25,17 +25,11 @@ const (
 	gapThreshold = 5 * interval
 )
 
-// Server answers UDP requests with the host's name.
-type Server struct {
-	sock *netsim.Socket
-}
-
 // NewServer binds a hostname-echo responder on (wildcard, port) of h, so it
 // answers on whatever virtual addresses the host currently holds.
-func NewServer(h *netsim.Host, port uint16) (*Server, error) {
-	var srv Server
+func NewServer(h *netsim.Host, port uint16) error {
 	name := []byte(h.Name())
-	sock, err := h.BindUDP(netip.Addr{}, port, func(src, dst netip.AddrPort, _ []byte) {
+	_, err := h.BindUDP(netip.Addr{}, port, func(src, dst netip.AddrPort, _ []byte) {
 		// Reply from the address the request was sent to (the virtual
 		// address), so the client's view is of the service, not the host.
 		if err := h.SendUDP(dst, src, name); err != nil {
@@ -44,14 +38,10 @@ func NewServer(h *netsim.Host, port uint16) (*Server, error) {
 		}
 	})
 	if err != nil {
-		return nil, fmt.Errorf("probe: server on %s: %w", h.Name(), err)
+		return fmt.Errorf("probe: server on %s: %w", h.Name(), err)
 	}
-	srv.sock = sock
-	return &srv, nil
+	return nil
 }
-
-// Close unbinds the server.
-func (s *Server) Close() { s.sock.Close() }
 
 // Gap is one observed service interruption.
 type Gap struct {
@@ -70,7 +60,6 @@ type Client struct {
 	host   *netsim.Host
 	target netip.AddrPort
 
-	sock      *netsim.Socket
 	localPort uint16
 	timer     env.Timer
 	running   bool
@@ -99,13 +88,11 @@ func NewClient(h *netsim.Host, cfg ClientConfig) (*Client, error) {
 		target:   cfg.Target,
 		byServer: map[string]int{},
 	}
-	sock, err := h.BindUDP(netip.Addr{}, cfg.LocalPort, func(_, _ netip.AddrPort, payload []byte) {
+	if _, err := h.BindUDP(netip.Addr{}, cfg.LocalPort, func(_, _ netip.AddrPort, payload []byte) {
 		c.onResponse(payload)
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, fmt.Errorf("probe: client on %s: %w", h.Name(), err)
 	}
-	c.sock = sock
 	c.localPort = cfg.LocalPort
 	c.timer = h.NewTimer(c.tick)
 	return c, nil
@@ -149,21 +136,12 @@ var query = []byte("q")
 
 // tick sends one probe and re-arms the client's timer for the next.
 func (c *Client) tick() {
-	if !c.running {
-		return
-	}
 	src := netip.AddrPortFrom(netip.Addr{}, c.localPort)
 	// Host-side failures (no route, interface down) occur during fault
 	// experiments: a probe that was never sent is never answered, and the
 	// gap it leaves is measured like any other.
 	_ = c.host.SendUDP(src, c.target, query)
 	c.timer.Reset(interval)
-}
-
-// Stop halts the probe loop; recorded statistics remain readable.
-func (c *Client) Stop() {
-	c.running = false
-	c.timer.Stop()
 }
 
 // Responses returns the total number of responses received.
@@ -189,9 +167,6 @@ func (c *Client) Gaps() []Gap {
 // the interruption even when it stayed below the gap threshold (the
 // paper's ≈10ms graceful-leave measurements are of this kind).
 func (c *Client) MaxGap() time.Duration { return c.maxGap }
-
-// LastFrom returns the hostname that answered most recently.
-func (c *Client) LastFrom() string { return c.lastFrom }
 
 // ResetStats clears counters, gaps and the max-gap tracker while keeping
 // the probe loop and its last-response timestamp intact. Experiments call

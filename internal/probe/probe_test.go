@@ -23,7 +23,7 @@ func setup(t *testing.T) (*sim.Sim, *netsim.Network, *netsim.Host, *netsim.Host)
 
 func TestServerEchoesHostname(t *testing.T) {
 	s, _, server, client := setup(t)
-	if _, err := NewServer(server, 8080); err != nil {
+	if err := NewServer(server, 8080); err != nil {
 		t.Fatal(err)
 	}
 	c, err := NewClient(client, ClientConfig{
@@ -35,15 +35,14 @@ func TestServerEchoesHostname(t *testing.T) {
 	}
 	c.Start()
 	s.RunFor(time.Second)
-	c.Stop()
 	if c.Responses() < 90 {
 		t.Fatalf("got %d responses in 1s at 10ms interval", c.Responses())
 	}
 	if c.ByServer()["alpha"] != c.Responses() {
 		t.Fatalf("ByServer = %v", c.ByServer())
 	}
-	if c.LastFrom() != "alpha" {
-		t.Fatalf("LastFrom = %q", c.LastFrom())
+	if c.lastFrom != "alpha" {
+		t.Fatalf("LastFrom = %q", c.lastFrom)
 	}
 	if len(c.Gaps()) != 0 {
 		t.Fatalf("unexpected gaps on a healthy path: %v", c.Gaps())
@@ -52,7 +51,7 @@ func TestServerEchoesHostname(t *testing.T) {
 
 func TestClientRecordsGapAcrossOutage(t *testing.T) {
 	s, _, server, client := setup(t)
-	if _, err := NewServer(server, 8080); err != nil {
+	if err := NewServer(server, 8080); err != nil {
 		t.Fatal(err)
 	}
 	c, err := NewClient(client, ClientConfig{
@@ -68,7 +67,6 @@ func TestClientRecordsGapAcrossOutage(t *testing.T) {
 	s.RunFor(2 * time.Second)
 	server.NICs()[0].SetUp(true)
 	s.RunFor(time.Second)
-	c.Stop()
 	gaps := c.Gaps()
 	if len(gaps) != 1 {
 		t.Fatalf("gaps = %v, want exactly one", gaps)
@@ -87,7 +85,7 @@ func TestClientRecordsGapAcrossOutage(t *testing.T) {
 
 func TestResetStatsKeepsGapContinuity(t *testing.T) {
 	s, _, server, client := setup(t)
-	if _, err := NewServer(server, 8080); err != nil {
+	if err := NewServer(server, 8080); err != nil {
 		t.Fatal(err)
 	}
 	c, err := NewClient(client, ClientConfig{
@@ -109,7 +107,6 @@ func TestResetStatsKeepsGapContinuity(t *testing.T) {
 	s.RunFor(time.Second)
 	server.NICs()[0].SetUp(true)
 	s.RunFor(500 * time.Millisecond)
-	c.Stop()
 	if len(c.Gaps()) != 1 {
 		t.Fatalf("gap across a reset not recorded: %v", c.Gaps())
 	}
@@ -120,7 +117,7 @@ func TestResetStatsKeepsGapContinuity(t *testing.T) {
 // recorded as a Gap.
 func TestGapThresholdSeparatesBlipsFromOutages(t *testing.T) {
 	s, _, server, client := setup(t)
-	if _, err := NewServer(server, 8080); err != nil {
+	if err := NewServer(server, 8080); err != nil {
 		t.Fatal(err)
 	}
 	c, err := NewClient(client, ClientConfig{
@@ -153,10 +150,10 @@ func TestGapThresholdSeparatesBlipsFromOutages(t *testing.T) {
 
 func TestPortCollisionSurfaces(t *testing.T) {
 	_, _, server, _ := setup(t)
-	if _, err := NewServer(server, 8080); err != nil {
+	if err := NewServer(server, 8080); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewServer(server, 8080); err == nil {
+	if err := NewServer(server, 8080); err == nil {
 		t.Fatal("double server bind succeeded")
 	}
 }
@@ -169,7 +166,7 @@ func TestServerRepliesFromRequestedAddress(t *testing.T) {
 	if err := server.NICs()[0].AddAddr(vip); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewServer(server, 8080); err != nil {
+	if err := NewServer(server, 8080); err != nil {
 		t.Fatal(err)
 	}
 	var gotSrc netip.Addr
@@ -195,7 +192,7 @@ func TestServerRepliesFromRequestedAddress(t *testing.T) {
 // once the interface comes back.
 func TestProbingResumesAfterClientOutage(t *testing.T) {
 	s, _, server, client := setup(t)
-	if _, err := NewServer(server, 8080); err != nil {
+	if err := NewServer(server, 8080); err != nil {
 		t.Fatal(err)
 	}
 	c, err := NewClient(client, ClientConfig{
@@ -216,7 +213,6 @@ func TestProbingResumesAfterClientOutage(t *testing.T) {
 	client.NICs()[0].SetUp(true)
 	before = c.Responses()
 	s.RunFor(500 * time.Millisecond)
-	c.Stop()
 	if c.Responses() <= before {
 		t.Fatal("probing did not resume after the client interface came back")
 	}
@@ -240,7 +236,7 @@ func TestFirstProbeLostGapCorrect(t *testing.T) {
 	c.Start()
 	// The first ~10 probes reach a host with no server bound and vanish.
 	s.RunFor(95 * time.Millisecond)
-	if _, err := NewServer(server, 8080); err != nil {
+	if err := NewServer(server, 8080); err != nil {
 		t.Fatal(err)
 	}
 	s.RunFor(time.Second)
@@ -255,7 +251,6 @@ func TestFirstProbeLostGapCorrect(t *testing.T) {
 	s.RunFor(300 * time.Millisecond)
 	server.NICs()[0].SetUp(true)
 	s.RunFor(500 * time.Millisecond)
-	c.Stop()
 	gaps := c.Gaps()
 	if len(gaps) != 1 {
 		t.Fatalf("gaps = %v, want exactly one", gaps)
@@ -271,7 +266,7 @@ func TestFirstProbeLostGapCorrect(t *testing.T) {
 // answered probe nor one sent into a dead interface allocates.
 func TestProbeLoopDoesNotAllocate(t *testing.T) {
 	s, _, server, client := setup(t)
-	if _, err := NewServer(server, 8080); err != nil {
+	if err := NewServer(server, 8080); err != nil {
 		t.Fatal(err)
 	}
 	c, err := NewClient(client, ClientConfig{

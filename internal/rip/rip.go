@@ -115,21 +115,6 @@ func (p *Process) Stop() {
 	}
 }
 
-// Routes returns the learned prefixes (for tests and tooling).
-func (p *Process) Routes() []netip.Prefix {
-	out := make([]netip.Prefix, 0, len(p.learned))
-	for prefix := range p.learned {
-		out = append(out, prefix)
-	}
-	return out
-}
-
-// HasRoute reports whether prefix has been learned.
-func (p *Process) HasRoute(prefix netip.Prefix) bool {
-	_, ok := p.learned[prefix.Masked()]
-	return ok
-}
-
 func (p *Process) expireRoutes() {
 	now := p.host.Now()
 	for prefix, r := range p.learned {

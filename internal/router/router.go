@@ -54,8 +54,6 @@ type Options struct {
 	Participation Participation
 	// ShareARP enables the §5.2 ARP-cache-sharing notifier.
 	ShareARP bool
-	// Port is the daemon's UDP port; zero means wackamole.DefaultPort.
-	Port uint16
 	// OnNode, if set, runs after the node is built but before Start, so
 	// observation hooks (invariant monitors) can attach without missing
 	// boot events.
@@ -84,13 +82,9 @@ func New(opts Options) (*PhysicalRouter, error) {
 	if opts.Participation == 0 {
 		opts.Participation = ParticipateAlways
 	}
-	port := opts.Port
-	if port == 0 {
-		port = wackamole.DefaultPort
-	}
 	opts.Host.EnableForwarding()
 
-	ep, err := opts.Host.OpenEndpoint(opts.GCSNIC, port)
+	ep, err := opts.Host.OpenEndpoint(opts.GCSNIC, wackamole.DefaultPort)
 	if err != nil {
 		return nil, fmt.Errorf("router: %w", err)
 	}
@@ -151,19 +145,4 @@ func (r *PhysicalRouter) Start() error {
 		r.Sharer.Start()
 	}
 	return r.Node.Start()
-}
-
-// Stop halts everything.
-func (r *PhysicalRouter) Stop() {
-	if r.Sharer != nil {
-		r.Sharer.Stop()
-	}
-	r.RIP.Stop()
-	r.Node.Stop()
-}
-
-// Active reports whether this physical router currently holds the virtual
-// addresses.
-func (r *PhysicalRouter) Active() bool {
-	return len(r.Node.Status().Owned) > 0
 }

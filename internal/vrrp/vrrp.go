@@ -80,7 +80,6 @@ type Router struct {
 	cfg  Config
 
 	state       State
-	sock        *netsim.Socket
 	advertTimer env.Timer
 	downTimer   env.Timer
 	running     bool
@@ -95,13 +94,11 @@ func New(host *netsim.Host, nic *netsim.NIC, cfg Config) (*Router, error) {
 		return nil, fmt.Errorf("vrrp: priority must be 1-254, got %d", cfg.Priority)
 	}
 	r := &Router{host: host, nic: nic, cfg: cfg, state: StateInit}
-	sock, err := host.BindUDP(netip.Addr{}, Port, func(src, _ netip.AddrPort, payload []byte) {
+	if _, err := host.BindUDP(netip.Addr{}, Port, func(src, _ netip.AddrPort, payload []byte) {
 		r.onAdvert(src.Addr(), payload)
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, fmt.Errorf("vrrp: %w", err)
 	}
-	r.sock = sock
 	r.advertTimer = host.NewTimer(r.advertise)
 	r.downTimer = host.NewTimer(r.masterDown)
 	return r, nil
@@ -117,15 +114,6 @@ func (r *Router) Start() {
 	r.toBackup()
 }
 
-// Stop silences the router without releasing the address (host-failure
-// experiments down the interface instead).
-func (r *Router) Stop() {
-	r.running = false
-	r.advertTimer.Stop()
-	r.downTimer.Stop()
-	r.sock.Close()
-}
-
 // State returns the protocol state.
 func (r *Router) State() State { return r.state }
 
@@ -138,7 +126,7 @@ func (r *Router) toBackup() {
 func (r *Router) armDownTimer() { r.downTimer.Reset(r.cfg.MasterDownInterval()) }
 
 func (r *Router) masterDown() {
-	if r.running && r.state == StateBackup {
+	if r.state == StateBackup {
 		r.toMaster()
 	}
 }
@@ -160,7 +148,7 @@ func (r *Router) toMaster() {
 
 // advertise is the master's periodic advertisement; it re-arms its own timer.
 func (r *Router) advertise() {
-	if !r.running || r.state != StateMaster {
+	if r.state != StateMaster {
 		return
 	}
 	r.sendAdvert()

@@ -12,15 +12,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"time"
 )
 
 // ErrTruncated is returned when a read runs past the end of the buffer.
 var ErrTruncated = errors.New("wire: truncated message")
-
-// ErrTooLong is returned when a length-prefixed field exceeds its prefix
-// range.
-var ErrTooLong = errors.New("wire: field too long")
 
 // MaxStringLen bounds length-prefixed byte fields (16-bit prefix).
 const MaxStringLen = 1<<16 - 1
@@ -46,9 +41,6 @@ func (w *Writer) Reset() { w.buf = w.buf[:0] }
 // storage; callers must not retain it across further writes.
 func (w *Writer) Bytes() []byte { return w.buf }
 
-// Len returns the number of bytes written so far.
-func (w *Writer) Len() int { return len(w.buf) }
-
 // U8 appends a byte.
 func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
 
@@ -69,9 +61,6 @@ func (w *Writer) Bool(v bool) {
 	}
 	w.U8(0)
 }
-
-// Duration appends a duration as nanoseconds.
-func (w *Writer) Duration(d time.Duration) { w.U64(uint64(d)) }
 
 // prefix16 appends n as a 16-bit length or count. Values beyond MaxStringLen
 // panic: message fields in this codebase are small by construction, so an
@@ -190,22 +179,10 @@ func (r *Reader) U64() uint64 {
 // Bool reads one byte as a boolean; any nonzero value is true.
 func (r *Reader) Bool() bool { return r.U8() != 0 }
 
-// Duration reads a nanosecond-encoded duration.
-func (r *Reader) Duration() time.Duration { return time.Duration(r.U64()) }
-
 // View16 reads a 16-bit length-prefixed byte field without copying it: the
 // result aliases the Reader's buffer and is valid only as long as that is.
 // It is nil after an error.
 func (r *Reader) View16() []byte { return r.take(int(r.U16())) }
-
-// Bytes16 reads a 16-bit length-prefixed byte field. The result is a copy.
-func (r *Reader) Bytes16() []byte {
-	b := r.View16()
-	if b == nil {
-		return nil
-	}
-	return append(make([]byte, 0, len(b)), b...)
-}
 
 // String reads a 16-bit length-prefixed string.
 func (r *Reader) String() string { return string(r.View16()) }

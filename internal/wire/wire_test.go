@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestRoundTripScalars(t *testing.T) {
@@ -18,7 +17,6 @@ func TestRoundTripScalars(t *testing.T) {
 	w.U64(0x0123456789ABCDEF)
 	w.Bool(true)
 	w.Bool(false)
-	w.Duration(1500 * time.Millisecond)
 
 	r := NewReader(w.Bytes())
 	if got := r.U8(); got != 0xAB {
@@ -35,9 +33,6 @@ func TestRoundTripScalars(t *testing.T) {
 	}
 	if !r.Bool() || r.Bool() {
 		t.Error("Bool round-trip failed")
-	}
-	if got := r.Duration(); got != 1500*time.Millisecond {
-		t.Errorf("Duration = %v", got)
 	}
 	if err := r.Done(); err != nil {
 		t.Fatalf("Done() = %v", err)
@@ -71,8 +66,8 @@ func TestRoundTripStringsAndLists(t *testing.T) {
 	if len(vs) != 3 || vs[0] != 7 || vs[1] != 0 || vs[2] != 1<<62 {
 		t.Errorf("U64List = %v", vs)
 	}
-	if got := r.Bytes16(); !bytes.Equal(got, []byte{1, 2, 3}) {
-		t.Errorf("Bytes16 = %v", got)
+	if got := r.View16(); !bytes.Equal(got, []byte{1, 2, 3}) {
+		t.Errorf("View16 = %v", got)
 	}
 	if err := r.Done(); err != nil {
 		t.Fatalf("Done() = %v", err)
@@ -122,18 +117,6 @@ func TestDoneRejectsTrailingBytes(t *testing.T) {
 	r.U8()
 	if err := r.Done(); err == nil {
 		t.Fatal("Done() = nil with trailing bytes")
-	}
-}
-
-func TestBytes16CopyDoesNotAlias(t *testing.T) {
-	w := NewWriter(0)
-	w.Bytes16([]byte{9, 9})
-	buf := w.Bytes()
-	r := NewReader(buf)
-	got := r.Bytes16()
-	buf[2] = 0 // mutate underlying storage
-	if got[0] != 9 {
-		t.Fatal("Bytes16 result aliases the input buffer")
 	}
 }
 
@@ -229,8 +212,7 @@ func TestQuickReaderNeverPanics(t *testing.T) {
 		_ = r.String()
 		_ = r.StringList()
 		_ = r.U64List()
-		_ = r.Bytes16()
-		_ = r.Duration()
+		_ = r.View16()
 		_ = r.Err()
 		return true
 	}

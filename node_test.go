@@ -168,7 +168,7 @@ func TestNodeInstrumentsComeFromEnv(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if node.Tracer() != tracer || node.Metrics() != registry || node.HLC() != hlc {
+		if node.Tracer() != tracer || node.Metrics() != registry {
 			t.Fatal("node accessors do not return the Env's instruments")
 		}
 		if err := node.Start(); err != nil {

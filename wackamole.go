@@ -118,10 +118,6 @@ func (n *Node) Tracer() *obs.Tracer { return n.env.Tracer }
 // disabled registry) when its Env carried none.
 func (n *Node) Metrics() *metrics.Registry { return n.env.Metrics }
 
-// HLC returns the clock the node was built with; nil (a valid, disabled
-// clock) when its Env carried none.
-func (n *Node) HLC() *obs.HLCClock { return n.env.HLC }
-
 // SetHealth installs a detection-quality monitor on the node's daemon (nil
 // disables it); see gcs.Daemon.SetHealth for why this one component is
 // installed rather than carried by the Env. Call before Start.
@@ -393,9 +389,6 @@ func (n *Node) Session() *gcs.Session { return n.sess }
 // re-admits the node) and in the window between a severed session and its
 // automatic reconnect.
 func (n *Node) Connected() bool { return n.sess != nil }
-
-// IPs exposes the node's address manager.
-func (n *Node) IPs() *ipmgr.Manager { return n.ips }
 
 // Member returns the node's cluster-wide member identity.
 func (n *Node) Member() core.MemberID {
