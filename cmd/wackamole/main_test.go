@@ -29,7 +29,7 @@ var activityCounters = []string{
 // server, every series reads exactly what Stats() and the tracer report, and
 // keeps doing so as they move.
 func TestActivityCountersMirrorStats(t *testing.T) {
-	tracer := obs.New(64, nil) // small ring: obs_events_dropped must move
+	tracer := obs.New(8, nil) // a ring smaller than one settle: obs_events_dropped must move
 	c, err := wackamole.NewCluster(wackamole.ClusterOptions{Seed: 5, Servers: 2, VIPs: 4, Tracer: tracer})
 	if err != nil {
 		t.Fatal(err)

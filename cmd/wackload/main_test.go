@@ -77,10 +77,11 @@ func TestRunJSONAndProm(t *testing.T) {
 }
 
 func TestRunTraceArtifact(t *testing.T) {
-	trace := filepath.Join(t.TempDir(), "trace.ndjson")
+	dir := t.TempDir()
+	trace, prom := filepath.Join(dir, "trace.ndjson"), filepath.Join(dir, "metrics.prom")
 	var out bytes.Buffer
 	code := run([]string{"-clients", "20", "-think", "200ms", "-trials", "1",
-		"-pre", "1s", "-json", "-trace", trace}, &out)
+		"-pre", "1s", "-json", "-trace", trace, "-prom", prom}, &out)
 	if code != 0 {
 		t.Fatalf("exit %d, output:\n%s", code, out.String())
 	}
@@ -91,8 +92,24 @@ func TestRunTraceArtifact(t *testing.T) {
 	if !strings.Contains(string(text), `"record":"trial"`) {
 		t.Error("trace artifact missing trial record")
 	}
-	if !strings.Contains(string(text), `"flow-`) {
-		t.Error("trace artifact missing flow events")
+	if !strings.Contains(string(text), `"kind":"acquire"`) {
+		t.Error("trace artifact missing the takeover's acquire events")
+	}
+	// Flow activity is counted on the registry, not traced.
+	text, err = os.ReadFile(prom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := map[string]float64{}
+	for _, line := range strings.Split(string(text), "\n") {
+		if name, v, ok := strings.Cut(line, " "); ok && strings.HasPrefix(name, "flow_") {
+			counts[name], _ = strconv.ParseFloat(v, 64)
+		}
+	}
+	for _, name := range []string{"flow_conns_opened_total", "flow_retransmits_total", "flow_conns_reset_total"} {
+		if counts[name] <= 0 {
+			t.Errorf("%s = %v, want the trial's flow activity counted (flow series: %v)", name, counts[name], counts)
+		}
 	}
 }
 

@@ -122,7 +122,7 @@ func Run(s Schedule, opts Options) (*Report, error) {
 
 	var tracer *obs.Tracer
 	if opts.Trace {
-		tracer = obs.New(1<<15, nil)
+		tracer = obs.New(0, nil)
 	}
 
 	var c *wackamole.Cluster

@@ -16,7 +16,6 @@ import (
 	"wackamole/internal/load"
 	"wackamole/internal/metrics"
 	"wackamole/internal/netsim"
-	"wackamole/internal/obs"
 	"wackamole/internal/placement"
 	"wackamole/internal/rip"
 )
@@ -387,7 +386,7 @@ func availabilityWebTrial(seed int64, cfg AvailabilityConfig) (runner.Sample, *A
 	for i, srv := range wc.Servers {
 		hosts[i] = srv.Host
 	}
-	engine, err := newTraffic(cfg, p.tr, wc.ClientHost, wc.Target, hosts...)
+	engine, err := newTraffic(cfg, wc.ClientHost, wc.Target, hosts...)
 	if err != nil {
 		return runner.Sample{}, nil, err
 	}
@@ -480,9 +479,9 @@ func availabilityWebTrial(seed int64, cfg AvailabilityConfig) (runner.Sample, *A
 
 // newTraffic puts the flow service on every serving host and builds the
 // client population that will drive target from the client host.
-func newTraffic(cfg AvailabilityConfig, tr *obs.Tracer, client *netsim.Host, target netip.Addr, servers ...*netsim.Host) (*load.Engine, error) {
+func newTraffic(cfg AvailabilityConfig, client *netsim.Host, target netip.Addr, servers ...*netsim.Host) (*load.Engine, error) {
 	for _, h := range servers {
-		if _, err := flow.NewServer(h, FlowPort, flow.ServerConfig{Metrics: cfg.Metrics, Tracer: tr}); err != nil {
+		if _, err := flow.NewServer(h, FlowPort, flow.ServerConfig{Metrics: cfg.Metrics}); err != nil {
 			return nil, err
 		}
 	}
@@ -494,7 +493,6 @@ func newTraffic(cfg AvailabilityConfig, tr *obs.Tracer, client *netsim.Host, tar
 		Target:    netip.AddrPortFrom(target, FlowPort),
 		LocalPort: LoadClientPort,
 		Metrics:   cfg.Metrics,
-		Tracer:    tr,
 	})
 }
 
@@ -601,7 +599,7 @@ func availabilityRouterTrial(seed int64, cfg AvailabilityConfig) (runner.Sample,
 	if p.tr != nil {
 		sc.net.SetEventTracer(p.tr)
 	}
-	engine, err := newTraffic(cfg, p.tr, sc.clientHost, netip.MustParseAddr("10.1.0.10"), sc.server)
+	engine, err := newTraffic(cfg, sc.clientHost, netip.MustParseAddr("10.1.0.10"), sc.server)
 	if err != nil {
 		return runner.Sample{}, nil, err
 	}

@@ -168,7 +168,7 @@ func TestTraceCapturesTheFailoverNarrative(t *testing.T) {
 		}
 		for _, want := range []obs.Kind{
 			obs.KindFault, obs.KindGatherEnter, obs.KindInstall,
-			obs.KindAcquire, obs.KindAnnounce, obs.KindARPSpoof, obs.KindTokenPass,
+			obs.KindAcquire, obs.KindAnnounce, obs.KindARPSpoof,
 		} {
 			if kinds[want] == 0 {
 				t.Errorf("%s: no %v event in the trace (kinds: %v)", r.Point, want, kinds)

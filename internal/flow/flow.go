@@ -47,7 +47,6 @@ import (
 
 	"wackamole/internal/metrics"
 	"wackamole/internal/netsim"
-	"wackamole/internal/obs"
 	"wackamole/internal/sim"
 )
 
@@ -143,26 +142,6 @@ func RegisterServerMetrics(r *metrics.Registry) ServerMetrics {
 	}
 }
 
-// tracer emits the flow events of one Client or Server. It remembers the last
-// peer address it formatted: a fault makes thousands of connections
-// retransmit to, and be reset by, the same address.
-type tracer struct {
-	t    *obs.Tracer
-	node string
-	peer netip.Addr
-	addr string
-}
-
-func (tr *tracer) emit(kind obs.Kind, peer netip.Addr, detail string) {
-	if !tr.t.Enabled() {
-		return
-	}
-	if peer != tr.peer {
-		tr.peer, tr.addr = peer, peer.String()
-	}
-	tr.t.Emit(obs.Event{Source: obs.SourceFlow, Kind: kind, Node: tr.node, Addr: tr.addr, Detail: detail})
-}
-
 // ---------------------------------------------------------------------------
 // Server
 
@@ -176,8 +155,6 @@ type ServerConfig struct {
 	Handler func(req []byte) []byte
 	// Metrics receives the server counter families (nil disables).
 	Metrics *metrics.Registry
-	// Tracer receives flow events (nil disables).
-	Tracer *obs.Tracer
 }
 
 // serverKey identifies a connection by the client's IPv4 address and port and
@@ -201,7 +178,6 @@ type Server struct {
 	cfg   ServerConfig
 	conns map[serverKey]*serverConn
 	m     ServerMetrics
-	tr    tracer
 	name  []byte
 }
 
@@ -212,7 +188,6 @@ func NewServer(h *netsim.Host, port uint16, cfg ServerConfig) (*Server, error) {
 		cfg:   cfg,
 		conns: make(map[serverKey]*serverConn),
 		m:     RegisterServerMetrics(cfg.Metrics),
-		tr:    tracer{t: cfg.Tracer, node: h.Name()},
 		name:  []byte(h.Name()),
 	}
 	if _, err := h.BindUDP(netip.Addr{}, port, s.receive); err != nil {
@@ -237,7 +212,6 @@ func (s *Server) receive(src, dst netip.AddrPort, payload []byte) {
 		if !known {
 			s.conns[key] = &serverConn{}
 			s.m.Accepts.Inc()
-			s.tr.emit(obs.KindFlowOpen, src.Addr(), "accept")
 		}
 		// SYN|ACK — repeated for a retransmitted SYN, which also covers the
 		// case of our SYN|ACK having been lost.
@@ -250,12 +224,10 @@ func (s *Server) receive(src, dst netip.AddrPort, payload []byte) {
 		// The paper's takeover semantics: no state for this flow here, so
 		// the sender must abort it.
 		s.m.RSTsSent.Inc()
-		s.tr.emit(obs.KindFlowReset, src.Addr(), "unknown-conn")
 		s.reply(src, dst, flagRST, h.id, 0, h.seq, nil)
 
 	case h.flags&flagFIN != 0:
 		delete(s.conns, key)
-		s.tr.emit(obs.KindFlowClose, src.Addr(), "")
 
 	case h.flags&flagDATA != 0:
 		conn.established = true
@@ -308,8 +280,6 @@ const (
 type ClientConfig struct {
 	// Metrics receives the client counter families (nil disables).
 	Metrics *metrics.Registry
-	// Tracer receives flow events (nil disables).
-	Tracer *obs.Tracer
 }
 
 // Client multiplexes many flow connections over one local UDP port,
@@ -323,7 +293,6 @@ type Client struct {
 	conns  map[uint32]*Conn
 	nextID uint32
 	m      ClientMetrics
-	tr     tracer
 	closed bool
 
 	// timeouts is the sentinel of the armed timeouts' list, earliest first,
@@ -345,7 +314,6 @@ func NewClient(h *netsim.Host, localPort uint16, cfg ClientConfig) (*Client, err
 		port:  localPort,
 		conns: make(map[uint32]*Conn),
 		m:     RegisterClientMetrics(cfg.Metrics),
-		tr:    tracer{t: cfg.Tracer, node: h.Name()},
 	}
 	c.timeouts.next, c.timeouts.prev = &c.timeouts, &c.timeouts
 	c.sim.Init(&c.expiry, (*expiry)(c))
@@ -652,7 +620,6 @@ func (p *pending) Run() {
 	}
 	p.retries++
 	c.m.Retransmits.Inc()
-	c.tr.emit(obs.KindFlowRetransmit, conn.peer.Addr(), "")
 	p.transmit()
 	c.arm(&p.timer)
 }
@@ -694,7 +661,6 @@ func (conn *Conn) Close() {
 		if err := c.host.SendUDPOwned(c.localAddr(), conn.peer, buf); err != nil {
 			nw.PutBuf(buf)
 		}
-		c.tr.emit(obs.KindFlowClose, conn.peer.Addr(), "")
 	}
 	conn.fail(ErrClosed)
 }
@@ -748,7 +714,6 @@ func (c *Client) receive(src, dst netip.AddrPort, payload []byte) {
 	switch {
 	case h.flags&flagRST != 0:
 		c.m.ConnsReset.Inc()
-		c.tr.emit(obs.KindFlowReset, conn.peer.Addr(), "rst-received")
 		conn.fail(ErrReset)
 
 	case h.flags&flagSYN != 0 && h.flags&flagACK != 0:
@@ -765,7 +730,6 @@ func (c *Client) receive(src, dst netip.AddrPort, payload []byte) {
 			nw.PutBuf(buf)
 		}
 		c.m.ConnsOpened.Inc()
-		c.tr.emit(obs.KindFlowOpen, conn.peer.Addr(), "established")
 		cb := conn.dialCb
 		conn.dialCb = nil
 		cb(conn, nil)

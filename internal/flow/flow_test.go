@@ -9,7 +9,6 @@ import (
 
 	"wackamole/internal/metrics"
 	"wackamole/internal/netsim"
-	"wackamole/internal/obs"
 	"wackamole/internal/sim"
 )
 
@@ -517,66 +516,6 @@ func TestCrashedHostTimeoutDoesNotDangle(t *testing.T) {
 	r.s.RunFor(10 * time.Second)
 	if !errors.Is(errB, ErrTimedOut) {
 		t.Fatalf("request on the other connection: err = %v, want ErrTimedOut after its own retransmissions", errB)
-	}
-}
-
-// TestTracedRetransmissionNamesThePeer covers the traced fault path: a request
-// retransmitting into a dead interface emits one event per retransmission
-// naming the peer, at no allocation once the peer's address has been
-// formatted; and two peers alternating, which defeats the last-address memo,
-// still each get their own name.
-func TestTracedRetransmissionNamesThePeer(t *testing.T) {
-	r := newRig(t, 11)
-	other := netip.MustParseAddr("10.0.0.3")
-	if err := r.server.NICs()[0].AddAddr(other); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewServer(r.server, 8090, ServerConfig{}); err != nil {
-		t.Fatal(err)
-	}
-	tr := obs.New(0, r.s.Now)
-	c, err := NewClient(r.client, 9100, ClientConfig{Tracer: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := dial(t, r, c)
-	r.target = netip.AddrPortFrom(other, 8090)
-	second := dial(t, r, c)
-
-	// A request that exhausts its budget is issued again, so each
-	// connection keeps retransmitting for as long as the test runs.
-	payload := []byte("x")
-	again := func(conn *Conn) func([]byte, time.Duration, error) {
-		var cb func([]byte, time.Duration, error)
-		cb = func(_ []byte, _ time.Duration, err error) {
-			if errors.Is(err, ErrTimedOut) {
-				conn.Request(payload, cb)
-			}
-		}
-		return cb
-	}
-	r.server.NICs()[0].SetUp(false)
-	first.Request(payload, again(first))
-	r.s.RunFor(5 * time.Second) // address formatted, pools warm
-	if avg := testing.AllocsPerRun(20, func() { r.s.RunFor(time.Second) }); avg != 0 {
-		t.Errorf("a second of traced retransmission allocates %.2f, want 0", avg)
-	}
-	second.Request(payload, again(second))
-	r.s.RunFor(time.Second)
-	byPeer := map[string]int{}
-	for _, ev := range tr.Snapshot() {
-		if ev.Kind == obs.KindFlowRetransmit {
-			if ev.Node != "client" {
-				t.Fatalf("retransmit event from node %q, want client", ev.Node)
-			}
-			byPeer[ev.Addr]++
-		}
-	}
-	// An RTO is 250 ms plus up to one 31.25 ms grid step, and a request
-	// retransmits maxRetries times in maxRetries+1 RTOs: 27 s of the first
-	// connection, 1 s of the second.
-	if len(byPeer) != 2 || byPeer["10.0.0.2"] < 85 || byPeer["10.0.0.2"] > 98 || byPeer["10.0.0.3"] < 3 || byPeer["10.0.0.3"] > 4 {
-		t.Fatalf("retransmit events by peer = %v, want 85–98 for 10.0.0.2 and 3–4 for 10.0.0.3", byPeer)
 	}
 }
 

@@ -8,8 +8,6 @@ import (
 	"time"
 
 	"wackamole/internal/metrics"
-	"wackamole/internal/obs"
-	"wackamole/internal/sim"
 )
 
 // runFunc makes a plain function a timeout's sim.Runnable.
@@ -18,9 +16,9 @@ type runFunc func()
 func (f runFunc) Run() { f() }
 
 // retransmitRig is a client with one established connection to each of the
-// given server addresses, traced, and a server whose interface is then taken
-// down, so every request issued from here on retransmits.
-func retransmitRig(t *testing.T, seed int64, peers ...string) (*rig, *Client, map[string]*Conn, *obs.Tracer, *metrics.Registry) {
+// given server addresses and a server whose interface is then taken down, so
+// every request issued from here on retransmits.
+func retransmitRig(t *testing.T, seed int64, peers ...string) (*rig, *Client, map[string]*Conn, *metrics.Registry) {
 	t.Helper()
 	r := newRig(t, seed)
 	nic := r.server.NICs()[0]
@@ -34,9 +32,8 @@ func retransmitRig(t *testing.T, seed int64, peers ...string) (*rig, *Client, ma
 	if _, err := NewServer(r.server, 8090, ServerConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	tr := obs.New(0, r.s.Now)
 	reg := metrics.New()
-	c, err := NewClient(r.client, 9100, ClientConfig{Tracer: tr, Metrics: reg})
+	c, err := NewClient(r.client, 9100, ClientConfig{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,19 +43,28 @@ func retransmitRig(t *testing.T, seed int64, peers ...string) (*rig, *Client, ma
 		conns[a] = dial(t, r, c)
 	}
 	nic.SetUp(false)
-	return r, c, conns, tr, reg
+	return r, c, conns, reg
 }
 
-// retransmits returns the client's retransmissions as (peer, instant) in the
+// retransmitLog is a client's retransmissions as (peer, instant), in the
 // order they were sent.
-func retransmits(tr *obs.Tracer) (peers []string, at []time.Duration) {
-	for _, ev := range tr.Snapshot() {
-		if ev.Kind == obs.KindFlowRetransmit {
-			peers = append(peers, ev.Addr)
-			at = append(at, ev.At.Sub(sim.Epoch))
+type retransmitLog struct {
+	peers []string
+	at    []time.Duration
+}
+
+// request issues a request on conn whose timeout logs each retransmission
+// it is about to send, then runs as it would have.
+func (l *retransmitLog) request(conn *Conn, payload []byte, cb func([]byte, time.Duration, error)) {
+	conn.Request(payload, cb)
+	p := conn.last
+	p.timer.run = runFunc(func() {
+		if p.retries < maxRetries {
+			l.peers = append(l.peers, p.conn.peer.Addr().String())
+			l.at = append(l.at, p.conn.client.elapsed())
 		}
-	}
-	return peers, at
+		p.Run()
+	})
 }
 
 // TestRetransmissionsOnTheGridInIssueOrder: a request retransmits on the
@@ -67,12 +73,13 @@ func retransmits(tr *obs.Tracer) (peers []string, at []time.Duration) {
 func TestRetransmissionsOnTheGridInIssueOrder(t *testing.T) {
 	issue := []string{"10.0.0.6", "10.0.0.5", "10.0.0.3", "10.0.0.4", "10.0.0.2"}
 	offsets := []time.Duration{0, 1, rtoGrid / 2, rtoGrid - 1, rtoGrid}
-	r, _, conns, tr, _ := retransmitRig(t, 21, issue...)
+	r, _, conns, _ := retransmitRig(t, 21, issue...)
+	var log retransmitLog
 	base := (r.s.Elapsed()/rtoGrid + 1) * rtoGrid
 	for i, a := range issue {
 		conn := conns[a]
 		r.s.AfterFunc(base+offsets[i]-r.s.Elapsed(), func() {
-			conn.Request([]byte("x"), func([]byte, time.Duration, error) {})
+			log.request(conn, []byte("x"), func([]byte, time.Duration, error) {})
 		})
 	}
 	r.s.RunFor(base - r.s.Elapsed() + 3*rto + rtoGrid)
@@ -88,8 +95,8 @@ func TestRetransmissionsOnTheGridInIssueOrder(t *testing.T) {
 			wantAt = append(wantAt, base+rtoGrid+round*rto)
 		}
 	}
-	if got, at := retransmits(tr); !slices.Equal(got, want) || !slices.Equal(at, wantAt) {
-		t.Fatalf("retransmitted to %v at %v, want %v at %v", got, at, want, wantAt)
+	if !slices.Equal(log.peers, want) || !slices.Equal(log.at, wantAt) {
+		t.Fatalf("retransmitted to %v at %v, want %v at %v", log.peers, log.at, want, wantAt)
 	}
 }
 
@@ -98,17 +105,18 @@ func TestRetransmissionsOnTheGridInIssueOrder(t *testing.T) {
 // connection whose request is due at the same instant, and may arm a new
 // one, which waits its own rto.
 func TestExpiryPassSeesStopsAndArms(t *testing.T) {
-	r, c, conns, tr, reg := retransmitRig(t, 23, "10.0.0.2", "10.0.0.3", "10.0.0.4")
+	r, c, conns, reg := retransmitRig(t, 23, "10.0.0.2", "10.0.0.3", "10.0.0.4")
 	a, b, next := conns["10.0.0.2"], conns["10.0.0.3"], conns["10.0.0.4"]
+	var log retransmitLog
 	var errA, errB, errNext error
 	nextIssued := time.Duration(-1)
-	a.Request([]byte("x"), func(_ []byte, _ time.Duration, err error) {
+	log.request(a, []byte("x"), func(_ []byte, _ time.Duration, err error) {
 		errA = err
 		nextIssued = r.s.Elapsed()
-		next.Request([]byte("y"), func(_ []byte, _ time.Duration, err error) { errNext = err })
+		log.request(next, []byte("y"), func(_ []byte, _ time.Duration, err error) { errNext = err })
 		b.Close() // after the new request, which takes the first's record, so b's is not reused
 	})
-	b.Request([]byte("x"), func(_ []byte, _ time.Duration, err error) { errB = err })
+	log.request(b, []byte("x"), func(_ []byte, _ time.Duration, err error) { errB = err })
 	r.s.RunFor((maxRetries + 2) * (rto + rtoGrid))
 	if !errors.Is(errA, ErrTimedOut) || !errors.Is(errB, ErrClosed) {
 		t.Fatalf("first request err = %v, second = %v; want ErrTimedOut, then ErrClosed from the first's callback", errA, errB)
@@ -119,8 +127,8 @@ func TestExpiryPassSeesStopsAndArms(t *testing.T) {
 	if errNext != nil || armed(c) != 1 {
 		t.Fatalf("request armed from the pass: err = %v, %d timeouts armed; want it in flight, alone", errNext, armed(c))
 	}
-	if peers, at := retransmits(tr); slices.Index(peers, "10.0.0.4") < 0 || at[slices.Index(peers, "10.0.0.4")] != nextIssued+rto {
-		t.Errorf("request armed from the expiry pass at %v: retransmissions to %v at %v, want its first one rto later", nextIssued, peers, at)
+	if i := slices.Index(log.peers, "10.0.0.4"); i < 0 || log.at[i] != nextIssued+rto {
+		t.Errorf("request armed from the expiry pass at %v: retransmissions to %v at %v, want its first one rto later", nextIssued, log.peers, log.at)
 	}
 }
 
@@ -129,7 +137,7 @@ func TestExpiryPassSeesStopsAndArms(t *testing.T) {
 // timeout, no callback. What a restart should do instead is open (the
 // request stays parked).
 func TestCrashedClientDropsDueTimeouts(t *testing.T) {
-	r, c, conns, _, reg := retransmitRig(t, 24, "10.0.0.2")
+	r, c, conns, reg := retransmitRig(t, 24, "10.0.0.2")
 	called := false
 	conns["10.0.0.2"].Request([]byte("x"), func([]byte, time.Duration, error) { called = true })
 	dialing := false

@@ -106,11 +106,11 @@ func TestMergeUnstampedFallsBackToLocalWall(t *testing.T) {
 	dir := t.TempDir()
 	writeBundle(t, dir, "a", []obs.Event{
 		{At: base.Add(100 * time.Millisecond), HLC: hlcAt(100 * time.Millisecond),
-			Source: obs.SourceGCS, Kind: obs.KindTokenPass, Node: "a"},
+			Source: obs.SourceGCS, Kind: obs.KindHeartbeatMiss, Node: "a"},
 		{At: base.Add(300 * time.Millisecond), // no HLC: pre-upgrade event
-			Source: obs.SourceGCS, Kind: obs.KindTokenPass, Node: "a"},
+			Source: obs.SourceGCS, Kind: obs.KindHeartbeatMiss, Node: "a"},
 		{At: base.Add(600 * time.Millisecond), HLC: hlcAt(500 * time.Millisecond),
-			Source: obs.SourceGCS, Kind: obs.KindTokenPass, Node: "a"},
+			Source: obs.SourceGCS, Kind: obs.KindHeartbeatMiss, Node: "a"},
 	}, nil)
 	bundles, err := LoadBundles(dir)
 	if err != nil {
@@ -154,7 +154,7 @@ func TestMergeDeterministicByteIdentical(t *testing.T) {
 func TestMergeDeduplicatesRepeatedDumpsOfOneNode(t *testing.T) {
 	dir := t.TempDir()
 	tr := obs.New(256, func() time.Time { return base })
-	tr.Emit(obs.Event{At: base, HLC: hlcAt(0), Source: obs.SourceGCS, Kind: obs.KindTokenPass, Node: "a"})
+	tr.Emit(obs.Event{At: base, HLC: hlcAt(0), Source: obs.SourceGCS, Kind: obs.KindHeartbeatMiss, Node: "a"})
 	f := obs.NewFlightRecorder(obs.FlightConfig{
 		Dir: dir, Node: "a", Tracer: tr, Now: func() time.Time { return base },
 	})
@@ -162,7 +162,7 @@ func TestMergeDeduplicatesRepeatedDumpsOfOneNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.Emit(obs.Event{At: base.Add(time.Second), HLC: hlcAt(time.Second),
-		Source: obs.SourceGCS, Kind: obs.KindTokenPass, Node: "a"})
+		Source: obs.SourceGCS, Kind: obs.KindHeartbeatMiss, Node: "a"})
 	if _, err := f.Dump("second"); err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestMergeSkewDiagnosticsFromManifest(t *testing.T) {
 	// A peer 3ms ahead: the clock records the skew, the dump manifests it.
 	clk.Observe(obs.HLC{Wall: base.Add(3 * time.Millisecond).UnixNano()})
 	writeBundle(t, dir, "a", []obs.Event{
-		{Source: obs.SourceGCS, Kind: obs.KindTokenPass, Node: "a"},
+		{Source: obs.SourceGCS, Kind: obs.KindHeartbeatMiss, Node: "a"},
 	}, clk)
 	bundles, err := LoadBundles(dir)
 	if err != nil {

@@ -1279,7 +1279,6 @@ func (d *Daemon) forwardToken() {
 		return
 	}
 	d.stats.tokensForwarded.Add(1)
-	d.env.Tracer.Emit(obs.Event{Source: obs.SourceGCS, Kind: obs.KindTokenPass, Node: string(d.id), Detail: string(d.ring.succ)})
 	d.sendTo(d.ring.succ, d.ring.succAddr, d.fwd.encode(&d.w))
 }
 

@@ -45,7 +45,6 @@ import (
 	"wackamole/internal/flow"
 	"wackamole/internal/metrics"
 	"wackamole/internal/netsim"
-	"wackamole/internal/obs"
 )
 
 // Mode selects the workload shape.
@@ -134,8 +133,6 @@ type Config struct {
 	// Metrics receives the load and flow instrument families (nil
 	// disables).
 	Metrics *metrics.Registry
-	// Tracer receives flow events (nil disables).
-	Tracer *obs.Tracer
 }
 
 func (c Config) withDefaults() Config {
@@ -289,10 +286,7 @@ func New(h *netsim.Host, cfg Config) (*Engine, error) {
 	if !cfg.Target.IsValid() {
 		return nil, errors.New("load: config requires a target address")
 	}
-	fc, err := flow.NewClient(h, cfg.LocalPort, flow.ClientConfig{
-		Metrics: cfg.Metrics,
-		Tracer:  cfg.Tracer,
-	})
+	fc, err := flow.NewClient(h, cfg.LocalPort, flow.ClientConfig{Metrics: cfg.Metrics})
 	if err != nil {
 		return nil, err
 	}

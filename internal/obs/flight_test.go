@@ -121,7 +121,7 @@ func TestFlightConcurrentWritersAndDumps(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				tr.Emit(Event{Source: SourceGCS, Kind: KindTokenPass, Node: "n1"})
+				tr.Emit(Event{Source: SourceGCS, Kind: KindHeartbeatMiss, Node: "n1"})
 				f.RecordView(fmt.Sprintf("ring-%d-%d", g, i), []string{"n1", "n2"})
 			}
 		}(g)

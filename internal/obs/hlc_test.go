@@ -239,8 +239,8 @@ func TestTracerStampsHLC(t *testing.T) {
 	tr := New(16, w.now)
 	c := NewHLCClock(w.now, "a")
 	tr.SetHLC(c)
-	tr.Emit(Event{Source: SourceGCS, Kind: KindTokenPass, Node: "a"})
-	tr.Emit(Event{Source: SourceGCS, Kind: KindTokenPass, Node: "a"})
+	tr.Emit(Event{Source: SourceGCS, Kind: KindHeartbeatMiss, Node: "a"})
+	tr.Emit(Event{Source: SourceGCS, Kind: KindHeartbeatMiss, Node: "a"})
 	evs := tr.Snapshot()
 	if len(evs) != 2 {
 		t.Fatalf("want 2 events, got %d", len(evs))
@@ -274,7 +274,7 @@ func TestEventHLCJSONRoundTrip(t *testing.T) {
 		t.Fatalf("HLC round trip: got %v, want %v", out.HLC, in.HLC)
 	}
 	// Unstamped events stay unstamped (and elide the fields entirely).
-	plain := Event{Seq: 1, At: time.Unix(0, 1).UTC(), Source: SourceGCS, Kind: KindTokenPass}
+	plain := Event{Seq: 1, At: time.Unix(0, 1).UTC(), Source: SourceGCS, Kind: KindHeartbeatMiss}
 	b, err = plain.MarshalJSON()
 	if err != nil {
 		t.Fatal(err)

@@ -6,13 +6,17 @@
 // mark those phase boundaries so a measured interruption can be decomposed
 // into an explainable timeline rather than one opaque number.
 //
-// The Tracer is a bounded ring buffer of typed events. It is deliberately
-// cheap: a nil *Tracer is a valid, disabled tracer whose Emit is a
-// zero-allocation no-op, so protocol code can call it unconditionally on hot
-// paths (token passes, frame drops) without a feature flag. Events carry the
-// emitting node's source tag and a timestamp from a pluggable now-function,
-// which is virtual time under the simulator and wall time in the real
-// daemon.
+// The Tracer is a bounded ring buffer of typed events that grows only as
+// far as it is filled. It records protocol steps and faults, the kinds some
+// reader keys on or a person reads in a timeline. Token passes and flow's
+// per-request opens, resets and retransmissions are not traced; the metrics
+// registry counts them (gcs_tokens_forwarded, flow_*_total). So a settled,
+// idle cluster emits nothing, and the ring holds fail-overs rather than the
+// traffic around them. A nil *Tracer is a valid, disabled tracer whose Emit
+// is a zero-allocation no-op, so protocol code calls it unconditionally.
+// Events carry the emitting node's source tag and a timestamp from a
+// pluggable now-function, which is virtual time under the simulator and wall
+// time in the real daemon.
 package obs
 
 import (
@@ -33,8 +37,6 @@ const (
 	SourceCore
 	// SourceNet: the simulated network (internal/netsim).
 	SourceNet
-	// SourceFlow: the connection-oriented traffic layer (internal/flow).
-	SourceFlow
 	// SourceInvariant: the always-on protocol-invariant monitor
 	// (internal/invariant).
 	SourceInvariant
@@ -51,8 +53,6 @@ func (s Source) String() string {
 		return "core"
 	case SourceNet:
 		return "net"
-	case SourceFlow:
-		return "flow"
 	case SourceInvariant:
 		return "invariant"
 	case SourceHealth:
@@ -65,15 +65,15 @@ func (s Source) String() string {
 // Kind classifies an event within its source.
 type Kind uint8
 
-// Event kinds. The failover-phase analyzer keys on KindFault,
-// KindGatherEnter, KindInstall, KindAcquire and KindARPSpoof; the rest give
-// the timeline its explanatory detail.
+// Event kinds. Programs key on five: the fail-over breakdown on KindFault,
+// KindGatherEnter, KindInstall and KindAcquire, the ownership timeline on
+// KindAcquire and KindRelease, forensics and the flight recorder's gap
+// trigger on KindGatherEnter. The rest give a timeline its detail for a
+// person to read; TestEveryKindHasAReader keeps that split true.
 const (
 	// KindHeartbeatMiss: a ring member stayed silent beyond the
 	// fault-detection timeout (gcs).
 	KindHeartbeatMiss Kind = iota + 1
-	// KindTokenPass: the daemon forwarded the ring token to its successor.
-	KindTokenPass
 	// KindGatherEnter: the daemon entered discovery; Detail is the reason
 	// ("fault:<id>", "token-loss", "join:<id>", ...).
 	KindGatherEnter
@@ -112,16 +112,6 @@ const (
 	// KindRestore: an injected repair (interface up, host restart).
 	KindRestore
 
-	// KindFlowOpen: a connection completed its three-way handshake.
-	KindFlowOpen
-	// KindFlowReset: a connection was torn down by an RST — the takeover
-	// semantics the paper describes for clients of a failed server.
-	KindFlowReset
-	// KindFlowRetransmit: a segment's retransmission timeout fired.
-	KindFlowRetransmit
-	// KindFlowClose: a connection closed gracefully (FIN).
-	KindFlowClose
-
 	// KindInvariantViolation: a protocol-invariant monitor detected a
 	// violated oracle (Group carries the oracle name).
 	KindInvariantViolation
@@ -138,8 +128,6 @@ func (k Kind) String() string {
 	switch k {
 	case KindHeartbeatMiss:
 		return "heartbeat-miss"
-	case KindTokenPass:
-		return "token-pass"
 	case KindGatherEnter:
 		return "gather-enter"
 	case KindFormRing:
@@ -174,14 +162,6 @@ func (k Kind) String() string {
 		return "fault"
 	case KindRestore:
 		return "restore"
-	case KindFlowOpen:
-		return "flow-open"
-	case KindFlowReset:
-		return "flow-reset"
-	case KindFlowRetransmit:
-		return "flow-retransmit"
-	case KindFlowClose:
-		return "flow-close"
 	case KindInvariantViolation:
 		return "invariant-violation"
 	case KindPhiSuspect:
@@ -225,12 +205,11 @@ func (e Event) String() string {
 		e.Seq, e.At.Format("15:04:05.000000"), e.Source, e.Kind, e.Node, e.Group, e.Addr, e.Detail)
 }
 
-// DefaultCapacity holds several seconds of an idle cluster's events, where
-// token passes dominate at roughly one per TokenInterval. Under client load
-// flow's retransmissions dominate instead: the paper's NIC fault under
-// 10 000 rps emits ≈ 120 000 events (≈ 86 000 flow-retransmit, 24 500
-// token-pass, 4 000 flow-open, 3 700 flow-reset), and the ring keeps the
-// newest 27–28 % of them: the §5 phase markers can be among those evicted.
+// DefaultCapacity bounds a tracer's ring. The ring grows only as far as it
+// is filled, so the bound costs nothing until it is reached. The trace
+// records protocol steps, not token passes or requests: the paper's NIC fault
+// under 10 000 rps keeps 147 events, and a traced N = 90 Figure 5 trial, the
+// largest, about 17 000 (17 221 at seed 1). Both fit whole.
 const DefaultCapacity = 1 << 15
 
 // Tracer is a bounded ring buffer of events, safe for concurrent emission
@@ -239,12 +218,14 @@ const DefaultCapacity = 1 << 15
 // need no enabled-check for plain literals (only guard work that itself
 // allocates, like fmt.Sprintf details, with Enabled).
 type Tracer struct {
-	mu      sync.Mutex
-	now     func() time.Time
-	hlc     *HLCClock
+	mu  sync.Mutex
+	now func() time.Time
+	hlc *HLCClock
+	// buf holds the live events. It grows by appending until it holds max
+	// of them, and from then on each Emit overwrites the oldest.
 	buf     []Event
-	start   int // index of the oldest live event
-	n       int // live events in buf
+	max     int
+	start   int // index of the oldest live event; 0 until the ring wraps
 	emitted uint64
 	// frozen is how many leading slots of buf a Snapshot handed out: they
 	// are read-only, so an Emit that would write one clones buf first.
@@ -252,7 +233,8 @@ type Tracer struct {
 }
 
 // New returns a tracer holding the last capacity events (<=0 means
-// DefaultCapacity), stamping them with now (nil means time.Now).
+// DefaultCapacity), stamping them with now (nil means time.Now). It
+// allocates no ring: the ring grows with what is emitted.
 func New(capacity int, now func() time.Time) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
@@ -260,7 +242,7 @@ func New(capacity int, now func() time.Time) *Tracer {
 	if now == nil {
 		now = time.Now
 	}
-	return &Tracer{now: now, buf: make([]Event, capacity)}
+	return &Tracer{now: now, max: capacity}
 }
 
 // SetNow replaces the timestamp source; the simulator harness points it at
@@ -316,45 +298,39 @@ func (t *Tracer) Emit(ev Event) {
 	if t.hlc != nil && ev.HLC.IsZero() {
 		ev.HLC = t.hlc.Now()
 	}
-	i := t.start // a full ring overwrites its oldest event
-	if t.n < len(t.buf) {
-		i = (t.start + t.n) % len(t.buf)
-	}
-	if i < t.frozen {
-		// A snapshot owns this slot. While one is out start is 0 (Snapshot
-		// rotated the ring to begin there, and only writing into a full
-		// ring advances start), so the live events are buf[:n].
-		fresh := make([]Event, len(t.buf))
-		copy(fresh, t.buf[:t.n])
-		t.buf, t.frozen = fresh, 0
-	}
-	t.buf[i] = ev
-	if t.n < len(t.buf) {
-		t.n++
+	if len(t.buf) < t.max {
+		// The ring has not filled, so it never wrapped: the event goes after
+		// the newest, in a slot no snapshot holds. An append that moves buf
+		// leaves every snapshot behind on the old array.
+		if len(t.buf) == cap(t.buf) {
+			t.frozen = 0
+		}
+		t.buf = append(t.buf, ev)
 	} else {
-		t.start = (t.start + 1) % len(t.buf)
+		// A full ring overwrites its oldest event. If a snapshot owns that
+		// slot, start is 0 (Snapshot rotated the ring to begin there, and
+		// only this branch advances start), so cloning keeps every event.
+		if t.start < t.frozen {
+			t.buf, t.frozen = slices.Clone(t.buf), 0
+		}
+		t.buf[t.start] = ev
+		t.start = (t.start + 1) % t.max
 	}
 	t.mu.Unlock()
 }
 
 // Snapshot returns the buffered events, oldest first. The result is
-// read-only: when at least half the ring is live it is the ring itself,
-// rotated in place and handed over, and the tracer clones the ring before it
-// next writes a slot the snapshot holds. A sparser ring is copied instead,
-// so a snapshot kept long never pins a mostly empty ring. Either way later
-// Emits leave a returned snapshot unchanged.
+// read-only: it is the ring itself, rotated in place and handed over, and
+// the tracer clones the ring before it next writes a slot the snapshot
+// holds, so later Emits leave a returned snapshot unchanged. The array of a
+// ring that has not filled has room for at most about twice its events, so a
+// snapshot kept long pins little more than it shows.
 func (t *Tracer) Snapshot() []Event {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if 2*t.n < len(t.buf) {
-		// A sparse ring never wrapped, so start is 0.
-		out := make([]Event, t.n)
-		copy(out, t.buf)
-		return out
-	}
 	if t.start != 0 {
 		// Rotate the wrapped ring left by start: three reversals, no copy.
 		slices.Reverse(t.buf[:t.start])
@@ -362,8 +338,9 @@ func (t *Tracer) Snapshot() []Event {
 		slices.Reverse(t.buf)
 		t.start = 0
 	}
-	t.frozen = t.n
-	return t.buf[:t.n:t.n]
+	n := len(t.buf)
+	t.frozen = n
+	return t.buf[:n:n]
 }
 
 // Len reports how many events are currently buffered.
@@ -373,7 +350,7 @@ func (t *Tracer) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.n
+	return len(t.buf)
 }
 
 // Emitted reports the total number of events ever emitted, including those
@@ -394,5 +371,5 @@ func (t *Tracer) Dropped() uint64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.emitted - uint64(t.n)
+	return t.emitted - uint64(len(t.buf))
 }

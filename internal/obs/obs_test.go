@@ -47,7 +47,7 @@ func TestRingWraparoundKeepsNewestInOrder(t *testing.T) {
 	const capacity, emitted = 4, 10
 	tr := New(capacity, fixedNow())
 	for i := 0; i < emitted; i++ {
-		tr.Emit(Event{Kind: KindTokenPass, Detail: fmt.Sprintf("e%d", i)})
+		tr.Emit(Event{Kind: KindHeartbeatMiss, Detail: fmt.Sprintf("e%d", i)})
 	}
 	if tr.Len() != capacity {
 		t.Fatalf("Len = %d, want %d", tr.Len(), capacity)
@@ -78,8 +78,8 @@ func TestNilTracerIsDisabledNoop(t *testing.T) {
 		t.Fatal("nil tracer recorded something")
 	}
 	// The disabled hot path must not allocate: protocol code calls Emit
-	// unconditionally on token passes and frame transmissions.
-	ev := Event{Source: SourceGCS, Kind: KindTokenPass, Node: "d1"}
+	// unconditionally on every protocol step and frame drop.
+	ev := Event{Source: SourceGCS, Kind: KindHeartbeatMiss, Node: "d1"}
 	if allocs := testing.AllocsPerRun(100, func() { tr.Emit(ev) }); allocs != 0 {
 		t.Fatalf("disabled Emit allocates %v per call, want 0", allocs)
 	}
@@ -94,7 +94,7 @@ func TestConcurrentEmitAndSnapshot(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				tr.Emit(Event{Kind: KindTokenPass, Node: fmt.Sprintf("d%d", g)})
+				tr.Emit(Event{Kind: KindHeartbeatMiss, Node: fmt.Sprintf("d%d", g)})
 			}
 		}(g)
 	}
@@ -133,7 +133,7 @@ func TestDefaultCapacityAndClock(t *testing.T) {
 		t.Fatalf("defaulted tracer did not stamp wall time: %+v", got)
 	}
 	for i := 0; i < DefaultCapacity; i++ {
-		tr.Emit(Event{Kind: KindTokenPass})
+		tr.Emit(Event{Kind: KindHeartbeatMiss})
 	}
 	if tr.Len() != DefaultCapacity || tr.Dropped() != 1 {
 		t.Fatalf("default capacity ring: len=%d dropped=%d", tr.Len(), tr.Dropped())
@@ -227,7 +227,7 @@ func TestSnapshotIsUnchangedByLaterWrappingEmits(t *testing.T) {
 	for _, before := range []int{capacity, capacity + 3, 3*capacity - 1} {
 		tr := New(capacity, fixedNow())
 		for i := 0; i < before; i++ {
-			tr.Emit(Event{Kind: KindTokenPass})
+			tr.Emit(Event{Kind: KindHeartbeatMiss})
 		}
 		snap := tr.Snapshot()
 		want := span(uint64(before-capacity+1), uint64(before))
@@ -242,7 +242,7 @@ func TestSnapshotIsUnchangedByLaterWrappingEmits(t *testing.T) {
 			t.Fatalf("%d emitted: snapshot changed to %v by later Emits, want %v", before, got, want)
 		}
 		for _, e := range snap {
-			if e.Kind != KindTokenPass {
+			if e.Kind != KindHeartbeatMiss {
 				t.Fatalf("%d emitted: snapshot slot overwritten by %v", before, e.Kind)
 			}
 		}
@@ -271,7 +271,7 @@ func TestSnapshotMatchesCopyingModel(t *testing.T) {
 	for step := 0; step < 2000; step++ {
 		switch r := rng.Intn(10); {
 		case r < 7:
-			tr.Emit(Event{Kind: KindTokenPass})
+			tr.Emit(Event{Kind: KindHeartbeatMiss})
 			emitted++
 			model = append(model, emitted)
 			if len(model) > capacity {
@@ -299,27 +299,116 @@ func TestSnapshotMatchesCopyingModel(t *testing.T) {
 func TestSnapshotOfFullRingAllocatesNothing(t *testing.T) {
 	tr := New(1024, fixedNow())
 	for i := 0; i < 1500; i++ {
-		tr.Emit(Event{Kind: KindTokenPass})
+		tr.Emit(Event{Kind: KindHeartbeatMiss})
 	}
 	if allocs := testing.AllocsPerRun(100, func() { _ = tr.Snapshot() }); allocs != 0 {
 		t.Fatalf("Snapshot of a full ring allocates %v per call, want 0", allocs)
 	}
 }
 
-func TestSparseSnapshotIsCopied(t *testing.T) {
-	const capacity = 1024
-	for _, n := range []int{0, 1, capacity/2 - 1} {
-		tr := New(capacity, fixedNow())
-		for i := 0; i < n; i++ {
-			tr.Emit(Event{Kind: KindTokenPass})
+// emitN emits n events of kind k.
+func emitN(tr *Tracer, n int, k Kind) {
+	for i := 0; i < n; i++ {
+		tr.Emit(Event{Kind: k})
+	}
+}
+
+// TestRingGrowsAsItIsFilled: a new tracer holds no ring, and the ring grows
+// with what is emitted until it holds capacity events.
+func TestRingGrowsAsItIsFilled(t *testing.T) {
+	const capacity = 1000
+	tr := New(capacity, fixedNow())
+	if tr.buf != nil {
+		t.Fatalf("New allocated a ring of %d slots, want none", cap(tr.buf))
+	}
+	emitN(tr, capacity/4, KindInstall)
+	if len(tr.buf) != capacity/4 || cap(tr.buf) >= capacity/2 {
+		t.Fatalf("%d emitted: ring len %d cap %d, want it grown to about what it holds", capacity/4, len(tr.buf), cap(tr.buf))
+	}
+	emitN(tr, capacity, KindInstall)
+	if tr.Len() != capacity || tr.Dropped() != capacity/4 {
+		t.Fatalf("%d emitted: Len %d Dropped %d, want the ring full at its bound", capacity+capacity/4, tr.Len(), tr.Dropped())
+	}
+}
+
+// TestSnapshotWhileGrowing: a ring that has not filled is handed over, not
+// copied, and the snapshot holds exactly the live events.
+func TestSnapshotWhileGrowing(t *testing.T) {
+	tr := New(64, fixedNow())
+	emitN(tr, 5, KindInstall)
+	snap := tr.Snapshot()
+	if got := seqs(snap); !slices.Equal(got, span(1, 5)) || cap(snap) != 5 {
+		t.Fatalf("snapshot seqs %v cap %d, want 1..5 capped at its length", got, cap(snap))
+	}
+	if &snap[0] != &tr.buf[0] {
+		t.Fatal("snapshot of a growing ring is a copy, want the ring handed over")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = tr.Snapshot() }); allocs != 0 {
+		t.Fatalf("Snapshot of a growing ring allocates %v per call, want 0", allocs)
+	}
+}
+
+// TestGrowthAfterSnapshot: the ring goes on growing after a snapshot, in
+// place and by moving, and the snapshot does not change.
+func TestGrowthAfterSnapshot(t *testing.T) {
+	tr := New(64, fixedNow())
+	emitN(tr, 5, KindInstall)
+	snap := tr.Snapshot()
+	emitN(tr, 40, KindFault) // the first few fit where the ring is, the rest move it
+	if got := seqs(snap); !slices.Equal(got, span(1, 5)) {
+		t.Fatalf("snapshot changed to %v by later Emits, want 1..5", got)
+	}
+	for _, e := range snap {
+		if e.Kind != KindInstall {
+			t.Fatalf("snapshot slot overwritten by %v", e.Kind)
 		}
-		snap := tr.Snapshot()
-		if len(snap) != n || cap(snap) > 2*len(snap) {
-			t.Fatalf("%d live of %d: snapshot len %d cap %d, want a copy of at most twice its length",
-				n, capacity, len(snap), cap(snap))
+	}
+	if got := seqs(tr.Snapshot()); !slices.Equal(got, span(1, 45)) {
+		t.Fatalf("later snapshot seqs %v, want 1..45", got)
+	}
+}
+
+// TestWrapAfterSnapshotOfGrowingRing: a snapshot taken before the ring
+// filled shares its array with the appends that fill it, so the first
+// overwrite must clone rather than write a slot the snapshot holds.
+func TestWrapAfterSnapshotOfGrowingRing(t *testing.T) {
+	const capacity = 6 // an append grows the array to 8, so the 6th event is written in place
+	tr := New(capacity, fixedNow())
+	emitN(tr, 5, KindInstall)
+	snap := tr.Snapshot()
+	emitN(tr, 1, KindInstall)
+	if cap(tr.buf) <= 5 || &tr.buf[0] != &snap[0] {
+		t.Fatalf("ring moved on the 6th event (cap %d): the case under test needs it filled in place", cap(tr.buf))
+	}
+	emitN(tr, 2*capacity+1, KindFault)
+	if got := seqs(snap); !slices.Equal(got, span(1, 5)) {
+		t.Fatalf("snapshot changed to %v by the wrap, want 1..5", got)
+	}
+	for _, e := range snap {
+		if e.Kind != KindInstall {
+			t.Fatalf("snapshot slot overwritten by %v", e.Kind)
 		}
-		if n > 0 && &snap[0] == &tr.buf[0] {
-			t.Fatalf("%d live of %d: snapshot shares the ring, want a copy", n, capacity)
+	}
+	total := uint64(6 + 2*capacity + 1)
+	if got := seqs(tr.Snapshot()); !slices.Equal(got, span(total-capacity+1, total)) {
+		t.Fatalf("later snapshot seqs %v, want the newest %d", got, capacity)
+	}
+}
+
+// TestSnapshotsInARow: a second snapshot with nothing emitted between them
+// is the same events on the same array, and later Emits change neither.
+func TestSnapshotsInARow(t *testing.T) {
+	for _, n := range []int{3, 8, 13} { // growing, just full, wrapped
+		tr := New(8, fixedNow())
+		emitN(tr, n, KindInstall)
+		first, second := tr.Snapshot(), tr.Snapshot()
+		want := seqs(first)
+		if !slices.Equal(seqs(second), want) || &first[0] != &second[0] {
+			t.Fatalf("%d emitted: snapshots %v and %v, want the same events on the same array", n, want, seqs(second))
+		}
+		emitN(tr, 17, KindFault)
+		if !slices.Equal(seqs(first), want) || !slices.Equal(seqs(second), want) {
+			t.Fatalf("%d emitted: snapshots changed to %v and %v, want %v", n, seqs(first), seqs(second), want)
 		}
 	}
 }
@@ -336,7 +425,7 @@ func TestConcurrentSnapshotReadersAndWrappingEmit(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				tr.Emit(Event{Kind: KindTokenPass})
+				tr.Emit(Event{Kind: KindHeartbeatMiss})
 			}
 		}()
 	}

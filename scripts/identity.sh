@@ -55,9 +55,9 @@ run load-crash wackload -trials 2 -clients 100 -fault crash
 run load-rolling wackload -trials 2 -clients 100 -fault rolling
 run load-rolling-minimal wackload -trials 2 -clients 100 -fault rolling -placement minimal
 run load-flap-phi wackload -trials 2 -clients 100 -fault flap -detector phi -invariants
-# Open-loop arrivals with the flow trace events, the registry as it is written
-# (-parallel 1: trials share one registry and float sums depend on who adds
-# first) and the forwarding path.
+# Open-loop arrivals with the protocol trace and its phase breakdown, the
+# registry as it is written (-parallel 1: trials share one registry and float
+# sums depend on who adds first) and the forwarding path.
 run load-open-trace wackload -mode open -rps 2000 -clients 100 -trials 2 -fault nic -invariants -json -trace TRACE
 # The loaded shape: after the fault thousands of retransmissions fall due
 # within a few hundred microseconds, so the event queue runs thousands deep.

@@ -16,9 +16,8 @@ import (
 // suspicion matrix populates with zero steady-state suspicions, and a NIC
 // failure drives every survivor's phi over the threshold at or before its
 // fixed-timeout detection. Ordering is asserted through the monitor's own
-// counters (health_detections_unsuspected_total stays zero), which — unlike
-// the trace ring — cannot be evicted by token-pass event pressure; the live
-// -race test asserts the same ordering through the HLC-stamped trace.
+// counters (health_detections_unsuspected_total stays zero); the live -race
+// test asserts the same ordering through the HLC-stamped trace.
 func TestClusterTelemetry(t *testing.T) {
 	tracer := obs.New(16384, nil)
 	reg := metrics.New()

@@ -10,6 +10,7 @@ import (
 	"wackamole"
 	"wackamole/internal/core"
 	"wackamole/internal/gcs"
+	"wackamole/internal/obs"
 )
 
 func newCluster(t *testing.T, opts wackamole.ClusterOptions) *wackamole.Cluster {
@@ -90,6 +91,28 @@ func TestFailoverReallocatesWithinTunedBudget(t *testing.T) {
 	}
 	c.RunFor(5 * time.Second)
 	checkExactlyOnce(t, c)
+}
+
+// TestIdleClusterTracesNothing: the trace records protocol steps, and a
+// settled cluster that nothing disturbs takes none, so a minute of idling
+// emits no event. A bounded ring's history is then its last fail-overs,
+// however long ago they were.
+func TestIdleClusterTracesNothing(t *testing.T) {
+	tracer := obs.New(0, nil)
+	c := newCluster(t, wackamole.ClusterOptions{Seed: 1, Servers: 3, VIPs: 6, Tracer: tracer})
+	c.Settle()
+	settled, tokens := tracer.Emitted(), c.Servers[0].Node.Daemon().Stats().TokensForwarded
+	if settled == 0 {
+		t.Fatal("vacuous: forming the cluster emitted nothing")
+	}
+	c.RunFor(60 * time.Second)
+	if c.Servers[0].Node.Daemon().Stats().TokensForwarded == tokens {
+		t.Fatal("vacuous: the ring forwarded no token while idle")
+	}
+	if idle := tracer.Emitted() - settled; idle != 0 {
+		evs := tracer.Snapshot()
+		t.Fatalf("a settled cluster idle for 60s emitted %d events, the newest %v", idle, evs[len(evs)-1])
+	}
 }
 
 func TestPartitionEachComponentCoversAllThenMergeResolves(t *testing.T) {
