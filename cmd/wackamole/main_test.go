@@ -167,7 +167,8 @@ func TestDaemonEndToEnd(t *testing.T) {
 
 // TestDaemonInvariantsOnMetrics boots a singleton daemon with the
 // always-on invariant monitors armed and verifies the invariant_* counter
-// families turn up on the /metrics endpoint with zero violations.
+// families turn up on the /metrics endpoint with zero violations, and that
+// `wackactl status` reports the same verdict on its invariants: line.
 func TestDaemonInvariantsOnMetrics(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wackamole.conf")
@@ -175,6 +176,7 @@ func TestDaemonInvariantsOnMetrics(t *testing.T) {
 		"bind 127.0.0.1:24895",
 		"peers 127.0.0.1:24895",
 		"metrics 127.0.0.1:24894",
+		"control 127.0.0.1:24893",
 		"fault_detect 500ms",
 		"heartbeat 100ms",
 		"discovery 300ms",
@@ -246,6 +248,10 @@ func TestDaemonInvariantsOnMetrics(t *testing.T) {
 	}
 	if !strings.Contains(body, "\ngcs_memberships_installed 1\n") {
 		t.Fatalf("singleton's one membership install not on /metrics:\n%s", body)
+	}
+	reply, err := ctl.Send("127.0.0.1:24893", ctl.CmdStatus)
+	if err != nil || !strings.Contains(reply, "\ninvariants: violations=0 (") {
+		t.Fatalf("wackactl status lacks a clean invariants: line; reply %q err %v", reply, err)
 	}
 
 	close(stop)

@@ -32,8 +32,6 @@
 package main
 
 import (
-	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -44,7 +42,6 @@ import (
 	"wackamole/internal/experiment/runner"
 	"wackamole/internal/faults"
 	"wackamole/internal/gcs"
-	"wackamole/internal/health"
 	"wackamole/internal/load"
 	"wackamole/internal/metrics"
 	"wackamole/internal/placement"
@@ -77,7 +74,6 @@ func run(args []string, out io.Writer) int {
 	jsonOut := fs.Bool("json", false, "emit NDJSON result rows instead of a table")
 	invariants := fs.Bool("invariants", false, "arm the always-on protocol-invariant monitors on every trial (violations exit nonzero)")
 	tracePath := fs.String("trace", "", "capture per-trial structured event streams into this NDJSON file")
-	telemetryPath := fs.String("telemetry", "", "arm the live health plane and write every captured telemetry frame into this NDJSON file (web topology)")
 	promPath := fs.String("prom", "", "write the shared metrics registry in Prometheus exposition format (- for stdout)")
 	progress := fs.Bool("progress", false, "report per-trial progress on stderr")
 	if err := fs.Parse(args); err != nil {
@@ -145,7 +141,6 @@ func run(args []string, out io.Writer) int {
 		PostFault:  *post,
 		Invariants: *invariants,
 		Metrics:    reg,
-		Telemetry:  *telemetryPath != "",
 		Trace:      *tracePath != "",
 	}
 	opts := []experiment.Option{experiment.Parallel(*parallel)}
@@ -178,14 +173,6 @@ func run(args []string, out io.Writer) int {
 			fmt.Fprintf(os.Stderr, "wackload: %v\n", err)
 			return 1
 		}
-	}
-	if *telemetryPath != "" {
-		frames, err := writeTelemetry(*telemetryPath, results)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "wackload: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "wackload: %d telemetry frames -> %s\n", frames, *telemetryPath)
 	}
 	if *promPath != "" {
 		w := out
@@ -237,34 +224,4 @@ func run(args []string, out io.Writer) int {
 		fmt.Fprintln(out, "\ninvariants: all oracles held")
 	}
 	return 0
-}
-
-// writeTelemetry dumps every trial's captured health frames as NDJSON, one
-// seed-annotated frame per line — the offline counterpart of pointing
-// `wackmon -subscribe` at a live cluster.
-func writeTelemetry(path string, results []*experiment.AvailabilityResult) (int, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return 0, err
-	}
-	w := bufio.NewWriter(f)
-	enc := json.NewEncoder(w)
-	frames := 0
-	for _, r := range results {
-		for i := range r.Frames {
-			if err := enc.Encode(struct {
-				Seed int64 `json:"seed"`
-				health.Frame
-			}{r.Seed, r.Frames[i]}); err != nil {
-				f.Close()
-				return 0, err
-			}
-			frames++
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return 0, err
-	}
-	return frames, f.Close()
 }

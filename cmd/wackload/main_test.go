@@ -113,36 +113,6 @@ func TestRunTraceArtifact(t *testing.T) {
 	}
 }
 
-// TestRunTelemetryArtifact: -telemetry arms the health plane and writes the
-// in-simulation frame stream as seed-annotated NDJSON.
-func TestRunTelemetryArtifact(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "frames.ndjson")
-	var out bytes.Buffer
-	code := run([]string{"-clients", "20", "-think", "200ms", "-trials", "1",
-		"-pre", "1s", "-json", "-telemetry", path}, &out)
-	if code != 0 {
-		t.Fatalf("exit %d, output:\n%s", code, out.String())
-	}
-	text, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(text)), "\n")
-	if len(lines) < 10 {
-		t.Fatalf("only %d telemetry frames captured", len(lines))
-	}
-	if !strings.Contains(lines[0], `"seed":1`) || !strings.Contains(lines[0], `"node":`) ||
-		!strings.Contains(string(text), `"peers":`) {
-		t.Fatalf("frame rows malformed:\n%s", lines[0])
-	}
-
-	// The router topology has no cluster to host the collector.
-	var errOut bytes.Buffer
-	if code := run([]string{"-topology", "router", "-trials", "1", "-telemetry", path}, &errOut); code != 1 {
-		t.Fatalf("router -telemetry exit = %d, want 1", code)
-	}
-}
-
 func TestRunDeterministic(t *testing.T) {
 	runOnce := func(parallel string) string {
 		var out bytes.Buffer

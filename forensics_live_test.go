@@ -4,8 +4,9 @@ package wackamole_test
 // daemons on loopback UDP, each with its own tracer, HLC and flight
 // recorder, exchange HLC stamps over the wire; one daemon is killed
 // abruptly (socket and loop vanish, no releases, no goodbyes) while a probe
-// measures the resulting coverage gap from the outside. The survivors'
-// spilled bundles are then merged by internal/forensics and the merged
+// measures the resulting coverage gap from the outside. The bundles the
+// survivors spill on `wackactl dump` (plus the victim's pre-crash tail) are
+// then merged by internal/forensics, as wackrec merges them, and the merged
 // timeline must explain the probe-measured gap exactly — the same
 // detection/membership/state-sync/ARP decomposition the simulator reports,
 // recovered from bundles alone. Run under -race this also pins the claim
@@ -27,6 +28,7 @@ import (
 
 	"wackamole"
 	"wackamole/internal/core"
+	"wackamole/internal/ctl"
 	"wackamole/internal/env/realtime"
 	"wackamole/internal/forensics"
 	"wackamole/internal/gcs"
@@ -207,10 +209,23 @@ func TestForensicsLiveCluster(t *testing.T) {
 
 	// Retrieve the black boxes. The victim's recorder still exists in this
 	// process (its bundle is the pre-crash tail a real crash would leave on
-	// disk); the survivors dump their post-failover state.
-	for _, d := range daemons {
-		if _, err := d.recorder.Dump("live-test"); err != nil {
+	// disk); each survivor dumps its post-failover state when asked over its
+	// control channel, as `wackactl dump` asks.
+	if _, err := daemons[victim].recorder.Dump("live-test"); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range survivors {
+		srv, err := ctl.Serve("127.0.0.1:0", d.loop, d.node)
+		if err != nil {
 			t.Fatal(err)
+		}
+		srv.SetRecorder(d.recorder)
+		reply, err := ctl.Send(srv.Addr(), ctl.CmdDump)
+		if cerr := srv.Close(); cerr != nil {
+			t.Fatal(cerr)
+		}
+		if err != nil || !strings.HasPrefix(reply, "dumped flight bundle") {
+			t.Fatalf("wackactl dump: reply %q, err %v", reply, err)
 		}
 	}
 

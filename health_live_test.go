@@ -2,15 +2,19 @@ package wackamole_test
 
 // Live health plane end to end: three real daemons on loopback UDP, each
 // with the full production wiring (tracer, HLC, metrics, health monitor),
-// stream telemetry frames to a subscribing UDP socket — the same feed
-// `wackmon -subscribe` renders. Steady state must populate the full N×N
-// suspicion matrix with zero false suspicions and a frame-derived ownership
-// map that matches the daemons' own status (the `wackactl status` ground
-// truth). An abrupt kill must drive every survivor's shadow phi over its
-// threshold at or before the fixed T-timeout detection, asserted both
-// through the monitors' counters and through the HLC-ordered trace. Run
-// under -race this also pins that monitor, publisher, tracer and protocol
-// loop may interleave freely.
+// stream telemetry frames to a subscribing UDP socket. The live questions
+// are asked through the surfaces that answer them: each daemon's
+// `wackactl status` text (ctl.FormatStatus) and its registry, which is
+// what /metrics serves. Steady state must populate the full N×N suspicion
+// matrix with zero false suspicions: every status `health:` line names both
+// peers below the threshold, the `owned:` lines cover every group exactly
+// once, and the frame-derived ownership map matches them. An abrupt kill
+// must make every survivor's `health:` line and `health_phi` series suspect
+// the victim, and drive its shadow phi over the threshold at or before the
+// fixed T-timeout detection, asserted both through the monitors' counters
+// and through the HLC-ordered trace. Run under -race this also pins that
+// monitor, publisher, tracer, scrape and protocol loop may interleave
+// freely.
 //
 // When WACK_HEALTH_DIR is set the captured frame stream is written there as
 // frames.ndjson, so the CI live job can archive it.
@@ -22,6 +26,7 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -57,8 +62,8 @@ func TestHealthLiveCluster(t *testing.T) {
 		}
 	}
 
-	// The subscriber: a plain UDP socket collecting every frame, exactly
-	// what wackmon -subscribe listens on.
+	// The subscriber: a plain UDP socket collecting every frame the
+	// daemons' `telemetry` directive would push.
 	sub, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -84,14 +89,7 @@ func TestHealthLiveCluster(t *testing.T) {
 	}()
 	subAddr := sub.LocalAddr().String()
 
-	type daemon struct {
-		node    *wackamole.Node
-		loop    *realtime.Loop
-		tracer  *obs.Tracer
-		reg     *metrics.Registry
-		cleanup func()
-	}
-	daemons := make([]*daemon, len(peers))
+	daemons := make([]*healthDaemon, len(peers))
 	defer func() {
 		for _, d := range daemons {
 			if d != nil && d.cleanup != nil {
@@ -125,7 +123,7 @@ func TestHealthLiveCluster(t *testing.T) {
 		node.SetHealth(health.NewMonitor(health.Options{
 			Node: addr, Metrics: registry, Tracer: tracer,
 		}))
-		d := &daemon{node: node, loop: loop, tracer: tracer, reg: registry, cleanup: cleanup}
+		d := &healthDaemon{node: node, loop: loop, tracer: tracer, reg: registry, cleanup: cleanup}
 		startErr := make(chan error, 1)
 		loop.Post(func() { startErr <- node.Start() })
 		if err := <-startErr; err != nil {
@@ -136,7 +134,7 @@ func TestHealthLiveCluster(t *testing.T) {
 		daemons[i] = d
 	}
 
-	status := func(d *daemon) core.Status {
+	status := func(d *healthDaemon) core.Status {
 		out := make(chan core.Status, 1)
 		d.loop.Post(func() { out <- d.node.Status() })
 		return <-out
@@ -214,10 +212,9 @@ func TestHealthLiveCluster(t *testing.T) {
 		t.Fatal("no frames captured before the kill")
 	}
 
-	// The frame-derived ownership map (what wackmon renders) must match the
-	// daemons' own status — the wackactl ground truth — VIP for VIP.
-	// Frames trail live status by up to one publish interval, so the match
-	// is awaited, not sampled once.
+	// The frame-derived ownership map must match the daemons' own status —
+	// the wackactl ground truth — VIP for VIP. Frames trail live status by
+	// up to one publish interval, so the match is awaited, not sampled once.
 	waitFor("frame ownership matching status ownership", 15*time.Second, func() bool {
 		byNode := latestByNode()
 		for i, d := range daemons {
@@ -231,12 +228,28 @@ func TestHealthLiveCluster(t *testing.T) {
 		}
 		return true
 	})
-	// The wackactl status health line renders from the same monitors.
-	for _, d := range daemons {
-		lines := make(chan string, 1)
-		d.loop.Post(func() { lines <- ctl.FormatStatus(d.node) })
-		if st := <-lines; !strings.Contains(st, "health:") || !strings.Contains(st, "phi=") {
-			t.Fatalf("status output lacks the health line:\n%s", st)
+	// Who owns each VIP, as `wackactl status` answers: every daemon's
+	// table: lines agree with the owned: lines, which cover every group
+	// exactly once.
+	var owned []string
+	waitFor("status tables agreeing with the owned: lines", 15*time.Second, func() bool {
+		var agree bool
+		owned, agree = ownership(daemons, len(groups))
+		return agree
+	})
+	coversOnce(t, "steady state", owned, groups)
+	// Who suspects whom: each health: line (one row of the N×N matrix)
+	// names both peers, neither suspected.
+	for i, d := range daemons {
+		st := d.statusText()
+		phis := healthPhis(st)
+		if len(phis) != len(peers)-1 {
+			t.Fatalf("%s: health line names %d peers, want %d:\n%s", peers[i], len(phis), len(peers)-1, st)
+		}
+		for peer, phi := range phis {
+			if peer == peers[i] || phi >= health.Threshold {
+				t.Fatalf("%s: steady-state health line has %s at phi %v:\n%s", peers[i], peer, phi, st)
+			}
 		}
 	}
 
@@ -247,6 +260,33 @@ func TestHealthLiveCluster(t *testing.T) {
 	daemons[victim].cleanup()
 	daemons[victim].cleanup = nil
 	survivors := daemons[:2]
+
+	// Before the survivors reconfigure the victim away, each one's health:
+	// line and health_phi series must suspect it. The series is scraped
+	// from this goroutine, off the daemon's loop, as /metrics would.
+	inStatus, inMetrics := make([]bool, len(survivors)), make([]bool, len(survivors))
+	suspectedEverywhere := func() bool {
+		for i := range survivors {
+			if !inStatus[i] || !inMetrics[i] {
+				return false
+			}
+		}
+		return true
+	}
+	for deadline := time.Now().Add(10 * time.Second); !suspectedEverywhere(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("survivors never suspected %s: on their health: line %v, on health_phi %v",
+				victimAddr, inStatus, inMetrics)
+		}
+		for i, d := range survivors {
+			if phi, ok := healthPhis(d.statusText())[victimAddr]; ok && phi >= health.Threshold {
+				inStatus[i] = true
+			}
+			if milli, ok := phiSeries(d.reg.Snapshot(), victimAddr); ok && milli >= health.Threshold*1000 {
+				inMetrics[i] = true
+			}
+		}
+	}
 
 	waitFor("fail-over", 15*time.Second, func() bool {
 		held := 0
@@ -312,6 +352,12 @@ func TestHealthLiveCluster(t *testing.T) {
 	if leads < 1 {
 		t.Fatal("no survivor recorded a detection lead")
 	}
+	waitFor("survivors' tables agreeing with their owned: lines", 15*time.Second, func() bool {
+		var agree bool
+		owned, agree = ownership(survivors, len(groups))
+		return agree
+	})
+	coversOnce(t, "after the fail-over", owned, groups)
 
 	// Survivors' post-kill frames converge on the reconfigured world: a
 	// 2-member view with the victim gone from the suspicion vector.
@@ -349,6 +395,114 @@ func TestHealthLiveCluster(t *testing.T) {
 	}
 	if err := out.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// healthDaemon is one real daemon of the live cluster.
+type healthDaemon struct {
+	node    *wackamole.Node
+	loop    *realtime.Loop
+	tracer  *obs.Tracer
+	reg     *metrics.Registry
+	cleanup func()
+}
+
+// statusText renders the daemon's `wackactl status` text on its loop.
+func (d *healthDaemon) statusText() string {
+	out := make(chan string, 1)
+	d.loop.Post(func() { out <- ctl.FormatStatus(d.node) })
+	return <-out
+}
+
+// ownership reads who owns each VIP off the daemons' status texts. It
+// returns every group their owned: lines name, and whether each daemon's
+// table: lines list exactly groups entries, each assigned to the member
+// whose owned: line holds it.
+func ownership(ds []*healthDaemon, groups int) (owned []string, agree bool) {
+	texts := make([]string, len(ds))
+	holder := map[string]string{}
+	for i, d := range ds {
+		texts[i] = d.statusText()
+		member := strings.Join(statusLine(texts[i], "member:"), " ")
+		for _, g := range statusLine(texts[i], "owned:") {
+			owned = append(owned, g)
+			holder[g] = member
+		}
+	}
+	for _, text := range texts {
+		table := 0
+		for _, line := range strings.Split(text, "\n") {
+			// "table:   web1         -> 127.0.0.1:24950/…"
+			if f := strings.Fields(line); len(f) == 4 && f[0] == "table:" {
+				if holder[f[1]] != f[3] {
+					return owned, false
+				}
+				table++
+			}
+		}
+		if table != groups {
+			return owned, false
+		}
+	}
+	return owned, true
+}
+
+// statusLine returns the fields of the status line that starts with key.
+func statusLine(status, key string) []string {
+	for _, line := range strings.Split(status, "\n") {
+		if rest, ok := strings.CutPrefix(line, key); ok {
+			return strings.Fields(rest)
+		}
+	}
+	return nil
+}
+
+// healthPhis parses a status health: line ("peer phi=P margin=M last=L | …
+// frames pub=N drop=N") into each peer's phi.
+func healthPhis(status string) map[string]float64 {
+	phis := map[string]float64{}
+	for _, part := range strings.Split(strings.Join(statusLine(status, "health:"), " "), " | ") {
+		fields := strings.Fields(part)
+		if len(fields) < 2 {
+			continue
+		}
+		if v, ok := strings.CutPrefix(fields[1], "phi="); ok {
+			if phi, err := strconv.ParseFloat(v, 64); err == nil {
+				phis[fields[0]] = phi
+			}
+		}
+	}
+	return phis
+}
+
+// phiSeries reads the health_phi series (milli-phi) against peer.
+func phiSeries(snap metrics.Snapshot, peer string) (float64, bool) {
+	if fam := snap.Family("health_phi"); fam != nil {
+		for _, s := range fam.Series {
+			for _, l := range s.Labels {
+				if l.Key == "peer" && l.Value == peer {
+					return s.Value, true
+				}
+			}
+		}
+	}
+	return 0, false
+}
+
+// coversOnce fails unless owned names every group exactly once.
+func coversOnce(t *testing.T, when string, owned []string, groups []core.VIPGroup) {
+	t.Helper()
+	count := map[string]int{}
+	for _, g := range owned {
+		count[g]++
+	}
+	for _, g := range groups {
+		if count[g.Name] != 1 {
+			t.Fatalf("%s: owned: lines name %s %d times, want once (owned %v)", when, g.Name, count[g.Name], owned)
+		}
+	}
+	if len(owned) != len(groups) {
+		t.Fatalf("%s: owned: lines name %v, want exactly the %d groups", when, owned, len(groups))
 	}
 }
 

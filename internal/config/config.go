@@ -91,8 +91,9 @@ type File struct {
 	FlightProfile bool
 	// Telemetry lists subscriber addresses for the live health plane: the
 	// daemon arms the observe-only phi-accrual monitor and streams one
-	// health frame per interval to each address (cmd/wackmon -subscribe).
-	// Empty disables telemetry.
+	// health frame per interval to each address; the publisher's tick is
+	// also the shadow detector's regular evaluation point. Empty disables
+	// telemetry.
 	Telemetry []string
 	// TelemetryInterval is the frame publishing period; zero means 250ms.
 	TelemetryInterval time.Duration

@@ -149,7 +149,7 @@ type Stats struct {
 
 // engineCounters are the live counters behind Stats: atomics, because
 // Stats() is polled from outside the group-event loop (administrative
-// channel, /metrics, wackmon).
+// channel, /metrics).
 type engineCounters struct {
 	acquires  atomic.Uint64
 	releases  atomic.Uint64

@@ -11,7 +11,6 @@ import (
 	"wackamole/internal/faults"
 	"wackamole/internal/flow"
 	"wackamole/internal/gcs"
-	"wackamole/internal/health"
 	"wackamole/internal/invariant"
 	"wackamole/internal/load"
 	"wackamole/internal/metrics"
@@ -170,11 +169,11 @@ type AvailabilityConfig struct {
 	// families.
 	Metrics *metrics.Registry
 	// Telemetry arms the live health plane on every server: per-peer phi
-	// monitors plus the streaming frame publisher, collected in-simulation
-	// and returned on AvailabilityResult.Frames. Web topology only (the
-	// router scenario has no wackamole.Cluster to host the collector). The
-	// publish interval is half the heartbeat interval, so every frame
-	// window sees fresh arrivals.
+	// monitors plus the streaming frame publisher, whose frames land on the
+	// trial's Cluster.TelemetryFrames. The observed bench workload arms it
+	// to price the plane. Web topology only (the router scenario has no
+	// wackamole.Cluster to host the collector). The publish interval is half
+	// the heartbeat interval, so every frame window sees fresh arrivals.
 	Telemetry bool
 }
 
@@ -272,9 +271,6 @@ type AvailabilityResult struct {
 	// Violation is the first invariant violation the trial's monitor
 	// observed (nil when monitoring was off or every oracle held).
 	Violation *invariant.Violation
-	// Frames is the health telemetry stream captured in-simulation (empty
-	// unless AvailabilityConfig.Telemetry was set).
-	Frames []health.Frame
 	// DetectionLatency is how long after the fault any surviving daemon
 	// first declared the victim failed (0 when no detection was observed —
 	// e.g. a graceful leave, or a gray shape mild enough to ride out).
@@ -468,7 +464,6 @@ func availabilityWebTrial(seed int64, cfg AvailabilityConfig) (runner.Sample, *A
 	}
 	res.FalseSuspicions = falseSuspects
 	engine.Stop()
-	res.Frames = wc.TelemetryFrames
 	sample := runner.Sample{Value: res.Interruption, Metrics: clusterMetrics(wc.Cluster)}
 	p.attach(&sample, res.Stats.GapStart, res.Stats.GapEnd, wc.Target.String())
 	// The measured window is closed; the settled-state probing (and its

@@ -89,6 +89,24 @@ func TestAvailabilityTrialRouter(t *testing.T) {
 	}
 }
 
+// TestAvailabilityTrialRouterRejectsWebOnlyOptions: the router scenario has no
+// wackamole.Cluster to host the frame collector (nor a placement policy or a
+// rolling schedule), so asking for one fails before anything runs.
+func TestAvailabilityTrialRouterRejectsWebOnlyOptions(t *testing.T) {
+	for want, arm := range map[string]func(*AvailabilityConfig){
+		"telemetry capture requires the web topology":   func(c *AvailabilityConfig) { c.Telemetry = true },
+		"the rolling fault requires the web topology":   func(c *AvailabilityConfig) { c.Fault = FaultRolling },
+		"placement selection requires the web topology": func(c *AvailabilityConfig) { c.Placement = "minimal" },
+	} {
+		cfg := quickAvailability()
+		cfg.Topology = TopologyRouter
+		arm(&cfg)
+		if _, _, err := AvailabilityTrial(1, cfg); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("error = %v, want %q", err, want)
+		}
+	}
+}
+
 func TestAvailabilityTrialGraceful(t *testing.T) {
 	cfg := quickAvailability()
 	cfg.Fault = FaultGraceful

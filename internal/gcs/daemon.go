@@ -164,8 +164,8 @@ type Daemon struct {
 
 // daemonCounters are the live activity counters. They are atomics — not
 // plain fields guarded by the callback loop — because Stats() is read from
-// outside the loop (the administrative channel, the /metrics endpoint and
-// wackmon all poll it from their own goroutines).
+// outside the loop (the administrative channel and the /metrics endpoint
+// both poll it from their own goroutines).
 type daemonCounters struct {
 	membershipsInstalled atomic.Uint64
 	reconfigurations     atomic.Uint64
@@ -438,6 +438,7 @@ func (d *Daemon) SetHealth(m *health.Monitor) {
 	// The monitor must not model the peer faster than the cadence it is
 	// guaranteed: heartbeats. Token passes still sharpen recency.
 	m.SetMinMean(d.cfg.HeartbeatInterval)
+	m.SetClock(d.env.Clock.Now)
 	d.health = m
 }
 

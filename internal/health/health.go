@@ -1,8 +1,8 @@
 // Package health is the live cluster health plane: per-peer
 // detection-quality instrumentation (inter-arrival histograms, last-heard
-// ages, observe-only phi-accrual suspicion) and a streaming telemetry
-// publisher that ships each daemon's view of the cluster to subscribers
-// such as cmd/wackmon.
+// ages, observe-only phi-accrual suspicion, served on /metrics as
+// health_phi) and a streaming telemetry publisher that ships each daemon's
+// view of the cluster to UDP subscribers.
 //
 // The phi-accrual estimator (Hayashibara et al., after the Cassandra GMS
 // lineage) is strictly observational in this layer: it runs beside the
@@ -91,7 +91,6 @@ type peerState struct {
 	suspectedAt time.Time
 	hist        [HistBuckets]uint64
 
-	gPhi     *metrics.Gauge
 	gInter   *metrics.Gauge
 	cSuspect *metrics.Counter
 }
@@ -102,6 +101,7 @@ type Monitor struct {
 	mu         sync.Mutex
 	node       string
 	minMeanNs  float64
+	now        func() time.Time // the instant a scrape evaluates health_phi at
 	tracer     *obs.Tracer
 	reg        *metrics.Registry
 	generation uint64
@@ -117,6 +117,7 @@ type Monitor struct {
 func NewMonitor(o Options) *Monitor {
 	m := &Monitor{
 		node:   o.Node,
+		now:    time.Now,
 		tracer: o.Tracer,
 		reg:    o.Metrics,
 		peers:  make(map[string]*peerState),
@@ -151,6 +152,18 @@ func (m *Monitor) SetMinMean(d time.Duration) {
 	m.mu.Unlock()
 }
 
+// SetClock sets the clock a scrape of health_phi reads the current instant
+// from (wall time until set). gcs.Daemon.SetHealth wires it to the daemon's
+// own clock, so a simulated monitor is scraped at simulated time.
+func (m *Monitor) SetClock(now func() time.Time) {
+	if m == nil {
+		return
+	}
+	m.mu.Lock()
+	m.now = now
+	m.mu.Unlock()
+}
+
 // Generation returns the membership generation of the current peer set.
 func (m *Monitor) Generation() uint64 {
 	if m == nil {
@@ -170,29 +183,40 @@ func (m *Monitor) SetPeers(generation uint64, peers []string, now time.Time) {
 	if m == nil {
 		return
 	}
+	// A new peer's series are registered before m.mu is taken: a scrape
+	// evaluates health_phi under the registry's lock and then takes m.mu.
+	// The installed map is never written once installed, so it is read
+	// here without the lock.
 	m.mu.Lock()
-	m.generation = generation
 	old := m.peers
-	m.peers = make(map[string]*peerState, len(peers))
-	m.order = m.order[:0]
+	m.mu.Unlock()
+	next := make(map[string]*peerState, len(peers))
 	for _, p := range peers {
 		ps := old[p]
 		if ps == nil {
+			labels := []metrics.Label{metrics.L("node", m.node), metrics.L("peer", p)}
 			ps = &peerState{
 				samples: make([]int64, window),
-				gPhi: m.reg.Gauge("health_phi",
-					"observe-only phi-accrual suspicion level, in milli-phi",
-					metrics.L("node", m.node), metrics.L("peer", p)),
 				gInter: m.reg.Gauge("health_interarrival_ns",
-					"most recent inter-arrival gap between signals from the peer",
-					metrics.L("node", m.node), metrics.L("peer", p)),
+					"most recent inter-arrival gap between signals from the peer", labels...),
 				cSuspect: m.reg.Counter("health_suspicions_total",
-					"shadow phi threshold crossings against the peer",
-					metrics.L("node", m.node), metrics.L("peer", p)),
+					"shadow phi threshold crossings against the peer", labels...),
 			}
+			m.reg.GaugeFunc("health_phi",
+				"observe-only phi-accrual suspicion level at scrape time, in milli-phi",
+				m.phiView(p), labels...)
 		}
+		next[p] = ps
+	}
+
+	m.mu.Lock()
+	m.generation = generation
+	m.peers = next
+	m.order = m.order[:0]
+	for _, p := range peers {
 		// Reset regardless of whether the peer carries over: the new
 		// configuration restarts its signal stream.
+		ps := next[p]
 		for i := range ps.samples {
 			ps.samples[i] = 0
 		}
@@ -200,17 +224,24 @@ func (m *Monitor) SetPeers(generation uint64, peers []string, now time.Time) {
 		ps.lastHeard = now
 		ps.suspected = false
 		ps.suspectedAt = time.Time{}
-		ps.gPhi.Set(0)
-		m.peers[p] = ps
 		m.order = append(m.order, p)
-	}
-	for p, ps := range old {
-		if m.peers[p] == nil {
-			ps.gPhi.Set(0)
-		}
 	}
 	sortStrings(m.order)
 	m.mu.Unlock()
+}
+
+// phiView is peer's health_phi series: phi evaluated when the registry is
+// read, 0 while the peer is outside the current membership.
+func (m *Monitor) phiView(peer string) func() float64 {
+	return func() float64 {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		ps := m.peers[peer]
+		if ps == nil {
+			return 0
+		}
+		return float64(PhiMilli(m.phiLocked(ps, m.now())))
+	}
 }
 
 // Observe records a signal (heartbeat, token) from peer at now. It is the
@@ -246,7 +277,6 @@ func (m *Monitor) Observe(peer string, now time.Time) {
 	if cleared {
 		ps.suspected = false
 		ps.suspectedAt = time.Time{}
-		ps.gPhi.Set(0)
 	}
 	m.mu.Unlock()
 	m.cObserve.Inc()
@@ -274,9 +304,9 @@ func (m *Monitor) Phi(peer string, now time.Time) float64 {
 }
 
 // Snapshot evaluates every peer at now and returns one row per peer, sorted
-// by peer name. Evaluation updates the health_phi gauges and emits a
-// phi-suspect trace event on each upward threshold crossing; this is the
-// periodic evaluation point (telemetry ticks, status queries).
+// by peer name. Evaluation emits a phi-suspect trace event on each upward
+// threshold crossing; this is the periodic evaluation point (telemetry
+// ticks, status queries).
 func (m *Monitor) Snapshot(now time.Time) []PeerHealth {
 	if m == nil {
 		return nil
@@ -287,7 +317,6 @@ func (m *Monitor) Snapshot(now time.Time) []PeerHealth {
 	for _, name := range m.order {
 		ps := m.peers[name]
 		phi := m.phiLocked(ps, now)
-		ps.gPhi.Set(int64(phi * 1000))
 		if phi >= Threshold && !ps.suspected {
 			ps.suspected = true
 			ps.suspectedAt = now
@@ -344,7 +373,6 @@ func (m *Monitor) Detected(peer string, now time.Time) {
 			ps.suspected = true
 			ps.suspectedAt = now
 			ps.cSuspect.Inc()
-			ps.gPhi.Set(int64(phi * 1000))
 			crossedNow = true
 		}
 	}

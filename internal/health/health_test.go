@@ -1,6 +1,8 @@
 package health
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -272,6 +274,67 @@ func TestInterarrivalHistogram(t *testing.T) {
 	if lo := time.Duration(uint64(1) << (want - 1)); lo > 100*time.Millisecond || lo < 50*time.Millisecond {
 		t.Fatalf("bucket %d lower bound %v does not cover 100ms", want, lo)
 	}
+}
+
+// TestPhiGaugeIsEvaluatedAtScrape: health_phi is a view of the estimator
+// at scrape time. A peer silent for three heartbeats reads as suspected on
+// /metrics although nothing evaluated the monitor since its last arrival.
+func TestPhiGaugeIsEvaluatedAtScrape(t *testing.T) {
+	const h = 200 * time.Millisecond
+	reg := metrics.New()
+	m := NewMonitor(Options{Node: "a", Metrics: reg})
+	m.SetMinMean(h)
+	now := feed(m, "b", h, 20)
+	m.SetClock(func() time.Time { return now })
+	scrape := func() float64 {
+		var b strings.Builder
+		if err := metrics.WritePrometheus(&b, reg.Snapshot()); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(b.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, `health_phi{node="a",peer="b"} `); ok {
+				milli, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return milli / 1000
+			}
+		}
+		t.Fatalf("no health_phi series for a->b in:\n%s", b.String())
+		return 0
+	}
+	if phi := scrape(); phi != 0 {
+		t.Fatalf("phi at the last arrival = %v, want 0", phi)
+	}
+	now = now.Add(3 * h)
+	if phi := scrape(); phi < Threshold {
+		t.Fatalf("phi after %v of silence = %v, want ≥ %v", 3*h, phi, Threshold)
+	}
+	// A peer that leaves the membership reads 0, not its last suspicion.
+	m.SetPeers(2, []string{"c"}, now)
+	if phi := scrape(); phi != 0 {
+		t.Fatalf("phi of a departed peer = %v, want 0", phi)
+	}
+}
+
+// TestScrapeDuringSetPeers: a scrape holds the registry's lock while it
+// takes the monitor's, so SetPeers must register a new peer's series
+// without holding the monitor's lock. Run under -race; a wrong order
+// deadlocks.
+func TestScrapeDuringSetPeers(t *testing.T) {
+	reg := metrics.New()
+	m := NewMonitor(Options{Node: "a", Metrics: reg})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			reg.Snapshot()
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		m.SetPeers(uint64(i), []string{"p" + strconv.Itoa(i)}, t0)
+	}
+	<-done
 }
 
 // TestObserveZeroAlloc pins the steady-state hot path: observing a known

@@ -52,9 +52,6 @@ type PeerStatus struct {
 	Suspected bool `json:"suspected"`
 }
 
-// Phi returns the suspicion level as a float.
-func (p PeerStatus) Phi() float64 { return float64(p.PhiMilli) / 1000 }
-
 // Frame is one telemetry datagram: a self-contained snapshot of how one
 // daemon sees the cluster. Fields marshal to JSON for NDJSON frame logs.
 type Frame struct {

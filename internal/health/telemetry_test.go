@@ -89,9 +89,6 @@ func TestDecodeFrameRejects(t *testing.T) {
 }
 
 func TestPeerStatusPhi(t *testing.T) {
-	if got := (PeerStatus{PhiMilli: 1500}).Phi(); got != 1.5 {
-		t.Fatalf("Phi() = %v", got)
-	}
 	if PhiMilli(-1) != 0 || PhiMilli(2.5) != 2500 || PhiMilli(1e9) != maxPhi*1000 {
 		t.Fatal("PhiMilli clamping wrong")
 	}

@@ -388,9 +388,9 @@ type family struct {
 type series struct {
 	labels []Label
 	ctr    *Counter
-	ctrFn  func() uint64 // set by CounterFunc; read in place of ctr
 	gauge  *Gauge
 	hist   *Histogram
+	fn     func() float64 // set by CounterFunc/GaugeFunc; read in place of ctr/gauge
 }
 
 // Registry holds instrument families. A nil *Registry is a valid,
@@ -456,9 +456,24 @@ func (r *Registry) CounterFunc(name, help string, fn func() uint64, labels ...La
 	if r == nil {
 		return
 	}
-	s := r.lookup(name, help, KindCounter, labels)
+	r.setFn(r.lookup(name, help, KindCounter, labels), func() float64 { return float64(fn()) })
+}
+
+// GaugeFunc registers the gauge (name, labels) as a view evaluated at
+// scrape time: every Snapshot reads it from fn, so a level that drifts
+// between updates (a suspicion that grows with silence) is never served
+// stale. fn runs under the registry lock: it must not register instruments,
+// and no lock it takes may be held by code that registers them.
+func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
+	if r == nil {
+		return
+	}
+	r.setFn(r.lookup(name, help, KindGauge, labels), fn)
+}
+
+func (r *Registry) setFn(s *series, fn func() float64) {
 	r.mu.Lock()
-	s.ctrFn = fn
+	s.fn = fn
 	r.mu.Unlock()
 }
 
@@ -527,16 +542,14 @@ func (r *Registry) Snapshot() Snapshot {
 		for _, k := range keys {
 			s := f.series[k]
 			ss := SeriesSnapshot{Labels: append([]Label(nil), s.labels...)}
-			switch f.kind {
-			case KindCounter:
-				if s.ctrFn != nil {
-					ss.Value = float64(s.ctrFn())
-				} else {
-					ss.Value = float64(s.ctr.Value())
-				}
-			case KindGauge:
+			switch {
+			case s.fn != nil:
+				ss.Value = s.fn()
+			case f.kind == KindCounter:
+				ss.Value = float64(s.ctr.Value())
+			case f.kind == KindGauge:
 				ss.Value = float64(s.gauge.Value())
-			case KindHistogram:
+			case f.kind == KindHistogram:
 				h := s.hist.Snapshot()
 				ss.Hist = &h
 			}

@@ -63,6 +63,24 @@ func TestCounterFuncReadsAtSnapshotTime(t *testing.T) {
 	disabled.Snapshot()
 }
 
+// TestGaugeFuncReadsAtSnapshotTime: a func-backed gauge is evaluated by
+// every Snapshot, negative levels included.
+func TestGaugeFuncReadsAtSnapshotTime(t *testing.T) {
+	r := New()
+	level := -2.0
+	r.GaugeFunc("phi", "suspicion", func() float64 { return level }, L("peer", "b"))
+	for _, want := range []float64{-2, 8000} {
+		level = want
+		f := r.Snapshot().Family("phi")
+		if f == nil || f.Kind != KindGauge || len(f.Series) != 1 || f.Series[0].Value != want {
+			t.Fatalf("family = %+v, want one gauge series at %v", f, want)
+		}
+	}
+	var disabled *Registry
+	disabled.GaugeFunc("phi", "", func() float64 { t.Fatal("read through a nil registry"); return 0 })
+	disabled.Snapshot()
+}
+
 func TestKindMismatchPanics(t *testing.T) {
 	r := New()
 	r.Counter("x_total", "")

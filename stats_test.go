@@ -12,8 +12,8 @@ import (
 // TestStatsConcurrentReadsDuringViewChange polls every node's daemon and
 // engine counters from dedicated goroutines while the simulation drives a
 // fail-over (membership change, state exchange, reallocation). Stats() is
-// documented as safe from any goroutine — the administrative channel, the
-// /metrics endpoint and wackmon all read it off-loop — so this test exists
+// documented as safe from any goroutine — the administrative channel and the
+// /metrics endpoint both read it off-loop — so this test exists
 // to fail under -race if the counters ever regress to unsynchronized fields.
 func TestStatsConcurrentReadsDuringViewChange(t *testing.T) {
 	c := newCluster(t, wackamole.ClusterOptions{Seed: 7, Servers: 4, VIPs: 8})

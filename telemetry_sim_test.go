@@ -59,7 +59,7 @@ func TestClusterTelemetry(t *testing.T) {
 			t.Fatalf("node %s suspicion vector has %d entries, want 2: %+v", node, len(f.Peers), f)
 		}
 		for _, p := range f.Peers {
-			if p.Suspected || p.Phi() >= health.Threshold {
+			if p.Suspected || p.PhiMilli >= health.PhiMilli(health.Threshold) {
 				t.Fatalf("steady-state false suspicion: %s -> %+v", node, p)
 			}
 			if p.Samples == 0 {
