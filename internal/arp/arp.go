@@ -37,16 +37,16 @@ func (o Op) String() string {
 	}
 }
 
-// PacketLen is the size of an Ethernet/IPv4 ARP payload.
-const PacketLen = 28
+// packetLen is the size of an Ethernet/IPv4 ARP payload.
+const packetLen = 28
 
 const (
 	htypeEthernet = 1
 	ptypeIPv4     = 0x0800
 )
 
-// ErrMalformed reports an undecodable ARP payload.
-var ErrMalformed = errors.New("arp: malformed packet")
+// errMalformed reports an undecodable ARP payload.
+var errMalformed = errors.New("arp: malformed packet")
 
 // Packet is an Ethernet/IPv4 ARP payload.
 type Packet struct {
@@ -69,7 +69,7 @@ func (p Packet) Encode() ([]byte, error) {
 	if !p.SenderIP.Is4() || !p.TargetIP.Is4() {
 		return nil, fmt.Errorf("arp: encode: addresses must be IPv4 (sender %v, target %v)", p.SenderIP, p.TargetIP)
 	}
-	b := make([]byte, PacketLen)
+	b := make([]byte, packetLen)
 	binary.BigEndian.PutUint16(b[0:2], htypeEthernet)
 	binary.BigEndian.PutUint16(b[2:4], ptypeIPv4)
 	b[4] = 6 // hardware address length
@@ -86,13 +86,13 @@ func (p Packet) Encode() ([]byte, error) {
 
 // Decode parses a 28-byte RFC 826 Ethernet/IPv4 ARP payload.
 func Decode(b []byte) (Packet, error) {
-	if len(b) < PacketLen {
-		return Packet{}, fmt.Errorf("%w: %d bytes", ErrMalformed, len(b))
+	if len(b) < packetLen {
+		return Packet{}, fmt.Errorf("%w: %d bytes", errMalformed, len(b))
 	}
 	if binary.BigEndian.Uint16(b[0:2]) != htypeEthernet ||
 		binary.BigEndian.Uint16(b[2:4]) != ptypeIPv4 ||
 		b[4] != 6 || b[5] != 4 {
-		return Packet{}, fmt.Errorf("%w: not Ethernet/IPv4", ErrMalformed)
+		return Packet{}, fmt.Errorf("%w: not Ethernet/IPv4", errMalformed)
 	}
 	var p Packet
 	p.Op = Op(binary.BigEndian.Uint16(b[6:8]))

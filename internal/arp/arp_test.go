@@ -21,8 +21,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(b) != PacketLen {
-		t.Fatalf("encoded length = %d, want %d", len(b), PacketLen)
+	if len(b) != packetLen {
+		t.Fatalf("encoded length = %d, want %d", len(b), packetLen)
 	}
 	got, err := Decode(b)
 	if err != nil {
@@ -72,13 +72,13 @@ func TestEncodeRejectsIPv6(t *testing.T) {
 }
 
 func TestDecodeRejectsShortAndForeign(t *testing.T) {
-	if _, err := Decode(make([]byte, 10)); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("short decode err = %v, want ErrMalformed", err)
+	if _, err := Decode(make([]byte, 10)); !errors.Is(err, errMalformed) {
+		t.Fatalf("short decode err = %v, want errMalformed", err)
 	}
-	b := make([]byte, PacketLen)
+	b := make([]byte, packetLen)
 	b[0], b[1] = 0x00, 0x06 // IEEE 802 hardware type, not Ethernet
-	if _, err := Decode(b); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("foreign htype err = %v, want ErrMalformed", err)
+	if _, err := Decode(b); !errors.Is(err, errMalformed) {
+		t.Fatalf("foreign htype err = %v, want errMalformed", err)
 	}
 }
 

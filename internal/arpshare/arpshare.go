@@ -31,15 +31,15 @@ import (
 // the main Wackamole group so the two wire protocols never mix.
 const group = "wackamole-arp"
 
-// DefaultInterval separates cache announcements.
-const DefaultInterval = 10 * time.Second
+// defaultInterval separates cache announcements.
+const defaultInterval = 10 * time.Second
 
 // holdTime is how long an entry not re-announced lives before it is
 // garbage-collected.
 const holdTime = 60 * time.Second
 
-// ClientName is the sharer's client name on the local daemon.
-const ClientName = "arpshare"
+// clientName is the sharer's client name on the local daemon.
+const clientName = "arpshare"
 
 // Config parameterizes a Sharer.
 type Config struct {
@@ -49,7 +49,7 @@ type Config struct {
 
 func (c Config) interval() time.Duration {
 	if c.Interval <= 0 {
-		return DefaultInterval
+		return defaultInterval
 	}
 	return c.Interval
 }
@@ -80,7 +80,7 @@ type Sharer struct {
 // New connects a sharer to the host's local daemon. Call Start to begin
 // sharing.
 func New(host *netsim.Host, daemon *gcs.Daemon, cfg Config) (*Sharer, error) {
-	sess, err := daemon.Connect(ClientName)
+	sess, err := daemon.Connect(clientName)
 	if err != nil {
 		return nil, fmt.Errorf("arpshare: %w", err)
 	}
