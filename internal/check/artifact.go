@@ -70,8 +70,8 @@ func NewArtifact(rep *Report, opts Options, shrinkIterations int) Artifact {
 	}
 }
 
-// RunOptions reconstructs execution options from the artifact.
-func (a Artifact) RunOptions() (Options, error) {
+// runOptions reconstructs execution options from the artifact.
+func (a Artifact) runOptions() (Options, error) {
 	mut, err := ParseMutation(a.Options.Mutation)
 	if err != nil {
 		return Options{}, err
@@ -122,7 +122,7 @@ func WriteTrace(w io.Writer, rep *Report) error {
 // time). The simulation is deterministic, so a faithful artifact always
 // matches.
 func Replay(a Artifact) (*Report, bool, error) {
-	opts, err := a.RunOptions()
+	opts, err := a.runOptions()
 	if err != nil {
 		return nil, false, err
 	}

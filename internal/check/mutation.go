@@ -21,16 +21,12 @@ type Mutation interface {
 	wrap(i int, b ipmgr.Backend) ipmgr.Backend
 }
 
-// KeepOnRelease returns a mutation under which the given server silently
+// keepOnRelease is a mutation under which the given server silently
 // ignores every address release: the engine believes the balance or
 // conflict-resolution release succeeded, but the interface keeps answering
 // for the address. This breaks the paper's balance rule in exactly the way
 // a buggy per-OS ifconfig layer would, and must be caught by the
 // exactly-once oracle.
-func KeepOnRelease(server int) Mutation {
-	return keepOnRelease{server: server}
-}
-
 type keepOnRelease struct{ server int }
 
 func (m keepOnRelease) String() string { return fmt.Sprintf("keep-on-release:%d", m.server) }
@@ -60,7 +56,7 @@ func ParseMutation(s string) (Mutation, error) {
 		if err != nil || i < 0 {
 			return nil, fmt.Errorf("check: mutation %q needs a server index", s)
 		}
-		return KeepOnRelease(i), nil
+		return keepOnRelease{server: i}, nil
 	default:
 		return nil, fmt.Errorf("check: unknown mutation %q", s)
 	}
