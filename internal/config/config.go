@@ -112,8 +112,8 @@ type File struct {
 	Placement string
 }
 
-// Parse reads a configuration from r.
-func Parse(r io.Reader) (*File, error) {
+// parse reads a configuration from r.
+func parse(r io.Reader) (*File, error) {
 	f := &File{
 		GCS:    gcs.DefaultConfig(),
 		DryRun: true,
@@ -343,7 +343,7 @@ func ParseFile(path string) (*File, error) {
 			err = cerr
 		}
 	}()
-	return Parse(fh)
+	return parse(fh)
 }
 
 // NodeConfig converts the file into a wackamole.Config. The placement
@@ -352,7 +352,7 @@ func ParseFile(path string) (*File, error) {
 func (f *File) NodeConfig() wackamole.Config {
 	placer, err := placement.New(f.Placement)
 	if err != nil {
-		placer = placement.NewLeastLoaded() // unreachable: Parse validated the name
+		placer = placement.NewLeastLoaded() // unreachable: parse validated the name
 	}
 	return wackamole.Config{
 		Group: f.Group,

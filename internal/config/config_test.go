@@ -29,7 +29,7 @@ vip vrouter 198.51.100.1 10.1.0.1   # indivisible set
 `
 
 func TestParseSample(t *testing.T) {
-	f, err := Parse(strings.NewReader(sample))
+	f, err := parse(strings.NewReader(sample))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ heartbeat 1s
 discovery 4s
 vip v 10.0.0.1
 `
-	f, err := Parse(strings.NewReader(cfg))
+	f, err := parse(strings.NewReader(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestParseErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := Parse(strings.NewReader(tc.cfg)); err == nil {
+			if _, err := parse(strings.NewReader(tc.cfg)); err == nil {
 				t.Fatalf("accepted:\n%s", tc.cfg)
 			}
 		})
@@ -108,7 +108,7 @@ func TestParseErrors(t *testing.T) {
 
 func TestCommentsAndBlankLines(t *testing.T) {
 	cfg := "\n\n# only comments\nbind a:1 # trailing\npeers a:1\nvip v 10.0.0.1\n"
-	f, err := Parse(strings.NewReader(cfg))
+	f, err := parse(strings.NewReader(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,21 +119,21 @@ func TestCommentsAndBlankLines(t *testing.T) {
 
 func TestRepresentativeDecisionsDirective(t *testing.T) {
 	cfg := "bind a:1\npeers a:1\nrepresentative_decisions true\nvip v 10.0.0.1\n"
-	f, err := Parse(strings.NewReader(cfg))
+	f, err := parse(strings.NewReader(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !f.RepresentativeDecisions || !f.NodeConfig().Engine.RepresentativeDecisions {
 		t.Fatal("representative_decisions not propagated")
 	}
-	if _, err := Parse(strings.NewReader("bind a:1\npeers a:1\nrepresentative_decisions sure\nvip v 10.0.0.1\n")); err == nil {
+	if _, err := parse(strings.NewReader("bind a:1\npeers a:1\nrepresentative_decisions sure\nvip v 10.0.0.1\n")); err == nil {
 		t.Fatal("bad boolean accepted")
 	}
 }
 
 func TestPlacementDirective(t *testing.T) {
 	cfg := "bind a:1\npeers a:1\nplacement minimal\nvip v 10.0.0.1\n"
-	f, err := Parse(strings.NewReader(cfg))
+	f, err := parse(strings.NewReader(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,21 +144,21 @@ func TestPlacementDirective(t *testing.T) {
 		t.Fatalf("NodeConfig placer: %q", got)
 	}
 	// Default (no directive) is the paper's least-loaded rule.
-	f, err = Parse(strings.NewReader("bind a:1\npeers a:1\nvip v 10.0.0.1\n"))
+	f, err = parse(strings.NewReader("bind a:1\npeers a:1\nvip v 10.0.0.1\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := f.NodeConfig().Engine.Placer.Name(); got != placement.NameLeastLoaded {
 		t.Fatalf("default placer: %q", got)
 	}
-	if _, err := Parse(strings.NewReader("bind a:1\npeers a:1\nplacement random\nvip v 10.0.0.1\n")); err == nil {
+	if _, err := parse(strings.NewReader("bind a:1\npeers a:1\nplacement random\nvip v 10.0.0.1\n")); err == nil {
 		t.Fatal("unknown placement policy accepted")
 	}
 }
 
 func TestTelemetryDirectives(t *testing.T) {
 	cfg := "bind a:1\npeers a:1\ntelemetry 127.0.0.1:4810 127.0.0.1:4811\ntelemetry_interval 100ms\nvip v 10.0.0.1\n"
-	f, err := Parse(strings.NewReader(cfg))
+	f, err := parse(strings.NewReader(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,31 +168,31 @@ func TestTelemetryDirectives(t *testing.T) {
 	if f.TelemetryInterval != 100*time.Millisecond {
 		t.Fatalf("telemetry_interval: %v", f.TelemetryInterval)
 	}
-	if _, err := Parse(strings.NewReader("bind a:1\npeers a:1\ntelemetry\nvip v 10.0.0.1\n")); err == nil {
+	if _, err := parse(strings.NewReader("bind a:1\npeers a:1\ntelemetry\nvip v 10.0.0.1\n")); err == nil {
 		t.Fatal("telemetry with no subscribers accepted")
 	}
-	if _, err := Parse(strings.NewReader("bind a:1\npeers a:1\ntelemetry_interval soon\nvip v 10.0.0.1\n")); err == nil {
+	if _, err := parse(strings.NewReader("bind a:1\npeers a:1\ntelemetry_interval soon\nvip v 10.0.0.1\n")); err == nil {
 		t.Fatal("bad telemetry_interval accepted")
 	}
 }
 
 func TestDetectorDirective(t *testing.T) {
 	cfg := "bind a:1\npeers a:1\ntimeouts tuned\ndetector phi\nvip v 10.0.0.1\n"
-	f, err := Parse(strings.NewReader(cfg))
+	f, err := parse(strings.NewReader(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f.GCS.Detector != gcs.DetectorPhi {
 		t.Fatalf("detector phi not applied: %+v", f.GCS)
 	}
-	f, err = Parse(strings.NewReader("bind a:1\npeers a:1\ndetector fixed\nvip v 10.0.0.1\n"))
+	f, err = parse(strings.NewReader("bind a:1\npeers a:1\ndetector fixed\nvip v 10.0.0.1\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f.GCS.Detector != gcs.DetectorFixed {
 		t.Fatalf("detector fixed not applied: %+v", f.GCS)
 	}
-	if _, err := Parse(strings.NewReader("bind a:1\npeers a:1\ndetector chi\nvip v 10.0.0.1\n")); err == nil {
+	if _, err := parse(strings.NewReader("bind a:1\npeers a:1\ndetector chi\nvip v 10.0.0.1\n")); err == nil {
 		t.Fatal("unknown detector accepted")
 	}
 }
@@ -204,7 +204,7 @@ func TestParseFileMissing(t *testing.T) {
 }
 
 func TestDefaultsWhenUnspecified(t *testing.T) {
-	f, err := Parse(strings.NewReader("bind a:1\npeers a:1\nvip v 10.0.0.1\n"))
+	f, err := parse(strings.NewReader("bind a:1\npeers a:1\nvip v 10.0.0.1\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,8 +229,8 @@ func TestExampleConfigParses(t *testing.T) {
 	}
 }
 
-// FuzzParse feeds arbitrary files to Parse, seeded with the example in the
-// package documentation and wackamole.conf.example. Parse must never panic,
+// FuzzParse feeds arbitrary files to parse, seeded with the example in the
+// package documentation and wackamole.conf.example. parse must never panic,
 // and a file it accepts must give a node configuration that both protocol
 // layers accept.
 func FuzzParse(f *testing.F) {
@@ -252,7 +252,7 @@ func FuzzParse(f *testing.F) {
 	f.Add(string(example))
 	f.Add(sample)
 	f.Fuzz(func(t *testing.T, in string) {
-		file, err := Parse(strings.NewReader(in))
+		file, err := parse(strings.NewReader(in))
 		if err != nil {
 			return
 		}
