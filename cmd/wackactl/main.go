@@ -8,7 +8,7 @@
 //	wackactl -control 127.0.0.1:4804 dump
 //
 // drain departs the node gracefully (the remaining members reallocate its
-// addresses; `leave` is a synonym) while the daemon keeps running; join
+// addresses) while the daemon keeps running; join
 // re-admits a drained node — it restarts the §3.4 maturity bootstrap and the
 // configured placement policy decides how much load moves back. Together
 // they are the rolling-restart primitive: drain, do maintenance, join.

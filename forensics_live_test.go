@@ -220,7 +220,7 @@ func TestForensicsLiveCluster(t *testing.T) {
 			t.Fatal(err)
 		}
 		srv.SetRecorder(d.recorder)
-		reply, err := ctl.Send(srv.Addr(), ctl.CmdDump)
+		reply, err := ctl.Send(srv.Addr(), "dump")
 		if cerr := srv.Close(); cerr != nil {
 			t.Fatal(cerr)
 		}

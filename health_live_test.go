@@ -4,11 +4,12 @@ package wackamole_test
 // with the full production wiring (tracer, HLC, metrics, health monitor),
 // stream telemetry frames to a subscribing UDP socket. The live questions
 // are asked through the surfaces that answer them: each daemon's
-// `wackactl status` text (ctl.FormatStatus) and its registry, which is
-// what /metrics serves. Steady state must populate the full N×N suspicion
-// matrix with zero false suspicions: every status `health:` line names both
-// peers below the threshold, the `owned:` lines cover every group exactly
-// once, and the frame-derived ownership map matches them. An abrupt kill
+// `wackactl status` text, asked over its control channel, and its
+// registry, which is what /metrics serves. Steady state must populate the
+// full N×N suspicion matrix with zero false suspicions: every status
+// `health:` line names both peers below the threshold, the `owned:` lines
+// cover every group exactly once, and the frame-derived ownership map
+// matches them. An abrupt kill
 // must make every survivor's `health:` line and `health_phi` series suspect
 // the victim, and drive its shadow phi over the threshold at or before the
 // fixed T-timeout detection, asserted both through the monitors' counters
@@ -123,11 +124,17 @@ func TestHealthLiveCluster(t *testing.T) {
 		node.SetHealth(health.NewMonitor(health.Options{
 			Node: addr, Metrics: registry, Tracer: tracer,
 		}))
-		d := &healthDaemon{node: node, loop: loop, tracer: tracer, reg: registry, cleanup: cleanup}
+		srv, err := ctl.Serve("127.0.0.1:0", loop, node)
+		if err != nil {
+			cleanup()
+			t.Fatal(err)
+		}
+		stop := func() { _ = srv.Close(); cleanup() }
+		d := &healthDaemon{node: node, loop: loop, tracer: tracer, reg: registry, control: srv.Addr(), cleanup: stop}
 		startErr := make(chan error, 1)
 		loop.Post(func() { startErr <- node.Start() })
 		if err := <-startErr; err != nil {
-			cleanup()
+			stop()
 			t.Fatal(err)
 		}
 		loop.Post(func() { node.StartTelemetry(100*time.Millisecond, []string{subAddr}) })
@@ -404,14 +411,18 @@ type healthDaemon struct {
 	loop    *realtime.Loop
 	tracer  *obs.Tracer
 	reg     *metrics.Registry
+	control string // the control channel's address
 	cleanup func()
 }
 
-// statusText renders the daemon's `wackactl status` text on its loop.
+// statusText asks the daemon's control channel for its status, as
+// `wackactl status` does; a failed request reads as an error line.
 func (d *healthDaemon) statusText() string {
-	out := make(chan string, 1)
-	d.loop.Post(func() { out <- ctl.FormatStatus(d.node) })
-	return <-out
+	reply, err := ctl.Send(d.control, ctl.CmdStatus)
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	return reply
 }
 
 // ownership reads who owns each VIP off the daemons' status texts. It

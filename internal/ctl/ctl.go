@@ -23,12 +23,11 @@ import (
 // Commands understood by the server.
 const (
 	CmdStatus  = "status"
-	CmdBalance = "balance"
-	CmdJoin    = "join"
-	CmdDrain   = "drain"
-	CmdLeave   = "leave" // synonym for drain, kept for compatibility
-	CmdDump    = "dump"
-	CmdHelp    = "help"
+	cmdBalance = "balance"
+	cmdJoin    = "join"
+	cmdDrain   = "drain"
+	cmdDump    = "dump"
+	cmdHelp    = "help"
 )
 
 // Server answers control commands, executing node operations on its loop so
@@ -86,14 +85,13 @@ func (s *Server) handle(conn net.Conn) {
 	if err != nil && line == "" {
 		return
 	}
-	reply := s.Execute(strings.TrimSpace(line))
+	reply := s.execute(strings.TrimSpace(line))
 	_, _ = conn.Write([]byte(reply))
 }
 
-// Execute runs one command on the node's loop and returns its response.
-// Exposed for testing and for embedding in other frontends.
-func (s *Server) Execute(cmd string) string {
-	if cmd == CmdDump {
+// execute runs one command on the node's loop and returns its response.
+func (s *Server) execute(cmd string) string {
+	if cmd == cmdDump {
 		// Deliberately NOT posted to the node loop: a dump is file I/O
 		// (potentially slow disk) and the recorder is safe from any
 		// goroutine — the whole point of the flight recorder is to work
@@ -124,31 +122,31 @@ func (s *Server) dump() string {
 func (s *Server) run(cmd string) string {
 	switch cmd {
 	case CmdStatus:
-		return FormatStatus(s.node)
-	case CmdBalance:
+		return formatStatus(s.node)
+	case cmdBalance:
 		if err := s.node.Engine().TriggerBalance(); err != nil {
 			return fmt.Sprintf("error: %v\n", err)
 		}
 		return "balance triggered\n"
-	case CmdDrain, CmdLeave:
+	case cmdDrain:
 		if err := s.node.LeaveService(); err != nil {
 			return fmt.Sprintf("error: %v\n", err)
 		}
 		return "left service; addresses released\n"
-	case CmdJoin:
+	case cmdJoin:
 		if err := s.node.JoinService(); err != nil {
 			return fmt.Sprintf("error: %v\n", err)
 		}
 		return "rejoining; maturity bootstrap restarted\n"
-	case CmdHelp, "":
-		return "commands: status | balance | join | drain | leave | dump | help\n"
+	case cmdHelp, "":
+		return "commands: status | balance | join | drain | dump | help\n"
 	default:
 		return fmt.Sprintf("error: unknown command %q (try help)\n", cmd)
 	}
 }
 
-// FormatStatus renders a node snapshot as the status response.
-func FormatStatus(node *wackamole.Node) string {
+// formatStatus renders a node snapshot as the status response.
+func formatStatus(node *wackamole.Node) string {
 	st := node.Status()
 	var b strings.Builder
 	fmt.Fprintf(&b, "member:  %s\n", node.Member())

@@ -94,7 +94,7 @@ func TestControlChannelEndToEnd(t *testing.T) {
 		time.Sleep(100 * time.Millisecond)
 	}
 
-	reply, err := Send(srv.Addr(), CmdHelp)
+	reply, err := Send(srv.Addr(), cmdHelp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestControlChannelEndToEnd(t *testing.T) {
 		t.Fatalf("help reply: %q", reply)
 	}
 
-	reply, err = Send(srv.Addr(), CmdBalance)
+	reply, err = Send(srv.Addr(), cmdBalance)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,38 +110,41 @@ func TestControlChannelEndToEnd(t *testing.T) {
 		t.Fatalf("balance reply: %q", reply)
 	}
 
-	reply, err = Send(srv.Addr(), "bogus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(reply, "unknown command") {
-		t.Fatalf("bogus reply: %q", reply)
+	// "leave" was once a synonym for drain; drain is the one command now.
+	for _, cmd := range []string{"bogus", "leave"} {
+		reply, err = Send(srv.Addr(), cmd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(reply, "unknown command") {
+			t.Fatalf("%s reply: %q", cmd, reply)
+		}
 	}
 
-	reply, err = Send(srv.Addr(), CmdLeave)
+	reply, err = Send(srv.Addr(), cmdDrain)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(reply, "left service") {
-		t.Fatalf("leave reply: %q", reply)
+		t.Fatalf("drain reply: %q", reply)
 	}
 	reply, err = Send(srv.Addr(), CmdStatus)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(reply, "state:   detached") {
-		t.Fatalf("post-leave status:\n%s", reply)
+		t.Fatalf("post-drain status:\n%s", reply)
 	}
 
 	// Drained twice is an error; join re-admits and the singleton re-forms.
-	reply, err = Send(srv.Addr(), CmdDrain)
+	reply, err = Send(srv.Addr(), cmdDrain)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(reply, "error:") {
 		t.Fatalf("double drain reply: %q", reply)
 	}
-	reply, err = Send(srv.Addr(), CmdJoin)
+	reply, err = Send(srv.Addr(), cmdJoin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +165,7 @@ func TestControlChannelEndToEnd(t *testing.T) {
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
-	reply, err = Send(srv.Addr(), CmdJoin)
+	reply, err = Send(srv.Addr(), cmdJoin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +182,7 @@ func TestSendConnectionRefused(t *testing.T) {
 
 func TestFormatStatusListsUncovered(t *testing.T) {
 	node, _ := liveNode(t)
-	out := FormatStatus(node)
+	out := formatStatus(node)
 	if !strings.Contains(out, "member:") || !strings.Contains(out, "state:") {
 		t.Fatalf("status output:\n%s", out)
 	}
@@ -195,13 +198,13 @@ func TestFormatStatusListsUncovered(t *testing.T) {
 // confirm which regime a node runs without reading its config file.
 func TestFormatStatusReportsDetector(t *testing.T) {
 	fixed, _ := liveNode(t)
-	out := FormatStatus(fixed)
+	out := formatStatus(fixed)
 	if !strings.Contains(out, "detect:  fixed (T=500ms)") {
 		t.Fatalf("status output missing fixed detector line:\n%s", out)
 	}
 
 	phi, _ := liveNode(t, func(c *gcs.Config) { c.Detector = gcs.DetectorPhi })
-	out = FormatStatus(phi)
+	out = formatStatus(phi)
 	if !strings.Contains(out, "detect:  phi (threshold 8.0, floor T=500ms)") {
 		t.Fatalf("status output missing phi detector line:\n%s", out)
 	}
@@ -224,7 +227,7 @@ func TestFormatStatusLatencySummary(t *testing.T) {
 		time.Sleep(100 * time.Millisecond)
 	}
 
-	out := FormatStatus(node)
+	out := formatStatus(node)
 	if !strings.Contains(out, "latency: rotation p50=") || !strings.Contains(out, "delivery p99=") {
 		t.Fatalf("status output missing latency summary:\n%s", out)
 	}
