@@ -10,10 +10,10 @@ import (
 	"wackamole/internal/netsim"
 )
 
-// ARPSpoofTrial measures the fail-over interruption with and without the
+// arpSpoofTrial measures the fail-over interruption with and without the
 // §5.1 gratuitous-ARP notification. Without it, the router keeps forwarding
 // to the failed server's MAC until its ARP cache entry expires (ttl).
-func ARPSpoofTrial(seed int64, spoof bool, ttl time.Duration) (runner.Sample, error) {
+func arpSpoofTrial(seed int64, spoof bool, ttl time.Duration) (runner.Sample, error) {
 	cfg := gcs.TunedConfig()
 	wc, err := NewWebCluster(seed, 4, cfg, func(o *wackamole.ClusterOptions) {
 		o.DisableARPSpoof = !spoof
@@ -38,11 +38,11 @@ func ARPSpoofTrial(seed int64, spoof bool, ttl time.Duration) (runner.Sample, er
 	return runner.Sample{Value: gap.Duration(), Metrics: clusterMetrics(wc.Cluster)}, nil
 }
 
-// ConflictReleaseTrial integrates the amount of duplicate coverage
+// conflictReleaseTrial integrates the amount of duplicate coverage
 // (address-seconds during which a virtual address is answerable on both
 // sides of a healed partition) for the eager release of §3.4 versus the
 // lazy variant that waits for GATHER to complete.
-func ConflictReleaseTrial(seed int64, lazy bool) (runner.Sample, error) {
+func conflictReleaseTrial(seed int64, lazy bool) (runner.Sample, error) {
 	// A congested-LAN latency profile spreads the STATE_MSG exchange over a
 	// measurable window; on a quiet LAN both variants resolve within one
 	// token rotation and the difference drowns in the (identical)
@@ -76,10 +76,10 @@ func ConflictReleaseTrial(seed int64, lazy bool) (runner.Sample, error) {
 	return runner.Sample{Value: duplicate, Metrics: clusterMetrics(c)}, nil
 }
 
-// BalanceChurnTrial puts the cluster through fail/restore churn and
+// balanceChurnTrial puts the cluster through fail/restore churn and
 // reports the final allocation skew (max−min addresses per live server),
 // with or without the §3.4 re-balancing procedure.
-func BalanceChurnTrial(seed int64, disabled bool) (runner.Sample, error) {
+func balanceChurnTrial(seed int64, disabled bool) (runner.Sample, error) {
 	c, err := wackamole.NewCluster(wackamole.ClusterOptions{
 		Seed:           seed,
 		Servers:        4,
@@ -113,11 +113,11 @@ func BalanceChurnTrial(seed int64, disabled bool) (runner.Sample, error) {
 	return runner.Sample{Value: time.Duration(maxC-minC) * time.Second, Metrics: clusterMetrics(c)}, nil
 }
 
-// MaturityBootTrial boots a cluster one server every two seconds and counts
+// maturityBootTrial boots a cluster one server every two seconds and counts
 // address movements (releases) during the boot window — the churn the §3.4
 // maturity bootstrap exists to avoid. Re-balancing runs aggressively, as a
 // production cluster would configure for steady state.
-func MaturityBootTrial(seed int64, bootstrap bool) (runner.Sample, error) {
+func maturityBootTrial(seed int64, bootstrap bool) (runner.Sample, error) {
 	c, err := wackamole.NewCluster(wackamole.ClusterOptions{
 		Seed:           seed,
 		Servers:        5,
@@ -164,21 +164,21 @@ var ablations = Experiment{
 			f                           runner.Trial
 		}{
 			{"arp-spoofing (§5.1)", "spoof on", "client interruption",
-				func(s int64) (runner.Sample, error) { return ARPSpoofTrial(s, true, ttl) }},
+				func(s int64) (runner.Sample, error) { return arpSpoofTrial(s, true, ttl) }},
 			{"arp-spoofing (§5.1)", "spoof off (30s ARP TTL)", "client interruption",
-				func(s int64) (runner.Sample, error) { return ARPSpoofTrial(s, false, ttl) }},
+				func(s int64) (runner.Sample, error) { return arpSpoofTrial(s, false, ttl) }},
 			{"conflict release (§3.4)", "eager", "duplicate coverage (addr·time)",
-				func(s int64) (runner.Sample, error) { return ConflictReleaseTrial(s, false) }},
+				func(s int64) (runner.Sample, error) { return conflictReleaseTrial(s, false) }},
 			{"conflict release (§3.4)", "lazy (end of GATHER)", "duplicate coverage (addr·time)",
-				func(s int64) (runner.Sample, error) { return ConflictReleaseTrial(s, true) }},
+				func(s int64) (runner.Sample, error) { return conflictReleaseTrial(s, true) }},
 			{"re-balancing (§3.4)", "enabled", "allocation skew (addresses)",
-				func(s int64) (runner.Sample, error) { return BalanceChurnTrial(s, false) }},
+				func(s int64) (runner.Sample, error) { return balanceChurnTrial(s, false) }},
 			{"re-balancing (§3.4)", "disabled", "allocation skew (addresses)",
-				func(s int64) (runner.Sample, error) { return BalanceChurnTrial(s, true) }},
+				func(s int64) (runner.Sample, error) { return balanceChurnTrial(s, true) }},
 			{"maturity bootstrap (§3.4)", "enabled", "boot-time address movements",
-				func(s int64) (runner.Sample, error) { return MaturityBootTrial(s, true) }},
+				func(s int64) (runner.Sample, error) { return maturityBootTrial(s, true) }},
 			{"maturity bootstrap (§3.4)", "disabled", "boot-time address movements",
-				func(s int64) (runner.Sample, error) { return MaturityBootTrial(s, false) }},
+				func(s int64) (runner.Sample, error) { return maturityBootTrial(s, false) }},
 		} {
 			points = append(points, Point{
 				Label: st.experiment + "/" + st.variant,
@@ -191,7 +191,7 @@ var ablations = Experiment{
 	},
 	Render: rowTable([]string{"experiment", "variant", "metric", "mean", "min", "max"},
 		func(r Row) []string {
-			format := Seconds
+			format := seconds
 			if r.Unit == "allocation skew (addresses)" || r.Unit == "boot-time address movements" {
 				format = func(d time.Duration) string { return fmt.Sprintf("%.1f", d.Seconds()) }
 			}

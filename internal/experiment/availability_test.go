@@ -67,8 +67,8 @@ func TestAvailabilityTrialWebTakeover(t *testing.T) {
 
 func TestAvailabilityTrialRouter(t *testing.T) {
 	cfg := quickAvailability()
-	cfg.Topology = TopologyRouter
-	cfg.Fault = FaultCrash
+	cfg.Topology = topologyRouter
+	cfg.Fault = faultCrash
 	_, res, err := AvailabilityTrial(2, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -95,11 +95,11 @@ func TestAvailabilityTrialRouter(t *testing.T) {
 func TestAvailabilityTrialRouterRejectsWebOnlyOptions(t *testing.T) {
 	for want, arm := range map[string]func(*AvailabilityConfig){
 		"telemetry capture requires the web topology":   func(c *AvailabilityConfig) { c.Telemetry = true },
-		"the rolling fault requires the web topology":   func(c *AvailabilityConfig) { c.Fault = FaultRolling },
+		"the rolling fault requires the web topology":   func(c *AvailabilityConfig) { c.Fault = faultRolling },
 		"placement selection requires the web topology": func(c *AvailabilityConfig) { c.Placement = "minimal" },
 	} {
 		cfg := quickAvailability()
-		cfg.Topology = TopologyRouter
+		cfg.Topology = topologyRouter
 		arm(&cfg)
 		if _, _, err := AvailabilityTrial(1, cfg); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("error = %v, want %q", err, want)
@@ -109,7 +109,7 @@ func TestAvailabilityTrialRouterRejectsWebOnlyOptions(t *testing.T) {
 
 func TestAvailabilityTrialGraceful(t *testing.T) {
 	cfg := quickAvailability()
-	cfg.Fault = FaultGraceful
+	cfg.Fault = faultGraceful
 	_, res, err := AvailabilityTrial(3, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func TestAvailabilityTrialRolling(t *testing.T) {
 	for _, pol := range []string{"least-loaded", "minimal"} {
 		t.Run(pol, func(t *testing.T) {
 			cfg := quickAvailability()
-			cfg.Fault = FaultRolling
+			cfg.Fault = faultRolling
 			cfg.Placement = pol
 			cfg.Servers = 3
 			cfg.Invariants = true
@@ -181,7 +181,7 @@ func TestRollingChurnVersusGoodput(t *testing.T) {
 			Clients:    200,
 			Mode:       load.Open,
 			RPS:        800,
-			Fault:      FaultRolling,
+			Fault:      faultRolling,
 			Placement:  pol,
 			Invariants: true,
 		})
@@ -209,7 +209,7 @@ func TestRollingChurnVersusGoodput(t *testing.T) {
 
 func TestAvailabilityRollingJSONCarriesPhases(t *testing.T) {
 	cfg := quickAvailability()
-	cfg.Fault = FaultRolling
+	cfg.Fault = faultRolling
 	cfg.Placement = "minimal"
 	cfg.Servers = 2
 	row, err := Availability(13, 1, cfg)

@@ -59,7 +59,7 @@ func newPairTopology(seed int64) (*pairTopology, error) {
 	clientHost.SetDefaultGateway(cnic, netip.MustParseAddr("192.168.1.1"))
 	client, err := probe.NewClient(clientHost, probe.ClientConfig{
 		Target:    netip.AddrPortFrom(p.vip, ServicePort),
-		LocalPort: ClientPort,
+		LocalPort: clientPort,
 	})
 	if err != nil {
 		return nil, err
@@ -92,8 +92,8 @@ func (p *pairTopology) measureFailover(maxWait time.Duration) (runner.Sample, er
 	return runner.Sample{}, fmt.Errorf("experiment: no fail-over within %v", maxWait)
 }
 
-// VRRPTrial measures VRRP fail-over with RFC 2338 defaults (1s adverts).
-func VRRPTrial(seed int64) (runner.Sample, error) {
+// vrrpTrial measures VRRP fail-over with RFC 2338 defaults (1s adverts).
+func vrrpTrial(seed int64) (runner.Sample, error) {
 	p, err := newPairTopology(seed)
 	if err != nil {
 		return runner.Sample{}, err
@@ -115,9 +115,9 @@ func VRRPTrial(seed int64) (runner.Sample, error) {
 	return p.measureFailover(30 * time.Second)
 }
 
-// HSRPTrial measures HSRP fail-over with the defaults the paper quotes
+// hsrpTrial measures HSRP fail-over with the defaults the paper quotes
 // (hello 3s, timeouts 10s).
-func HSRPTrial(seed int64) (runner.Sample, error) {
+func hsrpTrial(seed int64) (runner.Sample, error) {
 	p, err := newPairTopology(seed)
 	if err != nil {
 		return runner.Sample{}, err
@@ -139,9 +139,9 @@ func HSRPTrial(seed int64) (runner.Sample, error) {
 	return p.measureFailover(40 * time.Second)
 }
 
-// FakeTrial measures the Linux Fake scheme: the backup probes the main's
+// fakeTrial measures the Linux Fake scheme: the backup probes the main's
 // service every second and takes over after three consecutive misses.
-func FakeTrial(seed int64) (runner.Sample, error) {
+func fakeTrial(seed int64) (runner.Sample, error) {
 	p, err := newPairTopology(seed)
 	if err != nil {
 		return runner.Sample{}, err
@@ -179,9 +179,9 @@ var baselines = Experiment{
 			{"wackamole (default)", "Table 1 default timeouts", func(s int64) (runner.Sample, error) {
 				return Figure5Trial(s, 2, gcs.DefaultConfig())
 			}},
-			{"vrrp", "RFC 2338 defaults: 1s adverts, 3×+skew master-down", VRRPTrial},
-			{"hsrp", "hello 3s, hold 10s (§7)", HSRPTrial},
-			{"fake", "1s service probes, 3-miss threshold", FakeTrial},
+			{"vrrp", "RFC 2338 defaults: 1s adverts, 3×+skew master-down", vrrpTrial},
+			{"hsrp", "hello 3s, hold 10s (§7)", hsrpTrial},
+			{"fake", "1s service probes, 3-miss threshold", fakeTrial},
 		} {
 			points = append(points, Point{
 				Label: sys.name,

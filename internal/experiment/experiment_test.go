@@ -106,9 +106,9 @@ func TestTable1TrialBands(t *testing.T) {
 }
 
 func TestSummarize(t *testing.T) {
-	s := Summarize([]time.Duration{time.Second, 3 * time.Second, 2 * time.Second})
+	s := summarize([]time.Duration{time.Second, 3 * time.Second, 2 * time.Second})
 	if s.N != 3 || s.Mean != 2*time.Second || s.Min != time.Second || s.Max != 3*time.Second {
-		t.Fatalf("Summarize = %+v", s)
+		t.Fatalf("summarize = %+v", s)
 	}
 	if s.StdDev != time.Second {
 		t.Fatalf("StdDev = %v, want 1s", s.StdDev)
@@ -116,8 +116,8 @@ func TestSummarize(t *testing.T) {
 	if s.P50 != 2*time.Second || s.P99 != 3*time.Second {
 		t.Fatalf("percentiles = p50 %v p99 %v", s.P50, s.P99)
 	}
-	if z := Summarize(nil); z.N != 0 {
-		t.Fatalf("Summarize(nil) = %+v", z)
+	if z := summarize(nil); z.N != 0 {
+		t.Fatalf("summarize(nil) = %+v", z)
 	}
 }
 
@@ -126,21 +126,21 @@ func TestPercentiles(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		ds = append(ds, time.Duration(i)*time.Millisecond)
 	}
-	s := Summarize(ds)
+	s := summarize(ds)
 	if s.P50 != 50*time.Millisecond {
 		t.Fatalf("P50 = %v, want 50ms", s.P50)
 	}
 	if s.P99 != 99*time.Millisecond {
 		t.Fatalf("P99 = %v, want 99ms", s.P99)
 	}
-	if one := Summarize(ds[:1]); one.P50 != time.Millisecond || one.P99 != time.Millisecond {
+	if one := summarize(ds[:1]); one.P50 != time.Millisecond || one.P99 != time.Millisecond {
 		t.Fatalf("single-sample percentiles = %+v", one)
 	}
 }
 
 func TestSeedsDistinct(t *testing.T) {
 	seen := map[int64]bool{}
-	for _, s := range Seeds(42, 10) {
+	for _, s := range seeds(42, 10) {
 		if seen[s] {
 			t.Fatal("duplicate seed")
 		}

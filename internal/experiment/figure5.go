@@ -16,8 +16,8 @@ type ConfigName string
 
 // The two evaluated configurations.
 const (
-	ConfigDefault ConfigName = "default"
-	ConfigTuned   ConfigName = "tuned"
+	configDefault ConfigName = "default"
+	configTuned   ConfigName = "tuned"
 )
 
 // NamedConfigs returns the paper's two configurations in presentation
@@ -30,13 +30,13 @@ func NamedConfigs() []struct {
 		Name ConfigName
 		Cfg  gcs.Config
 	}{
-		{ConfigDefault, gcs.DefaultConfig()},
-		{ConfigTuned, gcs.TunedConfig()},
+		{configDefault, gcs.DefaultConfig()},
+		{configTuned, gcs.TunedConfig()},
 	}
 }
 
-// Figure5Sizes are the cluster sizes of the paper's Figure 5.
-var Figure5Sizes = []int{2, 4, 6, 8, 10, 12}
+// figure5Sizes are the cluster sizes of the paper's Figure 5.
+var figure5Sizes = []int{2, 4, 6, 8, 10, 12}
 
 // Figure5Trial measures one availability interruption: a web cluster of n
 // servers maintaining 10 virtual addresses, a client probing one of them
@@ -101,7 +101,7 @@ var figure5 = Experiment{
 	Points: func(g Grid) []Point {
 		sizes := g.Sizes
 		if sizes == nil {
-			sizes = Figure5Sizes
+			sizes = figure5Sizes
 		}
 		var points []Point
 		for _, nc := range NamedConfigs() {
@@ -123,8 +123,8 @@ var figure5 = Experiment{
 		[]string{"config", "cluster size", "trials", "mean interruption", "min", "p50", "p99", "max", "stddev"},
 		func(r Row) []string {
 			return []string{strconv.Itoa(r.Stat.N),
-				Seconds(r.Stat.Mean), Seconds(r.Stat.Min), Seconds(r.Stat.P50), Seconds(r.Stat.P99),
-				Seconds(r.Stat.Max), Seconds(r.Stat.StdDev)}
+				seconds(r.Stat.Mean), seconds(r.Stat.Min), seconds(r.Stat.P50), seconds(r.Stat.P99),
+				seconds(r.Stat.Max), seconds(r.Stat.StdDev)}
 		}),
 	// Two plottable series (the exact shape of the paper's figure: x =
 	// cluster size, y = mean interruption in seconds, one series per

@@ -14,11 +14,11 @@ import (
 // healthy daemons start missing each other's heartbeats and the cluster
 // reconfigures without any actual fault.
 
-// LoadTrial runs a fault-free web cluster whose servers suffer scheduling
+// loadTrial runs a fault-free web cluster whose servers suffer scheduling
 // jitter over the window. The sample's value is the largest client-visible
 // gap; its metrics are the in-window activity delta, whose ViewChanges
 // count the spurious reconfigurations.
-func LoadTrial(seed int64, jitter time.Duration, window time.Duration) (runner.Sample, error) {
+func loadTrial(seed int64, jitter time.Duration, window time.Duration) (runner.Sample, error) {
 	cfg := gcs.TunedConfig()
 	wc, err := NewWebCluster(seed, 4, cfg)
 	if err != nil {
@@ -60,7 +60,7 @@ var loadSensitivity = Experiment{
 			points = append(points, Point{
 				Label: fmt.Sprintf("jitter=%v", j),
 				Cols:  []string{j.String()},
-				Run:   func(seed int64) (runner.Sample, error) { return LoadTrial(seed, j, window) },
+				Run:   func(seed int64) (runner.Sample, error) { return loadTrial(seed, j, window) },
 				Extra: func(r Row) map[string]float64 {
 					return map[string]float64{"false_reconfigs_per_min": float64(r.Metrics.ViewChanges) / float64(r.Stat.N)}
 				},
@@ -71,6 +71,6 @@ var loadSensitivity = Experiment{
 	Render: rowTable(
 		[]string{"scheduling jitter", "false reconfigurations / min", "max client gap (mean)", "max client gap (max)"},
 		func(r Row) []string {
-			return []string{fmt.Sprintf("%.1f", r.Extra["false_reconfigs_per_min"]), Seconds(r.Stat.Mean), Seconds(r.Stat.Max)}
+			return []string{fmt.Sprintf("%.1f", r.Extra["false_reconfigs_per_min"]), seconds(r.Stat.Mean), seconds(r.Stat.Max)}
 		}),
 }

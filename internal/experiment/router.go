@@ -142,7 +142,7 @@ func newVirtualRouterScenario(seed int64, mode RouterMode, cfg gcs.Config, ripCf
 	sc.clientHost = client
 	sc.client, err = probe.NewClient(client, probe.ClientConfig{
 		Target:    netip.AddrPortFrom(netip.MustParseAddr("10.1.0.10"), ServicePort),
-		LocalPort: ClientPort,
+		LocalPort: clientPort,
 	})
 	if err != nil {
 		return nil, err

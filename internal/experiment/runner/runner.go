@@ -48,8 +48,8 @@ type Metrics struct {
 	FramesDropped uint64 `json:"frames_dropped"`
 }
 
-// Add accumulates other into m.
-func (m *Metrics) Add(other Metrics) {
+// add accumulates other into m.
+func (m *Metrics) add(other Metrics) {
 	m.MembershipsInstalled += other.MembershipsInstalled
 	m.ViewChanges += other.ViewChanges
 	m.TokenRotations += other.TokenRotations
@@ -250,7 +250,7 @@ func Run(points []Point, opts Options) []Result {
 			}
 			res.Values = append(res.Values, o.sample.Value)
 			res.Samples = append(res.Samples, o.sample)
-			res.Metrics.Add(o.sample.Metrics)
+			res.Metrics.add(o.sample.Metrics)
 		}
 		results[pi] = res
 	}

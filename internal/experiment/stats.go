@@ -19,8 +19,8 @@ type Stat struct {
 	StdDev         time.Duration
 }
 
-// Summarize computes a Stat over ds.
-func Summarize(ds []time.Duration) Stat {
+// summarize computes a Stat over ds.
+func summarize(ds []time.Duration) Stat {
 	if len(ds) == 0 {
 		return Stat{}
 	}
@@ -59,9 +59,9 @@ func sqrt(x float64) float64 {
 	return math.Sqrt(x)
 }
 
-// Seconds formats a duration as seconds with millisecond precision, the
+// seconds formats a duration as seconds with millisecond precision, the
 // unit of the paper's Figure 5 axis.
-func Seconds(d time.Duration) string {
+func seconds(d time.Duration) string {
 	return fmt.Sprintf("%.3fs", d.Seconds())
 }
 
@@ -103,11 +103,11 @@ func rowTable(header []string, stats func(Row) []string) func([]Row) string {
 
 // meanMinMax is the statistics half of the three-number comparison tables.
 func meanMinMax(r Row) []string {
-	return []string{strconv.Itoa(r.Stat.N), Seconds(r.Stat.Mean), Seconds(r.Stat.Min), Seconds(r.Stat.Max)}
+	return []string{strconv.Itoa(r.Stat.N), seconds(r.Stat.Mean), seconds(r.Stat.Min), seconds(r.Stat.Max)}
 }
 
-// Seeds returns n deterministic seeds derived from base.
-func Seeds(base int64, n int) []int64 {
+// seeds returns n deterministic seeds derived from base.
+func seeds(base int64, n int) []int64 {
 	out := make([]int64, n)
 	for i := range out {
 		out[i] = base + int64(i)*7919 // spaced by a prime to avoid overlap

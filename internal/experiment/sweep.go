@@ -142,7 +142,7 @@ func Sweep(e Experiment, g Grid, opts ...Option) ([]Row, error) {
 	points := e.Points(g)
 	trials := make([]runner.Point, len(points))
 	for i, p := range points {
-		trials[i] = runner.Point{Label: e.Name + "/" + p.Label, Seeds: Seeds(g.Seed+p.SeedOffset, g.Trials), Run: p.Run}
+		trials[i] = runner.Point{Label: e.Name + "/" + p.Label, Seeds: seeds(g.Seed+p.SeedOffset, g.Trials), Run: p.Run}
 	}
 	rows := make([]Row, 0, len(points))
 	for i, res := range runner.Run(trials, g.run) {
@@ -170,6 +170,6 @@ func collectPoint(res runner.Result, row *Row) error {
 		}
 		return fmt.Errorf("experiment: %s: all %d trials failed: %w", res.Label, row.Errors, res.Errors[0])
 	}
-	row.Stat, row.Metrics, row.Samples = Summarize(res.Values), res.Metrics, res.Samples
+	row.Stat, row.Metrics, row.Samples = summarize(res.Values), res.Metrics, res.Samples
 	return nil
 }

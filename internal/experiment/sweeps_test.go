@@ -63,14 +63,14 @@ var experimentChecks = map[string]struct {
 			}
 		}
 	}},
-	"figure5": {200, 2 * len(Figure5Sizes), func(t *testing.T, rows []Row, table string) {
+	"figure5": {200, 2 * len(figure5Sizes), func(t *testing.T, rows []Row, table string) {
 		for _, r := range rows {
 			switch ConfigName(r.Cols[0]) {
-			case ConfigDefault:
+			case configDefault:
 				if r.Stat.Mean < 9*time.Second || r.Stat.Mean > 13*time.Second {
 					t.Fatalf("%s mean %v out of band", r.Point, r.Stat.Mean)
 				}
-			case ConfigTuned:
+			case configTuned:
 				if r.Stat.Mean < 1900*time.Millisecond || r.Stat.Mean > 2800*time.Millisecond {
 					t.Fatalf("%s mean %v out of band", r.Point, r.Stat.Mean)
 				}
@@ -244,7 +244,7 @@ func TestRouterTrialNaiveSlowerSameSeed(t *testing.T) {
 }
 
 func TestLoadSensitivityShape(t *testing.T) {
-	quiet, err := LoadTrial(11, 0, 60*time.Second)
+	quiet, err := loadTrial(11, 0, 60*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestLoadSensitivityShape(t *testing.T) {
 	if quiet.Value > 100*time.Millisecond {
 		t.Fatalf("unloaded max gap %v", quiet.Value)
 	}
-	loaded, err := LoadTrial(11, 600*time.Millisecond, 60*time.Second)
+	loaded, err := loadTrial(11, 600*time.Millisecond, 60*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,11 +97,11 @@ var table1 = Experiment{
 		line("Predicted notification range (s)", func(r Row) string {
 			return fmt.Sprintf("%g – %g", r.Extra["predicted_min_s"], r.Extra["predicted_max_s"])
 		})
-		line("Measured notification mean", func(r Row) string { return Seconds(r.Stat.Mean) })
-		line("Measured notification min", func(r Row) string { return Seconds(r.Stat.Min) })
-		line("Measured notification p50", func(r Row) string { return Seconds(r.Stat.P50) })
-		line("Measured notification p99", func(r Row) string { return Seconds(r.Stat.P99) })
-		line("Measured notification max", func(r Row) string { return Seconds(r.Stat.Max) })
+		line("Measured notification mean", func(r Row) string { return seconds(r.Stat.Mean) })
+		line("Measured notification min", func(r Row) string { return seconds(r.Stat.Min) })
+		line("Measured notification p50", func(r Row) string { return seconds(r.Stat.P50) })
+		line("Measured notification p99", func(r Row) string { return seconds(r.Stat.P99) })
+		line("Measured notification max", func(r Row) string { return seconds(r.Stat.Max) })
 		line("Trials", func(r Row) string { return strconv.Itoa(r.Stat.N) })
 		return Table(header, cells)
 	},

@@ -19,11 +19,11 @@ import (
 // Service and client ports used by all scenarios.
 const (
 	ServicePort = 8080
-	ClientPort  = 9001
+	clientPort  = 9001
 )
 
-// ClientAddr is the probing client's address on the external network.
-var ClientAddr = netip.MustParseAddr("192.168.1.50")
+// clientAddr is the probing client's address on the external network.
+var clientAddr = netip.MustParseAddr("192.168.1.50")
 
 // WebCluster is the Figure 3 topology: N Wackamole web servers on one LAN,
 // a router, and an external client probing one virtual address through it.
@@ -60,11 +60,11 @@ func NewWebCluster(seed int64, servers int, cfg gcs.Config, mods ...func(*wackam
 	}
 	wc.ClientHost = cluster.Net.NewHost("client")
 	cnic := wc.ClientHost.AttachNIC(cluster.External, "eth0",
-		netip.PrefixFrom(ClientAddr, wackamole.ExternalSubnet.Bits()))
+		netip.PrefixFrom(clientAddr, wackamole.ExternalSubnet.Bits()))
 	wc.ClientHost.SetDefaultGateway(cnic, wackamole.RouterOutsideAddr)
 	wc.Client, err = probe.NewClient(wc.ClientHost, probe.ClientConfig{
 		Target:    netip.AddrPortFrom(wc.Target, ServicePort),
-		LocalPort: ClientPort,
+		LocalPort: clientPort,
 	})
 	if err != nil {
 		return nil, err
