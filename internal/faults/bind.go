@@ -9,7 +9,7 @@ import (
 
 // Binding is a fault program armed on one interface. Stop disarms every
 // shape and restores the clean-link state. Bindings are driven entirely by
-// the simulation loop; Apply and Stop must run on that goroutine (or while
+// the simulation loop; ApplyProgram and Stop must run on that goroutine (or while
 // the simulator is idle between RunFor calls).
 type Binding struct {
 	sim     *sim.Sim
@@ -19,23 +19,23 @@ type Binding struct {
 	hasFlap bool
 }
 
-// Apply validates and arms program on nic. Flap shapes take the interface
+// apply validates and arms program on nic. Flap shapes take the interface
 // down immediately (the first down phase starts at apply time); graylink
 // and slownode shapes install their impairments synchronously. Shapes
 // compose: flap+graylink gives a link that is impaired while up.
-func Apply(s *sim.Sim, nic *netsim.NIC, program []Shape) (*Binding, error) {
+func apply(s *sim.Sim, nic *netsim.NIC, program []Shape) (*Binding, error) {
 	for _, sh := range program {
-		if err := sh.Validate(); err != nil {
+		if err := sh.validate(); err != nil {
 			return nil, err
 		}
 	}
 	b := &Binding{sim: s, nic: nic, shapes: program}
 	for _, sh := range program {
 		switch sh.Kind {
-		case GrayLink:
+		case grayLink:
 			nic.SetTxImpairment(sh.TxLoss, sh.TxDelay)
 			nic.SetRxImpairment(sh.RxLoss, sh.RxDelay)
-		case SlowNode:
+		case slowNode:
 			nic.Host().SetProcessingJitter(sh.Stall)
 		case Flap:
 			b.hasFlap = true
@@ -59,7 +59,7 @@ func ApplyProgram(s *sim.Sim, nic *netsim.NIC, spec string) (*Binding, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Apply(s, nic, shapes)
+	return apply(s, nic, shapes)
 }
 
 // HasFlap reports whether the program contains a flap shape — detections of
@@ -77,9 +77,9 @@ func (b *Binding) Stop() {
 	b.stopped = true
 	for _, sh := range b.shapes {
 		switch sh.Kind {
-		case GrayLink:
+		case grayLink:
 			b.nic.ClearImpairments()
-		case SlowNode:
+		case slowNode:
 			b.nic.Host().SetProcessingJitter(0)
 		case Flap:
 			b.nic.SetUp(true)
@@ -88,7 +88,7 @@ func (b *Binding) Stop() {
 }
 
 // flapTicker flips the interface and reschedules itself through the
-// simulator's pooled Post path — one ticker allocation at Apply, zero
+// simulator's pooled Post path — one ticker allocation at apply, zero
 // allocations per steady-state tick.
 type flapTicker struct {
 	b      *Binding

@@ -7,8 +7,8 @@
 //
 // A fault program is a list of Shape values, written in a compact spec
 // syntax ("flap(period=800ms,duty=0.5)+graylink(rxloss=0.3,...)") and
-// applied to one interface with Apply. All randomness (flap jitter, loss
-// draws) comes from the simulation's shared RNG, so the same seed and
+// applied to one interface with ApplyProgram. All randomness (flap jitter,
+// loss draws) comes from the simulation's shared RNG, so the same seed and
 // topology produce bit-identical event sequences, and the steady-state
 // flap tick is allocation-free: the ticker reschedules itself through the
 // simulator's pooled Post path.
@@ -29,21 +29,21 @@ const (
 	// Flap cycles the interface down and up on a configurable period and
 	// duty cycle, with optional per-phase jitter — a flapping link.
 	Flap Kind = iota + 1
-	// GrayLink leaves the interface up but impairs it directionally:
+	// grayLink leaves the interface up but impairs it directionally:
 	// per-direction loss probability and added delay. The host stays alive
 	// and partially reachable — the lossy-but-alive link.
-	GrayLink
-	// SlowNode models a CPU-starved daemon: every timer firing and inbound
+	grayLink
+	// slowNode models a CPU-starved daemon: every timer firing and inbound
 	// frame on the host is delayed by a uniform draw up to Stall, so the
 	// node holds the token late without ever being down.
-	SlowNode
+	slowNode
 )
 
 // kindNames maps each Kind to its spec-syntax name.
 var kindNames = map[Kind]string{
 	Flap:     "flap",
-	GrayLink: "graylink",
-	SlowNode: "slownode",
+	grayLink: "graylink",
+	slowNode: "slownode",
 }
 
 // String returns the spec-syntax name of the kind.
@@ -54,8 +54,8 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// ParseKind resolves a spec-syntax kind name.
-func ParseKind(s string) (Kind, error) {
+// parseKind resolves a spec-syntax kind name.
+func parseKind(s string) (Kind, error) {
 	for k, n := range kindNames {
 		if n == s {
 			return k, nil
@@ -77,34 +77,34 @@ type Shape struct {
 	Duty   float64
 	Jitter time.Duration
 
-	// GrayLink: loss probability and added fixed delay per direction.
+	// grayLink: loss probability and added fixed delay per direction.
 	// Rx applies to frames the interface receives, Tx to frames it sends.
 	RxLoss  float64
 	TxLoss  float64
 	RxDelay time.Duration
 	TxDelay time.Duration
 
-	// SlowNode: upper bound of the uniform processing delay applied to the
+	// slowNode: upper bound of the uniform processing delay applied to the
 	// host's timers and inbound frames.
 	Stall time.Duration
 }
 
-// DefaultShape returns the canonical parameterization of a kind — what a
+// defaultShape returns the canonical parameterization of a kind — what a
 // bare "flap" spec with no arguments means.
-func DefaultShape(k Kind) Shape {
+func defaultShape(k Kind) Shape {
 	switch k {
 	case Flap:
 		return Shape{Kind: Flap, Period: time.Second, Duty: 0.5}
-	case GrayLink:
-		return Shape{Kind: GrayLink, RxLoss: 0.25, TxLoss: 0.25}
-	case SlowNode:
-		return Shape{Kind: SlowNode, Stall: 50 * time.Millisecond}
+	case grayLink:
+		return Shape{Kind: grayLink, RxLoss: 0.25, TxLoss: 0.25}
+	case slowNode:
+		return Shape{Kind: slowNode, Stall: 50 * time.Millisecond}
 	}
 	return Shape{}
 }
 
-// Validate checks that the shape's parameters are usable.
-func (s Shape) Validate() error {
+// validate checks that the shape's parameters are usable.
+func (s Shape) validate() error {
 	switch s.Kind {
 	case Flap:
 		if s.Period <= 0 {
@@ -121,7 +121,7 @@ func (s Shape) Validate() error {
 		if up <= 0 || down <= 0 {
 			return fmt.Errorf("faults: flap phases degenerate (period %v, duty %v)", s.Period, s.Duty)
 		}
-	case GrayLink:
+	case grayLink:
 		for _, p := range []struct {
 			name string
 			v    float64
@@ -136,7 +136,7 @@ func (s Shape) Validate() error {
 		if s.RxLoss == 0 && s.TxLoss == 0 && s.RxDelay == 0 && s.TxDelay == 0 {
 			return fmt.Errorf("faults: graylink needs at least one nonzero impairment")
 		}
-	case SlowNode:
+	case slowNode:
 		if s.Stall <= 0 {
 			return fmt.Errorf("faults: slownode stall must be positive, got %v", s.Stall)
 		}
@@ -147,7 +147,7 @@ func (s Shape) Validate() error {
 }
 
 // String renders the shape in spec syntax. Every parameter of the kind is
-// printed, including zeros, so ParseShape(s.String()) == s for any valid
+// printed, including zeros, so parseShape(s.String()) == s for any valid
 // shape — the round-trip the fuzz test pins.
 func (s Shape) String() string {
 	var b strings.Builder
@@ -157,10 +157,10 @@ func (s Shape) String() string {
 	case Flap:
 		fmt.Fprintf(&b, "period=%s,duty=%s,jitter=%s",
 			s.Period, formatFloat(s.Duty), s.Jitter)
-	case GrayLink:
+	case grayLink:
 		fmt.Fprintf(&b, "rxloss=%s,txloss=%s,rxdelay=%s,txdelay=%s",
 			formatFloat(s.RxLoss), formatFloat(s.TxLoss), s.RxDelay, s.TxDelay)
-	case SlowNode:
+	case slowNode:
 		fmt.Fprintf(&b, "stall=%s", s.Stall)
 	}
 	b.WriteByte(')')

@@ -25,11 +25,11 @@ func TestParseShapeRoundTrip(t *testing.T) {
 		" flap( period=1s , duty=0.5 ) ",
 	}
 	for _, spec := range specs {
-		s, err := ParseShape(spec)
+		s, err := parseShape(spec)
 		if err != nil {
-			t.Fatalf("ParseShape(%q): %v", spec, err)
+			t.Fatalf("parseShape(%q): %v", spec, err)
 		}
-		back, err := ParseShape(s.String())
+		back, err := parseShape(s.String())
 		if err != nil {
 			t.Fatalf("re-parse of %q (from %q): %v", s.String(), spec, err)
 		}
@@ -58,8 +58,8 @@ func TestParseShapeErrors(t *testing.T) {
 		"slownode(period=1s)",
 	}
 	for _, spec := range bad {
-		if _, err := ParseShape(spec); err == nil {
-			t.Errorf("ParseShape(%q): expected error, got none", spec)
+		if _, err := parseShape(spec); err == nil {
+			t.Errorf("parseShape(%q): expected error, got none", spec)
 		}
 	}
 }
@@ -69,11 +69,11 @@ func TestParseProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(shapes) != 2 || shapes[0].Kind != Flap || shapes[1].Kind != GrayLink {
+	if len(shapes) != 2 || shapes[0].Kind != Flap || shapes[1].Kind != grayLink {
 		t.Fatalf("unexpected program: %+v", shapes)
 	}
 	for _, sh := range shapes {
-		back, err := ParseShape(sh.String())
+		back, err := parseShape(sh.String())
 		if err != nil {
 			t.Fatal(err)
 		}

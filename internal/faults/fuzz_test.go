@@ -16,15 +16,15 @@ func FuzzParseShape(f *testing.F) {
 	f.Add("flap(duty=NaN)")
 	f.Add("graylink(rxloss=-0)")
 	f.Fuzz(func(t *testing.T, spec string) {
-		s, err := ParseShape(spec)
+		s, err := parseShape(spec)
 		if err != nil {
 			return
 		}
-		if err := s.Validate(); err != nil {
-			t.Fatalf("ParseShape(%q) accepted an invalid shape: %v", spec, err)
+		if err := s.validate(); err != nil {
+			t.Fatalf("parseShape(%q) accepted an invalid shape: %v", spec, err)
 		}
 		canon := s.String()
-		back, err := ParseShape(canon)
+		back, err := parseShape(canon)
 		if err != nil {
 			t.Fatalf("canonical form %q of %q does not re-parse: %v", canon, spec, err)
 		}

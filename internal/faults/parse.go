@@ -17,7 +17,7 @@ func ParseProgram(spec string) ([]Shape, error) {
 	parts := strings.Split(spec, "+")
 	shapes := make([]Shape, 0, len(parts))
 	for _, p := range parts {
-		s, err := ParseShape(p)
+		s, err := parseShape(p)
 		if err != nil {
 			return nil, err
 		}
@@ -26,11 +26,11 @@ func ParseProgram(spec string) ([]Shape, error) {
 	return shapes, nil
 }
 
-// ParseShape parses one shape spec: a kind name optionally followed by a
+// parseShape parses one shape spec: a kind name optionally followed by a
 // parenthesized key=value list. Omitted parameters take the kind's
-// DefaultShape values; explicitly written zeros stick. The result is
+// defaultShape values; explicitly written zeros stick. The result is
 // validated.
-func ParseShape(spec string) (Shape, error) {
+func parseShape(spec string) (Shape, error) {
 	spec = strings.TrimSpace(spec)
 	name, args := spec, ""
 	if i := strings.IndexByte(spec, '('); i >= 0 {
@@ -39,11 +39,11 @@ func ParseShape(spec string) (Shape, error) {
 		}
 		name, args = spec[:i], spec[i+1:len(spec)-1]
 	}
-	kind, err := ParseKind(name)
+	kind, err := parseKind(name)
 	if err != nil {
 		return Shape{}, err
 	}
-	s := DefaultShape(kind)
+	s := defaultShape(kind)
 	if strings.TrimSpace(args) != "" {
 		for _, kv := range strings.Split(args, ",") {
 			kv = strings.TrimSpace(kv)
@@ -58,7 +58,7 @@ func ParseShape(spec string) (Shape, error) {
 			}
 		}
 	}
-	if err := s.Validate(); err != nil {
+	if err := s.validate(); err != nil {
 		return Shape{}, err
 	}
 	return s, nil
@@ -89,15 +89,15 @@ func (s *Shape) setParam(key, val string) error {
 		return flt(&s.Duty)
 	case s.Kind == Flap && key == "jitter":
 		return dur(&s.Jitter)
-	case s.Kind == GrayLink && key == "rxloss":
+	case s.Kind == grayLink && key == "rxloss":
 		return flt(&s.RxLoss)
-	case s.Kind == GrayLink && key == "txloss":
+	case s.Kind == grayLink && key == "txloss":
 		return flt(&s.TxLoss)
-	case s.Kind == GrayLink && key == "rxdelay":
+	case s.Kind == grayLink && key == "rxdelay":
 		return dur(&s.RxDelay)
-	case s.Kind == GrayLink && key == "txdelay":
+	case s.Kind == grayLink && key == "txdelay":
 		return dur(&s.TxDelay)
-	case s.Kind == SlowNode && key == "stall":
+	case s.Kind == slowNode && key == "stall":
 		return dur(&s.Stall)
 	}
 	return fmt.Errorf("faults: %s has no parameter %q", s.Kind, key)
