@@ -75,8 +75,8 @@ var (
 	// ErrTimedOut reports that the retry budget was exhausted with no
 	// acknowledgement.
 	ErrTimedOut = errors.New("flow: timed out")
-	// ErrClosed reports use of a locally closed connection or client.
-	ErrClosed = errors.New("flow: connection closed")
+	// errClosed reports use of a locally closed connection or client.
+	errClosed = errors.New("flow: connection closed")
 )
 
 func putHeader(b []byte, flags byte, id, seq, ack uint32) {
@@ -325,7 +325,7 @@ func NewClient(h *netsim.Host, localPort uint16, cfg ClientConfig) (*Client, err
 	return c, nil
 }
 
-// Close aborts every connection (callbacks fire with ErrClosed) and unbinds
+// Close aborts every connection (callbacks fire with errClosed) and unbinds
 // the socket.
 func (c *Client) Close() {
 	if c.closed {
@@ -333,7 +333,7 @@ func (c *Client) Close() {
 	}
 	c.closed = true
 	for _, conn := range c.conns {
-		conn.fail(ErrClosed)
+		conn.fail(errClosed)
 	}
 	c.sock.Close()
 }
@@ -432,13 +432,13 @@ func (c *Client) putPending(p *pending) {
 
 // Dial opens a connection to target. cb fires exactly once: with the
 // established connection, or with ErrTimedOut (no answer within the retry
-// budget), ErrReset (the peer refused) or ErrClosed.
+// budget), ErrReset (the peer refused) or errClosed.
 func (c *Client) Dial(target netip.AddrPort, cb func(*Conn, error)) {
 	if cb == nil {
 		panic("flow: Dial requires a callback")
 	}
 	if c.closed {
-		cb(nil, ErrClosed)
+		cb(nil, errClosed)
 		return
 	}
 	c.nextID++
@@ -565,7 +565,7 @@ func (conn *Conn) Request(payload []byte, cb func(resp []byte, rtt time.Duration
 	}
 	c := conn.client
 	if conn.state != stateEstablished {
-		cb(nil, 0, ErrClosed)
+		cb(nil, 0, errClosed)
 		return
 	}
 	conn.seq++
@@ -647,7 +647,7 @@ func (conn *Conn) take(seq uint32) *pending {
 }
 
 // Close closes the connection gracefully: a FIN tells the server to drop
-// its state. Outstanding requests fail with ErrClosed.
+// its state. Outstanding requests fail with errClosed.
 func (conn *Conn) Close() {
 	if conn.state == stateClosed {
 		return
@@ -662,7 +662,7 @@ func (conn *Conn) Close() {
 			nw.PutBuf(buf)
 		}
 	}
-	conn.fail(ErrClosed)
+	conn.fail(errClosed)
 }
 
 // fail tears the connection down, completing the dial callback or every
@@ -695,7 +695,7 @@ func (conn *Conn) fail(err error) {
 		cb(nil, 0, err)
 		p = next
 	}
-	if onAbort != nil && !errors.Is(err, ErrClosed) {
+	if onAbort != nil && !errors.Is(err, errClosed) {
 		onAbort(err)
 	}
 }

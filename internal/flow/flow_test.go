@@ -477,7 +477,7 @@ func TestFailCompletesOldestFirst(t *testing.T) {
 		t.Fatalf("completion order = %v, want %v", order, want)
 	}
 	for i, err := range errs {
-		if wantErr := i >= 2; (err != nil) != wantErr || wantErr && !errors.Is(err, ErrClosed) {
+		if wantErr := i >= 2; (err != nil) != wantErr || wantErr && !errors.Is(err, errClosed) {
 			t.Errorf("completion %d (request %d): err = %v", i, order[i], err)
 		}
 	}
@@ -510,8 +510,8 @@ func TestCrashedHostTimeoutDoesNotDangle(t *testing.T) {
 	r.client.Restart()
 	b.Request([]byte("y"), func(_ []byte, _ time.Duration, err error) { errB = err })
 	a.Close()
-	if !errors.Is(errA, ErrClosed) {
-		t.Fatalf("request on the closed connection: err = %v, want ErrClosed", errA)
+	if !errors.Is(errA, errClosed) {
+		t.Fatalf("request on the closed connection: err = %v, want errClosed", errA)
 	}
 	r.s.RunFor(10 * time.Second)
 	if !errors.Is(errB, ErrTimedOut) {

@@ -118,8 +118,8 @@ func TestExpiryPassSeesStopsAndArms(t *testing.T) {
 	})
 	log.request(b, []byte("x"), func(_ []byte, _ time.Duration, err error) { errB = err })
 	r.s.RunFor((maxRetries + 2) * (rto + rtoGrid))
-	if !errors.Is(errA, ErrTimedOut) || !errors.Is(errB, ErrClosed) {
-		t.Fatalf("first request err = %v, second = %v; want ErrTimedOut, then ErrClosed from the first's callback", errA, errB)
+	if !errors.Is(errA, ErrTimedOut) || !errors.Is(errB, errClosed) {
+		t.Fatalf("first request err = %v, second = %v; want ErrTimedOut, then errClosed from the first's callback", errA, errB)
 	}
 	if v := RegisterClientMetrics(reg).Timeouts.Value(); v != 1 {
 		t.Errorf("timeouts counter = %d, want 1: the closed connection's request must not time out too", v)

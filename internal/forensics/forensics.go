@@ -39,8 +39,8 @@ type Bundle struct {
 	Views []obs.ViewRecord
 }
 
-// LoadBundle reads one bundle directory (it must contain manifest.json).
-func LoadBundle(dir string) (*Bundle, error) {
+// loadBundle reads one bundle directory (it must contain manifest.json).
+func loadBundle(dir string) (*Bundle, error) {
 	b := &Bundle{Dir: dir}
 	raw, err := os.ReadFile(filepath.Join(dir, obs.ManifestName))
 	if err != nil {
@@ -104,7 +104,7 @@ func LoadBundles(paths ...string) ([]*Bundle, error) {
 				continue
 			}
 			seen[abs] = true
-			b, err := LoadBundle(dir)
+			b, err := loadBundle(dir)
 			if err != nil {
 				return nil, err
 			}
