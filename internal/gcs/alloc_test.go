@@ -244,7 +244,7 @@ func TestInternTableIsBounded(t *testing.T) {
 		}
 	}
 	// A name no Connect or Join admits is decoded but not kept.
-	long := strings.Repeat("n", MaxNameLen+1)
+	long := strings.Repeat("n", maxNameLen+1)
 	before := len(d.groups.names)
 	if c, g, _, err := d.groups.names.decodeGroupCast(appendGroupCast(nil, long, "g", nil)); err != nil || c != long || g != "g" {
 		t.Fatalf("over-long client name decodes to %d bytes, %q, %v", len(c), g, err)
@@ -279,27 +279,27 @@ func TestInternTableIsBounded(t *testing.T) {
 	}
 }
 
-// TestOverLongNamesAreRejected: a client or group name over MaxNameLen is an
+// TestOverLongNamesAreRejected: a client or group name over maxNameLen is an
 // error wherever it enters the daemon. Before the bound, a pair of names that
-// outgrew the headroom MaxPayload leaves made the data message's 16-bit
+// outgrew the headroom maxPayload leaves made the data message's 16-bit
 // length prefix panic when the token arrived.
 func TestOverLongNamesAreRejected(t *testing.T) {
 	_, daemons, _ := wbCluster(t, 9, 1, TunedConfig())
 	d := daemons[0]
-	long := strings.Repeat("x", MaxNameLen+1)
-	if _, err := d.Connect(long); !errors.Is(err, ErrNameTooLong) {
-		t.Fatalf("Connect with a %d-byte name: %v, want ErrNameTooLong", len(long), err)
+	long := strings.Repeat("x", maxNameLen+1)
+	if _, err := d.Connect(long); !errors.Is(err, errNameTooLong) {
+		t.Fatalf("Connect with a %d-byte name: %v, want errNameTooLong", len(long), err)
 	}
 	sess, err := d.Connect(long[1:])
 	if err != nil {
-		t.Fatalf("Connect with a %d-byte name: %v", MaxNameLen, err)
+		t.Fatalf("Connect with a %d-byte name: %v", maxNameLen, err)
 	}
 	for op, err := range map[string]error{
 		"Join":      sess.Join(long),
 		"Multicast": sess.Multicast(long, nil),
 	} {
-		if !errors.Is(err, ErrNameTooLong) {
-			t.Errorf("%s with a %d-byte group: %v, want ErrNameTooLong", op, len(long), err)
+		if !errors.Is(err, errNameTooLong) {
+			t.Errorf("%s with a %d-byte group: %v, want errNameTooLong", op, len(long), err)
 		}
 	}
 	if len(d.sendQueue) != 0 {
@@ -308,12 +308,12 @@ func TestOverLongNamesAreRejected(t *testing.T) {
 }
 
 // TestLargestAdmittedMessageCrossesTheRing sends what the bounds add up to —
-// the longest client name, the longest group name, a MaxPayload body — from
+// the longest client name, the longest group name, a maxPayload body — from
 // one daemon to another.
 func TestLargestAdmittedMessageCrossesTheRing(t *testing.T) {
 	s, daemons, _ := wbCluster(t, 10, 2, TunedConfig())
-	client, group := strings.Repeat("c", MaxNameLen), strings.Repeat("g", MaxNameLen)
-	body := bytes.Repeat([]byte{0xA5}, MaxPayload)
+	client, group := strings.Repeat("c", maxNameLen), strings.Repeat("g", maxNameLen)
+	body := bytes.Repeat([]byte{0xA5}, maxPayload)
 	var sessions []*Session
 	got := 0
 	for _, d := range daemons {

@@ -349,7 +349,7 @@ func (d *Daemon) Leave() {
 	if d.state == stOperational && len(d.ring.members) > 1 {
 		d.broadcast(leaveMsg{Ring: d.ring.id, Sender: d.id}.encode(&d.w))
 	}
-	d.Stop()
+	d.stop()
 }
 
 // onLeave handles a peer's graceful departure announcement.
@@ -366,8 +366,8 @@ func (d *Daemon) onLeave(m leaveMsg) {
 	d.enterGather("leave:"+string(m.Sender), 0)
 }
 
-// Stop ceases all protocol activity and closes the endpoint.
-func (d *Daemon) Stop() {
+// stop ceases all protocol activity and closes the endpoint.
+func (d *Daemon) stop() {
 	if d.closed {
 		return
 	}
@@ -445,7 +445,7 @@ func (d *Daemon) SetHealth(m *health.Monitor) {
 // Ring returns the installed ring id and ordered members; ok is false before
 // the first installation.
 func (d *Daemon) Ring() (RingID, []DaemonID, bool) {
-	if d.ring.id.IsZero() {
+	if d.ring.id.isZero() {
 		return RingID{}, nil, false
 	}
 	members := make([]DaemonID, len(d.ring.members))
@@ -937,7 +937,7 @@ func (d *Daemon) resendRecovery() {
 
 // oldMissing lists the old-ring sequence numbers this daemon never received.
 func (d *Daemon) oldMissing() []uint64 {
-	if d.old.ring.id.IsZero() {
+	if d.old.ring.id.isZero() {
 		return nil
 	}
 	var missing []uint64
@@ -971,7 +971,7 @@ func (d *Daemon) onRecoverData(m recoverDataMsg) {
 		}
 		return
 	}
-	if d.old.ring.id.IsZero() || m.OldRing != d.old.ring.id {
+	if d.old.ring.id.isZero() || m.OldRing != d.old.ring.id {
 		return
 	}
 	if _, ok := d.old.store[m.Msg.Seq]; !ok {
@@ -1025,7 +1025,7 @@ func (d *Daemon) checkRecovery() {
 // ones this daemon is responsible for and returns false.
 func (d *Daemon) flushOldRing() bool {
 	rec := d.rec
-	if d.old.ring.id.IsZero() {
+	if d.old.ring.id.isZero() {
 		return true // fresh daemon: nothing to flush
 	}
 	// The cohort: new-ring members that came from the same old ring, as
@@ -1205,7 +1205,7 @@ func (d *Daemon) sendData(kind dataKind) *dataMsg {
 const maxRtrPerToken = 128
 
 // maxSendQueue bounds the unsent-message backlog; Session.Multicast returns
-// ErrBackpressure beyond it. Control messages (joins, leaves, groups-state)
+// errBackpressure beyond it. Control messages (joins, leaves, groups-state)
 // bypass the bound — they are few and losing them would wedge membership.
 const maxSendQueue = 4096
 
@@ -1301,7 +1301,7 @@ func (d *Daemon) onData(m *dataMsg) {
 	}
 	// A straggler from the previous ring while we are recovering counts as
 	// recovery input.
-	if d.rec != nil && !d.old.ring.id.IsZero() && m.Ring == d.old.ring.id {
+	if d.rec != nil && !d.old.ring.id.isZero() && m.Ring == d.old.ring.id {
 		if _, ok := d.old.store[m.Seq]; !ok {
 			d.old.store[m.Seq] = d.stored(m)
 		}

@@ -9,3 +9,12 @@ func (d *Daemon) PoisonFreedRecords() { d.poison = true }
 // Operational reports whether the daemon sits on an installed ring with its
 // token circulating, rather than reconfiguring behind its last ring.
 func (d *Daemon) Operational() bool { return d.state == stOperational }
+
+// The external tests' names for unexported parts of the API.
+const (
+	MaxPayload  = maxPayload
+	ReasonLeave = reasonLeave
+)
+
+func (d *Daemon) Stop()                       { d.stop() }
+func (m GroupMember) Less(o GroupMember) bool { return m.less(o) }

@@ -20,8 +20,8 @@ type GroupMember struct {
 // String formats the member as daemon/client.
 func (m GroupMember) String() string { return string(m.Daemon) + "/" + m.Client }
 
-// Less orders members by (daemon, client).
-func (m GroupMember) Less(o GroupMember) bool {
+// less orders members by (daemon, client).
+func (m GroupMember) less(o GroupMember) bool {
 	if m.Daemon != o.Daemon {
 		return m.Daemon < o.Daemon
 	}
@@ -33,24 +33,24 @@ type ViewReason uint8
 
 // View delivery reasons.
 const (
-	// ReasonNetwork: the daemon membership changed (fault, partition,
+	// reasonNetwork: the daemon membership changed (fault, partition,
 	// merge, or daemon boot) and the group was resynchronized.
-	ReasonNetwork ViewReason = iota + 1
-	// ReasonJoin: a client joined the group.
-	ReasonJoin
-	// ReasonLeave: a client left the group (gracefully or because its
+	reasonNetwork ViewReason = iota + 1
+	// reasonJoin: a client joined the group.
+	reasonJoin
+	// reasonLeave: a client left the group (gracefully or because its
 	// session was severed).
-	ReasonLeave
+	reasonLeave
 )
 
 // String names the reason.
 func (r ViewReason) String() string {
 	switch r {
-	case ReasonNetwork:
+	case reasonNetwork:
 		return "network"
-	case ReasonJoin:
+	case reasonJoin:
 		return "join"
-	case ReasonLeave:
+	case reasonLeave:
 		return "leave"
 	default:
 		return fmt.Sprintf("reason(%d)", uint8(r))
@@ -265,7 +265,7 @@ func (g *groupLayer) completeSync(last *dataMsg) {
 	}
 	sort.Strings(groups)
 	for _, grp := range groups {
-		g.emitView(grp, ReasonNetwork)
+		g.emitView(grp, reasonNetwork)
 	}
 	casts := g.pendingCasts
 	g.pendingCasts = nil
@@ -289,10 +289,10 @@ func (g *groupLayer) applyMembershipOp(m *dataMsg, emit bool) string {
 	var reason ViewReason
 	if m.Kind == dkGroupJoin {
 		mutated = g.insertMember(grp, member)
-		reason = ReasonJoin
+		reason = reasonJoin
 	} else {
 		mutated = g.removeMember(grp, member)
-		reason = ReasonLeave
+		reason = reasonLeave
 	}
 	// Keep local session bookkeeping in step with the replicated state.
 	if member.Daemon == g.d.id {
@@ -316,7 +316,7 @@ func (g *groupLayer) applyMembershipOp(m *dataMsg, emit bool) string {
 
 func (g *groupLayer) insertMember(grp string, m GroupMember) bool {
 	list := g.groups[grp]
-	i := sort.Search(len(list), func(i int) bool { return !list[i].Less(m) })
+	i := sort.Search(len(list), func(i int) bool { return !list[i].less(m) })
 	if i < len(list) && list[i] == m {
 		return false
 	}

@@ -22,8 +22,8 @@ type RingID struct {
 	Epoch uint64
 }
 
-// IsZero reports whether the ring id is unset (daemon never installed).
-func (r RingID) IsZero() bool { return r.Coord == "" && r.Epoch == 0 }
+// isZero reports whether the ring id is unset (daemon never installed).
+func (r RingID) isZero() bool { return r.Coord == "" && r.Epoch == 0 }
 
 // String formats the ring id.
 func (r RingID) String() string { return fmt.Sprintf("%s/%d", r.Coord, r.Epoch) }
@@ -240,7 +240,7 @@ func (t idTable) readRing(r *wire.Reader) RingID {
 // of ours; it is decoded but not kept, which bounds a table entry.
 func (t idTable) readName(r *wire.Reader) string {
 	b := r.View16()
-	if len(b) > MaxNameLen {
+	if len(b) > maxNameLen {
 		return string(b)
 	}
 	return string(t.intern(b))

@@ -179,8 +179,8 @@ func TestIDTypes(t *testing.T) {
 	if ring.String() != "a:1/3" {
 		t.Fatalf("RingID.String = %q", ring.String())
 	}
-	if ring.IsZero() || !(RingID{}).IsZero() {
-		t.Fatal("RingID.IsZero wrong")
+	if ring.isZero() || !(RingID{}).isZero() {
+		t.Fatal("RingID.isZero wrong")
 	}
 	view := ViewID{Ring: ring, Seq: 9}
 	if view.String() != "a:1/3:9" {
@@ -190,10 +190,10 @@ func TestIDTypes(t *testing.T) {
 	if m.String() != "a:1/w" {
 		t.Fatalf("GroupMember.String = %q", m.String())
 	}
-	if !m.Less(GroupMember{Daemon: "b:1", Client: "a"}) {
+	if !m.less(GroupMember{Daemon: "b:1", Client: "a"}) {
 		t.Fatal("Less by daemon failed")
 	}
-	if !m.Less(GroupMember{Daemon: "a:1", Client: "x"}) {
+	if !m.less(GroupMember{Daemon: "a:1", Client: "x"}) {
 		t.Fatal("Less by client failed")
 	}
 }
@@ -210,7 +210,7 @@ func TestStateAndReasonStrings(t *testing.T) {
 		t.Fatal("unknown state empty")
 	}
 	for want, r := range map[string]ViewReason{
-		"network": ReasonNetwork, "join": ReasonJoin, "leave": ReasonLeave,
+		"network": reasonNetwork, "join": reasonJoin, "leave": reasonLeave,
 	} {
 		if r.String() != want {
 			t.Fatalf("%v.String() = %q", r, r.String())

@@ -7,29 +7,29 @@ import (
 
 // Errors reported by session operations.
 var (
-	ErrSessionClosed = errors.New("gcs: session closed")
-	ErrNameInUse     = errors.New("gcs: client name already connected")
-	ErrDaemonClosed  = errors.New("gcs: daemon stopped")
-	ErrPayloadTooBig = errors.New("gcs: payload exceeds the message size limit")
-	ErrBackpressure  = errors.New("gcs: send queue full")
+	errSessionClosed = errors.New("gcs: session closed")
+	errNameInUse     = errors.New("gcs: client name already connected")
+	errDaemonClosed  = errors.New("gcs: daemon stopped")
+	errPayloadTooBig = errors.New("gcs: payload exceeds the message size limit")
+	errBackpressure  = errors.New("gcs: send queue full")
 )
 
-// MaxPayload bounds one multicast payload (the wire format length-prefixes
+// maxPayload bounds one multicast payload (the wire format length-prefixes
 // payloads with 16 bits, minus headroom for the envelope).
-const MaxPayload = 60 * 1024
+const maxPayload = 60 * 1024
 
-// MaxNameLen bounds a client or a group name. The headroom MaxPayload leaves
+// maxNameLen bounds a client or a group name. The headroom maxPayload leaves
 // is what the two names of a cast's envelope have to fit in; unbounded, a long
 // enough pair would overflow the 16-bit prefix of the data message around it.
-const MaxNameLen = 255
+const maxNameLen = 255
 
-// ErrNameTooLong is returned wherever a client or group name enters the
-// daemon — Connect, Join, Leave, Multicast — for a name over MaxNameLen.
-var ErrNameTooLong = errors.New("gcs: name exceeds the length limit")
+// errNameTooLong is returned wherever a client or group name enters the
+// daemon — Connect, Join, Leave, Multicast — for a name over maxNameLen.
+var errNameTooLong = errors.New("gcs: name exceeds the length limit")
 
 func checkNameLen(what, name string) error {
-	if len(name) > MaxNameLen {
-		return fmt.Errorf("%w: %s name of %d bytes", ErrNameTooLong, what, len(name))
+	if len(name) > maxNameLen {
+		return fmt.Errorf("%w: %s name of %d bytes", errNameTooLong, what, len(name))
 	}
 	return nil
 }
@@ -55,7 +55,7 @@ type Session struct {
 // cluster-wide.
 func (d *Daemon) Connect(name string) (*Session, error) {
 	if d.closed {
-		return nil, ErrDaemonClosed
+		return nil, errDaemonClosed
 	}
 	if name == "" {
 		return nil, fmt.Errorf("gcs: empty client name")
@@ -64,7 +64,7 @@ func (d *Daemon) Connect(name string) (*Session, error) {
 		return nil, err
 	}
 	if _, ok := d.groups.sessions[name]; ok {
-		return nil, fmt.Errorf("%w: %q on %s", ErrNameInUse, name, d.id)
+		return nil, fmt.Errorf("%w: %q on %s", errNameInUse, name, d.id)
 	}
 	s := &Session{d: d, name: name, joined: map[string]bool{}}
 	d.groups.sessions[name] = s
@@ -95,7 +95,7 @@ func (s *Session) SetDisconnectHandler(h func()) { s.discH = h }
 // fault-detection timescales (§6).
 func (s *Session) Join(group string) error {
 	if s.closed {
-		return ErrSessionClosed
+		return errSessionClosed
 	}
 	if group == "" {
 		return fmt.Errorf("gcs: empty group name")
@@ -111,20 +111,20 @@ func (s *Session) Join(group string) error {
 // ordered) delivery, including this client if it is a member. Oversized
 // payloads and a full daemon send queue are rejected rather than silently
 // degraded (the daemon's flow control admits Window messages per token
-// visit, so a persistent ErrBackpressure means the client outruns the
+// visit, so a persistent errBackpressure means the client outruns the
 // ring).
 func (s *Session) Multicast(group string, payload []byte) error {
 	if s.closed {
-		return ErrSessionClosed
+		return errSessionClosed
 	}
 	if err := checkNameLen("group", group); err != nil {
 		return err
 	}
-	if len(payload) > MaxPayload {
-		return fmt.Errorf("%w: %d bytes", ErrPayloadTooBig, len(payload))
+	if len(payload) > maxPayload {
+		return fmt.Errorf("%w: %d bytes", errPayloadTooBig, len(payload))
 	}
 	if len(s.d.sendQueue) >= maxSendQueue {
-		return ErrBackpressure
+		return errBackpressure
 	}
 	m := s.d.sendData(dkGroupCast)
 	m.Payload = appendGroupCast(m.Payload, s.name, group, payload)
@@ -140,7 +140,7 @@ func (s *Session) sendOp(kind dataKind, group string) {
 // Disconnect leaves all groups gracefully and detaches from the daemon.
 func (s *Session) Disconnect() error {
 	if s.closed {
-		return ErrSessionClosed
+		return errSessionClosed
 	}
 	for group := range s.joined {
 		s.sendOp(dkGroupLeave, group)

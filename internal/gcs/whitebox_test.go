@@ -234,8 +234,8 @@ func TestStatsProgress(t *testing.T) {
 
 func TestDoubleStopIsSafe(t *testing.T) {
 	_, daemons, _ := wbCluster(t, 10, 1, TunedConfig())
-	daemons[0].Stop()
-	daemons[0].Stop() // idempotent
+	daemons[0].stop()
+	daemons[0].stop() // idempotent
 	if daemons[0].state.String() == "" {
 		t.Fatal("state string empty after stop")
 	}
