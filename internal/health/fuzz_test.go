@@ -17,7 +17,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	minimal := Frame{Node: "n"}
 	f.Add(AppendFrame(nil, &minimal))
 	f.Add([]byte{})
-	f.Add([]byte{'W', 'H', FrameVersion})
+	f.Add([]byte{'W', 'H', frameVersion})
 	f.Add([]byte{'W', 'H', 99, 0, 0})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 

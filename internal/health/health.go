@@ -44,10 +44,10 @@ const (
 	// float64 (erfc ≈ 0); it also bounds the milli-phi gauge.
 	maxPhi = 300.0
 
-	// HistBuckets is the number of log2 inter-arrival buckets per peer:
+	// histBuckets is the number of log2 inter-arrival buckets per peer:
 	// bucket i counts intervals with bits.Len64(ns) == i, spanning 1ns to
 	// ~9.2s and beyond (the last bucket absorbs the tail).
-	HistBuckets = 40
+	histBuckets = 40
 )
 
 // Options configures a Monitor.
@@ -78,7 +78,7 @@ type PeerHealth struct {
 	Suspected bool
 	// Hist is the log2 inter-arrival histogram (bucket i counts intervals
 	// whose nanosecond value has bit-length i).
-	Hist [HistBuckets]uint64
+	Hist [histBuckets]uint64
 }
 
 type peerState struct {
@@ -89,7 +89,7 @@ type peerState struct {
 	// suspectedAt is the instant phi first crossed the threshold for the
 	// current suspicion episode; Detected turns it into a lead time.
 	suspectedAt time.Time
-	hist        [HistBuckets]uint64
+	hist        [histBuckets]uint64
 
 	gInter   *metrics.Gauge
 	cSuspect *metrics.Counter
@@ -473,8 +473,8 @@ func (m *Monitor) phiLocked(ps *peerState, now time.Time) float64 {
 // histBucket maps an inter-arrival gap in nanoseconds to its log2 bucket.
 func histBucket(ns uint64) int {
 	b := bits.Len64(ns)
-	if b >= HistBuckets {
-		b = HistBuckets - 1
+	if b >= histBuckets {
+		b = histBuckets - 1
 	}
 	return b
 }

@@ -25,15 +25,15 @@ import (
 const (
 	frameMagic0  = 'W'
 	frameMagic1  = 'H'
-	FrameVersion = 1
+	frameVersion = 1
 
-	// MaxFrameList bounds every list in a frame (members, owned groups,
+	// maxFrameList bounds every list in a frame (members, owned groups,
 	// peers); a decoder rejects larger counts before allocating.
-	MaxFrameList = 1024
+	maxFrameList = 1024
 
-	// DefaultTelemetryInterval is the publishing period when the
+	// defaultTelemetryInterval is the publishing period when the
 	// configuration leaves telemetry_interval unset.
-	DefaultTelemetryInterval = 250 * time.Millisecond
+	defaultTelemetryInterval = 250 * time.Millisecond
 )
 
 // PeerStatus is one entry of a frame's suspicion vector: the publishing
@@ -93,9 +93,9 @@ type Frame struct {
 // AppendFrame encodes f to the telemetry wire format, appending to dst and
 // returning the extended slice. With a reused dst of sufficient capacity it
 // performs no allocation. Strings longer than 64KB and lists longer than
-// MaxFrameList are truncated (never produced by real publishers).
+// maxFrameList are truncated (never produced by real publishers).
 func AppendFrame(dst []byte, f *Frame) []byte {
-	dst = append(dst, frameMagic0, frameMagic1, FrameVersion)
+	dst = append(dst, frameMagic0, frameMagic1, frameVersion)
 	dst = appendString(dst, f.Node)
 	dst = binary.BigEndian.AppendUint64(dst, f.Seq)
 	dst = binary.BigEndian.AppendUint64(dst, uint64(f.HLC.Wall))
@@ -108,8 +108,8 @@ func AppendFrame(dst []byte, f *Frame) []byte {
 	dst = appendStringList(dst, f.Members)
 	dst = appendStringList(dst, f.Owned)
 	peers := f.Peers
-	if len(peers) > MaxFrameList {
-		peers = peers[:MaxFrameList]
+	if len(peers) > maxFrameList {
+		peers = peers[:maxFrameList]
 	}
 	dst = binary.BigEndian.AppendUint16(dst, uint16(len(peers)))
 	for i := range peers {
@@ -144,8 +144,8 @@ func appendBool(dst []byte, v bool) []byte {
 }
 
 func appendStringList(dst []byte, ss []string) []byte {
-	if len(ss) > MaxFrameList {
-		ss = ss[:MaxFrameList]
+	if len(ss) > maxFrameList {
+		ss = ss[:maxFrameList]
 	}
 	dst = binary.BigEndian.AppendUint16(dst, uint16(len(ss)))
 	for _, s := range ss {
@@ -154,8 +154,8 @@ func appendStringList(dst []byte, ss []string) []byte {
 	return dst
 }
 
-// IsFrame reports whether data starts with the telemetry frame magic.
-func IsFrame(data []byte) bool {
+// isFrame reports whether data starts with the telemetry frame magic.
+func isFrame(data []byte) bool {
 	return len(data) >= 2 && data[0] == frameMagic0 && data[1] == frameMagic1
 }
 
@@ -165,10 +165,10 @@ var errNotFrame = errors.New("health: not a telemetry frame")
 // data; hostile length fields fail before any large allocation.
 func DecodeFrame(data []byte) (Frame, error) {
 	var f Frame
-	if len(data) < 3 || !IsFrame(data) {
+	if len(data) < 3 || !isFrame(data) {
 		return f, errNotFrame
 	}
-	if data[2] != FrameVersion {
+	if data[2] != frameVersion {
 		return f, fmt.Errorf("health: unsupported frame version %d", data[2])
 	}
 	r := wire.NewReader(data[3:])
@@ -189,7 +189,7 @@ func DecodeFrame(data []byte) (Frame, error) {
 		return f, err
 	}
 	n := int(r.U16())
-	if n > MaxFrameList {
+	if n > maxFrameList {
 		return f, fmt.Errorf("health: frame peer count %d exceeds limit", n)
 	}
 	if n > 0 && r.Err() == nil {
@@ -220,7 +220,7 @@ func DecodeFrame(data []byte) (Frame, error) {
 
 func readStringList(r *wire.Reader) ([]string, error) {
 	n := int(r.U16())
-	if n > MaxFrameList {
+	if n > maxFrameList {
 		return nil, fmt.Errorf("health: frame list count %d exceeds limit", n)
 	}
 	if n == 0 || r.Err() != nil {
@@ -242,7 +242,7 @@ type PublisherOptions struct {
 	// Node is the publishing daemon's identity, stamped on every frame.
 	Node string
 	// Interval is the publishing period (default
-	// DefaultTelemetryInterval).
+	// defaultTelemetryInterval).
 	Interval time.Duration
 	// Subscribers are the destination addresses, one datagram each per
 	// interval.
@@ -282,7 +282,7 @@ func NewPublisher(opts PublisherOptions) *Publisher {
 		return nil
 	}
 	if opts.Interval <= 0 {
-		opts.Interval = DefaultTelemetryInterval
+		opts.Interval = defaultTelemetryInterval
 	}
 	p := &Publisher{o: opts}
 	p.cPub = opts.Metrics.Counter("health_frames_published_total",

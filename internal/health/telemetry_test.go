@@ -39,7 +39,7 @@ func sampleFrame() Frame {
 func TestFrameRoundTrip(t *testing.T) {
 	f := sampleFrame()
 	enc := AppendFrame(nil, &f)
-	if !IsFrame(enc) {
+	if !isFrame(enc) {
 		t.Fatal("encoded frame fails its own magic check")
 	}
 	got, err := DecodeFrame(enc)
@@ -78,7 +78,7 @@ func TestDecodeFrameRejects(t *testing.T) {
 		}
 	}
 	// A hostile count field must fail before allocating the list.
-	hostile := []byte{'W', 'H', FrameVersion, 0, 1, 'n'}
+	hostile := []byte{'W', 'H', frameVersion, 0, 1, 'n'}
 	hostile = append(hostile, make([]byte, 8+8+4+8)...) // seq, hlc, skew
 	hostile = append(hostile, 0, 1, 'v', 0, 1, 's', 1)  // view, state, mature
 	hostile = append(hostile, make([]byte, 8)...)       // generation

@@ -16,8 +16,8 @@ import (
 	"wackamole/internal/wire"
 )
 
-// Port carries hello messages in the simulation (real HSRP uses UDP 1985).
-const Port = 1985
+// port carries hello messages in the simulation (real HSRP uses UDP 1985).
+const port = 1985
 
 // Timers from the paper: "By default, hello messages are sent every 3
 // seconds and the Active and Standby timeouts are set to 10 seconds."
@@ -31,17 +31,17 @@ type Role uint8
 
 // Roles.
 const (
-	RoleListen Role = iota + 1
-	RoleStandby
+	roleListen Role = iota + 1
+	roleStandby
 	RoleActive
 )
 
 // String names the role.
 func (r Role) String() string {
 	switch r {
-	case RoleListen:
+	case roleListen:
 		return "listen"
-	case RoleStandby:
+	case roleStandby:
 		return "standby"
 	case RoleActive:
 		return "active"
@@ -84,8 +84,8 @@ func New(host *netsim.Host, nic *netsim.NIC, cfg Config) (*Router, error) {
 	if !cfg.VIP.IsValid() {
 		return nil, fmt.Errorf("hsrp: missing virtual address")
 	}
-	r := &Router{host: host, nic: nic, cfg: cfg, role: RoleListen, peers: map[netip.Addr]peerInfo{}}
-	if _, err := host.BindUDP(netip.Addr{}, Port, func(src, _ netip.AddrPort, payload []byte) {
+	r := &Router{host: host, nic: nic, cfg: cfg, role: roleListen, peers: map[netip.Addr]peerInfo{}}
+	if _, err := host.BindUDP(netip.Addr{}, port, func(src, _ netip.AddrPort, payload []byte) {
 		r.onHello(src.Addr(), payload)
 	}); err != nil {
 		return nil, fmt.Errorf("hsrp: %w", err)
@@ -127,11 +127,11 @@ func (r *Router) activeTimeout() {
 // time: the standby becomes active; with no standby either, the best
 // candidate by (priority, address) takes over.
 func (r *Router) onActiveDown() {
-	if r.role == RoleStandby || r.bestCandidate() {
+	if r.role == roleStandby || r.bestCandidate() {
 		r.becomeActive()
 		return
 	}
-	r.role = RoleStandby
+	r.role = roleStandby
 	r.armActiveTimer()
 }
 
@@ -174,8 +174,8 @@ func (r *Router) sendHello() {
 	w.U8(r.cfg.Group)
 	w.U8(r.cfg.Priority)
 	w.U8(uint8(r.role))
-	dst := netip.AddrPortFrom(r.nic.Broadcast(), Port)
-	src := netip.AddrPortFrom(r.nic.Primary(), Port)
+	dst := netip.AddrPortFrom(r.nic.Broadcast(), port)
+	src := netip.AddrPortFrom(r.nic.Primary(), port)
 	if err := r.host.SendUDP(src, dst, w.Bytes()); err != nil {
 		_ = err
 	}
@@ -207,7 +207,7 @@ func (r *Router) onHello(from netip.Addr, payload []byte) {
 }
 
 func (r *Router) stepDown() {
-	r.role = RoleListen
+	r.role = roleListen
 	if r.nic.HasAddr(r.cfg.VIP) {
 		if err := r.nic.RemoveAddr(r.cfg.VIP); err != nil {
 			_ = err
