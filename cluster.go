@@ -409,7 +409,7 @@ func (c *Cluster) CoverageByServer() []int {
 }
 
 // InvariantView exposes the cluster to the settled-state invariant checks
-// (invariant.SettledProblem) without giving them mutation access.
+// (invariant.CheckSettled) without giving them mutation access.
 func (c *Cluster) InvariantView() invariant.ClusterView {
 	return invariant.ClusterView{
 		Servers:    len(c.Servers),

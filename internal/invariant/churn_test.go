@@ -10,17 +10,17 @@ import (
 // acquisitions are free — there is no previous owner to move from).
 func churnMonitor(bound int, groups ...string) *Monitor {
 	m := testMonitor(2, Config{ChurnBound: bound})
-	m.OnView(0, view("v1", "a", "b"))
-	m.OnView(1, view("v1", "a", "b"))
+	m.onView(0, view("v1", "a", "b"))
+	m.onView(1, view("v1", "a", "b"))
 	for _, g := range groups {
-		m.OnOwnership(0, g, true, "v1")
+		m.onOwnership(0, g, true, "v1")
 	}
 	return m
 }
 
 func installView(m *Monitor, id string) {
-	m.OnView(0, view(id, "a", "b"))
-	m.OnView(1, view(id, "a", "b"))
+	m.onView(0, view(id, "a", "b"))
+	m.onView(1, view(id, "a", "b"))
 }
 
 // viewMoves reports how many relocations the churn oracle has counted for
@@ -41,10 +41,10 @@ func TestChurnOracleTrips(t *testing.T) {
 	}
 
 	installView(m, "v2")
-	m.OnOwnership(0, "g1", false, "v2")
-	m.OnOwnership(1, "g1", true, "v2")
-	m.OnOwnership(0, "g2", false, "v2")
-	m.OnOwnership(1, "g2", true, "v2")
+	m.onOwnership(0, "g1", false, "v2")
+	m.onOwnership(1, "g1", true, "v2")
+	m.onOwnership(0, "g2", false, "v2")
+	m.onOwnership(1, "g2", true, "v2")
 	if v := m.Violation(); v != nil {
 		t.Fatalf("2 relocations with bound 2 tripped: %v", v)
 	}
@@ -52,14 +52,14 @@ func TestChurnOracleTrips(t *testing.T) {
 		t.Fatalf("viewMoves(v2) = %d, want 2", got)
 	}
 
-	m.OnOwnership(0, "g3", false, "v2")
-	m.OnOwnership(1, "g3", true, "v2")
+	m.onOwnership(0, "g3", false, "v2")
+	m.onOwnership(1, "g3", true, "v2")
 	v := m.Violation()
 	if v == nil {
 		t.Fatal("3 relocations in one view with bound 2 did not trip the churn oracle")
 	}
-	if v.Oracle != OracleChurn {
-		t.Fatalf("oracle = %q, want %q", v.Oracle, OracleChurn)
+	if v.Oracle != oracleChurn {
+		t.Fatalf("oracle = %q, want %q", v.Oracle, oracleChurn)
 	}
 	if !strings.Contains(v.Detail, "v2") || !strings.Contains(v.Detail, "g3") {
 		t.Fatalf("violation detail names neither view nor group: %q", v.Detail)
@@ -73,8 +73,8 @@ func TestChurnOraclePerView(t *testing.T) {
 	for k, id := range []string{"v2", "v3", "v4"} {
 		installView(m, id)
 		from, to := k%2, (k+1)%2
-		m.OnOwnership(from, "g1", false, id)
-		m.OnOwnership(to, "g1", true, id)
+		m.onOwnership(from, "g1", false, id)
+		m.onOwnership(to, "g1", true, id)
 	}
 	if v := m.Violation(); v != nil {
 		t.Fatalf("one relocation per view with bound 1 tripped: %v", v)
@@ -88,8 +88,8 @@ func TestChurnOracleDedupsWithinView(t *testing.T) {
 	installView(m, "v2")
 	for k := 0; k < 4; k++ {
 		from, to := k%2, (k+1)%2
-		m.OnOwnership(from, "g1", false, "v2")
-		m.OnOwnership(to, "g1", true, "v2")
+		m.onOwnership(from, "g1", false, "v2")
+		m.onOwnership(to, "g1", true, "v2")
 	}
 	if v := m.Violation(); v != nil {
 		t.Fatalf("re-claims of one shard within one view tripped churn: %v", v)
@@ -103,8 +103,8 @@ func TestChurnOracleDisarmedByDefault(t *testing.T) {
 	m := churnMonitor(0, "g1", "g2", "g3")
 	installView(m, "v2")
 	for _, g := range []string{"g1", "g2", "g3"} {
-		m.OnOwnership(0, g, false, "v2")
-		m.OnOwnership(1, g, true, "v2")
+		m.onOwnership(0, g, false, "v2")
+		m.onOwnership(1, g, true, "v2")
 	}
 	if v := m.Violation(); v != nil {
 		t.Fatalf("disarmed churn oracle tripped: %v", v)
@@ -120,8 +120,8 @@ func TestChurnOracleDisarmedByDefault(t *testing.T) {
 func TestArmChurnMidRun(t *testing.T) {
 	m := churnMonitor(0, "g1", "g2")
 	installView(m, "v2")
-	m.OnOwnership(0, "g1", false, "v2")
-	m.OnOwnership(1, "g1", true, "v2")
+	m.onOwnership(0, "g1", false, "v2")
+	m.onOwnership(1, "g1", true, "v2")
 
 	m.ArmChurn(1)
 	if got := viewMoves(m, "v2"); got != 0 {
@@ -129,22 +129,22 @@ func TestArmChurnMidRun(t *testing.T) {
 	}
 	// One relocation in the same view: within bound, because arming wiped
 	// the view's tally.
-	m.OnOwnership(1, "g2", true, "v2")
-	m.OnOwnership(0, "g2", false, "v2")
+	m.onOwnership(1, "g2", true, "v2")
+	m.onOwnership(0, "g2", false, "v2")
 	if v := m.Violation(); v != nil {
 		t.Fatalf("single post-arm relocation with bound 1 tripped: %v", v)
 	}
 	// A second relocated shard in the same view exceeds the bound. g1 moves
 	// back to node 0: the owner history survived arming, so this is
 	// recognized as a relocation.
-	m.OnOwnership(1, "g1", false, "v2")
-	m.OnOwnership(0, "g1", true, "v2")
+	m.onOwnership(1, "g1", false, "v2")
+	m.onOwnership(0, "g1", true, "v2")
 	v := m.Violation()
 	if v == nil {
 		t.Fatal("2 post-arm relocations with bound 1 did not trip")
 	}
-	if v.Oracle != OracleChurn {
-		t.Fatalf("oracle = %q, want %q", v.Oracle, OracleChurn)
+	if v.Oracle != oracleChurn {
+		t.Fatalf("oracle = %q, want %q", v.Oracle, oracleChurn)
 	}
 }
 
@@ -156,8 +156,8 @@ func TestChurnSteadyStateAllocationFree(t *testing.T) {
 	k := 0
 	if avg := testing.AllocsPerRun(200, func() {
 		from, to := k%2, (k+1)%2
-		m.OnOwnership(from, "g1", false, "v2")
-		m.OnOwnership(to, "g1", true, "v2")
+		m.onOwnership(from, "g1", false, "v2")
+		m.onOwnership(to, "g1", true, "v2")
 		k++
 	}); avg != 0 {
 		t.Errorf("armed churn ownership path allocates %v per event, want 0", avg)

@@ -9,8 +9,8 @@ import (
 // claimRelease drives one full ownership cycle on node 0 so the next claim
 // is a fresh false→true transition.
 func claimRelease(m *Monitor, group string) {
-	m.OnOwnership(0, group, true, "v1")
-	m.OnOwnership(0, group, false, "v1")
+	m.onOwnership(0, group, true, "v1")
+	m.onOwnership(0, group, false, "v1")
 }
 
 func pingPongMonitor(bound int, window time.Duration, now *time.Duration) *Monitor {
@@ -19,8 +19,8 @@ func pingPongMonitor(bound int, window time.Duration, now *time.Duration) *Monit
 		PingPongWindow: window,
 		Now:            func() time.Duration { return *now },
 	})
-	m.OnView(0, view("v1", "a", "b"))
-	m.OnView(1, view("v1", "a", "b"))
+	m.onView(0, view("v1", "a", "b"))
+	m.onView(1, view("v1", "a", "b"))
 	return m
 }
 
@@ -43,8 +43,8 @@ func TestPingPongOracleTrips(t *testing.T) {
 	if v == nil {
 		t.Fatal("4 claims in 300ms with bound 3/1s did not trip the ping-pong oracle")
 	}
-	if v.Oracle != OraclePingPong {
-		t.Fatalf("oracle = %q, want %q", v.Oracle, OraclePingPong)
+	if v.Oracle != oraclePingPong {
+		t.Fatalf("oracle = %q, want %q", v.Oracle, oraclePingPong)
 	}
 	if !strings.Contains(v.Detail, "web1") {
 		t.Fatalf("violation detail does not name the group: %q", v.Detail)
@@ -70,7 +70,7 @@ func TestPingPongOracleDisarmedByDefault(t *testing.T) {
 	m := testMonitor(2, Config{
 		Now: func() time.Duration { return *(&now) },
 	})
-	m.OnView(0, view("v1", "a", "b"))
+	m.onView(0, view("v1", "a", "b"))
 	for k := 0; k < 50; k++ {
 		claimRelease(m, "web1")
 	}
@@ -104,8 +104,8 @@ func TestFalseSuspectOracle(t *testing.T) {
 	if v == nil {
 		t.Fatal("3 false suspicions with bound 2 did not trip the oracle")
 	}
-	if v.Oracle != OracleFalseSuspect {
-		t.Fatalf("oracle = %q, want %q", v.Oracle, OracleFalseSuspect)
+	if v.Oracle != oracleFalseSuspect {
+		t.Fatalf("oracle = %q, want %q", v.Oracle, oracleFalseSuspect)
 	}
 	if got := m.falseSuspects; got != 3 {
 		t.Fatalf("falseSuspects = %d, want 3", got)
@@ -137,7 +137,7 @@ func TestPingPongSteadyStateAllocationFree(t *testing.T) {
 	if avg := testing.AllocsPerRun(200, func() {
 		now += time.Second
 		owned = !owned
-		m.OnOwnership(0, "web1", owned, "v1")
+		m.onOwnership(0, "web1", owned, "v1")
 	}); avg != 0 {
 		t.Errorf("armed ping-pong ownership path allocates %v per event, want 0", avg)
 	}

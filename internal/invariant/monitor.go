@@ -281,9 +281,9 @@ func (m *Monitor) Attach(i int, n Node) {
 	m.mu.Lock()
 	m.selfs[i] = n.Member()
 	m.mu.Unlock()
-	n.Engine().AddViewHook(func(v core.View) { m.OnView(i, v) })
+	n.Engine().AddViewHook(func(v core.View) { m.onView(i, v) })
 	n.Engine().AddOwnershipHook(func(g string, owned bool, viewID string) {
-		m.OnOwnership(i, g, owned, viewID)
+		m.onOwnership(i, g, owned, viewID)
 	})
 	n.Daemon().AddDeliveryHandler(func(r gcs.RingID, seq uint64, origin gcs.DaemonID) {
 		m.OnDelivery(i, r, seq, origin)
@@ -396,11 +396,11 @@ func (m *Monitor) report(v *Violation) {
 	}
 }
 
-// OnView is the engine view hook for node slot i, and the whole view-order
+// onView is the engine view hook for node slot i, and the whole view-order
 // oracle: the same view ID must always carry the same member list, and node
 // i must have installed its views in the same relative order as every other
 // node installed their common ones.
-func (m *Monitor) OnView(i int, v core.View) {
+func (m *Monitor) onView(i int, v core.View) {
 	if m == nil {
 		return
 	}
@@ -409,7 +409,7 @@ func (m *Monitor) OnView(i int, v core.View) {
 	m.installs++
 	if prev, ok := m.viewMembers[v.ID]; ok {
 		if !sameMembers(prev, v.Members) {
-			m.failLocked(OracleViewOrder,
+			m.failLocked(oracleViewOrder,
 				"view %s installed with diverging member lists: %v vs %v (server %d)",
 				v.ID, prev, v.Members, i)
 		}
@@ -443,7 +443,7 @@ func (m *Monitor) OnDelivery(i int, ring gcs.RingID, seq uint64, origin gcs.Daem
 	m.mu.Lock()
 	m.delivers++
 	if last, ok := m.lastSeq[i][ring]; ok && seq <= last {
-		m.failLocked(OracleDeliveryOrder,
+		m.failLocked(oracleDeliveryOrder,
 			"server %d delivered ring %s seq %d after seq %d", i, ring, seq, last)
 	}
 	m.lastSeq[i][ring] = seq
@@ -457,7 +457,7 @@ func (m *Monitor) OnDelivery(i int, ring gcs.RingID, seq uint64, origin gcs.Daem
 	switch {
 	case slot.set && slot.seq == seq:
 		if slot.origin != origin {
-			m.failLocked(OracleDeliveryOrder,
+			m.failLocked(oracleDeliveryOrder,
 				"ring %s seq %d delivered from origin %s at server %d but %s elsewhere",
 				ring, seq, origin, i, slot.origin)
 		}
@@ -473,10 +473,10 @@ func (m *Monitor) OnDelivery(i int, ring gcs.RingID, seq uint64, origin gcs.Daem
 	m.report(viol)
 }
 
-// OnOwnership is the engine ownership hook for node slot i: the online
+// onOwnership is the engine ownership hook for node slot i: the online
 // half of the foreign-claim oracle — an engine may only acquire while it
 // is a member of its installed view — plus per-shard claim upkeep.
-func (m *Monitor) OnOwnership(i int, group string, owned bool, viewID string) {
+func (m *Monitor) onOwnership(i int, group string, owned bool, viewID string) {
 	if m == nil {
 		return
 	}
@@ -490,7 +490,7 @@ func (m *Monitor) OnOwnership(i int, group string, owned bool, viewID string) {
 	m.trackChurnLocked(i, group, viewID)
 	v := m.currentView[i]
 	if v.ID == "" || v.ID != viewID {
-		m.failLocked(OracleForeignClaim,
+		m.failLocked(oracleForeignClaim,
 			"server %d acquired %s under view %q but last installed view is %q",
 			i, group, viewID, v.ID)
 	} else {
@@ -503,7 +503,7 @@ func (m *Monitor) OnOwnership(i int, group string, owned bool, viewID string) {
 			}
 		}
 		if !member {
-			m.failLocked(OracleForeignClaim,
+			m.failLocked(oracleForeignClaim,
 				"server %d acquired %s outside its view %s (members %v)", i, group, v.ID, v.Members)
 		}
 	}
@@ -548,7 +548,7 @@ func (m *Monitor) pairOrderLocked(a, b int) {
 			continue
 		}
 		if p <= lastPos {
-			m.failLocked(OracleViewOrder,
+			m.failLocked(oracleViewOrder,
 				"servers %d and %d installed views %s and %s in opposite orders",
 				a, b, lastID, id)
 			return
@@ -681,7 +681,7 @@ func (m *Monitor) recordClaimLocked(idx int) {
 	// Ring full: the next write position holds the oldest retained claim.
 	oldest := ring[m.claimHead[idx]]
 	if span := now - oldest; span <= m.cfg.PingPongWindow {
-		m.failLocked(OraclePingPong,
+		m.failLocked(oraclePingPong,
 			"group %s claimed %d times within %v (bound %d per %v) — ownership ping-pong",
 			m.shardNames[idx], len(ring), span, m.cfg.PingPongBound, m.cfg.PingPongWindow)
 	}
@@ -731,7 +731,7 @@ func (m *Monitor) trackChurnLocked(i int, group, viewID string) {
 	m.lastMovedView[idx] = viewID
 	moves := m.bumpChurnViewLocked(viewID)
 	if m.churnBound > 0 && moves > m.churnBound {
-		m.failLocked(OracleChurn,
+		m.failLocked(oracleChurn,
 			"view %s relocated %d VIP groups (bound %d): %s moved from server %d to server %d",
 			viewID, moves, m.churnBound, group, prev, i)
 	}
@@ -767,7 +767,7 @@ func (m *Monitor) OnFalseSuspicion(i int, peer string) {
 	}
 	m.falseSuspects++
 	if m.falseSuspects > m.cfg.FalseSuspectBound {
-		m.failLocked(OracleFalseSuspect,
+		m.failLocked(oracleFalseSuspect,
 			"server %d falsely declared %s failed (%d false detections exceed bound %d)",
 			i, peer, m.falseSuspects, m.cfg.FalseSuspectBound)
 	}

@@ -39,7 +39,7 @@ func batchOrderInversion(hists [][]string) bool {
 // nodes), occasionally swap two of one node's installs, interleave the nodes
 // at random and re-observe a node's current view now and then. Each node
 // installs fewer than viewHistory views, so nothing is forgotten, and
-// OnView must raise view-order exactly when the sweep over the full
+// onView must raise view-order exactly when the sweep over the full
 // histories finds an inversion. Engines install each view once, so a
 // history holds each ID at most once and a re-observation is no install.
 func TestOnViewMatchesBatchOrderSweep(t *testing.T) {
@@ -74,9 +74,9 @@ func TestOnViewMatchesBatchOrderSweep(t *testing.T) {
 			n := rng.Intn(nodes)
 			switch {
 			case next[n] > 0 && rng.Intn(5) == 0:
-				m.OnView(n, view(hists[n][next[n]-1], "a"))
+				m.onView(n, view(hists[n][next[n]-1], "a"))
 			case next[n] < len(hists[n]):
-				m.OnView(n, view(hists[n][next[n]], "a"))
+				m.onView(n, view(hists[n][next[n]], "a"))
 				if next[n]++; next[n] == len(hists[n]) {
 					remaining--
 				}
@@ -85,9 +85,9 @@ func TestOnViewMatchesBatchOrderSweep(t *testing.T) {
 
 		want := batchOrderInversion(hists)
 		v := m.Violation()
-		got := v != nil && v.Oracle == OracleViewOrder
+		got := v != nil && v.Oracle == oracleViewOrder
 		if got != want || (v != nil && !got) {
-			t.Fatalf("seed %d: OnView violation %v, batch sweep finds an inversion: %v\nhistories %q",
+			t.Fatalf("seed %d: onView violation %v, batch sweep finds an inversion: %v\nhistories %q",
 				seed, v, want, hists)
 		}
 		if d := m.Dropped(); d != 0 {

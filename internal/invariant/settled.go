@@ -37,7 +37,7 @@ type ClusterView struct {
 	Status func(i int) core.Status
 }
 
-// SettledProblem demands the settled-state properties of a quiescent
+// settledProblem demands the settled-state properties of a quiescent
 // cluster: Property 1 (exactly-once coverage per component), Property 2
 // (one view, one table per component) and interface/engine agreement —
 // the paper's correctness claims at rest, complementing the online oracles
@@ -46,7 +46,7 @@ type ClusterView struct {
 // retry policy: a transient failure is legitimate while a balance is
 // mid-flight, so the checker re-runs the probe once after an extra second
 // before declaring a violation.
-func SettledProblem(cv ClusterView) (oracle, detail string) {
+func settledProblem(cv ClusterView) (oracle, detail string) {
 	for _, comp := range cv.Components() {
 		var serving []int
 		for _, i := range comp {
@@ -60,7 +60,7 @@ func SettledProblem(cv ClusterView) (oracle, detail string) {
 			for _, i := range comp {
 				for j := 0; j < cv.VIPs; j++ {
 					if cv.HasVIP(i, j) {
-						return OracleForeignClaim, fmt.Sprintf(
+						return oracleForeignClaim, fmt.Sprintf(
 							"server %d holds %v although no node in component %v is in service",
 							i, cv.VIPAddr(j), comp)
 					}
@@ -107,7 +107,7 @@ func SettledProblem(cv ClusterView) (oracle, detail string) {
 				}
 			}
 			if len(holders) != 1 {
-				return OracleExactlyOnce, fmt.Sprintf(
+				return oracleExactlyOnce, fmt.Sprintf(
 					"%v has %d holders %v in component %v (want exactly one)",
 					cv.VIPAddr(j), len(holders), holders, comp)
 			}
@@ -128,7 +128,7 @@ func SettledProblem(cv ClusterView) (oracle, detail string) {
 			has := cv.HasVIP(i, j)
 			wants := owned[cv.GroupName(j)]
 			if has != wants {
-				return OracleForeignClaim, fmt.Sprintf(
+				return oracleForeignClaim, fmt.Sprintf(
 					"server %d interface and engine disagree on %v: interface=%v engine=%v",
 					i, cv.VIPAddr(j), has, wants)
 			}
@@ -137,7 +137,7 @@ func SettledProblem(cv ClusterView) (oracle, detail string) {
 	return "", ""
 }
 
-// CheckSettled runs SettledProblem with the standard one-retry policy: a
+// CheckSettled runs settledProblem with the standard one-retry policy: a
 // transient failure is tolerated once (an in-flight balance legitimately
 // moves an address between two interfaces in a sub-millisecond window),
 // with runFor advancing the cluster the extra second between probes;
@@ -146,13 +146,13 @@ func (m *Monitor) CheckSettled(cv ClusterView, runFor func(time.Duration)) {
 	if m == nil {
 		return
 	}
-	oracle, detail := SettledProblem(cv)
+	oracle, detail := settledProblem(cv)
 	if oracle == "" {
 		return
 	}
 	if runFor != nil {
 		runFor(time.Second)
-		oracle, detail = SettledProblem(cv)
+		oracle, detail = settledProblem(cv)
 	}
 	if oracle != "" {
 		m.Fail(oracle, "%s", detail)

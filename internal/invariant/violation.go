@@ -9,43 +9,43 @@ import (
 // Oracle names, stable across versions because artifacts and shrinking key
 // on them.
 const (
-	OracleExactlyOnce   = "exactly-once"
+	oracleExactlyOnce   = "exactly-once"
 	OracleConvergence   = "convergence"
-	OracleViewOrder     = "view-order"
-	OracleDeliveryOrder = "delivery-order"
-	OracleForeignClaim  = "foreign-claim"
-	// OraclePingPong trips when one VIP group is re-claimed more than a
+	oracleViewOrder     = "view-order"
+	oracleDeliveryOrder = "delivery-order"
+	oracleForeignClaim  = "foreign-claim"
+	// oraclePingPong trips when one VIP group is re-claimed more than a
 	// configured bound of times within a sliding window — ownership
 	// ping-pong, the livelock a flapping link can induce.
-	OraclePingPong = "ping-pong"
-	// OracleFalseSuspect trips when attached nodes declare live, reachable
+	oraclePingPong = "ping-pong"
+	// oracleFalseSuspect trips when attached nodes declare live, reachable
 	// peers failed more than a configured bound of times — the
 	// false-detection rate a lossy-but-alive link must not exceed.
-	OracleFalseSuspect = "false-suspect"
-	// OracleChurn trips when one reconfiguration (one view) relocates more
+	oracleFalseSuspect = "false-suspect"
+	// oracleChurn trips when one reconfiguration (one view) relocates more
 	// VIP groups between live owners than the armed bound — the
 	// minimal-move guarantee of the placement plane. A relocation is a
 	// group acquired by a node that previously saw it owned by a different
 	// node; first-time acquisitions of fresh or orphaned groups are free.
-	OracleChurn = "churn"
+	oracleChurn = "churn"
 )
 
 // Oracles lists every oracle name; the monitor pre-registers one labeled
 // violation counter per entry and tooling (wackactl status) iterates it.
 var Oracles = []string{
-	OracleExactlyOnce,
+	oracleExactlyOnce,
 	OracleConvergence,
-	OracleViewOrder,
-	OracleDeliveryOrder,
-	OracleForeignClaim,
-	OraclePingPong,
-	OracleFalseSuspect,
-	OracleChurn,
+	oracleViewOrder,
+	oracleDeliveryOrder,
+	oracleForeignClaim,
+	oraclePingPong,
+	oracleFalseSuspect,
+	oracleChurn,
 }
 
 // Violation is the first oracle failure observed during a run.
 type Violation struct {
-	// Oracle is one of the Oracle* constants.
+	// Oracle is one of the names in Oracles.
 	Oracle string
 	// Detail is a human-readable description of the contradiction.
 	Detail string
