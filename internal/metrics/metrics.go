@@ -33,8 +33,8 @@ type Kind uint8
 // Instrument kinds.
 const (
 	KindCounter Kind = iota + 1
-	KindGauge
-	KindHistogram
+	kindGauge
+	kindHistogram
 )
 
 // String names the kind in Prometheus TYPE vocabulary.
@@ -42,9 +42,9 @@ func (k Kind) String() string {
 	switch k {
 	case KindCounter:
 		return "counter"
-	case KindGauge:
+	case kindGauge:
 		return "gauge"
-	case KindHistogram:
+	case kindHistogram:
 		return "histogram"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
@@ -59,18 +59,18 @@ type Label struct {
 // L builds a Label; it keeps instrument-creation call sites short.
 func L(key, value string) Label { return Label{Key: key, Value: value} }
 
-// NumBuckets is the number of finite histogram buckets. With boundaries
+// numBuckets is the number of finite histogram buckets. With boundaries
 // starting at 1µs and doubling, the last finite boundary is
 // 1µs·2^27 ≈ 134s — wide enough for every duration the evaluation measures
 // (frame latencies of ~100µs up to multi-second fail-over interruptions)
 // and for small event counts (retransmits per reconfiguration).
-const NumBuckets = 28
+const numBuckets = 28
 
 // bucketBoundaries are the shared upper bounds (in seconds for duration
 // histograms; dimensionless for count histograms), fixed so that any two
 // histograms merge element-wise.
-var bucketBoundaries = func() [NumBuckets]float64 {
-	var b [NumBuckets]float64
+var bucketBoundaries = func() [numBuckets]float64 {
+	var b [numBuckets]float64
 	v := 1e-6
 	for i := range b {
 		b[i] = v
@@ -83,23 +83,23 @@ var bucketBoundaries = func() [NumBuckets]float64 {
 // ascending. Observations above the last boundary land in the implicit
 // +Inf bucket.
 func BucketBoundaries() []float64 {
-	out := make([]float64, NumBuckets)
+	out := make([]float64, numBuckets)
 	copy(out[:], bucketBoundaries[:])
 	return out
 }
 
-// bucketIndex locates v's bucket: the first boundary >= v, or NumBuckets
+// bucketIndex locates v's bucket: the first boundary >= v, or numBuckets
 // (the +Inf bucket) when v exceeds them all.
 func bucketIndex(v float64) int {
 	if v <= bucketBoundaries[0] {
 		return 0
 	}
-	if v > bucketBoundaries[NumBuckets-1] {
-		return NumBuckets
+	if v > bucketBoundaries[numBuckets-1] {
+		return numBuckets
 	}
 	// Buckets double, so the index is a logarithm; binary search avoids
 	// floating-point log edge cases.
-	lo, hi := 1, NumBuckets-1
+	lo, hi := 1, numBuckets-1
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if v <= bucketBoundaries[mid] {
@@ -118,10 +118,10 @@ type Counter struct {
 }
 
 // Inc adds one.
-func (c *Counter) Inc() { c.Add(1) }
+func (c *Counter) Inc() { c.add(1) }
 
-// Add adds n. On a nil counter it is a zero-allocation no-op.
-func (c *Counter) Add(n uint64) {
+// add adds n. On a nil counter it is a zero-allocation no-op.
+func (c *Counter) add(n uint64) {
 	if c == nil {
 		return
 	}
@@ -150,8 +150,8 @@ func (g *Gauge) Set(n int64) {
 	g.v.Store(n)
 }
 
-// Add moves the level by delta (negative deltas lower it).
-func (g *Gauge) Add(delta int64) {
+// add moves the level by delta (negative deltas lower it).
+func (g *Gauge) add(delta int64) {
 	if g == nil {
 		return
 	}
@@ -159,13 +159,13 @@ func (g *Gauge) Add(delta int64) {
 }
 
 // Inc raises the level by one.
-func (g *Gauge) Inc() { g.Add(1) }
+func (g *Gauge) Inc() { g.add(1) }
 
 // Dec lowers the level by one.
-func (g *Gauge) Dec() { g.Add(-1) }
+func (g *Gauge) Dec() { g.add(-1) }
 
-// Value returns the current level (0 on nil).
-func (g *Gauge) Value() int64 {
+// value returns the current level (0 on nil).
+func (g *Gauge) value() int64 {
 	if g == nil {
 		return 0
 	}
@@ -177,7 +177,7 @@ func (g *Gauge) Value() int64 {
 // loop for the sum), so hot protocol paths observe without contention. A
 // nil *Histogram is a valid disabled instrument.
 type Histogram struct {
-	buckets [NumBuckets + 1]atomic.Uint64 // last slot is the +Inf bucket
+	buckets [numBuckets + 1]atomic.Uint64 // last slot is the +Inf bucket
 	sumBits atomic.Uint64                 // math.Float64bits of the running sum
 }
 
@@ -222,7 +222,7 @@ func (h *Histogram) Snapshot() HistSnapshot {
 // counts (index i counts observations in (boundary[i-1], boundary[i]]; the
 // last slot is the +Inf bucket) plus the observation sum.
 type HistSnapshot struct {
-	Counts [NumBuckets + 1]uint64
+	Counts [numBuckets + 1]uint64
 	Sum    float64
 }
 
@@ -235,10 +235,10 @@ func (s HistSnapshot) Count() uint64 {
 	return n
 }
 
-// Merge sums other into s element-wise. Because every histogram shares the
-// same fixed boundaries, Merge is associative and commutative: merging
+// merge sums other into s element-wise. Because every histogram shares the
+// same fixed boundaries, merge is associative and commutative: merging
 // per-node or per-trial snapshots in any order yields identical buckets.
-func (s *HistSnapshot) Merge(other HistSnapshot) {
+func (s *HistSnapshot) merge(other HistSnapshot) {
 	for i := range s.Counts {
 		s.Counts[i] += other.Counts[i]
 	}
@@ -272,8 +272,8 @@ func (s HistSnapshot) Quantile(q float64) float64 {
 		if cum < rank {
 			continue
 		}
-		if i >= NumBuckets {
-			return bucketBoundaries[NumBuckets-1]
+		if i >= numBuckets {
+			return bucketBoundaries[numBuckets-1]
 		}
 		lo := 0.0
 		if i > 0 {
@@ -284,7 +284,7 @@ func (s HistSnapshot) Quantile(q float64) float64 {
 		inBucket := float64(rank-(cum-c)) / float64(c)
 		return lo + (hi-lo)*inBucket
 	}
-	return bucketBoundaries[NumBuckets-1]
+	return bucketBoundaries[numBuckets-1]
 }
 
 // QuantileDuration is Quantile for *_seconds histograms.
@@ -429,9 +429,9 @@ func (r *Registry) lookup(name, help string, kind Kind, labels []Label) *series 
 		switch kind {
 		case KindCounter:
 			s.ctr = &Counter{}
-		case KindGauge:
+		case kindGauge:
 			s.gauge = &Gauge{}
-		case KindHistogram:
+		case kindHistogram:
 			s.hist = &Histogram{}
 		}
 		f.series[key] = s
@@ -468,7 +468,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 	if r == nil {
 		return
 	}
-	r.setFn(r.lookup(name, help, KindGauge, labels), fn)
+	r.setFn(r.lookup(name, help, kindGauge, labels), fn)
 }
 
 func (r *Registry) setFn(s *series, fn func() float64) {
@@ -482,7 +482,7 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	if r == nil {
 		return nil
 	}
-	return r.lookup(name, help, KindGauge, labels).gauge
+	return r.lookup(name, help, kindGauge, labels).gauge
 }
 
 // Histogram returns the histogram (name, labels), creating it on first use.
@@ -490,7 +490,7 @@ func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
 	if r == nil {
 		return nil
 	}
-	return r.lookup(name, help, KindHistogram, labels).hist
+	return r.lookup(name, help, kindHistogram, labels).hist
 }
 
 // SeriesSnapshot is one labelled series' state within a family snapshot.
@@ -547,9 +547,9 @@ func (r *Registry) Snapshot() Snapshot {
 				ss.Value = s.fn()
 			case f.kind == KindCounter:
 				ss.Value = float64(s.ctr.Value())
-			case f.kind == KindGauge:
-				ss.Value = float64(s.gauge.Value())
-			case f.kind == KindHistogram:
+			case f.kind == kindGauge:
+				ss.Value = float64(s.gauge.value())
+			case f.kind == kindHistogram:
 				h := s.hist.Snapshot()
 				ss.Hist = &h
 			}
@@ -576,12 +576,12 @@ func (s Snapshot) Family(name string) *FamilySnapshot {
 func (s Snapshot) MergedHistogram(name string) HistSnapshot {
 	var out HistSnapshot
 	f := s.Family(name)
-	if f == nil || f.Kind != KindHistogram {
+	if f == nil || f.Kind != kindHistogram {
 		return out
 	}
 	for _, ser := range f.Series {
 		if ser.Hist != nil {
-			out.Merge(*ser.Hist)
+			out.merge(*ser.Hist)
 		}
 	}
 	return out

@@ -13,7 +13,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 	r := New()
 	c := r.Counter("requests_total", "requests served")
 	c.Inc()
-	c.Add(4)
+	c.add(4)
 	if c.Value() != 5 {
 		t.Fatalf("counter = %d, want 5", c.Value())
 	}
@@ -25,15 +25,15 @@ func TestCounterGaugeBasics(t *testing.T) {
 	g.Inc()
 	g.Inc()
 	g.Dec()
-	if g.Value() != 1 {
-		t.Fatalf("gauge = %d, want 1", g.Value())
+	if g.value() != 1 {
+		t.Fatalf("gauge = %d, want 1", g.value())
 	}
 	g.Set(42)
-	if g.Value() != 42 {
-		t.Fatalf("gauge = %d, want 42", g.Value())
+	if g.value() != 42 {
+		t.Fatalf("gauge = %d, want 42", g.value())
 	}
 	// Distinct labels make distinct series.
-	if r.Gauge("queue_depth", "", L("segment", "ext")).Value() != 0 {
+	if r.Gauge("queue_depth", "", L("segment", "ext")).value() != 0 {
 		t.Fatal("label separation failed")
 	}
 }
@@ -72,7 +72,7 @@ func TestGaugeFuncReadsAtSnapshotTime(t *testing.T) {
 	for _, want := range []float64{-2, 8000} {
 		level = want
 		f := r.Snapshot().Family("phi")
-		if f == nil || f.Kind != KindGauge || len(f.Series) != 1 || f.Series[0].Value != want {
+		if f == nil || f.Kind != kindGauge || len(f.Series) != 1 || f.Series[0].Value != want {
 			t.Fatalf("family = %+v, want one gauge series at %v", f, want)
 		}
 	}
@@ -95,7 +95,7 @@ func TestKindMismatchPanics(t *testing.T) {
 func TestBucketIndexMatchesLinearScan(t *testing.T) {
 	probes := []float64{0, 1e-9, 1e-6, 1.5e-6, 2e-6, 3.7e-4, 0.01, 1, 60, 134, 135, 1e6}
 	for _, v := range probes {
-		want := NumBuckets
+		want := numBuckets
 		for i, b := range bucketBoundaries {
 			if v <= b {
 				want = i
@@ -148,10 +148,10 @@ func TestQuantileEdgeCases(t *testing.T) {
 	var h Histogram
 	h.Observe(1e9) // beyond the last finite boundary
 	s := h.Snapshot()
-	if s.Counts[NumBuckets] != 1 {
+	if s.Counts[numBuckets] != 1 {
 		t.Fatal("overflow observation not in +Inf bucket")
 	}
-	if got := s.Quantile(1.0); got != bucketBoundaries[NumBuckets-1] {
+	if got := s.Quantile(1.0); got != bucketBoundaries[numBuckets-1] {
 		t.Fatalf("overflow quantile = %g, want last finite boundary", got)
 	}
 }
@@ -186,19 +186,19 @@ func TestHistogramMergeAssociativeDeterministic(t *testing.T) {
 	// Left fold.
 	var left HistSnapshot
 	for _, s := range snaps {
-		left.Merge(s)
+		left.merge(s)
 	}
 	// Right fold, reversed order.
 	var right HistSnapshot
 	for i := writers - 1; i >= 0; i-- {
-		right.Merge(snaps[i])
+		right.merge(snaps[i])
 	}
 	// Pairwise tree.
 	var tree HistSnapshot
 	for i := 0; i < writers; i += 2 {
 		pair := snaps[i]
-		pair.Merge(snaps[i+1])
-		tree.Merge(pair)
+		pair.merge(snaps[i+1])
+		tree.merge(pair)
 	}
 	// Bucket counts are integers, so their merge is exactly associative and
 	// commutative; the float sum is associative only up to rounding.
@@ -270,9 +270,9 @@ func TestNilRegistryZeroAlloc(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(100, func() {
 		c.Inc()
-		c.Add(3)
+		c.add(3)
 		g.Set(1)
-		g.Add(-1)
+		g.add(-1)
 		h.Observe(0.5)
 		h.ObserveDuration(time.Millisecond)
 		_ = r.Counter("x_total", "")
@@ -354,7 +354,7 @@ func TestSelectMatchesPercentile(t *testing.T) {
 
 func TestBucketBoundariesFixed(t *testing.T) {
 	b := BucketBoundaries()
-	if len(b) != NumBuckets {
+	if len(b) != numBuckets {
 		t.Fatalf("len = %d", len(b))
 	}
 	if b[0] != 1e-6 {

@@ -65,16 +65,16 @@ func WritePrometheus(w io.Writer, snap Snapshot) error {
 		}
 		for _, s := range f.Series {
 			switch f.Kind {
-			case KindCounter, KindGauge:
+			case KindCounter, kindGauge:
 				if _, err := fmt.Fprintf(w, "%s%s %s\n", f.Name, labelString(s.Labels), formatValue(s.Value)); err != nil {
 					return err
 				}
-			case KindHistogram:
+			case kindHistogram:
 				if s.Hist == nil {
 					continue
 				}
 				var cum uint64
-				for i := 0; i < NumBuckets; i++ {
+				for i := 0; i < numBuckets; i++ {
 					cum += s.Hist.Counts[i]
 					le := formatValue(bucketBoundaries[i])
 					if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
@@ -82,7 +82,7 @@ func WritePrometheus(w io.Writer, snap Snapshot) error {
 						return err
 					}
 				}
-				cum += s.Hist.Counts[NumBuckets]
+				cum += s.Hist.Counts[numBuckets]
 				if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
 					f.Name, labelString(s.Labels, L("le", "+Inf")), cum); err != nil {
 					return err

@@ -165,8 +165,8 @@ func parseFloatProm(s string) (float64, error) {
 // the strict parser.
 func TestPrometheusConformance(t *testing.T) {
 	r := New()
-	r.Counter("gcs_retransmits_total", "retransmissions served", L("node", "d1")).Add(3)
-	r.Counter("gcs_retransmits_total", "retransmissions served", L("node", "d2")).Add(4)
+	r.Counter("gcs_retransmits_total", "retransmissions served", L("node", "d1")).add(3)
+	r.Counter("gcs_retransmits_total", "retransmissions served", L("node", "d2")).add(4)
 	r.Gauge("netsim_segment_queue_depth", "frames in flight", L("segment", `lan "0"`)).Set(7)
 	h := r.Histogram("gcs_token_rotation_seconds", "time between token arrivals", L("node", "d1"))
 	for i := 0; i < 5; i++ {
@@ -216,8 +216,8 @@ func TestPrometheusConformance(t *testing.T) {
 			buckets = append(buckets, s)
 		}
 	}
-	if len(buckets) != NumBuckets+1 {
-		t.Fatalf("bucket series = %d, want %d", len(buckets), NumBuckets+1)
+	if len(buckets) != numBuckets+1 {
+		t.Fatalf("bucket series = %d, want %d", len(buckets), numBuckets+1)
 	}
 	sort.Slice(buckets, func(i, j int) bool {
 		li, _ := parseFloatProm(buckets[i].labels["le"])
@@ -254,8 +254,8 @@ func TestPrometheusDeterministic(t *testing.T) {
 		r := New()
 		// Insert in scrambled order; output must sort.
 		r.Gauge("zz", "").Set(1)
-		r.Counter("aa_total", "", L("b", "2")).Add(1)
-		r.Counter("aa_total", "", L("a", "1")).Add(2)
+		r.Counter("aa_total", "", L("b", "2")).add(1)
+		r.Counter("aa_total", "", L("a", "1")).add(2)
 		r.Histogram("mm_seconds", "").Observe(0.5)
 		var b strings.Builder
 		if err := WritePrometheus(&b, r.Snapshot()); err != nil {
