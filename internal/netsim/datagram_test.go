@@ -149,7 +149,7 @@ func TestRouterDropDoesNotAllocate(t *testing.T) {
 
 // TestSendThroughDownNICDoesNotAllocate: a host whose own interface is down
 // keeps trying — a failed server announces the addresses its one-node
-// component takes — and every attempt returns the same ErrNICDown, formatted
+// component takes — and every attempt returns the same errNICDown, formatted
 // once when the interface was attached.
 func TestSendThroughDownNICDoesNotAllocate(t *testing.T) {
 	s, _, _, hosts := lan(t, 5, 2)
@@ -165,8 +165,8 @@ func TestSendThroughDownNICDoesNotAllocate(t *testing.T) {
 		"gratuitous ARP": func() error { return a.SendGratuitousARP(nic, addr("10.0.0.100")) },
 	} {
 		err := send()
-		if !errors.Is(err, ErrNICDown) || err.Error() != want {
-			t.Fatalf("%s: %v, want ErrNICDown reading %q", name, err, want)
+		if !errors.Is(err, errNICDown) || err.Error() != want {
+			t.Fatalf("%s: %v, want errNICDown reading %q", name, err, want)
 		}
 		if avg := testing.AllocsPerRun(100, func() { _ = send() }); avg != 0 {
 			t.Errorf("%s through a down NIC allocates %.2f, want 0", name, avg)

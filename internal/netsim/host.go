@@ -17,12 +17,12 @@ import (
 
 // Errors reported by host networking operations.
 var (
-	ErrHostDown    = errors.New("netsim: host is down")
-	ErrNICDown     = errors.New("netsim: interface is down")
-	ErrNoRoute     = errors.New("netsim: no route to destination")
-	ErrPortInUse   = errors.New("netsim: port already bound")
-	ErrAddrInUse   = errors.New("netsim: address already configured")
-	ErrAddrMissing = errors.New("netsim: address not configured")
+	errHostDown    = errors.New("netsim: host is down")
+	errNICDown     = errors.New("netsim: interface is down")
+	errNoRoute     = errors.New("netsim: no route to destination")
+	errPortInUse   = errors.New("netsim: port already bound")
+	errAddrInUse   = errors.New("netsim: address already configured")
+	errAddrMissing = errors.New("netsim: address not configured")
 )
 
 // defaultARPTTL is how long a learned ARP entry stays valid. Real stacks use
@@ -280,7 +280,7 @@ func (h *Host) AttachNIC(seg *Segment, name string, addr netip.Prefix) *NIC {
 		addrs:   map[ip4]bool{primary: true},
 		arp:     map[ip4]arpEntry{},
 		pending: map[ip4]*arpPending{},
-		downErr: fmt.Errorf("%w: %s/%s", ErrNICDown, h.name, name),
+		downErr: fmt.Errorf("%w: %s/%s", errNICDown, h.name, name),
 	}
 	h.nics = append(h.nics, nic)
 	seg.nics = append(seg.nics, nic)
@@ -348,7 +348,7 @@ func (nic *NIC) AddAddr(a netip.Addr) error {
 		return fmt.Errorf("netsim: only IPv4 is modelled, cannot add %v to %s/%s", a, nic.host.name, nic.name)
 	}
 	if nic.addrs[ip] {
-		return fmt.Errorf("%w: %v on %s/%s", ErrAddrInUse, a, nic.host.name, nic.name)
+		return fmt.Errorf("%w: %v on %s/%s", errAddrInUse, a, nic.host.name, nic.name)
 	}
 	nic.addrs[ip] = true
 	return nil
@@ -362,7 +362,7 @@ func (nic *NIC) RemoveAddr(a netip.Addr) error {
 		return fmt.Errorf("netsim: cannot remove primary address %v from %s/%s", a, nic.host.name, nic.name)
 	}
 	if !ok || !nic.addrs[ip] {
-		return fmt.Errorf("%w: %v on %s/%s", ErrAddrMissing, a, nic.host.name, nic.name)
+		return fmt.Errorf("%w: %v on %s/%s", errAddrMissing, a, nic.host.name, nic.name)
 	}
 	delete(nic.addrs, ip)
 	return nil
@@ -503,7 +503,7 @@ func (h *Host) BindUDP(addr netip.Addr, port uint16, fn UDPHandler) (*Socket, er
 		return nil, fmt.Errorf("netsim: only IPv4 is modelled, cannot bind %v on %s", addr, h.name)
 	}
 	if s, ok := h.sockets[uint32(port)]; ok && !s.closed.Load() {
-		return nil, fmt.Errorf("%w: %s port %d", ErrPortInUse, h.name, port)
+		return nil, fmt.Errorf("%w: %s port %d", errPortInUse, h.name, port)
 	}
 	s := &Socket{host: h, addr: ip, anyAddr: !ok, port: port, handler: fn}
 	h.sockets[uint32(port)] = s
@@ -545,11 +545,11 @@ func (h *Host) SendUDPOwned(src, dst netip.AddrPort, payload []byte) error {
 // or lost to a loss draw — is recycled on the way out.
 func (h *Host) sendUDP(src, dst netip.AddrPort, payload []byte, handedOver bool) error {
 	if !h.alive {
-		return ErrHostDown
+		return errHostDown
 	}
 	to, ok := toIP4(dst.Addr())
 	if !ok {
-		return fmt.Errorf("%w: %v from %s", ErrNoRoute, dst.Addr(), h.name)
+		return fmt.Errorf("%w: %v from %s", errNoRoute, dst.Addr(), h.name)
 	}
 	from, bound := toIP4(src.Addr())
 	if !bound && src.Addr().IsValid() {
@@ -562,7 +562,7 @@ func (h *Host) sendUDP(src, dst netip.AddrPort, payload []byte, handedOver bool)
 		if nic, nexthop, ok = h.lookupRoute(to); !ok {
 			// Maybe a broadcast to a directly attached subnet.
 			if nic = h.broadcastNIC(to); nic == nil {
-				return fmt.Errorf("%w: %v from %s", ErrNoRoute, dst.Addr(), h.name)
+				return fmt.Errorf("%w: %v from %s", errNoRoute, dst.Addr(), h.name)
 			}
 			nexthop = to
 		}
@@ -640,7 +640,7 @@ func (h *Host) egress(nic *NIC, nexthop ip4, p *ipPacket) error {
 		return nic.downErr
 	}
 	if nic.isBroadcast(p.dst) {
-		nic.seg.transmit(nic, frame{src: nic.mac, dst: BroadcastMAC, kind: frameIPv4, pkt: p})
+		nic.seg.transmit(nic, frame{src: nic.mac, dst: broadcastMAC, kind: frameIPv4, pkt: p})
 		// Local sockets also hear subnet broadcasts.
 		h.deliverLocal(nic, p)
 		return nil
@@ -705,14 +705,14 @@ func (h *Host) sendARPRequest(nic *NIC, ip ip4) {
 	if err != nil {
 		return
 	}
-	nic.seg.transmit(nic, frame{src: nic.mac, dst: BroadcastMAC, kind: frameARP, arp: payload})
+	nic.seg.transmit(nic, frame{src: nic.mac, dst: broadcastMAC, kind: frameARP, arp: payload})
 }
 
 // SendGratuitousARP broadcasts a gratuitous ARP reply announcing that this
 // interface answers for ip. This is the mechanism Wackamole's
 // platform-specific code uses to update router caches after a take-over.
 func (h *Host) SendGratuitousARP(nic *NIC, ip netip.Addr) error {
-	return h.SendSpoofedARP(nic, ip, BroadcastMAC)
+	return h.SendSpoofedARP(nic, ip, broadcastMAC)
 }
 
 // SendSpoofedARP sends an unsolicited ARP reply claiming <ip, nic.mac> to a
@@ -721,7 +721,7 @@ func (h *Host) SendGratuitousARP(nic *NIC, ip netip.Addr) error {
 // router ARP cache".
 func (h *Host) SendSpoofedARP(nic *NIC, ip netip.Addr, dst MAC) error {
 	if !h.alive {
-		return ErrHostDown
+		return errHostDown
 	}
 	if !nic.up {
 		return nic.downErr
@@ -740,7 +740,7 @@ func (h *Host) SendSpoofedARP(nic *NIC, ip netip.Addr, dst MAC) error {
 	h.net.counters.ARPSpoofs++
 	if h.net.tracer.Enabled() {
 		detail := "unicast"
-		if dst == BroadcastMAC {
+		if dst == broadcastMAC {
 			detail = "broadcast"
 		}
 		h.net.tracer.Emit(obs.Event{Source: obs.SourceNet, Kind: obs.KindARPSpoof,
@@ -776,7 +776,7 @@ func (h *Host) receiveARP(nic *NIC, fr frame) {
 	// traffic from the sender; create a new entry when we are the target or
 	// when the packet answers an outstanding resolution.
 	_, awaited := nic.pending[sender]
-	discard := h.ignoreBroadcastGratuitousARP && p.IsGratuitous() && fr.dst == BroadcastMAC && !awaited
+	discard := h.ignoreBroadcastGratuitousARP && p.IsGratuitous() && fr.dst == broadcastMAC && !awaited
 	if !discard && (known || targetIsUs || awaited) {
 		nic.learn(sender, senderMAC)
 	}

@@ -25,8 +25,8 @@ import (
 // MAC is a 48-bit Ethernet address stored in the low bits of a uint64.
 type MAC uint64
 
-// BroadcastMAC is the all-ones Ethernet broadcast address.
-const BroadcastMAC MAC = 0xFFFFFFFFFFFF
+// broadcastMAC is the all-ones Ethernet broadcast address.
+const broadcastMAC MAC = 0xFFFFFFFFFFFF
 
 // String formats the MAC in colon-separated hex.
 func (m MAC) String() string {
@@ -361,7 +361,7 @@ func (s *Segment) transmit(src *NIC, fr frame) {
 		// The filters draw nothing and change nothing, so their order is free:
 		// the address compare goes first because it alone rejects all but one
 		// NIC for a unicast frame. Every draw stays behind all of them.
-		if fr.dst != BroadcastMAC && fr.dst != nic.mac {
+		if fr.dst != broadcastMAC && fr.dst != nic.mac {
 			continue
 		}
 		if nic == src || !nic.up || !nic.host.alive || nic.group != src.group {

@@ -578,8 +578,8 @@ func TestMACFormatting(t *testing.T) {
 	if MACFromBytes(m.Bytes()) != m {
 		t.Fatal("MAC byte round-trip failed")
 	}
-	if BroadcastMAC.String() != "ff:ff:ff:ff:ff:ff" {
-		t.Fatalf("broadcast MAC = %q", BroadcastMAC.String())
+	if broadcastMAC.String() != "ff:ff:ff:ff:ff:ff" {
+		t.Fatalf("broadcast MAC = %q", broadcastMAC.String())
 	}
 }
 

@@ -178,12 +178,12 @@ func TestIntegerStateMatchesNetipModel(t *testing.T) {
 				err := nic.AddAddr(a)
 				switch {
 				case !a.Is4():
-					if err == nil || errors.Is(err, ErrAddrInUse) {
+					if err == nil || errors.Is(err, errAddrInUse) {
 						t.Fatalf("seed %d step %d: %s = %v, want a refusal", seed, step, op, err)
 					}
 				case m.addrs[a]:
-					if !errors.Is(err, ErrAddrInUse) {
-						t.Fatalf("seed %d step %d: %s = %v, want ErrAddrInUse", seed, step, op, err)
+					if !errors.Is(err, errAddrInUse) {
+						t.Fatalf("seed %d step %d: %s = %v, want errAddrInUse", seed, step, op, err)
 					}
 				default:
 					if err != nil {
@@ -197,12 +197,12 @@ func TestIntegerStateMatchesNetipModel(t *testing.T) {
 				err := nic.RemoveAddr(a)
 				switch {
 				case a == nic.Primary():
-					if err == nil || errors.Is(err, ErrAddrMissing) {
+					if err == nil || errors.Is(err, errAddrMissing) {
 						t.Fatalf("seed %d step %d: %s = %v, want the primary refused", seed, step, op, err)
 					}
 				case !m.addrs[a]:
-					if !errors.Is(err, ErrAddrMissing) {
-						t.Fatalf("seed %d step %d: %s = %v, want ErrAddrMissing", seed, step, op, err)
+					if !errors.Is(err, errAddrMissing) {
+						t.Fatalf("seed %d step %d: %s = %v, want errAddrMissing", seed, step, op, err)
 					}
 				default:
 					if err != nil {
@@ -300,8 +300,8 @@ func TestAddressesOutsideTheModel(t *testing.T) {
 			}
 		}
 		err := a.SendUDP(netip.AddrPort{}, netip.AddrPortFrom(bad, 9000), nil)
-		if !errors.Is(err, ErrNoRoute) {
-			t.Errorf("SendUDP to %v = %v, want ErrNoRoute", bad, err)
+		if !errors.Is(err, errNoRoute) {
+			t.Errorf("SendUDP to %v = %v, want errNoRoute", bad, err)
 		}
 		if err := a.SendGratuitousARP(a.nics[0], bad); err == nil {
 			t.Errorf("SendGratuitousARP(%v) succeeded", bad)
