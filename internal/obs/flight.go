@@ -33,10 +33,10 @@ const ManifestName = "manifest.json"
 // config is the effective daemon configuration verbatim.
 const (
 	BundleTrace   = "trace.ndjson"
-	BundleMetrics = "metrics.prom"
+	bundleMetrics = "metrics.prom"
 	BundleViews   = "views.json"
-	BundleConfig  = "config.conf"
-	BundleHeap    = "heap.pprof"
+	bundleConfig  = "config.conf"
+	bundleHeap    = "heap.pprof"
 )
 
 // FlightConfig configures one recorder.
@@ -141,7 +141,7 @@ func (f *FlightRecorder) RecordView(ring string, members []string) {
 	}
 	f.mu.Lock()
 	rec := ViewRecord{At: f.cfg.Now(), Ring: ring, Members: append([]string(nil), members...)}
-	if ts := f.cfg.Tracer.HLC().Last(); !ts.IsZero() {
+	if ts := f.cfg.Tracer.clock().latest(); !ts.IsZero() {
 		rec.HLCWall, rec.HLCLogical = ts.Wall, ts.Logical
 	}
 	f.views = append(f.views, rec)
@@ -217,8 +217,8 @@ func (f *FlightRecorder) Dump(reason string) (string, error) {
 	events := f.cfg.Tracer.Snapshot()
 	man.Events = len(events)
 	man.EventsDropped = f.cfg.Tracer.Dropped()
-	if clk := f.cfg.Tracer.HLC(); clk != nil {
-		last := clk.Last()
+	if clk := f.cfg.Tracer.clock(); clk != nil {
+		last := clk.latest()
 		man.HLCWall, man.HLCLogical = last.Wall, last.Logical
 		man.MaxSkewNS = int64(clk.MaxSkew())
 	}
@@ -252,7 +252,7 @@ func (f *FlightRecorder) Dump(reason string) (string, error) {
 		return WriteNDJSON(fh, events)
 	})
 	if err == nil {
-		err = write(BundleMetrics, func(fh *os.File) error {
+		err = write(bundleMetrics, func(fh *os.File) error {
 			return metrics.WritePrometheus(fh, f.cfg.Registry.Snapshot())
 		})
 	}
@@ -268,13 +268,13 @@ func (f *FlightRecorder) Dump(reason string) (string, error) {
 		})
 	}
 	if err == nil && f.cfg.Config != "" {
-		err = write(BundleConfig, func(fh *os.File) error {
+		err = write(bundleConfig, func(fh *os.File) error {
 			_, werr := fh.WriteString(f.cfg.Config)
 			return werr
 		})
 	}
 	if err == nil && f.cfg.Profile {
-		err = write(BundleHeap, func(fh *os.File) error {
+		err = write(bundleHeap, func(fh *os.File) error {
 			return pprof.Lookup("heap").WriteTo(fh, 0)
 		})
 	}

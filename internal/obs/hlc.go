@@ -158,9 +158,9 @@ func (c *HLCClock) Observe(remote HLC) HLC {
 	return out
 }
 
-// Last returns the most recently issued timestamp without advancing the
+// latest returns the most recently issued timestamp without advancing the
 // clock.
-func (c *HLCClock) Last() HLC {
+func (c *HLCClock) latest() HLC {
 	if c == nil {
 		return HLC{}
 	}

@@ -209,7 +209,7 @@ func TestHLCConcurrentUse(t *testing.T) {
 
 func TestHLCNilSafe(t *testing.T) {
 	var c *HLCClock
-	if !c.Now().IsZero() || !c.Observe(HLC{Wall: 1}).IsZero() || !c.Last().IsZero() {
+	if !c.Now().IsZero() || !c.Observe(HLC{Wall: 1}).IsZero() || !c.latest().IsZero() {
 		t.Fatal("nil clock must issue zero timestamps")
 	}
 	if c.MaxSkew() != 0 {
@@ -251,8 +251,8 @@ func TestTracerStampsHLC(t *testing.T) {
 	if evs[1].HLC.Compare(evs[0].HLC) <= 0 {
 		t.Fatalf("stamps not increasing: %v then %v", evs[0].HLC, evs[1].HLC)
 	}
-	if tr.HLC() != c {
-		t.Fatal("Tracer.HLC accessor mismatch")
+	if tr.clock() != c {
+		t.Fatal("Tracer.clock accessor mismatch")
 	}
 }
 

@@ -205,12 +205,12 @@ func (e Event) String() string {
 		e.Seq, e.At.Format("15:04:05.000000"), e.Source, e.Kind, e.Node, e.Group, e.Addr, e.Detail)
 }
 
-// DefaultCapacity bounds a tracer's ring. The ring grows only as far as it
+// defaultCapacity bounds a tracer's ring. The ring grows only as far as it
 // is filled, so the bound costs nothing until it is reached. The trace
 // records protocol steps, not token passes or requests: the paper's NIC fault
 // under 10 000 rps keeps 147 events, and a traced N = 90 Figure 5 trial, the
 // largest, about 17 000 (17 221 at seed 1). Both fit whole.
-const DefaultCapacity = 1 << 15
+const defaultCapacity = 1 << 15
 
 // Tracer is a bounded ring buffer of events, safe for concurrent emission
 // and snapshotting. A nil *Tracer is a valid, permanently disabled tracer:
@@ -233,11 +233,11 @@ type Tracer struct {
 }
 
 // New returns a tracer holding the last capacity events (<=0 means
-// DefaultCapacity), stamping them with now (nil means time.Now). It
+// defaultCapacity), stamping them with now (nil means time.Now). It
 // allocates no ring: the ring grows with what is emitted.
 func New(capacity int, now func() time.Time) *Tracer {
 	if capacity <= 0 {
-		capacity = DefaultCapacity
+		capacity = defaultCapacity
 	}
 	if now == nil {
 		now = time.Now
@@ -269,8 +269,8 @@ func (t *Tracer) SetHLC(c *HLCClock) {
 	t.mu.Unlock()
 }
 
-// HLC returns the armed hybrid-logical-clock, nil when stamping is off.
-func (t *Tracer) HLC() *HLCClock {
+// clock returns the armed hybrid-logical-clock, nil when stamping is off.
+func (t *Tracer) clock() *HLCClock {
 	if t == nil {
 		return nil
 	}

@@ -132,10 +132,10 @@ func TestDefaultCapacityAndClock(t *testing.T) {
 	if len(got) != 1 || got[0].At.IsZero() {
 		t.Fatalf("defaulted tracer did not stamp wall time: %+v", got)
 	}
-	for i := 0; i < DefaultCapacity; i++ {
+	for i := 0; i < defaultCapacity; i++ {
 		tr.Emit(Event{Kind: KindHeartbeatMiss})
 	}
-	if tr.Len() != DefaultCapacity || tr.Dropped() != 1 {
+	if tr.Len() != defaultCapacity || tr.Dropped() != 1 {
 		t.Fatalf("default capacity ring: len=%d dropped=%d", tr.Len(), tr.Dropped())
 	}
 }
