@@ -13,11 +13,12 @@ import (
 // scratch state).
 func minimalConfig(vips int, startMature bool) func(int) core.Config {
 	return func(int) core.Config {
+		placer, _ := placement.New(placement.NameMinimal) // a known name
 		return core.Config{
 			Groups:         groups(vips),
 			StartMature:    startMature,
 			BalanceTimeout: time.Second,
-			Placer:         placement.NewMinimal(),
+			Placer:         placer,
 		}
 	}
 }

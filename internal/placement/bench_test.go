@@ -10,7 +10,7 @@ import "testing"
 // cluster reconfigures.
 func BenchmarkPlacementDecision(b *testing.B) {
 	w := newWorld(32, 5)
-	p := NewMinimal()
+	p := newMinimal()
 	dst := p.Balance(w.input(), nil)
 	w.apply(dst)
 	in := w.input()

@@ -18,23 +18,23 @@ package placement
 //   - Same inputs ⇒ same plan, on any node, with or without reused
 //     scratch.
 
-// Minimal is the minimal-move policy. The zero value is ready to use; the
+// minimal is the minimal-move policy. The zero value is ready to use; the
 // struct only carries reusable scratch, so instances are single-goroutine.
-type Minimal struct {
+type minimal struct {
 	ownerIdx []int // per group: index into Input.Members, -1 hole, -2 kept ineligible owner
 	load     []int // per member: groups currently assigned
 }
 
-// NewMinimal returns a minimal-move policy instance.
-func NewMinimal() *Minimal { return &Minimal{} }
+// newMinimal returns a minimal-move policy instance.
+func newMinimal() *minimal { return &minimal{} }
 
 // Name implements Policy.
-func (*Minimal) Name() string { return NameMinimal }
+func (*minimal) Name() string { return NameMinimal }
 
 // MoveBound implements Policy: a single membership change relocates at
 // most ⌈vips/members⌉ groups, members being the smaller of the before and
 // after eligible counts.
-func (*Minimal) MoveBound(vips, members int) int {
+func (*minimal) MoveBound(vips, members int) int {
 	if members <= 0 {
 		return vips
 	}
@@ -64,7 +64,7 @@ func affinity(g, m string) uint64 {
 }
 
 // reset sizes the scratch for v groups over k members.
-func (p *Minimal) reset(v, k int) {
+func (p *minimal) reset(v, k int) {
 	if cap(p.ownerIdx) < v {
 		p.ownerIdx = make([]int, v)
 	}
@@ -87,7 +87,7 @@ func (p *Minimal) reset(v, k int) {
 // floor pull their highest-affinity groups from the most loaded donors.
 // Preferences are not consulted — stickiness comes from the table and the
 // hash (`prefer` is documented as a least-loaded feature).
-func (p *Minimal) Balance(in Input, dst []Decision) []Decision {
+func (p *minimal) Balance(in Input, dst []Decision) []Decision {
 	dst = dst[:0]
 	if len(in.Members) == 0 {
 		return dst
@@ -179,7 +179,7 @@ func (p *Minimal) Balance(in Input, dst []Decision) []Decision {
 // rule), and only holes are assigned — by affinity, under-floor members
 // first, so the subsequent balance has nothing left to fix after a clean
 // departure.
-func (p *Minimal) Fill(in Input, dst []Decision) []Decision {
+func (p *minimal) Fill(in Input, dst []Decision) []Decision {
 	dst = dst[:0]
 	v, k := len(in.Groups), len(in.Members)
 	p.reset(v, k)
@@ -228,7 +228,7 @@ func (p *Minimal) Fill(in Input, dst []Decision) []Decision {
 // member still below the floor, else the highest-affinity member below
 // capacity, else (unreachable when K·⌈V/K⌉ ≥ V, kept for robustness) the
 // least loaded.
-func (p *Minimal) pickHome(in Input, gi, floor, capacity int) int {
+func (p *minimal) pickHome(in Input, gi, floor, capacity int) int {
 	g := in.Groups[gi]
 	pick, best := -1, uint64(0)
 	for j, m := range in.Members {

@@ -91,7 +91,7 @@ func New(name string) (Policy, error) {
 	case "", NameLeastLoaded:
 		return NewLeastLoaded(), nil
 	case NameMinimal:
-		return NewMinimal(), nil
+		return newMinimal(), nil
 	default:
 		return nil, fmt.Errorf("placement: unknown policy %q (want %s or %s)",
 			name, NameLeastLoaded, NameMinimal)

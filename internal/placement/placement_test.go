@@ -90,7 +90,7 @@ func TestMinimalBalanceBounds(t *testing.T) {
 						w.table[g] = w.members[rng.Intn(k)]
 					}
 				}
-				p := NewMinimal()
+				p := newMinimal()
 				plan := p.Balance(w.input(), nil)
 				if len(plan) != v {
 					t.Fatalf("v=%d k=%d seed=%d: plan covers %d groups, want %d", v, k, seed, len(plan), v)
@@ -122,7 +122,7 @@ func TestMinimalMoveBoundJoin(t *testing.T) {
 		for k := 2; k <= 8; k++ {
 			for seed := int64(0); seed < 20; seed++ {
 				w := newWorld(v, k)
-				p := NewMinimal()
+				p := newMinimal()
 				settle(t, p, w)
 
 				rng := rand.New(rand.NewSource(seed))
@@ -162,7 +162,7 @@ func TestMinimalMoveBoundLeave(t *testing.T) {
 		for k := 3; k <= 8; k++ {
 			for seed := int64(0); seed < 20; seed++ {
 				w := newWorld(v, k)
-				p := NewMinimal()
+				p := newMinimal()
 				settle(t, p, w)
 
 				rng := rand.New(rand.NewSource(seed))
@@ -211,7 +211,7 @@ func TestMinimalMoveBoundLeave(t *testing.T) {
 // instances, reused instances, and re-invocations all agree.
 func TestMinimalDeterminism(t *testing.T) {
 	w := newWorld(16, 5)
-	reused := NewMinimal()
+	reused := newMinimal()
 	// Dirty the reused instance's scratch with unrelated work.
 	big := newWorld(32, 7)
 	reused.Balance(big.input(), nil)
@@ -220,7 +220,7 @@ func TestMinimalDeterminism(t *testing.T) {
 	for _, g := range w.groups {
 		w.table[g] = w.members[rng.Intn(len(w.members))]
 	}
-	ref := NewMinimal().Balance(w.input(), nil)
+	ref := newMinimal().Balance(w.input(), nil)
 	for trial := 0; trial < 5; trial++ {
 		got := reused.Balance(w.input(), nil)
 		if len(got) != len(ref) {
@@ -239,7 +239,7 @@ func TestMinimalDeterminism(t *testing.T) {
 // at least the floor share.
 func TestMinimalMaturityAdmission(t *testing.T) {
 	w := newWorld(10, 3)
-	p := NewMinimal()
+	p := newMinimal()
 	settle(t, p, w)
 
 	newcomer := "srv-young"
@@ -262,7 +262,7 @@ func TestMinimalMaturityAdmission(t *testing.T) {
 // remembers, so a rolling restart converges to the original layout.
 func TestMinimalAffinityStickiness(t *testing.T) {
 	w := newWorld(12, 4)
-	p := NewMinimal()
+	p := newMinimal()
 	settle(t, p, w)
 	orig := map[string]string{}
 	for g, o := range w.table {
@@ -303,7 +303,7 @@ func TestMinimalAffinityStickiness(t *testing.T) {
 // TestLeastLoadedFillKeepsIneligibleOwners mirrors the engine's historical
 // post-gather rule: owners outside the eligible list keep their groups.
 func TestLeastLoadedFillKeepsIneligibleOwners(t *testing.T) {
-	for _, p := range []Policy{NewLeastLoaded(), NewMinimal()} {
+	for _, p := range []Policy{NewLeastLoaded(), newMinimal()} {
 		w := newWorld(6, 2)
 		w.table["vip00"] = "srv-immature"
 		w.table["vip01"] = "srv-a"
@@ -322,7 +322,7 @@ func TestLeastLoadedFillKeepsIneligibleOwners(t *testing.T) {
 // TestFillNoEligible: with nobody eligible, owners are kept and holes stay
 // holes — no policy invents an owner.
 func TestFillNoEligible(t *testing.T) {
-	for _, p := range []Policy{NewLeastLoaded(), NewMinimal()} {
+	for _, p := range []Policy{NewLeastLoaded(), newMinimal()} {
 		w := newWorld(3, 0)
 		w.table["vip01"] = "srv-immature"
 		plan := p.Fill(w.input(), nil)
@@ -355,7 +355,7 @@ func TestNew(t *testing.T) {
 }
 
 func TestMoveBound(t *testing.T) {
-	m, ll := NewMinimal(), NewLeastLoaded()
+	m, ll := newMinimal(), NewLeastLoaded()
 	if got := m.MoveBound(10, 4); got != 3 {
 		t.Fatalf("minimal MoveBound(10,4) = %d, want 3", got)
 	}
@@ -372,7 +372,7 @@ func TestMoveBound(t *testing.T) {
 // CI with -benchmem).
 func TestMinimalDecisionAllocs(t *testing.T) {
 	w := newWorld(32, 5)
-	p := NewMinimal()
+	p := newMinimal()
 	dst := p.Balance(w.input(), nil)
 	w.apply(dst)
 	in := w.input()
