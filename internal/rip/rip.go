@@ -23,11 +23,11 @@ import (
 	"wackamole/internal/wire"
 )
 
-// Port is RIP's UDP port.
-const Port = 520
+// port is RIP's UDP port.
+const port = 520
 
-// Infinity is the unreachable metric.
-const Infinity = 16
+// infinity is the unreachable metric.
+const infinity = 16
 
 // Timers per classic RIP.
 const (
@@ -71,7 +71,7 @@ type route struct {
 // New builds a RIP process on host. Call Start to join the protocol.
 func New(host *netsim.Host, cfg Config) (*Process, error) {
 	p := &Process{host: host, cfg: cfg, learned: map[netip.Prefix]*route{}}
-	sock, err := host.BindUDP(netip.Addr{}, Port, p.onUpdate)
+	sock, err := host.BindUDP(netip.Addr{}, port, p.onUpdate)
 	if err != nil {
 		return nil, fmt.Errorf("rip: %w", err)
 	}
@@ -163,8 +163,8 @@ func (p *Process) advertise() {
 			w.U8(uint8(e.prefix.Bits()))
 			w.U8(uint8(e.metric))
 		}
-		src := netip.AddrPortFrom(nic.Primary(), Port)
-		dst := netip.AddrPortFrom(nic.Broadcast(), Port)
+		src := netip.AddrPortFrom(nic.Primary(), port)
+		dst := netip.AddrPortFrom(nic.Broadcast(), port)
 		if err := p.host.SendUDP(src, dst, w.Bytes()); err != nil {
 			_ = err // interface flaps during fault experiments
 		}
@@ -201,7 +201,7 @@ func (p *Process) onUpdate(srcAP, _ netip.AddrPort, payload []byte) {
 			return
 		}
 		prefix, err := netip.AddrFrom4(a).Prefix(bits)
-		if err != nil || metric >= Infinity {
+		if err != nil || metric >= infinity {
 			continue
 		}
 		// Skip our own connected networks.

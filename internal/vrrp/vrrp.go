@@ -19,9 +19,9 @@ import (
 	"wackamole/internal/wire"
 )
 
-// Port carries advertisements in the simulation (VRRP is IP protocol 112;
+// port carries advertisements in the simulation (VRRP is IP protocol 112;
 // the simulator models UDP only).
-const Port = 112
+const port = 112
 
 // advertInterval separates master advertisements: the RFC 2338 default of
 // one second.
@@ -32,17 +32,17 @@ type State uint8
 
 // Protocol states.
 const (
-	StateInit State = iota + 1
-	StateBackup
+	stateInit State = iota + 1
+	stateBackup
 	StateMaster
 )
 
 // String names the state.
 func (s State) String() string {
 	switch s {
-	case StateInit:
+	case stateInit:
 		return "init"
-	case StateBackup:
+	case stateBackup:
 		return "backup"
 	case StateMaster:
 		return "master"
@@ -63,14 +63,14 @@ type Config struct {
 	Preempt bool
 }
 
-// SkewTime is (256 − priority) / 256 seconds, per RFC 2338.
-func (c Config) SkewTime() time.Duration {
+// skewTime is (256 − priority) / 256 seconds, per RFC 2338.
+func (c Config) skewTime() time.Duration {
 	return time.Duration(256-int(c.Priority)) * time.Second / 256
 }
 
-// MasterDownInterval is 3×advertisement interval + skew, per RFC 2338.
-func (c Config) MasterDownInterval() time.Duration {
-	return 3*advertInterval + c.SkewTime()
+// masterDownInterval is 3×advertisement interval + skew, per RFC 2338.
+func (c Config) masterDownInterval() time.Duration {
+	return 3*advertInterval + c.skewTime()
 }
 
 // Router is one VRRP instance on a host interface.
@@ -93,8 +93,8 @@ func New(host *netsim.Host, nic *netsim.NIC, cfg Config) (*Router, error) {
 	if cfg.Priority == 0 || cfg.Priority == 255 {
 		return nil, fmt.Errorf("vrrp: priority must be 1-254, got %d", cfg.Priority)
 	}
-	r := &Router{host: host, nic: nic, cfg: cfg, state: StateInit}
-	if _, err := host.BindUDP(netip.Addr{}, Port, func(src, _ netip.AddrPort, payload []byte) {
+	r := &Router{host: host, nic: nic, cfg: cfg, state: stateInit}
+	if _, err := host.BindUDP(netip.Addr{}, port, func(src, _ netip.AddrPort, payload []byte) {
 		r.onAdvert(src.Addr(), payload)
 	}); err != nil {
 		return nil, fmt.Errorf("vrrp: %w", err)
@@ -118,15 +118,15 @@ func (r *Router) Start() {
 func (r *Router) State() State { return r.state }
 
 func (r *Router) toBackup() {
-	r.state = StateBackup
+	r.state = stateBackup
 	r.advertTimer.Stop()
 	r.armDownTimer()
 }
 
-func (r *Router) armDownTimer() { r.downTimer.Reset(r.cfg.MasterDownInterval()) }
+func (r *Router) armDownTimer() { r.downTimer.Reset(r.cfg.masterDownInterval()) }
 
 func (r *Router) masterDown() {
-	if r.state == StateBackup {
+	if r.state == stateBackup {
 		r.toMaster()
 	}
 }
@@ -171,8 +171,8 @@ func (r *Router) sendAdvert() {
 	w := wire.NewWriter(16)
 	w.U8(r.cfg.VRID)
 	w.U8(r.cfg.Priority)
-	dst := netip.AddrPortFrom(r.nic.Broadcast(), Port)
-	src := netip.AddrPortFrom(r.nic.Primary(), Port)
+	dst := netip.AddrPortFrom(r.nic.Broadcast(), port)
+	src := netip.AddrPortFrom(r.nic.Primary(), port)
 	if err := r.host.SendUDP(src, dst, w.Bytes()); err != nil {
 		_ = err // interface down during fault injection
 	}
@@ -189,7 +189,7 @@ func (r *Router) onAdvert(from netip.Addr, payload []byte) {
 		return
 	}
 	switch r.state {
-	case StateBackup:
+	case stateBackup:
 		if prio >= r.cfg.Priority || !r.cfg.Preempt {
 			r.armDownTimer()
 			return

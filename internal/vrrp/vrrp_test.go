@@ -37,7 +37,7 @@ func TestHighestPriorityWinsElection(t *testing.T) {
 	if routers[1].State() != StateMaster {
 		t.Fatalf("router states = %v %v %v, want b master", routers[0].State(), routers[1].State(), routers[2].State())
 	}
-	if routers[0].State() != StateBackup || routers[2].State() != StateBackup {
+	if routers[0].State() != stateBackup || routers[2].State() != stateBackup {
 		t.Fatal("non-winners are not backups")
 	}
 	vip := netip.MustParseAddr("10.0.0.100")
@@ -59,8 +59,8 @@ func TestBackupTakesOverWithinMasterDownInterval(t *testing.T) {
 	}
 	took := s.Elapsed() - faultAt
 	cfg := Config{Priority: 100}
-	if took > cfg.MasterDownInterval()+200*time.Millisecond {
-		t.Fatalf("takeover took %v, want within master-down %v", took, cfg.MasterDownInterval())
+	if took > cfg.masterDownInterval()+200*time.Millisecond {
+		t.Fatalf("takeover took %v, want within master-down %v", took, cfg.masterDownInterval())
 	}
 	if !nics[1].HasAddr(netip.MustParseAddr("10.0.0.100")) {
 		t.Fatal("new master does not hold the VIP")
@@ -80,7 +80,7 @@ func TestPreemptionOnRecovery(t *testing.T) {
 	if routers[0].State() != StateMaster {
 		t.Fatalf("high-priority router did not preempt (state %v)", routers[0].State())
 	}
-	if routers[1].State() != StateBackup {
+	if routers[1].State() != stateBackup {
 		t.Fatalf("low-priority router did not step down (state %v)", routers[1].State())
 	}
 	vip := netip.MustParseAddr("10.0.0.100")
@@ -92,11 +92,11 @@ func TestPreemptionOnRecovery(t *testing.T) {
 func TestSkewTimeOrdersByPriority(t *testing.T) {
 	hi := Config{Priority: 254}
 	lo := Config{Priority: 1}
-	if hi.SkewTime() >= lo.SkewTime() {
-		t.Fatalf("skew(hi)=%v, skew(lo)=%v; higher priority must expire sooner", hi.SkewTime(), lo.SkewTime())
+	if hi.skewTime() >= lo.skewTime() {
+		t.Fatalf("skew(hi)=%v, skew(lo)=%v; higher priority must expire sooner", hi.skewTime(), lo.skewTime())
 	}
-	if hi.MasterDownInterval() != 3*time.Second+hi.SkewTime() {
-		t.Fatalf("MasterDownInterval = %v", hi.MasterDownInterval())
+	if hi.masterDownInterval() != 3*time.Second+hi.skewTime() {
+		t.Fatalf("masterDownInterval = %v", hi.masterDownInterval())
 	}
 }
 

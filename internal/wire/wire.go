@@ -14,8 +14,8 @@ import (
 	"fmt"
 )
 
-// ErrTruncated is returned when a read runs past the end of the buffer.
-var ErrTruncated = errors.New("wire: truncated message")
+// errTruncated is returned when a read runs past the end of the buffer.
+var errTruncated = errors.New("wire: truncated message")
 
 // MaxStringLen bounds length-prefixed byte fields (16-bit prefix).
 const MaxStringLen = 1<<16 - 1
@@ -132,7 +132,7 @@ func (r *Reader) take(n int) []byte {
 		return nil
 	}
 	if r.Remaining() < n {
-		r.err = ErrTruncated
+		r.err = errTruncated
 		return nil
 	}
 	b := r.buf[r.off : r.off+n]
@@ -189,12 +189,12 @@ func (r *Reader) String() string { return string(r.View16()) }
 
 // Count16 reads the 16-bit count in front of a list whose entries take at
 // least minEntry bytes each. A count the rest of the buffer could not hold is
-// ErrTruncated — and reads as 0 — here, before the caller reserves or loops
+// errTruncated — and reads as 0 — here, before the caller reserves or loops
 // over anything: a datagram is the sender's to forge, count included.
 func (r *Reader) Count16(minEntry int) int {
 	n := int(r.U16())
 	if r.err == nil && n*minEntry > r.Remaining() {
-		r.err = ErrTruncated
+		r.err = errTruncated
 	}
 	if r.err != nil {
 		return 0

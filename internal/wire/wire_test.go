@@ -87,8 +87,8 @@ func TestTruncatedReads(t *testing.T) {
 	if got := r.U32(); got != 0 {
 		t.Errorf("truncated U32 = %d, want 0", got)
 	}
-	if !errors.Is(r.Err(), ErrTruncated) {
-		t.Fatalf("Err() = %v, want ErrTruncated", r.Err())
+	if !errors.Is(r.Err(), errTruncated) {
+		t.Fatalf("Err() = %v, want errTruncated", r.Err())
 	}
 	// Subsequent reads keep returning zero values without panicking.
 	if got := r.String(); got != "" {
@@ -107,8 +107,8 @@ func TestTruncatedStringBody(t *testing.T) {
 	if got := r.String(); got != "" {
 		t.Errorf("String = %q, want empty", got)
 	}
-	if !errors.Is(r.Err(), ErrTruncated) {
-		t.Fatalf("Err() = %v, want ErrTruncated", r.Err())
+	if !errors.Is(r.Err(), errTruncated) {
+		t.Fatalf("Err() = %v, want errTruncated", r.Err())
 	}
 }
 
@@ -255,8 +255,8 @@ func TestListCountIsCheckedAgainstTheBuffer(t *testing.T) {
 		}); n > 4<<10 {
 			t.Errorf("%s: rejecting a forged count allocated %d bytes", name, n)
 		}
-		if !errors.Is(err, ErrTruncated) {
-			t.Errorf("%s: forged count gives %v, want ErrTruncated", name, err)
+		if !errors.Is(err, errTruncated) {
+			t.Errorf("%s: forged count gives %v, want errTruncated", name, err)
 		}
 	}
 	// A count the buffer can hold still reads, and stops at the first error.
@@ -266,11 +266,11 @@ func TestListCountIsCheckedAgainstTheBuffer(t *testing.T) {
 		t.Fatalf("StringList = %q", got)
 	}
 	r := NewReader([]byte{0, 2, 0, 1, 'a', 0, 9})
-	if got := r.StringList(); got != nil || !errors.Is(r.Err(), ErrTruncated) {
+	if got := r.StringList(); got != nil || !errors.Is(r.Err(), errTruncated) {
 		t.Fatalf("truncated second entry reads %q, %v", got, r.Err())
 	}
 	r = NewReader([]byte{0, 3, 0, 0})
-	if n := r.Count16(2); n != 0 || !errors.Is(r.Err(), ErrTruncated) {
+	if n := r.Count16(2); n != 0 || !errors.Is(r.Err(), errTruncated) {
 		t.Fatalf("Count16 of 3 two-byte entries over 2 bytes = %d, %v", n, r.Err())
 	}
 }
