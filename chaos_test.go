@@ -38,7 +38,7 @@ func runChecked(t *testing.T, seed int64, gen check.GenConfig, opts check.Option
 		}
 		return
 	}
-	minimal, minRep, _, serr := check.Shrink(sched, opts, 0)
+	minimal, minRep, _, serr := check.Shrink(sched, opts)
 	if serr != nil {
 		t.Fatalf("violation %v (shrink failed: %v)", rep.Violation, serr)
 	}
@@ -51,7 +51,7 @@ func TestChaosMonkeyConvergesToExactlyOnce(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			runChecked(t, seed,
-				check.GenConfig{Servers: 5, VIPs: 10, Steps: 12, Leaves: true},
+				check.GenConfig{Servers: 5, VIPs: 10, Steps: 12},
 				check.Options{})
 		})
 	}

@@ -47,11 +47,9 @@ func run(args []string, out io.Writer) int {
 	steps := fs.Int("steps", 12, "fault events per generated schedule")
 	servers := fs.Int("servers", 5, "cluster size")
 	vips := fs.Int("vips", 10, "virtual addresses")
-	leaves := fs.Bool("leaves", true, "allow graceful departures in generated schedules")
 	gray := fs.Bool("gray", false, "generate gray-failure shape events (flap, graylink, slownode) and arm the ping-pong and false-suspect oracles")
 	detector := fs.String("detector", "fixed", "gcs failure detector the checked clusters run: fixed or phi")
 	shrink := fs.Bool("shrink", false, "delta-debug violations to minimal schedules before writing artifacts")
-	shrinkBudget := fs.Int("shrink-budget", check.DefaultShrinkBudget, "max checker re-runs per shrink")
 	jsonOut := fs.Bool("json", false, "emit one JSON summary object instead of text")
 	parallel := fs.Int("parallel", 0, "worker goroutines (0 = GOMAXPROCS)")
 	outDir := fs.String("out", ".", "directory for violation artifacts")
@@ -93,8 +91,12 @@ func run(args []string, out io.Writer) int {
 		fmt.Fprintln(os.Stderr, "wackcheck: -seeds and -steps must be positive")
 		return 2
 	}
+	if *servers < 2 || *servers > check.MaxServers {
+		fmt.Fprintf(os.Stderr, "wackcheck: -servers must be 2..%d\n", check.MaxServers)
+		return 2
+	}
 
-	gen := check.GenConfig{Servers: *servers, VIPs: *vips, Steps: *steps, Leaves: *leaves, Gray: *gray}
+	gen := check.GenConfig{Servers: *servers, VIPs: *vips, Steps: *steps, Gray: *gray}
 
 	type finding struct {
 		seed int64
@@ -144,7 +146,7 @@ func run(args []string, out io.Writer) int {
 		sched, rep, iters := f.rep.Schedule, f.rep, 0
 		if *shrink {
 			var err error
-			sched, rep, iters, err = check.Shrink(sched, opts, *shrinkBudget)
+			sched, rep, iters, err = check.Shrink(sched, opts)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "wackcheck: shrink seed %d: %v\n", f.seed, err)
 				sched, rep, iters = f.rep.Schedule, f.rep, 0

@@ -59,7 +59,6 @@ func run(args []string, out io.Writer) int {
 	think := fs.Duration("think", time.Second, "per-client think time (closed loop)")
 	fault := fs.String("fault", "nic", "injected fault: nic|crash|graceful|flap|graylink|slownode|rolling")
 	placementName := fs.String("placement", "", "VIP placement policy: least-loaded|minimal (\"\" = least-loaded; web topology)")
-	rollingGap := fs.Duration("rolling-gap", 0, "settle time after each drain and each rejoin of the rolling schedule (0 = 2s)")
 	shape := fs.String("shape", "", "fault program for gray faults (internal/faults spec syntax; \"\" = the kind's default)")
 	grayWindow := fs.Duration("gray-window", 0, "how long a gray fault stays applied (0 = half of -post)")
 	detector := fs.String("detector", "fixed", "gcs failure detector: fixed|phi")
@@ -92,6 +91,16 @@ func run(args []string, out io.Writer) int {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "wackload: %v\n", err)
 		return 2
+	}
+	// A gray-fault flag under a clean fault would be silently dropped.
+	for _, f := range []struct {
+		name  string
+		given bool
+	}{{"-shape", *shape != ""}, {"-gray-window", *grayWindow != 0}} {
+		if f.given && !fk.Gray() {
+			fmt.Fprintf(os.Stderr, "wackload: %s is not honoured by -fault %s\n", f.name, fk)
+			return 2
+		}
 	}
 	topo, err := experiment.ParseTopology(*topology)
 	if err != nil {
@@ -135,7 +144,6 @@ func run(args []string, out io.Writer) int {
 		Shape:      *shape,
 		GrayWindow: *grayWindow,
 		Placement:  *placementName,
-		RollingGap: *rollingGap,
 		GCS:        gcfg,
 		PreFault:   *pre,
 		PostFault:  *post,

@@ -134,6 +134,9 @@ func TestRunUsageErrors(t *testing.T) {
 		{"-fault", "bogus"},
 		{"-topology", "bogus"},
 		{"-trials", "0"},
+		// Gray-fault flags under a clean fault.
+		{"-fault", "nic", "-shape", "flap"},
+		{"-fault", "crash", "-gray-window", "5s"},
 	}
 	for _, args := range cases {
 		var out bytes.Buffer

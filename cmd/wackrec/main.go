@@ -18,7 +18,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -40,10 +39,8 @@ func run(args []string, out, errW io.Writer) int {
 	gapsPath := fs.String("gaps", "", "JSON file of probe-measured gaps [{target,start,end}] to reconstruct")
 	detect := fs.Duration("detect-gaps", 0, "with no -gaps: infer gaps longer than this from the ownership timeline")
 	mergedOut := fs.String("o", "", "write the merged causal timeline as NDJSON to this file")
-	jsonOut := fs.String("json", "", "write reconstructed failovers as JSON to this file ('-' for stdout)")
 	timelines := fs.Bool("timelines", false, "print per-VIP ownership timelines across nodes")
 	require := fs.Int("require", 0, "exit nonzero unless at least this many failovers reconstruct")
-	tolerance := fs.Duration("tolerance", 0, "allowed |phases - gap| residue in the consistency gate")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -112,31 +109,12 @@ func run(args []string, out, errW io.Writer) int {
 		fmt.Fprintln(out)
 		fmt.Fprint(out, obs.RenderOwnershipTimeline(merged.Events))
 	}
-	if *jsonOut != "" {
-		w := out
-		if *jsonOut != "-" {
-			f, cerr := os.Create(*jsonOut)
-			if cerr != nil {
-				fmt.Fprintf(errW, "wackrec: %v\n", cerr)
-				return 2
-			}
-			defer f.Close()
-			w = f
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(failovers); err != nil {
-			fmt.Fprintf(errW, "wackrec: %v\n", err)
-			return 2
-		}
-	}
-
 	// The gate: every reconstructed failover's phases must partition its
-	// measured gap (exactly, unless -tolerance loosens it), and -require sets
-	// the floor on how many must reconstruct.
+	// measured gap exactly, and -require sets the floor on how many must
+	// reconstruct.
 	bad := 0
 	for _, f := range failovers {
-		if diff := (f.Phases.Total() - f.Gap).Abs(); diff > *tolerance {
+		if diff := (f.Phases.Total() - f.Gap).Abs(); diff != 0 {
 			fmt.Fprintf(errW, "wackrec: %s gap %v but phases sum to %v (Δ %v)\n",
 				f.Target, f.Gap, f.Phases.Total(), diff)
 			bad++

@@ -2,19 +2,16 @@ package check
 
 import "fmt"
 
-// DefaultShrinkBudget bounds how many re-runs a shrink may spend.
-const DefaultShrinkBudget = 200
+// shrinkBudget bounds how many re-runs a shrink may spend.
+const shrinkBudget = 200
 
 // Shrink delta-debugs a violating schedule down to a locally minimal event
 // list: the classic ddmin loop, removing ever-smaller chunks and keeping
 // any candidate that still trips the same oracle. The returned report is
 // the run of the minimal schedule; iterations counts checker re-runs
 // (also accumulated into check_shrink_iterations_total when opts.Metrics
-// is set). budget <= 0 means DefaultShrinkBudget.
-func Shrink(s Schedule, opts Options, budget int) (Schedule, *Report, int, error) {
-	if budget <= 0 {
-		budget = DefaultShrinkBudget
-	}
+// is set), at most shrinkBudget of them.
+func Shrink(s Schedule, opts Options) (Schedule, *Report, int, error) {
 	shrinkIters := opts.withDefaults().Metrics.Counter(
 		"check_shrink_iterations_total", "checker re-runs spent minimizing counterexamples")
 
@@ -37,7 +34,7 @@ func Shrink(s Schedule, opts Options, budget int) (Schedule, *Report, int, error
 		chunk := (len(events) + granularity - 1) / granularity
 		reduced := false
 		for from := 0; from < len(events); from += chunk {
-			if iterations >= budget {
+			if iterations >= shrinkBudget {
 				return s.withEvents(events), rep, iterations, nil
 			}
 			to := from + chunk

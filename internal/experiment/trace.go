@@ -15,10 +15,10 @@ import (
 // The stream is self-describing — every line names its record type, point
 // and seed — so it can be split, grepped and joined without side tables.
 
-// traceTrialRecord summarizes one traced trial. GapStart/GapEnd/Target let
-// offline analyzers re-run obs.FailoverBreakdown on the event lines and
-// cross-check the result against Phases and ValueSec.
-type traceTrialRecord struct {
+// TraceTrialRecord summarizes one traced trial. GapStart/GapEnd/Target let
+// offline analyzers (cmd/wacktrace) re-run obs.FailoverBreakdown on the
+// event lines and cross-check the result against Phases and ValueSec.
+type TraceTrialRecord struct {
 	Record     string        `json:"record"` // "trial"
 	Experiment string        `json:"experiment"`
 	Point      string        `json:"point"`
@@ -55,7 +55,7 @@ func WriteTrace(w io.Writer, rows []Row) error {
 			if s.Trace == nil {
 				continue
 			}
-			if err := enc.Encode(traceTrialRecord{
+			if err := enc.Encode(TraceTrialRecord{
 				Record:     "trial",
 				Experiment: r.Experiment,
 				Point:      r.Point,
