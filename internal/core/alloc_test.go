@@ -48,7 +48,7 @@ func TestStateMsgInGatherDoesNotAllocate(t *testing.T) {
 		t.Fatalf("two STATE_MSGs in GATHER allocate %.0f, want 0", avg)
 	}
 	st := e.Snapshot()
-	if st.State != StateGather || st.Table[names[0]] != view.Members[7] || st.Table[names[30]] != view.Members[7] || st.Table[names[50]] != view.Members[5] {
+	if st.State != stateGather || st.Table[names[0]] != view.Members[7] || st.Table[names[30]] != view.Members[7] || st.Table[names[50]] != view.Members[5] {
 		t.Fatalf("after the merge: state %v, owners %q %q %q", st.State, st.Table[names[0]], st.Table[names[30]], st.Table[names[50]])
 	}
 }

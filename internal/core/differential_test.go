@@ -80,7 +80,7 @@ func (m *model) onView(v View) {
 	}
 	m.view = View{ID: v.ID, Members: slices.Clone(v.Members)}
 	m.viewHook(View{ID: v.ID, Members: slices.Clone(v.Members)})
-	m.state = StateGather
+	m.state = stateGather
 	m.table = map[string]MemberID{}
 	m.stateFrom = map[MemberID]bool{}
 	m.matureOf = map[MemberID]bool{}
@@ -121,7 +121,7 @@ func (m *model) onMessage(from MemberID, payload []byte) {
 }
 
 func (m *model) onState(from MemberID, st stateMsg) {
-	if m.state != StateGather || st.ViewID != m.view.ID || m.view.indexOf(from) < 0 {
+	if m.state != stateGather || st.ViewID != m.view.ID || m.view.indexOf(from) < 0 {
 		return
 	}
 	m.stateFrom[from] = true
@@ -159,7 +159,7 @@ func (m *model) onState(from MemberID, st stateMsg) {
 }
 
 func (m *model) onAlloc(from MemberID, b balanceMsg) {
-	if !m.cfg.RepresentativeDecisions || m.state != StateGather || b.ViewID != m.view.ID ||
+	if !m.cfg.RepresentativeDecisions || m.state != stateGather || b.ViewID != m.view.ID ||
 		!m.gatherComplete || from != m.representative() {
 		return
 	}

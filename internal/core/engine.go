@@ -371,7 +371,7 @@ func (e *Engine) OnView(v View) {
 	if e.deps.Tracer.Enabled() {
 		e.trace(obs.KindViewChange, v.ID, "", fmt.Sprintf("members=%d", len(v.Members)))
 	}
-	e.setState(StateGather)
+	e.setState(stateGather)
 	e.pendingDrops = e.pendingDrops[:0]
 	e.gatherComplete = false
 	stopTimer(e.balanceTimer)
@@ -416,7 +416,7 @@ func (e *Engine) OnMessage(from MemberID, payload []byte) {
 // names are resolved to group indexes as they are walked and none is kept.
 func (e *Engine) onState(from MemberID, m stateView) {
 	pos := e.view.indexOf(from)
-	if e.state != StateGather || string(m.viewID) != e.view.ID || pos < 0 {
+	if e.state != stateGather || string(m.viewID) != e.view.ID || pos < 0 {
 		return // only STATE_MSGs generated in the current view are considered
 	}
 	e.stateFrom[pos] = true
@@ -479,7 +479,7 @@ func (e *Engine) onAlloc(from MemberID, m balanceMsg) {
 		e.deps.Log.Logf("wackamole %s: alloc from %s but representative decisions are off", e.deps.Self, from)
 		return
 	}
-	if e.state != StateGather || m.ViewID != e.view.ID || !e.gatherComplete {
+	if e.state != stateGather || m.ViewID != e.view.ID || !e.gatherComplete {
 		return
 	}
 	if from != e.representative() {
