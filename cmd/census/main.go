@@ -18,6 +18,10 @@
 //	go run ./cmd/census        # the two counts
 //	go run ./cmd/census -v     # and every name counted
 //
+// `go test ./cmd/census` holds the repository to the keep-list in
+// main_test.go: every name and field counted must be on it, with a reason,
+// and every entry on it must still be counted.
+//
 // It uses only the standard library: go/types with the source importer for
 // the standard library, and its own loader for the two modules' packages.
 package main
@@ -80,25 +84,11 @@ func run(args []string, out, errOut io.Writer) int {
 		return 2
 	}
 
-	l := &loader{
-		fset: token.NewFileSet(),
-		dirs: map[string]*build.Package{},
-		pkgs: map[string]*pkg{},
-	}
-	l.std = importer.ForCompiler(l.fset, "source", nil)
-	if err := l.discover(); err != nil {
+	names, fields, err := count(".")
+	if err != nil {
 		fmt.Fprintln(errOut, "census:", err)
 		return 1
 	}
-	for p := range l.dirs {
-		if _, err := l.load(p); err != nil {
-			fmt.Fprintln(errOut, "census:", err)
-			return 1
-		}
-	}
-
-	names := l.unreferencedNames()
-	fields := l.unwrittenFields()
 	fmt.Fprintf(out, "exported internal/* names with no non-test caller outside their package: %d\n", len(names))
 	fmt.Fprintf(out, "exported Config/Options fields with no non-test writer outside their package: %d\n", len(fields))
 	if *verbose {
@@ -114,11 +104,33 @@ func run(args []string, out, errOut io.Writer) int {
 	return 0
 }
 
+// count type-checks the two modules of the repository rooted at root and
+// returns the names and the fields the census counts, sorted.
+func count(root string) (names, fields []string, err error) {
+	l := &loader{
+		fset: token.NewFileSet(),
+		dirs: map[string]*build.Package{},
+		pkgs: map[string]*pkg{},
+	}
+	l.std = importer.ForCompiler(l.fset, "source", nil)
+	if err := l.discover(root); err != nil {
+		return nil, nil, err
+	}
+	for p := range l.dirs {
+		if _, err := l.load(p); err != nil {
+			return nil, nil, err
+		}
+	}
+	return l.unreferencedNames(), l.unwrittenFields(), nil
+}
+
 // discover maps every package of the two modules to its import path,
 // skipping testdata and, in the root module's walk, the bench module.
-func (l *loader) discover() error {
+func (l *loader) discover(root string) error {
+	bench := filepath.Join(root, "bench")
 	for _, m := range modules {
-		err := filepath.WalkDir(m.dir, func(p string, d fs.DirEntry, err error) error {
+		dir := filepath.Join(root, m.dir)
+		err := filepath.WalkDir(dir, func(p string, d fs.DirEntry, err error) error {
 			if err != nil {
 				return err
 			}
@@ -126,14 +138,14 @@ func (l *loader) discover() error {
 				return nil
 			}
 			base := d.Name()
-			if p != m.dir && (base == "testdata" || base[0] == '.' || base[0] == '_' || p == "bench") {
+			if p != dir && (base == "testdata" || base[0] == '.' || base[0] == '_' || p == bench) {
 				return filepath.SkipDir
 			}
 			bp, err := build.ImportDir(p, 0)
 			if err != nil || len(bp.GoFiles) == 0 {
 				return nil
 			}
-			rel, _ := filepath.Rel(m.dir, p)
+			rel, _ := filepath.Rel(dir, p)
 			ip := m.path
 			if rel != "." {
 				ip += "/" + filepath.ToSlash(rel)

@@ -101,3 +101,55 @@ fields:
 		t.Fatalf("census -v printed\n%s\nwant\n%s", got, want)
 	}
 }
+
+// keep lists every exported name and Config/Options field of this
+// repository that the census counts and that stays exported on purpose,
+// with the reason. A type stays exported when an exported field or
+// signature of its own package names it.
+var keep = map[string]string{
+	"check.Op":                 "Event.Op names it",
+	"check.OptionsDoc":         "Artifact.Options names it",
+	"core.AddressOwner":        "Deps.IPs names it",
+	"core.StateDetached":       "the root package's tests compare a node's state against it",
+	"experiment.LatencyWindow": "AvailabilityResult.Before/During/After name it",
+	"experiment.Point":         "Experiment.Points names it",
+	"experiment.RollingPhase":  "AvailabilityResult.Phases names it",
+	"experiment.Stat":          "Row.Stat names it",
+	"flow.Server":              "NewServer returns it",
+	"gcs.DeliveryHandler":      "Daemon.AddDeliveryHandler takes it",
+	"gcs.DetectionHook":        "Daemon.SetDetectionHook takes it",
+	"gcs.MembershipHandler":    "Daemon.SetMembershipHandler takes it",
+	"gcs.ViewReason":           "View.Reason names it",
+	"invariant.Node":           "Monitor.Attach takes it",
+	"netsim.Host.Restart":      "crash-restart under the same identity will call it",
+	"netsim.UDPHandler":        "Host.BindUDP takes it",
+
+	"flow.ServerConfig.Handler":              "the payload-echo tests substitute it",
+	"netsim.SegmentConfig.LossRate":          "the knob for duplicated, reordered and corrupt datagrams will extend it",
+	"obs.FlightConfig.Now":                   "the tests' clock",
+	"router.Options.ShareARP":                "the §5.2 wiring between the router and arpshare",
+	"wackamole.ClusterOptions.ConfigureNode": "the only per-server config in simulation, the counterpart of the prefer directive",
+}
+
+// TestRepositoryMatchesKeepList runs the census over this repository. A
+// counted name missing from keep is surface nothing uses: unexport it,
+// delete it, or give it a reason. An entry the census no longer counts has
+// gained a user or gone: drop it.
+func TestRepositoryMatchesKeepList(t *testing.T) {
+	names, fields, err := count(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	counted := map[string]bool{}
+	for _, n := range append(names, fields...) {
+		counted[n] = true
+		if keep[n] == "" {
+			t.Errorf("%s: exported, but no other package's non-test code uses it; unexport it or keep it with a reason", n)
+		}
+	}
+	for n := range keep {
+		if !counted[n] {
+			t.Errorf("%s: on the keep-list, but the census no longer counts it; drop the entry", n)
+		}
+	}
+}
