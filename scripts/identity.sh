@@ -72,6 +72,10 @@ run check wackcheck -seeds 8 -steps 16
 run check-gray-phi wackcheck -seeds 8 -steps 16 -gray -detector phi
 # The §4.2 variant: the only recipe line in which an ALLOC message is cast.
 run check-representative wackcheck -seeds 8 -steps 16 -representative
+# A seeded mutant that seeds 1 and 3 catch: the shrunk schedules are printed,
+# so the shrinker's path and budget are compared too. Both sides write their
+# artifacts to the one directory the output names.
+run check-shrink wackcheck -seeds 4 -steps 16 -mutate keep-on-release:0 -shrink -out "$tmp/shrink"
 
 if [ "$fail" -ne 0 ]; then
 	echo "identity: output differs from $base" >&2
