@@ -8,7 +8,6 @@ package wackamole_test
 
 import (
 	"net/netip"
-	"sync"
 	"testing"
 	"time"
 
@@ -105,14 +104,12 @@ func TestInvariantMonitorLiveCluster(t *testing.T) {
 	// its own stop channel: a probe posted to a closed loop would never run,
 	// so a daemon's prober must stop before that daemon shuts down.
 	probeStops := make([]chan struct{}, len(daemons))
-	var probers sync.WaitGroup
+	probeDone := make([]chan struct{}, len(daemons))
 	for i, d := range daemons {
-		d := d
-		stop := make(chan struct{})
-		probeStops[i] = stop
-		probers.Add(1)
+		d, stop, done := d, make(chan struct{}), make(chan struct{})
+		probeStops[i], probeDone[i] = stop, done
 		go func() {
-			defer probers.Done()
+			defer close(done)
 			for {
 				select {
 				case <-stop:
@@ -123,9 +120,12 @@ func TestInvariantMonitorLiveCluster(t *testing.T) {
 			}
 		}()
 	}
+	// stopProber returns once the prober has exited: one still inside
+	// status() when its daemon's loop closes would wait forever.
 	stopProber := func(i int) {
 		if probeStops[i] != nil {
 			close(probeStops[i])
+			<-probeDone[i]
 			probeStops[i] = nil
 		}
 	}
@@ -133,7 +133,6 @@ func TestInvariantMonitorLiveCluster(t *testing.T) {
 		for i := range probeStops {
 			stopProber(i)
 		}
-		probers.Wait()
 	}()
 
 	waitFor := func(desc string, limit time.Duration, cond func() bool) {
@@ -191,7 +190,6 @@ func TestInvariantMonitorLiveCluster(t *testing.T) {
 
 	stopProber(0)
 	stopProber(1)
-	probers.Wait()
 	if v := mon.Violation(); v != nil {
 		t.Fatalf("invariant violation on live cluster: %v", v)
 	}
