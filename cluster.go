@@ -6,9 +6,7 @@ import (
 	"time"
 
 	"wackamole/internal/core"
-	"wackamole/internal/env"
 	"wackamole/internal/gcs"
-	"wackamole/internal/health"
 	"wackamole/internal/invariant"
 	"wackamole/internal/ipmgr"
 	"wackamole/internal/metrics"
@@ -87,11 +85,6 @@ type ClusterOptions struct {
 	// deliberately broken address handling behind an otherwise unmodified
 	// engine.
 	WrapBackend func(i int, b ipmgr.Backend) ipmgr.Backend
-	// TelemetryInterval, when positive, arms the live health plane: every
-	// server gets an observe-only phi-accrual monitor and publishes health
-	// frames at this period to a collector host on the cluster LAN
-	// (TelemetryAddr). Frames accumulate in Cluster.TelemetryFrames.
-	TelemetryInterval time.Duration
 }
 
 // Server is one simulated cluster member.
@@ -110,11 +103,7 @@ type Cluster struct {
 	Router   *netsim.Host    // nil unless WithRouter
 	Servers  []*Server
 	Groups   []core.VIPGroup
-	// TelemetryFrames accumulates every health frame received by the
-	// collector host, in arrival order (empty unless TelemetryInterval was
-	// set).
-	TelemetryFrames []health.Frame
-	opts            ClusterOptions
+	opts     ClusterOptions
 }
 
 // ClusterSubnet is the simulated server LAN.
@@ -134,14 +123,6 @@ func ServerAddr(i int) netip.Addr {
 func VIPAddr(j int) netip.Addr {
 	return netip.AddrFrom4([4]byte{10, 0, 0, byte(100 + j)})
 }
-
-// TelemetryCollectorAddr is the telemetry collector host's address on the
-// cluster LAN (below the server range, which starts at 10.0.0.10).
-var TelemetryCollectorAddr = netip.MustParseAddr("10.0.0.9")
-
-// TelemetryPort is the UDP port the simulated telemetry collector listens
-// on.
-const TelemetryPort = 4810
 
 // RouterInsideAddr is the router's address on the cluster LAN.
 var RouterInsideAddr = netip.MustParseAddr("10.0.0.1")
@@ -205,25 +186,6 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 		}
 	}
 
-	var telemetrySubs []string
-	if opts.TelemetryInterval > 0 {
-		collector := nw.NewHost("telemetry")
-		cnic := collector.AttachNIC(c.Segment, "eth0", netip.PrefixFrom(TelemetryCollectorAddr, ClusterSubnet.Bits()))
-		cep, err := collector.OpenEndpoint(cnic, TelemetryPort)
-		if err != nil {
-			return nil, fmt.Errorf("wackamole: telemetry collector: %w", err)
-		}
-		cenv := cep.Env(nil)
-		cenv.Conn.SetHandler(func(from env.Addr, payload []byte) {
-			f, err := health.DecodeFrame(payload)
-			if err != nil {
-				return
-			}
-			c.TelemetryFrames = append(c.TelemetryFrames, f)
-		})
-		telemetrySubs = []string{fmt.Sprintf("%s:%d", TelemetryCollectorAddr, TelemetryPort)}
-	}
-
 	for i := 0; i < opts.Servers; i++ {
 		host := nw.NewHost(fmt.Sprintf("server%02d", i))
 		nic := host.AttachNIC(c.Segment, "eth0", netip.PrefixFrom(ServerAddr(i), ClusterSubnet.Bits()))
@@ -268,34 +230,18 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 		if opts.Invariants != nil {
 			opts.Invariants.Attach(i, node)
 		}
-		if opts.TelemetryInterval > 0 {
-			node.SetHealth(health.NewMonitor(health.Options{
-				Node:    string(node.Daemon().ID()),
-				Metrics: opts.Metrics,
-				Tracer:  opts.Tracer,
-			}))
-		}
 		if opts.OnNode != nil {
 			opts.OnNode(i, node)
 		}
-		interval, subs := opts.TelemetryInterval, telemetrySubs
 		if opts.StartStagger > 0 && i > 0 {
 			node := node
 			s.After(time.Duration(i)*opts.StartStagger, func() {
 				// NewCluster has returned by now, so there is no caller to
 				// report to: a server that fails to start never joins.
 				_ = node.Start()
-				if interval > 0 {
-					node.StartTelemetry(interval, subs)
-				}
 			})
-		} else {
-			if err := node.Start(); err != nil {
-				return nil, fmt.Errorf("wackamole: server %d: %w", i, err)
-			}
-			if interval > 0 {
-				node.StartTelemetry(interval, subs)
-			}
+		} else if err := node.Start(); err != nil {
+			return nil, fmt.Errorf("wackamole: server %d: %w", i, err)
 		}
 		c.Servers = append(c.Servers, &Server{Host: host, NIC: nic, Node: node})
 	}

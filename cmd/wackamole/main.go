@@ -117,7 +117,7 @@ func run(args []string, stop <-chan os.Signal, notices io.Writer) int {
 		return 1
 	}
 	e := env.Env{Clock: clock, Conn: conn, Log: log}
-	if cfg.Metrics != "" || cfg.FlightDir != "" || len(cfg.Telemetry) > 0 {
+	if cfg.Metrics != "" || cfg.FlightDir != "" {
 		// Wall-clock tracing feeds /debug/events; it rides on the Env so the
 		// bootstrap discovery is captured too. The registry is the /metrics
 		// surface. The HLC makes this daemon's trace causally mergeable with
@@ -150,7 +150,8 @@ func run(args []string, stop <-chan os.Signal, notices io.Writer) int {
 		// The live health plane rides on the same instruments: the
 		// observe-only phi-accrual monitor shadows the fixed T/H detectors
 		// (health_phi, health_interarrival_ns, phi-suspect trace events)
-		// without influencing them.
+		// without influencing them. The daemon evaluates it on its own scan
+		// tick.
 		node.SetHealth(health.NewMonitor(health.Options{
 			Node:    cfg.Bind,
 			Metrics: registry,
@@ -223,12 +224,6 @@ func run(args []string, stop <-chan os.Signal, notices io.Writer) int {
 	}
 	fmt.Fprintf(notices, "wackamole: daemon %s up (%d peers, %d vip groups, dry_run=%v)\n",
 		cfg.Bind, len(cfg.Peers), len(cfg.Groups), cfg.DryRun)
-	if len(cfg.Telemetry) > 0 {
-		loop.Post(func() {
-			node.StartTelemetry(cfg.TelemetryInterval, cfg.Telemetry)
-		})
-		fmt.Fprintf(notices, "wackamole: health telemetry streaming to %v\n", cfg.Telemetry)
-	}
 
 	var obsSrv *obs.Server
 	if cfg.Metrics != "" {

@@ -47,6 +47,7 @@ type trial struct {
 	gapEnd     time.Time
 	target     string
 	hasGap     bool
+	dropped    uint64 // events the trial's ring evicted
 	events     []obs.Event
 	recomputed obs.Breakdown
 }
@@ -168,7 +169,7 @@ func parseTrace(r io.Reader) ([]*trial, error) {
 				return nil, fmt.Errorf("line %d: trial record: %v", ln, err)
 			}
 			t := &trial{point: rec.Point, seed: rec.Seed, valueSec: rec.ValueSec,
-				reported: rec.Phases, target: rec.Target}
+				reported: rec.Phases, target: rec.Target, dropped: rec.Dropped}
 			if rec.GapStart != "" && rec.GapEnd != "" {
 				gs, err1 := time.Parse(time.RFC3339Nano, rec.GapStart)
 				ge, err2 := time.Parse(time.RFC3339Nano, rec.GapEnd)
@@ -330,11 +331,17 @@ func writeFolded(w io.Writer, trials []*trial) {
 	}
 }
 
-// checkConsistency verifies, per trial, that the recomputed phases sum to
-// the reported interruption and agree with the producer's own breakdown.
+// checkConsistency verifies, per trial, that no event was evicted, that the
+// recomputed phases sum to the reported interruption and that they agree
+// with the producer's own breakdown.
 func checkConsistency(trials []*trial) []string {
 	var bad []string
 	for _, t := range trials {
+		if t.dropped > 0 {
+			bad = append(bad, fmt.Sprintf("%s seed=%d: incomplete, its ring evicted %d events, so its phases cannot be recomputed",
+				t.point, t.seed, t.dropped))
+			continue
+		}
 		total := t.recomputed.Total()
 		reportedGap := time.Duration(t.valueSec * float64(time.Second))
 		if diff := (total - reportedGap).Abs(); diff > tolerance {

@@ -78,19 +78,27 @@ func TestAnalyzeRealTrace(t *testing.T) {
 
 func TestConsistencyGateTripsOnTamperedTrace(t *testing.T) {
 	raw := figure5Trace(t)
-	// Inflate one trial's reported interruption so the recomputed phases can
-	// no longer sum to it.
-	tampered := bytes.Replace(raw, []byte(`"value_s":`), []byte(`"value_s":9`), 1)
-	if bytes.Equal(tampered, raw) {
-		t.Fatal("tamper had no effect")
-	}
-
-	var out, errW bytes.Buffer
-	if code := run(nil, bytes.NewReader(tampered), &out, &errW); code != 1 {
-		t.Fatalf("expected exit 1 on inconsistent trace, got %d\nstderr:\n%s", code, errW.String())
-	}
-	if !strings.Contains(errW.String(), "inconsistent") {
-		t.Errorf("stderr missing mismatch report:\n%s", errW.String())
+	for _, tc := range []struct {
+		name, old, new, report string
+	}{
+		// Inflate one trial's reported interruption so the recomputed phases
+		// can no longer sum to it.
+		{"inflated interruption", `"value_s":`, `"value_s":9`, "phases sum to"},
+		// Mark one trial's ring as having evicted events: its phases cannot
+		// be recomputed from the lines that survive.
+		{"evicted events", `"events":`, `"dropped":3,"events":`, "incomplete"},
+	} {
+		tampered := bytes.Replace(raw, []byte(tc.old), []byte(tc.new), 1)
+		if bytes.Equal(tampered, raw) {
+			t.Fatalf("%s: tamper had no effect", tc.name)
+		}
+		var out, errW bytes.Buffer
+		if code := run(nil, bytes.NewReader(tampered), &out, &errW); code != 1 {
+			t.Fatalf("%s: expected exit 1 on inconsistent trace, got %d\nstderr:\n%s", tc.name, code, errW.String())
+		}
+		if !strings.Contains(errW.String(), "inconsistent") || !strings.Contains(errW.String(), tc.report) {
+			t.Errorf("%s: stderr missing %q report:\n%s", tc.name, tc.report, errW.String())
+		}
 	}
 }
 

@@ -29,8 +29,6 @@
 //	flight_dir /var/lib/wackamole/flight   # arm the black-box flight recorder
 //	flight_threshold 2s       # auto-dump when a failover runs longer than this
 //	flight_profile true       # include a heap profile in each bundle
-//	telemetry 127.0.0.1:4810  # stream health frames to these subscribers
-//	telemetry_interval 250ms  # publishing period
 //	vip web1 10.0.0.100
 //	vip vrouter 198.51.100.1 10.1.0.1
 package config
@@ -89,14 +87,6 @@ type File struct {
 	FlightThreshold time.Duration
 	// FlightProfile includes a heap profile in every bundle.
 	FlightProfile bool
-	// Telemetry lists subscriber addresses for the live health plane: the
-	// daemon arms the observe-only phi-accrual monitor and streams one
-	// health frame per interval to each address; the publisher's tick is
-	// also the shadow detector's regular evaluation point. Empty disables
-	// telemetry.
-	Telemetry []string
-	// TelemetryInterval is the frame publishing period; zero means 250ms.
-	TelemetryInterval time.Duration
 
 	GCS            gcs.Config
 	BalanceTimeout time.Duration
@@ -114,10 +104,11 @@ type File struct {
 
 // parse reads a configuration from r.
 func parse(r io.Reader) (*File, error) {
-	f := &File{
-		GCS:    gcs.DefaultConfig(),
-		DryRun: true,
-	}
+	f := &File{DryRun: true}
+	// The timeouts profile supplies only the Table-1 timeouts no explicit
+	// line sets, so the result does not depend on line order.
+	profile := gcs.DefaultConfig()
+	set := map[string]bool{}
 	sc := bufio.NewScanner(r)
 	lineNo := 0
 	seenGroups := map[string]bool{}
@@ -195,13 +186,6 @@ func parse(r io.Reader) (*File, error) {
 			}
 		case "flight_threshold":
 			err = parseDur(args, &f.FlightThreshold, fail)
-		case "telemetry":
-			if len(args) == 0 {
-				err = fail("telemetry needs at least one subscriber address")
-			}
-			f.Telemetry = append(f.Telemetry, args...)
-		case "telemetry_interval":
-			err = parseDur(args, &f.TelemetryInterval, fail)
 		case "flight_profile":
 			if err = need(1); err == nil {
 				f.FlightProfile, err = strconv.ParseBool(args[0])
@@ -213,9 +197,9 @@ func parse(r io.Reader) (*File, error) {
 			if err = need(1); err == nil {
 				switch args[0] {
 				case "default":
-					f.GCS = gcs.DefaultConfig()
+					profile = gcs.DefaultConfig()
 				case "tuned":
-					f.GCS = gcs.TunedConfig()
+					profile = gcs.TunedConfig()
 				default:
 					err = fail("timeouts must be default or tuned, got %q", args[0])
 				}
@@ -231,10 +215,13 @@ func parse(r io.Reader) (*File, error) {
 			}
 		case "fault_detect":
 			err = parseDur(args, &f.GCS.FaultDetectTimeout, fail)
+			set[key] = true
 		case "heartbeat":
 			err = parseDur(args, &f.GCS.HeartbeatInterval, fail)
+			set[key] = true
 		case "discovery":
 			err = parseDur(args, &f.GCS.DiscoveryTimeout, fail)
+			set[key] = true
 		case "balance":
 			err = parseDur(args, &f.BalanceTimeout, fail)
 		case "placement":
@@ -291,6 +278,15 @@ func parse(r io.Reader) (*File, error) {
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("config: %w", err)
+	}
+	if !set["fault_detect"] {
+		f.GCS.FaultDetectTimeout = profile.FaultDetectTimeout
+	}
+	if !set["heartbeat"] {
+		f.GCS.HeartbeatInterval = profile.HeartbeatInterval
+	}
+	if !set["discovery"] {
+		f.GCS.DiscoveryTimeout = profile.DiscoveryTimeout
 	}
 	return f, f.validate()
 }

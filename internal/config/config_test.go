@@ -58,21 +58,26 @@ func TestParseSample(t *testing.T) {
 }
 
 func TestTimeoutOverrides(t *testing.T) {
-	cfg := `
-bind a:1
-peers a:1
-timeouts default
-fault_detect 3s
-heartbeat 1s
-discovery 4s
-vip v 10.0.0.1
-`
-	f, err := parse(strings.NewReader(cfg))
+	// An explicit timeout wins over the profile whichever line comes first.
+	for name, order := range map[string]string{
+		"profile first": "timeouts default\nfault_detect 3s\nheartbeat 1s\ndiscovery 4s\n",
+		"profile last":  "fault_detect 3s\nheartbeat 1s\ndiscovery 4s\ntimeouts default\n",
+	} {
+		f, err := parse(strings.NewReader("bind a:1\npeers a:1\n" + order + "vip v 10.0.0.1\n"))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if f.GCS.FaultDetectTimeout != 3*time.Second || f.GCS.HeartbeatInterval != time.Second || f.GCS.DiscoveryTimeout != 4*time.Second {
+			t.Fatalf("%s: overrides not applied: %+v", name, f.GCS)
+		}
+	}
+	// The profile still supplies every timeout no line sets.
+	f, err := parse(strings.NewReader("bind a:1\npeers a:1\nheartbeat 300ms\ntimeouts tuned\nvip v 10.0.0.1\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.GCS.FaultDetectTimeout != 3*time.Second || f.GCS.HeartbeatInterval != time.Second || f.GCS.DiscoveryTimeout != 4*time.Second {
-		t.Fatalf("overrides not applied: %+v", f.GCS)
+	if want := (gcs.Config{FaultDetectTimeout: time.Second, HeartbeatInterval: 300 * time.Millisecond, DiscoveryTimeout: 1400 * time.Millisecond}); f.GCS != want {
+		t.Fatalf("partial override: %+v, want %+v", f.GCS, want)
 	}
 }
 
@@ -83,6 +88,8 @@ func TestParseErrors(t *testing.T) {
 	}{
 		{"unknown directive", "bogus 1\n"},
 		{"retired invariant_artifacts", "bind a:1\npeers a:1\ninvariant_artifacts /x\nvip v 10.0.0.1\n"},
+		{"retired telemetry", "bind a:1\npeers a:1\ntelemetry 127.0.0.1:4810\nvip v 10.0.0.1\n"},
+		{"retired telemetry_interval", "bind a:1\npeers a:1\ntelemetry_interval 250ms\nvip v 10.0.0.1\n"},
 		{"missing bind", "peers a:1\nvip v 10.0.0.1\n"},
 		{"missing peers", "bind a:1\nvip v 10.0.0.1\n"},
 		{"missing vips", "bind a:1\npeers a:1\n"},
@@ -156,36 +163,19 @@ func TestPlacementDirective(t *testing.T) {
 	}
 }
 
-func TestTelemetryDirectives(t *testing.T) {
-	cfg := "bind a:1\npeers a:1\ntelemetry 127.0.0.1:4810 127.0.0.1:4811\ntelemetry_interval 100ms\nvip v 10.0.0.1\n"
-	f, err := parse(strings.NewReader(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Telemetry) != 2 || f.Telemetry[0] != "127.0.0.1:4810" {
-		t.Fatalf("telemetry: %+v", f.Telemetry)
-	}
-	if f.TelemetryInterval != 100*time.Millisecond {
-		t.Fatalf("telemetry_interval: %v", f.TelemetryInterval)
-	}
-	if _, err := parse(strings.NewReader("bind a:1\npeers a:1\ntelemetry\nvip v 10.0.0.1\n")); err == nil {
-		t.Fatal("telemetry with no subscribers accepted")
-	}
-	if _, err := parse(strings.NewReader("bind a:1\npeers a:1\ntelemetry_interval soon\nvip v 10.0.0.1\n")); err == nil {
-		t.Fatal("bad telemetry_interval accepted")
-	}
-}
-
 func TestDetectorDirective(t *testing.T) {
-	cfg := "bind a:1\npeers a:1\ntimeouts tuned\ndetector phi\nvip v 10.0.0.1\n"
-	f, err := parse(strings.NewReader(cfg))
-	if err != nil {
-		t.Fatal(err)
+	// The timeouts profile never touches the detector, whichever line comes
+	// first.
+	for _, order := range []string{"timeouts tuned\ndetector phi\n", "detector phi\ntimeouts tuned\n"} {
+		f, err := parse(strings.NewReader("bind a:1\npeers a:1\n" + order + "vip v 10.0.0.1\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.GCS.Detector != gcs.DetectorPhi || f.GCS.FaultDetectTimeout != time.Second {
+			t.Fatalf("%q: detector phi with tuned timeouts not applied: %+v", order, f.GCS)
+		}
 	}
-	if f.GCS.Detector != gcs.DetectorPhi {
-		t.Fatalf("detector phi not applied: %+v", f.GCS)
-	}
-	f, err = parse(strings.NewReader("bind a:1\npeers a:1\ndetector fixed\nvip v 10.0.0.1\n"))
+	f, err := parse(strings.NewReader("bind a:1\npeers a:1\ndetector fixed\nvip v 10.0.0.1\n"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -322,26 +322,20 @@ func stopTimer(t env.Timer) {
 
 // Snapshot returns a copy of the engine's observable state.
 func (e *Engine) Snapshot() Status {
-	st := Status{Table: make(map[string]MemberID, len(e.table))}
-	e.Summary(&st)
-	for gi, name := range e.sortedNames {
-		st.Table[name] = e.ownerOf(gi)
+	st := Status{
+		State:   e.state,
+		Mature:  e.mature,
+		ViewID:  e.view.ID,
+		Members: append([]MemberID(nil), e.view.Members...),
+		Table:   make(map[string]MemberID, len(e.table)),
 	}
-	return st
-}
-
-// Summary is Snapshot without Table, written over st: Members and Owned
-// reuse st's slices, so a reader that asks every tick and keeps one Status
-// for it — the telemetry frame — allocates nothing.
-func (e *Engine) Summary(st *Status) {
-	st.State, st.Mature, st.ViewID = e.state, e.mature, e.view.ID
-	st.Members = append(st.Members[:0], e.view.Members...)
-	st.Owned = st.Owned[:0]
 	for gi, name := range e.sortedNames {
 		if e.owned[gi] {
 			st.Owned = append(st.Owned, name)
 		}
+		st.Table[name] = e.ownerOf(gi)
 	}
+	return st
 }
 
 // OnView handles a VIEW_CHANGE event (Algorithm 1 lines 1–4; Algorithm 2

@@ -30,6 +30,10 @@ const (
 	cmdHelp    = "help"
 )
 
+// maxLine bounds a command line, newline included. Every command fits in a
+// few bytes; a longer line is refused rather than buffered.
+const maxLine = 64
+
 // Server answers control commands, executing node operations on its loop so
 // the single-threaded protocol contract holds.
 type Server struct {
@@ -81,11 +85,15 @@ func (s *Server) handle(conn net.Conn) {
 	if err := conn.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
 		return
 	}
-	line, err := bufio.NewReader(conn).ReadString('\n')
-	if err != nil && line == "" {
+	line, err := bufio.NewReaderSize(conn, maxLine).ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		_, _ = fmt.Fprintf(conn, "error: command line longer than %d bytes\n", maxLine)
 		return
 	}
-	reply := s.execute(strings.TrimSpace(line))
+	if err != nil && len(line) == 0 {
+		return
+	}
+	reply := s.execute(strings.TrimSpace(string(line)))
 	_, _ = conn.Write([]byte(reply))
 }
 
@@ -213,15 +221,14 @@ func formatStatus(node *wackamole.Node) string {
 			if margin < 0 {
 				margin = 0
 			}
-			parts = append(parts, fmt.Sprintf("%s phi=%.2f margin=%.2f last=%s",
-				ph.Peer, ph.Phi, margin, ph.LastHeard.Round(time.Millisecond)))
+			parts = append(parts, fmt.Sprintf("%s phi=%.2f margin=%.2f last=%s samples=%d",
+				ph.Peer, ph.Phi, margin, ph.LastHeard.Round(time.Millisecond), ph.Samples))
 		}
 		line := strings.Join(parts, " | ")
 		if line == "" {
 			line = "(no peers)"
 		}
-		fmt.Fprintf(&b, "health:  %s frames pub=%d drop=%d\n",
-			line, node.Telemetry().Published(), node.Telemetry().Dropped())
+		fmt.Fprintf(&b, "health:  %s\n", line)
 	}
 	names := make([]string, 0, len(st.Table))
 	for g := range st.Table {

@@ -1,6 +1,8 @@
 package ctl
 
 import (
+	"io"
+	"net"
 	"net/netip"
 	"strings"
 	"testing"
@@ -171,6 +173,44 @@ func TestControlChannelEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(reply, "error:") {
 		t.Fatalf("join while in service reply: %q", reply)
+	}
+}
+
+// TestOverlongLineRefused: a client that never sends a newline gets an
+// error once the line outgrows maxLine, instead of the server buffering it
+// until the deadline; the next command on a new connection still answers.
+func TestOverlongLineRefused(t *testing.T) {
+	node, loop := liveNode(t)
+	srv, err := Serve("127.0.0.1:0", loop, node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = srv.Close() }()
+
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = conn.Close() }()
+	if err := conn.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write([]byte(strings.Repeat("x", 4096))); err != nil {
+		t.Fatal(err)
+	}
+	// The reply arrives before the server's close, so a reset that follows
+	// it does not matter.
+	reply, _ := io.ReadAll(conn)
+	if !strings.HasPrefix(string(reply), "error: command line longer than") {
+		t.Fatalf("over-long line reply: %q", reply)
+	}
+
+	reply2, err := Send(srv.Addr(), CmdStatus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(reply2, "member:") {
+		t.Fatalf("status after an over-long line:\n%s", reply2)
 	}
 }
 

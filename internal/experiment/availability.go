@@ -11,6 +11,7 @@ import (
 	"wackamole/internal/faults"
 	"wackamole/internal/flow"
 	"wackamole/internal/gcs"
+	"wackamole/internal/health"
 	"wackamole/internal/invariant"
 	"wackamole/internal/load"
 	"wackamole/internal/metrics"
@@ -172,12 +173,11 @@ type AvailabilityConfig struct {
 	// disables. With Invariants set it also receives the invariant_*
 	// families.
 	Metrics *metrics.Registry
-	// Telemetry arms the live health plane on every server: per-peer phi
-	// monitors plus the streaming frame publisher, whose frames land on the
-	// trial's Cluster.TelemetryFrames. The observed bench workload arms it
-	// to price the plane. Web topology only (the router scenario has no
-	// wackamole.Cluster to host the collector). The publish interval is half
-	// the heartbeat interval, so every frame window sees fresh arrivals.
+	// Telemetry arms the observe-only health monitor on every server, with
+	// the trial's registry and tracer: each daemon evaluates it on its scan
+	// tick, every half heartbeat interval. The observed bench workload arms
+	// it to price the plane. Web topology only (the router scenario builds
+	// its servers without a wackamole.Cluster).
 	Telemetry bool
 }
 
@@ -317,7 +317,7 @@ func AvailabilityTrial(seed int64, cfg AvailabilityConfig) (runner.Sample, *Avai
 		return availabilityWebTrial(seed, cfg)
 	case topologyRouter:
 		if cfg.Telemetry {
-			return runner.Sample{}, nil, fmt.Errorf("experiment: telemetry capture requires the web topology")
+			return runner.Sample{}, nil, fmt.Errorf("experiment: health monitors (Telemetry) require the web topology")
 		}
 		if cfg.Fault == faultRolling {
 			return runner.Sample{}, nil, fmt.Errorf("experiment: the rolling fault requires the web topology")
@@ -344,11 +344,6 @@ func availabilityWebTrial(seed int64, cfg AvailabilityConfig) (runner.Sample, *A
 	if cfg.Fault == faultRolling && cfg.Servers < 2 {
 		return runner.Sample{}, nil, fmt.Errorf("experiment: the rolling fault needs at least 2 servers")
 	}
-	if cfg.Telemetry {
-		mods = append(mods, func(o *wackamole.ClusterOptions) {
-			o.TelemetryInterval = cfg.GCS.HeartbeatInterval / 2
-		})
-	}
 	// Detection accounting: every daemon reports who it declares failed and
 	// through which mechanism. Before the fault there is no victim, so any
 	// detection is a false suspicion; afterwards, only detections of the
@@ -361,6 +356,11 @@ func availabilityWebTrial(seed int64, cfg AvailabilityConfig) (runner.Sample, *A
 	falseSuspects := 0
 	mods = append(mods, func(o *wackamole.ClusterOptions) {
 		o.OnNode = func(i int, n *wackamole.Node) {
+			if cfg.Telemetry {
+				n.SetHealth(health.NewMonitor(health.Options{
+					Node: string(n.Daemon().ID()), Metrics: n.Metrics(), Tracer: n.Tracer(),
+				}))
+			}
 			n.Daemon().SetDetectionHook(func(peer, detector string) {
 				if victimID == "" || peer != victimID {
 					falseSuspects++

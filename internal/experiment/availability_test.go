@@ -90,13 +90,14 @@ func TestAvailabilityTrialRouter(t *testing.T) {
 }
 
 // TestAvailabilityTrialRouterRejectsWebOnlyOptions: the router scenario has no
-// wackamole.Cluster to host the frame collector (nor a placement policy or a
-// rolling schedule), so asking for one fails before anything runs.
+// wackamole.Cluster whose OnNode installs the health monitors (nor a
+// placement policy or a rolling schedule), so asking for one fails before
+// anything runs.
 func TestAvailabilityTrialRouterRejectsWebOnlyOptions(t *testing.T) {
 	for want, arm := range map[string]func(*AvailabilityConfig){
-		"telemetry capture requires the web topology":   func(c *AvailabilityConfig) { c.Telemetry = true },
-		"the rolling fault requires the web topology":   func(c *AvailabilityConfig) { c.Fault = faultRolling },
-		"placement selection requires the web topology": func(c *AvailabilityConfig) { c.Placement = "minimal" },
+		"health monitors (Telemetry) require the web topology": func(c *AvailabilityConfig) { c.Telemetry = true },
+		"the rolling fault requires the web topology":          func(c *AvailabilityConfig) { c.Fault = faultRolling },
+		"placement selection requires the web topology":        func(c *AvailabilityConfig) { c.Placement = "minimal" },
 	} {
 		cfg := quickAvailability()
 		cfg.Topology = topologyRouter

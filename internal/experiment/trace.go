@@ -18,6 +18,8 @@ import (
 // TraceTrialRecord summarizes one traced trial. GapStart/GapEnd/Target let
 // offline analyzers (cmd/wacktrace) re-run obs.FailoverBreakdown on the
 // event lines and cross-check the result against Phases and ValueSec.
+// Dropped counts the trial's events its ring evicted; a trial that lost
+// any cannot be re-derived from the lines that follow it.
 type TraceTrialRecord struct {
 	Record     string        `json:"record"` // "trial"
 	Experiment string        `json:"experiment"`
@@ -26,6 +28,7 @@ type TraceTrialRecord struct {
 	ValueSec   float64       `json:"value_s"`
 	Phases     obs.Breakdown `json:"phases"`
 	Events     int           `json:"events"`
+	Dropped    uint64        `json:"dropped,omitempty"`
 	GapStart   string        `json:"gap_start,omitempty"`
 	GapEnd     string        `json:"gap_end,omitempty"`
 	Target     string        `json:"target,omitempty"`
@@ -63,6 +66,7 @@ func WriteTrace(w io.Writer, rows []Row) error {
 				ValueSec:   s.Value.Seconds(),
 				Phases:     s.Trace.Phases,
 				Events:     len(s.Trace.Events),
+				Dropped:    s.Trace.Dropped,
 				GapStart:   s.Trace.GapStart.Format(time.RFC3339Nano),
 				GapEnd:     s.Trace.GapEnd.Format(time.RFC3339Nano),
 				Target:     s.Trace.Target,

@@ -11,6 +11,9 @@ import (
 	"time"
 	"unsafe"
 
+	"wackamole/internal/health"
+	"wackamole/internal/metrics"
+	"wackamole/internal/obs"
 	"wackamole/internal/wire"
 )
 
@@ -53,6 +56,28 @@ func TestHeartbeatReceiveDoesNotAllocate(t *testing.T) {
 	}
 	if d.state != stOperational {
 		t.Fatalf("state %v after heartbeats from a ring member", d.state)
+	}
+}
+
+// TestHealthScanDoesNotAllocate runs one tick of the health scan on a settled
+// ring whose daemons carry an instrumented monitor under the fixed detector:
+// every member's phi evaluated in place, nothing built.
+func TestHealthScanDoesNotAllocate(t *testing.T) {
+	s, daemons, _ := wbCluster(t, 3, 3, TunedConfig())
+	reg, tr := metrics.New(), obs.New(0, nil)
+	for _, d := range daemons {
+		d.SetHealth(health.NewMonitor(health.Options{Node: string(d.id), Metrics: reg, Tracer: tr}))
+	}
+	s.RunFor(5 * time.Second)
+	d := daemons[0]
+	if d.state != stOperational || len(d.ring.members) != 3 {
+		t.Fatalf("state %v with %d members, want a settled ring of 3", d.state, len(d.ring.members))
+	}
+	if avg := testing.AllocsPerRun(1000, d.phiScan); avg != 0 {
+		t.Fatalf("a health scan tick allocates %.0f, want 0", avg)
+	}
+	if d.state != stOperational {
+		t.Fatalf("state %v after scanning a live ring", d.state)
 	}
 }
 

@@ -115,7 +115,7 @@ func (c Config) FormTimeout() time.Duration { return c.DiscoveryTimeout / 2 }
 // forms.
 func (c Config) RecoveryTimeout() time.Duration { return c.DiscoveryTimeout / 2 }
 
-// phiCheckInterval is how often the phi detector re-evaluates per-peer
+// phiCheckInterval is how often the health scan re-evaluates per-peer
 // suspicion.
 func (c Config) phiCheckInterval() time.Duration { return c.HeartbeatInterval / 2 }
 

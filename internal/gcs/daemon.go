@@ -330,8 +330,8 @@ func (d *Daemon) ID() DaemonID { return d.id }
 func (d *Daemon) Start() {
 	if d.cfg.Detector == DetectorPhi && d.health == nil {
 		// The phi detector needs a suspicion source. When no instrumented
-		// monitor was installed (no telemetry, no metrics), self-provision a
-		// plain one so `detector phi` works in every deployment shape.
+		// monitor was installed (no metrics), self-provision a plain one so
+		// `detector phi` works in every deployment shape.
 		d.SetHealth(health.NewMonitor(health.Options{Node: string(d.id)}))
 	}
 	d.env.Conn.SetHandler(d.onPacket)
@@ -423,17 +423,17 @@ func (d *Daemon) Detector() Detector { return d.cfg.Detector }
 func (d *Daemon) FaultDetectTimeout() time.Duration { return d.cfg.FaultDetectTimeout }
 
 // SetHealth installs a detection-quality monitor (nil disables it). The
-// daemon feeds it every heartbeat and token arrival, resets its peer set on
-// each membership install, and notifies it when the fixed fault-detection
-// timeout declares a member dead. Under DetectorFixed the monitor is
-// observe-only; under DetectorPhi it is the authoritative suspicion source
-// driving detection (with the fixed timeout as a floor). Call before
-// Start.
+// daemon feeds it every heartbeat and token arrival, evaluates it on its scan
+// tick, resets its peer set on each membership install, and notifies it when
+// the fixed fault-detection timeout declares a member dead. Under
+// DetectorFixed the monitor is observe-only; under DetectorPhi it is the
+// authoritative suspicion source driving detection (with the fixed timeout
+// as a floor). Call before Start.
 //
 // This is the one component installed after construction rather than read
 // from the Env: the monitor is not an instrument the daemon reports to but a
-// detector it calls into and tunes from its own Config, and package env
-// cannot import package health (health's telemetry already imports env).
+// detector it calls into, evaluates on its own schedule and tunes from its
+// own Config.
 func (d *Daemon) SetHealth(m *health.Monitor) {
 	// The monitor must not model the peer faster than the cadence it is
 	// guaranteed: heartbeats. Token passes still sharpen recency.
@@ -619,14 +619,16 @@ func (d *Daemon) declareFault(m DaemonID, detector string) {
 	d.enterGather("fault:"+string(m), 0)
 }
 
-// startPhiDetector arms the adaptive detection scan: every phiCheckInterval
-// it evaluates phi against each ring member and declares the first one
-// whose suspicion crosses the threshold, entering the same reconfiguration
-// path as the fixed timeout — just earlier. The per-member fixed timers
-// stay armed underneath as the floor, so a peer whose phi never crosses
-// (an under-sampled window at boot, say) is still detected at T.
-func (d *Daemon) startPhiDetector() {
-	if d.cfg.Detector == DetectorPhi && d.health != nil {
+// startPhiScan arms the health scan whenever a monitor is installed. Every
+// phiCheckInterval it evaluates each ring member's phi once, so an upward
+// threshold crossing is counted and traced with nobody asking. Only under
+// DetectorPhi does a crossing also declare the member faulty, entering the
+// same reconfiguration path as the fixed timeout — just earlier. The
+// per-member fixed timers stay armed underneath as the floor, so a peer whose
+// phi never crosses (an under-sampled window at boot, say) is still detected
+// at T.
+func (d *Daemon) startPhiScan() {
+	if d.health != nil {
 		d.phiScanTimer.Reset(d.cfg.phiCheckInterval())
 	}
 }
@@ -640,7 +642,7 @@ func (d *Daemon) phiScan() {
 		if m == d.id {
 			continue
 		}
-		if phi := d.health.Phi(string(m), now); phi >= health.Threshold {
+		if phi := d.health.Phi(string(m), now); phi >= health.Threshold && d.cfg.Detector == DetectorPhi {
 			if d.logging {
 				d.env.Log.Logf("gcs %s: member %s phi %.2f crossed threshold %.2f", d.id, m, phi, health.Threshold)
 			}
@@ -1158,7 +1160,7 @@ func (d *Daemon) install(form formMsg) {
 	}
 
 	d.startHeartbeats()
-	d.startPhiDetector()
+	d.startPhiScan()
 	d.startTokenWatchdog()
 	d.groups.onInstall()
 	if selfIdx == 0 {

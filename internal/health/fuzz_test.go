@@ -22,12 +22,12 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		frame, err := DecodeFrame(data)
+		frame, err := decodeFrame(data)
 		if err != nil {
 			return
 		}
 		enc := AppendFrame(nil, &frame)
-		back, err := DecodeFrame(enc)
+		back, err := decodeFrame(enc)
 		if err != nil {
 			t.Fatalf("re-encoded frame rejected: %v", err)
 		}

@@ -1,8 +1,10 @@
 // Package health is the live cluster health plane: per-peer
 // detection-quality instrumentation (inter-arrival histograms, last-heard
 // ages, observe-only phi-accrual suspicion, served on /metrics as
-// health_phi) and a streaming telemetry publisher that ships each daemon's
-// view of the cluster to UDP subscribers.
+// health_phi). gcs.Daemon feeds a Monitor every heartbeat and token and
+// evaluates it on its own scan tick, so a threshold crossing is counted and
+// traced whether or not anybody asks; status queries and /metrics scrapes
+// read it on demand as well.
 //
 // The phi-accrual estimator (Hayashibara et al., after the Cassandra GMS
 // lineage) is strictly observational in this layer: it runs beside the
@@ -11,8 +13,8 @@
 // detection behavior. ROADMAP item 4 can later flip it from shadow to
 // authoritative.
 //
-// Like the tracer and the metrics registry, a nil *Monitor and a nil
-// *Publisher are valid disabled instruments: every method is a cheap no-op.
+// Like the tracer and the metrics registry, a nil *Monitor is a valid
+// disabled instrument: every method is a cheap no-op.
 package health
 
 import (
@@ -98,15 +100,14 @@ type peerState struct {
 // Monitor tracks detection quality for every peer of one observer. All
 // methods are safe for concurrent use and safe on a nil receiver.
 type Monitor struct {
-	mu         sync.Mutex
-	node       string
-	minMeanNs  float64
-	now        func() time.Time // the instant a scrape evaluates health_phi at
-	tracer     *obs.Tracer
-	reg        *metrics.Registry
-	generation uint64
-	peers      map[string]*peerState
-	order      []string // sorted peer names for deterministic snapshots
+	mu        sync.Mutex
+	node      string
+	minMeanNs float64
+	now       func() time.Time // the instant a scrape evaluates health_phi at
+	tracer    *obs.Tracer
+	reg       *metrics.Registry
+	peers     map[string]*peerState
+	order     []string // sorted peer names for deterministic snapshots
 
 	cObserve *metrics.Counter
 	hLead    *metrics.Histogram
@@ -164,22 +165,13 @@ func (m *Monitor) SetClock(now func() time.Time) {
 	m.mu.Unlock()
 }
 
-// Generation returns the membership generation of the current peer set.
-func (m *Monitor) Generation() uint64 {
-	if m == nil {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.generation
-}
-
 // SetPeers resets the monitor for a freshly installed membership: the peer
 // set becomes exactly peers (the observer itself excluded by the caller),
 // every window is cleared, and every peer counts as heard at now. A restart
 // or any reconfiguration therefore never carries stale suspicion across
-// generations — the Cassandra GMS "generation" reset.
-func (m *Monitor) SetPeers(generation uint64, peers []string, now time.Time) {
+// generations — the Cassandra GMS "generation" reset. The membership's
+// generation, the first argument, is not kept.
+func (m *Monitor) SetPeers(_ uint64, peers []string, now time.Time) {
 	if m == nil {
 		return
 	}
@@ -210,7 +202,6 @@ func (m *Monitor) SetPeers(generation uint64, peers []string, now time.Time) {
 	}
 
 	m.mu.Lock()
-	m.generation = generation
 	m.peers = next
 	m.order = m.order[:0]
 	for _, p := range peers {
@@ -240,7 +231,7 @@ func (m *Monitor) phiView(peer string) func() float64 {
 		if ps == nil {
 			return 0
 		}
-		return float64(PhiMilli(m.phiLocked(ps, m.now())))
+		return float64(phiMilli(m.phiLocked(ps, m.now())))
 	}
 }
 
@@ -288,25 +279,44 @@ func (m *Monitor) Observe(peer string, now time.Time) {
 	}
 }
 
-// Phi returns the current suspicion level against peer, or 0 for unknown
-// peers and under-sampled windows.
+// Phi evaluates peer at now and returns its suspicion level, 0 for unknown
+// peers and under-sampled windows. An upward threshold crossing is counted
+// (health_suspicions_total) and traced (phi-suspect). This is the daemon's
+// periodic evaluation point, its scan tick, and it allocates nothing.
 func (m *Monitor) Phi(peer string, now time.Time) float64 {
 	if m == nil {
 		return 0
 	}
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	ps := m.peers[peer]
 	if ps == nil {
+		m.mu.Unlock()
 		return 0
 	}
-	return m.phiLocked(ps, now)
+	phi, crossed := m.evaluateLocked(ps, now)
+	m.mu.Unlock()
+	if crossed {
+		m.emitSuspect(peer)
+	}
+	return phi
 }
 
-// Snapshot evaluates every peer at now and returns one row per peer, sorted
-// by peer name. Evaluation emits a phi-suspect trace event on each upward
-// threshold crossing; this is the periodic evaluation point (telemetry
-// ticks, status queries).
+// evaluateLocked computes ps's phi at now and, on an upward threshold
+// crossing, marks and counts the suspicion; the caller traces it once the
+// lock is released.
+func (m *Monitor) evaluateLocked(ps *peerState, now time.Time) (phi float64, crossed bool) {
+	phi = m.phiLocked(ps, now)
+	if phi < Threshold || ps.suspected {
+		return phi, false
+	}
+	ps.suspected = true
+	ps.suspectedAt = now
+	ps.cSuspect.Inc()
+	return phi, true
+}
+
+// Snapshot evaluates every peer at now, as Phi does, and returns one row per
+// peer, sorted by peer name. Status queries call it.
 func (m *Monitor) Snapshot(now time.Time) []PeerHealth {
 	if m == nil {
 		return nil
@@ -316,11 +326,8 @@ func (m *Monitor) Snapshot(now time.Time) []PeerHealth {
 	var crossed []string
 	for _, name := range m.order {
 		ps := m.peers[name]
-		phi := m.phiLocked(ps, now)
-		if phi >= Threshold && !ps.suspected {
-			ps.suspected = true
-			ps.suspectedAt = now
-			ps.cSuspect.Inc()
+		phi, cross := m.evaluateLocked(ps, now)
+		if cross {
 			crossed = append(crossed, name)
 		}
 		ph := PeerHealth{
@@ -367,15 +374,7 @@ func (m *Monitor) Detected(peer string, now time.Time) {
 		m.mu.Unlock()
 		return
 	}
-	crossedNow := false
-	if !ps.suspected {
-		if phi := m.phiLocked(ps, now); phi >= Threshold {
-			ps.suspected = true
-			ps.suspectedAt = now
-			ps.cSuspect.Inc()
-			crossedNow = true
-		}
-	}
+	_, crossedNow := m.evaluateLocked(ps, now)
 	led := ps.suspected
 	var lead time.Duration
 	if led {
@@ -479,9 +478,9 @@ func histBucket(ns uint64) int {
 	return b
 }
 
-// PhiMilli converts a phi value to the clamped milli-phi fixed-point used on
+// phiMilli converts a phi value to the clamped milli-phi fixed-point used on
 // the wire and in the health_phi gauge.
-func PhiMilli(phi float64) uint32 {
+func phiMilli(phi float64) uint32 {
 	if phi <= 0 {
 		return 0
 	}

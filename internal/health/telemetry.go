@@ -1,20 +1,15 @@
-// Streaming telemetry: each daemon periodically encodes a compact,
-// HLC-stamped health frame — its suspicion vector, membership view, owned
-// VIP set, and key protocol counters — and unicasts it to configured
-// subscribers over the same env.PacketConn abstraction the protocol uses,
-// so it works identically under netsim and real UDP. Frames are fire-and-
-// forget datagrams: losing one only delays the dashboard by an interval.
+// The health frame codec: a compact, HLC-stamped encoding of one daemon's
+// view of the cluster — its suspicion vector, membership view, owned VIP
+// set and key protocol counters. No daemon sends frames any more; the codec
+// stays for the benchmark module's health.frame_encode_ns rig, and the
+// decoder for the codec's own tests.
 package health
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync/atomic"
-	"time"
 
-	"wackamole/internal/env"
-	"wackamole/internal/metrics"
 	"wackamole/internal/obs"
 	"wackamole/internal/wire"
 )
@@ -30,10 +25,6 @@ const (
 	// maxFrameList bounds every list in a frame (members, owned groups,
 	// peers); a decoder rejects larger counts before allocating.
 	maxFrameList = 1024
-
-	// defaultTelemetryInterval is the publishing period when the
-	// configuration leaves telemetry_interval unset.
-	defaultTelemetryInterval = 250 * time.Millisecond
 )
 
 // PeerStatus is one entry of a frame's suspicion vector: the publishing
@@ -161,9 +152,9 @@ func isFrame(data []byte) bool {
 
 var errNotFrame = errors.New("health: not a telemetry frame")
 
-// DecodeFrame parses one telemetry datagram. All strings are copied out of
+// decodeFrame parses one encoded frame. All strings are copied out of
 // data; hostile length fields fail before any large allocation.
-func DecodeFrame(data []byte) (Frame, error) {
+func decodeFrame(data []byte) (Frame, error) {
 	var f Frame
 	if len(data) < 3 || !isFrame(data) {
 		return f, errNotFrame
@@ -235,124 +226,4 @@ func readStringList(r *wire.Reader) ([]string, error) {
 		out = append(out, s)
 	}
 	return out, nil
-}
-
-// PublisherOptions configures a Publisher.
-type PublisherOptions struct {
-	// Node is the publishing daemon's identity, stamped on every frame.
-	Node string
-	// Interval is the publishing period (default
-	// defaultTelemetryInterval).
-	Interval time.Duration
-	// Subscribers are the destination addresses, one datagram each per
-	// interval.
-	Subscribers []string
-	// Clock schedules the publishing timer; its callbacks run on the
-	// node's serialized loop, so Frame needs no locking of its own.
-	Clock env.Clock
-	// Send transmits one encoded frame (typically env.PacketConn.SendTo).
-	Send func(to string, payload []byte) error
-	// Frame builds the next frame to publish. The publisher fills in Node,
-	// Seq, FramesPublished and FramesDropped.
-	Frame func(now time.Time) Frame
-	// Metrics receives health_frames_published_total /
-	// health_frames_dropped_total; nil disables export.
-	Metrics *metrics.Registry
-}
-
-// Publisher periodically emits telemetry frames. A nil Publisher is a valid
-// disabled instrument. All mutation happens on the env clock's serialized
-// callback loop; the counters are atomic so status queries from other
-// goroutines can read them.
-type Publisher struct {
-	o       PublisherOptions
-	buf     []byte
-	seq     uint64
-	timer   env.Timer
-	stopped bool
-
-	pubN, dropN atomic.Uint64
-	cPub, cDrop *metrics.Counter
-}
-
-// NewPublisher returns a publisher, or nil when opts names no subscribers —
-// callers can wire the result unconditionally.
-func NewPublisher(opts PublisherOptions) *Publisher {
-	if len(opts.Subscribers) == 0 || opts.Clock == nil || opts.Send == nil || opts.Frame == nil {
-		return nil
-	}
-	if opts.Interval <= 0 {
-		opts.Interval = defaultTelemetryInterval
-	}
-	p := &Publisher{o: opts}
-	p.cPub = opts.Metrics.Counter("health_frames_published_total",
-		"telemetry frames sent to subscribers",
-		metrics.L("node", opts.Node))
-	p.cDrop = opts.Metrics.Counter("health_frames_dropped_total",
-		"telemetry frame sends that failed",
-		metrics.L("node", opts.Node))
-	return p
-}
-
-// Start arms the publishing timer. Call from the node's loop.
-func (p *Publisher) Start() {
-	if p == nil || p.timer != nil || p.stopped {
-		return
-	}
-	p.timer = p.o.Clock.NewTimer(p.tick)
-	p.timer.Reset(p.o.Interval)
-}
-
-// Stop cancels publishing; no frames are sent after it returns (on the
-// loop).
-func (p *Publisher) Stop() {
-	if p == nil {
-		return
-	}
-	p.stopped = true
-	if p.timer != nil {
-		p.timer.Stop()
-		p.timer = nil
-	}
-}
-
-// Published and Dropped report cumulative send outcomes; safe from any
-// goroutine.
-func (p *Publisher) Published() uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.pubN.Load()
-}
-
-// Dropped reports cumulative failed sends; safe from any goroutine.
-func (p *Publisher) Dropped() uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.dropN.Load()
-}
-
-func (p *Publisher) tick() {
-	if p.stopped {
-		return
-	}
-	now := p.o.Clock.Now()
-	f := p.o.Frame(now)
-	f.Node = p.o.Node
-	p.seq++
-	f.Seq = p.seq
-	f.FramesPublished = p.pubN.Load()
-	f.FramesDropped = p.dropN.Load()
-	p.buf = AppendFrame(p.buf[:0], &f)
-	for _, sub := range p.o.Subscribers {
-		if err := p.o.Send(sub, p.buf); err != nil {
-			p.dropN.Add(1)
-			p.cDrop.Inc()
-		} else {
-			p.pubN.Add(1)
-			p.cPub.Inc()
-		}
-	}
-	p.timer.Reset(p.o.Interval)
 }

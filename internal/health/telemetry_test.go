@@ -5,10 +5,7 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
-	"time"
 
-	"wackamole/internal/env"
-	"wackamole/internal/metrics"
 	"wackamole/internal/obs"
 )
 
@@ -42,7 +39,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if !isFrame(enc) {
 		t.Fatal("encoded frame fails its own magic check")
 	}
-	got, err := DecodeFrame(enc)
+	got, err := decodeFrame(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +49,7 @@ func TestFrameRoundTrip(t *testing.T) {
 
 	// Empty lists survive as nil.
 	minimal := Frame{Node: "n", Seq: 1}
-	got, err = DecodeFrame(AppendFrame(nil, &minimal))
+	got, err = decodeFrame(AppendFrame(nil, &minimal))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +70,7 @@ func TestDecodeFrameRejects(t *testing.T) {
 		"trailing":      append(bytes.Clone(enc), 0xff),
 	}
 	for name, data := range cases {
-		if _, err := DecodeFrame(data); err == nil {
+		if _, err := decodeFrame(data); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -83,13 +80,13 @@ func TestDecodeFrameRejects(t *testing.T) {
 	hostile = append(hostile, 0, 1, 'v', 0, 1, 's', 1)  // view, state, mature
 	hostile = append(hostile, make([]byte, 8)...)       // generation
 	hostile = append(hostile, 0xff, 0xff)               // members count 65535
-	if _, err := DecodeFrame(hostile); err == nil {
+	if _, err := decodeFrame(hostile); err == nil {
 		t.Fatal("hostile list count accepted")
 	}
 }
 
 func TestPeerStatusPhi(t *testing.T) {
-	if PhiMilli(-1) != 0 || PhiMilli(2.5) != 2500 || PhiMilli(1e9) != maxPhi*1000 {
+	if phiMilli(-1) != 0 || phiMilli(2.5) != 2500 || phiMilli(1e9) != maxPhi*1000 {
 		t.Fatal("PhiMilli clamping wrong")
 	}
 }
@@ -109,8 +106,8 @@ func TestFrameJSON(t *testing.T) {
 	}
 }
 
-// TestAppendFrameZeroAlloc pins the publisher's encode path: with a warm
-// reused buffer, encoding allocates nothing.
+// TestAppendFrameZeroAlloc pins the encoder: with a warm reused buffer,
+// encoding allocates nothing.
 func TestAppendFrameZeroAlloc(t *testing.T) {
 	f := sampleFrame()
 	buf := AppendFrame(nil, &f)
@@ -121,7 +118,7 @@ func TestAppendFrameZeroAlloc(t *testing.T) {
 	}
 }
 
-func BenchmarkTelemetryFrame(b *testing.B) {
+func BenchmarkAppendFrame(b *testing.B) {
 	f := sampleFrame()
 	buf := AppendFrame(nil, &f)
 	b.ReportAllocs()
@@ -131,120 +128,3 @@ func BenchmarkTelemetryFrame(b *testing.B) {
 	}
 	_ = buf
 }
-
-// fakeClock drives a Publisher deterministically.
-type fakeClock struct {
-	now    time.Time
-	timers []*fakeTimer
-}
-
-type fakeTimer struct {
-	c       *fakeClock
-	at      time.Time
-	f       func()
-	stopped bool
-}
-
-func (c *fakeClock) Now() time.Time { return c.now }
-func (c *fakeClock) NewTimer(f func()) env.Timer {
-	t := &fakeTimer{c: c, f: f, stopped: true}
-	c.timers = append(c.timers, t)
-	return t
-}
-func (c *fakeClock) AfterFunc(d time.Duration, f func()) env.Timer {
-	t := c.NewTimer(f)
-	t.Reset(d)
-	return t
-}
-func (t *fakeTimer) Stop() bool {
-	was := t.stopped
-	t.stopped = true
-	return !was
-}
-func (t *fakeTimer) Reset(d time.Duration) { t.at, t.stopped = t.c.now.Add(d), false }
-
-// advance runs all timers due at or before the new instant.
-func (c *fakeClock) advance(d time.Duration) {
-	c.now = c.now.Add(d)
-	for {
-		fired := false
-		for _, t := range c.timers {
-			if !t.stopped && !t.at.After(c.now) {
-				t.stopped = true
-				t.f()
-				fired = true
-			}
-		}
-		if !fired {
-			return
-		}
-	}
-}
-
-func TestPublisher(t *testing.T) {
-	clock := &fakeClock{now: t0}
-	reg := metrics.New()
-	var sent []Frame
-	fail := false
-	p := NewPublisher(PublisherOptions{
-		Node:        "a",
-		Interval:    100 * time.Millisecond,
-		Subscribers: []string{"sub1", "sub2"},
-		Clock:       clock,
-		Send: func(to string, payload []byte) error {
-			if fail {
-				return errSendFailed
-			}
-			f, err := DecodeFrame(payload)
-			if err != nil {
-				t.Fatalf("publisher sent undecodable frame: %v", err)
-			}
-			sent = append(sent, f)
-			return nil
-		},
-		Frame:   func(now time.Time) Frame { return Frame{View: "v1"} },
-		Metrics: reg,
-	})
-	p.Start()
-	clock.advance(100 * time.Millisecond)
-	clock.advance(100 * time.Millisecond)
-	if len(sent) != 4 { // 2 ticks x 2 subscribers
-		t.Fatalf("sent %d frames, want 4", len(sent))
-	}
-	if sent[0].Node != "a" || sent[0].Seq != 1 || sent[2].Seq != 2 || sent[0].View != "v1" {
-		t.Fatalf("frame stamping wrong: %+v", sent[0])
-	}
-	if p.Published() != 4 || p.Dropped() != 0 {
-		t.Fatalf("published=%d dropped=%d", p.Published(), p.Dropped())
-	}
-
-	fail = true
-	clock.advance(100 * time.Millisecond)
-	if p.Dropped() != 2 {
-		t.Fatalf("dropped=%d, want 2", p.Dropped())
-	}
-
-	p.Stop()
-	fail = false
-	clock.advance(time.Second)
-	if len(sent) != 4 {
-		t.Fatal("publisher kept sending after Stop")
-	}
-
-	// Disabled configurations yield a nil, inert publisher.
-	var nilPub *Publisher
-	nilPub.Start()
-	nilPub.Stop()
-	if nilPub.Published() != 0 || nilPub.Dropped() != 0 {
-		t.Fatal("nil publisher not inert")
-	}
-	if NewPublisher(PublisherOptions{Clock: clock}) != nil {
-		t.Fatal("publisher without subscribers should be nil")
-	}
-}
-
-var errSendFailed = errTest("send failed")
-
-type errTest string
-
-func (e errTest) Error() string { return string(e) }

@@ -220,7 +220,7 @@ func (f *FlightRecorder) Dump(reason string) (string, error) {
 	if clk := f.cfg.Tracer.clock(); clk != nil {
 		last := clk.latest()
 		man.HLCWall, man.HLCLogical = last.Wall, last.Logical
-		man.MaxSkewNS = int64(clk.MaxSkew())
+		man.MaxSkewNS = int64(clk.maxSkew())
 	}
 
 	name := fmt.Sprintf("%s-%04d", sanitizeNode(f.cfg.Node), f.seq)

@@ -66,12 +66,12 @@ func (h HLC) String() string { return fmt.Sprintf("%d.%d", h.Wall, h.Logical) }
 // its loop goroutine while the tracer stamps events from whichever
 // goroutine emits them.
 type HLCClock struct {
-	mu      sync.Mutex
-	now     func() time.Time
-	node    string
-	last    HLC
-	skew    *metrics.Gauge
-	maxSkew int64 // largest |remote wall - local wall| observed, ns
+	mu        sync.Mutex
+	now       func() time.Time
+	node      string
+	last      HLC
+	skew      *metrics.Gauge
+	maxSkewNS int64 // largest |remote wall - local wall| observed
 }
 
 // NewHLCClock returns a clock for node, reading physical time from now
@@ -137,8 +137,8 @@ func (c *HLCClock) Observe(remote HLC) HLC {
 	if s < 0 {
 		s = -s
 	}
-	if s > c.maxSkew {
-		c.maxSkew = s
+	if s > c.maxSkewNS {
+		c.maxSkewNS = s
 	}
 	switch {
 	case pt > c.last.Wall && pt > remote.Wall:
@@ -169,13 +169,13 @@ func (c *HLCClock) latest() HLC {
 	return c.last
 }
 
-// MaxSkew reports the largest absolute wall-clock skew seen across all
+// maxSkew reports the largest absolute wall-clock skew seen across all
 // merges (0 until the first stamped remote message arrives).
-func (c *HLCClock) MaxSkew() time.Duration {
+func (c *HLCClock) maxSkew() time.Duration {
 	if c == nil {
 		return 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return time.Duration(c.maxSkew)
+	return time.Duration(c.maxSkewNS)
 }

@@ -72,7 +72,7 @@ func TestHLCObserveMergesAheadRemote(t *testing.T) {
 	if next.Compare(merged) <= 0 {
 		t.Fatalf("Now after Observe not increasing: %v then %v", merged, next)
 	}
-	if got := c.MaxSkew(); got != 9000*time.Nanosecond {
+	if got := c.maxSkew(); got != 9000*time.Nanosecond {
 		t.Fatalf("MaxSkew = %v, want 9µs", got)
 	}
 }
@@ -111,8 +111,8 @@ func TestHLCObserveZeroRemoteOnlyAdvances(t *testing.T) {
 	if merged.Compare(first) <= 0 {
 		t.Fatalf("Observe(zero) must still advance: %v then %v", first, merged)
 	}
-	if c.MaxSkew() != 0 {
-		t.Fatalf("zero remote must not register skew, got %v", c.MaxSkew())
+	if c.maxSkew() != 0 {
+		t.Fatalf("zero remote must not register skew, got %v", c.maxSkew())
 	}
 }
 
@@ -141,7 +141,7 @@ func TestHLCCausalOrderAcrossSkewedNodes(t *testing.T) {
 	if recv1.Wall < send1.Wall {
 		t.Fatalf("receive wall %d fell behind send wall %d", recv1.Wall, send1.Wall)
 	}
-	if b.MaxSkew() == 0 {
+	if b.maxSkew() == 0 {
 		t.Fatal("skewed merge should have recorded nonzero MaxSkew")
 	}
 }
@@ -212,7 +212,7 @@ func TestHLCNilSafe(t *testing.T) {
 	if !c.Now().IsZero() || !c.Observe(HLC{Wall: 1}).IsZero() || !c.latest().IsZero() {
 		t.Fatal("nil clock must issue zero timestamps")
 	}
-	if c.MaxSkew() != 0 {
+	if c.maxSkew() != 0 {
 		t.Fatal("nil clock accessors must return zeros")
 	}
 	c.SetMetrics(nil) // must not panic

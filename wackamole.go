@@ -17,8 +17,6 @@ package wackamole
 
 import (
 	"fmt"
-	"net"
-	"net/netip"
 	"slices"
 	"time"
 
@@ -77,7 +75,6 @@ type Node struct {
 	engine  *core.Engine
 	ips     *ipmgr.Manager
 	health  *health.Monitor
-	pub     *health.Publisher
 	started bool
 	stopped bool
 
@@ -87,18 +84,6 @@ type Node struct {
 	// once per message.
 	members   []gcs.GroupMember
 	memberIDs []core.MemberID
-
-	// telemetry is made by TelemetryFrame's first call: a node that
-	// publishes nothing carries a nil pointer.
-	telemetry *telemetryScratch
-}
-
-// telemetryScratch is what TelemetryFrame keeps from one tick to the next:
-// the engine summary and the frame, whose member, owned-group and peer lists
-// each tick overwrites.
-type telemetryScratch struct {
-	status core.Status
-	frame  health.Frame
 }
 
 // memberID names m the way the engine knows it: the string built when m
@@ -129,87 +114,6 @@ func (n *Node) SetHealth(m *health.Monitor) {
 // Health returns the node's installed monitor; nil (a valid, disabled
 // monitor) when none was set.
 func (n *Node) Health() *health.Monitor { return n.health }
-
-// TelemetryFrame assembles one health frame from the node's current state:
-// engine summary, daemon counters, the health monitor's suspicion vector
-// and the HLC. Call from the node's loop. The frame's lists are the node's
-// own and hold until the next call; the publisher has encoded them by then.
-func (n *Node) TelemetryFrame(now time.Time) health.Frame {
-	if n.telemetry == nil {
-		n.telemetry = new(telemetryScratch)
-	}
-	st, f := &n.telemetry.status, &n.telemetry.frame
-	n.engine.Summary(st)
-	ds := n.daemon.Stats()
-	*f = health.Frame{
-		Node:       string(n.daemon.ID()),
-		HLC:        n.env.HLC.Now(),
-		SkewNS:     int64(n.env.HLC.MaxSkew()),
-		View:       st.ViewID,
-		State:      st.State.String(),
-		Mature:     st.Mature,
-		Generation: n.health.Generation(),
-		Owned:      st.Owned,
-		Installs:   ds.MembershipsInstalled,
-		Reconfigs:  ds.Reconfigurations,
-		Delivered:  ds.DataDelivered,
-		Members:    f.Members[:0],
-		Peers:      f.Peers[:0],
-	}
-	for _, m := range st.Members {
-		f.Members = append(f.Members, string(m))
-	}
-	for _, ph := range n.health.Snapshot(now) {
-		f.Peers = append(f.Peers, health.PeerStatus{
-			Peer:        ph.Peer,
-			PhiMilli:    health.PhiMilli(ph.Phi),
-			LastHeardNS: uint64(max64(ph.LastHeard.Nanoseconds(), 0)),
-			Samples:     uint32(ph.Samples),
-			Suspected:   ph.Suspected,
-		})
-	}
-	return *f
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// StartTelemetry begins publishing health frames every interval to the
-// subscriber addresses, over the node's own packet endpoint. Call from the
-// node's loop, after Start; returns the publisher (nil when subscribers is
-// empty).
-func (n *Node) StartTelemetry(interval time.Duration, subscribers []string) *health.Publisher {
-	// Resolved once; a subscriber that does not resolve keeps the invalid
-	// address, and every frame to it counts as dropped.
-	addrs := make(map[string]env.Addr, len(subscribers))
-	for _, sub := range subscribers {
-		if ua, err := net.ResolveUDPAddr("udp", sub); err == nil {
-			ap := ua.AddrPort()
-			addrs[sub] = netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
-		}
-	}
-	p := health.NewPublisher(health.PublisherOptions{
-		Node:        string(n.daemon.ID()),
-		Interval:    interval,
-		Subscribers: subscribers,
-		Clock:       n.env.Clock,
-		Send: func(to string, payload []byte) error {
-			return n.env.Conn.SendTo(addrs[to], payload)
-		},
-		Frame:   n.TelemetryFrame,
-		Metrics: n.env.Metrics,
-	})
-	n.pub = p
-	p.Start()
-	return p
-}
-
-// Telemetry returns the node's publisher; nil when telemetry is off.
-func (n *Node) Telemetry() *health.Publisher { return n.pub }
 
 // NewNode builds a Node on e. backend performs the platform-specific
 // address manipulation; notify announces ownership changes (nil disables
@@ -360,7 +264,6 @@ func (n *Node) JoinService() error {
 // after one discovery round instead of waiting out fault detection.
 func (n *Node) Stop() {
 	n.stopped = true
-	n.pub.Stop()
 	if n.sess != nil {
 		if err := n.LeaveService(); err != nil {
 			n.env.Log.Logf("wackamole: leave on stop: %v", err)

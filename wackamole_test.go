@@ -268,7 +268,7 @@ func TestClusterOptionValidation(t *testing.T) {
 
 	// The largest plan accepted: every host and virtual address distinct, and
 	// no server holding a virtual address before the cluster has formed.
-	c := newCluster(t, wackamole.ClusterOptions{Servers: 90, VIPs: 100, WithRouter: true, TelemetryInterval: time.Second})
+	c := newCluster(t, wackamole.ClusterOptions{Servers: 90, VIPs: 100, WithRouter: true})
 	seen := map[netip.Addr]string{}
 	add := func(a netip.Addr, who string) {
 		if prev, dup := seen[a]; dup {
@@ -277,7 +277,6 @@ func TestClusterOptionValidation(t *testing.T) {
 		seen[a] = who
 	}
 	add(wackamole.RouterInsideAddr, "the router")
-	add(wackamole.TelemetryCollectorAddr, "the telemetry collector")
 	for i, srv := range c.Servers {
 		add(srv.NIC.Primary(), fmt.Sprintf("server %d", i))
 	}
