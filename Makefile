@@ -30,8 +30,9 @@ race:
 bench:
 	bash bench/run.sh --workload failover_sweep --seed 1 --seconds 12 --trace 0
 
-# Output identity against another revision: every wacksim, wackload and
-# wackcheck stream of the fixed recipe in scripts/identity.sh, byte for byte.
+# Output identity against another revision: every wacksim and wackcheck
+# stream of the fixed recipe in scripts/identity.sh, byte for byte (at a
+# revision that still has wackload, its availability lines run wackload).
 #   make identity BASE=<rev>
 identity:
 	@test -n "$(BASE)" || { echo "usage: make identity BASE=<rev>" >&2; exit 2; }

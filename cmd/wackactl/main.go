@@ -16,7 +16,7 @@
 // dump spills a flight-recorder bundle (requires flight_dir in the daemon's
 // configuration) and prints the bundle directory; it is served off the
 // protocol loop, so it works even when the daemon is wedged. Merge bundles
-// from several nodes with cmd/wackrec.
+// from several nodes with cmd/wacktrace.
 package main
 
 import (

@@ -121,7 +121,7 @@ func run(args []string, stop <-chan os.Signal, notices io.Writer) int {
 		// Wall-clock tracing feeds /debug/events; it rides on the Env so the
 		// bootstrap discovery is captured too. The registry is the /metrics
 		// surface. The HLC makes this daemon's trace causally mergeable with
-		// its peers' (cmd/wackrec): wire messages carry the clock, events
+		// its peers' (cmd/wacktrace): wire messages carry the clock, events
 		// carry stamps, and observed clock skew lands on the obs_hlc_skew_ns
 		// gauge. The ring keeps 4 096 events; an idle daemon emits none and
 		// a fail-over costs it a few dozen, so that is hundreds of fail-overs.

@@ -1,19 +1,33 @@
-// Command wacktrace analyzes the NDJSON trace streams `wacksim -trace`
-// emits: it reconstructs each trial's fail-over phase spans from the raw
-// event lines via obs.FailoverBreakdown, prints per-phase percentile tables
-// and interruption histograms across trials, renders per-address ownership
-// timelines, and writes folded-stack output consumable by standard
-// flamegraph tooling.
+// Command wacktrace explains fail-overs as the paper's §5 decomposition —
+// detection, membership, state-sync, ARP take-over — from either kind of
+// evidence the project records. Its arguments pick the loader.
+//
+// One file, or stdin, is the NDJSON trace stream `wacksim -trace` emits.
+// wacktrace recomputes each trial's phase spans from the raw event lines
+// via obs.FailoverBreakdown, prints per-phase percentile tables and
+// interruption histograms across trials, and writes folded-stack output
+// for flamegraph tooling (-folded). Every trial's recomputed phases must
+// partition its reported interruption within 1ms, or wacktrace prints the
+// offending trials and exits nonzero.
 //
 //	wacksim -experiment figure5 -trials 5 -trace trace.ndjson >/dev/null
 //	wacktrace -folded phases.folded trace.ndjson
 //	flamegraph.pl phases.folded > phases.svg
 //
-// Every trial is cross-checked: the phases recomputed from the event stream
-// must partition the trial's reported interruption within 1ms. A mismatch
-// means the trace and the measurement disagree — wacktrace prints the
-// offending trials and exits nonzero, which is how the CI smoke job turns
-// trace consistency into a gate.
+// Directories are flight bundles that live daemons spilled (SIGQUIT,
+// `wackactl dump`, an invariant trip, or a slow failover). wacktrace merges
+// them by the hybrid logical clocks the daemons piggybacked on every wire
+// message into one causally ordered timeline (-o), deterministic even when
+// the nodes' wall clocks disagree, reports per-node skew, and explains each
+// measured gap (-gaps, or -detect-gaps to infer them). Each reconstructed
+// fail-over's phases must partition its gap exactly, and -require sets a
+// floor on how many reconstruct; otherwise wacktrace exits nonzero.
+//
+//	wacktrace -gaps gaps.json -o merged.ndjson /var/lib/wackamole/flight
+//
+// -timelines prints per-address ownership timelines for either input. A
+// flag the input does not honour, or a directory mixed with a file, is a
+// usage error.
 package main
 
 import (
@@ -29,6 +43,7 @@ import (
 	"time"
 
 	"wackamole/internal/experiment"
+	"wackamole/internal/forensics"
 	"wackamole/internal/metrics"
 	"wackamole/internal/obs"
 )
@@ -59,11 +74,50 @@ const tolerance = time.Millisecond
 func run(args []string, stdin io.Reader, out, errW io.Writer) int {
 	fs := flag.NewFlagSet("wacktrace", flag.ContinueOnError)
 	fs.SetOutput(errW)
-	folded := fs.String("folded", "", "write folded-stack phase spans (point;seed;phase weight-µs) to this file")
-	timelines := fs.Bool("timelines", false, "print per-address ownership timelines for every trial")
+	folded := fs.String("folded", "", "write folded-stack phase spans (point;seed;phase weight-µs) to this file (trace)")
+	timelines := fs.Bool("timelines", false, "print per-address ownership timelines")
+	gapsPath := fs.String("gaps", "", "JSON file of probe-measured gaps [{target,start,end}] to reconstruct (bundles)")
+	detect := fs.Duration("detect-gaps", 0, "with no -gaps: infer gaps longer than this from the ownership timeline (bundles)")
+	mergedOut := fs.String("o", "", "write the merged causal timeline as NDJSON to this file (bundles)")
+	require := fs.Int("require", 0, "exit nonzero unless at least this many failovers reconstruct (bundles)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	dirs := 0
+	for _, a := range fs.Args() {
+		if st, err := os.Stat(a); err == nil && st.IsDir() {
+			dirs++
+		}
+	}
+	bundles := dirs > 0
+	if bundles && dirs < fs.NArg() {
+		fmt.Fprintln(errW, "wacktrace: give bundle directories or one trace file, not both")
+		return 2
+	}
+	input := "a trace stream"
+	if bundles {
+		input = "flight bundles"
+	}
+	// A flag the chosen input does not honour would be silently dropped.
+	for _, f := range []struct {
+		name            string
+		given, honoured bool
+	}{
+		{"-folded", *folded != "", !bundles},
+		{"-gaps", *gapsPath != "", bundles},
+		{"-detect-gaps", *detect != 0, bundles},
+		{"-o", *mergedOut != "", bundles},
+		{"-require", *require != 0, bundles},
+	} {
+		if f.given && !f.honoured {
+			fmt.Fprintf(errW, "wacktrace: %s is not honoured by %s\n", f.name, input)
+			return 2
+		}
+	}
+	if bundles {
+		return runBundles(fs.Args(), *gapsPath, *detect, *mergedOut, *timelines, *require, out, errW)
+	}
+
 	in := stdin
 	switch fs.NArg() {
 	case 0:
@@ -79,7 +133,13 @@ func run(args []string, stdin io.Reader, out, errW io.Writer) int {
 		fmt.Fprintln(errW, "wacktrace: at most one input file (default stdin)")
 		return 2
 	}
+	return runTrace(in, *folded, *timelines, out, errW)
+}
 
+// runTrace recomputes every traced trial's phases from its events, prints
+// the per-point tables and gates on their consistency with the reported
+// interruptions.
+func runTrace(in io.Reader, folded string, timelines bool, out, errW io.Writer) int {
 	trials, err := parseTrace(in)
 	if err != nil {
 		fmt.Fprintf(errW, "wacktrace: %v\n", err)
@@ -104,20 +164,14 @@ func run(args []string, stdin io.Reader, out, errW io.Writer) int {
 	fmt.Fprintln(out, "## Interruption distribution")
 	fmt.Fprintln(out)
 	fmt.Fprint(out, distribution(trials, points))
-	if *timelines {
+	if timelines {
 		fmt.Fprintln(out)
 		fmt.Fprintln(out, "## Ownership timelines")
 		fmt.Fprintln(out)
 		fmt.Fprint(out, renderTimelines(trials))
 	}
-	if *folded != "" {
-		f, err := os.Create(*folded)
-		if err != nil {
-			fmt.Fprintf(errW, "wacktrace: %v\n", err)
-			return 2
-		}
-		writeFolded(f, trials)
-		if err := f.Close(); err != nil {
+	if folded != "" {
+		if err := writeFile(folded, func(w io.Writer) error { return writeFolded(w, trials) }); err != nil {
 			fmt.Fprintf(errW, "wacktrace: %v\n", err)
 			return 2
 		}
@@ -134,6 +188,98 @@ func run(args []string, stdin io.Reader, out, errW io.Writer) int {
 	fmt.Fprintf(out, "\nwacktrace: all %d trials consistent (recomputed phases partition the reported interruption within %v)\n",
 		len(trials), tolerance)
 	return 0
+}
+
+// runBundles merges the flight bundles under dirs into one causal timeline
+// and reconstructs the fail-overs behind the measured (or inferred) gaps.
+func runBundles(dirs []string, gapsPath string, detect time.Duration, mergedOut string, timelines bool, require int, out, errW io.Writer) int {
+	bundles, err := forensics.LoadBundles(dirs...)
+	if err != nil {
+		fmt.Fprintf(errW, "wacktrace: %v\n", err)
+		return 2
+	}
+	merged := forensics.Merge(bundles)
+
+	fmt.Fprintf(out, "wacktrace: %d bundles, %d nodes, %d events merged\n\n",
+		len(bundles), len(merged.Nodes), len(merged.Events))
+	fmt.Fprint(out, renderBundles(bundles))
+	fmt.Fprintln(out)
+	fmt.Fprint(out, renderSkew(merged.Nodes))
+
+	if mergedOut != "" {
+		if err := writeFile(mergedOut, merged.WriteNDJSON); err != nil {
+			fmt.Fprintf(errW, "wacktrace: %v\n", err)
+			return 2
+		}
+	}
+
+	var gaps []forensics.Gap
+	switch {
+	case gapsPath != "":
+		fh, oerr := os.Open(gapsPath)
+		if oerr != nil {
+			fmt.Fprintf(errW, "wacktrace: %v\n", oerr)
+			return 2
+		}
+		gaps, err = forensics.ReadGaps(fh)
+		fh.Close()
+		if err != nil {
+			fmt.Fprintf(errW, "wacktrace: %v\n", err)
+			return 2
+		}
+	case detect > 0:
+		gaps = merged.DetectGaps(detect)
+	}
+
+	failovers := merged.Reconstruct(gaps)
+	if len(failovers) > 0 {
+		fmt.Fprintln(out)
+		fmt.Fprintln(out, "## Reconstructed failovers")
+		fmt.Fprintln(out)
+		fmt.Fprint(out, renderFailovers(failovers))
+	}
+	if timelines {
+		fmt.Fprintln(out)
+		fmt.Fprintln(out, "## Ownership timelines")
+		fmt.Fprintln(out)
+		fmt.Fprint(out, obs.RenderOwnershipTimeline(merged.Events))
+	}
+	// The gate: every reconstructed failover's phases must partition its
+	// measured gap exactly, and -require sets the floor on how many must
+	// reconstruct.
+	bad := 0
+	for _, f := range failovers {
+		if diff := (f.Phases.Total() - f.Gap).Abs(); diff != 0 {
+			fmt.Fprintf(errW, "wacktrace: %s gap %v but phases sum to %v (Δ %v)\n",
+				f.Target, f.Gap, f.Phases.Total(), diff)
+			bad++
+		}
+	}
+	if bad > 0 {
+		return 1
+	}
+	if len(failovers) < require {
+		fmt.Fprintf(errW, "wacktrace: reconstructed %d failover(s), require %d\n", len(failovers), require)
+		return 1
+	}
+	if len(gaps) > 0 {
+		fmt.Fprintf(out, "\nwacktrace: all %d failover(s) consistent (phases partition the measured gap)\n", len(failovers))
+	}
+	return 0
+}
+
+// writeFile creates path, writes it through write and closes it, returning
+// the first error.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // parseTrace reads the interleaved trial/event NDJSON stream, joining event
@@ -319,16 +465,19 @@ func renderTimelines(trials []*trial) string {
 
 // writeFolded emits one folded-stack line per nonzero phase span
 // (point;seed;phase weight-in-µs), the input format of flamegraph.pl and
-// compatible tooling.
-func writeFolded(w io.Writer, trials []*trial) {
+// compatible tooling, and returns the first write error.
+func writeFolded(w io.Writer, trials []*trial) error {
 	for _, t := range trials {
 		for i, d := range t.recomputed.Phases() {
 			if d <= 0 {
 				continue
 			}
-			fmt.Fprintf(w, "%s;seed=%d;%s %d\n", t.point, t.seed, obs.PhaseNames[i], d.Microseconds())
+			if _, err := fmt.Fprintf(w, "%s;seed=%d;%s %d\n", t.point, t.seed, obs.PhaseNames[i], d.Microseconds()); err != nil {
+				return err
+			}
 		}
 	}
+	return nil
 }
 
 // checkConsistency verifies, per trial, that no event was evicted, that the
@@ -359,4 +508,49 @@ func checkConsistency(trials []*trial) []string {
 		}
 	}
 	return bad
+}
+
+func renderBundles(bundles []*forensics.Bundle) string {
+	var b strings.Builder
+	fmt.Fprintln(&b, "## Bundles")
+	fmt.Fprintln(&b)
+	for _, bd := range bundles {
+		m := bd.Manifest
+		fmt.Fprintf(&b, "  %-22s seq=%d reason=%-18s events=%d views=%d dumped=%s\n",
+			m.Node, m.Seq, m.Reason, m.Events, m.Views, m.At.UTC().Format(time.RFC3339))
+	}
+	return b.String()
+}
+
+func renderSkew(nodes []forensics.NodeSkew) string {
+	var b strings.Builder
+	fmt.Fprintln(&b, "## Clock diagnostics")
+	fmt.Fprintln(&b)
+	for _, n := range nodes {
+		stamped := n.Events - n.Unstamped
+		fmt.Fprintf(&b, "  %-22s events=%d stamped=%d max_skew=%v hlc=%s\n",
+			n.Node, n.Events, stamped, n.MaxSkew, n.LastHLC)
+	}
+	return b.String()
+}
+
+func renderFailovers(failovers []forensics.Failover) string {
+	var b strings.Builder
+	for i, f := range failovers {
+		fmt.Fprintf(&b, "failover %d: %s unreachable %v (%s → %s)\n",
+			i+1, f.Target, f.Gap,
+			f.GapStart.Format(time.RFC3339Nano), f.GapEnd.Format(time.RFC3339Nano))
+		if f.Detector != "" || f.Acquirer != "" {
+			fmt.Fprintf(&b, "  detector=%s acquirer=%s\n", f.Detector, f.Acquirer)
+		}
+		for j, d := range f.Phases.Phases() {
+			pct := 0.0
+			if f.Gap > 0 {
+				pct = float64(d) / float64(f.Gap) * 100
+			}
+			fmt.Fprintf(&b, "  %-13s %10v  %5.1f%%\n", obs.PhaseNames[j], d, pct)
+		}
+		fmt.Fprintf(&b, "  %-13s %10v\n", "total", f.Phases.Total())
+	}
+	return b.String()
 }

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +11,8 @@ import (
 	"time"
 
 	"wackamole/internal/experiment"
+	"wackamole/internal/forensics"
+	"wackamole/internal/obs"
 )
 
 // figure5Trace runs a real single-point traced Figure 5 sweep and returns
@@ -127,3 +131,182 @@ func TestInputFromFile(t *testing.T) {
 		t.Errorf("output missing consistency line:\n%s", out.String())
 	}
 }
+
+var base = time.Unix(1_700_000_000, 0).UTC()
+
+func hlcAt(d time.Duration) obs.HLC {
+	return obs.HLC{Wall: base.Add(d).UnixNano()}
+}
+
+// writeCluster dumps a two-survivor failover scenario into dir and returns
+// the gaps.json path for it.
+func writeCluster(t *testing.T, dir string) string {
+	t.Helper()
+	dump := func(node string, events []obs.Event) {
+		tr := obs.New(256, func() time.Time { return base })
+		for _, ev := range events {
+			tr.Emit(ev)
+		}
+		f := obs.NewFlightRecorder(obs.FlightConfig{
+			Dir: dir, Node: node, Tracer: tr,
+			Now: func() time.Time { return base.Add(time.Hour) },
+		})
+		if _, err := f.Dump("test"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dump("a", []obs.Event{
+		{At: base.Add(200 * time.Millisecond), HLC: hlcAt(200 * time.Millisecond),
+			Source: obs.SourceGCS, Kind: obs.KindGatherEnter, Node: "a"},
+		{At: base.Add(500 * time.Millisecond), HLC: hlcAt(500 * time.Millisecond),
+			Source: obs.SourceGCS, Kind: obs.KindInstall, Node: "a"},
+		{At: base.Add(800 * time.Millisecond), HLC: hlcAt(800 * time.Millisecond),
+			Source: obs.SourceCore, Kind: obs.KindAcquire, Node: "a", Addr: "10.0.0.100"},
+	})
+	dump("c", []obs.Event{
+		{At: base.Add(250 * time.Millisecond), HLC: hlcAt(250 * time.Millisecond),
+			Source: obs.SourceGCS, Kind: obs.KindGatherEnter, Node: "c"},
+	})
+
+	gaps := []forensics.Gap{{Target: "10.0.0.100", Start: base, End: base.Add(900 * time.Millisecond)}}
+	raw, err := json.Marshal(gaps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "gaps.json")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+func TestBundlesReconstructAndGate(t *testing.T) {
+	dir := t.TempDir()
+	gaps := writeCluster(t, dir)
+	merged := filepath.Join(t.TempDir(), "merged.ndjson")
+
+	var out, errW bytes.Buffer
+	code := run([]string{"-gaps", gaps, "-o", merged, "-require", "1", "-timelines", dir}, nil, &out, &errW)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errW.String())
+	}
+	s := out.String()
+	for _, want := range []string{
+		"2 bundles, 2 nodes, 4 events merged",
+		"detector=a acquirer=a",
+		"detection", "membership", "state-sync", "arp-takeover",
+		"10.0.0.100",
+		"all 1 failover(s) consistent",
+	} {
+		if !strings.Contains(s, want) {
+			t.Fatalf("output missing %q:\n%s", want, s)
+		}
+	}
+
+	first, err := os.ReadFile(merged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first) == 0 {
+		t.Fatal("merged timeline empty")
+	}
+	// Second run over the same bundles is byte-identical.
+	merged2 := filepath.Join(t.TempDir(), "merged2.ndjson")
+	if code := run([]string{"-gaps", gaps, "-o", merged2, dir}, nil, &out, &errW); code != 0 {
+		t.Fatalf("second run exit %d: %s", code, errW.String())
+	}
+	second, err := os.ReadFile(merged2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, second) {
+		t.Fatal("repeated merge not byte-identical")
+	}
+}
+
+func TestBundlesRequireGateFails(t *testing.T) {
+	dir := t.TempDir()
+	gaps := writeCluster(t, dir)
+	var out, errW bytes.Buffer
+	if code := run([]string{"-gaps", gaps, "-require", "2", dir}, nil, &out, &errW); code != 1 {
+		t.Fatalf("exit %d, want 1 (only one gap supplied)", code)
+	}
+	if !strings.Contains(errW.String(), "require 2") {
+		t.Fatalf("stderr: %s", errW.String())
+	}
+}
+
+func TestBundlesDetectGapsFallback(t *testing.T) {
+	dir := t.TempDir()
+	dump := func(node string, events []obs.Event) {
+		tr := obs.New(64, func() time.Time { return base })
+		for _, ev := range events {
+			tr.Emit(ev)
+		}
+		f := obs.NewFlightRecorder(obs.FlightConfig{
+			Dir: dir, Node: node, Tracer: tr, Now: func() time.Time { return base },
+		})
+		if _, err := f.Dump("test"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dump("a", []obs.Event{
+		{At: base, HLC: hlcAt(0), Source: obs.SourceCore, Kind: obs.KindAcquire, Node: "a", Addr: "10.0.0.100"},
+		{At: base.Add(time.Second), HLC: hlcAt(time.Second),
+			Source: obs.SourceCore, Kind: obs.KindRelease, Node: "a", Addr: "10.0.0.100"},
+	})
+	dump("b", []obs.Event{
+		{At: base.Add(1500 * time.Millisecond), HLC: hlcAt(1500 * time.Millisecond),
+			Source: obs.SourceCore, Kind: obs.KindAcquire, Node: "b", Addr: "10.0.0.100"},
+	})
+	var out, errW bytes.Buffer
+	code := run([]string{"-detect-gaps", "100ms", "-require", "1", dir}, nil, &out, &errW)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errW.String())
+	}
+	if !strings.Contains(out.String(), "unreachable 500ms") {
+		t.Fatalf("output:\n%s", out.String())
+	}
+}
+
+// TestLoaderUsageErrors: empty input, an empty bundle directory, a flag the
+// chosen input does not honour, and a directory mixed with a file are usage
+// errors.
+func TestLoaderUsageErrors(t *testing.T) {
+	dir := t.TempDir()
+	gaps := writeCluster(t, dir)
+	trace := filepath.Join(t.TempDir(), "trace.ndjson")
+	if err := os.WriteFile(trace, figure5Trace(t), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{}, // stdin, here empty
+		{t.TempDir()},
+		{"-gaps", gaps, trace},
+		{"-require", "1", trace},
+		{"-folded", filepath.Join(t.TempDir(), "f"), dir},
+		{dir, trace},
+	} {
+		var out, errW bytes.Buffer
+		if code := run(args, strings.NewReader(""), &out, &errW); code != 2 {
+			t.Errorf("run(%v) = %d, want usage error 2 (stderr: %s)", args, code, errW.String())
+		}
+	}
+}
+
+// TestWriteFoldedReportsWriteErrors: a failed write of the folded output
+// is returned, not dropped.
+func TestWriteFoldedReportsWriteErrors(t *testing.T) {
+	trials, err := parseTrace(bytes.NewReader(figure5Trace(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recompute(trials)
+	if err := writeFolded(failingWriter{}, trials); err == nil {
+		t.Fatal("writeFolded swallowed the write error")
+	}
+}
+
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }

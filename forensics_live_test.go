@@ -6,15 +6,15 @@ package wackamole_test
 // abruptly (socket and loop vanish, no releases, no goodbyes) while a probe
 // measures the resulting coverage gap from the outside. The bundles the
 // survivors spill on `wackactl dump` (plus the victim's pre-crash tail) are
-// then merged by internal/forensics, as wackrec merges them, and the merged
+// then merged by internal/forensics, as wacktrace merges them, and the merged
 // timeline must explain the probe-measured gap exactly — the same
 // detection/membership/state-sync/ARP decomposition the simulator reports,
 // recovered from bundles alone. Run under -race this also pins the claim
 // that tracer, HLC, recorder and protocol loop may interleave freely.
 //
-// When WACK_FORENSICS_DIR is set the bundles, the measured gaps.json and
-// the merged timeline are written there instead of a temp dir, so the CI
-// live job can hand them to the wackrec binary and archive them.
+// When WACK_FORENSICS_DIR is set the bundles and the measured gaps.json are
+// written there instead of a temp dir, so the CI live job can hand them to
+// the wacktrace binary and archive them.
 
 import (
 	"bytes"
@@ -198,7 +198,7 @@ func TestForensicsLiveCluster(t *testing.T) {
 	})
 	gap := forensics.Gap{Target: target, Start: gapStart, End: gapEnd}
 	// Persist the probe's measurement before any assertion, so a failing run
-	// leaves complete evidence and the CI wackrec stage gets its input.
+	// leaves complete evidence and the CI wacktrace stage gets its input.
 	raw, err := json.MarshalIndent([]forensics.Gap{gap}, "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -266,12 +266,17 @@ func TestForensicsLiveCluster(t *testing.T) {
 		t.Fatalf("acquirer %q is not a survivor (victim %s)", f.Acquirer, peers[victim])
 	}
 
-	// Determinism: merging the same bundles again is byte-identical.
+	// Determinism: the same bundles, loaded from disk again and merged
+	// again, give a byte-identical timeline.
+	reloaded, err := forensics.LoadBundles(flightDir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var first, second bytes.Buffer
 	if err := merged.WriteNDJSON(&first); err != nil {
 		t.Fatal(err)
 	}
-	if err := forensics.Merge(bundles).WriteNDJSON(&second); err != nil {
+	if err := forensics.Merge(reloaded).WriteNDJSON(&second); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(first.Bytes(), second.Bytes()) {

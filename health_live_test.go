@@ -16,6 +16,7 @@ package wackamole_test
 // status query, scrape and protocol loop may interleave freely.
 
 import (
+	"fmt"
 	"net/netip"
 	"strconv"
 	"strings"
@@ -223,8 +224,11 @@ func TestHealthLiveCluster(t *testing.T) {
 	// expires and then legitimately has no detection event. So: every
 	// survivor must have suspected the victim via phi, every survivor that
 	// did detect must show phi leading in HLC order, and at least one
-	// detection with a recorded lead must exist cluster-wide.
+	// detection with a recorded lead must exist cluster-wide. Should none
+	// exist, the failure names, per survivor, the reason of each gather it
+	// entered (fault:…, token-loss, join:…) and whether its T timeout fired.
 	leads := 0
+	var gathers []string
 	for i, d := range survivors {
 		snap := d.reg.Snapshot()
 		if n := counterTotal(snap, "health_suspicions_total"); n < 1 {
@@ -239,8 +243,12 @@ func TestHealthLiveCluster(t *testing.T) {
 		// precede the heartbeat-miss (the T-timeout detection) in the
 		// node's causally stamped timeline.
 		var suspect, miss *obs.Event
+		var reasons []string
 		for _, ev := range d.tracer.Snapshot() {
 			ev := ev
+			if ev.Kind == obs.KindGatherEnter {
+				reasons = append(reasons, ev.Detail)
+			}
 			if ev.Detail != victimAddr {
 				continue
 			}
@@ -251,6 +259,7 @@ func TestHealthLiveCluster(t *testing.T) {
 				miss = &ev
 			}
 		}
+		gathers = append(gathers, fmt.Sprintf("%s gather-enter %q, heartbeat-miss %t", peers[i], reasons, miss != nil))
 		if suspect == nil {
 			t.Fatalf("survivor %s: no phi-suspect event against the victim", peers[i])
 		}
@@ -268,7 +277,7 @@ func TestHealthLiveCluster(t *testing.T) {
 		}
 	}
 	if leads < 1 {
-		t.Fatal("no survivor recorded a detection lead")
+		t.Fatalf("no survivor recorded a detection lead: %s", strings.Join(gathers, "; "))
 	}
 	waitFor("survivors' tables agreeing with their owned: lines", 15*time.Second, func() bool {
 		var agree bool

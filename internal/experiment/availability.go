@@ -27,7 +27,7 @@ import (
 // timeline, per-class request counts, latency before/during/after the
 // fail-over, and the number of established connections lost at takeover
 // (the paper's §2/§6 connection-loss claim, observed rather than asserted).
-// cmd/wackload is its command-line front end.
+// `wacksim -experiment availability` is its command-line front end.
 
 // FlowPort is the connection-oriented service port every cluster server
 // answers on (distinct from ServicePort, the probe's datagram echo).
@@ -576,7 +576,9 @@ func availabilityMonitor(seed int64, cfg AvailabilityConfig) invariant.Config {
 	return invariant.Config{
 		Nodes:   nodes,
 		Metrics: cfg.Metrics,
-		Name:    fmt.Sprintf("wackload-seed%d", seed),
+		// The name of the experiment's former binary, kept so that trace
+		// streams stay byte-identical.
+		Name: fmt.Sprintf("wackload-seed%d", seed),
 	}
 }
 

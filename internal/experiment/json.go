@@ -12,7 +12,7 @@ import (
 // json.go renders rows as machine-readable records (one JSON object per
 // line, the shape benchmark-archival tooling ingests), so the evaluation can
 // be diffed, plotted and regression-tracked without parsing markdown. The
-// -json flag of cmd/wacksim and cmd/wackload is the front end.
+// -json flag of cmd/wacksim is the front end.
 
 // rowJSON is the wire form of a Row.
 type rowJSON struct {

@@ -8,7 +8,7 @@ import (
 	"wackamole/internal/obs"
 )
 
-// trace.go writes the -trace output of cmd/wacksim and cmd/wackload: an
+// trace.go writes the -trace output of cmd/wacksim: an
 // NDJSON stream interleaving one "trial" summary record per traced trial
 // with the trial's "event" records, in deterministic (point, seed,
 // event-sequence) order.

@@ -10,7 +10,8 @@
 //
 // The merge is deterministic: events sort by (effective wall, logical, node,
 // per-node sequence), so repeated merges of the same bundles are
-// byte-identical — a property cmd/wackrec's CI gate asserts.
+// byte-identical — a property TestForensicsLiveCluster asserts on a live
+// cluster's bundles, reloaded from disk.
 package forensics
 
 import (

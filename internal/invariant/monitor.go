@@ -7,7 +7,7 @@
 // Monitor that attaches to any set of nodes through the existing nil-safe,
 // chainable observation hooks (core.Engine.AddViewHook and AddOwnershipHook,
 // gcs.Daemon.AddDeliveryHandler). Every consumer — the model checker,
-// wackload traffic sweeps, wacksim experiments, a live wackamole daemon —
+// wacksim experiments and availability traffic sweeps, a live wackamole daemon —
 // runs the same monitor: per-node and per-ring state is pre-sized and
 // bounded so the hot path (one callback per Agreed delivery) allocates
 // nothing, and every entry a bound forgets is counted by Dropped, so a

@@ -13,7 +13,7 @@ import (
 )
 
 // forHumans are the kinds no program keys on. They narrate a timeline for a
-// person reading a trace: wackrec's merged timeline, a flight bundle's
+// person reading a trace: wacktrace's merged timeline, a flight bundle's
 // trace.ndjson, /debug/events, a wacksim -trace file.
 var forHumans = []string{
 	"KindHeartbeatMiss", "KindFormRing", "KindRecoverEnter",

@@ -7,7 +7,7 @@ package obs
 // membership history, the effective config — to explain itself after the
 // fact. On a trigger (invariant trip, interruption above threshold,
 // SIGQUIT, `wackactl dump`) the recorder spills all of it atomically into
-// one bundle directory that cmd/wackrec can merge with the other nodes'
+// one bundle directory that cmd/wacktrace can merge with the other nodes'
 // bundles into a causally ordered cluster timeline.
 
 import (
@@ -25,7 +25,7 @@ import (
 )
 
 // ManifestName is the file every bundle directory carries; bundle scanners
-// (cmd/wackrec) identify bundles by it.
+// (cmd/wacktrace) identify bundles by it.
 const ManifestName = "manifest.json"
 
 // Bundle file names. The trace is the ring tail as NDJSON, the metrics are
@@ -187,7 +187,7 @@ func sanitizeNode(node string) string {
 
 // Dump spills one bundle and returns its directory. The bundle appears
 // atomically: everything is written into a hidden temporary directory that
-// is renamed into place only once complete, so a concurrent wackrec scan
+// is renamed into place only once complete, so a concurrent wacktrace scan
 // never reads a half-written bundle. Concurrent triggers serialize; each
 // gets its own bundle.
 func (f *FlightRecorder) Dump(reason string) (string, error) {

@@ -258,7 +258,7 @@ func (t *Tracer) SetNow(now func() time.Time) {
 
 // SetHLC arms hybrid-logical-clock stamping: every subsequently emitted
 // event carries c.Now() in its HLC field, making this node's trace mergeable
-// into a causally consistent cluster-wide timeline (cmd/wackrec). Nil
+// into a causally consistent cluster-wide timeline (cmd/wacktrace). Nil
 // disables stamping.
 func (t *Tracer) SetHLC(c *HLCClock) {
 	if t == nil {

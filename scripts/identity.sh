@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
-# Output identity against another revision: builds wacksim, wackload and
-# wackcheck at BASE and at the working tree, runs the same commands with both,
-# and compares stdout, stderr, exit code and trace files byte for byte.
+# Output identity against another revision: builds wacksim and wackcheck at
+# BASE and at the working tree, runs the same commands with both, and
+# compares stdout, stderr, exit code and trace files byte for byte. A BASE
+# from before the availability experiment moved into wacksim also has its
+# own wackload binary; its side runs each `wacksim -experiment availability`
+# line as wackload with that flag pair dropped.
 #
 #   bash scripts/identity.sh <base-rev>        (or: make identity BASE=<rev>)
 #
@@ -16,8 +19,16 @@ trap 'rm -rf "$tmp"' EXIT
 
 mkdir -p "$tmp/src" "$tmp/base" "$tmp/head"
 git archive "$base" | tar -x -C "$tmp/src"
-(cd "$tmp/src" && go build -o "$tmp/base/" ./cmd/wacksim ./cmd/wackload ./cmd/wackcheck)
-go build -o "$tmp/head/" ./cmd/wacksim ./cmd/wackload ./cmd/wackcheck
+# build <src> <dst>: build whichever of the tools the tree at <src> has.
+build() {
+	local tool pkgs=()
+	for tool in wacksim wackload wackcheck; do
+		[ -d "$1/cmd/$tool" ] && pkgs+=("./cmd/$tool")
+	done
+	(cd "$1" && go build -o "$2/" "${pkgs[@]}")
+}
+build "$tmp/src" "$tmp/base"
+build . "$tmp/head"
 
 fail=0
 # run <name> <tool> <args...>: run the tool from both builds; a literal TRACE
@@ -26,8 +37,12 @@ run() {
 	local name=$1 tool=$2 side
 	shift 2
 	for side in base head; do
-		local args=("${@//TRACE/$tmp/$side-$name.trace}") code=0
-		"$tmp/$side/$tool" "${args[@]}" >"$tmp/$side-$name.out" 2>"$tmp/$side-$name.err" || code=$?
+		local args=("${@//TRACE/$tmp/$side-$name.trace}") code=0 cmd=("$tmp/$side/$tool")
+		if [ -x "$tmp/$side/wackload" ] && [ "$tool ${args[*]:0:2}" = "wacksim -experiment availability" ]; then
+			cmd=("$tmp/$side/wackload")
+			args=("${args[@]:2}")
+		fi
+		"${cmd[@]}" "${args[@]}" >"$tmp/$side-$name.out" 2>"$tmp/$side-$name.err" || code=$?
 		echo "$code" >"$tmp/$side-$name.code"
 	done
 	same "$name"
@@ -50,24 +65,24 @@ run rows wacksim -experiment all -trials 3 -seed 7 -json
 run figure5-p1 wacksim -experiment figure5 -sizes 2,4 -trials 2 -seed 7 -json -trace TRACE -parallel 1
 run figure5-p4 wacksim -experiment figure5 -sizes 2,4 -trials 2 -seed 7 -json -trace TRACE -parallel 4
 same figure5-p1 figure5-p4
-run load-nic wackload -trials 2 -clients 100 -fault nic
-run load-crash wackload -trials 2 -clients 100 -fault crash
-run load-rolling wackload -trials 2 -clients 100 -fault rolling
-run load-rolling-minimal wackload -trials 2 -clients 100 -fault rolling -placement minimal
-run load-flap-phi wackload -trials 2 -clients 100 -fault flap -detector phi -invariants
+run load-nic wacksim -experiment availability -trials 2 -clients 100 -fault nic
+run load-crash wacksim -experiment availability -trials 2 -clients 100 -fault crash
+run load-rolling wacksim -experiment availability -trials 2 -clients 100 -fault rolling
+run load-rolling-minimal wacksim -experiment availability -trials 2 -clients 100 -fault rolling -placement minimal
+run load-flap-phi wacksim -experiment availability -trials 2 -clients 100 -fault flap -detector phi -invariants
 # Open-loop arrivals with the protocol trace and its phase breakdown, the
 # registry as it is written (-parallel 1: trials share one registry and float
 # sums depend on who adds first) and the forwarding path.
-run load-open-trace wackload -mode open -rps 2000 -clients 100 -trials 2 -fault nic -invariants -json -trace TRACE
+run load-open-trace wacksim -experiment availability -mode open -rps 2000 -clients 100 -trials 2 -fault nic -invariants -json -trace TRACE
 # The loaded shape: after the fault thousands of retransmissions fall due
 # within a few hundred microseconds, so the event queue runs thousands deep.
-run load-open-loaded wackload -mode open -rps 10000 -clients 1000 -trials 1 -fault nic -invariants -json -trace TRACE
-run load-open-crash-prom wackload -mode open -rps 2000 -clients 100 -trials 2 -fault crash -parallel 1 -prom -
-run load-router wackload -topology router -trials 2 -clients 100 -fault nic
+run load-open-loaded wacksim -experiment availability -mode open -rps 10000 -clients 1000 -trials 1 -fault nic -invariants -json -trace TRACE
+run load-open-crash-prom wacksim -experiment availability -mode open -rps 2000 -clients 100 -trials 2 -fault crash -parallel 1 -prom -
+run load-router wacksim -experiment availability -topology router -trials 2 -clients 100 -fault nic
 # Requests that exhaust their retries: the detection timeout outlasts the
 # retransmission budget, so parked requests end in timeouts, not resets.
-run load-open-timeouts wackload -mode open -rps 2000 -clients 100 -trials 2 -fault nic -detect-timeout 3s -json
-run load-closed-timeouts wackload -mode closed -clients 100 -trials 2 -fault crash -detect-timeout 3s -think 100ms
+run load-open-timeouts wacksim -experiment availability -mode open -rps 2000 -clients 100 -trials 2 -fault nic -detect-timeout 3s -json
+run load-closed-timeouts wacksim -experiment availability -mode closed -clients 100 -trials 2 -fault crash -detect-timeout 3s -think 100ms
 run check wackcheck -seeds 8 -steps 16
 run check-gray-phi wackcheck -seeds 8 -steps 16 -gray -detector phi
 # The §4.2 variant: the only recipe line in which an ALLOC message is cast.

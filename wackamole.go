@@ -123,7 +123,7 @@ func (n *Node) Health() *health.Monitor { return n.health }
 // The node's instruments are the ones e carries: the daemon and the engine
 // trace to e.Tracer and measure into e.Metrics, and with e.HLC set the daemon
 // stamps every wire message and the tracer every event, so traces from
-// different nodes merge into one causally consistent timeline (cmd/wackrec).
+// different nodes merge into one causally consistent timeline (cmd/wacktrace).
 func NewNode(e env.Env, cfg Config, backend ipmgr.Backend, notify arp.Notifier) (*Node, error) {
 	if e.Log == nil {
 		e.Log = env.NopLogger{}
