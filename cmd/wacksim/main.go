@@ -6,12 +6,16 @@
 //	wacksim -experiment availability -clients 1000 -mode open -rps 5000 -fault nic -json
 //
 // Experiments: table1, figure5, graceful, router, baselines, load,
-// ablations, all (the registry experiment.Experiments). Output is markdown,
-// suitable for pasting into EXPERIMENTS.md; -json emits one JSON object per
-// result row (NDJSON) instead, and -format csv, -trace, -invariants and
+// ablations, all (the registry experiment.Experiments), and availability.
+// Every one runs through the same loop: sweep, -trace stream, then the
+// markdown table (suitable for pasting into EXPERIMENTS.md) or, under
+// -json, one JSON object per result row (NDJSON). -trace, -invariants and
 // -sizes apply to the experiments whose descriptor honours them (a usage
-// error when none selected does). Trials are independent simulations, so
-// -parallel N spreads them over N workers without changing any number.
+// error when none selected does). -invariants arms the protocol-invariant
+// monitors on every trial: each violating trial is reported on stderr, the
+// tables end with an "invariants:" verdict line, and any violation exits 1.
+// Trials are independent simulations, so -parallel N spreads them over N
+// workers without changing any number.
 //
 // -experiment availability runs alone. It drives a population of simulated
 // clients over flow connections against the web-cluster or virtual-router
@@ -25,10 +29,10 @@
 // rejoins every server in sequence under the -placement policy of choice.
 // -json emits one aggregate row, then one row per trial; -prom writes the
 // trials' shared metrics registry in Prometheus text exposition format (-
-// for stdout); -invariants reports every violating trial and exits 1. Its
-// own flags (-clients, -mode, -rps, -think, -fault, -placement, -shape,
-// -gray-window, -detector, -detect-timeout, -topology, -servers, -pre,
-// -post, -prom) are a usage error under any other experiment.
+// for stdout, after the rows). Its own flags (-clients, -mode, -rps,
+// -think, -fault, -placement, -shape, -gray-window, -detector,
+// -detect-timeout, -topology, -servers, -pre, -post, -prom) are a usage
+// error under any other experiment.
 package main
 
 import (
@@ -67,12 +71,11 @@ func run(args []string, out io.Writer) int {
 	fs := flag.NewFlagSet("wacksim", flag.ContinueOnError)
 	exp := fs.String("experiment", "all", "experiments to run, comma-separated, or all, or availability alone (an unknown name lists the registered ones)")
 	trials := fs.Int("trials", 10, "seeded trials per data point")
-	format := fs.String("format", "markdown", "figure5 output format: markdown|csv")
 	seed := fs.Int64("seed", 1, "base seed")
 	parallel := fs.Int("parallel", 0, "worker goroutines per sweep (0 = GOMAXPROCS)")
 	jsonOut := fs.Bool("json", false, "emit NDJSON result rows instead of tables")
 	progress := fs.Bool("progress", false, "report per-trial progress on stderr")
-	invariants := fs.Bool("invariants", false, "arm the always-on protocol-invariant monitors on every trial (figure5, graceful: a violation fails the trial; availability: it exits 1)")
+	invariants := fs.Bool("invariants", false, "arm the always-on protocol-invariant monitors on every trial, report every violating trial and exit 1 on any (figure5, graceful, availability)")
 	tracePath := fs.String("trace", "", "capture per-trial structured event streams into this NDJSON file (figure5, availability)")
 	sizesFlag := fs.String("sizes", "", "comma-separated cluster sizes for figure5 (default: the paper's 2,4,6,8,10,12)")
 	// Every flag registered after this snapshot is availability's own.
@@ -101,10 +104,6 @@ func run(args []string, out io.Writer) int {
 		fmt.Fprintln(os.Stderr, "wacksim: -trials must be positive")
 		return 2
 	}
-	if *format != "markdown" && *format != "csv" {
-		fmt.Fprintln(os.Stderr, "wacksim: -format must be markdown or csv")
-		return 2
-	}
 	var sizes []int
 	if *sizesFlag != "" {
 		for _, s := range strings.Split(*sizesFlag, ",") {
@@ -131,12 +130,20 @@ func run(args []string, out io.Writer) int {
 	}
 
 	selected := experiment.Experiments
-	avail := false
+	// cfg is the availability experiment's configuration when it is
+	// selected; its registry is what -prom writes.
+	var cfg *experiment.AvailabilityConfig
 	if *exp != "all" {
 		selected = nil
 		for _, name := range strings.Split(*exp, ",") {
 			if name = strings.TrimSpace(name); name == "availability" {
-				avail = true
+				c, err := a.config()
+				if err != nil {
+					fmt.Fprintf(os.Stderr, "wacksim: %v\n", err)
+					return 2
+				}
+				cfg = &c
+				selected = append(selected, experiment.AvailabilityExperiment(c))
 				continue
 			}
 			e, err := experiment.Lookup(name)
@@ -147,7 +154,7 @@ func run(args []string, out io.Writer) int {
 			selected = append(selected, e)
 		}
 	}
-	if avail && len(selected) > 0 {
+	if cfg != nil && len(selected) > 1 {
 		fmt.Fprintf(os.Stderr, "wacksim: -experiment availability runs alone, not in %s\n", *exp)
 		return 2
 	}
@@ -158,14 +165,13 @@ func run(args []string, out io.Writer) int {
 	}
 	honours := func(p func(experiment.Experiment) bool) bool { return slices.ContainsFunc(selected, p) }
 	rules := []rule{
-		{"-trace", *tracePath != "", avail || honours(func(e experiment.Experiment) bool { return e.Trace })},
-		{"-invariants", *invariants, avail || honours(func(e experiment.Experiment) bool { return e.Invariants })},
+		{"-trace", *tracePath != "", honours(func(e experiment.Experiment) bool { return e.Trace })},
+		{"-invariants", *invariants, honours(func(e experiment.Experiment) bool { return e.Invariants })},
 		{"-sizes", *sizesFlag != "", honours(func(e experiment.Experiment) bool { return e.Sizes })},
-		{"-format csv", *format == "csv", honours(func(e experiment.Experiment) bool { return e.CSV != nil })},
 	}
 	fs.Visit(func(f *flag.Flag) {
 		if !shared[f.Name] {
-			rules = append(rules, rule{"-" + f.Name, true, avail})
+			rules = append(rules, rule{"-" + f.Name, true, cfg != nil})
 		}
 	})
 	for _, f := range rules {
@@ -173,14 +179,6 @@ func run(args []string, out io.Writer) int {
 			fmt.Fprintf(os.Stderr, "wacksim: %s is not honoured by -experiment %s\n", f.name, *exp)
 			return 2
 		}
-	}
-	if avail {
-		cfg, err := a.config()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "wacksim: %v\n", err)
-			return 2
-		}
-		return runAvailability(out, cfg, *seed, *trials, opts, *jsonOut, *invariants, *tracePath, a.prom)
 	}
 
 	var trace *os.File
@@ -192,6 +190,7 @@ func run(args []string, out io.Writer) int {
 		}
 		defer trace.Close()
 	}
+	violated := 0
 	for _, e := range selected {
 		rows, err := experiment.Sweep(e, experiment.Grid{Seed: *seed, Trials: *trials, Sizes: sizes}, opts...)
 		if err == nil && trace != nil {
@@ -204,13 +203,16 @@ func run(args []string, out io.Writer) int {
 			fmt.Fprintf(os.Stderr, "wacksim: %s: %v\n", e.Name, err)
 			return 1
 		}
-		if *jsonOut {
-			continue
-		}
-		if *format == "csv" && e.CSV != nil {
-			fmt.Fprintln(out, e.CSV(rows))
-		} else {
+		violated += reportViolations(os.Stderr, rows)
+		if !*jsonOut {
 			fmt.Fprintf(out, "%s\n\n%s\n", e.Title, e.Render(rows))
+		}
+	}
+	if *invariants && !*jsonOut {
+		if violated > 0 {
+			fmt.Fprintf(out, "\ninvariants: %d violating trial(s)\n", violated)
+		} else {
+			fmt.Fprintln(out, "\ninvariants: all oracles held")
 		}
 	}
 	if trace != nil {
@@ -218,6 +220,13 @@ func run(args []string, out io.Writer) int {
 			fmt.Fprintf(os.Stderr, "wacksim: %v\n", err)
 			return 1
 		}
+	}
+	if err := writeProm(out, a.prom, cfg); err != nil {
+		fmt.Fprintf(os.Stderr, "wacksim: %v\n", err)
+		return 1
+	}
+	if violated > 0 {
+		return 1
 	}
 	return 0
 }
@@ -282,68 +291,39 @@ func (a *availabilityFlags) config() (cfg experiment.AvailabilityConfig, err err
 	}, nil
 }
 
-// runAvailability runs the availability experiment and writes what it
-// measured: the -trace and -prom files, the table or the NDJSON rows, and
-// the invariant verdict.
-func runAvailability(out io.Writer, cfg experiment.AvailabilityConfig, seed int64, trials int,
-	opts []experiment.Option, jsonOut, invariants bool, tracePath, promPath string) int {
-	row, err := experiment.Availability(seed, trials, cfg, opts...)
-	if err == nil && tracePath != "" {
-		err = writeFile(tracePath, func(w io.Writer) error { return experiment.WriteTrace(w, []experiment.Row{row}) })
-	}
-	if err == nil && promPath == "-" {
-		err = metrics.WritePrometheus(out, cfg.Metrics.Snapshot())
-	} else if err == nil && promPath != "" {
-		err = writeFile(promPath, func(w io.Writer) error { return metrics.WritePrometheus(w, cfg.Metrics.Snapshot()) })
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "wacksim: %v\n", err)
-		return 1
-	}
-
-	// Invariant verdict: report every violating trial and exit nonzero, so
-	// large-scale runs double as model-checking runs (CI gates on this).
-	// Each line names the seed and the point: rerunning this command with
-	// that -seed and -trials 1 (plus -trace) re-creates the trial.
-	violated := 0
-	for _, r := range experiment.AvailabilityResults(row) {
-		if r.Violation != nil {
-			violated++
-			fmt.Fprintf(os.Stderr, "wacksim: invariant violation (seed %d, point %s): %v\n", r.Seed, cfg.Label(), r.Violation)
+// reportViolations prints each trial of rows whose monitor recorded an
+// invariant violation and returns how many it printed. Each line names the
+// trial's own seed and its point, which re-create the trial: for
+// availability that is -seed S -trials 1 (plus -trace); a registry point
+// offsets the base seed (figure5 by the cluster size).
+func reportViolations(w io.Writer, rows []experiment.Row) int {
+	n := 0
+	for _, r := range rows {
+		for _, s := range r.Samples {
+			if s.Violation != nil {
+				n++
+				fmt.Fprintf(w, "wacksim: invariant violation (seed %d, point %s): %v\n", s.Seed, r.Point, s.Violation)
+			}
 		}
 	}
-
-	if jsonOut {
-		if err := experiment.WriteNDJSON(out, experiment.AvailabilityRows(row)); err != nil {
-			fmt.Fprintf(os.Stderr, "wacksim: %v\n", err)
-			return 1
-		}
-		if violated > 0 {
-			return 1
-		}
-		return 0
-	}
-	fmt.Fprintln(out, "## Request-level availability across a fault")
-	fmt.Fprintln(out)
-	fmt.Fprint(out, experiment.RenderAvailability(row))
-	if invariants {
-		if violated > 0 {
-			fmt.Fprintf(out, "\ninvariants: %d violating trial(s)\n", violated)
-			return 1
-		}
-		fmt.Fprintln(out, "\ninvariants: all oracles held")
-	}
-	return 0
+	return n
 }
 
-// writeFile creates path, writes it through write and closes it, returning
-// the first error.
-func writeFile(path string, write func(io.Writer) error) error {
+// writeProm writes the availability trials' shared metrics registry in
+// Prometheus exposition format to path ("-" is out); an empty path writes
+// nothing.
+func writeProm(out io.Writer, path string, cfg *experiment.AvailabilityConfig) error {
+	switch path {
+	case "":
+		return nil
+	case "-":
+		return metrics.WritePrometheus(out, cfg.Metrics.Snapshot())
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	err = write(f)
+	err = metrics.WritePrometheus(f, cfg.Metrics.Snapshot())
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

@@ -7,6 +7,11 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"wackamole/internal/experiment"
+	"wackamole/internal/experiment/runner"
+	"wackamole/internal/invariant"
 )
 
 func TestRunGracefulProducesTable(t *testing.T) {
@@ -69,7 +74,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-experiment", "graceful,table1", "-trace", trace},
 		{"-experiment", "table1", "-invariants"},
 		{"-experiment", "graceful", "-sizes", "2"},
-		{"-experiment", "graceful", "-format", "csv"},
+		// -format is gone: figure5's -json rows carry every column.
+		{"-experiment", "figure5", "-format", "csv"},
 		// Availability-only flags under another experiment, and
 		// availability in a list: it runs alone.
 		{"-experiment", "figure5", "-clients", "10"},
@@ -96,6 +102,48 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		if code := run(args, &out); code != 0 {
 			t.Errorf("run(%v) = %d, want 0 (one selected experiment honours the flag)", args, code)
 		}
+		// One verdict for the whole run, after the last table.
+		if n := strings.Count(out.String(), "invariants:"); n != 1 || !strings.HasSuffix(out.String(), "\ninvariants: all oracles held\n") {
+			t.Errorf("run(%v): %d verdict lines, want one at the end:\n%s", args, n, out.String())
+		}
+	}
+}
+
+// TestInvariantsChangeNoRow: the monitors only observe, so figure5 and
+// graceful print the same NDJSON rows with -invariants as without.
+func TestInvariantsChangeNoRow(t *testing.T) {
+	rows := func(extra ...string) string {
+		var out strings.Builder
+		args := append([]string{"-experiment", "figure5,graceful", "-sizes", "4", "-trials", "2", "-seed", "3", "-json"}, extra...)
+		if code := run(args, &out); code != 0 {
+			t.Fatalf("run(%v) = %d", args, code)
+		}
+		return out.String()
+	}
+	if off, on := rows(), rows("-invariants"); off != on {
+		t.Fatalf("-invariants changed the rows:\n%s---\n%s", off, on)
+	}
+}
+
+// TestReportViolations: every violating trial of every row gets one line
+// naming its seed and point, and the count is what the exit code reads.
+func TestReportViolations(t *testing.T) {
+	v := func(detail string) *invariant.Violation {
+		return &invariant.Violation{Oracle: "exactly-once", Detail: detail, At: time.Second}
+	}
+	rows := []experiment.Row{
+		{Point: "tuned/n=4", Samples: []runner.Sample{{Seed: 5}, {Seed: 7924, Violation: v("two holders")}}},
+		{Point: "n=2", Samples: []runner.Sample{{Seed: 27, Violation: v("no holder")}}},
+		{Point: "tuned/n=4/seed=5"},
+	}
+	var w strings.Builder
+	if n := reportViolations(&w, rows); n != 2 {
+		t.Fatalf("reported %d violating trials, want 2", n)
+	}
+	want := "wacksim: invariant violation (seed 7924, point tuned/n=4): exactly-once at step 0 (+1s): two holders\n" +
+		"wacksim: invariant violation (seed 27, point n=2): exactly-once at step 0 (+1s): no holder\n"
+	if w.String() != want {
+		t.Fatalf("report:\n%s\nwant:\n%s", w.String(), want)
 	}
 }
 
@@ -109,27 +157,6 @@ func TestRunIsDeterministicPerSeed(t *testing.T) {
 	}
 	if a, b := render(), render(); a != b {
 		t.Fatalf("same seed produced different reports:\n%s\n---\n%s", a, b)
-	}
-}
-
-func TestFigure5CSVFormat(t *testing.T) {
-	var out strings.Builder
-	code := run([]string{"-experiment", "figure5", "-trials", "1", "-format", "csv"}, &out)
-	if code != 0 {
-		t.Fatalf("exit code = %d", code)
-	}
-	if !strings.HasPrefix(out.String(), "config,cluster_size") {
-		t.Fatalf("csv output:\n%s", out.String())
-	}
-	if strings.Count(out.String(), "\n") != 14 { // header + 12 points + trailing blank
-		t.Fatalf("csv lines = %d, want 14:\n%s", strings.Count(out.String(), "\n"), out.String())
-	}
-}
-
-func TestBadFormatRejected(t *testing.T) {
-	var out strings.Builder
-	if code := run([]string{"-format", "yaml"}, &out); code != 2 {
-		t.Fatalf("exit code = %d, want 2", code)
 	}
 }
 
@@ -260,16 +287,23 @@ func TestJSONOutputIsValidNDJSON(t *testing.T) {
 	}
 }
 
+// TestAvailabilityTableOutput: the table, then the verdict, then the
+// registry that -prom - appends to stdout.
 func TestAvailabilityTableOutput(t *testing.T) {
 	var out strings.Builder
-	code := run([]string{"-experiment", "availability", "-clients", "50", "-think", "200ms", "-trials", "1", "-pre", "2s"}, &out)
+	code := run([]string{"-experiment", "availability", "-clients", "50", "-think", "200ms", "-trials", "1", "-pre", "2s",
+		"-invariants", "-prom", "-"}, &out)
 	if code != 0 {
 		t.Fatalf("exit %d, output:\n%s", code, out.String())
 	}
-	for _, want := range []string{"Request-level availability", "conns lost", "recovery"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("output missing %q:\n%s", want, out.String())
+	last := -1
+	for _, want := range []string{"## Request-level availability", "conns lost", "recovery",
+		"\ninvariants: all oracles held\n", "# TYPE load_requests_total counter"} {
+		i := strings.Index(out.String(), want)
+		if i < 0 || i < last {
+			t.Errorf("output missing %q, or out of order:\n%s", want, out.String())
 		}
+		last = i
 	}
 }
 

@@ -259,6 +259,9 @@ func TestForensicsLiveCluster(t *testing.T) {
 	if f.Phases.Detection <= 0 {
 		t.Fatalf("detection phase empty: %+v (survivors suspect only after the fault-detect timeout)", f.Phases)
 	}
+	if !f.Explained {
+		t.Fatalf("the bundles do not explain the probe-measured gap: %+v", f)
+	}
 	// The acquirer must be a survivor (core events are tagged
 	// "daemon/client"; the daemon part is the bind address).
 	acquirerDaemon, _, _ := strings.Cut(f.Acquirer, "/")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/netip"
 	"sort"
+	"strings"
 	"time"
 
 	"wackamole"
@@ -165,8 +166,8 @@ type AvailabilityConfig struct {
 	// nodes: the five model-checker oracles watch the trial's view,
 	// delivery and ownership streams, and the settled-state properties are
 	// probed after the measured window closes. Monitoring is
-	// observation-only — a violation is recorded on the trial's
-	// AvailabilityResult without perturbing the measured sample.
+	// observation-only — a violation is recorded on the trial's Sample and
+	// AvailabilityResult without perturbing the measured value.
 	Invariants bool
 	// Metrics receives the flow and load instrument families from every
 	// trial (shared across trials; the registry serializes access). Nil
@@ -215,8 +216,8 @@ func (c AvailabilityConfig) withDefaults() AvailabilityConfig {
 	return c
 }
 
-// Label names the configuration the way sweep points and NDJSON rows do.
-func (c AvailabilityConfig) Label() string {
+// label names the configuration the way sweep points and NDJSON rows do.
+func (c AvailabilityConfig) label() string {
 	c = c.withDefaults()
 	l := fmt.Sprintf("%s/%s/%s/c=%d", c.Topology, c.Mode, c.Fault, c.Clients)
 	if c.GCS.Detector != gcs.DetectorFixed {
@@ -269,8 +270,9 @@ type AvailabilityResult struct {
 	// Buckets is the per-class completion timeline (copied; BucketWidth is
 	// the engine default).
 	Buckets []load.Bucket
-	// Violation is the first invariant violation the trial's monitor
-	// observed (nil when monitoring was off or every oracle held).
+	// Violation is the trial's Sample.Violation: the first invariant
+	// violation its monitor observed (nil when monitoring was off or every
+	// oracle held).
 	Violation *invariant.Violation
 	// DetectionLatency is how long after the fault any surviving daemon
 	// first declared the victim failed (0 when no detection was observed —
@@ -469,7 +471,8 @@ func availabilityWebTrial(seed int64, cfg AvailabilityConfig) (runner.Sample, *A
 	p.attach(&sample, res.Stats.GapStart, res.Stats.GapEnd, wc.Target.String())
 	// The measured window is closed; the settled-state probing (and its
 	// possible one-second retry) is monitoring-only.
-	res.Violation = p.verify(wc.Cluster, 0)
+	sample.Violation = p.verify(wc.Cluster, 0)
+	res.Violation = sample.Violation
 	return sample, res, nil
 }
 
@@ -636,7 +639,8 @@ func availabilityRouterTrial(seed int64, cfg AvailabilityConfig) (runner.Sample,
 	// The router topology has no wackamole.Cluster to probe at rest; the
 	// online oracles (view order, delivery order, foreign claim) still
 	// watched the whole trial.
-	res.Violation = p.verify(nil, 0)
+	sample.Violation = p.verify(nil, 0)
+	res.Violation = sample.Violation
 	return sample, res, nil
 }
 
@@ -746,19 +750,23 @@ func windowOf(completions []load.Completion, rtts []time.Duration) (LatencyWindo
 	return w, rtts
 }
 
-// Availability measures the request-level availability of one configuration
-// over `trials` seeded runs: the configuration is the experiment's single
-// grid point, and each sample carries its rich per-trial outcome (see
-// AvailabilityResults).
-func Availability(baseSeed int64, trials int, cfg AvailabilityConfig, opts ...Option) (Row, error) {
+// AvailabilityExperiment is the request-level availability experiment of one
+// configuration, its single grid point. Each sample carries its rich
+// per-trial outcome; the aggregate row, published as "availability/<label>",
+// is followed by one row per trial.
+func AvailabilityExperiment(cfg AvailabilityConfig) Experiment {
 	cfg = cfg.withDefaults()
-	e := Experiment{
-		Name: "availability", Unit: "interruption", Trace: true, Invariants: true,
+	return Experiment{
+		Name:  "availability",
+		Title: "## Request-level availability across a fault",
+		Unit:  "interruption",
+		Trace: true, Invariants: true,
 		Points: func(g Grid) []Point {
+			cfg := cfg
 			cfg.Trace = cfg.Trace || g.trace
 			cfg.Invariants = cfg.Invariants || g.invariants
 			return []Point{{
-				Label: cfg.Label(),
+				Label: cfg.label(),
 				Run: func(seed int64) (runner.Sample, error) {
 					sample, res, err := AvailabilityTrial(seed, cfg)
 					sample.Detail = res
@@ -767,20 +775,17 @@ func Availability(baseSeed int64, trials int, cfg AvailabilityConfig, opts ...Op
 				Extra: availabilityExtra,
 			}}
 		},
+		Render: func(rows []Row) string { return strings.TrimSuffix(renderAvailability(rows[0]), "\n") },
+		Expand: func(r Row) []Row {
+			r.Point = "availability/" + r.Point
+			return availabilityRows(r)
+		},
 	}
-	rows, err := Sweep(e, Grid{Seed: baseSeed, Trials: trials}, opts...)
-	if err != nil {
-		return Row{}, err
-	}
-	// The availability point has always been published under its full
-	// runner label, experiment prefix included.
-	rows[0].Point = e.Name + "/" + rows[0].Point
-	return rows[0], nil
 }
 
-// AvailabilityResults returns the rich per-trial outcomes of an availability
+// availabilityResults returns the rich per-trial outcomes of an availability
 // row, aligned with its Samples (seed order).
-func AvailabilityResults(row Row) []*AvailabilityResult {
+func availabilityResults(row Row) []*AvailabilityResult {
 	out := make([]*AvailabilityResult, len(row.Samples))
 	for i, s := range row.Samples {
 		out[i] = s.Detail.(*AvailabilityResult)
@@ -788,9 +793,9 @@ func AvailabilityResults(row Row) []*AvailabilityResult {
 	return out
 }
 
-// RenderAvailability formats the per-trial outcomes plus the aggregate.
-func RenderAvailability(row Row) string {
-	results := AvailabilityResults(row)
+// renderAvailability formats the per-trial outcomes plus the aggregate.
+func renderAvailability(row Row) string {
+	results := availabilityResults(row)
 	header := []string{"seed", "interruption", "ok", "reset", "timeout", "stale",
 		"conns lost", "goodput pre", "goodput post", "recovery", "p99 before", "p99 after",
 		"detect", "false susp"}
@@ -835,7 +840,7 @@ func RenderAvailability(row Row) string {
 // availabilityExtra computes the aggregate row's scalars: per-class request
 // totals and the trial means of the per-trial detail.
 func availabilityExtra(row Row) map[string]float64 {
-	results := AvailabilityResults(row)
+	results := availabilityResults(row)
 	extra := map[string]float64{}
 	for _, r := range results {
 		for c := load.Class(0); c < load.NumClasses; c++ {
@@ -858,12 +863,12 @@ func availabilityExtra(row Row) map[string]float64 {
 	return extra
 }
 
-// AvailabilityRows expands the row into the experiment's NDJSON records: the
+// availabilityRows expands the row into the experiment's records: the
 // aggregate row followed by one row per trial carrying its full per-class
 // and latency detail in Extra.
-func AvailabilityRows(row Row) []Row {
+func availabilityRows(row Row) []Row {
 	out := []Row{row}
-	for i, r := range AvailabilityResults(row) {
+	for i, r := range availabilityResults(row) {
 		extra := map[string]float64{
 			"issued":           float64(r.Stats.Issued),
 			"conns_lost":       float64(r.Stats.ConnsLost),

@@ -22,6 +22,17 @@ func quickAvailability() AvailabilityConfig {
 	}
 }
 
+// sweepAvailability sweeps the availability experiment of cfg: its
+// aggregate row, then one row per trial.
+func sweepAvailability(t *testing.T, seed int64, trials int, cfg AvailabilityConfig, opts ...Option) []Row {
+	t.Helper()
+	rows, err := Sweep(AvailabilityExperiment(cfg), Grid{Seed: seed, Trials: trials}, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
 func TestAvailabilityTrialWebTakeover(t *testing.T) {
 	reg := metrics.New()
 	cfg := quickAvailability()
@@ -177,7 +188,7 @@ func TestRollingChurnVersusGoodput(t *testing.T) {
 	}
 	extra := map[string]map[string]float64{}
 	for _, pol := range []string{placement.NameLeastLoaded, placement.NameMinimal} {
-		row, err := Availability(1, 3, AvailabilityConfig{
+		row := sweepAvailability(t, 1, 3, AvailabilityConfig{
 			Servers:    5,
 			Clients:    200,
 			Mode:       load.Open,
@@ -185,10 +196,7 @@ func TestRollingChurnVersusGoodput(t *testing.T) {
 			Fault:      faultRolling,
 			Placement:  pol,
 			Invariants: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		})[0]
 		extra[pol] = row.Extra
 		if rec := row.Extra["recovery"]; rec < 0.99 {
 			t.Errorf("%s: recovery %v < 0.99", pol, rec)
@@ -213,11 +221,7 @@ func TestAvailabilityRollingJSONCarriesPhases(t *testing.T) {
 	cfg.Fault = faultRolling
 	cfg.Placement = "minimal"
 	cfg.Servers = 2
-	row, err := Availability(13, 1, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := AvailabilityRows(row)
+	rows := sweepAvailability(t, 13, 1, cfg)
 	if len(rows) != 2 {
 		t.Fatalf("JSON rows = %d, want aggregate + trial", len(rows))
 	}
@@ -229,7 +233,7 @@ func TestAvailabilityRollingJSONCarriesPhases(t *testing.T) {
 			t.Errorf("%s: missing phase0_max_gap_s", r.Point)
 		}
 	}
-	if out := RenderAvailability(row); !strings.Contains(out, "rolling phases") {
+	if out := renderAvailability(rows[0]); !strings.Contains(out, "rolling phases") {
 		t.Errorf("rendered table missing rolling-phase section:\n%s", out)
 	}
 }
@@ -251,14 +255,11 @@ func TestAvailabilityDeterministic(t *testing.T) {
 }
 
 func TestAvailabilitySweepAndJSON(t *testing.T) {
-	rowData, err := Availability(1, 2, quickAvailability(), Parallel(2))
-	if err != nil {
-		t.Fatal(err)
+	rows := sweepAvailability(t, 1, 2, quickAvailability(), Parallel(2))
+	rowData := rows[0]
+	if rowData.Stat.N != 2 || len(availabilityResults(rowData)) != 2 {
+		t.Fatalf("stat N = %d, results = %d, want 2 trials", rowData.Stat.N, len(availabilityResults(rowData)))
 	}
-	if rowData.Stat.N != 2 || len(AvailabilityResults(rowData)) != 2 {
-		t.Fatalf("stat N = %d, results = %d, want 2 trials", rowData.Stat.N, len(AvailabilityResults(rowData)))
-	}
-	rows := AvailabilityRows(rowData)
 	if len(rows) != 3 {
 		t.Fatalf("JSON rows = %d, want 1 aggregate + 2 per-trial", len(rows))
 	}
@@ -283,7 +284,7 @@ func TestAvailabilitySweepAndJSON(t *testing.T) {
 	if got := strings.Count(b.String(), "\n"); got != 3 {
 		t.Errorf("NDJSON lines = %d, want 3", got)
 	}
-	if out := RenderAvailability(rowData); !strings.Contains(out, "conns lost") {
+	if out := renderAvailability(rowData); !strings.Contains(out, "conns lost") {
 		t.Errorf("rendered table missing header: %q", out)
 	}
 }
@@ -291,10 +292,8 @@ func TestAvailabilitySweepAndJSON(t *testing.T) {
 func TestAvailabilityTraced(t *testing.T) {
 	cfg := quickAvailability()
 	cfg.Metrics = metrics.New()
-	row, err := Availability(5, 1, cfg, WithTrace())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := sweepAvailability(t, 5, 1, cfg, WithTrace())
+	row := rows[0]
 	if len(row.Samples) != 1 || row.Samples[0].Trace == nil {
 		t.Fatal("traced sweep produced no trace")
 	}
@@ -311,7 +310,7 @@ func TestAvailabilityTraced(t *testing.T) {
 		}
 	}
 	var b bytes.Buffer
-	if err := WriteTrace(&b, []Row{row}); err != nil {
+	if err := WriteTrace(&b, rows); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), `"record":"trial"`) || !strings.Contains(b.String(), `"kind":"install"`) {

@@ -16,6 +16,7 @@ import (
 	"sync"
 	"time"
 
+	"wackamole/internal/invariant"
 	"wackamole/internal/metrics"
 	"wackamole/internal/obs"
 )
@@ -76,6 +77,11 @@ type Sample struct {
 	// the sweep requested tracing; zero otherwise. Snapshots of disjoint
 	// trials merge associatively, so aggregation order never matters.
 	Latency metrics.Snapshot
+	// Violation is the first invariant violation the trial's monitor
+	// observed when the sweep armed one; nil when monitoring was off or
+	// every oracle held. It never fails the trial: the measured value
+	// stands, and the caller gives the verdict.
+	Violation *invariant.Violation
 	// Detail carries an experiment-specific rich per-trial outcome beside
 	// the measured value; the runner never inspects it.
 	Detail any

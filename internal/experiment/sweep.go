@@ -28,8 +28,11 @@ type Experiment struct {
 	Points func(g Grid) []Point
 	// Render formats the rows as the experiment's markdown table.
 	Render func(rows []Row) string
-	// CSV, when set, formats the rows as plottable comma-separated series.
-	CSV func(rows []Row) string
+	// Expand, when set, replaces each point's row with the rows it returns
+	// before any view (table, NDJSON, trace) sees them: availability
+	// publishes its aggregate row under its full label and follows it with
+	// one row per trial.
+	Expand func(r Row) []Row
 }
 
 // Point is one grid point: a labelled trial function and what distinguishes
@@ -108,8 +111,8 @@ func WithTrace() Option {
 // checker oracles) on every trial's cluster, for experiments that honour
 // monitoring. Like tracing it is observation-only — hooks consume no
 // randomness and schedule nothing, so measured rows are identical with
-// monitoring on or off; a violation turns the trial into a counted
-// per-trial error.
+// monitoring on or off; a trial's first violation is recorded on its
+// Sample, and the caller gives the verdict.
 func WithInvariants() Option {
 	return func(g *Grid) { g.invariants = true }
 }
@@ -134,7 +137,7 @@ func Lookup(name string) (Experiment, error) {
 }
 
 // Sweep runs every (point, seed) trial of the experiment's grid and returns
-// one Row per point, in point order.
+// one Row per point (or the rows Expand makes of it), in point order.
 func Sweep(e Experiment, g Grid, opts ...Option) ([]Row, error) {
 	for _, opt := range opts {
 		opt(&g)
@@ -154,7 +157,11 @@ func Sweep(e Experiment, g Grid, opts ...Option) ([]Row, error) {
 		if p.Extra != nil {
 			row.Extra = p.Extra(row)
 		}
-		rows = append(rows, row)
+		if e.Expand != nil {
+			rows = append(rows, e.Expand(row)...)
+		} else {
+			rows = append(rows, row)
+		}
 	}
 	return rows, nil
 }

@@ -13,19 +13,53 @@ import (
 	"wackamole/internal/rip"
 )
 
-// sweepOutputs runs the experiment and returns its rows with both of their
-// renderings: the markdown table and the NDJSON stream.
-func sweepOutputs(t *testing.T, e Experiment, g Grid, opts ...Option) ([]Row, string, string) {
+// outputs holds every rendering of a sweep's rows.
+type outputs struct {
+	table, ndjson, trace string
+}
+
+// sweepOutputs runs the experiment and returns its rows with every one of
+// their renderings: the markdown table, the NDJSON stream and the trace
+// stream (empty unless the sweep was traced).
+func sweepOutputs(t *testing.T, e Experiment, g Grid, opts ...Option) ([]Row, outputs) {
 	t.Helper()
 	rows, err := Sweep(e, g, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var b bytes.Buffer
-	if err := WriteNDJSON(&b, rows); err != nil {
+	var nd, tr bytes.Buffer
+	if err := WriteNDJSON(&nd, rows); err != nil {
 		t.Fatal(err)
 	}
-	return rows, e.Render(rows), b.String()
+	if err := WriteTrace(&tr, rows); err != nil {
+		t.Fatal(err)
+	}
+	return rows, outputs{e.Render(rows), nd.String(), tr.String()}
+}
+
+// sameAcrossWorkers checks that four workers reproduce a serial sweep's
+// outputs byte for byte and, for an experiment that honours tracing, that
+// a traced sweep is likewise identical at one worker and at four, trace
+// stream included, and renders the untraced table.
+func sameAcrossWorkers(t *testing.T, e Experiment, g Grid, serial outputs) {
+	t.Helper()
+	if _, par := sweepOutputs(t, e, g, Parallel(4)); par != serial {
+		t.Fatalf("parallel sweep diverged from serial:\n%+v\n---\n%+v", serial, par)
+	}
+	if !e.Trace {
+		return
+	}
+	_, tserial := sweepOutputs(t, e, g, Parallel(1), WithTrace())
+	_, tpar := sweepOutputs(t, e, g, Parallel(4), WithTrace())
+	if tserial.trace == "" {
+		t.Fatal("a traced sweep wrote no trace stream")
+	}
+	if tpar != tserial {
+		t.Fatalf("parallel traced sweep diverged from serial:\n%+v\n---\n%+v", tserial, tpar)
+	}
+	if tserial.table != serial.table {
+		t.Fatalf("tracing changed the table:\n%s---\n%s", serial.table, tserial.table)
+	}
 }
 
 // meanOf finds the row whose point label starts with prefix.
@@ -148,9 +182,11 @@ var experimentChecks = map[string]struct {
 // TestExperiments exercises every registered experiment end to end through
 // the one pipeline, two trials per point: the grid has the expected size,
 // every NDJSON row parses and carries the common schema, the worker count
-// changes neither the table nor the NDJSON by a byte, and the per-point
-// failure policy holds (a partial failure is counted, an all-failed point is
-// fatal). cmd/wacksim provides the full-trial runs.
+// changes neither the table, the NDJSON nor the trace stream by a byte, and
+// the per-point failure policy holds (a partial failure is counted, an
+// all-failed point is fatal). The availability experiment, outside the
+// registry, goes through the same worker-count comparison. cmd/wacksim
+// provides the full-trial runs.
 func TestExperiments(t *testing.T) {
 	for _, e := range Experiments {
 		t.Run(e.Name, func(t *testing.T) {
@@ -159,15 +195,13 @@ func TestExperiments(t *testing.T) {
 				t.Fatalf("registered experiment %q has no entry in experimentChecks", e.Name)
 			}
 			g := Grid{Seed: want.seed, Trials: 2}
-			rows, table, ndjson := sweepOutputs(t, e, g, Parallel(1))
+			rows, out := sweepOutputs(t, e, g, Parallel(1))
 			if len(rows) != want.rows {
 				t.Fatalf("%d rows, want %d", len(rows), want.rows)
 			}
-			if _, ptable, pndjson := sweepOutputs(t, e, g, Parallel(4)); ptable != table || pndjson != ndjson {
-				t.Fatalf("parallel sweep diverged from serial:\n%s%s---\n%s%s", table, ndjson, ptable, pndjson)
-			}
+			sameAcrossWorkers(t, e, g, out)
 
-			lines := strings.Split(strings.TrimSpace(ndjson), "\n")
+			lines := strings.Split(strings.TrimSpace(out.ndjson), "\n")
 			if len(lines) != len(rows) {
 				t.Fatalf("%d NDJSON lines for %d rows", len(lines), len(rows))
 			}
@@ -187,7 +221,7 @@ func TestExperiments(t *testing.T) {
 					t.Fatalf("row carries no protocol activity: %s", line)
 				}
 			}
-			want.check(t, rows, table)
+			want.check(t, rows, out.table)
 
 			// The failure policy, on the experiment's own grid with the
 			// trials stubbed out: each point's first seed (or every seed)
@@ -225,6 +259,14 @@ func TestExperiments(t *testing.T) {
 			}
 		})
 	}
+	t.Run("availability", func(t *testing.T) {
+		e, g := AvailabilityExperiment(quickAvailability()), Grid{Seed: 5, Trials: 2}
+		rows, out := sweepOutputs(t, e, g, Parallel(1))
+		if len(rows) != 3 {
+			t.Fatalf("%d rows, want the aggregate and one per trial", len(rows))
+		}
+		sameAcrossWorkers(t, e, g, out)
+	})
 }
 
 func TestRouterTrialNaiveSlowerSameSeed(t *testing.T) {

@@ -288,6 +288,12 @@ type Failover struct {
 	// the detection phase; Acquirer the node that claimed the target.
 	Detector string `json:"detector,omitempty"`
 	Acquirer string `json:"acquirer,omitempty"`
+	// Explained reports whether the gap holds the whole fail-over: a
+	// gather-enter, the acquirer's membership install and the target's
+	// acquire all lie inside it. An unexplained gap still partitions
+	// (missing boundaries collapse their phases to zero), but nothing in
+	// the bundles accounts for it.
+	Explained bool `json:"explained"`
 }
 
 // Reconstruct explains each measured gap from the merged stream: the same
@@ -309,17 +315,23 @@ func (m *Merged) Reconstruct(gaps []Gap) []Failover {
 			Gap:      end.Sub(start),
 		}
 		f.Phases = obs.FailoverBreakdown(m.Events, start, end, g.Target)
+		installed := map[string]bool{} // daemons that installed a membership in the gap
 		for _, ev := range m.Events {
 			if ev.At.Before(start) || ev.At.After(end) {
 				continue
 			}
-			if f.Detector == "" && ev.Kind == obs.KindGatherEnter {
+			switch {
+			case ev.Kind == obs.KindGatherEnter && f.Detector == "":
 				f.Detector = ev.Node
-			}
-			if f.Acquirer == "" && ev.Kind == obs.KindAcquire && ev.Addr == g.Target {
+			case ev.Kind == obs.KindAcquire && ev.Addr == g.Target && f.Acquirer == "":
 				f.Acquirer = ev.Node
+			case ev.Kind == obs.KindInstall:
+				installed[ev.Node] = true
 			}
 		}
+		// Engines are tagged "daemon/client", installs with the bare daemon.
+		daemon, _, _ := strings.Cut(f.Acquirer, "/")
+		f.Explained = f.Detector != "" && f.Acquirer != "" && installed[daemon]
 		out = append(out, f)
 	}
 	return out

@@ -151,6 +151,51 @@ func TestMergeDeterministicByteIdentical(t *testing.T) {
 	}
 }
 
+// TestMergeTieBreaksByNodeThenSeq: events whose HLC stamps are equal in
+// both wall and logical parts merge in node order, and one node's events in
+// sequence order, whatever order the bundles are given in. Every stamp here
+// is shared by two events of each of three nodes.
+func TestMergeTieBreaksByNodeThenSeq(t *testing.T) {
+	dir := t.TempDir()
+	const walls = 8
+	for _, node := range []string{"c", "a", "b"} {
+		var evs []obs.Event
+		for i := 0; i < 2*walls; i++ {
+			evs = append(evs, obs.Event{At: base, HLC: hlcAt(time.Duration(i/2) * time.Millisecond),
+				Source: obs.SourceGCS, Kind: obs.KindHeartbeatMiss, Node: node})
+		}
+		writeBundle(t, dir, node, evs, nil)
+	}
+	bundles, err := LoadBundles(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first []byte
+	for _, order := range [][]int{{2, 0, 1}, {1, 2, 0}, {0, 1, 2}} {
+		shuffled := []*Bundle{bundles[order[0]], bundles[order[1]], bundles[order[2]]}
+		m := Merge(shuffled)
+		if len(m.Events) != 3*2*walls {
+			t.Fatalf("merged %d events, want %d", len(m.Events), 3*2*walls)
+		}
+		for i, ev := range m.Events {
+			w, k := i/6, i%6 // the stamp, and the event's place among its six
+			node, seq := string("abc"[k/2]), uint64(2*w+k%2+1)
+			if ev.Node != node || ev.Seq != seq {
+				t.Fatalf("order %v: event %d is %s seq %d, want %s seq %d", order, i, ev.Node, ev.Seq, node, seq)
+			}
+		}
+		var buf bytes.Buffer
+		if err := m.WriteNDJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = buf.Bytes()
+		} else if !bytes.Equal(first, buf.Bytes()) {
+			t.Fatalf("order %v: merge not byte-identical to the first order's", order)
+		}
+	}
+}
+
 func TestMergeDeduplicatesRepeatedDumpsOfOneNode(t *testing.T) {
 	dir := t.TempDir()
 	tr := obs.New(256, func() time.Time { return base })

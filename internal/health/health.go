@@ -1,6 +1,6 @@
 // Package health is the live cluster health plane: per-peer
-// detection-quality instrumentation (inter-arrival histograms, last-heard
-// ages, observe-only phi-accrual suspicion, served on /metrics as
+// detection-quality instrumentation (last-heard ages, inter-arrival
+// statistics, observe-only phi-accrual suspicion, served on /metrics as
 // health_phi). gcs.Daemon feeds a Monitor every heartbeat and token and
 // evaluates it on its own scan tick, so a threshold crossing is counted and
 // traced whether or not anybody asks; status queries and /metrics scrapes
@@ -19,7 +19,6 @@ package health
 
 import (
 	"math"
-	"math/bits"
 	"sync"
 	"time"
 
@@ -45,11 +44,6 @@ const (
 	// maxPhi caps the suspicion level once the tail probability underflows
 	// float64 (erfc ≈ 0); it also bounds the milli-phi gauge.
 	maxPhi = 300.0
-
-	// histBuckets is the number of log2 inter-arrival buckets per peer:
-	// bucket i counts intervals with bits.Len64(ns) == i, spanning 1ns to
-	// ~9.2s and beyond (the last bucket absorbs the tail).
-	histBuckets = 40
 )
 
 // Options configures a Monitor.
@@ -78,9 +72,6 @@ type PeerHealth struct {
 	// Suspected reports whether phi has crossed the threshold without a
 	// subsequent arrival clearing it.
 	Suspected bool
-	// Hist is the log2 inter-arrival histogram (bucket i counts intervals
-	// whose nanosecond value has bit-length i).
-	Hist [histBuckets]uint64
 }
 
 type peerState struct {
@@ -91,7 +82,6 @@ type peerState struct {
 	// suspectedAt is the instant phi first crossed the threshold for the
 	// current suspicion episode; Detected turns it into a lead time.
 	suspectedAt time.Time
-	hist        [histBuckets]uint64
 
 	gInter   *metrics.Gauge
 	cSuspect *metrics.Counter
@@ -259,7 +249,6 @@ func (m *Monitor) Observe(peer string, now time.Time) {
 			if ps.n < len(ps.samples) {
 				ps.n++
 			}
-			ps.hist[histBucket(uint64(ns))]++
 			ps.gInter.Set(ns)
 		}
 	}
@@ -335,7 +324,6 @@ func (m *Monitor) Snapshot(now time.Time) []PeerHealth {
 			Phi:       phi,
 			Samples:   ps.n,
 			Suspected: ps.suspected,
-			Hist:      ps.hist,
 		}
 		if !ps.lastHeard.IsZero() {
 			ph.LastHeard = now.Sub(ps.lastHeard)
@@ -467,15 +455,6 @@ func (m *Monitor) phiLocked(ps *peerState, now time.Time) float64 {
 		return maxPhi
 	}
 	return phi
-}
-
-// histBucket maps an inter-arrival gap in nanoseconds to its log2 bucket.
-func histBucket(ns uint64) int {
-	b := bits.Len64(ns)
-	if b >= histBuckets {
-		b = histBuckets - 1
-	}
-	return b
 }
 
 // phiMilli converts a phi value to the clamped milli-phi fixed-point used on

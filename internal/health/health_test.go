@@ -272,29 +272,6 @@ func TestDetectedCrossesLate(t *testing.T) {
 	}
 }
 
-func TestInterarrivalHistogram(t *testing.T) {
-	m := NewMonitor(Options{Node: "a"})
-	last := feed(m, "b", 100*time.Millisecond, 10)
-	snap := m.Snapshot(last)
-	want := histBucket(uint64(100 * time.Millisecond))
-	var total uint64
-	for i, c := range snap[0].Hist {
-		total += c
-		if c > 0 && i != want {
-			t.Fatalf("count in bucket %d, want all in %d", i, want)
-		}
-	}
-	// 10 intervals: SetPeers counts as heard-at-install, so the first
-	// arrival already closes an interval.
-	if total != 10 {
-		t.Fatalf("histogram total = %d, want 10", total)
-	}
-	// Log2 bucket i > 0 holds gaps in [2^(i-1), 2^i) ns.
-	if lo := time.Duration(uint64(1) << (want - 1)); lo > 100*time.Millisecond || lo < 50*time.Millisecond {
-		t.Fatalf("bucket %d lower bound %v does not cover 100ms", want, lo)
-	}
-}
-
 // TestPhiGaugeIsEvaluatedAtScrape: health_phi is a view of the estimator
 // at scrape time. A peer silent for three heartbeats reads as suspected on
 // /metrics although nothing evaluated the monitor since its last arrival.

@@ -72,12 +72,14 @@ run load-rolling-minimal wacksim -experiment availability -trials 2 -clients 100
 run load-flap-phi wacksim -experiment availability -trials 2 -clients 100 -fault flap -detector phi -invariants
 # Open-loop arrivals with the protocol trace and its phase breakdown, the
 # registry as it is written (-parallel 1: trials share one registry and float
-# sums depend on who adds first) and the forwarding path.
+# sums depend on who adds first; into a compared file, because `-prom -`
+# follows the table on stdout, where revisions before the one sweep loop
+# put it first) and the forwarding path.
 run load-open-trace wacksim -experiment availability -mode open -rps 2000 -clients 100 -trials 2 -fault nic -invariants -json -trace TRACE
 # The loaded shape: after the fault thousands of retransmissions fall due
 # within a few hundred microseconds, so the event queue runs thousands deep.
 run load-open-loaded wacksim -experiment availability -mode open -rps 10000 -clients 1000 -trials 1 -fault nic -invariants -json -trace TRACE
-run load-open-crash-prom wacksim -experiment availability -mode open -rps 2000 -clients 100 -trials 2 -fault crash -parallel 1 -prom -
+run load-open-crash-prom wacksim -experiment availability -mode open -rps 2000 -clients 100 -trials 2 -fault crash -parallel 1 -prom TRACE
 run load-router wacksim -experiment availability -topology router -trials 2 -clients 100 -fault nic
 # Requests that exhaust their retries: the detection timeout outlasts the
 # retransmission budget, so parked requests end in timeouts, not resets.
