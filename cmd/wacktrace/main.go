@@ -2,13 +2,17 @@
 // detection, membership, state-sync, ARP take-over — from either kind of
 // evidence the project records. Its arguments pick the loader.
 //
+// Both loaders end in the same []forensics.Failover, and one predicate
+// gates it: a gap counts as a fail-over only when a gather-enter, the
+// acquirer's membership install and the target's acquire all lie inside it.
+//
 // One file, or stdin, is the NDJSON trace stream `wacksim -trace` emits.
-// wacktrace recomputes each trial's phase spans from the raw event lines
-// via obs.FailoverBreakdown, prints per-phase percentile tables and
-// interruption histograms across trials, and writes folded-stack output
-// for flamegraph tooling (-folded). Every trial's recomputed phases must
-// partition its reported interruption within 1ms, or wacktrace prints the
-// offending trials and exits nonzero.
+// wacktrace reconstructs each trial from its raw event lines and its
+// record's gap (virtual time in place of the HLC wall), prints per-phase
+// percentile tables and interruption histograms across trials, and writes
+// folded-stack output for flamegraph tooling (-folded). Every trial must be
+// explained, with no event evicted from its ring, or wacktrace names the
+// failing trials and exits nonzero.
 //
 //	wacksim -experiment figure5 -trials 5 -trace trace.ndjson >/dev/null
 //	wacktrace -folded phases.folded trace.ndjson
@@ -19,11 +23,9 @@
 // them by the hybrid logical clocks the daemons piggybacked on every wire
 // message into one causally ordered timeline (-o), deterministic even when
 // the nodes' wall clocks disagree, reports per-node skew, and explains each
-// measured gap (-gaps, or -detect-gaps to infer them) as the four phases. A
-// gap counts as a fail-over only when a gather-enter, the acquirer's
-// membership install and the target's acquire all lie inside it, and
-// -require sets a floor on how many count; otherwise wacktrace exits
-// nonzero.
+// measured gap (-gaps, or -detect-gaps to infer them) as the four phases.
+// -require sets a floor on how many gaps are explained; below it wacktrace
+// exits nonzero.
 //
 //	wacktrace -gaps gaps.json -o merged.ndjson /var/lib/wackamole/flight
 //
@@ -57,21 +59,12 @@ func main() {
 
 // trial is one traced trial joined with its event lines.
 type trial struct {
-	point      string
-	seed       int64
-	valueSec   float64
-	reported   obs.Breakdown
-	gapStart   time.Time
-	gapEnd     time.Time
-	target     string
-	dropped    uint64 // events the trial's ring evicted
-	events     []obs.Event
-	recomputed obs.Breakdown
+	point    string
+	seed     int64
+	dropped  uint64 // events the trial's ring evicted
+	events   []obs.Event
+	failover forensics.Failover
 }
-
-// tolerance bounds how far a trial's recomputed phases may sum from its
-// reported interruption in the consistency gate.
-const tolerance = time.Millisecond
 
 func run(args []string, stdin io.Reader, out, errW io.Writer) int {
 	fs := flag.NewFlagSet("wacktrace", flag.ContinueOnError)
@@ -138,9 +131,8 @@ func run(args []string, stdin io.Reader, out, errW io.Writer) int {
 	return runTrace(in, *folded, *timelines, out, errW)
 }
 
-// runTrace recomputes every traced trial's phases from its events, prints
-// the per-point tables and gates on their consistency with the reported
-// interruptions.
+// runTrace reconstructs every traced trial from its events, prints the
+// per-point tables and gates on every trial being explained.
 func runTrace(in io.Reader, folded string, timelines bool, out, errW io.Writer) int {
 	trials, err := parseTrace(in)
 	if err != nil {
@@ -177,16 +169,20 @@ func runTrace(in io.Reader, folded string, timelines bool, out, errW io.Writer) 
 		}
 	}
 
-	bad := checkConsistency(trials)
+	var bad []string
+	for _, t := range trials {
+		if why := unexplained(t.failover, t.dropped); why != "" {
+			bad = append(bad, fmt.Sprintf("%s seed=%d: %s", t.point, t.seed, why))
+		}
+	}
 	if len(bad) > 0 {
-		fmt.Fprintf(errW, "wacktrace: %d of %d trials inconsistent with their reported interruption:\n", len(bad), len(trials))
+		fmt.Fprintf(errW, "wacktrace: %d of %d trials unexplained:\n", len(bad), len(trials))
 		for _, msg := range bad {
 			fmt.Fprintf(errW, "  %s\n", msg)
 		}
 		return 1
 	}
-	fmt.Fprintf(out, "\nwacktrace: all %d trials consistent (recomputed phases partition the reported interruption within %v)\n",
-		len(trials), tolerance)
+	fmt.Fprintf(out, "\nwacktrace: all %d trials explained (%s inside each gap, no event evicted)\n", len(trials), anchors)
 	return 0
 }
 
@@ -244,11 +240,10 @@ func runBundles(dirs []string, gapsPath string, detect time.Duration, mergedOut 
 		fmt.Fprintln(out)
 		fmt.Fprint(out, obs.RenderOwnershipTimeline(merged.Events))
 	}
-	// The gate: a gap counts as a failover only when the bundles explain
-	// it, and -require sets the floor on how many must.
+	// -require sets the floor on how many gaps the bundles explain.
 	explained := 0
 	for _, f := range failovers {
-		if f.Explained {
+		if unexplained(f, 0) == "" {
 			explained++
 		}
 	}
@@ -257,10 +252,26 @@ func runBundles(dirs []string, gapsPath string, detect time.Duration, mergedOut 
 		return 1
 	}
 	if len(gaps) > 0 {
-		fmt.Fprintf(out, "\nwacktrace: %d of %d gap(s) explained (a gather-enter, the acquirer's install and the target's acquire inside the gap)\n",
-			explained, len(failovers))
+		fmt.Fprintf(out, "\nwacktrace: %d of %d gap(s) explained (%s inside the gap)\n", explained, len(failovers), anchors)
 	}
 	return 0
+}
+
+// anchors names the events whose presence inside a gap explains it.
+const anchors = "a gather-enter, the acquirer's install and the target's acquire"
+
+// unexplained is the gate's one predicate: it says why failover f does not
+// count as explained, or returns "" when it does. Its gap must hold all of
+// anchors, and none of its events may have been evicted (evicted is a trace
+// trial's dropped count; bundles pass 0).
+func unexplained(f forensics.Failover, evicted uint64) string {
+	switch {
+	case evicted > 0:
+		return fmt.Sprintf("incomplete, its ring evicted %d events", evicted)
+	case !f.Explained:
+		return "no gather-enter, acquirer install and target acquire all inside the gap"
+	}
+	return ""
 }
 
 // writeFile creates path, writes it through write and closes it, returning
@@ -278,8 +289,8 @@ func writeFile(path string, write func(io.Writer) error) error {
 }
 
 // parseTrace reads the interleaved trial/event NDJSON stream, joining event
-// lines to their trial on (point, seed), and recomputes every trial's
-// breakdown from its events.
+// lines to their trial on (point, seed), and reconstructs every trial's
+// failover from its events and its record's gap.
 func parseTrace(r io.Reader) ([]*trial, error) {
 	type key struct {
 		point string
@@ -287,6 +298,7 @@ func parseTrace(r io.Reader) ([]*trial, error) {
 	}
 	byKey := map[key]*trial{}
 	var order []*trial
+	var gaps []forensics.Gap // gaps[i] is order[i]'s
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
 	ln := 0
@@ -315,10 +327,14 @@ func parseTrace(r io.Reader) ([]*trial, error) {
 			if err := cmp.Or(err1, err2); err != nil {
 				return nil, fmt.Errorf("line %d: trial record gap: %v", ln, err)
 			}
-			t := &trial{point: rec.Point, seed: rec.Seed, valueSec: rec.ValueSec, reported: rec.Phases,
-				gapStart: gs, gapEnd: ge, target: rec.Target, dropped: rec.Dropped}
+			gap := forensics.Gap{Target: rec.Target, Start: gs, End: ge}
+			if err := gap.Check(); err != nil {
+				return nil, fmt.Errorf("line %d: trial record gap: %v", ln, err)
+			}
+			t := &trial{point: rec.Point, seed: rec.Seed, dropped: rec.Dropped}
 			byKey[key{rec.Point, rec.Seed}] = t
 			order = append(order, t)
+			gaps = append(gaps, gap)
 		case "event":
 			t := byKey[key{head.Point, head.Seed}]
 			if t == nil {
@@ -336,8 +352,8 @@ func parseTrace(r io.Reader) ([]*trial, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	for _, t := range order {
-		t.recomputed = obs.FailoverBreakdown(t.events, t.gapStart, t.gapEnd, t.target)
+	for i, t := range order {
+		t.failover = (&forensics.Merged{Events: t.events}).Reconstruct(gaps[i : i+1])[0]
 	}
 	return order, nil
 }
@@ -371,10 +387,10 @@ func phaseTable(trials []*trial, points []string) string {
 			if t.point != p {
 				continue
 			}
-			for i, d := range t.recomputed.Phases() {
+			for i, d := range t.failover.Phases.Phases() {
 				byPhase[i] = append(byPhase[i], d)
 			}
-			byPhase[len(obs.PhaseNames)] = append(byPhase[len(obs.PhaseNames)], t.recomputed.Total())
+			byPhase[len(obs.PhaseNames)] = append(byPhase[len(obs.PhaseNames)], t.failover.Phases.Total())
 		}
 		for i, name := range append(append([]string{}, obs.PhaseNames...), "total") {
 			ds := byPhase[i]
@@ -410,7 +426,7 @@ func distribution(trials []*trial, points []string) string {
 		n := 0
 		for _, t := range trials {
 			if t.point == p {
-				h.Observe(t.recomputed.Total().Seconds())
+				h.Observe(t.failover.Phases.Total().Seconds())
 				n++
 			}
 		}
@@ -453,7 +469,7 @@ func renderTimelines(trials []*trial) string {
 // compatible tooling, and returns the first write error.
 func writeFolded(w io.Writer, trials []*trial) error {
 	for _, t := range trials {
-		for i, d := range t.recomputed.Phases() {
+		for i, d := range t.failover.Phases.Phases() {
 			if d <= 0 {
 				continue
 			}
@@ -463,36 +479,6 @@ func writeFolded(w io.Writer, trials []*trial) error {
 		}
 	}
 	return nil
-}
-
-// checkConsistency verifies, per trial, that no event was evicted, that the
-// recomputed phases sum to the reported interruption and that they agree
-// with the producer's own breakdown.
-func checkConsistency(trials []*trial) []string {
-	var bad []string
-	for _, t := range trials {
-		if t.dropped > 0 {
-			bad = append(bad, fmt.Sprintf("%s seed=%d: incomplete, its ring evicted %d events, so its phases cannot be recomputed",
-				t.point, t.seed, t.dropped))
-			continue
-		}
-		total := t.recomputed.Total()
-		reportedGap := time.Duration(t.valueSec * float64(time.Second))
-		if diff := (total - reportedGap).Abs(); diff > tolerance {
-			bad = append(bad, fmt.Sprintf("%s seed=%d: phases sum to %v but reported interruption is %v (Δ %v)",
-				t.point, t.seed, total, reportedGap, diff))
-			continue
-		}
-		rep := t.reported.Phases()
-		for i, d := range t.recomputed.Phases() {
-			if diff := (d - rep[i]).Abs(); diff > tolerance {
-				bad = append(bad, fmt.Sprintf("%s seed=%d: %s recomputed %v vs recorded %v (Δ %v)",
-					t.point, t.seed, obs.PhaseNames[i], d, rep[i], diff))
-				break
-			}
-		}
-	}
-	return bad
 }
 
 func renderBundles(bundles []*forensics.Bundle) string {
@@ -528,8 +514,8 @@ func renderFailovers(failovers []forensics.Failover) string {
 		if f.Detector != "" || f.Acquirer != "" {
 			fmt.Fprintf(&b, "  detector=%s acquirer=%s\n", f.Detector, f.Acquirer)
 		}
-		if !f.Explained {
-			fmt.Fprintln(&b, "  unexplained: no gather-enter, acquirer install and target acquire all inside the gap")
+		if why := unexplained(f, 0); why != "" {
+			fmt.Fprintf(&b, "  unexplained: %s\n", why)
 		}
 		for j, d := range f.Phases.Phases() {
 			pct := 0.0

@@ -56,7 +56,7 @@ func TestAnalyzeRealTrace(t *testing.T) {
 		"| total |",
 		"## Interruption distribution",
 		"## Ownership timelines",
-		"trials consistent",
+		"trials explained",
 	} {
 		if !strings.Contains(text, w) {
 			t.Errorf("output missing %q\n%s", w, text)
@@ -82,26 +82,99 @@ func TestAnalyzeRealTrace(t *testing.T) {
 
 func TestConsistencyGateTripsOnTamperedTrace(t *testing.T) {
 	raw := figure5Trace(t)
+	// Mark one trial's ring as having evicted events: the lines that survive
+	// cannot vouch for its fail-over.
+	tampered := bytes.Replace(raw, []byte(`"events":`), []byte(`"dropped":3,"events":`), 1)
+	if bytes.Equal(tampered, raw) {
+		t.Fatal("tamper had no effect")
+	}
+	var out, errW bytes.Buffer
+	if code := run(nil, bytes.NewReader(tampered), &out, &errW); code != 1 {
+		t.Fatalf("expected exit 1 on a trace with evicted events, got %d\nstderr:\n%s", code, errW.String())
+	}
+	if !strings.Contains(errW.String(), "1 of 4 trials unexplained") || !strings.Contains(errW.String(), "incomplete") {
+		t.Errorf("stderr missing the incomplete trial:\n%s", errW.String())
+	}
+}
+
+// TestGateFailsWithoutInstallEvents: a trace whose install events are gone
+// — what a producer that stopped emitting them would write — explains no
+// trial, although every trial's phases still partition its gap. The gate
+// exits 1 and names each trial.
+func TestGateFailsWithoutInstallEvents(t *testing.T) {
+	var kept []string
+	for _, line := range strings.Split(string(figure5Trace(t)), "\n") {
+		if !strings.Contains(line, `"kind":"install"`) {
+			kept = append(kept, line)
+		}
+	}
+	var out, errW bytes.Buffer
+	if code := run(nil, strings.NewReader(strings.Join(kept, "\n")), &out, &errW); code != 1 {
+		t.Fatalf("exit %d, want 1\nstdout:\n%s", code, out.String())
+	}
+	if !strings.Contains(errW.String(), "4 of 4 trials unexplained") {
+		t.Errorf("stderr: %s", errW.String())
+	}
+	for _, point := range []string{"default/n=3", "tuned/n=3"} {
+		if n := strings.Count(errW.String(), point+" seed="); n != 2 {
+			t.Errorf("stderr names %d trials of %s, want 2:\n%s", n, point, errW.String())
+		}
+	}
+}
+
+// TestMalformedGapsRejected: a gap that ends before it starts, or names no
+// target, is a usage error, whether it comes from -gaps or from a trace's
+// trial record.
+func TestMalformedGapsRejected(t *testing.T) {
+	dir := t.TempDir()
+	writeCluster(t, dir)
 	for _, tc := range []struct {
-		name, old, new, report string
+		name string
+		gap  forensics.Gap
 	}{
-		// Inflate one trial's reported interruption so the recomputed phases
-		// can no longer sum to it.
-		{"inflated interruption", `"value_s":`, `"value_s":9`, "phases sum to"},
-		// Mark one trial's ring as having evicted events: its phases cannot
-		// be recomputed from the lines that survive.
-		{"evicted events", `"events":`, `"dropped":3,"events":`, "incomplete"},
+		{"end before start", forensics.Gap{Target: "10.0.0.100", Start: base.Add(5 * time.Second), End: base.Add(time.Second)}},
+		{"no target", forensics.Gap{}},
+	} {
+		raw, err := json.Marshal([]forensics.Gap{{Target: "10.0.0.100", Start: base, End: base.Add(time.Second)}, tc.gap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gaps := filepath.Join(t.TempDir(), "gaps.json")
+		if err := os.WriteFile(gaps, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out, errW bytes.Buffer
+		if code := run([]string{"-gaps", gaps, dir}, nil, &out, &errW); code != 2 {
+			t.Errorf("%s: -gaps exit %d, want 2", tc.name, code)
+		}
+		if !strings.Contains(errW.String(), "gap 1") {
+			t.Errorf("%s: stderr does not name the gap: %s", tc.name, errW.String())
+		}
+	}
+
+	raw := figure5Trace(t)
+	var rec experiment.TraceTrialRecord
+	if err := json.Unmarshal(raw[:bytes.IndexByte(raw, '\n')], &rec); err != nil {
+		t.Fatal(err)
+	}
+	start, err := time.Parse(time.RFC3339Nano, rec.GapStart)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ name, old, new string }{
+		{"end before start", `"gap_end":"` + rec.GapEnd, `"gap_end":"` + start.Add(-time.Second).Format(time.RFC3339Nano)},
+		{"no target", `"target":"` + rec.Target + `"`, `"target":""`},
 	} {
 		tampered := bytes.Replace(raw, []byte(tc.old), []byte(tc.new), 1)
 		if bytes.Equal(tampered, raw) {
 			t.Fatalf("%s: tamper had no effect", tc.name)
 		}
 		var out, errW bytes.Buffer
-		if code := run(nil, bytes.NewReader(tampered), &out, &errW); code != 1 {
-			t.Fatalf("%s: expected exit 1 on inconsistent trace, got %d\nstderr:\n%s", tc.name, code, errW.String())
+		if code := run(nil, bytes.NewReader(tampered), &out, &errW); code != 2 {
+			t.Errorf("%s: trace exit %d, want 2 (stderr: %s)", tc.name, code, errW.String())
 		}
-		if !strings.Contains(errW.String(), "inconsistent") || !strings.Contains(errW.String(), tc.report) {
-			t.Errorf("%s: stderr missing %q report:\n%s", tc.name, tc.report, errW.String())
+		if !strings.Contains(errW.String(), "line 1: trial record gap") {
+			t.Errorf("%s: stderr does not name the record: %s", tc.name, errW.String())
 		}
 	}
 }
@@ -127,8 +200,8 @@ func TestInputFromFile(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 30*time.Second {
 		t.Fatalf("analysis unexpectedly slow: %v", elapsed)
 	}
-	if !strings.Contains(out.String(), "trials consistent") {
-		t.Errorf("output missing consistency line:\n%s", out.String())
+	if !strings.Contains(out.String(), "trials explained") {
+		t.Errorf("output missing the gate line:\n%s", out.String())
 	}
 }
 

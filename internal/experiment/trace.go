@@ -16,8 +16,8 @@ import (
 // and seed — so it can be split, grepped and joined without side tables.
 
 // TraceTrialRecord summarizes one traced trial. GapStart/GapEnd/Target let
-// offline analyzers (cmd/wacktrace) re-run obs.FailoverBreakdown on the
-// event lines and cross-check the result against Phases and ValueSec.
+// offline analyzers (cmd/wacktrace) explain the fail-over again from the
+// event lines that follow the record.
 // Dropped counts the trial's events its ring evicted; a trial that lost
 // any cannot be re-derived from the lines that follow it.
 type TraceTrialRecord struct {

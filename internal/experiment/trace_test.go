@@ -158,6 +158,55 @@ func TestWriteTraceShape(t *testing.T) {
 	}
 }
 
+// TestWriteTraceRoundTripsPhases: what WriteTrace writes is enough to
+// recompute every trial's breakdown. Each trial record's gap and target,
+// with the event lines that follow it, give back its phases, and they sum
+// to its value_s (both within 1ms, the float-seconds encoding's slack).
+func TestWriteTraceRoundTripsPhases(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteTrace(&buf, tracedFigure5(t, 2, 1)); err != nil {
+		t.Fatal(err)
+	}
+	const tolerance = time.Millisecond
+	near := func(a, b time.Duration) bool { return (a - b).Abs() <= tolerance }
+	var recs []TraceTrialRecord
+	events := map[int][]obs.Event{} // by index into recs
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		if strings.HasPrefix(line, `{"record":"trial"`) {
+			var rec TraceTrialRecord
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatal(err)
+			}
+			recs = append(recs, rec)
+			continue
+		}
+		var e obs.Event
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Fatal(err)
+		}
+		events[len(recs)-1] = append(events[len(recs)-1], e)
+	}
+	if len(recs) != 4 {
+		t.Fatalf("trial records = %d, want 4", len(recs))
+	}
+	for i, rec := range recs {
+		gs, err1 := time.Parse(time.RFC3339Nano, rec.GapStart)
+		ge, err2 := time.Parse(time.RFC3339Nano, rec.GapEnd)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("%s seed=%d: gap %q..%q", rec.Point, rec.Seed, rec.GapStart, rec.GapEnd)
+		}
+		got := obs.FailoverBreakdown(events[i], gs, ge, rec.Target)
+		for j, d := range got.Phases() {
+			if want := rec.Phases.Phases()[j]; !near(d, want) {
+				t.Errorf("%s seed=%d: %s recomputed %v, recorded %v", rec.Point, rec.Seed, obs.PhaseNames[j], d, want)
+			}
+		}
+		if value := time.Duration(rec.ValueSec * float64(time.Second)); !near(got.Total(), value) {
+			t.Errorf("%s seed=%d: phases sum to %v, value_s is %v", rec.Point, rec.Seed, got.Total(), value)
+		}
+	}
+}
+
 func TestTraceCapturesTheFailoverNarrative(t *testing.T) {
 	rows := tracedFigure5(t, 1, 1)
 	for _, r := range rows {

@@ -3,10 +3,11 @@
 // live daemon records its own bounded trace on its own wall clock; this
 // package merges N such bundles into one causally consistent event stream by
 // ordering on the hybrid-logical-clock stamps the daemons piggybacked on
-// every wire message, then re-derives the paper's §5 fail-over decomposition
-// (detection / membership / state-sync / ARP take-over — obs.Breakdown) from
-// live multi-daemon evidence, exactly as obs.FailoverBreakdown does inside
-// the simulator where a single virtual clock makes it trivial.
+// every wire message, then explains each measured gap as a Failover: the
+// paper's §5 phases (obs.Breakdown) and whether the gap holds the whole
+// fail-over, by the anchor search of obs.ExplainFailover. A simulated
+// trial's events, on virtual time, are a Merged stream too, so
+// cmd/wacktrace reconstructs traces and bundles alike.
 //
 // The merge is deterministic: events sort by (effective wall, logical, node,
 // per-node sequence), so repeated merges of the same bundles are
@@ -30,19 +31,15 @@ import (
 
 // Bundle is one loaded flight-recorder bundle.
 type Bundle struct {
-	// Dir is the bundle directory it was loaded from.
-	Dir string
 	// Manifest identifies the node, dump reason and clock state.
 	Manifest obs.FlightManifest
 	// Events is the node's trace tail, as recorded (node-local order).
 	Events []obs.Event
-	// Views is the node's membership history.
-	Views []obs.ViewRecord
 }
 
 // loadBundle reads one bundle directory (it must contain manifest.json).
 func loadBundle(dir string) (*Bundle, error) {
-	b := &Bundle{Dir: dir}
+	b := &Bundle{}
 	raw, err := os.ReadFile(filepath.Join(dir, obs.ManifestName))
 	if err != nil {
 		return nil, fmt.Errorf("forensics: %w", err)
@@ -61,11 +58,6 @@ func loadBundle(dir string) (*Bundle, error) {
 			b.Events = append(b.Events, ev)
 		}
 		fh.Close()
-	}
-	if raw, err := os.ReadFile(filepath.Join(dir, obs.BundleViews)); err == nil {
-		if uerr := json.Unmarshal(raw, &b.Views); uerr != nil {
-			return nil, fmt.Errorf("forensics: %s/%s: %w", dir, obs.BundleViews, uerr)
-		}
 	}
 	return b, nil
 }
@@ -266,41 +258,47 @@ type Gap struct {
 	End    time.Time `json:"end"`
 }
 
-// ReadGaps parses a JSON array of gaps.
+// Check rejects a gap no fail-over can explain: one that names no target
+// or ends before it starts.
+func (g Gap) Check() error {
+	if g.Target == "" {
+		return fmt.Errorf("no target")
+	}
+	if g.End.Before(g.Start) {
+		return fmt.Errorf("ends at %s, before its start %s", g.End.Format(time.RFC3339Nano), g.Start.Format(time.RFC3339Nano))
+	}
+	return nil
+}
+
+// ReadGaps parses a JSON array of gaps, each of which must pass Check.
 func ReadGaps(r io.Reader) ([]Gap, error) {
 	var gaps []Gap
 	if err := json.NewDecoder(r).Decode(&gaps); err != nil {
 		return nil, fmt.Errorf("forensics: gaps: %w", err)
 	}
+	for i, g := range gaps {
+		if err := g.Check(); err != nil {
+			return nil, fmt.Errorf("forensics: gap %d: %w", i, err)
+		}
+	}
 	return gaps, nil
 }
 
-// Failover is one reconstructed fail-over.
+// Failover is one reconstructed fail-over: the measured gap and what the
+// events explain of it (Phases.Total() equals Gap by construction).
 type Failover struct {
 	Target   string        `json:"target"`
 	GapStart time.Time     `json:"gap_start"`
 	GapEnd   time.Time     `json:"gap_end"`
 	Gap      time.Duration `json:"gap_ns"`
-	// Phases is the paper's §5 decomposition, re-derived from the merged
-	// stream; Phases.Total() equals Gap by construction.
-	Phases obs.Breakdown `json:"phases"`
-	// Detector is the daemon whose discovery entry (gather-enter) anchors
-	// the detection phase; Acquirer the node that claimed the target.
-	Detector string `json:"detector,omitempty"`
-	Acquirer string `json:"acquirer,omitempty"`
-	// Explained reports whether the gap holds the whole fail-over: a
-	// gather-enter, the acquirer's membership install and the target's
-	// acquire all lie inside it. An unexplained gap still partitions
-	// (missing boundaries collapse their phases to zero), but nothing in
-	// the bundles accounts for it.
-	Explained bool `json:"explained"`
+	obs.Explanation
 }
 
-// Reconstruct explains each measured gap from the merged stream: the same
-// detection/membership/state-sync/ARP partition obs.FailoverBreakdown
-// produces in simulation, now over the HLC-merged multi-daemon trace. Live
-// traces carry no fault-injection marker, so detection is anchored at the
-// gap start (the instant the outside world measured the target gone).
+// Reconstruct explains each measured gap from the merged stream with
+// obs.ExplainFailover. Live traces carry no fault-injection marker, so
+// detection is anchored at the gap start (the instant the outside world
+// measured the target gone); a simulated trial's marker anchors it at the
+// fault.
 func (m *Merged) Reconstruct(gaps []Gap) []Failover {
 	out := make([]Failover, 0, len(gaps))
 	for _, g := range gaps {
@@ -308,31 +306,13 @@ func (m *Merged) Reconstruct(gaps []Gap) []Failover {
 		// carried, so the gap and the phase boundaries (wall-clock event
 		// times) subtract in the same clock domain and partition exactly.
 		start, end := g.Start.Round(0), g.End.Round(0)
-		f := Failover{
-			Target:   g.Target,
-			GapStart: start.UTC(),
-			GapEnd:   end.UTC(),
-			Gap:      end.Sub(start),
-		}
-		f.Phases = obs.FailoverBreakdown(m.Events, start, end, g.Target)
-		installed := map[string]bool{} // daemons that installed a membership in the gap
-		for _, ev := range m.Events {
-			if ev.At.Before(start) || ev.At.After(end) {
-				continue
-			}
-			switch {
-			case ev.Kind == obs.KindGatherEnter && f.Detector == "":
-				f.Detector = ev.Node
-			case ev.Kind == obs.KindAcquire && ev.Addr == g.Target && f.Acquirer == "":
-				f.Acquirer = ev.Node
-			case ev.Kind == obs.KindInstall:
-				installed[ev.Node] = true
-			}
-		}
-		// Engines are tagged "daemon/client", installs with the bare daemon.
-		daemon, _, _ := strings.Cut(f.Acquirer, "/")
-		f.Explained = f.Detector != "" && f.Acquirer != "" && installed[daemon]
-		out = append(out, f)
+		out = append(out, Failover{
+			Target:      g.Target,
+			GapStart:    start.UTC(),
+			GapEnd:      end.UTC(),
+			Gap:         end.Sub(start),
+			Explanation: obs.ExplainFailover(m.Events, start, end, g.Target),
+		})
 	}
 	return out
 }

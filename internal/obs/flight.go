@@ -34,7 +34,7 @@ const ManifestName = "manifest.json"
 const (
 	BundleTrace   = "trace.ndjson"
 	bundleMetrics = "metrics.prom"
-	BundleViews   = "views.json"
+	bundleViews   = "views.json"
 	bundleConfig  = "config.conf"
 	bundleHeap    = "heap.pprof"
 )
@@ -77,8 +77,8 @@ const (
 	maxBundles = 16
 )
 
-// ViewRecord is one entry of the recorded membership history.
-type ViewRecord struct {
+// viewRecord is one entry of the recorded membership history.
+type viewRecord struct {
 	At         time.Time `json:"at"`
 	HLCWall    int64     `json:"hlc_wall,omitempty"`
 	HLCLogical uint32    `json:"hlc_logical,omitempty"`
@@ -112,7 +112,7 @@ type FlightManifest struct {
 type FlightRecorder struct {
 	mu    sync.Mutex
 	cfg   FlightConfig
-	views []ViewRecord
+	views []viewRecord
 	seq   int
 }
 
@@ -140,7 +140,7 @@ func (f *FlightRecorder) RecordView(ring string, members []string) {
 		return
 	}
 	f.mu.Lock()
-	rec := ViewRecord{At: f.cfg.Now(), Ring: ring, Members: append([]string(nil), members...)}
+	rec := viewRecord{At: f.cfg.Now(), Ring: ring, Members: append([]string(nil), members...)}
 	if ts := f.cfg.Tracer.clock().latest(); !ts.IsZero() {
 		rec.HLCWall, rec.HLCLogical = ts.Wall, ts.Logical
 	}
@@ -257,12 +257,12 @@ func (f *FlightRecorder) Dump(reason string) (string, error) {
 		})
 	}
 	if err == nil {
-		err = write(BundleViews, func(fh *os.File) error {
+		err = write(bundleViews, func(fh *os.File) error {
 			enc := json.NewEncoder(fh)
 			enc.SetIndent("", "  ")
 			views := f.views
 			if views == nil {
-				views = []ViewRecord{}
+				views = []viewRecord{}
 			}
 			return enc.Encode(views)
 		})

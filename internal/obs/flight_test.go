@@ -65,7 +65,7 @@ func TestFlightDumpBundleContents(t *testing.T) {
 	if man.HLCWall == 0 {
 		t.Fatal("manifest missing HLC state")
 	}
-	for _, file := range []string{BundleTrace, bundleMetrics, BundleViews, bundleConfig} {
+	for _, file := range []string{BundleTrace, bundleMetrics, bundleViews, bundleConfig} {
 		if _, err := os.Stat(filepath.Join(dir, file)); err != nil {
 			t.Fatalf("bundle missing %s: %v", file, err)
 		}

@@ -93,6 +93,24 @@ func daemonOf(node string) string {
 // missing (e.g. the ring overwrote it) collapses that phase to zero rather
 // than failing.
 func FailoverBreakdown(events []Event, gapStart, gapEnd time.Time, target string) Breakdown {
+	return ExplainFailover(events, gapStart, gapEnd, target).Phases
+}
+
+// Explanation is what FailoverBreakdown's anchor search finds in one gap.
+type Explanation struct {
+	Phases Breakdown `json:"phases"`
+	// Detector and Acquirer name the nodes whose gather-enter and acquire
+	// of the target anchor the phases, each only if it lies inside the gap.
+	Detector string `json:"detector,omitempty"`
+	Acquirer string `json:"acquirer,omitempty"`
+	// Explained: the gather-enter, the acquirer's membership install and
+	// the target's acquire all lie inside the gap. An unexplained gap still
+	// partitions (missing boundaries collapse their phases to zero).
+	Explained bool `json:"explained"`
+}
+
+// ExplainFailover is FailoverBreakdown with the anchors it found.
+func ExplainFailover(events []Event, gapStart, gapEnd time.Time, target string) Explanation {
 	// The injected fault anchors the search: markers before it belong to
 	// warm-up noise, not this fail-over.
 	var faultAt time.Time
@@ -107,9 +125,10 @@ func FailoverBreakdown(events []Event, gapStart, gapEnd time.Time, target string
 
 	// Suspicion: the first daemon to abandon the old ring after the fault.
 	var suspectAt time.Time
+	var detector string
 	for _, e := range events {
 		if e.Kind == KindGatherEnter && !e.At.Before(faultAt) {
-			suspectAt = e.At
+			suspectAt, detector = e.At, e.Node
 			break
 		}
 	}
@@ -121,14 +140,14 @@ func FailoverBreakdown(events []Event, gapStart, gapEnd time.Time, target string
 	var acquirer string
 	for _, e := range events {
 		if e.Kind == KindAcquire && e.Addr == target && !e.At.Before(faultAt) {
-			acquireAt = e.At
-			acquirer = daemonOf(e.Node)
+			acquireAt, acquirer = e.At, e.Node
 			break
 		}
 	}
 	var installAt time.Time
+	acquirerDaemon := daemonOf(acquirer)
 	for _, e := range events {
-		if e.Kind == KindInstall && daemonOf(e.Node) == acquirer &&
+		if e.Kind == KindInstall && daemonOf(e.Node) == acquirerDaemon &&
 			!e.At.Before(faultAt) && (acquireAt.IsZero() || !e.At.After(acquireAt)) {
 			installAt = e.At
 		}
@@ -149,12 +168,21 @@ func FailoverBreakdown(events []Event, gapStart, gapEnd time.Time, target string
 	t1 := clamp(suspectAt, gapStart)
 	t2 := clamp(installAt, t1)
 	t3 := clamp(acquireAt, t2)
-	return Breakdown{
+	x := Explanation{Phases: Breakdown{
 		Detection:   t1.Sub(gapStart),
 		Membership:  t2.Sub(t1),
 		StateSync:   t3.Sub(t2),
 		ARPTakeover: gapEnd.Sub(t3),
+	}}
+	inGap := func(t time.Time) bool { return !t.IsZero() && !t.Before(gapStart) && !t.After(gapEnd) }
+	if inGap(suspectAt) {
+		x.Detector = detector
 	}
+	if inGap(acquireAt) {
+		x.Acquirer = acquirer
+	}
+	x.Explained = inGap(suspectAt) && inGap(installAt) && inGap(acquireAt)
+	return x
 }
 
 // OwnershipSpan is one interval during which Owner covered an address. A
@@ -233,8 +261,8 @@ type TrialTrace struct {
 	Dropped uint64
 	Phases  Breakdown
 	// GapStart and GapEnd bound the measured interruption and Target names
-	// the probed address; offline analyzers (cmd/wacktrace) re-derive Phases
-	// from these and cross-check against the reported value.
+	// the probed address; offline analyzers (cmd/wacktrace) explain the
+	// fail-over again from these and Events.
 	GapStart, GapEnd time.Time
 	Target           string
 }

@@ -85,6 +85,42 @@ func TestFailoverBreakdownMissingMarkersCollapseToZero(t *testing.T) {
 	}
 }
 
+// TestExplainFailoverNeedsEveryAnchorInsideTheGap: a gap is explained only
+// when the gather-enter, the acquirer's install and the target's acquire
+// all lie inside it; the detector and acquirer are named only when their
+// events do.
+func TestExplainFailoverNeedsEveryAnchorInsideTheGap(t *testing.T) {
+	full := failoverEvents()
+	noInstall := append(append([]Event(nil), full[:5]...), full[6])
+	for _, tc := range []struct {
+		name               string
+		events             []Event
+		end                time.Duration
+		detector, acquirer string
+		explained          bool
+	}{
+		{"whole fail-over", full, 4 * time.Second, "d1", "d1/wackd", true},
+		{"acquire after the gap", full, 3200 * time.Millisecond, "d1", "", false},
+		{"no install", noInstall, 4 * time.Second, "d1", "d1/wackd", false},
+		{"no events", nil, 4 * time.Second, "", "", false},
+	} {
+		x := ExplainFailover(tc.events, at(time.Second), at(tc.end), "10.0.0.100")
+		if x.Detector != tc.detector || x.Acquirer != tc.acquirer || x.Explained != tc.explained {
+			t.Errorf("%s: detector=%q acquirer=%q explained=%v, want %q %q %v",
+				tc.name, x.Detector, x.Acquirer, x.Explained, tc.detector, tc.acquirer, tc.explained)
+		}
+		if x.Phases != FailoverBreakdown(tc.events, at(time.Second), at(tc.end), "10.0.0.100") {
+			t.Errorf("%s: phases %+v differ from FailoverBreakdown", tc.name, x.Phases)
+		}
+	}
+	// The loaded workload runs the search once per trial.
+	if n := testing.AllocsPerRun(100, func() {
+		ExplainFailover(full, at(time.Second), at(4*time.Second), "10.0.0.100")
+	}); n != 0 {
+		t.Fatalf("ExplainFailover allocates %v objects per call", n)
+	}
+}
+
 func TestBreakdownJSONUsesSecondsConvention(t *testing.T) {
 	b := Breakdown{Detection: 1500 * time.Millisecond, ARPTakeover: 250 * time.Millisecond}
 	got, err := b.MarshalJSON()
