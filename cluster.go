@@ -64,8 +64,8 @@ type ClusterOptions struct {
 	// Tracer records structured protocol events from the network and every
 	// node, stamped with virtual time (nil: tracing disabled).
 	Tracer *obs.Tracer
-	// Metrics records latency histograms and counters from the network and
-	// every node (nil: measurement disabled).
+	// Metrics records latency histograms and counters from every node
+	// (nil: measurement disabled).
 	Metrics *metrics.Registry
 	// ConfigureNode, if set, may adjust each server's configuration before
 	// the node is built (per-server preferences, differing timeouts...).
@@ -158,9 +158,6 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 	if opts.Tracer != nil {
 		opts.Tracer.SetNow(s.Now)
 		nw.SetEventTracer(opts.Tracer)
-	}
-	if opts.Metrics != nil {
-		nw.SetMetrics(opts.Metrics)
 	}
 	c := &Cluster{
 		Sim:     s,

@@ -248,12 +248,11 @@ type AvailabilityResult struct {
 	Interruption time.Duration
 	// Stats is the engine's full counter snapshot for the measured window.
 	Stats load.Stats
-	// FaultAt and RecoveredAt bracket the fail-over as the clients saw it
-	// (RecoveredAt is the first ok completion after the interruption).
-	FaultAt     time.Time
-	RecoveredAt time.Time
+	// FaultAt is the instant the fault was injected.
+	FaultAt time.Time
 	// Before, During and After summarize latency in the three phases
-	// [epoch, fault), [fault, recovery) and [recovery, end).
+	// [epoch, fault), [fault, recovery) and [recovery, end), where recovery
+	// is the first ok completion after the interruption.
 	Before, During, After LatencyWindow
 	// GoodputPre and GoodputPost are ok completions per second in the
 	// fault-free window and in an equally wide window at the end of the
@@ -267,9 +266,6 @@ type AvailabilityResult struct {
 	// ByServer counts responses by responding server, showing the takeover
 	// shifting traffic.
 	ByServer map[string]uint64
-	// Buckets is the per-class completion timeline (copied; BucketWidth is
-	// the engine default).
-	Buckets []load.Bucket
 	// Violation is the trial's Sample.Violation: the first invariant
 	// violation its monitor observed (nil when monitoring was off or every
 	// oracle held).
@@ -664,9 +660,7 @@ func summarizeTrial(seed int64, engine *load.Engine, faultAt time.Time) *Availab
 		Interruption: st.MaxOKGap,
 		Stats:        st,
 		FaultAt:      faultAt,
-		RecoveredAt:  recoveredAt,
 		ByServer:     map[string]uint64{},
-		Buckets:      append([]load.Bucket(nil), engine.Buckets()...),
 	}
 	for k, v := range engine.ByServer() {
 		res.ByServer[k] = v

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -326,6 +327,56 @@ func observedAvailability(clients int, rps float64) AvailabilityConfig {
 		Fault: FaultNIC, GCS: gcs.TunedConfig(),
 		Warmup: time.Second, PreFault: 2 * time.Second,
 		Invariants: true, Trace: true, Telemetry: true, Metrics: metrics.New(),
+	}
+}
+
+// TestObserversDoNotPerturbAvailability: the planes only observe. A loaded
+// trial with every plane armed (the trace and its latency registry, the
+// invariant monitor, health telemetry and the caller's registry) measures
+// exactly what the same seed measures with all of them off, and its sample
+// still carries the four gcs/core latency families its row reports.
+func TestObserversDoNotPerturbAvailability(t *testing.T) {
+	observed := observedAvailability(100, 2000)
+	bare := observed
+	bare.Invariants, bare.Trace, bare.Telemetry, bare.Metrics = false, false, false, nil
+	so, ro, err := AvailabilityTrial(1, observed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, rb, err := AvailabilityTrial(1, bare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name           string
+		observed, bare any
+	}{
+		{"Interruption", ro.Interruption, rb.Interruption},
+		{"Stats", ro.Stats, rb.Stats},
+		{"Before", ro.Before, rb.Before},
+		{"During", ro.During, rb.During},
+		{"After", ro.After, rb.After},
+		{"ByServer", ro.ByServer, rb.ByServer},
+		{"Moves", ro.Moves, rb.Moves},
+		{"Sample.Metrics", so.Metrics, sb.Metrics},
+	} {
+		if !reflect.DeepEqual(c.observed, c.bare) {
+			t.Errorf("%s: observed %+v, bare %+v", c.name, c.observed, c.bare)
+		}
+	}
+	if ro.Interruption <= 0 || ro.Stats.ConnsLost == 0 {
+		t.Fatalf("the fault went unnoticed: interruption %v, %d connections lost", ro.Interruption, ro.Stats.ConnsLost)
+	}
+	if so.Trace == nil || len(sb.Latency.Families) != 0 {
+		t.Fatal("the observed trial carries no trace, or the bare one a latency snapshot")
+	}
+	for _, fam := range []string{
+		"gcs_token_rotation_seconds", "gcs_delivery_seconds",
+		"gcs_membership_install_seconds", "core_state_sync_seconds",
+	} {
+		if so.Latency.MergedHistogram(fam).Count() == 0 {
+			t.Errorf("traced sample's latency snapshot: %s has no observations", fam)
+		}
 	}
 }
 

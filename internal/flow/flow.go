@@ -32,10 +32,12 @@
 // flight is one pooled record — it embeds its retransmission timeout, which
 // is its own entry on the client's list, keeps its encoded segment from one
 // use to the next, and is linked to its connection, and later to the
-// client's free list, through a pointer of its own. A fault that parks thousands of
-// requests at once therefore costs a record and a segment each and nothing
-// when the records are used again. Callbacks run on the simulation
-// goroutine and must not retain payload slices past their return.
+// client's free list, through a pointer of its own. New records are carved
+// from per-client slabs, and their segments from a per-client byte arena, each
+// one malloc size class (slabBytes) large, so a fault that parks thousands of
+// requests at once costs one allocation per slab's worth of them, and nothing
+// when the records are used again. Callbacks run on the simulation goroutine
+// and must not retain payload slices past their return.
 package flow
 
 import (
@@ -44,6 +46,7 @@ import (
 	"fmt"
 	"net/netip"
 	"time"
+	"unsafe"
 
 	"wackamole/internal/metrics"
 	"wackamole/internal/netsim"
@@ -304,6 +307,45 @@ type Client struct {
 	// Free records, most recently released first, linked through next.
 	freeConns    *Conn
 	freePendings *pending
+	// The unused rest of the current slabs and segment arena. A record or
+	// segment is carved from them when no free one is left, and never
+	// returned: the free lists keep it.
+	connSlab    []Conn
+	pendingSlab []pending
+	arena       []byte
+}
+
+// slabBytes is the size of one slab of records or of segment bytes: a malloc
+// size class, so that a slab uses all but the tail of its allocation.
+// Segments longer than maxCarved get an allocation of their own.
+const (
+	slabBytes = 8192
+	maxCarved = slabBytes / 16
+)
+
+// carve returns the next unused record of *slab, refilling it with a fresh
+// slab of slabBytes/size records when it is empty.
+func carve[T any](slab *[]T) *T {
+	if len(*slab) == 0 {
+		var zero T
+		*slab = make([]T, slabBytes/unsafe.Sizeof(zero))
+	}
+	r := &(*slab)[0]
+	*slab = (*slab)[1:]
+	return r
+}
+
+// segment returns an n-byte buffer for a request's encoded segment.
+func (c *Client) segment(n int) []byte {
+	if n > maxCarved {
+		return make([]byte, n)
+	}
+	if len(c.arena) < n {
+		c.arena = make([]byte, slabBytes)
+	}
+	b := c.arena[:n:n]
+	c.arena = c.arena[n:]
+	return b
 }
 
 // NewClient binds a flow client to localPort on h.
@@ -398,7 +440,8 @@ func (conn *Conn) Established() bool { return conn.state == stateEstablished }
 func (c *Client) getConn() *Conn {
 	conn := c.freeConns
 	if conn == nil {
-		conn = &Conn{client: c}
+		conn = carve(&c.connSlab)
+		conn.client = c
 		conn.dialTimer.run = (*synRetry)(conn)
 	} else {
 		c.freeConns, conn.next = conn.next, nil
@@ -417,7 +460,7 @@ func (c *Client) putConn(conn *Conn) {
 func (c *Client) getPending() *pending {
 	p := c.freePendings
 	if p == nil {
-		p = &pending{}
+		p = carve(&c.pendingSlab)
 		p.timer.run = p
 	} else {
 		c.freePendings, p.next = p.next, nil
@@ -575,7 +618,7 @@ func (conn *Conn) Request(payload []byte, cb func(resp []byte, rtt time.Duration
 	p.cb = cb
 	p.sentAt = c.elapsed()
 	if n := headerLen + len(payload); cap(p.master) < n {
-		p.master = make([]byte, n)
+		p.master = c.segment(n)
 	} else {
 		p.master = p.master[:n]
 	}

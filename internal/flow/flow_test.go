@@ -376,13 +376,13 @@ func TestSteadyStateReusesPools(t *testing.T) {
 	}
 }
 
-// TestParkedRequestsCostARecordAndASegment: a fault parks every request issued
-// into it until the peer answers again or the retry budget runs out. Each costs
-// its record (which is also its timeout on the client's list) and its encoded
-// segment, nothing per request beside them, and nothing at all once the
-// records have been used before; and all of them hold one event on the
-// simulator's queue.
-func TestParkedRequestsCostARecordAndASegment(t *testing.T) {
+// TestParkedRequestsAllocateBySlab: a fault parks every request issued into it
+// until the peer answers again or the retry budget runs out. Their records
+// (each also its timeout on the client's list) and encoded segments are carved
+// from slabs, so parking n of them allocates at most n/32 objects, and nothing
+// at all once the records have been used before; and all of them hold one
+// event on the simulator's queue.
+func TestParkedRequestsAllocateBySlab(t *testing.T) {
 	r := newRig(t, 12)
 	if _, err := NewServer(r.server, 8090, ServerConfig{}); err != nil {
 		t.Fatal(err)
@@ -411,8 +411,8 @@ func TestParkedRequestsCostARecordAndASegment(t *testing.T) {
 	}
 	nic := r.server.NICs()[0]
 	nic.SetUp(false)
-	if avg := testing.AllocsPerRun(1, burst); avg > 2*n+8 {
-		t.Errorf("parking %d requests on a dead peer allocates %.0f, want a record and a segment each (%d)", n, avg, 2*n)
+	if avg := testing.AllocsPerRun(1, burst); avg > n/32 {
+		t.Errorf("parking %d requests on a dead peer allocates %.0f, want at most %d (records and segments by the slab)", n, avg, n/32)
 	}
 	if got := armed(c); got != 2*n { // AllocsPerRun runs the burst twice
 		t.Fatalf("%d retransmission timeouts armed, want %d", got, 2*n)

@@ -26,10 +26,11 @@
 //	reset    the connection was RST — the paper's lost-connection case
 //	timeout  the flow layer's retry budget expired with no answer at all
 //
-// The engine keeps a per-class timeline in fixed-width buckets (goodput and
-// error rate across a fault), a completion log for latency-window analysis,
-// and the maximum gap between consecutive ok completions — the
-// request-level analogue of the probe's service-interruption measure.
+// The engine keeps a completion log (instant, round-trip time and class of
+// every finished request), from which goodput, error rate and latency in any
+// window across a fault are read, and the maximum gap between consecutive ok
+// completions — the request-level analogue of the probe's
+// service-interruption measure.
 package load
 
 import (
@@ -158,8 +159,6 @@ const (
 	requestTimeout = time.Second
 	// payloadSize is the request body size in bytes.
 	payloadSize = 64
-	// bucketWidth is the timeline resolution.
-	bucketWidth = 100 * time.Millisecond
 	// redialBackoff delays a closed-loop client's reconnect after a reset:
 	// an aggressive browser retry.
 	redialBackoff = 100 * time.Millisecond
@@ -193,13 +192,6 @@ type Completion struct {
 	RTT time.Duration
 	// Class is the terminal classification.
 	Class Class
-}
-
-// Bucket is one timeline cell: per-class completion counts in one
-// bucketWidth-wide (100ms) interval starting at Start.
-type Bucket struct {
-	Start  time.Time
-	Counts [NumClasses]uint64
 }
 
 // Stats is a snapshot of everything counted since the last ResetStats.
@@ -246,7 +238,6 @@ type Engine struct {
 	stats       Stats
 	lastOKAt    time.Time
 	completions []Completion
-	buckets     []Bucket
 	byServer    map[string]uint64
 	// lastServer is the most recent responder's name: responses come in long
 	// runs from one server, so the byServer key is built only when it changes.
@@ -360,8 +351,7 @@ func (e *Engine) Stop() {
 	}
 }
 
-// ResetStats zeroes counters, the completion log, the timeline and the
-// ok-gap tracker, and restarts the stats epoch at the current instant.
+// ResetStats zeroes counters, the completion log and the ok-gap tracker, and restarts the stats epoch at the current instant.
 // Call it after warm-up so measurements cover only the window of interest.
 func (e *Engine) ResetStats() {
 	now := e.host.Now()
@@ -369,7 +359,6 @@ func (e *Engine) ResetStats() {
 	e.stats = Stats{}
 	e.lastOKAt = now
 	e.completions = e.completions[:0]
-	e.buckets = e.buckets[:0]
 	for k := range e.byServer {
 		delete(e.byServer, k)
 	}
@@ -409,11 +398,6 @@ func (e *Engine) Epoch() time.Time { return e.epoch }
 // slice is live; callers must not mutate it and should copy anything they
 // keep past the next ResetStats.
 func (e *Engine) Completions() []Completion { return e.completions }
-
-// Buckets returns the per-class timeline since the last ResetStats (live
-// slice, same caveat as Completions). Bucket i covers
-// [epoch+i*bucketWidth, epoch+(i+1)*bucketWidth).
-func (e *Engine) Buckets() []Bucket { return e.buckets }
 
 // ByServer returns response counts keyed by responding server identity
 // (the default flow handler answers with the host name, so this shows the
@@ -601,11 +585,4 @@ func (e *Engine) record(class Class, rtt time.Duration) {
 		e.completions = slices.Grow(e.completions, max(len(e.completions), 64))
 	}
 	e.completions = append(e.completions, Completion{At: now, RTT: rtt, Class: class})
-	idx := int(now.Sub(e.epoch) / bucketWidth)
-	for len(e.buckets) <= idx {
-		e.buckets = append(e.buckets, Bucket{
-			Start: e.epoch.Add(time.Duration(len(e.buckets)) * bucketWidth),
-		})
-	}
-	e.buckets[idx].Counts[class]++
 }

@@ -2,6 +2,7 @@ package load
 
 import (
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -148,6 +149,7 @@ func TestTakeoverResetsAndRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.s.RunFor(5 * time.Second)
+	stopAt := r.client.Now()
 	e.Stop()
 
 	st := e.Stats()
@@ -168,14 +170,15 @@ func TestTakeoverResetsAndRecovery(t *testing.T) {
 	if open := int64(st.Issued) - int64(completed(st)); open > 200 {
 		t.Errorf("%d requests in flight for 200 closed-loop clients", open)
 	}
-	// Goodput recovery: the last full bucket should be all-ok again.
-	buckets := e.Buckets()
-	if len(buckets) < 3 {
-		t.Fatalf("only %d buckets", len(buckets))
+	// Goodput recovery: the last full 100ms before Stop is all-ok again.
+	var last [NumClasses]int
+	for _, c := range e.Completions() {
+		if !c.At.Before(stopAt.Add(-100*time.Millisecond)) && c.At.Before(stopAt) {
+			last[c.Class]++
+		}
 	}
-	last := buckets[len(buckets)-2] // -1 may be partial
-	if last.Counts[ClassOK] == 0 || last.Counts[ClassReset] != 0 {
-		t.Errorf("final bucket not recovered: %+v", last.Counts)
+	if last[ClassOK] == 0 || last[ClassReset] != 0 {
+		t.Errorf("final 100ms not recovered: %v", last)
 	}
 }
 
@@ -234,8 +237,8 @@ func TestResetStatsClearsWindow(t *testing.T) {
 	if got := completed(e.Stats()); got != 0 {
 		t.Fatalf("Total = %d immediately after ResetStats, want 0", got)
 	}
-	if len(e.Completions()) != 0 || len(e.Buckets()) != 0 {
-		t.Fatal("completion log or timeline survived ResetStats")
+	if len(e.Completions()) != 0 {
+		t.Fatal("completion log survived ResetStats")
 	}
 	r.s.RunFor(2 * time.Second)
 	e.Stop()
@@ -243,14 +246,18 @@ func TestResetStatsClearsWindow(t *testing.T) {
 	if completed(st) == 0 {
 		t.Fatal("no traffic after reset")
 	}
-	// Bucket starts must be relative to the new epoch.
-	if b := e.Buckets(); len(b) > 0 && b[0].Start != e.Epoch() {
-		t.Errorf("first bucket starts %v, want epoch %v", b[0].Start, e.Epoch())
+	// The log holds exactly the new window: every completion counted, none
+	// from before the new epoch.
+	if n := uint64(len(e.Completions())); n != completed(st) {
+		t.Errorf("log holds %d completions, stats count %d", n, completed(st))
+	}
+	if first := e.Completions()[0].At; first.Before(e.Epoch()) {
+		t.Errorf("first completion at %v, before the epoch %v", first, e.Epoch())
 	}
 }
 
 func TestDeterministicAcrossRuns(t *testing.T) {
-	run := func() (uint64, int) {
+	run := func() []Completion {
 		r := newRig(t, 42)
 		e, err := New(r.client, Config{Clients: 40, Mode: Open, RPS: 300, Target: r.target})
 		if err != nil {
@@ -259,12 +266,14 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		e.Start()
 		r.s.RunFor(5 * time.Second)
 		e.Stop()
-		return completed(e.Stats()), len(e.Buckets())
+		return e.Completions()
 	}
-	t1, b1 := run()
-	t2, b2 := run()
-	if t1 != t2 || b1 != b2 {
-		t.Fatalf("same seed diverged: totals %d/%d, buckets %d/%d", t1, t2, b1, b2)
+	c1, c2 := run(), run()
+	if len(c1) == 0 {
+		t.Fatal("no completions")
+	}
+	if !slices.Equal(c1, c2) {
+		t.Fatalf("same seed diverged: %d and %d completions", len(c1), len(c2))
 	}
 }
 

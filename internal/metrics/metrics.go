@@ -13,8 +13,8 @@
 // Like obs.Tracer, a nil *Registry is a valid, permanently disabled
 // registry: instrument getters on nil return nil instruments whose
 // observation methods are zero-allocation no-ops, so protocol code calls
-// them unconditionally on hot paths (token passes, frame deliveries) without
-// a feature flag, and traced/untraced runs stay byte-identical.
+// them unconditionally on hot paths (token passes, request completions)
+// without a feature flag, and traced/untraced runs stay byte-identical.
 package metrics
 
 import (
@@ -136,8 +136,8 @@ func (c *Counter) Value() uint64 {
 	return c.v.Load()
 }
 
-// Gauge is an integer level that can rise and fall (queue depths, in-flight
-// frames). A nil *Gauge is a valid disabled instrument.
+// Gauge is an integer level that can rise and fall (clock skews, placement
+// imbalance). A nil *Gauge is a valid disabled instrument.
 type Gauge struct {
 	v atomic.Int64
 }
@@ -149,20 +149,6 @@ func (g *Gauge) Set(n int64) {
 	}
 	g.v.Store(n)
 }
-
-// add moves the level by delta (negative deltas lower it).
-func (g *Gauge) add(delta int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(delta)
-}
-
-// Inc raises the level by one.
-func (g *Gauge) Inc() { g.add(1) }
-
-// Dec lowers the level by one.
-func (g *Gauge) Dec() { g.add(-1) }
 
 // value returns the current level (0 on nil).
 func (g *Gauge) value() int64 {

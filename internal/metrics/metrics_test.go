@@ -21,12 +21,10 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if r.Counter("requests_total", "requests served") != c {
 		t.Fatal("counter lookup is not idempotent")
 	}
-	g := r.Gauge("queue_depth", "frames in flight", L("segment", "lan"))
-	g.Inc()
-	g.Inc()
-	g.Dec()
-	if g.value() != 1 {
-		t.Fatalf("gauge = %d, want 1", g.value())
+	g := r.Gauge("skew_ns", "clock skew", L("node", "d1"))
+	g.Set(-3)
+	if g.value() != -3 {
+		t.Fatalf("gauge = %d, want -3", g.value())
 	}
 	g.Set(42)
 	if g.value() != 42 {
@@ -272,7 +270,6 @@ func TestNilRegistryZeroAlloc(t *testing.T) {
 		c.Inc()
 		c.add(3)
 		g.Set(1)
-		g.add(-1)
 		h.Observe(0.5)
 		h.ObserveDuration(time.Millisecond)
 		_ = r.Counter("x_total", "")
@@ -287,7 +284,7 @@ func TestNilRegistryZeroAlloc(t *testing.T) {
 }
 
 // TestLiveObservationZeroAlloc pins the hot observation path on live
-// instruments, which protocol code runs per token pass and per frame.
+// instruments, which protocol code runs per token pass and per request.
 func TestLiveObservationZeroAlloc(t *testing.T) {
 	r := New()
 	c := r.Counter("x_total", "")

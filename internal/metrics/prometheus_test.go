@@ -167,7 +167,7 @@ func TestPrometheusConformance(t *testing.T) {
 	r := New()
 	r.Counter("gcs_retransmits_total", "retransmissions served", L("node", "d1")).add(3)
 	r.Counter("gcs_retransmits_total", "retransmissions served", L("node", "d2")).add(4)
-	r.Gauge("netsim_segment_queue_depth", "frames in flight", L("segment", `lan "0"`)).Set(7)
+	r.Gauge("placement_skew", "most minus fewest addresses held", L("node", `d "0"`)).Set(7)
 	h := r.Histogram("gcs_token_rotation_seconds", "time between token arrivals", L("node", "d1"))
 	for i := 0; i < 5; i++ {
 		h.ObserveDuration(2 * time.Millisecond)
@@ -182,7 +182,7 @@ func TestPrometheusConformance(t *testing.T) {
 	types, samples := parsePrometheus(t, text)
 
 	if types["gcs_retransmits_total"] != "counter" ||
-		types["netsim_segment_queue_depth"] != "gauge" ||
+		types["placement_skew"] != "gauge" ||
 		types["gcs_token_rotation_seconds"] != "histogram" {
 		t.Fatalf("types = %v", types)
 	}
@@ -199,7 +199,7 @@ func TestPrometheusConformance(t *testing.T) {
 	if bySeries[`gcs_retransmits_total|node=d1`] != 3 || bySeries[`gcs_retransmits_total|node=d2`] != 4 {
 		t.Fatalf("counter series wrong: %v", bySeries)
 	}
-	if bySeries[`netsim_segment_queue_depth|segment=lan "0"`] != 7 {
+	if bySeries[`placement_skew|node=d "0"`] != 7 {
 		t.Fatalf("escaped gauge label did not round-trip: %v", bySeries)
 	}
 	if bySeries[`gcs_token_rotation_seconds_count|node=d1`] != 6 {

@@ -17,7 +17,6 @@ import (
 	"net/netip"
 	"time"
 
-	"wackamole/internal/metrics"
 	"wackamole/internal/obs"
 	"wackamole/internal/sim"
 )
@@ -129,7 +128,6 @@ type Network struct {
 	sim      *sim.Sim
 	nextMAC  MAC
 	tracer   *obs.Tracer
-	metrics  *metrics.Registry
 	counters Counters
 
 	// Freelists for the zero-allocation traffic fast path.
@@ -219,10 +217,6 @@ func (n *Network) release(p *ipPacket) {
 	n.packets.put(p)
 }
 
-// SetMetrics installs a latency-metrics registry; segments then record
-// per-segment queue depth and frame latency (nil disables measurement).
-func (n *Network) SetMetrics(r *metrics.Registry) { n.metrics = r }
-
 // SetEventTracer installs a structured event tracer recording ARP spoofs,
 // frame drops and injected faults (nil disables). It sees no frame that is
 // sent or delivered, only the protocol-relevant occurrences.
@@ -270,13 +264,6 @@ type Segment struct {
 	name string
 	cfg  SegmentConfig
 	nics []*NIC
-
-	// Instruments are created lazily on the first transmit because the
-	// registry may be installed after segment construction; nil instruments
-	// are no-ops.
-	mQueueDepth   *metrics.Gauge
-	mFrameLatency *metrics.Histogram
-	instrumented  bool
 }
 
 // Partition splits the segment so that only hosts within the same group can
@@ -342,14 +329,6 @@ func (s *Segment) latency() time.Duration {
 // holds one across the call and may find itself the only holder afterwards.
 func (s *Segment) transmit(src *NIC, fr frame) {
 	s.net.counters.FramesSent++
-	if !s.instrumented && s.net.metrics.Enabled() {
-		s.instrumented = true
-		seg := metrics.L("segment", s.name)
-		s.mQueueDepth = s.net.metrics.Gauge("netsim_segment_queue_depth",
-			"frames currently in flight on the segment (scheduled, not yet delivered)", seg)
-		s.mFrameLatency = s.net.metrics.Histogram("netsim_frame_latency_seconds",
-			"one-way frame latency drawn for each scheduled delivery, including receiver jitter", seg)
-	}
 	// Transmit-side impairment: the frame dies at the sending NIC, before
 	// any receiver sees it. Gated on the knob so un-impaired runs draw the
 	// same RNG sequence as ever.
@@ -377,15 +356,12 @@ func (s *Segment) transmit(src *NIC, fr frame) {
 			s.drop(nic.host.name, "rx-impair")
 			continue
 		}
-		// Draw the latency exactly as before instrumentation existed (one
-		// latency draw plus one jitter draw, in that order) so seeded runs
-		// stay byte-identical whether or not metrics are enabled.
+		// One latency draw, then one jitter draw: seeded runs depend on the
+		// order.
 		delay := s.latency() + nic.host.jitter()
 		if d := src.txDelay + nic.rxDelay; d > 0 {
 			delay += d
 		}
-		s.mFrameLatency.ObserveDuration(delay)
-		s.mQueueDepth.Inc()
 		j := s.net.jobs.get()
 		j.seg, j.nic, j.fr = s, nic, fr
 		if fr.pkt != nil {
@@ -418,7 +394,6 @@ func (j *deliveryJob) Run() {
 	*j = deliveryJob{}
 	seg.net.jobs.put(j)
 
-	seg.mQueueDepth.Dec()
 	if nic.up && nic.host.alive {
 		nic.host.receiveFrame(nic, fr)
 	} else if fr.pkt != nil {
