@@ -261,9 +261,6 @@ func (c *Cluster) FailServer(i int) { c.Servers[i].NIC.SetUp(false) }
 // RestoreServer re-enables a disconnected interface.
 func (c *Cluster) RestoreServer(i int) { c.Servers[i].NIC.SetUp(true) }
 
-// CrashServer halts server i's host entirely.
-func (c *Cluster) CrashServer(i int) { c.Servers[i].Host.Crash() }
-
 // Partition splits the cluster LAN into components of the given server
 // indices. The router (if any) joins the first component.
 func (c *Cluster) Partition(groups ...[]int) {

@@ -22,11 +22,13 @@
 // topology, injects a fault, and reports what the clients experienced —
 // goodput and error-rate timeline, per-class request counts (ok / reset /
 // timeout / stale), latency before/during/after the fail-over, and the
-// established connections lost at takeover. Besides the paper's clean
-// faults (nic, crash, graceful) -fault accepts the gray-failure shapes
-// flap, graylink and slownode, applied to the target's owner for
-// -gray-window under the -detector of choice, and rolling, which drains and
-// rejoins every server in sequence under the -placement policy of choice.
+// established connections lost at takeover. -fault names a preset: a short
+// schedule in the model checker's fault vocabulary (check.Preset), played
+// from the fault instant by the executor wackcheck's runs use. nic, crash
+// and graceful fail, crash or drain the target's owner; flap, graylink and
+// slownode run a gray-failure program (-shape) on the owner's interface for
+// -gray-window under the -detector of choice; rolling drains and rejoins
+// every server in turn, 2s apart, under the -placement policy of choice.
 // -json emits one aggregate row, then one row per trial; -prom writes the
 // trials' shared metrics registry in Prometheus text exposition format (-
 // for stdout, after the rows). Its own flags (-clients, -mode, -rps,
@@ -45,9 +47,9 @@ import (
 	"strings"
 	"time"
 
+	"wackamole/internal/check"
 	"wackamole/internal/experiment"
 	"wackamole/internal/experiment/runner"
-	"wackamole/internal/faults"
 	"wackamole/internal/gcs"
 	"wackamole/internal/load"
 	"wackamole/internal/metrics"
@@ -86,7 +88,7 @@ func run(args []string, out io.Writer) int {
 	fs.StringVar(&a.mode, "mode", "closed", "workload shape: open|closed")
 	fs.Float64Var(&a.rps, "rps", 1000, "aggregate Poisson arrival rate (open loop)")
 	fs.DurationVar(&a.think, "think", time.Second, "per-client think time (closed loop)")
-	fs.StringVar(&a.fault, "fault", "nic", "injected fault: nic|crash|graceful|flap|graylink|slownode|rolling")
+	fs.StringVar(&a.fault, "fault", "nic", "fault preset: nic|crash|graceful (fail, crash or drain the target's owner), flap|graylink|slownode (a gray program for -gray-window), rolling (drain and rejoin every server)")
 	fs.StringVar(&a.placement, "placement", "", "VIP placement policy: least-loaded|minimal (\"\" = least-loaded; web topology)")
 	fs.StringVar(&a.shape, "shape", "", "fault program for gray faults (internal/faults spec syntax; \"\" = the kind's default)")
 	fs.DurationVar(&a.grayWindow, "gray-window", 0, "how long a gray fault stays applied (0 = half of -post)")
@@ -238,16 +240,17 @@ func (a *availabilityFlags) config() (cfg experiment.AvailabilityConfig, err err
 	if err != nil {
 		return cfg, err
 	}
-	fk, err := experiment.ParseFaultKind(a.fault)
+	// The preset checks the fault's name and a gray fault's -shape.
+	preset, err := check.Preset(a.fault, 0, 1, a.shape, 0)
 	if err != nil {
 		return cfg, err
 	}
-	// A gray-fault flag under a clean fault would be silently dropped.
-	if a.shape != "" && !fk.Gray() {
-		return cfg, fmt.Errorf("-shape is not honoured by -fault %s", fk)
-	}
-	if a.grayWindow != 0 && !fk.Gray() {
-		return cfg, fmt.Errorf("-gray-window is not honoured by -fault %s", fk)
+	// A gray preset opens with its program; a gray-fault flag under a clean
+	// fault would be silently dropped.
+	if gray := preset[0].Shape != ""; a.shape != "" && !gray {
+		return cfg, fmt.Errorf("-shape is not honoured by -fault %s", a.fault)
+	} else if a.grayWindow != 0 && !gray {
+		return cfg, fmt.Errorf("-gray-window is not honoured by -fault %s", a.fault)
 	}
 	topo, err := experiment.ParseTopology(a.topology)
 	if err != nil {
@@ -256,11 +259,6 @@ func (a *availabilityFlags) config() (cfg experiment.AvailabilityConfig, err err
 	det, err := gcs.ParseDetector(a.detector)
 	if err != nil {
 		return cfg, err
-	}
-	if a.shape != "" {
-		if _, err := faults.ParseProgram(a.shape); err != nil {
-			return cfg, err
-		}
 	}
 	if _, err := placement.New(a.placement); err != nil {
 		return cfg, err
@@ -280,7 +278,7 @@ func (a *availabilityFlags) config() (cfg experiment.AvailabilityConfig, err err
 		Mode:       m,
 		RPS:        a.rps,
 		ThinkTime:  a.think,
-		Fault:      fk,
+		Fault:      a.fault,
 		Shape:      a.shape,
 		GrayWindow: a.grayWindow,
 		Placement:  a.placement,

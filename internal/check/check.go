@@ -64,18 +64,11 @@ func settleBound(cfg gcs.Config) time.Duration {
 // Report is the outcome of one checked run.
 type Report struct {
 	Schedule Schedule
-	// Violation is nil when every oracle held.
+	// Violation is nil when every oracle held. The run stops at the first
+	// violation, so a nil Violation means every event was applied.
 	Violation *invariant.Violation
-	// StepsExecuted counts schedule events actually applied (the run stops
-	// at the first violation).
-	StepsExecuted int
 	// Elapsed is the virtual time the run covered.
 	Elapsed time.Duration
-	// Installs and Deliveries summarize how much protocol activity the
-	// oracles observed — useful to confirm a "clean" run actually
-	// exercised something.
-	Installs   int
-	Deliveries uint64
 	// Dropped counts the entries the invariant monitor's bounds forgot
 	// (invariant.Monitor.Dropped); the verdict is exact when it is 0.
 	Dropped uint64
@@ -94,7 +87,9 @@ func Run(s Schedule, opts Options) (*Report, error) {
 	if s.VIPs < 1 {
 		return nil, fmt.Errorf("check: schedule needs at least one VIP, got %d", s.VIPs)
 	}
+	var span time.Duration
 	for _, ev := range s.Events {
+		span = max(span, ev.At)
 		switch ev.Op {
 		case opPartition, opHeal:
 		default:
@@ -126,6 +121,7 @@ func Run(s Schedule, opts Options) (*Report, error) {
 	}
 
 	var c *wackamole.Cluster
+	var x *Executor
 	var start time.Time
 	ppBound, ppWindow, fsBound := grayBounds(s, opts)
 	// The checker runs the same bounded monitor as every other consumer and
@@ -150,11 +146,6 @@ func Run(s Schedule, opts Options) (*Report, error) {
 		ChurnBound:        s.VIPs,
 	})
 
-	gray := &grayState{
-		bindings:    map[int]*faults.Binding{},
-		flapActive:  make([]bool, s.Servers),
-		jitterUntil: make([]time.Time, s.Servers),
-	}
 	daemonIdx := make(map[string]int, s.Servers)
 
 	copts := wackamole.ClusterOptions{
@@ -179,7 +170,7 @@ func Run(s Schedule, opts Options) (*Report, error) {
 				if !ok {
 					return
 				}
-				if judgeFalseSuspicion(c, gray, i, j) {
+				if x != nil && x.falseSuspicion(i, j) {
 					o.OnFalseSuspicion(i, peer)
 				}
 			})
@@ -193,21 +184,15 @@ func Run(s Schedule, opts Options) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("check: %w", err)
 	}
+	x = NewExecutor(c.Sim, opts.GCS, c.Segment, c.Servers)
 	start = c.Sim.Now()
-
-	// The delay magnitude an opJitter window applies: half the margin
-	// between heartbeats and detection, so skew can push individual probes
-	// past their deadline without making detection permanently impossible.
-	jitterMax := (opts.GCS.FaultDetectTimeout - opts.GCS.HeartbeatInterval) / 2
 
 	report := func() *Report {
 		rep := &Report{
-			Schedule:   s,
-			Violation:  o.Violation(),
-			Elapsed:    c.Sim.Now().Sub(start),
-			Installs:   o.Installs(),
-			Deliveries: o.Deliveries(),
-			Dropped:    o.Dropped(),
+			Schedule:  s,
+			Violation: o.Violation(),
+			Elapsed:   c.Sim.Now().Sub(start),
+			Dropped:   o.Dropped(),
 		}
 		if tracer != nil {
 			rep.Trace = tracer.Snapshot()
@@ -223,29 +208,16 @@ func Run(s Schedule, opts Options) (*Report, error) {
 		return report(), nil
 	}
 
-	base := c.Sim.Now()
-	executed := 0
-	for idx, ev := range s.Events {
-		o.SetStep(idx)
-		c.Sim.RunUntil(base.Add(ev.At))
-		if o.Violation() != nil {
-			break
-		}
-		apply(c, ev, jitterMax, gray)
-		executed++
-		steps.Inc()
-		o.SetStep(executed)
-		if o.Violation() != nil {
-			break
-		}
-	}
-
-	// Any fault program still live is stopped before the settle bound: the
+	// Play stops any fault program still live before the settle bound: the
 	// oracles judge a cluster that has been allowed to re-converge on clean
 	// links (shrunk schedules may have lost their clear events).
-	for i, b := range gray.bindings {
-		b.Stop()
-		gray.flapActive[i] = false
+	base := c.Sim.Now()
+	executed := x.Play(s.Events, base, base.Add(span), func(applied int) bool {
+		o.SetStep(applied)
+		return o.Violation() != nil
+	})
+	for range executed {
+		steps.Inc()
 	}
 
 	if o.Violation() == nil {
@@ -270,42 +242,31 @@ func Run(s Schedule, opts Options) (*Report, error) {
 		}
 	}
 
-	rep := report()
-	rep.StepsExecuted = executed
-	return rep, nil
+	return report(), nil
 }
 
-// grayState tracks live fault bindings plus the ground-truth context the
-// false-suspicion judge needs: which servers are flapping (their silence is
-// genuine) and which sit in an opJitter skew window (their spurious probe
-// timeouts are the jitter model working, not a detector defect).
-type grayState struct {
-	bindings    map[int]*faults.Binding
-	flapActive  []bool
-	jitterUntil []time.Time
-}
-
-// judgeFalseSuspicion decides whether observer declaring peer failed
+// falseSuspicion decides whether observer declaring peer failed
 // contradicts ground truth: the peer's host alive, its interface up, both
 // sides of the claim in the same partition component, and neither side
 // flapping or inside a jitter window.
-func judgeFalseSuspicion(c *wackamole.Cluster, gray *grayState, observer, peer int) bool {
-	if c == nil {
-		return false
-	}
-	po, pp := c.Servers[observer], c.Servers[peer]
+func (x *Executor) falseSuspicion(observer, peer int) bool {
+	po, pp := x.servers[observer], x.servers[peer]
 	if !pp.Host.Alive() || !pp.NIC.Up() || !po.NIC.Up() {
 		return false
 	}
-	if gray.flapActive[observer] || gray.flapActive[peer] {
+	if x.flaps(observer) || x.flaps(peer) {
 		return false
 	}
-	now := c.Sim.Now()
-	if now.Before(gray.jitterUntil[observer]) || now.Before(gray.jitterUntil[peer]) {
+	now := x.sim.Now()
+	if now.Before(x.jitterUntil[observer]) || now.Before(x.jitterUntil[peer]) {
 		return false
 	}
-	return c.Segment.PartitionGroup(po.NIC) == c.Segment.PartitionGroup(pp.NIC)
+	return x.seg.PartitionGroup(po.NIC) == x.seg.PartitionGroup(pp.NIC)
 }
+
+// flaps reports whether server i runs a fault program that flaps its
+// interface: its silence is genuine.
+func (x *Executor) flaps(i int) bool { return x.bindings[i] != nil && x.bindings[i].HasFlap() }
 
 // grayBounds derives the gray-oracle arming from the schedule and the
 // serialized options alone, so an artifact replays under the bounds it was
@@ -366,65 +327,4 @@ func grayBounds(s Schedule, opts Options) (ppBound int, ppWindow time.Duration, 
 	// margin before calling the detector defective.
 	fsBound = 3 + 3*(int(grayDur/opts.GCS.FaultDetectTimeout)+1)
 	return
-}
-
-// apply executes one schedule event against the cluster. Inapplicable
-// events (restoring an up interface, severing an already-detached session)
-// degrade to deterministic no-ops so shrunk schedules stay runnable.
-func apply(c *wackamole.Cluster, ev Event, jitterMax time.Duration, gray *grayState) {
-	switch ev.Op {
-	case opFail:
-		c.FailServer(ev.Server)
-	case opRestore:
-		c.RestoreServer(ev.Server)
-	case opPartition:
-		var sideA, sideB []int
-		for i := range c.Servers {
-			if ev.Mask&(1<<uint(i)) != 0 {
-				sideA = append(sideA, i)
-			} else {
-				sideB = append(sideB, i)
-			}
-		}
-		if len(sideA) == 0 || len(sideB) == 0 {
-			c.Heal()
-			return
-		}
-		c.Partition(sideA, sideB)
-	case opHeal:
-		c.Heal()
-	case opSever:
-		if sess := c.Servers[ev.Server].Node.Session(); sess != nil {
-			sess.Sever()
-		}
-	case opLeave:
-		if c.Servers[ev.Server].Node.Connected() {
-			// Error is impossible under the Connected guard; a failed
-			// leave would surface as an oracle violation anyway.
-			_ = c.Servers[ev.Server].Node.LeaveService()
-		}
-	case opJitter:
-		host := c.Servers[ev.Server].Host
-		host.SetProcessingJitter(jitterMax)
-		gray.jitterUntil[ev.Server] = c.Sim.Now().Add(jitterWindow)
-		c.Sim.After(jitterWindow, func() { host.SetProcessingJitter(0) })
-	case opShape:
-		if b := gray.bindings[ev.Server]; b != nil {
-			b.Stop()
-		}
-		b, err := faults.ApplyProgram(c.Sim, c.Servers[ev.Server].NIC, ev.Shape)
-		if err != nil { // Run validates upfront, so this cannot fire
-			delete(gray.bindings, ev.Server)
-			gray.flapActive[ev.Server] = false
-			return
-		}
-		gray.bindings[ev.Server] = b
-		gray.flapActive[ev.Server] = b.HasFlap()
-	case opClear:
-		if b := gray.bindings[ev.Server]; b != nil {
-			b.Stop()
-			delete(gray.bindings, ev.Server)
-			gray.flapActive[ev.Server] = false
-		}
-	}
 }

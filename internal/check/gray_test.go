@@ -88,9 +88,6 @@ func TestGrayScheduleSatisfiesOracles(t *testing.T) {
 	if rep.Violation != nil {
 		t.Fatalf("gray schedule reported violation: %v", rep.Violation)
 	}
-	if rep.StepsExecuted != len(s.Events) {
-		t.Fatalf("executed %d of %d events", rep.StepsExecuted, len(s.Events))
-	}
 }
 
 // TestGraylinkRegatherKeepsViewsConsistent pins a regression the gray

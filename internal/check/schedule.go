@@ -31,6 +31,18 @@
 //	false-suspect   Gray-failure accuracy — nodes may not declare live,
 //	                reachable peers failed more often than the injected
 //	                impairments can explain.
+//
+// Schedules speak the repository's one fault vocabulary, which one Executor
+// applies, for Run and for the availability experiment's presets (Preset,
+// wacksim -fault) alike:
+//
+//	fail, restore     take every interface of a server down, bring them up
+//	crash             halt a server's host
+//	partition, heal   split the LAN in two (Event.Mask), make it whole
+//	sever             kill a server's daemon session; it reconnects
+//	leave, join       drain a server out of service, re-admit it
+//	jitter            delay a server's processing for a 2 s window
+//	shape, clear      start, stop an internal/faults program on its interface
 package check
 
 import (
@@ -42,12 +54,14 @@ import (
 // Op is one fault-program operation.
 type Op uint8
 
-// Schedule operations. Each drives the cluster's fault-injection surface:
-// the paper's own testbed method (§6) plus the §4.2 session faults.
+// Schedule operations: the paper's testbed faults (§6), the §4.2 session
+// faults and the gray shapes of internal/faults. Generate draws the first
+// nine; opCrash and opJoin come from hand-written schedules and presets.
 const (
-	// opFail takes server A's interface down (the paper's fault injection).
+	// opFail takes server A's interfaces down (the paper's fault injection;
+	// a cluster server has one).
 	opFail Op = iota + 1
-	// opRestore brings server A's interface back up.
+	// opRestore brings server A's interfaces back up.
 	opRestore
 	// opPartition splits the LAN: servers with bit i set in Mask form one
 	// side, the rest the other. Replaces any partition already in effect.
@@ -57,8 +71,8 @@ const (
 	// opSever abruptly kills server A's daemon session (§4.2); the node
 	// reconnects automatically after its reconnect interval.
 	opSever
-	// opLeave gracefully leaves service on server A, permanently. The
-	// daemon keeps running; the node never rejoins.
+	// opLeave drains server A: its engine releases its addresses and leaves
+	// service, its daemon keeps running, until an opJoin re-admits it.
 	opLeave
 	// opJitter opens a bounded window of scheduling delay on server A's
 	// host, modelling the clock skew that makes probe/heartbeat timeouts
@@ -71,6 +85,11 @@ const (
 	// opClear stops the fault program on server A, restoring the clean
 	// interface.
 	opClear
+	// opCrash halts server A's host for good, daemon and engine with it.
+	opCrash
+	// opJoin re-admits server A after an opLeave: its engine restarts the
+	// §3.4 maturity bootstrap and a fresh session joins the group.
+	opJoin
 )
 
 var opNames = map[Op]string{
@@ -83,6 +102,8 @@ var opNames = map[Op]string{
 	opJitter:    "jitter",
 	opShape:     "shape",
 	opClear:     "clear",
+	opCrash:     "crash",
+	opJoin:      "join",
 }
 
 var opValues = func() map[string]Op {
@@ -107,7 +128,7 @@ func (o Op) String() string {
 type Event struct {
 	At     time.Duration
 	Op     Op
-	Server int    // target for Fail/Restore/Sever/Leave/Jitter/Shape/Clear
+	Server int    // target of every op but Partition and Heal
 	Mask   uint64 // Partition: servers on side A
 	Shape  string // Shape: fault program in internal/faults spec syntax
 }

@@ -8,8 +8,8 @@ import (
 	"time"
 
 	"wackamole"
+	"wackamole/internal/check"
 	"wackamole/internal/experiment/runner"
-	"wackamole/internal/faults"
 	"wackamole/internal/flow"
 	"wackamole/internal/gcs"
 	"wackamole/internal/health"
@@ -38,64 +38,15 @@ const FlowPort = 8090
 // from clientPort, the probe client's).
 const LoadClientPort = 9100
 
-// FaultKind selects the injected fault.
-type FaultKind string
-
-// The fault injections the experiment supports: the paper's three clean
-// faults plus the three gray-failure shapes of internal/faults.
+// The AvailabilityConfig.Fault presets the experiment's code names.
 const (
-	// FaultNIC disconnects the victim's interface — the paper's §6 method.
-	FaultNIC FaultKind = "nic"
-	// faultCrash halts the victim host entirely.
-	faultCrash FaultKind = "crash"
-	// faultGraceful makes the victim leave service voluntarily.
-	faultGraceful FaultKind = "graceful"
-	// faultFlap cycles the victim's interface down and up on a duty cycle
-	// for GrayWindow, then clears (web topology only).
-	faultFlap FaultKind = "flap"
-	// faultGrayLink leaves the victim up but drops and delays its frames
-	// per direction for GrayWindow — the lossy-but-alive link.
-	faultGrayLink FaultKind = "graylink"
-	// faultSlowNode starves the victim's daemon of CPU for GrayWindow: it
-	// holds the token late without ever being down.
-	faultSlowNode FaultKind = "slownode"
-	// faultRolling restarts every server in sequence — drain (graceful
-	// leave), wait rollingGap, rejoin, wait rollingGap — under continuous
-	// traffic: the rolling-upgrade schedule. Web topology only; disruption
-	// is reported per phase on AvailabilityResult.Phases.
-	faultRolling FaultKind = "rolling"
+	FaultNIC     = "nic"
+	faultCrash   = "crash"
+	faultRolling = "rolling"
 )
 
-// ParseFaultKind converts a CLI spelling into a FaultKind.
-func ParseFaultKind(s string) (FaultKind, error) {
-	switch FaultKind(s) {
-	case FaultNIC, faultCrash, faultGraceful, faultFlap, faultGrayLink, faultSlowNode, faultRolling:
-		return FaultKind(s), nil
-	default:
-		return "", fmt.Errorf("experiment: unknown fault %q (want nic, crash, graceful, flap, graylink, slownode or rolling)", s)
-	}
-}
-
-// defaultShapeSpec is the fault program a gray FaultKind applies when
-// AvailabilityConfig.Shape does not override it.
-func defaultShapeSpec(f FaultKind) string {
-	switch f {
-	case faultFlap:
-		return "flap(period=800ms,duty=0.5,jitter=20ms)"
-	case faultGrayLink:
-		return "graylink(rxloss=0.3,txloss=0.3,rxdelay=1ms,txdelay=1ms)"
-	case faultSlowNode:
-		return "slownode(stall=60ms)"
-	}
-	return ""
-}
-
-// Gray reports whether f is one of the gray-failure shapes, the faults that
-// AvailabilityConfig.Shape and GrayWindow apply to.
-func (f FaultKind) Gray() bool { return defaultShapeSpec(f) != "" }
-
 // rollingGap is the settle period after each drain and each rejoin of the
-// rolling schedule. Rolling trials shorten the engines' balance timeout to
+// rolling preset. Rolling trials shorten the engines' balance timeout to
 // one second so a rejoined node is re-admitted within the gap.
 const rollingGap = 2 * time.Second
 
@@ -134,15 +85,18 @@ type AvailabilityConfig struct {
 	Mode      load.Mode
 	RPS       float64
 	ThinkTime time.Duration
-	// Fault selects the injection (default nic). The router topology
-	// supports nic and crash.
-	Fault FaultKind
-	// Shape overrides the fault program a gray FaultKind applies
-	// (internal/faults spec syntax; "" means the kind's default).
+	// Fault names the injected fault (default nic): a check.Preset played
+	// from the fault instant against the target's owner. rolling reports
+	// its disruption per phase (AvailabilityResult.Phases); the router
+	// topology supports nic and crash.
+	Fault string
+	// Shape overrides the fault program a gray fault applies
+	// (internal/faults spec syntax; "" means the preset's default).
 	Shape string
 	// GrayWindow is how long a gray fault stays applied before it is
-	// cleared and the cluster re-converges (default: half of PostFault).
-	// Ignored for instantaneous faults.
+	// cleared and the cluster re-converges (default: half of PostFault). A
+	// program still live when the trial ends is stopped before the settled
+	// state is probed. Ignored for the other faults.
 	GrayWindow time.Duration
 	// Placement names the VIP placement policy every server runs
 	// (placement.Names(); "" means least-loaded, the paper's rule). The
@@ -302,8 +256,8 @@ type RollingPhase struct {
 	// phase, edges included — a phase with no service at all reports its
 	// full width.
 	MaxOKGap time.Duration
-	// Completions and OK count the requests that terminated in the phase.
-	Completions, OK uint64
+	// OK counts the ok completions in the phase.
+	OK uint64
 }
 
 // AvailabilityTrial runs one seeded trial and returns the runner sample
@@ -331,15 +285,16 @@ func AvailabilityTrial(seed int64, cfg AvailabilityConfig) (runner.Sample, *Avai
 
 func availabilityWebTrial(seed int64, cfg AvailabilityConfig) (runner.Sample, *AvailabilityResult, error) {
 	p := armPlanes(cfg.Trace, cfg.Invariants, availabilityMonitor(seed, cfg))
+	rolling := cfg.Fault == faultRolling
 	mods := []func(*wackamole.ClusterOptions){p.cluster, func(o *wackamole.ClusterOptions) {
 		o.Placement = cfg.Placement
-		if cfg.Fault == faultRolling {
+		if rolling {
 			// A rejoined node is only handed load at the next balance; a
 			// one-second timeout keeps re-admission inside rollingGap.
 			o.BalanceTimeout = time.Second
 		}
 	}}
-	if cfg.Fault == faultRolling && cfg.Servers < 2 {
+	if rolling && cfg.Servers < 2 {
 		return runner.Sample{}, nil, fmt.Errorf("experiment: the rolling fault needs at least 2 servers")
 	}
 	// Detection accounting: every daemon reports who it declares failed and
@@ -394,17 +349,31 @@ func availabilityWebTrial(seed int64, cfg AvailabilityConfig) (runner.Sample, *A
 	wc.RunFor(cfg.Warmup)
 	wc.RunFor(time.Duration(wc.Sim.Rand().Int63n(int64(cfg.GCS.HeartbeatInterval))))
 	engine.ResetStats()
-	window := cfg.PreFault + cfg.PostFault
-	if cfg.Fault == faultRolling {
-		window += 2 * rollingGap * time.Duration(cfg.Servers)
+	// The rolling preset occupies two gaps per server before the PostFault
+	// window starts.
+	post, owner, hold := cfg.PostFault, 0, cfg.GrayWindow
+	if rolling {
+		post += 2 * rollingGap * time.Duration(cfg.Servers)
+		hold = rollingGap
 	}
-	engine.Reserve(window)
+	engine.Reserve(cfg.PreFault + post)
 	wc.RunFor(cfg.PreFault)
 
 	faultAt := wc.Sim.Now()
 	movesBase := clusterVIPMoves(wc)
+	if !rolling {
+		var holders int
+		if owner, holders = wc.Owner(wc.Target); holders != 1 {
+			return runner.Sample{}, nil, fmt.Errorf("experiment: %d holders of the target before fault", holders)
+		}
+		victimID = string(wc.Servers[owner].Node.Daemon().ID())
+	}
+	events, err := check.Preset(cfg.Fault, owner, cfg.Servers, cfg.Shape, hold)
+	if err != nil {
+		return runner.Sample{}, nil, err
+	}
 	var phases []RollingPhase
-	if cfg.Fault == faultRolling {
+	if rolling {
 		// The churn oracle arms here — after formation and warmup, whose
 		// incremental views legitimately exceed a single-change bound —
 		// with the configured policy's own guarantee for one membership
@@ -417,39 +386,12 @@ func availabilityWebTrial(seed int64, cfg AvailabilityConfig) (runner.Sample, *A
 			}
 			p.mon.ArmChurn(placer.MoveBound(len(wc.Groups), cfg.Servers-1))
 		}
-		if phases, err = runRollingSchedule(wc, cfg); err != nil {
-			return runner.Sample{}, nil, err
-		}
-	} else {
-		victim, holders := wc.Owner(wc.Target)
-		if holders != 1 {
-			return runner.Sample{}, nil, fmt.Errorf("experiment: %d holders of the target before fault", holders)
-		}
-		victimID = string(wc.Servers[victim].Node.Daemon().ID())
-		switch cfg.Fault {
-		case FaultNIC:
-			wc.FailServer(victim)
-		case faultCrash:
-			wc.CrashServer(victim)
-		case faultGraceful:
-			if err := wc.Servers[victim].Node.LeaveService(); err != nil {
-				return runner.Sample{}, nil, err
-			}
-		case faultFlap, faultGrayLink, faultSlowNode:
-			spec := cfg.Shape
-			if spec == "" {
-				spec = defaultShapeSpec(cfg.Fault)
-			}
-			b, err := faults.ApplyProgram(wc.Sim, wc.Servers[victim].NIC, spec)
-			if err != nil {
-				return runner.Sample{}, nil, err
-			}
-			// The shape stays live for GrayWindow, then clears so the
-			// trial's tail measures re-convergence on a clean link.
-			wc.Sim.After(cfg.GrayWindow, func() { b.Stop() })
+		// A phase starts at each server's drain, the first of its events.
+		for i := 0; i < len(events); i += 2 {
+			phases = append(phases, RollingPhase{Server: events[i].Server, Start: faultAt.Add(events[i].At)})
 		}
 	}
-	wc.RunFor(cfg.PostFault)
+	check.NewExecutor(wc.Sim, cfg.GCS, wc.Segment, wc.Servers).Play(events, faultAt, faultAt.Add(post), nil)
 
 	res := summarizeTrial(seed, engine, faultAt)
 	res.Moves = clusterVIPMoves(wc) - movesBase
@@ -501,27 +443,6 @@ func clusterVIPMoves(wc *WebCluster) uint64 {
 	return n
 }
 
-// runRollingSchedule restarts every server in sequence: drain via a
-// graceful leave, wait rollingGap for the survivors to repair, rejoin via
-// JoinService (which restarts the §3.4 maturity bootstrap), wait rollingGap
-// for the balance to re-admit the node. Returns one phase record per server
-// with its start stamped; finalizePhases closes them after the trial.
-func runRollingSchedule(wc *WebCluster, cfg AvailabilityConfig) ([]RollingPhase, error) {
-	phases := make([]RollingPhase, 0, len(wc.Servers))
-	for i := range wc.Servers {
-		phases = append(phases, RollingPhase{Server: i, Start: wc.Sim.Now()})
-		if err := wc.Servers[i].Node.LeaveService(); err != nil {
-			return nil, fmt.Errorf("experiment: drain server %d: %w", i, err)
-		}
-		wc.RunFor(rollingGap)
-		if err := wc.Servers[i].Node.JoinService(); err != nil {
-			return nil, fmt.Errorf("experiment: rejoin server %d: %w", i, err)
-		}
-		wc.RunFor(rollingGap)
-	}
-	return phases, nil
-}
-
 // finalizePhases closes each phase at the next one's start (the last at the
 // final completion) and fills the per-phase disruption summary. Must run
 // before engine.Stop (live completion slice).
@@ -536,18 +457,16 @@ func finalizePhases(phases []RollingPhase, engine *load.Engine) {
 		} else {
 			phases[i].End = end
 		}
-		phases[i].MaxOKGap, phases[i].Completions, phases[i].OK =
-			phaseWindow(engine.Completions(), phases[i].Start, phases[i].End)
+		phases[i].MaxOKGap, phases[i].OK = phaseWindow(engine.Completions(), phases[i].Start, phases[i].End)
 	}
 }
 
 // phaseWindow computes the longest interval without an ok completion inside
 // [from, to) — edge gaps included, so a phase with no ok completions at all
-// reports its full width — plus the phase's completion counts.
-func phaseWindow(completions []load.Completion, from, to time.Time) (gap time.Duration, total, ok uint64) {
+// reports its full width — plus the phase's ok count.
+func phaseWindow(completions []load.Completion, from, to time.Time) (gap time.Duration, ok uint64) {
 	prev := from
 	for _, c := range within(completions, from, to) {
-		total++
 		if c.Class == load.ClassOK {
 			ok++
 			if d := c.At.Sub(prev); d > gap {
@@ -559,7 +478,7 @@ func phaseWindow(completions []load.Completion, from, to time.Time) (gap time.Du
 	if d := to.Sub(prev); d > gap {
 		gap = d
 	}
-	return gap, total, ok
+	return gap, ok
 }
 
 // availabilityMonitor configures the per-trial online monitor (zero when
@@ -617,16 +536,12 @@ func availabilityRouterTrial(seed int64, cfg AvailabilityConfig) (runner.Sample,
 	if err != nil {
 		return runner.Sample{}, nil, err
 	}
-	faultAt := sc.sim.Now()
-	switch cfg.Fault {
-	case FaultNIC:
-		for _, nic := range sc.frHosts[active].NICs() {
-			nic.SetUp(false)
-		}
-	case faultCrash:
-		sc.frHosts[active].Crash()
+	events, err := check.Preset(cfg.Fault, active, len(sc.routers), "", 0)
+	if err != nil {
+		return runner.Sample{}, nil, err
 	}
-	sc.sim.RunFor(cfg.PostFault)
+	faultAt := sc.sim.Now()
+	check.NewExecutor(sc.sim, cfg.GCS, sc.webNet, sc.routers).Play(events, faultAt, faultAt.Add(cfg.PostFault), nil)
 
 	res := summarizeTrial(seed, engine, faultAt)
 	engine.Stop()

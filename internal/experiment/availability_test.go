@@ -122,7 +122,7 @@ func TestAvailabilityTrialRouterRejectsWebOnlyOptions(t *testing.T) {
 
 func TestAvailabilityTrialGraceful(t *testing.T) {
 	cfg := quickAvailability()
-	cfg.Fault = faultGraceful
+	cfg.Fault = "graceful"
 	_, res, err := AvailabilityTrial(3, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -135,6 +135,29 @@ func TestAvailabilityTrialGraceful(t *testing.T) {
 	}
 	if res.Recovery < 0.99 {
 		t.Errorf("recovery = %v, want ≥ 0.99", res.Recovery)
+	}
+}
+
+// TestGrayProgramOutlivingTheTrialIsStopped: a gray window longer than the
+// trial leaves the fault program live when the measured window ends. The
+// trial stops it there, as check.Run does before its settle bound, so the
+// settled-state probe judges a clean link: with the owner's link still
+// flapping, seed 7920 read 10.0.0.100 as held by nobody.
+func TestGrayProgramOutlivingTheTrialIsStopped(t *testing.T) {
+	cfg := AvailabilityConfig{
+		Clients:    50,
+		ThinkTime:  time.Second,
+		Fault:      "flap",
+		GrayWindow: 30 * time.Second,
+		PostFault:  6 * time.Second,
+		Invariants: true,
+	}
+	_, res, err := AvailabilityTrial(7920, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Violation != nil {
+		t.Fatalf("invariant violation after a gray window outlived the trial: %v", res.Violation)
 	}
 }
 

@@ -43,10 +43,13 @@ var (
 // acting as one virtual router between an external network (with an
 // upstream RIP router towards the client) and an internal web network.
 type virtualRouterScenario struct {
-	sim     *sim.Sim
-	net     *netsim.Network
-	frHosts [2]*netsim.Host
-	frs     [2]*router.PhysicalRouter
+	sim *sim.Sim
+	net *netsim.Network
+	// routers are the two fail-over routers as a fault schedule numbers
+	// them, servers 0 and 1, each with its group-communication interface on
+	// webNet.
+	routers []*wackamole.Server
+	webNet  *netsim.Segment
 	client  *probe.Client
 	// server and clientHost are the endpoints of the probed path; the
 	// request-level availability trial attaches a flow server and a load
@@ -59,8 +62,8 @@ type virtualRouterScenario struct {
 // plus the two fail-over routers' daemon and engine counters.
 func (sc *virtualRouterScenario) metrics() runner.Metrics {
 	m := networkMetrics(sc.net)
-	for _, fr := range sc.frs {
-		nodeMetrics(&m, fr.Node)
+	for _, r := range sc.routers {
+		nodeMetrics(&m, r.Node)
 	}
 	return m
 }
@@ -90,7 +93,7 @@ func newVirtualRouterScenario(seed int64, mode RouterMode, cfg gcs.Config, ripCf
 	}
 	uRIP.Start()
 
-	sc := &virtualRouterScenario{sim: s, net: nw}
+	sc := &virtualRouterScenario{sim: s, net: nw, webNet: webNet}
 
 	// The indivisible virtual address group spanning both networks (§5.2).
 	group := core.VIPGroup{Name: "vrouter", Addrs: []netip.Addr{extVIP, webVIP}}
@@ -102,7 +105,6 @@ func newVirtualRouterScenario(seed int64, mode RouterMode, cfg gcs.Config, ripCf
 		fr := nw.NewHost(fmt.Sprintf("fr%d", i+1))
 		fr.AttachNIC(extNet, "ext", netip.MustParsePrefix(fmt.Sprintf("198.51.100.%d/24", 3+i)))
 		webNIC := fr.AttachNIC(webNet, "web", netip.MustParsePrefix(fmt.Sprintf("10.1.0.%d/24", 2+i)))
-		sc.frHosts[i] = fr
 
 		pr, err := router.New(router.Options{
 			Host:          fr,
@@ -123,7 +125,7 @@ func newVirtualRouterScenario(seed int64, mode RouterMode, cfg gcs.Config, ripCf
 		if err := pr.Start(); err != nil {
 			return nil, err
 		}
-		sc.frs[i] = pr
+		sc.routers = append(sc.routers, &wackamole.Server{Host: fr, NIC: webNIC, Node: pr.Node})
 	}
 
 	// Internal web server, reached through the virtual router.
@@ -153,14 +155,14 @@ func newVirtualRouterScenario(seed int64, mode RouterMode, cfg gcs.Config, ripCf
 // activeRouter returns the index of the physical router holding the
 // virtual addresses.
 func (sc *virtualRouterScenario) activeRouter() (int, error) {
-	for i, fr := range sc.frHosts {
+	for i, r := range sc.routers {
 		holds := false
-		for _, nic := range fr.NICs() {
+		for _, nic := range r.Host.NICs() {
 			if nic.HasAddr(extVIP) || nic.HasAddr(webVIP) {
 				holds = true
 			}
 		}
-		if holds && fr.Alive() {
+		if holds && r.Host.Alive() {
 			return i, nil
 		}
 	}
@@ -192,7 +194,7 @@ func RouterTrial(seed int64, mode RouterMode, cfg gcs.Config, ripCfg rip.Config)
 	if err != nil {
 		return runner.Sample{}, err
 	}
-	sc.frHosts[active].Crash()
+	sc.routers[active].Host.Crash()
 	maxWait := 3*ripCfg.AdvertisePeriod + 4*(cfg.FaultDetectTimeout+cfg.DiscoveryTimeout)
 	step := 100 * time.Millisecond
 	for waited := time.Duration(0); waited < maxWait; waited += step {

@@ -152,7 +152,6 @@ type Monitor struct {
 	selfs       []core.MemberID
 	currentView []core.View
 	installs    uint64
-	delivers    uint64
 
 	// viewMembers pins the member list first seen for each view ID;
 	// viewEvict bounds it to maxViews entries.
@@ -322,16 +321,6 @@ func (m *Monitor) Installs() int {
 	return int(m.installs)
 }
 
-// Deliveries totals Agreed deliveries observed across the attached nodes.
-func (m *Monitor) Deliveries() uint64 {
-	if m == nil {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.delivers
-}
-
 // Dropped counts the entries the monitor's bounds have forgotten: view-table
 // evictions, view-history overwrites, ring evictions, deliveries that arrive
 // behind their ring's origin window, and ownership events for VIP groups
@@ -441,7 +430,6 @@ func (m *Monitor) OnDelivery(i int, ring gcs.RingID, seq uint64, origin gcs.Daem
 	}
 	m.delivC.Inc()
 	m.mu.Lock()
-	m.delivers++
 	if last, ok := m.lastSeq[i][ring]; ok && seq <= last {
 		m.failLocked(oracleDeliveryOrder,
 			"server %d delivered ring %s seq %d after seq %d", i, ring, seq, last)

@@ -196,7 +196,7 @@ func TestInvariantMonitorLiveCluster(t *testing.T) {
 	if mon.Installs() == 0 {
 		t.Fatal("monitor observed no view installations")
 	}
-	if mon.Deliveries() == 0 {
+	if reg.Counter("invariant_delivery_events_total", "").Value() == 0 {
 		t.Fatal("monitor observed no deliveries")
 	}
 	if got := reg.Counter("invariant_violations_total", "").Value(); got != 0 {

@@ -107,7 +107,7 @@ func TestNodeStopGracefulVsCrashTiming(t *testing.T) {
 		if graceful {
 			c.Servers[2].Node.Stop()
 		} else {
-			c.CrashServer(2)
+			c.Servers[2].Host.Crash()
 		}
 		c.RunFor(15 * time.Second)
 		if installedAt == 0 {

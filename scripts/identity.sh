@@ -70,6 +70,11 @@ run load-crash wacksim -experiment availability -trials 2 -clients 100 -fault cr
 run load-rolling wacksim -experiment availability -trials 2 -clients 100 -fault rolling
 run load-rolling-minimal wacksim -experiment availability -trials 2 -clients 100 -fault rolling -placement minimal
 run load-flap-phi wacksim -experiment availability -trials 2 -clients 100 -fault flap -detector phi -invariants
+# Every other -fault preset, so each one the executor plays is compared.
+run load-graceful wacksim -experiment availability -trials 2 -clients 100 -fault graceful
+run load-graylink wacksim -experiment availability -trials 2 -clients 100 -fault graylink
+run load-slownode-phi wacksim -experiment availability -trials 2 -clients 100 -fault slownode -detector phi -invariants
+run load-router-crash wacksim -experiment availability -topology router -trials 2 -clients 100 -fault crash
 # Open-loop arrivals with the protocol trace and its phase breakdown, the
 # registry as it is written (-parallel 1: trials share one registry and float
 # sums depend on who adds first; into a compared file, because `-prom -`
