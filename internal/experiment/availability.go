@@ -341,6 +341,16 @@ func availabilityWebTrial(seed int64, cfg AvailabilityConfig) (runner.Sample, *A
 		return runner.Sample{}, nil, err
 	}
 
+	// The rolling preset occupies two gaps per server before the PostFault
+	// window starts. The completion log is sized for the measured window
+	// before the warm-up, which fills and leaves it.
+	post, owner, hold := cfg.PostFault, 0, cfg.GrayWindow
+	if rolling {
+		post += 2 * rollingGap * time.Duration(cfg.Servers)
+		hold = rollingGap
+	}
+	engine.Reserve(cfg.PreFault + post)
+
 	// Settle the cluster, warm the traffic path, then start the measured
 	// window at a seed-derived offset within the heartbeat interval so the
 	// fault phase is uniformly distributed (as in WebCluster.WarmUp).
@@ -349,14 +359,6 @@ func availabilityWebTrial(seed int64, cfg AvailabilityConfig) (runner.Sample, *A
 	wc.RunFor(cfg.Warmup)
 	wc.RunFor(time.Duration(wc.Sim.Rand().Int63n(int64(cfg.GCS.HeartbeatInterval))))
 	engine.ResetStats()
-	// The rolling preset occupies two gaps per server before the PostFault
-	// window starts.
-	post, owner, hold := cfg.PostFault, 0, cfg.GrayWindow
-	if rolling {
-		post += 2 * rollingGap * time.Duration(cfg.Servers)
-		hold = rollingGap
-	}
-	engine.Reserve(cfg.PreFault + post)
 	wc.RunFor(cfg.PreFault)
 
 	faultAt := wc.Sim.Now()
@@ -525,11 +527,11 @@ func availabilityRouterTrial(seed int64, cfg AvailabilityConfig) (runner.Sample,
 	// network (the reply path needs it), then warm the traffic path.
 	sc.sim.RunFor(2*cfg.GCS.DiscoveryTimeout + 2*time.Second)
 	sc.sim.RunFor(ripCfg.AdvertisePeriod + 5*time.Second)
+	engine.Reserve(cfg.PreFault + cfg.PostFault)
 	engine.Start()
 	sc.sim.RunFor(cfg.Warmup)
 	sc.sim.RunFor(time.Duration(sc.sim.Rand().Int63n(int64(cfg.GCS.HeartbeatInterval))))
 	engine.ResetStats()
-	engine.Reserve(cfg.PreFault + cfg.PostFault)
 	sc.sim.RunFor(cfg.PreFault)
 
 	active, err := sc.activeRouter()

@@ -169,17 +169,13 @@ type serverKey struct {
 	port uint16
 }
 
-type serverConn struct {
-	established bool
-}
-
 // Server answers flow requests on one UDP port, typically bound across all
 // the virtual addresses a cluster node may come to own (the socket binds
 // the wildcard address, as the paper's service daemons do).
 type Server struct {
 	host  *netsim.Host
 	cfg   ServerConfig
-	conns map[serverKey]*serverConn
+	conns map[serverKey]struct{} // the connections this server holds state for
 	m     ServerMetrics
 	name  []byte
 }
@@ -189,7 +185,7 @@ func NewServer(h *netsim.Host, port uint16, cfg ServerConfig) (*Server, error) {
 	s := &Server{
 		host:  h,
 		cfg:   cfg,
-		conns: make(map[serverKey]*serverConn),
+		conns: make(map[serverKey]struct{}),
 		m:     RegisterServerMetrics(cfg.Metrics),
 		name:  []byte(h.Name()),
 	}
@@ -208,12 +204,12 @@ func (s *Server) receive(src, dst netip.AddrPort, payload []byte) {
 		return // the network delivers nothing else
 	}
 	key := serverKey{ip: src.Addr().As4(), id: h.id, port: src.Port()}
-	conn, known := s.conns[key]
+	_, known := s.conns[key]
 
 	switch {
 	case h.flags&flagSYN != 0:
 		if !known {
-			s.conns[key] = &serverConn{}
+			s.conns[key] = struct{}{}
 			s.m.Accepts.Inc()
 		}
 		// SYN|ACK — repeated for a retransmitted SYN, which also covers the
@@ -233,7 +229,6 @@ func (s *Server) receive(src, dst netip.AddrPort, payload []byte) {
 		delete(s.conns, key)
 
 	case h.flags&flagDATA != 0:
-		conn.established = true
 		resp := payload[headerLen:]
 		if s.cfg.Handler != nil {
 			resp = s.cfg.Handler(resp)
@@ -244,8 +239,7 @@ func (s *Server) receive(src, dst netip.AddrPort, payload []byte) {
 		s.reply(src, dst, flagDATA|flagACK, h.id, h.seq, h.seq, resp)
 
 	case h.flags&flagACK != 0:
-		// Final leg of the handshake.
-		conn.established = true
+		// Final leg of the handshake: the SYN already entered the connection.
 	}
 }
 

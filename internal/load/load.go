@@ -208,9 +208,6 @@ type Stats struct {
 	// the paper's "clients with open connections ... lose their
 	// connections" population.
 	ConnsLost uint64
-	// FirstOKAt and LastOKAt bracket successful service.
-	FirstOKAt time.Time
-	LastOKAt  time.Time
 	// MaxOKGap is the longest interval between consecutive ok completions
 	// (measured from the stats epoch) — the request-level service
 	// interruption. GapStart/GapEnd locate it.
@@ -566,16 +563,12 @@ func (e *Engine) record(class Class, rtt time.Duration) {
 		e.m.Latency.ObserveDuration(rtt)
 	}
 	if class == ClassOK {
-		if e.stats.FirstOKAt.IsZero() {
-			e.stats.FirstOKAt = now
-		}
 		if gap := now.Sub(e.lastOKAt); gap > e.stats.MaxOKGap {
 			e.stats.MaxOKGap = gap
 			e.stats.GapStart = e.lastOKAt
 			e.stats.GapEnd = now
 		}
 		e.lastOKAt = now
-		e.stats.LastOKAt = now
 	}
 	if len(e.completions) == cap(e.completions) {
 		// A log Reserve sized never gets here within its window. Any other

@@ -31,6 +31,16 @@ func completed(st Stats) uint64 {
 	return n
 }
 
+// okAfter reports whether the log holds an ok completion later than at.
+func okAfter(log []Completion, at time.Time) bool {
+	for _, c := range log {
+		if c.Class == ClassOK && c.At.After(at) {
+			return true
+		}
+	}
+	return false
+}
+
 func newRig(t *testing.T, seed int64) *rig {
 	t.Helper()
 	s := sim.New(seed)
@@ -162,7 +172,7 @@ func TestTakeoverResetsAndRecovery(t *testing.T) {
 	if st.Requests[ClassOK] == 0 {
 		t.Fatal("no successful requests at all")
 	}
-	if st.LastOKAt.Sub(st.GapEnd) <= 0 {
+	if !okAfter(e.Completions(), st.GapEnd) {
 		t.Error("no ok completions after the reset gap — clients did not recover")
 	}
 	// One think and one redial timer per client: a closed-loop client never
@@ -367,5 +377,29 @@ func TestReserveSizesTheLogOnce(t *testing.T) {
 	before := cap(e.Completions())
 	if e.Reserve(window); cap(e.Completions()) != before {
 		t.Fatalf("closed-loop Reserve changed the log's cap from %d to %d", before, cap(e.Completions()))
+	}
+}
+
+// TestReserveBeforeWarmUpSizesTheLogOnce is the availability trial's order:
+// an open-loop engine reserved for its measured window before it starts logs
+// its warm-up into that log, and ResetStats keeps the room, so neither the
+// warm-up nor the window grows it.
+func TestReserveBeforeWarmUpSizesTheLogOnce(t *testing.T) {
+	const window = 5 * time.Second
+	r := newRig(t, 2)
+	e, err := New(r.client, Config{Clients: 100, Mode: Open, RPS: 2000, Target: r.target})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Reserve(window)
+	reserved := cap(e.Completions())
+	e.Start()
+	r.s.RunFor(time.Second)
+	warm := len(e.Completions())
+	e.ResetStats()
+	r.s.RunFor(window)
+	if got := cap(e.Completions()); got != reserved || warm < 1500 || len(e.Completions()) < 9000 {
+		t.Fatalf("%d warm-up and %d window completions grew the log reserved before Start from cap %d to %d",
+			warm, len(e.Completions()), reserved, got)
 	}
 }

@@ -120,6 +120,59 @@ func TestDatagramPathsDoNotAllocate(t *testing.T) {
 	}
 }
 
+// TestFramesInFlightAllocateBySlab: one event puts k frames in flight at
+// once, each a packet record, a payload buffer and a delivery job that is its
+// own event. All three are carved from per-network slabs that grow
+// geometrically, so a burst of records the network has never had costs at
+// most k/16 allocations, and a burst of records it has had costs none; every
+// record is back in its pool and nothing is queued once the frames land.
+func TestFramesInFlightAllocateBySlab(t *testing.T) {
+	s, nw, _, hosts := lan(t, 9, 2)
+	heard := 0
+	if _, err := hosts[1].BindUDP(netip.Addr{}, 9000, func(_, _ netip.AddrPort, _ []byte) { heard++ }); err != nil {
+		t.Fatal(err)
+	}
+	seedARP(hosts[0].nics[0], addr("10.0.0.2"), hosts[1].nics[0].mac)
+	dst := netip.AddrPortFrom(addr("10.0.0.2"), 9000)
+	payload := make([]byte, 64)
+	const k = 2000
+	event := s.After(time.Hour, func() {
+		for i := 0; i < k; i++ {
+			if err := hosts[0].SendUDP(netip.AddrPort{}, dst, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	burst := func() {
+		event.Reset(0)
+		s.Step()
+	}
+	// AllocsPerRun bursts twice before the first frame lands, so the measured
+	// burst carves records k to 2k.
+	if avg := testing.AllocsPerRun(1, burst); avg > k/16 {
+		t.Errorf("a burst of %d frames in flight allocates %.0f, want at most %d (records and buffers by the slab)", k, avg, k/16)
+	}
+	if got := s.Pending(); got != 2*k {
+		t.Fatalf("%d frames in flight hold %d events, want %d", 2*k, got, 2*k)
+	}
+	s.Run()
+	if heard != 2*k {
+		t.Fatalf("%d of %d frames heard", heard, 2*k)
+	}
+	if avg := testing.AllocsPerRun(3, func() {
+		burst()
+		s.Run()
+	}); avg != 0 {
+		t.Errorf("a burst of %d frames on records used before allocates %.0f, want 0", k, avg)
+	}
+	if n := nw.PacketsOutstanding(); n != 0 {
+		t.Errorf("%d packet records not back in the pool", n)
+	}
+	if n := s.Pending(); n != 0 {
+		t.Errorf("%d events still pending after the drain", n)
+	}
+}
+
 // TestRouterDropDoesNotAllocate pins a drop the router decides: with no
 // logger set, a datagram it has no route for costs nothing and returns to
 // the pool.

@@ -568,9 +568,9 @@ func (h *Host) sendUDP(src, dst netip.AddrPort, payload []byte, handedOver bool)
 		}
 	}
 	if !handedOver {
-		payload = append(h.net.GetBuf(0), payload...)
+		payload = h.net.copyBuf(payload)
 	}
-	p := h.net.packets.get()
+	p, _ := h.net.packets.get()
 	*p = ipPacket{src: from, dst: to, ttl: defaultTTL,
 		srcPort: src.Port(), dstPort: dst.Port(), payload: payload, refs: 1}
 	var err error
@@ -595,15 +595,16 @@ func (h *Host) sendUDP(src, dst netip.AddrPort, payload []byte, handedOver bool)
 // host's own sockets: a loop-back send, or (nic set) the sender's copy of a
 // subnet broadcast, which it hears only if the interface is still up.
 type localDelivery struct {
-	h   *Host
-	nic *NIC
-	p   *ipPacket
+	timer sim.Timer // runs the event; initialised once, when it is carved
+	h     *Host
+	nic   *NIC
+	p     *ipPacket
 }
 
 // Run delivers the datagram, recycling the event first as deliveryJob does.
 func (j *localDelivery) Run() {
 	h, nic, p := j.h, j.nic, j.p
-	*j = localDelivery{}
+	j.h, j.nic, j.p = nil, nil, nil
 	h.net.locals.put(j)
 	if h.alive && (nic == nil || nic.up) {
 		h.deliverUDP(p)
@@ -615,10 +616,13 @@ func (j *localDelivery) Run() {
 // deliverLocal schedules p for the host's own sockets, taking the event's
 // reference to it.
 func (h *Host) deliverLocal(nic *NIC, p *ipPacket) {
-	j := h.net.locals.get()
+	j, carved := h.net.locals.get()
+	if carved {
+		h.net.sim.Init(&j.timer, j)
+	}
 	j.h, j.nic, j.p = h, nic, p
 	p.refs++
-	h.net.sim.Post(10*time.Microsecond, j)
+	j.timer.Reset(10 * time.Microsecond)
 }
 
 // broadcastNIC returns the NIC whose subnet broadcast (or the limited
@@ -841,9 +845,9 @@ func (h *Host) forward(p *ipPacket) {
 	if p.refs > 1 {
 		// Other receivers of a broadcast frame still hold this record, so
 		// the hop count must not be decremented in place: forward a copy.
-		cp := h.net.packets.get()
+		cp, _ := h.net.packets.get()
 		*cp = *p
-		cp.payload, cp.refs = append(h.net.GetBuf(0), p.payload...), 1
+		cp.payload, cp.refs = h.net.copyBuf(p.payload), 1
 		h.net.release(p)
 		p = cp
 	}

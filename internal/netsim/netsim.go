@@ -14,6 +14,7 @@ package netsim
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"net/netip"
 	"time"
 
@@ -130,35 +131,62 @@ type Network struct {
 	tracer   *obs.Tracer
 	counters Counters
 
-	// Freelists for the zero-allocation traffic fast path.
+	// Freelists for the zero-allocation traffic fast path. Each carves new
+	// records from slabs of its own, and small payload buffers come from
+	// bufSlots, so a burst of frames in flight costs a few allocations per
+	// pool rather than one per frame.
 	packets  freeList[ipPacket]
 	jobs     freeList[deliveryJob]
 	locals   freeList[localDelivery]
 	freeBufs [][]byte
+	bufSlots slab[[bufSlot]byte]
 	// poison, flipped only by tests, makes PutBuf overwrite every buffer it
 	// is handed, so a handler that retained its payload reads garbage.
 	poison bool
 }
 
-// freeList recycles records of one type. The simulation loop is
-// single-goroutine, so a plain slice suffices — no locking, no sync.Pool
-// churn. made counts the records the list had to allocate: with everything
-// released, made == len(free).
-type freeList[T any] struct {
-	free []*T
+// firstSlab is the length in records of a pool's first slab. Every later one
+// is at least half as long as all before it together, so a pool grows by half
+// each time it runs dry: a trial with a few dozen frames in flight leaves a
+// short tail unused, and a retransmit burst of thousands costs some fifteen
+// allocations per pool.
+const firstSlab = 8
+
+// slab hands out zero records of one type, allocating them a slab at a time.
+// made counts the records carved so far.
+type slab[T any] struct {
+	rest []T // the unused rest of the current slab
 	made int
 }
 
-func (f *freeList[T]) get() *T {
-	l := len(f.free)
-	if l == 0 {
-		f.made++
-		return new(T)
+func (s *slab[T]) carve() *T {
+	if len(s.rest) == 0 {
+		s.rest = make([]T, max(firstSlab, s.made/2))
 	}
-	x := f.free[l-1]
-	f.free[l-1] = nil
-	f.free = f.free[:l-1]
+	s.made++
+	x := &s.rest[0]
+	s.rest = s.rest[1:]
 	return x
+}
+
+// freeList recycles records of one type. The simulation loop is
+// single-goroutine, so a plain slice suffices — no locking, no sync.Pool
+// churn. With everything released, made == len(free).
+type freeList[T any] struct {
+	free []*T
+	slab[T]
+}
+
+// get returns a recycled record, or else one carved from the slab,
+// reporting which: a carved record is one its caller has never seen.
+func (f *freeList[T]) get() (x *T, carved bool) {
+	if l := len(f.free); l > 0 {
+		x = f.free[l-1]
+		f.free[l-1] = nil
+		f.free = f.free[:l-1]
+		return x, false
+	}
+	return f.carve(), true
 }
 
 func (f *freeList[T]) put(x *T) { f.free = append(f.free, x) }
@@ -168,24 +196,36 @@ func (f *freeList[T]) put(x *T) { f.free = append(f.free, x) }
 // memory for the rest of a trial.
 const maxPooledBuf = 64 << 10
 
-// GetBuf returns a payload buffer of length n from the network's pool,
-// allocating if the pool is dry. The buffer's contents are unspecified.
+// bufSlot is the capacity of every payload buffer carved from bufSlots, and
+// the size below which a buffer is carved: a slot is an array, so an append
+// or a poisoning overwrite never reaches the neighbouring one.
+const bufSlot = 128
+
+// GetBuf returns a payload buffer of length n from the network's pool. When
+// the pool's top buffer is missing or too small, it stays where it is and
+// the buffer is carved from a slab, or for bufSlot bytes or more
+// allocated with a power-of-two capacity, so that it serves the next
+// payload of about its size too. The buffer's contents are unspecified.
 // Callers hand the buffer to SendUDPOwned, which assumes ownership; the
-// network returns it to the pool after final delivery. GetBuf(0) is a
-// pooled buffer to append into.
+// network returns it to the pool after final delivery.
 func (n *Network) GetBuf(size int) []byte {
-	if l := len(n.freeBufs); l > 0 {
+	if l := len(n.freeBufs); l > 0 && cap(n.freeBufs[l-1]) >= size {
 		b := n.freeBufs[l-1]
 		n.freeBufs[l-1] = nil
 		n.freeBufs = n.freeBufs[:l-1]
-		if cap(b) >= size {
-			return b[:size]
-		}
+		return b[:size]
 	}
-	if size < 128 {
-		return make([]byte, size, 128)
+	if size >= bufSlot {
+		return make([]byte, size, 1<<bits.Len(uint(size-1)))
 	}
-	return make([]byte, size)
+	return n.bufSlots.carve()[:size]
+}
+
+// copyBuf returns a pooled copy of b, sized to it.
+func (n *Network) copyBuf(b []byte) []byte {
+	c := n.GetBuf(len(b))
+	copy(c, b)
+	return c
 }
 
 // PutBuf returns a buffer to the pool. Only buffers no longer referenced
@@ -362,12 +402,15 @@ func (s *Segment) transmit(src *NIC, fr frame) {
 		if d := src.txDelay + nic.rxDelay; d > 0 {
 			delay += d
 		}
-		j := s.net.jobs.get()
+		j, carved := s.net.jobs.get()
+		if carved {
+			s.net.sim.Init(&j.timer, j)
+		}
 		j.seg, j.nic, j.fr = s, nic, fr
 		if fr.pkt != nil {
 			fr.pkt.refs++
 		}
-		s.net.sim.Post(delay, j)
+		j.timer.Reset(delay)
 	}
 }
 
@@ -378,20 +421,21 @@ func (s *Segment) drop(host, detail string) {
 		Node: host, Group: s.name, Detail: detail})
 }
 
-// deliveryJob is the pooled, pre-allocated form of the frame-delivery
-// callback; together with sim.Post it keeps per-frame scheduling free of
-// closure and timer allocations on busy segments.
+// deliveryJob is one frame in flight to one receiver: a pooled record that
+// is also its own event, through the timer it embeds, so per-frame
+// scheduling allocates neither a closure nor a queue record.
 type deliveryJob struct {
-	seg *Segment
-	nic *NIC
-	fr  frame
+	timer sim.Timer // runs the job; initialised once, when the job is carved
+	seg   *Segment
+	nic   *NIC
+	fr    frame
 }
 
 // Run delivers the frame. The job recycles itself before touching the host
 // so that sends performed inside the receive path can reuse it immediately.
 func (j *deliveryJob) Run() {
 	seg, nic, fr := j.seg, j.nic, j.fr
-	*j = deliveryJob{}
+	j.seg, j.nic, j.fr = nil, nil, frame{}
 	seg.net.jobs.put(j)
 
 	if nic.up && nic.host.alive {

@@ -38,9 +38,9 @@ type Sim struct {
 	rng   *rand.Rand
 	fired uint64
 	// free recycles records scheduled with Post: nobody holds a handle to
-	// those, so they cannot be referenced after firing. Pooling keeps the
-	// per-frame scheduling cost of busy traffic simulations allocation-free
-	// in steady state.
+	// those, so they cannot be referenced after firing. Pooling keeps a
+	// fault program's ticks allocation-free; a high-rate path embeds its own
+	// Timer instead (see Init).
 	free []*Timer
 }
 
