@@ -119,7 +119,6 @@ var keep = map[string]string{
 	"gcs.DeliveryHandler":      "Daemon.AddDeliveryHandler takes it",
 	"gcs.DetectionHook":        "Daemon.SetDetectionHook takes it",
 	"gcs.MembershipHandler":    "Daemon.SetMembershipHandler takes it",
-	"gcs.ViewReason":           "View.Reason names it",
 	"invariant.Node":           "Monitor.Attach takes it",
 	"netsim.Host.Restart":      "crash-restart under the same identity will call it",
 	"netsim.UDPHandler":        "Host.BindUDP takes it",

@@ -98,23 +98,62 @@ func run(args []string, stop <-chan os.Signal, notices io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	cfg, err := config.ParseFile(*cfgPath)
+	d, err := build(*cfgPath, *verbose, notices)
+	if err == nil {
+		err = d.start(notices)
+	}
 	if err != nil {
 		fmt.Fprintf(notices, "wackamole: %v\n", err)
 		return 1
 	}
 
+	for s := range stop {
+		if s == syscall.SIGQUIT && d.recorder != nil {
+			if dir, derr := d.recorder.Dump("sigquit"); derr == nil {
+				fmt.Fprintf(notices, "wackamole: SIGQUIT flight bundle: %s\n", dir)
+			}
+			continue
+		}
+		break
+	}
+	fmt.Fprintln(notices, "wackamole: shutting down")
+	d.stop(notices)
+	return 0
+}
+
+// daemon is one running wackamole: the pieces build wires from a
+// configuration file, start brings up and stop tears down.
+type daemon struct {
+	cfg      *config.File
+	loop     *realtime.Loop
+	conn     *realtime.Conn
+	node     *wackamole.Node
+	tracer   *obs.Tracer         // nil unless metrics or flight_dir is set
+	registry *metrics.Registry   // likewise
+	recorder *obs.FlightRecorder // nil unless flight_dir is set
+	obsSrv   *obs.Server         // nil unless metrics is set
+	ctlSrv   *ctl.Server         // nil unless control is set
+}
+
+// build wires the daemon that configPath describes, up to but not
+// including node.Start: the socket is bound and every instrument and
+// monitor is attached, but the protocol has not begun.
+func build(configPath string, verbose bool, notices io.Writer) (*daemon, error) {
+	cfg, err := config.ParseFile(configPath)
+	if err != nil {
+		return nil, err
+	}
+
 	loop := realtime.NewLoop()
 	clock := realtime.NewClock(loop)
 	var log env.Logger = env.NopLogger{}
-	if *verbose {
+	if verbose {
 		log = env.NewPrefixLogger(notices, clock, cfg.Bind)
 	}
 	conn, err := realtime.Listen(loop, cfg.Bind, cfg.Peers)
 	if err != nil {
-		fmt.Fprintf(notices, "wackamole: %v\n", err)
 		loop.Close()
-		return 1
+		return nil, err
 	}
 	e := env.Env{Clock: clock, Conn: conn, Log: log}
 	if cfg.Metrics != "" || cfg.FlightDir != "" {
@@ -130,7 +169,7 @@ func run(args []string, stop <-chan os.Signal, notices io.Writer) int {
 		e.HLC = obs.NewHLCClock(nil, cfg.Bind)
 		e.HLC.SetMetrics(e.Metrics)
 	}
-	tracer, registry := e.Tracer, e.Metrics
+	d := &daemon{cfg: cfg, loop: loop, conn: conn, tracer: e.Tracer, registry: e.Metrics}
 
 	device := cfg.Device
 	if device == "" {
@@ -140,39 +179,38 @@ func run(args []string, stop <-chan os.Signal, notices io.Writer) int {
 		Inner: &ipmgr.ExecBackend{Device: device, DryRun: cfg.DryRun},
 		Log:   env.NewPrefixLogger(notices, clock, "ipmgr"),
 	}
-	node, err := wackamole.NewNode(e, cfg.NodeConfig(), backend, &announceLogger{log: log})
+	d.node, err = wackamole.NewNode(e, cfg.NodeConfig(), backend, &announceLogger{log: log})
 	if err != nil {
-		fmt.Fprintf(notices, "wackamole: %v\n", err)
+		_ = conn.Close()
 		loop.Close()
-		return 1
+		return nil, err
 	}
-	if registry != nil {
+	if d.registry != nil {
 		// The live health plane rides on the same instruments: the
 		// observe-only phi-accrual monitor shadows the fixed T/H detectors
 		// (health_phi, health_interarrival_ns, phi-suspect trace events)
 		// without influencing them. The daemon evaluates it on its own scan
 		// tick.
-		node.SetHealth(health.NewMonitor(health.Options{
+		d.node.SetHealth(health.NewMonitor(health.Options{
 			Node:    cfg.Bind,
-			Metrics: registry,
-			Tracer:  tracer,
+			Metrics: d.registry,
+			Tracer:  d.tracer,
 		}))
 	}
-	registerActivityCounters(registry, node)
-	var recorder *obs.FlightRecorder
+	registerActivityCounters(d.registry, d.node)
 	if cfg.FlightDir != "" {
 		// The black box: a bounded in-memory record of recent protocol life,
 		// spilled as an atomic bundle on SIGQUIT, `wackactl dump`, an
 		// invariant trip, or a failover slower than flight_threshold.
-		raw, rerr := os.ReadFile(*cfgPath)
+		raw, rerr := os.ReadFile(configPath)
 		if rerr != nil {
 			raw = []byte(fmt.Sprintf("# unreadable at dump time: %v\n", rerr))
 		}
-		recorder = obs.NewFlightRecorder(obs.FlightConfig{
+		recorder := obs.NewFlightRecorder(obs.FlightConfig{
 			Dir:                   cfg.FlightDir,
 			Node:                  cfg.Bind,
-			Tracer:                tracer,
-			Registry:              registry,
+			Tracer:                d.tracer,
+			Registry:              d.registry,
 			Config:                string(raw),
 			InterruptionThreshold: cfg.FlightThreshold,
 			Profile:               cfg.FlightProfile,
@@ -180,13 +218,14 @@ func run(args []string, stop <-chan os.Signal, notices io.Writer) int {
 				fmt.Fprintf(notices, "wackamole: "+format+"\n", args...)
 			},
 		})
-		node.Daemon().SetMembershipHandler(func(ring gcs.RingID, members []gcs.DaemonID) {
+		d.node.Daemon().SetMembershipHandler(func(ring gcs.RingID, members []gcs.DaemonID) {
 			ms := make([]string, len(members))
 			for i, m := range members {
 				ms[i] = string(m)
 			}
 			recorder.RecordView(ring.String(), ms)
 		})
+		d.recorder = recorder
 		fmt.Fprintf(notices, "wackamole: flight recorder armed, bundles under %s\n", cfg.FlightDir)
 	}
 	if cfg.Invariants {
@@ -198,8 +237,8 @@ func run(args []string, stop <-chan os.Signal, notices io.Writer) int {
 		// post-mortem record of it.
 		mon := invariant.New(invariant.Config{
 			Nodes:   1,
-			Metrics: registry,
-			Tracer:  tracer,
+			Metrics: d.registry,
+			Tracer:  d.tracer,
 			Name:    "wackamole-" + cfg.Bind,
 			// Per-view relocation ceiling: a single-node monitor sees only
 			// its own acquisitions, so this is the accounting backstop, not
@@ -209,82 +248,75 @@ func run(args []string, stop <-chan os.Signal, notices io.Writer) int {
 				fmt.Fprintf(notices, "wackamole: invariant violation: %v\n", v)
 				// Off this goroutine: the violation hook runs on the
 				// protocol path and a dump is file I/O.
-				go recorder.Dump("invariant:" + v.Oracle)
+				go d.recorder.Dump("invariant:" + v.Oracle)
 			},
 		})
-		mon.Attach(0, node)
+		mon.Attach(0, d.node)
 	}
+	return d, nil
+}
 
+// start runs node.Start on the daemon's loop and then opens the metrics
+// and control listeners the configuration names. On error everything build
+// and start brought up is torn down again.
+func (d *daemon) start(notices io.Writer) error {
+	cfg := d.cfg
 	startErr := make(chan error, 1)
-	loop.Post(func() { startErr <- node.Start() })
+	d.loop.Post(func() { startErr <- d.node.Start() })
 	if err := <-startErr; err != nil {
-		fmt.Fprintf(notices, "wackamole: %v\n", err)
-		loop.Close()
-		return 1
+		_ = d.conn.Close()
+		d.loop.Close()
+		return err
 	}
 	fmt.Fprintf(notices, "wackamole: daemon %s up (%d peers, %d vip groups, dry_run=%v)\n",
 		cfg.Bind, len(cfg.Peers), len(cfg.Groups), cfg.DryRun)
 
-	var obsSrv *obs.Server
+	var err error
 	if cfg.Metrics != "" {
 		// Every instrument is an atomic, so the handler snapshots the registry
 		// directly without posting to the loop.
-		h := obs.NewHandler(tracer, registry)
+		h := obs.NewHandler(d.tracer, d.registry)
 		if cfg.Pprof {
 			h.EnableProfiling()
 		}
-		obsSrv, err = obs.ServeHandler(cfg.Metrics, h)
-		if err != nil {
-			fmt.Fprintf(notices, "wackamole: %v\n", err)
-			loop.Post(node.Stop)
-			loop.Close()
-			return 1
+		if d.obsSrv, err = obs.ServeHandler(cfg.Metrics, h); err != nil {
+			d.stop(io.Discard)
+			return err
 		}
-		fmt.Fprintf(notices, "wackamole: metrics endpoint on http://%s/metrics\n", obsSrv.Addr())
+		fmt.Fprintf(notices, "wackamole: metrics endpoint on http://%s/metrics\n", d.obsSrv.Addr())
 		if cfg.Pprof {
-			fmt.Fprintf(notices, "wackamole: profiling enabled on http://%s/debug/pprof/\n", obsSrv.Addr())
+			fmt.Fprintf(notices, "wackamole: profiling enabled on http://%s/debug/pprof/\n", d.obsSrv.Addr())
 		}
 	}
-
-	var ctlSrv *ctl.Server
 	if cfg.Control != "" {
-		ctlSrv, err = ctl.Serve(cfg.Control, loop, node)
-		if err != nil {
-			fmt.Fprintf(notices, "wackamole: %v\n", err)
-			loop.Post(node.Stop)
-			loop.Close()
-			return 1
+		if d.ctlSrv, err = ctl.Serve(cfg.Control, d.loop, d.node); err != nil {
+			d.stop(io.Discard)
+			return err
 		}
-		ctlSrv.SetRecorder(recorder)
-		fmt.Fprintf(notices, "wackamole: control channel on %s\n", ctlSrv.Addr())
+		d.ctlSrv.SetRecorder(d.recorder)
+		fmt.Fprintf(notices, "wackamole: control channel on %s\n", d.ctlSrv.Addr())
 	}
+	return nil
+}
 
-	for s := range stop {
-		if s == syscall.SIGQUIT && recorder != nil {
-			if dir, derr := recorder.Dump("sigquit"); derr == nil {
-				fmt.Fprintf(notices, "wackamole: SIGQUIT flight bundle: %s\n", dir)
-			}
-			continue
-		}
-		break
-	}
-	fmt.Fprintln(notices, "wackamole: shutting down")
-	if obsSrv != nil {
-		if err := obsSrv.Close(); err != nil {
+// stop closes the listeners, then stops the node on its loop (it leaves the
+// group and closes the socket) and closes the loop.
+func (d *daemon) stop(notices io.Writer) {
+	if d.obsSrv != nil {
+		if err := d.obsSrv.Close(); err != nil {
 			fmt.Fprintf(notices, "wackamole: metrics close: %v\n", err)
 		}
 	}
-	if ctlSrv != nil {
-		if err := ctlSrv.Close(); err != nil {
+	if d.ctlSrv != nil {
+		if err := d.ctlSrv.Close(); err != nil {
 			fmt.Fprintf(notices, "wackamole: control close: %v\n", err)
 		}
 	}
 	stopped := make(chan struct{})
-	loop.Post(func() {
-		node.Stop()
+	d.loop.Post(func() {
+		d.node.Stop()
 		close(stopped)
 	})
 	<-stopped
-	loop.Close()
-	return 0
+	d.loop.Close()
 }

@@ -12,8 +12,7 @@ func (d *Daemon) Operational() bool { return d.state == stOperational }
 
 // The external tests' names for unexported parts of the API.
 const (
-	MaxPayload  = maxPayload
-	ReasonLeave = reasonLeave
+	MaxPayload = maxPayload
 )
 
 func (d *Daemon) Stop()                       { d.stop() }

@@ -3,6 +3,7 @@ package gcs_test
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -343,8 +344,8 @@ func TestGracefulLeaveIsFastAndLightweight(t *testing.T) {
 		t.Fatalf("expected exactly one new view, got %d", len(recs[0].views)-viewsBefore)
 	}
 	v := recs[0].lastView(t)
-	if v.Reason != gcs.ReasonLeave || len(v.Members) != 3 {
-		t.Fatalf("leave view = %+v, want 3 members with leave reason", v)
+	if gone := (gcs.GroupMember{Daemon: c.daemons[3].ID(), Client: "w"}); len(v.Members) != 3 || slices.Contains(v.Members, gone) {
+		t.Fatalf("leave view = %+v, want the 3 members other than %v", v, gone)
 	}
 	// The daemon membership must be untouched: voluntary client departure
 	// does not trigger daemon-level reconfiguration (§4.1).
@@ -372,8 +373,8 @@ func TestSeveredSessionNotifiesAndLeaves(t *testing.T) {
 		t.Fatal("severed session did not fire its disconnect handler")
 	}
 	v := recs[0].lastView(t)
-	if len(v.Members) != 2 || v.Reason != gcs.ReasonLeave {
-		t.Fatalf("survivors' view = %+v, want 2 members, leave", v)
+	if gone := (gcs.GroupMember{Daemon: c.daemons[2].ID(), Client: "w"}); len(v.Members) != 2 || slices.Contains(v.Members, gone) {
+		t.Fatalf("survivors' view = %+v, want the 2 members other than %v", v, gone)
 	}
 }
 

@@ -1,7 +1,6 @@
 package gcs
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 
@@ -28,42 +27,12 @@ func (m GroupMember) less(o GroupMember) bool {
 	return m.Client < o.Client
 }
 
-// ViewReason says why a view was delivered.
-type ViewReason uint8
-
-// View delivery reasons.
-const (
-	// reasonNetwork: the daemon membership changed (fault, partition,
-	// merge, or daemon boot) and the group was resynchronized.
-	reasonNetwork ViewReason = iota + 1
-	// reasonJoin: a client joined the group.
-	reasonJoin
-	// reasonLeave: a client left the group (gracefully or because its
-	// session was severed).
-	reasonLeave
-)
-
-// String names the reason.
-func (r ViewReason) String() string {
-	switch r {
-	case reasonNetwork:
-		return "network"
-	case reasonJoin:
-		return "join"
-	case reasonLeave:
-		return "leave"
-	default:
-		return fmt.Sprintf("reason(%d)", uint8(r))
-	}
-}
-
 // View is a group membership notification. Any two clients that receive a
 // view with the same ID received identical, identically ordered Members —
 // the property the Wackamole state synchronization depends on.
 type View struct {
 	ID      ViewID
 	Group   string
-	Reason  ViewReason
 	Members []GroupMember
 }
 
@@ -265,7 +234,7 @@ func (g *groupLayer) completeSync(last *dataMsg) {
 	}
 	sort.Strings(groups)
 	for _, grp := range groups {
-		g.emitView(grp, reasonNetwork)
+		g.emitView(grp)
 	}
 	casts := g.pendingCasts
 	g.pendingCasts = nil
@@ -286,13 +255,10 @@ func (g *groupLayer) applyMembershipOp(m *dataMsg, emit bool) string {
 	}
 	member := GroupMember{Daemon: m.Origin, Client: client}
 	var mutated bool
-	var reason ViewReason
 	if m.Kind == dkGroupJoin {
 		mutated = g.insertMember(grp, member)
-		reason = reasonJoin
 	} else {
 		mutated = g.removeMember(grp, member)
-		reason = reasonLeave
 	}
 	// Keep local session bookkeeping in step with the replicated state.
 	if member.Daemon == g.d.id {
@@ -309,7 +275,7 @@ func (g *groupLayer) applyMembershipOp(m *dataMsg, emit bool) string {
 	}
 	g.lastViewID = ViewID{Ring: m.Ring, Seq: m.Seq}
 	if emit {
-		g.emitView(grp, reason)
+		g.emitView(grp)
 	}
 	return grp
 }
@@ -342,7 +308,7 @@ func (g *groupLayer) removeMember(grp string, m GroupMember) bool {
 }
 
 // emitView delivers the group's current membership to every local member.
-func (g *groupLayer) emitView(grp string, reason ViewReason) {
+func (g *groupLayer) emitView(grp string) {
 	list := g.groups[grp]
 	for _, m := range list {
 		if m.Daemon != g.d.id {
@@ -355,7 +321,6 @@ func (g *groupLayer) emitView(grp string, reason ViewReason) {
 		view := View{
 			ID:      g.lastViewID,
 			Group:   grp,
-			Reason:  reason,
 			Members: append([]GroupMember(nil), list...),
 		}
 		if s.viewH != nil {

@@ -198,7 +198,7 @@ func TestIDTypes(t *testing.T) {
 	}
 }
 
-func TestStateAndReasonStrings(t *testing.T) {
+func TestStateStrings(t *testing.T) {
 	for want, s := range map[string]daemonState{
 		"gather": stGather, "commit-wait": stCommitWait, "recover": stRecover, "operational": stOperational,
 	} {
@@ -208,13 +208,6 @@ func TestStateAndReasonStrings(t *testing.T) {
 	}
 	if daemonState(99).String() == "" {
 		t.Fatal("unknown state empty")
-	}
-	for want, r := range map[string]ViewReason{
-		"network": reasonNetwork, "join": reasonJoin, "leave": reasonLeave,
-	} {
-		if r.String() != want {
-			t.Fatalf("%v.String() = %q", r, r.String())
-		}
 	}
 }
 

@@ -67,11 +67,6 @@ type PeerHealth struct {
 	LastHeard time.Duration
 	// Samples is the number of inter-arrival samples in the window.
 	Samples int
-	// MeanInterval is the window's mean inter-arrival time.
-	MeanInterval time.Duration
-	// Suspected reports whether phi has crossed the threshold without a
-	// subsequent arrival clearing it.
-	Suspected bool
 }
 
 type peerState struct {
@@ -319,17 +314,9 @@ func (m *Monitor) Snapshot(now time.Time) []PeerHealth {
 		if cross {
 			crossed = append(crossed, name)
 		}
-		ph := PeerHealth{
-			Peer:      name,
-			Phi:       phi,
-			Samples:   ps.n,
-			Suspected: ps.suspected,
-		}
+		ph := PeerHealth{Peer: name, Phi: phi, Samples: ps.n}
 		if !ps.lastHeard.IsZero() {
 			ph.LastHeard = now.Sub(ps.lastHeard)
-		}
-		if mean := m.meanLocked(ps); mean > 0 {
-			ph.MeanInterval = time.Duration(mean)
 		}
 		out = append(out, ph)
 	}
@@ -386,19 +373,6 @@ func (m *Monitor) emitSuspect(peer string) {
 			Node: m.node, Detail: peer,
 		})
 	}
-}
-
-// meanLocked returns the mean inter-arrival time in nanoseconds, 0 when the
-// window is empty.
-func (m *Monitor) meanLocked(ps *peerState) float64 {
-	if ps.n == 0 {
-		return 0
-	}
-	var sum float64
-	for i := 0; i < ps.n; i++ {
-		sum += float64(ps.samples[i])
-	}
-	return sum / float64(ps.n)
 }
 
 // phiLocked computes the phi-accrual suspicion level for ps at now.

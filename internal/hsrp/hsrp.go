@@ -68,15 +68,10 @@ type Router struct {
 	cfg  Config
 
 	role    Role
-	peers   map[netip.Addr]peerInfo
+	peers   map[netip.Addr]uint8 // each peer heard from, by its priority
 	helloT  env.Timer
 	activeT env.Timer
 	running bool
-}
-
-type peerInfo struct {
-	priority uint8
-	role     Role
 }
 
 // New binds an HSRP router on (host, nic).
@@ -84,7 +79,7 @@ func New(host *netsim.Host, nic *netsim.NIC, cfg Config) (*Router, error) {
 	if !cfg.VIP.IsValid() {
 		return nil, fmt.Errorf("hsrp: missing virtual address")
 	}
-	r := &Router{host: host, nic: nic, cfg: cfg, role: roleListen, peers: map[netip.Addr]peerInfo{}}
+	r := &Router{host: host, nic: nic, cfg: cfg, role: roleListen, peers: map[netip.Addr]uint8{}}
 	if _, err := host.BindUDP(netip.Addr{}, port, func(src, _ netip.AddrPort, payload []byte) {
 		r.onHello(src.Addr(), payload)
 	}); err != nil {
@@ -143,8 +138,8 @@ func (r *Router) bestCandidate() bool {
 		addr netip.Addr
 	}
 	cands := []cand{{r.cfg.Priority, r.nic.Primary()}}
-	for a, p := range r.peers {
-		cands = append(cands, cand{p.priority, a})
+	for a, prio := range r.peers {
+		cands = append(cands, cand{prio, a})
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].prio != cands[j].prio {
@@ -192,7 +187,7 @@ func (r *Router) onHello(from netip.Addr, payload []byte) {
 	if rd.Done() != nil || group != r.cfg.Group {
 		return
 	}
-	r.peers[from] = peerInfo{priority: prio, role: role}
+	r.peers[from] = prio
 	if role == RoleActive {
 		if r.role == RoleActive {
 			// Two actives (e.g. after a partition heal): the loser steps

@@ -82,10 +82,8 @@ type routeKey struct {
 
 // Socket is a bound UDP endpoint on a host.
 type Socket struct {
-	host    *Host
 	addr    ip4
 	anyAddr bool // wildcard bind: addr is unused
-	port    uint16
 	handler UDPHandler
 	// closed is atomic so that Close may race with a frame delivery running
 	// on the simulation goroutine: tear-down code sometimes runs off-loop.
@@ -505,7 +503,7 @@ func (h *Host) BindUDP(addr netip.Addr, port uint16, fn UDPHandler) (*Socket, er
 	if s, ok := h.sockets[uint32(port)]; ok && !s.closed.Load() {
 		return nil, fmt.Errorf("%w: %s port %d", errPortInUse, h.name, port)
 	}
-	s := &Socket{host: h, addr: ip, anyAddr: !ok, port: port, handler: fn}
+	s := &Socket{addr: ip, anyAddr: !ok, handler: fn}
 	h.sockets[uint32(port)] = s
 	return s, nil
 }
@@ -644,13 +642,13 @@ func (h *Host) egress(nic *NIC, nexthop ip4, p *ipPacket) error {
 		return nic.downErr
 	}
 	if nic.isBroadcast(p.dst) {
-		nic.seg.transmit(nic, frame{src: nic.mac, dst: broadcastMAC, kind: frameIPv4, pkt: p})
+		nic.seg.transmit(nic, frame{dst: broadcastMAC, kind: frameIPv4, pkt: p})
 		// Local sockets also hear subnet broadcasts.
 		h.deliverLocal(nic, p)
 		return nil
 	}
 	if mac, ok := nic.resolved(nexthop); ok {
-		nic.seg.transmit(nic, frame{src: nic.mac, dst: mac, kind: frameIPv4, pkt: p})
+		nic.seg.transmit(nic, frame{dst: mac, kind: frameIPv4, pkt: p})
 		return nil
 	}
 	h.arpResolve(nic, nexthop, p)
@@ -709,7 +707,7 @@ func (h *Host) sendARPRequest(nic *NIC, ip ip4) {
 	if err != nil {
 		return
 	}
-	nic.seg.transmit(nic, frame{src: nic.mac, dst: broadcastMAC, kind: frameARP, arp: payload})
+	nic.seg.transmit(nic, frame{dst: broadcastMAC, kind: frameARP, arp: payload})
 }
 
 // SendGratuitousARP broadcasts a gratuitous ARP reply announcing that this
@@ -750,7 +748,7 @@ func (h *Host) SendSpoofedARP(nic *NIC, ip netip.Addr, dst MAC) error {
 		h.net.tracer.Emit(obs.Event{Source: obs.SourceNet, Kind: obs.KindARPSpoof,
 			Node: h.name, Addr: ip.String(), Detail: detail})
 	}
-	nic.seg.transmit(nic, frame{src: nic.mac, dst: dst, kind: frameARP, arp: payload})
+	nic.seg.transmit(nic, frame{dst: dst, kind: frameARP, arp: payload})
 	return nil
 }
 
@@ -800,7 +798,7 @@ func (h *Host) receiveARP(nic *NIC, fr frame) {
 		if err != nil {
 			return
 		}
-		nic.seg.transmit(nic, frame{src: nic.mac, dst: senderMAC, kind: frameARP, arp: payload})
+		nic.seg.transmit(nic, frame{dst: senderMAC, kind: frameARP, arp: payload})
 	}
 }
 
@@ -811,7 +809,7 @@ func (h *Host) flushPending(nic *NIC, ip ip4, mac MAC) {
 	}
 	if nic.up {
 		for _, p := range pend.packets {
-			nic.seg.transmit(nic, frame{src: nic.mac, dst: mac, kind: frameIPv4, pkt: p})
+			nic.seg.transmit(nic, frame{dst: mac, kind: frameIPv4, pkt: p})
 		}
 	}
 	h.dropPending(nic, ip)

@@ -77,7 +77,6 @@ const (
 
 // frame is an Ethernet-level datagram on a segment.
 type frame struct {
-	src  MAC
 	dst  MAC
 	kind frameKind
 	arp  []byte    // RFC 826 payload when kind == frameARP

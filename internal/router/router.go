@@ -62,7 +62,6 @@ type Options struct {
 
 // PhysicalRouter is one member of a virtual router.
 type PhysicalRouter struct {
-	Host   *netsim.Host
 	Node   *wackamole.Node
 	RIP    *rip.Process
 	Sharer *arpshare.Sharer // nil unless ShareARP
@@ -93,7 +92,7 @@ func New(opts Options) (*PhysicalRouter, error) {
 		return nil, err
 	}
 
-	r := &PhysicalRouter{Host: opts.Host, RIP: ripProc, participation: opts.Participation}
+	r := &PhysicalRouter{RIP: ripProc, participation: opts.Participation}
 
 	var notifier arp.Notifier = &netsim.ARPAnnouncer{Host: opts.Host}
 	node, err := wackamole.NewNode(ep.Env(nil), wackamole.Config{
